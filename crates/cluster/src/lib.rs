@@ -41,6 +41,6 @@ pub use error::{ClusterError, Result};
 pub use fault::{CrashPoint, FaultEvent, FaultInjector, FaultPlan};
 pub use partition::PartitionScheme;
 pub use trace::{OpSpan, TraceBuffer};
-pub use transport::socket::{SocketOptions, SocketTransport};
+pub use transport::socket::{KillAt, SocketOptions, SocketTransport};
 pub use transport::{SimTransport, Transport, TransportStats, UnaryTileOp};
 pub use twod::{summa, Dist2d, ProcessGrid};

@@ -28,9 +28,9 @@
 //!   different inputs), even the in-process backend cross-checks the
 //!   move-list capture.
 //! * [`socket::SocketTransport`] — a real multi-process cluster:
-//!   `dmac-workerd` children speaking length-prefixed JSON frames
-//!   ([`frame`]/[`wire`]) over TCP, with membership, heartbeats, and a
-//!   liveness timeout. Worker loss is detected here and fed back into
+//!   `dmac-workerd` children speaking length-prefixed frames over TCP
+//!   ([`frame`]; JSON control messages [`wire`], binary tile payload
+//!   [`binfmt`]), with membership, heartbeats, and a liveness timeout. Worker loss is detected here and fed back into
 //!   the cluster's existing lineage-recovery path.
 //!
 //! Values are identified across the boundary by the [`DistMatrix`]
@@ -175,17 +175,18 @@ pub struct TransportStats {
     pub heartbeats: u64,
     /// Primitives mirrored.
     pub ops: u64,
-    /// Tile payload bytes that transited the coordinator while relaying
-    /// cross-host moves (one inbound + one outbound leg per tile). Stays
-    /// 0 when direct worker-to-worker exchange is on — the bench gate
-    /// for the peer-to-peer data plane.
+    /// Tile payload bytes that transited the coordinator on their way
+    /// between hosts. Structurally 0: cross-host tiles only ever move
+    /// worker-to-worker (`peer_bytes`) and nothing increments this. The
+    /// field stays because the repo benchmark (`perf/`) and
+    /// `transport_conformance` read it and gate it at 0.
     pub relay_bytes: u64,
     /// Framed bytes pushed over direct worker-to-worker links, as
     /// rolled up from per-edge receipts in `xferred` replies.
     pub peer_bytes: u64,
-    /// Coordinator dispatch round-trips (one per write-all-then-read
-    /// exchange). With pipelining a whole stage costs one round; without
-    /// it, one per command.
+    /// Coordinator dispatch round-trips: one per write-all-then-read
+    /// exchange, i.e. one per stage however many hosts and chained
+    /// commands it has (plus one per membership / shutdown request).
     pub rounds: u64,
 }
 

@@ -6,29 +6,28 @@
 //! The coordinator binds `127.0.0.1:0` (the OS assigns the port), spawns
 //! one worker process per physical host, and each worker connects back
 //! and introduces itself with a `hello` frame advertising its peer
-//! listen address and codec support. After membership the coordinator
-//! negotiates the data plane with a `mode` command: the binary `DMB1`
-//! tile codec ([`super::binfmt`]) when every worker (and
-//! [`SocketOptions::binary`]) allows it, hex-JSON otherwise; and the
-//! peer address table for direct worker-to-worker exchange.
+//! listen address and `"bin":1` — its promise to speak the binary `DMB1`
+//! tile codec ([`super::binfmt`]). A hello without it (a stale
+//! `dmac-workerd` picked up by [`locate_workerd`]) fails the launch with
+//! [`ClusterError::Protocol`]. After membership the coordinator sends
+//! every worker the peer address table (`peers`).
 //!
-//! Control traffic is a star — every command and reply crosses the
-//! coordinator — but with [`SocketOptions::peer_exchange`] on, *tile
-//! payload* for cross-host moves does not: the coordinator sends the
-//! source host an `xfer` routing plan and the worker pushes tiles
-//! straight to the destination's peer listener, rolling per-item byte
-//! receipts and per-edge frame stats up in its `xferred` reply. The
-//! coordinator's relay path (`collect` + `install`, metered as
-//! [`TransportStats::relay_bytes`]) remains as the negotiated fallback.
+//! There is one data plane. Control traffic is a star — every command
+//! and reply crosses the coordinator as a JSON frame — but *tile
+//! payload* never does, except to seed a value (`install`) or read one
+//! back (`collect`), both as `DMB1` bodies. For a cross-host move the
+//! coordinator sends the source host an `xfer` routing plan and the
+//! worker pushes the tiles straight to the destination's peer listener,
+//! rolling per-item byte receipts and per-edge frame stats up in its
+//! `xferred` reply ([`TransportStats::peer_bytes`]).
 //!
 //! ## Pipelined dispatch
 //!
-//! With [`SocketOptions::pipeline`] on, all commands of a stage are
-//! written to all hosts before any reply is read — a stage costs one
-//! round-trip ([`TransportStats::rounds`]) instead of `hosts ×
-//! primitives`. Every command carries a per-connection sequence number
-//! `"q"` which the worker echoes in its reply; after an aborted stage
-//! (worker loss mid-exchange) the coordinator discards stale-`q`
+//! All commands of a stage are written to all hosts before any reply is
+//! read — a stage costs one round-trip ([`TransportStats::rounds`]), not
+//! `hosts × primitives`. Every command carries a per-connection sequence
+//! number `"q"` which the worker echoes in its reply; after an aborted
+//! stage (worker loss mid-exchange) the coordinator discards stale-`q`
 //! replies, so the connection re-synchronises without draining logic.
 //!
 //! ## Liveness
@@ -49,14 +48,14 @@
 //! Payload is metered per *logical* move (a tile whose logical owner
 //! changes is charged even when both workers share a host — matching the
 //! simulator's logical ledger), from the byte sizes workers report —
-//! identically for relayed, peer-pushed, and local-copy tiles, so
-//! `transport_bytes == wire_bytes` conformance is invariant under
-//! topology and codec. After every mirrored primitive the destination
-//! value is *sealed*: each host reports canonical per-shard checksums
-//! ([`wire::shard_checksum`]) that must equal the oracle's, so state
-//! divergence is caught at the primitive that caused it. Seals are only
-//! issued after every copy/xfer receipt of the stage is in hand, so all
-//! peer installs happen-before the seal.
+//! identically for peer-pushed and local-copy tiles, so
+//! `transport_bytes == wire_bytes` conformance is invariant under the
+//! worker → host assignment. After every mirrored primitive the
+//! destination value is *sealed*: each host reports canonical per-shard
+//! checksums ([`wire::shard_checksum`]) that must equal the oracle's, so
+//! state divergence is caught at the primitive that caused it. Seals are
+//! only issued after every copy/xfer receipt of the stage is in hand, so
+//! all peer installs happen-before the seal.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{self, Read};
@@ -81,9 +80,24 @@ use crate::transport::{
     MoveItem, PartialDesc, TileTransform, Transport, TransportStats, UnaryTileOp,
 };
 
-/// One coordinator-relayed tile, in source coordinates:
-/// `(src_w, dest_w, bi, bj)`.
-type RelayItem = (usize, usize, usize, usize);
+/// Per output tile `(bi, bj)`: the source workers of its CPMM partials,
+/// ascending.
+type PartialSources = HashMap<(usize, usize), Vec<usize>>;
+
+/// When the SIGKILL test hook ([`SocketOptions::kill`]) fires. Counts
+/// are 1-based.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KillAt {
+    /// As the n-th mirrored primitive begins.
+    AfterOps(u64),
+    /// Right after the write phase of the n-th exchange — mid-stage,
+    /// commands written, no reply read.
+    MidStage(u64),
+    /// Right after the write phase of the n-th exchange that carries
+    /// `xfer` routing plans — while peer pushes toward (or from) the
+    /// host are in flight.
+    MidXfer(u64),
+}
 
 /// Tuning knobs for the socket backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,28 +106,10 @@ pub struct SocketOptions {
     pub heartbeat_ms: u64,
     /// A host with no heartbeat for this long is declared dead.
     pub liveness_timeout_ms: u64,
-    /// Negotiate the binary `DMB1` tile codec (on by default). Off, or
-    /// with any worker not advertising support, tiles travel as
-    /// hex-in-JSON — the PR-7 wire format.
-    pub binary: bool,
-    /// Route cross-host tile moves directly worker-to-worker via `xfer`
-    /// plans (on by default). Off, they relay through the coordinator.
-    pub peer_exchange: bool,
-    /// Write all commands of a stage before reading any reply (on by
-    /// default). Off, every command is its own blocking round-trip.
-    pub pipeline: bool,
-    /// Test hook: SIGKILL host `.0`'s process when the `.1`-th mirrored
-    /// primitive begins, *without* marking it dead — detection must flow
-    /// through the organic liveness machinery.
-    pub kill_host_after_ops: Option<(usize, u64)>,
-    /// Test hook: SIGKILL host `.0` right after the write phase of the
-    /// `.1`-th pipelined exchange — mid-stage, commands written, no
-    /// reply read.
-    pub kill_host_mid_stage: Option<(usize, u64)>,
-    /// Test hook: SIGKILL host `.0` right after the write phase of the
-    /// `.1`-th exchange that carries `xfer` routing plans — while peer
-    /// pushes toward (or from) it are in flight.
-    pub kill_host_mid_xfer: Option<(usize, u64)>,
+    /// Test hook: SIGKILL host `.0`'s process at moment `.1`, *without*
+    /// marking it dead — detection must flow through the organic
+    /// liveness machinery.
+    pub kill: Option<(usize, KillAt)>,
 }
 
 impl Default for SocketOptions {
@@ -121,12 +117,7 @@ impl Default for SocketOptions {
         SocketOptions {
             heartbeat_ms: 100,
             liveness_timeout_ms: 2000,
-            binary: true,
-            peer_exchange: true,
-            pipeline: true,
-            kill_host_after_ops: None,
-            kill_host_mid_stage: None,
-            kill_host_mid_xfer: None,
+            kill: None,
         }
     }
 }
@@ -191,8 +182,6 @@ struct Conn {
     seq: u64,
     /// Peer listener address advertised in the hello.
     peer: String,
-    /// Whether the worker advertised binary codec support.
-    bin: bool,
 }
 
 /// One outgoing command, sequence number still to be stamped.
@@ -204,7 +193,7 @@ enum Outgoing {
 }
 
 /// One worker reply: parsed header, plus the raw body for binary
-/// messages (tile sections, mostly `collect` replies).
+/// messages (the tile section of a `collect` reply).
 struct Reply {
     head: Json,
     body: Option<Vec<u8>>,
@@ -216,17 +205,11 @@ impl Reply {
     }
 }
 
-/// Decode the tiles of a `collect` reply, either codec.
+/// Decode the tile section of a `collect` reply.
 fn reply_tiles(reply: &Reply) -> std::result::Result<Vec<(usize, usize, usize, Block)>, String> {
     match &reply.body {
         Some(body) => binfmt::decode_tiles(body),
-        None => {
-            let mut out = Vec::new();
-            for t in wire::field_arr(&reply.head, "tiles")? {
-                out.push(wire::decode_tile(t)?);
-            }
-            Ok(out)
-        }
+        None => Err("collect reply is not a DMB1 message".into()),
     }
 }
 
@@ -312,12 +295,11 @@ pub struct SocketTransport {
     known: HashSet<u64>,
     stats: TransportStats,
     opts: SocketOptions,
-    /// Negotiated at membership: binary tile codec on every link.
-    bin: bool,
+    /// Mirrored primitives begun ([`KillAt::AfterOps`]).
     ops_done: u64,
-    /// Pipelined exchanges completed (for the mid-stage kill hook).
+    /// Exchanges written ([`KillAt::MidStage`]).
     stages_done: u64,
-    /// Exchanges carrying `xfer` plans completed (mid-xfer kill hook).
+    /// Exchanges carrying `xfer` plans written ([`KillAt::MidXfer`]).
     xfers_done: u64,
     /// Hosts whose death has already been surfaced (via poll or
     /// [`Transport::host_down`]); never reported again.
@@ -328,7 +310,7 @@ pub struct SocketTransport {
 impl SocketTransport {
     /// Spawn `workers` worker processes and complete membership: bind
     /// port 0, launch children pointed back at the assigned port, wait
-    /// for every `hello`, then negotiate the data plane (`mode`).
+    /// for every `hello`, then distribute the peer address table.
     pub fn launch(workers: usize, opts: SocketOptions) -> Result<SocketTransport> {
         let bin = locate_workerd()?;
         let listener = TcpListener::bind("127.0.0.1:0")
@@ -371,7 +353,7 @@ impl SocketTransport {
             }
         };
 
-        type Slot = (TcpStream, FrameReader, String, bool);
+        type Slot = (TcpStream, FrameReader, String);
         let deadline = Instant::now() + Duration::from_secs(15);
         let mut slots: Vec<Option<Slot>> = (0..workers).map(|_| None).collect();
         let mut accepted = 0usize;
@@ -432,13 +414,20 @@ impl SocketTransport {
             match host {
                 Some(h) if h < workers && slots[h].is_none() => {
                     let j = parsed.expect("host implies parsed");
+                    if j.get("bin").and_then(Json::as_u64) != Some(1) {
+                        kill_all(&mut children);
+                        return Err(ClusterError::Protocol(format!(
+                            "worker {h} ({}) does not speak the DMB1 tile codec \
+                             (stale dmac-workerd? rebuild it, or set DMAC_WORKERD)",
+                            bin.display()
+                        )));
+                    }
                     let peer = j
                         .get("peer")
                         .and_then(Json::as_str)
                         .unwrap_or("")
                         .to_string();
-                    let bin_ok = j.get("bin").and_then(Json::as_u64).unwrap_or(0) != 0;
-                    slots[h] = Some((stream, reader, peer, bin_ok));
+                    slots[h] = Some((stream, reader, peer));
                     accepted += 1;
                 }
                 _ => {
@@ -456,7 +445,7 @@ impl SocketTransport {
             .into_iter()
             .zip(children.iter_mut())
             .map(|(slot, child)| {
-                let (stream, reader, peer, bin_ok) = slot.expect("all slots filled");
+                let (stream, reader, peer) = slot.expect("all slots filled");
                 Conn {
                     stream,
                     reader,
@@ -465,21 +454,15 @@ impl SocketTransport {
                     alive: true,
                     seq: 0,
                     peer,
-                    bin: bin_ok,
                 }
             })
             .collect();
-        // Binary tiles only when the coordinator wants them AND every
-        // worker advertised support — otherwise the whole cluster falls
-        // back to hex-JSON, keeping the codec uniform per session.
-        let negotiated_bin = opts.binary && conns.iter().all(|c| c.bin);
         let mut me = SocketTransport {
             conns,
             assignment: (0..workers).collect(),
             known: HashSet::new(),
             stats: TransportStats::default(),
             opts,
-            bin: negotiated_bin,
             ops_done: 0,
             stages_done: 0,
             xfers_done: 0,
@@ -493,9 +476,7 @@ impl SocketTransport {
         let peers = peers.build();
         for host in 0..workers {
             let cmd = JsonObj::new()
-                .str("t", "mode")
-                .u64("bin", u64::from(negotiated_bin))
-                .u64("p2p", u64::from(opts.peer_exchange))
+                .str("t", "peers")
                 .raw("peers", &peers)
                 .u64("timeout_ms", opts.liveness_timeout_ms);
             me.expect_ok(host, Outgoing::Json(cmd))?;
@@ -635,8 +616,7 @@ impl SocketTransport {
         }
     }
 
-    /// One blocking round-trip (used for membership, shutdown, and the
-    /// star relay fallback).
+    /// One blocking round-trip (membership and shutdown).
     fn request(&mut self, host: usize, cmd: Outgoing) -> Result<Reply> {
         let seq = self.send_cmd(host, cmd)?;
         self.stats.rounds += 1;
@@ -644,9 +624,8 @@ impl SocketTransport {
     }
 
     /// Dispatch a whole stage: write every command to every host, then
-    /// collect the replies in order — one round-trip for the stage. With
-    /// pipelining disabled, degrades to sequential round-trips. Replies
-    /// are returned in command order.
+    /// collect the replies in order — one round-trip for the stage.
+    /// Replies are returned in command order.
     fn exchange(
         &mut self,
         label: &'static str,
@@ -654,13 +633,6 @@ impl SocketTransport {
     ) -> Result<Vec<Reply>> {
         if cmds.is_empty() {
             return Ok(Vec::new());
-        }
-        if !self.opts.pipeline {
-            let mut replies = Vec::with_capacity(cmds.len());
-            for (host, cmd) in cmds {
-                replies.push(self.request(host, cmd)?);
-            }
-            return Ok(replies);
         }
         let mut pending = Vec::with_capacity(cmds.len());
         for (host, cmd) in cmds {
@@ -676,22 +648,25 @@ impl SocketTransport {
         Ok(replies)
     }
 
-    /// Fire the mid-stage / mid-xfer SIGKILL test hooks: the exchange's
-    /// frames are written, no reply has been read.
-    fn stage_hooks(&mut self, label: &'static str) {
-        self.stages_done += 1;
-        if let Some((h, at)) = self.opts.kill_host_mid_stage {
-            if self.stages_done == at && h < self.conns.len() {
+    /// SIGKILL the test hook's host if `now` is its moment — on purpose
+    /// *without* marking the host dead: the liveness machinery must
+    /// notice on its own.
+    fn kill_hook(&mut self, now: KillAt) {
+        if let Some((h, at)) = self.opts.kill {
+            if at == now && h < self.conns.len() {
                 self.conns[h].child.kill().ok();
             }
         }
+    }
+
+    /// Count one written exchange (frames out, no reply read yet) and
+    /// give the mid-stage / mid-xfer kill hooks their chance.
+    fn stage_hooks(&mut self, label: &'static str) {
+        self.stages_done += 1;
+        self.kill_hook(KillAt::MidStage(self.stages_done));
         if label == "xfer" {
             self.xfers_done += 1;
-            if let Some((h, at)) = self.opts.kill_host_mid_xfer {
-                if self.xfers_done == at && h < self.conns.len() {
-                    self.conns[h].child.kill().ok();
-                }
-            }
+            self.kill_hook(KillAt::MidXfer(self.xfers_done));
         }
     }
 
@@ -709,17 +684,11 @@ impl SocketTransport {
         self.check_ok(host, &reply)
     }
 
-    /// Count one mirrored primitive; fire the SIGKILL test hook when its
-    /// moment arrives.
+    /// Count one mirrored primitive as it begins.
     fn op_tick(&mut self) {
         self.ops_done += 1;
-        if let Some((h, at)) = self.opts.kill_host_after_ops {
-            if self.ops_done == at && h < self.conns.len() {
-                // SIGKILL, on purpose *without* marking the host dead:
-                // the liveness machinery must notice on its own.
-                self.conns[h].child.kill().ok();
-            }
-        }
+        self.stats.ops += 1;
+        self.kill_hook(KillAt::AfterOps(self.ops_done));
     }
 
     /// Distinct live hosts with their logical workers, ascending.
@@ -731,61 +700,27 @@ impl SocketTransport {
         map.into_iter().collect()
     }
 
-    /// Chunk a batch of placed tiles into `install` commands respecting
-    /// the frame ceiling, in the negotiated codec.
-    fn install_cmds(&self, rid: u64, tiles: &[(usize, usize, usize, &Block)]) -> Vec<Outgoing> {
+    /// Chunk a batch of placed tiles into `DMB1` `install` commands
+    /// respecting the frame ceiling.
+    fn install_cmds(rid: u64, tiles: &[(usize, usize, usize, &Block)]) -> Vec<Outgoing> {
         let budget = (MAX_FRAME / 2) as usize;
+        let install = |count: u32, mut body: Vec<u8>| {
+            body[..4].copy_from_slice(&count.to_le_bytes());
+            Outgoing::Bin(JsonObj::new().str("t", "install").u64("rid", rid), body)
+        };
         let mut cmds = Vec::new();
-        if self.bin {
-            let mut body = vec![0u8; 4];
-            let mut count = 0u32;
-            for &(w, bi, bj, tile) in tiles {
-                let len = binfmt::tile_wire_len(tile);
-                if count > 0 && body.len() + len > budget {
-                    body[..4].copy_from_slice(&count.to_le_bytes());
-                    cmds.push(Outgoing::Bin(
-                        JsonObj::new().str("t", "install").u64("rid", rid),
-                        std::mem::replace(&mut body, vec![0u8; 4]),
-                    ));
-                    count = 0;
-                }
-                binfmt::push_tile(&mut body, w, bi, bj, tile);
-                count += 1;
+        let mut body = vec![0u8; 4];
+        let mut count = 0u32;
+        for &(w, bi, bj, tile) in tiles {
+            if count > 0 && body.len() + binfmt::tile_wire_len(tile) > budget {
+                cmds.push(install(count, std::mem::replace(&mut body, vec![0u8; 4])));
+                count = 0;
             }
-            if count > 0 {
-                body[..4].copy_from_slice(&count.to_le_bytes());
-                cmds.push(Outgoing::Bin(
-                    JsonObj::new().str("t", "install").u64("rid", rid),
-                    body,
-                ));
-            }
-        } else {
-            let mut batch = JsonArr::new();
-            let mut size = 0usize;
-            let mut any = false;
-            for &(w, bi, bj, tile) in tiles {
-                let enc = wire::encode_tile(w, bi, bj, tile);
-                if any && size + enc.len() > budget {
-                    cmds.push(Outgoing::Json(
-                        JsonObj::new()
-                            .str("t", "install")
-                            .u64("rid", rid)
-                            .raw("tiles", &std::mem::take(&mut batch).build()),
-                    ));
-                    size = 0;
-                }
-                size += enc.len();
-                any = true;
-                batch = batch.raw(&enc);
-            }
-            if any {
-                cmds.push(Outgoing::Json(
-                    JsonObj::new()
-                        .str("t", "install")
-                        .u64("rid", rid)
-                        .raw("tiles", &batch.build()),
-                ));
-            }
+            binfmt::push_tile(&mut body, w, bi, bj, tile);
+            count += 1;
+        }
+        if count > 0 {
+            cmds.push(install(count, body));
         }
         cmds
     }
@@ -856,86 +791,94 @@ impl SocketTransport {
         Ok(())
     }
 
-    /// Relay tiles of `rid` between hosts through the coordinator:
-    /// `collect` from the source, re-key/transform, `install` at the
-    /// destination. Returns the decoded source-tile sizes, in item
-    /// order. This is the star fallback (`peer_exchange: false`); the
-    /// relayed tile payload is metered as `relay_bytes`, one inbound and
-    /// one outbound leg per tile.
-    fn relay(
+    /// Dispatch one compute stage as a single exchange: every host gets
+    /// the op command for the output tiles its workers own (none if they
+    /// own nothing) chained with the `seal` proving `out` — the worker
+    /// runs them in order, so op + proof cost one round-trip for the
+    /// whole stage. `op_cmd` builds a host's command from its
+    /// `[{"w","bi","bj"}…]` task array; `op` names the primitive in seal
+    /// diagnostics. `staged` is CPMM phase 2's extra: each task also
+    /// lists the source workers of its partials, and the staging rid is
+    /// freed between op and seal.
+    fn run_stage(
         &mut self,
-        rid_in: u64,
-        rid_out: u64,
-        transform: TileTransform,
-        src_host: usize,
-        dest_host: usize,
-        items: &[RelayItem],
-    ) -> Result<Vec<u64>> {
-        let mut item_arr = JsonArr::new();
-        for &(src_w, _, bi, bj) in items {
-            item_arr = item_arr.raw(
-                &JsonObj::new()
-                    .u64("w", src_w as u64)
-                    .u64("bi", bi as u64)
-                    .u64("bj", bj as u64)
-                    .build(),
-            );
+        op: &'static str,
+        out: &DistMatrix,
+        staged: Option<(u64, &PartialSources)>,
+        op_cmd: impl Fn(&str) -> Outgoing,
+    ) -> Result<()> {
+        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
+        // Per command: whether its reply is the host's seal.
+        let mut is_seal: Vec<bool> = Vec::new();
+        for (host, ws) in self.hosts_with_ws() {
+            let mut tasks = JsonArr::new();
+            let mut any = false;
+            for &w in &ws {
+                for &(bi, bj) in out.worker_blocks(w).keys() {
+                    any = true;
+                    let mut task = JsonObj::new()
+                        .u64("w", w as u64)
+                        .u64("bi", bi as u64)
+                        .u64("bj", bj as u64);
+                    if let Some((_, srcs_of)) = staged {
+                        let mut srcs = JsonArr::new();
+                        for &s in srcs_of.get(&(bi, bj)).into_iter().flatten() {
+                            srcs = srcs.u64(s as u64);
+                        }
+                        task = task.raw("srcs", &srcs.build());
+                    }
+                    tasks = tasks.raw(&task.build());
+                }
+            }
+            if any {
+                cmds.push((host, op_cmd(&tasks.build())));
+                is_seal.push(false);
+            }
+            if let Some((stage, _)) = staged {
+                let free = JsonObj::new().str("t", "free").u64("rid", stage);
+                cmds.push((host, Outgoing::Json(free)));
+                is_seal.push(false);
+            }
+            cmds.push((host, Self::seal_cmd(out.rid(), &ws)));
+            is_seal.push(true);
         }
-        let cmd = JsonObj::new()
-            .str("t", "collect")
-            .u64("rid", rid_in)
-            .raw("items", &item_arr.build());
-        let reply = self.request(src_host, Outgoing::Json(cmd))?;
-        let tiles = reply_tiles(&reply).map_err(ClusterError::Protocol)?;
-        if tiles.len() != items.len() {
+        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
+        let replies = self.exchange(op, cmds)?;
+        for ((host, reply), seal) in hosts.iter().zip(&replies).zip(&is_seal) {
+            if *seal {
+                self.check_seal(op, out, *host, reply)?;
+            } else {
+                self.check_ok(*host, reply)?;
+            }
+        }
+        self.known.insert(out.rid());
+        Ok(())
+    }
+
+    /// The per-item byte receipts (`"bytes"`) of a `kind` reply.
+    fn byte_receipts(host: usize, kind: &str, reply: &Reply) -> Result<Vec<u64>> {
+        if reply.kind() != Some(kind) {
             return Err(ClusterError::Protocol(format!(
-                "collect returned {} tiles for {} items",
-                tiles.len(),
-                items.len()
+                "host {host}: expected {kind}, got {:?}",
+                reply.kind()
             )));
         }
-        let mut bytes = Vec::with_capacity(items.len());
-        let mut moved: Vec<(usize, usize, usize, Block)> = Vec::with_capacity(items.len());
-        for ((_, tbi, tbj, block), &(_, dest_w, bi, bj)) in tiles.into_iter().zip(items) {
-            if (tbi, tbj) != (bi, bj) {
-                return Err(ClusterError::Protocol(
-                    "collect returned tiles out of order".into(),
-                ));
-            }
-            bytes.push(block.actual_bytes() as u64);
-            let (di, dj) = transform.dest_key(bi, bj);
-            moved.push((dest_w, di, dj, transform.apply(&block)));
-        }
-        self.stats.relay_bytes += 2 * bytes.iter().sum::<u64>();
-        let refs: Vec<(usize, usize, usize, &Block)> = moved
+        wire::field_arr(&reply.head, "bytes")
+            .map_err(ClusterError::Protocol)?
             .iter()
-            .map(|(w, bi, bj, t)| (*w, *bi, *bj, t))
-            .collect();
-        let cmds = self.install_cmds(rid_out, &refs);
-        for cmd in cmds {
-            self.expect_ok(dest_host, cmd)?;
-        }
-        Ok(bytes)
+            .map(|b| {
+                b.as_u64()
+                    .ok_or_else(|| ClusterError::Protocol(format!("bad {kind} byte count")))
+            })
+            .collect()
     }
 
     /// Roll an `xferred` reply's per-edge receipts into the stats and
     /// return the per-item source-byte receipts.
     fn take_xferred(&mut self, host: usize, reply: &Reply) -> Result<Vec<u64>> {
-        if reply.kind() != Some("xferred") {
-            return Err(ClusterError::Protocol(format!(
-                "host {host}: expected xferred, got {:?}",
-                reply.kind()
-            )));
-        }
+        let bytes = Self::byte_receipts(host, "xferred", reply)?;
         for edge in wire::field_arr(&reply.head, "edges").map_err(ClusterError::Protocol)? {
             self.stats.peer_bytes += wire::field_u64(edge, "b").map_err(ClusterError::Protocol)?;
-        }
-        let mut bytes = Vec::new();
-        for b in wire::field_arr(&reply.head, "bytes").map_err(ClusterError::Protocol)? {
-            bytes.push(
-                b.as_u64()
-                    .ok_or_else(|| ClusterError::Protocol("bad xfer byte count".into()))?,
-            );
         }
         Ok(bytes)
     }
@@ -976,7 +919,7 @@ impl Transport for SocketTransport {
         }
         let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
         for (host, tiles) in &per_host {
-            for cmd in self.install_cmds(m.rid(), tiles) {
+            for cmd in Self::install_cmds(m.rid(), tiles) {
                 cmds.push((*host, cmd));
             }
         }
@@ -1005,139 +948,73 @@ impl Transport for SocketTransport {
         moves: &[MoveItem],
     ) -> Result<u64> {
         self.op_tick();
-        self.stats.ops += 1;
         self.ensure_resident(src)?;
         let tr_name = match transform {
             TileTransform::None => "none",
             TileTransform::Transpose => "transpose",
         };
-        // Same-host moves run as worker-local copies. Cross-host moves
-        // are pushed worker-to-worker via `xfer` routing plans (or
-        // relayed through the coordinator in star fallback). Either way
-        // the *logical* metering below is identical to the oracle's.
-        let mut local: BTreeMap<usize, (Vec<&MoveItem>, JsonArr)> = BTreeMap::new();
-        let mut xfer: BTreeMap<usize, (Vec<&MoveItem>, JsonArr)> = BTreeMap::new();
-        let mut cross: BTreeMap<(usize, usize), Vec<&MoveItem>> = BTreeMap::new();
+        // Same-host moves run as worker-local copies; cross-host moves
+        // are pushed worker-to-worker via `xfer` routing plans. Either
+        // way the *logical* metering below is identical to the oracle's.
+        type Plans<'m> = BTreeMap<usize, (Vec<&'m MoveItem>, JsonArr)>;
+        let mut local: Plans = BTreeMap::new();
+        let mut xfer: Plans = BTreeMap::new();
         for mv in moves {
             let sh = self.assignment[mv.src_w];
             let dh = self.assignment[mv.dest_w];
-            if sh == dh {
-                let entry = local
-                    .entry(sh)
-                    .or_insert_with(|| (Vec::new(), JsonArr::new()));
-                entry.0.push(mv);
-                let items = std::mem::take(&mut entry.1);
-                entry.1 = items.raw(
-                    &JsonObj::new()
-                        .u64("wi", mv.src_w as u64)
-                        .u64("wo", mv.dest_w as u64)
-                        .u64("bi", mv.bi as u64)
-                        .u64("bj", mv.bj as u64)
-                        .build(),
-                );
-            } else if self.opts.peer_exchange {
-                let entry = xfer
-                    .entry(sh)
-                    .or_insert_with(|| (Vec::new(), JsonArr::new()));
-                entry.0.push(mv);
-                let items = std::mem::take(&mut entry.1);
-                entry.1 = items.raw(
-                    &JsonObj::new()
-                        .u64("wi", mv.src_w as u64)
-                        .u64("wo", mv.dest_w as u64)
-                        .u64("bi", mv.bi as u64)
-                        .u64("bj", mv.bj as u64)
-                        .u64("dh", dh as u64)
-                        .build(),
-                );
+            let item = JsonObj::new()
+                .u64("wi", mv.src_w as u64)
+                .u64("wo", mv.dest_w as u64)
+                .u64("bi", mv.bi as u64)
+                .u64("bj", mv.bj as u64);
+            let (plans, item) = if sh == dh {
+                (&mut local, item)
             } else {
-                cross.entry((sh, dh)).or_default().push(mv);
+                (&mut xfer, item.u64("dh", dh as u64))
+            };
+            let entry = plans.entry(sh).or_default();
+            entry.0.push(mv);
+            entry.1 = std::mem::take(&mut entry.1).raw(&item.build());
+        }
+        // One exchange carries every local copy and every routing plan;
+        // by the time the replies are in, all peer pushes are acked.
+        let label = if xfer.is_empty() { "move" } else { "xfer" };
+        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
+        let mut order: Vec<(Vec<&MoveItem>, bool)> = Vec::new();
+        for (plans, is_xfer) in [(local, false), (xfer, true)] {
+            for (host, (items, arr)) in plans {
+                let cmd = JsonObj::new()
+                    .str("t", if is_xfer { "xfer" } else { "copy" })
+                    .u64("rid_in", src.rid())
+                    .u64("rid_out", dest.rid())
+                    .str("tr", tr_name)
+                    .raw("items", &arr.build());
+                cmds.push((host, Outgoing::Json(cmd)));
+                order.push((items, is_xfer));
             }
         }
+        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
+        let replies = self.exchange(label, cmds)?;
         let mut payload = 0u64;
         let mut free = 0u64;
-        let mut tally = |items: &[&MoveItem], bytes: &[u64]| -> Result<()> {
+        for ((host, reply), (items, is_xfer)) in hosts.iter().zip(&replies).zip(&order) {
+            let bytes = if *is_xfer {
+                self.take_xferred(*host, reply)?
+            } else {
+                Self::byte_receipts(*host, "copied", reply)?
+            };
             if bytes.len() != items.len() {
                 return Err(ClusterError::Protocol(
                     "move receipt length mismatch".into(),
                 ));
             }
-            for (mv, &b) in items.iter().zip(bytes) {
+            for (mv, &b) in items.iter().zip(&bytes) {
                 if mv.metered {
                     payload += b;
                 } else {
                     free += b;
                 }
             }
-            Ok(())
-        };
-        // One exchange carries every local copy and every routing plan;
-        // by the time the replies are in, all peer pushes are acked.
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-        let mut order: Vec<Vec<&MoveItem>> = Vec::new();
-        let mut kinds: Vec<&'static str> = Vec::new();
-        for (host, (items, arr)) in local {
-            cmds.push((
-                host,
-                Outgoing::Json(
-                    JsonObj::new()
-                        .str("t", "copy")
-                        .u64("rid_in", src.rid())
-                        .u64("rid_out", dest.rid())
-                        .str("tr", tr_name)
-                        .raw("items", &arr.build()),
-                ),
-            ));
-            order.push(items);
-            kinds.push("copied");
-        }
-        let label = if xfer.is_empty() { "move" } else { "xfer" };
-        for (host, (items, arr)) in xfer {
-            cmds.push((
-                host,
-                Outgoing::Json(
-                    JsonObj::new()
-                        .str("t", "xfer")
-                        .u64("rid_in", src.rid())
-                        .u64("rid_out", dest.rid())
-                        .str("tr", tr_name)
-                        .raw("items", &arr.build()),
-                ),
-            ));
-            order.push(items);
-            kinds.push("xferred");
-        }
-        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-        let replies = self.exchange(label, cmds)?;
-        for (((host, reply), items), kind) in hosts.iter().zip(&replies).zip(&order).zip(&kinds) {
-            let bytes: Vec<u64> = if *kind == "xferred" {
-                self.take_xferred(*host, reply)?
-            } else {
-                if reply.kind() != Some("copied") {
-                    return Err(ClusterError::Protocol(format!(
-                        "host {host}: expected copied, got {:?}",
-                        reply.kind()
-                    )));
-                }
-                let mut v = Vec::new();
-                for b in wire::field_arr(&reply.head, "bytes").map_err(ClusterError::Protocol)? {
-                    v.push(
-                        b.as_u64()
-                            .ok_or_else(|| ClusterError::Protocol("bad copy byte count".into()))?,
-                    );
-                }
-                v
-            };
-            tally(items, &bytes)?;
-        }
-        // Star fallback for cross-host moves.
-        for ((sh, dh), items) in cross {
-            let coords: Vec<RelayItem> = items
-                .iter()
-                .map(|mv| (mv.src_w, mv.dest_w, mv.bi, mv.bj))
-                .collect();
-            let bytes = self.relay(src.rid(), dest.rid(), transform, sh, dh, &coords)?;
-            tally(&items, &bytes)?;
         }
         self.seal_check(op, dest)?;
         self.known.insert(dest.rid());
@@ -1154,61 +1031,23 @@ impl Transport for SocketTransport {
         out: &DistMatrix,
     ) -> Result<()> {
         self.op_tick();
-        self.stats.ops += 1;
         self.ensure_resident(a)?;
         self.ensure_resident(b)?;
         let kb = a.meta().col_blocks;
-        // One exchange: each host gets its task list (if any) chained
-        // with its seal — the worker runs them in order, so op + proof
-        // cost a single round-trip for the whole stage.
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-        let mut seals: Vec<Option<usize>> = Vec::new();
-        for (host, ws) in self.hosts_with_ws() {
-            let mut tasks = JsonArr::new();
-            let mut any = false;
-            for &w in &ws {
-                for &(bi, bj) in out.worker_blocks(w).keys() {
-                    any = true;
-                    tasks = tasks.raw(
-                        &JsonObj::new()
-                            .u64("w", w as u64)
-                            .u64("bi", bi as u64)
-                            .u64("bj", bj as u64)
-                            .build(),
-                    );
-                }
-            }
-            if any {
-                cmds.push((
-                    host,
-                    Outgoing::Json(
-                        JsonObj::new()
-                            .str("t", "mm")
-                            .u64("rid_a", a.rid())
-                            .u64("rid_b", b.rid())
-                            .u64("rid_out", out.rid())
-                            .u64("kb", kb as u64)
-                            .u64("rows", out.rows() as u64)
-                            .u64("cols", out.cols() as u64)
-                            .u64("block", out.block_size() as u64)
-                            .raw("tasks", &tasks.build()),
-                    ),
-                ));
-                seals.push(None);
-            }
-            cmds.push((host, Self::seal_cmd(out.rid(), &ws)));
-            seals.push(Some(host));
-        }
-        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-        let replies = self.exchange(op, cmds)?;
-        for ((host, reply), seal) in hosts.iter().zip(&replies).zip(&seals) {
-            match seal {
-                None => self.check_ok(*host, reply)?,
-                Some(h) => self.check_seal(op, out, *h, reply)?,
-            }
-        }
-        self.known.insert(out.rid());
-        Ok(())
+        self.run_stage(op, out, None, |tasks| {
+            Outgoing::Json(
+                JsonObj::new()
+                    .str("t", "mm")
+                    .u64("rid_a", a.rid())
+                    .u64("rid_b", b.rid())
+                    .u64("rid_out", out.rid())
+                    .u64("kb", kb as u64)
+                    .u64("rows", out.rows() as u64)
+                    .u64("cols", out.cols() as u64)
+                    .u64("block", out.block_size() as u64)
+                    .raw("tasks", tasks),
+            )
+        })
     }
 
     fn run_cpmm(
@@ -1219,7 +1058,6 @@ impl Transport for SocketTransport {
         partials: &[PartialDesc],
     ) -> Result<u64> {
         self.op_tick();
-        self.stats.ops += 1;
         self.ensure_resident(a)?;
         self.ensure_resident(b)?;
         let stage = fresh_rid();
@@ -1227,15 +1065,14 @@ impl Transport for SocketTransport {
         let kb = a.meta().col_blocks;
 
         // Phase 1 (one round): partial products where the k-slices live.
-        let hosts_ws = self.hosts_with_ws();
         let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-        for (host, ws) in &hosts_ws {
+        for (host, ws) in self.hosts_with_ws() {
             let mut ws_arr = JsonArr::new();
-            for &w in ws {
+            for &w in &ws {
                 ws_arr = ws_arr.u64(w as u64);
             }
             cmds.push((
-                *host,
+                host,
                 Outgoing::Json(
                     JsonObj::new()
                         .str("t", "cpmm1")
@@ -1285,133 +1122,69 @@ impl Transport for SocketTransport {
             });
         }
 
-        // Shuffle cross-host partials to the output owners, preserving
-        // their source identity (the phase-2 combine is keyed by
-        // ascending source worker): one `xfer` round peer-to-peer, or
-        // relays in star fallback.
-        if self.opts.peer_exchange {
-            let mut per_src: BTreeMap<usize, JsonArr> = BTreeMap::new();
-            for p in partials {
-                let sh = self.assignment[p.src_w];
-                let dh = self.assignment[p.dest_w];
-                if sh != dh {
-                    let arr = per_src.entry(sh).or_default();
-                    let taken = std::mem::take(arr);
-                    *arr = taken.raw(
-                        &JsonObj::new()
-                            .u64("wi", p.src_w as u64)
-                            .u64("wo", p.src_w as u64)
-                            .u64("bi", p.bi as u64)
-                            .u64("bj", p.bj as u64)
-                            .u64("dh", dh as u64)
-                            .build(),
-                    );
-                }
+        // Shuffle (one `xfer` round): cross-host partials go peer-to-peer
+        // to the output owners, preserving their source identity (the
+        // phase-2 combine is keyed by ascending source worker).
+        let mut per_src: BTreeMap<usize, JsonArr> = BTreeMap::new();
+        for p in partials {
+            let sh = self.assignment[p.src_w];
+            let dh = self.assignment[p.dest_w];
+            if sh != dh {
+                let arr = per_src.entry(sh).or_default();
+                *arr = std::mem::take(arr).raw(
+                    &JsonObj::new()
+                        .u64("wi", p.src_w as u64)
+                        .u64("wo", p.src_w as u64)
+                        .u64("bi", p.bi as u64)
+                        .u64("bj", p.bj as u64)
+                        .u64("dh", dh as u64)
+                        .build(),
+                );
             }
-            let cmds: Vec<(usize, Outgoing)> = per_src
-                .into_iter()
-                .map(|(host, arr)| {
-                    (
-                        host,
-                        Outgoing::Json(
-                            JsonObj::new()
-                                .str("t", "xfer")
-                                .u64("rid_in", stage)
-                                .u64("rid_out", stage)
-                                .str("tr", "none")
-                                .raw("items", &arr.build()),
-                        ),
-                    )
-                })
-                .collect();
-            let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-            let replies = self.exchange("xfer", cmds)?;
-            for (host, reply) in hosts.iter().zip(&replies) {
-                self.take_xferred(*host, reply)?;
-            }
-        } else {
-            let mut relays: BTreeMap<(usize, usize), Vec<RelayItem>> = BTreeMap::new();
-            for p in partials {
-                let sh = self.assignment[p.src_w];
-                let dh = self.assignment[p.dest_w];
-                if sh != dh {
-                    relays
-                        .entry((sh, dh))
-                        .or_default()
-                        .push((p.src_w, p.src_w, p.bi, p.bj));
-                }
-            }
-            for ((sh, dh), items) in relays {
-                self.relay(stage, stage, TileTransform::None, sh, dh, &items)?;
-            }
+        }
+        let cmds: Vec<(usize, Outgoing)> = per_src
+            .into_iter()
+            .map(|(host, arr)| {
+                (
+                    host,
+                    Outgoing::Json(
+                        JsonObj::new()
+                            .str("t", "xfer")
+                            .u64("rid_in", stage)
+                            .u64("rid_out", stage)
+                            .str("tr", "none")
+                            .raw("items", &arr.build()),
+                    ),
+                )
+            })
+            .collect();
+        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
+        let replies = self.exchange("xfer", cmds)?;
+        for (host, reply) in hosts.iter().zip(&replies) {
+            self.take_xferred(*host, reply)?;
         }
 
         // Phase 2 (one round): combine at the owners in ascending source
         // order, retire the staging shards, seal — chained per host.
-        let mut srcs_of: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
+        let mut srcs_of = PartialSources::new();
         for p in partials {
             srcs_of.entry((p.bi, p.bj)).or_default().push(p.src_w);
         }
         for v in srcs_of.values_mut() {
             v.sort_unstable();
         }
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-        let mut seals: Vec<Option<usize>> = Vec::new();
-        for (host, ws) in &hosts_ws {
-            let mut tasks = JsonArr::new();
-            let mut any = false;
-            for &w in ws {
-                for &(bi, bj) in out.worker_blocks(w).keys() {
-                    any = true;
-                    let mut srcs = JsonArr::new();
-                    if let Some(list) = srcs_of.get(&(bi, bj)) {
-                        for &s in list {
-                            srcs = srcs.u64(s as u64);
-                        }
-                    }
-                    tasks = tasks.raw(
-                        &JsonObj::new()
-                            .u64("w", w as u64)
-                            .u64("bi", bi as u64)
-                            .u64("bj", bj as u64)
-                            .raw("srcs", &srcs.build())
-                            .build(),
-                    );
-                }
-            }
-            if any {
-                cmds.push((
-                    *host,
-                    Outgoing::Json(
-                        JsonObj::new()
-                            .str("t", "cpmm2")
-                            .u64("stage", stage)
-                            .u64("rid_out", out.rid())
-                            .u64("rows", out.rows() as u64)
-                            .u64("cols", out.cols() as u64)
-                            .u64("block", out.block_size() as u64)
-                            .raw("tasks", &tasks.build()),
-                    ),
-                ));
-                seals.push(None);
-            }
-            cmds.push((
-                *host,
-                Outgoing::Json(JsonObj::new().str("t", "free").u64("rid", stage)),
-            ));
-            seals.push(None);
-            cmds.push((*host, Self::seal_cmd(out.rid(), ws)));
-            seals.push(Some(*host));
-        }
-        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-        let replies = self.exchange("cpmm2", cmds)?;
-        for ((host, reply), seal) in hosts.iter().zip(&replies).zip(&seals) {
-            match seal {
-                None => self.check_ok(*host, reply)?,
-                Some(h) => self.check_seal("cpmm", out, *h, reply)?,
-            }
-        }
-        self.known.insert(out.rid());
+        self.run_stage("cpmm", out, Some((stage, &srcs_of)), |tasks| {
+            Outgoing::Json(
+                JsonObj::new()
+                    .str("t", "cpmm2")
+                    .u64("stage", stage)
+                    .u64("rid_out", out.rid())
+                    .u64("rows", out.rows() as u64)
+                    .u64("cols", out.cols() as u64)
+                    .u64("block", out.block_size() as u64)
+                    .raw("tasks", tasks),
+            )
+        })?;
         let payload: u64 = partials
             .iter()
             .filter(|p| p.src_w != p.dest_w)
@@ -1429,54 +1202,19 @@ impl Transport for SocketTransport {
         out: &DistMatrix,
     ) -> Result<()> {
         self.op_tick();
-        self.stats.ops += 1;
         self.ensure_resident(a)?;
         self.ensure_resident(b)?;
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-        let mut seals: Vec<Option<usize>> = Vec::new();
-        for (host, ws) in self.hosts_with_ws() {
-            let mut tasks = JsonArr::new();
-            let mut any = false;
-            for &w in &ws {
-                for &(bi, bj) in out.worker_blocks(w).keys() {
-                    any = true;
-                    tasks = tasks.raw(
-                        &JsonObj::new()
-                            .u64("w", w as u64)
-                            .u64("bi", bi as u64)
-                            .u64("bj", bj as u64)
-                            .build(),
-                    );
-                }
-            }
-            if any {
-                cmds.push((
-                    host,
-                    Outgoing::Json(
-                        JsonObj::new()
-                            .str("t", "cell")
-                            .str("op", op.name())
-                            .u64("rid_a", a.rid())
-                            .u64("rid_b", b.rid())
-                            .u64("rid_out", out.rid())
-                            .raw("tasks", &tasks.build()),
-                    ),
-                ));
-                seals.push(None);
-            }
-            cmds.push((host, Self::seal_cmd(out.rid(), &ws)));
-            seals.push(Some(host));
-        }
-        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-        let replies = self.exchange("cell", cmds)?;
-        for ((host, reply), seal) in hosts.iter().zip(&replies).zip(&seals) {
-            match seal {
-                None => self.check_ok(*host, reply)?,
-                Some(h) => self.check_seal("cellwise", out, *h, reply)?,
-            }
-        }
-        self.known.insert(out.rid());
-        Ok(())
+        self.run_stage("cellwise", out, None, |tasks| {
+            Outgoing::Json(
+                JsonObj::new()
+                    .str("t", "cell")
+                    .str("op", op.name())
+                    .u64("rid_a", a.rid())
+                    .u64("rid_b", b.rid())
+                    .u64("rid_out", out.rid())
+                    .raw("tasks", tasks),
+            )
+        })
     }
 
     fn run_fused(
@@ -1486,123 +1224,48 @@ impl Transport for SocketTransport {
         out: &DistMatrix,
     ) -> Result<()> {
         self.op_tick();
-        self.stats.ops += 1;
-        for leaf in leaves {
-            self.ensure_resident(leaf)?;
-        }
         let mut rids = JsonArr::new();
         for leaf in leaves {
+            self.ensure_resident(leaf)?;
             rids = rids.u64(leaf.rid());
         }
         let rids = rids.build();
-        // Binary mode ships the scalar constants as a raw f64 body
-        // section referenced by slot index; JSON fallback inlines hex.
-        let (prog_json, consts) = if self.bin {
-            let (p, c) = wire::encode_prog_indexed(prog);
-            (p, Some(c))
-        } else {
-            (wire::encode_prog(prog), None)
-        };
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-        let mut seals: Vec<Option<usize>> = Vec::new();
-        for (host, ws) in self.hosts_with_ws() {
-            let mut tasks = JsonArr::new();
-            let mut any = false;
-            for &w in &ws {
-                for &(bi, bj) in out.worker_blocks(w).keys() {
-                    any = true;
-                    tasks = tasks.raw(
-                        &JsonObj::new()
-                            .u64("w", w as u64)
-                            .u64("bi", bi as u64)
-                            .u64("bj", bj as u64)
-                            .build(),
-                    );
-                }
+        // Scalar constants ride as a raw f64 body section the program
+        // references by slot index; a program without any is plain JSON.
+        let (prog_json, consts) = wire::encode_prog_indexed(prog);
+        self.run_stage("fused", out, None, |tasks| {
+            let head = JsonObj::new()
+                .str("t", "fused")
+                .raw("rids", &rids)
+                .raw("prog", &prog_json)
+                .u64("rid_out", out.rid())
+                .raw("tasks", tasks);
+            if consts.is_empty() {
+                Outgoing::Json(head)
+            } else {
+                Outgoing::Bin(head, binfmt::encode_f64s(&consts))
             }
-            if any {
-                let head = JsonObj::new()
-                    .str("t", "fused")
-                    .raw("rids", &rids)
-                    .raw("prog", &prog_json)
-                    .u64("rid_out", out.rid())
-                    .raw("tasks", &tasks.build());
-                let cmd = match &consts {
-                    Some(c) if !c.is_empty() => Outgoing::Bin(head, binfmt::encode_f64s(c)),
-                    _ => Outgoing::Json(head),
-                };
-                cmds.push((host, cmd));
-                seals.push(None);
-            }
-            cmds.push((host, Self::seal_cmd(out.rid(), &ws)));
-            seals.push(Some(host));
-        }
-        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-        let replies = self.exchange("fused", cmds)?;
-        for ((host, reply), seal) in hosts.iter().zip(&replies).zip(&seals) {
-            match seal {
-                None => self.check_ok(*host, reply)?,
-                Some(h) => self.check_seal("fused", out, *h, reply)?,
-            }
-        }
-        self.known.insert(out.rid());
-        Ok(())
+        })
     }
 
     fn run_unary(&mut self, op: UnaryTileOp, src: &DistMatrix, out: &DistMatrix) -> Result<()> {
         self.op_tick();
-        self.stats.ops += 1;
         self.ensure_resident(src)?;
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-        let mut seals: Vec<Option<usize>> = Vec::new();
-        for (host, ws) in self.hosts_with_ws() {
-            let mut tasks = JsonArr::new();
-            let mut any = false;
-            for &w in &ws {
-                for &(bi, bj) in out.worker_blocks(w).keys() {
-                    any = true;
-                    tasks = tasks.raw(
-                        &JsonObj::new()
-                            .u64("w", w as u64)
-                            .u64("bi", bi as u64)
-                            .u64("bj", bj as u64)
-                            .build(),
-                    );
-                }
-            }
-            if any {
-                cmds.push((
-                    host,
-                    Outgoing::Json(
-                        JsonObj::new()
-                            .str("t", "unary")
-                            .str("op", op.name())
-                            .str("c", &wire::hex_f64(op.constant()))
-                            .u64("rid_in", src.rid())
-                            .u64("rid_out", out.rid())
-                            .raw("tasks", &tasks.build()),
-                    ),
-                ));
-                seals.push(None);
-            }
-            cmds.push((host, Self::seal_cmd(out.rid(), &ws)));
-            seals.push(Some(host));
-        }
-        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-        let replies = self.exchange("unary", cmds)?;
-        for ((host, reply), seal) in hosts.iter().zip(&replies).zip(&seals) {
-            match seal {
-                None => self.check_ok(*host, reply)?,
-                Some(h) => self.check_seal("map", out, *h, reply)?,
-            }
-        }
-        self.known.insert(out.rid());
-        Ok(())
+        self.run_stage("map", out, None, |tasks| {
+            Outgoing::Json(
+                JsonObj::new()
+                    .str("t", "unary")
+                    .str("op", op.name())
+                    .str("c", &wire::hex_f64(op.constant()))
+                    .u64("rid_in", src.rid())
+                    .u64("rid_out", out.rid())
+                    .raw("tasks", tasks),
+            )
+        })
     }
 
     fn run_reduce(&mut self, kind: ReduceKind, m: &DistMatrix, partials: &[f64]) -> Result<u64> {
         self.op_tick();
-        self.stats.ops += 1;
         self.ensure_resident(m)?;
         let kind_name = match kind {
             ReduceKind::Sum => "sum",
@@ -1663,7 +1326,6 @@ impl Transport for SocketTransport {
             return Ok(0);
         }
         self.op_tick();
-        self.stats.ops += 1;
         // Every host holding a shard of the rid drops all of them; the
         // byte receipt is computed from the oracle's tiles, which are
         // what `install`/seal proved resident in the first place.

@@ -1,17 +1,14 @@
-//! Wire representation of tiles, plus the canonical checksum both ends
+//! JSON control-message helpers, plus the canonical checksum both ends
 //! use to prove shard equality.
 //!
-//! Tiles travel as JSON objects inside the length-prefixed frames of
-//! [`crate::transport::frame`]. `f64` payloads are shipped as fixed-width
-//! hex renderings of their IEEE-754 bit patterns (16 hex chars per
-//! value), not as decimal numbers: the conformance contract is *bit*
-//! equality, so the codec must be exact and representation-preserving —
-//! a sparse tile decodes back to the same `CscBlock` arrays, a dense tile
-//! to the same `DenseBlock`, and `actual_bytes()` round-trips.
-//!
-//! Dense tile:  `{"w":0,"bi":1,"bj":2,"k":"d","r":8,"c":8,"d":"<hex…>"}`
-//! Sparse tile: `{"w":0,"bi":1,"bj":2,"k":"s","r":8,"c":8,
-//!                "p":[col_ptrs…],"i":[row_indices…],"v":"<hex…>"}`
+//! Commands and replies travel as JSON objects inside the
+//! length-prefixed frames of [`crate::transport::frame`]; tile payload
+//! never does — it rides in binary `DMB1` bodies
+//! ([`crate::transport::binfmt`]). The few `f64`/`u64` scalars a control
+//! message carries (a `unary` constant, reduce partials, seal checksums)
+//! are shipped as fixed-width hex renderings of their bit patterns, not
+//! as decimal numbers: the conformance contract is *bit* equality, and
+//! JSON numbers only carry 53 bits exactly.
 //!
 //! The shard checksum is FNV-1a-64 over a canonical binary encoding:
 //! tiles sorted by `(bi, bj)`, each contributing its coordinates and a
@@ -21,7 +18,7 @@
 //! difference — value bits, representation, or tile set — changes the
 //! sum.
 
-use dmac_matrix::{Block, CscBlock, DenseBlock};
+use dmac_matrix::Block;
 
 use crate::json::{JsonArr, JsonObj};
 use crate::jsonin::Json;
@@ -62,45 +59,6 @@ impl Default for Fnv64 {
     }
 }
 
-/// Render f64 slices as concatenated 16-hex-char bit patterns.
-pub fn hex_f64s(vals: &[f64]) -> String {
-    let mut s = String::with_capacity(vals.len() * 16);
-    for v in vals {
-        use std::fmt::Write as _;
-        let _ = write!(s, "{:016x}", v.to_bits());
-    }
-    s
-}
-
-/// Hex digit value, or `None` for any other byte.
-fn nibble(b: u8) -> Option<u64> {
-    match b {
-        b'0'..=b'9' => Some(u64::from(b - b'0')),
-        b'a'..=b'f' => Some(u64::from(b - b'a' + 10)),
-        b'A'..=b'F' => Some(u64::from(b - b'A' + 10)),
-        _ => None,
-    }
-}
-
-/// Parse a concatenated-hex f64 string produced by [`hex_f64s`],
-/// decoding nibbles directly — no per-chunk UTF-8 re-validation, no
-/// integer-parser round trip. Bit patterns are preserved exactly
-/// (NaN payloads, signed zeros).
-pub fn parse_hex_f64s(s: &str) -> Option<Vec<f64>> {
-    if !s.len().is_multiple_of(16) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(s.len() / 16);
-    for chunk in s.as_bytes().chunks_exact(16) {
-        let mut bits = 0u64;
-        for &b in chunk {
-            bits = (bits << 4) | nibble(b)?;
-        }
-        out.push(f64::from_bits(bits));
-    }
-    Some(out)
-}
-
 /// Render one `f64` as its 16-hex-char bit pattern.
 pub fn hex_f64(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -126,39 +84,6 @@ pub fn parse_hex_u64(s: &str) -> Option<u64> {
         return None;
     }
     u64::from_str_radix(s, 16).ok()
-}
-
-/// Encode one placed tile as a JSON object string.
-pub fn encode_tile(w: usize, bi: usize, bj: usize, tile: &Block) -> String {
-    let base = JsonObj::new()
-        .u64("w", w as u64)
-        .u64("bi", bi as u64)
-        .u64("bj", bj as u64);
-    match tile {
-        Block::Dense(d) => base
-            .str("k", "d")
-            .u64("r", d.rows() as u64)
-            .u64("c", d.cols() as u64)
-            .str("d", &hex_f64s(d.data()))
-            .build(),
-        Block::Sparse(s) => {
-            let mut ptrs = JsonArr::new();
-            for &p in s.col_ptrs() {
-                ptrs = ptrs.u64(u64::from(p));
-            }
-            let mut idx = JsonArr::new();
-            for &i in s.row_indices() {
-                idx = idx.u64(u64::from(i));
-            }
-            base.str("k", "s")
-                .u64("r", s.rows() as u64)
-                .u64("c", s.cols() as u64)
-                .raw("p", &ptrs.build())
-                .raw("i", &idx.build())
-                .str("v", &hex_f64s(s.values()))
-                .build()
-        }
-    }
 }
 
 /// Required `u64` member of a protocol object.
@@ -196,22 +121,6 @@ pub fn field_usize_arr(j: &Json, key: &str) -> Result<Vec<usize>, String> {
     Ok(out)
 }
 
-fn u32_arr(j: &Json, key: &str) -> Result<Vec<u32>, String> {
-    let arr = j
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("tile missing array '{key}'"))?;
-    let mut out = Vec::with_capacity(arr.len());
-    for v in arr {
-        let n = v
-            .as_u64()
-            .filter(|&n| n <= u64::from(u32::MAX))
-            .ok_or_else(|| format!("tile array '{key}' holds a non-u32"))?;
-        out.push(n as u32);
-    }
-    Ok(out)
-}
-
 /// Required `usize` member of a protocol object.
 pub fn field_usize(j: &Json, key: &str) -> Result<usize, String> {
     j.get(key)
@@ -220,96 +129,8 @@ pub fn field_usize(j: &Json, key: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("tile missing integer '{key}'"))
 }
 
-/// Decode a tile object produced by [`encode_tile`]. Returns the
-/// placement `(w, bi, bj)` and the reconstructed block; sparse invariants
-/// are re-validated on the way in, so a corrupted frame cannot smuggle a
-/// malformed CSC structure into a store.
-pub fn decode_tile(j: &Json) -> Result<(usize, usize, usize, Block), String> {
-    let w = field_usize(j, "w")?;
-    let bi = field_usize(j, "bi")?;
-    let bj = field_usize(j, "bj")?;
-    let rows = field_usize(j, "r")?;
-    let cols = field_usize(j, "c")?;
-    let kind = j
-        .get("k")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "tile missing kind 'k'".to_string())?;
-    let tile = match kind {
-        "d" => {
-            let hex = j
-                .get("d")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "dense tile missing 'd'".to_string())?;
-            let data = parse_hex_f64s(hex)
-                .ok_or_else(|| "dense tile payload is not valid hex".to_string())?;
-            let d = DenseBlock::from_vec(rows, cols, data)
-                .map_err(|e| format!("dense tile malformed: {e}"))?;
-            Block::Dense(d)
-        }
-        "s" => {
-            let ptrs = u32_arr(j, "p")?;
-            let idx = u32_arr(j, "i")?;
-            let hex = j
-                .get("v")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "sparse tile missing 'v'".to_string())?;
-            let vals = parse_hex_f64s(hex)
-                .ok_or_else(|| "sparse tile payload is not valid hex".to_string())?;
-            let s = CscBlock::from_csc(rows, cols, ptrs, idx, vals)
-                .map_err(|e| format!("sparse tile malformed: {e}"))?;
-            Block::Sparse(s)
-        }
-        other => return Err(format!("unknown tile kind '{other}'")),
-    };
-    Ok((w, bi, bj, tile))
-}
-
-/// Encode a fused cell-wise program as a JSON array. Scalar constants
-/// travel as hex bit patterns so the worker evaluates with the exact
-/// operand.
-pub fn encode_prog(prog: &[dmac_matrix::FusedOp]) -> String {
-    use dmac_matrix::FusedOp;
-    let mut arr = JsonArr::new();
-    for op in prog {
-        let obj = match op {
-            FusedOp::Leaf(i) => JsonObj::new().str("o", "leaf").u64("i", *i as u64),
-            FusedOp::Add => JsonObj::new().str("o", "add"),
-            FusedOp::Sub => JsonObj::new().str("o", "sub"),
-            FusedOp::CellMul => JsonObj::new().str("o", "cmul"),
-            FusedOp::CellDiv => JsonObj::new().str("o", "cdiv"),
-            FusedOp::Scale(c) => JsonObj::new().str("o", "scale").str("c", &hex_f64(*c)),
-            FusedOp::AddScalar(c) => JsonObj::new().str("o", "adds").str("c", &hex_f64(*c)),
-        };
-        arr = arr.raw(&obj.build());
-    }
-    arr.build()
-}
-
-/// Decode a program encoded by [`encode_prog`].
-pub fn decode_prog(arr: &[Json]) -> Result<Vec<dmac_matrix::FusedOp>, String> {
-    use dmac_matrix::FusedOp;
-    let mut out = Vec::with_capacity(arr.len());
-    for j in arr {
-        let name = field_str(j, "o")?;
-        let constant = || -> Result<f64, String> {
-            parse_hex_f64(field_str(j, "c")?).ok_or_else(|| "bad scalar constant".to_string())
-        };
-        out.push(match name {
-            "leaf" => FusedOp::Leaf(field_usize(j, "i")?),
-            "add" => FusedOp::Add,
-            "sub" => FusedOp::Sub,
-            "cmul" => FusedOp::CellMul,
-            "cdiv" => FusedOp::CellDiv,
-            "scale" => FusedOp::Scale(constant()?),
-            "adds" => FusedOp::AddScalar(constant()?),
-            other => return Err(format!("unknown fused op '{other}'")),
-        });
-    }
-    Ok(out)
-}
-
-/// Encode a fused program for binary mode: scalar constants are pulled
-/// out into a slot vector (shipped as a raw little-endian f64 body
+/// Encode a fused cell-wise program: scalar constants are pulled out
+/// into a slot vector (shipped as a raw little-endian f64 body
 /// section) and ops reference them by index (`{"o":"scale","ci":0}`).
 pub fn encode_prog_indexed(prog: &[dmac_matrix::FusedOp]) -> (String, Vec<f64>) {
     use dmac_matrix::FusedOp;
@@ -417,68 +238,7 @@ pub fn shard_checksum<'t>(tiles: impl IntoIterator<Item = ((usize, usize), &'t B
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sparse_fixture() -> Block {
-        // 3x2: col0 holds (0, 1.5) and (2, -0.25); col1 holds (1, 1e-300)
-        Block::Sparse(
-            CscBlock::from_csc(3, 2, vec![0, 2, 3], vec![0, 2, 1], vec![1.5, -0.25, 1e-300])
-                .unwrap(),
-        )
-    }
-
-    #[test]
-    fn dense_tile_round_trips_bit_exact() {
-        let vals = vec![0.1 + 0.2, -0.0, f64::MIN_POSITIVE, 3.0];
-        let tile = Block::Dense(DenseBlock::from_vec(2, 2, vals.clone()).unwrap());
-        let enc = encode_tile(3, 1, 2, &tile);
-        let j = Json::parse(&enc).unwrap();
-        let (w, bi, bj, back) = decode_tile(&j).unwrap();
-        assert_eq!((w, bi, bj), (3, 1, 2));
-        let Block::Dense(d) = &back else {
-            panic!("kind changed");
-        };
-        let bits: Vec<u64> = d.data().iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits, want);
-        assert_eq!(back.actual_bytes(), tile.actual_bytes());
-    }
-
-    #[test]
-    fn sparse_tile_round_trips_representation() {
-        let tile = sparse_fixture();
-        let enc = encode_tile(0, 5, 7, &tile);
-        let (_, _, _, back) = decode_tile(&Json::parse(&enc).unwrap()).unwrap();
-        let (Block::Sparse(a), Block::Sparse(b)) = (&tile, &back) else {
-            panic!("representation changed");
-        };
-        assert_eq!(a.col_ptrs(), b.col_ptrs());
-        assert_eq!(a.row_indices(), b.row_indices());
-        let av: Vec<u64> = a.values().iter().map(|v| v.to_bits()).collect();
-        let bv: Vec<u64> = b.values().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(av, bv);
-        let mut ha = Fnv64::new();
-        hash_tile(&mut ha, &tile);
-        let mut hb = Fnv64::new();
-        hash_tile(&mut hb, &back);
-        assert_eq!(ha.finish(), hb.finish());
-    }
-
-    #[test]
-    fn decode_rejects_malformed() {
-        // bad CSC: col_ptr does not end at nnz
-        let bad =
-            r#"{"w":0,"bi":0,"bj":0,"k":"s","r":2,"c":1,"p":[0,2],"i":[0],"v":"3ff0000000000000"}"#;
-        assert!(decode_tile(&Json::parse(bad).unwrap()).is_err());
-        // wrong dense payload length
-        let bad = r#"{"w":0,"bi":0,"bj":0,"k":"d","r":2,"c":2,"d":"3ff0000000000000"}"#;
-        assert!(decode_tile(&Json::parse(bad).unwrap()).is_err());
-        // odd hex length
-        let bad = r#"{"w":0,"bi":0,"bj":0,"k":"d","r":1,"c":1,"d":"3ff00000000000"}"#;
-        assert!(decode_tile(&Json::parse(bad).unwrap()).is_err());
-        // unknown kind
-        let bad = r#"{"w":0,"bi":0,"bj":0,"k":"x","r":1,"c":1}"#;
-        assert!(decode_tile(&Json::parse(bad).unwrap()).is_err());
-    }
+    use dmac_matrix::{CscBlock, DenseBlock};
 
     #[test]
     fn checksum_is_order_insensitive_but_content_sensitive() {
@@ -506,27 +266,6 @@ mod tests {
         assert_eq!(parse_hex_f64(&hex_f64(v)).unwrap().to_bits(), v.to_bits());
         assert_eq!(parse_hex_u64(&hex_u64(u64::MAX)).unwrap(), u64::MAX);
         assert!(parse_hex_u64("xyz").is_none());
-        assert!(parse_hex_f64s("123").is_none());
-    }
-
-    #[test]
-    fn hex_f64s_round_trip_nan_payloads_and_zero_signs() {
-        let vals = vec![
-            f64::from_bits(0x7ff8_0000_0000_0001), // quiet NaN, low payload bit set
-            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
-            f64::from_bits(0xfff8_dead_beef_0000), // negative NaN with payload
-            0.0,
-            -0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE,
-            5e-324, // smallest subnormal
-        ];
-        let enc = hex_f64s(&vals);
-        let back = parse_hex_f64s(&enc).unwrap();
-        let bits: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits, want, "bit patterns must survive the hex round trip");
     }
 
     #[test]
@@ -554,18 +293,5 @@ mod tests {
         }
         // A slot index past the constants section is a typed error.
         assert!(decode_prog_indexed(parsed.as_arr().unwrap(), &consts[..1]).is_err());
-    }
-
-    #[test]
-    fn hex_f64s_parser_accepts_both_cases_rejects_non_hex() {
-        // Uppercase renderings decode to the same bits.
-        let v = f64::from_bits(0xabcd_ef01_2345_6789);
-        let upper = hex_f64s(&[v]).to_ascii_uppercase();
-        assert_eq!(parse_hex_f64s(&upper).unwrap()[0].to_bits(), v.to_bits());
-        // Any non-hex byte anywhere fails, including multi-byte UTF-8
-        // that keeps the length a multiple of 16.
-        assert!(parse_hex_f64s("3ff000000000000g").is_none());
-        assert!(parse_hex_f64s("3ff0000000000é0").is_none());
-        assert!(parse_hex_f64s(&" ".repeat(16)).is_none());
     }
 }

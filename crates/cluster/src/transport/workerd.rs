@@ -25,12 +25,13 @@
 //! exits when the coordinator closes the connection, sends `shutdown`,
 //! or the stream desyncs.
 //!
-//! After membership the coordinator sends a `mode` command selecting
-//! the tile codec (binary [`crate::transport::binfmt`] messages vs
-//! hex-JSON) and distributing the peer address table. Control messages
-//! are always JSON; in binary mode bulk tile payload (`install` bodies,
-//! `collect` replies, peer pushes, fused scalar constants) travels as
-//! `DMB1` messages on the same envelope.
+//! After membership the coordinator sends a `peers` command
+//! distributing the peer address table. Control messages are JSON; bulk
+//! payload (`install` bodies, `collect` replies, peer pushes, fused
+//! scalar constants) travels as binary `DMB1` messages
+//! ([`crate::transport::binfmt`]) on the same envelope, and nothing
+//! else is accepted: an `install` or `push` without a `DMB1` tile
+//! section is an `err` reply.
 //!
 //! ## Direct worker-to-worker exchange
 //!
@@ -101,8 +102,6 @@ struct Worker {
     store: Arc<Mutex<Store>>,
     pool: ResultBufferPool,
     host: usize,
-    /// Binary tile codec negotiated (via `mode`).
-    bin: bool,
     /// Peer listener address per host id (`""` for self / unknown).
     peers: Vec<String>,
     /// Cached connections to peer listeners, by host id.
@@ -177,7 +176,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
         store,
         pool: ResultBufferPool::new(4),
         host: opts.host_id,
-        bin: false,
         peers: Vec::new(),
         peer_conns: HashMap::new(),
         peer_timeout: Duration::from_millis(2000),
@@ -189,46 +187,11 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
             Ok(None) => return Ok(()), // coordinator closed cleanly
             Err(e) => return Err(format!("read frame: {e}")),
         };
-        let (cmd, body): (Json, Vec<u8>) = if binfmt::is_binary(&raw) {
-            match binfmt::decode(&raw) {
-                Ok((head, body)) => match Json::parse(head) {
-                    Ok(j) => (j, body.to_vec()),
-                    Err(e) => {
-                        send_reply(
-                            &writer,
-                            None,
-                            Reply::Json(err_obj(&format!("unparseable binary header: {e}"))),
-                        )?;
-                        continue;
-                    }
-                },
-                Err(msg) => {
-                    send_reply(&writer, None, Reply::Json(err_obj(&msg)))?;
-                    continue;
-                }
-            }
-        } else {
-            let text = match std::str::from_utf8(&raw) {
-                Ok(t) => t,
-                Err(_) => {
-                    send_reply(
-                        &writer,
-                        None,
-                        Reply::Json(err_obj("command frame is not UTF-8")),
-                    )?;
-                    continue;
-                }
-            };
-            match Json::parse(text) {
-                Ok(j) => (j, Vec::new()),
-                Err(e) => {
-                    send_reply(
-                        &writer,
-                        None,
-                        Reply::Json(err_obj(&format!("unparseable command: {e}"))),
-                    )?;
-                    continue;
-                }
+        let (cmd, body) = match parse_cmd(&raw) {
+            Ok(parsed) => parsed,
+            Err(msg) => {
+                send_reply(&writer, None, Reply::Json(err_obj(&msg)))?;
+                continue;
             }
         };
         let q = cmd.get("q").and_then(Json::as_u64);
@@ -236,11 +199,25 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
             send_reply(&writer, q, Reply::Json(JsonObj::new().str("t", "bye")))?;
             return Ok(());
         }
-        let reply = match worker.dispatch(&cmd, &body) {
+        let reply = match worker.dispatch(&cmd, body) {
             Ok(r) => r,
             Err(msg) => Reply::Json(err_obj(&msg)),
         };
         send_reply(&writer, q, reply)?;
+    }
+}
+
+/// Split a command frame into its JSON header and — exactly when the
+/// frame is a `DMB1` message — its binary body.
+fn parse_cmd(raw: &[u8]) -> Result<(Json, Option<&[u8]>), String> {
+    if binfmt::is_binary(raw) {
+        let (head, body) = binfmt::decode(raw)?;
+        let cmd = Json::parse(head).map_err(|e| format!("unparseable binary header: {e}"))?;
+        Ok((cmd, Some(body)))
+    } else {
+        let text = std::str::from_utf8(raw).map_err(|_| "command frame is not UTF-8")?;
+        let cmd = Json::parse(text).map_err(|e| format!("unparseable command: {e}"))?;
+        Ok((cmd, None))
     }
 }
 
@@ -292,32 +269,25 @@ fn peer_serve(mut stream: TcpStream, store: Arc<Mutex<Store>>) {
     }
 }
 
-/// Decode one pushed tile batch (binary or JSON) and install it.
-fn install_push(raw: &[u8], store: &Arc<Mutex<Store>>) -> Result<(), String> {
-    let mut installed: Vec<(usize, usize, usize, Block)>;
-    let rid;
-    if binfmt::is_binary(raw) {
-        let (head, body) = binfmt::decode(raw)?;
-        let head = Json::parse(head).map_err(|e| format!("push header: {e}"))?;
-        if head.get("t").and_then(Json::as_str) != Some("push") {
-            return Err("peer frame is not a push".into());
-        }
-        rid = wire::field_u64(&head, "rid")?;
-        installed = binfmt::decode_tiles(body)?;
-    } else {
-        let text = std::str::from_utf8(raw).map_err(|_| "push frame is not UTF-8".to_string())?;
-        let head = Json::parse(text).map_err(|e| format!("push frame: {e}"))?;
-        if head.get("t").and_then(Json::as_str) != Some("push") {
-            return Err("peer frame is not a push".into());
-        }
-        rid = wire::field_u64(&head, "rid")?;
-        installed = Vec::new();
-        for t in wire::field_arr(&head, "tiles")? {
-            installed.push(wire::decode_tile(t)?);
-        }
+/// Decode one pushed `DMB1` tile batch and install it.
+fn install_push(raw: &[u8], store: &Mutex<Store>) -> Result<(), String> {
+    if !binfmt::is_binary(raw) {
+        return Err("peer frame is not a DMB1 message".into());
     }
+    let (head, body) = binfmt::decode(raw)?;
+    let head = Json::parse(head).map_err(|e| format!("push header: {e}"))?;
+    if head.get("t").and_then(Json::as_str) != Some("push") {
+        return Err("peer frame is not a push".into());
+    }
+    let rid = wire::field_u64(&head, "rid")?;
+    install_tiles(store, rid, body)
+}
+
+/// Decode a `DMB1` tile section and install it under `rid`.
+fn install_tiles(store: &Mutex<Store>, rid: u64, body: &[u8]) -> Result<(), String> {
+    let tiles = binfmt::decode_tiles(body)?;
     let mut store = store.lock().map_err(|_| "store poisoned".to_string())?;
-    for (w, bi, bj, block) in installed {
+    for (w, bi, bj, block) in tiles {
         store.entry((rid, w)).or_default().insert((bi, bj), block);
     }
     Ok(())
@@ -359,9 +329,9 @@ impl Worker {
         self.store.lock().map_err(|_| "store poisoned".to_string())
     }
 
-    fn dispatch(&mut self, cmd: &Json, body: &[u8]) -> Result<Reply, String> {
+    fn dispatch(&mut self, cmd: &Json, body: Option<&[u8]>) -> Result<Reply, String> {
         match wire::field_str(cmd, "t")? {
-            "mode" => self.mode(cmd),
+            "peers" => self.peers(cmd),
             "install" => self.install(cmd, body),
             "copy" => self.copy(cmd),
             "collect" => self.collect(cmd),
@@ -379,9 +349,8 @@ impl Worker {
         }
     }
 
-    /// Adopt the negotiated codec and the peer address table.
-    fn mode(&mut self, cmd: &Json) -> Result<Reply, String> {
-        self.bin = wire::field_u64(cmd, "bin")? != 0;
+    /// Adopt the peer address table.
+    fn peers(&mut self, cmd: &Json) -> Result<Reply, String> {
         self.peers = wire::field_arr(cmd, "peers")?
             .iter()
             .map(|p| p.as_str().unwrap_or("").to_string())
@@ -391,21 +360,10 @@ impl Worker {
         Ok(Reply::ok())
     }
 
-    fn install(&mut self, cmd: &Json, body: &[u8]) -> Result<Reply, String> {
+    fn install(&mut self, cmd: &Json, body: Option<&[u8]>) -> Result<Reply, String> {
         let rid = wire::field_u64(cmd, "rid")?;
-        let decoded: Vec<(usize, usize, usize, Block)> = if body.is_empty() {
-            let mut v = Vec::new();
-            for t in wire::field_arr(cmd, "tiles")? {
-                v.push(wire::decode_tile(t)?);
-            }
-            v
-        } else {
-            binfmt::decode_tiles(body)?
-        };
-        let mut store = self.lock()?;
-        for (w, bi, bj, block) in decoded {
-            store.entry((rid, w)).or_default().insert((bi, bj), block);
-        }
+        let body = body.ok_or("install is not a DMB1 message")?;
+        install_tiles(&self.store, rid, body)?;
         Ok(Reply::ok())
     }
 
@@ -454,7 +412,6 @@ impl Worker {
         // (dest host) → encoded tiles, plus per-item source-byte receipts.
         let mut bytes = Vec::with_capacity(items.len());
         let mut groups: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
-        let mut json_groups: BTreeMap<usize, JsonArr> = BTreeMap::new();
         {
             let store = self.lock()?;
             for item in items {
@@ -466,41 +423,17 @@ impl Worker {
                 let src = tile_of(&store, self.host, rid_in, wi, bi, bj)?;
                 bytes.push(src.actual_bytes() as u64);
                 let (di, dj) = tr.dest_key(bi, bj);
-                let moved = tr.apply(src);
-                if self.bin {
-                    let buf = groups.entry(dh).or_insert_with(|| vec![0u8; 4]);
-                    binfmt::push_tile(buf, wo, di, dj, &moved);
-                    let n = u32::from_le_bytes(buf[..4].try_into().unwrap()) + 1;
-                    buf[..4].copy_from_slice(&n.to_le_bytes());
-                } else {
-                    let arr = json_groups.entry(dh).or_default();
-                    let taken = std::mem::take(arr);
-                    *arr = taken.raw(&wire::encode_tile(wo, di, dj, &moved));
-                }
+                let buf = groups.entry(dh).or_insert_with(|| vec![0u8; 4]);
+                binfmt::push_tile(buf, wo, di, dj, &tr.apply(src));
+                let n = u32::from_le_bytes(buf[..4].try_into().unwrap()) + 1;
+                buf[..4].copy_from_slice(&n.to_le_bytes());
             }
         }
         // Lock released: push each destination's batch and await acks.
         let mut edges = JsonArr::new();
         let header = JsonObj::new().str("t", "push").u64("rid", rid_out).build();
-        let payloads: Vec<(usize, Vec<u8>)> = if self.bin {
-            groups
-                .into_iter()
-                .map(|(dh, body)| (dh, binfmt::encode(&header, &body)))
-                .collect()
-        } else {
-            json_groups
-                .into_iter()
-                .map(|(dh, arr)| {
-                    let msg = JsonObj::new()
-                        .str("t", "push")
-                        .u64("rid", rid_out)
-                        .raw("tiles", &arr.build())
-                        .build();
-                    (dh, msg.into_bytes())
-                })
-                .collect()
-        };
-        for (dh, payload) in payloads {
+        for (dh, body) in groups {
+            let payload = binfmt::encode(&header, &body);
             match self.push_to(dh, &payload) {
                 Ok(ack_len) => {
                     edges = edges.raw(
@@ -576,30 +509,13 @@ impl Worker {
     fn collect(&self, cmd: &Json) -> Result<Reply, String> {
         let rid = wire::field_u64(cmd, "rid")?;
         let store = self.lock()?;
-        if self.bin {
-            let mut body = vec![0u8; 4];
-            let mut count = 0u32;
-            for item in wire::field_arr(cmd, "items")? {
-                let (w, bi, bj) = task_triple(item)?;
-                let t = tile_of(&store, self.host, rid, w, bi, bj)?;
-                binfmt::push_tile(&mut body, w, bi, bj, t);
-                count += 1;
-            }
-            body[..4].copy_from_slice(&count.to_le_bytes());
-            Ok(Reply::Bin(JsonObj::new().str("t", "tiles"), body))
-        } else {
-            let mut tiles = JsonArr::new();
-            for item in wire::field_arr(cmd, "items")? {
-                let (w, bi, bj) = task_triple(item)?;
-                let t = tile_of(&store, self.host, rid, w, bi, bj)?;
-                tiles = tiles.raw(&wire::encode_tile(w, bi, bj, t));
-            }
-            Ok(Reply::Json(
-                JsonObj::new()
-                    .str("t", "tiles")
-                    .raw("tiles", &tiles.build()),
-            ))
+        let mut tiles = Vec::new();
+        for item in wire::field_arr(cmd, "items")? {
+            let (w, bi, bj) = task_triple(item)?;
+            tiles.push((w, bi, bj, tile_of(&store, self.host, rid, w, bi, bj)?));
         }
+        let body = binfmt::encode_tiles(tiles);
+        Ok(Reply::Bin(JsonObj::new().str("t", "tiles"), body))
     }
 
     fn seal(&self, cmd: &Json) -> Result<Reply, String> {
@@ -683,17 +599,16 @@ impl Worker {
         Ok(Reply::ok())
     }
 
-    fn fused(&mut self, cmd: &Json, body: &[u8]) -> Result<Reply, String> {
+    fn fused(&mut self, cmd: &Json, body: Option<&[u8]>) -> Result<Reply, String> {
         let rids = wire::field_usize_arr(cmd, "rids")?;
         let rid_out = wire::field_u64(cmd, "rid_out")?;
-        // Binary mode ships scalar constants as a raw f64 body section,
-        // referenced by slot index; the JSON fallback inlines hex.
-        let prog = if body.is_empty() {
-            wire::decode_prog(wire::field_arr(cmd, "prog")?)?
-        } else {
-            let consts = binfmt::decode_f64s(body)?;
-            wire::decode_prog_indexed(wire::field_arr(cmd, "prog")?, &consts)?
-        };
+        // Scalar constants arrive as a raw f64 body section the program
+        // references by slot index; a program without any has no body.
+        let consts = body
+            .map(binfmt::decode_f64s)
+            .transpose()?
+            .unwrap_or_default();
+        let prog = wire::decode_prog_indexed(wire::field_arr(cmd, "prog")?, &consts)?;
         let mut store = self.lock()?;
         for task in wire::field_arr(cmd, "tasks")? {
             let (w, bi, bj) = task_triple(task)?;
@@ -849,5 +764,45 @@ fn transform_of(cmd: &Json) -> Result<TileTransform, String> {
         "none" => Ok(TileTransform::None),
         "transpose" => Ok(TileTransform::Transpose),
         other => Err(format!("unknown transform '{other}'")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Tile payload is `DMB1` or nothing: an `install` or peer `push`
+    /// carrying hex-JSON tiles (the retired wire format) comes back as a
+    /// typed error — never a panic, never a silent zero-tile install.
+    #[test]
+    fn json_bodied_install_and_push_are_typed_errors() {
+        let mut w = Worker {
+            store: Arc::default(),
+            pool: ResultBufferPool::new(1),
+            host: 0,
+            peers: Vec::new(),
+            peer_conns: HashMap::new(),
+            peer_timeout: Duration::from_millis(100),
+        };
+        let tile = r#"{"w":0,"bi":0,"bj":0,"k":"d","r":1,"c":1,"d":"3ff0000000000000"}"#;
+        let install = format!(r#"{{"t":"install","rid":7,"tiles":[{tile}]}}"#);
+        let err = w
+            .dispatch(&Json::parse(&install).unwrap(), None)
+            .err()
+            .expect("JSON-bodied install must be rejected");
+        assert!(err.contains("DMB1"), "{err}");
+        let push = format!(r#"{{"t":"push","rid":7,"tiles":[{tile}]}}"#);
+        let err = install_push(push.as_bytes(), &w.store).unwrap_err();
+        assert!(err.contains("DMB1"), "{err}");
+        assert!(w.store.lock().unwrap().is_empty(), "nothing was installed");
+
+        // The same tile as a DMB1 section installs through both doors.
+        let block = Block::Dense(DenseBlock::from_vec(1, 1, vec![1.0]).unwrap());
+        let body = binfmt::encode_tiles([(0, 0, 0, &block)]);
+        let install = Json::parse(r#"{"t":"install","rid":7}"#).unwrap();
+        assert!(w.dispatch(&install, Some(&body)).is_ok());
+        let push = binfmt::encode(r#"{"t":"push","rid":8}"#, &body);
+        install_push(&push, &w.store).unwrap();
+        assert_eq!(w.store.lock().unwrap().len(), 2);
     }
 }

@@ -5,7 +5,6 @@
 //!             [--queue N] [--workers N] [--local-threads N]
 //!             [--block N] [--seed N] [--store-cap BYTES]
 //!             [--plan-cache N] [--data-dir PATH] [--real-cluster]
-//!             [--real-cluster-json]
 //! ```
 //!
 //! Binds (port 0 picks a free port), optionally writes the actual
@@ -19,7 +18,7 @@ fn usage() -> ! {
         "usage: dmac-served [--addr HOST:PORT] [--port-file PATH] [--pool N] [--queue N]\n\
          \x20                 [--workers N] [--local-threads N] [--block N] [--seed N]\n\
          \x20                 [--store-cap BYTES] [--plan-cache N] [--data-dir PATH]\n\
-         \x20                 [--real-cluster] [--real-cluster-json]"
+         \x20                 [--real-cluster]"
     );
     std::process::exit(2)
 }
@@ -55,14 +54,6 @@ fn main() {
             // Each session runs on real dmac-workerd processes instead
             // of the in-process simulator (see ServerConfig).
             "--real-cluster" => cfg.real_cluster = true,
-            // Same, but forcing the legacy hex-JSON star data plane —
-            // an escape hatch if the binary codec or peer links ever
-            // misbehave on a deployment.
-            "--real-cluster-json" => {
-                cfg.real_cluster = true;
-                cfg.socket_options.binary = false;
-                cfg.socket_options.peer_exchange = false;
-            }
             "--help" | "-h" => usage(),
             _ => usage(),
         }

@@ -72,9 +72,6 @@ pub struct ServerConfig {
     /// latency (process launch) for a live conformance check on every
     /// operation.
     pub real_cluster: bool,
-    /// Data-plane tuning for `real_cluster` sessions (codec, topology,
-    /// dispatch pipelining). Ignored on the simulator backend.
-    pub socket_options: SocketOptions,
     /// Local compute threads per session's cluster.
     pub local_threads: usize,
     /// Block size for every session.
@@ -105,7 +102,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             real_cluster: false,
-            socket_options: SocketOptions::default(),
             local_threads: 2,
             block_size: 16,
             seed: 7,
@@ -207,7 +203,7 @@ impl State {
             .seed(self.cfg.seed)
             .store(self.store.clone());
         if self.cfg.real_cluster {
-            b = b.socket_transport(self.cfg.socket_options);
+            b = b.socket_transport(SocketOptions::default());
         }
         // Launching worker processes can fail; surface it as this
         // request's error instead of poisoning the session map.
@@ -346,6 +342,10 @@ fn accept_loop(listener: TcpListener, state: Arc<State>) {
 
     let mut conns: Vec<(TcpStream, std::thread::JoinHandle<()>)> = Vec::new();
     while !state.shutting_down.load(Ordering::SeqCst) {
+        // Reap finished connections: dropping the kept clone closes the
+        // socket's last fd, so a long-lived server holds one fd and one
+        // handle per *live* client, not per client ever served.
+        conns.retain(|(_, h)| !h.is_finished());
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let reader = match stream.try_clone() {

@@ -42,12 +42,12 @@ echo "==> real-cluster smoke (4 dmac-workerd processes, GNMF + PageRank)"
 # or leaked worker processes.
 cargo run --release -q -p dmac-bench --bin cluster_smoke > /dev/null
 
-echo "==> transport data-plane benchmark (binary+p2p vs hex-JSON star, writes BENCH_transport.json)"
-# Exits non-zero if the binary peer-to-peer data plane ships more than
-# 60% of the hex-JSON star baseline's wire bytes (the claim is a >=40%
-# cut), if any tile byte crosses the coordinator relay in p2p mode, or
-# if either socket run diverges from the simulator by a single bit.
-cargo run --release -q -p dmac-bench --bin transport > /dev/null
+echo "==> perf package tests (own workspace: must still compile against crates/)"
+# perf/ is a workspace of its own, so the builds above never compile
+# it; its unit tests and tests/quick.rs (every workload for a moment,
+# incl. pagerank_socket on real workers with relay_bytes == 0) catch an
+# API change in crates/ that would break the repo benchmark.
+cargo test --offline --quiet --manifest-path perf/Cargo.toml
 
 echo "==> deterministic failure schedule (fixed seed, twice)"
 cargo test -q --test failure_injection fault_schedule_and_results_are_seed_deterministic

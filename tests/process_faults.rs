@@ -12,7 +12,7 @@
 //! (never renumbered) and both backends execute the same shared kernels.
 
 use dmac::apps::Gnmf;
-use dmac::cluster::{ClusterError, SocketOptions};
+use dmac::cluster::{ClusterError, KillAt, SocketOptions};
 use dmac::core::baselines::SystemKind;
 use dmac::core::{CoreError, Session};
 
@@ -67,7 +67,7 @@ fn sigkilled_worker_recovers_bit_identically() {
 
     for (host, after_ops) in [(1, 3), (2, 7), (1, 11)] {
         let opts = SocketOptions {
-            kill_host_after_ops: Some((host, after_ops)),
+            kill: Some((host, KillAt::AfterOps(after_ops))),
             ..SocketOptions::default()
         };
         let (w, h, report, mut s) = run_gnmf(opts);
@@ -102,7 +102,7 @@ fn sigkill_mid_pipelined_stage_recovers_bit_identically() {
 
     for (host, stage) in [(1, 5), (2, 12)] {
         let opts = SocketOptions {
-            kill_host_mid_stage: Some((host, stage)),
+            kill: Some((host, KillAt::MidStage(stage))),
             ..SocketOptions::default()
         };
         let (w, h, report, mut s) = run_gnmf(opts);
@@ -128,7 +128,7 @@ fn sigkill_mid_peer_transfer_recovers_bit_identically() {
 
     for (host, xfer) in [(1, 1), (2, 2)] {
         let opts = SocketOptions {
-            kill_host_mid_xfer: Some((host, xfer)),
+            kill: Some((host, KillAt::MidXfer(xfer))),
             ..SocketOptions::default()
         };
         let (w, h, report, mut s) = run_gnmf(opts);
@@ -151,7 +151,7 @@ fn sigkill_without_recovery_is_typed_worker_lost() {
     let cfg = gnmf_cfg();
     let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, 8, 5);
     let opts = SocketOptions {
-        kill_host_after_ops: Some((1, 4)),
+        kill: Some((1, KillAt::AfterOps(4))),
         ..SocketOptions::default()
     };
     let mut s = socket_session(opts, 0);

@@ -546,3 +546,70 @@ fn explain_matches_local_explain() {
     cli.shutdown().expect("shutdown");
     server.wait();
 }
+
+/// File descriptors this process holds on sockets bound to local TCP
+/// `port` — the server's listener plus its side of every accepted
+/// connection. Matching socket inodes against `/proc/self/net/tcp` keeps
+/// the count blind to whatever sibling tests have open.
+#[cfg(target_os = "linux")]
+fn server_socket_fds(port: u16) -> usize {
+    let suffix = format!(":{port:04X}");
+    let table = std::fs::read_to_string("/proc/self/net/tcp").expect("read /proc/self/net/tcp");
+    let inodes: Vec<String> = table
+        .lines()
+        .skip(1)
+        .filter_map(|line| {
+            let f: Vec<&str> = line.split_whitespace().collect();
+            (f.len() > 9 && f[1].ends_with(&suffix)).then(|| format!("socket:[{}]", f[9]))
+        })
+        .collect();
+    std::fs::read_dir("/proc/self/fd")
+        .expect("read /proc/self/fd")
+        .flatten()
+        .filter_map(|e| std::fs::read_link(e.path()).ok())
+        .filter(|target| inodes.iter().any(|i| target.as_os_str() == i.as_str()))
+        .count()
+}
+
+/// A finished client must cost a long-lived server nothing: the accept
+/// loop reaps its kept stream clone and thread handle, so the server's
+/// socket fd count returns to where it started (the listener alone)
+/// instead of growing by one CLOSE_WAIT socket per client ever served.
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_connections_release_their_fds() {
+    let server = test_server(1);
+    let port = server.addr().port();
+    let start = server_socket_fds(port);
+    assert!(start >= 1, "the listener itself must be counted");
+
+    // 8 × 25 clients, each: connect, one round-trip, close.
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            scope.spawn(|| {
+                for _ in 0..25 {
+                    let mut cli = Client::connect(server.addr()).expect("connect");
+                    cli.stats().expect("stats round-trip");
+                }
+            });
+        }
+    });
+
+    // Reaping happens on the accept loop's next turns (≤ 10 ms apart).
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut now = server_socket_fds(port);
+    while now > start && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        now = server_socket_fds(port);
+    }
+    assert_eq!(
+        now, start,
+        "server still holds {now} socket fds after 200 finished clients (started at {start})"
+    );
+
+    Client::connect(server.addr())
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
+    server.wait();
+}
