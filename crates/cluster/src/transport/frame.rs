@@ -4,8 +4,8 @@
 //! big-endian `u32` byte length followed by that many payload bytes.
 //!
 //! Two payload shapes ride the same envelope: UTF-8 JSON (control
-//! messages, and the full protocol in JSON-fallback mode) and the
-//! binary tile messages of [`crate::transport::binfmt`], which are
+//! messages and the whole `dmac-serve` protocol) and the binary tile
+//! messages of [`crate::transport::binfmt`], which are
 //! distinguished by a leading magic (JSON always starts with `{`). The
 //! string API (`write_frame`/`read_frame`) enforces UTF-8 and is what
 //! serve re-exports; the byte API (`write_frame_bytes`/

@@ -226,6 +226,16 @@ impl CscBlock {
         self.col_ptr[j] as usize..self.col_ptr[j + 1] as usize
     }
 
+    /// Column `j`'s stored `(row, value)` items, in stored order.
+    #[inline]
+    fn col_items(&self, j: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
+        let r = self.col_range(j);
+        self.row_idx[r.clone()]
+            .iter()
+            .zip(&self.values[r])
+            .map(|(&i, &v)| (i as usize, v))
+    }
+
     /// The column-start-index array (length `cols + 1`).
     #[inline]
     pub fn col_ptrs(&self) -> &[u32] {
@@ -315,14 +325,15 @@ impl CscBlock {
             });
         }
         let n = other.cols();
-        // acc[i, :] += v_ik * other[k, :]
+        let b = other.data();
+        let c = acc.data_mut();
+        // acc[i, :] += v_ik * other[k, :] — columns k ascending, items in
+        // stored order, so each cell sees its products in ascending k.
         for k in 0..self.cols {
-            for t in self.col_range(k) {
-                let i = self.row_idx[t] as usize;
-                let v = self.values[t];
-                let brow = &other.data()[k * n..(k + 1) * n];
-                let crow = &mut acc.data_mut()[i * n..(i + 1) * n];
-                for (c, &b) in crow.iter_mut().zip(brow.iter()) {
+            let brow = &b[k * n..][..n];
+            for (i, v) in self.col_items(k) {
+                let crow = &mut c[i * n..][..n];
+                for (c, &b) in crow.iter_mut().zip(brow) {
                     *c += v * b;
                 }
             }
@@ -346,20 +357,59 @@ impl CscBlock {
                 right: (other.rows(), self.cols),
             });
         }
-        // acc[:, j] += other[:, k] * v_kj  — iterate columns of self.
-        let m = other.rows();
-        let oc = other.cols();
-        let n = self.cols;
-        for j in 0..n {
-            for t in self.col_range(j) {
-                let k = self.row_idx[t] as usize;
-                let v = self.values[t];
-                for i in 0..m {
-                    acc.data_mut()[i * n + j] += other.data()[i * oc + k] * v;
-                }
-            }
+        if self.values.is_empty() {
+            // Nothing to add — and no zero-width chunking below.
+            return Ok(());
+        }
+        // acc[i, j] += other[i, k] * v_kj over column j's items in stored
+        // order. CSC yields one output column at a time, a stride-`n` walk
+        // of `acc`, so rows are taken ROW_TILE at a time and the tile's
+        // running sums of a column stay in registers across that column's
+        // items (see `rmatmul_rows`). Ragged tail rows — and the whole
+        // `1 × n` PageRank shape — run the one-row instance of that loop.
+        const ROW_TILE: usize = 8;
+        let (oc, n) = (self.rows, self.cols);
+        let a = other.data();
+        let c = acc.data_mut();
+        let full = other.rows() / ROW_TILE * ROW_TILE;
+        let a_tiles = a[..full * oc].chunks_exact(ROW_TILE * oc);
+        let c_tiles = c[..full * n].chunks_exact_mut(ROW_TILE * n);
+        for (a_tile, c_tile) in a_tiles.zip(c_tiles) {
+            self.rmatmul_rows::<ROW_TILE>(a_tile, c_tile);
+        }
+        let a_rows = a[full * oc..].chunks_exact(oc);
+        let c_rows = c[full * n..].chunks_exact_mut(n);
+        for (a_row, c_row) in a_rows.zip(c_rows) {
+            self.rmatmul_rows::<1>(a_row, c_row);
         }
         Ok(())
+    }
+
+    /// `T` rows of `acc += other · self`: `a` holds `T` rows of `other`, `c`
+    /// the same `T` rows of `acc`. Each cell starts from its `acc` value and
+    /// adds its column's products in stored order, exactly as the plain
+    /// `for j, for item, for i` loop does, so the bits are the same.
+    fn rmatmul_rows<const T: usize>(&self, a: &[f64], c: &mut [f64]) {
+        let (oc, n) = (self.rows, self.cols);
+        let a_rows: [&[f64]; T] = std::array::from_fn(|r| &a[r * oc..(r + 1) * oc]);
+        for j in 0..n {
+            let items = self.col_items(j);
+            if items.len() == 0 {
+                continue;
+            }
+            let mut sums = [0.0; T];
+            for (s, c_row) in sums.iter_mut().zip(c.chunks_exact(n)) {
+                *s = c_row[j];
+            }
+            for (k, v) in items {
+                for (s, a_row) in sums.iter_mut().zip(&a_rows) {
+                    *s += a_row[k] * v;
+                }
+            }
+            for (&s, c_row) in sums.iter().zip(c.chunks_exact_mut(n)) {
+                c_row[j] = s;
+            }
+        }
     }
 
     /// `acc += self · other` where both are sparse; the result accumulator
@@ -381,13 +431,11 @@ impl CscBlock {
             });
         }
         let n = other.cols;
+        let c = acc.data_mut();
         for j in 0..n {
-            for t in other.col_range(j) {
-                let k = other.row_idx[t] as usize;
-                let bv = other.values[t];
-                for s in self.col_range(k) {
-                    let i = self.row_idx[s] as usize;
-                    acc.data_mut()[i * n + j] += self.values[s] * bv;
+            for (k, bv) in other.col_items(j) {
+                for (i, av) in self.col_items(k) {
+                    c[i * n + j] += av * bv;
                 }
             }
         }

@@ -282,10 +282,24 @@ impl DenseBlock {
 
     /// Transposed copy.
     pub fn transpose(&self) -> DenseBlock {
-        let mut out = DenseBlock::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
+        // TILE×TILE squares (8 f64 = one cache line a side): a row sweep of
+        // the plain double loop stores at a stride of `rows` cells, which
+        // for power-of-two shapes lands on a handful of cache sets and
+        // evicts every line before its next use. A square keeps its TILE
+        // source and TILE destination lines live until it is done.
+        const TILE: usize = 8;
+        let (m, n) = (self.rows, self.cols);
+        let mut out = DenseBlock::zeros(n, m);
+        for i0 in (0..m).step_by(TILE) {
+            let i1 = (i0 + TILE).min(m);
+            for j0 in (0..n).step_by(TILE) {
+                let j1 = (j0 + TILE).min(n);
+                for i in i0..i1 {
+                    let src = &self.data[i * n + j0..i * n + j1];
+                    for (j, &v) in (j0..j1).zip(src) {
+                        out.data[j * m + i] = v;
+                    }
+                }
             }
         }
         out
@@ -312,12 +326,13 @@ impl DenseBlock {
     /// Reshape the block in place to `rows × cols`, reusing the allocation
     /// when capacity allows. Contents are zeroed.
     pub fn reset_shape(&mut self, rows: usize, cols: usize) {
-        let need = rows * cols;
-        if need > self.data.len() {
-            mem::track_alloc((need - self.data.len()) * 8);
-        }
+        // `Drop` frees `capacity`, so charge what the capacity grew by —
+        // not the distance from `len`, which a shrink-then-regrow inside the
+        // same allocation would be billed for without allocating anything.
+        let before = self.data.capacity();
         self.data.clear();
-        self.data.resize(need, 0.0);
+        self.data.resize(rows * cols, 0.0);
+        mem::track_alloc((self.data.capacity() - before) * 8);
         self.rows = rows;
         self.cols = cols;
     }

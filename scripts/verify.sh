@@ -20,6 +20,12 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> kernel ratio guard (release: dense x CSC must keep pace with CSC x dense)"
+# Both kernels do the same flops on the same 128x128 @ 5 % block, so the
+# ratio of their rates does not depend on the host. Fails below 0.25: the
+# strided loop the row-tiled kernel replaced sat at 0.09.
+cargo test --release -q --test kernel_bit_identity -- --ignored dense_times_csc_keeps_pace
+
 echo "==> cargo doc (no deps, deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -1,0 +1,307 @@
+//! Bit-identity of the four block multiply kernels behind
+//! [`Block::matmul_acc`] against one naïve triple loop.
+//!
+//! The oracle below *is* the per-cell order contract (DESIGN "Block
+//! kernels"): a result cell starts from its accumulator value and adds
+//! `left[i][k] * right[k][j]` for ascending `k`, over the cells both
+//! operands store — a CSC block stores its items, a dense block all its
+//! cells, and dense × dense additionally skips an exact-zero left cell.
+//! A kernel may tile, pack and hoist as it likes as long as every cell
+//! comes out with the same bits; this is what lets the simulator, the
+//! worker daemon and the local executor be compared bit for bit.
+
+use dmac::apps::{Gnmf, PageRank};
+use dmac::core::Session;
+use dmac::matrix::{Block, BlockedMatrix, CscBlock, DenseBlock, SplitMix64};
+
+/// How a sparse operand is filled.
+#[derive(Clone, Copy, Debug)]
+enum Fill {
+    Empty,
+    OneItem,
+    /// Bernoulli per cell; every fourth column or so is left empty.
+    Frac(f64),
+    Full,
+}
+
+const FILLS: [Fill; 5] = [
+    Fill::Empty,
+    Fill::OneItem,
+    Fill::Frac(0.05),
+    Fill::Frac(0.5),
+    Fill::Full,
+];
+
+const SPECIALS: [f64; 9] = [
+    -0.0,
+    0.0,
+    5e-324,
+    -f64::MIN_POSITIVE / 4.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    1e308,
+    -1e308,
+];
+
+/// A finite value in [-2, 2); with `special`, one cell in eight is drawn
+/// from [`SPECIALS`] instead.
+fn value(rng: &mut SplitMix64, special: bool) -> f64 {
+    if special && rng.below(8) == 0 {
+        SPECIALS[rng.below(SPECIALS.len())]
+    } else {
+        rng.range_f64(-2.0, 2.0)
+    }
+}
+
+/// Dense operand; one cell in eight is an exact zero so the dense × dense
+/// zero skip is exercised in every case.
+fn dense(rng: &mut SplitMix64, rows: usize, cols: usize, special: bool) -> DenseBlock {
+    let v = (0..rows * cols)
+        .map(|_| {
+            if rng.below(8) == 0 {
+                0.0
+            } else {
+                value(rng, special)
+            }
+        })
+        .collect();
+    DenseBlock::from_vec(rows, cols, v).unwrap()
+}
+
+/// Sparse operand built through `from_csc`, so stored items may be `-0.0`,
+/// `0.0`, NaN or infinite (`from_triplets` would drop the zeros).
+fn sparse(rng: &mut SplitMix64, rows: usize, cols: usize, fill: Fill, special: bool) -> CscBlock {
+    let one = (rows * cols > 0).then(|| (rng.below(rows.max(1)), rng.below(cols.max(1))));
+    let mut col_ptr = vec![0u32];
+    let mut row_idx = Vec::new();
+    let mut values = Vec::new();
+    for j in 0..cols {
+        let empty_col = matches!(fill, Fill::Frac(_)) && rng.below(4) == 0;
+        for i in 0..rows {
+            let keep = match fill {
+                Fill::Empty => false,
+                Fill::OneItem => one == Some((i, j)),
+                Fill::Frac(p) => !empty_col && rng.chance(p),
+                Fill::Full => true,
+            };
+            if keep {
+                row_idx.push(i as u32);
+                values.push(value(rng, special));
+            }
+        }
+        col_ptr.push(values.len() as u32);
+    }
+    CscBlock::from_csc(rows, cols, col_ptr, row_idx, values).unwrap()
+}
+
+/// Row-major grid of what a block stores: `None` where a CSC block has no
+/// item.
+fn stored(b: &Block) -> Vec<Option<f64>> {
+    match b {
+        Block::Dense(d) => d.data().iter().map(|&v| Some(v)).collect(),
+        Block::Sparse(s) => {
+            let mut grid = vec![None; s.rows() * s.cols()];
+            for j in 0..s.cols() {
+                for t in s.col_range(j) {
+                    grid[s.row_indices()[t] as usize * s.cols() + j] = Some(s.values()[t]);
+                }
+            }
+            grid
+        }
+    }
+}
+
+/// The per-cell order, written out once.
+fn oracle(a: &Block, b: &Block, acc: &DenseBlock) -> Vec<f64> {
+    let (m, kk, n) = (a.rows(), a.cols(), b.cols());
+    let dense_pair = !a.is_sparse() && !b.is_sparse();
+    let (ga, gb) = (stored(a), stored(b));
+    let mut out = acc.data().to_vec();
+    for i in 0..m {
+        for j in 0..n {
+            let mut s = out[i * n + j];
+            for k in 0..kk {
+                let (Some(x), Some(y)) = (ga[i * kk + k], gb[k * n + j]) else {
+                    continue;
+                };
+                if dense_pair && x == 0.0 {
+                    continue;
+                }
+                s += x * y;
+            }
+            out[i * n + j] = s;
+        }
+    }
+    out
+}
+
+/// Same bits. Which NaN an operation on two NaNs returns is not fixed by
+/// IEEE 754 and Rust leaves it unspecified (the compiler may commute the
+/// operands), so any NaN equals any NaN; everything else, including the
+/// sign of zero, must match exactly.
+fn same_bits(x: f64, y: f64) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
+fn check(a: &Block, b: &Block, acc0: &DenseBlock, what: &str) {
+    let want = oracle(a, b, acc0);
+    let mut acc = acc0.clone();
+    a.matmul_acc(b, &mut acc).unwrap();
+    for (cell, (&got, &want)) in acc.data().iter().zip(&want).enumerate() {
+        assert!(
+            same_bits(got, want),
+            "{what}: cell ({}, {}) is {got:e} ({:#x}), oracle {want:e} ({:#x})",
+            cell / b.cols().max(1),
+            cell % b.cols().max(1),
+            got.to_bits(),
+            want.to_bits(),
+        );
+    }
+}
+
+/// Row counts around every tile edge of the row-tiled dense × CSC kernel,
+/// plus the block size and a ragged block.
+const ROWS: [usize; 15] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 127, 128, 130];
+/// Ragged inner and outer extents, including the degenerate ones.
+const EXTENTS: [usize; 8] = [0, 1, 3, 8, 13, 33, 64, 130];
+
+#[test]
+fn every_representation_pair_matches_the_naive_loop() {
+    let mut rng = SplitMix64::new(0x0013_D3A5_EC5C);
+    for &m in &ROWS {
+        for (f, &fill) in FILLS.iter().enumerate() {
+            for special in [false, true] {
+                let k = EXTENTS[rng.below(EXTENTS.len())];
+                let n = EXTENTS[rng.below(EXTENTS.len())];
+                let ad = Block::Dense(dense(&mut rng, m, k, special));
+                let bd = Block::Dense(dense(&mut rng, k, n, special));
+                let a_s = Block::Sparse(sparse(&mut rng, m, k, fill, special));
+                let b_s = Block::Sparse(sparse(&mut rng, k, n, fill, special));
+                // A pre-filled accumulator: the kernels add to it.
+                let acc = dense(&mut rng, m, n, special);
+                for (a, b) in [(&ad, &bd), (&a_s, &bd), (&ad, &b_s), (&a_s, &b_s)] {
+                    let what = format!(
+                        "{m}x{k} {} · {k}x{n} {}, fill #{f} {fill:?}, special={special}",
+                        if a.is_sparse() { "csc" } else { "dense" },
+                        if b.is_sparse() { "csc" } else { "dense" },
+                    );
+                    check(a, b, &acc, &what);
+                }
+            }
+        }
+    }
+}
+
+/// The GNMF shape itself: a full 128 × 128 dense block times a 5 % CSC
+/// block, folded twice into the same accumulator as CPMM and RMM do.
+#[test]
+fn block_sized_dense_times_csc_accumulates_bit_identically() {
+    let mut rng = SplitMix64::new(0x0B10_C128);
+    let a = Block::Dense(dense(&mut rng, 128, 128, false));
+    let b1 = Block::Sparse(sparse(&mut rng, 128, 128, Fill::Frac(0.05), false));
+    let b2 = Block::Sparse(sparse(&mut rng, 128, 128, Fill::Frac(0.05), false));
+    let mut acc = DenseBlock::zeros(128, 128);
+    check(&a, &b1, &acc, "first product");
+    a.matmul_acc(&b1, &mut acc).unwrap();
+    check(&a, &b2, &acc, "second product into the first");
+}
+
+fn fold_bits(h: u64, m: &BlockedMatrix) -> u64 {
+    m.to_dense().data().iter().fold(h, |h, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Whole programs through `Session`, pinned to the bits the parent of the
+/// kernel rewrite produced. Rank 20 at block 16 gives `Wᵀ·V` a 16-row
+/// dense × CSC product (two row tiles) and a 4-row one (ragged tail);
+/// PageRank runs the `1 × n` form.
+#[test]
+fn gnmf_and_pagerank_outputs_keep_their_bits() {
+    let session = || {
+        Session::builder()
+            .workers(4)
+            .local_threads(2)
+            .block_size(16)
+            .seed(11)
+            .build()
+    };
+
+    let cfg = Gnmf {
+        rows: 96,
+        cols: 80,
+        sparsity: 0.1,
+        rank: 20,
+        iterations: 3,
+    };
+    let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, 16, 5);
+    let mut s = session();
+    let (_, handles) = cfg.run(&mut s, v).unwrap();
+    let h = fold_bits(0xCBF2_9CE4_8422_2325, &s.value(handles.w).unwrap());
+    let h = fold_bits(h, &s.value(handles.h).unwrap());
+    assert_eq!(h, GNMF_BITS, "GNMF W/H bits moved: {h:#x}");
+
+    let cfg = PageRank {
+        nodes: 96,
+        link_sparsity: 0.1,
+        damping: 0.85,
+        iterations: 4,
+    };
+    let g = dmac::data::powerlaw_graph(cfg.nodes, 768, 16, 3);
+    let mut s = session();
+    let (_, handles) = cfg.run(&mut s, &g).unwrap();
+    let h = fold_bits(0xCBF2_9CE4_8422_2325, &s.value(handles.rank).unwrap());
+    assert_eq!(h, PAGERANK_BITS, "PageRank rank bits moved: {h:#x}");
+}
+
+const GNMF_BITS: u64 = 0x1157_454E_96A0_F857;
+const PAGERANK_BITS: u64 = 0x9B6C_0C6B_1363_9DAC;
+
+/// Release-mode guard run by `scripts/verify.sh` (debug timings mean
+/// nothing, so it is ignored by default): dense × CSC and CSC × dense do
+/// the same flops on the same 128 × 128 block at 5 %, so the ratio of
+/// their rates is host-independent. The strided loop this kernel replaced
+/// sat at 0.09; the row-tiled one is above 0.5.
+#[test]
+#[ignore = "timing; run in release by scripts/verify.sh"]
+fn dense_times_csc_keeps_pace_with_csc_times_dense() {
+    use std::hint::black_box;
+    use std::time::Instant;
+
+    let mut rng = SplitMix64::new(7);
+    let d = dense(&mut rng, 128, 128, false);
+    let s = sparse(&mut rng, 128, 128, Fill::Frac(0.05), false);
+    let mut acc = DenseBlock::zeros(128, 128);
+    // Best of several batches: the minimum is the least disturbed one.
+    let mut best_us = |f: &mut dyn FnMut(&mut DenseBlock)| {
+        (0..9)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..100 {
+                    f(&mut acc);
+                }
+                t.elapsed().as_secs_f64() * 1e4
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let csc_dense = best_us(&mut |acc| {
+        s.matmul_dense_acc(black_box(&d), acc).unwrap();
+        black_box(&acc);
+    });
+    let dense_csc = best_us(&mut |acc| {
+        s.rmatmul_dense_acc(black_box(&d), acc).unwrap();
+        black_box(&acc);
+    });
+    let flops = 2.0 * s.nnz() as f64 * 128.0;
+    let ratio = csc_dense / dense_csc;
+    println!(
+        "128x128 @ 5 %: csc x dense {csc_dense:.1} us ({:.2} GFLOP/s), dense x csc {dense_csc:.1} us ({:.2} GFLOP/s), ratio {ratio:.2}",
+        flops / csc_dense / 1e3,
+        flops / dense_csc / 1e3,
+    );
+    assert!(
+        ratio >= 0.25,
+        "dense x csc runs at {ratio:.2} of csc x dense's rate (floor 0.25)"
+    );
+}

@@ -71,6 +71,21 @@ fn blocked_transpose_matches() {
         let m = BlockedMatrix::from_dense(d.clone(), block).unwrap();
         assert_eq!(m.transpose().to_dense(), d.transpose());
     }
+    // Block-sized and ragged shapes: several tiles of the cache-blocked
+    // dense transpose plus a partial one on each edge, against the plain
+    // index swap.
+    for (rows, cols) in [(128, 128), (130, 67)] {
+        let d = dense(&mut rng, rows, cols);
+        let t = d.transpose();
+        assert_eq!((t.rows(), t.cols()), (cols, rows));
+        for i in 0..rows {
+            for j in 0..cols {
+                assert_eq!(t.at(j, i).to_bits(), d.at(i, j).to_bits());
+            }
+        }
+        let m = BlockedMatrix::from_dense(d, 128).unwrap();
+        assert_eq!(m.transpose().to_dense(), t);
+    }
 }
 
 /// (A·B)ᵀ = Bᵀ·Aᵀ through the blocked kernels.
