@@ -7,10 +7,9 @@
 //! * **V18** — no step reads a node after its `free` step: the spliced
 //!   releases really do sit at or after every intermediate's last use.
 //! * **V19** — release discipline: no double frees, kept nodes (program
-//!   outputs, cached input placements) are never freed, and — when free
-//!   splicing is enabled — every dead intermediate is freed *exactly
-//!   once*, anchored no earlier than its last reader (or its producer,
-//!   if it is never read).
+//!   outputs, cached input placements) are never freed, and every dead
+//!   intermediate is freed *exactly once*, anchored no earlier than its
+//!   last reader (or its producer, if it is never read).
 //! * **V20** — the plan's [`MemoryCertificate`] dominates an independent
 //!   re-derivation of the per-step resident-byte bound and is internally
 //!   consistent (`peak` is the maximum of `per_step`, attained at
@@ -95,17 +94,12 @@ fn rederive_price(
     let block = cfg.fusion_block.max(1);
     let (br, bc) = (strips(r, block) as u64, strips(c, block) as u64);
     let overhead = 4 * (br * c as u64 + br * bc);
-    let payload = if cfg.density_adaptive {
-        let nnz = planned
-            .profiles
-            .get(n.matrix as usize)
-            .map(|p| p.nnz)
-            .unwrap_or(cells);
-        (16 * nnz).min(12 * cells)
-    } else {
-        12 * cells
-    };
-    payload + overhead
+    let nnz = planned
+        .profiles
+        .get(n.matrix as usize)
+        .map(|p| p.nnz)
+        .unwrap_or(cells);
+    (16 * nnz).min(12 * cells) + overhead
 }
 
 /// Nodes the engine retains to the end of the run: program outputs plus,
@@ -136,7 +130,7 @@ fn rederive_keep(program: &Program, plan: &Plan) -> Vec<bool> {
 }
 
 /// V18 + V19: the liveness discipline of the spliced frees.
-fn check_frees(program: &Program, plan: &Plan, cfg: &PlannerConfig) -> Result<(), String> {
+fn check_frees(program: &Program, plan: &Plan) -> Result<(), String> {
     let keep = rederive_keep(program, plan);
     let n_nodes = plan.nodes.len();
     let mut defined_at = vec![None::<usize>; n_nodes]; // None for sources
@@ -187,33 +181,31 @@ fn check_frees(program: &Program, plan: &Plan, cfg: &PlannerConfig) -> Result<()
             }
         }
     }
-    if cfg.splice_frees {
-        // Completeness: every dead intermediate freed exactly once, no
-        // earlier than its anchor (last reader, else producer). Unused
-        // sources have no anchor step and legitimately stay resident.
-        for n in 0..n_nodes {
-            if keep[n] || (!source[n] && defined_at[n].is_none()) {
-                continue;
+    // Completeness: every dead intermediate freed exactly once, no
+    // earlier than its anchor (last reader, else producer). Unused
+    // sources have no anchor step and legitimately stay resident.
+    for n in 0..n_nodes {
+        if keep[n] || (!source[n] && defined_at[n].is_none()) {
+            continue;
+        }
+        let anchor = match (last_read[n], defined_at[n]) {
+            (Some(r), _) => r,
+            (None, Some(d)) => d,
+            (None, None) => continue,
+        };
+        match freed_at[n] {
+            None => {
+                return Err(format!(
+                    "V19: dead node {n} ({}) is never freed (last use at step {anchor})",
+                    plan.node_label(program, n)
+                ));
             }
-            let anchor = match (last_read[n], defined_at[n]) {
-                (Some(r), _) => r,
-                (None, Some(d)) => d,
-                (None, None) => continue,
-            };
-            match freed_at[n] {
-                None => {
-                    return Err(format!(
-                        "V19: dead node {n} ({}) is never freed (last use at step {anchor})",
-                        plan.node_label(program, n)
-                    ));
-                }
-                Some(f) if f < anchor => {
-                    return Err(format!(
-                        "V19: node {n} freed at step {f}, before its last use at step {anchor}"
-                    ));
-                }
-                Some(_) => {}
+            Some(f) if f < anchor => {
+                return Err(format!(
+                    "V19: node {n} freed at step {f}, before its last use at step {anchor}"
+                ));
             }
+            Some(_) => {}
         }
     }
     Ok(())
@@ -298,7 +290,7 @@ pub fn check_liveness(
     planned: &Planned,
     cfg: &PlannerConfig,
 ) -> Result<(), String> {
-    check_frees(program, &planned.plan, cfg)?;
+    check_frees(program, &planned.plan)?;
     check_certificate(program, planned, cfg)
 }
 

@@ -11,7 +11,7 @@ use dmac_core::planner::PlannerConfig;
 use dmac_core::Session;
 use dmac_lang::Program;
 
-fn main() {
+pub fn run() {
     header("Ablation — planner features on GNMF (4 iterations)");
     let users = 13_500;
     let block = 256;

@@ -32,7 +32,7 @@ fn session(workers: usize, plan: Option<FaultPlan>) -> Session {
     b.build()
 }
 
-fn run(
+fn run_gnmf(
     cfg: &Gnmf,
     v: &BlockedMatrix,
     workers: usize,
@@ -46,7 +46,7 @@ fn run(
     (report, w)
 }
 
-fn main() {
+pub fn run() {
     let cfg = Gnmf {
         rows: 512,
         cols: 256,
@@ -69,11 +69,11 @@ fn main() {
         "replays"
     );
     for workers in [2usize, 4, 8] {
-        let (ok, w_ok) = run(&cfg, &v, workers, None);
+        let (ok, w_ok) = run_gnmf(&cfg, &v, workers, None);
         assert!(!ok.recovery.any());
         // Kill at the middle stage of the plan, victim drawn by seed.
         let kill = FaultPlan::kill_stage(ok.stage_count / 2, SEED + workers as u64);
-        let (faulty, w) = run(&cfg, &v, workers, Some(kill));
+        let (faulty, w) = run_gnmf(&cfg, &v, workers, Some(kill));
         assert_eq!(faulty.recovery.worker_failures, 1);
         assert_eq!(w, w_ok, "recovered factors must match healthy bit-for-bit");
         let slowdown = faulty.sim_time_sec() / ok.sim_time_sec();
@@ -95,10 +95,10 @@ fn main() {
         "{:>10}{:>12}{:>10}{:>14}{:>12}",
         "p(fail)", "sim time", "retries", "retry bytes", "slowdown"
     );
-    let (ok, w_ok) = run(&cfg, &v, 4, None);
+    let (ok, w_ok) = run_gnmf(&cfg, &v, 4, None);
     for p in [0.01, 0.05, 0.2] {
         let plan = FaultPlan::none().with_transient(p).with_send_attempts(12);
-        let (r, w) = run(&cfg, &v, 4, Some(plan));
+        let (r, w) = run_gnmf(&cfg, &v, 4, Some(plan));
         assert_eq!(w, w_ok, "retries must be invisible to results");
         println!(
             "{:>10.2}{:>12}{:>10}{:>14}{:>11.2}x",

@@ -8,9 +8,8 @@
 //! GNMF, a 3.25× speedup).
 
 use dmac_apps::{Gnmf, LinearRegression};
-use dmac_bench::{fmt_sec, header, session_for, LOCAL_THREADS, WORKERS};
-use dmac_core::baselines::SystemKind;
-use dmac_core::Session;
+use dmac_bench::{builder_for, fmt_sec, header, per_system, DMAC_VS_SYSTEMML, WORKERS};
+use dmac_core::session::SessionBuilder;
 
 /// Sessions for the worker sweep use a proportionally faster model
 /// network: the paper's compute-to-communication ratio at 2B non-zeros on
@@ -18,20 +17,14 @@ use dmac_core::Session;
 /// 1000x shrinks compute far more than the N-proportional broadcast
 /// traffic, so the model bandwidth is raised to keep the experiment in
 /// the same regime (see EXPERIMENTS.md).
-fn sweep_session(system: SystemKind, workers: usize, block: usize) -> Session {
-    Session::builder()
-        .system(system)
-        .workers(workers)
-        .local_threads(LOCAL_THREADS)
-        .block_size(block)
-        .network(dmac_cluster::NetworkModel {
-            bandwidth_bytes_per_sec: 1.0e9,
-            latency_sec: 2e-4,
-        })
-        .build()
+fn sweep_builder(workers: usize, block: usize) -> SessionBuilder {
+    builder_for(workers, block).network(dmac_cluster::NetworkModel {
+        bandwidth_bytes_per_sec: 1.0e9,
+        latency_sec: 2e-4,
+    })
 }
 
-fn main() {
+pub fn run() {
     let block = 256;
     let iterations = 3;
 
@@ -58,12 +51,10 @@ fn main() {
             rank: 32,
             iterations,
         };
-        let mut t = Vec::new();
-        for system in [SystemKind::Dmac, SystemKind::SystemMlS] {
-            let mut s = session_for(system, WORKERS, block);
-            let (report, _) = cfg.run(&mut s, v.clone()).expect("gnmf");
-            t.push(report.sim.total_sec() / iterations as f64);
-        }
+        let t = per_system(DMAC_VS_SYSTEMML, &builder_for(WORKERS, block), |s| {
+            let (report, _) = cfg.run(s, v.clone()).expect("gnmf");
+            report.sim.total_sec() / iterations as f64
+        });
         println!(
             "{:>12.2}{:>10}{:>12}{:>14}{:>7.1}x",
             m,
@@ -92,12 +83,10 @@ fn main() {
             lambda: 1e-6,
             iterations,
         };
-        let mut t = Vec::new();
-        for system in [SystemKind::Dmac, SystemKind::SystemMlS] {
-            let mut s = session_for(system, WORKERS, block);
-            let (report, _) = cfg.run(&mut s, v.clone(), y.clone()).expect("linreg");
-            t.push(report.sim.total_sec() / iterations as f64);
-        }
+        let t = per_system(DMAC_VS_SYSTEMML, &builder_for(WORKERS, block), |s| {
+            let (report, _) = cfg.run(s, v.clone(), y.clone()).expect("linreg");
+            report.sim.total_sec() / iterations as f64
+        });
         println!(
             "{:>12.2}{:>10}{:>12}{:>14}{:>7.1}x",
             m,
@@ -128,19 +117,17 @@ fn main() {
     // untimed warm-up: fault in allocator pools so the first measured
     // configuration is not inflated
     {
-        let mut s = sweep_session(SystemKind::Dmac, worker_sweep[0], block);
+        let mut s = sweep_builder(worker_sweep[0], block).build();
         let _ = cfg.run(&mut s, v.clone()).expect("warmup");
     }
     println!("{:>9}{:>12}{:>14}", "workers", "DMac", "SystemML-S");
     let mut first_dmac = 0.0;
     let mut last_dmac = 0.0;
     for &w in &worker_sweep {
-        let mut t = Vec::new();
-        for system in [SystemKind::Dmac, SystemKind::SystemMlS] {
-            let mut s = sweep_session(system, w, block);
-            let (report, _) = cfg.run(&mut s, v.clone()).expect("gnmf");
-            t.push(report.sim.total_sec() / iterations as f64);
-        }
+        let t = per_system(DMAC_VS_SYSTEMML, &sweep_builder(w, block), |s| {
+            let (report, _) = cfg.run(s, v.clone()).expect("gnmf");
+            report.sim.total_sec() / iterations as f64
+        });
         if w == worker_sweep[0] {
             first_dmac = t[0];
         }
@@ -163,12 +150,10 @@ fn main() {
     };
     println!("{:>9}{:>12}{:>14}", "workers", "DMac", "SystemML-S");
     for &w in &worker_sweep {
-        let mut t = Vec::new();
-        for system in [SystemKind::Dmac, SystemKind::SystemMlS] {
-            let mut s = sweep_session(system, w, block);
-            let (report, _) = cfg.run(&mut s, v.clone(), y.clone()).expect("linreg");
-            t.push(report.sim.total_sec() / iterations as f64);
-        }
+        let t = per_system(DMAC_VS_SYSTEMML, &sweep_builder(w, block), |s| {
+            let (report, _) = cfg.run(s, v.clone(), y.clone()).expect("linreg");
+            report.sim.total_sec() / iterations as f64
+        });
         println!("{:>9}{:>12}{:>14}", w, fmt_sec(t[0]), fmt_sec(t[1]));
     }
     println!("paper: DMac improves gradually with more workers.");

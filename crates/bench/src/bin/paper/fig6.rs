@@ -7,14 +7,12 @@
 //! (≈ 26×); communication is ~44 % of SystemML-S's time vs ~6 % of DMac's.
 
 use dmac_apps::Gnmf;
-use dmac_bench::{accumulated_series, fmt_bytes, fmt_sec, header, session_for, WORKERS};
+use dmac_bench::{
+    accumulated_series, builder_for, fmt_bytes, fmt_sec, header, per_system, session_for, WORKERS,
+};
 use dmac_core::baselines::SystemKind;
 
-/// One measured system: its accumulated (time, bytes) series and the
-/// fraction of simulated time spent communicating.
-type SystemRow = (SystemKind, Vec<(f64, u64)>, f64);
-
-fn main() {
+pub fn run() {
     // Netflix scaled ÷ ~18: 27 000 users × 1 000 movies at Netflix
     // sparsity; factor rank 64 (paper: 480 189 × 17 770, k = 200).
     let users = 27_000;
@@ -44,23 +42,23 @@ fn main() {
         let mut s = session_for(SystemKind::Dmac, WORKERS, block);
         let _ = warm.run(&mut s, v.clone()).expect("warmup");
     }
-    let mut rows: Vec<SystemRow> = Vec::new();
-    for system in [SystemKind::Dmac, SystemKind::SystemMlS, SystemKind::RLocal] {
-        let mut session = session_for(system, WORKERS, block);
-        let (report, _) = cfg.run(&mut session, v.clone()).expect("gnmf run");
-        let series = accumulated_series(&report);
-        rows.push((system, series, report.sim.comm_fraction()));
-    }
+    // Per system: its accumulated (time, bytes) series and the fraction of
+    // simulated time spent communicating.
+    let systems = [SystemKind::Dmac, SystemKind::SystemMlS, SystemKind::RLocal];
+    let rows = per_system(systems, &builder_for(WORKERS, block), |session| {
+        let (report, _) = cfg.run(session, v.clone()).expect("gnmf run");
+        (accumulated_series(&report), report.sim.comm_fraction())
+    });
 
     println!("\n(a) accumulated execution time (simulated seconds)");
     print!("{:>4}", "iter");
-    for (system, _, _) in &rows {
+    for system in &systems {
         print!("{:>14}", system.name());
     }
     println!();
     for i in 0..iterations {
         print!("{:>4}", i + 1);
-        for (_, series, _) in &rows {
+        for (series, _) in &rows {
             print!("{:>14}", fmt_sec(series[i].0));
         }
         println!();
@@ -68,28 +66,28 @@ fn main() {
 
     println!("\n(b) accumulated communication");
     print!("{:>4}", "iter");
-    for (system, _, _) in rows.iter().take(2) {
+    for system in systems.iter().take(2) {
         print!("{:>14}", system.name());
     }
     println!();
     for i in 0..iterations {
         print!("{:>4}", i + 1);
-        for (_, series, _) in rows.iter().take(2) {
+        for (series, _) in rows.iter().take(2) {
             print!("{:>14}", fmt_bytes(series[i].1));
         }
         println!();
     }
 
-    let dmac = &rows[0];
-    let sysml = &rows[1];
-    let time_ratio = sysml.1.last().unwrap().0 / dmac.1.last().unwrap().0;
-    let comm_ratio = sysml.1.last().unwrap().1 as f64 / dmac.1.last().unwrap().1.max(1) as f64;
+    let (dmac, sysml) = (&rows[0], &rows[1]);
+    let (dmac_end, sysml_end) = (dmac.0.last().unwrap(), sysml.0.last().unwrap());
+    let time_ratio = sysml_end.0 / dmac_end.0;
+    let comm_ratio = sysml_end.1 as f64 / dmac_end.1.max(1) as f64;
     println!("\nsummary:");
     println!("  time  ratio SystemML-S / DMac = {time_ratio:.2}x   (paper: ~1.6x)");
     println!("  comm  ratio SystemML-S / DMac = {comm_ratio:.1}x   (paper: ~26x)");
     println!(
         "  comm fraction of total time: DMac {:.0}%  SystemML-S {:.0}%   (paper: 6% / 44%)",
-        dmac.2 * 100.0,
-        sysml.2 * 100.0
+        dmac.1 * 100.0,
+        sysml.1 * 100.0
     );
 }

@@ -11,7 +11,7 @@ use dmac_bench::{fmt_bytes, fmt_sec, header, timed};
 use dmac_matrix::mem::PeakGuard;
 use dmac_matrix::{AggregationMode, LocalExecutor};
 
-fn main() {
+pub fn run() {
     header("Figure 7 — In-Place vs Buffer memory usage (A · A per graph)");
     // Scale ÷2000 node-wise, preserving average degree; the budget scales
     // the paper's 48 GB node accordingly.

@@ -14,7 +14,7 @@ use dmac_matrix::blocking::{block_size_upper_bound, model_sparse_bytes, Blocking
 use dmac_matrix::mem::PeakGuard;
 use dmac_matrix::{AggregationMode, LocalExecutor};
 
-fn main() {
+pub fn run() {
     header("Figure 8 — influence of block size (A · A per graph)");
     let scale = 500;
     let threads = 4; // the paper's L = 8 on its nodes; L·K = 32 there

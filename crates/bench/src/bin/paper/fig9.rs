@@ -10,10 +10,9 @@
 //!     SVD ≈ 3.3× (954 s / 291 s).
 
 use dmac_apps::{CollaborativeFiltering, LinearRegression, PageRank, SvdLanczos};
-use dmac_bench::{fmt_sec, header, session_for, WORKERS};
-use dmac_core::baselines::SystemKind;
+use dmac_bench::{builder_for, fmt_sec, header, per_system, DMAC_VS_SYSTEMML, WORKERS};
 
-fn main() {
+pub fn run() {
     header("Figure 9(a) — PageRank, per-iteration execution time");
     let scale = 400;
     let iterations = 5;
@@ -36,12 +35,10 @@ fn main() {
             damping: 0.85,
             iterations,
         };
-        let mut per_iter = Vec::new();
-        for system in [SystemKind::Dmac, SystemKind::SystemMlS] {
-            let mut s = session_for(system, WORKERS, block);
-            let (report, _) = cfg.run(&mut s, &g).expect("pagerank");
-            per_iter.push(report.sim.total_sec() / iterations as f64);
-        }
+        let per_iter = per_system(DMAC_VS_SYSTEMML, &builder_for(WORKERS, block), |s| {
+            let (report, _) = cfg.run(s, &g).expect("pagerank");
+            report.sim.total_sec() / iterations as f64
+        });
         println!(
             "{:<14}{:>10}{:>12}{:>14}{:>7.1}x",
             preset.name,
@@ -73,12 +70,10 @@ fn main() {
         };
         let v = dmac_data::uniform_sparse(rows, feats, sparsity, 256, 23);
         let y = dmac_data::dense_random(rows, 1, 256, 24);
-        let mut t = Vec::new();
-        for system in [SystemKind::Dmac, SystemKind::SystemMlS] {
-            let mut s = session_for(system, WORKERS, 256);
-            let (report, _) = cfg.run(&mut s, v.clone(), y.clone()).expect("linreg");
-            t.push(report.sim.total_sec());
-        }
+        let t = per_system(DMAC_VS_SYSTEMML, &builder_for(WORKERS, 256), |s| {
+            let (report, _) = cfg.run(s, v.clone(), y.clone()).expect("linreg");
+            report.sim.total_sec()
+        });
         print_norm_row("LR", t[0], t[1]);
     }
 
@@ -91,12 +86,10 @@ fn main() {
             users: r.cols(),
             sparsity: 0.0117,
         };
-        let mut t = Vec::new();
-        for system in [SystemKind::Dmac, SystemKind::SystemMlS] {
-            let mut s = session_for(system, WORKERS, 256);
-            let (report, _) = cfg.run(&mut s, r.clone()).expect("cf");
-            t.push(report.sim.total_sec());
-        }
+        let t = per_system(DMAC_VS_SYSTEMML, &builder_for(WORKERS, 256), |s| {
+            let (report, _) = cfg.run(s, r.clone()).expect("cf");
+            report.sim.total_sec()
+        });
         print_norm_row("CF", t[0], t[1]);
     }
 
@@ -110,12 +103,10 @@ fn main() {
             sparsity: 0.0117,
             rank: 16,
         };
-        let mut t = Vec::new();
-        for system in [SystemKind::Dmac, SystemKind::SystemMlS] {
-            let mut s = session_for(system, WORKERS, 256);
-            let (report, _) = cfg.run(&mut s, v.clone()).expect("svd");
-            t.push(report.sim.total_sec());
-        }
+        let t = per_system(DMAC_VS_SYSTEMML, &builder_for(WORKERS, 256), |s| {
+            let (report, _) = cfg.run(s, v.clone()).expect("svd");
+            report.sim.total_sec()
+        });
         print_norm_row("SVD", t[0], t[1]);
     }
     println!("paper: LR >7x, CF ~1.75x, SVD ~3.3x in SystemML-S/DMac ratio.");

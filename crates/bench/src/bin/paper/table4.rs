@@ -42,7 +42,7 @@ fn run_spark_like(system: SystemKind, v: &BlockedMatrix, h: &BlockedMatrix, spar
     report.sim.total_sec()
 }
 
-fn main() {
+pub fn run() {
     header("Table 4 — single matrix multiplication across systems");
     // Netflix scaled ÷ ~36: V1 is 13 500 x 500 at sparsity ~0.0117;
     // H dense 500 x 64; V2 dense with V1's dimensions.

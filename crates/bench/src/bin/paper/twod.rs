@@ -78,7 +78,7 @@ fn two_d_multiply(
     )
 }
 
-fn main() {
+pub fn run() {
     header("Extension — 1-D (CPMM) vs 2-D block-cyclic (SUMMA)");
     let workers = 4;
     let block = 128;

@@ -1,12 +1,14 @@
 //! # dmac-bench — the experiment harness
 //!
-//! One binary per paper table/figure; each prints the same rows/series the
-//! paper reports, at a laptop scale documented in EXPERIMENTS.md. Absolute
-//! numbers differ from the paper (different decade, different hardware,
-//! simulated network); the *shape* — who wins, by what factor, where the
-//! crossovers sit — is the reproduction target.
+//! One binary, `paper`, with one subcommand per paper table/figure; each
+//! prints the same rows/series the paper reports, at a laptop scale
+//! documented in EXPERIMENTS.md. Absolute numbers differ from the paper
+//! (different decade, different hardware, simulated network); the *shape*
+//! — who wins, by what factor, where the crossovers sit — is the
+//! reproduction target. Performance of the system itself is measured by
+//! the repo benchmark in `perf/`, not here.
 //!
-//! | binary | regenerates |
+//! | `paper <subcommand>` | regenerates |
 //! |---|---|
 //! | `fig6`  | Fig 6(a) accumulated time + 6(b) accumulated communication, GNMF |
 //! | `fig7`  | Fig 7 memory: In-Place vs Buffer on four graphs |
@@ -17,7 +19,7 @@
 //! | `ablation` | design-choice ablations (H1, H2, mult-first, CPMM) |
 //! | `twod`  | future-work extension: 1-D vs 2-D block-cyclic + SUMMA |
 //! | `faults` | recovery overhead of mid-run worker loss + retry cost of flaky links |
-//! | `all`   | run everything in sequence |
+//! | `all`   | every subcommand above, in sequence, in one process |
 
 #![forbid(unsafe_code)]
 
@@ -25,6 +27,7 @@ use std::time::Instant;
 
 use dmac_core::baselines::SystemKind;
 use dmac_core::engine::ExecReport;
+use dmac_core::session::SessionBuilder;
 use dmac_core::Session;
 
 /// Default worker count matching the paper's 4-node cluster.
@@ -63,14 +66,30 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// A session pre-configured for one of the compared systems.
-pub fn session_for(system: SystemKind, workers: usize, block: usize) -> Session {
+/// The two planners every DMac-vs-baseline row compares.
+pub const DMAC_VS_SYSTEMML: [SystemKind; 2] = [SystemKind::Dmac, SystemKind::SystemMlS];
+
+/// A session builder at the harness's local parallelism.
+pub fn builder_for(workers: usize, block: usize) -> SessionBuilder {
     Session::builder()
-        .system(system)
         .workers(workers)
         .local_threads(LOCAL_THREADS)
         .block_size(block)
-        .build()
+}
+
+/// A session pre-configured for one of the compared systems.
+pub fn session_for(system: SystemKind, workers: usize, block: usize) -> Session {
+    builder_for(workers, block).system(system).build()
+}
+
+/// Run the same measurement once per system, each on a fresh session built
+/// from `base`, and return the results in `systems` order.
+pub fn per_system<T, const N: usize>(
+    systems: [SystemKind; N],
+    base: &SessionBuilder,
+    mut measure: impl FnMut(&mut Session) -> T,
+) -> [T; N] {
+    systems.map(|system| measure(&mut base.clone().system(system).build()))
 }
 
 /// Accumulated per-iteration series from an [`ExecReport`] — the paper's
@@ -91,61 +110,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let v = f();
     (v, t0.elapsed().as_secs_f64())
-}
-
-/// Write a flight-recorder trace as chrome://tracing JSON under
-/// `target/traces/<name>.json`, returning the path written.
-pub fn write_trace(name: &str, trace: &dmac_core::Trace) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("target").join("traces");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, trace.to_chrome_json())?;
-    Ok(path)
-}
-
-/// Dependency-free micro-benchmark harness used by the `benches/` targets
-/// (which run with `harness = false`): calibrates an iteration count from
-/// one warm-up call, reports the median of the timed runs. Deliberately
-/// simple — these benches guard against order-of-magnitude regressions,
-/// not single-digit percentages.
-pub mod microbench {
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    /// Format a duration in adaptive units.
-    pub fn fmt_time(s: f64) -> String {
-        if s >= 1.0 {
-            format!("{s:.3} s")
-        } else if s >= 1e-3 {
-            format!("{:.3} ms", s * 1e3)
-        } else if s >= 1e-6 {
-            format!("{:.3} µs", s * 1e6)
-        } else {
-            format!("{:.1} ns", s * 1e9)
-        }
-    }
-
-    /// Time `f`, printing `group/name  median <t>`.
-    pub fn bench<R>(group: &str, name: &str, mut f: impl FnMut() -> R) {
-        black_box(f()); // warm-up
-        let t0 = Instant::now();
-        black_box(f());
-        let single = t0.elapsed().as_secs_f64().max(1e-9);
-        let iters = ((0.1 / single) as usize).clamp(3, 100);
-        let mut times = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let t = Instant::now();
-            black_box(f());
-            times.push(t.elapsed().as_secs_f64());
-        }
-        times.sort_by(f64::total_cmp);
-        let median = times[times.len() / 2];
-        let label = format!("{group}/{name}");
-        println!(
-            "{label:<36} median {:>12}  ({iters} iters)",
-            fmt_time(median)
-        );
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! A dependency-free JSON *encoder* shared by everything in the workspace
 //! that emits JSON: the flight recorder's chrome://tracing export, the
-//! bench bins' `BENCH_*.json` artifacts, the `dmac-serve` wire protocol,
-//! and the coordinator ↔ `dmac-workerd` transport frames. (The matching
-//! strict decoder lives in [`crate::jsonin`].)
+//! `dmac-serve` wire protocol, and the coordinator ↔ `dmac-workerd`
+//! transport frames. (The matching strict decoder lives in
+//! [`crate::jsonin`].)
 //!
 //! The API is a pair of small builders, [`JsonObj`] and [`JsonArr`], that
 //! append correctly-escaped members to an internal buffer. Numbers are

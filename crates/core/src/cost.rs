@@ -9,22 +9,16 @@
 //!
 //! The output event of a strategy costs `N·|A|` for CPMM and `0` otherwise.
 //!
-//! `|A|` — the byte size fed into these formulas — comes in two flavours,
-//! chosen by [`crate::planner::PlannerConfig::density_adaptive`]:
+//! `|A|` — the byte size fed into these formulas — is the matrix's
+//! **predicted-nnz bytes**: `8 · nnz` of its propagated
+//! [`dmac_stats::SparsityProfile`]. Sparse tiles already ship CSC-sized
+//! payloads on the wire; this makes the planner price what the wire will
+//! actually carry.
 //!
-//! * **predicted-nnz bytes** (the default): `8 · nnz` of the matrix's
-//!   propagated [`dmac_stats::SparsityProfile`]. Sparse tiles already
-//!   ship CSC-sized payloads on the wire; this makes the planner price
-//!   what the wire will actually carry.
-//! * **worst-case static bytes**: [`dmac_lang::infer::MatrixStats::est_bytes`]
-//!   = `ceil(rows · cols · sparsity · 8)` — the paper's original Table-2
-//!   pricing.
-//!
-//! A dense matrix has `nnz = rows · cols`, so the dense formulas are
-//! exactly the `density = 1.0` special case of the nnz pricing: both
-//! flavours produce byte-identical costs on dense inputs. The model
-//! itself is agnostic — it takes `size_bytes` and applies the §4.1
-//! event rules.
+//! A dense matrix has `nnz = rows · cols`, so the paper's worst-case
+//! Table-2 pricing ([`dmac_lang::infer::MatrixStats::est_bytes`]) is
+//! exactly the `density = 1.0` special case. The model itself is
+//! agnostic — it takes `size_bytes` and applies the §4.1 event rules.
 
 use dmac_cluster::PartitionScheme;
 

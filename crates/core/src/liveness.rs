@@ -12,9 +12,8 @@
 //!   with a dense operand) cost exactly `8·rows·cols` — the dense cap.
 //! * **Sparse-class** nodes (loads declared sparse and cell-wise chains
 //!   over them) cost `min(16·nnẑ, 12·cells) + colptr` where `nnẑ` is the
-//!   propagated [`SparsityProfile`] count (used only under
-//!   `density_adaptive`) and `colptr` is the CSC column-pointer overhead
-//!   of the session's blocking. The `16·nnẑ` arm covers blocks the
+//!   propagated [`SparsityProfile`] count and `colptr` is the CSC
+//!   column-pointer overhead of the session's blocking. The `16·nnẑ` arm covers blocks the
 //!   densify threshold promotes (a promoted block has density > ½, so its
 //!   `8·cells_b` dense payload is under `16·nnz_b`); the `12·cells` arm
 //!   caps fully-populated CSC storage.
@@ -106,7 +105,6 @@ pub fn node_price(
     plan: &Plan,
     profiles: &[SparsityProfile],
     classes: &[StorageClass],
-    density_adaptive: bool,
     block: usize,
     node: NodeId,
 ) -> u64 {
@@ -131,16 +129,11 @@ pub fn node_price(
             // One `u32` column pointer per (block-row, column) pair plus
             // one sentinel per block: 4·(br·c + br·bc).
             let overhead = 4 * (br * c as u64 + br * bc);
-            let payload = if density_adaptive {
-                let nnz = profiles
-                    .get(n.matrix as usize)
-                    .map(|p| p.nnz)
-                    .unwrap_or(cells);
-                (16 * nnz).min(12 * cells)
-            } else {
-                12 * cells
-            };
-            payload + overhead
+            let nnz = profiles
+                .get(n.matrix as usize)
+                .map(|p| p.nnz)
+                .unwrap_or(cells);
+            (16 * nnz).min(12 * cells) + overhead
         }
     }
 }
@@ -244,21 +237,10 @@ pub fn certificate(
     program: &Program,
     plan: &Plan,
     profiles: &[SparsityProfile],
-    density_adaptive: bool,
     block: usize,
 ) -> MemoryCertificate {
     let classes = storage_classes(program, plan);
-    let price = |n: NodeId| {
-        node_price(
-            program,
-            plan,
-            profiles,
-            &classes,
-            density_adaptive,
-            block,
-            n,
-        )
-    };
+    let price = |n: NodeId| node_price(program, plan, profiles, &classes, block, n);
     let mut live = vec![false; plan.nodes.len()];
     let mut resident: u64 = 0;
     for &(node, _) in &plan.sources {
@@ -370,38 +352,24 @@ mod tests {
     }
 
     #[test]
-    fn disabling_splice_retains_everything() {
-        let p = gnmf_h();
-        let cfg = PlannerConfig {
-            splice_frees: false,
-            ..PlannerConfig::default()
-        };
-        let planned = plan_program(&p, &cfg, 4, &HashMap::new()).unwrap();
-        assert!(!planned
-            .plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, PlanStep::Free { .. })));
-        // Without frees the certificate is monotone non-decreasing.
-        let c = &planned.certificate.per_step;
-        assert!(c.windows(2).all(|w| w[0] <= w[1]), "{c:?}");
-        assert_eq!(planned.certificate.peak, *c.last().unwrap());
-    }
-
-    #[test]
     fn early_frees_lower_the_certified_peak() {
-        let p = gnmf_h();
+        // Reference without a knob: outputs are never freed, so marking
+        // every operator result as an output is the retain-to-end plan.
+        // A squaring chain keeps one dead same-sized intermediate per op.
+        let mut p = Program::new();
+        let mut x = p.random("X", 64, 64);
+        for _ in 0..5 {
+            x = p.matmul(x, x).unwrap();
+        }
+        p.output(x);
+        let mut pinned = p.clone();
+        for d in p.matrices() {
+            if matches!(d.origin, MatrixOrigin::Op(_)) {
+                pinned.output(dmac_lang::Expr::new(d.id));
+            }
+        }
         let on = plan_program(&p, &PlannerConfig::default(), 4, &HashMap::new()).unwrap();
-        let off = plan_program(
-            &p,
-            &PlannerConfig {
-                splice_frees: false,
-                ..PlannerConfig::default()
-            },
-            4,
-            &HashMap::new(),
-        )
-        .unwrap();
+        let off = plan_program(&pinned, &PlannerConfig::default(), 4, &HashMap::new()).unwrap();
         assert!(
             on.certificate.peak < off.certificate.peak,
             "on={} off={}",
@@ -420,11 +388,9 @@ mod tests {
         let d = p.load("D", 400, 400, 1.0);
         let u = p.add(t, d).unwrap();
         p.output(u);
-        let cfg = PlannerConfig {
-            fuse_cellwise: false,
-            ..PlannerConfig::default()
-        };
-        let planned = plan_program(&p, &cfg, 4, &HashMap::new()).unwrap();
+        // 400² at the default 256 blocking is a 4-block grid: under the
+        // fusion size gate, so every chain member keeps its own node.
+        let planned = plan_program(&p, &PlannerConfig::default(), 4, &HashMap::new()).unwrap();
         let classes = storage_classes(&p, &planned.plan);
         let class_of = |mid: MatrixId| {
             planned

@@ -51,31 +51,12 @@ pub struct PlannerConfig {
     pub re_assignment: bool,
     /// Allow the CPMM strategy (ablation switch).
     pub allow_cpmm: bool,
-    /// Collapse chains of scheme-aligned cell-wise operators into
-    /// single-pass [`PlanStep::FusedCellWise`] steps (purely local; never
-    /// changes communication).
-    pub fuse_cellwise: bool,
-    /// Only fuse a chain whose root output spans at least this many
-    /// blocks. On tiny grids the fused interpreter's per-call overhead
-    /// exceeds the saved materialisations and fusion *loses* wall time,
-    /// so small chains keep their plain cell-wise steps.
-    pub fusion_min_blocks: usize,
-    /// Block size used to translate matrix shapes into block counts for
-    /// the threshold. [`crate::session::SessionBuilder::build`] overwrites
-    /// this with the session's block size.
+    /// The session's square block size: the blocking the sparsity
+    /// profiles are propagated in, the memory certificate prices CSC
+    /// overhead at, and the fusion size gate counts blocks with.
+    /// [`crate::session::SessionBuilder::build`] overwrites this with the
+    /// session's block size.
     pub fusion_block: usize,
-    /// Cost acquisitions from predicted-nnz bytes (`8 · nnz` of the
-    /// propagated [`SparsityProfile`]) instead of the static worst-case
-    /// `est_bytes`. Dense inputs are the `density = 1.0` special case and
-    /// price identically; sparse inputs stop being costed as dense.
-    /// Profiles are propagated either way — this only gates the pricing.
-    pub density_adaptive: bool,
-    /// Splice explicit [`PlanStep::Free`] steps at each intermediate's
-    /// last use (see [`crate::liveness`]), so the executor releases
-    /// values early instead of retaining every intermediate to run end.
-    /// Never changes results or communication; `false` is the
-    /// retain-to-end baseline the memory bench compares against.
-    pub splice_frees: bool,
 }
 
 impl Default for PlannerConfig {
@@ -86,33 +67,30 @@ impl Default for PlannerConfig {
             pull_up_broadcast: true,
             re_assignment: true,
             allow_cpmm: true,
-            fuse_cellwise: true,
-            fusion_min_blocks: 32,
             fusion_block: 256,
-            density_adaptive: true,
-            splice_frees: true,
         }
     }
 }
 
 impl PlannerConfig {
-    /// The SystemML-S baseline: same strategies and cost model, no
-    /// dependency tracking, no heuristics.
+    /// The SystemML-S baseline: same strategies, cost model and local
+    /// engine, no dependency tracking, no heuristics.
     pub fn systemml_s() -> PlannerConfig {
         PlannerConfig {
             exploit_dependencies: false,
             multiplication_first: false,
             pull_up_broadcast: false,
             re_assignment: false,
-            allow_cpmm: true,
-            fuse_cellwise: false,
-            fusion_min_blocks: 32,
-            fusion_block: 256,
-            density_adaptive: true,
-            splice_frees: true,
+            ..PlannerConfig::default()
         }
     }
 }
+
+/// Only fuse a cell-wise chain whose root output spans at least this many
+/// blocks. On tiny grids the fused interpreter's per-call overhead exceeds
+/// the saved materialisations and fusion *loses* wall time, so small
+/// chains keep their plain cell-wise steps.
+const FUSION_MIN_BLOCKS: usize = 32;
 
 /// Element of the planner's `InputSet` (Algorithm 1, line 22): a paid
 /// input event that Pull-Up Broadcast may later rewrite.
@@ -131,9 +109,8 @@ struct InputRecord {
 pub struct Planned {
     /// The generated execution plan.
     pub plan: Plan,
-    /// The planner's estimated total communication (cost-model units:
-    /// worst-case bytes, or predicted-nnz bytes under
-    /// [`PlannerConfig::density_adaptive`]).
+    /// The planner's estimated total communication, in cost-model units
+    /// (predicted-nnz bytes, `8 · nnz` of the propagated profile).
     pub estimated_comm: u64,
     /// Propagated sparsity profile per declared matrix (indexed by
     /// [`MatrixId`]); the basis of the nnz-costed pricing and of the
@@ -175,7 +152,14 @@ pub fn plan_program(
     workers: usize,
     initial_schemes: &HashMap<MatrixId, PartitionScheme>,
 ) -> Result<Planned> {
-    plan_with_forced(program, cfg, workers, initial_schemes, None)
+    plan_with_forced_profiled(
+        program,
+        cfg,
+        workers,
+        initial_schemes,
+        &HashMap::new(),
+        None,
+    )
 }
 
 /// Like [`plan_program`], but with measured [`SparsityProfile`]s for
@@ -191,29 +175,11 @@ pub fn plan_program_profiled(
     plan_with_forced_profiled(program, cfg, workers, initial_schemes, sources, None)
 }
 
-/// Like [`plan_program`], but with the strategy of selected operators
-/// *forced* (`forced[op_index] = candidate index` in
-/// [`crate::strategy::candidates`] order). Used by the exhaustive oracle
-/// and by what-if analyses; unlisted operators keep the greedy argmin.
-pub fn plan_with_forced(
-    program: &Program,
-    cfg: &PlannerConfig,
-    workers: usize,
-    initial_schemes: &HashMap<MatrixId, PartitionScheme>,
-    forced: Option<&HashMap<usize, usize>>,
-) -> Result<Planned> {
-    plan_with_forced_profiled(
-        program,
-        cfg,
-        workers,
-        initial_schemes,
-        &HashMap::new(),
-        forced,
-    )
-}
-
-/// The full planning entry point: measured source profiles *and* forced
-/// strategies. Every other entry point delegates here.
+/// The full planning entry point: measured source profiles *and* the
+/// strategy of selected operators *forced* (`forced[op_index] = candidate
+/// index` in [`crate::strategy::candidates`] order; unlisted operators
+/// keep the greedy argmin). Used by the exhaustive oracle and by what-if
+/// analyses; every other entry point delegates here.
 pub fn plan_with_forced_profiled(
     program: &Program,
     cfg: &PlannerConfig,
@@ -224,8 +190,7 @@ pub fn plan_with_forced_profiled(
 ) -> Result<Planned> {
     program.validate()?;
     // Propagate profiles in the session's blocking (the session overwrites
-    // `fusion_block` with its block size). Propagation always runs — the
-    // `density_adaptive` switch only gates whether pricing reads it.
+    // `fusion_block` with its block size).
     let profiles = dmac_stats::propagate(program, sources, cfg.fusion_block.max(1));
     let mut p = Planner {
         program,
@@ -244,15 +209,11 @@ pub fn plan_with_forced_profiled(
     }
     p.bind_outputs()?;
     p.plan.finalize_flexible();
-    if cfg.fuse_cellwise {
-        fuse_cellwise_steps(program, &mut p.plan, cfg);
-    }
+    fuse_cell_chains(program, &mut p.plan, cfg.fusion_block.max(1));
     // Liveness post-pass: release each non-kept intermediate right after
     // its last reader. Runs after fusion so frees anchor to the steps
     // that actually execute.
-    if cfg.splice_frees {
-        crate::liveness::splice_frees(program, &mut p.plan);
-    }
+    crate::liveness::splice_frees(program, &mut p.plan);
     // Post-pass: stamp the predicted output nnz onto every step that
     // defines a node (survives the fusion rebuild because it runs after).
     p.plan.predicted_nnz = p
@@ -265,13 +226,8 @@ pub fn plan_with_forced_profiled(
                 .unwrap_or(0)
         })
         .collect();
-    let certificate = crate::liveness::certificate(
-        program,
-        &p.plan,
-        &p.profiles,
-        cfg.density_adaptive,
-        cfg.fusion_block.max(1),
-    );
+    let certificate =
+        crate::liveness::certificate(program, &p.plan, &p.profiles, cfg.fusion_block.max(1));
     Ok(Planned {
         plan: p.plan,
         estimated_comm: p.estimated_comm,
@@ -287,8 +243,8 @@ pub fn plan_with_forced_profiled(
 /// An intermediate is absorbed into its consumer exactly when
 ///
 /// * both its producer and the consumer are cell-wise computes
-///   ([`Strategy::CellAligned`] binaries or [`Strategy::UnaryLocal`]
-///   scalar unaries),
+///   ([`Strategy::CellAligned`] binaries whose result stays in the
+///   strategy's scheme, or [`Strategy::UnaryLocal`] scalar unaries),
 /// * it has exactly one consumer across the whole plan, and
 /// * it is not a program output (outputs must materialise).
 ///
@@ -299,11 +255,9 @@ pub fn plan_with_forced_profiled(
 /// member steps are communication-free, so fusing moves no bytes and
 /// every per-step prediction stays untouched.
 ///
-/// Groups whose root output spans fewer than
-/// [`PlannerConfig::fusion_min_blocks`] blocks are left unfused: with so
-/// few tiles the fused interpreter's dispatch overhead outweighs the
-/// saved materialisations (the BENCH_fusion regression on tiny inputs).
-fn fuse_cellwise_steps(program: &Program, plan: &mut Plan, cfg: &PlannerConfig) {
+/// Groups whose root output spans fewer than [`FUSION_MIN_BLOCKS`] blocks
+/// (of side `block`) are left unfused.
+fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
     use crate::plan::FusedInstr;
     use crate::strategy::Strategy;
     use dmac_lang::{BinOp, OpKind, UnaryOp};
@@ -329,11 +283,14 @@ fn fuse_cellwise_steps(program: &Program, plan: &mut Plan, cfg: &PlannerConfig) 
             PlanStep::Compute {
                 op,
                 strategy,
-                out: Some(_),
+                out: Some(o),
                 out_scalar: None,
                 ..
             } => match strategy {
-                Strategy::CellAligned(_) => true,
+                // SystemML-S rehashes a binary's result into its cache — a
+                // repartition at the step's own output — so only a result
+                // left in the strategy's scheme can sit inside a chain.
+                Strategy::CellAligned(s) => plan.nodes[*o].scheme == *s,
                 Strategy::UnaryLocal => {
                     matches!(program.ops()[*op].kind, OpKind::Unary { .. })
                 }
@@ -401,12 +358,11 @@ fn fuse_cellwise_steps(program: &Program, plan: &mut Plan, cfg: &PlannerConfig) 
         let blocks = program
             .decl(plan.nodes[root_out].matrix)
             .map(|d| {
-                let block = cfg.fusion_block.max(1);
                 dmac_matrix::blocking::blocks_along(d.stats.rows, block)
                     * dmac_matrix::blocking::blocks_along(d.stats.cols, block)
             })
             .unwrap_or(0);
-        if blocks < cfg.fusion_min_blocks {
+        if blocks < FUSION_MIN_BLOCKS {
             continue;
         }
 
@@ -530,7 +486,14 @@ pub fn plan_exhaustive(
             forced.insert(op_idx, combo % c);
             combo /= c;
         }
-        let planned = plan_with_forced(program, cfg, workers, initial_schemes, Some(&forced))?;
+        let planned = plan_with_forced_profiled(
+            program,
+            cfg,
+            workers,
+            initial_schemes,
+            &HashMap::new(),
+            Some(&forced),
+        )?;
         if best
             .as_ref()
             .map(|b| planned.estimated_comm < b.estimated_comm)
@@ -573,18 +536,11 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// `|A|` of matrix `id` in cost-model bytes: predicted-nnz bytes
-    /// when density-adaptive, the static worst case otherwise. For dense
-    /// profiles the two are identical (`density = 1.0` special case).
+    /// `|A|` of matrix `id` in cost-model bytes: `8 · nnz` of its
+    /// propagated profile. A dense profile prices at the static worst
+    /// case (`density = 1.0` special case).
     fn bytes_of_matrix(&self, id: MatrixId) -> u64 {
-        if self.cfg.density_adaptive {
-            self.profiles[id as usize].predicted_bytes()
-        } else {
-            self.program
-                .decl(id)
-                .map(|d| d.stats.est_bytes())
-                .unwrap_or(0)
-        }
+        self.profiles[id as usize].predicted_bytes()
     }
 
     fn size_of(&self, r: &MatrixRef) -> u64 {
@@ -1197,6 +1153,52 @@ mod tests {
         assert_eq!(
             planned.plan.comm_step_count(),
             4,
+            "{}",
+            planned.plan.explain(&p)
+        );
+    }
+
+    #[test]
+    fn systemml_baseline_differs_only_in_the_dependency_switches() {
+        // Paper §6.1 / DESIGN §2: SystemML-S is DMac "without utilizing
+        // matrix dependency" — same strategies, same fused local engine.
+        let s = PlannerConfig::systemml_s();
+        assert!(
+            !s.exploit_dependencies
+                && !s.multiplication_first
+                && !s.pull_up_broadcast
+                && !s.re_assignment
+        );
+        assert_eq!(
+            PlannerConfig {
+                exploit_dependencies: true,
+                multiplication_first: true,
+                pull_up_broadcast: true,
+                re_assignment: true,
+                ..s
+            },
+            PlannerConfig::default()
+        );
+
+        // Unary operators read their input in place, so `scale → + scalar`
+        // has no repartition between its members even without dependency
+        // tracking (the `+` before it is rehashed into the cache and stays
+        // a plain step); 1536² at block 256 is a 36-block grid, over the
+        // gate.
+        let mut p = Program::new();
+        let a = p.load("A", 1536, 1536, 1.0);
+        let b = p.load("B", 1536, 1536, 1.0);
+        let sum = p.add(a, b).unwrap();
+        let half = p.scale_const(sum, 0.5).unwrap();
+        let out = p.add_scalar(half, dmac_lang::ScalarExpr::c(1.0)).unwrap();
+        p.output(out);
+        let planned = plan_program(&p, &s, 4, &schemes()).unwrap();
+        assert!(
+            planned
+                .plan
+                .steps
+                .iter()
+                .any(|st| matches!(st, PlanStep::FusedCellWise { ops, .. } if ops.len() == 2)),
             "{}",
             planned.plan.explain(&p)
         );

@@ -32,10 +32,11 @@ use crate::baselines::SystemKind;
 use crate::engine::{self, ExecReport};
 use crate::error::{CoreError, Result};
 use crate::plan::Plan;
-use crate::planner::{plan_program_profiled, PlannerConfig};
+use crate::planner::{plan_program_profiled, Planned, PlannerConfig};
 use crate::recovery::RecoveryPolicy;
 use crate::stage;
 use crate::store::SharedStore;
+use crate::trace::SpillTraffic;
 
 /// Builder for [`Session`].
 #[derive(Debug, Clone)]
@@ -175,8 +176,8 @@ impl SessionBuilder {
             // disappears, matching the paper's single-machine baseline.
             SystemKind::RLocal => (1, self.planner.unwrap_or_default()),
         };
-        // The fusion threshold is measured in blocks, so the planner
-        // needs the session's block size to translate matrix shapes.
+        // Profile propagation, the memory certificate and the fusion size
+        // gate all count in blocks of the session's size.
         planner.fusion_block = self.block_size;
         let config = ClusterConfig {
             workers,
@@ -409,21 +410,28 @@ impl Session {
         initial
     }
 
-    /// Plan a program without executing it. In debug builds, any
-    /// installed plan verifier (see [`crate::verifyhook`]) re-checks the
-    /// plan's invariants before it is returned.
+    /// Plan `program` from the given placements and source profiles. In
+    /// debug builds, any installed plan verifier (see
+    /// [`crate::verifyhook`]) re-checks the plan's invariants before it
+    /// is returned.
+    fn plan_with(
+        &self,
+        program: &Program,
+        initial: &HashMap<MatrixId, PartitionScheme>,
+        sources: &HashMap<MatrixId, SparsityProfile>,
+    ) -> Result<Planned> {
+        let workers = self.cluster.workers();
+        let planned = plan_program_profiled(program, &self.planner, workers, initial, sources)?;
+        crate::verifyhook::check(program, &planned, &self.planner, workers)?;
+        Ok(planned)
+    }
+
+    /// Plan a program without executing it.
     pub fn plan_only(&self, program: &Program) -> Result<Plan> {
         let initial = self.initial_schemes(program);
-        let sources = self.peeked_profiles(program);
-        let planned = plan_program_profiled(
-            program,
-            &self.planner,
-            self.cluster.workers(),
-            &initial,
-            &sources,
-        )?;
-        crate::verifyhook::check(program, &planned, &self.planner, self.cluster.workers())?;
-        Ok(planned.plan)
+        Ok(self
+            .plan_with(program, &initial, &self.peeked_profiles(program))?
+            .plan)
     }
 
     /// Plan a program once for repeated execution ([`Session::run_prepared`]).
@@ -432,15 +440,7 @@ impl Session {
     /// scheme, `run_prepared` rejects it (re-`prepare` instead).
     pub fn prepare(&self, program: &Program) -> Result<PreparedProgram> {
         let initial = self.initial_schemes(program);
-        let sources = self.peeked_profiles(program);
-        let planned = plan_program_profiled(
-            program,
-            &self.planner,
-            self.cluster.workers(),
-            &initial,
-            &sources,
-        )?;
-        crate::verifyhook::check(program, &planned, &self.planner, self.cluster.workers())?;
+        let planned = self.plan_with(program, &initial, &self.peeked_profiles(program))?;
         Ok(PreparedProgram {
             program: program.clone(),
             planned,
@@ -470,24 +470,37 @@ impl Session {
                 )));
             }
         }
+        self.execute_planned(&prep.program, &prep.planned, &bindings, spill0)
+    }
+
+    /// Execute `planned` over `bindings` and fold the run into the
+    /// session: release its store pressure, re-check the trace against
+    /// the certificate (V21 hook), absorb the outputs and attribute the
+    /// spill traffic since `spill0`.
+    fn execute_planned(
+        &mut self,
+        program: &Program,
+        planned: &Planned,
+        bindings: &HashMap<MatrixId, DistMatrix>,
+        spill0: SpillTraffic,
+    ) -> Result<ExecReport> {
         let result = engine::execute(
             &mut self.cluster,
-            &prep.program,
-            &prep.planned.plan,
-            &bindings,
+            program,
+            &planned.plan,
+            bindings,
             self.block_size,
             self.seed,
-            prep.planned.estimated_comm,
+            planned.estimated_comm,
             &self.recovery,
             Some(&self.env),
         );
         // The run is over (successfully or not): its values are released,
         // so the store no longer carries their pressure.
         let _ = self.env.set_external_pressure(0);
-        let (report, outputs) = result?;
-        let mut report = report;
-        crate::verifyhook::check_run(&prep.planned.certificate, &report.trace)?;
-        self.absorb_outputs(&prep.program, outputs)?;
+        let (mut report, outputs) = result?;
+        crate::verifyhook::check_run(&planned.certificate, &report.trace)?;
+        self.absorb_outputs(program, outputs)?;
         report.trace.spill = self.env.spill_traffic().since(&spill0);
         self.last_report = Some(report.clone());
         Ok(report)
@@ -498,15 +511,7 @@ impl Session {
     /// pass's memory certificate.
     pub fn explain(&self, program: &Program) -> Result<String> {
         let initial = self.initial_schemes(program);
-        let sources = self.peeked_profiles(program);
-        let planned = plan_program_profiled(
-            program,
-            &self.planner,
-            self.cluster.workers(),
-            &initial,
-            &sources,
-        )?;
-        crate::verifyhook::check(program, &planned, &self.planner, self.cluster.workers())?;
+        let planned = self.plan_with(program, &initial, &self.peeked_profiles(program))?;
         let plan = &planned.plan;
         let cert = &planned.certificate;
         Ok(format!(
@@ -524,36 +529,8 @@ impl Session {
     pub fn run(&mut self, program: &Program) -> Result<ExecReport> {
         let spill0 = self.env.spill_traffic();
         let (bindings, initial) = self.resolve_inputs(program)?;
-        let sources = Self::measured_profiles(&bindings);
-        let planned = plan_program_profiled(
-            program,
-            &self.planner,
-            self.cluster.workers(),
-            &initial,
-            &sources,
-        )?;
-        crate::verifyhook::check(program, &planned, &self.planner, self.cluster.workers())?;
-        let result = engine::execute(
-            &mut self.cluster,
-            program,
-            &planned.plan,
-            &bindings,
-            self.block_size,
-            self.seed,
-            planned.estimated_comm,
-            &self.recovery,
-            Some(&self.env),
-        );
-        // The run is over (successfully or not): its values are released,
-        // so the store no longer carries their pressure.
-        let _ = self.env.set_external_pressure(0);
-        let (report, outputs) = result?;
-        let mut report = report;
-        crate::verifyhook::check_run(&planned.certificate, &report.trace)?;
-        self.absorb_outputs(program, outputs)?;
-        report.trace.spill = self.env.spill_traffic().since(&spill0);
-        self.last_report = Some(report.clone());
-        Ok(report)
+        let planned = self.plan_with(program, &initial, &Self::measured_profiles(&bindings))?;
+        self.execute_planned(program, &planned, &bindings, spill0)
     }
 
     /// Publish a durable snapshot of the named store entries at `phase`
@@ -671,7 +648,7 @@ fn explain_sparsity(plan: &Plan, program: &Program) -> String {
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
     program: Program,
-    planned: crate::planner::Planned,
+    planned: Planned,
     initial: HashMap<MatrixId, PartitionScheme>,
 }
 

@@ -1,12 +1,33 @@
 //! Shared helpers for the integration tests: a straight-line reference
 //! interpreter that evaluates a `dmac-lang` program directly on local
-//! blocked matrices, bypassing the planner and cluster entirely. Every
-//! engine under test must agree with it.
+//! blocked matrices, bypassing the planner and cluster entirely (every
+//! engine under test must agree with it), and the all-pinned reference
+//! program the fusion and liveness tests compare the planner against.
+
+// Each test crate that includes this module uses a subset of it.
+#![allow(dead_code)]
 
 use std::collections::HashMap;
 
-use dmac::lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, ReduceOp, ScalarId, UnaryOp};
+use dmac::lang::{
+    BinOp, Expr, MatrixId, MatrixOrigin, OpKind, Program, ReduceOp, ScalarId, UnaryOp,
+};
 use dmac::matrix::BlockedMatrix;
+
+/// `program` with every operator result also marked as an output. The
+/// planner never absorbs a program output into a fused group and never
+/// frees one before the run ends, so the production planner's plan for
+/// this program is the *unfused, retain-to-end* reference: the same
+/// operators and communication, every intermediate materialised and kept.
+pub fn pin_all_intermediates(program: &Program) -> Program {
+    let mut pinned = program.clone();
+    for decl in program.matrices() {
+        if matches!(decl.origin, MatrixOrigin::Op(_)) {
+            pinned.output(Expr::new(decl.id));
+        }
+    }
+    pinned
+}
 
 /// Evaluate `program` locally. `bindings` supplies loads by name;
 /// `randoms` supplies random matrices by id (use

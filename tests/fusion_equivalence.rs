@@ -2,6 +2,13 @@
 //! shapes, and sparsities, a fused run must be **bit-for-bit identical** to
 //! an unfused run — same output bits, same communication bytes.
 //!
+//! The unfused reference is the production planner's own plan for the
+//! same program with every intermediate pinned as an output
+//! ([`common::pin_all_intermediates`]): outputs are never absorbed into a
+//! fused group, so that plan keeps one plain step per operator. Grids are
+//! sized at or above the planner's 32-block fusion gate so the default
+//! configuration fuses.
+//!
 //! The fused kernel is contracted to apply exactly the per-cell `f64`
 //! operation sequence of the unfused operator chain (including cell_div's
 //! `b == 0 → 0` convention) and to mirror the dense/sparse representation
@@ -12,7 +19,10 @@
 //! seeds (`tests/prop_kernels.rs` style): every run checks the same
 //! reproducible corpus and a failing case is named by its loop index.
 
-use dmac::core::planner::PlannerConfig;
+mod common;
+
+use common::pin_all_intermediates;
+use dmac::apps::{Gnmf, PageRank};
 use dmac::core::Session;
 use dmac::lang::{Expr, Program, ScalarExpr};
 use dmac::matrix::{BlockedMatrix, DenseBlock, SplitMix64};
@@ -99,164 +109,233 @@ fn random_program(rng: &mut SplitMix64, n: usize, leaves: usize) -> (Program, Ve
     (p, outs)
 }
 
-fn run_with(
-    fuse: bool,
+/// What one run exposes to the comparisons below.
+struct Run {
+    /// Dense rendering of each requested output.
+    values: Vec<DenseBlock>,
+    shuffle_bytes: u64,
+    broadcast_bytes: u64,
+    /// The trace's step kinds (`"Fused(2)"`, `"Cell(r)"`, `"RMM1"`, …).
+    kinds: Vec<String>,
+}
+
+impl Run {
+    fn fused_steps(&self) -> usize {
+        self.kinds.iter().filter(|k| k.starts_with("Fused")).count()
+    }
+
+    fn cell_steps(&self) -> usize {
+        self.kinds.iter().filter(|k| k.starts_with("Cell(")).count()
+    }
+}
+
+/// Run `program` under the default planner and gather `outs`.
+fn run(
     program: &Program,
     outs: &[Expr],
     bindings: &[(String, BlockedMatrix)],
     block: usize,
-) -> (Vec<dmac::matrix::DenseBlock>, u64, u64) {
+) -> Run {
     let mut s = Session::builder()
         .workers(3)
         .local_threads(2)
         .block_size(block)
         .seed(7)
-        .planner(PlannerConfig {
-            fuse_cellwise: fuse,
-            // The corpus is deliberately tiny; disable the block-count
-            // threshold so fusion actually fires (its wall-time rationale
-            // is irrelevant to bit-identity).
-            fusion_min_blocks: 1,
-            ..PlannerConfig::default()
-        })
         .build();
     for (name, m) in bindings {
         s.bind(name, m.clone()).unwrap();
     }
-    s.run(program).unwrap();
+    let report = s.run(program).unwrap();
     let values = outs
         .iter()
         .map(|&e| s.value(e).unwrap().to_dense())
         .collect();
     let comm = s.cluster_mut().comm().clone();
-    (values, comm.shuffle_bytes(), comm.broadcast_bytes())
+    Run {
+        values,
+        shuffle_bytes: comm.shuffle_bytes(),
+        broadcast_bytes: comm.broadcast_bytes(),
+        kinds: report
+            .trace
+            .steps
+            .iter()
+            .map(|st| st.kind.clone())
+            .collect(),
+    }
+}
+
+/// Run `program` fused (as planned) and unfused (all intermediates
+/// pinned) and require identical output bits and communication bytes.
+/// Returns the fused run for shape assertions.
+fn assert_fused_matches_unfused(
+    what: &str,
+    program: &Program,
+    outs: &[Expr],
+    bindings: &[(String, BlockedMatrix)],
+    block: usize,
+) -> Run {
+    let fused = run(program, outs, bindings, block);
+    let unfused = run(&pin_all_intermediates(program), outs, bindings, block);
+    assert_eq!(
+        unfused.fused_steps(),
+        0,
+        "{what}: the all-pinned reference must not fuse: {:?}",
+        unfused.kinds
+    );
+    for (k, (f, u)) in fused.values.iter().zip(&unfused.values).enumerate() {
+        assert_eq!(
+            f, u,
+            "{what}: output {k} diverged between fused and unfused"
+        );
+    }
+    assert_eq!(
+        fused.shuffle_bytes, unfused.shuffle_bytes,
+        "{what}: fusion changed shuffle bytes"
+    );
+    assert_eq!(
+        fused.broadcast_bytes, unfused.broadcast_bytes,
+        "{what}: fusion changed broadcast bytes"
+    );
+    fused
 }
 
 /// Fused and unfused runs agree bit-for-bit on every output and meter
 /// identical communication bytes, across random programs/shapes/sparsity.
 #[test]
 fn fused_runs_are_bit_identical_to_unfused() {
+    let mut fused_cases = 0;
     for case in 0..CASES {
         let mut rng = SplitMix64::new(SEED ^ case as u64);
-        let n = 6 + rng.below(11); // 6..16
-        let block = rng.range_inclusive(2, n);
+        // At least 6 strips a side: every grid clears the 32-block gate.
+        let n = 12 + rng.below(21); // 12..32
+        let block = rng.range_inclusive(2, n / 6);
         let leaves = 2 + rng.below(3);
         let (program, outs) = random_program(&mut rng, n, leaves);
         let bindings: Vec<(String, BlockedMatrix)> = (0..leaves)
             .map(|i| (format!("L{i}"), binding(&mut rng, n, block)))
             .collect();
 
-        let (fused, fsh, fbc) = run_with(true, &program, &outs, &bindings, block);
-        let (unfused, ush, ubc) = run_with(false, &program, &outs, &bindings, block);
-
-        for (k, (f, u)) in fused.iter().zip(unfused.iter()).enumerate() {
-            assert_eq!(
-                f, u,
-                "case {case}: output {k} diverged between fused and unfused"
-            );
-        }
-        assert_eq!(fsh, ush, "case {case}: fusion changed shuffle bytes");
-        assert_eq!(fbc, ubc, "case {case}: fusion changed broadcast bytes");
+        let fused = assert_fused_matches_unfused(
+            &format!("case {case}"),
+            &program,
+            &outs,
+            &bindings,
+            block,
+        );
+        fused_cases += usize::from(fused.fused_steps() > 0);
     }
+    // The corpus must exercise the pass, not just the reference.
+    assert!(
+        fused_cases >= CASES / 2,
+        "only {fused_cases} of {CASES} cases fused anything"
+    );
 }
 
-/// The flagship GNMF chain `w .* num ./ den` fuses (the fused step actually
-/// appears in the trace) and stays bit-identical.
+fn chain_bindings(rng: &mut SplitMix64, n: usize, block: usize) -> Vec<(String, BlockedMatrix)> {
+    ["W", "NUM", "DEN"]
+        .iter()
+        .map(|name| (name.to_string(), binding(rng, n, block)))
+        .collect()
+}
+
+/// The GNMF update shape `w .* num ./ den` over square `n×n` inputs.
+fn update_chain(n: usize) -> (Program, Expr) {
+    let mut p = Program::new();
+    let w = p.load("W", n, n, 1.0);
+    let num = p.load("NUM", n, n, 1.0);
+    let den = p.load("DEN", n, n, 1.0);
+    let prod = p.cell_mul(w, num).unwrap();
+    let upd = p.cell_div(prod, den).unwrap();
+    p.output(upd);
+    (p, upd)
+}
+
+/// The flagship GNMF chain `w .* num ./ den` fuses on a 36-block grid
+/// (the fused step actually appears in the trace) and stays bit-identical.
 #[test]
 fn gnmf_chain_fuses_and_matches() {
     let mut rng = SplitMix64::new(SEED ^ 0xABCD);
-    let n = 12;
-    let block = 4;
-    let mut p = Program::new();
-    let w = p.load("W", n, n, 1.0);
-    let num = p.load("NUM", n, n, 1.0);
-    let den = p.load("DEN", n, n, 1.0);
-    let prod = p.cell_mul(w, num).unwrap();
-    let upd = p.cell_div(prod, den).unwrap();
-    p.output(upd);
-    let bindings: Vec<(String, BlockedMatrix)> = ["W", "NUM", "DEN"]
-        .iter()
-        .map(|name| (name.to_string(), binding(&mut rng, n, block)))
-        .collect();
-
-    let (fused, ..) = run_with(true, &p, &[upd], &bindings, block);
-    let (unfused, ..) = run_with(false, &p, &[upd], &bindings, block);
-    assert_eq!(fused[0], unfused[0]);
-
-    // the fused step is really in the plan: exactly one Fused(2) kind
-    let mut s = Session::builder()
-        .workers(3)
-        .block_size(block)
-        .seed(7)
-        .planner(PlannerConfig {
-            fusion_min_blocks: 1,
-            ..PlannerConfig::default()
-        })
-        .build();
-    for (name, m) in &bindings {
-        s.bind(name, m.clone()).unwrap();
-    }
-    let report = s.run(&p).unwrap();
-    let kinds: Vec<&str> = report
-        .trace
-        .steps
-        .iter()
-        .map(|st| st.kind.as_str())
-        .collect();
+    let (n, block) = (12, 2);
+    let (p, upd) = update_chain(n);
+    let bindings = chain_bindings(&mut rng, n, block);
+    let fused = assert_fused_matches_unfused("chain", &p, &[upd], &bindings, block);
     assert!(
-        kinds.contains(&"Fused(2)"),
-        "expected a Fused(2) step, got {kinds:?}"
+        fused.kinds.iter().any(|k| k == "Fused(2)"),
+        "expected a Fused(2) step, got {:?}",
+        fused.kinds
     );
-    assert!(
-        !kinds.contains(&"Cell(r)") && !kinds.contains(&"Cell(c)"),
-        "cell-wise steps should be fused away, got {kinds:?}"
+    assert_eq!(
+        fused.cell_steps(),
+        0,
+        "cell-wise steps should be fused away, got {:?}",
+        fused.kinds
     );
 }
 
-/// With the default planner, chains whose output spans fewer blocks
-/// than `fusion_min_blocks` are left unfused (fusing them costs more in
-/// per-step overhead than the skipped materialisations save) — and the
-/// result is still the same bits.
+/// Chains whose output spans fewer blocks than the planner's size gate
+/// are left unfused (fusing them costs more in per-step overhead than the
+/// skipped materialisations save) — and the result is still the same bits.
 #[test]
-fn default_threshold_skips_tiny_chains() {
+fn size_gate_skips_tiny_chains() {
     let mut rng = SplitMix64::new(SEED ^ 0x7EA1);
-    let n = 12;
-    let block = 4; // 3×3 = 9 blocks, far under the default threshold
-    let mut p = Program::new();
-    let w = p.load("W", n, n, 1.0);
-    let num = p.load("NUM", n, n, 1.0);
-    let den = p.load("DEN", n, n, 1.0);
-    let prod = p.cell_mul(w, num).unwrap();
-    let upd = p.cell_div(prod, den).unwrap();
-    p.output(upd);
-    let bindings: Vec<(String, BlockedMatrix)> = ["W", "NUM", "DEN"]
-        .iter()
-        .map(|name| (name.to_string(), binding(&mut rng, n, block)))
-        .collect();
-
-    assert!(PlannerConfig::default().fuse_cellwise);
-    let mut s = Session::builder()
-        .workers(3)
-        .block_size(block)
-        .seed(7)
-        .build();
-    for (name, m) in &bindings {
-        s.bind(name, m.clone()).unwrap();
-    }
-    let report = s.run(&p).unwrap();
-    let kinds: Vec<&str> = report
-        .trace
-        .steps
-        .iter()
-        .map(|st| st.kind.as_str())
-        .collect();
-    assert!(
-        !kinds.iter().any(|k| k.starts_with("Fused")),
-        "tiny chain must not fuse under the default threshold: {kinds:?}"
+    let (n, block) = (12, 4); // 3×3 = 9 blocks, far under the gate
+    let (p, upd) = update_chain(n);
+    let bindings = chain_bindings(&mut rng, n, block);
+    let gated = assert_fused_matches_unfused("tiny chain", &p, &[upd], &bindings, block);
+    assert_eq!(
+        gated.fused_steps(),
+        0,
+        "tiny chain must not fuse: {:?}",
+        gated.kinds
     );
-    let with_threshold = s.value(upd).unwrap().to_dense();
+    // The same data reblocked over the gate fuses — to the same bits.
+    let fused = run(&p, &[upd], &bindings, 2);
+    assert!(fused.fused_steps() > 0, "{:?}", fused.kinds);
+    assert_eq!(fused.values[0], gated.values[0]);
+}
 
-    // Forcing fusion on the same chain yields the same bits.
-    let (fused, ..) = run_with(true, &p, &[upd], &bindings, block);
-    assert_eq!(fused[0], with_threshold);
+/// The real applications at grids over the gate: every GNMF update chain
+/// runs as a fused step with no plain cell-wise step left, PageRank's
+/// damping chain fuses, and both match their unfused reference bit for
+/// bit.
+#[test]
+fn applications_fuse_over_the_gate() {
+    let block = 16;
+
+    // W is 512×32 (32×2 blocks), H is 32×256 (2×16 blocks): both update
+    // chains clear the gate.
+    let gnmf = Gnmf {
+        rows: 512,
+        cols: 256,
+        sparsity: 0.1,
+        rank: 32,
+        iterations: 2,
+    };
+    let mut p = Program::new();
+    let h = gnmf.build(&mut p).unwrap();
+    let v = dmac::data::uniform_sparse(gnmf.rows, gnmf.cols, gnmf.sparsity, block, 5);
+    let fused = assert_fused_matches_unfused("gnmf", &p, &[h.w, h.h], &[("V".into(), v)], block);
+    assert!(fused.fused_steps() > 0, "{:?}", fused.kinds);
+    assert_eq!(
+        fused.cell_steps(),
+        0,
+        "gnmf: plain cell-wise steps left: {:?}",
+        fused.kinds
+    );
+
+    // rank is 1×512: 32 blocks, exactly at the gate.
+    let pr = PageRank {
+        nodes: 512,
+        link_sparsity: 0.05,
+        damping: 0.85,
+        iterations: 3,
+    };
+    let mut p = Program::new();
+    let h = pr.build(&mut p).unwrap();
+    let adj = dmac::data::powerlaw_graph(pr.nodes, pr.nodes * 8, block, 3);
+    let link = dmac::data::row_normalize(&adj).unwrap();
+    let d = BlockedMatrix::from_fn(1, pr.nodes, block, |_, _| 1.0 / pr.nodes as f64).unwrap();
+    let bindings = [("link".to_string(), link), ("D".to_string(), d)];
+    let fused = assert_fused_matches_unfused("pagerank", &p, &[h.rank], &bindings, block);
+    assert!(fused.fused_steps() > 0, "{:?}", fused.kinds);
 }

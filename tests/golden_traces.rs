@@ -24,16 +24,15 @@ fn session() -> Session {
 }
 
 // Pinned against the default planner: these workloads sit *under* the
-// `fusion_min_blocks` threshold, so cell-wise chains stay unfused here
+// planner's 32-block fusion gate, so cell-wise chains stay unfused here
 // (Cell(*) steps, not Fused(2) — see tests/fusion_equivalence.rs for the
-// fused path). `free` entries are the liveness pass's spliced releases
-// (`PlannerConfig::splice_frees`): each intermediate dies right after its
-// last consumer. The trailing `spill:` line is the third trace channel:
-// durable-tier traffic, zero for these purely in-memory runs. The `pred`
-// totals are nnz-costed (`PlannerConfig::density_adaptive`): on these
-// sparse inputs the stages that acquire the link / V matrices predict
-// fewer bytes than the worst-case Table-2 numbers; dense stages are
-// byte-identical to the static formula.
+// fused path). `free` entries are the liveness pass's spliced releases:
+// each intermediate dies right after its last consumer. The trailing
+// `spill:` line is the third trace channel: durable-tier traffic, zero
+// for these purely in-memory runs. The `pred` totals are nnz-costed: on
+// these sparse inputs the stages that acquire the link / V matrices
+// predict fewer bytes than the worst-case Table-2 numbers; dense stages
+// are byte-identical to the static formula.
 const PAGERANK_GOLDEN: &str = "\
 workers=4 stages=4 steps=39
 stage  1: pred=1960 actual=3004 wire=1980 [broadcast,free,partition,free,RMM1,free,Unary,free]

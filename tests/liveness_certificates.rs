@@ -2,17 +2,25 @@
 //! memory certificate that (a) the independent analyzer re-derivation
 //! accepts (V18–V20), (b) the engine's measured per-step residency
 //! never exceeds (V21), and (c) splicing early frees does not change a
-//! single output bit — across {dense, sparse} inputs, {fusion on, off}
-//! and both transports (in-process simulator and real `dmac-workerd`
-//! processes over sockets).
+//! single output bit — across {dense, sparse} inputs and both transports
+//! (in-process simulator and real `dmac-workerd` processes over sockets).
+//!
+//! The retain-to-end reference is the production planner's plan for the
+//! same program with every intermediate pinned as an output
+//! ([`common::pin_all_intermediates`]): outputs are never freed before
+//! the run ends. Against it the early frees must also pay off — a lower
+//! certified peak, and strictly less spill under a halved RAM budget.
 //!
 //! The tamper tests at the bottom forge each violation class and assert
 //! the verifier names it: a read after a free (V18), a dropped or
 //! doubled free (V19), an understated certificate (V20), and inflated
 //! resident metering (V21).
 
+mod common;
+
 use std::collections::HashMap;
 
+use common::pin_all_intermediates;
 use dmac::analyze;
 use dmac::apps::{
     CollaborativeFiltering, Gnmf, LinearRegression, PageRank, SvdLanczos, TriangleCount,
@@ -20,7 +28,7 @@ use dmac::apps::{
 use dmac::cluster::SocketOptions;
 use dmac::core::plan::PlanStep;
 use dmac::core::planner::{plan_program_profiled, PlannerConfig};
-use dmac::core::Session;
+use dmac::core::{Session, SharedStore};
 use dmac::lang::{Expr, MatrixOrigin, Program};
 use dmac::matrix::BlockedMatrix;
 
@@ -147,24 +155,23 @@ fn cases(sparsity: f64) -> Vec<Case> {
     out
 }
 
-fn planner(fuse: bool, splice: bool) -> PlannerConfig {
-    PlannerConfig {
-        fuse_cellwise: fuse,
-        splice_frees: splice,
-        ..PlannerConfig::default()
-    }
+/// Count of spliced `free` steps in a plan.
+fn frees(plan: &dmac::core::plan::Plan) -> usize {
+    plan.steps
+        .iter()
+        .filter(|s| matches!(s, PlanStep::Free { .. }))
+        .count()
 }
 
-/// Run one case on one configuration; returns every program output's
-/// exact bit pattern, keyed by output position.
-fn run_case(case: &Case, cfg: PlannerConfig, socket: bool) -> Vec<Vec<u64>> {
-    let splice = cfg.splice_frees;
+/// Run `program` (the case's own, or its all-pinned reference) on one
+/// transport; returns the exact bit pattern of every output of the
+/// *case's* program, keyed by output position, and the plan's free count.
+fn run_case(case: &Case, program: &Program, socket: bool) -> (Vec<Vec<u64>>, usize) {
     let mut b = Session::builder()
         .workers(WORKERS)
         .local_threads(2)
         .block_size(BLOCK)
-        .seed(SEED)
-        .planner(cfg);
+        .seed(SEED);
     if socket {
         b = b.socket_transport(SocketOptions::default());
     }
@@ -178,20 +185,8 @@ fn run_case(case: &Case, cfg: PlannerConfig, socket: bool) -> Vec<Vec<u64>> {
     // prepare() runs the installed plan verifier (V01–V20) in debug
     // builds; run_prepared() additionally re-checks the trace (V21).
     let prep = sess
-        .prepare(&case.program)
+        .prepare(program)
         .unwrap_or_else(|e| panic!("{}: prepare: {e}", case.name));
-    let frees = prep
-        .plan()
-        .steps
-        .iter()
-        .filter(|s| matches!(s, PlanStep::Free { .. }))
-        .count();
-    if splice {
-        assert!(frees > 0, "{}: splicing produced no free steps", case.name);
-    } else {
-        assert_eq!(frees, 0, "{}: frees spliced while disabled", case.name);
-    }
-
     let report = sess
         .run_prepared(&prep)
         .unwrap_or_else(|e| panic!("{}: run: {e}", case.name));
@@ -230,63 +225,182 @@ fn run_case(case: &Case, cfg: PlannerConfig, socket: bool) -> Vec<Vec<u64>> {
     if socket {
         sess.shutdown_transport().unwrap();
     }
-    outs
+    (outs, frees(prep.plan()))
 }
 
-/// The simulator half of the matrix: every app × fusion on/off, frees
-/// spliced, must verify V18–V21 and stay bit-identical to the same plan
-/// with splicing disabled.
-fn sim_matrix(sparsity: f64) {
+/// One half of the matrix: every app on `socket` (or the simulator), frees
+/// spliced, must verify V18–V21 and stay bit-identical to the all-pinned
+/// simulator run — which, for the socket half, transitively proves
+/// free-splicing is inert across transports too.
+fn matrix(sparsity: f64, socket: bool) {
     analyze::install_session_verifier();
     for case in &cases(sparsity) {
-        for fuse in [true, false] {
-            let freed = run_case(case, planner(fuse, true), false);
-            let resident = run_case(case, planner(fuse, false), false);
-            assert_eq!(
-                freed, resident,
-                "{} (fuse={fuse}): early frees changed an output bit",
-                case.name
-            );
-        }
-    }
-}
-
-/// The socket half: real worker processes, frees spliced. Outputs must
-/// match the simulator's no-free baseline bit for bit, which transitively
-/// proves free-splicing is inert across transports too.
-fn socket_matrix(sparsity: f64) {
-    analyze::install_session_verifier();
-    for case in &cases(sparsity) {
-        for fuse in [true, false] {
-            let socket = run_case(case, planner(fuse, true), true);
-            let baseline = run_case(case, planner(fuse, false), false);
-            assert_eq!(
-                socket, baseline,
-                "{} (fuse={fuse}): socket run with frees diverges from the no-free simulator run",
-                case.name
-            );
-        }
+        let (freed, n_freed) = run_case(case, &case.program, socket);
+        let (pinned, n_pinned) = run_case(case, &pin_all_intermediates(&case.program), false);
+        assert!(
+            n_freed > n_pinned,
+            "{}: no intermediate is freed early ({n_freed} frees vs {n_pinned} pinned)",
+            case.name
+        );
+        assert_eq!(
+            freed, pinned,
+            "{} (socket={socket}): early frees changed an output bit",
+            case.name
+        );
     }
 }
 
 #[test]
 fn certificates_hold_for_all_apps_dense_sim() {
-    sim_matrix(1.0);
+    matrix(1.0, false);
 }
 
 #[test]
 fn certificates_hold_for_all_apps_sparse_sim() {
-    sim_matrix(0.25);
+    matrix(0.25, false);
 }
 
 #[test]
 fn certificates_hold_for_all_apps_dense_socket() {
-    socket_matrix(1.0);
+    matrix(1.0, true);
 }
 
 #[test]
 fn certificates_hold_for_all_apps_sparse_socket() {
-    socket_matrix(0.25);
+    matrix(0.25, true);
+}
+
+/// Prepare and run `program` over `store` at the memory experiment's
+/// scale; returns `(certified peak, observed peak, named result bits)`.
+fn run_over(
+    program: &Program,
+    bindings: &[(&str, BlockedMatrix)],
+    results: &[&str],
+    store: SharedStore,
+) -> (u64, u64, Vec<Vec<u64>>) {
+    let mut s = Session::builder()
+        .workers(4)
+        .local_threads(2)
+        .block_size(BLOCK)
+        .seed(42)
+        .store(store)
+        .build();
+    for (name, m) in bindings {
+        s.bind(name, m.clone()).unwrap();
+    }
+    let prep = s.prepare(program).unwrap();
+    let report = s.run_prepared(&prep).unwrap();
+    let bits = results
+        .iter()
+        .map(|n| {
+            let m = s.env_value(n).unwrap().to_dense();
+            m.data().iter().map(|v| v.to_bits()).collect()
+        })
+        .collect();
+    (prep.certificate().peak, report.trace.peak_resident(), bits)
+}
+
+/// What the early frees buy, against the all-pinned plan of the same
+/// program: a certified peak at most three quarters of the reference's,
+/// and — under a disk-backed store budgeted at half the reference's
+/// observed peak, where the engine's residency displaces the bound inputs
+/// — a peak footprint at least a quarter lower, no more spilled bytes
+/// (strictly fewer when `fits`: the early-free plan fits the budget
+/// outright), nothing dropped, the same bits.
+fn assert_frees_pay_off(
+    name: &str,
+    program: &Program,
+    bindings: &[(&str, BlockedMatrix)],
+    results: &[&str],
+    fits: bool,
+) {
+    let pinned = pin_all_intermediates(program);
+    let (cert, obs, bits) = run_over(program, bindings, results, SharedStore::new());
+    let (cert_pinned, obs_pinned, bits_pinned) =
+        run_over(&pinned, bindings, results, SharedStore::new());
+    assert!(obs <= cert, "{name}: observed {obs} > certified {cert}");
+    assert!(
+        4 * cert <= 3 * cert_pinned,
+        "{name}: certified peak {cert} is over 75% of the all-pinned {cert_pinned}"
+    );
+    assert_eq!(
+        bits, bits_pinned,
+        "{name}: early frees changed a result bit"
+    );
+
+    let capped = |tag: &str| {
+        let dir =
+            std::env::temp_dir().join(format!("dmac-liveness-{}-{name}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        SharedStore::with_capacity_and_disk(obs_pinned / 2, dir).unwrap()
+    };
+    let (store, store_pinned) = (capped("frees"), capped("pinned"));
+    let (_, _, capped_bits) = run_over(program, bindings, results, store.clone());
+    let (_, _, capped_pinned) = run_over(&pinned, bindings, results, store_pinned.clone());
+    let (on, off) = (store.stats(), store_pinned.stats());
+    assert!(
+        4 * on.peak_footprint <= 3 * off.peak_footprint,
+        "{name}: peak footprint {} is over 75% of the all-pinned {}",
+        on.peak_footprint,
+        off.peak_footprint
+    );
+    assert!(
+        on.spill_bytes <= off.spill_bytes && (!fits || on.spill_bytes < off.spill_bytes),
+        "{name}: spill bytes not reduced ({} vs {})",
+        on.spill_bytes,
+        off.spill_bytes
+    );
+    assert_eq!(
+        (on.dropped, off.dropped),
+        (0, 0),
+        "{name}: store dropped entries"
+    );
+    assert_eq!(capped_bits, bits, "{name}: halved-RAM run diverged");
+    assert_eq!(
+        capped_pinned, bits,
+        "{name}: halved-RAM pinned run diverged"
+    );
+}
+
+/// GNMF's intermediates dwarf its input, so the early-free plan fits half
+/// the all-pinned peak outright and must spill strictly less.
+#[test]
+fn early_frees_pay_off_for_gnmf_under_halved_ram() {
+    let gnmf = Gnmf {
+        rows: 96,
+        cols: 64,
+        sparsity: 0.3,
+        rank: 8,
+        iterations: 6,
+    };
+    let mut p = Program::new();
+    gnmf.build(&mut p).unwrap();
+    let v = dmac::data::uniform_sparse(gnmf.rows, gnmf.cols, gnmf.sparsity, BLOCK, 5);
+    assert_frees_pay_off("gnmf", &p, &[("V", v)], &["W", "H"], true);
+}
+
+/// PageRank's `link` outweighs its rank vectors and is displaced at half
+/// the all-pinned peak either way: no more spill, not strictly less.
+#[test]
+fn early_frees_pay_off_for_pagerank_under_halved_ram() {
+    let pr = PageRank {
+        nodes: 96,
+        link_sparsity: 0.1,
+        damping: 0.85,
+        iterations: 12,
+    };
+    let mut p = Program::new();
+    pr.build(&mut p).unwrap();
+    let adj = dmac::data::uniform_sparse(pr.nodes, pr.nodes, pr.link_sparsity, BLOCK, 6);
+    let link = dmac::data::row_normalize(&adj).unwrap();
+    let d = BlockedMatrix::from_fn(1, pr.nodes, BLOCK, |_, _| 1.0 / pr.nodes as f64).unwrap();
+    assert_frees_pay_off(
+        "pagerank",
+        &p,
+        &[("link", link), ("D", d)],
+        &["rank"],
+        false,
+    );
 }
 
 // ---------------------------------------------------------------------

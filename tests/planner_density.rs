@@ -12,10 +12,10 @@
 //!
 //! so RMM1 wins exactly when |A| < |B|, i.e. measured density of A below
 //! 400·200 / (400·400) = 0.5. The sweep asserts the flip happens at that
-//! crossover, that the adaptive plan ships strictly fewer wire bytes than
-//! the density-blind plan on the sparsest input while remaining
-//! bit-identical, and that force-overriding the planner onto the rejected
-//! strategy prices worse — the choice is load-bearing, not incidental.
+//! crossover, that force-overriding the planner onto the rejected
+//! strategy prices worse, and that on the sparsest input the chosen plan's
+//! *metered* wire bytes undercut what the rejected strategy is priced at —
+//! the choice is load-bearing, not incidental.
 
 use std::collections::HashMap;
 
@@ -58,9 +58,8 @@ fn matrix_id(p: &Program, name: &str) -> MatrixId {
     p.matrices().iter().find(|d| d.name == name).unwrap().id
 }
 
-fn cfg(adaptive: bool) -> PlannerConfig {
+fn cfg() -> PlannerConfig {
     PlannerConfig {
-        density_adaptive: adaptive,
         fusion_block: BLOCK,
         ..PlannerConfig::default()
     }
@@ -106,18 +105,13 @@ fn strategy_flips_at_the_predicted_crossover() {
         (0.01, "RMM1"),
     ] {
         let sources = measured_sources(&p, d);
-        let planned = plan_program_profiled(&p, &cfg(true), WORKERS, &schemes, &sources).unwrap();
+        let planned = plan_program_profiled(&p, &cfg(), WORKERS, &schemes, &sources).unwrap();
         assert_eq!(
             matmul_strategy(&planned.plan),
             want,
             "density {d}: wrong multiplication strategy"
         );
     }
-    // The density-blind planner prices the declared (dense) sizes and
-    // never flips, whatever the measured profiles say.
-    let sources = measured_sources(&p, 0.01);
-    let blind = plan_program_profiled(&p, &cfg(false), WORKERS, &schemes, &sources).unwrap();
-    assert_eq!(matmul_strategy(&blind.plan), "RMM2");
 }
 
 /// Forcing the planner onto the strategy it rejected must cost more under
@@ -128,11 +122,10 @@ fn rejected_strategy_prices_strictly_worse() {
     let schemes = HashMap::new();
     for (d, rejected) in [(0.01, 1usize), (1.0, 0usize)] {
         let sources = measured_sources(&p, d);
-        let chosen = plan_program_profiled(&p, &cfg(true), WORKERS, &schemes, &sources).unwrap();
+        let chosen = plan_program_profiled(&p, &cfg(), WORKERS, &schemes, &sources).unwrap();
         let forced = HashMap::from([(0usize, rejected)]);
-        let alt =
-            plan_with_forced_profiled(&p, &cfg(true), WORKERS, &schemes, &sources, Some(&forced))
-                .unwrap();
+        let alt = plan_with_forced_profiled(&p, &cfg(), WORKERS, &schemes, &sources, Some(&forced))
+            .unwrap();
         assert!(
             chosen.estimated_comm < alt.estimated_comm,
             "density {d}: chosen {} must undercut forced alternative {}",
@@ -142,37 +135,41 @@ fn rejected_strategy_prices_strictly_worse() {
     }
 }
 
-fn run_with(adaptive: bool, a: &BlockedMatrix, b: &BlockedMatrix) -> (Vec<u8>, u64) {
+/// On the sparsest input the plan the session runs (RMM1, broadcasting the
+/// 1 %-dense `A`) puts strictly fewer bytes on the wire than the rejected
+/// RMM2 is priced at — the predicted saving is real, not a pricing
+/// artefact — and the product is the right one.
+#[test]
+fn chosen_plan_meters_less_wire_than_the_rejected_strategy_prices() {
+    let a = patterned(400, 400, 0.01);
+    let b = patterned(400, 200, 1.0);
     let (p, c) = fixture();
     let mut s = Session::builder()
         .workers(WORKERS)
         .local_threads(2)
         .block_size(BLOCK)
-        .planner(cfg(adaptive))
         .build();
     s.bind("A", a.clone()).unwrap();
     s.bind("B", b.clone()).unwrap();
     let report = s.run(&p).unwrap();
-    let dense = s.value(c).unwrap().to_dense();
-    let bits: Vec<u8> = dense
-        .data()
-        .iter()
-        .flat_map(|v| v.to_bits().to_le_bytes())
-        .collect();
-    (bits, report.trace.wire_total())
-}
+    assert!(report.trace.steps.iter().any(|st| st.kind == "RMM1"));
+    let wire = report.trace.wire_total();
 
-/// On the sparsest input the adaptive plan ships strictly fewer wire
-/// bytes than the density-blind plan — and the result is bit-identical.
-#[test]
-fn adaptive_plan_cuts_wire_bytes_without_changing_bits() {
-    let a = patterned(400, 400, 0.01);
-    let b = patterned(400, 200, 1.0);
-    let (bits_adaptive, wire_adaptive) = run_with(true, &a, &b);
-    let (bits_blind, wire_blind) = run_with(false, &a, &b);
-    assert_eq!(bits_adaptive, bits_blind, "plans must agree bit-for-bit");
+    let sources = measured_sources(&p, 0.01);
+    let rmm2 = HashMap::from([(0usize, 1usize)]);
+    let alt =
+        plan_with_forced_profiled(&p, &cfg(), WORKERS, &HashMap::new(), &sources, Some(&rmm2))
+            .unwrap();
     assert!(
-        wire_adaptive < wire_blind,
-        "adaptive wire {wire_adaptive} must undercut density-blind {wire_blind}"
+        wire < alt.estimated_comm,
+        "metered wire {wire} must undercut the forced RMM2's priced {}",
+        alt.estimated_comm
+    );
+
+    let got = s.value(c).unwrap().to_dense();
+    let want = a.matmul_reference(&b).unwrap().to_dense();
+    assert_eq!(
+        dmac::matrix::approx_eq_slice(got.data(), want.data(), 1e-9),
+        None
     );
 }
