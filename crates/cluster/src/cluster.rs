@@ -15,6 +15,14 @@
 //! recovery; only the *cost model* changes (surviving hosts now run more
 //! than one logical worker, so their compute time adds up).
 //!
+//! ## One local engine
+//!
+//! Every compute primitive has the shape of the paper's Figure 4: per
+//! logical worker, a bag of independent tile tasks drained by `L` threads
+//! (`Cluster::run_stage`), multiplies folding into pooled accumulators
+//! through [`dmac_matrix::exec::fold_tile`] — the same function the
+//! `dmac-workerd` daemon runs over its shard store.
+//!
 //! ## Fault handling
 //!
 //! Every primitive enters through `op_entry`, which checks host liveness
@@ -32,8 +40,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dmac_matrix::exec::{run_tasks, PoolStats, ResultBufferPool};
-use dmac_matrix::{Block, BlockedMatrix, CscBlock, DenseBlock};
+use dmac_matrix::exec::{
+    combine_partials, fold_tile, matmul_tile, run_tasks, PoolStats, ResultBufferPool,
+};
+use dmac_matrix::{Block, BlockedMatrix, DenseBlock, MatrixError};
 
 use crate::comm::{CommKind, CommStats, NetworkModel, SimClock};
 use crate::dist::{DistMatrix, GridMeta};
@@ -43,8 +53,13 @@ use crate::kernels;
 use crate::partition::PartitionScheme;
 use crate::trace::{OpSpan, TraceBuffer};
 use crate::transport::{
-    MoveItem, PartialDesc, SimTransport, TileTransform, Transport, TransportStats, UnaryTileOp,
+    MoveItem, PartialDesc, TileTransform, Transport, TransportStats, UnaryTileOp,
 };
+
+/// One result tile of a stage, keyed by its block coordinates.
+type KeyedTile = ((usize, usize), Arc<Block>);
+/// Per-logical-worker tile stores of a value under construction.
+type Stores = Vec<HashMap<(usize, usize), Arc<Block>>>;
 
 /// Static configuration of a simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,15 +110,16 @@ pub struct Cluster {
     faults: FaultInjector,
     pool: ResultBufferPool,
     tracer: TraceBuffer,
-    /// Physical execution backend mirroring every primitive (see
+    /// Optional physical backend mirroring every primitive (see
     /// [`crate::transport`]). The engine always consumes the in-process
-    /// oracle's values; the transport's state is shadow state proven
-    /// byte-equal after each op.
-    transport: Box<dyn Transport>,
+    /// oracle's values; a mirror's state is shadow state proven
+    /// byte-equal after each op. Without one nothing is captured.
+    transport: Option<Box<dyn Transport>>,
 }
 
 /// Snapshot taken when a primitive starts, closed into an [`OpSpan`].
 struct SpanStart {
+    op: &'static str,
     sim0: f64,
     wall0: Instant,
     pool0: PoolStats,
@@ -122,7 +138,7 @@ impl Cluster {
             faults: FaultInjector::disabled(),
             pool: ResultBufferPool::new(2 * config.local_threads),
             tracer: TraceBuffer::new(),
-            transport: Box::new(SimTransport::new()),
+            transport: None,
         }
     }
 
@@ -135,47 +151,55 @@ impl Cluster {
 
     /// Build a cluster over an explicit transport backend (e.g. a real
     /// multi-process [`crate::transport::socket::SocketTransport`]).
-    pub fn with_transport(config: ClusterConfig, transport: Box<dyn Transport>) -> Cluster {
+    pub fn with_transport(config: ClusterConfig, mut transport: Box<dyn Transport>) -> Cluster {
         let mut cl = Cluster::new(config);
-        cl.transport = transport;
-        let assignment = cl.assignment.clone();
-        cl.transport.set_assignment(&assignment);
+        transport.set_assignment(&cl.assignment);
+        cl.transport = Some(transport);
         cl
     }
 
-    /// The transport backend's cumulative counters.
+    /// The mirror's cumulative counters (all zero without one).
     pub fn transport_stats(&self) -> TransportStats {
-        self.transport.stats()
+        self.transport
+            .as_ref()
+            .map(|t| t.stats())
+            .unwrap_or_default()
     }
 
-    /// Name of the active transport backend (`"sim"`, `"socket"`).
+    /// `"socket"` when real worker processes mirror the run, else `"sim"`.
     pub fn transport_name(&self) -> &'static str {
-        self.transport.name()
+        if self.transport.is_some() {
+            "socket"
+        } else {
+            "sim"
+        }
     }
 
-    /// Whether the backend runs real worker processes.
+    /// Whether real worker processes mirror the run.
     pub fn transport_is_physical(&self) -> bool {
-        self.transport.is_physical()
+        self.transport.is_some()
     }
 
-    /// Gather `m` from the transport's *physical* stores, bypassing the
+    /// Gather `m` from the mirror's *physical* stores, bypassing the
     /// oracle — the end-to-end proof that worker state matches. `None`
-    /// on the in-process backend, which has no stores of its own.
+    /// without a mirror: there is no second copy to gather.
     pub fn gather_physical(&mut self, m: &DistMatrix) -> Result<Option<DistMatrix>> {
-        self.transport.gather(m)
+        self.transport.as_mut().map(|t| t.gather(m)).transpose()
     }
 
     /// Test hook: hard-kill a host's worker process without marking it
     /// dead (detection must flow through the liveness machinery).
-    /// Returns false on backends with no processes.
+    /// Returns false when there are no processes.
     pub fn debug_kill_host(&mut self, host: usize) -> bool {
-        self.transport.debug_kill_host(host)
+        self.transport
+            .as_mut()
+            .is_some_and(|t| t.debug_kill_host(host))
     }
 
-    /// Gracefully stop the transport's worker processes. Errors if a
+    /// Gracefully stop the mirror's worker processes. Errors if a
     /// child had to be killed (leak detection for smoke gates).
     pub fn shutdown_transport(&mut self) -> Result<()> {
-        self.transport.shutdown()
+        self.transport.as_mut().map_or(Ok(()), |t| t.shutdown())
     }
 
     /// The cluster configuration.
@@ -264,47 +288,68 @@ impl Cluster {
         });
     }
 
-    /// Open a span at the current clocks / pool counters.
-    fn span_open(&self) -> SpanStart {
+    /// Open `op`'s span at the current clocks / pool counters.
+    fn span_open(&self, op: &'static str) -> SpanStart {
         SpanStart {
+            op,
             sim0: self.clock.total_sec(),
             wall0: Instant::now(),
             pool0: self.pool.stats(),
         }
     }
 
-    /// Close a span opened by [`Cluster::span_open`] and record it.
+    /// The one epilogue of every primitive. Closes the span opened by
+    /// [`Cluster::span_open`] (its wall time ends here, before any
+    /// mirroring), replays the primitive onto the mirror if there is one,
+    /// asserts the mirror's payload receipt against the oracle's metered
+    /// `wire` bytes, stamps the receipt onto the span (without a mirror
+    /// the simulator's own `wire`), then the observed nnz of `out`.
     #[allow(clippy::too_many_arguments)]
-    fn span_close(
+    fn finish_op(
         &mut self,
         st: SpanStart,
-        op: &'static str,
-        label: String,
-        wire_bytes: u64,
-        event_bytes: u64,
+        label: &str,
+        (wire_bytes, event_bytes): (u64, u64),
         io: Option<(Vec<u64>, Vec<u64>)>,
         blocks: usize,
-    ) {
+        out: Option<&DistMatrix>,
+        mirror: impl FnOnce(&mut dyn Transport) -> Result<u64>,
+    ) -> Result<()> {
         let p1 = self.pool.stats();
         let n = self.config.workers;
         let (sent, received) = io.unwrap_or_else(|| (vec![0; n], vec![0; n]));
         self.tracer.record(OpSpan {
-            op,
-            label,
+            op: st.op,
+            label: label.to_string(),
             start_sec: st.sim0,
             end_sec: self.clock.total_sec(),
             wall_sec: st.wall0.elapsed().as_secs_f64(),
             wire_bytes,
-            transport_bytes: 0,
             event_bytes,
             sent,
             received,
             blocks,
             pool_reused: p1.reused.saturating_sub(st.pool0.reused),
             pool_allocated: p1.allocated.saturating_sub(st.pool0.allocated),
-            recovery: false,
-            out_nnz: 0,
+            ..OpSpan::default()
         });
+        let payload = match self.transport.as_deref_mut() {
+            Some(t) => mirror(t)?,
+            None => wire_bytes,
+        };
+        if payload != wire_bytes {
+            return Err(ClusterError::TransportConformance {
+                op: st.op,
+                detail: format!(
+                    "transport shipped {payload} payload bytes, oracle metered {wire_bytes}"
+                ),
+            });
+        }
+        self.tracer.annotate_last_transport(payload);
+        if let Some(out) = out {
+            self.tracer.annotate_last_nnz(out.nnz() as u64);
+        }
+        Ok(())
     }
 
     /// Install (or replace) a fault plan; resets the injector's stream and
@@ -389,13 +434,13 @@ impl Cluster {
     /// *before* any scheme/shape validation so a dead worker always
     /// surfaces as [`ClusterError::WorkerLost`] (the error the engine's
     /// recovery path understands), then the fault injector may take a host
-    /// down at this op.
-    fn op_entry(&mut self, op: &'static str) -> Result<()> {
+    /// down at this op. A primitive that gets in has its span opened.
+    fn op_entry(&mut self, op: &'static str) -> Result<SpanStart> {
         // Real backends detect death organically (closed connections,
         // stale heartbeats); fold those hosts into the same failure path
         // an injected fault uses.
-        for host in self.transport.poll_liveness() {
-            self.failed.insert(host);
+        if let Some(t) = &mut self.transport {
+            self.failed.extend(t.poll_liveness());
         }
         self.check_all_workers()?;
         let alive = self.alive_hosts();
@@ -403,7 +448,7 @@ impl Cluster {
             self.failed.insert(victim);
             return Err(ClusterError::WorkerLost(victim));
         }
-        Ok(())
+        Ok(self.span_open(op))
     }
 
     /// Notify the cluster that plan stage `stage` begins. The fault
@@ -435,25 +480,11 @@ impl Cluster {
                 remapped.push(w);
             }
         }
-        self.transport.host_down(host);
-        let assignment = self.assignment.clone();
-        self.transport.set_assignment(&assignment);
-        Ok(remapped)
-    }
-
-    /// Assert a transport receipt against the oracle's metered bytes and
-    /// stamp the physical payload onto the span just recorded.
-    fn mirror_receipt(&mut self, op: &'static str, wire_bytes: u64, payload: u64) -> Result<()> {
-        if payload != wire_bytes {
-            return Err(ClusterError::TransportConformance {
-                op,
-                detail: format!(
-                    "transport shipped {payload} payload bytes, oracle metered {wire_bytes}"
-                ),
-            });
+        if let Some(t) = &mut self.transport {
+            t.host_down(host);
+            t.set_assignment(&self.assignment);
         }
-        self.tracer.annotate_last_transport(payload);
-        Ok(())
+        Ok(remapped)
     }
 
     /// Meter a communication step and charge the network model for it,
@@ -495,26 +526,22 @@ impl Cluster {
     /// Meter the re-read of durable source data during lineage recovery.
     /// Always recorded as a recovery span, whatever the current mode.
     pub fn charge_recovery(&mut self, label: impl Into<String>, bytes: u64) -> Result<()> {
-        let st = self.span_open();
+        let st = self.span_open("refetch");
         let label = label.into();
         self.send(CommKind::Recovery, label.clone(), bytes)?;
         let n = self.config.workers;
         self.tracer.record(OpSpan {
-            op: "refetch",
+            op: st.op,
             label,
             start_sec: st.sim0,
             end_sec: self.clock.total_sec(),
             wall_sec: st.wall0.elapsed().as_secs_f64(),
             wire_bytes: bytes,
-            transport_bytes: 0,
             event_bytes: bytes,
             sent: vec![0; n],
             received: vec![0; n],
-            blocks: 0,
-            pool_reused: 0,
-            pool_allocated: 0,
             recovery: true,
-            out_nnz: 0,
+            ..OpSpan::default()
         });
         Ok(())
     }
@@ -557,6 +584,68 @@ impl Cluster {
         Ok(())
     }
 
+    /// Shared body of the shuffle primitives (partition / broadcast /
+    /// rehash): every tile of `m` lands on the workers `dests` names for
+    /// its key (a worker keeps the first copy it is offered), copies that
+    /// change worker are metered as `comm` traffic — rehash is unmetered
+    /// and passes `None`, and its span carries no nnz stamp — and a mirror,
+    /// if there is one, replays the explicit move list.
+    #[allow(clippy::too_many_arguments)]
+    fn shuffle(
+        &mut self,
+        st: SpanStart,
+        label: &str,
+        comm: Option<CommKind>,
+        event_bytes: u64,
+        m: &DistMatrix,
+        scheme: PartitionScheme,
+        dests: impl Fn(usize, usize) -> std::ops::Range<usize>,
+    ) -> Result<DistMatrix> {
+        let (op, n) = (st.op, self.config.workers);
+        let (mut moved, mut blocks) = (0u64, 0usize);
+        let (mut sent, mut received) = (vec![0u64; n], vec![0u64; n]);
+        let mut moves = self.transport.is_some().then(Vec::new);
+        let mut stores: Stores = vec![HashMap::new(); n];
+        for src_w in 0..n {
+            for (&(bi, bj), tile) in m.worker_blocks(src_w) {
+                for dest_w in dests(bi, bj) {
+                    blocks += 1;
+                    if stores[dest_w].contains_key(&(bi, bj)) {
+                        continue;
+                    }
+                    let metered = comm.is_some() && dest_w != src_w;
+                    if metered {
+                        let b = tile.actual_bytes() as u64;
+                        moved += b;
+                        sent[src_w] += b;
+                        received[dest_w] += b;
+                    }
+                    if let Some(moves) = &mut moves {
+                        moves.push(MoveItem {
+                            src_w,
+                            dest_w,
+                            bi,
+                            bj,
+                            metered,
+                        });
+                    }
+                    stores[dest_w].insert((bi, bj), Arc::clone(tile));
+                }
+            }
+        }
+        if let Some(kind) = comm {
+            self.send(kind, format!("{op}({label})"), moved)?;
+        }
+        let out = DistMatrix::from_parts(*m.meta(), scheme, stores);
+        let io = Some((sent, received));
+        let stamped = comm.is_some().then_some(&out);
+        self.finish_op(st, label, (moved, event_bytes), io, blocks, stamped, |t| {
+            let moves = moves.expect("a mirrored shuffle captured its moves");
+            t.move_tiles(op, m, &out, TileTransform::None, &moves)
+        })?;
+        Ok(out)
+    }
+
     /// The `partition` extended operator: repartition `m` to a Row or
     /// Column scheme. Every tile that changes owner is metered as shuffle
     /// traffic. Repartitioning from Broadcast is a local extract and free.
@@ -566,8 +655,7 @@ impl Cluster {
         target: PartitionScheme,
         label: &str,
     ) -> Result<DistMatrix> {
-        self.op_entry("partition")?;
-        let st = self.span_open();
+        let st = self.op_entry("partition")?;
         if !target.is_rc() {
             return Err(ClusterError::SchemeMismatch {
                 expected: PartitionScheme::Row,
@@ -577,127 +665,42 @@ impl Cluster {
         }
         if m.scheme() == target {
             // No event: the requirement is already satisfied (cost 0).
-            self.span_close(st, "partition", format!("{label} (noop)"), 0, 0, None, 0);
-            self.tracer.annotate_last_nnz(m.nnz() as u64);
+            let label = format!("{label} (noop)");
+            self.finish_op(st, &label, (0, 0), None, 0, Some(m), |_| Ok(0))?;
             return Ok(m.clone());
         }
         if m.scheme() == PartitionScheme::Broadcast {
             // Everything is already everywhere: a pure filter (cost 0).
             let out = m.extract_local(target)?;
-            let blocks = out.tile_count();
-            self.span_close(
-                st,
-                "partition",
-                format!("{label} (extract)"),
-                0,
-                0,
-                None,
-                blocks,
-            );
-            let moves = local_keep_moves(&out);
-            let payload =
-                self.transport
-                    .move_tiles("partition", m, &out, TileTransform::None, &moves)?;
-            self.mirror_receipt("partition", 0, payload)?;
-            self.tracer.annotate_last_nnz(out.nnz() as u64);
+            let label = format!("{label} (extract)");
+            self.finish_local(st, &label, m, &out, &out, TileTransform::None)?;
             return Ok(out);
         }
-        let n = self.config.workers;
-        let mut moved: u64 = 0;
-        let mut blocks = 0usize;
-        let mut sent = vec![0u64; n];
-        let mut received = vec![0u64; n];
-        let mut moves: Vec<MoveItem> = Vec::new();
-        let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); n];
-        for w in 0..n {
-            for (&(bi, bj), tile) in m.worker_blocks(w) {
-                let dest = target.owner(bi, bj, n).expect("rc target");
-                if dest != w {
-                    let b = tile.actual_bytes() as u64;
-                    moved += b;
-                    sent[w] += b;
-                    received[dest] += b;
-                }
-                blocks += 1;
-                moves.push(MoveItem {
-                    src_w: w,
-                    dest_w: dest,
-                    bi,
-                    bj,
-                    metered: dest != w,
-                });
-                stores[dest].insert((bi, bj), Arc::clone(tile));
-            }
-        }
-        self.send(CommKind::Shuffle, format!("partition({label})"), moved)?;
         // The partition *event* re-keys every tile of `m` (Table 2 charges
         // |A|); the wire only carries the tiles that change owner.
-        let event = m.logical_bytes();
-        let io = Some((sent, received));
-        self.span_close(st, "partition", label.to_string(), moved, event, io, blocks);
-        let out = DistMatrix::from_parts(*m.meta(), target, stores);
-        let payload =
-            self.transport
-                .move_tiles("partition", m, &out, TileTransform::None, &moves)?;
-        self.mirror_receipt("partition", moved, payload)?;
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
-        Ok(out)
+        let (n, event) = (self.config.workers, m.logical_bytes());
+        let comm = Some(CommKind::Shuffle);
+        self.shuffle(st, label, comm, event, m, target, |bi, bj| {
+            let owner = target.owner(bi, bj, n).expect("rc target");
+            owner..owner + 1
+        })
     }
 
     /// The `broadcast` extended operator: replicate `m` on every worker.
     /// Each worker must receive the tiles it does not already hold.
     pub fn broadcast(&mut self, m: &DistMatrix, label: &str) -> Result<DistMatrix> {
-        self.op_entry("broadcast")?;
-        let st = self.span_open();
+        let st = self.op_entry("broadcast")?;
         if m.scheme() == PartitionScheme::Broadcast {
-            self.span_close(st, "broadcast", format!("{label} (noop)"), 0, 0, None, 0);
-            self.tracer.annotate_last_nnz(m.nnz() as u64);
+            let label = format!("{label} (noop)");
+            self.finish_op(st, &label, (0, 0), None, 0, Some(m), |_| Ok(0))?;
             return Ok(m.clone());
         }
-        let n = self.config.workers;
-        let mut moved: u64 = 0;
-        let mut blocks = 0usize;
-        let mut sent = vec![0u64; n];
-        let mut received = vec![0u64; n];
-        let mut moves: Vec<MoveItem> = Vec::new();
-        let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); n];
-        for w in 0..n {
-            for src in 0..n {
-                for (&k, tile) in m.worker_blocks(src) {
-                    if stores[w].contains_key(&k) {
-                        continue;
-                    }
-                    if src != w {
-                        let b = tile.actual_bytes() as u64;
-                        moved += b;
-                        sent[src] += b;
-                        received[w] += b;
-                    }
-                    blocks += 1;
-                    moves.push(MoveItem {
-                        src_w: src,
-                        dest_w: w,
-                        bi: k.0,
-                        bj: k.1,
-                        metered: src != w,
-                    });
-                    stores[w].insert(k, Arc::clone(tile));
-                }
-            }
-        }
-        self.send(CommKind::Broadcast, format!("broadcast({label})"), moved)?;
         // The broadcast *event* replicates `m` on all N workers (Table 2
         // charges N·|A|); the wire skips the share each source already has.
+        let n = self.config.workers;
         let event = (n as u64) * m.logical_bytes();
-        let io = Some((sent, received));
-        self.span_close(st, "broadcast", label.to_string(), moved, event, io, blocks);
-        let out = DistMatrix::from_parts(*m.meta(), PartitionScheme::Broadcast, stores);
-        let payload =
-            self.transport
-                .move_tiles("broadcast", m, &out, TileTransform::None, &moves)?;
-        self.mirror_receipt("broadcast", moved, payload)?;
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
-        Ok(out)
+        let (comm, bc) = (Some(CommKind::Broadcast), PartitionScheme::Broadcast);
+        self.shuffle(st, label, comm, event, m, bc, |_, _| 0..n)
     }
 
     /// Scatter a matrix back into Hash placement. This models SystemML-S
@@ -707,120 +710,102 @@ impl Cluster {
     /// deliberate, baseline-favouring simplification documented in
     /// DESIGN.md.
     pub fn rehash(&mut self, m: &DistMatrix) -> Result<DistMatrix> {
-        self.op_entry("rehash")?;
-        let st = self.span_open();
+        let st = self.op_entry("rehash")?;
         if m.scheme() == PartitionScheme::Hash {
             return Ok(m.clone());
         }
-        let n = self.config.workers;
-        let mut blocks = 0usize;
-        let mut moves: Vec<MoveItem> = Vec::new();
-        let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); n];
-        for w in 0..n {
-            for (&(bi, bj), tile) in m.worker_blocks(w) {
-                let dest = PartitionScheme::Hash.owner(bi, bj, n).expect("hash owner");
-                blocks += 1;
-                if let std::collections::hash_map::Entry::Vacant(e) = stores[dest].entry((bi, bj)) {
-                    e.insert(Arc::clone(tile));
+        let (n, hash) = (self.config.workers, PartitionScheme::Hash);
+        self.shuffle(st, "", None, 0, m, hash, |bi, bj| {
+            let owner = hash.owner(bi, bj, n).expect("hash owner");
+            owner..owner + 1
+        })
+    }
+
+    /// Epilogue of the communication-free local primitives (transpose,
+    /// extract), whose output tiles stay on the worker their inputs were
+    /// on: the mirror gets an unmetered same-worker move per tile of
+    /// `keyed` (whichever of `src` / `out` carries the source coordinates).
+    fn finish_local(
+        &mut self,
+        st: SpanStart,
+        label: &str,
+        src: &DistMatrix,
+        out: &DistMatrix,
+        keyed: &DistMatrix,
+        transform: TileTransform,
+    ) -> Result<()> {
+        let (op, blocks) = (st.op, out.tile_count());
+        self.finish_op(st, label, (0, 0), None, blocks, Some(out), |t| {
+            let mut moves = Vec::with_capacity(keyed.tile_count());
+            for w in 0..keyed.workers() {
+                for &(bi, bj) in keyed.worker_blocks(w).keys() {
                     moves.push(MoveItem {
                         src_w: w,
-                        dest_w: dest,
+                        dest_w: w,
                         bi,
                         bj,
                         metered: false,
                     });
                 }
             }
-        }
-        self.span_close(st, "rehash", String::new(), 0, 0, None, blocks);
-        let out = DistMatrix::from_parts(*m.meta(), PartitionScheme::Hash, stores);
-        let payload = self
-            .transport
-            .move_tiles("rehash", m, &out, TileTransform::None, &moves)?;
-        self.mirror_receipt("rehash", 0, payload)?;
-        Ok(out)
+            t.move_tiles(op, src, out, transform, &moves)
+        })
     }
 
     /// The `transpose` extended operator: local, free.
     pub fn transpose(&mut self, m: &DistMatrix) -> Result<DistMatrix> {
-        self.op_entry("transpose")?;
-        let st = self.span_open();
+        let st = self.op_entry("transpose")?;
         let t0 = Instant::now();
         let out = m.transpose_local();
         self.charge_compute(t0.elapsed().as_secs_f64() / self.host_parallelism() as f64);
-        let blocks = out.tile_count();
-        self.span_close(st, "transpose", String::new(), 0, 0, None, blocks);
-        let moves = local_keep_moves(m);
-        let payload =
-            self.transport
-                .move_tiles("transpose", m, &out, TileTransform::Transpose, &moves)?;
-        self.mirror_receipt("transpose", 0, payload)?;
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
+        self.finish_local(st, "", m, &out, m, TileTransform::Transpose)?;
         Ok(out)
     }
 
     /// The `extract` extended operator: local, free.
     pub fn extract(&mut self, m: &DistMatrix, target: PartitionScheme) -> Result<DistMatrix> {
-        self.op_entry("extract")?;
-        let st = self.span_open();
+        let st = self.op_entry("extract")?;
         let out = m.extract_local(target)?;
-        let blocks = out.tile_count();
-        self.span_close(st, "extract", String::new(), 0, 0, None, blocks);
-        let moves = local_keep_moves(&out);
-        let payload = self
-            .transport
-            .move_tiles("extract", m, &out, TileTransform::None, &moves)?;
-        self.mirror_receipt("extract", 0, payload)?;
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
+        self.finish_local(st, "", m, &out, &out, TileTransform::None)?;
         Ok(out)
     }
 
     /// The `free` plan step: release a dead intermediate's physical
-    /// shards on the transport. Local and communication-free; it draws
+    /// shards on the mirror. Local and communication-free; it draws
     /// no fault (so seeded fault sequences are unperturbed by liveness
     /// splicing) and meters nothing — the returned receipt is the
-    /// physical bytes the backend reclaimed.
+    /// physical bytes the mirror reclaimed (0 without one).
     pub fn free(&mut self, m: &DistMatrix) -> Result<u64> {
-        let st = self.span_open();
-        let blocks = m.tile_count();
-        self.span_close(st, "free", String::new(), 0, 0, None, blocks);
-        let released = self.transport.free_value(m)?;
-        self.mirror_receipt("free", 0, 0)?;
+        let st = self.span_open("free");
+        let mut released = 0;
+        self.finish_op(st, "", (0, 0), None, m.tile_count(), None, |t| {
+            released = t.free_value(m)?;
+            Ok(0)
+        })?;
         Ok(released)
+    }
+
+    /// Release a value nothing holds any more (a displaced store entry, a
+    /// previous run's output, a replayed intermediate) on the mirror.
+    /// Outside any plan, so unlike [`Cluster::free`] it records no span;
+    /// and best effort — a worker dying under it is the next primitive's
+    /// liveness poll's to report, not garbage collection's.
+    pub fn release(&mut self, m: &DistMatrix) {
+        if let Some(t) = &mut self.transport {
+            let _ = t.free_value(m);
+        }
     }
 
     /// RMM1 (Figure 2): `A(b) × B(c) → AB(c)`. No communication during
     /// execution — each worker multiplies the full `A` against its own
     /// block-columns of `B`.
     pub fn rmm1(&mut self, a: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
-        self.op_entry("rmm1")?;
-        let st = self.span_open();
-        self.compat(a, b)?;
-        self.require(a, PartitionScheme::Broadcast, "rmm1")?;
-        self.require(b, PartitionScheme::Col, "rmm1")?;
-        let out = self.mm_local(a, b, PartitionScheme::Col)?;
-        let blocks = out.tile_count();
-        self.span_close(st, "rmm1", String::new(), 0, 0, None, blocks);
-        self.transport.run_mm("rmm1", a, b, &out)?;
-        self.mirror_receipt("rmm1", 0, 0)?;
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
-        Ok(out)
+        self.rmm("rmm1", a, b, PartitionScheme::Col)
     }
 
     /// RMM2 (Figure 2): `A(r) × B(b) → AB(r)`.
     pub fn rmm2(&mut self, a: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
-        self.op_entry("rmm2")?;
-        let st = self.span_open();
-        self.compat(a, b)?;
-        self.require(a, PartitionScheme::Row, "rmm2")?;
-        self.require(b, PartitionScheme::Broadcast, "rmm2")?;
-        let out = self.mm_local(a, b, PartitionScheme::Row)?;
-        let blocks = out.tile_count();
-        self.span_close(st, "rmm2", String::new(), 0, 0, None, blocks);
-        self.transport.run_mm("rmm2", a, b, &out)?;
-        self.mirror_receipt("rmm2", 0, 0)?;
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
-        Ok(out)
+        self.rmm("rmm2", a, b, PartitionScheme::Row)
     }
 
     fn require(&self, m: &DistMatrix, scheme: PartitionScheme, op: &'static str) -> Result<()> {
@@ -834,87 +819,70 @@ impl Cluster {
         Ok(())
     }
 
-    /// Shared RMM body: every result tile is computable on the worker that
-    /// owns it under `out_scheme`, with zero communication.
-    fn mm_local(
+    /// The per-logical-worker stage loop of every compute primitive
+    /// (Figure 4): worker `w`'s tasks go through the `L`-thread task
+    /// queue with the result buffer pool at hand, each worker is timed,
+    /// and the clock advances by the slowest *host*. Returns every
+    /// worker's results in task order.
+    pub(crate) fn run_stage<T: Send, R: Send>(
         &mut self,
+        tasks_of: impl Fn(usize) -> Vec<T>,
+        run: impl Fn(&ResultBufferPool, usize, T) -> Result<R> + Sync,
+    ) -> Result<Vec<Vec<R>>> {
+        let n = self.config.workers;
+        let pool = &self.pool;
+        let mut secs = vec![0.0f64; n];
+        let mut per_worker = Vec::with_capacity(n);
+        for w in 0..n {
+            let t0 = Instant::now();
+            let results = run_tasks(self.config.local_threads, tasks_of(w), |t| run(pool, w, t));
+            per_worker.push(results.into_iter().collect::<Result<Vec<R>>>()?);
+            secs[w] = t0.elapsed().as_secs_f64();
+        }
+        self.charge_compute_workers(&secs);
+        Ok(per_worker)
+    }
+
+    /// Shared RMM body: the operand on the output's side shares
+    /// `out_scheme`, the other is Broadcast, so every result tile is
+    /// computable on the worker that owns it with zero communication.
+    fn rmm(
+        &mut self,
+        op: &'static str,
         a: &DistMatrix,
         b: &DistMatrix,
         out_scheme: PartitionScheme,
     ) -> Result<DistMatrix> {
-        if a.cols() != b.rows() {
-            return Err(ClusterError::Matrix(
-                dmac_matrix::MatrixError::DimensionMismatch {
-                    op: "multiply",
-                    left: (a.rows(), a.cols()),
-                    right: (b.rows(), b.cols()),
-                },
-            ));
-        }
-        let n = self.config.workers;
-        let out_meta = GridMeta::new(a.rows(), b.cols(), a.block_size());
-        let kb = a.meta().col_blocks;
-        let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); n];
-        let mut secs = vec![0.0f64; n];
-        for w in 0..n {
-            let t0 = Instant::now();
-            let tasks: Vec<(usize, usize)> = (0..out_meta.row_blocks)
-                .flat_map(|bi| (0..out_meta.col_blocks).map(move |bj| (bi, bj)))
-                .filter(|&(bi, bj)| out_scheme.owner(bi, bj, n) == Some(w))
-                .collect();
-            let results = run_tasks(self.config.local_threads, tasks, |(bi, bj)| {
-                let tile = self.mm_block(a, b, w, w, bi, bj, kb, &out_meta)?;
-                Ok::<_, ClusterError>(((bi, bj), tile))
-            });
-            for r in results {
-                let (k, tile) = r?;
-                stores[w].insert(k, tile);
-            }
-            secs[w] = t0.elapsed().as_secs_f64();
-        }
-        self.charge_compute_workers(&secs);
-        Ok(DistMatrix::from_parts(out_meta, out_scheme, stores))
-    }
-
-    /// Compute one result tile `(bi, bj)` of `A·B` from tiles stored on
-    /// workers `wa`/`wb`, using a pooled in-place accumulator.
-    #[allow(clippy::too_many_arguments)]
-    fn mm_block(
-        &self,
-        a: &DistMatrix,
-        b: &DistMatrix,
-        wa: usize,
-        wb: usize,
-        bi: usize,
-        bj: usize,
-        kb: usize,
-        out_meta: &GridMeta,
-    ) -> Result<Arc<Block>> {
-        let rows = out_meta.block_rows_of(bi);
-        let cols = out_meta.block_cols_of(bj);
-        let mut acc = self.pool.acquire(rows, cols);
-        for k in 0..kb {
-            let (Some(at), Some(bt)) = (a.block_on(wa, bi, k), b.block_on(wb, k, bj)) else {
-                return Err(ClusterError::Matrix(
-                    dmac_matrix::MatrixError::MalformedSparse(format!(
-                        "missing input tile for result ({bi},{bj}) at k={k}"
-                    )),
-                ));
-            };
-            if at.nnz() == 0 || bt.nnz() == 0 {
-                continue;
-            }
-            at.matmul_acc(bt, &mut acc)?;
-        }
-        let nnz = acc.nnz();
-        let out = if nnz * 2 < rows * cols {
-            let sparse = CscBlock::from_dense(&acc);
-            self.pool.release(acc);
-            Block::Sparse(sparse)
-        } else {
-            Block::Dense(acc)
+        let st = self.op_entry(op)?;
+        self.compat(a, b)?;
+        let (need_a, need_b) = match out_scheme {
+            PartitionScheme::Col => (PartitionScheme::Broadcast, out_scheme),
+            _ => (out_scheme, PartitionScheme::Broadcast),
         };
-        Ok(Arc::new(out))
+        self.require(a, need_a, op)?;
+        self.require(b, need_b, op)?;
+        let meta = product_meta(a, b)?;
+        let n = self.config.workers;
+        let kb = a.meta().col_blocks;
+        let tiles = self.run_stage(
+            |w| {
+                grid_cells(&meta)
+                    .filter(|&(bi, bj)| out_scheme.owner(bi, bj, n) == Some(w))
+                    .collect()
+            },
+            |pool, w, (bi, bj)| {
+                let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
+                let at = |k| a.block_on(w, bi, k).map(|t| &**t);
+                let bt = |k| b.block_on(w, k, bj).map(|t| &**t);
+                let tile = matmul_tile(pool, shape, 0..kb, at, bt)?;
+                Ok(((bi, bj), Arc::new(tile)))
+            },
+        )?;
+        let out = DistMatrix::from_parts(meta, out_scheme, into_stores(tiles));
+        self.finish_op(st, "", (0, 0), None, out.tile_count(), Some(&out), |t| {
+            t.run_mm(op, a, b, &out).map(|()| 0)
+        })?;
+        Ok(out)
     }
 
     /// CPMM (Figure 2): `A(c) × B(r) → AB(r|c)`. Each worker computes a
@@ -928,7 +896,7 @@ impl Cluster {
         b: &DistMatrix,
         out_scheme: PartitionScheme,
     ) -> Result<DistMatrix> {
-        self.op_entry("cpmm")?;
+        let st = self.op_entry("cpmm")?;
         self.compat(a, b)?;
         self.require(a, PartitionScheme::Col, "cpmm")?;
         self.require(b, PartitionScheme::Row, "cpmm")?;
@@ -939,68 +907,23 @@ impl Cluster {
                 op: "cpmm",
             });
         }
-        if a.cols() != b.rows() {
-            return Err(ClusterError::Matrix(
-                dmac_matrix::MatrixError::DimensionMismatch {
-                    op: "multiply",
-                    left: (a.rows(), a.cols()),
-                    right: (b.rows(), b.cols()),
-                },
-            ));
-        }
-        let st = self.span_open();
+        let meta = product_meta(a, b)?;
         let n = self.config.workers;
-        let out_meta = GridMeta::new(a.rows(), b.cols(), a.block_size());
         let kb = a.meta().col_blocks;
 
         // Phase 1: per-worker partial products over the owned k-slices.
         // Accumulators come from the result buffer pool and every one is
         // returned to it below, so CPMM's acquire/release stays balanced.
-        let mut partials: Vec<HashMap<(usize, usize), DenseBlock>> = Vec::with_capacity(n);
-        let mut secs = vec![0.0f64; n];
-        for w in 0..n {
-            let t0 = Instant::now();
-            let my_ks: Vec<usize> = (0..kb).filter(|&k| k % n == w).collect();
-            let tasks: Vec<(usize, usize)> = (0..out_meta.row_blocks)
-                .flat_map(|bi| (0..out_meta.col_blocks).map(move |bj| (bi, bj)))
-                .collect();
-            let pool = &self.pool;
-            let results = run_tasks(self.config.local_threads, tasks, |(bi, bj)| {
-                let mut acc = pool.acquire(out_meta.block_rows_of(bi), out_meta.block_cols_of(bj));
-                let mut touched = false;
-                for &k in &my_ks {
-                    let (Some(at), Some(bt)) = (a.block_on(w, bi, k), b.block_on(w, k, bj)) else {
-                        pool.release(acc);
-                        return Err(ClusterError::Matrix(
-                            dmac_matrix::MatrixError::MalformedSparse(format!(
-                                "cpmm: missing tile at k={k} on worker {w}"
-                            )),
-                        ));
-                    };
-                    if at.nnz() == 0 || bt.nnz() == 0 {
-                        continue;
-                    }
-                    at.matmul_acc(bt, &mut acc)?;
-                    touched = true;
-                }
-                if touched {
-                    Ok::<_, ClusterError>(((bi, bj), Some(acc)))
-                } else {
-                    pool.release(acc);
-                    Ok(((bi, bj), None))
-                }
-            });
-            let mut map = HashMap::new();
-            for r in results {
-                let (k, maybe) = r?;
-                if let Some(p) = maybe {
-                    map.insert(k, p);
-                }
-            }
-            secs[w] = t0.elapsed().as_secs_f64();
-            partials.push(map);
-        }
-        self.charge_compute_workers(&secs);
+        let partials = self.run_stage(
+            |_| grid_cells(&meta).collect(),
+            |pool, w, (bi, bj)| {
+                let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
+                let at = |k| a.block_on(w, bi, k).map(|t| &**t);
+                let bt = |k| b.block_on(w, k, bj).map(|t| &**t);
+                let my_ks = (w..kb).step_by(n);
+                Ok(((bi, bj), fold_tile(pool, shape, my_ks, at, bt)?))
+            },
+        )?;
 
         // Phase 2: shuffle partials to their owners and aggregate in
         // worker order (the fixed order keeps f64 summation deterministic).
@@ -1008,129 +931,110 @@ impl Cluster {
         let mut event: u64 = 0;
         let mut sent = vec![0u64; n];
         let mut received = vec![0u64; n];
-        let mut descs: Vec<PartialDesc> = Vec::new();
-        let mut gathered: Vec<HashMap<(usize, usize), DenseBlock>> =
-            (0..n).map(|_| HashMap::new()).collect();
+        let mut descs: Option<Vec<PartialDesc>> = self.transport.is_some().then(Vec::new);
+        let mut gathered: Vec<Vec<DenseBlock>> = grid_cells(&meta).map(|_| Vec::new()).collect();
         let t0 = Instant::now();
-        for (w, map) in partials.into_iter().enumerate() {
-            for ((bi, bj), p) in map {
-                let dest = out_scheme.owner(bi, bj, n).expect("rc scheme");
+        for (w, found) in partials.into_iter().enumerate() {
+            for ((bi, bj), p) in found {
+                let Some(p) = p else { continue };
+                let dest_w = out_scheme.owner(bi, bj, n).expect("rc scheme");
                 let bytes = p.actual_bytes() as u64;
                 // The CPMM output event ships every worker's full-size
                 // partial (Table 2 charges N·|AB|), even the share that
                 // happens to stay local.
                 event += bytes;
-                descs.push(PartialDesc {
-                    bi,
-                    bj,
-                    src_w: w,
-                    dest_w: dest,
-                    bytes,
-                });
-                if dest != w {
+                if let Some(descs) = &mut descs {
+                    descs.push(PartialDesc {
+                        bi,
+                        bj,
+                        src_w: w,
+                        dest_w,
+                        bytes,
+                    });
+                }
+                if dest_w != w {
                     moved += bytes;
                     sent[w] += bytes;
-                    received[dest] += bytes;
+                    received[dest_w] += bytes;
                 }
-                match gathered[dest].get_mut(&(bi, bj)) {
-                    Some(acc) => {
-                        acc.add_assign(&p)?;
-                        self.pool.release(p);
-                    }
-                    None => {
-                        gathered[dest].insert((bi, bj), p);
-                    }
-                }
+                gathered[bi * meta.col_blocks + bj].push(p);
             }
         }
-        let agg_sec = t0.elapsed().as_secs_f64() / self.host_parallelism() as f64;
-        self.charge_compute(agg_sec);
+        let mut stores: Stores = vec![HashMap::new(); n];
+        for ((bi, bj), parts) in grid_cells(&meta).zip(gathered) {
+            let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
+            let dest_w = out_scheme.owner(bi, bj, n).expect("rc scheme");
+            stores[dest_w].insert((bi, bj), Arc::new(combine_partials(shape, &parts)?));
+            for p in parts {
+                self.pool.release(p);
+            }
+        }
+        self.charge_compute(t0.elapsed().as_secs_f64() / self.host_parallelism() as f64);
         self.send(CommKind::Shuffle, "cpmm-output", moved)?;
 
-        // Materialise all owned tiles (zeros where no partial contributed).
-        let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); n];
-        for bi in 0..out_meta.row_blocks {
-            for bj in 0..out_meta.col_blocks {
-                let dest = out_scheme.owner(bi, bj, n).expect("rc scheme");
-                let tile = match gathered[dest].get(&(bi, bj)) {
-                    Some(d) => Block::Dense(d.clone()).compact(),
-                    None => Block::zeros(out_meta.block_rows_of(bi), out_meta.block_cols_of(bj)),
-                };
-                stores[dest].insert((bi, bj), Arc::new(tile));
-            }
-        }
-        for map in gathered {
-            for (_, d) in map {
-                self.pool.release(d);
-            }
-        }
-        let blocks = out_meta.row_blocks * out_meta.col_blocks;
+        let blocks = meta.row_blocks * meta.col_blocks;
         let io = Some((sent, received));
-        self.span_close(st, "cpmm", String::new(), moved, event, io, blocks);
-        let out = DistMatrix::from_parts(out_meta, out_scheme, stores);
-        let payload = self.transport.run_cpmm(a, b, &out, &descs)?;
-        self.mirror_receipt("cpmm", moved, payload)?;
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
+        let out = DistMatrix::from_parts(meta, out_scheme, stores);
+        self.finish_op(st, "", (moved, event), io, blocks, Some(&out), |t| {
+            t.run_cpmm(a, b, &out, &descs.expect("mirror implies a partial list"))
+        })?;
         Ok(out)
+    }
+
+    /// Operands of a scheme-aligned cell-wise primitive must share grid,
+    /// shape and a Row/Column/Broadcast scheme.
+    fn aligned(&self, a: &DistMatrix, b: &DistMatrix, op: &'static str) -> Result<()> {
+        self.compat(a, b)?;
+        if a.scheme() != b.scheme() || a.scheme() == PartitionScheme::Hash {
+            return Err(ClusterError::SchemeMismatch {
+                expected: a.scheme(),
+                actual: b.scheme(),
+                op,
+            });
+        }
+        if a.rows() != b.rows() || a.cols() != b.cols() {
+            return Err(ClusterError::Matrix(MatrixError::DimensionMismatch {
+                op,
+                left: (a.rows(), a.cols()),
+                right: (b.rows(), b.cols()),
+            }));
+        }
+        Ok(())
+    }
+
+    /// Shared body of the scheme-aligned per-tile primitives: worker `w`
+    /// maps every tile it holds of `lead` through `tile_op`; the output
+    /// keeps `lead`'s grid and scheme.
+    fn map_aligned(
+        &mut self,
+        lead: &DistMatrix,
+        tile_op: impl Fn(&ResultBufferPool, usize, (usize, usize), &Block) -> Result<Block> + Sync,
+    ) -> Result<DistMatrix> {
+        let tiles = self.run_stage(
+            |w| lead.worker_blocks(w).iter().collect(),
+            |pool, w, (&k, tile): (&(usize, usize), &Arc<Block>)| {
+                Ok((k, Arc::new(tile_op(pool, w, k, tile)?)))
+            },
+        )?;
+        Ok(DistMatrix::from_parts(
+            *lead.meta(),
+            lead.scheme(),
+            into_stores(tiles),
+        ))
     }
 
     /// Scheme-aligned element-wise operator: both operands must share the
     /// same Row/Column/Broadcast scheme; each worker combines its own tiles
     /// with zero communication.
     pub fn cellwise(&mut self, a: &DistMatrix, b: &DistMatrix, op: CellOp) -> Result<DistMatrix> {
-        self.op_entry(op.name())?;
-        let st = self.span_open();
-        self.compat(a, b)?;
-        if a.scheme() != b.scheme() || a.scheme() == PartitionScheme::Hash {
-            return Err(ClusterError::SchemeMismatch {
-                expected: a.scheme(),
-                actual: b.scheme(),
-                op: op.name(),
-            });
-        }
-        if a.rows() != b.rows() || a.cols() != b.cols() {
-            return Err(ClusterError::Matrix(
-                dmac_matrix::MatrixError::DimensionMismatch {
-                    op: op.name(),
-                    left: (a.rows(), a.cols()),
-                    right: (b.rows(), b.cols()),
-                },
-            ));
-        }
-        let n = self.config.workers;
-        let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); n];
-        let mut secs = vec![0.0f64; n];
-        for w in 0..n {
-            let t0 = Instant::now();
-            let tasks: Vec<((usize, usize), Arc<Block>)> = a
-                .worker_blocks(w)
-                .iter()
-                .map(|(&k, t)| (k, Arc::clone(t)))
-                .collect();
-            let results = run_tasks(self.config.local_threads, tasks, |((bi, bj), at)| {
-                let Some(bt) = b.block_on(w, bi, bj) else {
-                    return Err(ClusterError::Matrix(
-                        dmac_matrix::MatrixError::MalformedSparse(format!(
-                            "cellwise: tile ({bi},{bj}) missing on worker {w}"
-                        )),
-                    ));
-                };
-                let out = op.apply(&at, bt)?;
-                Ok(((bi, bj), Arc::new(out)))
-            });
-            for r in results {
-                let (k, tile) = r?;
-                stores[w].insert(k, tile);
-            }
-            secs[w] = t0.elapsed().as_secs_f64();
-        }
-        self.charge_compute_workers(&secs);
-        let blocks = stores.iter().map(HashMap::len).sum();
-        self.span_close(st, op.name(), String::new(), 0, 0, None, blocks);
-        let out = DistMatrix::from_parts(*a.meta(), a.scheme(), stores);
-        self.transport.run_cell(op, a, b, &out)?;
-        self.mirror_receipt(op.name(), 0, 0)?;
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
+        let st = self.op_entry(op.name())?;
+        self.aligned(a, b, op.name())?;
+        let out = self.map_aligned(a, |_, w, k, at| {
+            Ok(op.apply(at, aligned_tile(b, w, k, "cellwise")?)?)
+        })?;
+        self.finish_op(st, "", (0, 0), None, out.tile_count(), Some(&out), |t| {
+            t.run_cell(op, a, b, &out).map(|()| 0)
+        })?;
         Ok(out)
     }
 
@@ -1147,149 +1051,37 @@ impl Cluster {
         prog: &[dmac_matrix::FusedOp],
         label: &str,
     ) -> Result<DistMatrix> {
-        self.op_entry("fused")?;
-        let st = self.span_open();
+        let st = self.op_entry("fused")?;
         dmac_matrix::fused::validate_program(prog, leaves.len())?;
-        let first = leaves.first().ok_or_else(|| {
-            ClusterError::Matrix(dmac_matrix::MatrixError::MalformedSparse(
-                "fused: no operands".into(),
-            ))
+        let (first, rest) = leaves.split_first().ok_or_else(|| {
+            ClusterError::Matrix(MatrixError::MalformedSparse("fused: no operands".into()))
         })?;
-        for m in &leaves[1..] {
-            self.compat(first, m)?;
-            if m.scheme() != first.scheme() || m.scheme() == PartitionScheme::Hash {
-                return Err(ClusterError::SchemeMismatch {
-                    expected: first.scheme(),
-                    actual: m.scheme(),
-                    op: "fused",
-                });
-            }
-            if m.rows() != first.rows() || m.cols() != first.cols() {
-                return Err(ClusterError::Matrix(
-                    dmac_matrix::MatrixError::DimensionMismatch {
-                        op: "fused",
-                        left: (first.rows(), first.cols()),
-                        right: (m.rows(), m.cols()),
-                    },
-                ));
-            }
+        for m in rest {
+            self.aligned(first, m, "fused")?;
         }
-        let n = self.config.workers;
-        let pool = &self.pool;
-        let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); n];
-        let mut secs = vec![0.0f64; n];
-        for w in 0..n {
-            let t0 = Instant::now();
-            let tasks: Vec<((usize, usize), Arc<Block>)> = first
-                .worker_blocks(w)
-                .iter()
-                .map(|(&k, t)| (k, Arc::clone(t)))
-                .collect();
-            let results = run_tasks(self.config.local_threads, tasks, |((bi, bj), at)| {
-                let mut tiles: Vec<&Block> = Vec::with_capacity(leaves.len());
-                tiles.push(&at);
-                for m in &leaves[1..] {
-                    let Some(t) = m.block_on(w, bi, bj) else {
-                        return Err(ClusterError::Matrix(
-                            dmac_matrix::MatrixError::MalformedSparse(format!(
-                                "fused: tile ({bi},{bj}) missing on worker {w}"
-                            )),
-                        ));
-                    };
-                    tiles.push(t);
-                }
-                let out = dmac_matrix::eval_fused_block(prog, &tiles, pool)?;
-                Ok(((bi, bj), Arc::new(out)))
-            });
-            for r in results {
-                let (k, tile) = r?;
-                stores[w].insert(k, tile);
+        let out = self.map_aligned(first, |pool, w, k, at| {
+            let mut tiles: Vec<&Block> = Vec::with_capacity(leaves.len());
+            tiles.push(at);
+            for m in rest {
+                tiles.push(aligned_tile(m, w, k, "fused")?);
             }
-            secs[w] = t0.elapsed().as_secs_f64();
-        }
-        self.charge_compute_workers(&secs);
-        let blocks = stores.iter().map(HashMap::len).sum();
-        self.span_close(st, "fused", label.to_string(), 0, 0, None, blocks);
-        let out = DistMatrix::from_parts(*first.meta(), first.scheme(), stores);
-        self.transport.run_fused(prog, leaves, &out)?;
-        self.mirror_receipt("fused", 0, 0)?;
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
+            Ok(dmac_matrix::eval_fused_block(prog, &tiles, pool)?)
+        })?;
+        self.finish_op(st, label, (0, 0), None, out.tile_count(), Some(&out), |t| {
+            t.run_fused(prog, leaves, &out).map(|()| 0)
+        })?;
         Ok(out)
     }
 
-    /// Unary per-tile map (arbitrary closure); local on every worker,
-    /// keeps the scheme. Closures cannot travel over a wire, so this is
-    /// rejected on physical transports — use [`Cluster::unary`] for the
-    /// mirrorable scalar operators.
-    pub fn map_tiles(
-        &mut self,
-        m: &DistMatrix,
-        f: impl Fn(&Block) -> Block + Sync,
-    ) -> Result<DistMatrix> {
-        if self.transport.is_physical() {
-            return Err(ClusterError::Unsupported(
-                "map_tiles closures cannot be mirrored on a physical transport; use Cluster::unary",
-            ));
-        }
-        self.op_entry("map")?;
-        let st = self.span_open();
-        let n = self.config.workers;
-        let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); n];
-        let mut secs = vec![0.0f64; n];
-        for w in 0..n {
-            let t0 = Instant::now();
-            let tasks: Vec<((usize, usize), Arc<Block>)> = m
-                .worker_blocks(w)
-                .iter()
-                .map(|(&k, t)| (k, Arc::clone(t)))
-                .collect();
-            let results = run_tasks(self.config.local_threads, tasks, |(k, tile)| {
-                (k, Arc::new(f(&tile)))
-            });
-            for (k, tile) in results {
-                stores[w].insert(k, tile);
-            }
-            secs[w] = t0.elapsed().as_secs_f64();
-        }
-        self.charge_compute_workers(&secs);
-        let blocks = stores.iter().map(HashMap::len).sum();
-        self.span_close(st, "map", String::new(), 0, 0, None, blocks);
-        let out = DistMatrix::from_parts(*m.meta(), m.scheme(), stores);
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
-        Ok(out)
-    }
-
-    /// Unary per-tile scalar operator ([`UnaryTileOp`]): the mirrorable
-    /// subset of [`Cluster::map_tiles`]. Local on every worker, keeps the
-    /// scheme, works on every transport backend.
+    /// Unary per-tile scalar operator ([`UnaryTileOp`]). Local on every
+    /// worker, keeps the scheme.
     pub fn unary(&mut self, m: &DistMatrix, op: UnaryTileOp) -> Result<DistMatrix> {
-        self.op_entry("map")?;
-        let st = self.span_open();
-        let n = self.config.workers;
-        let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); n];
-        let mut secs = vec![0.0f64; n];
-        for w in 0..n {
-            let t0 = Instant::now();
-            let tasks: Vec<((usize, usize), Arc<Block>)> = m
-                .worker_blocks(w)
-                .iter()
-                .map(|(&k, t)| (k, Arc::clone(t)))
-                .collect();
-            let results = run_tasks(self.config.local_threads, tasks, |(k, tile)| {
-                (k, Arc::new(op.apply(&tile)))
-            });
-            for (k, tile) in results {
-                stores[w].insert(k, tile);
-            }
-            secs[w] = t0.elapsed().as_secs_f64();
-        }
-        self.charge_compute_workers(&secs);
-        let blocks = stores.iter().map(HashMap::len).sum();
-        self.span_close(st, "map", op.name().to_string(), 0, 0, None, blocks);
-        let out = DistMatrix::from_parts(*m.meta(), m.scheme(), stores);
-        self.transport.run_unary(op, m, &out)?;
-        self.mirror_receipt("map", 0, 0)?;
-        self.tracer.annotate_last_nnz(out.nnz() as u64);
+        let st = self.op_entry("map")?;
+        let out = self.map_aligned(m, |_, _, _, tile| Ok(op.apply(tile)))?;
+        let (label, blocks) = (op.name(), out.tile_count());
+        self.finish_op(st, label, (0, 0), None, blocks, Some(&out), |t| {
+            t.run_unary(op, m, &out).map(|()| 0)
+        })?;
         Ok(out)
     }
 
@@ -1300,8 +1092,7 @@ impl Cluster {
     /// bit-reproducible, which is what lets a physical backend prove its
     /// partials equal the oracle's.
     pub fn reduce(&mut self, m: &DistMatrix, kind: ReduceKind) -> Result<f64> {
-        self.op_entry("reduce")?;
-        let st = self.span_open();
+        let st = self.op_entry("reduce")?;
         let n = self.config.workers;
         let t0 = Instant::now();
         let broadcast = m.scheme() == PartitionScheme::Broadcast;
@@ -1326,30 +1117,48 @@ impl Cluster {
         // Each worker ships one 8-byte partial to the driver; the cost
         // model charges reductions nothing (event 0).
         let io = Some((vec![8u64; n], vec![0u64; n]));
-        self.span_close(st, "reduce", String::new(), 8 * n as u64, 0, io, blocks);
-        let wire = self.transport.run_reduce(kind, m, &partials)?;
-        self.mirror_receipt("reduce", 8 * n as u64, wire)?;
+        self.finish_op(st, "", (8 * n as u64, 0), io, blocks, None, |t| {
+            t.run_reduce(kind, m, &partials)
+        })?;
         Ok(kind.finish(total))
     }
 }
 
-/// Unmetered same-worker move list covering every tile of `v`, keyed in
-/// `v`'s coordinates. Mirrors the communication-free local primitives
-/// (transpose, extract) whose outputs stay where their inputs were.
-fn local_keep_moves(v: &DistMatrix) -> Vec<MoveItem> {
-    let mut moves = Vec::new();
-    for w in 0..v.workers() {
-        for &(bi, bj) in v.worker_blocks(w).keys() {
-            moves.push(MoveItem {
-                src_w: w,
-                dest_w: w,
-                bi,
-                bj,
-                metered: false,
-            });
-        }
+/// Result grid of `a · b`, or the dimension error.
+fn product_meta(a: &DistMatrix, b: &DistMatrix) -> Result<GridMeta> {
+    if a.cols() != b.rows() {
+        return Err(ClusterError::Matrix(MatrixError::DimensionMismatch {
+            op: "multiply",
+            left: (a.rows(), a.cols()),
+            right: (b.rows(), b.cols()),
+        }));
     }
-    moves
+    Ok(GridMeta::new(a.rows(), b.cols(), a.block_size()))
+}
+
+/// Every tile coordinate of a grid, row-major.
+pub(crate) fn grid_cells(meta: &GridMeta) -> impl Iterator<Item = (usize, usize)> {
+    let cb = meta.col_blocks;
+    (0..meta.row_blocks).flat_map(move |bi| (0..cb).map(move |bj| (bi, bj)))
+}
+
+/// Per-worker keyed result tiles of a stage, as stores.
+pub(crate) fn into_stores(tiles: Vec<Vec<KeyedTile>>) -> Stores {
+    tiles.into_iter().map(HashMap::from_iter).collect()
+}
+
+/// Worker `w`'s tile `k` of an operand aligned with the one being mapped.
+fn aligned_tile<'m>(
+    m: &'m DistMatrix,
+    w: usize,
+    (bi, bj): (usize, usize),
+    op: &str,
+) -> Result<&'m Block> {
+    m.block_on(w, bi, bj).map(|t| &**t).ok_or_else(|| {
+        ClusterError::Matrix(MatrixError::MalformedSparse(format!(
+            "{op}: tile ({bi},{bj}) missing on worker {w}"
+        )))
+    })
 }
 
 /// The element-wise binary operators of §3.1.
@@ -1585,13 +1394,47 @@ mod tests {
     }
 
     #[test]
-    fn map_tiles_scales_everywhere() {
+    fn unary_scales_everywhere() {
         let mut cl = cluster(2);
         let a = sample(4, 4, 2);
         let da = cl.load(&a, PartitionScheme::Broadcast);
-        let c = cl.map_tiles(&da, |b| b.scale(3.0)).unwrap();
+        let c = cl.unary(&da, UnaryTileOp::Scale(3.0)).unwrap();
         c.validate().unwrap();
+        assert_eq!(c.scheme(), PartitionScheme::Broadcast);
         assert_eq!(c.to_blocked().unwrap().to_dense(), a.scale(3.0).to_dense());
+    }
+
+    #[test]
+    fn mirrorless_cluster_captures_nothing_and_echoes_wire_bytes() {
+        let mut cl = cluster(3);
+        assert_eq!(cl.transport_name(), "sim");
+        assert!(!cl.transport_is_physical());
+        let (a, b) = (sample(12, 9, 3), sample(9, 12, 3));
+        let hashed = cl.load(&a, PartitionScheme::Hash);
+        let a_col = cl.repartition(&hashed, PartitionScheme::Col, "a").unwrap();
+        let a_bc = cl.broadcast(&a_col, "a").unwrap();
+        let b_col = cl.load(&b, PartitionScheme::Col);
+        let ab = cl.rmm1(&a_bc, &b_col).unwrap();
+        let b_row = cl.load(&b, PartitionScheme::Row);
+        let g = cl.cpmm(&a_col, &b_row, PartitionScheme::Row).unwrap();
+        cl.reduce(&g, ReduceKind::Sum).unwrap();
+        assert_eq!(
+            ab.to_blocked().unwrap().to_dense(),
+            g.to_blocked().unwrap().to_dense()
+        );
+        assert_eq!(cl.gather_physical(&g).unwrap().map(|m| m.rid()), None);
+        assert_eq!(cl.free(&ab).unwrap(), 0, "nothing physical to reclaim");
+
+        let ops: Vec<&str> = cl.spans().iter().map(|s| s.op).collect();
+        assert_eq!(
+            ops,
+            ["partition", "broadcast", "rmm1", "cpmm", "reduce", "free"]
+        );
+        assert!(cl.spans().iter().any(|s| s.wire_bytes > 0));
+        for s in cl.spans() {
+            assert_eq!(s.transport_bytes, s.wire_bytes, "{}", s.op);
+        }
+        assert_eq!(cl.transport_stats(), TransportStats::default());
     }
 
     #[test]

@@ -54,8 +54,6 @@ pub enum ClusterError {
     /// A wire-protocol violation talking to a worker process (malformed
     /// frame, unexpected reply, handshake failure, I/O error).
     Protocol(String),
-    /// The operation cannot run on the selected transport backend.
-    Unsupported(&'static str),
 }
 
 impl fmt::Display for ClusterError {
@@ -90,9 +88,6 @@ impl fmt::Display for ClusterError {
                 )
             }
             ClusterError::Protocol(msg) => write!(f, "transport protocol error: {msg}"),
-            ClusterError::Unsupported(what) => {
-                write!(f, "unsupported on this transport backend: {what}")
-            }
         }
     }
 }

@@ -1,63 +1,16 @@
-//! Tile kernels shared by the in-process simulator and the
+//! The reduction order shared by the in-process simulator and the
 //! `dmac-workerd` worker daemon.
 //!
-//! The transport conformance story ("the real backend's results are
-//! bit-for-bit identical to the simulator's") rests on both backends
-//! running the *same floating-point operations in the same order*. The
-//! order-sensitive pieces live here so neither side can drift:
-//!
-//! * the matmul k-loop ([`mm_accumulate`]): ascending `k`, skipping
-//!   all-zero tiles, accumulating with [`Block::matmul_acc`];
-//! * the dense-result compaction rule ([`compact_dense`]): densify
-//!   unless fewer than half the cells are non-zero (the simulator's
-//!   `mm_block` applies the same `nnz * 2 < rows * cols` test);
-//! * the reduction fold ([`reduce_shard`] / [`reduce_combine`]): each
-//!   logical worker folds its tiles in ascending `(bi, bj)` order, the
-//!   driver combines the per-worker partials in ascending worker order.
+//! A physical backend proves its reduction partials bit-equal to the
+//! simulator's, which holds because both sides run this fold: each logical
+//! worker folds its tiles in ascending `(bi, bj)` order
+//! ([`reduce_shard`]), the driver combines the per-worker partials in
+//! ascending worker order ([`reduce_combine`]). The multiply fold both
+//! sides share is [`dmac_matrix::exec::fold_tile`].
 
-use dmac_matrix::{Block, CscBlock, DenseBlock, MatrixError};
+use dmac_matrix::Block;
 
 use crate::cluster::ReduceKind;
-
-/// Accumulate `Σ_k A[bi,k]·B[k,bj]` into `acc` (which must arrive
-/// zeroed), visiting `ks` in the given order and skipping terms where
-/// either tile is all-zero. Returns `Ok(touched)` — whether any term
-/// contributed — or the first `k` whose tile pair was missing.
-pub fn mm_accumulate<'t>(
-    mut at: impl FnMut(usize) -> Option<&'t Block>,
-    mut bt: impl FnMut(usize) -> Option<&'t Block>,
-    ks: impl IntoIterator<Item = usize>,
-    acc: &mut DenseBlock,
-) -> std::result::Result<bool, usize> {
-    let mut touched = false;
-    for k in ks {
-        let (Some(a), Some(b)) = (at(k), bt(k)) else {
-            return Err(k);
-        };
-        if a.nnz() == 0 || b.nnz() == 0 {
-            continue;
-        }
-        // matmul_acc only fails on dimension mismatch, which validated
-        // grids rule out; a mismatch here is a torn store.
-        if a.matmul_acc(b, acc).is_err() {
-            return Err(k);
-        }
-        touched = true;
-    }
-    Ok(touched)
-}
-
-/// The multiplication result representation rule: store sparse when
-/// fewer than half the cells are non-zero, dense otherwise. Must stay in
-/// lockstep with the simulator's pooled `mm_block` path.
-pub fn compact_dense(acc: DenseBlock) -> Block {
-    let (rows, cols) = (acc.rows(), acc.cols());
-    if acc.nnz() * 2 < rows * cols {
-        Block::Sparse(CscBlock::from_dense(&acc))
-    } else {
-        Block::Dense(acc)
-    }
-}
 
 /// Fold one logical worker's tiles, visited in ascending `(bi, bj)`
 /// order, into a raw (un-finished) reduction partial.
@@ -85,47 +38,14 @@ pub fn reduce_combine(broadcast: bool, partials: &[f64]) -> f64 {
     }
 }
 
-/// Missing-tile error shared by both backends' matmul paths.
-pub fn missing_tile(op: &'static str, bi: usize, bj: usize, k: usize, w: usize) -> MatrixError {
-    MatrixError::MalformedSparse(format!(
-        "{op}: missing input tile for result ({bi},{bj}) at k={k} on worker {w}"
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn compact_rule_matches_density_threshold() {
-        // 2x2 with one non-zero: 1*2 < 4 → sparse
-        let mut d = DenseBlock::zeros(2, 2);
-        d.set(0, 0, 3.0).unwrap();
-        assert!(matches!(compact_dense(d), Block::Sparse(_)));
-        // 2x2 with two non-zeros: 2*2 == 4 → dense
-        let mut d = DenseBlock::zeros(2, 2);
-        d.set(0, 0, 3.0).unwrap();
-        d.set(1, 1, 4.0).unwrap();
-        assert!(matches!(compact_dense(d), Block::Dense(_)));
-    }
 
     #[test]
     fn reduce_combine_broadcast_uses_first_partial() {
         assert_eq!(reduce_combine(true, &[2.5, 2.5, 2.5]), 2.5);
         assert_eq!(reduce_combine(false, &[1.0, 2.0, 3.0]), 6.0);
         assert_eq!(reduce_combine(true, &[]), 0.0);
-    }
-
-    #[test]
-    fn mm_accumulate_reports_missing_k() {
-        let a = Block::Dense(DenseBlock::from_vec(1, 1, vec![2.0]).unwrap());
-        let b = Block::Dense(DenseBlock::from_vec(1, 1, vec![3.0]).unwrap());
-        let mut acc = DenseBlock::zeros(1, 1);
-        let r = mm_accumulate(|k| (k == 0).then_some(&a), |_| Some(&b), 0..2, &mut acc);
-        assert_eq!(r, Err(1));
-        let mut acc = DenseBlock::zeros(1, 1);
-        let r = mm_accumulate(|_| Some(&a), |_| Some(&b), 0..2, &mut acc);
-        assert_eq!(r, Ok(true));
-        assert_eq!(acc.data(), &[12.0]);
     }
 }

@@ -3,10 +3,11 @@
 //! The cluster's numeric semantics are defined by its in-process
 //! executor — the *oracle*: every primitive runs there first, producing
 //! the result tiles and the metered `wire_bytes` that the planner's
-//! Table-2 cost model predicts. A [`Transport`] is a *physical mirror*
-//! of that execution: after each primitive completes in the oracle, the
-//! cluster replays it onto the transport as an explicit move list or
-//! task list, and the transport must
+//! Table-2 cost model predicts. A [`Transport`] is an optional *physical
+//! mirror* of that execution: a cluster built without one captures
+//! nothing, and a cluster built over one replays each primitive onto it,
+//! after the oracle completes it, as an explicit move list or task list.
+//! The transport must
 //!
 //! 1. perform the equivalent physical work (ship tiles, run kernels),
 //! 2. report the payload bytes it metered, which the cluster asserts
@@ -19,25 +20,20 @@
 //! the primitive that drifted — not as a wrong number thirty operators
 //! later.
 //!
-//! Two implementations:
-//!
-//! * [`SimTransport`] — the identity mirror. No processes, no sockets;
-//!   it recomputes receipts from the move lists by reading oracle tiles.
-//!   Because the cluster's own metering loops and the transport's
-//!   receipts are computed *independently* (different code paths over
-//!   different inputs), even the in-process backend cross-checks the
-//!   move-list capture.
-//! * [`socket::SocketTransport`] — a real multi-process cluster:
-//!   `dmac-workerd` children speaking length-prefixed frames over TCP
-//!   ([`frame`]; JSON control messages [`wire`], binary tile payload
-//!   [`binfmt`]), with membership, heartbeats, and a liveness timeout. Worker loss is detected here and fed back into
-//!   the cluster's existing lineage-recovery path.
+//! The one implementation is [`socket::SocketTransport`] — a real
+//! multi-process cluster: `dmac-workerd` children speaking
+//! length-prefixed frames over TCP ([`frame`]; JSON control messages
+//! [`wire`], binary tile payload [`binfmt`]), with membership,
+//! heartbeats, and a liveness timeout. Worker loss is detected here and
+//! fed back into the cluster's existing lineage-recovery path.
 //!
 //! Values are identified across the boundary by the [`DistMatrix`]
 //! *resident id* (rid): fresh at every construction, shared by clones.
 //! Lineage replay after a failure builds new values with new rids, so a
 //! stale shard on a surviving worker can never be confused for the
 //! replayed one.
+//!
+//! [`ClusterError::TransportConformance`]: crate::error::ClusterError::TransportConformance
 
 pub mod binfmt;
 pub mod frame;
@@ -45,13 +41,11 @@ pub mod socket;
 pub mod wire;
 pub mod workerd;
 
-use std::collections::HashSet;
-
 use dmac_matrix::FusedOp;
 
 use crate::cluster::{CellOp, ReduceKind};
 use crate::dist::DistMatrix;
-use crate::error::{ClusterError, Result};
+use crate::error::Result;
 
 /// How a tile is transformed while being copied by [`Transport::move_tiles`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,8 +110,8 @@ pub struct PartialDesc {
     pub bytes: u64,
 }
 
-/// Unary per-tile operators mirrorable on a real backend (the closure
-/// form, [`crate::Cluster::map_tiles`], cannot travel over a wire).
+/// Unary per-tile operators: an enum, not a closure, so the operation
+/// can travel over a wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UnaryTileOp {
     /// Multiply every cell by a constant.
@@ -188,6 +182,10 @@ pub struct TransportStats {
     /// exchange, i.e. one per stage however many hosts and chained
     /// commands it has (plus one per membership / shutdown request).
     pub rounds: u64,
+    /// Gauge, not a counter: values (rids) the coordinator currently
+    /// tracks as resident on the workers. A session that keeps running
+    /// programs must see this level off, not grow.
+    pub resident_values: u64,
 }
 
 /// A physical execution backend mirroring the in-process oracle.
@@ -198,21 +196,10 @@ pub struct TransportStats {
 /// but the engine always consumes the oracle values; the transport's
 /// stores are shadow state proven equal, never a second source of truth.
 pub trait Transport: std::fmt::Debug + Send + Sync {
-    /// Backend name for diagnostics (`"sim"`, `"socket"`).
-    fn name(&self) -> &'static str;
-
-    /// True for backends running real worker processes. Gates operations
-    /// that cannot be mirrored physically (closure-based `map_tiles`).
-    fn is_physical(&self) -> bool {
-        false
-    }
-
     /// The cluster's current logical-worker → physical-host mapping.
     /// Called once at construction and again whenever decommissioning
-    /// remaps survivors. Backends with no host dimension ignore it.
-    fn set_assignment(&mut self, assignment: &[usize]) {
-        let _ = assignment;
-    }
+    /// remaps survivors.
+    fn set_assignment(&mut self, assignment: &[usize]);
 
     /// Make `m`'s shards resident on the physical workers if its rid is
     /// not yet known. Installation is unmetered (`install_bytes`): the
@@ -287,8 +274,8 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
 
     /// Gather `m`'s tiles from the *physical* stores into a fresh value,
     /// bypassing the oracle — the end-to-end proof that worker state
-    /// matches. `None` on backends with no physical store of their own.
-    fn gather(&mut self, m: &DistMatrix) -> Result<Option<DistMatrix>>;
+    /// matches.
+    fn gather(&mut self, m: &DistMatrix) -> Result<DistMatrix>;
 
     /// Hosts newly detected dead (closed connection, stale heartbeat)
     /// since the last poll. The cluster feeds these into its failure
@@ -304,185 +291,10 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
 
     /// Test hook: hard-kill a host's worker process (SIGKILL), *without*
     /// marking it dead — detection must happen organically through the
-    /// liveness machinery. Returns false if unsupported.
-    fn debug_kill_host(&mut self, host: usize) -> bool {
-        let _ = host;
-        false
-    }
+    /// liveness machinery. Returns false if there is no such host.
+    fn debug_kill_host(&mut self, host: usize) -> bool;
 
     /// Graceful shutdown: stop workers, reap children. Errors if a child
     /// had to be killed (leak detection for the smoke gate).
-    fn shutdown(&mut self) -> Result<()> {
-        Ok(())
-    }
-}
-
-/// The in-process identity backend: no worker processes, receipts
-/// recomputed from the move lists against the oracle's tiles.
-#[derive(Debug, Default)]
-pub struct SimTransport {
-    known: HashSet<u64>,
-    stats: TransportStats,
-}
-
-impl SimTransport {
-    /// Fresh backend.
-    pub fn new() -> SimTransport {
-        SimTransport::default()
-    }
-
-    fn install(&mut self, m: &DistMatrix) {
-        if self.known.insert(m.rid()) {
-            let mut bytes = 0u64;
-            for w in 0..m.workers() {
-                for tile in m.worker_blocks(w).values() {
-                    bytes += tile.actual_bytes() as u64;
-                }
-            }
-            self.stats.install_bytes += bytes;
-        }
-    }
-}
-
-impl Transport for SimTransport {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn ensure_resident(&mut self, m: &DistMatrix) -> Result<()> {
-        self.install(m);
-        Ok(())
-    }
-
-    fn move_tiles(
-        &mut self,
-        op: &'static str,
-        src: &DistMatrix,
-        dest: &DistMatrix,
-        _transform: TileTransform,
-        moves: &[MoveItem],
-    ) -> Result<u64> {
-        self.stats.ops += 1;
-        let mut payload = 0u64;
-        for mv in moves {
-            let Some(tile) = src.block_on(mv.src_w, mv.bi, mv.bj) else {
-                return Err(ClusterError::TransportConformance {
-                    op,
-                    detail: format!(
-                        "move list references missing source tile ({},{}) on worker {}",
-                        mv.bi, mv.bj, mv.src_w
-                    ),
-                });
-            };
-            let bytes = tile.actual_bytes() as u64;
-            if mv.metered {
-                payload += bytes;
-            } else {
-                self.stats.free_bytes += bytes;
-            }
-        }
-        self.stats.payload_bytes += payload;
-        self.known.insert(dest.rid());
-        Ok(payload)
-    }
-
-    fn run_mm(
-        &mut self,
-        _op: &'static str,
-        _a: &DistMatrix,
-        _b: &DistMatrix,
-        out: &DistMatrix,
-    ) -> Result<()> {
-        self.stats.ops += 1;
-        self.known.insert(out.rid());
-        Ok(())
-    }
-
-    fn run_cpmm(
-        &mut self,
-        _a: &DistMatrix,
-        _b: &DistMatrix,
-        out: &DistMatrix,
-        partials: &[PartialDesc],
-    ) -> Result<u64> {
-        self.stats.ops += 1;
-        let payload: u64 = partials
-            .iter()
-            .filter(|p| p.src_w != p.dest_w)
-            .map(|p| p.bytes)
-            .sum();
-        self.stats.payload_bytes += payload;
-        self.known.insert(out.rid());
-        Ok(payload)
-    }
-
-    fn run_cell(
-        &mut self,
-        _op: CellOp,
-        _a: &DistMatrix,
-        _b: &DistMatrix,
-        out: &DistMatrix,
-    ) -> Result<()> {
-        self.stats.ops += 1;
-        self.known.insert(out.rid());
-        Ok(())
-    }
-
-    fn run_fused(
-        &mut self,
-        _prog: &[FusedOp],
-        _leaves: &[&DistMatrix],
-        out: &DistMatrix,
-    ) -> Result<()> {
-        self.stats.ops += 1;
-        self.known.insert(out.rid());
-        Ok(())
-    }
-
-    fn run_unary(&mut self, _op: UnaryTileOp, _src: &DistMatrix, out: &DistMatrix) -> Result<()> {
-        self.stats.ops += 1;
-        self.known.insert(out.rid());
-        Ok(())
-    }
-
-    fn run_reduce(&mut self, _kind: ReduceKind, m: &DistMatrix, partials: &[f64]) -> Result<u64> {
-        self.stats.ops += 1;
-        let n = m.workers() as u64;
-        if partials.len() as u64 != n {
-            return Err(ClusterError::TransportConformance {
-                op: "reduce",
-                detail: format!("{} partials for {} workers", partials.len(), n),
-            });
-        }
-        Ok(8 * n)
-    }
-
-    fn free_value(&mut self, m: &DistMatrix) -> Result<u64> {
-        if !self.known.remove(&m.rid()) {
-            return Ok(0);
-        }
-        self.stats.ops += 1;
-        let mut bytes = 0u64;
-        for w in 0..m.workers() {
-            for tile in m.worker_blocks(w).values() {
-                bytes += tile.actual_bytes() as u64;
-            }
-        }
-        self.stats.released_bytes += bytes;
-        Ok(bytes)
-    }
-
-    fn gather(&mut self, _m: &DistMatrix) -> Result<Option<DistMatrix>> {
-        Ok(None)
-    }
-
-    fn poll_liveness(&mut self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    fn host_down(&mut self, _host: usize) {}
-
-    fn stats(&self) -> TransportStats {
-        self.stats
-    }
+    fn shutdown(&mut self) -> Result<()>;
 }

@@ -885,20 +885,24 @@ impl SocketTransport {
 }
 
 impl Transport for SocketTransport {
-    fn name(&self) -> &'static str {
-        "socket"
-    }
-
-    fn is_physical(&self) -> bool {
-        true
-    }
-
     fn set_assignment(&mut self, assignment: &[usize]) {
         // A remap means previously installed placements are stale: a
         // surviving matrix's logical shard may now live on a different
         // physical host. Forget every rid so the next use re-installs
-        // shards under the new assignment (unmetered, like any install).
+        // shards under the new assignment (unmetered, like any install)
+        // — after telling the live hosts to drop what they hold of them,
+        // or the survivors keep those shards for the life of the session.
+        // Best effort: a host dying under the sweep is the next liveness
+        // poll's business, not this call's.
         if self.assignment != assignment {
+            let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
+            for host in (0..self.conns.len()).filter(|&h| self.conns[h].alive) {
+                for &rid in &self.known {
+                    let free = JsonObj::new().str("t", "free").u64("rid", rid);
+                    cmds.push((host, Outgoing::Json(free)));
+                }
+            }
+            let _ = self.exchange("free", cmds);
             self.known.clear();
         }
         self.assignment = assignment.to_vec();
@@ -1361,7 +1365,7 @@ impl Transport for SocketTransport {
         Ok(bytes)
     }
 
-    fn gather(&mut self, m: &DistMatrix) -> Result<Option<DistMatrix>> {
+    fn gather(&mut self, m: &DistMatrix) -> Result<DistMatrix> {
         self.ensure_resident(m)?;
         let broadcast = m.scheme() == PartitionScheme::Broadcast;
         let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
@@ -1406,15 +1410,14 @@ impl Transport for SocketTransport {
         // Hash placement validates "every tile exactly once, anywhere",
         // which is precisely what a physical gather guarantees (for
         // Broadcast, worker 0's replica stands for the value).
-        let gathered = DistMatrix::from_placed_tiles(
+        DistMatrix::from_placed_tiles(
             m.rows(),
             m.cols(),
             m.block_size(),
             PartitionScheme::Hash,
             m.workers(),
             placed,
-        )?;
-        Ok(Some(gathered))
+        )
     }
 
     fn poll_liveness(&mut self) -> Vec<usize> {
@@ -1496,7 +1499,10 @@ impl Transport for SocketTransport {
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        TransportStats {
+            resident_values: self.known.len() as u64,
+            ..self.stats
+        }
     }
 
     fn debug_kill_host(&mut self, host: usize) -> bool {

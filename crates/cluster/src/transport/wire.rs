@@ -126,7 +126,7 @@ pub fn field_usize(j: &Json, key: &str) -> Result<usize, String> {
     j.get(key)
         .and_then(Json::as_u64)
         .map(|v| v as usize)
-        .ok_or_else(|| format!("tile missing integer '{key}'"))
+        .ok_or_else(|| format!("frame missing integer '{key}'"))
 }
 
 /// Encode a fused cell-wise program: scalar constants are pulled out

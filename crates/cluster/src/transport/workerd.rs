@@ -3,9 +3,11 @@
 //!
 //! A worker is deliberately dumb. It holds tile shards keyed by
 //! `(rid, logical worker)`, executes the kernel commands the coordinator
-//! dispatches — using the *same* shared kernels as the in-process oracle
-//! ([`crate::kernels`]), so results are bit-identical by construction —
-//! and proves its state on demand with canonical shard checksums
+//! dispatches — through the *same* functions as the in-process oracle
+//! (the multiply fold and CPMM combine of [`dmac_matrix::exec`], the
+//! reduction order of [`crate::kernels`]), so results are bit-identical
+//! by construction — and proves its state on demand with canonical shard
+//! checksums
 //! ([`crate::transport::wire::shard_checksum`]). All placement, metering
 //! and conformance intelligence stays in the coordinator.
 //!
@@ -54,7 +56,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dmac_matrix::exec::ResultBufferPool;
+use dmac_matrix::exec::{combine_partials, fold_tile, matmul_tile, ResultBufferPool};
 use dmac_matrix::{Block, DenseBlock};
 
 use crate::cluster::{CellOp, ReduceKind};
@@ -556,19 +558,11 @@ impl Worker {
         let mut store = self.lock()?;
         for task in wire::field_arr(cmd, "tasks")? {
             let (w, bi, bj) = task_triple(task)?;
-            let mut acc = DenseBlock::zeros(meta.block_rows_of(bi), meta.block_cols_of(bj));
-            let r = kernels::mm_accumulate(
-                |k| store.get(&(rid_a, w)).and_then(|s| s.get(&(bi, k))),
-                |k| store.get(&(rid_b, w)).and_then(|s| s.get(&(k, bj))),
-                0..kb,
-                &mut acc,
-            );
-            if let Err(k) = r {
-                return Err(format!(
-                    "missing input tile for result ({bi},{bj}) at k={k} on worker {w}"
-                ));
-            }
-            let tile = kernels::compact_dense(acc);
+            let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
+            let at = |k| store.get(&(rid_a, w)).and_then(|s| s.get(&(bi, k)));
+            let bt = |k| store.get(&(rid_b, w)).and_then(|s| s.get(&(k, bj)));
+            let tile = matmul_tile(&self.pool, shape, 0..kb, at, bt)
+                .map_err(|e| format!("mm: result ({bi},{bj}) on worker {w}: {e}"))?;
             store
                 .entry((rid_out, w))
                 .or_default()
@@ -646,24 +640,21 @@ impl Worker {
         let rid_a = wire::field_u64(cmd, "rid_a")?;
         let rid_b = wire::field_u64(cmd, "rid_b")?;
         let stage = wire::field_u64(cmd, "stage")?;
-        let n = wire::field_usize(cmd, "n")?;
+        // A zero stride would panic; the coordinator never sends one.
+        let n = wire::field_usize(cmd, "n")?.max(1);
         let kb = wire::field_usize(cmd, "kb")?;
         let meta = meta_of(cmd)?;
         let mut store = self.lock()?;
         let mut descs = JsonArr::new();
         for w in wire::field_usize_arr(cmd, "ws")? {
-            let my_ks: Vec<usize> = (0..kb).filter(|&k| k % n == w).collect();
             for bi in 0..meta.row_blocks {
                 for bj in 0..meta.col_blocks {
-                    let mut acc = DenseBlock::zeros(meta.block_rows_of(bi), meta.block_cols_of(bj));
-                    let touched = kernels::mm_accumulate(
-                        |k| store.get(&(rid_a, w)).and_then(|s| s.get(&(bi, k))),
-                        |k| store.get(&(rid_b, w)).and_then(|s| s.get(&(k, bj))),
-                        my_ks.iter().copied(),
-                        &mut acc,
-                    )
-                    .map_err(|k| format!("cpmm: missing tile at k={k} on worker {w}"))?;
-                    if touched {
+                    let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
+                    let at = |k| store.get(&(rid_a, w)).and_then(|s| s.get(&(bi, k)));
+                    let bt = |k| store.get(&(rid_b, w)).and_then(|s| s.get(&(k, bj)));
+                    let partial = fold_tile(&self.pool, shape, (w..kb).step_by(n), at, bt)
+                        .map_err(|e| format!("cpmm: partial ({bi},{bj}) on worker {w}: {e}"))?;
+                    if let Some(acc) = partial {
                         descs = descs.raw(
                             &JsonObj::new()
                                 .u64("w", w as u64)
@@ -694,28 +685,15 @@ impl Worker {
         let mut store = self.lock()?;
         for task in wire::field_arr(cmd, "tasks")? {
             let (w, bi, bj) = task_triple(task)?;
-            let srcs = wire::field_usize_arr(task, "srcs")?;
-            let tile = if srcs.is_empty() {
-                Block::zeros(meta.block_rows_of(bi), meta.block_cols_of(bj))
-            } else {
-                let first = match tile_of(&store, self.host, stage, srcs[0], bi, bj)? {
-                    Block::Dense(d) => d.clone(),
-                    Block::Sparse(_) => {
-                        return Err("cpmm partial is not dense".to_string());
-                    }
-                };
-                let mut acc = first;
-                for &src in &srcs[1..] {
-                    match tile_of(&store, self.host, stage, src, bi, bj)? {
-                        Block::Dense(d) => acc.add_assign(d).map_err(|e| e.to_string())?,
-                        Block::Sparse(_) => {
-                            return Err("cpmm partial is not dense".to_string());
-                        }
-                    }
+            let mut partials: Vec<&DenseBlock> = Vec::new();
+            for src in wire::field_usize_arr(task, "srcs")? {
+                match tile_of(&store, self.host, stage, src, bi, bj)? {
+                    Block::Dense(d) => partials.push(d),
+                    Block::Sparse(_) => return Err("cpmm partial is not dense".to_string()),
                 }
-                // Same materialisation rule as the oracle's CPMM phase 2.
-                Block::Dense(acc).compact()
-            };
+            }
+            let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
+            let tile = combine_partials(shape, partials).map_err(|e| e.to_string())?;
             store
                 .entry((rid_out, w))
                 .or_default()
@@ -770,20 +748,175 @@ fn transform_of(cmd: &Json) -> Result<TileTransform, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::DistMatrix;
 
-    /// Tile payload is `DMB1` or nothing: an `install` or peer `push`
-    /// carrying hex-JSON tiles (the retired wire format) comes back as a
-    /// typed error — never a panic, never a silent zero-tile install.
-    #[test]
-    fn json_bodied_install_and_push_are_typed_errors() {
-        let mut w = Worker {
+    fn worker() -> Worker {
+        Worker {
             store: Arc::default(),
             pool: ResultBufferPool::new(1),
             host: 0,
             peers: Vec::new(),
             peer_conns: HashMap::new(),
             peer_timeout: Duration::from_millis(100),
+        }
+    }
+
+    /// Seed one host's store with every logical worker's shard of `m`.
+    fn install(w: &Worker, m: &DistMatrix) {
+        let mut store = w.store.lock().unwrap();
+        for lw in 0..m.workers() {
+            let shard = m.worker_blocks(lw).iter();
+            let shard = shard.map(|(&k, t)| (k, (**t).clone())).collect();
+            store.insert((m.rid(), lw), shard);
+        }
+    }
+
+    /// `[{"w","bi","bj"(,"srcs")}…]` for every tile of `out`.
+    fn tasks_of(out: &DistMatrix, srcs: impl Fn(usize, usize) -> Option<String>) -> String {
+        let mut tasks = JsonArr::new();
+        for w in 0..out.workers() {
+            for &(bi, bj) in out.worker_blocks(w).keys() {
+                let task = JsonObj::new()
+                    .u64("w", w as u64)
+                    .u64("bi", bi as u64)
+                    .u64("bj", bj as u64);
+                let task = match srcs(bi, bj) {
+                    Some(s) => task.raw("srcs", &s),
+                    None => task,
+                };
+                tasks = tasks.raw(&task.build());
+            }
+        }
+        tasks.build()
+    }
+
+    fn grid(head: JsonObj, out: &DistMatrix) -> JsonObj {
+        head.u64("rows", out.rows() as u64)
+            .u64("cols", out.cols() as u64)
+            .u64("block", out.block_size() as u64)
+    }
+
+    /// Every shard the worker holds of `out` seals to the checksum the
+    /// simulator's shard does.
+    fn assert_same_seals(w: &Worker, out: &DistMatrix, what: &str) {
+        let store = w.store.lock().unwrap();
+        for lw in 0..out.workers() {
+            let oracle = out.worker_blocks(lw).iter().map(|(&k, t)| (k, &**t));
+            let held = store.get(&(out.rid(), lw));
+            let held = held.into_iter().flatten().map(|(&k, t)| (k, t));
+            assert_eq!(
+                wire::shard_checksum(held),
+                wire::shard_checksum(oracle),
+                "{what}: shard of worker {lw}"
+            );
+        }
+    }
+
+    /// The by-construction property, checked without launching a process:
+    /// the daemon's `mm` and `cpmm1` + `cpmm2` over a hand-built store
+    /// produce tiles whose shard checksums equal the simulator's for the
+    /// same inputs — dense and CSC results, ragged edges, a k-panel of
+    /// all-zero tiles.
+    #[test]
+    fn mm_and_cpmm_seal_like_the_simulator() {
+        use crate::{Cluster, ClusterConfig, PartitionScheme};
+        let mut cl = Cluster::new(ClusterConfig {
+            workers: 2,
+            local_threads: 1,
+            ..ClusterConfig::default()
+        });
+        let a = dmac_matrix::BlockedMatrix::from_fn(7, 10, 3, |i, j| {
+            // Block-column 1 is all zero; row 0 is sparse.
+            if (3..6).contains(&j) || (i == 0 && j > 0) {
+                0.0
+            } else {
+                ((i * 5 + j * 3) % 7) as f64 - 2.0
+            }
+        })
+        .unwrap();
+        let b = dmac_matrix::BlockedMatrix::from_fn(10, 8, 3, |i, j| {
+            if j >= 6 && i != 9 {
+                0.0
+            } else {
+                ((i * 2 + j) % 5) as f64 / 4.0
+            }
+        })
+        .unwrap();
+        let kb = 4u64;
+        let mut w = worker();
+
+        let (a_bc, b_col) = (
+            cl.load(&a, PartitionScheme::Broadcast),
+            cl.load(&b, PartitionScheme::Col),
+        );
+        let out = cl.rmm1(&a_bc, &b_col).unwrap();
+        install(&w, &a_bc);
+        install(&w, &b_col);
+        let mm = grid(JsonObj::new().str("t", "mm"), &out)
+            .u64("rid_a", a_bc.rid())
+            .u64("rid_b", b_col.rid())
+            .u64("rid_out", out.rid())
+            .u64("kb", kb)
+            .raw("tasks", &tasks_of(&out, |_, _| None));
+        w.dispatch(&Json::parse(&mm.build()).unwrap(), None)
+            .map(drop)
+            .unwrap();
+        assert_same_seals(&w, &out, "mm");
+        assert!(
+            (0..2).any(|lw| out.worker_blocks(lw).values().any(|t| t.is_sparse()))
+                && (0..2).any(|lw| out.worker_blocks(lw).values().any(|t| !t.is_sparse())),
+            "the inputs must exercise both result representations"
+        );
+
+        let (a_col, b_row) = (
+            cl.load(&a, PartitionScheme::Col),
+            cl.load(&b, PartitionScheme::Row),
+        );
+        let out = cl.cpmm(&a_col, &b_row, PartitionScheme::Row).unwrap();
+        install(&w, &a_col);
+        install(&w, &b_row);
+        let stage = 1 << 40; // no rid the test minted
+        let cpmm1 = grid(JsonObj::new().str("t", "cpmm1"), &out)
+            .u64("rid_a", a_col.rid())
+            .u64("rid_b", b_row.rid())
+            .u64("stage", stage)
+            .u64("n", 2)
+            .u64("kb", kb)
+            .raw("ws", "[0,1]");
+        let Ok(Reply::Json(partials)) = w.dispatch(&Json::parse(&cpmm1.build()).unwrap(), None)
+        else {
+            panic!("cpmm1 must answer with its partial descriptors");
         };
+        let partials = Json::parse(&partials.build()).unwrap();
+        let descs = wire::field_arr(&partials, "descs").unwrap();
+        assert!(!descs.is_empty());
+        // Both logical workers share this host, so no partial has to move.
+        let srcs_of = |bi: usize, bj: usize| {
+            let mut srcs = JsonArr::new();
+            for d in descs {
+                let (src, dbi, dbj) = task_triple(d).unwrap();
+                if (dbi, dbj) == (bi, bj) {
+                    srcs = srcs.u64(src as u64);
+                }
+            }
+            Some(srcs.build())
+        };
+        let cpmm2 = grid(JsonObj::new().str("t", "cpmm2"), &out)
+            .u64("stage", stage)
+            .u64("rid_out", out.rid())
+            .raw("tasks", &tasks_of(&out, srcs_of));
+        w.dispatch(&Json::parse(&cpmm2.build()).unwrap(), None)
+            .map(drop)
+            .unwrap();
+        assert_same_seals(&w, &out, "cpmm");
+    }
+
+    /// Tile payload is `DMB1` or nothing: an `install` or peer `push`
+    /// carrying hex-JSON tiles (the retired wire format) comes back as a
+    /// typed error — never a panic, never a silent zero-tile install.
+    #[test]
+    fn json_bodied_install_and_push_are_typed_errors() {
+        let mut w = worker();
         let tile = r#"{"w":0,"bi":0,"bj":0,"k":"d","r":1,"c":1,"d":"3ff0000000000000"}"#;
         let install = format!(r#"{{"t":"install","rid":7,"tiles":[{tile}]}}"#);
         let err = w

@@ -24,12 +24,11 @@
 #![allow(clippy::needless_range_loop)]
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
-use dmac_matrix::exec::run_tasks;
-use dmac_matrix::{Block, BlockedMatrix, CscBlock, DenseBlock};
+use dmac_matrix::exec::matmul_tile;
+use dmac_matrix::{Block, BlockedMatrix};
 
-use crate::cluster::Cluster;
+use crate::cluster::{grid_cells, into_stores, Cluster};
 use crate::comm::CommKind;
 use crate::dist::{DistMatrix, GridMeta};
 use crate::error::{ClusterError, Result};
@@ -237,6 +236,13 @@ pub fn summa(cluster: &mut Cluster, a: &Dist2d, b: &Dist2d) -> Result<Dist2d> {
             b.grid.size(),
         ));
     }
+    // The stage loop below runs once per cluster worker.
+    if a.grid.size() != cluster.workers() {
+        return Err(ClusterError::WorkerCountMismatch(
+            a.grid.size(),
+            cluster.workers(),
+        ));
+    }
     if a.meta.cols != b.meta.rows || a.meta.block != b.meta.block {
         return Err(ClusterError::Matrix(
             dmac_matrix::MatrixError::DimensionMismatch {
@@ -275,51 +281,24 @@ pub fn summa(cluster: &mut Cluster, a: &Dist2d, b: &Dist2d) -> Result<Dist2d> {
     // Local compute: each worker builds the result tiles it owns; tiles of
     // A and B are read from their owners' stores (the panel broadcast
     // above already paid for the movement).
-    let lookup_a =
-        |bi: usize, k: usize| -> Option<&Arc<Block>> { a.stores[grid.owner(bi, k)].get(&(bi, k)) };
-    let lookup_b =
-        |k: usize, bj: usize| -> Option<&Arc<Block>> { b.stores[grid.owner(k, bj)].get(&(k, bj)) };
-    let mut stores: Vec<HashMap<(usize, usize), Arc<Block>>> = vec![HashMap::new(); grid.size()];
-    let mut max_worker_sec = 0.0f64;
-    let threads = cluster.config().local_threads;
     for w in 0..grid.size() {
         cluster.check_worker(w)?;
-        let t0 = Instant::now();
-        let tasks: Vec<(usize, usize)> = (0..out_meta.row_blocks)
-            .flat_map(|bi| (0..out_meta.col_blocks).map(move |bj| (bi, bj)))
-            .filter(|&(bi, bj)| grid.owner(bi, bj) == w)
-            .collect();
-        let results = run_tasks(threads, tasks, |(bi, bj)| -> Result<_> {
-            let rows = out_meta.block_rows_of(bi);
-            let cols = out_meta.block_cols_of(bj);
-            let mut acc = DenseBlock::zeros(rows, cols);
-            for k in 0..kb {
-                let (Some(at), Some(bt)) = (lookup_a(bi, k), lookup_b(k, bj)) else {
-                    return Err(ClusterError::Matrix(
-                        dmac_matrix::MatrixError::MalformedSparse(format!(
-                            "summa: missing tile at k={k}"
-                        )),
-                    ));
-                };
-                if at.nnz() == 0 || bt.nnz() == 0 {
-                    continue;
-                }
-                at.matmul_acc(bt, &mut acc)?;
-            }
-            let out = if acc.nnz() * 2 < rows * cols {
-                Block::Sparse(CscBlock::from_dense(&acc))
-            } else {
-                Block::Dense(acc)
-            };
-            Ok(((bi, bj), Arc::new(out)))
-        });
-        for r in results {
-            let (k, tile) = r?;
-            stores[w].insert(k, tile);
-        }
-        max_worker_sec = max_worker_sec.max(t0.elapsed().as_secs_f64());
     }
-    cluster.charge_compute(max_worker_sec);
+    let tiles = cluster.run_stage(
+        |w| {
+            grid_cells(&out_meta)
+                .filter(|&(bi, bj)| grid.owner(bi, bj) == w)
+                .collect()
+        },
+        |pool, _, (bi, bj)| {
+            let shape = (out_meta.block_rows_of(bi), out_meta.block_cols_of(bj));
+            let at = |k| a.stores[grid.owner(bi, k)].get(&(bi, k)).map(|t| &**t);
+            let bt = |k| b.stores[grid.owner(k, bj)].get(&(k, bj)).map(|t| &**t);
+            let tile = matmul_tile(pool, shape, 0..kb, at, bt)?;
+            Ok(((bi, bj), Arc::new(tile)))
+        },
+    )?;
+    let stores = into_stores(tiles);
     Ok(Dist2d {
         meta: out_meta,
         grid,

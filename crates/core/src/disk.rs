@@ -43,6 +43,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::sync::Mutex;
 
+use dmac_cluster::transport::wire::Fnv64;
 use dmac_cluster::{CrashPoint, DistMatrix, FaultPlan, PartitionScheme};
 use dmac_matrix::{Block, CscBlock, DenseBlock};
 
@@ -53,15 +54,11 @@ const DIST_MAGIC: &[u8; 6] = b"DMDM1\n";
 const MANIFEST_MAGIC: &str = "dmac-manifest v1";
 const PLAN_MAGIC: &str = "dmac-plan v1";
 
-/// FNV-1a over raw bytes (the string variant lives in
-/// `dmac_lang::normalize`; blobs need the byte form).
+/// FNV-1a-64 over raw bytes: the wire layer's [`Fnv64`], in one call.
 pub fn fnv1a_bytes(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.update(data);
+    h.finish()
 }
 
 fn disk_err(ctx: &str, e: impl std::fmt::Display) -> CoreError {

@@ -284,6 +284,25 @@ pub(crate) fn seed_source(
     Ok(dist)
 }
 
+/// Drop `node`'s value. Returns it when the transport should drop its
+/// shards too: no other live node aliases the same distributed value
+/// (Reference steps clone the handle) and it is not a durable binding the
+/// session still owns. Taking first makes a `free` step idempotent under
+/// post-failure re-execution.
+pub(crate) fn take_unshared(
+    ctx: &ExecCtx<'_>,
+    values: &mut [Option<DistMatrix>],
+    node: usize,
+) -> Option<DistMatrix> {
+    let m = values[node].take()?;
+    let aliased = values.iter().flatten().any(|x| x.rid() == m.rid());
+    let bound_source = ctx
+        .sources
+        .get(&node)
+        .is_some_and(|mid| ctx.bindings.contains_key(mid));
+    (!aliased && !bound_source).then_some(m)
+}
+
 /// Execute one plan step against the current values. State is only
 /// assigned on success, so a step that fails mid-flight (worker loss,
 /// exhausted send retries) can be re-executed after recovery.
@@ -323,23 +342,8 @@ pub(crate) fn exec_step(
             values[*out] = Some(take(values, *src)?);
         }
         PlanStep::Free { node, .. } => {
-            // Release the node's value. The transport is only told to drop
-            // shards when no other live node aliases the same distributed
-            // value (Reference steps clone the handle) and the value is not
-            // a durable binding the session still owns. `take` first makes
-            // the step idempotent under post-failure re-execution.
-            if let Some(m) = values[*node].take() {
-                let rid = m.rid();
-                let aliased = values
-                    .iter()
-                    .any(|v| v.as_ref().is_some_and(|x| x.rid() == rid));
-                let bound_source = ctx
-                    .sources
-                    .get(node)
-                    .is_some_and(|mid| ctx.bindings.contains_key(mid));
-                if !aliased && !bound_source {
-                    cluster.free(&m)?;
-                }
+            if let Some(m) = take_unshared(ctx, values, *node) {
+                cluster.free(&m)?;
             }
         }
         PlanStep::Compute {

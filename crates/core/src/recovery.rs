@@ -32,7 +32,7 @@ use std::collections::{HashMap, HashSet};
 use dmac_cluster::{Cluster, DistMatrix};
 use dmac_lang::ScalarId;
 
-use crate::engine::{exec_step, seed_source, ExecCtx};
+use crate::engine::{exec_step, seed_source, take_unshared, ExecCtx};
 use crate::error::{CoreError, Result};
 
 /// How the engine responds to worker loss.
@@ -142,10 +142,13 @@ pub(crate) fn recover(
     stats.re_executed_stages += replayed_stages.len();
 
     // Lineage replay may have resurrected values whose last consumer
-    // already ran; release them again.
-    for (n, v) in values.iter_mut().enumerate() {
+    // already ran; release them again — on the transport too, which
+    // holds the replayed shards under rids no plan step will free.
+    for n in 0..values.len() {
         if !keep[n] && last_use[n] < resume_step {
-            *v = None;
+            if let Some(m) = take_unshared(ctx, values, n) {
+                cluster.release(&m);
+            }
         }
     }
     Ok(())

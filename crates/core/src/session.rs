@@ -287,14 +287,45 @@ impl Session {
             m.reblock(self.block_size)?
         };
         let dist = self.cluster.load(&m, PartitionScheme::Hash);
-        self.env.insert(name, dist)?;
-        Ok(())
+        self.bind_dist(name, dist)
     }
 
     /// Bind an already-distributed matrix (keeps its scheme).
     pub fn bind_dist(&mut self, name: &str, m: DistMatrix) -> Result<()> {
+        let displaced = self.mirrored(name);
         self.env.insert(name, m)?;
+        self.release_unshared(displaced);
         Ok(())
+    }
+
+    /// The value stored under `name`, if a physical transport may hold
+    /// shards of it: what a caller about to displace the entry must hand
+    /// to [`Session::release_unshared`] afterwards. Always `None` on the
+    /// simulator, where there is nothing to release.
+    fn mirrored(&self, name: &str) -> Option<DistMatrix> {
+        self.cluster
+            .transport_is_physical()
+            .then(|| self.env.peek(name))
+            .flatten()
+    }
+
+    /// Release, on the worker processes, every value of `displaced` that
+    /// no live handle shares any more — neither a resident store entry
+    /// nor an output of the last run. Without this a long session strands
+    /// one copy of every re-bound input and every superseded output on
+    /// the workers. Releasing is idempotent, so a value the plan already
+    /// freed, or that was never installed, costs nothing.
+    fn release_unshared(&mut self, displaced: impl IntoIterator<Item = DistMatrix>) {
+        if !self.cluster.transport_is_physical() {
+            return;
+        }
+        let mut live = self.env.resident_rids();
+        live.extend(self.last_values.values().map(DistMatrix::rid));
+        for m in displaced {
+            if !live.contains(&m.rid()) {
+                self.cluster.release(&m);
+            }
+        }
     }
 
     /// Is a name bound?
@@ -306,7 +337,10 @@ impl Session {
     /// (the store's LRU eviction builds on the same release path).
     /// Returns whether the name was bound.
     pub fn drop_matrix(&mut self, name: &str) -> bool {
-        self.env.remove(name)
+        let displaced = self.mirrored(name);
+        let existed = self.env.remove(name);
+        self.release_unshared(displaced);
+        existed
     }
 
     /// The store backing this session's environment (shared with other
@@ -546,19 +580,28 @@ impl Session {
     /// stays hash-partitioned, per the paper), and expose output values.
     /// Store inserts may displace entries to disk; an over-commit or disk
     /// failure there surfaces as the run's error.
+    ///
+    /// Whatever this displaces — overwritten store entries, placements not
+    /// cached, the previous run's outputs — is released on the transport
+    /// once everything new is in place (see [`Session::release_unshared`]).
     fn absorb_outputs(&mut self, program: &Program, outputs: engine::RunOutputs) -> Result<()> {
-        if self.planner.exploit_dependencies {
-            for (mid, dist) in outputs.cached_inputs {
-                if let Ok(decl) = program.decl(mid) {
+        let mut displaced: Vec<DistMatrix> = Vec::new();
+        for (mid, dist) in outputs.cached_inputs {
+            match program.decl(mid) {
+                Ok(decl) if self.planner.exploit_dependencies => {
+                    displaced.extend(self.mirrored(&decl.name));
                     self.env.insert(&decl.name, dist)?;
                 }
+                _ => displaced.push(dist),
             }
         }
         for (name, dist) in outputs.stored {
+            displaced.extend(self.mirrored(&name));
             self.env.insert(&name, dist)?;
         }
-        self.last_values = outputs.matrices;
+        displaced.extend(std::mem::replace(&mut self.last_values, outputs.matrices).into_values());
         self.last_scalars = outputs.scalars;
+        self.release_unshared(displaced);
         Ok(())
     }
 

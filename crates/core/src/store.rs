@@ -441,6 +441,17 @@ impl SharedStore {
         }
     }
 
+    /// Rids of the entries currently resident — the values a session must
+    /// not release on its transport however many handles it has dropped.
+    pub fn resident_rids(&self) -> HashSet<u64> {
+        let g = self.lock();
+        let resident = g.entries.values().filter_map(|e| match &e.payload {
+            Payload::Resident(m) => Some(m.rid()),
+            Payload::Spilled { .. } => None,
+        });
+        resident.collect()
+    }
+
     /// Remove an entry, releasing its blocks eagerly. Returns whether it
     /// existed. Pinned entries are removable — pins protect against
     /// *displacement*, not explicit drops by the owner.

@@ -25,6 +25,12 @@ pub enum MatrixError {
     InvalidBlockSize(usize),
     /// A sparse block's internal arrays were inconsistent.
     MalformedSparse(String),
+    /// A tile product needed the input tile pair at shared-dimension block
+    /// `k` and one of the two was not where the caller's lookup said.
+    MissingTile {
+        /// The shared-dimension block index of the absent tile.
+        k: usize,
+    },
     /// Cell-wise division encountered a zero divisor and the caller asked
     /// for strict semantics.
     DivisionByZero {
@@ -48,6 +54,7 @@ impl fmt::Display for MatrixError {
             ),
             MatrixError::InvalidBlockSize(m) => write!(f, "invalid block size {m}"),
             MatrixError::MalformedSparse(msg) => write!(f, "malformed sparse block: {msg}"),
+            MatrixError::MissingTile { k } => write!(f, "missing input tile at k={k}"),
             MatrixError::DivisionByZero { index } => {
                 write!(
                     f,

@@ -8,7 +8,10 @@
 //! * the **In-Place** aggregation strategy for multiplication: the block
 //!   products contributing to one result block are packaged into a single
 //!   task that folds them into one pooled accumulator — no intermediate
-//!   product blocks are ever materialised.
+//!   product blocks are ever materialised. [`fold_tile`] is that fold and
+//!   [`finish_tile`] its result-representation rule; every multiply in the
+//!   workspace, local or distributed, simulated or in a worker process,
+//!   reaches [`Block::matmul_acc`] through them.
 //!
 //! The paper's Figure 7 compares In-Place against the naive **Buffer**
 //! strategy (materialise all `MA × NA × NB` intermediate block products,
@@ -39,6 +42,93 @@ pub enum AggregationMode {
     /// One task per block product; all intermediates buffered, then summed
     /// (the baseline of Figure 7).
     Buffer,
+}
+
+/// The In-Place tile fold of Figure 4 — the one place a result tile's
+/// block products are accumulated, for every executor in the workspace
+/// (this crate's [`LocalExecutor`], the simulated cluster's RMM / CPMM /
+/// SUMMA, and the `dmac-workerd` daemon).
+///
+/// Folds `Σ_k A[·,k]·B[k,·]` into one accumulator acquired from `pool`,
+/// visiting `ks` in the order given (callers pass ascending `k`, which
+/// fixes the f64 summation order) and skipping every term where either
+/// tile is all-zero. `at` / `bt` look the two tiles of a term up; a lookup
+/// that comes back empty is [`MatrixError::MissingTile`] naming `k`.
+/// Returns the accumulator, or `None` when no term contributed. On every
+/// path that does not hand the accumulator to the caller — an error, or no
+/// contribution — it goes back to the pool.
+pub fn fold_tile<'t>(
+    pool: &ResultBufferPool,
+    (rows, cols): (usize, usize),
+    ks: impl IntoIterator<Item = usize>,
+    mut at: impl FnMut(usize) -> Option<&'t Block>,
+    mut bt: impl FnMut(usize) -> Option<&'t Block>,
+) -> Result<Option<DenseBlock>> {
+    let mut acc = pool.acquire(rows, cols);
+    let mut touched = false;
+    for k in ks {
+        let term = match (at(k), bt(k)) {
+            (Some(a), Some(b)) if a.nnz() == 0 || b.nnz() == 0 => continue,
+            (Some(a), Some(b)) => a.matmul_acc(b, &mut acc),
+            _ => Err(MatrixError::MissingTile { k }),
+        };
+        if let Err(e) = term {
+            pool.release(acc);
+            return Err(e);
+        }
+        touched = true;
+    }
+    if !touched {
+        pool.release(acc);
+        return Ok(None);
+    }
+    Ok(Some(acc))
+}
+
+/// The result-representation rule of a finished fold: a tile with fewer
+/// than half its cells non-zero is stored CSC and its accumulator goes back
+/// to `pool`; otherwise the accumulator *is* the tile.
+pub fn finish_tile(pool: &ResultBufferPool, acc: DenseBlock) -> Block {
+    if acc.nnz() * 2 < acc.rows() * acc.cols() {
+        let sparse = CscBlock::from_dense(&acc);
+        pool.release(acc);
+        Block::Sparse(sparse)
+    } else {
+        Block::Dense(acc)
+    }
+}
+
+/// One result tile of a multiplication: [`fold_tile`], then
+/// [`finish_tile`] (a fold nothing contributed to is the zero tile).
+pub fn matmul_tile<'t>(
+    pool: &ResultBufferPool,
+    shape: (usize, usize),
+    ks: impl IntoIterator<Item = usize>,
+    at: impl FnMut(usize) -> Option<&'t Block>,
+    bt: impl FnMut(usize) -> Option<&'t Block>,
+) -> Result<Block> {
+    Ok(match fold_tile(pool, shape, ks, at, bt)? {
+        Some(acc) => finish_tile(pool, acc),
+        None => Block::zeros(shape.0, shape.1),
+    })
+}
+
+/// CPMM's phase-2 combine for one output tile: sum the phase-1 partials in
+/// the order given (callers pass ascending source worker) and compact. No
+/// partial at all is the zero tile.
+pub fn combine_partials<'t>(
+    (rows, cols): (usize, usize),
+    partials: impl IntoIterator<Item = &'t DenseBlock>,
+) -> Result<Block> {
+    let mut partials = partials.into_iter();
+    let Some(first) = partials.next() else {
+        return Ok(Block::zeros(rows, cols));
+    };
+    let mut acc = first.clone();
+    for p in partials {
+        acc.add_assign(p)?;
+    }
+    Ok(Block::Dense(acc).compact())
 }
 
 /// A multi-threaded local executor for blocked-matrix operations.
@@ -106,31 +196,10 @@ impl LocalExecutor {
             .flat_map(|bi| (0..b.col_blocks()).map(move |bj| (bi, bj)))
             .collect();
         let results = run_tasks(self.threads, tasks, |(bi, bj)| -> Result<Arc<Block>> {
-            let rows = a.block_rows_of(bi);
-            let cols = b.block_cols_of(bj);
-            let mut acc = self.pool.acquire(rows, cols);
-            let mut touched = false;
-            for bk in 0..a.col_blocks() {
-                let ab = a.block_at(bi, bk);
-                let bb = b.block_at(bk, bj);
-                if ab.nnz() == 0 || bb.nnz() == 0 {
-                    continue;
-                }
-                ab.matmul_acc(bb, &mut acc)?;
-                touched = true;
-            }
-            // Keep the result sparse when it is; otherwise hand the pooled
-            // accumulator over as the result block.
-            let nnz = if touched { acc.nnz() } else { 0 };
-            let dense_cells = rows * cols;
-            let out = if nnz * 2 < dense_cells {
-                let sparse = CscBlock::from_dense(&acc);
-                self.pool.release(acc);
-                Block::Sparse(sparse)
-            } else {
-                Block::Dense(acc)
-            };
-            Ok(Arc::new(out))
+            let shape = (a.block_rows_of(bi), b.block_cols_of(bj));
+            let at = |k| Some(&**a.block_at(bi, k));
+            let bt = |k| Some(&**b.block_at(k, bj));
+            matmul_tile(&self.pool, shape, 0..a.col_blocks(), at, bt).map(Arc::new)
         });
         let blocks = results.into_iter().collect::<Result<Vec<_>>>()?;
         BlockedMatrix::from_blocks(a.rows(), b.cols(), a.block_size(), blocks)
@@ -268,6 +337,110 @@ mod tests {
                 .map(|t| (t / cols, t % cols, (t % 5) as f64 + 1.0)),
         )
         .unwrap()
+    }
+
+    /// Non-negative entries, so no product is `-0.0` and skipping a zero
+    /// tile cannot change a bit relative to multiplying it.
+    fn ramp(rows: usize, cols: usize, block: usize) -> BlockedMatrix {
+        BlockedMatrix::from_fn(rows, cols, block, |i, j| ((i * 3 + j * 5) % 4) as f64).unwrap()
+    }
+
+    fn as_csc(m: &BlockedMatrix) -> BlockedMatrix {
+        let blocks = m
+            .iter_blocks()
+            .map(|(_, _, b)| Arc::new(Block::Sparse(CscBlock::from_dense(&b.to_dense()))))
+            .collect();
+        BlockedMatrix::from_blocks(m.rows(), m.cols(), m.block_size(), blocks).unwrap()
+    }
+
+    #[test]
+    fn fold_matches_reference_bit_for_bit_on_ragged_grids_and_all_pairings() {
+        // 10x7 · 7x9 at block 4: ragged edge tiles on every side and a
+        // ragged last k-panel.
+        let (ad, bd) = (ramp(10, 7, 4), ramp(7, 9, 4));
+        let (a_sparse, b_sparse) = (as_csc(&ad), as_csc(&bd));
+        let pool = ResultBufferPool::new(2);
+        for a in [&ad, &a_sparse] {
+            for b in [&bd, &b_sparse] {
+                let expect = a.matmul_reference(b).unwrap();
+                for bi in 0..a.row_blocks() {
+                    for bj in 0..b.col_blocks() {
+                        let tile = matmul_tile(
+                            &pool,
+                            (a.block_rows_of(bi), b.block_cols_of(bj)),
+                            0..a.col_blocks(),
+                            |k| Some(&**a.block_at(bi, k)),
+                            |k| Some(&**b.block_at(k, bj)),
+                        )
+                        .unwrap();
+                        let bits = |t: &Block| -> Vec<u64> {
+                            t.to_dense().data().iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&tile), bits(expect.block_at(bi, bj)), "({bi},{bj})");
+                        // The representation rule: sparse iff nnz·2 < cells.
+                        let cells = tile.rows() * tile.cols();
+                        assert_eq!(tile.is_sparse(), tile.nnz() * 2 < cells, "({bi},{bj})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_zero_tiles_are_skipped_without_touching_the_accumulator() {
+        // The zero tile has the wrong shape: multiplying it would be a
+        // DimensionMismatch, so an Ok result proves the term was skipped.
+        let misfit = Block::zeros(5, 5);
+        let two = Block::Dense(DenseBlock::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap());
+        let pool = ResultBufferPool::new(1);
+        let none = fold_tile(&pool, (2, 2), 0..3, |_| Some(&misfit), |_| Some(&two)).unwrap();
+        assert!(none.is_none(), "no term contributed");
+        assert_eq!(pool.stats().outstanding(), 0);
+        let tile = matmul_tile(
+            &pool,
+            (2, 2),
+            0..2,
+            |k| Some(if k == 0 { &misfit } else { &two }),
+            |_| Some(&two),
+        )
+        .unwrap();
+        let expect = two.to_dense().matmul(&two.to_dense()).unwrap();
+        assert_eq!(tile.to_dense(), expect);
+    }
+
+    #[test]
+    fn missing_tile_is_typed_names_k_and_returns_the_accumulator() {
+        let t = Block::Dense(DenseBlock::from_vec(1, 1, vec![2.0]).unwrap());
+        let pool = ResultBufferPool::new(1);
+        let err = matmul_tile(
+            &pool,
+            (1, 1),
+            0..4,
+            |k| (k != 2).then_some(&t),
+            |_| Some(&t),
+        );
+        assert_eq!(err, Err(MatrixError::MissingTile { k: 2 }));
+        assert_eq!(pool.stats().outstanding(), 0, "{:?}", pool.stats());
+        // A kernel error mid-fold hands the accumulator back too.
+        let wide = Block::dense_zeros(1, 3).add_scalar(1.0);
+        assert!(fold_tile(&pool, (1, 1), 0..1, |_| Some(&t), |_| Some(&wide)).is_err());
+        assert_eq!(pool.stats().outstanding(), 0, "{:?}", pool.stats());
+    }
+
+    #[test]
+    fn combine_sums_in_the_given_order_and_compacts() {
+        let d = |v: f64| {
+            let mut b = DenseBlock::zeros(3, 3);
+            b.set(0, 0, v).unwrap();
+            b
+        };
+        assert_eq!(combine_partials((3, 3), []).unwrap(), Block::zeros(3, 3));
+        // (1e16 + 1) + 1 != 1e16 + (1 + 1): the left fold is observable.
+        let parts = [d(1e16), d(1.0), d(1.0)];
+        let sum = combine_partials((3, 3), &parts).unwrap();
+        assert!(sum.is_sparse(), "one cell of nine compacts to CSC");
+        assert_eq!(sum.get(0, 0).unwrap(), (1e16 + 1.0) + 1.0);
+        assert_ne!(sum.get(0, 0).unwrap(), 1e16 + 2.0);
     }
 
     #[test]

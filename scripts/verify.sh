@@ -23,6 +23,11 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
+echo "==> one tile fold (no matmul_acc call outside dmac-matrix's exec::fold_tile)"
+# A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
+# would not do: errexit ignores a negated command).
+if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
+
 echo "==> cargo test (workspace)"
 # Includes what used to be separate gates: the lint + plan-verifier sweep
 # (tests/lint_sweep.rs), the real-cluster conformance and leak checks

@@ -63,6 +63,7 @@ fn sigkilled_worker_recovers_bit_identically() {
         !healthy_report.recovery.any(),
         "healthy run must not recover"
     );
+    let healthy_resident = healthy.transport_stats().resident_values;
     healthy.shutdown_transport().unwrap();
 
     for (host, after_ops) in [(1, 3), (2, 7), (1, 11)] {
@@ -82,6 +83,15 @@ fn sigkilled_worker_recovers_bit_identically() {
         assert_eq!(
             h, h0,
             "host {host} after {after_ops} ops: H diverged from healthy run"
+        );
+        // Recovery strands nothing on the survivors: the shards of every
+        // pre-remap value were freed before the coordinator forgot them,
+        // replayed intermediates were released again, and what is left is
+        // exactly what a healthy run leaves resident.
+        assert_eq!(
+            s.transport_stats().resident_values,
+            healthy_resident,
+            "host {host} after {after_ops} ops: values stranded on the survivors"
         );
         // The dead process stays dead; survivors shut down cleanly.
         s.shutdown_transport().unwrap();

@@ -250,3 +250,67 @@ fn triangles_is_byte_exact_on_sockets() {
         (report, vec![], vec![count])
     });
 }
+
+/// A long session must not grow the workers' memory: every
+/// `PageRank::run` re-binds `link` and `D` and supersedes the previous
+/// run's `rank`, and each value so displaced has to be released on the
+/// worker processes, not merely dropped at the coordinator. The
+/// coordinator's resident set therefore levels off after the second run
+/// (the first starts from an empty store), while nothing still needed is
+/// released — installs per run do not grow and every run stays
+/// bit-identical to the simulator's.
+#[test]
+fn repeated_runs_do_not_strand_values_on_the_workers() {
+    let nodes = 48;
+    let g = dmac::data::powerlaw_graph(nodes, 320, BLOCK, 5);
+    let cfg = PageRank {
+        nodes,
+        link_sparsity: 320.0 / (nodes as f64 * nodes as f64),
+        damping: 0.85,
+        iterations: 3,
+    };
+    let build = |socket: bool| {
+        let b = Session::builder()
+            .workers(4)
+            .local_threads(2)
+            .block_size(BLOCK)
+            .seed(7);
+        if socket {
+            b.socket_transport(SocketOptions::default())
+                .try_build()
+                .expect("4 worker processes must launch")
+        } else {
+            b.build()
+        }
+    };
+    let (mut sim, mut sock) = (build(false), build(true));
+    let mut resident = Vec::new();
+    let mut installed = Vec::new();
+    for run in 1..=6 {
+        let before = sock.transport_stats();
+        let (_, hs) = cfg.run(&mut sim, &g).unwrap();
+        let (_, hk) = cfg.run(&mut sock, &g).unwrap();
+        assert_eq!(
+            bits(&sim.value(hs.rank).unwrap()),
+            bits(&sock.value(hk.rank).unwrap()),
+            "run {run}: socket diverged from the simulator"
+        );
+        let physical = sock.value_physical(hk.rank).unwrap().expect("socket");
+        assert_eq!(bits(&physical), bits(&sock.value(hk.rank).unwrap()));
+        let after = sock.transport_stats();
+        resident.push(after.resident_values);
+        installed.push(after.install_bytes - before.install_bytes);
+    }
+    assert!(
+        resident[5] <= resident[1],
+        "resident values per run must level off: {resident:?}"
+    );
+    assert!(resident[5] > 0, "link, D and rank stay resident");
+    assert!(
+        installed[1..].iter().all(|&b| b == installed[1]),
+        "a run re-installs only what it re-binds: {installed:?}"
+    );
+    assert_eq!(sim.transport_stats().resident_values, 0);
+    sock.shutdown_transport()
+        .expect("workers must exit cleanly");
+}
