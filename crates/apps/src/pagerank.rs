@@ -137,7 +137,9 @@ impl PageRank {
     }
 
     /// Run on a session with a given adjacency matrix (row-normalised
-    /// internally).
+    /// internally). Running again on the same session binds the identical
+    /// `link` and `D`, which [`Session::bind`] keeps where the last plan
+    /// left them: only the first run partitions the link matrix.
     pub fn run(
         &self,
         session: &mut Session,

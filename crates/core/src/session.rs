@@ -18,6 +18,7 @@
 //! across concurrent client sessions.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dmac_cluster::{
     Cluster, ClusterConfig, DistMatrix, FaultPlan, NetworkModel, PartitionScheme, SocketOptions,
@@ -279,18 +280,35 @@ impl Session {
     }
 
     /// Bind a local matrix under `name`, reblocking to the session's block
-    /// size and scattering it hash-partitioned (a freshly loaded RDD).
+    /// size.
+    ///
+    /// Binding what is already bound is a compare, not a re-install: when
+    /// `name` is resident in the store and **bit-identical** to `m` (same
+    /// shape and block size, every tile the same representation and equal
+    /// by [`f64::to_bits`]), nothing changes — the entry keeps its value,
+    /// the placement the last plan adopted for it, and the shards the
+    /// worker processes already hold, so the next plan does not partition
+    /// it again. Anything else (unbound, spilled to the disk tier, any
+    /// differing bit) replaces the entry with `m` scattered
+    /// hash-partitioned, a freshly loaded RDD. The compare is exact and
+    /// stops at the first difference; tiles shared by `Arc` (a re-bound
+    /// `clone()`) are not read at all.
     pub fn bind(&mut self, name: &str, m: BlockedMatrix) -> Result<()> {
         let m = if m.block_size() == self.block_size {
             m
         } else {
             m.reblock(self.block_size)?
         };
+        let held = self.env.peek(name);
+        if held.is_some_and(|d| d.workers() == self.workers() && holds_exactly(&d, &m)) {
+            return Ok(());
+        }
         let dist = self.cluster.load(&m, PartitionScheme::Hash);
         self.bind_dist(name, dist)
     }
 
-    /// Bind an already-distributed matrix (keeps its scheme).
+    /// Bind an already-distributed matrix (keeps its scheme). Always
+    /// replaces the entry, identical or not.
     pub fn bind_dist(&mut self, name: &str, m: DistMatrix) -> Result<()> {
         let displaced = self.mirrored(name);
         self.env.insert(name, m)?;
@@ -662,6 +680,20 @@ impl Session {
     }
 }
 
+/// Does `held` hold exactly the content of `m` — same shape and block
+/// size, and every tile of `m` present where `held`'s scheme places it,
+/// either the same allocation or equal by `Block::bits_eq`?
+fn holds_exactly(held: &DistMatrix, m: &BlockedMatrix) -> bool {
+    (held.rows(), held.cols(), held.block_size()) == (m.rows(), m.cols(), m.block_size())
+        && m.iter_blocks().all(|(bi, bj, tile)| {
+            // A Broadcast matrix has no single owner: every worker holds
+            // every tile, so worker 0's copy stands for all of them.
+            let w = held.owner_of(bi, bj).unwrap_or(0);
+            held.block_on(w, bi, bj)
+                .is_some_and(|t| Arc::ptr_eq(t, tile) || t.bits_eq(tile))
+        })
+}
+
 /// Render the estimator's view of a plan: predicted output nnz and
 /// density class for every matrix-producing step.
 fn explain_sparsity(plan: &Plan, program: &Program) -> String {
@@ -890,6 +922,206 @@ mod tests {
         assert!(!s.drop_matrix("A"));
         assert_eq!(s.shared_store().stats().bytes, 0);
         assert!(!s.is_bound("A"));
+    }
+
+    /// `x · A` with `x` a fresh random row: the plan wants `A` by column.
+    fn row_times(name: &str, n: usize) -> (Program, Expr) {
+        let mut p = Program::new();
+        let a = p.load(name, n, n, 1.0);
+        let x = p.random("x", 1, n);
+        let y = p.matmul(x, a).unwrap();
+        p.output(y);
+        (p, a)
+    }
+
+    fn partitions(s: &Session, p: &Program, input: Expr) -> bool {
+        let plan = s.plan_only(p).unwrap();
+        plan.steps.iter().any(|st| {
+            matches!(st, crate::plan::PlanStep::Partition { src, .. }
+                if plan.nodes[*src].matrix == input.id)
+        })
+    }
+
+    fn rid_of(s: &Session, name: &str) -> u64 {
+        s.shared_store().peek(name).expect("resident").rid()
+    }
+
+    #[test]
+    fn rebinding_identical_content_keeps_value_and_placement() {
+        let mut s = Session::builder().workers(3).block_size(8).build();
+        let a = ramp(24, 24);
+        s.bind("A", a.clone()).unwrap();
+        let (p, ea) = row_times("A", 24);
+        assert!(partitions(&s, &p, ea), "a fresh bind is Hash-placed");
+        s.run(&p).unwrap();
+        let adopted = s.shared_store().scheme_of("A").unwrap();
+        assert_ne!(adopted, PartitionScheme::Hash);
+        let (rid, stats) = (rid_of(&s, "A"), s.shared_store().stats());
+
+        // The same tiles by `Arc`, then equal tiles in fresh allocations.
+        s.bind("A", a.clone()).unwrap();
+        s.bind("A", ramp(24, 24)).unwrap();
+        assert_eq!(rid_of(&s, "A"), rid);
+        assert_eq!(s.shared_store().scheme_of("A"), Some(adopted));
+        assert_eq!(s.shared_store().stats().inserts, stats.inserts);
+        assert!(!partitions(&s, &p, ea), "the adopted placement is reused");
+        let first = s.last_report().unwrap().comm.total_bytes();
+        let second = s.run(&p).unwrap().comm.total_bytes();
+        assert!(second < first, "{second} vs {first}: A must not move again");
+        assert_eq!(rid_of(&s, "A"), rid);
+    }
+
+    #[test]
+    fn rebinding_any_different_bit_replaces() {
+        // All ones but the last cell.
+        let with = |cols: usize, last: f64| {
+            BlockedMatrix::from_fn(8, cols, 4, |i, j| if (i, j) == (7, 7) { last } else { 1.0 })
+                .unwrap()
+        };
+        // The same cells, the last tile stored CSC in place of dense.
+        let last_tile_sparse = {
+            let m = with(8, 0.0);
+            let mut tiles: Vec<_> = m.iter_blocks().map(|(_, _, t)| Arc::clone(t)).collect();
+            let csc = dmac_matrix::CscBlock::from_dense(&tiles[3].to_dense());
+            tiles[3] = Arc::new(dmac_matrix::Block::Sparse(csc));
+            BlockedMatrix::from_blocks(8, 8, 4, tiles).unwrap()
+        };
+        let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        let cases = [
+            ("-0.0 for 0.0", with(8, 0.0), with(8, -0.0)),
+            ("NaN payload", with(8, f64::NAN), with(8, other_nan)),
+            ("representation", with(8, 0.0), last_tile_sparse),
+            ("shape", with(8, 0.0), with(9, 0.0)),
+        ];
+        for (what, first, second) in cases {
+            let mut s = Session::builder().workers(2).block_size(4).build();
+            s.bind("A", first.clone()).unwrap();
+            let (p, _) = row_times("A", 8);
+            s.run(&p).unwrap();
+            let rid = rid_of(&s, "A");
+            assert_ne!(s.shared_store().scheme_of("A"), Some(PartitionScheme::Hash));
+            // Sanity: the first content again is a no-op ...
+            s.bind("A", first).unwrap();
+            assert_eq!(rid_of(&s, "A"), rid, "{what}");
+            // ... the near-identical one is a fresh Hash-placed load.
+            s.bind("A", second.clone()).unwrap();
+            assert_ne!(rid_of(&s, "A"), rid, "{what}");
+            assert_eq!(
+                s.shared_store().scheme_of("A"),
+                Some(PartitionScheme::Hash),
+                "{what}"
+            );
+            let held = s.env_value("A").unwrap();
+            assert!(
+                held.iter_blocks()
+                    .all(|(bi, bj, t)| t.bits_eq(second.block_at(bi, bj))),
+                "{what}: the store must hold the second content"
+            );
+        }
+    }
+
+    #[test]
+    fn rebinding_over_another_block_size_replaces() {
+        let mut s = Session::builder().workers(2).block_size(8).build();
+        let coarse = ramp(16, 16);
+        let fine = coarse.reblock(4).unwrap();
+        s.bind_dist(
+            "A",
+            DistMatrix::from_blocked(&fine, PartitionScheme::Col, 2),
+        )
+        .unwrap();
+        let rid = rid_of(&s, "A");
+        s.bind("A", coarse).unwrap();
+        assert_ne!(rid_of(&s, "A"), rid);
+        assert_eq!(s.shared_store().peek("A").unwrap().block_size(), 8);
+    }
+
+    #[test]
+    fn rebinding_a_spilled_entry_replaces() {
+        let dir = std::env::temp_dir().join(format!("dmac-session-rebind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let a = ramp(16, 16);
+        let one = DistMatrix::from_blocked(&a, PartitionScheme::Hash, 2).logical_bytes();
+        let store = SharedStore::with_capacity_and_disk(one, &dir).unwrap();
+        let mut s = Session::builder()
+            .workers(2)
+            .block_size(8)
+            .store(store.clone())
+            .build();
+        s.bind("A", a.clone()).unwrap();
+        let rid = rid_of(&s, "A");
+        s.bind("B", ramp(16, 16)).unwrap();
+        assert!(store.is_spilled("A"));
+        s.bind("A", a).unwrap();
+        assert!(!store.is_spilled("A"));
+        assert_ne!(rid_of(&s, "A"), rid);
+        assert_eq!(
+            store.stats().loads,
+            0,
+            "the blob is not read back to compare"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rebinding_compares_against_what_the_shared_store_holds_now() {
+        let store = SharedStore::new();
+        let session = || {
+            Session::builder()
+                .workers(2)
+                .block_size(8)
+                .store(store.clone())
+                .build()
+        };
+        let (mut a, mut b) = (session(), session());
+        a.bind("A", ramp(16, 16)).unwrap();
+        let rid = rid_of(&a, "A");
+        // Another session replaces the entry between the two binds.
+        let other = ramp(16, 16).scale(2.0);
+        b.bind("A", other.clone()).unwrap();
+        let theirs = rid_of(&a, "A");
+        assert_ne!(theirs, rid);
+        // Their content again is theirs to keep; ours replaces it.
+        a.bind("A", other).unwrap();
+        assert_eq!(rid_of(&a, "A"), theirs);
+        a.bind("A", ramp(16, 16)).unwrap();
+        assert_ne!(rid_of(&a, "A"), theirs);
+        assert_eq!(
+            a.env_value("A").unwrap().to_dense(),
+            ramp(16, 16).to_dense()
+        );
+    }
+
+    #[test]
+    fn bind_dist_always_replaces() {
+        let mut s = Session::builder().workers(2).block_size(8).build();
+        let a = ramp(16, 16);
+        s.bind("A", a.clone()).unwrap();
+        let held = s.shared_store().peek("A").unwrap();
+        let replaced = s.shared_store().stats().replaced;
+        s.bind_dist("A", held.clone()).unwrap();
+        assert_eq!(s.shared_store().stats().replaced, replaced + 1);
+        let fresh = DistMatrix::from_blocked(&a, PartitionScheme::Row, 2);
+        s.bind_dist("A", fresh.clone()).unwrap();
+        assert_eq!(rid_of(&s, "A"), fresh.rid());
+        assert_eq!(s.shared_store().scheme_of("A"), Some(PartitionScheme::Row));
+    }
+
+    #[test]
+    fn systemml_s_keeps_the_value_but_its_cache_stays_hash() {
+        let mut s = Session::builder()
+            .system(SystemKind::SystemMlS)
+            .workers(3)
+            .block_size(8)
+            .build();
+        s.bind("A", ramp(24, 24)).unwrap();
+        let rid = rid_of(&s, "A");
+        let (p, ea) = row_times("A", 24);
+        s.run(&p).unwrap();
+        s.bind("A", ramp(24, 24)).unwrap();
+        assert_eq!(rid_of(&s, "A"), rid);
+        assert_eq!(s.shared_store().scheme_of("A"), Some(PartitionScheme::Hash));
+        assert!(partitions(&s, &p, ea), "SystemML-S repartitions every run");
     }
 
     #[test]

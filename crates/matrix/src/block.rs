@@ -58,6 +58,38 @@ impl Block {
         }
     }
 
+    /// True when no cell is non-zero — `nnz() == 0` without the full count:
+    /// CSC answers from its item array's length, dense stops at the first
+    /// non-zero cell.
+    pub fn is_all_zero(&self) -> bool {
+        match self {
+            Block::Dense(d) => d.data().iter().all(|v| *v == 0.0),
+            Block::Sparse(s) => s.values().is_empty(),
+        }
+    }
+
+    /// Exact equality: same shape, same representation, every stored value
+    /// equal by [`f64::to_bits`] — so `-0.0` is not `0.0` and a NaN equals
+    /// only its own payload. This is what "the same tile" means to a
+    /// bit-exact system; `==` is too loose. Stops at the first difference.
+    pub fn bits_eq(&self, other: &Block) -> bool {
+        let bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        match (self, other) {
+            (Block::Dense(a), Block::Dense(b)) => {
+                (a.rows(), a.cols()) == (b.rows(), b.cols()) && bits(a.data(), b.data())
+            }
+            (Block::Sparse(a), Block::Sparse(b)) => {
+                (a.rows(), a.cols()) == (b.rows(), b.cols())
+                    && a.col_ptrs() == b.col_ptrs()
+                    && a.row_indices() == b.row_indices()
+                    && bits(a.values(), b.values())
+            }
+            _ => false,
+        }
+    }
+
     /// True if stored sparsely.
     pub fn is_sparse(&self) -> bool {
         matches!(self, Block::Sparse(_))
@@ -312,6 +344,45 @@ mod tests {
                 assert_eq!(acc, expect, "combination failed");
             }
         }
+    }
+
+    #[test]
+    fn is_all_zero_agrees_with_nnz() {
+        let cases = [
+            Block::zeros(2, 3),
+            Block::dense_zeros(2, 3),
+            dense(1, 3, &[0.0, -0.0, 0.0]),
+            dense(1, 3, &[0.0, 0.0, 1.0]),
+            dense(1, 2, &[f64::NAN, 0.0]),
+            sparse(2, 2, &[(1, 1, 4.0)]),
+            Block::zeros(0, 0),
+        ];
+        for b in &cases {
+            assert_eq!(b.is_all_zero(), b.nnz() == 0, "{b:?}");
+        }
+    }
+
+    #[test]
+    fn bits_eq_is_stricter_than_eq() {
+        let a = dense(1, 2, &[0.0, 1.0]);
+        assert!(a.bits_eq(&a.clone()));
+        // `==` calls these equal; the bits differ.
+        let neg = dense(1, 2, &[-0.0, 1.0]);
+        assert_eq!(a, neg);
+        assert!(!a.bits_eq(&neg));
+        // `==` calls a NaN unequal to itself; the bits agree.
+        let nan = dense(1, 1, &[f64::NAN]);
+        assert_ne!(nan, nan.clone());
+        assert!(nan.bits_eq(&nan.clone()));
+        let other_nan = dense(1, 1, &[f64::from_bits(f64::NAN.to_bits() ^ 1)]);
+        assert!(!nan.bits_eq(&other_nan));
+        // Same cells, other representation or other shape.
+        let s = sparse(1, 2, &[(0, 1, 1.0)]);
+        assert!(!a.bits_eq(&s) && !s.bits_eq(&a));
+        assert!(s.bits_eq(&sparse(1, 2, &[(0, 1, 1.0)])));
+        assert!(!s.bits_eq(&sparse(1, 2, &[(0, 0, 1.0)])));
+        assert!(!dense(1, 2, &[0.0; 2]).bits_eq(&dense(2, 1, &[0.0; 2])));
+        assert!(!Block::zeros(1, 2).bits_eq(&Block::zeros(2, 2)));
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub fn fold_tile<'t>(
     let mut touched = false;
     for k in ks {
         let term = match (at(k), bt(k)) {
-            (Some(a), Some(b)) if a.nnz() == 0 || b.nnz() == 0 => continue,
+            (Some(a), Some(b)) if a.is_all_zero() || b.is_all_zero() => continue,
             (Some(a), Some(b)) => a.matmul_acc(b, &mut acc),
             _ => Err(MatrixError::MissingTile { k }),
         };

@@ -39,6 +39,11 @@ fn socket_session(opts: SocketOptions, recovery_attempts: usize) -> Session {
         .expect("worker processes must launch")
 }
 
+/// f64 bit patterns of a gathered matrix (exact comparison, no epsilon).
+fn bits(m: dmac::matrix::BlockedMatrix) -> Vec<u64> {
+    m.to_dense().data().iter().map(|x| x.to_bits()).collect()
+}
+
 /// Run GNMF on the socket backend; returns the W/H factor bit patterns
 /// and the report.
 fn run_gnmf(opts: SocketOptions) -> (Vec<u64>, Vec<u64>, dmac::core::engine::ExecReport, Session) {
@@ -46,9 +51,6 @@ fn run_gnmf(opts: SocketOptions) -> (Vec<u64>, Vec<u64>, dmac::core::engine::Exe
     let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, 8, 5);
     let mut s = socket_session(opts, 3);
     let (report, h) = cfg.run(&mut s, v).unwrap();
-    let bits = |m: dmac::matrix::BlockedMatrix| -> Vec<u64> {
-        m.to_dense().data().iter().map(|x| x.to_bits()).collect()
-    };
     let w = bits(s.value(h.w).unwrap());
     let hh = bits(s.value(h.h).unwrap());
     (w, hh, report, s)
@@ -177,39 +179,54 @@ fn sigkill_without_recovery_is_typed_worker_lost() {
 }
 
 /// Killing a worker *between* runs is detected by the next operation's
-/// liveness poll, and the session keeps working on the survivors.
+/// liveness poll, and the session keeps working on the survivors. The
+/// rerun re-binds the identical `V`, which keeps its store entry and rid —
+/// but the remap made the transport forget every rid, so the kept entry's
+/// shards are installed again under the new assignment: the workers' own
+/// copy of the result is bit-identical, and nothing is stranded or
+/// missing — the resident set is what two healthy runs leave, and stays
+/// there on a further identical re-bind.
 #[test]
 fn kill_between_runs_is_detected_and_survivable() {
     let cfg = gnmf_cfg();
     let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, 8, 5);
+    let mut healthy = socket_session(SocketOptions::default(), 3);
+    cfg.run(&mut healthy, v.clone()).unwrap();
+    cfg.run(&mut healthy, v.clone()).unwrap();
+    let healthy_resident = healthy.transport_stats().resident_values;
+    healthy.shutdown_transport().unwrap();
+
     let mut s = socket_session(SocketOptions::default(), 3);
     let (_, first) = cfg.run(&mut s, v.clone()).unwrap();
-    let w_before: Vec<u64> = s
-        .value(first.w)
-        .unwrap()
-        .to_dense()
-        .data()
-        .iter()
-        .map(|x| x.to_bits())
-        .collect();
+    let w_before = bits(s.value(first.w).unwrap());
 
     assert!(
         s.cluster_mut().debug_kill_host(2),
         "host 2 must be killable"
     );
-    let (report, second) = cfg.run(&mut s, v).unwrap();
-    assert!(
-        report.recovery.recovery_rounds >= 1,
-        "the dead host must have been noticed and recovered from"
-    );
-    let w_after: Vec<u64> = s
-        .value(second.w)
-        .unwrap()
-        .to_dense()
-        .data()
-        .iter()
-        .map(|x| x.to_bits())
-        .collect();
-    assert_eq!(w_before, w_after, "recovered rerun diverged");
+    for rerun in 1..=2 {
+        let (report, h) = cfg.run(&mut s, v.clone()).unwrap();
+        assert_eq!(
+            report.recovery.recovery_rounds >= 1,
+            rerun == 1,
+            "rerun {rerun}: the dead host is noticed and recovered from once"
+        );
+        assert_eq!(
+            bits(s.value(h.w).unwrap()),
+            w_before,
+            "rerun {rerun} diverged"
+        );
+        let physical = s.value_physical(h.w).unwrap().expect("socket backend");
+        assert_eq!(
+            bits(physical),
+            w_before,
+            "rerun {rerun}: worker-held W diverged"
+        );
+        assert_eq!(
+            s.transport_stats().resident_values,
+            healthy_resident,
+            "rerun {rerun}: shards stranded on or missing from the survivors"
+        );
+    }
     s.shutdown_transport().unwrap();
 }
