@@ -127,12 +127,7 @@ pub fn tile_wire_len(tile: &Block) -> usize {
     match tile {
         Block::Dense(d) => head + 4 + d.data().len() * 8,
         Block::Sparse(s) => {
-            head + 4
-                + s.col_ptrs().len() * 4
-                + 4
-                + s.row_indices().len() * 4
-                + 4
-                + s.values().len() * 8
+            head + 4 + (s.cols() + 1) * 4 + 4 + s.row_indices().len() * 4 + 4 + s.values().len() * 8
         }
     }
 }
@@ -165,8 +160,8 @@ pub fn push_tile(buf: &mut Vec<u8>, w: usize, bi: usize, bj: usize, tile: &Block
             buf.push(1);
             push_u32(buf, s.rows());
             push_u32(buf, s.cols());
-            push_u32(buf, s.col_ptrs().len());
-            for &p in s.col_ptrs() {
+            push_u32(buf, s.cols() + 1);
+            for p in s.col_ptrs() {
                 buf.extend_from_slice(&p.to_le_bytes());
             }
             push_u32(buf, s.row_indices().len());

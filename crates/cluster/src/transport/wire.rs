@@ -206,7 +206,7 @@ pub fn hash_tile(h: &mut Fnv64, tile: &Block) {
             h.update(&[1u8]);
             h.update_u32(s.rows() as u32);
             h.update_u32(s.cols() as u32);
-            for &p in s.col_ptrs() {
+            for p in s.col_ptrs() {
                 h.update_u32(p);
             }
             for &i in s.row_indices() {

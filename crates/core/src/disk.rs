@@ -172,7 +172,7 @@ pub fn encode_dist(m: &DistMatrix) -> Vec<u8> {
                 push_u32(&mut out, s.rows() as u32);
                 push_u32(&mut out, s.cols() as u32);
                 push_u32(&mut out, s.nnz() as u32);
-                for &p in s.col_ptrs() {
+                for p in s.col_ptrs() {
                     push_u32(&mut out, p);
                 }
                 for &r in s.row_indices() {

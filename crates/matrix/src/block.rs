@@ -73,19 +73,12 @@ impl Block {
     /// only its own payload. This is what "the same tile" means to a
     /// bit-exact system; `==` is too loose. Stops at the first difference.
     pub fn bits_eq(&self, other: &Block) -> bool {
-        let bits = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        };
         match (self, other) {
             (Block::Dense(a), Block::Dense(b)) => {
-                (a.rows(), a.cols()) == (b.rows(), b.cols()) && bits(a.data(), b.data())
-            }
-            (Block::Sparse(a), Block::Sparse(b)) => {
                 (a.rows(), a.cols()) == (b.rows(), b.cols())
-                    && a.col_ptrs() == b.col_ptrs()
-                    && a.row_indices() == b.row_indices()
-                    && bits(a.values(), b.values())
+                    && (a.data().iter().zip(b.data())).all(|(x, y)| x.to_bits() == y.to_bits())
             }
+            (Block::Sparse(a), Block::Sparse(b)) => a.bits_eq(b),
             _ => false,
         }
     }
@@ -103,9 +96,12 @@ impl Block {
         }
     }
 
-    /// Bytes this tile would occupy on the wire / in memory with its current
-    /// representation. This is what the cluster's communication meter counts
-    /// when a tile is shuffled or broadcast.
+    /// Bytes of the arrays this tile holds in memory with its current
+    /// representation: `8·rows·cols` dense, [`CscBlock::actual_bytes`]
+    /// sparse (which for a near-empty tile is less than Figure 5's
+    /// `4(n + 1) + 12·nnz`). This is what the cluster's communication meter
+    /// and the residency ledger count; the exact frame size of a tile on a
+    /// socket is `binfmt::tile_wire_len`, defined over the logical format.
     pub fn actual_bytes(&self) -> usize {
         match self {
             Block::Dense(d) => d.actual_bytes(),
@@ -165,39 +161,11 @@ impl Block {
                 // Merge stored items; f must map (0,0) -> 0 for this to be
                 // sound, which holds for add/sub/cell_mul.
                 let mut trips = Vec::with_capacity(a.nnz() + b.nnz());
-                for j in 0..a.cols() {
-                    let mut ra = a.col_range(j).peekable_items(a);
-                    let mut rb = b.col_range(j).peekable_items(b);
-                    loop {
-                        match (ra.peek(), rb.peek()) {
-                            (Some(&(ia, va)), Some(&(ib, vb))) => {
-                                use std::cmp::Ordering::*;
-                                match ia.cmp(&ib) {
-                                    Less => {
-                                        trips.push((ia as usize, j, f(va, 0.0)));
-                                        ra.next();
-                                    }
-                                    Greater => {
-                                        trips.push((ib as usize, j, f(0.0, vb)));
-                                        rb.next();
-                                    }
-                                    Equal => {
-                                        trips.push((ia as usize, j, f(va, vb)));
-                                        ra.next();
-                                        rb.next();
-                                    }
-                                }
-                            }
-                            (Some(&(ia, va)), None) => {
-                                trips.push((ia as usize, j, f(va, 0.0)));
-                                ra.next();
-                            }
-                            (None, Some(&(ib, vb))) => {
-                                trips.push((ib as usize, j, f(0.0, vb)));
-                                rb.next();
-                            }
-                            (None, None) => break,
-                        }
+                for (j, ra, rb) in merge_by_key(a.columns(), b.columns()) {
+                    let items_a = a.items(ra.unwrap_or(0..0));
+                    let items_b = b.items(rb.unwrap_or(0..0));
+                    for (i, va, vb) in merge_by_key(items_a, items_b) {
+                        trips.push((i, j, f(va.unwrap_or(0.0), vb.unwrap_or(0.0))));
                     }
                 }
                 Ok(Block::Sparse(CscBlock::from_triplets(
@@ -289,33 +257,23 @@ impl Block {
     }
 }
 
-/// Helper: iterate a CSC column range as `(row, value)` pairs with peeking.
-trait PeekableItems {
-    fn peekable_items(self, b: &CscBlock) -> std::iter::Peekable<ColItems<'_>>;
-}
-
-/// Iterator over `(row, value)` items of one CSC column.
-struct ColItems<'a> {
-    block: &'a CscBlock,
-    range: std::ops::Range<usize>,
-}
-
-impl Iterator for ColItems<'_> {
-    type Item = (u32, f64);
-    fn next(&mut self) -> Option<(u32, f64)> {
-        let t = self.range.next()?;
-        Some((self.block.row_indices()[t], self.block.values()[t]))
-    }
-}
-
-impl PeekableItems for std::ops::Range<usize> {
-    fn peekable_items(self, b: &CscBlock) -> std::iter::Peekable<ColItems<'_>> {
-        ColItems {
-            block: b,
-            range: self,
-        }
-        .peekable()
-    }
+/// Merge two streams ascending in their key: every key either holds, once,
+/// with what each side has for it.
+fn merge_by_key<K: Ord + Copy, A, B>(
+    a: impl Iterator<Item = (K, A)>,
+    b: impl Iterator<Item = (K, B)>,
+) -> impl Iterator<Item = (K, Option<A>, Option<B>)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || {
+        let k = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => x.0.min(y.0),
+            (Some(x), None) => x.0,
+            (None, Some(y)) => y.0,
+            (None, None) => return None,
+        };
+        let at_k = a.next_if(|x| x.0 == k).map(|x| x.1);
+        Some((k, at_k, b.next_if(|y| y.0 == k).map(|y| y.1)))
+    })
 }
 
 #[cfg(test)]

@@ -402,10 +402,8 @@ impl BlockedMatrix {
                     }
                 }
                 Block::Sparse(s) => {
-                    for j in 0..s.cols() {
-                        for t in s.col_range(j) {
-                            out.push((r0 + s.row_indices()[t] as usize, c0 + j, s.values()[t]));
-                        }
+                    for (j, r) in s.columns() {
+                        out.extend(s.items(r).map(|(i, v)| (r0 + i, c0 + j, v)));
                     }
                 }
             }

@@ -5,22 +5,47 @@
 //! *column start index* array whose `j`-th entry is the offset of the first
 //! item of column `j` (with a final sentinel equal to `nnz`).
 //!
+//! # Packed columns
+//!
+//! On a graph cut into tiles the column start array *is* the tile: a
+//! 128-wide link tile with 16 items holds 129 pointers that mostly say
+//! "this column is empty". So a tile whose non-empty columns number **fewer
+//! than half** of `cols` keeps pointers for those columns only — an
+//! ascending `nz_cols` id array beside a `col_ptr` of `nz_cols.len() + 1`
+//! entries (Buluç–Gilbert's doubly-compressed columns); every other tile
+//! keeps Figure 5's `cols + 1` array. The rule reads nothing but the
+//! structure and is applied in the one constructor tail every builder ends
+//! in (`with_layout`), so equal structure means equal arrays: derived `==`
+//! and [`CscBlock::bits_eq`] stay exact, no caller can ask for a layout,
+//! and nothing outside the process can tell — the codecs write the logical
+//! array, [`CscBlock::col_ptrs`].
+//!
+//! Every walk over columns goes through [`CscBlock::columns`], which yields
+//! the same items in the same order under either layout, so products are
+//! bit-identical whichever one a tile has.
+//!
 //! The paper's memory model charges `4n + 8mns` bytes for an `m × n` block
 //! of sparsity `s` (4-byte column pointers and 8 bytes per stored item); our
 //! physical layout uses `u32` pointers/indices and `f64` values, and
 //! [`CscBlock::actual_bytes`] reports the real footprint while
 //! [`crate::blocking`] exposes the paper's analytical formula.
 
+use std::ops::Range;
+
 use crate::dense::DenseBlock;
 use crate::error::{MatrixError, Result};
 use crate::mem;
 
 /// A sparse `rows × cols` tile in CSC format.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct CscBlock {
     rows: usize,
     cols: usize,
-    /// `col_ptr[j] .. col_ptr[j+1]` indexes the items of column `j`.
+    /// Packed layout: the ids of the non-empty columns, ascending. Full
+    /// layout: empty.
+    nz_cols: Vec<u32>,
+    /// `col_ptr[c] .. col_ptr[c+1]` indexes the items of column
+    /// `nz_cols[c]` (packed) or of column `c` (full, `cols + 1` entries).
     col_ptr: Vec<u32>,
     /// Row index of each stored item, grouped by column, ascending per column.
     row_idx: Vec<u32>,
@@ -29,19 +54,70 @@ pub struct CscBlock {
 }
 
 impl CscBlock {
-    /// An empty (all-zero) sparse block.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        mem::track_alloc((cols + 1) * 4);
+    /// The tail of every constructor: takes valid CSC arrays with the
+    /// logical `cols + 1` pointer array, keeps pointers only for the
+    /// non-empty columns when fewer than half are non-empty, and registers
+    /// the block with the memory tracker.
+    fn with_layout(
+        rows: usize,
+        cols: usize,
+        col_ptr: Vec<u32>,
+        row_idx: Vec<u32>,
+        values: Vec<f64>,
+    ) -> CscBlock {
+        let occupied = col_ptr.windows(2).filter(|w| w[0] < w[1]).count();
+        let (nz_cols, col_ptr) = if occupied * 2 < cols {
+            let mut ids = Vec::with_capacity(occupied);
+            let mut ptr = Vec::with_capacity(occupied + 1);
+            ptr.push(0);
+            for (j, w) in col_ptr.windows(2).enumerate() {
+                if w[0] < w[1] {
+                    ids.push(j as u32);
+                    ptr.push(w[1]);
+                }
+            }
+            (ids, ptr)
+        } else {
+            (Vec::new(), col_ptr)
+        };
         CscBlock {
             rows,
             cols,
-            col_ptr: vec![0; cols + 1],
-            row_idx: Vec::new(),
-            values: Vec::new(),
+            nz_cols,
+            col_ptr,
+            row_idx,
+            values,
         }
+        .counted()
     }
 
-    /// Build from raw CSC arrays, validating every invariant.
+    /// Charge the memory tracker what [`Drop`] will give back.
+    fn counted(self) -> CscBlock {
+        mem::track_alloc(self.heap_bytes());
+        self
+    }
+
+    /// Bytes the four arrays have allocated (capacity, not length).
+    fn heap_bytes(&self) -> usize {
+        (self.nz_cols.capacity() + self.col_ptr.capacity() + self.row_idx.capacity()) * 4
+            + self.values.capacity() * 8
+    }
+
+    /// True when only the non-empty columns have pointers: under half of
+    /// `cols` of them, so at most `cols` entries where a full tile has
+    /// `cols + 1`.
+    #[inline]
+    fn is_packed(&self) -> bool {
+        self.col_ptr.len() <= self.cols
+    }
+
+    /// An empty (all-zero) sparse block.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Self::with_layout(rows, cols, vec![0; cols + 1], Vec::new(), Vec::new())
+    }
+
+    /// Build from raw CSC arrays — `col_ptr` is the logical `cols + 1`
+    /// array of Figure 5 — validating every invariant.
     ///
     /// # Errors
     /// [`MatrixError::MalformedSparse`] when the arrays are inconsistent
@@ -95,14 +171,7 @@ impl CscBlock {
                 }
             }
         }
-        mem::track_alloc(col_ptr.len() * 4 + row_idx.len() * 4 + values.len() * 8);
-        Ok(CscBlock {
-            rows,
-            cols,
-            col_ptr,
-            row_idx,
-            values,
-        })
+        Ok(Self::with_layout(rows, cols, col_ptr, row_idx, values))
     }
 
     /// Build from `(row, col, value)` triplets (any order; duplicates summed).
@@ -145,14 +214,7 @@ impl CscBlock {
             }
             col_ptr.push(values.len() as u32);
         }
-        mem::track_alloc(col_ptr.len() * 4 + row_idx.len() * 4 + values.len() * 8);
-        Ok(CscBlock {
-            rows,
-            cols,
-            col_ptr,
-            row_idx,
-            values,
-        })
+        Ok(Self::with_layout(rows, cols, col_ptr, row_idx, values))
     }
 
     /// Convert a dense block into CSC, dropping zeros.
@@ -171,23 +233,16 @@ impl CscBlock {
             }
             col_ptr.push(values.len() as u32);
         }
-        mem::track_alloc(col_ptr.len() * 4 + row_idx.len() * 4 + values.len() * 8);
-        CscBlock {
-            rows: d.rows(),
-            cols: d.cols(),
-            col_ptr,
-            row_idx,
-            values,
-        }
+        Self::with_layout(d.rows(), d.cols(), col_ptr, row_idx, values)
     }
 
     /// Materialise as a dense block.
     pub fn to_dense(&self) -> DenseBlock {
         let mut out = DenseBlock::zeros(self.rows, self.cols);
-        for j in 0..self.cols {
-            for t in self.col_range(j) {
-                let i = self.row_idx[t] as usize;
-                out.data_mut()[i * self.cols + j] = self.values[t];
+        let cells = out.data_mut();
+        for (j, r) in self.columns() {
+            for (i, v) in self.items(r) {
+                cells[i * self.cols + j] = v;
             }
         }
         out
@@ -220,26 +275,63 @@ impl CscBlock {
         }
     }
 
-    /// Item range of column `j` into [`Self::row_indices`]/[`Self::values`].
+    /// The columns in ascending order, each as `(j, item range)` into
+    /// [`Self::row_indices`] / [`Self::values`]. A packed tile yields its
+    /// non-empty columns only, a full one all `cols` — the same items in the
+    /// same order either way.
     #[inline]
-    pub fn col_range(&self, j: usize) -> std::ops::Range<usize> {
-        self.col_ptr[j] as usize..self.col_ptr[j + 1] as usize
+    pub fn columns(&self) -> Columns<'_> {
+        let ptrs = self.col_ptr.windows(2);
+        Columns(if self.is_packed() {
+            Layout::Packed(self.nz_cols.iter().zip(ptrs))
+        } else {
+            Layout::Full(ptrs.enumerate())
+        })
     }
 
-    /// Column `j`'s stored `(row, value)` items, in stored order.
+    /// Item range of column `j` — a binary search on a packed tile, so walk
+    /// with [`Self::columns`] and keep this for single lookups.
     #[inline]
-    fn col_items(&self, j: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
-        let r = self.col_range(j);
+    pub fn col_range(&self, j: usize) -> Range<usize> {
+        let c = if self.is_packed() {
+            match self.nz_cols.binary_search(&(j as u32)) {
+                Ok(c) => c,
+                Err(c) => return self.col_ptr[c] as usize..self.col_ptr[c] as usize,
+            }
+        } else {
+            j
+        };
+        self.col_ptr[c] as usize..self.col_ptr[c + 1] as usize
+    }
+
+    /// The stored `(row, value)` items of an item range, in stored order.
+    #[inline]
+    pub(crate) fn items(
+        &self,
+        r: Range<usize>,
+    ) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
         self.row_idx[r.clone()]
             .iter()
             .zip(&self.values[r])
             .map(|(&i, &v)| (i as usize, v))
     }
 
-    /// The column-start-index array (length `cols + 1`).
-    #[inline]
-    pub fn col_ptrs(&self) -> &[u32] {
-        &self.col_ptr
+    /// The logical column-start-index array of Figure 5 (`cols + 1`
+    /// entries), whichever layout the tile holds. This is what the wire and
+    /// disk formats and the shard checksums are defined over.
+    pub fn col_ptrs(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        let packed = self.is_packed();
+        // Packed columns left of `j`: advances by at most one per step.
+        let mut c = 0;
+        (0..self.cols + 1).map(move |j| {
+            if !packed {
+                return self.col_ptr[j];
+            }
+            if self.nz_cols.get(c).is_some_and(|&id| (id as usize) < j) {
+                c += 1;
+            }
+            self.col_ptr[c]
+        })
     }
 
     /// The row-index array.
@@ -269,9 +361,22 @@ impl CscBlock {
         }
     }
 
-    /// Real bytes used by the three arrays (`4(n+1) + 4·nnz + 8·nnz`).
+    /// Real bytes of the arrays held: `4(n+1) + 12·nnz` in the full layout,
+    /// `4(2c+1) + 12·nnz` for a packed tile with `c` non-empty columns
+    /// (`c < n/2`, so never more than full). An all-zero tile holds 4.
     pub fn actual_bytes(&self) -> usize {
-        self.col_ptr.len() * 4 + self.row_idx.len() * 4 + self.values.len() * 8
+        (self.nz_cols.len() + self.col_ptr.len() + self.row_idx.len()) * 4 + self.values.len() * 8
+    }
+
+    /// Exact equality: same shape, same structure, every stored value equal
+    /// by [`f64::to_bits`]. The layout follows from the structure, so
+    /// comparing the arrays held compares the logical ones.
+    pub fn bits_eq(&self, other: &CscBlock) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols)
+            && self.nz_cols == other.nz_cols
+            && self.col_ptr == other.col_ptr
+            && self.row_idx == other.row_idx
+            && (self.values.iter().zip(&other.values)).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
     /// Transposed copy (CSC of the transpose == CSR of self, re-encoded).
@@ -288,23 +393,15 @@ impl CscBlock {
         let mut cursor = counts;
         let mut row_idx = vec![0u32; self.nnz()];
         let mut values = vec![0.0; self.nnz()];
-        for j in 0..self.cols {
-            for t in self.col_range(j) {
-                let i = self.row_idx[t] as usize;
+        for (j, r) in self.columns() {
+            for (i, v) in self.items(r) {
                 let dst = cursor[i] as usize;
                 row_idx[dst] = j as u32;
-                values[dst] = self.values[t];
+                values[dst] = v;
                 cursor[i] += 1;
             }
         }
-        mem::track_alloc(col_ptr.len() * 4 + row_idx.len() * 4 + values.len() * 8);
-        CscBlock {
-            rows: self.cols,
-            cols: self.rows,
-            col_ptr,
-            row_idx,
-            values,
-        }
+        Self::with_layout(self.cols, self.rows, col_ptr, row_idx, values)
     }
 
     /// `acc += self · other` where `other` is dense; the sparse × dense
@@ -329,9 +426,9 @@ impl CscBlock {
         let c = acc.data_mut();
         // acc[i, :] += v_ik * other[k, :] — columns k ascending, items in
         // stored order, so each cell sees its products in ascending k.
-        for k in 0..self.cols {
+        for (k, r) in self.columns() {
             let brow = &b[k * n..][..n];
-            for (i, v) in self.col_items(k) {
+            for (i, v) in self.items(r) {
                 let crow = &mut c[i * n..][..n];
                 for (c, &b) in crow.iter_mut().zip(brow) {
                     *c += v * b;
@@ -367,6 +464,24 @@ impl CscBlock {
         // running sums of a column stay in registers across that column's
         // items (see `rmatmul_rows`). Ragged tail rows — and the whole
         // `1 × n` PageRank shape — run the one-row instance of that loop.
+        //
+        // This is the one walk that resolves the layout itself, once per
+        // product: the per-column branch inside `Columns::next` cost this
+        // loop 8 % on a full 5 % tile (every other walk reads level).
+        match self.columns().0 {
+            Layout::Full(cols) => self.rmatmul_tiles(cols.map(full_column), other, acc),
+            Layout::Packed(cols) => self.rmatmul_tiles(cols.map(packed_column), other, acc),
+        }
+        Ok(())
+    }
+
+    /// [`Self::rmatmul_dense_acc`] over the tile's columns `cols`.
+    fn rmatmul_tiles(
+        &self,
+        cols: impl Iterator<Item = (usize, Range<usize>)> + Clone,
+        other: &DenseBlock,
+        acc: &mut DenseBlock,
+    ) {
         const ROW_TILE: usize = 8;
         let (oc, n) = (self.rows, self.cols);
         let a = other.data();
@@ -375,25 +490,29 @@ impl CscBlock {
         let a_tiles = a[..full * oc].chunks_exact(ROW_TILE * oc);
         let c_tiles = c[..full * n].chunks_exact_mut(ROW_TILE * n);
         for (a_tile, c_tile) in a_tiles.zip(c_tiles) {
-            self.rmatmul_rows::<ROW_TILE>(a_tile, c_tile);
+            self.rmatmul_rows::<ROW_TILE>(cols.clone(), a_tile, c_tile);
         }
         let a_rows = a[full * oc..].chunks_exact(oc);
         let c_rows = c[full * n..].chunks_exact_mut(n);
         for (a_row, c_row) in a_rows.zip(c_rows) {
-            self.rmatmul_rows::<1>(a_row, c_row);
+            self.rmatmul_rows::<1>(cols.clone(), a_row, c_row);
         }
-        Ok(())
     }
 
     /// `T` rows of `acc += other · self`: `a` holds `T` rows of `other`, `c`
     /// the same `T` rows of `acc`. Each cell starts from its `acc` value and
     /// adds its column's products in stored order, exactly as the plain
     /// `for j, for item, for i` loop does, so the bits are the same.
-    fn rmatmul_rows<const T: usize>(&self, a: &[f64], c: &mut [f64]) {
+    fn rmatmul_rows<const T: usize>(
+        &self,
+        cols: impl Iterator<Item = (usize, Range<usize>)>,
+        a: &[f64],
+        c: &mut [f64],
+    ) {
         let (oc, n) = (self.rows, self.cols);
         let a_rows: [&[f64]; T] = std::array::from_fn(|r| &a[r * oc..(r + 1) * oc]);
-        for j in 0..n {
-            let items = self.col_items(j);
+        for (j, r) in cols {
+            let items = self.items(r);
             if items.len() == 0 {
                 continue;
             }
@@ -432,9 +551,9 @@ impl CscBlock {
         }
         let n = other.cols;
         let c = acc.data_mut();
-        for j in 0..n {
-            for (k, bv) in other.col_items(j) {
-                for (i, av) in self.col_items(k) {
+        for (j, r) in other.columns() {
+            for (k, bv) in other.items(r) {
+                for (i, av) in self.items(self.col_range(k)) {
                     c[i * n + j] += av * bv;
                 }
             }
@@ -467,11 +586,56 @@ impl CscBlock {
     }
 }
 
+/// A copy is a block of its own to the memory tracker: it is charged here
+/// because it will be freed by [`Drop`] like any other.
+impl Clone for CscBlock {
+    fn clone(&self) -> Self {
+        CscBlock {
+            rows: self.rows,
+            cols: self.cols,
+            nz_cols: self.nz_cols.clone(),
+            col_ptr: self.col_ptr.clone(),
+            row_idx: self.row_idx.clone(),
+            values: self.values.clone(),
+        }
+        .counted()
+    }
+}
+
 impl Drop for CscBlock {
     fn drop(&mut self) {
-        mem::track_free(
-            self.col_ptr.capacity() * 4 + self.row_idx.capacity() * 4 + self.values.capacity() * 8,
-        );
+        mem::track_free(self.heap_bytes());
+    }
+}
+
+/// Iterator of [`CscBlock::columns`].
+pub struct Columns<'a>(Layout<'a>);
+
+#[derive(Clone)]
+enum Layout<'a> {
+    Full(std::iter::Enumerate<std::slice::Windows<'a, u32>>),
+    Packed(std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Windows<'a, u32>>),
+}
+
+#[inline]
+fn full_column((j, w): (usize, &[u32])) -> (usize, Range<usize>) {
+    (j, w[0] as usize..w[1] as usize)
+}
+
+#[inline]
+fn packed_column((&j, w): (&u32, &[u32])) -> (usize, Range<usize>) {
+    (j as usize, w[0] as usize..w[1] as usize)
+}
+
+impl Iterator for Columns<'_> {
+    type Item = (usize, Range<usize>);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.0 {
+            Layout::Full(it) => it.next().map(full_column),
+            Layout::Packed(it) => it.next().map(packed_column),
+        }
     }
 }
 
@@ -608,8 +772,172 @@ mod tests {
     fn sparsity_and_bytes() {
         let b = CscBlock::from_triplets(10, 10, vec![(0, 0, 1.0), (5, 5, 1.0)]).unwrap();
         assert!((b.sparsity() - 0.02).abs() < 1e-12);
-        // 11 col ptrs * 4 + 2 * 4 + 2 * 8
-        assert_eq!(b.actual_bytes(), 44 + 8 + 16);
+        // 2 of 10 columns hold items, so packed: (2 ids + 3 ptrs) * 4,
+        // then 2 row indices * 4 + 2 values * 8.
+        assert_eq!(b.actual_bytes(), 20 + 8 + 16);
+        // 5 of 10 is the boundary and stays full: 11 ptrs * 4 + 5 * 12.
+        let half = CscBlock::from_triplets(10, 10, (0..5).map(|j| (j, 2 * j, 1.0))).unwrap();
+        assert_eq!(half.actual_bytes(), 44 + 60);
+        assert_eq!(CscBlock::zeros(128, 128).actual_bytes(), 4);
+    }
+
+    /// Random valid CSC arrays with exactly `occupied` non-empty columns.
+    fn random_csc(
+        rng: &mut crate::rng::SplitMix64,
+        rows: usize,
+        cols: usize,
+        occupied: usize,
+    ) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
+        let mut holds = vec![false; cols];
+        let mut left = occupied;
+        while left > 0 {
+            let j = rng.below(cols);
+            if !holds[j] {
+                holds[j] = true;
+                left -= 1;
+            }
+        }
+        let (mut col_ptr, mut row_idx, mut values) = (vec![0u32], Vec::new(), Vec::new());
+        for held in holds {
+            if held {
+                let first = rng.below(rows);
+                for i in first..rows {
+                    if i == first || rng.chance(0.3) {
+                        row_idx.push(i as u32);
+                        // A stored zero is an item like any other, sign included.
+                        values.push([1.5, -0.0, 0.0, -7.25][rng.below(4)]);
+                    }
+                }
+            }
+            col_ptr.push(values.len() as u32);
+        }
+        (col_ptr, row_idx, values)
+    }
+
+    #[test]
+    fn layout_follows_structure_and_round_trips() {
+        let mut rng = crate::rng::SplitMix64::new(0xC5C);
+        // (rows, cols): square, ragged both ways, odd width, one column.
+        for (rows, cols) in [
+            (8usize, 8usize),
+            (3, 17),
+            (17, 4),
+            (5, 9),
+            (128, 128),
+            (4, 1),
+        ] {
+            // None, one, just under half, exactly half, just over, all.
+            for occupied in [
+                0,
+                1,
+                (cols / 2).saturating_sub(1),
+                cols / 2,
+                cols / 2 + 1,
+                cols,
+            ] {
+                let occupied = occupied.min(cols);
+                let (col_ptr, row_idx, values) = random_csc(&mut rng, rows, cols, occupied);
+                let b = CscBlock::from_csc(
+                    rows,
+                    cols,
+                    col_ptr.clone(),
+                    row_idx.clone(),
+                    values.clone(),
+                )
+                .unwrap();
+                let what = format!("{rows}x{cols}, {occupied} occupied");
+                assert_eq!(b.is_packed(), occupied * 2 < cols, "{what}");
+                assert_eq!(b.col_ptrs().len(), cols + 1, "{what}");
+                assert_eq!(b.col_ptrs().collect::<Vec<_>>(), col_ptr, "{what}");
+                assert_eq!(b.row_indices(), row_idx, "{what}");
+                assert!(
+                    b.values()
+                        .iter()
+                        .zip(&values)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{what}"
+                );
+                let ptr_words = if b.is_packed() {
+                    2 * occupied + 1
+                } else {
+                    cols + 1
+                };
+                assert_eq!(
+                    b.actual_bytes(),
+                    ptr_words * 4 + values.len() * 12,
+                    "{what}"
+                );
+                // Both access paths see the logical columns.
+                for j in 0..cols {
+                    let want = col_ptr[j] as usize..col_ptr[j + 1] as usize;
+                    assert_eq!(b.col_range(j), want, "{what}, column {j}");
+                }
+                let walked: Vec<_> = b.columns().filter(|(_, r)| !r.is_empty()).collect();
+                let want: Vec<_> = (0..cols)
+                    .map(|j| (j, col_ptr[j] as usize..col_ptr[j + 1] as usize))
+                    .filter(|(_, r)| !r.is_empty())
+                    .collect();
+                assert_eq!(walked, want, "{what}");
+                // Through the logical view and back: the same block.
+                let again = CscBlock::from_csc(
+                    rows,
+                    cols,
+                    b.col_ptrs().collect(),
+                    b.row_indices().to_vec(),
+                    b.values().to_vec(),
+                )
+                .unwrap();
+                assert!(
+                    again.bits_eq(&b) && b.transpose().transpose().bits_eq(&b),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_builder_agrees_on_the_layout() {
+        // One item in 2 of 8 columns (packed) and in 6 of 8 (full).
+        for held in [2, 6] {
+            let trips: Vec<_> = (0..held).map(|j| (j % 3, j, j as f64 + 1.0)).collect();
+            let t = CscBlock::from_triplets(3, 8, trips.clone()).unwrap();
+            let mut dense = DenseBlock::zeros(3, 8);
+            for &(i, j, v) in &trips {
+                dense.set(i, j, v).unwrap();
+            }
+            let d = CscBlock::from_dense(&dense);
+            let c = CscBlock::from_csc(
+                3,
+                8,
+                t.col_ptrs().collect(),
+                t.row_indices().to_vec(),
+                t.values().to_vec(),
+            )
+            .unwrap();
+            assert_eq!(t.is_packed(), held == 2);
+            for other in [&d, &c, &t.transpose().transpose(), &t.clone()] {
+                assert_eq!(&t, other);
+                assert!(t.bits_eq(other));
+                assert_eq!(t.actual_bytes(), other.actual_bytes());
+            }
+        }
+        assert_eq!(
+            CscBlock::zeros(3, 8),
+            CscBlock::from_triplets(3, 8, vec![]).unwrap()
+        );
+    }
+
+    #[test]
+    fn mapping_values_to_zero_keeps_structure_and_layout() {
+        for held in [1, 4] {
+            let b = CscBlock::from_triplets(4, 4, (0..held).map(|j| (j, j, 2.0))).unwrap();
+            let z = b.map_values(|_| 0.0);
+            assert_eq!(z.nnz(), held, "stored zeros stay stored");
+            assert_eq!(z.is_packed(), b.is_packed());
+            assert_eq!(z.actual_bytes(), b.actual_bytes());
+            assert!(z.col_ptrs().eq(b.col_ptrs()) && z.row_indices() == b.row_indices());
+            assert!(!z.bits_eq(&b) && z.bits_eq(&b.scale(0.0)));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::error::{MatrixError, Result};
 use crate::mem;
 
 /// A dense `rows × cols` tile stored row-major in a single `Vec<f64>`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct DenseBlock {
     rows: usize,
     cols: usize,
@@ -41,7 +41,7 @@ impl DenseBlock {
                 right: (data.len(), 1),
             });
         }
-        mem::track_alloc(data.len() * 8);
+        mem::track_alloc(data.capacity() * 8);
         Ok(DenseBlock { rows, cols, data })
     }
 
@@ -53,7 +53,7 @@ impl DenseBlock {
                 data.push(f(i, j));
             }
         }
-        mem::track_alloc(data.len() * 8);
+        mem::track_alloc(data.capacity() * 8);
         DenseBlock { rows, cols, data }
     }
 
@@ -335,6 +335,20 @@ impl DenseBlock {
         mem::track_alloc((self.data.capacity() - before) * 8);
         self.rows = rows;
         self.cols = cols;
+    }
+}
+
+/// A copy is a block of its own to the memory tracker: it is charged here
+/// because it will be freed by [`Drop`] like any other.
+impl Clone for DenseBlock {
+    fn clone(&self) -> Self {
+        let data = self.data.clone();
+        mem::track_alloc(data.capacity() * 8);
+        DenseBlock {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
     }
 }
 

@@ -534,15 +534,23 @@ mod tests {
         // holds one accumulator per live task.
         let a = seq(32, 256, 8);
         let b = seq(256, 32, 8);
-        let ex_ip = LocalExecutor::new(2, AggregationMode::InPlace);
-        let guard = crate::mem::PeakGuard::start();
-        let c1 = ex_ip.matmul(&a, &b).unwrap();
-        let ip_peak = guard.peak_delta();
-
-        let ex_buf = LocalExecutor::new(2, AggregationMode::Buffer);
-        let guard = crate::mem::PeakGuard::start();
-        let c2 = ex_buf.matmul(&a, &b).unwrap();
-        let buf_peak = guard.peak_delta();
+        // The counters are process-wide and the tests of this binary run in
+        // parallel: a neighbour allocating inside a measured region inflates
+        // that reading, one freeing deflates it. So each mode is read a few
+        // times and the comparison takes, on either side, the reading a
+        // disturbance would have had to reach every time to fail it falsely.
+        let peak_of = |mode| {
+            let ex = LocalExecutor::new(2, mode);
+            let guard = crate::mem::PeakGuard::start();
+            let c = ex.matmul(&a, &b).unwrap();
+            (guard.peak_delta(), c)
+        };
+        let (mut ip_peak, c1) = peak_of(AggregationMode::InPlace);
+        let (mut buf_peak, c2) = peak_of(AggregationMode::Buffer);
+        for _ in 0..4 {
+            ip_peak = ip_peak.min(peak_of(AggregationMode::InPlace).0);
+            buf_peak = buf_peak.max(peak_of(AggregationMode::Buffer).0);
+        }
 
         assert_eq!(c1.to_dense(), c2.to_dense());
         assert!(

@@ -80,6 +80,25 @@ fn pagerank_steady_state_traffic_excludes_link_matrix() {
     }
 }
 
+/// A graph cut into tiles is mostly near-empty tiles, and a near-empty CSC
+/// tile must not pay for the columns it does not have. This is the repo
+/// benchmark's PageRank graph at an eighth of its side and the same 16
+/// edges per 128 × 128 tile: 12 bytes an edge are the item itself, and the
+/// column structure around it stays under another 12. With a pointer for
+/// every column of every tile it held 44 bytes an edge.
+#[test]
+fn hypersparse_link_tiles_hold_under_24_bytes_per_edge() {
+    let g = dmac::data::powerlaw_graph(2048, 4096, 128, 18);
+    let link = dmac::data::row_normalize(&g).unwrap();
+    let per_edge = link.actual_bytes() as f64 / link.nnz() as f64;
+    assert!(
+        link.nnz() > 4000 && per_edge <= 24.0,
+        "{} bytes for {} edges: {per_edge:.1} B/edge",
+        link.actual_bytes(),
+        link.nnz()
+    );
+}
+
 /// §6.4 (Linear Regression): DMac partitions `V` exactly once for the
 /// whole computation; SystemML-S repartitions it every iteration.
 #[test]

@@ -102,8 +102,8 @@ fn stored(b: &Block) -> Vec<Option<f64>> {
         Block::Dense(d) => d.data().iter().map(|&v| Some(v)).collect(),
         Block::Sparse(s) => {
             let mut grid = vec![None; s.rows() * s.cols()];
-            for j in 0..s.cols() {
-                for t in s.col_range(j) {
+            for (j, r) in s.columns() {
+                for t in r {
                     grid[s.row_indices()[t] as usize * s.cols() + j] = Some(s.values()[t]);
                 }
             }
@@ -187,6 +187,82 @@ fn every_representation_pair_matches_the_naive_loop() {
                         if b.is_sparse() { "csc" } else { "dense" },
                     );
                     check(a, b, &acc, &what);
+                }
+            }
+        }
+    }
+}
+
+/// A sparse operand with items in `occupied` of its columns only, a few per
+/// column — a graph's link tile. Under half the columns makes it packed.
+fn hypersparse(
+    rng: &mut SplitMix64,
+    rows: usize,
+    cols: usize,
+    occupied: usize,
+    special: bool,
+) -> CscBlock {
+    let mut holds = vec![false; cols];
+    for _ in 0..occupied {
+        holds[rng.below(cols)] = true;
+    }
+    let mut col_ptr = vec![0u32];
+    let mut row_idx = Vec::new();
+    let mut values = Vec::new();
+    for &held in &holds {
+        if held {
+            let first = rng.below(rows);
+            for i in first..rows.min(first + 1 + rng.below(3)) {
+                row_idx.push(i as u32);
+                values.push(value(rng, special));
+            }
+        }
+        col_ptr.push(values.len() as u32);
+    }
+    CscBlock::from_csc(rows, cols, col_ptr, row_idx, values).unwrap()
+}
+
+/// Whether a tile keeps pointers for its non-empty columns only: it then
+/// holds fewer bytes than Figure 5's `4(n + 1) + 12·nnz`.
+fn is_packed(s: &CscBlock) -> bool {
+    s.actual_bytes() < 4 * (s.cols() + 1) + 12 * s.nnz()
+}
+
+/// The same contract over packed operands, in every pairing that reads
+/// one: the `1 × n` PageRank row, one 8-row tile, a tile plus ragged tail
+/// and a full block of dense rows against a packed right operand; a packed
+/// left operand against dense; and sparse × sparse with either or both
+/// sides packed.
+#[test]
+fn packed_operands_match_the_naive_loop() {
+    let mut rng = SplitMix64::new(0x9AC4_ED00);
+    for &m in &[1, 8, 11, 128] {
+        for &(k, n) in &[(128, 128), (33, 64), (130, 13), (16, 16)] {
+            for special in [false, true] {
+                let ad = Block::Dense(dense(&mut rng, m, k, special));
+                let bd = Block::Dense(dense(&mut rng, k, n, special));
+                let a_packed = hypersparse(&mut rng, m, k, k / 8 + 1, special);
+                let b_packed = hypersparse(&mut rng, k, n, n / 8 + 1, special);
+                let a_full = sparse(&mut rng, m, k, Fill::Full, special);
+                let b_full = sparse(&mut rng, k, n, Fill::Full, special);
+                assert!(is_packed(&a_packed) && is_packed(&b_packed));
+                assert!(!is_packed(&a_full) && !is_packed(&b_full));
+                let [a_packed, b_packed, a_full, b_full] =
+                    [a_packed, b_packed, a_full, b_full].map(Block::Sparse);
+                let acc = dense(&mut rng, m, n, special);
+                for (a, b, pair) in [
+                    (&ad, &b_packed, "dense · packed"),
+                    (&a_packed, &bd, "packed · dense"),
+                    (&a_packed, &b_packed, "packed · packed"),
+                    (&a_packed, &b_full, "packed · full"),
+                    (&a_full, &b_packed, "full · packed"),
+                ] {
+                    check(
+                        a,
+                        b,
+                        &acc,
+                        &format!("{m}x{k} · {k}x{n} {pair}, special={special}"),
+                    );
                 }
             }
         }
@@ -303,5 +379,56 @@ fn dense_times_csc_keeps_pace_with_csc_times_dense() {
     assert!(
         ratio >= 0.25,
         "dense x csc runs at {ratio:.2} of csc x dense's rate (floor 0.25)"
+    );
+}
+
+/// Release-mode guard run by `scripts/verify.sh` beside the one above: a
+/// `1 × 128` row folded through 128 link-like tiles of 16 items against the
+/// same row through 128 tiles at 5 % (~820 items). Same kernel, same walk,
+/// fifty times the items, so the ratio of the two is host-independent —
+/// and it is what a tile's empty columns cost: with a pointer per column
+/// the near-empty fold sat at 0.10 of the 5 % one, with packed columns it
+/// is at 0.02.
+#[test]
+#[ignore = "timing; run in release by scripts/verify.sh"]
+fn hypersparse_row_fold_keeps_pace() {
+    use std::hint::black_box;
+    use std::time::Instant;
+
+    let mut rng = SplitMix64::new(18);
+    let row = dense(&mut rng, 1, 128, false);
+    let link: Vec<_> = (0..128)
+        .map(|_| hypersparse(&mut rng, 128, 128, 8, false))
+        .collect();
+    let five: Vec<_> = (0..128)
+        .map(|_| sparse(&mut rng, 128, 128, Fill::Frac(0.05), false))
+        .collect();
+    let mut acc = DenseBlock::zeros(1, 128);
+    // Best of several batches: the minimum is the least disturbed one.
+    let mut best_us = |tiles: &[CscBlock]| {
+        (0..9)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..20 {
+                    for tile in tiles {
+                        tile.rmatmul_dense_acc(black_box(&row), &mut acc).unwrap();
+                    }
+                    black_box(&acc);
+                }
+                t.elapsed().as_secs_f64() * 1e6 / 20.0
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (link_us, five_us) = (best_us(&link), best_us(&five));
+    let items = |tiles: &[CscBlock]| tiles.iter().map(CscBlock::nnz).sum::<usize>() / 128;
+    let ratio = link_us / five_us;
+    println!(
+        "1x128 row through 128 tiles: {} items/tile {link_us:.1} us, {} items/tile {five_us:.1} us, ratio {ratio:.3}",
+        items(&link),
+        items(&five),
+    );
+    assert!(
+        ratio <= 0.05,
+        "the near-empty fold costs {ratio:.3} of the 5 % fold (ceiling 0.05)"
     );
 }

@@ -204,6 +204,61 @@ fn binary_tile_messages_round_trip_canonically() {
     }
 }
 
+/// A tile's layout in memory is nobody's business outside the process. A
+/// CSC tile with 2 of its 8 columns occupied keeps pointers for those two
+/// only, yet its `DMB1` frame, its shard checksum and its disk payload are
+/// defined over Figure 5's `cols + 1` pointer array: the three constants
+/// were computed by the commit before packed columns existed, over the
+/// same logical tiles, and decode goes through `from_csc` to the same
+/// block.
+#[test]
+fn packed_tiles_keep_their_external_bytes() {
+    use dmac::cluster::transport::wire::{shard_checksum, Fnv64};
+    use dmac::cluster::{DistMatrix, PartitionScheme};
+    use dmac::core::disk;
+    use dmac::matrix::BlockedMatrix;
+
+    let col_ptr = vec![0, 0, 0, 2, 2, 2, 2, 3, 3];
+    let csc = CscBlock::from_csc(8, 8, col_ptr.clone(), vec![1, 5, 0], vec![0.5, -0.0, 0.25]);
+    let csc = csc.unwrap();
+    // Packed: 2 ids + 3 pointers, not 9 pointers, beside the 3 items.
+    assert_eq!(csc.actual_bytes(), 4 * 5 + 12 * 3);
+    assert_eq!(csc.col_ptrs().collect::<Vec<_>>(), col_ptr);
+    let tile = Block::Sparse(csc);
+
+    let body = binfmt::encode_tiles([(1, 2, 3, &tile)]);
+    assert_eq!(body.len(), 4 + binfmt::tile_wire_len(&tile));
+    assert_eq!(binfmt::tile_wire_len(&tile), 105);
+    let frame = binfmt::encode(r#"{"t":"push"}"#, &body);
+    let trailer = u64::from_le_bytes(frame[frame.len() - 8..].try_into().unwrap());
+    assert_eq!((frame.len(), trailer), (141, 0x39EE_BD77_D28A_1269));
+    let (_, section) = binfmt::decode(&frame).unwrap();
+    let decoded = binfmt::decode_tiles(section).unwrap();
+    assert!(decoded[0].3.bits_eq(&tile) && decoded[0].3.actual_bytes() == tile.actual_bytes());
+    assert_eq!(shard_checksum([((2, 3), &tile)]), 0x1692_F1F3_F76F_56DB);
+
+    let trips = vec![
+        (1, 2, 0.5),
+        (5, 2, 4.0),
+        (0, 6, 0.25),
+        (9, 12, -1.5),
+        (15, 0, 2.0),
+    ];
+    let m = BlockedMatrix::from_triplets(16, 16, 8, trips).unwrap();
+    let dist = DistMatrix::from_blocked(&m, PartitionScheme::Row, 2);
+    let payload = disk::encode_dist(&dist);
+    let mut h = Fnv64::new();
+    h.update(&payload);
+    assert_eq!((payload.len(), h.finish()), (383, 0x0D06_14F0_9F23_04C6));
+    let back = disk::decode_dist(&payload).unwrap();
+    assert_eq!(disk::encode_dist(&back), payload);
+    for w in 0..2 {
+        for (at, tile) in dist.worker_blocks(w) {
+            assert!(back.worker_blocks(w)[at].bits_eq(tile));
+        }
+    }
+}
+
 /// Truncating a binary message (or a bare tile section) at *any* byte
 /// offset is a typed decode error — the structural length checks and the
 /// trailing-checksum placement make every proper prefix invalid.

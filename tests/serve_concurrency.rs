@@ -29,6 +29,70 @@ fn test_server(pool: usize) -> Server {
     .expect("server starts")
 }
 
+/// Submit `script` under each of `sessions`, queued behind a burst the
+/// single executor of `server` is still working through, and return the
+/// writers' responses in the order they arrived.
+///
+/// That the executor *was* busy is proved, not hoped for. Everything goes
+/// down one connection — `stats`, the burst, the writers, `stats` — so one
+/// reader thread admits it in that order and the one executor runs the
+/// queue in that order. If the second `stats`, taken after the last
+/// writer's admission, counts fewer completions over the first than the
+/// burst has jobs, the first writer had not started, and so still held its
+/// claim, when every later writer was admitted. A round in which the burst
+/// did drain first (the reader thread was starved) decides nothing and is
+/// repeated with twice the burst; the verdict never depends on scheduling.
+fn submit_behind_a_busy_executor(
+    server: &Server,
+    tag: usize,
+    script: &str,
+    sessions: &[&str],
+) -> Vec<Response> {
+    let send = |conn: &mut TcpStream, req: Request| write_frame(conn, &req.to_json()).unwrap();
+    let completed = |stats: &dmac::cluster::jsonin::Json| {
+        let counters = stats.get("counters").expect("counters");
+        counters.get("completed").and_then(|c| c.as_u64()).unwrap()
+    };
+    let mut next_tag = tag;
+    let mut burst = 4;
+    loop {
+        let mut conn = TcpStream::connect(server.addr()).expect("connect");
+        send(&mut conn, Request::Stats);
+        for _ in 0..burst {
+            let submit = Request::Submit {
+                session: "burst".into(),
+                script: unique_script(next_tag),
+                deadline_ms: None,
+            };
+            send(&mut conn, submit);
+            next_tag += 1;
+        }
+        for session in sessions {
+            let submit = Request::Submit {
+                session: session.to_string(),
+                script: script.into(),
+                deadline_ms: None,
+            };
+            send(&mut conn, submit);
+        }
+        send(&mut conn, Request::Stats);
+
+        let (mut counts, mut writers) = (Vec::new(), Vec::new());
+        for _ in 0..2 + burst + sessions.len() {
+            let payload = read_frame(&mut conn).unwrap().expect("response");
+            match Response::from_json(&payload).unwrap() {
+                Response::Stats(doc) => counts.push(completed(&doc)),
+                Response::Result(r) if r.stored[0].starts_with('C') => {}
+                writer => writers.push(writer),
+            }
+        }
+        if counts[1] - counts[0] < burst as u64 {
+            return writers;
+        }
+        burst *= 2;
+    }
+}
+
 #[test]
 fn concurrent_clients_match_serial_session_bit_for_bit() {
     let server = test_server(4);
@@ -127,37 +191,15 @@ fn server_traces_equal_a_local_session_run() {
 
 #[test]
 fn concurrent_store_writers_conflict() {
-    // One executor: a burst of same-session jobs keeps it busy, so the
-    // claim taken by the first `store(X...)` submission is still held
-    // when the second one is admitted microseconds later.
     let server = test_server(1);
-
-    let mut burst = TcpStream::connect(server.addr()).expect("connect");
-    for i in 0..4 {
-        let req = Request::Submit {
-            session: "burst".into(),
-            script: unique_script(100 + i),
-            deadline_ms: None,
-        };
-        write_frame(&mut burst, &req.to_json()).unwrap();
-    }
-
-    let mut pipelined = TcpStream::connect(server.addr()).expect("connect");
-    for session in ["w1", "w2"] {
-        let req = Request::Submit {
-            session: session.into(),
-            script: "Xs = random(Xs, 16, 16)\nYs = Xs + Xs\nstore(Ys)\n".into(),
-            deadline_ms: None,
-        };
-        write_frame(&mut pipelined, &req.to_json()).unwrap();
-    }
+    let script = "Xs = random(Xs, 16, 16)\nYs = Xs + Xs\nstore(Ys)\n";
+    let responses = submit_behind_a_busy_executor(&server, 100, script, &["w1", "w2"]);
 
     // Two responses, in whatever order they complete: exactly one
     // result and one `conflict` error.
     let mut kinds = Vec::new();
-    for _ in 0..2 {
-        let payload = read_frame(&mut pipelined).unwrap().expect("response");
-        match Response::from_json(&payload).unwrap() {
+    for response in responses {
+        match response {
             Response::Result(_) => kinds.push("ok"),
             Response::Error { code: c, .. } => {
                 assert_eq!(c, code::CONFLICT);
@@ -169,12 +211,8 @@ fn concurrent_store_writers_conflict() {
     kinds.sort();
     assert_eq!(kinds, ["conflict", "ok"]);
 
-    // Drain the burst responses, then stop.
-    for _ in 0..4 {
-        read_frame(&mut burst).unwrap().expect("burst response");
-    }
-    write_frame(&mut pipelined, &Request::Shutdown.to_json()).unwrap();
-    read_frame(&mut pipelined).unwrap().expect("shutdown ack");
+    let mut cli = Client::connect(server.addr()).expect("connect");
+    cli.shutdown().expect("shutdown");
     server.wait();
 }
 
@@ -404,34 +442,13 @@ fn claim_state_machine_agrees_with_model_under_all_interleavings() {
 fn three_conflicting_writers_serialize_or_reject() {
     let server = test_server(1);
 
-    // Park the single executor behind a burst so the first writer's
-    // claim is still held when the other two are admitted.
-    let mut burst = TcpStream::connect(server.addr()).expect("connect");
-    for i in 0..4 {
-        let req = Request::Submit {
-            session: "burst".into(),
-            script: unique_script(300 + i),
-            deadline_ms: None,
-        };
-        write_frame(&mut burst, &req.to_json()).unwrap();
-    }
-
     let script = "Xr = random(Xr, 24, 24)\nYr = Xr %*% Xr\nstore(Yr)\n";
-    let mut pipelined = TcpStream::connect(server.addr()).expect("connect");
-    for session in ["w1", "w2", "w3"] {
-        let req = Request::Submit {
-            session: session.into(),
-            script: script.into(),
-            deadline_ms: None,
-        };
-        write_frame(&mut pipelined, &req.to_json()).unwrap();
-    }
+    let responses = submit_behind_a_busy_executor(&server, 300, script, &["w1", "w2", "w3"]);
 
     let mut oks = Vec::new();
     let mut conflicts = 0;
-    for _ in 0..3 {
-        let payload = read_frame(&mut pipelined).unwrap().expect("response");
-        match Response::from_json(&payload).unwrap() {
+    for response in responses {
+        match response {
             Response::Result(r) => oks.push(r.golden_fnv),
             Response::Error { code: c, .. } => {
                 assert_eq!(c, code::CONFLICT);
@@ -456,9 +473,6 @@ fn three_conflicting_writers_serialize_or_reject() {
     let local = sess.run(&program).expect("serial replay");
     assert_eq!(oks[0], fnv1a(&local.trace.golden_summary()));
 
-    for _ in 0..4 {
-        read_frame(&mut burst).unwrap().expect("burst response");
-    }
     // With the claim released, a later writer to the same name succeeds
     // and reproduces the same trace digest.
     let mut cli = Client::connect(server.addr()).expect("connect");
