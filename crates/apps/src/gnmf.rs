@@ -64,18 +64,7 @@ impl Gnmf {
         let (mut w, mut h) = (w0, h0);
         for i in 0..self.iterations {
             p.set_phase(i);
-            // H = H * (Wt %*% V) / (Wt %*% W %*% H)
-            let wt_v = p.matmul(w.t(), v)?;
-            let wt_w = p.matmul(w.t(), w)?;
-            let wt_w_h = p.matmul(wt_w, h)?;
-            let h_num = p.cell_mul(h, wt_v)?;
-            h = p.cell_div(h_num, wt_w_h)?;
-            // W = W * (V %*% Ht) / (W %*% H %*% Ht)
-            let v_ht = p.matmul(v, h.t())?;
-            let h_ht = p.matmul(h, h.t())?;
-            let w_h_ht = p.matmul(w, h_ht)?;
-            let w_num = p.cell_mul(w, v_ht)?;
-            w = p.cell_div(w_num, w_h_ht)?;
+            (w, h) = update(p, v, w, h)?;
         }
         p.store(w, "W");
         p.store(h, "H");
@@ -105,18 +94,7 @@ impl Gnmf {
         let v = p.load("V", self.rows, self.cols, self.sparsity);
         let w = p.load("W", self.rows, self.rank, 1.0);
         let h = p.load("H", self.rank, self.cols, 1.0);
-        // H = H * (Wt %*% V) / (Wt %*% W %*% H)
-        let wt_v = p.matmul(w.t(), v)?;
-        let wt_w = p.matmul(w.t(), w)?;
-        let wt_w_h = p.matmul(wt_w, h)?;
-        let h_num = p.cell_mul(h, wt_v)?;
-        let h_new = p.cell_div(h_num, wt_w_h)?;
-        // W = W * (V %*% Ht) / (W %*% H %*% Ht)
-        let v_ht = p.matmul(v, h_new.t())?;
-        let h_ht = p.matmul(h_new, h_new.t())?;
-        let w_h_ht = p.matmul(w, h_ht)?;
-        let w_num = p.cell_mul(w, v_ht)?;
-        let w_new = p.cell_div(w_num, w_h_ht)?;
+        let (w_new, h_new) = update(p, v, w, h)?;
         p.store(w_new, "W");
         p.store(h_new, "H");
         Ok(())
@@ -232,6 +210,22 @@ impl Gnmf {
         let wh = w.matmul_reference(h)?;
         Ok(v.sub(&wh)?.norm2())
     }
+}
+
+/// One multiplicative update: the new `(W, H)` from `V` and the old.
+fn update(p: &mut Program, v: Expr, w: Expr, h: Expr) -> Result<(Expr, Expr)> {
+    // H = H * (Wt %*% V) / (Wt %*% W %*% H)
+    let wt_v = p.matmul(w.t(), v)?;
+    let wt_w = p.matmul(w.t(), w)?;
+    let wt_w_h = p.matmul(wt_w, h)?;
+    let h_num = p.cell_mul(h, wt_v)?;
+    let h = p.cell_div(h_num, wt_w_h)?;
+    // W = W * (V %*% Ht) / (W %*% H %*% Ht)
+    let v_ht = p.matmul(v, h.t())?;
+    let h_ht = p.matmul(h, h.t())?;
+    let w_h_ht = p.matmul(w, h_ht)?;
+    let w_num = p.cell_mul(w, v_ht)?;
+    Ok((p.cell_div(w_num, w_h_ht)?, h))
 }
 
 #[cfg(test)]

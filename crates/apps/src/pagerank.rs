@@ -53,10 +53,7 @@ impl PageRank {
         let mut rank = rank0;
         for i in 0..self.iterations {
             p.set_phase(i);
-            let walk = p.matmul(rank, link)?;
-            let damped = p.scale_const(walk, self.damping)?;
-            let teleport = p.scale_const(d, 1.0 - self.damping)?;
-            rank = p.add(damped, teleport)?;
+            rank = self.update(p, link, d, rank)?;
         }
         p.store(rank, "rank");
         Ok(PageRankProgram { link, rank0, rank })
@@ -78,12 +75,17 @@ impl PageRank {
         let link = p.load("link", self.nodes, self.nodes, self.link_sparsity);
         let d = p.load("D", 1, self.nodes, 1.0);
         let rank = p.load("rank", 1, self.nodes, 1.0);
+        let next = self.update(p, link, d, rank)?;
+        p.store(next, "rank");
+        Ok(())
+    }
+
+    /// One damped walk step: `rank %*% link * damping + D * (1 - damping)`.
+    fn update(&self, p: &mut Program, link: Expr, d: Expr, rank: Expr) -> Result<Expr> {
         let walk = p.matmul(rank, link)?;
         let damped = p.scale_const(walk, self.damping)?;
         let teleport = p.scale_const(d, 1.0 - self.damping)?;
-        let next = p.add(damped, teleport)?;
-        p.store(next, "rank");
-        Ok(())
+        Ok(p.add(damped, teleport)?)
     }
 
     /// Run PageRank one iteration at a time, checkpointing
@@ -109,12 +111,7 @@ impl PageRank {
                 phase as usize
             }
             _ => {
-                let link = dmac_data::row_normalize(adjacency)?;
-                session.bind("link", link)?;
-                let d = BlockedMatrix::from_fn(1, self.nodes, session.block_size(), |_, _| {
-                    1.0 / self.nodes as f64
-                })?;
-                session.bind("D", d)?;
+                self.bind_inputs(session, adjacency)?;
                 let mut init = Program::new();
                 self.build_init(&mut init)?;
                 session.run(&init)?;
@@ -136,6 +133,14 @@ impl PageRank {
         })
     }
 
+    /// Bind the row-normalised `link` and the uniform teleport vector `D`.
+    fn bind_inputs(&self, session: &mut Session, adjacency: &BlockedMatrix) -> Result<()> {
+        session.bind("link", dmac_data::row_normalize(adjacency)?)?;
+        let share = 1.0 / self.nodes as f64;
+        let d = BlockedMatrix::from_fn(1, self.nodes, session.block_size(), |_, _| share)?;
+        session.bind("D", d)
+    }
+
     /// Run on a session with a given adjacency matrix (row-normalised
     /// internally). Running again on the same session binds the identical
     /// `link` and `D`, which [`Session::bind`] keeps where the last plan
@@ -145,12 +150,7 @@ impl PageRank {
         session: &mut Session,
         adjacency: &BlockedMatrix,
     ) -> Result<(ExecReport, PageRankProgram)> {
-        let link = dmac_data::row_normalize(adjacency)?;
-        session.bind("link", link)?;
-        let d = BlockedMatrix::from_fn(1, self.nodes, session.block_size(), |_, _| {
-            1.0 / self.nodes as f64
-        })?;
-        session.bind("D", d)?;
+        self.bind_inputs(session, adjacency)?;
         let mut p = Program::new();
         let handles = self.build(&mut p)?;
         let report = session.run(&p)?;

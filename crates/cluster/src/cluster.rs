@@ -43,7 +43,7 @@ use std::time::Instant;
 use dmac_matrix::exec::{
     combine_partials, fold_tile, matmul_tile, run_tasks, PoolStats, ResultBufferPool,
 };
-use dmac_matrix::{Block, BlockedMatrix, DenseBlock, MatrixError};
+use dmac_matrix::{eval_fused_block, Block, BlockedMatrix, DenseBlock, FusedOp, MatrixError};
 
 use crate::comm::{CommKind, CommStats, NetworkModel, SimClock};
 use crate::dist::{DistMatrix, GridMeta};
@@ -52,9 +52,7 @@ use crate::fault::{FaultEvent, FaultInjector, FaultPlan};
 use crate::kernels;
 use crate::partition::PartitionScheme;
 use crate::trace::{OpSpan, TraceBuffer};
-use crate::transport::{
-    MoveItem, PartialDesc, TileTransform, Transport, TransportStats, UnaryTileOp,
-};
+use crate::transport::{MoveItem, PartialDesc, TileTransform, Transport, TransportStats};
 
 /// One result tile of a stage, keyed by its block coordinates.
 type KeyedTile = ((usize, usize), Arc<Block>);
@@ -1002,85 +1000,45 @@ impl Cluster {
         Ok(())
     }
 
-    /// Shared body of the scheme-aligned per-tile primitives: worker `w`
-    /// maps every tile it holds of `lead` through `tile_op`; the output
-    /// keeps `lead`'s grid and scheme.
-    fn map_aligned(
+    /// The scheme-aligned per-tile primitive (§3.1: communication-free,
+    /// Table 2 cost 0): every worker runs the post-order cell-wise program
+    /// `prog` over its own tiles of `leaves`, which must share one
+    /// Row/Column/Broadcast scheme — a lone leaf may sit in any. A binary
+    /// operator is `[Leaf(0), Leaf(1), op]`, a scalar map `[Leaf(0),
+    /// Scale(c)]`, a planner-fused chain whatever the planner built: one
+    /// output tile each, no intermediate [`DistMatrix`]. The span meters
+    /// zero wire and event bytes under `op` / `label` (`"add"`, `"map"` +
+    /// `"scale"`, `"fused"` + the subsumed operators), so fusing never
+    /// changes the cost-model ledger.
+    pub fn cells(
         &mut self,
-        lead: &DistMatrix,
-        tile_op: impl Fn(&ResultBufferPool, usize, (usize, usize), &Block) -> Result<Block> + Sync,
-    ) -> Result<DistMatrix> {
-        let tiles = self.run_stage(
-            |w| lead.worker_blocks(w).iter().collect(),
-            |pool, w, (&k, tile): (&(usize, usize), &Arc<Block>)| {
-                Ok((k, Arc::new(tile_op(pool, w, k, tile)?)))
-            },
-        )?;
-        Ok(DistMatrix::from_parts(
-            *lead.meta(),
-            lead.scheme(),
-            into_stores(tiles),
-        ))
-    }
-
-    /// Scheme-aligned element-wise operator: both operands must share the
-    /// same Row/Column/Broadcast scheme; each worker combines its own tiles
-    /// with zero communication.
-    pub fn cellwise(&mut self, a: &DistMatrix, b: &DistMatrix, op: CellOp) -> Result<DistMatrix> {
-        let st = self.op_entry(op.name())?;
-        self.aligned(a, b, op.name())?;
-        let out = self.map_aligned(a, |_, w, k, at| {
-            Ok(op.apply(at, aligned_tile(b, w, k, "cellwise")?)?)
-        })?;
-        self.finish_op(st, "", (0, 0), None, out.tile_count(), Some(&out), |t| {
-            t.run_cell(op, a, b, &out).map(|()| 0)
-        })?;
-        Ok(out)
-    }
-
-    /// Fused cell-wise expression: evaluates a whole post-order program of
-    /// scheme-aligned cell-wise operators in one pass per tile, producing a
-    /// single output allocation (from the result buffer pool) instead of one
-    /// intermediate [`DistMatrix`] per operator. Exactly like [`Self::cellwise`]
-    /// it is communication-free: the span meters zero wire and event bytes,
-    /// so fusing never changes the cost-model ledger. `label` names the
-    /// subsumed operators for the flight recorder.
-    pub fn fused_cellwise(
-        &mut self,
-        leaves: &[&DistMatrix],
-        prog: &[dmac_matrix::FusedOp],
+        op: &'static str,
         label: &str,
+        leaves: &[&DistMatrix],
+        prog: &[FusedOp],
     ) -> Result<DistMatrix> {
-        let st = self.op_entry("fused")?;
+        let st = self.op_entry(op)?;
         dmac_matrix::fused::validate_program(prog, leaves.len())?;
         let (first, rest) = leaves.split_first().ok_or_else(|| {
-            ClusterError::Matrix(MatrixError::MalformedSparse("fused: no operands".into()))
+            ClusterError::Matrix(MatrixError::MalformedSparse(format!("{op}: no operands")))
         })?;
         for m in rest {
-            self.aligned(first, m, "fused")?;
+            self.aligned(first, m, op)?;
         }
-        let out = self.map_aligned(first, |pool, w, k, at| {
-            let mut tiles: Vec<&Block> = Vec::with_capacity(leaves.len());
-            tiles.push(at);
-            for m in rest {
-                tiles.push(aligned_tile(m, w, k, "fused")?);
-            }
-            Ok(dmac_matrix::eval_fused_block(prog, &tiles, pool)?)
-        })?;
+        let tiles = self.run_stage(
+            |w| first.worker_blocks(w).iter().collect(),
+            |pool, w, (&k, at): (&(usize, usize), &Arc<Block>)| {
+                let mut tiles: Vec<&Block> = Vec::with_capacity(leaves.len());
+                tiles.push(at);
+                for m in rest {
+                    tiles.push(aligned_tile(m, w, k, op)?);
+                }
+                Ok((k, Arc::new(eval_fused_block(prog, &tiles, pool)?)))
+            },
+        )?;
+        let out = DistMatrix::from_parts(*first.meta(), first.scheme(), into_stores(tiles));
         self.finish_op(st, label, (0, 0), None, out.tile_count(), Some(&out), |t| {
-            t.run_fused(prog, leaves, &out).map(|()| 0)
-        })?;
-        Ok(out)
-    }
-
-    /// Unary per-tile scalar operator ([`UnaryTileOp`]). Local on every
-    /// worker, keeps the scheme.
-    pub fn unary(&mut self, m: &DistMatrix, op: UnaryTileOp) -> Result<DistMatrix> {
-        let st = self.op_entry("map")?;
-        let out = self.map_aligned(m, |_, _, _, tile| Ok(op.apply(tile)))?;
-        let (label, blocks) = (op.name(), out.tile_count());
-        self.finish_op(st, label, (0, 0), None, blocks, Some(&out), |t| {
-            t.run_unary(op, m, &out).map(|()| 0)
+            t.run_fused(op, prog, leaves, &out).map(|()| 0)
         })?;
         Ok(out)
     }
@@ -1161,41 +1119,6 @@ fn aligned_tile<'m>(
     })
 }
 
-/// The element-wise binary operators of §3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellOp {
-    /// Matrix addition.
-    Add,
-    /// Matrix subtraction.
-    Sub,
-    /// Cell-wise multiplication (`*` in the paper's programs).
-    Mul,
-    /// Cell-wise division (`/`).
-    Div,
-}
-
-impl CellOp {
-    /// Operator name for diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            CellOp::Add => "add",
-            CellOp::Sub => "sub",
-            CellOp::Mul => "cell_mul",
-            CellOp::Div => "cell_div",
-        }
-    }
-
-    /// Apply to a pair of tiles.
-    pub fn apply(self, a: &Block, b: &Block) -> dmac_matrix::Result<Block> {
-        match self {
-            CellOp::Add => a.add(b),
-            CellOp::Sub => a.sub(b),
-            CellOp::Mul => a.cell_mul(b),
-            CellOp::Div => a.cell_div(b),
-        }
-    }
-}
-
 /// Distributed reductions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceKind {
@@ -1238,6 +1161,11 @@ mod tests {
 
     fn sample(rows: usize, cols: usize, block: usize) -> BlockedMatrix {
         BlockedMatrix::from_fn(rows, cols, block, |i, j| ((i * cols + j) % 5) as f64 - 1.0).unwrap()
+    }
+
+    /// The one-operator program of an aligned binary.
+    fn binary(op: FusedOp) -> [FusedOp; 3] {
+        [FusedOp::Leaf(0), FusedOp::Leaf(1), op]
     }
 
     #[test]
@@ -1365,9 +1293,13 @@ mod tests {
         let a = sample(6, 6, 3);
         let da = cl.load(&a, PartitionScheme::Row);
         let db = cl.load(&a, PartitionScheme::Col);
-        assert!(cl.cellwise(&da, &db, CellOp::Add).is_err());
+        assert!(cl
+            .cells("add", "", &[&da, &db], &binary(FusedOp::Add))
+            .is_err());
         let db2 = cl.load(&a, PartitionScheme::Row);
-        let c = cl.cellwise(&da, &db2, CellOp::Add).unwrap();
+        let c = cl
+            .cells("add", "", &[&da, &db2], &binary(FusedOp::Add))
+            .unwrap();
         assert_eq!(cl.comm().total_bytes(), 0);
         assert_eq!(
             c.to_blocked().unwrap().to_dense(),
@@ -1382,13 +1314,14 @@ mod tests {
         let b = BlockedMatrix::from_fn(6, 6, 3, |i, j| 1.0 + ((i + j) % 3) as f64).unwrap();
         let da = cl.load(&a, PartitionScheme::Col);
         let db = cl.load(&b, PartitionScheme::Col);
-        for (op, expect) in [
-            (CellOp::Add, a.add(&b).unwrap()),
-            (CellOp::Sub, a.sub(&b).unwrap()),
-            (CellOp::Mul, a.cell_mul(&b).unwrap()),
-            (CellOp::Div, a.cell_div(&b).unwrap()),
+        for (name, op, expect) in [
+            ("add", FusedOp::Add, a.add(&b).unwrap()),
+            ("sub", FusedOp::Sub, a.sub(&b).unwrap()),
+            ("cell_mul", FusedOp::CellMul, a.cell_mul(&b).unwrap()),
+            ("cell_div", FusedOp::CellDiv, a.cell_div(&b).unwrap()),
         ] {
-            let c = cl.cellwise(&da, &db, op).unwrap();
+            let c = cl.cells(name, "", &[&da, &db], &binary(op)).unwrap();
+            assert_eq!(cl.spans().last().unwrap().op, name);
             assert_eq!(c.to_blocked().unwrap().to_dense(), expect.to_dense());
         }
     }
@@ -1398,7 +1331,8 @@ mod tests {
         let mut cl = cluster(2);
         let a = sample(4, 4, 2);
         let da = cl.load(&a, PartitionScheme::Broadcast);
-        let c = cl.unary(&da, UnaryTileOp::Scale(3.0)).unwrap();
+        let prog = [FusedOp::Leaf(0), FusedOp::Scale(3.0)];
+        let c = cl.cells("map", "scale", &[&da], &prog).unwrap();
         c.validate().unwrap();
         assert_eq!(c.scheme(), PartitionScheme::Broadcast);
         assert_eq!(c.to_blocked().unwrap().to_dense(), a.scale(3.0).to_dense());
@@ -1486,7 +1420,7 @@ mod tests {
             Err(ClusterError::WorkerLost(2))
         ));
         assert!(matches!(
-            cl.cellwise(&da, &db, CellOp::Add),
+            cl.cells("add", "", &[&da, &db], &binary(FusedOp::Add)),
             Err(ClusterError::WorkerLost(2))
         ));
         assert!(matches!(

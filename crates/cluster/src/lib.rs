@@ -42,5 +42,5 @@ pub use fault::{CrashPoint, FaultEvent, FaultInjector, FaultPlan};
 pub use partition::PartitionScheme;
 pub use trace::{OpSpan, TraceBuffer};
 pub use transport::socket::{KillAt, SocketOptions, SocketTransport};
-pub use transport::{Transport, TransportStats, UnaryTileOp};
+pub use transport::{Transport, TransportStats};
 pub use twod::{summa, Dist2d, ProcessGrid};

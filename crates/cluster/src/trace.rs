@@ -36,7 +36,7 @@
 pub struct OpSpan {
     /// Primitive name: `"partition"`, `"broadcast"`, `"rehash"`,
     /// `"transpose"`, `"extract"`, `"rmm1"`, `"rmm2"`, `"cpmm"`,
-    /// `"cellwise"`, `"map"`, `"reduce"`, `"refetch"`, …
+    /// `"add"` … `"cell_div"`, `"map"`, `"fused"`, `"reduce"`, `"refetch"`, …
     pub op: &'static str,
     /// Human-readable label (operator label or matrix name).
     pub label: String,

@@ -43,7 +43,7 @@ pub mod workerd;
 
 use dmac_matrix::FusedOp;
 
-use crate::cluster::{CellOp, ReduceKind};
+use crate::cluster::ReduceKind;
 use crate::dist::DistMatrix;
 use crate::error::Result;
 
@@ -108,42 +108,6 @@ pub struct PartialDesc {
     pub dest_w: usize,
     /// Size of the partial in bytes.
     pub bytes: u64,
-}
-
-/// Unary per-tile operators: an enum, not a closure, so the operation
-/// can travel over a wire.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum UnaryTileOp {
-    /// Multiply every cell by a constant.
-    Scale(f64),
-    /// Add a constant to every cell.
-    AddScalar(f64),
-}
-
-impl UnaryTileOp {
-    /// Operator name for diagnostics and the wire.
-    pub fn name(self) -> &'static str {
-        match self {
-            UnaryTileOp::Scale(_) => "scale",
-            UnaryTileOp::AddScalar(_) => "add_scalar",
-        }
-    }
-
-    /// The constant operand.
-    pub fn constant(self) -> f64 {
-        match self {
-            UnaryTileOp::Scale(c) => c,
-            UnaryTileOp::AddScalar(c) => c,
-        }
-    }
-
-    /// Apply to a tile.
-    pub fn apply(self, tile: &dmac_matrix::Block) -> dmac_matrix::Block {
-        match self {
-            UnaryTileOp::Scale(c) => tile.scale(c),
-            UnaryTileOp::AddScalar(c) => tile.add_scalar(c),
-        }
-    }
 }
 
 /// Cumulative byte/frame counters for a transport backend.
@@ -240,25 +204,15 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
         partials: &[PartialDesc],
     ) -> Result<u64>;
 
-    /// Mirror an aligned cell-wise binary operator.
-    fn run_cell(
-        &mut self,
-        op: CellOp,
-        a: &DistMatrix,
-        b: &DistMatrix,
-        out: &DistMatrix,
-    ) -> Result<()>;
-
-    /// Mirror a fused cell-wise program over aligned leaves.
+    /// Mirror a scheme-aligned cell-wise stage ([`crate::Cluster::cells`]):
+    /// `prog` over every output tile's aligned `leaves`, at its owner.
     fn run_fused(
         &mut self,
+        op: &'static str,
         prog: &[FusedOp],
         leaves: &[&DistMatrix],
         out: &DistMatrix,
     ) -> Result<()>;
-
-    /// Mirror a unary per-tile operator.
-    fn run_unary(&mut self, op: UnaryTileOp, src: &DistMatrix, out: &DistMatrix) -> Result<()>;
 
     /// Mirror a distributed reduction. `partials` are the oracle's raw
     /// per-logical-worker fold results (ascending worker order, tiles

@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 
 use dmac_matrix::{Block, FusedOp};
 
-use crate::cluster::{CellOp, ReduceKind};
+use crate::cluster::ReduceKind;
 use crate::dist::{fresh_rid, DistMatrix};
 use crate::error::{ClusterError, Result};
 use crate::json::{JsonArr, JsonObj};
@@ -76,9 +76,7 @@ use crate::partition::PartitionScheme;
 use crate::transport::binfmt;
 use crate::transport::frame::{framed_len, write_frame_bytes, MAX_FRAME};
 use crate::transport::wire;
-use crate::transport::{
-    MoveItem, PartialDesc, TileTransform, Transport, TransportStats, UnaryTileOp,
-};
+use crate::transport::{MoveItem, PartialDesc, TileTransform, Transport, TransportStats};
 
 /// Per output tile `(bi, bj)`: the source workers of its CPMM partials,
 /// ascending.
@@ -1198,31 +1196,9 @@ impl Transport for SocketTransport {
         Ok(payload)
     }
 
-    fn run_cell(
-        &mut self,
-        op: CellOp,
-        a: &DistMatrix,
-        b: &DistMatrix,
-        out: &DistMatrix,
-    ) -> Result<()> {
-        self.op_tick();
-        self.ensure_resident(a)?;
-        self.ensure_resident(b)?;
-        self.run_stage("cellwise", out, None, |tasks| {
-            Outgoing::Json(
-                JsonObj::new()
-                    .str("t", "cell")
-                    .str("op", op.name())
-                    .u64("rid_a", a.rid())
-                    .u64("rid_b", b.rid())
-                    .u64("rid_out", out.rid())
-                    .raw("tasks", tasks),
-            )
-        })
-    }
-
     fn run_fused(
         &mut self,
+        op: &'static str,
         prog: &[FusedOp],
         leaves: &[&DistMatrix],
         out: &DistMatrix,
@@ -1237,7 +1213,7 @@ impl Transport for SocketTransport {
         // Scalar constants ride as a raw f64 body section the program
         // references by slot index; a program without any is plain JSON.
         let (prog_json, consts) = wire::encode_prog_indexed(prog);
-        self.run_stage("fused", out, None, |tasks| {
+        self.run_stage(op, out, None, |tasks| {
             let head = JsonObj::new()
                 .str("t", "fused")
                 .raw("rids", &rids)
@@ -1249,22 +1225,6 @@ impl Transport for SocketTransport {
             } else {
                 Outgoing::Bin(head, binfmt::encode_f64s(&consts))
             }
-        })
-    }
-
-    fn run_unary(&mut self, op: UnaryTileOp, src: &DistMatrix, out: &DistMatrix) -> Result<()> {
-        self.op_tick();
-        self.ensure_resident(src)?;
-        self.run_stage("map", out, None, |tasks| {
-            Outgoing::Json(
-                JsonObj::new()
-                    .str("t", "unary")
-                    .str("op", op.name())
-                    .str("c", &wire::hex_f64(op.constant()))
-                    .u64("rid_in", src.rid())
-                    .u64("rid_out", out.rid())
-                    .raw("tasks", tasks),
-            )
         })
     }
 

@@ -4,11 +4,11 @@
 //! Commands and replies travel as JSON objects inside the
 //! length-prefixed frames of [`crate::transport::frame`]; tile payload
 //! never does — it rides in binary `DMB1` bodies
-//! ([`crate::transport::binfmt`]). The few `f64`/`u64` scalars a control
-//! message carries (a `unary` constant, reduce partials, seal checksums)
-//! are shipped as fixed-width hex renderings of their bit patterns, not
-//! as decimal numbers: the conformance contract is *bit* equality, and
-//! JSON numbers only carry 53 bits exactly.
+//! ([`crate::transport::binfmt`]), like a cell-wise program's constants.
+//! The few `f64`/`u64` scalars a control message carries (reduce partials,
+//! seal checksums) are shipped as fixed-width hex renderings of their bit
+//! patterns, not as decimal numbers: the conformance contract is *bit*
+//! equality, and JSON numbers only carry 53 bits exactly.
 //!
 //! The shard checksum is FNV-1a-64 over a canonical binary encoding:
 //! tiles sorted by `(bi, bj)`, each contributing its coordinates and a
@@ -129,9 +129,9 @@ pub fn field_usize(j: &Json, key: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("frame missing integer '{key}'"))
 }
 
-/// Encode a fused cell-wise program: scalar constants are pulled out
-/// into a slot vector (shipped as a raw little-endian f64 body
-/// section) and ops reference them by index (`{"o":"scale","ci":0}`).
+/// Encode the cell-wise program of a `fused` command (every aligned
+/// stage's): scalar constants go to a slot vector (a raw little-endian f64
+/// body section) and ops reference them by index (`{"o":"scale","ci":0}`).
 pub fn encode_prog_indexed(prog: &[dmac_matrix::FusedOp]) -> (String, Vec<f64>) {
     use dmac_matrix::FusedOp;
     let mut consts = Vec::new();

@@ -5,11 +5,11 @@
 //! `(rid, logical worker)`, executes the kernel commands the coordinator
 //! dispatches — through the *same* functions as the in-process oracle
 //! (the multiply fold and CPMM combine of [`dmac_matrix::exec`], the
-//! reduction order of [`crate::kernels`]), so results are bit-identical
-//! by construction — and proves its state on demand with canonical shard
-//! checksums
-//! ([`crate::transport::wire::shard_checksum`]). All placement, metering
-//! and conformance intelligence stays in the coordinator.
+//! cell-wise program of [`dmac_matrix::eval_fused_block`], the reduction
+//! order of [`crate::kernels`]), so results are bit-identical by
+//! construction — and proves its state on demand with canonical shard
+//! checksums ([`crate::transport::wire::shard_checksum`]). All placement,
+//! metering and conformance intelligence stays in the coordinator.
 //!
 //! ## Protocol
 //!
@@ -59,7 +59,7 @@ use std::time::Duration;
 use dmac_matrix::exec::{combine_partials, fold_tile, matmul_tile, ResultBufferPool};
 use dmac_matrix::{Block, DenseBlock};
 
-use crate::cluster::{CellOp, ReduceKind};
+use crate::cluster::ReduceKind;
 use crate::dist::GridMeta;
 use crate::json::{JsonArr, JsonObj};
 use crate::jsonin::Json;
@@ -67,7 +67,7 @@ use crate::kernels;
 use crate::transport::binfmt;
 use crate::transport::frame::{framed_len, read_frame_bytes, write_frame, write_frame_bytes};
 use crate::transport::wire;
-use crate::transport::{TileTransform, UnaryTileOp};
+use crate::transport::TileTransform;
 
 /// Launch parameters for a worker daemon (mirrors the CLI flags).
 #[derive(Debug, Clone)]
@@ -339,9 +339,7 @@ impl Worker {
             "collect" => self.collect(cmd),
             "seal" => self.seal(cmd),
             "mm" => self.mm(cmd),
-            "cell" => self.cell(cmd),
             "fused" => self.fused(cmd, body),
-            "unary" => self.unary(cmd),
             "cpmm1" => self.cpmm1(cmd),
             "cpmm2" => self.cpmm2(cmd),
             "reduce" => self.reduce(cmd),
@@ -571,28 +569,6 @@ impl Worker {
         Ok(Reply::ok())
     }
 
-    fn cell(&mut self, cmd: &Json) -> Result<Reply, String> {
-        let rid_a = wire::field_u64(cmd, "rid_a")?;
-        let rid_b = wire::field_u64(cmd, "rid_b")?;
-        let rid_out = wire::field_u64(cmd, "rid_out")?;
-        let op = match wire::field_str(cmd, "op")? {
-            "add" => CellOp::Add,
-            "sub" => CellOp::Sub,
-            "cell_mul" => CellOp::Mul,
-            "cell_div" => CellOp::Div,
-            other => return Err(format!("unknown cell op '{other}'")),
-        };
-        let mut store = self.lock()?;
-        for task in wire::field_arr(cmd, "tasks")? {
-            let (w, bi, bj) = task_triple(task)?;
-            let a = tile_of(&store, self.host, rid_a, w, bi, bj)?;
-            let b = tile_of(&store, self.host, rid_b, w, bi, bj)?;
-            let out = op.apply(a, b).map_err(|e| e.to_string())?;
-            store.entry((rid_out, w)).or_default().insert((bi, bj), out);
-        }
-        Ok(Reply::ok())
-    }
-
     fn fused(&mut self, cmd: &Json, body: Option<&[u8]>) -> Result<Reply, String> {
         let rids = wire::field_usize_arr(cmd, "rids")?;
         let rid_out = wire::field_u64(cmd, "rid_out")?;
@@ -612,25 +588,6 @@ impl Worker {
             }
             let out = dmac_matrix::eval_fused_block(&prog, &tiles, &self.pool)
                 .map_err(|e| e.to_string())?;
-            store.entry((rid_out, w)).or_default().insert((bi, bj), out);
-        }
-        Ok(Reply::ok())
-    }
-
-    fn unary(&mut self, cmd: &Json) -> Result<Reply, String> {
-        let rid_in = wire::field_u64(cmd, "rid_in")?;
-        let rid_out = wire::field_u64(cmd, "rid_out")?;
-        let c = wire::parse_hex_f64(wire::field_str(cmd, "c")?)
-            .ok_or_else(|| "bad unary constant".to_string())?;
-        let op = match wire::field_str(cmd, "op")? {
-            "scale" => UnaryTileOp::Scale(c),
-            "add_scalar" => UnaryTileOp::AddScalar(c),
-            other => return Err(format!("unknown unary op '{other}'")),
-        };
-        let mut store = self.lock()?;
-        for task in wire::field_arr(cmd, "tasks")? {
-            let (w, bi, bj) = task_triple(task)?;
-            let out = op.apply(tile_of(&store, self.host, rid_in, w, bi, bj)?);
             store.entry((rid_out, w)).or_default().insert((bi, bj), out);
         }
         Ok(Reply::ok())

@@ -43,14 +43,22 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::sync::Mutex;
 
+use dmac_cluster::transport::binfmt;
 use dmac_cluster::transport::wire::Fnv64;
 use dmac_cluster::{CrashPoint, DistMatrix, FaultPlan, PartitionScheme};
-use dmac_matrix::{Block, CscBlock, DenseBlock};
+use dmac_matrix::Block;
 
 use crate::error::{CoreError, Result};
 
 const BLOB_MAGIC: &[u8; 6] = b"DMBK1\n";
-const DIST_MAGIC: &[u8; 6] = b"DMDM1\n";
+const DIST_MAGIC: &[u8; 6] = b"DMDM2\n";
+/// Fixed head of a matrix payload: magic, four `u64` geometry words, scheme.
+const DIST_HEAD: usize = 6 + 4 * 8 + 1;
+/// The tile section's `w` of a tile every worker holds (Broadcast).
+const REPLICATED: usize = u32::MAX as usize;
+/// Per-worker stores are sized from the head before any tile is placed;
+/// three orders of magnitude above the paper's 4–20 nodes is still cheap.
+const MAX_WORKERS: usize = 1 << 16;
 const MANIFEST_MAGIC: &str = "dmac-manifest v1";
 const PLAN_MAGIC: &str = "dmac-plan v1";
 
@@ -68,44 +76,6 @@ fn disk_err(ctx: &str, e: impl std::fmt::Display) -> CoreError {
 // ---------------------------------------------------------------------------
 // DistMatrix <-> bytes codec
 // ---------------------------------------------------------------------------
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.data.len())
-            .ok_or_else(|| CoreError::Disk("truncated payload".into()))?;
-        let s = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn usize64(&mut self) -> Result<usize> {
-        usize::try_from(self.u64()?).map_err(|e| disk_err("length overflows usize", e))
-    }
-}
 
 fn scheme_tag(s: PartitionScheme) -> u8 {
     match s {
@@ -127,138 +97,78 @@ fn tag_scheme(t: u8) -> Result<PartitionScheme> {
 }
 
 /// Serialise a [`DistMatrix`] — geometry, scheme, and exact per-worker
-/// placement — into a self-describing payload.
+/// placement — into a self-describing payload:
+///
+/// ```text
+/// "DMDM2\n" ∥ rows, cols, block, workers (u64 LE) ∥ scheme u8      39 bytes
+/// DMB1 tile section (`binfmt::encode_tiles`): tiles ascending (bi, bj),
+///     `w` = the worker holding the tile, `u32::MAX` = replicated
+/// ```
+///
+/// The tile bytes are the wire's: one codec, one set of bounds checks.
 pub fn encode_dist(m: &DistMatrix) -> Vec<u8> {
     // Distinct logical tiles with their physical holder. Under
     // Broadcast every worker holds every tile, so one copy is written
     // with the "replicated" sentinel; otherwise each tile lives on
     // exactly one worker (validated placements).
     let broadcast = m.scheme() == PartitionScheme::Broadcast;
-    let mut tiles: Vec<(usize, usize, u32, &Arc<Block>)> = Vec::new();
+    let mut tiles: Vec<(usize, usize, usize, &Block)> = Vec::new();
     let mut seen: HashSet<(usize, usize)> = HashSet::new();
     for w in 0..m.workers() {
         for (&(bi, bj), tile) in m.worker_blocks(w) {
             if seen.insert((bi, bj)) {
-                let owner = if broadcast { u32::MAX } else { w as u32 };
-                tiles.push((bi, bj, owner, tile));
+                let holder = if broadcast { REPLICATED } else { w };
+                tiles.push((holder, bi, bj, tile));
             }
         }
     }
-    tiles.sort_unstable_by_key(|&(bi, bj, _, _)| (bi, bj));
+    tiles.sort_unstable_by_key(|&(_, bi, bj, _)| (bi, bj));
 
     let mut out = Vec::new();
     out.extend_from_slice(DIST_MAGIC);
-    push_u64(&mut out, m.rows() as u64);
-    push_u64(&mut out, m.cols() as u64);
-    push_u64(&mut out, m.block_size() as u64);
-    push_u64(&mut out, m.workers() as u64);
-    out.push(scheme_tag(m.scheme()));
-    push_u64(&mut out, tiles.len() as u64);
-    for (bi, bj, owner, tile) in tiles {
-        push_u64(&mut out, bi as u64);
-        push_u64(&mut out, bj as u64);
-        push_u32(&mut out, owner);
-        match tile.as_ref() {
-            Block::Dense(d) => {
-                out.push(0);
-                push_u32(&mut out, d.rows() as u32);
-                push_u32(&mut out, d.cols() as u32);
-                for v in d.data() {
-                    push_u64(&mut out, v.to_bits());
-                }
-            }
-            Block::Sparse(s) => {
-                out.push(1);
-                push_u32(&mut out, s.rows() as u32);
-                push_u32(&mut out, s.cols() as u32);
-                push_u32(&mut out, s.nnz() as u32);
-                for p in s.col_ptrs() {
-                    push_u32(&mut out, p);
-                }
-                for &r in s.row_indices() {
-                    push_u32(&mut out, r);
-                }
-                for v in s.values() {
-                    push_u64(&mut out, v.to_bits());
-                }
-            }
-        }
+    for v in [m.rows(), m.cols(), m.block_size(), m.workers()] {
+        out.extend_from_slice(&(v as u64).to_le_bytes());
     }
+    out.push(scheme_tag(m.scheme()));
+    out.extend_from_slice(&binfmt::encode_tiles(tiles));
     out
 }
 
 /// Decode a payload produced by [`encode_dist`], validating the
-/// reconstructed placement.
+/// reconstructed placement. Every failure is a typed [`CoreError::Disk`];
+/// nothing is allocated from a count the remaining bytes cannot back
+/// (`binfmt::decode_tiles`), and the head is bounded before the per-worker
+/// stores are sized from it. A `DMDM1` payload (an older build's data dir)
+/// fails the magic check like any foreign bytes — there is no second
+/// decoder; the store's lineage replay is the way back.
 pub fn decode_dist(payload: &[u8]) -> Result<DistMatrix> {
-    let mut c = Cursor {
-        data: payload,
-        pos: 0,
+    if payload.len() < DIST_HEAD || &payload[..DIST_MAGIC.len()] != DIST_MAGIC {
+        return Err(CoreError::Disk("matrix payload is not DMDM2".into()));
+    }
+    // The codec's own coordinates (`w`, `bi`, `bj`, tile dims) are u32:
+    // a wider head word describes nothing the tiles could.
+    let word = |i: usize| -> Result<usize> {
+        let at = DIST_MAGIC.len() + 8 * i;
+        let v = u64::from_le_bytes(payload[at..at + 8].try_into().expect("8-byte slice"));
+        u32::try_from(v)
+            .map(|v| v as usize)
+            .map_err(|e| disk_err("matrix geometry", e))
     };
-    if c.take(DIST_MAGIC.len())? != DIST_MAGIC {
-        return Err(CoreError::Disk("bad matrix payload magic".into()));
+    let (rows, cols, block, workers) = (word(0)?, word(1)?, word(2)?, word(3)?);
+    let scheme = tag_scheme(payload[DIST_HEAD - 1])?;
+    if workers == 0 || workers > MAX_WORKERS {
+        return Err(CoreError::Disk(format!(
+            "implausible worker count {workers}"
+        )));
     }
-    let rows = c.usize64()?;
-    let cols = c.usize64()?;
-    let block = c.usize64()?;
-    let workers = c.usize64()?;
-    let scheme = tag_scheme(c.take(1)?[0])?;
-    let count = c.usize64()?;
-    let mut tiles = Vec::with_capacity(count);
-    for _ in 0..count {
-        let bi = c.usize64()?;
-        let bj = c.usize64()?;
-        let owner = c.u32()?;
-        let owner = if owner == u32::MAX {
-            None
-        } else {
-            Some(owner as usize)
-        };
-        let kind = c.take(1)?[0];
-        let tile = match kind {
-            0 => {
-                let r = c.u32()? as usize;
-                let cc = c.u32()? as usize;
-                let n = r
-                    .checked_mul(cc)
-                    .ok_or_else(|| CoreError::Disk("dense tile size overflow".into()))?;
-                let mut data = Vec::with_capacity(n);
-                for _ in 0..n {
-                    data.push(f64::from_bits(c.u64()?));
-                }
-                Block::Dense(DenseBlock::from_vec(r, cc, data).map_err(CoreError::Matrix)?)
-            }
-            1 => {
-                let r = c.u32()? as usize;
-                let cc = c.u32()? as usize;
-                let nnz = c.u32()? as usize;
-                let mut col_ptr = Vec::with_capacity(cc + 1);
-                for _ in 0..cc + 1 {
-                    col_ptr.push(c.u32()?);
-                }
-                let mut row_idx = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    row_idx.push(c.u32()?);
-                }
-                let mut values = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    values.push(f64::from_bits(c.u64()?));
-                }
-                Block::Sparse(
-                    CscBlock::from_csc(r, cc, col_ptr, row_idx, values)
-                        .map_err(CoreError::Matrix)?,
-                )
-            }
-            other => return Err(CoreError::Disk(format!("unknown tile kind {other}"))),
-        };
-        tiles.push((owner, bi, bj, Arc::new(tile)));
-    }
-    if c.pos != payload.len() {
-        return Err(CoreError::Disk(
-            "trailing bytes after matrix payload".into(),
-        ));
-    }
-    DistMatrix::from_placed_tiles(rows, cols, block, scheme, workers, tiles)
-        .map_err(CoreError::Cluster)
+    let tiles =
+        binfmt::decode_tiles(&payload[DIST_HEAD..]).map_err(|e| disk_err("matrix payload", e))?;
+    let placed = tiles.into_iter().map(|(w, bi, bj, tile)| {
+        let holder = (w != REPLICATED).then_some(w);
+        (holder, bi, bj, Arc::new(tile))
+    });
+    DistMatrix::from_placed_tiles(rows, cols, block, scheme, workers, placed)
+        .map_err(|e| disk_err("matrix placement", e))
 }
 
 // ---------------------------------------------------------------------------
@@ -402,9 +312,18 @@ fn parse_manifest(text: &str) -> Result<Manifest> {
                         fields.len()
                     )));
                 }
+                // The hash becomes a file name under `blocks/`: exactly
+                // what `put_blob` mints, or the entry could name any path.
+                let hash = fields[1];
+                let hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+                if hash.len() != 16 || !hash.bytes().all(hex) {
+                    return Err(CoreError::Disk(format!(
+                        "manifest entry hash '{hash}' is not 16 lowercase hex digits"
+                    )));
+                }
                 entries.push(ManifestEntry {
                     name: unescape_name(fields[0])?,
-                    hash: fields[1].to_string(),
+                    hash: hash.to_string(),
                     bytes: fields[2].parse().map_err(|e| disk_err("entry bytes", e))?,
                     logical_bytes: fields[3]
                         .parse()
@@ -865,6 +784,40 @@ mod tests {
         bytes.truncate(bytes.len() - 3);
         assert!(matches!(decode_dist(&bytes), Err(CoreError::Disk(_))));
         assert!(decode_dist(b"garbage").is_err());
+        // An older build's payload is foreign bytes, not a second format.
+        let mut old = encode_dist(&d);
+        old[..6].copy_from_slice(b"DMDM1\n");
+        assert!(matches!(decode_dist(&old), Err(CoreError::Disk(_))));
+    }
+
+    #[test]
+    fn manifest_hash_must_be_a_blob_name() {
+        let render = |hash: &str| {
+            render_manifest(&Manifest {
+                seq: 1,
+                kind: "checkpoint".into(),
+                phase: 0,
+                entries: vec![ManifestEntry {
+                    name: "m".into(),
+                    hash: hash.into(),
+                    bytes: 3,
+                    logical_bytes: 1,
+                    scheme: PartitionScheme::Row,
+                }],
+            })
+        };
+        assert!(parse_manifest(&render("00000000deadbeef")).is_ok());
+        for bad in [
+            "../../x",
+            "../../../../etc/x",
+            "00000000DEADBEEF",
+            "deadbeef",
+            "00000000deadbeef0",
+            "0000000/deadbeef",
+        ] {
+            let err = parse_manifest(&render(bad)).unwrap_err();
+            assert!(matches!(err, CoreError::Disk(_)), "{bad}: {err}");
+        }
     }
 
     #[test]

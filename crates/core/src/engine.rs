@@ -10,7 +10,7 @@
 //! | `transpose` / `extract` / `reference` | local (free) |
 //! | `compute` RMM1/RMM2 | communication-free local multiply |
 //! | `compute` CPMM | per-worker partials + metered output shuffle |
-//! | `compute` cell-wise / unary | scheme-aligned local work |
+//! | `compute` cell-wise / unary / fused | one scheme-aligned per-tile program ([`Cluster::cells`]) |
 //! | `compute` reduce | local partials + driver combine |
 //!
 //! Around every step the engine snapshots the cluster's byte meter and
@@ -36,12 +36,10 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use dmac_cluster::cluster::{CellOp, ReduceKind};
-use dmac_cluster::{
-    Cluster, ClusterError, CommStats, DistMatrix, PartitionScheme, SimClock, UnaryTileOp,
-};
+use dmac_cluster::cluster::ReduceKind;
+use dmac_cluster::{Cluster, ClusterError, CommStats, DistMatrix, PartitionScheme, SimClock};
 use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, ReduceOp, ScalarId, UnaryOp};
-use dmac_matrix::BlockedMatrix;
+use dmac_matrix::{BlockedMatrix, FusedOp};
 
 use crate::error::{CoreError, Result};
 use crate::plan::{FusedInstr, Plan, PlanStep};
@@ -398,18 +396,16 @@ pub(crate) fn exec_step(
             // Resolve the symbolic scalar expressions now (the plan keeps
             // them symbolic so lineage replay re-reads the live values).
             let scalar_env = |id: ScalarId| -> f64 { *scalars.get(&id).unwrap_or(&f64::NAN) };
-            let kernel: Vec<dmac_matrix::FusedOp> = prog
+            let kernel: Vec<FusedOp> = prog
                 .iter()
                 .map(|instr| match instr {
-                    FusedInstr::Leaf(i) => dmac_matrix::FusedOp::Leaf(*i),
-                    FusedInstr::Add => dmac_matrix::FusedOp::Add,
-                    FusedInstr::Sub => dmac_matrix::FusedOp::Sub,
-                    FusedInstr::CellMul => dmac_matrix::FusedOp::CellMul,
-                    FusedInstr::CellDiv => dmac_matrix::FusedOp::CellDiv,
-                    FusedInstr::Scale(e) => dmac_matrix::FusedOp::Scale(e.eval(&scalar_env)),
-                    FusedInstr::AddScalar(e) => {
-                        dmac_matrix::FusedOp::AddScalar(e.eval(&scalar_env))
-                    }
+                    FusedInstr::Leaf(i) => FusedOp::Leaf(*i),
+                    FusedInstr::Add => FusedOp::Add,
+                    FusedInstr::Sub => FusedOp::Sub,
+                    FusedInstr::CellMul => FusedOp::CellMul,
+                    FusedInstr::CellDiv => FusedOp::CellDiv,
+                    FusedInstr::Scale(e) => FusedOp::Scale(e.eval(&scalar_env)),
+                    FusedInstr::AddScalar(e) => FusedOp::AddScalar(e.eval(&scalar_env)),
                 })
                 .collect();
             let operands = inputs
@@ -427,7 +423,7 @@ pub(crate) fn exec_step(
                 })
                 .collect();
             let label = subsumed.join("+");
-            values[*out] = Some(cluster.fused_cellwise(&refs, &kernel, &label)?);
+            values[*out] = Some(cluster.cells("fused", &label, &refs, &kernel)?);
         }
     }
     Ok(())
@@ -863,29 +859,31 @@ fn run_compute(
                 target,
             )?))
         }
+        // A lone aligned operator is the one-instruction case of the
+        // cell-wise program a fused chain runs: same primitive, same wire
+        // command, and `eval_fused_block` runs it as the `Block` method.
         (OpKind::Binary { op, .. }, S::CellAligned(_)) => {
-            let cell = match op {
-                BinOp::Add => CellOp::Add,
-                BinOp::Sub => CellOp::Sub,
-                BinOp::CellMul => CellOp::Mul,
-                BinOp::CellDiv => CellOp::Div,
+            let (name, instr) = match op {
+                BinOp::Add => ("add", FusedOp::Add),
+                BinOp::Sub => ("sub", FusedOp::Sub),
+                BinOp::CellMul => ("cell_mul", FusedOp::CellMul),
+                BinOp::CellDiv => ("cell_div", FusedOp::CellDiv),
                 BinOp::MatMul => return Err(CoreError::Engine("matmul with cell strategy".into())),
             };
-            Ok(ComputeResult::Matrix(cluster.cellwise(
-                &val(inputs[0])?,
-                &val(inputs[1])?,
-                cell,
-            )?))
+            let (a, b) = (val(inputs[0])?, val(inputs[1])?);
+            let prog = [FusedOp::Leaf(0), FusedOp::Leaf(1), instr];
+            let out = cluster.cells(name, "", &[&a, &b], &prog)?;
+            Ok(ComputeResult::Matrix(out))
         }
         (OpKind::Unary { op, .. }, S::UnaryLocal) => {
             let m = val(inputs[0])?;
-            // The named-operator form (not a closure) keeps scalar maps
-            // mirrorable on physical transport backends.
-            let tile_op = match op {
-                UnaryOp::Scale(s) => UnaryTileOp::Scale(s.eval(&scalar_env)),
-                UnaryOp::AddScalar(s) => UnaryTileOp::AddScalar(s.eval(&scalar_env)),
+            let instr = match op {
+                UnaryOp::Scale(s) => FusedOp::Scale(s.eval(&scalar_env)),
+                UnaryOp::AddScalar(s) => FusedOp::AddScalar(s.eval(&scalar_env)),
             };
-            Ok(ComputeResult::Matrix(cluster.unary(&m, tile_op)?))
+            let prog = [FusedOp::Leaf(0), instr];
+            let out = cluster.cells("map", op.name(), &[&m], &prog)?;
+            Ok(ComputeResult::Matrix(out))
         }
         (OpKind::Reduce { op, .. }, S::ReduceLocal) => {
             let m = val(inputs[0])?;

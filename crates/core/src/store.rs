@@ -156,18 +156,10 @@ struct Inner {
     /// High-water mark of `bytes + external_pressure` over the store's
     /// lifetime.
     peak_footprint: u64,
-    inserts: u64,
-    replaced: u64,
-    evictions: u64,
-    dropped: u64,
-    conflicts: u64,
-    spills: u64,
-    spill_bytes: u64,
-    loads: u64,
-    load_bytes: u64,
-    load_failures: u64,
-    over_commits: u64,
-    snapshots: u64,
+    /// The cumulative counters (`inserts` … `snapshots`), kept in the
+    /// shape they are reported in; the fields describing the present
+    /// state stay zero here and are filled in by [`SharedStore::stats`].
+    counters: StoreStats,
 }
 
 impl Inner {
@@ -197,9 +189,9 @@ impl Inner {
             // "process" died, leaving the entry resident and the disk
             // holding whatever the torn write left.
             disk.put_blob(&payload)?;
-            self.spill_bytes += plen;
+            self.counters.spill_bytes += plen;
         }
-        self.spills += 1;
+        self.counters.spills += 1;
         self.bytes -= bytes;
         let e = self.entries.get_mut(name).expect("spill victim exists");
         e.payload = Payload::Spilled {
@@ -245,7 +237,7 @@ impl Inner {
                 if self.bytes <= cap {
                     break;
                 }
-                self.over_commits += 1;
+                self.counters.over_commits += 1;
                 return Err(CoreError::StoreOverCommit {
                     resident: self.bytes,
                     capacity: cap,
@@ -255,7 +247,7 @@ impl Inner {
                 self.spill(&name)?;
             } else if let Some(e) = self.entries.remove(&name) {
                 self.bytes -= e.bytes;
-                self.evictions += 1;
+                self.counters.evictions += 1;
             }
             displaced.push(name);
         }
@@ -335,10 +327,10 @@ impl SharedStore {
         let mut g = self.lock();
         g.tick += 1;
         let tick = g.tick;
-        g.inserts += 1;
+        g.counters.inserts += 1;
         let pins = if let Some(old) = g.entries.remove(name) {
             g.bytes -= old.resident_bytes();
-            g.replaced += 1;
+            g.counters.replaced += 1;
             old.pins // replacement inherits the readers' pins
         } else {
             0
@@ -375,8 +367,8 @@ impl SharedStore {
         let disk = g.disk.clone()?;
         match disk.get_blob(&hash).and_then(|p| disk::decode_dist(&p)) {
             Ok(m) => {
-                g.loads += 1;
-                g.load_bytes += plen;
+                g.counters.loads += 1;
+                g.counters.load_bytes += plen;
                 let e = g.entries.get_mut(name).expect("stub present");
                 e.payload = Payload::Resident(m.clone());
                 e.dims_nnz = Some((m.rows(), m.cols(), m.nnz() as u64));
@@ -389,7 +381,7 @@ impl SharedStore {
                 Some(m)
             }
             Err(_) => {
-                g.load_failures += 1;
+                g.counters.load_failures += 1;
                 g.entries.remove(name);
                 None
             }
@@ -460,7 +452,7 @@ impl SharedStore {
         match g.entries.remove(name) {
             Some(e) => {
                 g.bytes -= e.resident_bytes();
-                g.dropped += 1;
+                g.counters.dropped += 1;
                 true
             }
             None => false,
@@ -497,7 +489,7 @@ impl SharedStore {
         for n in names {
             if let Some(&owner) = g.claims.get(n) {
                 if owner != token {
-                    g.conflicts += 1;
+                    g.counters.conflicts += 1;
                     return Err(CoreError::StoreConflict(n.clone()));
                 }
             }
@@ -574,13 +566,13 @@ impl SharedStore {
             if let Some(payload) = payload {
                 if !disk.verify_blob(&entry.hash, entry.bytes) {
                     disk.put_blob(&payload)?;
-                    g.spill_bytes += entry.bytes;
+                    g.counters.spill_bytes += entry.bytes;
                 }
             }
             entries.push(entry);
         }
         let seq = disk.publish("checkpoint", phase, entries)?;
-        g.snapshots += 1;
+        g.counters.snapshots += 1;
         g.last_snapshot = Some((seq, phase));
         // Blobs of live spilled stubs must survive compaction even when
         // they are not part of this snapshot.
@@ -672,10 +664,10 @@ impl SharedStore {
     pub fn spill_traffic(&self) -> SpillTraffic {
         let g = self.lock();
         SpillTraffic {
-            spills: g.spills,
-            spill_bytes: g.spill_bytes,
-            loads: g.loads,
-            load_bytes: g.load_bytes,
+            spills: g.counters.spills,
+            spill_bytes: g.counters.spill_bytes,
+            loads: g.counters.loads,
+            load_bytes: g.counters.load_bytes,
         }
     }
 
@@ -691,22 +683,11 @@ impl SharedStore {
             entries: g.entries.len(),
             bytes: g.bytes,
             capacity: g.capacity,
-            inserts: g.inserts,
-            replaced: g.replaced,
-            evictions: g.evictions,
-            dropped: g.dropped,
-            conflicts: g.conflicts,
             spilled,
             spilled_bytes,
-            spills: g.spills,
-            spill_bytes: g.spill_bytes,
-            loads: g.loads,
-            load_bytes: g.load_bytes,
-            load_failures: g.load_failures,
-            over_commits: g.over_commits,
-            snapshots: g.snapshots,
             external_pressure: g.external_pressure,
             peak_footprint: g.peak_footprint,
+            ..g.counters
         }
     }
 

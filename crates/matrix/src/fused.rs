@@ -193,11 +193,36 @@ fn result_is_sparse(prog: &[FusedOp], leaves: &[&Block]) -> bool {
     stack.pop().unwrap_or(false)
 }
 
-/// Evaluate a fused cell-wise program over one tile.
+/// A program that is one operator over leaves *is* that [`Block`] method:
+/// the sparse/sparse O(nnz) merge, no densified operand, no pool draw.
+/// `None` for anything longer. The choice reads the program's shape only
+/// (never the data), and the planner fuses no fewer than two operators, so
+/// a fused chain never lands here; a lone `add` or `scale` always does.
+fn single_op(prog: &[FusedOp], leaves: &[&Block]) -> Option<Result<Block>> {
+    match *prog {
+        [FusedOp::Leaf(a), FusedOp::Leaf(b), ref op] => {
+            let (a, b) = (leaves[a], leaves[b]);
+            match op {
+                FusedOp::Add => Some(a.add(b)),
+                FusedOp::Sub => Some(a.sub(b)),
+                FusedOp::CellMul => Some(a.cell_mul(b)),
+                FusedOp::CellDiv => Some(a.cell_div(b)),
+                _ => None,
+            }
+        }
+        [FusedOp::Leaf(a), FusedOp::Scale(c)] => Some(Ok(leaves[a].scale(c))),
+        [FusedOp::Leaf(a), FusedOp::AddScalar(c)] => Some(Ok(leaves[a].add_scalar(c))),
+        _ => None,
+    }
+}
+
+/// Evaluate a cell-wise program over one tile: the only per-tile kernel
+/// of a scheme-aligned stage, on the simulator and on `dmac-workerd`.
 ///
-/// All leaves must share the same shape. The single output allocation is
-/// drawn from `pool`; when the result representation is sparse the dense
-/// scratch is converted and released back to the pool.
+/// All leaves must share the same shape. A single operator runs as its
+/// [`Block`] method (`single_op`); a longer program runs chunked, its one
+/// output allocation drawn from `pool` — when the result representation is
+/// sparse the dense scratch is converted and released back to the pool.
 pub fn eval_fused_block(
     prog: &[FusedOp],
     leaves: &[&Block],
@@ -220,6 +245,9 @@ pub fn eval_fused_block(
                 right: (b.rows(), b.cols()),
             });
         }
+    }
+    if let Some(out) = single_op(prog, leaves) {
+        return out;
     }
 
     // Densify sparse leaves once per tile (the fallback path); dense leaves
@@ -400,7 +428,11 @@ mod tests {
     fn pool_is_reused_across_tiles() {
         let pool = ResultBufferPool::new(2);
         let a = dense(4, 4, &[1.0; 16]);
-        let prog = [FusedOp::Leaf(0), FusedOp::Scale(3.0)];
+        let prog = [
+            FusedOp::Leaf(0),
+            FusedOp::Scale(3.0),
+            FusedOp::AddScalar(1.0),
+        ];
         for _ in 0..4 {
             let out = eval_fused_block(&prog, &[&a], &pool).unwrap();
             match out {
@@ -409,5 +441,10 @@ mod tests {
             }
         }
         assert!(pool.stats().reused >= 3);
+        // One operator is the `Block` method: nothing drawn from the pool.
+        let before = pool.stats();
+        let out = eval_fused_block(&prog[..2], &[&a], &pool).unwrap();
+        assert_eq!(out, a.scale(3.0));
+        assert_eq!(pool.stats(), before);
     }
 }

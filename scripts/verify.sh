@@ -23,10 +23,20 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> one tile fold (no matmul_acc call outside dmac-matrix's exec::fold_tile)"
+echo "==> said once (one tile fold, one tile decoder, one aligned stage)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
+# Bytes from outside (wire frames, disk payloads) become blocks in
+# transport/binfmt.rs only: a second decoder is a second set of bounds
+# checks. Code up to a file's first #[cfg(test)]; tests build fixtures.
+if find crates/core/src crates/cluster/src -name '*.rs' ! -name binfmt.rs -exec awk \
+    '/#\[cfg\(test\)\]/ { nextfile }
+     /CscBlock::from_csc\(|DenseBlock::from_vec\(/ { print FILENAME ":" FNR ": " $0 }' {} + |
+    grep .; then exit 1; fi
+# An aligned stage has one path (Cluster::cells -> the "fused" command):
+# no per-operator enum or worker command beside it.
+if grep -rnE 'CellOp|UnaryTileOp|"t", "(cell|unary)"' crates src; then exit 1; fi
 
 echo "==> cargo test (workspace)"
 # Includes what used to be separate gates: the lint + plan-verifier sweep

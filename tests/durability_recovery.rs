@@ -289,6 +289,46 @@ fn corrupt_blob_falls_back_to_previous_snapshot() {
     assert_eq!(got, healthy);
 }
 
+/// A manifest is outside input, and its blob hashes become file names: an
+/// entry naming `../../stolen` must not make recovery verify — and then
+/// load — a file outside the data dir, however intact that file is. The
+/// forged newest manifest (the one `CURRENT` names) is skipped and
+/// recovery falls back to the previous snapshot.
+#[test]
+fn manifest_entry_naming_a_path_is_skipped() {
+    let outer = temp_dir("gnmf-escape");
+    let dir = outer.join("data");
+    gnmf_healthy(&dir);
+
+    let disk = DiskTier::open(&dir).unwrap();
+    let latest = disk.load_latest().unwrap().expect("snapshot exists");
+    assert_eq!(latest.phase, 3);
+    let w = latest.entries.iter().find(|e| e.name == "W").unwrap();
+    let blob = dir.join("blocks").join(format!("{}.blk", w.hash));
+    fs::copy(blob, outer.join("stolen.blk")).unwrap();
+
+    let real = format!("manifest-{:06}.txt", latest.seq);
+    let forged = fs::read_to_string(dir.join(&real))
+        .unwrap()
+        .replace(&w.hash, "../../stolen")
+        .replace(&format!("seq {}\n", latest.seq), "seq 999\n")
+        .replace("phase 3\n", "phase 99\n");
+    assert!(forged.contains("../../stolen") && forged.contains("phase 99"));
+    fs::write(dir.join("manifest-000999.txt"), &forged).unwrap();
+    let sum = dmac::core::disk::fnv1a_bytes(forged.as_bytes());
+    fs::write(
+        dir.join("CURRENT"),
+        format!("manifest-000999.txt {sum:016x}\n"),
+    )
+    .unwrap();
+
+    let back = disk.load_latest().unwrap().expect("previous snapshot");
+    assert_eq!((back.seq, back.phase), (latest.seq, 3));
+    let store = SharedStore::with_disk(&dir).unwrap();
+    store.recover().unwrap();
+    assert_eq!(store.latest_snapshot().map(|(_, phase)| phase), Some(3));
+}
+
 /// Corrupting or truncating *every* blob leaves no usable snapshot at
 /// all: recovery degrades to an empty store and the driver replays the
 /// full lineage from iteration 0 — same bits, just more work.

@@ -15,6 +15,10 @@
 //! rules of the `Block` operators, so equality here is exact `==` on the
 //! dense rendering — no tolerance.
 //!
+//! A plan step that was *not* fused runs through the same per-tile entry
+//! point as a one-operator program; `one_operator_programs_are_the_block_methods`
+//! pins that such a program is the `Block` method itself.
+//!
 //! Cases are drawn from the in-tree [`SplitMix64`] generator with fixed
 //! seeds (`tests/prop_kernels.rs` style): every run checks the same
 //! reproducible corpus and a failing case is named by its loop index.
@@ -25,7 +29,10 @@ use common::pin_all_intermediates;
 use dmac::apps::{Gnmf, PageRank};
 use dmac::core::Session;
 use dmac::lang::{Expr, Program, ScalarExpr};
-use dmac::matrix::{BlockedMatrix, DenseBlock, SplitMix64};
+use dmac::matrix::exec::ResultBufferPool;
+use dmac::matrix::{
+    eval_fused_block, Block, BlockedMatrix, CscBlock, DenseBlock, FusedOp, SplitMix64,
+};
 
 const CASES: usize = 32;
 const SEED: u64 = 0xF05E_D11A_C0DE_2024;
@@ -338,4 +345,91 @@ fn applications_fuse_over_the_gate() {
     let bindings = [("link".to_string(), link), ("D".to_string(), d)];
     let fused = assert_fused_matches_unfused("pagerank", &p, &[h.rank], &bindings, block);
     assert!(fused.fused_steps() > 0, "{:?}", fused.kinds);
+}
+
+/// The unfused side of every comparison above is a chain of one-operator
+/// stages, and a one-operator program is the `Block` method — not the
+/// chunked interpreter's rendering of it: same bits (`-0.0`, NaN payloads,
+/// `x / 0 → 0`), same representation and bytes (sparse ∘ sparse stays an
+/// O(nnz) merge, `add_scalar(0.0)` keeps a sparse tile sparse), nothing
+/// densified and nothing drawn from the buffer pool.
+#[test]
+fn one_operator_programs_are_the_block_methods() {
+    let nan = f64::from_bits(0x7FF8_0000_0000_BEEF);
+    let cells = [
+        0.0,
+        -0.0,
+        nan,
+        2.5,
+        -1.25,
+        0.0,
+        f64::INFINITY,
+        1e-310,
+        0.0,
+        -3.0,
+        0.0,
+        7.0,
+    ];
+    let dense = |shift: usize| {
+        let v = (0..12).map(|i| cells[(i + shift) % 12]).collect();
+        Block::Dense(DenseBlock::from_vec(3, 4, v).unwrap())
+    };
+    // Stored items include the NaN and explicit zeros of both signs;
+    // column 2 is empty.
+    let sparse = |shift: usize| {
+        let vals = (0..5).map(|i| cells[(1 + i + shift) % 12]).collect();
+        let csc = CscBlock::from_csc(3, 4, vec![0, 2, 3, 3, 5], vec![0, 2, 1, 0, 2], vals);
+        Block::Sparse(csc.unwrap())
+    };
+    let operands = [dense(0), dense(5), sparse(0), sparse(4)];
+    let pool = ResultBufferPool::new(2);
+    let check = |what: String, prog: &[FusedOp], leaves: &[&Block], want: Block| {
+        let before = pool.stats();
+        let got = eval_fused_block(prog, leaves, &pool).unwrap();
+        assert!(got.bits_eq(&want), "{what}: {got:?} != {want:?}");
+        assert_eq!(got.is_sparse(), want.is_sparse(), "{what}");
+        assert_eq!(got.actual_bytes(), want.actual_bytes(), "{what}");
+        assert_eq!(pool.stats(), before, "{what}: drew from the pool");
+    };
+
+    for (i, a) in operands.iter().enumerate() {
+        for (j, b) in operands.iter().enumerate() {
+            for (op, want) in [
+                (FusedOp::Add, a.add(b)),
+                (FusedOp::Sub, a.sub(b)),
+                (FusedOp::CellMul, a.cell_mul(b)),
+                (FusedOp::CellDiv, a.cell_div(b)),
+            ] {
+                let what = format!("{op:?} of operands {i}, {j}");
+                let prog = [FusedOp::Leaf(0), FusedOp::Leaf(1), op];
+                check(what, &prog, &[a, b], want.unwrap());
+            }
+        }
+        for c in [0.0, -0.0, nan, 2.5, f64::NEG_INFINITY] {
+            for (op, want) in [
+                (FusedOp::Scale(c), a.scale(c)),
+                (FusedOp::AddScalar(c), a.add_scalar(c)),
+            ] {
+                let what = format!("{op:?} of operand {i}");
+                check(what, &[FusedOp::Leaf(0), op], &[a], want);
+            }
+        }
+    }
+    // Both sparse: the sum is sparse and holds no more than the union.
+    let sum = eval_fused_block(
+        &[FusedOp::Leaf(0), FusedOp::Leaf(1), FusedOp::Add],
+        &[&operands[2], &operands[3]],
+        &pool,
+    )
+    .unwrap();
+    assert!(sum.is_sparse() && sum.actual_bytes() < dense(0).actual_bytes());
+    // One operator more and the interpreter runs: the pool is drawn from.
+    let before = pool.stats();
+    let two = [
+        FusedOp::Leaf(0),
+        FusedOp::Scale(2.0),
+        FusedOp::AddScalar(1.0),
+    ];
+    eval_fused_block(&two, &[&operands[0]], &pool).unwrap();
+    assert_ne!(pool.stats(), before);
 }

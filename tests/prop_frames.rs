@@ -207,10 +207,18 @@ fn binary_tile_messages_round_trip_canonically() {
 /// A tile's layout in memory is nobody's business outside the process. A
 /// CSC tile with 2 of its 8 columns occupied keeps pointers for those two
 /// only, yet its `DMB1` frame, its shard checksum and its disk payload are
-/// defined over Figure 5's `cols + 1` pointer array: the three constants
-/// were computed by the commit before packed columns existed, over the
-/// same logical tiles, and decode goes through `from_csc` to the same
-/// block.
+/// defined over Figure 5's `cols + 1` pointer array: the frame trailer and
+/// the shard checksum were computed by the commit before packed columns
+/// existed, over the same logical tiles, and decode goes through
+/// `from_csc` to the same block.
+///
+/// The disk payload's `(len, fnv)` is of the `DMDM2` layout — the 39-byte
+/// head `"DMDM2\n"` ∥ rows, cols, block, workers (`u64` LE) ∥ scheme `u8`,
+/// then the same `DMB1` tile section a frame carries: `u32` count, and per
+/// tile ascending `(bi, bj)` `u32` w (the holder; `u32::MAX` = replicated),
+/// bi, bj, `u8` kind, `u32` rows, cols, then for a sparse tile `u32` np +
+/// pointers, `u32` ni + row indices, `u32` nv + values. Here: 39 + 4 +
+/// 4 tiles × (33 + 9 pointers × 4) + 5 items × 12 = 379 bytes.
 #[test]
 fn packed_tiles_keep_their_external_bytes() {
     use dmac::cluster::transport::wire::{shard_checksum, Fnv64};
@@ -249,12 +257,102 @@ fn packed_tiles_keep_their_external_bytes() {
     let payload = disk::encode_dist(&dist);
     let mut h = Fnv64::new();
     h.update(&payload);
-    assert_eq!((payload.len(), h.finish()), (383, 0x0D06_14F0_9F23_04C6));
+    assert_eq!((payload.len(), h.finish()), (379, 0x6167_A03F_CB81_93B4));
     let back = disk::decode_dist(&payload).unwrap();
     assert_eq!(disk::encode_dist(&back), payload);
     for w in 0..2 {
         for (at, tile) in dist.worker_blocks(w) {
             assert!(back.worker_blocks(w)[at].bits_eq(tile));
+        }
+    }
+}
+
+/// The frame contract on the disk tier. A matrix payload outlives the
+/// process that wrote it, so it is outside input: `decode_dist` answers
+/// every malformed one with a typed `CoreError::Disk` — no panic, and no
+/// allocation sized by a count the remaining bytes cannot back. The two
+/// `DMDM1` payloads are the previous layout's (47-byte head ending in a
+/// `u64` tile count; tiles of `u64` bi, bj, `u32` owner, kind, `u32` rows,
+/// cols): its own decoder panicked on both with `capacity overflow`; here
+/// they are foreign bytes.
+#[test]
+fn disk_payloads_fail_typed_before_allocating() {
+    use dmac::cluster::{DistMatrix, PartitionScheme};
+    use dmac::core::{disk, CoreError};
+    use dmac::matrix::BlockedMatrix;
+
+    let head = |magic: &[u8; 6], words: [u64; 4]| {
+        let mut p = magic.to_vec();
+        for w in words {
+            p.extend_from_slice(&w.to_le_bytes());
+        }
+        p.push(0); // Row
+        p
+    };
+    let u32s = |p: &mut Vec<u8>, vs: &[u32]| {
+        for v in vs {
+            p.extend_from_slice(&v.to_le_bytes());
+        }
+    };
+    let typed = |what: &str, p: &[u8]| match disk::decode_dist(p) {
+        Err(CoreError::Disk(_)) => {}
+        other => panic!("{what}: expected a typed disk error, got {other:?}"),
+    };
+
+    let mut p = head(b"DMDM1\n", [8, 8, 8, 2]);
+    p.extend_from_slice(&u64::MAX.to_le_bytes());
+    assert_eq!(p.len(), 47);
+    typed("DMDM1, count = u64::MAX", &p);
+    let mut p = head(b"DMDM1\n", [8, 8, 8, 2]);
+    for v in [1u64, 0, 0] {
+        p.extend_from_slice(&v.to_le_bytes()); // count, bi, bj
+    }
+    u32s(&mut p, &[0]); // owner
+    p.push(0); // dense
+    u32s(&mut p, &[u32::MAX, u32::MAX]);
+    typed("DMDM1, dense tile of u32::MAX x u32::MAX", &p);
+
+    // One tile of a DMDM2 payload up to its first count word.
+    let one_tile = |kind: u8, rows: u32, cols: u32| {
+        let mut p = head(b"DMDM2\n", [8, 8, 8, 2]);
+        u32s(&mut p, &[1, 0, 0, 0]); // count, w, bi, bj
+        p.push(kind);
+        u32s(&mut p, &[rows, cols]);
+        p
+    };
+    let mut p = head(b"DMDM2\n", [8, 8, 8, 2]);
+    u32s(&mut p, &[u32::MAX]);
+    typed("count = u32::MAX", &p);
+    let mut p = one_tile(0, u32::MAX, u32::MAX);
+    u32s(&mut p, &[u32::MAX]);
+    typed("dense tile of u32::MAX x u32::MAX", &p);
+    let mut p = one_tile(1, 8, 8);
+    u32s(&mut p, &[9, 0, 0, 0, 0, 0, 0, 0, 0, 0]); // np + 9 pointers
+    u32s(&mut p, &[u32::MAX]); // ni
+    typed("sparse tile whose nnz exceeds the remaining bytes", &p);
+
+    let m = BlockedMatrix::from_triplets(16, 16, 8, vec![(1, 2, 0.5), (9, 12, -1.5)]).unwrap();
+    let dense = BlockedMatrix::from_fn(16, 16, 8, |i, j| (i * 16 + j) as f64).unwrap();
+    for scheme in [PartitionScheme::Row, PartitionScheme::Broadcast] {
+        for m in [&m, &dense] {
+            let good = disk::encode_dist(&DistMatrix::from_blocked(m, scheme, 2));
+            assert!(disk::decode_dist(&good).is_ok());
+            for cut in 0..good.len() {
+                typed(&format!("cut at {cut} of {}", good.len()), &good[..cut]);
+            }
+            let mut long = good.clone();
+            long.push(0);
+            typed("trailing byte", &long);
+            // The head sizes the per-worker stores: bounded before it does.
+            for workers in [0, 1 << 20, u64::from(u32::MAX), u64::MAX] {
+                let mut bad = good.clone();
+                bad[30..38].copy_from_slice(&workers.to_le_bytes());
+                typed(&format!("{workers} workers"), &bad);
+            }
+            // A head that describes another grid than the tiles fill.
+            let mut bad = good.clone();
+            bad[6..14].copy_from_slice(&64u64.to_le_bytes());
+            typed("64 rows over a 16-row tile set", &bad);
         }
     }
 }

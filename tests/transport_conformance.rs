@@ -251,6 +251,39 @@ fn triangles_is_byte_exact_on_sockets() {
     });
 }
 
+/// A lone aligned operator ships as the one-instruction `fused` command
+/// and the worker runs it as the `Block` method. `A + B` over two sparse
+/// matrices on a 9-block grid (under the planner's 32-block fusion gate,
+/// and `sum` is an output besides) must stay sparse on the workers — the
+/// seal hashes the representation — and so must its `scale`, whose
+/// constant rides the command's f64 body. A sub-gate `scale` / `scale` /
+/// `add` over *dense* tiles is `pagerank_is_byte_exact_on_sockets`
+/// already (`rank` is 1 × 48: 6 blocks), so it is not repeated here.
+#[test]
+fn lone_sparse_operators_are_byte_exact_on_sockets() {
+    let n = 24;
+    let a = dmac::data::uniform_sparse(n, n, 0.1, BLOCK, 21);
+    let b = dmac::data::uniform_sparse(n, n, 0.1, BLOCK, 22);
+    conforms("sparse add + scale", |s| {
+        s.bind("A", a.clone()).unwrap();
+        s.bind("B", b.clone()).unwrap();
+        let mut p = dmac::lang::Program::new();
+        let (ea, eb) = (p.load("A", n, n, 0.1), p.load("B", n, n, 0.1));
+        let sum = p.add(ea, eb).unwrap();
+        let half = p.scale_const(sum, -0.5).unwrap();
+        p.output(sum);
+        p.output(half);
+        let report = s.run(&p).unwrap();
+        let kinds: Vec<&str> = report.trace.steps.iter().map(|st| &*st.kind).collect();
+        assert!(!kinds.iter().any(|k| k.starts_with("Fused")), "{kinds:?}");
+        for e in [sum, half] {
+            let held = s.value_physical(e).unwrap().unwrap_or(s.value(e).unwrap());
+            assert!(held.iter_blocks().all(|(_, _, t)| t.is_sparse()));
+        }
+        (report, vec![sum, half], vec![])
+    });
+}
+
 /// A long session must not grow the workers' memory, and a run must not
 /// ship what the workers already hold. Every `PageRank::run` re-binds
 /// `link` and `D` with the content they already have: the bind is a
