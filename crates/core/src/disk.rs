@@ -15,7 +15,10 @@
 //! `magic ∥ payload_len ∥ payload ∥ fnv1a64(payload)` and is named by
 //! the payload's own FNV-1a hash — content addressing, so identical
 //! matrices across snapshots share one file and re-checkpointing an
-//! unchanged matrix writes nothing.
+//! unchanged matrix writes nothing. Only [`DiskTier::put_blob`] names a
+//! payload (one hash pass: file name and trailer), and a file already at
+//! that name is the blob only once its length and checksum read back —
+//! a torn file at a final name is rewritten, never deduplicated against.
 //!
 //! **Crash consistency** rests on two rules: blobs and manifests are
 //! written to a temp file and atomically renamed, and a snapshot only
@@ -51,6 +54,8 @@ use dmac_matrix::Block;
 use crate::error::{CoreError, Result};
 
 const BLOB_MAGIC: &[u8; 6] = b"DMBK1\n";
+/// A blob frame is magic, payload length (`u64`), payload, checksum (`u64`).
+const BLOB_HEAD: usize = BLOB_MAGIC.len() + 8;
 const DIST_MAGIC: &[u8; 6] = b"DMDM2\n";
 /// Fixed head of a matrix payload: magic, four `u64` geometry words, scheme.
 const DIST_HEAD: usize = 6 + 4 * 8 + 1;
@@ -101,12 +106,16 @@ fn tag_scheme(t: u8) -> Result<PartitionScheme> {
 ///
 /// ```text
 /// "DMDM2\n" ∥ rows, cols, block, workers (u64 LE) ∥ scheme u8      39 bytes
-/// DMB1 tile section (`binfmt::encode_tiles`): tiles ascending (bi, bj),
+/// DMB1 tile section (count ∥ `binfmt::push_tile`s): tiles ascending (bi, bj),
 ///     `w` = the worker holding the tile, `u32::MAX` = replicated
 /// ```
 ///
-/// The tile bytes are the wire's: one codec, one set of bounds checks.
+/// The tile bytes are the wire's: one codec, one set of bounds checks;
+/// the payload is sized up front, so it is never regrown or copied.
 pub fn encode_dist(m: &DistMatrix) -> Vec<u8> {
+    if cfg!(test) {
+        ENCODES.with(|n| n.set(n.get() + 1));
+    }
     // Distinct logical tiles with their physical holder. Under
     // Broadcast every worker holds every tile, so one copy is written
     // with the "replicated" sentinel; otherwise each tile lives on
@@ -124,14 +133,24 @@ pub fn encode_dist(m: &DistMatrix) -> Vec<u8> {
     }
     tiles.sort_unstable_by_key(|&(_, bi, bj, _)| (bi, bj));
 
-    let mut out = Vec::new();
+    let body: usize = tiles.iter().map(|t| binfmt::tile_wire_len(t.3)).sum();
+    let mut out = Vec::with_capacity(DIST_HEAD + 4 + body);
     out.extend_from_slice(DIST_MAGIC);
     for v in [m.rows(), m.cols(), m.block_size(), m.workers()] {
         out.extend_from_slice(&(v as u64).to_le_bytes());
     }
     out.push(scheme_tag(m.scheme()));
-    out.extend_from_slice(&binfmt::encode_tiles(tiles));
+    out.extend_from_slice(&(tiles.len() as u32).to_le_bytes());
+    for (holder, bi, bj, tile) in tiles {
+        binfmt::push_tile(&mut out, holder, bi, bj, tile);
+    }
     out
+}
+
+thread_local! {
+    /// [`encode_dist`] calls by this thread, counted under `cfg!(test)`
+    /// only: the store's unit tests read it to show what is not re-encoded.
+    pub(crate) static ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Decode a payload produced by [`encode_dist`], validating the
@@ -438,23 +457,26 @@ impl DiskTier {
         fs::rename(&tmp, path).map_err(|e| disk_err("rename into place", e))
     }
 
-    /// Write `payload` as a content-addressed blob; returns its hash.
-    /// Idempotent: an existing verified blob is reused without writing.
-    pub fn put_blob(&self, payload: &[u8]) -> Result<String> {
-        self.crash_check(CrashPoint::BeforeBlobWrite)?;
-        let hash = format!("{:016x}", fnv1a_bytes(payload));
+    /// Make `payload` durable as a content-addressed blob; returns its hash
+    /// and whether this call wrote it. One FNV-1a pass names the file and
+    /// fills the trailer. An intact copy at that name (read only when a
+    /// file of the framed length exists) is reused, a torn or rotted one
+    /// replaced; only a call about to write crosses the blob [`CrashPoint`]s.
+    pub fn put_blob(&self, payload: &[u8]) -> Result<(String, bool)> {
+        let sum = fnv1a_bytes(payload);
+        let hash = format!("{sum:016x}");
         let path = self.blob_path(&hash);
-        if self
-            .read_blob_file(&path, Some(payload.len() as u64))
-            .is_ok()
-        {
-            return Ok(hash);
+        let framed_len = BLOB_HEAD + payload.len() + 8;
+        let same_len = fs::metadata(&path).is_ok_and(|md| md.len() == framed_len as u64);
+        if same_len && self.verify_blob(&hash, payload.len() as u64) {
+            return Ok((hash, false));
         }
-        let mut framed = Vec::with_capacity(payload.len() + 20);
+        self.crash_check(CrashPoint::BeforeBlobWrite)?;
+        let mut framed = Vec::with_capacity(framed_len);
         framed.extend_from_slice(BLOB_MAGIC);
         framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         framed.extend_from_slice(payload);
-        framed.extend_from_slice(&fnv1a_bytes(payload).to_le_bytes());
+        framed.extend_from_slice(&sum.to_le_bytes());
         if self.crash_fires(CrashPoint::MidBlobWrite) {
             // Model a filesystem that loses the tail: the final name
             // exists but holds only half the frame.
@@ -463,25 +485,28 @@ impl DiskTier {
             return Err(CoreError::InjectedCrash(CrashPoint::MidBlobWrite));
         }
         self.write_atomic(&path, &framed)?;
-        Ok(hash)
+        Ok((hash, true))
     }
 
-    fn read_blob_file(&self, path: &Path, expect_len: Option<u64>) -> Result<Vec<u8>> {
-        let framed = fs::read(path).map_err(|e| disk_err("read blob", e))?;
-        if framed.len() < BLOB_MAGIC.len() + 16 || &framed[..BLOB_MAGIC.len()] != BLOB_MAGIC {
+    /// Read blob `hash` and verify magic, length (header against file, and
+    /// `expect_len` when given) and checksum. Returns the verified frame,
+    /// for the caller to borrow the payload from: `BLOB_HEAD..len - 8`.
+    fn read_blob_file(&self, hash: &str, expect_len: Option<u64>) -> Result<Vec<u8>> {
+        let framed = fs::read(self.blob_path(hash)).map_err(|e| disk_err("read blob", e))?;
+        if framed.len() < BLOB_HEAD + 8 || &framed[..BLOB_MAGIC.len()] != BLOB_MAGIC {
             return Err(CoreError::Disk("blob magic missing or file torn".into()));
         }
-        let len = u64::from_le_bytes(framed[6..14].try_into().unwrap()) as usize;
-        let body_end = 14usize
+        let len = u64::from_le_bytes(framed[6..BLOB_HEAD].try_into().unwrap()) as usize;
+        let body_end = BLOB_HEAD
             .checked_add(len)
             .ok_or_else(|| CoreError::Disk("blob length overflow".into()))?;
         if framed.len() != body_end + 8 {
             return Err(CoreError::Disk(format!(
                 "blob truncated: header says {len} payload bytes, file holds {}",
-                framed.len().saturating_sub(22)
+                framed.len().saturating_sub(BLOB_HEAD + 8)
             )));
         }
-        let payload = &framed[14..body_end];
+        let payload = &framed[BLOB_HEAD..body_end];
         let sum = u64::from_le_bytes(framed[body_end..].try_into().unwrap());
         if fnv1a_bytes(payload) != sum {
             return Err(CoreError::Disk("blob checksum mismatch".into()));
@@ -494,18 +519,20 @@ impl DiskTier {
                 )));
             }
         }
-        Ok(payload.to_vec())
+        Ok(framed)
     }
 
-    /// Read and verify a blob's payload.
-    pub fn get_blob(&self, hash: &str) -> Result<Vec<u8>> {
-        self.read_blob_file(&self.blob_path(hash), None)
+    /// Read and verify a matrix blob, decoding from the file buffer.
+    pub fn get_dist(&self, hash: &str) -> Result<DistMatrix> {
+        let framed = self.read_blob_file(hash, None)?;
+        decode_dist(&framed[BLOB_HEAD..framed.len() - 8])
     }
 
     /// Does `hash` exist on disk with an intact frame of `bytes` payload?
+    /// A full read-back (length + checksum), never a `stat`: the store
+    /// learns of rot while it still has the RAM copy to rewrite from.
     pub fn verify_blob(&self, hash: &str, bytes: u64) -> bool {
-        self.read_blob_file(&self.blob_path(hash), Some(bytes))
-            .is_ok()
+        self.read_blob_file(hash, Some(bytes)).is_ok()
     }
 
     fn manifest_name(seq: u64) -> String {
@@ -737,6 +764,15 @@ mod tests {
         dir
     }
 
+    impl DiskTier {
+        /// A blob's verified payload as raw bytes (the store only ever
+        /// reads matrices: [`DiskTier::get_dist`]).
+        fn get_blob(&self, hash: &str) -> Result<Vec<u8>> {
+            let framed = self.read_blob_file(hash, None)?;
+            Ok(framed[BLOB_HEAD..framed.len() - 8].to_vec())
+        }
+    }
+
     fn dense(rows: usize, cols: usize) -> BlockedMatrix {
         BlockedMatrix::from_fn(rows, cols, 4, |i, j| (i * cols + j) as f64 * 0.5 - 3.0).unwrap()
     }
@@ -823,9 +859,10 @@ mod tests {
     #[test]
     fn blob_roundtrip_and_content_addressing() {
         let tier = DiskTier::open(temp_dir("blob")).unwrap();
-        let h1 = tier.put_blob(b"hello world").unwrap();
-        let h2 = tier.put_blob(b"hello world").unwrap();
+        let (h1, wrote1) = tier.put_blob(b"hello world").unwrap();
+        let (h2, wrote2) = tier.put_blob(b"hello world").unwrap();
         assert_eq!(h1, h2, "same content, same address");
+        assert!(wrote1 && !wrote2, "the second put finds the first's file");
         assert_eq!(tier.get_blob(&h1).unwrap(), b"hello world");
         assert!(tier.verify_blob(&h1, 11));
         assert!(!tier.verify_blob(&h1, 12), "length mismatch detected");
@@ -835,7 +872,7 @@ mod tests {
     #[test]
     fn torn_and_corrupt_blobs_are_detected() {
         let tier = DiskTier::open(temp_dir("torn")).unwrap();
-        let h = tier.put_blob(b"payload-bytes").unwrap();
+        let (h, _) = tier.put_blob(b"payload-bytes").unwrap();
         let path = tier.blob_path(&h);
         // Truncate.
         let full = fs::read(&path).unwrap();
@@ -852,7 +889,7 @@ mod tests {
     #[test]
     fn publish_swaps_current_and_survives_reload() {
         let tier = DiskTier::open(temp_dir("pub")).unwrap();
-        let h = tier.put_blob(b"abc").unwrap();
+        let (h, _) = tier.put_blob(b"abc").unwrap();
         let entry = ManifestEntry {
             name: "weird name %\n".into(),
             hash: h.clone(),
@@ -872,7 +909,7 @@ mod tests {
     #[test]
     fn corrupt_current_falls_back_to_prior_manifest() {
         let tier = DiskTier::open(temp_dir("fallback")).unwrap();
-        let h = tier.put_blob(b"abc").unwrap();
+        let (h, _) = tier.put_blob(b"abc").unwrap();
         let entry = |phase: u64| ManifestEntry {
             name: format!("m{phase}"),
             hash: h.clone(),
@@ -897,7 +934,7 @@ mod tests {
     #[test]
     fn missing_blob_invalidates_the_snapshot() {
         let tier = DiskTier::open(temp_dir("missing")).unwrap();
-        let h = tier.put_blob(b"abc").unwrap();
+        let (h, _) = tier.put_blob(b"abc").unwrap();
         tier.publish(
             "checkpoint",
             1,
@@ -917,9 +954,9 @@ mod tests {
     #[test]
     fn compaction_removes_only_garbage() {
         let tier = DiskTier::open(temp_dir("compact")).unwrap();
-        let keep = tier.put_blob(b"keep me").unwrap();
-        let drop1 = tier.put_blob(b"garbage 1").unwrap();
-        let drop2 = tier.put_blob(b"garbage 2").unwrap();
+        let (keep, _) = tier.put_blob(b"keep me").unwrap();
+        let (drop1, _) = tier.put_blob(b"garbage 1").unwrap();
+        let (drop2, _) = tier.put_blob(b"garbage 2").unwrap();
         tier.publish("checkpoint", 1, vec![]).unwrap();
         tier.publish("checkpoint", 2, vec![]).unwrap();
         let seq3 = tier.publish("checkpoint", 3, vec![]).unwrap();

@@ -30,6 +30,15 @@
 //!   checksum on reload is *dropped* (counted in `load_failures`) and
 //!   `get` reports the name as absent — callers fall back to lineage
 //!   replay, exactly as for a never-stored name;
+//! * **an entry knows its blob** — it holds a `BlobRef` once this process
+//!   `put_blob`'d its payload (written or deduplicated), reloaded it
+//!   through the blob's checksum, or recovered it from a verified
+//!   manifest; only `insert` of a different value drops it. So a ref
+//!   never names a file nobody checked (a torn file at a final name has
+//!   none), and a *resident* entry with one is displaced or checkpointed
+//!   by reading the blob back, not by encoding and hashing it again:
+//!   trusted as far as a stub is, plus the read-back that lets a rotted
+//!   or compacted-away blob be rewritten from RAM;
 //! * **write-intent claims** — a program that will `store` a name claims
 //!   it at admission; a second in-flight program claiming the same name is
 //!   a *conflict* (its effect would depend on scheduling order, which
@@ -51,21 +60,27 @@ use crate::trace::SpillTraffic;
 /// Where an entry's tiles currently live.
 #[derive(Debug)]
 enum Payload {
-    /// Tiles are in RAM.
+    /// Tiles are in RAM (and in `Entry::blob`, if set, as last verified).
     Resident(DistMatrix),
-    /// Tiles live in a verified disk blob; the stub keeps what planning
+    /// Tiles live only in `Entry::blob`; the stub keeps what planning
     /// needs (`scheme_of`) without touching disk.
-    Spilled {
-        hash: String,
-        payload_bytes: u64,
-        scheme: PartitionScheme,
-    },
+    Spilled { scheme: PartitionScheme },
+}
+
+/// The blob holding exactly an entry's current content.
+#[derive(Debug, Clone)]
+struct BlobRef {
+    hash: String,
+    payload_bytes: u64,
 }
 
 /// One stored matrix plus its bookkeeping.
 #[derive(Debug)]
 struct Entry {
     payload: Payload,
+    /// The entry's durable copy, if it has one (see the module header);
+    /// always `Some` while spilled.
+    blob: Option<BlobRef>,
     /// Logical RAM bytes of one copy (counts toward the budget only
     /// while resident).
     bytes: u64,
@@ -86,6 +101,13 @@ impl Entry {
         match self.payload {
             Payload::Resident(_) => self.bytes,
             Payload::Spilled { .. } => 0,
+        }
+    }
+
+    fn scheme(&self) -> PartitionScheme {
+        match &self.payload {
+            Payload::Resident(m) => m.scheme(),
+            Payload::Spilled { scheme } => *scheme,
         }
     }
 }
@@ -114,10 +136,11 @@ pub struct StoreStats {
     pub spilled: usize,
     /// Logical bytes of currently spilled entries.
     pub spilled_bytes: u64,
-    /// Resident→disk displacements (spill events; deduplicated blob
-    /// writes still count as a spill, but write no bytes).
+    /// Resident→disk displacements: every one counts, whether its blob
+    /// had to be written or was already on disk and only read back.
     pub spills: u64,
-    /// Blob bytes physically written by spills and checkpoints.
+    /// Blob payload bytes physically written by spills and checkpoints
+    /// (a displacement or snapshot that found its blob intact adds 0).
     pub spill_bytes: u64,
     /// Disk→resident reloads.
     pub loads: u64,
@@ -171,34 +194,45 @@ impl Inner {
         }
     }
 
-    /// Write `name`'s tiles to the disk tier (content-addressed, so an
-    /// already-present blob costs nothing) and swap the entry to a stub.
-    fn spill(&mut self, name: &str) -> Result<()> {
-        let disk = self.disk.clone().expect("spill requires a disk tier");
-        let (payload, scheme, bytes) = {
-            let e = self.entries.get(name).expect("spill victim exists");
-            let Payload::Resident(m) = &e.payload else {
-                return Ok(());
-            };
-            (disk::encode_dist(m), m.scheme(), e.bytes)
+    /// Make sure `name`'s content is on disk and say where. A stub's
+    /// [`BlobRef`] stands; a resident entry's does once the blob reads
+    /// back intact (no encode, no hash of the RAM copy). Otherwise — no
+    /// ref, or the blob rotted or was compacted away — encode once and
+    /// `put_blob`, which writes unless an intact copy is already there.
+    fn persist(&mut self, name: &str) -> Result<BlobRef> {
+        let disk = self.disk.clone().expect("persist requires a disk tier");
+        let e = self.entries.get_mut(name).expect("persisted entry exists");
+        let m = match (&e.payload, &e.blob) {
+            (Payload::Spilled { .. }, blob) => return Ok(blob.clone().expect("stub has a blob")),
+            (_, Some(b)) if disk.verify_blob(&b.hash, b.payload_bytes) => return Ok(b.clone()),
+            (Payload::Resident(m), _) => m,
         };
-        let hash = format!("{:016x}", disk::fnv1a_bytes(&payload));
-        let plen = payload.len() as u64;
-        if !disk.verify_blob(&hash, plen) {
-            // Crash/IO errors propagate *before* the in-RAM swap: the
-            // "process" died, leaving the entry resident and the disk
-            // holding whatever the torn write left.
-            disk.put_blob(&payload)?;
-            self.counters.spill_bytes += plen;
+        let payload = disk::encode_dist(m);
+        let (hash, wrote) = disk.put_blob(&payload)?;
+        let payload_bytes = payload.len() as u64;
+        if wrote {
+            self.counters.spill_bytes += payload_bytes;
         }
-        self.counters.spills += 1;
-        self.bytes -= bytes;
-        let e = self.entries.get_mut(name).expect("spill victim exists");
-        e.payload = Payload::Spilled {
+        let blob = BlobRef {
             hash,
-            payload_bytes: plen,
-            scheme,
+            payload_bytes,
         };
+        e.blob = Some(blob.clone());
+        Ok(blob)
+    }
+
+    /// Displace resident `name`: [`Inner::persist`], then swap to a stub —
+    /// the RAM copy goes only once its blob was just written or just read
+    /// back. A crash or IO error propagates *before* the swap: the entry
+    /// stays resident, the disk holds whatever the torn write left.
+    fn spill(&mut self, name: &str) -> Result<()> {
+        self.persist(name)?;
+        let e = self.entries.get_mut(name).expect("spill victim exists");
+        if let Payload::Resident(m) = &e.payload {
+            e.payload = Payload::Spilled { scheme: m.scheme() };
+            self.bytes -= e.bytes;
+            self.counters.spills += 1;
+        }
         Ok(())
     }
 
@@ -328,18 +362,23 @@ impl SharedStore {
         g.tick += 1;
         let tick = g.tick;
         g.counters.inserts += 1;
-        let pins = if let Some(old) = g.entries.remove(name) {
+        let (pins, blob) = if let Some(old) = g.entries.remove(name) {
             g.bytes -= old.resident_bytes();
             g.counters.replaced += 1;
-            old.pins // replacement inherits the readers' pins
+            // Handing back the value the entry holds (a clone shares its
+            // rid, every new materialisation re-mints it) keeps its blob.
+            let same = matches!(&old.payload, Payload::Resident(held) if held.rid() == m.rid());
+            // The replacement inherits the readers' pins.
+            (old.pins, old.blob.filter(|_| same))
         } else {
-            0
+            (0, None)
         };
         g.bytes += bytes;
         g.entries.insert(
             name.to_string(),
             Entry {
                 payload: Payload::Resident(m),
+                blob,
                 bytes,
                 pins,
                 last_used: tick,
@@ -356,19 +395,16 @@ impl SharedStore {
     pub fn get(&self, name: &str) -> Option<DistMatrix> {
         let mut g = self.lock();
         g.touch(name);
-        let (hash, plen) = match &g.entries.get(name)?.payload {
-            Payload::Resident(m) => return Some(m.clone()),
-            Payload::Spilled {
-                hash,
-                payload_bytes,
-                ..
-            } => (hash.clone(), *payload_bytes),
-        };
+        let e = g.entries.get(name)?;
+        if let Payload::Resident(m) = &e.payload {
+            return Some(m.clone());
+        }
+        let blob = e.blob.clone().expect("stub has a blob");
         let disk = g.disk.clone()?;
-        match disk.get_blob(&hash).and_then(|p| disk::decode_dist(&p)) {
+        match disk.get_dist(&blob.hash) {
             Ok(m) => {
                 g.counters.loads += 1;
-                g.counters.load_bytes += plen;
+                g.counters.load_bytes += blob.payload_bytes;
                 let e = g.entries.get_mut(name).expect("stub present");
                 e.payload = Payload::Resident(m.clone());
                 e.dims_nnz = Some((m.rows(), m.cols(), m.nnz() as u64));
@@ -404,10 +440,7 @@ impl SharedStore {
     /// Partition scheme of an entry. Works for spilled entries without
     /// touching disk — plan-cache keys depend on it.
     pub fn scheme_of(&self, name: &str) -> Option<PartitionScheme> {
-        self.lock().entries.get(name).map(|e| match &e.payload {
-            Payload::Resident(m) => m.scheme(),
-            Payload::Spilled { scheme, .. } => *scheme,
-        })
+        self.lock().entries.get(name).map(Entry::scheme)
     }
 
     /// Density class of an entry, from the `(rows, cols, nnz)` captured
@@ -506,7 +539,8 @@ impl SharedStore {
     }
 
     /// Publish a snapshot of `names` at `phase`: every member's tiles
-    /// are made durable (content addressing skips unchanged matrices),
+    /// are made durable name by name in sorted order (a member whose blob
+    /// is already on disk is read back, not encoded or written again),
     /// a manifest is written and `CURRENT` swapped to it, then garbage
     /// from superseded snapshots is compacted away. Returns the new
     /// snapshot's sequence number.
@@ -526,50 +560,21 @@ impl SharedStore {
         let mut sorted: Vec<&String> = names.iter().collect();
         sorted.sort();
         sorted.dedup();
-        // Stage payloads first (immutable pass), then write (counter pass).
-        let mut staged: Vec<(String, Option<Vec<u8>>, ManifestEntry)> = Vec::new();
-        for name in sorted {
-            let e = g
-                .entries
-                .get(name)
-                .ok_or_else(|| CoreError::Unbound(name.clone()))?;
-            match &e.payload {
-                Payload::Resident(m) => {
-                    let payload = disk::encode_dist(m);
-                    let entry = ManifestEntry {
-                        name: name.clone(),
-                        hash: format!("{:016x}", disk::fnv1a_bytes(&payload)),
-                        bytes: payload.len() as u64,
-                        logical_bytes: e.bytes,
-                        scheme: m.scheme(),
-                    };
-                    staged.push((name.clone(), Some(payload), entry));
-                }
-                Payload::Spilled {
-                    hash,
-                    payload_bytes,
-                    scheme,
-                } => {
-                    let entry = ManifestEntry {
-                        name: name.clone(),
-                        hash: hash.clone(),
-                        bytes: *payload_bytes,
-                        logical_bytes: e.bytes,
-                        scheme: *scheme,
-                    };
-                    staged.push((name.clone(), None, entry));
-                }
-            }
+        // An unknown name fails the snapshot before any write.
+        if let Some(name) = sorted.iter().find(|n| !g.entries.contains_key(**n)) {
+            return Err(CoreError::Unbound((*name).clone()));
         }
-        let mut entries = Vec::with_capacity(staged.len());
-        for (_, payload, entry) in staged {
-            if let Some(payload) = payload {
-                if !disk.verify_blob(&entry.hash, entry.bytes) {
-                    disk.put_blob(&payload)?;
-                    g.counters.spill_bytes += entry.bytes;
-                }
-            }
-            entries.push(entry);
+        let mut entries = Vec::with_capacity(sorted.len());
+        for name in sorted {
+            let blob = g.persist(name)?;
+            let e = &g.entries[name];
+            entries.push(ManifestEntry {
+                name: name.clone(),
+                hash: blob.hash,
+                bytes: blob.payload_bytes,
+                logical_bytes: e.bytes,
+                scheme: e.scheme(),
+            });
         }
         let seq = disk.publish("checkpoint", phase, entries)?;
         g.counters.snapshots += 1;
@@ -579,10 +584,8 @@ impl SharedStore {
         let stubs: HashSet<String> = g
             .entries
             .values()
-            .filter_map(|e| match &e.payload {
-                Payload::Spilled { hash, .. } => Some(hash.clone()),
-                Payload::Resident(_) => None,
-            })
+            .filter(|e| matches!(e.payload, Payload::Spilled { .. }))
+            .filter_map(|e| e.blob.as_ref().map(|b| b.hash.clone()))
             .collect();
         disk.compact(&stubs, seq.saturating_sub(1))?;
         Ok(seq)
@@ -612,11 +615,11 @@ impl SharedStore {
             g.entries.insert(
                 e.name.clone(),
                 Entry {
-                    payload: Payload::Spilled {
+                    payload: Payload::Spilled { scheme: e.scheme },
+                    blob: Some(BlobRef {
                         hash: e.hash.clone(),
                         payload_bytes: e.bytes,
-                        scheme: e.scheme,
-                    },
+                    }),
                     bytes: e.logical_bytes,
                     pins: 0,
                     last_used: tick,
@@ -718,8 +721,43 @@ mod tests {
     }
 
     fn dist(rows: usize, cols: usize) -> DistMatrix {
-        let m = BlockedMatrix::from_fn(rows, cols, 4, |i, j| (i + j) as f64).unwrap();
+        salted(rows, cols, 0.0)
+    }
+
+    /// `dist` with `salt` added to every cell: same shape and bytes, other bits.
+    fn salted(rows: usize, cols: usize, salt: f64) -> DistMatrix {
+        let m = BlockedMatrix::from_fn(rows, cols, 4, |i, j| (i + j) as f64 + salt).unwrap();
         DistMatrix::from_blocked(&m, PartitionScheme::Row, 2)
+    }
+
+    fn bits(m: &DistMatrix) -> Vec<u64> {
+        let dense = m.to_blocked().unwrap().to_dense();
+        dense.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `encode_dist` calls made by this test's thread so far.
+    fn encodes() -> usize {
+        disk::ENCODES.with(|n| n.get())
+    }
+
+    /// `(name, inode, mtime ns, length)` of every blob file, sorted: a blob
+    /// written again — even with the same bytes — is a new temp file
+    /// renamed into place, so its inode changes.
+    fn blob_files(s: &SharedStore) -> Vec<(String, u64, i64, u64)> {
+        use std::os::unix::fs::MetadataExt;
+        let blocks = s.disk().unwrap().root().join("blocks");
+        let mut files: Vec<_> = std::fs::read_dir(blocks)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let md = entry.metadata().unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                let mtime = md.mtime() * 1_000_000_000 + md.mtime_nsec();
+                (name, md.ino(), mtime, md.len())
+            })
+            .collect();
+        files.sort();
+        files
     }
 
     #[test]
@@ -945,12 +983,16 @@ mod tests {
         s.checkpoint(&names, 1).unwrap();
         let written = s.stats().spill_bytes;
         assert!(written > 0);
+        let encoded = encodes();
         s.checkpoint(&names, 2).unwrap();
         assert_eq!(
             s.stats().spill_bytes,
             written,
             "content addressing skips unchanged blobs"
         );
+        // ... and, new with the entry's BlobRef, encodes nothing either
+        // (the parent encoded and hashed W again to learn it was unchanged).
+        assert_eq!(encodes(), encoded);
     }
 
     #[test]
@@ -972,5 +1014,189 @@ mod tests {
         assert_eq!(r.latest_snapshot(), Some((seq1, 1)));
         assert_eq!(r.get("W").unwrap().rows(), 16);
         assert_eq!(r.get("W").unwrap().cols(), 8, "pre-crash W");
+    }
+
+    // -- an entry knows its blob -------------------------------------------
+
+    /// Waste removed: load → displace → load → displace of an unchanged
+    /// entry encodes and writes it once. The parent wrote it once too
+    /// (content addressing) but encoded and hashed it at every displacement.
+    #[test]
+    fn an_unchanged_entry_is_encoded_and_written_once() {
+        let one = dist(8, 8).logical_bytes();
+        let s = SharedStore::with_capacity_and_disk(one, temp_dir("once")).unwrap();
+        let (a, b) = (salted(8, 8, 0.5), salted(8, 8, 1.5));
+        s.insert("A", a.clone()).unwrap();
+        s.insert("B", b.clone()).unwrap(); // displaces A: encoded, written
+        assert_eq!(bits(&s.get("A").unwrap()), bits(&a)); // displaces B: encoded, written
+        let st = s.stats();
+        assert_eq!((st.spills, st.loads, encodes()), (2, 1, 2));
+        let files = blob_files(&s);
+        assert_eq!(files.len(), 2);
+        for round in 0..3 {
+            // Each get reloads one name and displaces the other, clean.
+            assert_eq!(bits(&s.get("B").unwrap()), bits(&b), "round {round}");
+            assert_eq!(bits(&s.get("A").unwrap()), bits(&a), "round {round}");
+        }
+        let after = s.stats();
+        assert_eq!(
+            (after.spills, after.loads),
+            (8, 7),
+            "every displacement counts"
+        );
+        assert_eq!(after.spill_bytes, st.spill_bytes, "none of them wrote");
+        assert_eq!(
+            encodes(),
+            2,
+            "one encode per entry, not one per displacement"
+        );
+        assert_eq!(
+            blob_files(&s),
+            files,
+            "blob files untouched: same inode, same mtime"
+        );
+        assert_eq!(after.load_failures, 0);
+    }
+
+    /// Parent behaviour preserved: new content under a name gets a new
+    /// blob. Waste removed: the same value handed back (same rid) keeps
+    /// its blob; equal content under a fresh rid is encoded again but
+    /// deduplicated by `put_blob`, not rewritten.
+    #[test]
+    fn insert_forgets_the_blob_unless_it_is_the_same_value() {
+        let one = dist(8, 8).logical_bytes();
+        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("forget")).unwrap();
+        let names = vec!["A".to_string()];
+        s.insert("A", dist(8, 8)).unwrap();
+        s.checkpoint(&names, 1).unwrap();
+        let first = s.stats().spill_bytes;
+        assert_eq!((encodes(), blob_files(&s).len()), (1, 1));
+
+        // The very value the entry holds (`Session::absorb_outputs` hands
+        // a cached input back every run): the ref survives.
+        let held = s.get("A").unwrap();
+        s.insert("A", held.clone()).unwrap();
+        s.checkpoint(&names, 2).unwrap();
+        assert_eq!(encodes(), 1, "same rid: nothing to encode");
+
+        // Equal content, new materialisation: no ref, so it is encoded —
+        // and `put_blob`'s probe finds the intact blob.
+        s.insert("A", dist(8, 8)).unwrap();
+        s.checkpoint(&names, 3).unwrap();
+        assert_eq!((encodes(), s.stats().spill_bytes), (2, first));
+
+        // New content: the next displacement writes a different blob and
+        // a reload returns the new bits.
+        let fresh = salted(8, 8, 0.25);
+        s.insert("A", fresh.clone()).unwrap();
+        assert_eq!(s.set_external_pressure(2 * one).unwrap(), names);
+        assert_eq!((encodes(), s.stats().spill_bytes), (3, 2 * first));
+        assert_eq!(blob_files(&s).len(), 2, "old blob (snapshots) + new blob");
+        s.set_external_pressure(0).unwrap();
+        assert_eq!(bits(&s.get("A").unwrap()), bits(&fresh));
+        assert_ne!(bits(&fresh), bits(&held));
+    }
+
+    /// Parent behaviour pinned (self-healing): a blob truncated, flipped
+    /// or deleted behind a clean *resident* entry is rewritten from RAM at
+    /// the next checkpoint and at the next displacement — the read-back
+    /// notices while the RAM copy still exists.
+    #[test]
+    fn a_blob_damaged_behind_a_resident_entry_is_rewritten_from_ram() {
+        type Wreck = fn(&std::path::Path);
+        let wreck: [(&str, Wreck); 3] = [
+            ("truncate", |p| {
+                let data = std::fs::read(p).unwrap();
+                std::fs::write(p, &data[..data.len() / 2]).unwrap();
+            }),
+            ("flip", |p| {
+                let mut data = std::fs::read(p).unwrap();
+                let mid = data.len() / 2;
+                data[mid] ^= 0x10;
+                std::fs::write(p, data).unwrap();
+            }),
+            ("delete", |p| std::fs::remove_file(p).unwrap()),
+        ];
+        for (tag, wreck) in wreck {
+            let one = dist(8, 8).logical_bytes();
+            let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir(tag)).unwrap();
+            let names = vec!["A".to_string()];
+            let a = salted(8, 8, 0.75);
+            s.insert("A", a.clone()).unwrap();
+            s.checkpoint(&names, 1).unwrap();
+            let one_blob = s.stats().spill_bytes;
+            let files = blob_files(&s);
+            let path = s.disk().unwrap().root().join("blocks").join(&files[0].0);
+
+            wreck(&path);
+            s.checkpoint(&names, 2).unwrap();
+            assert_eq!(
+                s.stats().spill_bytes,
+                2 * one_blob,
+                "{tag}: checkpoint rewrote"
+            );
+            assert_eq!(blob_files(&s)[0].3, files[0].3, "{tag}: whole again");
+
+            wreck(&path);
+            assert_eq!(s.set_external_pressure(2 * one).unwrap(), names);
+            assert_eq!(
+                s.stats().spill_bytes,
+                3 * one_blob,
+                "{tag}: displacement rewrote"
+            );
+            s.set_external_pressure(0).unwrap();
+            assert_eq!(bits(&s.get("A").unwrap()), bits(&a), "{tag}");
+            assert_eq!(s.stats().load_failures, 0, "{tag}");
+        }
+    }
+
+    /// Parent behaviour preserved: a torn file that `MidBlobWrite` left at
+    /// the final name belongs to no entry — the crashed store never got a
+    /// ref, a new store over the directory has none — so the same content
+    /// goes through `put_blob`, whose probe rejects the file and rewrites it.
+    #[test]
+    fn a_torn_file_at_the_final_name_is_never_deduplicated_against() {
+        let dir = temp_dir("torn-final");
+        let names = vec!["A".to_string()];
+        let crashed = SharedStore::with_disk(&dir).unwrap();
+        crashed.insert("A", dist(8, 8)).unwrap();
+        crashed.arm_crashes(&FaultPlan::crash(CrashPoint::MidBlobWrite, 0));
+        let err = crashed.checkpoint(&names, 1).unwrap_err();
+        assert!(matches!(err, CoreError::InjectedCrash(_)), "{err}");
+        let torn = blob_files(&crashed);
+        assert_eq!(torn.len(), 1, "the torn file sits at the final name");
+        assert_eq!(crashed.stats().spill_bytes, 0);
+        // The crashed store itself, still holding A in RAM, retries and heals.
+        crashed.checkpoint(&names, 1).unwrap();
+        std::fs::write(dir.join("blocks").join(&torn[0].0), b"DMBK1\ntorn again").unwrap();
+        drop(crashed);
+
+        let s = SharedStore::with_disk(&dir).unwrap();
+        s.insert("A", dist(8, 8)).unwrap();
+        s.checkpoint(&names, 2).unwrap();
+        let whole = blob_files(&s);
+        assert_eq!(whole[0].0, torn[0].0, "same content, same name");
+        assert_eq!(s.stats().spill_bytes + 22, whole[0].3, "rewritten in full");
+        let r = SharedStore::with_disk(&dir).unwrap();
+        assert_eq!(r.recover().unwrap(), names);
+        assert_eq!(bits(&r.get("A").unwrap()), bits(&dist(8, 8)));
+        assert_eq!(r.stats().load_failures, 0);
+    }
+
+    /// Parent behaviour preserved: an unknown member fails the snapshot
+    /// before any write (and now before any encode).
+    #[test]
+    fn checkpoint_with_an_unknown_name_writes_nothing() {
+        let dir = temp_dir("unbound");
+        let s = SharedStore::with_disk(&dir).unwrap();
+        s.insert("a", dist(8, 8)).unwrap();
+        let err = s
+            .checkpoint(&["a".to_string(), "b".to_string()], 1)
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Unbound(n) if n == "b"));
+        let st = s.stats();
+        assert_eq!((st.spill_bytes, st.snapshots, encodes()), (0, 0, 0));
+        assert!(blob_files(&s).is_empty());
+        assert!(s.disk().unwrap().load_latest().unwrap().is_none());
     }
 }

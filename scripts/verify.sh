@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one tile decoder, one aligned stage)"
+echo "==> said once (one tile fold, one tile decoder, one aligned stage, one persist)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -37,6 +37,14 @@ if find crates/core/src crates/cluster/src -name '*.rs' ! -name binfmt.rs -exec 
 # An aligned stage has one path (Cluster::cells -> the "fused" command):
 # no per-operator enum or worker command beside it.
 if grep -rnE 'CellOp|UnaryTileOp|"t", "(cell|unary)"' crates src; then exit 1; fi
+# An entry's tiles become a blob in one place (Inner::persist: one encode,
+# one put), and naming a payload is disk.rs's job: a second copy of
+# "encode -> hash -> verify -> put" in the store cannot reappear unnoticed.
+awk '/#\[cfg\(test\)\]/ { exit }
+     /encode_dist\(/ { enc++ } /put_blob\(/ { put++ } /fnv1a_bytes\(/ { fnv++ }
+     END { if (enc != 1 || put != 1 || fnv != 0) {
+               print FILENAME ": encode_dist( x" enc+0 ", put_blob( x" put+0 ", fnv1a_bytes( x" fnv+0 " (want 1, 1, 0)"
+               exit 1 } }' crates/core/src/store.rs
 
 echo "==> cargo test (workspace)"
 # Includes what used to be separate gates: the lint + plan-verifier sweep

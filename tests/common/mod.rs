@@ -2,17 +2,37 @@
 //! interpreter that evaluates a `dmac-lang` program directly on local
 //! blocked matrices, bypassing the planner and cluster entirely (every
 //! engine under test must agree with it), and the all-pinned reference
-//! program the fusion and liveness tests compare the planner against.
+//! program the fusion and liveness tests compare the planner against;
+//! and the blob-file listing the durable-store tests compare before and
+//! after a call.
 
 // Each test crate that includes this module uses a subset of it.
 #![allow(dead_code)]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::path::Path;
 
 use dmac::lang::{
     BinOp, Expr, MatrixId, MatrixOrigin, OpKind, Program, ReduceOp, ScalarId, UnaryOp,
 };
 use dmac::matrix::BlockedMatrix;
+
+/// `(inode, mtime ns, length)` of every blob file of a data directory, by
+/// file name. A blob written again — even with the same bytes — is a new
+/// temp file renamed into place, so its inode changes.
+pub fn blob_files(data_dir: &Path) -> BTreeMap<String, (u64, i64, u64)> {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::read_dir(data_dir.join("blocks"))
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let md = e.metadata().unwrap();
+            let mtime = md.mtime() * 1_000_000_000 + md.mtime_nsec();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, (md.ino(), mtime, md.len()))
+        })
+        .collect()
+}
 
 /// `program` with every operator result also marked as an output. The
 /// planner never absorbs a program output into a fused group and never

@@ -1,0 +1,281 @@
+//! Model check of the durable store: random sequences of `insert` (new
+//! content / the held value again / equal content re-materialised) · `get`
+//! · `set_external_pressure` · `pin` / `unpin` · `checkpoint` ·
+//! drop-the-store-and-`recover` over a capped, disk-backed [`SharedStore`],
+//! against an unbounded in-memory one.
+//!
+//! After every call:
+//!
+//! * the two stores hold the same names, and every `get` is bit-identical
+//!   to the model's (a recover rolls the model back to the members of the
+//!   last checkpoint);
+//! * `load_failures == 0`;
+//! * `bytes + external_pressure ≤ capacity`, or no unpinned resident entry
+//!   is left to displace — checked after the calls that displace (`insert`,
+//!   `set_external_pressure`, a reloading `get`): `unpin` makes an entry
+//!   displaceable but displaces nothing itself;
+//! * `spill_bytes` grew in that call **iff** a blob file is new or has a
+//!   new inode after it — a displacement or snapshot that found its blob
+//!   on disk writes nothing and counts nothing, and nothing is written
+//!   uncounted.
+//!
+//! Cases come from the in-tree [`SplitMix64`] with fixed seeds (same idiom
+//! as `tests/prop_frames.rs`); every assertion names its seed and step.
+//! A seed that ever fails goes into [`REGRESSIONS`] with the fix.
+
+use std::collections::{BTreeMap, HashMap};
+use std::path::PathBuf;
+
+use dmac::cluster::{DistMatrix, PartitionScheme};
+use dmac::core::{CoreError, SharedStore};
+use dmac::matrix::{BlockedMatrix, SplitMix64};
+
+mod common;
+use common::blob_files;
+
+/// Seeds that failed once, run before the sweep whatever its range becomes
+/// (ROADMAP aim 3: every bug found becomes a pinned seed). Both failed
+/// while this test was written, on the model and not the store: `…0002`
+/// step 26 unpins an entry over a 700 B budget (displaceable, not
+/// displaced); `…0005` step 57 applies pressure while the pinned entries
+/// alone exceed the budget (`StoreOverCommit`, every entry kept).
+const REGRESSIONS: &[u64] = &[0x5703_0002, 0x5703_0005];
+const SWEEP: std::ops::Range<u64> = 0x5703_0000..0x5703_0100;
+
+const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+
+fn temp_dir(seed: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dmac-prop-store-{}-{seed:x}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A small matrix of random shape, density, scheme and worker count.
+fn random_matrix(rng: &mut SplitMix64) -> DistMatrix {
+    let (rows, cols) = [(8, 8), (16, 8), (8, 12), (4, 20)][rng.below(4)];
+    let m = if rng.chance(0.5) {
+        let cells: Vec<f64> = (0..rows * cols).map(|_| rng.range_f64(-4.0, 4.0)).collect();
+        BlockedMatrix::from_fn(rows, cols, 4, |i, j| cells[i * cols + j])
+    } else {
+        let trips: BTreeMap<(usize, usize), f64> = (0..rng.below(rows * cols / 4))
+            .map(|_| ((rng.below(rows), rng.below(cols)), rng.range_f64(-4.0, 4.0)))
+            .collect();
+        BlockedMatrix::from_triplets(
+            rows,
+            cols,
+            4,
+            trips.into_iter().map(|((i, j), v)| (i, j, v)),
+        )
+    }
+    .unwrap();
+    let scheme = [
+        PartitionScheme::Row,
+        PartitionScheme::Col,
+        PartitionScheme::Hash,
+        PartitionScheme::Broadcast,
+    ][rng.below(4)];
+    DistMatrix::from_blocked(&m, scheme, 2 + rng.below(2))
+}
+
+/// Same geometry, scheme and placement, every tile equal by `to_bits`.
+fn bits_eq(a: &DistMatrix, b: &DistMatrix) -> bool {
+    let head = |m: &DistMatrix| (m.rows(), m.cols(), m.block_size(), m.scheme(), m.workers());
+    head(a) == head(b)
+        && (0..a.workers()).all(|w| {
+            let (ta, tb) = (a.worker_blocks(w), b.worker_blocks(w));
+            ta.len() == tb.len()
+                && ta
+                    .iter()
+                    .all(|(at, tile)| tb.get(at).is_some_and(|other| other.bits_eq(tile)))
+        })
+}
+
+/// What a call may not change without counting it, and must change if it
+/// counts: `spill_bytes` so far and every blob file's identity.
+type Written = (u64, BTreeMap<String, (u64, i64, u64)>);
+
+/// The store under test beside what the test must remember about it.
+struct World {
+    dir: PathBuf,
+    cap: u64,
+    store: SharedStore,
+    model: SharedStore,
+    /// Pins this test holds, by name (the store ignores a pin of an absent
+    /// name; a replacement inherits its predecessor's).
+    pins: HashMap<String, u32>,
+    /// Members of the last published snapshot, as values.
+    snapshot: Vec<(String, DistMatrix)>,
+    /// Calls whose written bytes were observed, by kind (coverage).
+    wrote: usize,
+    clean: usize,
+}
+
+impl World {
+    /// The invariants after one call; `displaced` says the call ran
+    /// displacement. Returns whether the call wrote a blob.
+    fn check(&self, before: Written, displaced: bool, ctx: &str) -> bool {
+        let st = self.store.stats();
+        assert_eq!(st.load_failures, 0, "{ctx}");
+        assert_eq!(self.store.names(), self.model.names(), "{ctx}");
+        if displaced && st.bytes + st.external_pressure > self.cap {
+            for name in self.store.names() {
+                let pinned = self.pins.get(&name).copied().unwrap_or(0) > 0;
+                assert!(
+                    pinned || self.store.is_spilled(&name),
+                    "{ctx}: {} B over a {} B budget with '{name}' resident and unpinned",
+                    st.bytes + st.external_pressure,
+                    self.cap
+                );
+            }
+        }
+        let (bytes0, files0) = before;
+        let files = blob_files(&self.dir);
+        let written = files
+            .iter()
+            .any(|(name, file)| files0.get(name) != Some(file));
+        assert_eq!(
+            st.spill_bytes > bytes0,
+            written,
+            "{ctx}: spill_bytes {bytes0} -> {}, blob files {files0:?} -> {files:?}",
+            st.spill_bytes
+        );
+        written
+    }
+
+    fn before(&self) -> Written {
+        (self.store.stats().spill_bytes, blob_files(&self.dir))
+    }
+}
+
+/// A displacing call succeeds, or reports that pinned entries alone are
+/// over budget (the entry is kept either way).
+fn displaced(result: Result<Vec<String>, CoreError>, ctx: &str) {
+    match result {
+        Ok(_) | Err(CoreError::StoreOverCommit { .. }) => {}
+        Err(e) => panic!("{ctx}: {e}"),
+    }
+}
+
+fn run_seed(seed: u64) -> (usize, usize) {
+    let mut rng = SplitMix64::new(seed);
+    let dir = temp_dir(seed);
+    let cap = [700u64, 1500, 3000][rng.below(3)];
+    let mut w = World {
+        store: SharedStore::with_capacity_and_disk(cap, &dir).unwrap(),
+        model: SharedStore::new(),
+        dir,
+        cap,
+        pins: HashMap::new(),
+        snapshot: Vec::new(),
+        wrote: 0,
+        clean: 0,
+    };
+    for step in 0..60 {
+        let name = NAMES[rng.below(NAMES.len())];
+        let op = rng.below(10);
+        let ctx = format!("seed {seed:#x} step {step} op {op} name {name}");
+        let before = w.before();
+        let displaces = match op {
+            0..=2 | 5 => true,
+            3 | 4 => w.store.is_spilled(name),
+            _ => false,
+        };
+        match op {
+            // insert: new content, the held value again, or equal content
+            // under a fresh rid.
+            0..=2 => {
+                let m = match (op, w.model.get(name)) {
+                    (1, Some(held)) => held,
+                    (2, Some(held)) => DistMatrix::from_blocked(
+                        &held.to_blocked().unwrap(),
+                        held.scheme(),
+                        held.workers(),
+                    ),
+                    _ => random_matrix(&mut rng),
+                };
+                w.model.insert(name, m.clone()).unwrap();
+                displaced(w.store.insert(name, m), &ctx);
+            }
+            3 | 4 => match (w.store.get(name), w.model.get(name)) {
+                (Some(got), Some(want)) => assert!(bits_eq(&got, &want), "{ctx}"),
+                (None, None) => {}
+                (got, _) => panic!("{ctx}: store has it: {}, model the opposite", got.is_some()),
+            },
+            5 => {
+                let pressure = rng.below(cap as usize * 3 / 2) as u64;
+                displaced(w.store.set_external_pressure(pressure), &ctx);
+            }
+            6 => {
+                if w.store.contains(name) {
+                    w.store.pin(&[name.to_string()]);
+                    *w.pins.entry(name.to_string()).or_default() += 1;
+                }
+            }
+            7 => {
+                if let Some(n) = w.pins.get_mut(name).filter(|n| **n > 0) {
+                    w.store.unpin(&[name.to_string()]);
+                    *n -= 1;
+                }
+            }
+            8 => {
+                let members: Vec<String> = w
+                    .store
+                    .names()
+                    .into_iter()
+                    .filter(|_| rng.chance(0.6))
+                    .collect();
+                if !members.is_empty() {
+                    w.store.checkpoint(&members, step as u64).unwrap();
+                    w.snapshot = members
+                        .iter()
+                        .map(|n| (n.clone(), w.model.get(n).unwrap()))
+                        .collect();
+                }
+            }
+            // A restart: nothing survives but the directory.
+            _ => {
+                w.store = SharedStore::with_capacity_and_disk(cap, &w.dir).unwrap();
+                let recovered = w.store.recover().unwrap();
+                w.model = SharedStore::new();
+                for (n, m) in &w.snapshot {
+                    w.model.insert(n, m.clone()).unwrap();
+                }
+                assert_eq!(recovered, w.model.names(), "{ctx}");
+                w.pins.clear();
+            }
+        }
+        // A new store counts from zero.
+        let before = if op == 9 { (0, before.1) } else { before };
+        if w.check(before, displaces, &ctx) {
+            w.wrote += 1;
+        } else if w.store.stats().spills > 0 {
+            w.clean += 1;
+        }
+    }
+    for name in w.store.names() {
+        let ctx = format!("seed {seed:#x} final read of {name}");
+        let (before, reloads) = (w.before(), w.store.is_spilled(&name));
+        assert!(
+            bits_eq(&w.store.get(&name).unwrap(), &w.model.get(&name).unwrap()),
+            "{ctx}"
+        );
+        w.check(before, reloads, &ctx);
+    }
+    let _ = std::fs::remove_dir_all(&w.dir);
+    (w.wrote, w.clean)
+}
+
+#[test]
+fn capped_disk_store_matches_the_unbounded_model() {
+    let (mut wrote, mut clean) = (0, 0);
+    for seed in REGRESSIONS.iter().copied().chain(SWEEP) {
+        let (w, c) = run_seed(seed);
+        wrote += w;
+        clean += c;
+    }
+    // The sweep is only worth its name if both sides of the property occur.
+    assert!(
+        wrote > 500 && clean > 500,
+        "calls that wrote: {wrote}, that did not: {clean}"
+    );
+}

@@ -9,13 +9,18 @@
 //!   the `CURRENT` pointer) — by falling back to the previous snapshot;
 //! * detect truncated block files and corrupt checksums at recovery
 //!   and cleanly degrade to an older snapshot or an empty store, then
-//!   keep serving new work normally.
+//!   keep serving new work normally;
+//! * pay, for the snapshot after each store job, only for what that job
+//!   changed: the matrices it did not touch are not written again.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dmac::serve::{Client, Server, ServerConfig};
+
+mod common;
+use common::blob_files;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -44,6 +49,10 @@ fn durable_server(dir: &Path) -> Server {
 const STORE_X: &str = "B = random(B, 48, 48)\nC = B %*% B\nX = C * B\nstore(X)\n";
 /// A second tenant matrix under a different name.
 const STORE_Y: &str = "R = random(R, 32, 32)\nY = R + R\nstore(Y)\n";
+
+/// A third tenant matrix, and a job that stores different bits under `X`.
+const STORE_Z: &str = "S = random(S, 40, 24)\nZ = S * S\nstore(Z)\n";
+const REWRITE_X: &str = "B = random(B, 48, 48)\nX = B + B\nstore(X)\n";
 
 fn u64_at(stats: &dmac::serve::jsonin::Json, path: &[&str]) -> u64 {
     let mut v = stats;
@@ -197,4 +206,56 @@ fn truncated_and_corrupt_blobs_degrade_cleanly() {
         cli.shutdown().expect("shutdown");
         server.wait();
     }
+}
+
+/// `checkpoint_store` snapshots every name the server holds after every
+/// store job. With three names held and a job that rewrites one, the job's
+/// snapshot writes that one payload: the other two blob files are the same
+/// files afterwards (inode, mtime), and a restart serves all three
+/// bit-for-bit.
+#[test]
+fn a_store_job_persists_only_what_it_changed() {
+    let dir = temp_dir("delta");
+    let server = durable_server(&dir);
+    let mut cli = Client::connect(server.addr()).expect("connect");
+    for script in [STORE_X, STORE_Y, STORE_Z] {
+        cli.submit("t1", script, None).expect("store");
+    }
+    let old_x = cli.fetch("X").expect("fetch X");
+    let before = blob_files(&dir);
+    assert_eq!(before.len(), 3, "one blob per name: {before:?}");
+    let written =
+        |cli: &mut Client| u64_at(&cli.stats().expect("stats"), &["store", "spill_bytes"]);
+    let bytes_before = written(&mut cli);
+
+    cli.submit("t1", REWRITE_X, None).expect("rewrite X");
+    let after = blob_files(&dir);
+    for (name, file) in &before {
+        assert_eq!(after.get(name), Some(file), "{name} was written again");
+    }
+    let fresh: Vec<_> = after
+        .iter()
+        .filter(|(n, _)| !before.contains_key(*n))
+        .collect();
+    assert_eq!(fresh.len(), 1, "exactly X's new blob: {after:?}");
+    // A blob file is its payload in a 22-byte frame.
+    assert_eq!(written(&mut cli) - bytes_before, fresh[0].1 .2 - 22);
+
+    let served: Vec<_> = ["X", "Y", "Z"]
+        .iter()
+        .map(|n| cli.fetch(n).expect("fetch"))
+        .collect();
+    assert_ne!(served[0], old_x, "the job did change X");
+    cli.shutdown().expect("shutdown");
+    server.wait();
+
+    let server = durable_server(&dir);
+    let mut cli = Client::connect(server.addr()).expect("connect");
+    let stats = cli.stats().expect("stats");
+    assert_eq!(u64_at(&stats, &["durability", "recovered"]), 3);
+    for (name, want) in ["X", "Y", "Z"].iter().zip(&served) {
+        assert_eq!(&cli.fetch(name).expect("fetch recovered"), want, "{name}");
+    }
+    cli.shutdown().expect("shutdown");
+    server.wait();
 }
