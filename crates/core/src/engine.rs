@@ -33,7 +33,7 @@
 //! [`ExecReport::recovery`] (they *are* included in the report's total
 //! clock and ledger — failures cost real time).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use dmac_cluster::cluster::ReduceKind;
@@ -187,14 +187,14 @@ pub struct RunOutputs {
     /// Values of output nodes, keyed by program matrix id.
     pub matrices: HashMap<MatrixId, DistMatrix>,
     /// Values to persist into the session environment, keyed by name.
-    pub stored: HashMap<String, DistMatrix>,
+    pub stored: BTreeMap<String, DistMatrix>,
     /// All reduction results.
     pub scalars: HashMap<ScalarId, f64>,
     /// Best materialised placement of each *load* input (Spark-style RDD
     /// caching): if a source was repartitioned to a Row/Column scheme
     /// during the run, the session keeps that copy so later programs
     /// start from it (the cross-program half of dependency exploitation).
-    pub cached_inputs: HashMap<MatrixId, DistMatrix>,
+    pub cached_inputs: BTreeMap<MatrixId, DistMatrix>,
 }
 
 /// Deterministic pseudo-random dense entries for `RandomMatrix` inputs

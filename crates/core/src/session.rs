@@ -385,21 +385,19 @@ impl Session {
     )> {
         let mut bindings = HashMap::new();
         let mut initial = HashMap::new();
-        for decl in program.matrices() {
-            match decl.origin {
-                MatrixOrigin::Load => {
-                    let dist = self
-                        .env
-                        .get(&decl.name)
-                        .ok_or_else(|| CoreError::Unbound(decl.name.clone()))?;
-                    initial.insert(decl.id, dist.scheme());
-                    bindings.insert(decl.id, dist);
-                }
-                MatrixOrigin::Random => {
-                    initial.insert(decl.id, PartitionScheme::Hash);
-                }
-                MatrixOrigin::Op(_) => {}
-            }
+        let origin = |o: MatrixOrigin| program.matrices().iter().filter(move |d| d.origin == o);
+        // One batch: the store sees the run's whole read set — the engine
+        // never reads it again — before it displaces anything.
+        let names: Vec<&str> = origin(MatrixOrigin::Load)
+            .map(|d| d.name.as_str())
+            .collect();
+        for (decl, dist) in origin(MatrixOrigin::Load).zip(self.env.get_all(&names)) {
+            let dist = dist.ok_or_else(|| CoreError::Unbound(decl.name.clone()))?;
+            initial.insert(decl.id, dist.scheme());
+            bindings.insert(decl.id, dist);
+        }
+        for decl in origin(MatrixOrigin::Random) {
+            initial.insert(decl.id, PartitionScheme::Hash);
         }
         Ok((bindings, initial))
     }
@@ -596,6 +594,8 @@ impl Session {
     /// Fold a run's outputs into the session: persist `store`d matrices,
     /// cache improved input placements (DMac only — SystemML-S's cache
     /// stays hash-partitioned, per the paper), and expose output values.
+    /// Both walks are in key order (`RunOutputs` holds `BTreeMap`s), so the
+    /// store's displacement sequence — and its counters — repeat exactly.
     /// Store inserts may displace entries to disk; an over-commit or disk
     /// failure there surfaces as the run's error.
     ///
@@ -606,7 +606,12 @@ impl Session {
         let mut displaced: Vec<DistMatrix> = Vec::new();
         for (mid, dist) in outputs.cached_inputs {
             match program.decl(mid) {
-                Ok(decl) if self.planner.exploit_dependencies => {
+                // A name this run stores is about to be overwritten: its
+                // old placement is dead, not worth an insert.
+                Ok(decl)
+                    if self.planner.exploit_dependencies
+                        && !outputs.stored.contains_key(&decl.name) =>
+                {
                     displaced.extend(self.mirrored(&decl.name));
                     self.env.insert(&decl.name, dist)?;
                 }

@@ -13,15 +13,19 @@
 //!   the unbounded-growth leak of repeated `store`s over one name);
 //! * **pin counts** — an entry pinned by an in-flight program cannot be
 //!   evicted; pins are counted so overlapping readers compose;
-//! * **bytes-based LRU displacement** — an optional capacity bounds the
-//!   *resident* bytes; over budget, the least-recently-used unpinned entry
-//!   is **spilled** to the disk tier (when one is attached) or evicted
-//!   (when not). Victim order is strictly deterministic
-//!   (least-recently-used first, name as tie-break) so a serialized replay
-//!   of a request log reproduces the same store states. When pinned
-//!   entries alone exceed the budget, the overshoot is a typed
-//!   [`CoreError::StoreOverCommit`] error and an `over_commits` counter
-//!   tick — never a silent overshoot;
+//! * **bytes-based displacement, by next read** — an optional capacity
+//!   bounds the *resident* bytes; over budget, an unpinned entry is
+//!   **spilled** to the disk tier (when one is attached) or evicted (when
+//!   not). The victim is the entry read furthest ahead in the batch being
+//!   read ([`SharedStore::get_all`]: a session resolving a run's inputs —
+//!   the only reads a run makes), and with no batch in hand (a lone `get`,
+//!   an `insert`, engine pressure) the least recently used. Victim order
+//!   is strictly deterministic (next read, then least-recently-used, name
+//!   as tie-break) and depends on nothing kept between calls, so a
+//!   serialized replay of a request log reproduces the same store states.
+//!   When pinned entries alone exceed the budget, the overshoot is a
+//!   typed [`CoreError::StoreOverCommit`] error and an `over_commits`
+//!   counter tick — never a silent overshoot;
 //! * **durable tier** — with a [`DiskTier`] attached, spilled entries
 //!   become content-addressed checksummed blobs and reload transparently
 //!   on `get`; [`SharedStore::checkpoint`] publishes a snapshot manifest
@@ -38,7 +42,9 @@
 //!   none), and a *resident* entry with one is displaced or checkpointed
 //!   by reading the blob back, not by encoding and hashing it again:
 //!   trusted as far as a stub is, plus the read-back that lets a rotted
-//!   or compacted-away blob be rewritten from RAM;
+//!   or compacted-away blob be rewritten from RAM. A *stub* remembers
+//!   which value it stands for (the `rid` it was displaced from or handed
+//!   out as), and `insert` of that value is a touch: it stays a stub;
 //! * **write-intent claims** — a program that will `store` a name claims
 //!   it at admission; a second in-flight program claiming the same name is
 //!   a *conflict* (its effect would depend on scheduling order, which
@@ -47,6 +53,7 @@
 //! All operations go through a `Mutex`; the store is cheap to clone
 //! (`Arc`) and is shared between a service's sessions.
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -63,8 +70,24 @@ enum Payload {
     /// Tiles are in RAM (and in `Entry::blob`, if set, as last verified).
     Resident(DistMatrix),
     /// Tiles live only in `Entry::blob`; the stub keeps what planning
-    /// needs (`scheme_of`) without touching disk.
-    Spilled { scheme: PartitionScheme },
+    /// needs (`scheme_of`) without touching disk, and the `DistMatrix::rid`
+    /// of the value it stands for — the one it was displaced from or last
+    /// handed out as (`None` on `recover`'s stubs, which stand for no value
+    /// of this process).
+    Spilled {
+        scheme: PartitionScheme,
+        rid: Option<u64>,
+    },
+}
+
+impl Payload {
+    /// The stub standing for `m`.
+    fn stub_of(m: &DistMatrix) -> Payload {
+        Payload::Spilled {
+            scheme: m.scheme(),
+            rid: Some(m.rid()),
+        }
+    }
 }
 
 /// The blob holding exactly an entry's current content.
@@ -107,7 +130,7 @@ impl Entry {
     fn scheme(&self) -> PartitionScheme {
         match &self.payload {
             Payload::Resident(m) => m.scheme(),
-            Payload::Spilled { scheme } => *scheme,
+            Payload::Spilled { scheme, .. } => *scheme,
         }
     }
 }
@@ -229,14 +252,77 @@ impl Inner {
         self.persist(name)?;
         let e = self.entries.get_mut(name).expect("spill victim exists");
         if let Payload::Resident(m) = &e.payload {
-            e.payload = Payload::Spilled { scheme: m.scheme() };
+            e.payload = Payload::stub_of(m);
             self.bytes -= e.bytes;
             self.counters.spills += 1;
         }
         Ok(())
     }
 
-    /// Displace unpinned LRU entries until resident bytes — plus the
+    fn over_budget(&self) -> bool {
+        self.capacity
+            .is_some_and(|cap| self.bytes + self.external_pressure > cap)
+    }
+
+    /// The one victim rule: among unpinned resident entries, the one whose
+    /// next read in `upcoming` (the rest of the batch being read) is
+    /// furthest away, an entry not named there counting as infinitely
+    /// far; ties go to the least recently used, then by name. With nothing
+    /// upcoming — a lone `get`, an `insert`, engine pressure — this is
+    /// plain LRU.
+    fn victim(&self, upcoming: &[&str]) -> Option<String> {
+        let next_read = |name: &String| upcoming.iter().position(|n| n == name);
+        self.entries
+            .iter()
+            .filter(|(_, e)| e.pins == 0 && matches!(e.payload, Payload::Resident(_)))
+            .min_by(|(an, ae), (bn, be)| {
+                // `None` (never again) sorts before every `Some(distance)`.
+                let (a, b) = (next_read(an).map(Reverse), next_read(bn).map(Reverse));
+                a.cmp(&b)
+                    .then_with(|| ae.last_used.cmp(&be.last_used))
+                    .then_with(|| an.cmp(bn))
+            })
+            .map(|(n, _)| n.clone())
+    }
+
+    /// Read `name`, the names in `upcoming` being read next (see
+    /// [`SharedStore::get_all`]).
+    fn read(&mut self, name: &str, upcoming: &[&str]) -> Option<DistMatrix> {
+        self.touch(name);
+        let e = self.entries.get(name)?;
+        if let Payload::Resident(m) = &e.payload {
+            return Some(m.clone());
+        }
+        let blob = e.blob.clone().expect("stub has a blob");
+        let disk = self.disk.clone()?;
+        let Ok(m) = disk.get_dist(&blob.hash) else {
+            self.counters.load_failures += 1;
+            self.entries.remove(name);
+            return None;
+        };
+        self.counters.loads += 1;
+        self.counters.load_bytes += blob.payload_bytes;
+        let e = self.entries.get_mut(name).expect("stub present");
+        e.dims_nnz = Some((m.rows(), m.cols(), m.nnz() as u64));
+        e.payload = Payload::Resident(m.clone());
+        let bytes = e.bytes;
+        self.bytes += bytes;
+        // A reload that would be the first victim of its own arrival is
+        // handed out and stays a stub, now standing for the value handed
+        // out: a load, not a spill — its blob was verified an instant ago.
+        if self.over_budget() && self.victim(upcoming).as_deref() == Some(name) {
+            let e = self.entries.get_mut(name).expect("just reloaded");
+            e.payload = Payload::stub_of(&m);
+            self.bytes -= bytes;
+        }
+        // Reloading may displace other entries. An over-commit here is
+        // counted by enforce_capacity; the read still hands back the
+        // loaded matrix.
+        let _ = self.enforce_capacity(upcoming);
+        Some(m)
+    }
+
+    /// Displace [`Inner::victim`]s until resident bytes — plus the
     /// engine's reported transport-resident pressure — fit the budget:
     /// spill when a disk tier is attached, evict otherwise. Returns the
     /// displaced names in order.
@@ -247,7 +333,7 @@ impl Inner {
     /// alone is not the store's data to shed, so displacement just stops
     /// — the admission-time certificate gate is the layer responsible
     /// for refusing plans whose peak cannot fit.
-    fn enforce_capacity(&mut self) -> Result<Vec<String>> {
+    fn enforce_capacity(&mut self, upcoming: &[&str]) -> Result<Vec<String>> {
         // High-water mark of the combined footprint (every mutation that
         // can grow it funnels through here, bounded or not) — what the
         // memory bench reports as a driver's observed peak RAM.
@@ -256,18 +342,8 @@ impl Inner {
             return Ok(Vec::new());
         };
         let mut displaced = Vec::new();
-        while self.bytes + self.external_pressure > cap {
-            // Deterministic victim: smallest (last_used, name) among
-            // unpinned resident entries.
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.pins == 0 && matches!(e.payload, Payload::Resident(_)))
-                .min_by(|(an, ae), (bn, be)| {
-                    ae.last_used.cmp(&be.last_used).then_with(|| an.cmp(bn))
-                })
-                .map(|(n, _)| n.clone());
-            let Some(name) = victim else {
+        while self.over_budget() {
+            let Some(name) = self.victim(upcoming) else {
                 if self.bytes <= cap {
                     break;
                 }
@@ -301,7 +377,7 @@ impl SharedStore {
         SharedStore::default()
     }
 
-    /// A store that displaces unpinned LRU entries beyond `capacity_bytes`.
+    /// A store that displaces unpinned entries beyond `capacity_bytes`.
     pub fn with_capacity(capacity_bytes: u64) -> SharedStore {
         let s = SharedStore::default();
         s.inner.lock().unwrap().capacity = Some(capacity_bytes);
@@ -347,8 +423,9 @@ impl SharedStore {
     }
 
     /// Insert (or replace) `name`. The old entry, if any, is released
-    /// eagerly; LRU displacement runs afterwards. Returns the names
-    /// spilled or evicted to make room.
+    /// eagerly — unless it is a stub standing for `m` itself, which only
+    /// has its LRU clock moved; LRU displacement runs afterwards either
+    /// way. Returns the names spilled or evicted to make room.
     ///
     /// # Errors
     /// [`CoreError::StoreOverCommit`] when pinned entries alone exceed
@@ -359,9 +436,16 @@ impl SharedStore {
         let bytes = m.logical_bytes();
         let dims_nnz = Some((m.rows(), m.cols(), m.nnz() as u64));
         let mut g = self.lock();
+        g.counters.inserts += 1;
+        // The value a stub stands for is already in its blob: a touch.
+        let held = g.entries.get(name).map(|e| &e.payload);
+        if matches!(held, Some(Payload::Spilled { rid: Some(r), .. }) if *r == m.rid()) {
+            g.touch(name);
+            g.counters.replaced += 1;
+            return g.enforce_capacity(&[]);
+        }
         g.tick += 1;
         let tick = g.tick;
-        g.counters.inserts += 1;
         let (pins, blob) = if let Some(old) = g.entries.remove(name) {
             g.bytes -= old.resident_bytes();
             g.counters.replaced += 1;
@@ -385,43 +469,30 @@ impl SharedStore {
                 dims_nnz,
             },
         );
-        g.enforce_capacity()
+        g.enforce_capacity(&[])
     }
 
     /// Fetch a clone of the entry (tiles are `Arc`-shared, so this is
     /// cheap). Bumps the LRU clock. A spilled entry is reloaded from its
     /// blob first; a blob that fails verification drops the entry and
     /// returns `None` (the caller's lineage fallback handles the rest).
+    /// The batch of one name: see [`SharedStore::get_all`].
     pub fn get(&self, name: &str) -> Option<DistMatrix> {
+        self.lock().read(name, &[])
+    }
+
+    /// [`SharedStore::get`] for every name, in order, as one batch: what
+    /// a reload displaces is chosen knowing the reads still to come — the
+    /// unpinned resident entry read furthest ahead (Belady's rule), never
+    /// again counting as furthest, not the least recently used, which
+    /// under a cyclic scan of the same names is the one read next. A
+    /// reload that would itself be that entry is handed out and stays a
+    /// stub: a load, no spill.
+    pub fn get_all(&self, names: &[&str]) -> Vec<Option<DistMatrix>> {
         let mut g = self.lock();
-        g.touch(name);
-        let e = g.entries.get(name)?;
-        if let Payload::Resident(m) = &e.payload {
-            return Some(m.clone());
-        }
-        let blob = e.blob.clone().expect("stub has a blob");
-        let disk = g.disk.clone()?;
-        match disk.get_dist(&blob.hash) {
-            Ok(m) => {
-                g.counters.loads += 1;
-                g.counters.load_bytes += blob.payload_bytes;
-                let e = g.entries.get_mut(name).expect("stub present");
-                e.payload = Payload::Resident(m.clone());
-                e.dims_nnz = Some((m.rows(), m.cols(), m.nnz() as u64));
-                let bytes = e.bytes;
-                g.bytes += bytes;
-                // Reloading may displace colder entries. An over-commit
-                // here is counted by enforce_capacity; `get` still hands
-                // back the loaded matrix.
-                let _ = g.enforce_capacity();
-                Some(m)
-            }
-            Err(_) => {
-                g.counters.load_failures += 1;
-                g.entries.remove(name);
-                None
-            }
-        }
+        (0..names.len())
+            .map(|i| g.read(names[i], &names[i + 1..]))
+            .collect()
     }
 
     /// Is `name` present (resident or spilled)?
@@ -615,7 +686,10 @@ impl SharedStore {
             g.entries.insert(
                 e.name.clone(),
                 Entry {
-                    payload: Payload::Spilled { scheme: e.scheme },
+                    payload: Payload::Spilled {
+                        scheme: e.scheme,
+                        rid: None,
+                    },
                     blob: Some(BlobRef {
                         hash: e.hash.clone(),
                         payload_bytes: e.bytes,
@@ -658,7 +732,7 @@ impl SharedStore {
     pub fn set_external_pressure(&self, bytes: u64) -> Result<Vec<String>> {
         let mut g = self.lock();
         g.external_pressure = bytes;
-        g.enforce_capacity()
+        g.enforce_capacity(&[])
     }
 
     /// Cumulative RAM↔disk traffic counters, as the trace's spill
@@ -1181,6 +1255,163 @@ mod tests {
         assert_eq!(r.recover().unwrap(), names);
         assert_eq!(bits(&r.get("A").unwrap()), bits(&dist(8, 8)));
         assert_eq!(r.stats().load_failures, 0);
+    }
+
+    // -- a stub keeps its identity, a batch knows its reads ----------------
+
+    /// Waste removed: handing a stub the value it was displaced from is a
+    /// touch — with the blob directory moved aside any encode-and-put,
+    /// read-back or write would fail. The parent made the entry resident
+    /// without a ref and encoded + hashed it at the next displacement.
+    #[test]
+    fn reinserting_the_value_a_stub_stands_for_is_a_touch() {
+        let one = dist(8, 8).logical_bytes();
+        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("touch")).unwrap();
+        let (a, b) = (salted(8, 8, 0.5), salted(8, 8, 1.5));
+        s.insert("A", a.clone()).unwrap();
+        s.insert("B", b).unwrap();
+        assert_eq!(s.set_external_pressure(one).unwrap(), ["A"]);
+        let (before, files) = (s.stats(), blob_files(&s));
+        assert_eq!((before.spills, encodes(), files.len()), (1, 1, 1));
+
+        let blocks = s.disk().unwrap().root().join("blocks");
+        let aside = blocks.with_file_name("aside");
+        std::fs::rename(&blocks, &aside).unwrap();
+        assert!(s.insert("A", a.clone()).unwrap().is_empty());
+        std::fs::rename(&aside, &blocks).unwrap();
+
+        let after = s.stats();
+        assert!(s.is_spilled("A"));
+        assert_eq!((after.inserts, after.replaced), (3, 1), "still an insert");
+        assert_eq!(after.bytes, one, "B alone is resident");
+        let moved = |st: &StoreStats| (st.spills, st.spill_bytes, st.loads, st.load_bytes);
+        assert_eq!((moved(&after), encodes()), (moved(&before), 1));
+        assert_eq!(blob_files(&s), files);
+
+        // The touch still enforces the budget: B, pinned while the engine
+        // took the rest, became displaceable without being displaced.
+        s.pin(&["B".to_string()]);
+        assert!(s.set_external_pressure(2 * one).unwrap().is_empty());
+        s.unpin(&["B".to_string()]);
+        assert_eq!(s.insert("A", a.clone()).unwrap(), ["B"]);
+        assert_eq!(s.stats().bytes, 0);
+        s.set_external_pressure(0).unwrap();
+        assert_eq!(bits(&s.get("A").unwrap()), bits(&a));
+        assert_eq!(s.stats().load_failures, 0);
+    }
+
+    /// Parent behaviour preserved: a stub stands for one value. Equal
+    /// content under a fresh rid, and anything over a `recover`ed stub
+    /// (which stands for no value of this process), replaces the entry:
+    /// resident, no ref, encoded at its next displacement, deduplicated
+    /// by `put_blob`.
+    #[test]
+    fn any_other_value_over_a_stub_replaces_it() {
+        let one = dist(8, 8).logical_bytes();
+        let dir = temp_dir("other");
+        let s = SharedStore::with_capacity_and_disk(one, &dir).unwrap();
+        let names = vec!["A".to_string()];
+        s.insert("A", dist(8, 8)).unwrap();
+        assert_eq!(s.set_external_pressure(one).unwrap(), names);
+        s.set_external_pressure(0).unwrap();
+        s.checkpoint(&names, 1).unwrap();
+        let (written, files) = (s.stats().spill_bytes, blob_files(&s));
+        assert_eq!(encodes(), 1);
+
+        s.insert("A", dist(8, 8)).unwrap();
+        assert!(!s.is_spilled("A"));
+        assert_eq!(s.set_external_pressure(one).unwrap(), names);
+        assert_eq!((encodes(), s.stats().spill_bytes), (2, written));
+
+        let r = SharedStore::with_capacity_and_disk(one, &dir).unwrap();
+        assert_eq!(r.recover().unwrap(), names);
+        let held = r.get("A").unwrap();
+        assert_eq!(r.set_external_pressure(one).unwrap(), names);
+        r.set_external_pressure(0).unwrap();
+        // Displaced from `held`, the stub is `held`'s; recovered anew, nobody's.
+        assert!(r.insert("A", held.clone()).unwrap().is_empty());
+        assert!(r.is_spilled("A"));
+        r.recover().unwrap();
+        r.insert("A", held).unwrap();
+        assert!(!r.is_spilled("A"));
+        assert_eq!(blob_files(&s), files, "nothing was written again");
+    }
+
+    /// Waste removed: `[a, b, c]` read as one batch over a store that fits
+    /// two, `a` spilled, reloads `a` alone — displacing `b` or `c` for it
+    /// would buy a reload two reads later. Parent behaviour pinned as the
+    /// empty-batch case: the same three reads one `get` at a time are a
+    /// cyclic scan under LRU, and each displaces the name read next.
+    #[test]
+    fn a_batch_displaces_what_it_reads_last_not_what_it_reads_next() {
+        let one = dist(8, 8).logical_bytes();
+        let filled = |tag: &str| {
+            let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir(tag)).unwrap();
+            for (i, name) in ["a", "b", "c"].into_iter().enumerate() {
+                s.insert(name, salted(8, 8, i as f64)).unwrap();
+            }
+            assert!(s.is_spilled("a") && !s.is_spilled("b") && !s.is_spilled("c"));
+            s
+        };
+        let s = filled("batch");
+        let got = s.get_all(&["a", "b", "c"]);
+        for (i, m) in got.iter().enumerate() {
+            assert_eq!(bits(m.as_ref().unwrap()), bits(&salted(8, 8, i as f64)));
+        }
+        let st = s.stats();
+        assert_eq!((st.loads, st.spills), (1, 1), "a handed out, b and c kept");
+        assert!(s.is_spilled("a") && !s.is_spilled("b") && !s.is_spilled("c"));
+        assert!(s.get_all(&["missing", "b"])[0].is_none());
+
+        let lru = filled("lone-gets");
+        for name in ["a", "b", "c"] {
+            lru.get(name).unwrap();
+        }
+        let st = lru.stats();
+        assert_eq!((st.loads, st.spills), (3, 4));
+    }
+
+    /// An entry the budget can never hold is handed out and stays a stub —
+    /// a load, not a spill: the parent installed it and read the blob
+    /// back a second time to displace it. The stub now stands for the
+    /// value handed out, so absorbing that one back is a touch too.
+    #[test]
+    fn a_reload_that_cannot_stay_is_handed_out() {
+        let one = dist(8, 8).logical_bytes();
+        let s = SharedStore::with_capacity_and_disk(one, temp_dir("handout")).unwrap();
+        let big = salted(16, 16, 0.5);
+        assert_eq!(s.insert("big", big.clone()).unwrap(), ["big"]);
+        let files = blob_files(&s);
+        let got = s.get("big").unwrap();
+        assert_eq!(bits(&got), bits(&big));
+        assert_ne!(got.rid(), big.rid(), "a reload is a new materialisation");
+        let st = s.stats();
+        assert_eq!((st.loads, st.spills, st.bytes), (1, 1, 0));
+        assert!(s.is_spilled("big"));
+        assert!(s.density_of("big").is_some());
+        s.insert("big", got).unwrap();
+        assert!(s.is_spilled("big"));
+        s.insert("big", big).unwrap();
+        assert_eq!((encodes(), s.stats().spills), (2, 2), "no longer its value");
+        assert_eq!(blob_files(&s), files);
+    }
+
+    /// A pin outranks the batch: `b`, read never again and the least
+    /// recently used, would be the victim of `a`'s reload twice over — and
+    /// stays; `c` is read next, so `a` itself is handed out.
+    #[test]
+    fn a_pinned_entry_is_never_the_victim_whatever_the_batch_says() {
+        let one = dist(8, 8).logical_bytes();
+        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("pinned")).unwrap();
+        for name in ["a", "b", "c"] {
+            s.insert(name, dist(8, 8)).unwrap();
+        }
+        s.pin(&["b".to_string()]);
+        assert!(s.get_all(&["a", "c"]).iter().all(Option::is_some));
+        assert!(!s.is_spilled("b") && !s.is_spilled("c") && s.is_spilled("a"));
+        // A lone read of `a` has no next read to spare `c` for.
+        s.get("a").unwrap();
+        assert!(!s.is_spilled("b") && s.is_spilled("c") && !s.is_spilled("a"));
     }
 
     /// Parent behaviour preserved: an unknown member fails the snapshot

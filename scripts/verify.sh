@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one tile decoder, one aligned stage, one persist)"
+echo "==> said once (one tile fold, one tile decoder, one aligned stage, one persist, one victim rule)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -45,6 +45,21 @@ awk '/#\[cfg\(test\)\]/ { exit }
      END { if (enc != 1 || put != 1 || fnv != 0) {
                print FILENAME ": encode_dist( x" enc+0 ", put_blob( x" put+0 ", fnv1a_bytes( x" fnv+0 " (want 1, 1, 0)"
                exit 1 } }' crates/core/src/store.rs
+# Who goes when the budget is short is decided in one place (Inner::victim:
+# a batch's next reads, LRU when there are none) — a second `min_by` would be
+# a second policy. And what a run hands back is absorbed in key order: the
+# store's counters repeat only if `RunOutputs` keeps sorted maps.
+awk '/#\[cfg\(test\)\]/ { exit }
+     /fn victim\(/ { rule++ } /min_by\(/ { pick++ }
+     END { if (rule != 1 || pick != 1) {
+               print FILENAME ": fn victim( x" rule+0 ", min_by( x" pick+0 " (want 1, 1)"
+               exit 1 } }' crates/core/src/store.rs
+for field in stored cached_inputs; do
+    grep -q "pub $field: BTreeMap<" crates/core/src/engine.rs || {
+        echo "crates/core/src/engine.rs: RunOutputs.$field must be a BTreeMap (Session::absorb_outputs walks it)"
+        exit 1
+    }
+done
 
 echo "==> cargo test (workspace)"
 # Includes what used to be separate gates: the lint + plan-verifier sweep

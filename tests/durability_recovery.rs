@@ -414,3 +414,63 @@ fn spill_roundtrip_preserves_bits_and_is_metered() {
     );
     assert_eq!(got, healthy, "spill/reload must be bit-transparent");
 }
+
+/// The store's counters are evidence only if they repeat: two identical
+/// checkpointed GNMF runs under half the RAM their working set takes move
+/// the same entries in the same order — outputs are absorbed in key
+/// order, not `HashMap` order — so every traffic counter is equal, run
+/// for run. And a step program reads `V`, `W`, `H` as one batch: none of
+/// them is displaced between being named and being read, so none is
+/// reloaded twice.
+#[test]
+fn halved_ram_runs_repeat_their_store_counters_exactly() {
+    use dmac::apps::gnmf::GNMF_CHECKPOINT_NAMES;
+    use dmac::core::trace::SpillTraffic;
+    use dmac::lang::Program;
+
+    let uncapped = SharedStore::with_disk(temp_dir("gnmf-halved-whole")).unwrap();
+    let mut s = session_over(uncapped.clone(), None);
+    gnmf_cfg().run_checkpointed(&mut s, &gnmf_input()).unwrap();
+    let healthy = (
+        bits(&s.env_value("W").unwrap()),
+        bits(&s.env_value("H").unwrap()),
+    );
+    let half = uncapped.stats().bytes / 2;
+
+    let names: Vec<String> = GNMF_CHECKPOINT_NAMES.map(String::from).to_vec();
+    let (mut init, mut step) = (Program::new(), Program::new());
+    gnmf_cfg().build_init(&mut init).unwrap();
+    gnmf_cfg().build_step(&mut step).unwrap();
+    let capped_run = |tag: &str| -> (SpillTraffic, Vec<SpillTraffic>) {
+        let store = SharedStore::with_capacity_and_disk(half, temp_dir(tag)).unwrap();
+        let mut s = session_over(store.clone(), None);
+        s.bind("V", gnmf_input()).unwrap();
+        s.run(&init).unwrap();
+        s.checkpoint(&names, 0).unwrap();
+        let per_step: Vec<SpillTraffic> = (1..=3)
+            .map(|phase| {
+                let spill = s.run(&step).unwrap().trace.spill;
+                s.checkpoint(&names, phase).unwrap();
+                spill
+            })
+            .collect();
+        let got = (
+            bits(&s.env_value("W").unwrap()),
+            bits(&s.env_value("H").unwrap()),
+        );
+        assert_eq!(got, healthy, "{tag}");
+        let stats = store.stats();
+        assert_eq!((stats.dropped, stats.load_failures), (0, 0), "{tag}");
+        (store.spill_traffic(), per_step)
+    };
+
+    let (first, steps) = capped_run("gnmf-halved-1");
+    assert!(first.spills > 0 && first.loads > 0, "{first:?}");
+    for (i, spill) in steps.iter().enumerate() {
+        assert!(
+            spill.loads <= 3,
+            "step {i} reloaded a name twice: {spill:?}"
+        );
+    }
+    assert_eq!(capped_run("gnmf-halved-2"), (first, steps));
+}

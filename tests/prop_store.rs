@@ -2,7 +2,9 @@
 //! content / the held value again / equal content re-materialised) · `get`
 //! · `set_external_pressure` · `pin` / `unpin` · `checkpoint` ·
 //! drop-the-store-and-`recover` over a capped, disk-backed [`SharedStore`],
-//! against an unbounded in-memory one.
+//! against an unbounded in-memory one — and, between those calls, batch
+//! reads (`get_all`, a session resolving a run's inputs), some followed by
+//! handing a value read straight back (a session absorbing it).
 //!
 //! After every call:
 //!
@@ -12,8 +14,12 @@
 //! * `load_failures == 0`;
 //! * `bytes + external_pressure ≤ capacity`, or no unpinned resident entry
 //!   is left to displace — checked after the calls that displace (`insert`,
-//!   `set_external_pressure`, a reloading `get`): `unpin` makes an entry
-//!   displaceable but displaces nothing itself;
+//!   `set_external_pressure`, a reloading `get` / `get_all`): `unpin`
+//!   makes an entry displaceable but displaces nothing itself. An `insert`
+//!   that turns out to be a touch (the value its stub stands for) is an
+//!   `insert`;
+//! * a batch read displaces no entry it has yet to read while it keeps an
+//!   unpinned resident one it will not read (see [`batch_read`]);
 //! * `spill_bytes` grew in that call **iff** a blob file is new or has a
 //!   new inode after it — a displacement or snapshot that found its blob
 //!   on disk writes nothing and counts nothing, and nothing is written
@@ -21,7 +27,10 @@
 //!
 //! Cases come from the in-tree [`SplitMix64`] with fixed seeds (same idiom
 //! as `tests/prop_frames.rs`); every assertion names its seed and step.
-//! A seed that ever fails goes into [`REGRESSIONS`] with the fix.
+//! A seed that ever fails goes into [`REGRESSIONS`] with the fix. The batch
+//! reads draw from a generator of their own and change neither the names
+//! nor the model's content, so a seed's sequence of the other calls is
+//! what it was before they were added.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -38,8 +47,12 @@ use common::blob_files;
 /// while this test was written, on the model and not the store: `…0002`
 /// step 26 unpins an entry over a 700 B budget (displaceable, not
 /// displaced); `…0005` step 57 applies pressure while the pinned entries
-/// alone exceed the budget (`StoreOverCommit`, every entry kept).
-const REGRESSIONS: &[u64] = &[0x5703_0002, 0x5703_0005];
+/// alone exceed the budget (`StoreOverCommit`, every entry kept). The third
+/// failed on the store while `insert` learned to touch: `…0219` step 49
+/// hands stub `b` the value it stands for while `c`, unpinned a moment
+/// before, sits resident over the budget — a touch is still an `insert`
+/// and must displace.
+const REGRESSIONS: &[u64] = &[0x5703_0002, 0x5703_0005, 0x5703_0219];
 const SWEEP: std::ops::Range<u64> = 0x5703_0000..0x5703_0100;
 
 const NAMES: [&str; 4] = ["a", "b", "c", "d"];
@@ -90,6 +103,15 @@ fn bits_eq(a: &DistMatrix, b: &DistMatrix) -> bool {
         })
 }
 
+/// A read returns the model's bits, or nothing where the model has nothing.
+fn assert_read(got: Option<&DistMatrix>, want: Option<DistMatrix>, ctx: &str) {
+    match (got, want) {
+        (Some(got), Some(want)) => assert!(bits_eq(got, &want), "{ctx}"),
+        (None, None) => {}
+        (got, _) => panic!("{ctx}: store has it: {}, model the opposite", got.is_some()),
+    }
+}
+
 /// What a call may not change without counting it, and must change if it
 /// counts: `spill_bytes` so far and every blob file's identity.
 type Written = (u64, BTreeMap<String, (u64, i64, u64)>);
@@ -108,6 +130,10 @@ struct World {
     /// Calls whose written bytes were observed, by kind (coverage).
     wrote: usize,
     clean: usize,
+    /// Batch reads that reloaded something, and those among them that had
+    /// to displace a name they were yet to read (coverage).
+    batch_reloads: usize,
+    batch_squeezed: usize,
 }
 
 impl World {
@@ -147,6 +173,58 @@ impl World {
     }
 }
 
+/// One batch read of one to four names, repeats and absent names included.
+/// Beside [`World::check`]: every value is the model's, and the victims
+/// were chosen by next read — a name resident before the batch that comes
+/// back under a new rid was displaced while the batch had yet to read it,
+/// which is only right if no unpinned resident entry outside the batch was
+/// kept instead (such an entry, never read, cannot have come back since).
+/// Half the time the first value read is then handed back under its name,
+/// as `Session::absorb_outputs` does with a cached input.
+fn batch_read(w: &mut World, rng: &mut SplitMix64, ctx: &str) {
+    let names: Vec<&str> = (0..1 + rng.below(4))
+        .map(|_| NAMES[rng.below(NAMES.len())])
+        .collect();
+    let ctx = format!("{ctx}, then batch {names:?}");
+    let before = w.before();
+    let held: HashMap<&str, u64> = NAMES
+        .iter()
+        .filter_map(|n| Some((*n, w.store.peek(n)?.rid())))
+        .collect();
+    let (loads, reloads) = (
+        w.store.stats().loads,
+        names.iter().any(|n| w.store.is_spilled(n)),
+    );
+    let got = w.store.get_all(&names);
+    for (name, got) in names.iter().zip(&got) {
+        assert_read(got.as_ref(), w.model.get(name), &format!("{ctx}: {name}"));
+    }
+    let squeezed = names.iter().zip(&got).find(|(name, got)| {
+        held.get(*name)
+            .is_some_and(|rid| got.as_ref().is_some_and(|m| m.rid() != *rid))
+    });
+    if let Some((early, _)) = squeezed {
+        for kept in held.keys().filter(|n| !names.contains(n)) {
+            let pinned = w.pins.get(*kept).copied().unwrap_or(0) > 0;
+            assert!(
+                pinned || w.store.is_spilled(kept),
+                "{ctx}: '{early}' was displaced before its read while '{kept}', unread, stayed"
+            );
+        }
+        w.batch_squeezed += 1;
+    }
+    w.batch_reloads += usize::from(w.store.stats().loads > loads);
+    w.check(before, reloads, &ctx);
+
+    let first = names.iter().zip(got).find_map(|(n, m)| Some((*n, m?)));
+    if let Some((name, m)) = first.filter(|_| rng.chance(0.5)) {
+        let (before, ctx) = (w.before(), format!("{ctx}, then {name} handed back"));
+        w.model.insert(name, m.clone()).unwrap();
+        displaced(w.store.insert(name, m), &ctx);
+        w.check(before, true, &ctx);
+    }
+}
+
 /// A displacing call succeeds, or reports that pinned entries alone are
 /// over budget (the entry is kept either way).
 fn displaced(result: Result<Vec<String>, CoreError>, ctx: &str) {
@@ -156,8 +234,9 @@ fn displaced(result: Result<Vec<String>, CoreError>, ctx: &str) {
     }
 }
 
-fn run_seed(seed: u64) -> (usize, usize) {
+fn run_seed(seed: u64) -> [usize; 4] {
     let mut rng = SplitMix64::new(seed);
+    let mut batch_rng = SplitMix64::new(!seed);
     let dir = temp_dir(seed);
     let cap = [700u64, 1500, 3000][rng.below(3)];
     let mut w = World {
@@ -169,6 +248,8 @@ fn run_seed(seed: u64) -> (usize, usize) {
         snapshot: Vec::new(),
         wrote: 0,
         clean: 0,
+        batch_reloads: 0,
+        batch_squeezed: 0,
     };
     for step in 0..60 {
         let name = NAMES[rng.below(NAMES.len())];
@@ -196,11 +277,7 @@ fn run_seed(seed: u64) -> (usize, usize) {
                 w.model.insert(name, m.clone()).unwrap();
                 displaced(w.store.insert(name, m), &ctx);
             }
-            3 | 4 => match (w.store.get(name), w.model.get(name)) {
-                (Some(got), Some(want)) => assert!(bits_eq(&got, &want), "{ctx}"),
-                (None, None) => {}
-                (got, _) => panic!("{ctx}: store has it: {}, model the opposite", got.is_some()),
-            },
+            3 | 4 => assert_read(w.store.get(name).as_ref(), w.model.get(name), &ctx),
             5 => {
                 let pressure = rng.below(cap as usize * 3 / 2) as u64;
                 displaced(w.store.set_external_pressure(pressure), &ctx);
@@ -251,6 +328,9 @@ fn run_seed(seed: u64) -> (usize, usize) {
         } else if w.store.stats().spills > 0 {
             w.clean += 1;
         }
+        if batch_rng.chance(0.4) {
+            batch_read(&mut w, &mut batch_rng, &ctx);
+        }
     }
     for name in w.store.names() {
         let ctx = format!("seed {seed:#x} final read of {name}");
@@ -262,20 +342,86 @@ fn run_seed(seed: u64) -> (usize, usize) {
         w.check(before, reloads, &ctx);
     }
     let _ = std::fs::remove_dir_all(&w.dir);
-    (w.wrote, w.clean)
+    [w.wrote, w.clean, w.batch_reloads, w.batch_squeezed]
 }
 
 #[test]
 fn capped_disk_store_matches_the_unbounded_model() {
-    let (mut wrote, mut clean) = (0, 0);
+    let mut seen = [0usize; 4];
     for seed in REGRESSIONS.iter().copied().chain(SWEEP) {
-        let (w, c) = run_seed(seed);
-        wrote += w;
-        clean += c;
+        for (sum, n) in seen.iter_mut().zip(run_seed(seed)) {
+            *sum += n;
+        }
     }
-    // The sweep is only worth its name if both sides of the property occur.
+    // The sweep is only worth its name if both sides of each property occur.
+    let [wrote, clean, batch_reloads, batch_squeezed] = seen;
     assert!(
         wrote > 500 && clean > 500,
         "calls that wrote: {wrote}, that did not: {clean}"
     );
+    assert!(
+        batch_reloads > 500 && batch_squeezed > 20,
+        "batch reads that reloaded: {batch_reloads}, that displaced a name yet to be read: {batch_squeezed}"
+    );
+}
+
+/// A placement nobody will read is not absorbed: `A` is loaded, adopted by
+/// column for `x · A`, and stored over in the same run. The adopted copy
+/// is a value of its own (new rid, new scheme, so a blob of its own) that
+/// the parent inserted — under a budget this small, encoded and wrote —
+/// only to replace it one insert later.
+#[test]
+fn a_placement_the_same_run_overwrites_is_never_absorbed() {
+    use dmac::core::Session;
+    use dmac::lang::Program;
+
+    let dir = temp_dir(0xdead);
+    let store = SharedStore::with_capacity_and_disk(1, &dir).unwrap();
+    let mut s = Session::builder()
+        .workers(3)
+        .block_size(8)
+        .store(store.clone())
+        .build();
+    let a = BlockedMatrix::from_fn(24, 24, 8, |i, j| (i * 24 + j) as f64).unwrap();
+    let program = |overwrite: bool| {
+        let mut p = Program::new();
+        let ea = p.load("A", 24, 24, 1.0);
+        let x = p.random("x", 1, 24);
+        let y = p.matmul(x, ea).unwrap();
+        p.output(y);
+        // Different sums, or the second would find the first's blob.
+        let sum = if overwrite {
+            p.add(ea, ea).unwrap()
+        } else {
+            p.sub(ea, ea).unwrap()
+        };
+        p.store(sum, if overwrite { "A" } else { "B" });
+        p
+    };
+
+    // Stored elsewhere, the adopted placement of A is absorbed ...
+    s.bind("A", a.clone()).unwrap();
+    assert_eq!(store.scheme_of("A"), Some(PartitionScheme::Hash));
+    let (inserts, blobs) = (store.stats().inserts, blob_files(&dir).len());
+    s.run(&program(false)).unwrap();
+    assert_ne!(store.scheme_of("A"), Some(PartitionScheme::Hash));
+    assert_eq!(store.stats().inserts, inserts + 2);
+    assert_eq!(blob_files(&dir).len(), blobs + 2, "A by column, and B");
+
+    // ... stored over, it is dead: one insert, one new blob, both the sum's.
+    s.bind("A", a.clone()).unwrap();
+    let (inserts, blobs) = (store.stats().inserts, blob_files(&dir));
+    s.run(&program(true)).unwrap();
+    assert_eq!(store.stats().inserts, inserts + 1);
+    let new: Vec<_> = blob_files(&dir)
+        .into_iter()
+        .filter(|(name, _)| !blobs.contains_key(name))
+        .collect();
+    assert_eq!(new.len(), 1, "{new:?}");
+    assert_eq!(
+        s.env_value("A").unwrap().to_dense(),
+        a.add(&a).unwrap().to_dense()
+    );
+    assert_eq!(store.stats().load_failures, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
