@@ -50,10 +50,14 @@ impl PageRank {
         let link = p.load("link", self.nodes, self.nodes, self.link_sparsity);
         let d = p.load("D", 1, self.nodes, 1.0);
         let rank0 = p.random("rank0", 1, self.nodes);
+        // Every iteration adds the same teleport vector: one value, made
+        // before the loop, so an iteration is broadcast -> walk -> update.
+        let teleport = self.teleport(p, d)?;
         let mut rank = rank0;
         for i in 0..self.iterations {
             p.set_phase(i);
-            rank = self.update(p, link, d, rank)?;
+            let damped = self.damped_walk(p, link, rank)?;
+            rank = p.add(damped, teleport)?;
         }
         p.store(rank, "rank");
         Ok(PageRankProgram { link, rank0, rank })
@@ -82,10 +86,20 @@ impl PageRank {
 
     /// One damped walk step: `rank %*% link * damping + D * (1 - damping)`.
     fn update(&self, p: &mut Program, link: Expr, d: Expr, rank: Expr) -> Result<Expr> {
-        let walk = p.matmul(rank, link)?;
-        let damped = p.scale_const(walk, self.damping)?;
-        let teleport = p.scale_const(d, 1.0 - self.damping)?;
+        let damped = self.damped_walk(p, link, rank)?;
+        let teleport = self.teleport(p, d)?;
         Ok(p.add(damped, teleport)?)
+    }
+
+    /// The walk half of an update: `rank %*% link * damping`.
+    fn damped_walk(&self, p: &mut Program, link: Expr, rank: Expr) -> Result<Expr> {
+        let walk = p.matmul(rank, link)?;
+        Ok(p.scale_const(walk, self.damping)?)
+    }
+
+    /// The teleport half: `D * (1 - damping)`, the same in every iteration.
+    fn teleport(&self, p: &mut Program, d: Expr) -> Result<Expr> {
+        Ok(p.scale_const(d, 1.0 - self.damping)?)
     }
 
     /// Run PageRank one iteration at a time, checkpointing

@@ -20,7 +20,7 @@
 //! Every compute primitive has the shape of the paper's Figure 4: per
 //! logical worker, a bag of independent tile tasks drained by `L` threads
 //! (`Cluster::run_stage`), multiplies folding into pooled accumulators
-//! through [`dmac_matrix::exec::fold_tile`] — the same function the
+//! through a [`crate::kernels::MulStage`] per worker — the same stage the
 //! `dmac-workerd` daemon runs over its shard store.
 //!
 //! ## Fault handling
@@ -40,16 +40,14 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dmac_matrix::exec::{
-    combine_partials, fold_tile, matmul_tile, run_tasks, PoolStats, ResultBufferPool,
-};
+use dmac_matrix::exec::{combine_partials, run_tasks, PoolStats, ResultBufferPool};
 use dmac_matrix::{eval_fused_block, Block, BlockedMatrix, DenseBlock, FusedOp, MatrixError};
 
 use crate::comm::{CommKind, CommStats, NetworkModel, SimClock};
 use crate::dist::{DistMatrix, GridMeta};
 use crate::error::{ClusterError, Result};
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan};
-use crate::kernels;
+use crate::kernels::{self, MulStage};
 use crate::partition::PartitionScheme;
 use crate::trace::{OpSpan, TraceBuffer};
 use crate::transport::{MoveItem, PartialDesc, TileTransform, Transport, TransportStats};
@@ -818,14 +816,15 @@ impl Cluster {
     }
 
     /// The per-logical-worker stage loop of every compute primitive
-    /// (Figure 4): worker `w`'s tasks go through the `L`-thread task
-    /// queue with the result buffer pool at hand, each worker is timed,
-    /// and the clock advances by the slowest *host*. Returns every
-    /// worker's results in task order.
-    pub(crate) fn run_stage<T: Send, R: Send>(
+    /// (Figure 4): `stage_of(w)` sets worker `w`'s stage up — what its
+    /// tasks share, and the tasks — which then go through the `L`-thread
+    /// task queue with the result buffer pool at hand; each worker is
+    /// timed, set-up included, and the clock advances by the slowest
+    /// *host*. Returns every worker's results in task order.
+    pub(crate) fn run_stage<S: Sync, T: Send, R: Send>(
         &mut self,
-        tasks_of: impl Fn(usize) -> Vec<T>,
-        run: impl Fn(&ResultBufferPool, usize, T) -> Result<R> + Sync,
+        stage_of: impl Fn(usize) -> Result<(S, Vec<T>)>,
+        run: impl Fn(&ResultBufferPool, &S, T) -> Result<R> + Sync,
     ) -> Result<Vec<Vec<R>>> {
         let n = self.config.workers;
         let pool = &self.pool;
@@ -833,7 +832,8 @@ impl Cluster {
         let mut per_worker = Vec::with_capacity(n);
         for w in 0..n {
             let t0 = Instant::now();
-            let results = run_tasks(self.config.local_threads, tasks_of(w), |t| run(pool, w, t));
+            let (stage, tasks) = stage_of(w)?;
+            let results = run_tasks(self.config.local_threads, tasks, |t| run(pool, &stage, t));
             per_worker.push(results.into_iter().collect::<Result<Vec<R>>>()?);
             secs[w] = t0.elapsed().as_secs_f64();
         }
@@ -864,16 +864,14 @@ impl Cluster {
         let kb = a.meta().col_blocks;
         let tiles = self.run_stage(
             |w| {
-                grid_cells(&meta)
+                let owned = grid_cells(&meta)
                     .filter(|&(bi, bj)| out_scheme.owner(bi, bj, n) == Some(w))
-                    .collect()
+                    .collect();
+                Ok((MulStage::new(shard(a, w), shard(b, w), kb)?, owned))
             },
-            |pool, w, (bi, bj)| {
+            |pool, stage, (bi, bj)| {
                 let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
-                let at = |k| a.block_on(w, bi, k).map(|t| &**t);
-                let bt = |k| b.block_on(w, k, bj).map(|t| &**t);
-                let tile = matmul_tile(pool, shape, 0..kb, at, bt)?;
-                Ok(((bi, bj), Arc::new(tile)))
+                Ok(((bi, bj), Arc::new(stage.product(pool, shape, (bi, bj))?)))
             },
         )?;
         let out = DistMatrix::from_parts(meta, out_scheme, into_stores(tiles));
@@ -913,13 +911,13 @@ impl Cluster {
         // Accumulators come from the result buffer pool and every one is
         // returned to it below, so CPMM's acquire/release stays balanced.
         let partials = self.run_stage(
-            |_| grid_cells(&meta).collect(),
-            |pool, w, (bi, bj)| {
+            |w| {
+                let stage = MulStage::new(shard(a, w), shard(b, w), kb)?;
+                Ok(((w, stage), grid_cells(&meta).collect()))
+            },
+            |pool, (w, stage), (bi, bj)| {
                 let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
-                let at = |k| a.block_on(w, bi, k).map(|t| &**t);
-                let bt = |k| b.block_on(w, k, bj).map(|t| &**t);
-                let my_ks = (w..kb).step_by(n);
-                Ok(((bi, bj), fold_tile(pool, shape, my_ks, at, bt)?))
+                Ok(((bi, bj), stage.partial(pool, shape, (bi, bj), (*w, n))?))
             },
         )?;
 
@@ -1026,8 +1024,8 @@ impl Cluster {
             self.aligned(first, m, op)?;
         }
         let tiles = self.run_stage(
-            |w| first.worker_blocks(w).iter().collect(),
-            |pool, w, (&k, at): (&(usize, usize), &Arc<Block>)| {
+            |w| Ok((w, first.worker_blocks(w).iter().collect())),
+            |pool, &w, (&k, at): (&(usize, usize), &Arc<Block>)| {
                 let mut tiles: Vec<&Block> = Vec::with_capacity(leaves.len());
                 tiles.push(at);
                 for m in rest {
@@ -1092,6 +1090,11 @@ fn product_meta(a: &DistMatrix, b: &DistMatrix) -> Result<GridMeta> {
         }));
     }
     Ok(GridMeta::new(a.rows(), b.cols(), a.block_size()))
+}
+
+/// Worker `w`'s tiles of `m`, as a [`MulStage`] takes a shard.
+fn shard(m: &DistMatrix, w: usize) -> impl Iterator<Item = ((usize, usize), &Block)> + Clone {
+    m.worker_blocks(w).iter().map(|(&k, t)| (k, &**t))
 }
 
 /// Every tile coordinate of a grid, row-major.
@@ -1266,6 +1269,29 @@ mod tests {
             cl.rmm2(&da, &db),
             Err(ClusterError::SchemeMismatch { op: "rmm2", .. })
         ));
+    }
+
+    /// A shard that lost its tiles (its host died) is the missing tile of
+    /// the first term that needs it, on every multiply.
+    #[test]
+    fn multiplies_name_the_missing_panel() {
+        let mut cl = cluster(2);
+        let (a, b) = (sample(6, 8, 2), sample(8, 4, 2));
+        let missing = |k| Err(ClusterError::Matrix(MatrixError::MissingTile { k }));
+        let mut a_bc = cl.load(&a, PartitionScheme::Broadcast);
+        a_bc.drop_workers(&[1]);
+        let b_col = cl.load(&b, PartitionScheme::Col);
+        assert_eq!(cl.rmm1(&a_bc, &b_col).map(drop), missing(0));
+        let a_row = cl.load(&a, PartitionScheme::Row);
+        let mut b_bc = cl.load(&b, PartitionScheme::Broadcast);
+        b_bc.drop_workers(&[0]);
+        assert_eq!(cl.rmm2(&a_row, &b_bc).map(drop), missing(0));
+        // CPMM's worker 1 folds k = 1, 3: its first term is k = 1.
+        let a_col = cl.load(&a, PartitionScheme::Col);
+        let mut b_row = cl.load(&b, PartitionScheme::Row);
+        b_row.drop_workers(&[1]);
+        let out = cl.cpmm(&a_col, &b_row, PartitionScheme::Row);
+        assert_eq!(out.map(drop), missing(1));
     }
 
     #[test]

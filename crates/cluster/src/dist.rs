@@ -51,14 +51,16 @@ impl GridMeta {
         }
     }
 
-    /// Rows covered by block-row `bi`.
+    /// Rows covered by block-row `bi` (none past the grid).
     pub fn block_rows_of(&self, bi: usize) -> usize {
-        self.block.min(self.rows.saturating_sub(bi * self.block))
+        let start = bi.saturating_mul(self.block);
+        self.block.min(self.rows.saturating_sub(start))
     }
 
-    /// Columns covered by block-column `bj`.
+    /// Columns covered by block-column `bj` (none past the grid).
     pub fn block_cols_of(&self, bj: usize) -> usize {
-        self.block.min(self.cols.saturating_sub(bj * self.block))
+        let start = bj.saturating_mul(self.block);
+        self.block.min(self.cols.saturating_sub(start))
     }
 
     /// Geometry of the transposed grid.

@@ -56,14 +56,14 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dmac_matrix::exec::{combine_partials, fold_tile, matmul_tile, ResultBufferPool};
+use dmac_matrix::exec::{combine_partials, ResultBufferPool};
 use dmac_matrix::{Block, DenseBlock};
 
 use crate::cluster::ReduceKind;
 use crate::dist::GridMeta;
 use crate::json::{JsonArr, JsonObj};
 use crate::jsonin::Json;
-use crate::kernels;
+use crate::kernels::{self, MulStage};
 use crate::transport::binfmt;
 use crate::transport::frame::{framed_len, read_frame_bytes, write_frame, write_frame_bytes};
 use crate::transport::wire;
@@ -326,6 +326,22 @@ fn tile_of(
         .ok_or_else(|| format!("missing tile rid={rid} w={w} ({bi},{bj}) on host {host}"))
 }
 
+/// Logical worker `w`'s multiply stage over its shards of `rid_a` and
+/// `rid_b` (a shard never installed is the empty one).
+fn mul_stage(
+    store: &Store,
+    rid_a: u64,
+    rid_b: u64,
+    w: usize,
+    kb: usize,
+) -> Result<MulStage<'_>, String> {
+    let shard = |rid| {
+        let held = store.get(&(rid, w)).into_iter().flatten();
+        held.map(|(&k, t)| (k, t))
+    };
+    MulStage::new(shard(rid_a), shard(rid_b), kb).map_err(|e| format!("worker {w}: {e}"))
+}
+
 impl Worker {
     fn lock(&self) -> Result<std::sync::MutexGuard<'_, Store>, String> {
         self.store.lock().map_err(|_| "store poisoned".to_string())
@@ -554,17 +570,25 @@ impl Worker {
         let kb = wire::field_usize(cmd, "kb")?;
         let meta = meta_of(cmd)?;
         let mut store = self.lock()?;
+        // A host's tasks come grouped by logical worker: one stage each,
+        // set up when the worker changes. The results wait for the last
+        // stage to let go of the store.
+        let mut stage: Option<(usize, MulStage)> = None;
+        let mut tiles = Vec::new();
         for task in wire::field_arr(cmd, "tasks")? {
             let (w, bi, bj) = task_triple(task)?;
+            let stage = match &mut stage {
+                Some((held, stage)) if *held == w => stage,
+                other => &mut other.insert((w, mul_stage(&store, rid_a, rid_b, w, kb)?)).1,
+            };
             let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
-            let at = |k| store.get(&(rid_a, w)).and_then(|s| s.get(&(bi, k)));
-            let bt = |k| store.get(&(rid_b, w)).and_then(|s| s.get(&(k, bj)));
-            let tile = matmul_tile(&self.pool, shape, 0..kb, at, bt)
+            let tile = stage
+                .product(&self.pool, shape, (bi, bj))
                 .map_err(|e| format!("mm: result ({bi},{bj}) on worker {w}: {e}"))?;
-            store
-                .entry((rid_out, w))
-                .or_default()
-                .insert((bi, bj), tile);
+            tiles.push((w, (bi, bj), tile));
+        }
+        for (w, at, tile) in tiles {
+            store.entry((rid_out, w)).or_default().insert(at, tile);
         }
         Ok(Reply::ok())
     }
@@ -596,20 +620,34 @@ impl Worker {
     fn cpmm1(&mut self, cmd: &Json) -> Result<Reply, String> {
         let rid_a = wire::field_u64(cmd, "rid_a")?;
         let rid_b = wire::field_u64(cmd, "rid_b")?;
-        let stage = wire::field_u64(cmd, "stage")?;
-        // A zero stride would panic; the coordinator never sends one.
-        let n = wire::field_usize(cmd, "n")?.max(1);
+        let stage_rid = wire::field_u64(cmd, "stage")?;
+        let n = wire::field_usize(cmd, "n")?;
         let kb = wire::field_usize(cmd, "kb")?;
         let meta = meta_of(cmd)?;
         let mut store = self.lock()?;
         let mut descs = JsonArr::new();
+        let mut partials = Vec::new();
         for w in wire::field_usize_arr(cmd, "ws")? {
-            for bi in 0..meta.row_blocks {
-                for bj in 0..meta.col_blocks {
+            let stage = mul_stage(&store, rid_a, rid_b, w, kb)?;
+            // No k-slice, no partial — and no shard to hold the grid against.
+            if w >= kb {
+                continue;
+            }
+            // Column × Row shards span the result grid, so a described grid
+            // that is not theirs never bounds the loops below.
+            let (row_blocks, col_blocks) = stage.out_grid();
+            if (row_blocks, col_blocks) != (meta.row_blocks, meta.col_blocks) {
+                return Err(format!(
+                    "cpmm: worker {w}'s shards span {row_blocks}x{col_blocks} result blocks, \
+                     the command describes {}x{}",
+                    meta.row_blocks, meta.col_blocks
+                ));
+            }
+            for bi in 0..row_blocks {
+                for bj in 0..col_blocks {
                     let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
-                    let at = |k| store.get(&(rid_a, w)).and_then(|s| s.get(&(bi, k)));
-                    let bt = |k| store.get(&(rid_b, w)).and_then(|s| s.get(&(k, bj)));
-                    let partial = fold_tile(&self.pool, shape, (w..kb).step_by(n), at, bt)
+                    let partial = stage
+                        .partial(&self.pool, shape, (bi, bj), (w, n))
                         .map_err(|e| format!("cpmm: partial ({bi},{bj}) on worker {w}: {e}"))?;
                     if let Some(acc) = partial {
                         descs = descs.raw(
@@ -620,13 +658,13 @@ impl Worker {
                                 .u64("b", acc.actual_bytes() as u64)
                                 .build(),
                         );
-                        store
-                            .entry((stage, w))
-                            .or_default()
-                            .insert((bi, bj), Block::Dense(acc));
+                        partials.push((w, (bi, bj), Block::Dense(acc)));
                     }
                 }
             }
+        }
+        for (w, at, partial) in partials {
+            store.entry((stage_rid, w)).or_default().insert(at, partial);
         }
         Ok(Reply::Json(
             JsonObj::new()
@@ -769,13 +807,22 @@ mod tests {
         }
     }
 
-    /// The by-construction property, checked without launching a process:
-    /// the daemon's `mm` and `cpmm1` + `cpmm2` over a hand-built store
-    /// produce tiles whose shard checksums equal the simulator's for the
-    /// same inputs — dense and CSC results, ragged edges, a k-panel of
-    /// all-zero tiles.
-    #[test]
-    fn mm_and_cpmm_seal_like_the_simulator() {
+    /// One host holding both logical workers' operands of one product,
+    /// placed both ways — Broadcast × Column for `mm`, Column × Row for
+    /// `cpmm1` — with each command as the coordinator words it and the
+    /// simulator's result: dense and CSC result tiles, ragged edges, a
+    /// k-panel of all-zero tiles.
+    struct Staged {
+        w: Worker,
+        mm: String,
+        mm_out: DistMatrix,
+        cpmm1: String,
+        cpmm_out: DistMatrix,
+        /// CPMM's staging rid: no rid the fixture minted.
+        stage: u64,
+    }
+
+    fn staged() -> Staged {
         use crate::{Cluster, ClusterConfig, PartitionScheme};
         let mut cl = Cluster::new(ClusterConfig {
             workers: 2,
@@ -800,48 +847,74 @@ mod tests {
         })
         .unwrap();
         let kb = 4u64;
-        let mut w = worker();
+        let w = worker();
 
         let (a_bc, b_col) = (
             cl.load(&a, PartitionScheme::Broadcast),
             cl.load(&b, PartitionScheme::Col),
         );
-        let out = cl.rmm1(&a_bc, &b_col).unwrap();
+        let mm_out = cl.rmm1(&a_bc, &b_col).unwrap();
         install(&w, &a_bc);
         install(&w, &b_col);
-        let mm = grid(JsonObj::new().str("t", "mm"), &out)
+        let mm = grid(JsonObj::new().str("t", "mm"), &mm_out)
             .u64("rid_a", a_bc.rid())
             .u64("rid_b", b_col.rid())
-            .u64("rid_out", out.rid())
+            .u64("rid_out", mm_out.rid())
             .u64("kb", kb)
-            .raw("tasks", &tasks_of(&out, |_, _| None));
-        w.dispatch(&Json::parse(&mm.build()).unwrap(), None)
-            .map(drop)
-            .unwrap();
-        assert_same_seals(&w, &out, "mm");
-        assert!(
-            (0..2).any(|lw| out.worker_blocks(lw).values().any(|t| t.is_sparse()))
-                && (0..2).any(|lw| out.worker_blocks(lw).values().any(|t| !t.is_sparse())),
-            "the inputs must exercise both result representations"
-        );
+            .raw("tasks", &tasks_of(&mm_out, |_, _| None));
 
         let (a_col, b_row) = (
             cl.load(&a, PartitionScheme::Col),
             cl.load(&b, PartitionScheme::Row),
         );
-        let out = cl.cpmm(&a_col, &b_row, PartitionScheme::Row).unwrap();
+        let cpmm_out = cl.cpmm(&a_col, &b_row, PartitionScheme::Row).unwrap();
         install(&w, &a_col);
         install(&w, &b_row);
-        let stage = 1 << 40; // no rid the test minted
-        let cpmm1 = grid(JsonObj::new().str("t", "cpmm1"), &out)
+        let stage = 1 << 40;
+        let cpmm1 = grid(JsonObj::new().str("t", "cpmm1"), &cpmm_out)
             .u64("rid_a", a_col.rid())
             .u64("rid_b", b_row.rid())
             .u64("stage", stage)
             .u64("n", 2)
             .u64("kb", kb)
             .raw("ws", "[0,1]");
-        let Ok(Reply::Json(partials)) = w.dispatch(&Json::parse(&cpmm1.build()).unwrap(), None)
-        else {
+        Staged {
+            w,
+            mm: mm.build(),
+            mm_out,
+            cpmm1: cpmm1.build(),
+            cpmm_out,
+            stage,
+        }
+    }
+
+    fn run(w: &mut Worker, cmd: &str) -> Result<Reply, String> {
+        w.dispatch(&Json::parse(cmd).unwrap(), None)
+    }
+
+    /// The by-construction property, checked without launching a process:
+    /// the daemon's `mm` and `cpmm1` + `cpmm2` over a hand-built store
+    /// produce tiles whose shard checksums equal the simulator's for the
+    /// same inputs.
+    #[test]
+    fn mm_and_cpmm_seal_like_the_simulator() {
+        let Staged {
+            mut w,
+            mm,
+            mm_out,
+            cpmm1,
+            cpmm_out: out,
+            stage,
+        } = staged();
+        run(&mut w, &mm).map(drop).unwrap();
+        assert_same_seals(&w, &mm_out, "mm");
+        assert!(
+            (0..2).any(|lw| mm_out.worker_blocks(lw).values().any(|t| t.is_sparse()))
+                && (0..2).any(|lw| mm_out.worker_blocks(lw).values().any(|t| !t.is_sparse())),
+            "the inputs must exercise both result representations"
+        );
+
+        let Ok(Reply::Json(partials)) = run(&mut w, &cpmm1) else {
             panic!("cpmm1 must answer with its partial descriptors");
         };
         let partials = Json::parse(&partials.build()).unwrap();
@@ -862,10 +935,96 @@ mod tests {
             .u64("stage", stage)
             .u64("rid_out", out.rid())
             .raw("tasks", &tasks_of(&out, srcs_of));
-        w.dispatch(&Json::parse(&cpmm2.build()).unwrap(), None)
-            .map(drop)
-            .unwrap();
+        run(&mut w, &cpmm2.build()).map(drop).unwrap();
         assert_same_seals(&w, &out, "cpmm");
+    }
+
+    /// `mm` and `cpmm1` hold what they are told against the shards they
+    /// hold: a command those contradict — or one sized to exhaust memory —
+    /// is an `err` reply naming the result tile and the logical worker.
+    /// Nothing panics, nothing is allocated by a command's word alone,
+    /// nothing is stored, and the worker computes the true command after.
+    #[test]
+    fn mm_and_cpmm1_hold_their_commands_against_their_shards() {
+        let Staged {
+            mut w,
+            mm,
+            mm_out,
+            cpmm1,
+            stage,
+            ..
+        } = staged();
+        let shards_held = w.store.lock().unwrap().len();
+        let rejected = |w: &mut Worker, cmd: &str, names: &[&str]| {
+            let err = run(w, cmd)
+                .err()
+                .unwrap_or_else(|| panic!("accepted: {cmd}"));
+            for name in names {
+                assert!(err.contains(name), "'{err}' does not say '{name}': {cmd}");
+            }
+            assert_eq!(w.store.lock().unwrap().len(), shards_held, "{cmd}");
+        };
+        // The largest integer a command can carry (`Json::as_u64`).
+        let huge = "9007199254740992";
+
+        // The shared dimension: shorter than the shards, none, longer.
+        for (cmd, op) in [(&mm, "mm"), (&cpmm1, "cpmm")] {
+            rejected(&mut w, &cmd.replace(r#""kb":4"#, r#""kb":3"#), &["worker "]);
+            rejected(&mut w, &cmd.replace(r#""kb":4"#, r#""kb":0"#), &[]);
+            let long = cmd.replace(r#""kb":4"#, &format!(r#""kb":{huge}"#));
+            rejected(
+                &mut w,
+                &long,
+                &[op, "on worker ", "missing input tile at k=4"],
+            );
+        }
+        // The grid: a block size, or an extent, the tiles do not have.
+        for (cmd, op) in [(&mm, "mm"), (&cpmm1, "cpmm")] {
+            for (field, was) in [("block", 3), ("rows", 7), ("cols", 8)] {
+                let was = format!(r#""{field}":{was}"#);
+                for now in ["0", "1", "2", "1099511627776", huge] {
+                    let cmd = cmd.replace(&was, &format!(r#""{field}":{now}"#));
+                    rejected(&mut w, &cmd, &[op, "worker "]);
+                }
+            }
+        }
+        // A result tile, a logical worker, an operand the host does not hold.
+        let first = r#"{"w":0,"bi":0,"bj":0}"#;
+        assert!(mm.contains(first));
+        for task in [
+            r#"{"w":0,"bi":3,"bj":0}"#.to_string(),
+            format!(r#"{{"w":0,"bi":{huge},"bj":{huge}}}"#),
+            format!(r#"{{"w":{huge},"bi":0,"bj":0}}"#),
+        ] {
+            let names = ["mm: result (", "on worker ", "missing input tile at k=0"];
+            rejected(&mut w, &mm.replace(first, &task), &names);
+        }
+        let rid_a = wire::field_u64(&Json::parse(&mm).unwrap(), "rid_a").unwrap();
+        let unheld = mm.replace(&format!(r#""rid_a":{rid_a}"#), r#""rid_a":99999"#);
+        rejected(&mut w, &unheld, &["mm: result (", "on worker "]);
+        // A stride of none is every worker's own stride of one.
+        let stride = cpmm1.replace(r#""n":2"#, r#""n":0"#);
+        rejected(&mut w, &stride, &["cpmm: partial (", "on worker 0"]);
+
+        // One byte of either command changed, 600 times: an answer or an
+        // `err`, and whichever it was the worker is as it was — bar a
+        // result it was asked, in so many words, to store elsewhere.
+        let mut rng = dmac_matrix::SplitMix64::new(0xF4A3_0008);
+        for round in 0..600 {
+            let mut bytes = [&mm, &cpmm1][round % 2].clone().into_bytes();
+            let at = rng.below(bytes.len());
+            bytes[at] = 0x20 + rng.below(0x5f) as u8;
+            let text = String::from_utf8(bytes).unwrap();
+            if let Ok(cmd) = Json::parse(&text) {
+                let _ = w.dispatch(&cmd, None);
+            }
+        }
+        w.store
+            .lock()
+            .unwrap()
+            .retain(|&(rid, _), _| rid != mm_out.rid() && rid != stage);
+        run(&mut w, &mm).map(drop).unwrap();
+        assert_same_seals(&w, &mm_out, "mm after the sweep");
     }
 
     /// Tile payload is `DMB1` or nothing: an `install` or peer `push`

@@ -25,13 +25,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dmac_matrix::exec::matmul_tile;
 use dmac_matrix::{Block, BlockedMatrix};
 
 use crate::cluster::{grid_cells, into_stores, Cluster};
 use crate::comm::CommKind;
 use crate::dist::{DistMatrix, GridMeta};
 use crate::error::{ClusterError, Result};
+use crate::kernels::MulStage;
 use crate::partition::PartitionScheme;
 
 /// A rectangular process grid over the cluster's workers.
@@ -97,6 +97,11 @@ impl Dist2d {
             stores[grid.owner(bi, bj)].insert((bi, bj), Arc::clone(tile));
         }
         Dist2d { meta, grid, stores }
+    }
+
+    /// Every tile, whichever worker holds it.
+    fn tiles(&self) -> impl Iterator<Item = ((usize, usize), &Block)> + Clone {
+        self.stores.iter().flatten().map(|(&k, t)| (k, &**t))
     }
 
     /// Re-distribute a 1-D placed matrix into block-cyclic layout, metering
@@ -284,18 +289,19 @@ pub fn summa(cluster: &mut Cluster, a: &Dist2d, b: &Dist2d) -> Result<Dist2d> {
     for w in 0..grid.size() {
         cluster.check_worker(w)?;
     }
+    // Every worker reads the panels off their owners: one stage over all
+    // of `a` and `b`, shared by the workers' tasks.
+    let panels = MulStage::new(a.tiles(), b.tiles(), kb)?;
     let tiles = cluster.run_stage(
         |w| {
-            grid_cells(&out_meta)
+            let owned = grid_cells(&out_meta)
                 .filter(|&(bi, bj)| grid.owner(bi, bj) == w)
-                .collect()
+                .collect();
+            Ok((&panels, owned))
         },
-        |pool, _, (bi, bj)| {
+        |pool, panels, (bi, bj)| {
             let shape = (out_meta.block_rows_of(bi), out_meta.block_cols_of(bj));
-            let at = |k| a.stores[grid.owner(bi, k)].get(&(bi, k)).map(|t| &**t);
-            let bt = |k| b.stores[grid.owner(k, bj)].get(&(k, bj)).map(|t| &**t);
-            let tile = matmul_tile(pool, shape, 0..kb, at, bt)?;
-            Ok(((bi, bj), Arc::new(tile)))
+            Ok(((bi, bj), Arc::new(panels.product(pool, shape, (bi, bj))?)))
         },
     )?;
     let stores = into_stores(tiles);

@@ -22,7 +22,9 @@
 
 #![forbid(unsafe_code)]
 
-use dmac_matrix::{BlockedMatrix, Result, SplitMix64};
+use std::sync::Arc;
+
+use dmac_matrix::{Block, BlockedMatrix, CscBlock, DenseBlock, Result, SplitMix64};
 use dmac_stats::SparsityProfile;
 
 /// A named graph preset mirroring Table 3 of the paper.
@@ -163,17 +165,66 @@ pub fn powerlaw_graph(nodes: usize, edges: usize, block: usize, seed: u64) -> Bl
 /// Row-normalise an adjacency matrix into a row-stochastic link matrix
 /// (each non-empty row sums to 1). Rows with no out-edges stay zero
 /// (dangling nodes).
+///
+/// Tile-wise: one pass over the stored items for the row sums, then every
+/// tile keeps its structure and divides its values by its rows' sums. The
+/// result is, tile for tile and bit for bit, what rebuilding the matrix from
+/// its normalised triplets gives (the tests' reference).
 pub fn row_normalize(adj: &BlockedMatrix) -> Result<BlockedMatrix> {
+    let block = adj.block_size();
+    // Tiles row-major, and inside a tile either walk meets a row's items
+    // left to right: every row adds its items in ascending column order.
     let mut row_sums = vec![0.0f64; adj.rows()];
-    for (i, _, v) in adj.to_triplets() {
-        row_sums[i] += v;
+    for (bi, _, tile) in adj.iter_blocks() {
+        let sums = &mut row_sums[bi * block..];
+        match tile.as_ref() {
+            Block::Dense(d) => {
+                for (sum, row) in sums.iter_mut().zip(d.data().chunks(d.cols().max(1))) {
+                    for v in row {
+                        *sum += v;
+                    }
+                }
+            }
+            Block::Sparse(s) => {
+                for (&i, &v) in s.row_indices().iter().zip(s.values()) {
+                    sums[i as usize] += v;
+                }
+            }
+        }
     }
-    let trips: Vec<(usize, usize, f64)> = adj
-        .to_triplets()
-        .into_iter()
-        .map(|(i, j, v)| (i, j, v / row_sums[i]))
+    let blocks = adj
+        .iter_blocks()
+        .map(|(bi, _, tile)| {
+            let sums = &row_sums[bi * block..];
+            let scaled = match tile.as_ref() {
+                Block::Sparse(s) => Block::Sparse(s.map_values_by_row(|i, v| v / sums[i])),
+                Block::Dense(d) => Block::Dense(DenseBlock::from_fn(d.rows(), d.cols(), |i, j| {
+                    let v = d.at(i, j);
+                    // A zero cell is no item: it has no share of a zero sum.
+                    if v != 0.0 {
+                        v / sums[i]
+                    } else {
+                        0.0
+                    }
+                })),
+            };
+            Arc::new(as_stored_from_triplets(scaled))
+        })
         .collect();
-    BlockedMatrix::from_triplets(adj.rows(), adj.cols(), adj.block_size(), trips)
+    BlockedMatrix::from_blocks(adj.rows(), adj.cols(), block, blocks)
+}
+
+/// The tile as [`BlockedMatrix::from_triplets`] stores these cells: CSC
+/// without a stored zero, dense above [`dmac_matrix::block::DENSIFY_THRESHOLD`].
+/// A CSC tile none of whose values is zero — every link tile of a graph — is
+/// that already.
+fn as_stored_from_triplets(tile: Block) -> Block {
+    let cells = match tile {
+        Block::Sparse(s) if !s.values().contains(&0.0) => return Block::Sparse(s).compact(),
+        Block::Sparse(s) => s.to_dense(),
+        Block::Dense(d) => d,
+    };
+    Block::Sparse(CscBlock::from_dense(&cells)).compact()
 }
 
 /// Measure a freshly generated (or loaded) matrix's sparsity statistics:
@@ -248,6 +299,95 @@ mod tests {
         for (i, s) in sums.iter().enumerate() {
             assert!(*s == 0.0 || (s - 1.0).abs() < 1e-9, "row {i} sums to {s}");
         }
+    }
+
+    /// The triplet formulation `row_normalize` replaced: the reference.
+    fn row_normalize_by_triplets(adj: &BlockedMatrix) -> BlockedMatrix {
+        let mut row_sums = vec![0.0f64; adj.rows()];
+        for (i, _, v) in adj.to_triplets() {
+            row_sums[i] += v;
+        }
+        let trips = adj
+            .to_triplets()
+            .into_iter()
+            .map(|(i, j, v)| (i, j, v / row_sums[i]));
+        BlockedMatrix::from_triplets(adj.rows(), adj.cols(), adj.block_size(), trips).unwrap()
+    }
+
+    fn assert_normalizes_like_triplets(adj: &BlockedMatrix, what: &str) {
+        let got = row_normalize(adj).unwrap();
+        let want = row_normalize_by_triplets(adj);
+        assert_eq!(
+            (got.rows(), got.cols(), got.block_size()),
+            (want.rows(), want.cols(), want.block_size())
+        );
+        for ((bi, bj, g), (_, _, w)) in got.iter_blocks().zip(want.iter_blocks()) {
+            assert!(g.bits_eq(w), "{what}: tile ({bi},{bj})\n{g:?}\n{w:?}");
+            assert_eq!(g.actual_bytes(), w.actual_bytes(), "{what}: ({bi},{bj})");
+        }
+        assert_eq!(got.actual_bytes(), want.actual_bytes(), "{what}");
+    }
+
+    #[test]
+    fn row_normalize_is_the_triplet_formulation_tile_for_tile() {
+        for seed in 0..6u64 {
+            let mut rng = SplitMix64::new(0xA0A0 + seed);
+            // Ragged both ways on odd seeds.
+            let (rows, cols, block) = [(64, 64, 16), (53, 70, 16), (40, 96, 8)][seed as usize % 3];
+            // Per block-column band a density: hyper-sparse (packed CSC),
+            // a quarter (full-layout CSC), and most cells (dense tiles).
+            let band_density = [0.01, 0.25, 0.8];
+            let mut trips = Vec::new();
+            for i in 0..rows {
+                // Dangling rows: every fifth has no out-edge.
+                if i % 5 == 4 {
+                    continue;
+                }
+                for j in 0..cols {
+                    if rng.chance(band_density[j / block % 3]) {
+                        // Weights are not 1, a few negative (a row may sum
+                        // to zero or below), and a tenth of the edges come
+                        // twice: `from_triplets` sums the pair.
+                        let w = rng.range_inclusive(1, 9) as f64 / 4.0;
+                        let w = if rng.chance(0.05) { -w } else { w };
+                        trips.push((i, j, w));
+                        if rng.chance(0.1) {
+                            trips.push((i, j, 0.5));
+                        }
+                    }
+                }
+            }
+            let adj = BlockedMatrix::from_triplets(rows, cols, block, trips).unwrap();
+            let reprs: Vec<_> = adj.iter_blocks().map(|(_, _, t)| t.is_sparse()).collect();
+            assert!(
+                reprs.contains(&true) && reprs.contains(&false),
+                "seed {seed}"
+            );
+            assert_normalizes_like_triplets(&adj, &format!("seed {seed}"));
+
+            // The same cells in the representation `from_triplets` would
+            // not have picked — CSC above the densify threshold, dense
+            // below it — and with a stored zero where row 0 had an item.
+            let flipped = adj
+                .iter_blocks()
+                .map(|(bi, _, t)| {
+                    Arc::new(match t.as_ref() {
+                        Block::Dense(d) => Block::Sparse(CscBlock::from_dense(d)),
+                        Block::Sparse(s) if bi == 0 => {
+                            Block::Sparse(s.map_values_by_row(|i, v| if i == 0 { 0.0 } else { v }))
+                        }
+                        Block::Sparse(s) => Block::Dense(s.to_dense()),
+                    })
+                })
+                .collect();
+            let flipped = BlockedMatrix::from_blocks(rows, cols, block, flipped).unwrap();
+            assert_normalizes_like_triplets(&flipped, &format!("seed {seed}, flipped"));
+        }
+        // A real link matrix: every tile hyper-sparse, unit weights.
+        let g = powerlaw_graph(300, 1_500, 32, 9);
+        assert_normalizes_like_triplets(&g, "powerlaw");
+        let z = BlockedMatrix::zeros(10, 7, 4).unwrap();
+        assert_normalizes_like_triplets(&z, "all zero");
     }
 
     #[test]

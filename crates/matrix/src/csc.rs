@@ -563,9 +563,16 @@ impl CscBlock {
 
     /// Map stored values through `f` (zeros stay zero, so sparsity is kept).
     pub fn map_values(&self, f: impl Fn(f64) -> f64) -> CscBlock {
+        self.map_values_by_row(|_, v| f(v))
+    }
+
+    /// Map stored values through `f(row, value)` — [`Self::map_values`] for
+    /// an `f` that depends on the row an item sits in (a row scaling). The
+    /// structure is kept as it is, a stored zero included.
+    pub fn map_values_by_row(&self, f: impl Fn(usize, f64) -> f64) -> CscBlock {
         let mut out = self.clone();
-        for v in &mut out.values {
-            *v = f(*v);
+        for (v, &i) in out.values.iter_mut().zip(&self.row_idx) {
+            *v = f(i as usize, *v);
         }
         out
     }
@@ -937,6 +944,12 @@ mod tests {
             assert_eq!(z.actual_bytes(), b.actual_bytes());
             assert!(z.col_ptrs().eq(b.col_ptrs()) && z.row_indices() == b.row_indices());
             assert!(!z.bits_eq(&b) && z.bits_eq(&b.scale(0.0)));
+            // By row: item (j, j) holds 2.0, so row j maps to 2j.
+            let r = b.map_values_by_row(|i, v| i as f64 * v);
+            assert_eq!(r.is_packed(), b.is_packed());
+            assert!(r.col_ptrs().eq(b.col_ptrs()) && r.row_indices() == b.row_indices());
+            let want: Vec<f64> = (0..held).map(|j| 2.0 * j as f64).collect();
+            assert_eq!(r.values(), want, "row 0 maps to a stored zero");
         }
     }
 

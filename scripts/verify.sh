@@ -23,10 +23,20 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one tile decoder, one aligned stage, one persist, one victim rule)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
+# The simulator and the daemon run one multiply stage (kernels.rs'
+# MulStage: each operand shard resolved once, every task folded against
+# it): no second caller of the fold under crates/cluster/src, so no
+# per-term tile lookup beside it. No exception is listed: twod.rs' SUMMA
+# is a MulStage over all of A and B. (`.fold_tile(` is ReduceKind's.)
+if find crates/cluster/src -name '*.rs' ! -name kernels.rs -exec awk \
+    '/#\[cfg\(test\)\]/ { nextfile }
+     /(^|[^.[:alnum:]_])(fold_tile|matmul_tile)\(/ && !/fn (fold_tile|matmul_tile)\(/ {
+         print FILENAME ":" FNR ": " $0 }' {} + |
+    grep .; then exit 1; fi
 # Bytes from outside (wire frames, disk payloads) become blocks in
 # transport/binfmt.rs only: a second decoder is a second set of bounds
 # checks. Code up to a file's first #[cfg(test)]; tests build fixtures.

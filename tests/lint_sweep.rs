@@ -11,12 +11,14 @@
 
 use std::collections::HashMap;
 
-use dmac::analyze::{lint_program, lint_script, verify_planned, Severity};
+use dmac::analyze::{code, lint_program, lint_script, verify_planned, Severity};
 use dmac::apps::{
     CollaborativeFiltering, Gnmf, LinearRegression, PageRank, SvdLanczos, TriangleCount,
 };
 use dmac::core::planner::{plan_program, plan_with_forced_profiled, PlannerConfig};
+use dmac::core::Session;
 use dmac::lang::{parse_script, BinOp, OpKind, Program};
+use dmac::matrix::BlockedMatrix;
 
 const WORKERS: usize = 8;
 
@@ -199,5 +201,82 @@ fn forced_strategies_verify_on_gnmf_and_pagerank() {
             verify_planned(&program, &planned, &cfg, WORKERS)
                 .unwrap_or_else(|m| panic!("{name} choice {choice}: {m}"));
         }
+    }
+}
+
+/// `PageRank::build` makes the teleport `D * (1 - damping)` once, before
+/// the loop — the hoist I201 asks for. Against the program that scales `D`
+/// again in every iteration (the shape `build` had, rebuilt here as the
+/// reference): no I201 left, the same rank bits — every iteration added
+/// the identical vector — and no higher a residency peak.
+#[test]
+fn pagerank_hoists_the_teleport_without_moving_a_bit() {
+    let pr = PageRank {
+        nodes: 96,
+        link_sparsity: 0.1,
+        damping: 0.85,
+        iterations: 5,
+    };
+    let mut hoisted = Program::new();
+    pr.build(&mut hoisted).unwrap();
+    let mut per_iteration = Program::new();
+    {
+        let p = &mut per_iteration;
+        let link = p.load("link", pr.nodes, pr.nodes, pr.link_sparsity);
+        let d = p.load("D", 1, pr.nodes, 1.0);
+        let mut rank = p.random("rank0", 1, pr.nodes);
+        for i in 0..pr.iterations {
+            p.set_phase(i);
+            let walk = p.matmul(rank, link).unwrap();
+            let damped = p.scale_const(walk, pr.damping).unwrap();
+            let teleport = p.scale_const(d, 1.0 - pr.damping).unwrap();
+            rank = p.add(damped, teleport).unwrap();
+        }
+        p.store(rank, "rank");
+    }
+    let invariants = |p: &Program| {
+        let found = lint_program(p);
+        found
+            .iter()
+            .filter(|d| d.code == code::LOOP_INVARIANT)
+            .count()
+    };
+    assert_eq!(
+        invariants(&per_iteration),
+        1,
+        "the reference is the old shape"
+    );
+    assert_eq!(invariants(&hoisted), 0);
+    assert_eq!(
+        hoisted.ops().len() + pr.iterations - 1,
+        per_iteration.ops().len()
+    );
+
+    for seed in [3u64, 17, 40] {
+        let adj = dmac::data::powerlaw_graph(pr.nodes, 900, 8, seed);
+        let link = dmac::data::row_normalize(&adj).unwrap();
+        let d = BlockedMatrix::from_fn(1, pr.nodes, 8, |_, _| 1.0 / pr.nodes as f64).unwrap();
+        let run = |program: &Program| {
+            let mut s = Session::builder()
+                .workers(4)
+                .local_threads(2)
+                .block_size(8)
+                .seed(seed)
+                .build();
+            s.bind("link", link.clone()).unwrap();
+            s.bind("D", d.clone()).unwrap();
+            let report = s.run(program).unwrap();
+            let rank = s.env_value("rank").unwrap().to_dense();
+            let bits: Vec<u64> = rank.data().iter().map(|v| v.to_bits()).collect();
+            (bits, report.trace.peak_resident(), report.trace.steps.len())
+        };
+        let (bits, peak, steps) = run(&hoisted);
+        let (old_bits, old_peak, old_steps) = run(&per_iteration);
+        assert_eq!(bits, old_bits, "seed {seed}: a rank bit moved");
+        assert!(peak <= old_peak, "seed {seed}: peak {peak} > {old_peak}");
+        assert!(
+            steps < old_steps,
+            "seed {seed}: {steps} steps, {old_steps} before"
+        );
     }
 }

@@ -66,13 +66,20 @@ fn every_block_charged_is_given_back() {
     }
     assert_eq!(mem::current_bytes(), start);
 
-    // A matrix of hyper-sparse tiles, through the paths `row_normalize` takes.
+    // A matrix of hyper-sparse tiles beside a dense block-row, through
+    // `row_normalize`: mapped by row where the structure holds, rebuilt
+    // where a value came out zero or the tile was dense.
     {
-        let trips = (0..64).map(|t| (t * 5 % 64, t * 11 % 64, 1.0 + t as f64));
-        let m = BlockedMatrix::from_triplets(64, 64, 16, trips).unwrap();
+        let sparse = (0..64).map(|t| (16 + t * 5 % 48, t * 11 % 64, 1.0 + t as f64));
+        let dense = (0..16 * 64).map(|c| (c / 64, c % 64, 1.0));
+        let m = BlockedMatrix::from_triplets(64, 64, 16, sparse.chain(dense)).unwrap();
+        assert!(!m.block_at(0, 0).is_sparse() && m.block_at(1, 0).is_sparse());
         let back = BlockedMatrix::from_triplets(64, 64, 16, m.to_triplets()).unwrap();
         assert_eq!(m.to_triplets(), back.to_triplets());
-        let _scaled = m.scale(3.0).transpose();
+        let link = dmac::data::row_normalize(&m).unwrap();
+        assert_eq!(link.nnz(), m.nnz());
+        let _zeroed = dmac::data::row_normalize(&m.scale(0.0)).unwrap();
+        let _scaled = link.scale(3.0).transpose();
     }
     assert_eq!(
         mem::current_bytes(),

@@ -434,17 +434,26 @@ fn binary_oversize_counts_fail_before_allocation() {
 
 /// Mutating one byte of a well-formed worker command either still parses
 /// (the mutation hit a value) or fails with a typed `JsonError` — the
-/// decoder itself must never panic on near-miss protocol frames.
+/// decoder itself must never panic on near-miss protocol frames. What the
+/// daemon then makes of a mutated `mm` / `cpmm1` that still parses is the
+/// same sweep run through its dispatcher, next to it
+/// (`workerd.rs`, `mm_and_cpmm1_hold_their_commands_against_their_shards`).
 #[test]
 fn mutated_commands_fail_typed() {
-    let base = r#"{"t":"install","rid":"00000000000000ff","tiles":["0_1_x"],"n":3}"#;
+    let commands = [
+        r#"{"t":"install","rid":"00000000000000ff","tiles":["0_1_x"],"n":3}"#,
+        r#"{"t":"mm","rows":7,"cols":8,"block":3,"rid_a":1,"rid_b":2,"rid_out":3,"kb":4,"tasks":[{"w":0,"bi":2,"bj":0},{"w":1,"bi":0,"bj":1}]}"#,
+        r#"{"t":"cpmm1","rows":7,"cols":8,"block":3,"rid_a":4,"rid_b":5,"stage":1099511627776,"n":2,"kb":4,"ws":[0,1]}"#,
+    ];
     let mut rng = SplitMix64::new(0xF4A3_0007);
-    for _ in 0..500 {
-        let mut bytes = base.as_bytes().to_vec();
-        let at = rng.below(bytes.len());
-        bytes[at] = 0x20 + rng.below(0x5f) as u8;
-        if let Ok(s) = String::from_utf8(bytes) {
-            let _ = Json::parse(&s); // Ok or Err(JsonError) — both fine; a panic fails the test
+    for base in commands {
+        for _ in 0..500 {
+            let mut bytes = base.as_bytes().to_vec();
+            let at = rng.below(bytes.len());
+            bytes[at] = 0x20 + rng.below(0x5f) as u8;
+            if let Ok(s) = String::from_utf8(bytes) {
+                let _ = Json::parse(&s); // Ok or Err(JsonError) — both fine; a panic fails the test
+            }
         }
     }
 }
