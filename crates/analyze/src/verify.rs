@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 
 use dmac_cluster::PartitionScheme;
-use dmac_core::plan::{FusedInstr, Plan, PlanStep};
+use dmac_core::plan::{FusedOp, Plan, PlanStep};
 use dmac_core::planner::{Planned, PlannerConfig};
 use dmac_core::stage;
 use dmac_core::strategy::{candidates, OutScheme, Strategy};
@@ -807,7 +807,7 @@ impl<'a> Verifier<'a> {
         &self,
         i: usize,
         ops: &[usize],
-        prog: &[FusedInstr],
+        prog: &[FusedOp<ScalarExpr>],
         inputs: &[usize],
         out: usize,
     ) -> Result<(), String> {
@@ -857,20 +857,20 @@ impl<'a> Verifier<'a> {
         let mut instr_ops = 0usize;
         for instr in prog {
             match instr {
-                FusedInstr::Leaf(k) => {
+                FusedOp::Leaf(k) => {
                     if *k >= inputs.len() {
                         return Err(format!("V10: step {i} leaf {k} out of range"));
                     }
                     depth += 1;
                 }
-                FusedInstr::Add | FusedInstr::Sub | FusedInstr::CellMul | FusedInstr::CellDiv => {
+                FusedOp::Add | FusedOp::Sub | FusedOp::CellMul | FusedOp::CellDiv => {
                     if depth < 2 {
                         return Err(format!("V10: step {i} fused program underflows"));
                     }
                     depth -= 1;
                     instr_ops += 1;
                 }
-                FusedInstr::Scale(_) | FusedInstr::AddScalar(_) => {
+                FusedOp::Scale(_) | FusedOp::AddScalar(_) => {
                     if depth < 1 {
                         return Err(format!("V10: step {i} fused program underflows"));
                     }

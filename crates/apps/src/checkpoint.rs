@@ -15,6 +15,41 @@
 //! the on-disk codec preserves values and per-worker placement exactly
 //! and the engine is deterministic given identical inputs and schemes.
 
+use dmac_core::{Result, Session};
+
+/// The loop behind `Gnmf::run_checkpointed` and `PageRank::run_checkpointed`:
+/// resume at the recovered snapshot's phase if all of `names` came back with
+/// it, else start `fresh` (bind the inputs, run the init program: phase 0);
+/// then one `step` and one snapshot of `names` per remaining iteration.
+pub(crate) fn run_checkpointed(
+    session: &mut Session,
+    names: &[String],
+    iterations: usize,
+    fresh: impl FnOnce(&mut Session) -> Result<()>,
+    step: &dmac_lang::Program,
+) -> Result<CheckpointedRun> {
+    let store = session.shared_store().clone();
+    let resumable = |phase| phase <= iterations && names.iter().all(|n| store.contains(n));
+    let start = match store.latest_snapshot() {
+        Some((_, phase)) if resumable(phase as usize) => phase as usize,
+        _ => {
+            fresh(session)?;
+            session.checkpoint(names, 0)?;
+            0
+        }
+    };
+    for i in start..iterations {
+        session.run(step)?;
+        session.checkpoint(names, (i + 1) as u64)?;
+    }
+    let (final_snapshot, _) = store.latest_snapshot().unwrap_or((0, 0));
+    Ok(CheckpointedRun {
+        resumed_from: start,
+        ran_iterations: iterations - start,
+        final_snapshot,
+    })
+}
+
 /// Outcome of a checkpointed driver run (see `Gnmf::run_checkpointed`
 /// and `PageRank::run_checkpointed`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

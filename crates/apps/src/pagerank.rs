@@ -12,7 +12,7 @@ use dmac_core::{Result, Session};
 use dmac_lang::{Expr, Program};
 use dmac_matrix::BlockedMatrix;
 
-use crate::checkpoint::CheckpointedRun;
+use crate::checkpoint::{self, CheckpointedRun};
 
 /// Store names the checkpointed PageRank driver snapshots at every phase
 /// boundary. The loop-invariant `link` and `D` ride along so their
@@ -113,38 +113,16 @@ impl PageRank {
         session: &mut Session,
         adjacency: &BlockedMatrix,
     ) -> Result<CheckpointedRun> {
-        let names: Vec<String> = PAGERANK_CHECKPOINT_NAMES
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let store = session.shared_store().clone();
-        let start = match store.latest_snapshot() {
-            Some((_, phase))
-                if phase as usize <= self.iterations && names.iter().all(|n| store.contains(n)) =>
-            {
-                phase as usize
-            }
-            _ => {
-                self.bind_inputs(session, adjacency)?;
-                let mut init = Program::new();
-                self.build_init(&mut init)?;
-                session.run(&init)?;
-                session.checkpoint(&names, 0)?;
-                0
-            }
-        };
         let mut step = Program::new();
         self.build_step(&mut step)?;
-        for i in start..self.iterations {
-            session.run(&step)?;
-            session.checkpoint(&names, (i + 1) as u64)?;
-        }
-        let (final_snapshot, _) = store.latest_snapshot().unwrap_or((0, 0));
-        Ok(CheckpointedRun {
-            resumed_from: start,
-            ran_iterations: self.iterations - start,
-            final_snapshot,
-        })
+        let fresh = |session: &mut Session| {
+            self.bind_inputs(session, adjacency)?;
+            let mut init = Program::new();
+            self.build_init(&mut init)?;
+            session.run(&init).map(drop)
+        };
+        let names = PAGERANK_CHECKPOINT_NAMES.map(String::from);
+        checkpoint::run_checkpointed(session, &names, self.iterations, fresh, &step)
     }
 
     /// Bind the row-normalised `link` and the uniform teleport vector `D`.

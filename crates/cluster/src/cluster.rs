@@ -359,19 +359,9 @@ impl Cluster {
         self.faults.log()
     }
 
-    /// The seeded injector (plan inspection, kill counts).
-    pub fn fault_injector(&self) -> &FaultInjector {
-        &self.faults
-    }
-
     /// Logical-worker → physical-host assignment.
     pub fn assignment(&self) -> &[usize] {
         &self.assignment
-    }
-
-    /// The physical host currently running logical worker `w`.
-    pub fn host_of(&self, w: usize) -> usize {
-        self.assignment[w]
     }
 
     /// Hosts that are up (neither failed nor decommissioned), ascending.
@@ -769,26 +759,34 @@ impl Cluster {
     /// The `free` plan step: release a dead intermediate's physical
     /// shards on the mirror. Local and communication-free; it draws
     /// no fault (so seeded fault sequences are unperturbed by liveness
-    /// splicing) and meters nothing — the returned receipt is the
-    /// physical bytes the mirror reclaimed (0 without one).
+    /// splicing) and meters nothing. Idempotent: a value the mirror does
+    /// not hold (never installed, already released) costs no exchange.
+    /// The returned receipt is the physical bytes reclaimed, priced here
+    /// from `m`'s tiles — what install and seal proved the workers hold —
+    /// when the mirror released it (0 when it held nothing, or without one).
     pub fn free(&mut self, m: &DistMatrix) -> Result<u64> {
         let st = self.span_open("free");
         let mut released = 0;
         self.finish_op(st, "", (0, 0), None, m.tile_count(), None, |t| {
-            released = t.free_value(m)?;
+            if t.retain_values(&|rid| rid != m.rid())? > 0 {
+                let shards = (0..m.workers()).flat_map(|w| m.worker_blocks(w).values());
+                released = shards.map(|tile| tile.actual_bytes() as u64).sum();
+            }
             Ok(0)
         })?;
         Ok(released)
     }
 
-    /// Release a value nothing holds any more (a displaced store entry, a
-    /// previous run's output, a replayed intermediate) on the mirror.
-    /// Outside any plan, so unlike [`Cluster::free`] it records no span;
-    /// and best effort — a worker dying under it is the next primitive's
-    /// liveness poll's to report, not garbage collection's.
-    pub fn release(&mut self, m: &DistMatrix) {
+    /// Tell the mirror which values live handles still name, by rid: it
+    /// releases every other value it holds, in one exchange — a displaced
+    /// store entry, a superseded output, a replayed intermediate, whatever
+    /// a failed run installed. Outside any plan, so unlike
+    /// [`Cluster::free`] it records no span; and best effort — a worker
+    /// dying under it is the next primitive's liveness poll's to report,
+    /// not garbage collection's.
+    pub fn retain(&mut self, live: &HashSet<u64>) {
         if let Some(t) = &mut self.transport {
-            let _ = t.free_value(m);
+            let _ = t.retain_values(&|rid| live.contains(&rid));
         }
     }
 

@@ -196,13 +196,6 @@ impl FaultPlan {
             ..FaultPlan::default()
         }
     }
-
-    /// Set the crash point on an existing plan.
-    pub fn with_crash(mut self, point: CrashPoint, occurrence: usize) -> FaultPlan {
-        self.crash_point = Some(point);
-        self.crash_at = occurrence;
-        self
-    }
 }
 
 /// One injected fault, as recorded in the injector's log.

@@ -122,9 +122,6 @@ pub struct TransportStats {
     /// Unmetered copy bytes (rehash claims, local transposes, extracts,
     /// same-host shuffle legs).
     pub free_bytes: u64,
-    /// Physical bytes reclaimed by explicit value frees (plan `free`
-    /// steps releasing a dead intermediate's shards).
-    pub released_bytes: u64,
     /// Protocol frames exchanged (socket backend; 0 in-process).
     pub frames: u64,
     /// Total framed bytes on the wire, envelope included.
@@ -162,7 +159,9 @@ pub struct TransportStats {
 pub trait Transport: std::fmt::Debug + Send + Sync {
     /// The cluster's current logical-worker → physical-host mapping.
     /// Called once at construction and again whenever decommissioning
-    /// remaps survivors.
+    /// remaps survivors — which makes every installed placement stale, so
+    /// a backend answers a remap with [`Transport::retain_values`] keeping
+    /// nothing.
     fn set_assignment(&mut self, assignment: &[usize]);
 
     /// Make `m`'s shards resident on the physical workers if its rid is
@@ -220,11 +219,16 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     /// them bit for bit. Returns the wire bytes metered (`8·N`).
     fn run_reduce(&mut self, kind: ReduceKind, m: &DistMatrix, partials: &[f64]) -> Result<u64>;
 
-    /// Release `m`'s shards on the physical workers: the mirror of the
-    /// engine dropping its oracle handle at a plan `free` step. Returns
-    /// the physical bytes reclaimed (0 if the rid was never installed).
-    /// Freeing is idempotent — a second call on the same rid is a no-op.
-    fn free_value(&mut self, m: &DistMatrix) -> Result<u64>;
+    /// The one by-rid release: drop, on the physical workers, the shards
+    /// of every value the backend knows whose rid `live` does not name,
+    /// in one exchange, and forget those rids. Returns how many values
+    /// went. A plan `free` step keeps all but one ([`crate::Cluster::free`],
+    /// which prices the receipt from the value it holds), a session
+    /// between runs keeps what its live handles name
+    /// ([`crate::Cluster::retain`]), a remap keeps nothing. Idempotent: a
+    /// rid never installed, or already released, is not known and costs
+    /// nothing — with nothing to release there is no exchange at all.
+    fn retain_values(&mut self, live: &dyn Fn(u64) -> bool) -> Result<usize>;
 
     /// Gather `m`'s tiles from the *physical* stores into a fresh value,
     /// bypassing the oracle — the end-to-end proof that worker state

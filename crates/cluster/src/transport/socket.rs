@@ -57,7 +57,7 @@
 //! only issued after every copy/xfer receipt of the stage is in hand, so
 //! all peer installs happen-before the seal.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -290,7 +290,9 @@ pub fn locate_workerd() -> Result<PathBuf> {
 pub struct SocketTransport {
     conns: Vec<Conn>,
     assignment: Vec<usize>,
-    known: HashSet<u64>,
+    /// Every value resident on the workers, by rid, with the hosts that
+    /// hold a shard of it.
+    known: HashMap<u64, BTreeSet<usize>>,
     stats: TransportStats,
     opts: SocketOptions,
     /// Mirrored primitives begun ([`KillAt::AfterOps`]).
@@ -458,7 +460,7 @@ impl SocketTransport {
         let mut me = SocketTransport {
             conns,
             assignment: (0..workers).collect(),
-            known: HashSet::new(),
+            known: HashMap::new(),
             stats: TransportStats::default(),
             opts,
             ops_done: 0,
@@ -698,6 +700,14 @@ impl SocketTransport {
         map.into_iter().collect()
     }
 
+    /// Record `m` as resident, on the hosts of the workers holding its
+    /// shards — proven there by the install or seal the caller just read.
+    fn now_resident(&mut self, m: &DistMatrix) {
+        let holders = (0..m.workers()).filter(|&w| !m.worker_blocks(w).is_empty());
+        let hosts = holders.map(|w| self.assignment[w]).collect();
+        self.known.insert(m.rid(), hosts);
+    }
+
     /// Chunk a batch of placed tiles into `DMB1` `install` commands
     /// respecting the frame ceiling.
     fn install_cmds(rid: u64, tiles: &[(usize, usize, usize, &Block)]) -> Vec<Outgoing> {
@@ -849,7 +859,7 @@ impl SocketTransport {
                 self.check_ok(*host, reply)?;
             }
         }
-        self.known.insert(out.rid());
+        self.now_resident(out);
         Ok(())
     }
 
@@ -886,28 +896,19 @@ impl Transport for SocketTransport {
     fn set_assignment(&mut self, assignment: &[usize]) {
         // A remap means previously installed placements are stale: a
         // surviving matrix's logical shard may now live on a different
-        // physical host. Forget every rid so the next use re-installs
-        // shards under the new assignment (unmetered, like any install)
-        // — after telling the live hosts to drop what they hold of them,
-        // or the survivors keep those shards for the life of the session.
+        // physical host. Keep nothing, so the next use re-installs shards
+        // under the new assignment (unmetered, like any install) and the
+        // survivors do not hold the old ones for the life of the session.
         // Best effort: a host dying under the sweep is the next liveness
         // poll's business, not this call's.
         if self.assignment != assignment {
-            let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-            for host in (0..self.conns.len()).filter(|&h| self.conns[h].alive) {
-                for &rid in &self.known {
-                    let free = JsonObj::new().str("t", "free").u64("rid", rid);
-                    cmds.push((host, Outgoing::Json(free)));
-                }
-            }
-            let _ = self.exchange("free", cmds);
-            self.known.clear();
+            let _ = self.retain_values(&|_| false);
         }
         self.assignment = assignment.to_vec();
     }
 
     fn ensure_resident(&mut self, m: &DistMatrix) -> Result<()> {
-        if self.known.contains(&m.rid()) {
+        if self.known.contains_key(&m.rid()) {
             return Ok(());
         }
         let mut per_host: BTreeMap<usize, Vec<(usize, usize, usize, &Block)>> = BTreeMap::new();
@@ -936,7 +937,7 @@ impl Transport for SocketTransport {
                 )));
             }
         }
-        self.known.insert(m.rid());
+        self.now_resident(m);
         self.stats.install_bytes += bytes;
         Ok(())
     }
@@ -1019,7 +1020,7 @@ impl Transport for SocketTransport {
             }
         }
         self.seal_check(op, dest)?;
-        self.known.insert(dest.rid());
+        self.now_resident(dest);
         self.stats.payload_bytes += payload;
         self.stats.free_bytes += free;
         Ok(payload)
@@ -1285,44 +1286,34 @@ impl Transport for SocketTransport {
         Ok(8 * m.workers() as u64)
     }
 
-    fn free_value(&mut self, m: &DistMatrix) -> Result<u64> {
-        if !self.known.remove(&m.rid()) {
+    fn retain_values(&mut self, live: &dyn Fn(u64) -> bool) -> Result<usize> {
+        // Forgotten before the exchange: if a host dies under it, the
+        // remap that follows has nothing stale left to name.
+        let mut dead: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
+        self.known.retain(|&rid, hosts| {
+            let keep = live(rid);
+            if !keep {
+                dead.insert(rid, std::mem::take(hosts));
+            }
+            keep
+        });
+        if dead.is_empty() {
             return Ok(0);
         }
         self.op_tick();
-        // Every host holding a shard of the rid drops all of them; the
-        // byte receipt is computed from the oracle's tiles, which are
-        // what `install`/seal proved resident in the first place.
-        let mut hosts: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        let mut bytes = 0u64;
-        for w in 0..m.workers() {
-            let shards = m.worker_blocks(w);
-            if !shards.is_empty() {
-                hosts.insert(self.assignment[w]);
-                for tile in shards.values() {
-                    bytes += tile.actual_bytes() as u64;
-                }
+        // Every live host holding a shard of a dead rid drops all of them.
+        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
+        for (rid, hosts) in &dead {
+            for &host in hosts.iter().filter(|&&h| self.conns[h].alive) {
+                let free = JsonObj::new().str("t", "free").u64("rid", *rid);
+                cmds.push((host, Outgoing::Json(free)));
             }
         }
-        let cmds: Vec<(usize, Outgoing)> = hosts
-            .into_iter()
-            .map(|h| {
-                (
-                    h,
-                    Outgoing::Json(JsonObj::new().str("t", "free").u64("rid", m.rid())),
-                )
-            })
-            .collect();
-        for reply in self.exchange("free", cmds)? {
-            if reply.kind() != Some("ok") {
-                return Err(ClusterError::Protocol(format!(
-                    "free: expected ok, got {:?}",
-                    reply.kind()
-                )));
-            }
+        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
+        for (host, reply) in hosts.iter().zip(self.exchange("free", cmds)?) {
+            self.check_ok(*host, &reply)?;
         }
-        self.stats.released_bytes += bytes;
-        Ok(bytes)
+        Ok(dead.len())
     }
 
     fn gather(&mut self, m: &DistMatrix) -> Result<DistMatrix> {

@@ -42,7 +42,7 @@ use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, ReduceOp, Scalar
 use dmac_matrix::{BlockedMatrix, FusedOp};
 
 use crate::error::{CoreError, Result};
-use crate::plan::{FusedInstr, Plan, PlanStep};
+use crate::plan::{Plan, PlanStep};
 use crate::recovery::{self, RecoveryPolicy, RecoveryStats};
 use crate::stage;
 use crate::trace::{StepTrace, Trace};
@@ -287,7 +287,7 @@ pub(crate) fn seed_source(
 /// (Reference steps clone the handle) and it is not a durable binding the
 /// session still owns. Taking first makes a `free` step idempotent under
 /// post-failure re-execution.
-pub(crate) fn take_unshared(
+fn take_unshared(
     ctx: &ExecCtx<'_>,
     values: &mut [Option<DistMatrix>],
     node: usize,
@@ -398,15 +398,7 @@ pub(crate) fn exec_step(
             let scalar_env = |id: ScalarId| -> f64 { *scalars.get(&id).unwrap_or(&f64::NAN) };
             let kernel: Vec<FusedOp> = prog
                 .iter()
-                .map(|instr| match instr {
-                    FusedInstr::Leaf(i) => FusedOp::Leaf(*i),
-                    FusedInstr::Add => FusedOp::Add,
-                    FusedInstr::Sub => FusedOp::Sub,
-                    FusedInstr::CellMul => FusedOp::CellMul,
-                    FusedInstr::CellDiv => FusedOp::CellDiv,
-                    FusedInstr::Scale(e) => FusedOp::Scale(e.eval(&scalar_env)),
-                    FusedInstr::AddScalar(e) => FusedOp::AddScalar(e.eval(&scalar_env)),
-                })
+                .map(|instr| instr.map_scalar(|e| e.eval(&scalar_env)))
                 .collect();
             let operands = inputs
                 .iter()

@@ -30,14 +30,16 @@ pub enum CoreError {
         /// The attempt budget that was exhausted.
         attempts: usize,
     },
-    /// Pinned entries alone exceed the store's byte budget: eviction
-    /// cannot get back under capacity without violating a pin, so the
-    /// overshoot is reported instead of being swallowed silently.
-    StoreOverCommit {
-        /// Resident bytes after evicting/spilling everything unpinned.
-        resident: u64,
-        /// The configured byte budget.
-        capacity: u64,
+    /// A prepared plan met an input under another placement than the one
+    /// it was planned from ([`crate::Session::run_prepared`]): nothing
+    /// ran; prepare again.
+    StalePlan {
+        /// The input that moved.
+        input: String,
+        /// The placement the plan assumed.
+        planned: dmac_cluster::PartitionScheme,
+        /// The placement it has now (`None`: no longer bound).
+        found: Option<dmac_cluster::PartitionScheme>,
     },
     /// Disk-tier failure: I/O error, torn file, or checksum mismatch.
     Disk(String),
@@ -65,9 +67,14 @@ impl fmt::Display for CoreError {
                 f,
                 "lost worker {worker}: recovery budget of {attempts} attempt(s) exhausted"
             ),
-            CoreError::StoreOverCommit { resident, capacity } => write!(
+            CoreError::StalePlan {
+                input,
+                planned,
+                found,
+            } => write!(
                 f,
-                "store over-commit: {resident} pinned bytes resident against a budget of {capacity}"
+                "prepared plan is stale: input '{input}' moved from {planned} to {}; re-prepare",
+                found.map_or_else(|| "unbound".into(), |s| s.to_string())
             ),
             CoreError::Disk(m) => write!(f, "disk tier error: {m}"),
             CoreError::InjectedCrash(p) => {

@@ -12,6 +12,7 @@ use std::fmt::Write as _;
 
 use dmac_cluster::PartitionScheme;
 use dmac_lang::{MatrixId, Program, ScalarExpr, ScalarId};
+pub use dmac_matrix::FusedOp;
 
 use crate::strategy::Strategy;
 
@@ -114,38 +115,20 @@ pub enum PlanStep {
     FusedCellWise {
         /// Program operator indices subsumed by the fusion, in plan order.
         ops: Vec<usize>,
-        /// Post-order expression program over `inputs`.
-        prog: Vec<FusedInstr>,
-        /// Leaf input nodes, in [`FusedInstr::Leaf`] index order.
+        /// Post-order expression program over `inputs`: `Leaf(i)` pushes
+        /// the `i`-th of them, binary instructions pop two operands,
+        /// scalar instructions pop one. Scalar operands stay symbolic so
+        /// the step can be replayed from lineage after the driver's
+        /// reduction values are known; the engine resolves them at
+        /// dispatch.
+        prog: Vec<FusedOp<ScalarExpr>>,
+        /// Leaf input nodes, in [`FusedOp::Leaf`] index order.
         inputs: Vec<NodeId>,
         /// Output node.
         out: NodeId,
         /// Phase tag.
         phase: usize,
     },
-}
-
-/// One post-order instruction of a fused cell-wise expression
-/// ([`PlanStep::FusedCellWise`]): `Leaf(i)` pushes the `i`-th fused input,
-/// binary instructions pop two operands, scalar instructions pop one.
-/// Scalar operands stay symbolic ([`ScalarExpr`]) so a fused step can be
-/// replayed from lineage after the driver's reduction values are known.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FusedInstr {
-    /// Push fused input `i`.
-    Leaf(usize),
-    /// Cell-wise addition.
-    Add,
-    /// Cell-wise subtraction.
-    Sub,
-    /// Cell-wise multiplication.
-    CellMul,
-    /// Cell-wise division (0 where the divisor is 0).
-    CellDiv,
-    /// Multiply every cell by a scalar expression.
-    Scale(ScalarExpr),
-    /// Add a scalar expression to every cell.
-    AddScalar(ScalarExpr),
 }
 
 impl PlanStep {

@@ -258,7 +258,7 @@ pub fn plan_with_forced_profiled(
 /// Groups whose root output spans fewer than [`FUSION_MIN_BLOCKS`] blocks
 /// (of side `block`) are left unfused.
 fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
-    use crate::plan::FusedInstr;
+    use crate::plan::FusedOp;
     use crate::strategy::Strategy;
     use dmac_lang::{BinOp, OpKind, UnaryOp};
     use std::collections::HashSet;
@@ -370,7 +370,7 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
         let mut ops = members.clone();
         ops.sort_unstable();
         let mut leaves: Vec<NodeId> = Vec::new();
-        let mut prog: Vec<FusedInstr> = Vec::new();
+        let mut prog: Vec<FusedOp<_>> = Vec::new();
         let mut stack = vec![(root_out, false)];
         while let Some((node, emitted)) = stack.pop() {
             let member = producer[node].filter(|i| member_set.contains(i));
@@ -379,7 +379,7 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
                     leaves.push(node);
                     leaves.len() - 1
                 });
-                prog.push(FusedInstr::Leaf(idx));
+                prog.push(FusedOp::Leaf(idx));
                 continue;
             };
             let PlanStep::Compute { op, inputs, .. } = &plan.steps[i] else {
@@ -388,15 +388,15 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
             if emitted {
                 prog.push(match &program.ops()[*op].kind {
                     OpKind::Binary { op: b, .. } => match b {
-                        BinOp::Add => FusedInstr::Add,
-                        BinOp::Sub => FusedInstr::Sub,
-                        BinOp::CellMul => FusedInstr::CellMul,
-                        BinOp::CellDiv => FusedInstr::CellDiv,
+                        BinOp::Add => FusedOp::Add,
+                        BinOp::Sub => FusedOp::Sub,
+                        BinOp::CellMul => FusedOp::CellMul,
+                        BinOp::CellDiv => FusedOp::CellDiv,
                         BinOp::MatMul => unreachable!("matmul is never cell-wise"),
                     },
                     OpKind::Unary { op: u, .. } => match u {
-                        UnaryOp::Scale(e) => FusedInstr::Scale(e.clone()),
-                        UnaryOp::AddScalar(e) => FusedInstr::AddScalar(e.clone()),
+                        UnaryOp::Scale(e) => FusedOp::Scale(e.clone()),
+                        UnaryOp::AddScalar(e) => FusedOp::AddScalar(e.clone()),
                     },
                     OpKind::Reduce { .. } => unreachable!("reductions are not fusable"),
                 });

@@ -32,7 +32,7 @@ use std::collections::{HashMap, HashSet};
 use dmac_cluster::{Cluster, DistMatrix};
 use dmac_lang::ScalarId;
 
-use crate::engine::{exec_step, seed_source, take_unshared, ExecCtx};
+use crate::engine::{exec_step, seed_source, ExecCtx};
 use crate::error::{CoreError, Result};
 
 /// How the engine responds to worker loss.
@@ -142,13 +142,12 @@ pub(crate) fn recover(
     stats.re_executed_stages += replayed_stages.len();
 
     // Lineage replay may have resurrected values whose last consumer
-    // already ran; release them again — on the transport too, which
-    // holds the replayed shards under rids no plan step will free.
+    // already ran; drop them again. The transport holds the replayed
+    // shards under rids no plan step will free: they go with the
+    // session's sweep when the run ends.
     for n in 0..values.len() {
         if !keep[n] && last_use[n] < resume_step {
-            if let Some(m) = take_unshared(ctx, values, n) {
-                cluster.release(&m);
-            }
+            values[n] = None;
         }
     }
     Ok(())

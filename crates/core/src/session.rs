@@ -310,40 +310,27 @@ impl Session {
     /// Bind an already-distributed matrix (keeps its scheme). Always
     /// replaces the entry, identical or not.
     pub fn bind_dist(&mut self, name: &str, m: DistMatrix) -> Result<()> {
-        let displaced = self.mirrored(name);
-        self.env.insert(name, m)?;
-        self.release_unshared(displaced);
-        Ok(())
+        let inserted = self.env.insert(name, m);
+        self.sweep();
+        inserted.map(drop)
     }
 
-    /// The value stored under `name`, if a physical transport may hold
-    /// shards of it: what a caller about to displace the entry must hand
-    /// to [`Session::release_unshared`] afterwards. Always `None` on the
-    /// simulator, where there is nothing to release.
-    fn mirrored(&self, name: &str) -> Option<DistMatrix> {
-        self.cluster
-            .transport_is_physical()
-            .then(|| self.env.peek(name))
-            .flatten()
-    }
-
-    /// Release, on the worker processes, every value of `displaced` that
-    /// no live handle shares any more — neither a resident store entry
-    /// nor an output of the last run. Without this a long session strands
-    /// one copy of every re-bound input and every superseded output on
-    /// the workers. Releasing is idempotent, so a value the plan already
-    /// freed, or that was never installed, costs nothing.
-    fn release_unshared(&mut self, displaced: impl IntoIterator<Item = DistMatrix>) {
+    /// Tell the cluster which values a live handle still names — a
+    /// resident store entry or an output of the last run — so the worker
+    /// processes free every other value they hold. Called after anything
+    /// that can drop a handle: a replacing bind, a drop, the end of a run
+    /// whether it succeeded or failed. Nothing is tracked by hand, so it
+    /// cannot miss a value: an entry the *store* displaced, a placement
+    /// not cached, a superseded output, what a failed run installed and
+    /// what lineage replay resurrected all go the same way. A no-op on
+    /// the simulator, where there is nothing to release.
+    fn sweep(&mut self) {
         if !self.cluster.transport_is_physical() {
             return;
         }
         let mut live = self.env.resident_rids();
         live.extend(self.last_values.values().map(DistMatrix::rid));
-        for m in displaced {
-            if !live.contains(&m.rid()) {
-                self.cluster.release(&m);
-            }
-        }
+        self.cluster.retain(&live);
     }
 
     /// Is a name bound?
@@ -355,9 +342,8 @@ impl Session {
     /// (the store's LRU eviction builds on the same release path).
     /// Returns whether the name was bound.
     pub fn drop_matrix(&mut self, name: &str) -> bool {
-        let displaced = self.mirrored(name);
         let existed = self.env.remove(name);
-        self.release_unshared(displaced);
+        self.sweep();
         existed
     }
 
@@ -499,25 +485,19 @@ impl Session {
     }
 
     /// Execute a prepared plan against the current environment, skipping
-    /// planning. Fails with [`CoreError::Planner`] if any input's cached
+    /// planning. Fails with [`CoreError::StalePlan`] if any input's cached
     /// placement no longer matches what the plan assumed.
     pub fn run_prepared(&mut self, prep: &PreparedProgram) -> Result<ExecReport> {
         let spill0 = self.env.spill_traffic();
         let (bindings, current) = self.resolve_inputs(&prep.program)?;
         for (mid, scheme) in &prep.initial {
             if current.get(mid) != Some(scheme) {
-                let name = prep
-                    .program
-                    .decl(*mid)
-                    .map(|d| d.name.clone())
-                    .unwrap_or_else(|_| format!("m{mid}"));
-                return Err(CoreError::Planner(format!(
-                    "prepared plan is stale: input '{name}' moved from {scheme} to {}; re-prepare",
-                    current
-                        .get(mid)
-                        .map(|s| s.to_string())
-                        .unwrap_or_else(|| "unbound".into())
-                )));
+                let decl = prep.program.decl(*mid);
+                return Err(CoreError::StalePlan {
+                    input: decl.map_or_else(|_| format!("m{mid}"), |d| d.name.clone()),
+                    planned: *scheme,
+                    found: current.get(mid).copied(),
+                });
             }
         }
         self.execute_planned(&prep.program, &prep.planned, &bindings, spill0)
@@ -525,8 +505,9 @@ impl Session {
 
     /// Execute `planned` over `bindings` and fold the run into the
     /// session: release its store pressure, re-check the trace against
-    /// the certificate (V21 hook), absorb the outputs and attribute the
-    /// spill traffic since `spill0`.
+    /// the certificate (V21 hook), absorb the outputs, attribute the
+    /// spill traffic since `spill0` — and, however the run ended, sweep
+    /// the workers down to what live handles name.
     fn execute_planned(
         &mut self,
         program: &Program,
@@ -548,9 +529,13 @@ impl Session {
         // The run is over (successfully or not): its values are released,
         // so the store no longer carries their pressure.
         let _ = self.env.set_external_pressure(0);
-        let (mut report, outputs) = result?;
-        crate::verifyhook::check_run(&planned.certificate, &report.trace)?;
-        self.absorb_outputs(program, outputs)?;
+        let absorbed = result.and_then(|(report, outputs)| {
+            crate::verifyhook::check_run(&planned.certificate, &report.trace)?;
+            self.absorb_outputs(program, outputs)?;
+            Ok(report)
+        });
+        self.sweep();
+        let mut report = absorbed?;
         report.trace.spill = self.env.spill_traffic().since(&spill0);
         self.last_report = Some(report.clone());
         Ok(report)
@@ -596,14 +581,11 @@ impl Session {
     /// stays hash-partitioned, per the paper), and expose output values.
     /// Both walks are in key order (`RunOutputs` holds `BTreeMap`s), so the
     /// store's displacement sequence — and its counters — repeat exactly.
-    /// Store inserts may displace entries to disk; an over-commit or disk
-    /// failure there surfaces as the run's error.
-    ///
-    /// Whatever this displaces — overwritten store entries, placements not
-    /// cached, the previous run's outputs — is released on the transport
-    /// once everything new is in place (see [`Session::release_unshared`]).
+    /// Store inserts may displace entries to disk; a disk failure there
+    /// surfaces as the run's error. What this lets go of — overwritten
+    /// entries, placements not cached, the previous run's outputs — the
+    /// caller's [`Session::sweep`] releases on the workers.
     fn absorb_outputs(&mut self, program: &Program, outputs: engine::RunOutputs) -> Result<()> {
-        let mut displaced: Vec<DistMatrix> = Vec::new();
         for (mid, dist) in outputs.cached_inputs {
             match program.decl(mid) {
                 // A name this run stores is about to be overwritten: its
@@ -612,19 +594,16 @@ impl Session {
                     if self.planner.exploit_dependencies
                         && !outputs.stored.contains_key(&decl.name) =>
                 {
-                    displaced.extend(self.mirrored(&decl.name));
                     self.env.insert(&decl.name, dist)?;
                 }
-                _ => displaced.push(dist),
+                _ => {}
             }
         }
         for (name, dist) in outputs.stored {
-            displaced.extend(self.mirrored(&name));
             self.env.insert(&name, dist)?;
         }
-        displaced.extend(std::mem::replace(&mut self.last_values, outputs.matrices).into_values());
+        self.last_values = outputs.matrices;
         self.last_scalars = outputs.scalars;
-        self.release_unshared(displaced);
         Ok(())
     }
 

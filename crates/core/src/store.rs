@@ -11,21 +11,22 @@
 //!   and eagerly releases the old one (the blocks are `Arc`-shared, so the
 //!   tiles are freed the moment the last reader drops them — this fixes
 //!   the unbounded-growth leak of repeated `store`s over one name);
-//! * **pin counts** — an entry pinned by an in-flight program cannot be
-//!   evicted; pins are counted so overlapping readers compose;
 //! * **bytes-based displacement, by next read** — an optional capacity
-//!   bounds the *resident* bytes; over budget, an unpinned entry is
+//!   bounds the *resident* bytes; over budget, a resident entry is
 //!   **spilled** to the disk tier (when one is attached) or evicted (when
-//!   not). The victim is the entry read furthest ahead in the batch being
+//!   not). Any resident entry may go: a reader in flight holds the
+//!   `DistMatrix` it was handed, which shares the tiles by `Arc`, so
+//!   displacing the entry takes nothing from it. The victim is the entry
+//!   read furthest ahead in the batch being
 //!   read ([`SharedStore::get_all`]: a session resolving a run's inputs —
 //!   the only reads a run makes), and with no batch in hand (a lone `get`,
 //!   an `insert`, engine pressure) the least recently used. Victim order
 //!   is strictly deterministic (next read, then least-recently-used, name
 //!   as tie-break) and depends on nothing kept between calls, so a
 //!   serialized replay of a request log reproduces the same store states.
-//!   When pinned entries alone exceed the budget, the overshoot is a
-//!   typed [`CoreError::StoreOverCommit`] error and an `over_commits`
-//!   counter tick — never a silent overshoot;
+//!   Displacement stops when nothing is resident: what is then still over
+//!   budget is the engine's pressure, which the admission-time
+//!   certificate gate answers for, not the store;
 //! * **durable tier** — with a [`DiskTier`] attached, spilled entries
 //!   become content-addressed checksummed blobs and reload transparently
 //!   on `get`; [`SharedStore::checkpoint`] publishes a snapshot manifest
@@ -42,9 +43,11 @@
 //!   none), and a *resident* entry with one is displaced or checkpointed
 //!   by reading the blob back, not by encoding and hashing it again:
 //!   trusted as far as a stub is, plus the read-back that lets a rotted
-//!   or compacted-away blob be rewritten from RAM. A *stub* remembers
-//!   which value it stands for (the `rid` it was displaced from or handed
-//!   out as), and `insert` of that value is a touch: it stays a stub;
+//!   or compacted-away blob be rewritten from RAM;
+//! * **an entry has one identity** — the `rid` of the value it stands for
+//!   (inserted, displaced from, or last handed out as), recorded in one
+//!   place whether its tiles are in RAM or only in its blob. `insert` of
+//!   that value keeps the blob, and a stub stays a stub: a touch;
 //! * **write-intent claims** — a program that will `store` a name claims
 //!   it at admission; a second in-flight program claiming the same name is
 //!   a *conflict* (its effect would depend on scheduling order, which
@@ -64,32 +67,6 @@ use crate::disk::{self, DiskTier, ManifestEntry};
 use crate::error::{CoreError, Result};
 use crate::trace::SpillTraffic;
 
-/// Where an entry's tiles currently live.
-#[derive(Debug)]
-enum Payload {
-    /// Tiles are in RAM (and in `Entry::blob`, if set, as last verified).
-    Resident(DistMatrix),
-    /// Tiles live only in `Entry::blob`; the stub keeps what planning
-    /// needs (`scheme_of`) without touching disk, and the `DistMatrix::rid`
-    /// of the value it stands for — the one it was displaced from or last
-    /// handed out as (`None` on `recover`'s stubs, which stand for no value
-    /// of this process).
-    Spilled {
-        scheme: PartitionScheme,
-        rid: Option<u64>,
-    },
-}
-
-impl Payload {
-    /// The stub standing for `m`.
-    fn stub_of(m: &DistMatrix) -> Payload {
-        Payload::Spilled {
-            scheme: m.scheme(),
-            rid: Some(m.rid()),
-        }
-    }
-}
-
 /// The blob holding exactly an entry's current content.
 #[derive(Debug, Clone)]
 struct BlobRef {
@@ -100,15 +77,22 @@ struct BlobRef {
 /// One stored matrix plus its bookkeeping.
 #[derive(Debug)]
 struct Entry {
-    payload: Payload,
+    /// The tiles, while they are in RAM (and in `blob`, if set, as last
+    /// verified). `None` is a *stub*: the tiles live only in `blob`.
+    tiles: Option<DistMatrix>,
+    /// The [`DistMatrix::rid`] of the value the entry stands for — the one
+    /// inserted, reloaded, displaced or last handed out, resident or not
+    /// (`None` on `recover`'s stubs, which stand for no value of this
+    /// process).
+    rid: Option<u64>,
+    /// What planning needs of a stub without touching disk (`scheme_of`).
+    scheme: PartitionScheme,
     /// The entry's durable copy, if it has one (see the module header);
-    /// always `Some` while spilled.
+    /// always `Some` on a stub.
     blob: Option<BlobRef>,
     /// Logical RAM bytes of one copy (counts toward the budget only
     /// while resident).
     bytes: u64,
-    /// Number of in-flight pins; only 0-pin entries are displaceable.
-    pins: u32,
     /// Logical timestamp of the last touch (monotonic counter, not wall
     /// time — wall time would make eviction order nondeterministic).
     last_used: u64,
@@ -121,17 +105,7 @@ struct Entry {
 
 impl Entry {
     fn resident_bytes(&self) -> u64 {
-        match self.payload {
-            Payload::Resident(_) => self.bytes,
-            Payload::Spilled { .. } => 0,
-        }
-    }
-
-    fn scheme(&self) -> PartitionScheme {
-        match &self.payload {
-            Payload::Resident(m) => m.scheme(),
-            Payload::Spilled { scheme, .. } => *scheme,
-        }
+        self.tiles.as_ref().map_or(0, |_| self.bytes)
     }
 }
 
@@ -172,9 +146,6 @@ pub struct StoreStats {
     /// Spilled entries dropped because their blob failed verification
     /// (callers then fall back to lineage replay).
     pub load_failures: u64,
-    /// Times displacement could not reach the budget because every
-    /// remaining resident entry was pinned.
-    pub over_commits: u64,
     /// Snapshot manifests published by this store.
     pub snapshots: u64,
     /// Bytes of engine-resident intermediates currently charged against
@@ -225,10 +196,10 @@ impl Inner {
     fn persist(&mut self, name: &str) -> Result<BlobRef> {
         let disk = self.disk.clone().expect("persist requires a disk tier");
         let e = self.entries.get_mut(name).expect("persisted entry exists");
-        let m = match (&e.payload, &e.blob) {
-            (Payload::Spilled { .. }, blob) => return Ok(blob.clone().expect("stub has a blob")),
+        let m = match (&e.tiles, &e.blob) {
+            (None, blob) => return Ok(blob.clone().expect("stub has a blob")),
             (_, Some(b)) if disk.verify_blob(&b.hash, b.payload_bytes) => return Ok(b.clone()),
-            (Payload::Resident(m), _) => m,
+            (Some(m), _) => m,
         };
         let payload = disk::encode_dist(m);
         let (hash, wrote) = disk.put_blob(&payload)?;
@@ -251,8 +222,7 @@ impl Inner {
     fn spill(&mut self, name: &str) -> Result<()> {
         self.persist(name)?;
         let e = self.entries.get_mut(name).expect("spill victim exists");
-        if let Payload::Resident(m) = &e.payload {
-            e.payload = Payload::stub_of(m);
+        if e.tiles.take().is_some() {
             self.bytes -= e.bytes;
             self.counters.spills += 1;
         }
@@ -264,7 +234,7 @@ impl Inner {
             .is_some_and(|cap| self.bytes + self.external_pressure > cap)
     }
 
-    /// The one victim rule: among unpinned resident entries, the one whose
+    /// The one victim rule: among resident entries, the one whose
     /// next read in `upcoming` (the rest of the batch being read) is
     /// furthest away, an entry not named there counting as infinitely
     /// far; ties go to the least recently used, then by name. With nothing
@@ -274,7 +244,7 @@ impl Inner {
         let next_read = |name: &String| upcoming.iter().position(|n| n == name);
         self.entries
             .iter()
-            .filter(|(_, e)| e.pins == 0 && matches!(e.payload, Payload::Resident(_)))
+            .filter(|(_, e)| e.tiles.is_some())
             .min_by(|(an, ae), (bn, be)| {
                 // `None` (never again) sorts before every `Some(distance)`.
                 let (a, b) = (next_read(an).map(Reverse), next_read(bn).map(Reverse));
@@ -290,7 +260,7 @@ impl Inner {
     fn read(&mut self, name: &str, upcoming: &[&str]) -> Option<DistMatrix> {
         self.touch(name);
         let e = self.entries.get(name)?;
-        if let Payload::Resident(m) = &e.payload {
+        if let Some(m) = &e.tiles {
             return Some(m.clone());
         }
         let blob = e.blob.clone().expect("stub has a blob");
@@ -304,20 +274,20 @@ impl Inner {
         self.counters.load_bytes += blob.payload_bytes;
         let e = self.entries.get_mut(name).expect("stub present");
         e.dims_nnz = Some((m.rows(), m.cols(), m.nnz() as u64));
-        e.payload = Payload::Resident(m.clone());
+        e.tiles = Some(m.clone());
+        e.rid = Some(m.rid());
         let bytes = e.bytes;
         self.bytes += bytes;
         // A reload that would be the first victim of its own arrival is
         // handed out and stays a stub, now standing for the value handed
         // out: a load, not a spill — its blob was verified an instant ago.
         if self.over_budget() && self.victim(upcoming).as_deref() == Some(name) {
-            let e = self.entries.get_mut(name).expect("just reloaded");
-            e.payload = Payload::stub_of(&m);
+            self.entries.get_mut(name).expect("just reloaded").tiles = None;
             self.bytes -= bytes;
         }
-        // Reloading may displace other entries. An over-commit here is
-        // counted by enforce_capacity; the read still hands back the
-        // loaded matrix.
+        // Reloading may displace other entries; a spill that fails leaves
+        // its victim resident, and the read still hands back the loaded
+        // matrix.
         let _ = self.enforce_capacity(upcoming);
         Some(m)
     }
@@ -327,31 +297,19 @@ impl Inner {
     /// spill when a disk tier is attached, evict otherwise. Returns the
     /// displaced names in order.
     ///
-    /// When only pinned entries remain, the outcome depends on who is
-    /// overshooting: stored bytes alone beyond the budget fail with
-    /// [`CoreError::StoreOverCommit`] (and count it); external pressure
-    /// alone is not the store's data to shed, so displacement just stops
-    /// — the admission-time certificate gate is the layer responsible
+    /// With nothing resident left, what still overshoots is external
+    /// pressure alone — not the store's data to shed, so displacement just
+    /// stops: the admission-time certificate gate is the layer responsible
     /// for refusing plans whose peak cannot fit.
     fn enforce_capacity(&mut self, upcoming: &[&str]) -> Result<Vec<String>> {
         // High-water mark of the combined footprint (every mutation that
         // can grow it funnels through here, bounded or not) — what the
         // memory bench reports as a driver's observed peak RAM.
         self.peak_footprint = self.peak_footprint.max(self.bytes + self.external_pressure);
-        let Some(cap) = self.capacity else {
-            return Ok(Vec::new());
-        };
         let mut displaced = Vec::new();
         while self.over_budget() {
             let Some(name) = self.victim(upcoming) else {
-                if self.bytes <= cap {
-                    break;
-                }
-                self.counters.over_commits += 1;
-                return Err(CoreError::StoreOverCommit {
-                    resident: self.bytes,
-                    capacity: cap,
-                });
+                break;
             };
             if self.disk.is_some() {
                 self.spill(&name)?;
@@ -377,7 +335,7 @@ impl SharedStore {
         SharedStore::default()
     }
 
-    /// A store that displaces unpinned entries beyond `capacity_bytes`.
+    /// A store that displaces resident entries beyond `capacity_bytes`.
     pub fn with_capacity(capacity_bytes: u64) -> SharedStore {
         let s = SharedStore::default();
         s.inner.lock().unwrap().capacity = Some(capacity_bytes);
@@ -423,52 +381,42 @@ impl SharedStore {
     }
 
     /// Insert (or replace) `name`. The old entry, if any, is released
-    /// eagerly — unless it is a stub standing for `m` itself, which only
-    /// has its LRU clock moved; LRU displacement runs afterwards either
-    /// way. Returns the names spilled or evicted to make room.
+    /// eagerly — unless it stands for `m` itself (a clone shares its rid,
+    /// every new materialisation re-mints it): then its blob still holds
+    /// exactly this content and is kept, and an entry that is a stub —
+    /// its tiles are in that blob — stays one, only its LRU clock moved.
+    /// Displacement runs afterwards either way. Returns the names spilled
+    /// or evicted to make room.
     ///
     /// # Errors
-    /// [`CoreError::StoreOverCommit`] when pinned entries alone exceed
-    /// the byte budget (the new entry *is* kept — the error reports the
-    /// overshoot rather than losing data); disk-tier errors when a spill
-    /// fails.
+    /// Disk-tier errors when a spill fails (the new entry *is* kept).
     pub fn insert(&self, name: &str, m: DistMatrix) -> Result<Vec<String>> {
         let bytes = m.logical_bytes();
         let dims_nnz = Some((m.rows(), m.cols(), m.nnz() as u64));
         let mut g = self.lock();
         g.counters.inserts += 1;
-        // The value a stub stands for is already in its blob: a touch.
-        let held = g.entries.get(name).map(|e| &e.payload);
-        if matches!(held, Some(Payload::Spilled { rid: Some(r), .. }) if *r == m.rid()) {
-            g.touch(name);
-            g.counters.replaced += 1;
-            return g.enforce_capacity(&[]);
-        }
         g.tick += 1;
         let tick = g.tick;
-        let (pins, blob) = if let Some(old) = g.entries.remove(name) {
-            g.bytes -= old.resident_bytes();
-            g.counters.replaced += 1;
-            // Handing back the value the entry holds (a clone shares its
-            // rid, every new materialisation re-mints it) keeps its blob.
-            let same = matches!(&old.payload, Payload::Resident(held) if held.rid() == m.rid());
-            // The replacement inherits the readers' pins.
-            (old.pins, old.blob.filter(|_| same))
-        } else {
-            (0, None)
-        };
-        g.bytes += bytes;
-        g.entries.insert(
-            name.to_string(),
-            Entry {
-                payload: Payload::Resident(m),
-                blob,
+        let old = g.entries.remove(name);
+        g.counters.replaced += u64::from(old.is_some());
+        g.bytes -= old.as_ref().map_or(0, Entry::resident_bytes);
+        let entry = match old.filter(|e| e.rid == Some(m.rid())) {
+            Some(stub) if stub.tiles.is_none() => Entry {
+                last_used: tick,
+                ..stub
+            },
+            same => Entry {
+                rid: Some(m.rid()),
+                scheme: m.scheme(),
+                blob: same.and_then(|e| e.blob),
                 bytes,
-                pins,
                 last_used: tick,
                 dims_nnz,
+                tiles: Some(m),
             },
-        );
+        };
+        g.bytes += entry.resident_bytes();
+        g.entries.insert(name.to_string(), entry);
         g.enforce_capacity(&[])
     }
 
@@ -483,7 +431,7 @@ impl SharedStore {
 
     /// [`SharedStore::get`] for every name, in order, as one batch: what
     /// a reload displaces is chosen knowing the reads still to come — the
-    /// unpinned resident entry read furthest ahead (Belady's rule), never
+    /// resident entry read furthest ahead (Belady's rule), never
     /// again counting as furthest, not the least recently used, which
     /// under a cyclic scan of the same names is the one read next. A
     /// reload that would itself be that entry is handed out and stays a
@@ -502,16 +450,16 @@ impl SharedStore {
 
     /// Is `name` currently spilled to disk?
     pub fn is_spilled(&self, name: &str) -> bool {
-        matches!(
-            self.lock().entries.get(name).map(|e| &e.payload),
-            Some(Payload::Spilled { .. })
-        )
+        self.lock()
+            .entries
+            .get(name)
+            .is_some_and(|e| e.tiles.is_none())
     }
 
     /// Partition scheme of an entry. Works for spilled entries without
     /// touching disk — plan-cache keys depend on it.
     pub fn scheme_of(&self, name: &str) -> Option<PartitionScheme> {
-        self.lock().entries.get(name).map(Entry::scheme)
+        self.lock().entries.get(name).map(|e| e.scheme)
     }
 
     /// Density class of an entry, from the `(rows, cols, nnz)` captured
@@ -531,26 +479,19 @@ impl SharedStore {
     /// measurement, explain) that must not perturb eviction or spill
     /// counters; `None` for absent *and* spilled entries.
     pub fn peek(&self, name: &str) -> Option<DistMatrix> {
-        match &self.lock().entries.get(name)?.payload {
-            Payload::Resident(m) => Some(m.clone()),
-            Payload::Spilled { .. } => None,
-        }
+        self.lock().entries.get(name)?.tiles.clone()
     }
 
     /// Rids of the entries currently resident — the values a session must
     /// not release on its transport however many handles it has dropped.
     pub fn resident_rids(&self) -> HashSet<u64> {
         let g = self.lock();
-        let resident = g.entries.values().filter_map(|e| match &e.payload {
-            Payload::Resident(m) => Some(m.rid()),
-            Payload::Spilled { .. } => None,
-        });
-        resident.collect()
+        let resident = g.entries.values().filter(|e| e.tiles.is_some());
+        resident.filter_map(|e| e.rid).collect()
     }
 
     /// Remove an entry, releasing its blocks eagerly. Returns whether it
-    /// existed. Pinned entries are removable — pins protect against
-    /// *displacement*, not explicit drops by the owner.
+    /// existed.
     pub fn remove(&self, name: &str) -> bool {
         let mut g = self.lock();
         match g.entries.remove(name) {
@@ -560,28 +501,6 @@ impl SharedStore {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Pin `names` against displacement (missing names are ignored — a
-    /// program may pin loads that only exist once an earlier queued
-    /// program has stored them).
-    pub fn pin(&self, names: &[String]) {
-        let mut g = self.lock();
-        for n in names {
-            if let Some(e) = g.entries.get_mut(n) {
-                e.pins += 1;
-            }
-        }
-    }
-
-    /// Release pins taken by [`SharedStore::pin`].
-    pub fn unpin(&self, names: &[String]) {
-        let mut g = self.lock();
-        for n in names {
-            if let Some(e) = g.entries.get_mut(n) {
-                e.pins = e.pins.saturating_sub(1);
-            }
         }
     }
 
@@ -644,7 +563,7 @@ impl SharedStore {
                 hash: blob.hash,
                 bytes: blob.payload_bytes,
                 logical_bytes: e.bytes,
-                scheme: e.scheme(),
+                scheme: e.scheme,
             });
         }
         let seq = disk.publish("checkpoint", phase, entries)?;
@@ -655,7 +574,7 @@ impl SharedStore {
         let stubs: HashSet<String> = g
             .entries
             .values()
-            .filter(|e| matches!(e.payload, Payload::Spilled { .. }))
+            .filter(|e| e.tiles.is_none())
             .filter_map(|e| e.blob.as_ref().map(|b| b.hash.clone()))
             .collect();
         disk.compact(&stubs, seq.saturating_sub(1))?;
@@ -686,16 +605,14 @@ impl SharedStore {
             g.entries.insert(
                 e.name.clone(),
                 Entry {
-                    payload: Payload::Spilled {
-                        scheme: e.scheme,
-                        rid: None,
-                    },
+                    tiles: None,
+                    rid: None,
+                    scheme: e.scheme,
                     blob: Some(BlobRef {
                         hash: e.hash.clone(),
                         payload_bytes: e.bytes,
                     }),
                     bytes: e.logical_bytes,
-                    pins: 0,
                     last_used: tick,
                     dims_nnz: None,
                 },
@@ -717,7 +634,7 @@ impl SharedStore {
     /// The engine calls this after every plan step with the residency it
     /// just metered (the same number the memory certificate bounds, so
     /// the certified peak predicts exactly the pressure applied here);
-    /// cold unpinned entries are displaced — spilled with a disk tier,
+    /// cold entries are displaced — spilled with a disk tier,
     /// evicted without one — until `stored + pressure` fits. Early
     /// `Free` steps lower the pressure curve, which is what turns the
     /// liveness pass into fewer spills under a tight budget. Returns the
@@ -725,10 +642,9 @@ impl SharedStore {
     /// displace.
     ///
     /// # Errors
-    /// [`CoreError::StoreOverCommit`] only when *stored pinned* bytes
-    /// alone exceed the budget; pressure that nothing left unpinned can
-    /// offset is tolerated (the admission gate is responsible for
-    /// refusing such plans up front). Disk-tier failures propagate.
+    /// Disk-tier failures propagate. Pressure that nothing left resident
+    /// can offset is tolerated (the admission gate is responsible for
+    /// refusing such plans up front).
     pub fn set_external_pressure(&self, bytes: u64) -> Result<Vec<String>> {
         let mut g = self.lock();
         g.external_pressure = bytes;
@@ -754,7 +670,7 @@ impl SharedStore {
         let (spilled, spilled_bytes) = g
             .entries
             .values()
-            .filter(|e| matches!(e.payload, Payload::Spilled { .. }))
+            .filter(|e| e.tiles.is_none())
             .fold((0usize, 0u64), |(n, b), e| (n + 1, b + e.bytes));
         StoreStats {
             entries: g.entries.len(),
@@ -875,21 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_entries_survive_eviction_pressure() {
-        let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity(one);
-        s.insert("A", dist(8, 8)).unwrap();
-        s.pin(&["A".to_string()]);
-        let evicted = s.insert("B", dist(8, 8)).unwrap();
-        // A is pinned; B itself is the only unpinned candidate.
-        assert!(!evicted.contains(&"A".to_string()));
-        assert!(s.contains("A"));
-        s.unpin(&["A".to_string()]);
-        let evicted = s.insert("C", dist(8, 8)).unwrap();
-        assert!(evicted.contains(&"A".to_string()), "{evicted:?}");
-    }
-
-    #[test]
     fn external_pressure_displaces_cold_entries_within_the_budget() {
         let one = dist(8, 8).logical_bytes();
         let s = SharedStore::with_capacity_and_disk(3 * one, temp_dir("pressure")).unwrap();
@@ -910,46 +811,21 @@ mod tests {
     }
 
     #[test]
-    fn pressure_alone_never_over_commits() {
+    fn pressure_nothing_resident_can_offset_is_tolerated() {
         let one = dist(8, 8).logical_bytes();
-        // Memory-only store, one pinned entry: pressure beyond the budget
-        // has no victim left, but it is not the store's data overshooting
-        // — displacement stops instead of erroring (the admission gate
-        // upstream refuses plans whose peak cannot fit).
+        // Memory-only store: pressure beyond the budget sheds the one
+        // entry there is and then has no victim left. That is not the
+        // store's data overshooting — displacement stops instead of
+        // erroring (the admission gate upstream refuses plans whose peak
+        // cannot fit), and the store keeps working under it.
         let s = SharedStore::with_capacity(2 * one);
         s.insert("A", dist(8, 8)).unwrap();
-        s.pin(&["A".to_string()]);
+        assert_eq!(s.set_external_pressure(10 * one).unwrap(), ["A"]);
         assert!(s.set_external_pressure(10 * one).unwrap().is_empty());
-        assert!(s.contains("A"));
-        assert_eq!(s.stats().over_commits, 0);
-        // Stored pinned bytes overshooting on their own still error:
-        // replacing A with a 4× matrix inherits the pin, and 4·one > cap
-        // regardless of pressure.
-        let err = s.insert("A", dist(16, 16)).unwrap_err();
-        assert!(matches!(err, CoreError::StoreOverCommit { .. }), "{err}");
-        assert_eq!(s.stats().over_commits, 1);
-    }
-
-    #[test]
-    fn over_commit_is_a_typed_error_not_a_silent_overshoot() {
-        let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity(one);
-        s.insert("A", dist(8, 8)).unwrap();
-        s.pin(&["A".to_string()]);
-        // Replacing A with a larger matrix inherits the pin; nothing is
-        // displaceable, so the overshoot must surface as a typed error.
-        let err = s.insert("A", dist(16, 16)).unwrap_err();
-        let CoreError::StoreOverCommit { resident, capacity } = err else {
-            panic!("expected StoreOverCommit, got {err}");
-        };
-        assert!(resident > capacity);
-        assert_eq!(s.stats().over_commits, 1);
-        // The entry was kept — the error reports, it does not destroy.
-        assert_eq!(s.get("A").unwrap().rows(), 16);
-        // Unpinning clears the condition on the next insert.
-        s.unpin(&["A".to_string()]);
-        let displaced = s.insert("B", dist(8, 8)).unwrap();
-        assert_eq!(displaced, vec!["A".to_string()]);
+        assert_eq!(s.insert("B", dist(8, 8)).unwrap(), ["B"]);
+        let st = s.stats();
+        assert_eq!((st.entries, st.bytes, st.evictions), (0, 0, 2));
+        assert_eq!(st.peak_footprint, 11 * one);
     }
 
     #[test]
@@ -1132,45 +1008,6 @@ mod tests {
         assert_eq!(after.load_failures, 0);
     }
 
-    /// Parent behaviour preserved: new content under a name gets a new
-    /// blob. Waste removed: the same value handed back (same rid) keeps
-    /// its blob; equal content under a fresh rid is encoded again but
-    /// deduplicated by `put_blob`, not rewritten.
-    #[test]
-    fn insert_forgets_the_blob_unless_it_is_the_same_value() {
-        let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("forget")).unwrap();
-        let names = vec!["A".to_string()];
-        s.insert("A", dist(8, 8)).unwrap();
-        s.checkpoint(&names, 1).unwrap();
-        let first = s.stats().spill_bytes;
-        assert_eq!((encodes(), blob_files(&s).len()), (1, 1));
-
-        // The very value the entry holds (`Session::absorb_outputs` hands
-        // a cached input back every run): the ref survives.
-        let held = s.get("A").unwrap();
-        s.insert("A", held.clone()).unwrap();
-        s.checkpoint(&names, 2).unwrap();
-        assert_eq!(encodes(), 1, "same rid: nothing to encode");
-
-        // Equal content, new materialisation: no ref, so it is encoded —
-        // and `put_blob`'s probe finds the intact blob.
-        s.insert("A", dist(8, 8)).unwrap();
-        s.checkpoint(&names, 3).unwrap();
-        assert_eq!((encodes(), s.stats().spill_bytes), (2, first));
-
-        // New content: the next displacement writes a different blob and
-        // a reload returns the new bits.
-        let fresh = salted(8, 8, 0.25);
-        s.insert("A", fresh.clone()).unwrap();
-        assert_eq!(s.set_external_pressure(2 * one).unwrap(), names);
-        assert_eq!((encodes(), s.stats().spill_bytes), (3, 2 * first));
-        assert_eq!(blob_files(&s).len(), 2, "old blob (snapshots) + new blob");
-        s.set_external_pressure(0).unwrap();
-        assert_eq!(bits(&s.get("A").unwrap()), bits(&fresh));
-        assert_ne!(bits(&fresh), bits(&held));
-    }
-
     /// Parent behaviour pinned (self-healing): a blob truncated, flipped
     /// or deleted behind a clean *resident* entry is rewritten from RAM at
     /// the next checkpoint and at the next displacement — the read-back
@@ -1257,16 +1094,44 @@ mod tests {
         assert_eq!(r.stats().load_failures, 0);
     }
 
-    // -- a stub keeps its identity, a batch knows its reads ----------------
+    // -- one identity, one same-value rule, a batch knows its reads ---------
 
-    /// Waste removed: handing a stub the value it was displaced from is a
-    /// touch — with the blob directory moved aside any encode-and-put,
-    /// read-back or write would fail. The parent made the entry resident
-    /// without a ref and encoded + hashed it at the next displacement.
+    /// The resident side of the rule: the very value the entry holds
+    /// handed back (`Session::absorb_outputs` does it with a cached input
+    /// every run; a clone shares its rid) keeps the entry's blob, so the
+    /// next checkpoint and the next displacement encode and write nothing.
     #[test]
-    fn reinserting_the_value_a_stub_stands_for_is_a_touch() {
+    fn the_value_a_resident_entry_holds_keeps_its_blob() {
         let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("touch")).unwrap();
+        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("same-resident")).unwrap();
+        let names = vec!["A".to_string()];
+        s.insert("A", dist(8, 8)).unwrap();
+        s.checkpoint(&names, 1).unwrap();
+        let (written, files) = (s.stats().spill_bytes, blob_files(&s));
+        assert_eq!((encodes(), files.len()), (1, 1));
+
+        let held = s.get("A").unwrap();
+        s.insert("A", held.clone()).unwrap();
+        assert!(!s.is_spilled("A"));
+        assert_eq!(s.peek("A").unwrap().rid(), held.rid());
+        let st = s.stats();
+        assert_eq!((st.inserts, st.replaced, st.bytes), (2, 1, one));
+        s.checkpoint(&names, 2).unwrap();
+        assert_eq!(s.set_external_pressure(2 * one).unwrap(), names);
+        assert_eq!((encodes(), s.stats().spill_bytes), (1, written));
+        assert_eq!(blob_files(&s), files, "same inode, same mtime");
+        s.set_external_pressure(0).unwrap();
+        assert_eq!(bits(&s.get("A").unwrap()), bits(&held));
+    }
+
+    /// The stub side of the same rule: handing a stub the value it was
+    /// displaced from, or last handed out as, is a touch — with the blob
+    /// directory moved aside any encode-and-put, read-back or write would
+    /// fail. It is still an `insert`: counted, and displacement runs.
+    #[test]
+    fn the_value_a_stub_stands_for_leaves_it_a_stub() {
+        let one = dist(8, 8).logical_bytes();
+        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("same-stub")).unwrap();
         let (a, b) = (salted(8, 8, 0.5), salted(8, 8, 1.5));
         s.insert("A", a.clone()).unwrap();
         s.insert("B", b).unwrap();
@@ -1287,41 +1152,65 @@ mod tests {
         let moved = |st: &StoreStats| (st.spills, st.spill_bytes, st.loads, st.load_bytes);
         assert_eq!((moved(&after), encodes()), (moved(&before), 1));
         assert_eq!(blob_files(&s), files);
+        assert!(s.resident_rids().contains(&s.peek("B").unwrap().rid()));
+        assert!(
+            !s.resident_rids().contains(&a.rid()),
+            "a stub holds no value"
+        );
 
-        // The touch still enforces the budget: B, pinned while the engine
-        // took the rest, became displaceable without being displaced.
-        s.pin(&["B".to_string()]);
-        assert!(s.set_external_pressure(2 * one).unwrap().is_empty());
-        s.unpin(&["B".to_string()]);
-        assert_eq!(s.insert("A", a.clone()).unwrap(), ["B"]);
-        assert_eq!(s.stats().bytes, 0);
+        // A reload re-mints the rid, and the stub it leaves when it cannot
+        // stay stands for the value handed out — a touch again.
+        s.set_external_pressure(2 * one).unwrap();
+        let got = s.get("A").unwrap();
+        assert_ne!(got.rid(), a.rid());
+        assert!(s.is_spilled("A"));
+        s.insert("A", got.clone()).unwrap();
+        assert!(s.is_spilled("A"));
+        assert_eq!((s.stats().loads, s.stats().spills), (1, 2));
         s.set_external_pressure(0).unwrap();
         assert_eq!(bits(&s.get("A").unwrap()), bits(&a));
         assert_eq!(s.stats().load_failures, 0);
     }
 
-    /// Parent behaviour preserved: a stub stands for one value. Equal
-    /// content under a fresh rid, and anything over a `recover`ed stub
-    /// (which stands for no value of this process), replaces the entry:
-    /// resident, no ref, encoded at its next displacement, deduplicated
-    /// by `put_blob`.
+    /// The other side, for both: a different rid is a different value.
+    /// Over a resident entry and over a stub alike it replaces the entry —
+    /// resident, no ref, encoded at its next displacement or checkpoint
+    /// (equal content is then deduplicated by `put_blob`, new content gets
+    /// a new blob). A `recover`ed stub stands for no value of this process,
+    /// so anything replaces it.
     #[test]
-    fn any_other_value_over_a_stub_replaces_it() {
+    fn a_different_rid_replaces_resident_entry_and_stub_alike() {
         let one = dist(8, 8).logical_bytes();
         let dir = temp_dir("other");
         let s = SharedStore::with_capacity_and_disk(one, &dir).unwrap();
         let names = vec!["A".to_string()];
         s.insert("A", dist(8, 8)).unwrap();
-        assert_eq!(s.set_external_pressure(one).unwrap(), names);
-        s.set_external_pressure(0).unwrap();
         s.checkpoint(&names, 1).unwrap();
         let (written, files) = (s.stats().spill_bytes, blob_files(&s));
-        assert_eq!(encodes(), 1);
+        assert_eq!((encodes(), files.len()), (1, 1));
 
+        // Equal content, new materialisation, over the resident entry ...
+        s.insert("A", dist(8, 8)).unwrap();
+        s.checkpoint(&names, 2).unwrap();
+        assert_eq!((encodes(), s.stats().spill_bytes), (2, written));
+        // ... and over the stub it then becomes.
+        assert_eq!(s.set_external_pressure(one).unwrap(), names);
+        s.set_external_pressure(0).unwrap();
         s.insert("A", dist(8, 8)).unwrap();
         assert!(!s.is_spilled("A"));
         assert_eq!(s.set_external_pressure(one).unwrap(), names);
-        assert_eq!((encodes(), s.stats().spill_bytes), (2, written));
+        assert_eq!((encodes(), s.stats().spill_bytes), (3, written));
+        assert_eq!(blob_files(&s), files, "nothing was written again");
+
+        // New content: a different blob, and a reload returns the new bits.
+        let fresh = salted(8, 8, 0.25);
+        s.set_external_pressure(0).unwrap();
+        s.insert("A", fresh.clone()).unwrap();
+        assert_eq!(s.set_external_pressure(one).unwrap(), names);
+        assert_eq!((encodes(), s.stats().spill_bytes), (4, 2 * written));
+        assert_eq!(blob_files(&s).len(), 2, "old blob (snapshots) + new blob");
+        s.set_external_pressure(0).unwrap();
+        assert_eq!(bits(&s.get("A").unwrap()), bits(&fresh));
 
         let r = SharedStore::with_capacity_and_disk(one, &dir).unwrap();
         assert_eq!(r.recover().unwrap(), names);
@@ -1334,7 +1223,6 @@ mod tests {
         r.recover().unwrap();
         r.insert("A", held).unwrap();
         assert!(!r.is_spilled("A"));
-        assert_eq!(blob_files(&s), files, "nothing was written again");
     }
 
     /// Waste removed: `[a, b, c]` read as one batch over a store that fits
@@ -1394,24 +1282,6 @@ mod tests {
         s.insert("big", big).unwrap();
         assert_eq!((encodes(), s.stats().spills), (2, 2), "no longer its value");
         assert_eq!(blob_files(&s), files);
-    }
-
-    /// A pin outranks the batch: `b`, read never again and the least
-    /// recently used, would be the victim of `a`'s reload twice over — and
-    /// stays; `c` is read next, so `a` itself is handed out.
-    #[test]
-    fn a_pinned_entry_is_never_the_victim_whatever_the_batch_says() {
-        let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("pinned")).unwrap();
-        for name in ["a", "b", "c"] {
-            s.insert(name, dist(8, 8)).unwrap();
-        }
-        s.pin(&["b".to_string()]);
-        assert!(s.get_all(&["a", "c"]).iter().all(Option::is_some));
-        assert!(!s.is_spilled("b") && !s.is_spilled("c") && s.is_spilled("a"));
-        // A lone read of `a` has no next read to spare `c` for.
-        s.get("a").unwrap();
-        assert!(!s.is_spilled("b") && s.is_spilled("c") && !s.is_spilled("a"));
     }
 
     /// Parent behaviour preserved: an unknown member fails the snapshot

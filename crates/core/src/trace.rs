@@ -273,21 +273,6 @@ impl Trace {
         v
     }
 
-    /// Bytes received per worker, summed over steady-state spans.
-    pub fn received_per_worker(&self) -> Vec<u64> {
-        let mut v = vec![0u64; self.workers];
-        for step in &self.steps {
-            for span in step.spans.iter().filter(|s| !s.recovery) {
-                for (w, &b) in span.received.iter().enumerate() {
-                    if w < v.len() {
-                        v[w] += b;
-                    }
-                }
-            }
-        }
-        v
-    }
-
     /// Aggregate the trace per stage (kinds in order, byte totals).
     pub fn per_stage(&self) -> Vec<StageSummary> {
         let mut out: Vec<StageSummary> = Vec::with_capacity(self.stage_count);

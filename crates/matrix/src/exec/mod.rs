@@ -256,66 +256,6 @@ impl LocalExecutor {
         let blocks = results.into_iter().collect::<Result<Vec<_>>>()?;
         BlockedMatrix::from_blocks(a.rows(), b.cols(), a.block_size(), blocks)
     }
-
-    /// Parallel element-wise combination of two aligned matrices.
-    pub fn zip(
-        &self,
-        a: &BlockedMatrix,
-        b: &BlockedMatrix,
-        op: &'static str,
-        f: impl Fn(&Block, &Block) -> Result<Block> + Sync,
-    ) -> Result<BlockedMatrix> {
-        if a.rows() != b.rows() || a.cols() != b.cols() || a.block_size() != b.block_size() {
-            return Err(MatrixError::DimensionMismatch {
-                op,
-                left: (a.rows(), a.cols()),
-                right: (b.rows(), b.cols()),
-            });
-        }
-        let tasks: Vec<(usize, usize)> = (0..a.row_blocks())
-            .flat_map(|bi| (0..a.col_blocks()).map(move |bj| (bi, bj)))
-            .collect();
-        let results = run_tasks(self.threads, tasks, |(bi, bj)| -> Result<Arc<Block>> {
-            Ok(Arc::new(f(a.block_at(bi, bj), b.block_at(bi, bj))?))
-        });
-        let blocks = results.into_iter().collect::<Result<Vec<_>>>()?;
-        BlockedMatrix::from_blocks(a.rows(), a.cols(), a.block_size(), blocks)
-    }
-
-    /// Parallel per-block map (unary operators).
-    pub fn map(
-        &self,
-        a: &BlockedMatrix,
-        f: impl Fn(&Block) -> Block + Sync,
-    ) -> Result<BlockedMatrix> {
-        let tasks: Vec<(usize, usize)> = (0..a.row_blocks())
-            .flat_map(|bi| (0..a.col_blocks()).map(move |bj| (bi, bj)))
-            .collect();
-        let results = run_tasks(self.threads, tasks, |(bi, bj)| {
-            Arc::new(f(a.block_at(bi, bj)))
-        });
-        BlockedMatrix::from_blocks(a.rows(), a.cols(), a.block_size(), results)
-    }
-
-    /// Parallel element-wise addition.
-    pub fn add(&self, a: &BlockedMatrix, b: &BlockedMatrix) -> Result<BlockedMatrix> {
-        self.zip(a, b, "add", |x, y| x.add(y))
-    }
-
-    /// Parallel element-wise subtraction.
-    pub fn sub(&self, a: &BlockedMatrix, b: &BlockedMatrix) -> Result<BlockedMatrix> {
-        self.zip(a, b, "sub", |x, y| x.sub(y))
-    }
-
-    /// Parallel cell-wise multiplication.
-    pub fn cell_mul(&self, a: &BlockedMatrix, b: &BlockedMatrix) -> Result<BlockedMatrix> {
-        self.zip(a, b, "cell_mul", |x, y| x.cell_mul(y))
-    }
-
-    /// Parallel cell-wise division.
-    pub fn cell_div(&self, a: &BlockedMatrix, b: &BlockedMatrix) -> Result<BlockedMatrix> {
-        self.zip(a, b, "cell_div", |x, y| x.cell_div(y))
-    }
 }
 
 #[cfg(test)]
@@ -488,43 +428,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_elementwise_matches_sequential() {
-        let a = seq(10, 12, 5);
-        let b = seq(10, 12, 5);
-        let ex = LocalExecutor::new(4, AggregationMode::InPlace);
-        assert_eq!(
-            ex.add(&a, &b).unwrap().to_dense(),
-            a.add(&b).unwrap().to_dense()
-        );
-        assert_eq!(
-            ex.sub(&a, &b).unwrap().to_dense(),
-            a.sub(&b).unwrap().to_dense()
-        );
-        assert_eq!(
-            ex.cell_mul(&a, &b).unwrap().to_dense(),
-            a.cell_mul(&b).unwrap().to_dense()
-        );
-        assert_eq!(
-            ex.cell_div(&a, &b).unwrap().to_dense(),
-            a.cell_div(&b).unwrap().to_dense()
-        );
-    }
-
-    #[test]
-    fn map_scales_in_parallel() {
-        let a = seq(10, 10, 3);
-        let ex = LocalExecutor::new(4, AggregationMode::InPlace);
-        let c = ex.map(&a, |b| b.scale(2.0)).unwrap();
-        assert_eq!(c.to_dense(), a.scale(2.0).to_dense());
-    }
-
-    #[test]
     fn dim_mismatch_is_rejected() {
         let a = seq(4, 4, 2);
         let b = seq(5, 5, 2);
         let ex = LocalExecutor::new(2, AggregationMode::InPlace);
         assert!(ex.matmul(&a, &b).is_err());
-        assert!(ex.add(&a, &b).is_err());
     }
 
     #[test]

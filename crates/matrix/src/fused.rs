@@ -26,11 +26,14 @@ use crate::dense::DenseBlock;
 use crate::error::{MatrixError, Result};
 use crate::exec::ResultBufferPool;
 
-/// One post-order instruction of a fused cell-wise expression. Scalars are
-/// already resolved to concrete values (the plan layer keeps them symbolic
-/// for lineage replay; the engine evaluates them before dispatch).
+/// One post-order instruction of a fused cell-wise expression, generic
+/// over its scalar operands `S`: the plan layer keeps them symbolic (a
+/// scalar expression, so a fused step can be replayed from lineage once
+/// the driver's reduction values are known), and the engine resolves them
+/// ([`FusedOp::map_scalar`]) to the concrete `f64` this kernel, the
+/// cluster and the wire run — the default.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FusedOp {
+pub enum FusedOp<S = f64> {
     /// Push input operand `i` (index into the leaf slice).
     Leaf(usize),
     /// Pop b, pop a, push `a + b`.
@@ -42,12 +45,26 @@ pub enum FusedOp {
     /// Pop b, pop a, push `if b == 0 { 0 } else { a / b }`.
     CellDiv,
     /// Pop a, push `a * c`.
-    Scale(f64),
+    Scale(S),
     /// Pop a, push `a + c`.
-    AddScalar(f64),
+    AddScalar(S),
 }
 
-impl FusedOp {
+impl<S> FusedOp<S> {
+    /// The same instruction with its scalar operand, if it has one, mapped
+    /// through `f`.
+    pub fn map_scalar<T>(&self, f: impl FnOnce(&S) -> T) -> FusedOp<T> {
+        match self {
+            FusedOp::Leaf(i) => FusedOp::Leaf(*i),
+            FusedOp::Add => FusedOp::Add,
+            FusedOp::Sub => FusedOp::Sub,
+            FusedOp::CellMul => FusedOp::CellMul,
+            FusedOp::CellDiv => FusedOp::CellDiv,
+            FusedOp::Scale(s) => FusedOp::Scale(f(s)),
+            FusedOp::AddScalar(s) => FusedOp::AddScalar(f(s)),
+        }
+    }
+
     /// Stack effect: values popped and pushed.
     fn arity(&self) -> (usize, usize) {
         match self {

@@ -56,11 +56,6 @@ impl SplitMix64 {
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Fork a decorrelated child stream (for independent sub-generators).
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ 0xA5A5_A5A5_A5A5_A5A5)
-    }
 }
 
 #[cfg(test)]

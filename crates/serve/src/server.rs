@@ -31,10 +31,13 @@
 //!    its script, its session's history, and the store entries it
 //!    names; programs with disjoint name sets in different sessions
 //!    cannot observe each other, so any interleaving is bit-identical
-//!    to the serial order. (Byte-budget LRU eviction is the one
-//!    exception — under capacity pressure eviction order depends on
-//!    timing, which is why eviction only touches *unpinned* entries
-//!    and the smoke/bench configs leave the store unbounded.)
+//!    to the serial order. (Byte-budget displacement is the one
+//!    exception — under capacity pressure which entry goes depends on
+//!    timing. A job in flight is safe from it: the matrices it was
+//!    handed share their tiles by `Arc`, so displacing an entry takes
+//!    nothing from a reader. It costs a later job a reload — with no
+//!    disk tier a typed `unbound` — never a wrong result; and the
+//!    smoke/bench configs leave the store unbounded.)
 //!
 //! Store-name collisions between in-flight programs are additionally
 //! *rejected* (error code `conflict`) via the store's write-intent
@@ -551,77 +554,50 @@ fn execute_job(state: &State, job: &Job) {
     let mut sess = session.lock().unwrap();
 
     let key = cache_key(&job.program, sess.shared_store());
-    let (mut prep, mut plan_cached) = match state.cache.lookup(&key) {
-        Some(p) => (p, true),
-        None => match sess.prepare(&job.program) {
-            Ok(p) => {
-                let p = Arc::new(p);
-                state.cache.insert(key.clone(), Arc::clone(&p));
-                persist_script(state, fp, &job.script);
-                (p, false)
-            }
-            Err(e) => {
-                drop(sess);
-                finish_err(state, job, fp, &e);
-                return;
-            }
-        },
-    };
-
-    // Admission-time memory gate: with a bounded store, a plan whose
+    // One plan-or-replan path, walked at most twice: the cached plan, or
+    // on a miss a fresh one (cached, its script persisted), through the
+    // admission-time memory gate — with a bounded store, a plan whose
     // certified peak resident bytes exceed the byte budget is rejected
-    // *before* execution — what used to surface mid-run as a
-    // `StoreOverCommit` fault is now a typed `memory` diagnostic
-    // carrying the certified peak and the budget it breaks.
-    if let Some((peak, cap)) = over_budget(state, &prep) {
-        drop(sess);
-        reject_memory(state, job, fp, plan_cached, peak, cap);
-        return;
-    }
-
-    let report = match sess.run_prepared(&prep) {
-        Ok(r) => r,
-        Err(CoreError::Planner(msg)) if plan_cached && msg.contains("stale") => {
-            // The cached plan's scheme assumptions no longer hold (a
-            // conflicting job between key computation and execution is
-            // impossible by the ordering rule, but belt-and-braces):
-            // re-plan and repair the cache.
-            state.cache.invalidate(&key);
-            plan_cached = false;
-            match sess.prepare(&job.program) {
+    // *before* execution, as a typed `memory` diagnostic carrying the
+    // certified peak and the budget it breaks — and then run. A *cached*
+    // plan whose placement assumptions no longer hold (a conflicting job
+    // between key computation and execution is impossible by the ordering
+    // rule, but belt-and-braces) is invalidated and the job goes round
+    // once more with a fresh plan, which may certify a different peak and
+    // so meets the gate again; a fresh plan's error is the job's.
+    let mut cached = state.cache.lookup(&key);
+    let outcome = loop {
+        let plan_cached = cached.is_some();
+        let prep = match cached.take() {
+            Some(p) => p,
+            None => match sess.prepare(&job.program) {
                 Ok(p) => {
-                    prep = Arc::new(p);
-                    state.cache.insert(key, Arc::clone(&prep));
+                    let p = Arc::new(p);
+                    state.cache.insert(key.clone(), Arc::clone(&p));
                     persist_script(state, fp, &job.script);
-                    // The re-plan may certify a different peak; re-gate.
-                    if let Some((peak, cap)) = over_budget(state, &prep) {
-                        drop(sess);
-                        reject_memory(state, job, fp, false, peak, cap);
-                        return;
-                    }
-                    match sess.run_prepared(&prep) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            drop(sess);
-                            finish_err(state, job, fp, &e);
-                            return;
-                        }
-                    }
+                    p
                 }
-                Err(e) => {
-                    drop(sess);
-                    finish_err(state, job, fp, &e);
-                    return;
-                }
-            }
-        }
-        Err(e) => {
+                Err(e) => break Err(e),
+            },
+        };
+        if let Some((peak, cap)) = over_budget(state, &prep) {
             drop(sess);
+            reject_memory(state, job, fp, plan_cached, peak, cap);
+            return;
+        }
+        match sess.run_prepared(&prep) {
+            Err(CoreError::StalePlan { .. }) if plan_cached => state.cache.invalidate(&key),
+            ran => break ran.map(|report| (prep, plan_cached, report)),
+        }
+    };
+    drop(sess);
+    let (prep, plan_cached, report) = match outcome {
+        Ok(done) => done,
+        Err(e) => {
             finish_err(state, job, fp, &e);
             return;
         }
     };
-    drop(sess);
 
     let report_json = report.to_json();
     let conf = arr_of(report.trace.conformance().iter().map(|c| c.to_json()));
@@ -932,7 +908,6 @@ fn stats_json(state: &State) -> String {
             .u64("loads", store.loads)
             .u64("load_bytes", store.load_bytes)
             .u64("load_failures", store.load_failures)
-            .u64("over_commits", store.over_commits)
             .u64("snapshots", store.snapshots);
         o = match store.capacity {
             Some(cap) => o.u64("capacity", cap),

@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -70,6 +70,20 @@ for field in stored cached_inputs; do
         exit 1
     }
 done
+# Who still holds a value is decided once. The store has no pins — no
+# non-test code ever set one, and a reader in flight shares its tiles by
+# `Arc` — so it has no over-commit either: neither may come back.
+if grep -rnE 'fn pin\(|over_commits|StoreOverCommit' crates src; then exit 1; fi
+# And a session does not hand-collect what it displaced: after anything
+# that can drop a handle it tells the cluster the live set, in one place
+# (Session::sweep), and the transport frees the rest. A `displaced` list
+# in code (comments may say the word) or a second call is a second
+# bookkeeping that can miss what the first one sees.
+awk '/#\[cfg\(test\)\]/ { exit }
+     !/^[[:space:]]*\/\// && /displaced/ { list++ } /cluster\.retain\(/ { sweep++ }
+     END { if (list != 0 || sweep != 1) {
+               print FILENAME ": `displaced` in code x" list+0 ", cluster.retain( x" sweep+0 " (want 0, 1)"
+               exit 1 } }' crates/core/src/session.rs
 
 echo "==> cargo test (workspace)"
 # Includes what used to be separate gates: the lint + plan-verifier sweep

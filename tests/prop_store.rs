@@ -1,6 +1,6 @@
 //! Model check of the durable store: random sequences of `insert` (new
 //! content / the held value again / equal content re-materialised) · `get`
-//! · `set_external_pressure` · `pin` / `unpin` · `checkpoint` ·
+//! · `set_external_pressure` · `checkpoint` ·
 //! drop-the-store-and-`recover` over a capped, disk-backed [`SharedStore`],
 //! against an unbounded in-memory one — and, between those calls, batch
 //! reads (`get_all`, a session resolving a run's inputs), some followed by
@@ -12,14 +12,13 @@
 //!   to the model's (a recover rolls the model back to the members of the
 //!   last checkpoint);
 //! * `load_failures == 0`;
-//! * `bytes + external_pressure ≤ capacity`, or no unpinned resident entry
-//!   is left to displace — checked after the calls that displace (`insert`,
-//!   `set_external_pressure`, a reloading `get` / `get_all`): `unpin`
-//!   makes an entry displaceable but displaces nothing itself. An `insert`
-//!   that turns out to be a touch (the value its stub stands for) is an
-//!   `insert`;
-//! * a batch read displaces no entry it has yet to read while it keeps an
-//!   unpinned resident one it will not read (see [`batch_read`]);
+//! * `bytes + external_pressure ≤ capacity`, or no resident entry is
+//!   left to displace — after *every* call, not only those that displace:
+//!   without pins nothing can sit resident over the budget at rest. An
+//!   `insert` that turns out to be a touch (the value its stub stands for)
+//!   is an `insert`;
+//! * a batch read displaces no entry it has yet to read while it keeps a
+//!   resident one it will not read (see [`batch_read`]);
 //! * `spill_bytes` grew in that call **iff** a blob file is new or has a
 //!   new inode after it — a displacement or snapshot that found its blob
 //!   on disk writes nothing and counts nothing, and nothing is written
@@ -30,28 +29,33 @@
 //! A seed that ever fails goes into [`REGRESSIONS`] with the fix. The batch
 //! reads draw from a generator of their own and change neither the names
 //! nor the model's content, so a seed's sequence of the other calls is
-//! what it was before they were added.
+//! what it was before they were added. Likewise ops 6 and 7: they were
+//! `pin` / `unpin` while the store had pins (no non-test code ever set
+//! one), and still take their draw — and do nothing — so every seed
+//! replays the other calls it replayed then.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
 use dmac::cluster::{DistMatrix, PartitionScheme};
-use dmac::core::{CoreError, SharedStore};
+use dmac::core::SharedStore;
 use dmac::matrix::{BlockedMatrix, SplitMix64};
 
 mod common;
 use common::blob_files;
 
 /// Seeds that failed once, run before the sweep whatever its range becomes
-/// (ROADMAP aim 3: every bug found becomes a pinned seed). Both failed
-/// while this test was written, on the model and not the store: `…0002`
-/// step 26 unpins an entry over a 700 B budget (displaceable, not
-/// displaced); `…0005` step 57 applies pressure while the pinned entries
-/// alone exceed the budget (`StoreOverCommit`, every entry kept). The third
-/// failed on the store while `insert` learned to touch: `…0219` step 49
-/// hands stub `b` the value it stands for while `c`, unpinned a moment
-/// before, sits resident over the budget — a touch is still an `insert`
-/// and must displace.
+/// (ROADMAP aim 3: every bug found becomes a pinned seed). All three
+/// pinned states only a pin could build — a resident entry over budget
+/// *at rest*: `…0002` step 26 unpinned an entry over a 700 B budget
+/// (displaceable, not displaced); `…0005` step 57 applied pressure while
+/// the pinned entries alone exceeded the budget (the over-commit error,
+/// every entry kept); `…0219` step 49 handed stub `b` the value it stands
+/// for while `c`, unpinned a moment before, sat resident over the budget
+/// (a touch is still an `insert` and must displace — that half is now
+/// `store.rs`'s stub-side unit test). With the pins gone those states can
+/// no longer be reached; the seeds stay, replay the same other calls, and
+/// must still pass.
 const REGRESSIONS: &[u64] = &[0x5703_0002, 0x5703_0005, 0x5703_0219];
 const SWEEP: std::ops::Range<u64> = 0x5703_0000..0x5703_0100;
 
@@ -122,9 +126,6 @@ struct World {
     cap: u64,
     store: SharedStore,
     model: SharedStore,
-    /// Pins this test holds, by name (the store ignores a pin of an absent
-    /// name; a replacement inherits its predecessor's).
-    pins: HashMap<String, u32>,
     /// Members of the last published snapshot, as values.
     snapshot: Vec<(String, DistMatrix)>,
     /// Calls whose written bytes were observed, by kind (coverage).
@@ -137,18 +138,16 @@ struct World {
 }
 
 impl World {
-    /// The invariants after one call; `displaced` says the call ran
-    /// displacement. Returns whether the call wrote a blob.
-    fn check(&self, before: Written, displaced: bool, ctx: &str) -> bool {
+    /// The invariants after one call. Returns whether the call wrote a blob.
+    fn check(&self, before: Written, ctx: &str) -> bool {
         let st = self.store.stats();
         assert_eq!(st.load_failures, 0, "{ctx}");
         assert_eq!(self.store.names(), self.model.names(), "{ctx}");
-        if displaced && st.bytes + st.external_pressure > self.cap {
+        if st.bytes + st.external_pressure > self.cap {
             for name in self.store.names() {
-                let pinned = self.pins.get(&name).copied().unwrap_or(0) > 0;
                 assert!(
-                    pinned || self.store.is_spilled(&name),
-                    "{ctx}: {} B over a {} B budget with '{name}' resident and unpinned",
+                    self.store.is_spilled(&name),
+                    "{ctx}: {} B over a {} B budget with '{name}' resident",
                     st.bytes + st.external_pressure,
                     self.cap
                 );
@@ -177,7 +176,7 @@ impl World {
 /// Beside [`World::check`]: every value is the model's, and the victims
 /// were chosen by next read — a name resident before the batch that comes
 /// back under a new rid was displaced while the batch had yet to read it,
-/// which is only right if no unpinned resident entry outside the batch was
+/// which is only right if no resident entry outside the batch was
 /// kept instead (such an entry, never read, cannot have come back since).
 /// Half the time the first value read is then handed back under its name,
 /// as `Session::absorb_outputs` does with a cached input.
@@ -191,10 +190,7 @@ fn batch_read(w: &mut World, rng: &mut SplitMix64, ctx: &str) {
         .iter()
         .filter_map(|n| Some((*n, w.store.peek(n)?.rid())))
         .collect();
-    let (loads, reloads) = (
-        w.store.stats().loads,
-        names.iter().any(|n| w.store.is_spilled(n)),
-    );
+    let loads = w.store.stats().loads;
     let got = w.store.get_all(&names);
     for (name, got) in names.iter().zip(&got) {
         assert_read(got.as_ref(), w.model.get(name), &format!("{ctx}: {name}"));
@@ -205,32 +201,22 @@ fn batch_read(w: &mut World, rng: &mut SplitMix64, ctx: &str) {
     });
     if let Some((early, _)) = squeezed {
         for kept in held.keys().filter(|n| !names.contains(n)) {
-            let pinned = w.pins.get(*kept).copied().unwrap_or(0) > 0;
             assert!(
-                pinned || w.store.is_spilled(kept),
+                w.store.is_spilled(kept),
                 "{ctx}: '{early}' was displaced before its read while '{kept}', unread, stayed"
             );
         }
         w.batch_squeezed += 1;
     }
     w.batch_reloads += usize::from(w.store.stats().loads > loads);
-    w.check(before, reloads, &ctx);
+    w.check(before, &ctx);
 
     let first = names.iter().zip(got).find_map(|(n, m)| Some((*n, m?)));
     if let Some((name, m)) = first.filter(|_| rng.chance(0.5)) {
         let (before, ctx) = (w.before(), format!("{ctx}, then {name} handed back"));
         w.model.insert(name, m.clone()).unwrap();
-        displaced(w.store.insert(name, m), &ctx);
-        w.check(before, true, &ctx);
-    }
-}
-
-/// A displacing call succeeds, or reports that pinned entries alone are
-/// over budget (the entry is kept either way).
-fn displaced(result: Result<Vec<String>, CoreError>, ctx: &str) {
-    match result {
-        Ok(_) | Err(CoreError::StoreOverCommit { .. }) => {}
-        Err(e) => panic!("{ctx}: {e}"),
+        w.store.insert(name, m).expect(&ctx);
+        w.check(before, &ctx);
     }
 }
 
@@ -244,7 +230,6 @@ fn run_seed(seed: u64) -> [usize; 4] {
         model: SharedStore::new(),
         dir,
         cap,
-        pins: HashMap::new(),
         snapshot: Vec::new(),
         wrote: 0,
         clean: 0,
@@ -256,11 +241,6 @@ fn run_seed(seed: u64) -> [usize; 4] {
         let op = rng.below(10);
         let ctx = format!("seed {seed:#x} step {step} op {op} name {name}");
         let before = w.before();
-        let displaces = match op {
-            0..=2 | 5 => true,
-            3 | 4 => w.store.is_spilled(name),
-            _ => false,
-        };
         match op {
             // insert: new content, the held value again, or equal content
             // under a fresh rid.
@@ -275,25 +255,15 @@ fn run_seed(seed: u64) -> [usize; 4] {
                     _ => random_matrix(&mut rng),
                 };
                 w.model.insert(name, m.clone()).unwrap();
-                displaced(w.store.insert(name, m), &ctx);
+                w.store.insert(name, m).expect(&ctx);
             }
             3 | 4 => assert_read(w.store.get(name).as_ref(), w.model.get(name), &ctx),
             5 => {
                 let pressure = rng.below(cap as usize * 3 / 2) as u64;
-                displaced(w.store.set_external_pressure(pressure), &ctx);
+                w.store.set_external_pressure(pressure).expect(&ctx);
             }
-            6 => {
-                if w.store.contains(name) {
-                    w.store.pin(&[name.to_string()]);
-                    *w.pins.entry(name.to_string()).or_default() += 1;
-                }
-            }
-            7 => {
-                if let Some(n) = w.pins.get_mut(name).filter(|n| **n > 0) {
-                    w.store.unpin(&[name.to_string()]);
-                    *n -= 1;
-                }
-            }
+            // Once `pin` / `unpin`: the draw is kept, the call is gone.
+            6 | 7 => {}
             8 => {
                 let members: Vec<String> = w
                     .store
@@ -318,12 +288,11 @@ fn run_seed(seed: u64) -> [usize; 4] {
                     w.model.insert(n, m.clone()).unwrap();
                 }
                 assert_eq!(recovered, w.model.names(), "{ctx}");
-                w.pins.clear();
             }
         }
         // A new store counts from zero.
         let before = if op == 9 { (0, before.1) } else { before };
-        if w.check(before, displaces, &ctx) {
+        if w.check(before, &ctx) {
             w.wrote += 1;
         } else if w.store.stats().spills > 0 {
             w.clean += 1;
@@ -334,12 +303,12 @@ fn run_seed(seed: u64) -> [usize; 4] {
     }
     for name in w.store.names() {
         let ctx = format!("seed {seed:#x} final read of {name}");
-        let (before, reloads) = (w.before(), w.store.is_spilled(&name));
+        let before = w.before();
         assert!(
             bits_eq(&w.store.get(&name).unwrap(), &w.model.get(&name).unwrap()),
             "{ctx}"
         );
-        w.check(before, reloads, &ctx);
+        w.check(before, &ctx);
     }
     let _ = std::fs::remove_dir_all(&w.dir);
     [w.wrote, w.clean, w.batch_reloads, w.batch_squeezed]

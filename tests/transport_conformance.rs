@@ -28,33 +28,33 @@
 use dmac::apps::{
     CollaborativeFiltering, Gnmf, LinearRegression, PageRank, SvdLanczos, TriangleCount,
 };
-use dmac::cluster::SocketOptions;
+use dmac::cluster::{DistMatrix, KillAt, PartitionScheme, SocketOptions};
 use dmac::core::baselines::SystemKind;
 use dmac::core::engine::ExecReport;
-use dmac::core::Session;
-use dmac::lang::Expr;
+use dmac::core::session::SessionBuilder;
+use dmac::core::{CoreError, Session, SharedStore};
+use dmac::lang::{Expr, Program};
 use dmac::matrix::BlockedMatrix;
 
 const BLOCK: usize = 8;
 const WORKERS: usize = 3;
 
-fn sim_session() -> Session {
+/// The session shape every test here shares, backend still to choose.
+fn builder() -> SessionBuilder {
     Session::builder()
         .system(SystemKind::Dmac)
         .workers(WORKERS)
         .local_threads(2)
         .block_size(BLOCK)
         .seed(7)
-        .build()
+}
+
+fn sim_session() -> Session {
+    builder().build()
 }
 
 fn socket_session() -> Session {
-    Session::builder()
-        .system(SystemKind::Dmac)
-        .workers(WORKERS)
-        .local_threads(2)
-        .block_size(BLOCK)
-        .seed(7)
+    builder()
         .socket_transport(SocketOptions::default())
         .try_build()
         .expect("worker processes must launch")
@@ -380,4 +380,126 @@ fn repeated_runs_do_not_strand_values_on_the_workers() {
     assert_eq!(sim.transport_stats().resident_values, 0);
     sock.shutdown_transport()
         .expect("workers must exit cleanly");
+}
+
+/// The same promise when it is the *store* that lets a value go. Six
+/// GNMF steps over a store capped at 1.5 × |V|: `V` spends the run as a
+/// stub (read, handed out, never kept), so every step installs a fresh
+/// materialisation of it that no session-side bookkeeping ever saw
+/// displaced — the parent stranded one copy per step (`resident_values`
+/// growing by one with every step; 3 throughout on an uncapped store).
+/// What the workers hold after a run is what a live handle names: `W`
+/// and `H`.
+#[test]
+fn a_capped_store_strands_nothing_on_the_workers() {
+    let cfg = Gnmf {
+        rows: 48,
+        cols: 36,
+        sparsity: 0.4,
+        rank: 4,
+        iterations: 6,
+    };
+    let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, BLOCK, 5);
+    let v_bytes = DistMatrix::from_blocked(&v, PartitionScheme::Hash, WORKERS).logical_bytes();
+    let dir = std::env::temp_dir().join(format!("dmac-conformance-capped-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let capped = SharedStore::with_capacity_and_disk(v_bytes * 3 / 2, &dir).unwrap();
+    let mut sim = sim_session();
+    let mut sock = builder()
+        .store(capped.clone())
+        .socket_transport(SocketOptions::default())
+        .try_build()
+        .expect("worker processes must launch");
+
+    let (mut init, mut step) = (Program::new(), Program::new());
+    cfg.build_init(&mut init).unwrap();
+    cfg.build_step(&mut step).unwrap();
+    let stored = |name: &str| {
+        let out = step
+            .outputs()
+            .iter()
+            .find(|(_, n)| n.as_deref() == Some(name));
+        Expr::new(out.expect("the step stores it").0.id)
+    };
+    for s in [&mut sim, &mut sock] {
+        s.bind("V", v.clone()).unwrap();
+        s.run(&init).unwrap();
+    }
+    let mut resident = Vec::new();
+    for i in 1..=cfg.iterations {
+        sim.run(&step).unwrap();
+        sock.run(&step).unwrap();
+        for e in [stored("W"), stored("H")] {
+            let oracle = bits(&sim.value(e).unwrap());
+            assert_eq!(bits(&sock.value(e).unwrap()), oracle, "step {i}");
+            let physical = sock.value_physical(e).unwrap().expect("socket");
+            assert_eq!(bits(&physical), oracle, "step {i}: worker-held factor");
+        }
+        resident.push(sock.transport_stats().resident_values);
+    }
+    assert!(capped.is_spilled("V") && capped.stats().loads >= 5);
+    assert_eq!(capped.stats().load_failures, 0);
+    // The first step still finds the bound `V` resident and leaves it a
+    // stub; from then on a step ends with `W` and `H`, nothing of any `V`.
+    assert!(resident[0] <= 3, "{resident:?}");
+    assert_eq!(resident[1..], [2; 5], "{resident:?}");
+    sock.shutdown_transport()
+        .expect("workers must exit cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// ... and when a run fails. A worker is SIGKILLed in the middle of the
+/// second run's plan with no recovery budget: the run is a typed error,
+/// `absorb_outputs` never happens, and everything the failed run had
+/// installed so far is named by no handle. The sweep at the end of the
+/// run — the same one a successful run ends with — takes the survivors
+/// back to what they held before it started.
+#[test]
+fn a_failed_run_leaves_the_workers_where_it_found_them() {
+    let cfg = Gnmf {
+        rows: 24,
+        cols: 18,
+        sparsity: 0.4,
+        rank: 4,
+        iterations: 1,
+    };
+    let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, BLOCK, 5);
+    let session = |kill| {
+        builder()
+            .recovery_attempts(0)
+            .socket_transport(SocketOptions {
+                kill,
+                ..SocketOptions::default()
+            })
+            .try_build()
+            .expect("worker processes must launch")
+    };
+    // A healthy session counts the mirrored primitives of each run.
+    let mut healthy = session(None);
+    cfg.run(&mut healthy, v.clone()).unwrap();
+    let first = healthy.transport_stats();
+    cfg.run(&mut healthy, v.clone()).unwrap();
+    let second = healthy.transport_stats();
+    assert_eq!(second.resident_values, first.resident_values);
+    healthy.shutdown_transport().unwrap();
+
+    let mid_second_run = (first.ops + second.ops) / 2;
+    let mut s = session(Some((1, KillAt::AfterOps(mid_second_run))));
+    cfg.run(&mut s, v.clone()).unwrap();
+    let before = s.transport_stats();
+    assert_eq!(
+        (before.ops, before.resident_values),
+        (first.ops, first.resident_values)
+    );
+    let err = cfg.run(&mut s, v).unwrap_err();
+    assert!(
+        matches!(err, CoreError::RecoveryExhausted { worker: 1, .. }),
+        "{err}"
+    );
+    let after = s.transport_stats();
+    assert!(after.ops > before.ops + 1, "the run was under way");
+    assert_eq!(
+        after.resident_values, before.resident_values,
+        "what the failed run installed is still on the survivors"
+    );
 }
