@@ -17,13 +17,12 @@ mod fig7;
 mod fig8;
 mod fig9;
 mod table4;
-mod twod;
 
 /// One subcommand: its name, what it regenerates, and its entry point.
 type Experiment = (&'static str, &'static str, fn());
 
 /// The subcommand table, in `all` order.
-const EXPERIMENTS: [Experiment; 9] = [
+const EXPERIMENTS: [Experiment; 8] = [
     ("fig6", "GNMF accumulated time + communication", fig6::run),
     ("fig7", "In-Place vs Buffer memory", fig7::run),
     ("fig8", "block-size influence", fig8::run),
@@ -39,7 +38,6 @@ const EXPERIMENTS: [Experiment; 9] = [
         "H1 / H2 / ordering / CPMM ablations",
         ablation::run,
     ),
-    ("twod", "future work: 2-D block-cyclic + SUMMA", twod::run),
     ("faults", "recovery overhead vs fault-free", faults::run),
 ];
 

@@ -17,7 +17,6 @@
 //! | `fig10` | Fig 10(a–d) scalability in data size and workers |
 //! | `table4`| Table 4 MM-Sparse / MM-Dense across four systems |
 //! | `ablation` | design-choice ablations (H1, H2, mult-first, CPMM) |
-//! | `twod`  | future-work extension: 1-D vs 2-D block-cyclic + SUMMA |
 //! | `faults` | recovery overhead of mid-run worker loss + retry cost of flaky links |
 //! | `all`   | every subcommand above, in sequence, in one process |
 

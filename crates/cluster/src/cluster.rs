@@ -257,33 +257,6 @@ impl Cluster {
         self.pool.stats()
     }
 
-    /// Record an externally-measured span (used by accounting-level paths
-    /// such as the 2D/SUMMA comparison module, which charge aggregate
-    /// traffic rather than running a metered primitive).
-    pub fn record_span(
-        &mut self,
-        op: &'static str,
-        label: impl Into<String>,
-        wire_bytes: u64,
-        event_bytes: u64,
-        blocks: usize,
-    ) {
-        let now = self.clock.total_sec();
-        let n = self.config.workers;
-        self.tracer.record(OpSpan {
-            op,
-            label: label.into(),
-            start_sec: now,
-            end_sec: now,
-            wire_bytes,
-            event_bytes,
-            sent: vec![0; n],
-            received: vec![0; n],
-            blocks,
-            ..OpSpan::default()
-        });
-    }
-
     /// Open `op`'s span at the current clocks / pool counters.
     fn span_open(&self, op: &'static str) -> SpanStart {
         SpanStart {
@@ -497,16 +470,6 @@ impl Cluster {
             return Ok(());
         }
         Err(ClusterError::SendFailed { label, attempts })
-    }
-
-    /// Meter a communication step without fault injection (infallible).
-    /// Prefer [`Cluster::send`] inside primitives; this remains for cost
-    /// accounting paths that model aggregate traffic, e.g. the 2D/SUMMA
-    /// comparison module.
-    pub fn charge_comm(&mut self, kind: CommKind, label: impl Into<String>, bytes: u64) {
-        self.comm.record(kind, label, bytes);
-        self.clock
-            .add_comm(self.config.network.transfer_time(bytes));
     }
 
     /// Meter the re-read of durable source data during lineage recovery.
@@ -819,7 +782,7 @@ impl Cluster {
     /// task queue with the result buffer pool at hand; each worker is
     /// timed, set-up included, and the clock advances by the slowest
     /// *host*. Returns every worker's results in task order.
-    pub(crate) fn run_stage<S: Sync, T: Send, R: Send>(
+    fn run_stage<S: Sync, T: Send, R: Send>(
         &mut self,
         stage_of: impl Fn(usize) -> Result<(S, Vec<T>)>,
         run: impl Fn(&ResultBufferPool, &S, T) -> Result<R> + Sync,
@@ -1096,13 +1059,13 @@ fn shard(m: &DistMatrix, w: usize) -> impl Iterator<Item = ((usize, usize), &Blo
 }
 
 /// Every tile coordinate of a grid, row-major.
-pub(crate) fn grid_cells(meta: &GridMeta) -> impl Iterator<Item = (usize, usize)> {
+fn grid_cells(meta: &GridMeta) -> impl Iterator<Item = (usize, usize)> {
     let cb = meta.col_blocks;
     (0..meta.row_blocks).flat_map(move |bi| (0..cb).map(move |bj| (bi, bj)))
 }
 
 /// Per-worker keyed result tiles of a stage, as stores.
-pub(crate) fn into_stores(tiles: Vec<Vec<KeyedTile>>) -> Stores {
+fn into_stores(tiles: Vec<Vec<KeyedTile>>) -> Stores {
     tiles.into_iter().map(HashMap::from_iter).collect()
 }
 

@@ -32,7 +32,6 @@ pub mod kernels;
 pub mod partition;
 pub mod trace;
 pub mod transport;
-pub mod twod;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use comm::{CommEvent, CommKind, CommStats, NetworkModel, SimClock};
@@ -43,4 +42,3 @@ pub use partition::PartitionScheme;
 pub use trace::{OpSpan, TraceBuffer};
 pub use transport::socket::{KillAt, SocketOptions, SocketTransport};
 pub use transport::{Transport, TransportStats};
-pub use twod::{summa, Dist2d, ProcessGrid};

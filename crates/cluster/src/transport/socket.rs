@@ -15,11 +15,13 @@
 //! There is one data plane. Control traffic is a star — every command
 //! and reply crosses the coordinator as a JSON frame — but *tile
 //! payload* never does, except to seed a value (`install`) or read one
-//! back (`collect`), both as `DMB1` bodies. For a cross-host move the
-//! coordinator sends the source host an `xfer` routing plan and the
-//! worker pushes the tiles straight to the destination's peer listener,
-//! rolling per-item byte receipts and per-edge frame stats up in its
-//! `xferred` reply ([`TransportStats::peer_bytes`]).
+//! back (`collect`), both as `DMB1` bodies. Every tile move — a shuffle,
+//! a local transpose, CPMM's partial shuffle — is built in one place
+//! (`SocketTransport::route`): one `xfer` routing plan per source host.
+//! The worker installs the items bound for its own host and pushes the
+//! rest straight to the destination's peer listener, rolling per-item
+//! byte receipts and per-edge frame stats up in its `xferred` reply
+//! ([`TransportStats::peer_bytes`]).
 //!
 //! ## Pipelined dispatch
 //!
@@ -48,13 +50,13 @@
 //! Payload is metered per *logical* move (a tile whose logical owner
 //! changes is charged even when both workers share a host — matching the
 //! simulator's logical ledger), from the byte sizes workers report —
-//! identically for peer-pushed and local-copy tiles, so
+//! identically for pushed and locally installed tiles, so
 //! `transport_bytes == wire_bytes` conformance is invariant under the
 //! worker → host assignment. After every mirrored primitive the
 //! destination value is *sealed*: each host reports canonical per-shard
 //! checksums ([`wire::shard_checksum`]) that must equal the oracle's, so
 //! state divergence is caught at the primitive that caused it. Seals are
-//! only issued after every copy/xfer receipt of the stage is in hand, so
+//! only issued after every `xferred` receipt of the move is in hand, so
 //! all peer installs happen-before the seal.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -91,9 +93,8 @@ pub enum KillAt {
     /// Right after the write phase of the n-th exchange — mid-stage,
     /// commands written, no reply read.
     MidStage(u64),
-    /// Right after the write phase of the n-th exchange that carries
-    /// `xfer` routing plans — while peer pushes toward (or from) the
-    /// host are in flight.
+    /// Right after the write phase of the n-th exchange with a cross-host
+    /// item — while peer pushes toward (or from) the host are in flight.
     MidXfer(u64),
 }
 
@@ -198,9 +199,36 @@ struct Reply {
 }
 
 impl Reply {
+    /// Decode one frame from a worker: a `DMB1` message (JSON header +
+    /// body) or a JSON text; `None` when it is neither.
+    fn decode(raw: &[u8]) -> Option<Reply> {
+        if binfmt::is_binary(raw) {
+            let (head, body) = binfmt::decode(raw).ok()?;
+            let head = Json::parse(head).ok()?;
+            Some(Reply {
+                head,
+                body: Some(body.to_vec()),
+            })
+        } else {
+            let head = Json::parse(std::str::from_utf8(raw).ok()?).ok()?;
+            Some(Reply { head, body: None })
+        }
+    }
+
     fn kind(&self) -> Option<&str> {
         self.head.get("t").and_then(Json::as_str)
     }
+}
+
+/// One tile of a move exchange (`SocketTransport::route`): tile `(bi,
+/// bj)` of worker `wi`'s shard of the source value becomes worker `wo`'s
+/// in the destination value, on the host of logical worker `to`.
+struct Hop {
+    wi: usize,
+    wo: usize,
+    bi: usize,
+    bj: usize,
+    to: usize,
 }
 
 /// Decode the tile section of a `collect` reply.
@@ -299,7 +327,7 @@ pub struct SocketTransport {
     ops_done: u64,
     /// Exchanges written ([`KillAt::MidStage`]).
     stages_done: u64,
-    /// Exchanges carrying `xfer` plans written ([`KillAt::MidXfer`]).
+    /// Exchanges with a cross-host item written ([`KillAt::MidXfer`]).
     xfers_done: u64,
     /// Hosts whose death has already been surfaced (via poll or
     /// [`Transport::host_down`]); never reported again.
@@ -529,35 +557,11 @@ impl SocketTransport {
                     Ok(Some(raw)) => {
                         stats.frames += 1;
                         stats.frame_bytes += framed_len(raw.len());
-                        let reply = if binfmt::is_binary(&raw) {
-                            let parsed = binfmt::decode(&raw)
-                                .ok()
-                                .and_then(|(h, b)| Json::parse(h).ok().map(|j| (j, b.to_vec())));
-                            match parsed {
-                                Some((head, body)) => Reply {
-                                    head,
-                                    body: Some(body),
-                                },
-                                None => {
-                                    Self::mark_dead(conn);
-                                    return Err(ClusterError::Protocol(format!(
-                                        "corrupt binary reply from host {host}"
-                                    )));
-                                }
-                            }
-                        } else {
-                            let parsed = std::str::from_utf8(&raw)
-                                .ok()
-                                .and_then(|t| Json::parse(t).ok());
-                            match parsed {
-                                Some(head) => Reply { head, body: None },
-                                None => {
-                                    Self::mark_dead(conn);
-                                    return Err(ClusterError::Protocol(format!(
-                                        "unparseable reply from host {host}"
-                                    )));
-                                }
-                            }
+                        let Some(reply) = Reply::decode(&raw) else {
+                            Self::mark_dead(conn);
+                            return Err(ClusterError::Protocol(format!(
+                                "unparseable reply from host {host}"
+                            )));
                         };
                         if reply.kind() == Some("hb") {
                             conn.last_hb = Instant::now();
@@ -625,12 +629,12 @@ impl SocketTransport {
 
     /// Dispatch a whole stage: write every command to every host, then
     /// collect the replies in order — one round-trip for the stage.
-    /// Replies are returned in command order.
+    /// Replies are returned in command order, each with its host.
     fn exchange(
         &mut self,
         label: &'static str,
         cmds: Vec<(usize, Outgoing)>,
-    ) -> Result<Vec<Reply>> {
+    ) -> Result<Vec<(usize, Reply)>> {
         if cmds.is_empty() {
             return Ok(Vec::new());
         }
@@ -642,7 +646,7 @@ impl SocketTransport {
         self.stage_hooks(label);
         let mut replies = Vec::with_capacity(pending.len());
         for (host, seq) in pending {
-            replies.push(self.recv_reply(host, seq)?);
+            replies.push((host, self.recv_reply(host, seq)?));
         }
         self.stats.rounds += 1;
         Ok(replies)
@@ -787,14 +791,12 @@ impl SocketTransport {
     /// Verify a value's physical shards against the oracle — one
     /// pipelined exchange across all hosts.
     fn seal_check(&mut self, op: &'static str, value: &DistMatrix) -> Result<()> {
-        let hosts = self.hosts_with_ws();
+        let hosts = self.hosts_with_ws().into_iter();
         let cmds = hosts
-            .iter()
-            .map(|(host, ws)| (*host, Self::seal_cmd(value.rid(), ws)))
+            .map(|(host, ws)| (host, Self::seal_cmd(value.rid(), &ws)))
             .collect();
-        let replies = self.exchange("seal", cmds)?;
-        for ((host, _), reply) in hosts.iter().zip(&replies) {
-            self.check_seal(op, value, *host, reply)?;
+        for (host, reply) in self.exchange("seal", cmds)? {
+            self.check_seal(op, value, host, &reply)?;
         }
         Ok(())
     }
@@ -850,45 +852,91 @@ impl SocketTransport {
             cmds.push((host, Self::seal_cmd(out.rid(), &ws)));
             is_seal.push(true);
         }
-        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-        let replies = self.exchange(op, cmds)?;
-        for ((host, reply), seal) in hosts.iter().zip(&replies).zip(&is_seal) {
-            if *seal {
-                self.check_seal(op, out, *host, reply)?;
+        for ((host, reply), seal) in self.exchange(op, cmds)?.into_iter().zip(is_seal) {
+            if seal {
+                self.check_seal(op, out, host, &reply)?;
             } else {
-                self.check_ok(*host, reply)?;
+                self.check_ok(host, &reply)?;
             }
         }
         self.now_resident(out);
         Ok(())
     }
 
-    /// The per-item byte receipts (`"bytes"`) of a `kind` reply.
-    fn byte_receipts(host: usize, kind: &str, reply: &Reply) -> Result<Vec<u64>> {
-        if reply.kind() != Some(kind) {
-            return Err(ClusterError::Protocol(format!(
-                "host {host}: expected {kind}, got {:?}",
-                reply.kind()
-            )));
+    /// The one move exchange every tile move rides: each source host
+    /// gets its items as one `xfer` routing plan, and its worker installs
+    /// the items bound for its own host and pushes the rest to their
+    /// hosts' peers. Labelled `"xfer"` exactly when some item crosses
+    /// hosts; no items, no exchange. Returns the per-item source-byte
+    /// receipts in `hops` order, and rolls the per-edge receipts of the
+    /// peer pushes into `peer_bytes`.
+    fn route(
+        &mut self,
+        (rid_in, rid_out): (u64, u64),
+        transform: TileTransform,
+        hops: &[Hop],
+    ) -> Result<Vec<u64>> {
+        // Per source host: the indices of its items into `hops`, its plan.
+        let mut plans: BTreeMap<usize, (Vec<usize>, JsonArr)> = BTreeMap::new();
+        let mut crosses = false;
+        for (i, hop) in hops.iter().enumerate() {
+            let (sh, dh) = (self.assignment[hop.wi], self.assignment[hop.to]);
+            let mut item = JsonObj::new()
+                .u64("wi", hop.wi as u64)
+                .u64("wo", hop.wo as u64)
+                .u64("bi", hop.bi as u64)
+                .u64("bj", hop.bj as u64);
+            // Only an item that leaves its source's host names where to.
+            if sh != dh {
+                crosses = true;
+                item = item.u64("dh", dh as u64);
+            }
+            let (items, plan) = plans.entry(sh).or_default();
+            items.push(i);
+            *plan = std::mem::take(plan).raw(&item.build());
         }
-        wire::field_arr(&reply.head, "bytes")
-            .map_err(ClusterError::Protocol)?
-            .iter()
-            .map(|b| {
-                b.as_u64()
-                    .ok_or_else(|| ClusterError::Protocol(format!("bad {kind} byte count")))
-            })
-            .collect()
-    }
-
-    /// Roll an `xferred` reply's per-edge receipts into the stats and
-    /// return the per-item source-byte receipts.
-    fn take_xferred(&mut self, host: usize, reply: &Reply) -> Result<Vec<u64>> {
-        let bytes = Self::byte_receipts(host, "xferred", reply)?;
-        for edge in wire::field_arr(&reply.head, "edges").map_err(ClusterError::Protocol)? {
-            self.stats.peer_bytes += wire::field_u64(edge, "b").map_err(ClusterError::Protocol)?;
+        let tr = match transform {
+            TileTransform::None => "none",
+            TileTransform::Transpose => "transpose",
+        };
+        let mut order = Vec::with_capacity(plans.len());
+        let mut cmds = Vec::with_capacity(plans.len());
+        for (host, (items, plan)) in plans {
+            let cmd = JsonObj::new()
+                .str("t", "xfer")
+                .u64("rid_in", rid_in)
+                .u64("rid_out", rid_out)
+                .str("tr", tr)
+                .raw("items", &plan.build());
+            cmds.push((host, Outgoing::Json(cmd)));
+            order.push(items);
         }
-        Ok(bytes)
+        // By the time the replies are in, every peer push is acked.
+        let replies = self.exchange(if crosses { "xfer" } else { "move" }, cmds)?;
+        let mut receipts = vec![0; hops.len()];
+        for ((host, reply), items) in replies.into_iter().zip(order) {
+            if reply.kind() != Some("xferred") {
+                return Err(ClusterError::Protocol(format!(
+                    "host {host}: expected xferred, got {:?}",
+                    reply.kind()
+                )));
+            }
+            let bytes = wire::field_arr(&reply.head, "bytes").map_err(ClusterError::Protocol)?;
+            if bytes.len() != items.len() {
+                return Err(ClusterError::Protocol(
+                    "move receipt length mismatch".into(),
+                ));
+            }
+            for (i, b) in items.into_iter().zip(bytes) {
+                let bad = || ClusterError::Protocol("bad xferred byte count".into());
+                receipts[i] = b.as_u64().ok_or_else(bad)?;
+            }
+            for edge in wire::field_arr(&reply.head, "edges").map_err(ClusterError::Protocol)? {
+                self.stats.peer_bytes +=
+                    wire::field_u64(edge, "b").map_err(ClusterError::Protocol)?;
+            }
+        }
+        Ok(receipts)
     }
 }
 
@@ -926,16 +974,8 @@ impl Transport for SocketTransport {
                 cmds.push((*host, cmd));
             }
         }
-        let replies = self.exchange("install", cmds)?;
-        for reply in &replies {
-            // Hosts answer in command order; an err would have surfaced
-            // in recv already, this guards against type confusion.
-            if reply.kind() != Some("ok") {
-                return Err(ClusterError::Protocol(format!(
-                    "install: expected ok, got {:?}",
-                    reply.kind()
-                )));
-            }
+        for (host, reply) in self.exchange("install", cmds)? {
+            self.check_ok(host, &reply)?;
         }
         self.now_resident(m);
         self.stats.install_bytes += bytes;
@@ -952,71 +992,24 @@ impl Transport for SocketTransport {
     ) -> Result<u64> {
         self.op_tick();
         self.ensure_resident(src)?;
-        let tr_name = match transform {
-            TileTransform::None => "none",
-            TileTransform::Transpose => "transpose",
-        };
-        // Same-host moves run as worker-local copies; cross-host moves
-        // are pushed worker-to-worker via `xfer` routing plans. Either
-        // way the *logical* metering below is identical to the oracle's.
-        type Plans<'m> = BTreeMap<usize, (Vec<&'m MoveItem>, JsonArr)>;
-        let mut local: Plans = BTreeMap::new();
-        let mut xfer: Plans = BTreeMap::new();
-        for mv in moves {
-            let sh = self.assignment[mv.src_w];
-            let dh = self.assignment[mv.dest_w];
-            let item = JsonObj::new()
-                .u64("wi", mv.src_w as u64)
-                .u64("wo", mv.dest_w as u64)
-                .u64("bi", mv.bi as u64)
-                .u64("bj", mv.bj as u64);
-            let (plans, item) = if sh == dh {
-                (&mut local, item)
+        let hops: Vec<Hop> = moves
+            .iter()
+            .map(|mv| Hop {
+                wi: mv.src_w,
+                wo: mv.dest_w,
+                bi: mv.bi,
+                bj: mv.bj,
+                to: mv.dest_w,
+            })
+            .collect();
+        let receipts = self.route((src.rid(), dest.rid()), transform, &hops)?;
+        // The *logical* metering is the oracle's, wherever a tile went.
+        let (mut payload, mut free) = (0u64, 0u64);
+        for (mv, b) in moves.iter().zip(receipts) {
+            if mv.metered {
+                payload += b;
             } else {
-                (&mut xfer, item.u64("dh", dh as u64))
-            };
-            let entry = plans.entry(sh).or_default();
-            entry.0.push(mv);
-            entry.1 = std::mem::take(&mut entry.1).raw(&item.build());
-        }
-        // One exchange carries every local copy and every routing plan;
-        // by the time the replies are in, all peer pushes are acked.
-        let label = if xfer.is_empty() { "move" } else { "xfer" };
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-        let mut order: Vec<(Vec<&MoveItem>, bool)> = Vec::new();
-        for (plans, is_xfer) in [(local, false), (xfer, true)] {
-            for (host, (items, arr)) in plans {
-                let cmd = JsonObj::new()
-                    .str("t", if is_xfer { "xfer" } else { "copy" })
-                    .u64("rid_in", src.rid())
-                    .u64("rid_out", dest.rid())
-                    .str("tr", tr_name)
-                    .raw("items", &arr.build());
-                cmds.push((host, Outgoing::Json(cmd)));
-                order.push((items, is_xfer));
-            }
-        }
-        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-        let replies = self.exchange(label, cmds)?;
-        let mut payload = 0u64;
-        let mut free = 0u64;
-        for ((host, reply), (items, is_xfer)) in hosts.iter().zip(&replies).zip(&order) {
-            let bytes = if *is_xfer {
-                self.take_xferred(*host, reply)?
-            } else {
-                Self::byte_receipts(*host, "copied", reply)?
-            };
-            if bytes.len() != items.len() {
-                return Err(ClusterError::Protocol(
-                    "move receipt length mismatch".into(),
-                ));
-            }
-            for (mv, &b) in items.iter().zip(&bytes) {
-                if mv.metered {
-                    payload += b;
-                } else {
-                    free += b;
-                }
+                free += b;
             }
         }
         self.seal_check(op, dest)?;
@@ -1091,9 +1084,8 @@ impl Transport for SocketTransport {
                 ),
             ));
         }
-        let replies = self.exchange("cpmm1", cmds)?;
         let mut worker_descs: Vec<PartialDesc> = Vec::new();
-        for reply in &replies {
+        for (_, reply) in self.exchange("cpmm1", cmds)? {
             for d in wire::field_arr(&reply.head, "descs").map_err(ClusterError::Protocol)? {
                 let src_w = wire::field_usize(d, "w").map_err(ClusterError::Protocol)?;
                 let bi = wire::field_usize(d, "bi").map_err(ClusterError::Protocol)?;
@@ -1128,44 +1120,18 @@ impl Transport for SocketTransport {
         // Shuffle (one `xfer` round): cross-host partials go peer-to-peer
         // to the output owners, preserving their source identity (the
         // phase-2 combine is keyed by ascending source worker).
-        let mut per_src: BTreeMap<usize, JsonArr> = BTreeMap::new();
-        for p in partials {
-            let sh = self.assignment[p.src_w];
-            let dh = self.assignment[p.dest_w];
-            if sh != dh {
-                let arr = per_src.entry(sh).or_default();
-                *arr = std::mem::take(arr).raw(
-                    &JsonObj::new()
-                        .u64("wi", p.src_w as u64)
-                        .u64("wo", p.src_w as u64)
-                        .u64("bi", p.bi as u64)
-                        .u64("bj", p.bj as u64)
-                        .u64("dh", dh as u64)
-                        .build(),
-                );
-            }
-        }
-        let cmds: Vec<(usize, Outgoing)> = per_src
-            .into_iter()
-            .map(|(host, arr)| {
-                (
-                    host,
-                    Outgoing::Json(
-                        JsonObj::new()
-                            .str("t", "xfer")
-                            .u64("rid_in", stage)
-                            .u64("rid_out", stage)
-                            .str("tr", "none")
-                            .raw("items", &arr.build()),
-                    ),
-                )
+        let hops: Vec<Hop> = partials
+            .iter()
+            .filter(|p| self.assignment[p.src_w] != self.assignment[p.dest_w])
+            .map(|p| Hop {
+                wi: p.src_w,
+                wo: p.src_w,
+                bi: p.bi,
+                bj: p.bj,
+                to: p.dest_w,
             })
             .collect();
-        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-        let replies = self.exchange("xfer", cmds)?;
-        for (host, reply) in hosts.iter().zip(&replies) {
-            self.take_xferred(*host, reply)?;
-        }
+        self.route((stage, stage), TileTransform::None, &hops)?;
 
         // Phase 2 (one round): combine at the owners in ascending source
         // order, retire the staging shards, seal — chained per host.
@@ -1264,8 +1230,7 @@ impl Transport for SocketTransport {
                 ),
             ));
         }
-        let replies = self.exchange("reduce", cmds)?;
-        for reply in &replies {
+        for (_, reply) in self.exchange("reduce", cmds)? {
             for part in wire::field_arr(&reply.head, "parts").map_err(ClusterError::Protocol)? {
                 let w = wire::field_usize(part, "w").map_err(ClusterError::Protocol)?;
                 let x = wire::field_str(part, "x")
@@ -1309,9 +1274,8 @@ impl Transport for SocketTransport {
                 cmds.push((host, Outgoing::Json(free)));
             }
         }
-        let hosts: Vec<usize> = cmds.iter().map(|(h, _)| *h).collect();
-        for (host, reply) in hosts.iter().zip(self.exchange("free", cmds)?) {
-            self.check_ok(*host, &reply)?;
+        for (host, reply) in self.exchange("free", cmds)? {
+            self.check_ok(host, &reply)?;
         }
         Ok(dead.len())
     }
@@ -1351,10 +1315,9 @@ impl Transport for SocketTransport {
                 ),
             ));
         }
-        let replies = self.exchange("gather", cmds)?;
         let mut placed: Vec<(Option<usize>, usize, usize, Arc<Block>)> = Vec::new();
-        for reply in &replies {
-            for (w, bi, bj, block) in reply_tiles(reply).map_err(ClusterError::Protocol)? {
+        for (_, reply) in self.exchange("gather", cmds)? {
+            for (w, bi, bj, block) in reply_tiles(&reply).map_err(ClusterError::Protocol)? {
                 placed.push((Some(w), bi, bj, Arc::new(block)));
             }
         }
@@ -1390,17 +1353,8 @@ impl Transport for SocketTransport {
                             Ok(Some(raw)) => {
                                 self.stats.frames += 1;
                                 self.stats.frame_bytes += framed_len(raw.len());
-                                let head = if binfmt::is_binary(&raw) {
-                                    binfmt::decode(&raw)
-                                        .ok()
-                                        .and_then(|(h, _)| Json::parse(h).ok())
-                                } else {
-                                    std::str::from_utf8(&raw)
-                                        .ok()
-                                        .and_then(|t| Json::parse(t).ok())
-                                };
-                                match head {
-                                    Some(j) if j.get("t").and_then(Json::as_str) == Some("hb") => {
+                                match Reply::decode(&raw) {
+                                    Some(r) if r.kind() == Some("hb") => {
                                         conn.last_hb = Instant::now();
                                         self.stats.heartbeats += 1;
                                     }
@@ -1408,7 +1362,8 @@ impl Transport for SocketTransport {
                                     // awaiting: leftover from an exchange
                                     // aborted by another host's death.
                                     // Discard; the stream stays coherent.
-                                    Some(j) if j.get("q").and_then(Json::as_u64).is_some() => {}
+                                    Some(r) if r.head.get("q").and_then(Json::as_u64).is_some() => {
+                                    }
                                     // An unsolicited frame that is
                                     // neither means the stream is not in
                                     // a state we can reason about.

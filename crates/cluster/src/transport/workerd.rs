@@ -37,19 +37,21 @@
 //!
 //! ## Direct worker-to-worker exchange
 //!
-//! An `xfer` command is a routing plan: for each item the worker reads
-//! the source tile, applies the transform, and pushes it over a cached
-//! TCP connection straight to the destination host's peer listener —
-//! the coordinator never touches the bytes. The push is acknowledged
-//! (`{"t":"got"}`) only after the receiving side installed the tiles,
-//! and the worker replies `xferred` (with per-item source-byte receipts
-//! and per-edge frame stats) only after every push is acknowledged — so
-//! by the time the coordinator seals the destination value, all peer
-//! installs have happened-before the seal. Tiles are encoded *before*
-//! any push is sent and the store lock is released while awaiting acks,
-//! so two workers pushing to each other cannot deadlock. A dead peer
-//! surfaces as a `peerfail` reply naming the host, which the
-//! coordinator folds into its normal worker-loss path.
+//! An `xfer` command is a routing plan, and the one way a tile moves:
+//! for each item the worker reads the source tile and applies the
+//! transform. An item that names no destination host (`dh`) stays and
+//! is installed directly; the rest are pushed over cached TCP
+//! connections straight to their hosts' peer listeners — the coordinator
+//! never touches the bytes. A push is acknowledged (`{"t":"got"}`) only
+//! after the receiving side installed the tiles, and the worker replies
+//! `xferred` (per-item source-byte receipts in item order, per-edge frame
+//! stats for the pushed groups) only after every push is acknowledged —
+//! so by the time the coordinator seals the destination value, all
+//! installs have happened-before the seal. Local installs and the
+//! encoding of every push happen under one store lock, which is released
+//! while awaiting acks, so two workers pushing to each other cannot
+//! deadlock. A dead peer surfaces as a `peerfail` reply naming the host,
+//! which the coordinator folds into its normal worker-loss path.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{TcpListener, TcpStream};
@@ -351,7 +353,6 @@ impl Worker {
         match wire::field_str(cmd, "t")? {
             "peers" => self.peers(cmd),
             "install" => self.install(cmd, body),
-            "copy" => self.copy(cmd),
             "collect" => self.collect(cmd),
             "seal" => self.seal(cmd),
             "mm" => self.mm(cmd),
@@ -383,66 +384,53 @@ impl Worker {
         Ok(Reply::ok())
     }
 
-    fn copy(&mut self, cmd: &Json) -> Result<Reply, String> {
-        let rid_in = wire::field_u64(cmd, "rid_in")?;
-        let rid_out = wire::field_u64(cmd, "rid_out")?;
-        let tr = transform_of(cmd)?;
-        let items = wire::field_arr(cmd, "items")?;
-        let mut store = self.lock()?;
-        let mut copied: Vec<(usize, (usize, usize), Block, u64)> = Vec::with_capacity(items.len());
-        for item in items {
-            let wi = wire::field_usize(item, "wi")?;
-            let wo = wire::field_usize(item, "wo")?;
-            let bi = wire::field_usize(item, "bi")?;
-            let bj = wire::field_usize(item, "bj")?;
-            let src = tile_of(&store, self.host, rid_in, wi, bi, bj)?;
-            copied.push((
-                wo,
-                tr.dest_key(bi, bj),
-                tr.apply(src),
-                src.actual_bytes() as u64,
-            ));
-        }
-        let mut bytes = JsonArr::new();
-        for (wo, key, block, b) in copied {
-            store.entry((rid_out, wo)).or_default().insert(key, block);
-            bytes = bytes.u64(b);
-        }
-        Ok(Reply::Json(
-            JsonObj::new()
-                .str("t", "copied")
-                .raw("bytes", &bytes.build()),
-        ))
-    }
-
-    /// Execute a routing plan: push source tiles directly to their
-    /// destination hosts' peer listeners. Payloads are fully encoded
-    /// under the store lock, then pushed with the lock released —
-    /// symmetric xfers between two hosts must not deadlock on each
-    /// other's installs.
+    /// Execute a routing plan. Under the store lock, read every item's
+    /// source tile — a missing one is an error before anything is
+    /// installed — install the items bound for this host, and encode the
+    /// rest per destination host; then, with the lock released, push each
+    /// batch to its host's peer listener and await the acks. Symmetric
+    /// xfers between two hosts must not deadlock on each other's installs.
     fn xfer(&mut self, cmd: &Json) -> Result<Reply, String> {
         let rid_in = wire::field_u64(cmd, "rid_in")?;
         let rid_out = wire::field_u64(cmd, "rid_out")?;
         let tr = transform_of(cmd)?;
         let items = wire::field_arr(cmd, "items")?;
-        // (dest host) → encoded tiles, plus per-item source-byte receipts.
-        let mut bytes = Vec::with_capacity(items.len());
+        // Per-item source-byte receipts, this host's tiles, and the other
+        // hosts' tiles encoded per destination host.
+        let mut bytes = JsonArr::new();
+        let mut local = Vec::new();
         let mut groups: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
         {
-            let store = self.lock()?;
+            let mut store = self.lock()?;
             for item in items {
                 let wi = wire::field_usize(item, "wi")?;
                 let wo = wire::field_usize(item, "wo")?;
                 let bi = wire::field_usize(item, "bi")?;
                 let bj = wire::field_usize(item, "bj")?;
-                let dh = wire::field_usize(item, "dh")?;
+                // An item names a destination host (`dh`) only to leave
+                // this one; naming this one is refused, not a second
+                // spelling of staying.
+                let dh = item
+                    .get("dh")
+                    .map(|_| wire::field_usize(item, "dh"))
+                    .transpose()?;
+                if dh == Some(self.host) {
+                    return Err(format!("xfer item names its own host {} as dh", self.host));
+                }
                 let src = tile_of(&store, self.host, rid_in, wi, bi, bj)?;
-                bytes.push(src.actual_bytes() as u64);
+                bytes = bytes.u64(src.actual_bytes() as u64);
                 let (di, dj) = tr.dest_key(bi, bj);
+                let Some(dh) = dh else {
+                    local.push((wo, (di, dj), tr.apply(src)));
+                    continue;
+                };
                 let buf = groups.entry(dh).or_insert_with(|| vec![0u8; 4]);
                 binfmt::push_tile(buf, wo, di, dj, &tr.apply(src));
                 let n = u32::from_le_bytes(buf[..4].try_into().unwrap()) + 1;
                 buf[..4].copy_from_slice(&n.to_le_bytes());
+            }
+            for (wo, at, tile) in local {
+                store.entry((rid_out, wo)).or_default().insert(at, tile);
             }
         }
         // Lock released: push each destination's batch and await acks.
@@ -469,14 +457,10 @@ impl Worker {
                 }
             }
         }
-        let mut bytes_arr = JsonArr::new();
-        for b in bytes {
-            bytes_arr = bytes_arr.u64(b);
-        }
         Ok(Reply::Json(
             JsonObj::new()
                 .str("t", "xferred")
-                .raw("bytes", &bytes_arr.build())
+                .raw("bytes", &bytes.build())
                 .raw("edges", &edges.build()),
         ))
     }
@@ -1053,5 +1037,123 @@ mod tests {
         let push = binfmt::encode(r#"{"t":"push","rid":8}"#, &body);
         install_push(&push, &w.store).unwrap();
         assert_eq!(w.store.lock().unwrap().len(), 2);
+    }
+
+    /// A worker (host 0) holding two tiles of rid 1 on logical worker 0:
+    /// `(0,0)` is 1×1, `(0,1)` is 2×3 — different sizes, so receipts show
+    /// their order.
+    fn holder() -> Worker {
+        let w = worker();
+        let small = Block::Dense(DenseBlock::from_vec(1, 1, vec![1.0]).unwrap());
+        let wide = Block::Dense(DenseBlock::from_fn(2, 3, |i, j| (i * 3 + j) as f64));
+        let shard = BTreeMap::from([((0, 0), small), ((0, 1), wide)]);
+        w.store.lock().unwrap().insert((1, 0), shard);
+        w
+    }
+
+    /// An `xfer` of rid 1 → rid 2 transposing, items `(wi, wo, bi, bj,
+    /// dh)`; `None` names no destination host: the item stays.
+    fn xfer_of(items: &[(usize, usize, usize, usize, Option<usize>)]) -> String {
+        let mut arr = JsonArr::new();
+        for &(wi, wo, bi, bj, dh) in items {
+            let item = JsonObj::new().u64("wi", wi as u64).u64("wo", wo as u64);
+            let item = item.u64("bi", bi as u64).u64("bj", bj as u64);
+            let item = match dh {
+                Some(dh) => item.u64("dh", dh as u64),
+                None => item,
+            };
+            arr = arr.raw(&item.build());
+        }
+        let cmd = JsonObj::new()
+            .str("t", "xfer")
+            .u64("rid_in", 1)
+            .u64("rid_out", 2);
+        cmd.str("tr", "transpose")
+            .raw("items", &arr.build())
+            .build()
+    }
+
+    /// The `xferred` reply's per-item receipts and per-edge hosts.
+    fn xferred(reply: Reply) -> (Vec<u64>, Vec<u64>) {
+        let Reply::Json(obj) = reply else {
+            panic!("xferred is a JSON reply")
+        };
+        let j = Json::parse(&obj.build()).unwrap();
+        assert_eq!(wire::field_str(&j, "t"), Ok("xferred"));
+        let bytes = wire::field_arr(&j, "bytes").unwrap().iter();
+        let edges = wire::field_arr(&j, "edges").unwrap().iter();
+        (
+            bytes.map(|b| b.as_u64().unwrap()).collect(),
+            edges.map(|e| wire::field_u64(e, "h").unwrap()).collect(),
+        )
+    }
+
+    /// What `store` holds of rid 2: `(worker, key)` → the tile's bits.
+    fn landed(store: &Mutex<Store>) -> BTreeMap<(usize, (usize, usize)), Vec<u64>> {
+        let store = store.lock().unwrap();
+        let shards = store.iter().filter(|((rid, _), _)| *rid == 2);
+        let tiles = shards.flat_map(|(&(_, w), s)| s.iter().map(move |(&k, t)| ((w, k), t)));
+        let bits = |t: &Block| t.to_dense().data().iter().map(|x| x.to_bits()).collect();
+        tiles.map(|(at, t)| (at, bits(t))).collect()
+    }
+
+    /// A routing plan whose items all stay on this host is installed on
+    /// the spot, transformed, with receipts in item order, no edges, and no
+    /// peer connection opened. An item naming this host as `dh` is
+    /// refused: staying has one spelling.
+    #[test]
+    fn xfer_installs_the_items_bound_for_its_own_host() {
+        let mut w = holder();
+        let (small, wide) = (8, 48);
+        let err = run(&mut w, &xfer_of(&[(0, 1, 0, 1, Some(0))]))
+            .err()
+            .unwrap();
+        assert!(err.contains("names its own host 0"), "{err}");
+        let reply = run(&mut w, &xfer_of(&[(0, 1, 0, 1, None), (0, 0, 0, 0, None)])).unwrap();
+        assert_eq!(xferred(reply), (vec![wide, small], vec![]));
+        let got = landed(&w.store);
+        let want = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.keys().collect::<Vec<_>>(), [&(0, (0, 0)), &(1, (1, 0))]);
+        assert_eq!(got[&(1, (1, 0))], want(&[0.0, 3.0, 1.0, 4.0, 2.0, 5.0]));
+        assert!(w.peer_conns.is_empty(), "nothing was pushed");
+    }
+
+    /// A mixed plan: the local item lands here, the other is pushed to
+    /// host 1's peer listener, which installs it before acking — and the
+    /// one edge is host 1's.
+    #[test]
+    fn xfer_installs_local_items_and_pushes_the_rest() {
+        let mut w = holder();
+        let peer: Arc<Mutex<Store>> = Arc::default();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        w.peers = vec![String::new(), listener.local_addr().unwrap().to_string()];
+        let store = Arc::clone(&peer);
+        std::thread::spawn(move || peer_serve(listener.accept().unwrap().0, store));
+
+        let reply = run(
+            &mut w,
+            &xfer_of(&[(0, 0, 0, 0, Some(1)), (0, 1, 0, 1, None)]),
+        )
+        .unwrap();
+        assert_eq!(xferred(reply), (vec![8, 48], vec![1]));
+        let here: Vec<_> = landed(&w.store).into_keys().collect();
+        let there: Vec<_> = landed(&peer).into_keys().collect();
+        assert_eq!((here, there), (vec![(1, (1, 0))], vec![(0, (0, 0))]));
+    }
+
+    /// An item naming a tile the host does not hold is an `err` reply,
+    /// and nothing of the plan — local or remote — moved.
+    #[test]
+    fn xfer_of_a_missing_tile_is_an_error_that_installs_nothing() {
+        let mut w = holder();
+        let plan = xfer_of(&[
+            (0, 0, 0, 0, None),
+            (0, 1, 0, 1, Some(1)),
+            (0, 0, 1, 1, None),
+        ]);
+        let err = run(&mut w, &plan).err().expect("a missing tile is refused");
+        assert!(err.contains("missing tile rid=1 w=0 (1,1)"), "{err}");
+        assert!(landed(&w.store).is_empty());
+        assert!(w.peer_conns.is_empty());
     }
 }

@@ -53,13 +53,15 @@
 //!   a *conflict* (its effect would depend on scheduling order, which
 //!   would break replay determinism).
 //!
-//! All operations go through a `Mutex`; the store is cheap to clone
-//! (`Arc`) and is shared between a service's sessions.
+//! All operations go through a `Mutex`, which a panic under it leaves in
+//! service (the panic leaves the store where an error would have); the
+//! store is cheap to clone (`Arc`) and is shared between a service's
+//! sessions.
 
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dmac_cluster::{DistMatrix, FaultPlan, PartitionScheme};
 
@@ -361,9 +363,14 @@ impl SharedStore {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A poisoned store mutex means a panic mid-update; propagating the
-        // panic is the only sound option for a store meant to be shared.
-        self.inner.lock().expect("matrix store poisoned")
+        // A poisoned store mutex means a panic under the lock, and what can
+        // panic there is the work an error can also interrupt — encoding,
+        // decoding, disk I/O — which every update finishes before it
+        // commits (`spill` swaps to a stub after `persist`, `read` installs
+        // after the decode). So the panic left the store where that error
+        // would have, a state it already recovers from: keep serving it,
+        // rather than turn one panic into one in every sharing thread.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The attached disk tier, if any (the service layer uses it to
@@ -840,6 +847,28 @@ mod tests {
         assert_eq!(s.stats().conflicts, 1);
         s.release_writes(1);
         s.claim_writes(&["H".to_string()], 2).unwrap();
+    }
+
+    /// A thread that dies holding the lock — here partway through a
+    /// request's claims — takes nothing else down: the claim is released,
+    /// and every later call is served as before.
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_store_in_service() {
+        let s = SharedStore::new();
+        s.insert("A", dist(8, 8)).unwrap();
+        let held = s.clone();
+        let died = std::thread::spawn(move || {
+            let mut g = held.lock();
+            g.claims.insert("W".into(), 7);
+            panic!("dies holding the store");
+        });
+        assert!(died.join().is_err());
+        assert!(s.inner.is_poisoned());
+        s.release_writes(7);
+        s.claim_writes(&["W".to_string()], 8).unwrap();
+        assert_eq!(bits(&s.get("A").unwrap()), bits(&dist(8, 8)));
+        s.insert("B", dist(8, 8)).unwrap();
+        assert_eq!((s.stats().entries, s.stats().conflicts), (2, 0));
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub enum AggregationMode {
 
 /// The In-Place tile fold of Figure 4 — the one place a result tile's
 /// block products are accumulated, for every executor in the workspace
-/// (this crate's [`LocalExecutor`], the simulated cluster's RMM / CPMM /
-/// SUMMA, and the `dmac-workerd` daemon).
+/// (this crate's [`LocalExecutor`], the simulated cluster's RMM / CPMM,
+/// and the `dmac-workerd` daemon).
 ///
 /// Folds `Σ_k A[·,k]·B[k,·]` into one accumulator acquired from `pool`,
 /// visiting `ks` in the order given (callers pass ascending `k`, which

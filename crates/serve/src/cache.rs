@@ -26,6 +26,8 @@ use dmac_core::SharedStore;
 use dmac_lang::program::MatrixOrigin;
 use dmac_lang::Program;
 
+use crate::lock;
+
 /// Composite cache key for `program` given the load-input schemes and
 /// density classes currently in `store`. Unbound loads (and entries
 /// whose density is unknown, e.g. disk stubs after a restart) key the
@@ -102,7 +104,7 @@ impl PlanCache {
 
     /// Look up a prepared plan, counting a hit or a miss.
     pub fn lookup(&self, key: &str) -> Option<Arc<PreparedProgram>> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = lock(&self.inner);
         g.tick += 1;
         let tick = g.tick;
         let hit = match g.map.get_mut(key) {
@@ -126,7 +128,7 @@ impl PlanCache {
         if self.capacity == 0 {
             return;
         }
-        let mut g = self.inner.lock().unwrap();
+        let mut g = lock(&self.inner);
         g.tick += 1;
         let tick = g.tick;
         g.map.insert(key, (prep, tick));
@@ -150,12 +152,12 @@ impl PlanCache {
 
     /// Drop a cached plan (used when a cached plan turns out stale).
     pub fn invalidate(&self, key: &str) {
-        self.inner.lock().unwrap().map.remove(key);
+        lock(&self.inner).map.remove(key);
     }
 
     /// Snapshot the counters.
     pub fn stats(&self) -> CacheStats {
-        let g = self.inner.lock().unwrap();
+        let g = lock(&self.inner);
         CacheStats {
             hits: g.hits,
             misses: g.misses,

@@ -32,3 +32,21 @@ pub use client::{Client, ClientError};
 pub use jsonin::Json;
 pub use protocol::{ProgramResult, Request, Response};
 pub use server::{Server, ServerConfig};
+
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Lock `m` whether or not a thread panicked holding it. A job that
+/// panics is cleaned up by its executor (see [`server`]), so one panic
+/// must not turn every later `lock` of the state it touched into another.
+/// Sound because every update this crate makes under such a lock leaves
+/// the data valid at each step — a counter bump, one queue or map
+/// operation. A `Session`'s own lock is not taken through it: a session
+/// a panic interrupted is replaced, never handed out again.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] on a guard taken with [`lock`], as tolerant as it.
+pub(crate) fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(g).unwrap_or_else(PoisonError::into_inner)
+}

@@ -13,6 +13,9 @@
 //! * A fixed **executor pool** pops admitted jobs and runs them. The
 //!   worker that finishes a job writes the response directly to the
 //!   client socket (a per-connection write mutex keeps frames intact).
+//!   A job whose body panics ends like a failed one (writes released,
+//!   out of the running set, a typed `exec` error) and its session, its
+//!   state unknown, is replaced; the executor carries on.
 //!
 //! # Determinism under concurrency
 //!
@@ -47,6 +50,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -61,6 +65,7 @@ use dmac_lang::Program;
 
 use crate::cache::{cache_key, PlanCache};
 use crate::protocol::{self, code, read_frame, write_frame, Request};
+use crate::{lock, wait};
 
 /// Everything tunable about a server.
 #[derive(Debug, Clone)]
@@ -189,14 +194,18 @@ struct State {
     /// `Conformance::to_json` rows of the most recently completed run.
     last_conformance: Mutex<Option<String>>,
     started: Instant,
+    /// Test hook, read under `cfg!(test)` only: the next job panics.
+    panic_next_job: AtomicBool,
 }
 
 const RECENT_CAP: usize = 64;
 
 impl State {
+    /// `id`'s session, built on first use. One whose lock a panic
+    /// poisoned is in an unknown state: it is replaced, never handed out.
     fn session(&self, id: &str) -> Result<Arc<Mutex<Session>>, CoreError> {
-        let mut g = self.sessions.lock().unwrap();
-        if let Some(s) = g.get(id) {
+        let mut g = lock(&self.sessions);
+        if let Some(s) = g.get(id).filter(|s| !s.is_poisoned()) {
             return Ok(Arc::clone(s));
         }
         let mut b = Session::builder()
@@ -216,7 +225,7 @@ impl State {
     }
 
     fn push_recent(&self, entry: String) {
-        let mut g = self.recent.lock().unwrap();
+        let mut g = lock(&self.recent);
         if g.len() == RECENT_CAP {
             g.pop_front();
         }
@@ -289,6 +298,7 @@ impl Server {
             last_report: Mutex::new(None),
             last_conformance: Mutex::new(None),
             started: Instant::now(),
+            panic_next_job: AtomicBool::new(false),
             cfg,
         });
 
@@ -326,7 +336,7 @@ fn begin_shutdown(state: &State) {
     // Flag flips under the queue lock: admission re-checks it under
     // the same lock, so once the drain loop sees an empty queue no
     // further job can slip in.
-    let _g = state.queue.lock().unwrap();
+    let _g = lock(&state.queue);
     state.shutting_down.store(true, Ordering::SeqCst);
     state.queue_cv.notify_all();
 }
@@ -357,7 +367,7 @@ fn accept_loop(listener: TcpListener, state: Arc<State>) {
                 };
                 let s = Arc::clone(&state);
                 let out = Arc::new(Mutex::new(stream));
-                let keep = out.lock().unwrap().try_clone();
+                let keep = lock(&out).try_clone();
                 let h = std::thread::Builder::new()
                     .name("dmac-serve-conn".into())
                     .spawn(move || connection_loop(reader, out, s))
@@ -375,9 +385,9 @@ fn accept_loop(listener: TcpListener, state: Arc<State>) {
 
     // Drain: wait until nothing is queued or running.
     {
-        let mut q = state.queue.lock().unwrap();
+        let mut q = lock(&state.queue);
         while !(q.jobs.is_empty() && q.running.is_empty()) {
-            q = state.queue_cv.wait(q).unwrap();
+            q = wait(&state.queue_cv, q);
         }
         state.queue_cv.notify_all(); // wake executors so they can exit
     }
@@ -399,7 +409,7 @@ fn accept_loop(listener: TcpListener, state: Arc<State>) {
 fn executor_loop(state: Arc<State>) {
     loop {
         let job = {
-            let mut q = state.queue.lock().unwrap();
+            let mut q = lock(&state.queue);
             loop {
                 if let Some(idx) = runnable_index(&q) {
                     let job = q.jobs.remove(idx).unwrap();
@@ -412,13 +422,24 @@ fn executor_loop(state: Arc<State>) {
                 {
                     return;
                 }
-                q = state.queue_cv.wait(q).unwrap();
+                q = wait(&state.queue_cv, q);
             }
         };
-        execute_job(&state, &job);
-        let mut q = state.queue.lock().unwrap();
-        q.running.retain(|(id, _)| *id != job.id);
-        state.queue_cv.notify_all();
+        let _running = Running(&state, job.id);
+        if catch_unwind(AssertUnwindSafe(|| execute_job(&state, &job))).is_err() {
+            abandon_job(&state, &job);
+        }
+    }
+}
+
+/// Takes its job out of the running set when dropped: on every way out
+/// of the executor's turn, an unwinding one included.
+struct Running<'a>(&'a State, u64);
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.queue).running.retain(|(id, _)| *id != self.1);
+        self.0.queue_cv.notify_all();
     }
 }
 
@@ -442,9 +463,7 @@ fn runnable_index(q: &Queue) -> Option<usize> {
 }
 
 fn send(out: &Arc<Mutex<TcpStream>>, payload: &str) {
-    if let Ok(mut s) = out.lock() {
-        let _ = write_frame(&mut *s, payload);
-    }
+    let _ = write_frame(&mut *lock(out), payload);
 }
 
 /// Encode diagnostics for the wire.
@@ -502,7 +521,7 @@ fn over_budget(state: &State, prep: &dmac_core::session::PreparedProgram) -> Opt
 /// Typed memory rejection (mirrors the deadline reject path).
 fn reject_memory(state: &State, job: &Job, fp: u64, plan_cached: bool, peak: u64, cap: u64) {
     state.store.release_writes(job.id);
-    state.counters.lock().unwrap().rejected_memory += 1;
+    lock(&state.counters).rejected_memory += 1;
     state.push_recent(recent_entry(
         job.id,
         &job.session,
@@ -531,7 +550,7 @@ fn execute_job(state: &State, job: &Job) {
             // recovery machinery reports through CoreError too), with
             // its own code so clients can tell timeout from failure.
             state.store.release_writes(job.id);
-            state.counters.lock().unwrap().rejected_deadline += 1;
+            lock(&state.counters).rejected_deadline += 1;
             state.push_recent(recent_entry(job.id, &job.session, fp, false, "deadline"));
             send(
                 &job.out,
@@ -547,11 +566,18 @@ fn execute_job(state: &State, job: &Job) {
     let session = match state.session(&job.session) {
         Ok(s) => s,
         Err(e) => {
-            finish_err(state, job, fp, &e);
+            finish_err(state, job, fp, err_code(&e), &e.to_string());
             return;
         }
     };
-    let mut sess = session.lock().unwrap();
+    let Ok(mut sess) = session.lock() else {
+        let message = format!("request {}: its session was lost to a panic", job.id);
+        finish_err(state, job, fp, code::EXEC, &message);
+        return;
+    };
+    if cfg!(test) && state.panic_next_job.swap(false, Ordering::SeqCst) {
+        panic!("request {}: injected panic", job.id);
+    }
 
     let key = cache_key(&job.program, sess.shared_store());
     // One plan-or-replan path, walked at most twice: the cached plan, or
@@ -594,7 +620,7 @@ fn execute_job(state: &State, job: &Job) {
     let (prep, plan_cached, report) = match outcome {
         Ok(done) => done,
         Err(e) => {
-            finish_err(state, job, fp, &e);
+            finish_err(state, job, fp, err_code(&e), &e.to_string());
             return;
         }
     };
@@ -602,14 +628,14 @@ fn execute_job(state: &State, job: &Job) {
     let report_json = report.to_json();
     let conf = arr_of(report.trace.conformance().iter().map(|c| c.to_json()));
     let golden = fnv1a(&report.trace.golden_summary());
-    *state.last_report.lock().unwrap() = Some(report_json.clone());
-    *state.last_conformance.lock().unwrap() = Some(conf);
+    *lock(&state.last_report) = Some(report_json.clone());
+    *lock(&state.last_conformance) = Some(conf);
 
     state.store.release_writes(job.id);
     if !job.store_names.is_empty() {
         checkpoint_store(state);
     }
-    state.counters.lock().unwrap().completed += 1;
+    lock(&state.counters).completed += 1;
     state.push_recent(recent_entry(job.id, &job.session, fp, plan_cached, "ok"));
     send(
         &job.out,
@@ -659,14 +685,19 @@ fn checkpoint_store(state: &State) {
     }
 }
 
-fn finish_err(state: &State, job: &Job, fp: u64, e: &CoreError) {
+fn finish_err(state: &State, job: &Job, fp: u64, code: &str, message: &str) {
     state.store.release_writes(job.id);
-    state.counters.lock().unwrap().exec_errors += 1;
+    lock(&state.counters).exec_errors += 1;
     state.push_recent(recent_entry(job.id, &job.session, fp, false, "error"));
-    send(
-        &job.out,
-        &protocol::encode_error(err_code(e), &e.to_string()),
-    );
+    send(&job.out, &protocol::encode_error(code, message));
+}
+
+/// A job whose body panicked ends as a failed one. Its session goes: what
+/// state the panic left it in is unknown, so the next job builds a fresh one.
+fn abandon_job(state: &State, job: &Job) {
+    lock(&state.sessions).remove(&job.session);
+    let message = format!("request {}: execution panicked", job.id);
+    finish_err(state, job, job.program.fingerprint(), code::EXEC, &message);
 }
 
 fn connection_loop(mut reader: TcpStream, out: Arc<Mutex<TcpStream>>, state: Arc<State>) {
@@ -699,16 +730,14 @@ fn connection_loop(mut reader: TcpStream, out: Arc<Mutex<TcpStream>>, state: Arc
                     }
                     (Some(parsed), false) => match state.session(&session) {
                         Err(e) => protocol::encode_error(err_code(&e), &e.to_string()),
-                        Ok(sess) => {
-                            let sess = sess.lock().unwrap();
-                            match sess.explain(&parsed.program) {
-                                // Warnings and infos ride along with the plan.
-                                Ok(text) => {
-                                    protocol::encode_explain(&text, &diag_json(&report.diagnostics))
-                                }
-                                Err(e) => protocol::encode_error(err_code(&e), &e.to_string()),
+                        Ok(sess) => match sess.lock().map(|s| s.explain(&parsed.program)) {
+                            // Warnings and infos ride along with the plan.
+                            Ok(Ok(text)) => {
+                                protocol::encode_explain(&text, &diag_json(&report.diagnostics))
                             }
-                        }
+                            Ok(Err(e)) => protocol::encode_error(err_code(&e), &e.to_string()),
+                            Err(_) => protocol::encode_error(code::EXEC, "session lost to a panic"),
+                        },
                     },
                 };
                 send(&out, &resp);
@@ -763,7 +792,7 @@ fn handle_submit(
     let report = lint_script(script);
     let parsed = match (report.parsed, report.diagnostics) {
         (None, diags) => {
-            state.counters.lock().unwrap().rejected_parse += 1;
+            lock(&state.counters).rejected_parse += 1;
             send(
                 out,
                 &protocol::encode_error(code::PARSE, &lint_summary(&diags)),
@@ -771,7 +800,7 @@ fn handle_submit(
             return;
         }
         (Some(_), diags) if dmac_analyze::has_errors(&diags) => {
-            state.counters.lock().unwrap().rejected_lint += 1;
+            lock(&state.counters).rejected_lint += 1;
             send(
                 out,
                 &protocol::encode_error(code::LINT, &lint_summary(&diags)),
@@ -802,7 +831,7 @@ fn handle_submit(
     names.insert(format!("\nsession:{session}"));
 
     if let Err(e) = state.store.claim_writes(&store_names, id) {
-        state.counters.lock().unwrap().rejected_conflict += 1;
+        lock(&state.counters).rejected_conflict += 1;
         send(out, &protocol::encode_error(code::CONFLICT, &e.to_string()));
         return;
     }
@@ -819,11 +848,11 @@ fn handle_submit(
         out: Arc::clone(out),
     };
 
-    let mut q = state.queue.lock().unwrap();
+    let mut q = lock(&state.queue);
     if state.shutting_down.load(Ordering::SeqCst) {
         drop(q);
         state.store.release_writes(id);
-        state.counters.lock().unwrap().rejected_shutdown += 1;
+        lock(&state.counters).rejected_shutdown += 1;
         send(
             out,
             &protocol::encode_error(code::SHUTTING_DOWN, "server is draining"),
@@ -834,7 +863,7 @@ fn handle_submit(
         let depth = q.jobs.len();
         drop(q);
         state.store.release_writes(id);
-        state.counters.lock().unwrap().rejected_busy += 1;
+        lock(&state.counters).rejected_busy += 1;
         send(
             out,
             &protocol::encode_error(code::BUSY, &format!("queue full ({depth} queued)")),
@@ -844,34 +873,26 @@ fn handle_submit(
     q.jobs.push_back(job);
     state.queue_cv.notify_all();
     drop(q);
-    state.counters.lock().unwrap().submitted += 1;
+    lock(&state.counters).submitted += 1;
 }
 
 fn stats_json(state: &State) -> String {
     let (depth, active) = {
-        let q = state.queue.lock().unwrap();
+        let q = lock(&state.queue);
         (q.jobs.len(), q.running.len())
     };
-    let c = *state.counters.lock().unwrap();
+    let c = *lock(&state.counters);
     let cache = state.cache.stats();
     let store = state.store.stats();
-    let sessions = state.sessions.lock().unwrap().len();
+    let sessions = lock(&state.sessions).len();
     let recent = {
-        let g = state.recent.lock().unwrap();
+        let g = lock(&state.recent);
         arr_of(g.iter().cloned())
     };
-    let last_report = state
-        .last_report
-        .lock()
-        .unwrap()
-        .clone()
-        .unwrap_or_else(|| "null".into());
-    let last_conf = state
-        .last_conformance
-        .lock()
-        .unwrap()
-        .clone()
-        .unwrap_or_else(|| "null".into());
+    let last_report = lock(&state.last_report).clone();
+    let last_report = last_report.unwrap_or_else(|| "null".into());
+    let last_conf = lock(&state.last_conformance).clone();
+    let last_conf = last_conf.unwrap_or_else(|| "null".into());
 
     let counters = JsonObj::new()
         .u64("submitted", c.submitted)
@@ -960,4 +981,58 @@ fn stats_json(state: &State) -> String {
         .raw("last_report", &last_report)
         .raw("last_conformance", &last_conf)
         .build()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, ClientError};
+    use crate::jsonin::Json;
+
+    /// A job whose body panics wedges nothing: its client gets a typed
+    /// `exec` error, `stats` still answers and counts it, the next job on
+    /// the same names — in the same session — runs, and `shutdown` drains.
+    /// The conversation runs on its own thread, so a server that wedges
+    /// fails the test at the deadline instead of hanging it.
+    #[test]
+    fn a_panicking_job_wedges_nothing() {
+        let cfg = ServerConfig {
+            pool: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(cfg).expect("server starts");
+        server.state.panic_next_job.store(true, Ordering::SeqCst);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(server.addr()).unwrap();
+            let script = "B = random(B, 32, 32)\nC = B %*% B\nstore(C)\n";
+            match client.submit("s", script, None) {
+                Err(ClientError::Server {
+                    code: kind,
+                    message,
+                }) => {
+                    assert_eq!(kind, code::EXEC);
+                    assert!(message.contains("execution panicked"), "{message}");
+                }
+                other => panic!("a panicking job must answer a typed error: {other:?}"),
+            }
+            let stats = client.stats().expect("stats answers after a panic");
+            let field = |path: &[&str]| {
+                let leaf = path.iter().try_fold(&stats, |j, name| j.get(name));
+                leaf.and_then(Json::as_u64)
+            };
+            assert_eq!(field(&["counters", "exec_errors"]), Some(1));
+            assert_eq!(field(&["sessions"]), Some(0), "its session was dropped");
+
+            // Same session, same names: runnable only if the panicked job
+            // left the running set.
+            let done = client.submit("s", script, None).expect("the next job runs");
+            assert_eq!(done.stored, ["C"]);
+            client.shutdown().unwrap();
+            server.wait();
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("answered, ran the next job and drained");
+    }
 }

@@ -23,15 +23,15 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one tile move)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
 # The simulator and the daemon run one multiply stage (kernels.rs'
 # MulStage: each operand shard resolved once, every task folded against
 # it): no second caller of the fold under crates/cluster/src, so no
-# per-term tile lookup beside it. No exception is listed: twod.rs' SUMMA
-# is a MulStage over all of A and B. (`.fold_tile(` is ReduceKind's.)
+# per-term tile lookup beside it. No exception is listed. (`.fold_tile(`
+# is ReduceKind's.)
 if find crates/cluster/src -name '*.rs' ! -name kernels.rs -exec awk \
     '/#\[cfg\(test\)\]/ { nextfile }
      /(^|[^.[:alnum:]_])(fold_tile|matmul_tile)\(/ && !/fn (fold_tile|matmul_tile)\(/ {
@@ -84,6 +84,17 @@ awk '/#\[cfg\(test\)\]/ { exit }
      END { if (list != 0 || sweep != 1) {
                print FILENAME ": `displaced` in code x" list+0 ", cluster.retain( x" sweep+0 " (want 0, 1)"
                exit 1 } }' crates/core/src/session.rs
+# The cluster meters only bytes a primitive moves (Cluster::send) and
+# records spans in finish_op / charge_recovery: no side door charges
+# modelled traffic. And a tile moves one way: a worker's `xfer` installs
+# what stays on its host and pushes the rest, so no `copy` command sits
+# beside it, and socket.rs builds every move exchange in one place.
+if grep -rnE 'record_span\(|charge_comm\(|"t", "copy"|fn copy\(' crates src; then exit 1; fi
+awk '/#\[cfg\(test\)\]/ { exit }
+     /"t", "xfer"/ { xfer++ }
+     END { if (xfer != 1) {
+               print FILENAME ": \"t\", \"xfer\" x" xfer+0 " (want 1)"
+               exit 1 } }' crates/cluster/src/transport/socket.rs
 
 echo "==> cargo test (workspace)"
 # Includes what used to be separate gates: the lint + plan-verifier sweep

@@ -444,6 +444,7 @@ fn mutated_commands_fail_typed() {
         r#"{"t":"install","rid":"00000000000000ff","tiles":["0_1_x"],"n":3}"#,
         r#"{"t":"mm","rows":7,"cols":8,"block":3,"rid_a":1,"rid_b":2,"rid_out":3,"kb":4,"tasks":[{"w":0,"bi":2,"bj":0},{"w":1,"bi":0,"bj":1}]}"#,
         r#"{"t":"cpmm1","rows":7,"cols":8,"block":3,"rid_a":4,"rid_b":5,"stage":1099511627776,"n":2,"kb":4,"ws":[0,1]}"#,
+        r#"{"t":"xfer","rid_in":6,"rid_out":7,"tr":"transpose","items":[{"wi":0,"wo":1,"bi":0,"bj":1},{"wi":1,"wo":1,"bi":2,"bj":0}]}"#,
     ];
     let mut rng = SplitMix64::new(0xF4A3_0007);
     for base in commands {

@@ -28,7 +28,10 @@
 use dmac::apps::{
     CollaborativeFiltering, Gnmf, LinearRegression, PageRank, SvdLanczos, TriangleCount,
 };
-use dmac::cluster::{DistMatrix, KillAt, PartitionScheme, SocketOptions};
+use dmac::cluster::{
+    Cluster, ClusterConfig, DistMatrix, KillAt, PartitionScheme, SocketOptions, SocketTransport,
+    TransportStats,
+};
 use dmac::core::baselines::SystemKind;
 use dmac::core::engine::ExecReport;
 use dmac::core::session::SessionBuilder;
@@ -282,6 +285,47 @@ fn lone_sparse_operators_are_byte_exact_on_sockets() {
         }
         (report, vec![sum, half], vec![])
     });
+}
+
+/// One routing command per source host. In a broadcast on 4 hosts every
+/// host keeps its own tiles *and* pushes them to the other three: one
+/// `xfer` each, which installs the first and pushes the rest. Once the
+/// source is resident that is one move exchange and one seal — 2 rounds,
+/// 4 commands + 4 replies each: 16 frames besides heartbeats.
+#[test]
+fn a_broadcast_is_one_routing_command_per_source_host() {
+    let sockets = SocketTransport::launch(4, SocketOptions::default())
+        .expect("4 worker processes must launch");
+    let config = ClusterConfig {
+        workers: 4,
+        local_threads: 1,
+        ..ClusterConfig::default()
+    };
+    let mut cl = Cluster::with_transport(config, Box::new(sockets));
+    let m = BlockedMatrix::from_fn(32, 16, BLOCK, |i, j| (i * 16 + j) as f64).unwrap();
+    let rows = cl.load(&m, PartitionScheme::Row);
+    assert!((0..4).all(|w| !rows.worker_blocks(w).is_empty()));
+    // The first broadcast installs `rows` on the workers.
+    cl.broadcast(&rows, "install").unwrap();
+
+    let frames = |s: TransportStats| s.frames - s.heartbeats;
+    let before = cl.transport_stats();
+    let everywhere = cl.broadcast(&rows, "resident").unwrap();
+    let after = cl.transport_stats();
+    assert_eq!(
+        after.rounds - before.rounds,
+        2,
+        "one move exchange, one seal"
+    );
+    assert_eq!(
+        frames(after) - frames(before),
+        16,
+        "one xfer per source host"
+    );
+    assert!(after.peer_bytes > before.peer_bytes);
+    let physical = cl.gather_physical(&everywhere).unwrap().expect("socket");
+    assert_eq!(bits(&physical.to_blocked().unwrap()), bits(&m));
+    cl.shutdown_transport().expect("workers must exit cleanly");
 }
 
 /// A long session must not grow the workers' memory, and a run must not
