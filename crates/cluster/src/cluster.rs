@@ -44,13 +44,15 @@ use dmac_matrix::exec::{combine_partials, run_tasks, PoolStats, ResultBufferPool
 use dmac_matrix::{eval_fused_block, Block, BlockedMatrix, DenseBlock, FusedOp, MatrixError};
 
 use crate::comm::{CommKind, CommStats, NetworkModel, SimClock};
-use crate::dist::{DistMatrix, GridMeta};
+use crate::dist::{fresh_rid, DistMatrix, GridMeta};
 use crate::error::{ClusterError, Result};
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan};
 use crate::kernels::{self, MulStage};
 use crate::partition::PartitionScheme;
 use crate::trace::{OpSpan, TraceBuffer};
-use crate::transport::{MoveItem, PartialDesc, TileTransform, Transport, TransportStats};
+use crate::transport::{
+    MoveItem, PartialDesc, Release, Stage, StageKernel, TileTransform, Transport, TransportStats,
+};
 
 /// One result tile of a stage, keyed by its block coordinates.
 type KeyedTile = ((usize, usize), Arc<Block>);
@@ -269,7 +271,8 @@ impl Cluster {
 
     /// The one epilogue of every primitive. Closes the span opened by
     /// [`Cluster::span_open`] (its wall time ends here, before any
-    /// mirroring), replays the primitive onto the mirror if there is one,
+    /// mirroring), mirrors the primitive if there is a mirror — replays
+    /// it, or settles the stage posted before the oracle computed it —
     /// asserts the mirror's payload receipt against the oracle's metered
     /// `wire` bytes, stamps the receipt onto the span (without a mirror
     /// the simulator's own `wire`), then the observed nnz of `out`.
@@ -723,7 +726,8 @@ impl Cluster {
     /// shards on the mirror. Local and communication-free; it draws
     /// no fault (so seeded fault sequences are unperturbed by liveness
     /// splicing) and meters nothing. Idempotent: a value the mirror does
-    /// not hold (never installed, already released) costs no exchange.
+    /// not hold (never installed, already released) costs nothing, and one
+    /// it holds is released at the head of the next exchange.
     /// The returned receipt is the physical bytes reclaimed, priced here
     /// from `m`'s tiles — what install and seal proved the workers hold —
     /// when the mirror released it (0 when it held nothing, or without one).
@@ -731,7 +735,7 @@ impl Cluster {
         let st = self.span_open("free");
         let mut released = 0;
         self.finish_op(st, "", (0, 0), None, m.tile_count(), None, |t| {
-            if t.retain_values(&|rid| rid != m.rid())? > 0 {
+            if t.retain_values(&|rid| rid != m.rid(), Release::Queued)? > 0 {
                 let shards = (0..m.workers()).flat_map(|w| m.worker_blocks(w).values());
                 released = shards.map(|tile| tile.actual_bytes() as u64).sum();
             }
@@ -741,15 +745,16 @@ impl Cluster {
     }
 
     /// Tell the mirror which values live handles still name, by rid: it
-    /// releases every other value it holds, in one exchange — a displaced
-    /// store entry, a superseded output, a replayed intermediate, whatever
-    /// a failed run installed. Outside any plan, so unlike
-    /// [`Cluster::free`] it records no span; and best effort — a worker
-    /// dying under it is the next primitive's liveness poll's to report,
-    /// not garbage collection's.
+    /// releases every other value it holds — a displaced store entry, a
+    /// superseded output, a replayed intermediate, whatever a failed run
+    /// installed — in one exchange, with the releases a plan queued.
+    /// Outside any plan, so unlike [`Cluster::free`] it records no span
+    /// and waits for no next primitive; and best effort — a worker dying
+    /// under it is the next primitive's liveness poll's to report, not
+    /// garbage collection's.
     pub fn retain(&mut self, live: &HashSet<u64>) {
         if let Some(t) = &mut self.transport {
-            let _ = t.retain_values(&|rid| live.contains(&rid));
+            let _ = t.retain_values(&|rid| live.contains(&rid), Release::Now);
         }
     }
 
@@ -823,21 +828,39 @@ impl Cluster {
         let meta = product_meta(a, b)?;
         let n = self.config.workers;
         let kb = a.meta().col_blocks;
+        let mut owned = vec![Vec::new(); n];
+        for (bi, bj) in grid_cells(&meta) {
+            owned[out_scheme.owner(bi, bj, n).expect("rc scheme")].push((bi, bj));
+        }
+        // Who computes which tile is known before any is: the workers
+        // compute while the oracle does, and are checked after.
+        let rid = fresh_rid();
+        let posted = self.transport.as_deref_mut().map_or(Ok(()), |t| {
+            let kernel = StageKernel::Mm(a, b);
+            t.post_stage(&Stage {
+                op,
+                kernel,
+                rid,
+                meta,
+                keys: &owned,
+            })
+        });
         let tiles = self.run_stage(
             |w| {
-                let owned = grid_cells(&meta)
-                    .filter(|&(bi, bj)| out_scheme.owner(bi, bj, n) == Some(w))
-                    .collect();
-                Ok((MulStage::new(shard(a, w), shard(b, w), kb)?, owned))
+                Ok((
+                    MulStage::new(shard(a, w), shard(b, w), kb)?,
+                    owned[w].clone(),
+                ))
             },
             |pool, stage, (bi, bj)| {
                 let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
                 Ok(((bi, bj), Arc::new(stage.product(pool, shape, (bi, bj))?)))
             },
         )?;
-        let out = DistMatrix::from_parts(meta, out_scheme, into_stores(tiles));
+        let out = DistMatrix::from_minted(rid, meta, out_scheme, into_stores(tiles));
         self.finish_op(st, "", (0, 0), None, out.tile_count(), Some(&out), |t| {
-            t.run_mm(op, a, b, &out).map(|()| 0)
+            posted?;
+            t.settle_stage(&out).map(|()| 0)
         })?;
         Ok(out)
     }
@@ -984,6 +1007,21 @@ impl Cluster {
         for m in rest {
             self.aligned(first, m, op)?;
         }
+        // Every output tile is computed where the first leaf's is.
+        let rid = fresh_rid();
+        let posted = self.transport.as_deref_mut().map_or(Ok(()), |t| {
+            let keys: Vec<Vec<_>> = (0..first.workers())
+                .map(|w| first.worker_blocks(w).keys().copied().collect())
+                .collect();
+            let (kernel, meta) = (StageKernel::Fused(prog, leaves), *first.meta());
+            t.post_stage(&Stage {
+                op,
+                kernel,
+                rid,
+                meta,
+                keys: &keys,
+            })
+        });
         let tiles = self.run_stage(
             |w| Ok((w, first.worker_blocks(w).iter().collect())),
             |pool, &w, (&k, at): (&(usize, usize), &Arc<Block>)| {
@@ -995,9 +1033,11 @@ impl Cluster {
                 Ok((k, Arc::new(eval_fused_block(prog, &tiles, pool)?)))
             },
         )?;
-        let out = DistMatrix::from_parts(*first.meta(), first.scheme(), into_stores(tiles));
+        let stores = into_stores(tiles);
+        let out = DistMatrix::from_minted(rid, *first.meta(), first.scheme(), stores);
         self.finish_op(st, label, (0, 0), None, out.tile_count(), Some(&out), |t| {
-            t.run_fused(op, prog, leaves, &out).map(|()| 0)
+            posted?;
+            t.settle_stage(&out).map(|()| 0)
         })?;
         Ok(out)
     }

@@ -163,10 +163,21 @@ impl DistMatrix {
         scheme: PartitionScheme,
         stores: Vec<HashMap<(usize, usize), Arc<Block>>>,
     ) -> DistMatrix {
+        DistMatrix::from_minted(fresh_rid(), meta, scheme, stores)
+    }
+
+    /// [`DistMatrix::from_parts`] under a rid minted before the tiles
+    /// existed — a stage posted to the workers before the oracle computed it.
+    pub(crate) fn from_minted(
+        rid: u64,
+        meta: GridMeta,
+        scheme: PartitionScheme,
+        stores: Vec<HashMap<(usize, usize), Arc<Block>>>,
+    ) -> DistMatrix {
         DistMatrix {
             meta,
             scheme,
-            rid: fresh_rid(),
+            rid,
             stores,
         }
     }

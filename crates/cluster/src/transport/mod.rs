@@ -5,9 +5,13 @@
 //! the result tiles and the metered `wire_bytes` that the planner's
 //! Table-2 cost model predicts. A [`Transport`] is an optional *physical
 //! mirror* of that execution: a cluster built without one captures
-//! nothing, and a cluster built over one replays each primitive onto it,
-//! after the oracle completes it, as an explicit move list or task list.
-//! The transport must
+//! nothing, and a cluster built over one mirrors each primitive onto it
+//! as an explicit move list or task list. A compute stage's commands need
+//! only its output's rid and each worker's output keys, so it is posted
+//! before the oracle computes a tile and settled after
+//! ([`Transport::post_stage`], [`Transport::settle_stage`]); every other
+//! primitive is replayed once the oracle has completed it. The transport
+//! must
 //!
 //! 1. perform the equivalent physical work (ship tiles, run kernels),
 //! 2. report the payload bytes it metered, which the cluster asserts
@@ -44,7 +48,7 @@ pub mod workerd;
 use dmac_matrix::FusedOp;
 
 use crate::cluster::ReduceKind;
-use crate::dist::DistMatrix;
+use crate::dist::{DistMatrix, GridMeta};
 use crate::error::Result;
 
 /// How a tile is transformed while being copied by [`Transport::move_tiles`].
@@ -78,7 +82,9 @@ impl TileTransform {
 /// are the *source* tile's; the destination key follows from the
 /// [`TileTransform`]. `metered` tiles count toward the payload receipt
 /// (the bytes the oracle charged as `wire_bytes`); unmetered tiles are
-/// same-host or already-resident copies the oracle ships for free.
+/// same-host or already-resident copies the oracle ships for free. Within
+/// one move list `metered` is a function of `(src_w, dest_w)`, so a
+/// backend may receipt a worker pair's tiles as one group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveItem {
     /// Logical worker currently holding the tile (in the source value).
@@ -108,6 +114,46 @@ pub struct PartialDesc {
     pub dest_w: usize,
     /// Size of the partial in bytes.
     pub bytes: u64,
+}
+
+/// When [`Transport::retain_values`] sends the `free`s of what it
+/// releases.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Release {
+    /// At the head of the next exchange, at no round of their own: a
+    /// plan's `free` step, which the next primitive follows at once, or
+    /// a remap, which lineage replay follows.
+    Queued,
+    /// In an exchange now, with whatever is queued: a session's sweep,
+    /// which nothing may follow for a while — the workers do not hold
+    /// what no handle names while the session is idle.
+    Now,
+}
+
+/// What every output tile of a compute stage runs, at its owner.
+#[derive(Debug, Clone, Copy)]
+pub enum StageKernel<'a> {
+    /// A replication-based multiply (RMM1/RMM2) of these two operands.
+    Mm(&'a DistMatrix, &'a DistMatrix),
+    /// A scheme-aligned cell-wise program ([`crate::Cluster::cells`]) over
+    /// these leaves.
+    Fused(&'a [FusedOp], &'a [&'a DistMatrix]),
+}
+
+/// A compute stage as its commands need it: everything here is known
+/// before the oracle computes any of its tiles.
+#[derive(Debug, Clone, Copy)]
+pub struct Stage<'a> {
+    /// The primitive, naming the stage in seal diagnostics.
+    pub op: &'static str,
+    /// What each output tile runs.
+    pub kernel: StageKernel<'a>,
+    /// The output value's rid, minted before its tiles exist.
+    pub rid: u64,
+    /// The output grid.
+    pub meta: GridMeta,
+    /// Per logical worker, the output tiles it computes.
+    pub keys: &'a [Vec<(usize, usize)>],
 }
 
 /// Cumulative byte/frame counters for a transport backend.
@@ -181,15 +227,19 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
         moves: &[MoveItem],
     ) -> Result<u64>;
 
-    /// Mirror a replication-based matrix multiply (RMM1/RMM2): every
-    /// output tile computed locally at its owner.
-    fn run_mm(
-        &mut self,
-        op: &'static str,
-        a: &DistMatrix,
-        b: &DistMatrix,
-        out: &DistMatrix,
-    ) -> Result<()>;
+    /// Post a compute stage — RMM1/RMM2, or a scheme-aligned cell-wise
+    /// stage: every output tile computed at its owner, each host's
+    /// command chained with the seal that will prove it. Called before
+    /// the oracle computes the stage, so the workers compute while it
+    /// does. The output is recorded resident on the hosts it was posted
+    /// to at once: a stage never settled strands nothing the next
+    /// [`Transport::retain_values`] does not free.
+    fn post_stage(&mut self, stage: &Stage) -> Result<()>;
+
+    /// Settle the stage [`Transport::post_stage`] posted last: read its
+    /// replies and prove the workers' shards equal `out`, the oracle's
+    /// output under the posted rid.
+    fn settle_stage(&mut self, out: &DistMatrix) -> Result<()>;
 
     /// Mirror a cross-product multiply: phase 1 computes the oracle's
     /// partial set (verified by descriptor-set equality), partials are
@@ -203,32 +253,23 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
         partials: &[PartialDesc],
     ) -> Result<u64>;
 
-    /// Mirror a scheme-aligned cell-wise stage ([`crate::Cluster::cells`]):
-    /// `prog` over every output tile's aligned `leaves`, at its owner.
-    fn run_fused(
-        &mut self,
-        op: &'static str,
-        prog: &[FusedOp],
-        leaves: &[&DistMatrix],
-        out: &DistMatrix,
-    ) -> Result<()>;
-
     /// Mirror a distributed reduction. `partials` are the oracle's raw
     /// per-logical-worker fold results (ascending worker order, tiles
     /// folded in sorted key order); physical backends must reproduce
     /// them bit for bit. Returns the wire bytes metered (`8·N`).
     fn run_reduce(&mut self, kind: ReduceKind, m: &DistMatrix, partials: &[f64]) -> Result<u64>;
 
-    /// The one by-rid release: drop, on the physical workers, the shards
-    /// of every value the backend knows whose rid `live` does not name,
-    /// in one exchange, and forget those rids. Returns how many values
-    /// went. A plan `free` step keeps all but one ([`crate::Cluster::free`],
-    /// which prices the receipt from the value it holds), a session
-    /// between runs keeps what its live handles name
-    /// ([`crate::Cluster::retain`]), a remap keeps nothing. Idempotent: a
+    /// The one by-rid release: forget every value the backend knows whose
+    /// rid `live` does not name, and queue the `free` of its shards on the
+    /// physical workers — written at the head of the next exchange, or
+    /// at once under [`Release::Now`]. Returns how many values went. A
+    /// plan `free` step keeps all but one ([`crate::Cluster::free`], which
+    /// prices the receipt from the value it holds) and costs no round; a
+    /// session between runs keeps what its live handles name
+    /// ([`crate::Cluster::retain`]); a remap keeps nothing. Idempotent: a
     /// rid never installed, or already released, is not known and costs
-    /// nothing — with nothing to release there is no exchange at all.
-    fn retain_values(&mut self, live: &dyn Fn(u64) -> bool) -> Result<usize>;
+    /// nothing.
+    fn retain_values(&mut self, live: &dyn Fn(u64) -> bool, release: Release) -> Result<usize>;
 
     /// Gather `m`'s tiles from the *physical* stores into a fresh value,
     /// bypassing the oracle — the end-to-end proof that worker state

@@ -17,17 +17,27 @@
 //! payload* never does, except to seed a value (`install`) or read one
 //! back (`collect`), both as `DMB1` bodies. Every tile move — a shuffle,
 //! a local transpose, CPMM's partial shuffle — is built in one place
-//! (`SocketTransport::route`): one `xfer` routing plan per source host.
-//! The worker installs the items bound for its own host and pushes the
-//! rest straight to the destination's peer listener, rolling per-item
-//! byte receipts and per-edge frame stats up in its `xferred` reply
-//! ([`TransportStats::peer_bytes`]).
+//! (`SocketTransport::route`): one `xfer` routing plan per source host,
+//! its tiles named once per group of one source worker, destination
+//! worker and destination host. The worker installs the groups bound for
+//! its own host and pushes the rest straight to the destination's peer
+//! listener, rolling one byte receipt per group and per-edge frame stats
+//! up in its `xferred` reply ([`TransportStats::peer_bytes`]).
 //!
 //! ## Pipelined dispatch
 //!
-//! All commands of a stage are written to all hosts before any reply is
-//! read — a stage costs one round-trip ([`TransportStats::rounds`]), not
-//! `hosts × primitives`. Every command carries a per-connection sequence
+//! An exchange is posted, then collected. `post` writes all its commands
+//! to all hosts before any reply is read, each beside the check its reply
+//! must pass (an `ok`, the seal of a given value); `collect` reads the
+//! replies in order and applies those checks — a stage costs one
+//! round-trip ([`TransportStats::rounds`]), not `hosts × primitives`. A
+//! compute stage is posted before the oracle computes it and collected
+//! after, so the workers and the oracle compute at once; every seal
+//! computes the oracle's checksums between the two halves. A plan's
+//! `free` step costs no round of its own: its `free`s are queued and
+//! written at the head of the next exchange, whose collect checks their
+//! `ok`s with the rest (a session's sweep writes the queue at once, as an
+//! exchange of its own). Every command carries a per-connection sequence
 //! number `"q"` which the worker echoes in its reply; after an aborted
 //! stage (worker loss mid-exchange) the coordinator discards stale-`q`
 //! replies, so the connection re-synchronises without draining logic.
@@ -55,9 +65,10 @@
 //! worker → host assignment. After every mirrored primitive the
 //! destination value is *sealed*: each host reports canonical per-shard
 //! checksums ([`wire::shard_checksum`]) that must equal the oracle's, so
-//! state divergence is caught at the primitive that caused it. Seals are
-//! only issued after every `xferred` receipt of the move is in hand, so
-//! all peer installs happen-before the seal.
+//! state divergence is caught at the primitive that caused it — and a
+//! reply must answer for exactly the workers it was asked about. Seals
+//! are only issued after every `xferred` receipt of the move is in hand,
+//! so all peer installs happen-before the seal.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io::{self, Read};
@@ -67,22 +78,20 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dmac_matrix::{Block, FusedOp};
+use dmac_matrix::Block;
 
 use crate::cluster::ReduceKind;
 use crate::dist::{fresh_rid, DistMatrix};
 use crate::error::{ClusterError, Result};
-use crate::json::{JsonArr, JsonObj};
+use crate::json::{arr_of, JsonArr, JsonObj};
 use crate::jsonin::Json;
 use crate::partition::PartitionScheme;
 use crate::transport::binfmt;
 use crate::transport::frame::{framed_len, write_frame_bytes, MAX_FRAME};
 use crate::transport::wire;
-use crate::transport::{MoveItem, PartialDesc, TileTransform, Transport, TransportStats};
-
-/// Per output tile `(bi, bj)`: the source workers of its CPMM partials,
-/// ascending.
-type PartialSources = HashMap<(usize, usize), Vec<usize>>;
+use crate::transport::{
+    MoveItem, PartialDesc, Release, Stage, StageKernel, TileTransform, Transport, TransportStats,
+};
 
 /// When the SIGKILL test hook ([`SocketOptions::kill`]) fires. Counts
 /// are 1-based.
@@ -220,15 +229,143 @@ impl Reply {
     }
 }
 
-/// One tile of a move exchange (`SocketTransport::route`): tile `(bi,
-/// bj)` of worker `wi`'s shard of the source value becomes worker `wo`'s
-/// in the destination value, on the host of logical worker `to`.
-struct Hop {
+/// What a posted command's reply must be. It travels beside its command
+/// in the posted list, so an exchange aborted by a worker's death takes
+/// its checks with it.
+#[derive(Debug)]
+enum Check {
+    /// `ok`: an install, an op that stores its results, a `free`.
+    Ok,
+    /// `sealed`, answering for exactly these logical workers, each shard
+    /// equal to the oracle's.
+    Seal(Vec<usize>),
+    /// Handed back to the caller, which reads it.
+    Read,
+}
+
+/// An exchange written and not yet read: the primitive it serves, and per
+/// command its host, sequence number and check.
+#[derive(Debug)]
+struct Posted {
+    op: &'static str,
+    pending: Vec<(usize, u64, Check)>,
+}
+
+/// One group of a move exchange (`SocketTransport::route`): tiles `keys`
+/// of worker `wi`'s shard of the source value become worker `wo`'s in the
+/// destination value, on host `dh`.
+struct Group {
     wi: usize,
     wo: usize,
-    bi: usize,
-    bj: usize,
-    to: usize,
+    dh: usize,
+    keys: Vec<(usize, usize)>,
+}
+
+/// Tile keys as a group names them: `[bi,bj,bi,bj,…]`.
+fn keys_json(keys: &[(usize, usize)]) -> String {
+    let flat = keys.iter().flat_map(|&(bi, bj)| [bi, bj]);
+    flat.fold(JsonArr::new(), |k, x| k.u64(x as u64)).build()
+}
+
+/// The oracle's side of a seal: per logical worker, its shard of `value`
+/// as a tile count and canonical checksum.
+fn oracle_shards(value: &DistMatrix) -> Vec<(usize, u64)> {
+    let shard = |w| {
+        let tiles = value.worker_blocks(w);
+        let sum = wire::shard_checksum(tiles.iter().map(|(&k, t)| (k, &**t)));
+        (tiles.len(), sum)
+    };
+    (0..value.workers()).map(shard).collect()
+}
+
+/// A reply about logical workers `asked` answers for each exactly once.
+fn answers_each_once(host: usize, what: &str, asked: &[usize], answered: &[usize]) -> Result<()> {
+    let (mut asked, mut answered) = (asked.to_vec(), answered.to_vec());
+    asked.sort_unstable();
+    answered.sort_unstable();
+    if asked == answered {
+        return Ok(());
+    }
+    Err(ClusterError::Protocol(format!(
+        "host {host}: {what} reply answers for workers {answered:?}, was asked about {asked:?}"
+    )))
+}
+
+/// Validate one host's `sealed` reply: it answers for exactly the logical
+/// workers `ws`, each once, and every shard equals the oracle's
+/// ([`oracle_shards`]) — a divergence blamed on `op`.
+fn check_seal(
+    op: &'static str,
+    host: usize,
+    reply: &Json,
+    ws: &[usize],
+    oracle: &[(usize, u64)],
+) -> Result<()> {
+    let mut shards = Vec::new();
+    for shard in wire::field_arr(reply, "shards").map_err(ClusterError::Protocol)? {
+        let w = wire::field_usize(shard, "w").map_err(ClusterError::Protocol)?;
+        let n = wire::field_usize(shard, "n").map_err(ClusterError::Protocol)?;
+        let x = wire::field_str(shard, "x")
+            .ok()
+            .and_then(wire::parse_hex_u64)
+            .ok_or_else(|| ClusterError::Protocol("bad seal checksum".into()))?;
+        shards.push((w, n, x));
+    }
+    let answered: Vec<usize> = shards.iter().map(|s| s.0).collect();
+    answers_each_once(host, "seal", ws, &answered)?;
+    for (w, n, x) in shards {
+        let &(want_n, want_x) = oracle
+            .get(w)
+            .ok_or_else(|| ClusterError::Protocol(format!("seal for unknown worker {w}")))?;
+        if (n, x) != (want_n, want_x) {
+            return Err(ClusterError::TransportConformance {
+                op,
+                detail: format!(
+                    "shard of worker {w} on host {host} diverged \
+                     ({n} tiles, checksum {x:016x}; oracle {want_n} tiles, {want_x:016x})"
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Validate one host's `reduced` reply: it answers for exactly the
+/// logical workers `ws`, each once, and every partial equals the oracle's
+/// bit for bit.
+fn check_reduce(host: usize, reply: &Json, ws: &[usize], partials: &[f64]) -> Result<()> {
+    let mut parts = Vec::new();
+    for part in wire::field_arr(reply, "parts").map_err(ClusterError::Protocol)? {
+        let w = wire::field_usize(part, "w").map_err(ClusterError::Protocol)?;
+        let x = wire::field_str(part, "x")
+            .ok()
+            .and_then(wire::parse_hex_f64)
+            .ok_or_else(|| ClusterError::Protocol("bad reduce partial".into()))?;
+        parts.push((w, x));
+    }
+    let answered: Vec<usize> = parts.iter().map(|p| p.0).collect();
+    answers_each_once(host, "reduce", ws, &answered)?;
+    for (w, x) in parts {
+        let want = partials.get(w).copied().ok_or_else(|| {
+            ClusterError::Protocol(format!("reduce partial for unknown worker {w}"))
+        })?;
+        if x.to_bits() != want.to_bits() {
+            return Err(ClusterError::TransportConformance {
+                op: "reduce",
+                detail: format!("worker {w} partial {x:e} != oracle {want:e} (bitwise)"),
+            });
+        }
+    }
+    Ok(())
+}
+
+fn check_ok(host: usize, reply: &Reply) -> Result<()> {
+    match reply.kind() {
+        Some("ok") => Ok(()),
+        other => Err(ClusterError::Protocol(format!(
+            "host {host}: expected ok, got {other:?}"
+        ))),
+    }
 }
 
 /// Decode the tile section of a `collect` reply.
@@ -321,6 +458,11 @@ pub struct SocketTransport {
     /// Every value resident on the workers, by rid, with the hosts that
     /// hold a shard of it.
     known: HashMap<u64, BTreeSet<usize>>,
+    /// `free`s of released values, by host and rid, still to be written
+    /// at the head of the next exchange.
+    frees: Vec<(usize, u64)>,
+    /// The compute stage posted and not yet settled, by its output's rid.
+    staged: Option<(u64, Posted)>,
     stats: TransportStats,
     opts: SocketOptions,
     /// Mirrored primitives begun ([`KillAt::AfterOps`]).
@@ -489,6 +631,8 @@ impl SocketTransport {
             conns,
             assignment: (0..workers).collect(),
             known: HashMap::new(),
+            frees: Vec::new(),
+            staged: None,
             stats: TransportStats::default(),
             opts,
             ops_done: 0,
@@ -627,29 +771,70 @@ impl SocketTransport {
         self.recv_reply(host, seq)
     }
 
-    /// Dispatch a whole stage: write every command to every host, then
-    /// collect the replies in order — one round-trip for the stage.
-    /// Replies are returned in command order, each with its host.
-    fn exchange(
-        &mut self,
-        label: &'static str,
-        cmds: Vec<(usize, Outgoing)>,
-    ) -> Result<Vec<(usize, Reply)>> {
-        if cmds.is_empty() {
+    /// The write half of an exchange: the queued `free`s, then every
+    /// command, to every host, before any reply is read — then the kill
+    /// hooks get their chance. `op` names the primitive (in seal
+    /// diagnostics; `"xfer"` for a move with a cross-host group). A queued
+    /// free that was not written stays queued, one for a host found dead
+    /// goes; nothing to write, nothing written.
+    fn post(&mut self, op: &'static str, cmds: Vec<(usize, Outgoing, Check)>) -> Result<Posted> {
+        let conns = &self.conns;
+        self.frees.retain(|&(host, _)| conns[host].alive);
+        if cmds.is_empty() && self.frees.is_empty() {
+            let pending = Vec::new();
+            return Ok(Posted { op, pending });
+        }
+        let queued = std::mem::take(&mut self.frees);
+        let frees = queued
+            .iter()
+            .map(|&(h, rid)| (h, Self::free_cmd(rid), Check::Ok));
+        let all: Vec<_> = frees.chain(cmds).collect();
+        let mut pending = Vec::with_capacity(all.len());
+        for (i, (host, cmd, check)) in all.into_iter().enumerate() {
+            match self.send_cmd(host, cmd) {
+                Ok(seq) => pending.push((host, seq, check)),
+                Err(e) => {
+                    let conns = &self.conns;
+                    let unwritten = queued.into_iter().skip(i + 1);
+                    self.frees = unwritten.filter(|&(h, _)| conns[h].alive).collect();
+                    return Err(e);
+                }
+            }
+        }
+        self.stage_hooks(op);
+        Ok(Posted { op, pending })
+    }
+
+    /// The read half: every reply in command order, each held to the
+    /// check posted with its command — a seal to `oracle`
+    /// ([`oracle_shards`]; empty for an exchange that seals nothing).
+    /// Counts the round; returns the replies posted as [`Check::Read`],
+    /// each with its host.
+    fn collect(&mut self, posted: Posted, oracle: &[(usize, u64)]) -> Result<Vec<(usize, Reply)>> {
+        if posted.pending.is_empty() {
             return Ok(Vec::new());
         }
-        let mut pending = Vec::with_capacity(cmds.len());
-        for (host, cmd) in cmds {
-            let seq = self.send_cmd(host, cmd)?;
-            pending.push((host, seq));
-        }
-        self.stage_hooks(label);
-        let mut replies = Vec::with_capacity(pending.len());
-        for (host, seq) in pending {
-            replies.push((host, self.recv_reply(host, seq)?));
+        let mut replies = Vec::new();
+        for (host, seq, check) in posted.pending {
+            let reply = self.recv_reply(host, seq)?;
+            match check {
+                Check::Ok => check_ok(host, &reply)?,
+                Check::Seal(ws) => check_seal(posted.op, host, &reply.head, &ws, oracle)?,
+                Check::Read => replies.push((host, reply)),
+            }
         }
         self.stats.rounds += 1;
         Ok(replies)
+    }
+
+    /// Post and collect at once: an exchange that seals nothing.
+    fn exchange(
+        &mut self,
+        op: &'static str,
+        cmds: Vec<(usize, Outgoing, Check)>,
+    ) -> Result<Vec<(usize, Reply)>> {
+        let posted = self.post(op, cmds)?;
+        self.collect(posted, &[])
     }
 
     /// SIGKILL the test hook's host if `now` is its moment — on purpose
@@ -665,27 +850,18 @@ impl SocketTransport {
 
     /// Count one written exchange (frames out, no reply read yet) and
     /// give the mid-stage / mid-xfer kill hooks their chance.
-    fn stage_hooks(&mut self, label: &'static str) {
+    fn stage_hooks(&mut self, op: &'static str) {
         self.stages_done += 1;
         self.kill_hook(KillAt::MidStage(self.stages_done));
-        if label == "xfer" {
+        if op == "xfer" {
             self.xfers_done += 1;
             self.kill_hook(KillAt::MidXfer(self.xfers_done));
         }
     }
 
-    fn check_ok(&self, host: usize, reply: &Reply) -> Result<()> {
-        match reply.kind() {
-            Some("ok") => Ok(()),
-            other => Err(ClusterError::Protocol(format!(
-                "host {host}: expected ok, got {other:?}"
-            ))),
-        }
-    }
-
     fn expect_ok(&mut self, host: usize, cmd: Outgoing) -> Result<()> {
         let reply = self.request(host, cmd)?;
-        self.check_ok(host, &reply)
+        check_ok(host, &reply)
     }
 
     /// Count one mirrored primitive as it begins.
@@ -751,149 +927,83 @@ impl SocketTransport {
         )
     }
 
-    /// Validate one host's `sealed` reply against the oracle's shards.
-    fn check_seal(
-        &self,
-        op: &'static str,
-        value: &DistMatrix,
-        host: usize,
-        reply: &Reply,
-    ) -> Result<()> {
-        let shards = wire::field_arr(&reply.head, "shards").map_err(ClusterError::Protocol)?;
-        for shard in shards {
-            let w = wire::field_usize(shard, "w").map_err(ClusterError::Protocol)?;
-            let n = wire::field_usize(shard, "n").map_err(ClusterError::Protocol)?;
-            let x = wire::field_str(shard, "x")
-                .ok()
-                .and_then(wire::parse_hex_u64)
-                .ok_or_else(|| ClusterError::Protocol("bad seal checksum".into()))?;
-            if w >= value.workers() {
-                return Err(ClusterError::Protocol(format!(
-                    "seal for unknown worker {w}"
-                )));
-            }
-            let oracle = value.worker_blocks(w);
-            let oracle_sum = wire::shard_checksum(oracle.iter().map(|(&k, t)| (k, &**t)));
-            if n != oracle.len() || x != oracle_sum {
-                return Err(ClusterError::TransportConformance {
-                    op,
-                    detail: format!(
-                        "shard of worker {w} on host {host} diverged \
-                         ({n} tiles, checksum {x:016x}; oracle {} tiles, {oracle_sum:016x})",
-                        oracle.len()
-                    ),
-                });
-            }
-        }
-        Ok(())
+    /// The `free` command releasing one value's shards on a host.
+    fn free_cmd(rid: u64) -> Outgoing {
+        Outgoing::Json(JsonObj::new().str("t", "free").u64("rid", rid))
     }
 
     /// Verify a value's physical shards against the oracle — one
-    /// pipelined exchange across all hosts.
+    /// pipelined exchange across all hosts, the oracle's checksums
+    /// computed while the workers compute theirs.
     fn seal_check(&mut self, op: &'static str, value: &DistMatrix) -> Result<()> {
         let hosts = self.hosts_with_ws().into_iter();
         let cmds = hosts
-            .map(|(host, ws)| (host, Self::seal_cmd(value.rid(), &ws)))
+            .map(|(host, ws)| (host, Self::seal_cmd(value.rid(), &ws), Check::Seal(ws)))
             .collect();
-        for (host, reply) in self.exchange("seal", cmds)? {
-            self.check_seal(op, value, host, &reply)?;
-        }
-        Ok(())
+        let posted = self.post(op, cmds)?;
+        let oracle = oracle_shards(value);
+        self.collect(posted, &oracle).map(drop)
     }
 
-    /// Dispatch one compute stage as a single exchange: every host gets
-    /// the op command for the output tiles its workers own (none if they
-    /// own nothing) chained with the `seal` proving `out` — the worker
-    /// runs them in order, so op + proof cost one round-trip for the
-    /// whole stage. `op_cmd` builds a host's command from its
-    /// `[{"w","bi","bj"}…]` task array; `op` names the primitive in seal
-    /// diagnostics. `staged` is CPMM phase 2's extra: each task also
-    /// lists the source workers of its partials, and the staging rid is
-    /// freed between op and seal.
-    fn run_stage(
-        &mut self,
-        op: &'static str,
-        out: &DistMatrix,
-        staged: Option<(u64, &PartialSources)>,
+    /// The commands of one compute stage: every host gets the op command
+    /// for the output tiles its workers own (none if they own nothing),
+    /// then — CPMM phase 2's extra — the `free` of the `staging` rid, then
+    /// the `seal` proving `rid`; the worker runs them in order, so op +
+    /// proof cost one round-trip for the whole stage. `tasks_of(w)`
+    /// renders worker `w`'s tasks, `op_cmd` a host's command from its
+    /// task array.
+    fn stage_cmds(
+        &self,
+        rid: u64,
+        staging: Option<u64>,
+        tasks_of: impl Fn(usize) -> Vec<String>,
         op_cmd: impl Fn(&str) -> Outgoing,
-    ) -> Result<()> {
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-        // Per command: whether its reply is the host's seal.
-        let mut is_seal: Vec<bool> = Vec::new();
+    ) -> Vec<(usize, Outgoing, Check)> {
+        let mut cmds = Vec::new();
         for (host, ws) in self.hosts_with_ws() {
-            let mut tasks = JsonArr::new();
-            let mut any = false;
-            for &w in &ws {
-                for &(bi, bj) in out.worker_blocks(w).keys() {
-                    any = true;
-                    let mut task = JsonObj::new()
-                        .u64("w", w as u64)
-                        .u64("bi", bi as u64)
-                        .u64("bj", bj as u64);
-                    if let Some((_, srcs_of)) = staged {
-                        let mut srcs = JsonArr::new();
-                        for &s in srcs_of.get(&(bi, bj)).into_iter().flatten() {
-                            srcs = srcs.u64(s as u64);
-                        }
-                        task = task.raw("srcs", &srcs.build());
-                    }
-                    tasks = tasks.raw(&task.build());
-                }
+            let tasks: Vec<String> = ws.iter().flat_map(|&w| tasks_of(w)).collect();
+            if !tasks.is_empty() {
+                cmds.push((host, op_cmd(&arr_of(tasks)), Check::Ok));
             }
-            if any {
-                cmds.push((host, op_cmd(&tasks.build())));
-                is_seal.push(false);
+            if let Some(stage) = staging {
+                cmds.push((host, Self::free_cmd(stage), Check::Ok));
             }
-            if let Some((stage, _)) = staged {
-                let free = JsonObj::new().str("t", "free").u64("rid", stage);
-                cmds.push((host, Outgoing::Json(free)));
-                is_seal.push(false);
-            }
-            cmds.push((host, Self::seal_cmd(out.rid(), &ws)));
-            is_seal.push(true);
+            cmds.push((host, Self::seal_cmd(rid, &ws), Check::Seal(ws)));
         }
-        for ((host, reply), seal) in self.exchange(op, cmds)?.into_iter().zip(is_seal) {
-            if seal {
-                self.check_seal(op, out, host, &reply)?;
-            } else {
-                self.check_ok(host, &reply)?;
-            }
-        }
-        self.now_resident(out);
-        Ok(())
+        cmds
     }
 
     /// The one move exchange every tile move rides: each source host
-    /// gets its items as one `xfer` routing plan, and its worker installs
-    /// the items bound for its own host and pushes the rest to their
-    /// hosts' peers. Labelled `"xfer"` exactly when some item crosses
-    /// hosts; no items, no exchange. Returns the per-item source-byte
-    /// receipts in `hops` order, and rolls the per-edge receipts of the
+    /// gets its groups as one `xfer` routing plan, and its worker installs
+    /// the groups bound for its own host and pushes the rest to their
+    /// hosts' peers. Labelled `"xfer"` exactly when some group crosses
+    /// hosts; no groups, no exchange. Returns the per-group source-byte
+    /// receipts in `groups` order, and rolls the per-edge receipts of the
     /// peer pushes into `peer_bytes`.
     fn route(
         &mut self,
         (rid_in, rid_out): (u64, u64),
         transform: TileTransform,
-        hops: &[Hop],
+        groups: &[Group],
     ) -> Result<Vec<u64>> {
-        // Per source host: the indices of its items into `hops`, its plan.
+        if groups.is_empty() {
+            return Ok(Vec::new());
+        }
+        // Per source host: the indices of its groups into `groups`, its plan.
         let mut plans: BTreeMap<usize, (Vec<usize>, JsonArr)> = BTreeMap::new();
         let mut crosses = false;
-        for (i, hop) in hops.iter().enumerate() {
-            let (sh, dh) = (self.assignment[hop.wi], self.assignment[hop.to]);
-            let mut item = JsonObj::new()
-                .u64("wi", hop.wi as u64)
-                .u64("wo", hop.wo as u64)
-                .u64("bi", hop.bi as u64)
-                .u64("bj", hop.bj as u64);
-            // Only an item that leaves its source's host names where to.
-            if sh != dh {
+        for (i, g) in groups.iter().enumerate() {
+            let sh = self.assignment[g.wi];
+            let mut group = JsonObj::new().u64("wi", g.wi as u64).u64("wo", g.wo as u64);
+            // Only a group that leaves its source's host names where to.
+            if sh != g.dh {
                 crosses = true;
-                item = item.u64("dh", dh as u64);
+                group = group.u64("dh", g.dh as u64);
             }
-            let (items, plan) = plans.entry(sh).or_default();
-            items.push(i);
-            *plan = std::mem::take(plan).raw(&item.build());
+            let group = group.raw("k", &keys_json(&g.keys));
+            let (indices, plan) = plans.entry(sh).or_default();
+            indices.push(i);
+            *plan = std::mem::take(plan).raw(&group.build());
         }
         let tr = match transform {
             TileTransform::None => "none",
@@ -901,20 +1011,20 @@ impl SocketTransport {
         };
         let mut order = Vec::with_capacity(plans.len());
         let mut cmds = Vec::with_capacity(plans.len());
-        for (host, (items, plan)) in plans {
+        for (host, (indices, plan)) in plans {
             let cmd = JsonObj::new()
                 .str("t", "xfer")
                 .u64("rid_in", rid_in)
                 .u64("rid_out", rid_out)
                 .str("tr", tr)
-                .raw("items", &plan.build());
-            cmds.push((host, Outgoing::Json(cmd)));
-            order.push(items);
+                .raw("groups", &plan.build());
+            cmds.push((host, Outgoing::Json(cmd), Check::Read));
+            order.push(indices);
         }
         // By the time the replies are in, every peer push is acked.
         let replies = self.exchange(if crosses { "xfer" } else { "move" }, cmds)?;
-        let mut receipts = vec![0; hops.len()];
-        for ((host, reply), items) in replies.into_iter().zip(order) {
+        let mut receipts = vec![0; groups.len()];
+        for ((host, reply), indices) in replies.into_iter().zip(order) {
             if reply.kind() != Some("xferred") {
                 return Err(ClusterError::Protocol(format!(
                     "host {host}: expected xferred, got {:?}",
@@ -922,12 +1032,12 @@ impl SocketTransport {
                 )));
             }
             let bytes = wire::field_arr(&reply.head, "bytes").map_err(ClusterError::Protocol)?;
-            if bytes.len() != items.len() {
+            if bytes.len() != indices.len() {
                 return Err(ClusterError::Protocol(
                     "move receipt length mismatch".into(),
                 ));
             }
-            for (i, b) in items.into_iter().zip(bytes) {
+            for (i, b) in indices.into_iter().zip(bytes) {
                 let bad = || ClusterError::Protocol("bad xferred byte count".into());
                 receipts[i] = b.as_u64().ok_or_else(bad)?;
             }
@@ -947,10 +1057,10 @@ impl Transport for SocketTransport {
         // physical host. Keep nothing, so the next use re-installs shards
         // under the new assignment (unmetered, like any install) and the
         // survivors do not hold the old ones for the life of the session.
-        // Best effort: a host dying under the sweep is the next liveness
-        // poll's business, not this call's.
+        // Queued, so this cannot fail: the replay's first exchange writes
+        // them, to physical hosts, which a remap does not rename.
         if self.assignment != assignment {
-            let _ = self.retain_values(&|_| false);
+            let _ = self.retain_values(&|_| false, Release::Queued);
         }
         self.assignment = assignment.to_vec();
     }
@@ -968,15 +1078,13 @@ impl Transport for SocketTransport {
                 per_host.entry(host).or_default().push((w, bi, bj, tile));
             }
         }
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
+        let mut cmds = Vec::new();
         for (host, tiles) in &per_host {
             for cmd in Self::install_cmds(m.rid(), tiles) {
-                cmds.push((*host, cmd));
+                cmds.push((*host, cmd, Check::Ok));
             }
         }
-        for (host, reply) in self.exchange("install", cmds)? {
-            self.check_ok(host, &reply)?;
-        }
+        self.exchange("install", cmds)?;
         self.now_resident(m);
         self.stats.install_bytes += bytes;
         Ok(())
@@ -992,21 +1100,23 @@ impl Transport for SocketTransport {
     ) -> Result<u64> {
         self.op_tick();
         self.ensure_resident(src)?;
-        let hops: Vec<Hop> = moves
-            .iter()
-            .map(|mv| Hop {
-                wi: mv.src_w,
-                wo: mv.dest_w,
-                bi: mv.bi,
-                bj: mv.bj,
-                to: mv.dest_w,
-            })
-            .collect();
-        let receipts = self.route((src.rid(), dest.rid()), transform, &hops)?;
+        // One group per worker pair, whose tiles the oracle metered alike.
+        let mut pairs: BTreeMap<(usize, usize), (bool, Group)> = BTreeMap::new();
+        for mv in moves {
+            let (wi, wo) = (mv.src_w, mv.dest_w);
+            let (metered, group) = pairs.entry((wi, wo)).or_insert_with(|| {
+                let (dh, keys) = (self.assignment[wo], Vec::new());
+                (mv.metered, Group { wi, wo, dh, keys })
+            });
+            debug_assert_eq!(*metered, mv.metered, "metering is a function of the pair");
+            group.keys.push((mv.bi, mv.bj));
+        }
+        let (metered, groups): (Vec<bool>, Vec<Group>) = pairs.into_values().unzip();
+        let receipts = self.route((src.rid(), dest.rid()), transform, &groups)?;
         // The *logical* metering is the oracle's, wherever a tile went.
         let (mut payload, mut free) = (0u64, 0u64);
-        for (mv, b) in moves.iter().zip(receipts) {
-            if mv.metered {
+        for (metered, b) in metered.into_iter().zip(receipts) {
+            if metered {
                 payload += b;
             } else {
                 free += b;
@@ -1019,31 +1129,87 @@ impl Transport for SocketTransport {
         Ok(payload)
     }
 
-    fn run_mm(
-        &mut self,
-        op: &'static str,
-        a: &DistMatrix,
-        b: &DistMatrix,
-        out: &DistMatrix,
-    ) -> Result<()> {
+    fn post_stage(&mut self, stage: &Stage) -> Result<()> {
+        self.staged = None;
         self.op_tick();
-        self.ensure_resident(a)?;
-        self.ensure_resident(b)?;
-        let kb = a.meta().col_blocks;
-        self.run_stage(op, out, None, |tasks| {
-            Outgoing::Json(
-                JsonObj::new()
-                    .str("t", "mm")
-                    .u64("rid_a", a.rid())
-                    .u64("rid_b", b.rid())
-                    .u64("rid_out", out.rid())
-                    .u64("kb", kb as u64)
-                    .u64("rows", out.rows() as u64)
-                    .u64("cols", out.cols() as u64)
-                    .u64("block", out.block_size() as u64)
-                    .raw("tasks", tasks),
-            )
-        })
+        let Stage {
+            op,
+            kernel,
+            rid,
+            meta,
+            keys,
+        } = *stage;
+        // A worker's tasks are one group: its output keys, named once.
+        let tasks_of = |w: usize| -> Vec<String> {
+            let group = JsonObj::new().u64("w", w as u64);
+            let group = group.raw("k", &keys_json(&keys[w])).build();
+            (!keys[w].is_empty()).then_some(group).into_iter().collect()
+        };
+        let cmds = match kernel {
+            StageKernel::Mm(a, b) => {
+                self.ensure_resident(a)?;
+                self.ensure_resident(b)?;
+                let kb = a.meta().col_blocks;
+                self.stage_cmds(rid, None, tasks_of, |tasks| {
+                    Outgoing::Json(
+                        JsonObj::new()
+                            .str("t", "mm")
+                            .u64("rid_a", a.rid())
+                            .u64("rid_b", b.rid())
+                            .u64("rid_out", rid)
+                            .u64("kb", kb as u64)
+                            .u64("rows", meta.rows as u64)
+                            .u64("cols", meta.cols as u64)
+                            .u64("block", meta.block as u64)
+                            .raw("tasks", tasks),
+                    )
+                })
+            }
+            StageKernel::Fused(prog, leaves) => {
+                let mut rids = JsonArr::new();
+                for leaf in leaves {
+                    self.ensure_resident(leaf)?;
+                    rids = rids.u64(leaf.rid());
+                }
+                let rids = rids.build();
+                // Scalar constants ride as a raw f64 body section the
+                // program references by slot index; a program without any
+                // is plain JSON.
+                let (prog_json, consts) = wire::encode_prog_indexed(prog);
+                self.stage_cmds(rid, None, tasks_of, |tasks| {
+                    let head = JsonObj::new()
+                        .str("t", "fused")
+                        .raw("rids", &rids)
+                        .raw("prog", &prog_json)
+                        .u64("rid_out", rid)
+                        .raw("tasks", tasks);
+                    if consts.is_empty() {
+                        Outgoing::Json(head)
+                    } else {
+                        Outgoing::Bin(head, binfmt::encode_f64s(&consts))
+                    }
+                })
+            }
+        };
+        // Resident from the first byte written: a stage that never
+        // settles strands nothing the next sweep does not free.
+        let holders = (0..keys.len()).filter(|&w| !keys[w].is_empty());
+        let hosts = holders.map(|w| self.assignment[w]).collect();
+        self.known.insert(rid, hosts);
+        let posted = self.post(op, cmds)?;
+        self.staged = Some((rid, posted));
+        Ok(())
+    }
+
+    fn settle_stage(&mut self, out: &DistMatrix) -> Result<()> {
+        let Some((_, posted)) = self.staged.take().filter(|(rid, _)| *rid == out.rid()) else {
+            return Err(ClusterError::Protocol(format!(
+                "no stage was posted for rid {}",
+                out.rid()
+            )));
+        };
+        let oracle = oracle_shards(out);
+        self.collect(posted, &oracle).map(drop)
     }
 
     fn run_cpmm(
@@ -1061,7 +1227,7 @@ impl Transport for SocketTransport {
         let kb = a.meta().col_blocks;
 
         // Phase 1 (one round): partial products where the k-slices live.
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
+        let mut cmds = Vec::new();
         for (host, ws) in self.hosts_with_ws() {
             let mut ws_arr = JsonArr::new();
             for &w in &ws {
@@ -1082,6 +1248,7 @@ impl Transport for SocketTransport {
                         .u64("block", out.block_size() as u64)
                         .raw("ws", &ws_arr.build()),
                 ),
+                Check::Read,
             ));
         }
         let mut worker_descs: Vec<PartialDesc> = Vec::new();
@@ -1120,29 +1287,48 @@ impl Transport for SocketTransport {
         // Shuffle (one `xfer` round): cross-host partials go peer-to-peer
         // to the output owners, preserving their source identity (the
         // phase-2 combine is keyed by ascending source worker).
-        let hops: Vec<Hop> = partials
-            .iter()
-            .filter(|p| self.assignment[p.src_w] != self.assignment[p.dest_w])
-            .map(|p| Hop {
-                wi: p.src_w,
-                wo: p.src_w,
-                bi: p.bi,
-                bj: p.bj,
-                to: p.dest_w,
+        let mut shipped: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
+        for p in partials {
+            let dh = self.assignment[p.dest_w];
+            if self.assignment[p.src_w] != dh {
+                shipped.entry((p.src_w, dh)).or_default().push((p.bi, p.bj));
+            }
+        }
+        let groups: Vec<Group> = shipped
+            .into_iter()
+            .map(|((w, dh), keys)| Group {
+                wi: w,
+                wo: w,
+                dh,
+                keys,
             })
             .collect();
-        self.route((stage, stage), TileTransform::None, &hops)?;
+        self.route((stage, stage), TileTransform::None, &groups)?;
 
         // Phase 2 (one round): combine at the owners in ascending source
         // order, retire the staging shards, seal — chained per host.
-        let mut srcs_of = PartialSources::new();
+        let mut srcs_of: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
         for p in partials {
             srcs_of.entry((p.bi, p.bj)).or_default().push(p.src_w);
         }
         for v in srcs_of.values_mut() {
             v.sort_unstable();
         }
-        self.run_stage("cpmm", out, Some((stage, &srcs_of)), |tasks| {
+        let tasks_of = |w: usize| -> Vec<String> {
+            let keys = out.worker_blocks(w).keys();
+            keys.map(|&(bi, bj)| {
+                let srcs = srcs_of.get(&(bi, bj)).into_iter().flatten();
+                let srcs = srcs.fold(JsonArr::new(), |a, &s| a.u64(s as u64));
+                JsonObj::new()
+                    .u64("w", w as u64)
+                    .u64("bi", bi as u64)
+                    .u64("bj", bj as u64)
+                    .raw("srcs", &srcs.build())
+                    .build()
+            })
+            .collect()
+        };
+        let cmds = self.stage_cmds(out.rid(), Some(stage), tasks_of, |tasks| {
             Outgoing::Json(
                 JsonObj::new()
                     .str("t", "cpmm2")
@@ -1153,7 +1339,11 @@ impl Transport for SocketTransport {
                     .u64("block", out.block_size() as u64)
                     .raw("tasks", tasks),
             )
-        })?;
+        });
+        let posted = self.post("cpmm", cmds)?;
+        let oracle = oracle_shards(out);
+        self.collect(posted, &oracle)?;
+        self.now_resident(out);
         let payload: u64 = partials
             .iter()
             .filter(|p| p.src_w != p.dest_w)
@@ -1161,38 +1351,6 @@ impl Transport for SocketTransport {
             .sum();
         self.stats.payload_bytes += payload;
         Ok(payload)
-    }
-
-    fn run_fused(
-        &mut self,
-        op: &'static str,
-        prog: &[FusedOp],
-        leaves: &[&DistMatrix],
-        out: &DistMatrix,
-    ) -> Result<()> {
-        self.op_tick();
-        let mut rids = JsonArr::new();
-        for leaf in leaves {
-            self.ensure_resident(leaf)?;
-            rids = rids.u64(leaf.rid());
-        }
-        let rids = rids.build();
-        // Scalar constants ride as a raw f64 body section the program
-        // references by slot index; a program without any is plain JSON.
-        let (prog_json, consts) = wire::encode_prog_indexed(prog);
-        self.run_stage(op, out, None, |tasks| {
-            let head = JsonObj::new()
-                .str("t", "fused")
-                .raw("rids", &rids)
-                .raw("prog", &prog_json)
-                .u64("rid_out", out.rid())
-                .raw("tasks", tasks);
-            if consts.is_empty() {
-                Outgoing::Json(head)
-            } else {
-                Outgoing::Bin(head, binfmt::encode_f64s(&consts))
-            }
-        })
     }
 
     fn run_reduce(&mut self, kind: ReduceKind, m: &DistMatrix, partials: &[f64]) -> Result<u64> {
@@ -1205,7 +1363,7 @@ impl Transport for SocketTransport {
         // Broadcast values are fully replicated: only worker 0's fold
         // enters the total, so only it is conformance-checked.
         let broadcast = m.scheme() == PartitionScheme::Broadcast;
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
+        let (mut cmds, mut asked) = (Vec::new(), Vec::new());
         for (host, ws) in self.hosts_with_ws() {
             let check: Vec<usize> = if broadcast {
                 ws.iter().copied().filter(|&w| w == 0).collect()
@@ -1228,62 +1386,43 @@ impl Transport for SocketTransport {
                         .u64("rid", m.rid())
                         .raw("ws", &ws_arr.build()),
                 ),
+                Check::Read,
             ));
+            asked.push(check);
         }
-        for (_, reply) in self.exchange("reduce", cmds)? {
-            for part in wire::field_arr(&reply.head, "parts").map_err(ClusterError::Protocol)? {
-                let w = wire::field_usize(part, "w").map_err(ClusterError::Protocol)?;
-                let x = wire::field_str(part, "x")
-                    .ok()
-                    .and_then(wire::parse_hex_f64)
-                    .ok_or_else(|| ClusterError::Protocol("bad reduce partial".into()))?;
-                let want = partials.get(w).copied().ok_or_else(|| {
-                    ClusterError::Protocol(format!("reduce partial for unknown worker {w}"))
-                })?;
-                if x.to_bits() != want.to_bits() {
-                    return Err(ClusterError::TransportConformance {
-                        op: "reduce",
-                        detail: format!("worker {w} partial {x:e} != oracle {want:e} (bitwise)"),
-                    });
-                }
-            }
+        for ((host, reply), ws) in self.exchange("reduce", cmds)?.into_iter().zip(asked) {
+            check_reduce(host, &reply.head, &ws, partials)?;
         }
         Ok(8 * m.workers() as u64)
     }
 
-    fn retain_values(&mut self, live: &dyn Fn(u64) -> bool) -> Result<usize> {
-        // Forgotten before the exchange: if a host dies under it, the
-        // remap that follows has nothing stale left to name.
-        let mut dead: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
+    fn retain_values(&mut self, live: &dyn Fn(u64) -> bool, release: Release) -> Result<usize> {
+        // Forgotten at once, freed by an exchange: every live host holding
+        // a shard of a released rid drops all of them.
+        let (conns, frees) = (&self.conns, &mut self.frees);
+        let mut released = 0;
         self.known.retain(|&rid, hosts| {
-            let keep = live(rid);
-            if !keep {
-                dead.insert(rid, std::mem::take(hosts));
+            if live(rid) {
+                return true;
             }
-            keep
+            released += 1;
+            let alive = hosts.iter().filter(|&&h| conns[h].alive);
+            frees.extend(alive.map(|&h| (h, rid)));
+            false
         });
-        if dead.is_empty() {
-            return Ok(0);
+        if released > 0 {
+            self.op_tick();
         }
-        self.op_tick();
-        // Every live host holding a shard of a dead rid drops all of them.
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
-        for (rid, hosts) in &dead {
-            for &host in hosts.iter().filter(|&&h| self.conns[h].alive) {
-                let free = JsonObj::new().str("t", "free").u64("rid", *rid);
-                cmds.push((host, Outgoing::Json(free)));
-            }
+        if release == Release::Now {
+            self.exchange("free", Vec::new())?;
         }
-        for (host, reply) in self.exchange("free", cmds)? {
-            self.check_ok(host, &reply)?;
-        }
-        Ok(dead.len())
+        Ok(released)
     }
 
     fn gather(&mut self, m: &DistMatrix) -> Result<DistMatrix> {
         self.ensure_resident(m)?;
         let broadcast = m.scheme() == PartitionScheme::Broadcast;
-        let mut cmds: Vec<(usize, Outgoing)> = Vec::new();
+        let mut cmds = Vec::new();
         for (host, ws) in self.hosts_with_ws() {
             let mut items = JsonArr::new();
             let mut count = 0usize;
@@ -1313,6 +1452,7 @@ impl Transport for SocketTransport {
                         .u64("rid", m.rid())
                         .raw("items", &items.build()),
                 ),
+                Check::Read,
             ));
         }
         let mut placed: Vec<(Option<usize>, usize, usize, Arc<Block>)> = Vec::new();
@@ -1469,5 +1609,87 @@ impl Drop for SocketTransport {
             conn.child.kill().ok();
             conn.child.wait().ok();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A Row value over 3 logical workers, one block row each.
+    fn value() -> DistMatrix {
+        let m = dmac_matrix::BlockedMatrix::from_fn(6, 4, 2, |i, j| (i * 4 + j) as f64).unwrap();
+        DistMatrix::from_blocked(&m, PartitionScheme::Row, 3)
+    }
+
+    /// A reply of kind `t` whose array `key` holds these objects.
+    fn reply(t: &str, key: &str, items: impl IntoIterator<Item = JsonObj>) -> Json {
+        let arr = arr_of(items.into_iter().map(JsonObj::build));
+        Json::parse(&JsonObj::new().str("t", t).raw(key, &arr).build()).unwrap()
+    }
+
+    /// Each way a reply can fail to answer for workers 0 and 2: `answer`
+    /// renders one worker's entry.
+    fn short_answers(answer: impl Fn(usize) -> JsonObj) -> [(&'static str, Vec<JsonObj>); 4] {
+        [
+            ("an empty array", vec![]),
+            ("a missing worker", vec![answer(0)]),
+            ("a duplicated worker", vec![answer(0), answer(2), answer(2)]),
+            (
+                "a worker not asked about",
+                vec![answer(0), answer(1), answer(2)],
+            ),
+        ]
+    }
+
+    /// A `sealed` reply answers for exactly the workers it was asked
+    /// about, each once, in any order; a shard it gets wrong is a
+    /// conformance error naming the primitive.
+    #[test]
+    fn a_seal_answers_for_every_worker_it_was_asked_about() {
+        let oracle = oracle_shards(&value());
+        let shard = |w: usize, x: u64| {
+            let (n, _) = oracle[w];
+            let obj = JsonObj::new().u64("w", w as u64).u64("n", n as u64);
+            obj.str("x", &wire::hex_u64(x))
+        };
+        let honest = |w: usize| shard(w, oracle[w].1);
+        let ws = [0, 2];
+        let seal = |items| check_seal("rmm1", 1, &reply("sealed", "shards", items), &ws, &oracle);
+        assert!(seal(vec![honest(2), honest(0)]).is_ok());
+        for (what, items) in short_answers(honest) {
+            let err = seal(items).expect_err(what);
+            assert!(matches!(err, ClusterError::Protocol(_)), "{what}: {err}");
+        }
+        let err = seal(vec![honest(0), shard(2, oracle[2].1 ^ 1)]).unwrap_err();
+        let conformance = matches!(err, ClusterError::TransportConformance { op: "rmm1", .. });
+        assert!(conformance, "{err}");
+    }
+
+    /// The same contract for a `reduced` reply: every asked worker's
+    /// partial once, bit-equal to the oracle's.
+    #[test]
+    fn a_reduction_answers_for_every_worker_it_was_asked_about() {
+        let partials = [1.5, -0.0, 2.25];
+        let part = |w: usize, x: f64| {
+            JsonObj::new()
+                .u64("w", w as u64)
+                .str("x", &wire::hex_f64(x))
+        };
+        let honest = |w: usize| part(w, partials[w]);
+        let ws = [0, 2];
+        let reduce = |items| check_reduce(1, &reply("reduced", "parts", items), &ws, &partials);
+        assert!(reduce(vec![honest(0), honest(2)]).is_ok());
+        for (what, items) in short_answers(honest) {
+            let err = reduce(items).expect_err(what);
+            assert!(matches!(err, ClusterError::Protocol(_)), "{what}: {err}");
+        }
+        let err = reduce(vec![
+            honest(0),
+            part(2, f64::from_bits(2.25f64.to_bits() + 1)),
+        ])
+        .unwrap_err();
+        let conformance = matches!(err, ClusterError::TransportConformance { op: "reduce", .. });
+        assert!(conformance, "{err}");
     }
 }

@@ -16,11 +16,14 @@
 //! Length-prefixed frames ([`crate::transport::frame`]). On connect the
 //! worker binds a peer listen socket and sends
 //! `{"t":"hello","host":H,"pid":P,"peer":"127.0.0.1:N","bin":1}`, then
-//! answers each command frame with exactly one reply frame. Commands
-//! carry a per-connection sequence number `"q"` which every reply
-//! echoes, so the coordinator's pipelined dispatch can discard stale
-//! replies after an aborted stage. A detached thread writes
-//! `{"t":"hb","host":H}` every `heartbeat_ms` through the same
+//! answers each command frame with exactly one reply frame, in order.
+//! Commands carry a per-connection sequence number `"q"` which every
+//! reply echoes, so the coordinator's pipelined dispatch can discard
+//! stale replies after an aborted stage. A stage's tiles are named once
+//! per group: `mm` and `fused` tasks are `[{"w":w,"k":[bi,bj,…]}]`, one
+//! group per logical worker (`cpmm2` keeps one `{"w","bi","bj","srcs"}`
+//! task per tile, for its per-tile partial sources). A detached thread
+//! writes `{"t":"hb","host":H}` every `heartbeat_ms` through the same
 //! (mutex-shared) stream; the coordinator tolerates heartbeats
 //! interleaved ahead of a reply. Errors are reported as
 //! `{"t":"err","msg":…}` replies — the worker survives bad commands; it
@@ -38,20 +41,23 @@
 //! ## Direct worker-to-worker exchange
 //!
 //! An `xfer` command is a routing plan, and the one way a tile moves:
-//! for each item the worker reads the source tile and applies the
-//! transform. An item that names no destination host (`dh`) stays and
-//! is installed directly; the rest are pushed over cached TCP
-//! connections straight to their hosts' peer listeners — the coordinator
-//! never touches the bytes. A push is acknowledged (`{"t":"got"}`) only
-//! after the receiving side installed the tiles, and the worker replies
-//! `xferred` (per-item source-byte receipts in item order, per-edge frame
-//! stats for the pushed groups) only after every push is acknowledged —
-//! so by the time the coordinator seals the destination value, all
-//! installs have happened-before the seal. Local installs and the
-//! encoding of every push happen under one store lock, which is released
-//! while awaiting acks, so two workers pushing to each other cannot
-//! deadlock. A dead peer surfaces as a `peerfail` reply naming the host,
-//! which the coordinator folds into its normal worker-loss path.
+//! its `groups` are `[{"wi","wo","dh"?,"k":[bi,bj,…]}]`, each the tiles
+//! `k` of logical worker `wi`'s shard that become worker `wo`'s. For
+//! every tile the worker reads the source and applies the transform. A
+//! group that names no destination host (`dh`) stays and is installed
+//! directly; the rest are pushed over cached TCP connections straight to
+//! their hosts' peer listeners — one push per destination host, the
+//! coordinator never touches the bytes. A push is acknowledged
+//! (`{"t":"got"}`) only after the receiving side installed the tiles, and
+//! the worker replies `xferred` (one source-byte receipt per group, in
+//! group order, and per-edge frame stats for the pushes) only after every
+//! push is acknowledged — so by the time the coordinator seals the
+//! destination value, all installs have happened-before the seal. Local
+//! installs and the encoding of every push happen under one store lock,
+//! which is released while awaiting acks, so two workers pushing to each
+//! other cannot deadlock. A dead peer surfaces as a `peerfail` reply
+//! naming the host, which the coordinator folds into its normal
+//! worker-loss path.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{TcpListener, TcpStream};
@@ -306,6 +312,18 @@ fn task_triple(j: &Json) -> Result<(usize, usize, usize), String> {
     ))
 }
 
+/// A group's tile keys: its `k` array, read as `bi, bj` pairs.
+fn keys_of(group: &Json) -> Result<Vec<(usize, usize)>, String> {
+    let k = wire::field_usize_arr(group, "k")?;
+    if k.len() % 2 != 0 {
+        return Err(format!(
+            "a group's k holds {} numbers, not (bi, bj) pairs",
+            k.len()
+        ));
+    }
+    Ok(k.chunks_exact(2).map(|p| (p[0], p[1])).collect())
+}
+
 fn meta_of(cmd: &Json) -> Result<GridMeta, String> {
     Ok(GridMeta::new(
         wire::field_usize(cmd, "rows")?,
@@ -384,9 +402,9 @@ impl Worker {
         Ok(Reply::ok())
     }
 
-    /// Execute a routing plan. Under the store lock, read every item's
-    /// source tile — a missing one is an error before anything is
-    /// installed — install the items bound for this host, and encode the
+    /// Execute a routing plan. Under the store lock, read every group's
+    /// source tiles — a missing one is an error before anything is
+    /// installed — install the groups bound for this host, and encode the
     /// rest per destination host; then, with the lock released, push each
     /// batch to its host's peer listener and await the acks. Symmetric
     /// xfers between two hosts must not deadlock on each other's installs.
@@ -394,40 +412,43 @@ impl Worker {
         let rid_in = wire::field_u64(cmd, "rid_in")?;
         let rid_out = wire::field_u64(cmd, "rid_out")?;
         let tr = transform_of(cmd)?;
-        let items = wire::field_arr(cmd, "items")?;
-        // Per-item source-byte receipts, this host's tiles, and the other
+        let groups = wire::field_arr(cmd, "groups")?;
+        // Per-group source-byte receipts, this host's tiles, and the other
         // hosts' tiles encoded per destination host.
         let mut bytes = JsonArr::new();
         let mut local = Vec::new();
-        let mut groups: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
+        let mut pushes: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
         {
             let mut store = self.lock()?;
-            for item in items {
-                let wi = wire::field_usize(item, "wi")?;
-                let wo = wire::field_usize(item, "wo")?;
-                let bi = wire::field_usize(item, "bi")?;
-                let bj = wire::field_usize(item, "bj")?;
-                // An item names a destination host (`dh`) only to leave
+            for group in groups {
+                let wi = wire::field_usize(group, "wi")?;
+                let wo = wire::field_usize(group, "wo")?;
+                // A group names a destination host (`dh`) only to leave
                 // this one; naming this one is refused, not a second
                 // spelling of staying.
-                let dh = item
+                let dh = group
                     .get("dh")
-                    .map(|_| wire::field_usize(item, "dh"))
+                    .map(|_| wire::field_usize(group, "dh"))
                     .transpose()?;
                 if dh == Some(self.host) {
-                    return Err(format!("xfer item names its own host {} as dh", self.host));
+                    return Err(format!("xfer group names its own host {} as dh", self.host));
                 }
-                let src = tile_of(&store, self.host, rid_in, wi, bi, bj)?;
-                bytes = bytes.u64(src.actual_bytes() as u64);
-                let (di, dj) = tr.dest_key(bi, bj);
-                let Some(dh) = dh else {
-                    local.push((wo, (di, dj), tr.apply(src)));
-                    continue;
-                };
-                let buf = groups.entry(dh).or_insert_with(|| vec![0u8; 4]);
-                binfmt::push_tile(buf, wo, di, dj, &tr.apply(src));
-                let n = u32::from_le_bytes(buf[..4].try_into().unwrap()) + 1;
-                buf[..4].copy_from_slice(&n.to_le_bytes());
+                let mut receipt = 0u64;
+                for (bi, bj) in keys_of(group)? {
+                    let src = tile_of(&store, self.host, rid_in, wi, bi, bj)?;
+                    receipt += src.actual_bytes() as u64;
+                    let (di, dj) = tr.dest_key(bi, bj);
+                    let Some(dh) = dh else {
+                        local.push((wo, (di, dj), tr.apply(src)));
+                        continue;
+                    };
+                    let buf = pushes.entry(dh).or_insert_with(|| vec![0u8; 4]);
+                    binfmt::push_tile(buf, wo, di, dj, &tr.apply(src));
+                    let count = buf[..4].try_into().expect("a batch opens with its count");
+                    let n = u32::from_le_bytes(count) + 1;
+                    buf[..4].copy_from_slice(&n.to_le_bytes());
+                }
+                bytes = bytes.u64(receipt);
             }
             for (wo, at, tile) in local {
                 store.entry((rid_out, wo)).or_default().insert(at, tile);
@@ -436,7 +457,7 @@ impl Worker {
         // Lock released: push each destination's batch and await acks.
         let mut edges = JsonArr::new();
         let header = JsonObj::new().str("t", "push").u64("rid", rid_out).build();
-        for (dh, body) in groups {
+        for (dh, body) in pushes {
             let payload = binfmt::encode(&header, &body);
             match self.push_to(dh, &payload) {
                 Ok(ack_len) => {
@@ -554,22 +575,20 @@ impl Worker {
         let kb = wire::field_usize(cmd, "kb")?;
         let meta = meta_of(cmd)?;
         let mut store = self.lock()?;
-        // A host's tasks come grouped by logical worker: one stage each,
-        // set up when the worker changes. The results wait for the last
-        // stage to let go of the store.
-        let mut stage: Option<(usize, MulStage)> = None;
+        // A host's tasks come grouped by logical worker: one stage each.
+        // The results wait for the last stage to let go of the store.
         let mut tiles = Vec::new();
-        for task in wire::field_arr(cmd, "tasks")? {
-            let (w, bi, bj) = task_triple(task)?;
-            let stage = match &mut stage {
-                Some((held, stage)) if *held == w => stage,
-                other => &mut other.insert((w, mul_stage(&store, rid_a, rid_b, w, kb)?)).1,
-            };
-            let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
-            let tile = stage
-                .product(&self.pool, shape, (bi, bj))
-                .map_err(|e| format!("mm: result ({bi},{bj}) on worker {w}: {e}"))?;
-            tiles.push((w, (bi, bj), tile));
+        for group in wire::field_arr(cmd, "tasks")? {
+            let w = wire::field_usize(group, "w")?;
+            let keys = keys_of(group)?;
+            let stage = mul_stage(&store, rid_a, rid_b, w, kb)?;
+            for (bi, bj) in keys {
+                let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
+                let tile = stage
+                    .product(&self.pool, shape, (bi, bj))
+                    .map_err(|e| format!("mm: result ({bi},{bj}) on worker {w}: {e}"))?;
+                tiles.push((w, (bi, bj), tile));
+            }
         }
         for (w, at, tile) in tiles {
             store.entry((rid_out, w)).or_default().insert(at, tile);
@@ -588,15 +607,17 @@ impl Worker {
             .unwrap_or_default();
         let prog = wire::decode_prog_indexed(wire::field_arr(cmd, "prog")?, &consts)?;
         let mut store = self.lock()?;
-        for task in wire::field_arr(cmd, "tasks")? {
-            let (w, bi, bj) = task_triple(task)?;
-            let mut tiles: Vec<&Block> = Vec::with_capacity(rids.len());
-            for &rid in &rids {
-                tiles.push(tile_of(&store, self.host, rid as u64, w, bi, bj)?);
+        for group in wire::field_arr(cmd, "tasks")? {
+            let w = wire::field_usize(group, "w")?;
+            for (bi, bj) in keys_of(group)? {
+                let mut tiles: Vec<&Block> = Vec::with_capacity(rids.len());
+                for &rid in &rids {
+                    tiles.push(tile_of(&store, self.host, rid as u64, w, bi, bj)?);
+                }
+                let out = dmac_matrix::eval_fused_block(&prog, &tiles, &self.pool)
+                    .map_err(|e| e.to_string())?;
+                store.entry((rid_out, w)).or_default().insert((bi, bj), out);
             }
-            let out = dmac_matrix::eval_fused_block(&prog, &tiles, &self.pool)
-                .map_err(|e| e.to_string())?;
-            store.entry((rid_out, w)).or_default().insert((bi, bj), out);
         }
         Ok(Reply::ok())
     }
@@ -750,19 +771,34 @@ mod tests {
         }
     }
 
-    /// `[{"w","bi","bj"(,"srcs")}…]` for every tile of `out`.
-    fn tasks_of(out: &DistMatrix, srcs: impl Fn(usize, usize) -> Option<String>) -> String {
+    /// Worker `w`'s tiles of `out`, in key order.
+    fn keys(out: &DistMatrix, w: usize) -> Vec<(usize, usize)> {
+        let mut keys: Vec<_> = out.worker_blocks(w).keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// `[{"w","k":[bi,bj,…]}…]`: every tile of `out`, one group per worker.
+    fn groups_of(out: &DistMatrix) -> String {
         let mut tasks = JsonArr::new();
         for w in 0..out.workers() {
-            for &(bi, bj) in out.worker_blocks(w).keys() {
+            let k = keys(out, w).into_iter().flat_map(|(bi, bj)| [bi, bj]);
+            let k = k.fold(JsonArr::new(), |k, x| k.u64(x as u64)).build();
+            tasks = tasks.raw(&JsonObj::new().u64("w", w as u64).raw("k", &k).build());
+        }
+        tasks.build()
+    }
+
+    /// `[{"w","bi","bj","srcs"}…]`: every tile of `out`, one task each.
+    fn tasks_of(out: &DistMatrix, srcs: impl Fn(usize, usize) -> String) -> String {
+        let mut tasks = JsonArr::new();
+        for w in 0..out.workers() {
+            for (bi, bj) in keys(out, w) {
                 let task = JsonObj::new()
                     .u64("w", w as u64)
                     .u64("bi", bi as u64)
-                    .u64("bj", bj as u64);
-                let task = match srcs(bi, bj) {
-                    Some(s) => task.raw("srcs", &s),
-                    None => task,
-                };
+                    .u64("bj", bj as u64)
+                    .raw("srcs", &srcs(bi, bj));
                 tasks = tasks.raw(&task.build());
             }
         }
@@ -845,7 +881,7 @@ mod tests {
             .u64("rid_b", b_col.rid())
             .u64("rid_out", mm_out.rid())
             .u64("kb", kb)
-            .raw("tasks", &tasks_of(&mm_out, |_, _| None));
+            .raw("tasks", &groups_of(&mm_out));
 
         let (a_col, b_row) = (
             cl.load(&a, PartitionScheme::Col),
@@ -913,7 +949,7 @@ mod tests {
                     srcs = srcs.u64(src as u64);
                 }
             }
-            Some(srcs.build())
+            srcs.build()
         };
         let cpmm2 = grid(JsonObj::new().str("t", "cpmm2"), &out)
             .u64("stage", stage)
@@ -973,12 +1009,12 @@ mod tests {
             }
         }
         // A result tile, a logical worker, an operand the host does not hold.
-        let first = r#"{"w":0,"bi":0,"bj":0}"#;
+        let first = r#"{"w":0,"k":[0,0,"#;
         assert!(mm.contains(first));
         for task in [
-            r#"{"w":0,"bi":3,"bj":0}"#.to_string(),
-            format!(r#"{{"w":0,"bi":{huge},"bj":{huge}}}"#),
-            format!(r#"{{"w":{huge},"bi":0,"bj":0}}"#),
+            r#"{"w":0,"k":[3,0,"#.to_string(),
+            format!(r#"{{"w":0,"k":[{huge},{huge},"#),
+            format!(r#"{{"w":{huge},"k":[0,0,"#),
         ] {
             let names = ["mm: result (", "on worker ", "missing input tile at k=0"];
             rejected(&mut w, &mm.replace(first, &task), &names);
@@ -1051,29 +1087,33 @@ mod tests {
         w
     }
 
-    /// An `xfer` of rid 1 → rid 2 transposing, items `(wi, wo, bi, bj,
-    /// dh)`; `None` names no destination host: the item stays.
-    fn xfer_of(items: &[(usize, usize, usize, usize, Option<usize>)]) -> String {
+    /// One group of an `xfer` plan: `(wi, wo, dh, keys)`; `None` names no
+    /// destination host: the group stays.
+    type G<'k> = (usize, usize, Option<usize>, &'k [(usize, usize)]);
+
+    /// An `xfer` of rid 1 → rid 2 transposing, with these groups.
+    fn xfer_of(groups: &[G]) -> String {
         let mut arr = JsonArr::new();
-        for &(wi, wo, bi, bj, dh) in items {
-            let item = JsonObj::new().u64("wi", wi as u64).u64("wo", wo as u64);
-            let item = item.u64("bi", bi as u64).u64("bj", bj as u64);
-            let item = match dh {
-                Some(dh) => item.u64("dh", dh as u64),
-                None => item,
+        for &(wi, wo, dh, keys) in groups {
+            let group = JsonObj::new().u64("wi", wi as u64).u64("wo", wo as u64);
+            let group = match dh {
+                Some(dh) => group.u64("dh", dh as u64),
+                None => group,
             };
-            arr = arr.raw(&item.build());
+            let k = keys.iter().flat_map(|&(bi, bj)| [bi, bj]);
+            let k = k.fold(JsonArr::new(), |k, x| k.u64(x as u64));
+            arr = arr.raw(&group.raw("k", &k.build()).build());
         }
         let cmd = JsonObj::new()
             .str("t", "xfer")
             .u64("rid_in", 1)
             .u64("rid_out", 2);
         cmd.str("tr", "transpose")
-            .raw("items", &arr.build())
+            .raw("groups", &arr.build())
             .build()
     }
 
-    /// The `xferred` reply's per-item receipts and per-edge hosts.
+    /// The `xferred` reply's per-group receipts and per-edge hosts.
     fn xferred(reply: Reply) -> (Vec<u64>, Vec<u64>) {
         let Reply::Json(obj) = reply else {
             panic!("xferred is a JSON reply")
@@ -1097,19 +1137,20 @@ mod tests {
         tiles.map(|(at, t)| (at, bits(t))).collect()
     }
 
-    /// A routing plan whose items all stay on this host is installed on
-    /// the spot, transformed, with receipts in item order, no edges, and no
-    /// peer connection opened. An item naming this host as `dh` is
+    /// A routing plan whose groups all stay on this host is installed on
+    /// the spot, transformed, with receipts in group order, no edges, and
+    /// no peer connection opened. A group naming this host as `dh` is
     /// refused: staying has one spelling.
     #[test]
-    fn xfer_installs_the_items_bound_for_its_own_host() {
+    fn xfer_installs_the_groups_bound_for_its_own_host() {
         let mut w = holder();
         let (small, wide) = (8, 48);
-        let err = run(&mut w, &xfer_of(&[(0, 1, 0, 1, Some(0))]))
+        let err = run(&mut w, &xfer_of(&[(0, 1, Some(0), &[(0, 1)])]))
             .err()
             .unwrap();
         assert!(err.contains("names its own host 0"), "{err}");
-        let reply = run(&mut w, &xfer_of(&[(0, 1, 0, 1, None), (0, 0, 0, 0, None)])).unwrap();
+        let plan = xfer_of(&[(0, 1, None, &[(0, 1)]), (0, 0, None, &[(0, 0)])]);
+        let reply = run(&mut w, &plan).unwrap();
         assert_eq!(xferred(reply), (vec![wide, small], vec![]));
         let got = landed(&w.store);
         let want = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1118,11 +1159,11 @@ mod tests {
         assert!(w.peer_conns.is_empty(), "nothing was pushed");
     }
 
-    /// A mixed plan: the local item lands here, the other is pushed to
+    /// A mixed plan: the local group lands here, the other is pushed to
     /// host 1's peer listener, which installs it before acking — and the
     /// one edge is host 1's.
     #[test]
-    fn xfer_installs_local_items_and_pushes_the_rest() {
+    fn xfer_installs_local_groups_and_pushes_the_rest() {
         let mut w = holder();
         let peer: Arc<Mutex<Store>> = Arc::default();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1130,30 +1171,71 @@ mod tests {
         let store = Arc::clone(&peer);
         std::thread::spawn(move || peer_serve(listener.accept().unwrap().0, store));
 
-        let reply = run(
-            &mut w,
-            &xfer_of(&[(0, 0, 0, 0, Some(1)), (0, 1, 0, 1, None)]),
-        )
-        .unwrap();
+        let plan = xfer_of(&[(0, 0, Some(1), &[(0, 0)]), (0, 1, None, &[(0, 1)])]);
+        let reply = run(&mut w, &plan).unwrap();
         assert_eq!(xferred(reply), (vec![8, 48], vec![1]));
         let here: Vec<_> = landed(&w.store).into_keys().collect();
         let there: Vec<_> = landed(&peer).into_keys().collect();
         assert_eq!((here, there), (vec![(1, (1, 0))], vec![(0, (0, 0))]));
     }
 
-    /// An item naming a tile the host does not hold is an `err` reply,
+    /// A group naming a tile the host does not hold is an `err` reply,
     /// and nothing of the plan — local or remote — moved.
     #[test]
     fn xfer_of_a_missing_tile_is_an_error_that_installs_nothing() {
         let mut w = holder();
         let plan = xfer_of(&[
-            (0, 0, 0, 0, None),
-            (0, 1, 0, 1, Some(1)),
-            (0, 0, 1, 1, None),
+            (0, 0, None, &[(0, 0)]),
+            (0, 1, Some(1), &[(0, 1)]),
+            (0, 0, None, &[(1, 1)]),
         ]);
         let err = run(&mut w, &plan).err().expect("a missing tile is refused");
         assert!(err.contains("missing tile rid=1 w=0 (1,1)"), "{err}");
         assert!(landed(&w.store).is_empty());
         assert!(w.peer_conns.is_empty());
+    }
+
+    /// A group whose `k` is not `bi, bj` pairs, one naming this host as
+    /// `dh`, one with no `k` at all: each is an `err` reply, and the good
+    /// group before it in the plan installed nothing.
+    #[test]
+    fn xfer_of_a_malformed_group_is_an_error_that_installs_nothing() {
+        let mut w = holder();
+        let good = r#"{"wi":0,"wo":1,"k":[0,1]}"#;
+        for (bad, says) in [
+            (r#"{"wi":0,"wo":0,"k":[0,0,1]}"#, "not (bi, bj) pairs"),
+            (
+                r#"{"wi":0,"wo":0,"dh":0,"k":[0,0]}"#,
+                "names its own host 0",
+            ),
+            (r#"{"wi":0,"wo":0}"#, "missing array 'k'"),
+        ] {
+            let plan = format!(
+                r#"{{"t":"xfer","rid_in":1,"rid_out":2,"tr":"none","groups":[{good},{bad}]}}"#
+            );
+            let err = run(&mut w, &plan)
+                .err()
+                .expect("a malformed group is refused");
+            assert!(err.contains(says), "{bad}: {err}");
+            assert!(landed(&w.store).is_empty(), "{bad}");
+            assert!(w.peer_conns.is_empty(), "{bad}");
+        }
+    }
+
+    /// A group's one receipt is the sum of its source tiles' bytes.
+    #[test]
+    fn a_group_receipt_sums_its_tiles() {
+        let mut w = holder();
+        let tiles: u64 = {
+            let store = w.store.lock().unwrap();
+            store[&(1, 0)]
+                .values()
+                .map(|t| t.actual_bytes() as u64)
+                .sum()
+        };
+        let reply = run(&mut w, &xfer_of(&[(0, 1, None, &[(0, 0), (0, 1)])])).unwrap();
+        assert_eq!(xferred(reply), (vec![tiles], vec![]));
+        assert_eq!(tiles, 8 + 48);
+        assert_eq!(landed(&w.store).len(), 2);
     }
 }

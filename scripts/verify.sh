@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one tile move)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one tile move, one write path, one routing form)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -90,11 +90,20 @@ awk '/#\[cfg\(test\)\]/ { exit }
 # what stays on its host and pushes the rest, so no `copy` command sits
 # beside it, and socket.rs builds every move exchange in one place.
 if grep -rnE 'record_span\(|charge_comm\(|"t", "copy"|fn copy\(' crates src; then exit 1; fi
+# A coordinator command is written in two places only: `post` (every
+# exchange, a queued `free` at its head, each command beside its check)
+# and `request` (membership and shutdown). And a routing plan has one
+# form, its groups built in one place and parsed in one place.
 awk '/#\[cfg\(test\)\]/ { exit }
-     /"t", "xfer"/ { xfer++ }
-     END { if (xfer != 1) {
-               print FILENAME ": \"t\", \"xfer\" x" xfer+0 " (want 1)"
+     /"t", "xfer"/ { xfer++ } /self\.send_cmd\(/ { send++ } /"groups"/ { groups++ }
+     END { if (xfer != 1 || send != 2 || groups != 1) {
+               print FILENAME ": \"t\", \"xfer\" x" xfer+0 ", self.send_cmd( x" send+0 ", \"groups\" x" groups+0 " (want 1, 2, 1)"
                exit 1 } }' crates/cluster/src/transport/socket.rs
+awk '/#\[cfg\(test\)\]/ { exit }
+     /"groups"/ { groups++ }
+     END { if (groups != 1) {
+               print FILENAME ": \"groups\" x" groups+0 " (want 1)"
+               exit 1 } }' crates/cluster/src/transport/workerd.rs
 
 echo "==> cargo test (workspace)"
 # Includes what used to be separate gates: the lint + plan-verifier sweep

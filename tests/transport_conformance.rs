@@ -328,6 +328,45 @@ fn a_broadcast_is_one_routing_command_per_source_host() {
     cl.shutdown_transport().expect("workers must exit cleanly");
 }
 
+/// A plan's `free` costs no round of its own: its `free` commands ride at
+/// the head of the next exchange. A steady-state 10-iteration PageRank on
+/// 4 workers — the repo benchmark's workload at its quick scale — is 45
+/// coordinator rounds (the session's sweep at the end of the run is one of
+/// them), where it was 77 while each of its 32 `free` steps was an
+/// exchange of its own. It sends the same commands as then: 784 frames
+/// besides heartbeats, the same payload (the rank broadcasts) and install
+/// (the fresh `rank0`) bytes.
+#[test]
+fn a_plan_free_costs_no_round() {
+    let (nodes, edges, block) = (1024, 16_384, 32);
+    let g = dmac::data::powerlaw_graph(nodes, edges, block, 5);
+    let cfg = PageRank {
+        nodes,
+        link_sparsity: edges as f64 / (nodes as f64 * nodes as f64),
+        damping: 0.85,
+        iterations: 10,
+    };
+    let mut s = Session::builder()
+        .workers(4)
+        .local_threads(1)
+        .block_size(block)
+        .seed(7)
+        .socket_transport(SocketOptions::default())
+        .try_build()
+        .expect("4 worker processes must launch");
+    // The first run installs `link` and `D`; the second is steady state.
+    cfg.run(&mut s, &g).unwrap();
+    let before = s.transport_stats();
+    cfg.run(&mut s, &g).unwrap();
+    let after = s.transport_stats();
+    let frames = |t: TransportStats| t.frames - t.heartbeats;
+    assert_eq!(after.rounds - before.rounds, 45, "rounds per run");
+    assert_eq!(frames(after) - frames(before), 784, "frames per run");
+    assert_eq!(after.payload_bytes - before.payload_bytes, 245_760);
+    assert_eq!(after.install_bytes - before.install_bytes, 8_192);
+    s.shutdown_transport().expect("workers must exit cleanly");
+}
+
 /// A long session must not grow the workers' memory, and a run must not
 /// ship what the workers already hold. Every `PageRank::run` re-binds
 /// `link` and `D` with the content they already have: the bind is a
