@@ -29,9 +29,10 @@
 //! *before* any scheme or shape validation — a dead worker always surfaces
 //! as [`ClusterError::WorkerLost`], never as a misleading validation error
 //! — and then gives the seeded [`FaultInjector`] a chance to kill a host.
-//! Metered transfers go through [`Cluster::send`], which retries transient
-//! failures up to the plan's attempt budget, charging wasted bytes to the
-//! retry meter.
+//! Metered transfers go through `Cluster::send`, which retries transient
+//! failures up to the plan's attempt budget and writes what it moved, what
+//! it wasted and the network seconds it charged into the primitive's open
+//! span — the only place a moved byte is counted.
 
 // Worker loops index several parallel per-worker structures by id; an
 // iterator would obscure the symmetry.
@@ -80,8 +81,9 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A simulated cluster: `N` logical workers, a byte meter, and a simulated
-/// clock. All distributed operators live here as methods.
+/// A simulated cluster: `N` logical workers, a span buffer that meters
+/// every byte, and a simulated clock. All distributed operators live here
+/// as methods.
 ///
 /// ```
 /// use dmac_cluster::{Cluster, ClusterConfig, PartitionScheme};
@@ -97,7 +99,6 @@ impl Default for ClusterConfig {
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
-    comm: CommStats,
     clock: SimClock,
     /// Hosts currently down (includes every decommissioned host).
     failed: HashSet<usize>,
@@ -115,12 +116,12 @@ pub struct Cluster {
     transport: Option<Box<dyn Transport>>,
 }
 
-/// Snapshot taken when a primitive starts, closed into an [`OpSpan`].
-struct SpanStart {
-    op: &'static str,
-    sim0: f64,
+/// A primitive's span while it runs: opened at entry with its `op` and
+/// start, its ledger fields written by [`Cluster::send`], then closed.
+struct OpenSpan {
     wall0: Instant,
     pool0: PoolStats,
+    span: OpSpan,
 }
 
 impl Cluster {
@@ -128,7 +129,6 @@ impl Cluster {
     pub fn new(config: ClusterConfig) -> Cluster {
         Cluster {
             config,
-            comm: CommStats::default(),
             clock: SimClock::default(),
             failed: HashSet::new(),
             decommissioned: HashSet::new(),
@@ -211,9 +211,9 @@ impl Cluster {
         self.config.workers
     }
 
-    /// The communication ledger so far.
-    pub fn comm(&self) -> &CommStats {
-        &self.comm
+    /// The communication totals of every span recorded so far.
+    pub fn comm(&self) -> CommStats {
+        CommStats::of(self.tracer.spans())
     }
 
     /// The simulated clock so far.
@@ -225,7 +225,6 @@ impl Cluster {
     /// buffer-pool statistics are cumulative and survive (the pool itself
     /// is a process-lifetime resource).
     pub fn reset_meters(&mut self) {
-        self.comm.clear();
         self.clock = SimClock::default();
         self.tracer.clear();
     }
@@ -260,58 +259,74 @@ impl Cluster {
     }
 
     /// Open `op`'s span at the current clocks / pool counters.
-    fn span_open(&self, op: &'static str) -> SpanStart {
-        SpanStart {
-            op,
-            sim0: self.clock.total_sec(),
+    fn span_open(&self, op: &'static str) -> OpenSpan {
+        let start_sec = self.clock.total_sec();
+        OpenSpan {
             wall0: Instant::now(),
             pool0: self.pool.stats(),
+            span: OpSpan {
+                op,
+                start_sec,
+                ..OpSpan::default()
+            },
         }
     }
 
-    /// The one epilogue of every primitive. Closes the span opened by
-    /// [`Cluster::span_open`] (its wall time ends here, before any
-    /// mirroring), mirrors the primitive if there is a mirror — replays
-    /// it, or settles the stage posted before the oracle computed it —
-    /// asserts the mirror's payload receipt against the oracle's metered
-    /// `wire` bytes, stamps the receipt onto the span (without a mirror
-    /// the simulator's own `wire`), then the observed nnz of `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_op(
-        &mut self,
-        st: SpanStart,
-        label: &str,
-        (wire_bytes, event_bytes): (u64, u64),
+    /// Close `st` into its [`OpSpan`]: the simulated and wall time end
+    /// here, and whatever `send` wrote into it is its ledger entry.
+    fn close(
+        &self,
+        st: &OpenSpan,
+        label: String,
+        event_bytes: u64,
         io: Option<(Vec<u64>, Vec<u64>)>,
         blocks: usize,
-        out: Option<&DistMatrix>,
-        mirror: impl FnOnce(&mut dyn Transport) -> Result<u64>,
-    ) -> Result<()> {
+    ) -> OpSpan {
         let p1 = self.pool.stats();
         let n = self.config.workers;
         let (sent, received) = io.unwrap_or_else(|| (vec![0; n], vec![0; n]));
-        self.tracer.record(OpSpan {
-            op: st.op,
-            label: label.to_string(),
-            start_sec: st.sim0,
+        OpSpan {
+            label,
             end_sec: self.clock.total_sec(),
             wall_sec: st.wall0.elapsed().as_secs_f64(),
-            wire_bytes,
             event_bytes,
             sent,
             received,
             blocks,
             pool_reused: p1.reused.saturating_sub(st.pool0.reused),
             pool_allocated: p1.allocated.saturating_sub(st.pool0.allocated),
-            ..OpSpan::default()
-        });
+            ..st.span.clone()
+        }
+    }
+
+    /// The one epilogue of every primitive. Records the span opened by
+    /// [`Cluster::span_open`] (its wall time ends here, before any
+    /// mirroring), mirrors the primitive if there is a mirror — replays
+    /// it, or settles the stage posted before the oracle computed it —
+    /// asserts the mirror's payload receipt against the bytes `send`
+    /// metered, stamps the receipt onto the span (without a mirror the
+    /// simulator's own), then the observed nnz of `out`.
+    #[allow(clippy::too_many_arguments)]
+    fn finish_op(
+        &mut self,
+        st: OpenSpan,
+        label: &str,
+        event_bytes: u64,
+        io: Option<(Vec<u64>, Vec<u64>)>,
+        blocks: usize,
+        out: Option<&DistMatrix>,
+        mirror: impl FnOnce(&mut dyn Transport) -> Result<u64>,
+    ) -> Result<()> {
+        let (op, wire_bytes) = (st.span.op, st.span.wire_bytes);
+        let span = self.close(&st, label.to_string(), event_bytes, io, blocks);
+        self.tracer.record(span);
         let payload = match self.transport.as_deref_mut() {
             Some(t) => mirror(t)?,
             None => wire_bytes,
         };
         if payload != wire_bytes {
             return Err(ClusterError::TransportConformance {
-                op: st.op,
+                op,
                 detail: format!(
                     "transport shipped {payload} payload bytes, oracle metered {wire_bytes}"
                 ),
@@ -397,7 +412,7 @@ impl Cluster {
     /// surfaces as [`ClusterError::WorkerLost`] (the error the engine's
     /// recovery path understands), then the fault injector may take a host
     /// down at this op. A primitive that gets in has its span opened.
-    fn op_entry(&mut self, op: &'static str) -> Result<SpanStart> {
+    fn op_entry(&mut self, op: &'static str) -> Result<OpenSpan> {
         // Real backends detect death organically (closed connections,
         // stale heartbeats); fold those hosts into the same failure path
         // an injected fault uses.
@@ -449,15 +464,15 @@ impl Cluster {
         Ok(remapped)
     }
 
-    /// Meter a communication step and charge the network model for it,
-    /// retrying transient send failures up to the fault plan's attempt
-    /// budget. Failed attempts burn wire time and retry bytes; exhausting
-    /// the budget surfaces [`ClusterError::SendFailed`].
-    pub fn send(&mut self, kind: CommKind, label: impl Into<String>, bytes: u64) -> Result<()> {
-        let label = label.into();
+    /// Meter a communication step into the open span `st` and charge the
+    /// network model for it, retrying transient send failures up to the
+    /// fault plan's attempt budget. Failed attempts burn wire time and
+    /// retry bytes; exhausting the budget records the span with only its
+    /// waste and surfaces [`ClusterError::SendFailed`].
+    fn send(&mut self, st: &mut OpenSpan, kind: CommKind, label: String, bytes: u64) -> Result<()> {
         if bytes == 0 {
-            // Nothing crosses the wire; keep the event for step counting.
-            self.comm.record(kind, label, 0);
+            // Nothing crosses the wire; the span still says it sent.
+            st.span.comm = Some(kind);
             return Ok(());
         }
         let cost = self.config.network.transfer_time(bytes);
@@ -465,41 +480,37 @@ impl Cluster {
         for attempt in 1..=attempts {
             // Wire time is spent whether or not the attempt succeeds.
             self.clock.add_comm(cost);
+            st.span.comm_sec += cost;
             if self.faults.draw_transient_send(&label, attempt) {
-                self.comm.record_retry(bytes);
+                st.span.retry_bytes += bytes;
+                st.span.retries += 1;
                 continue;
             }
-            self.comm.record(kind, label, bytes);
+            (st.span.comm, st.span.wire_bytes) = (Some(kind), bytes);
             return Ok(());
         }
+        let span = self.close(st, label.clone(), 0, None, 0);
+        self.tracer.record(span);
         Err(ClusterError::SendFailed { label, attempts })
     }
 
     /// Meter the re-read of durable source data during lineage recovery.
     /// Always recorded as a recovery span, whatever the current mode.
     pub fn charge_recovery(&mut self, label: impl Into<String>, bytes: u64) -> Result<()> {
-        let st = self.span_open("refetch");
+        let mut st = self.span_open("refetch");
         let label = label.into();
-        self.send(CommKind::Recovery, label.clone(), bytes)?;
-        let n = self.config.workers;
+        self.send(&mut st, CommKind::Recovery, label.clone(), bytes)?;
+        let span = self.close(&st, label, bytes, None, 0);
         self.tracer.record(OpSpan {
-            op: st.op,
-            label,
-            start_sec: st.sim0,
-            end_sec: self.clock.total_sec(),
-            wall_sec: st.wall0.elapsed().as_secs_f64(),
-            wire_bytes: bytes,
-            event_bytes: bytes,
-            sent: vec![0; n],
-            received: vec![0; n],
             recovery: true,
-            ..OpSpan::default()
+            ..span
         });
         Ok(())
     }
 
-    /// Charge measured local compute seconds (max across workers of a step).
-    pub fn charge_compute(&mut self, sec: f64) {
+    /// Charge measured local compute seconds (max across workers of a step)
+    /// — inside a primitive, so its span's duration covers them.
+    fn charge_compute(&mut self, sec: f64) {
         self.clock.add_compute(sec);
     }
 
@@ -545,7 +556,7 @@ impl Cluster {
     #[allow(clippy::too_many_arguments)]
     fn shuffle(
         &mut self,
-        st: SpanStart,
+        mut st: OpenSpan,
         label: &str,
         comm: Option<CommKind>,
         event_bytes: u64,
@@ -553,7 +564,7 @@ impl Cluster {
         scheme: PartitionScheme,
         dests: impl Fn(usize, usize) -> std::ops::Range<usize>,
     ) -> Result<DistMatrix> {
-        let (op, n) = (st.op, self.config.workers);
+        let (op, n) = (st.span.op, self.config.workers);
         let (mut moved, mut blocks) = (0u64, 0usize);
         let (mut sent, mut received) = (vec![0u64; n], vec![0u64; n]);
         let mut moves = self.transport.is_some().then(Vec::new);
@@ -586,12 +597,12 @@ impl Cluster {
             }
         }
         if let Some(kind) = comm {
-            self.send(kind, format!("{op}({label})"), moved)?;
+            self.send(&mut st, kind, format!("{op}({label})"), moved)?;
         }
         let out = DistMatrix::from_parts(*m.meta(), scheme, stores);
         let io = Some((sent, received));
         let stamped = comm.is_some().then_some(&out);
-        self.finish_op(st, label, (moved, event_bytes), io, blocks, stamped, |t| {
+        self.finish_op(st, label, event_bytes, io, blocks, stamped, |t| {
             let moves = moves.expect("a mirrored shuffle captured its moves");
             t.move_tiles(op, m, &out, TileTransform::None, &moves)
         })?;
@@ -618,7 +629,7 @@ impl Cluster {
         if m.scheme() == target {
             // No event: the requirement is already satisfied (cost 0).
             let label = format!("{label} (noop)");
-            self.finish_op(st, &label, (0, 0), None, 0, Some(m), |_| Ok(0))?;
+            self.finish_op(st, &label, 0, None, 0, Some(m), |_| Ok(0))?;
             return Ok(m.clone());
         }
         if m.scheme() == PartitionScheme::Broadcast {
@@ -644,7 +655,7 @@ impl Cluster {
         let st = self.op_entry("broadcast")?;
         if m.scheme() == PartitionScheme::Broadcast {
             let label = format!("{label} (noop)");
-            self.finish_op(st, &label, (0, 0), None, 0, Some(m), |_| Ok(0))?;
+            self.finish_op(st, &label, 0, None, 0, Some(m), |_| Ok(0))?;
             return Ok(m.clone());
         }
         // The broadcast *event* replicates `m` on all N workers (Table 2
@@ -679,15 +690,15 @@ impl Cluster {
     /// `keyed` (whichever of `src` / `out` carries the source coordinates).
     fn finish_local(
         &mut self,
-        st: SpanStart,
+        st: OpenSpan,
         label: &str,
         src: &DistMatrix,
         out: &DistMatrix,
         keyed: &DistMatrix,
         transform: TileTransform,
     ) -> Result<()> {
-        let (op, blocks) = (st.op, out.tile_count());
-        self.finish_op(st, label, (0, 0), None, blocks, Some(out), |t| {
+        let (op, blocks) = (st.span.op, out.tile_count());
+        self.finish_op(st, label, 0, None, blocks, Some(out), |t| {
             let mut moves = Vec::with_capacity(keyed.tile_count());
             for w in 0..keyed.workers() {
                 for &(bi, bj) in keyed.worker_blocks(w).keys() {
@@ -734,7 +745,7 @@ impl Cluster {
     pub fn free(&mut self, m: &DistMatrix) -> Result<u64> {
         let st = self.span_open("free");
         let mut released = 0;
-        self.finish_op(st, "", (0, 0), None, m.tile_count(), None, |t| {
+        self.finish_op(st, "", 0, None, m.tile_count(), None, |t| {
             if t.retain_values(&|rid| rid != m.rid(), Release::Queued)? > 0 {
                 let shards = (0..m.workers()).flat_map(|w| m.worker_blocks(w).values());
                 released = shards.map(|tile| tile.actual_bytes() as u64).sum();
@@ -858,7 +869,7 @@ impl Cluster {
             },
         )?;
         let out = DistMatrix::from_minted(rid, meta, out_scheme, into_stores(tiles));
-        self.finish_op(st, "", (0, 0), None, out.tile_count(), Some(&out), |t| {
+        self.finish_op(st, "", 0, None, out.tile_count(), Some(&out), |t| {
             posted?;
             t.settle_stage(&out).map(|()| 0)
         })?;
@@ -876,7 +887,7 @@ impl Cluster {
         b: &DistMatrix,
         out_scheme: PartitionScheme,
     ) -> Result<DistMatrix> {
-        let st = self.op_entry("cpmm")?;
+        let mut st = self.op_entry("cpmm")?;
         self.compat(a, b)?;
         self.require(a, PartitionScheme::Col, "cpmm")?;
         self.require(b, PartitionScheme::Row, "cpmm")?;
@@ -950,12 +961,12 @@ impl Cluster {
             }
         }
         self.charge_compute(t0.elapsed().as_secs_f64() / self.host_parallelism() as f64);
-        self.send(CommKind::Shuffle, "cpmm-output", moved)?;
+        self.send(&mut st, CommKind::Shuffle, "cpmm-output".into(), moved)?;
 
         let blocks = meta.row_blocks * meta.col_blocks;
         let io = Some((sent, received));
         let out = DistMatrix::from_parts(meta, out_scheme, stores);
-        self.finish_op(st, "", (moved, event), io, blocks, Some(&out), |t| {
+        self.finish_op(st, "", event, io, blocks, Some(&out), |t| {
             t.run_cpmm(a, b, &out, &descs.expect("mirror implies a partial list"))
         })?;
         Ok(out)
@@ -1035,7 +1046,7 @@ impl Cluster {
         )?;
         let stores = into_stores(tiles);
         let out = DistMatrix::from_minted(rid, *first.meta(), first.scheme(), stores);
-        self.finish_op(st, label, (0, 0), None, out.tile_count(), Some(&out), |t| {
+        self.finish_op(st, label, 0, None, out.tile_count(), Some(&out), |t| {
             posted?;
             t.settle_stage(&out).map(|()| 0)
         })?;
@@ -1049,7 +1060,7 @@ impl Cluster {
     /// bit-reproducible, which is what lets a physical backend prove its
     /// partials equal the oracle's.
     pub fn reduce(&mut self, m: &DistMatrix, kind: ReduceKind) -> Result<f64> {
-        let st = self.op_entry("reduce")?;
+        let mut st = self.op_entry("reduce")?;
         let n = self.config.workers;
         let t0 = Instant::now();
         let broadcast = m.scheme() == PartitionScheme::Broadcast;
@@ -1070,11 +1081,11 @@ impl Cluster {
         }
         let total = kernels::reduce_combine(broadcast, &partials);
         self.charge_compute(t0.elapsed().as_secs_f64() / self.host_parallelism() as f64);
-        self.send(CommKind::Shuffle, "reduce", 8 * n as u64)?;
+        self.send(&mut st, CommKind::Shuffle, "reduce".into(), 8 * n as u64)?;
         // Each worker ships one 8-byte partial to the driver; the cost
         // model charges reductions nothing (event 0).
         let io = Some((vec![8u64; n], vec![0u64; n]));
-        self.finish_op(st, "", (8 * n as u64, 0), io, blocks, None, |t| {
+        self.finish_op(st, "", 0, io, blocks, None, |t| {
             t.run_reduce(kind, m, &partials)
         })?;
         Ok(kind.finish(total))
@@ -1600,5 +1611,7 @@ mod tests {
         let _ = cl.broadcast(&da, "a").unwrap();
         assert!(cl.clock().comm_sec() > 0.0);
         assert!(cl.clock().comm_fraction() > 0.0);
+        // The span that moved the bytes carries the seconds they cost.
+        assert_eq!(cl.comm().comm_sec(), cl.clock().comm_sec());
     }
 }

@@ -1,12 +1,17 @@
-//! Communication metering and the simulated network.
+//! Communication totals and the simulated network.
 //!
 //! Figure 6(b) of the paper plots "amount of data" shuffled per iteration;
 //! §6.2 reports the fraction of execution time spent communicating. To
-//! reproduce both on a single machine, every cluster primitive reports the
-//! bytes it moves to a [`CommStats`] ledger, and a [`NetworkModel`] turns
-//! bytes into simulated seconds on a [`SimClock`].
+//! reproduce both on a single machine, every cluster primitive records
+//! what it moved on its own [`OpSpan`] — the bytes, the [`CommKind`] they
+//! were metered under, the retried attempts and the modelled network
+//! seconds — and [`CommStats`] is a fold over a slice of spans: a run's,
+//! a step's, a phase's. A [`NetworkModel`] turns bytes into simulated
+//! seconds on a [`SimClock`], which stamps each span's start and end.
 
 use std::fmt;
+
+use crate::trace::OpSpan;
 
 /// What kind of movement a communication event was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,49 +26,36 @@ pub enum CommKind {
     Recovery,
 }
 
-/// One metered communication step.
-#[derive(Debug, Clone)]
-pub struct CommEvent {
-    /// Shuffle or broadcast.
-    pub kind: CommKind,
-    /// Human-readable tag, e.g. the matrix being moved.
-    pub label: String,
-    /// Bytes that crossed worker boundaries.
-    pub bytes: u64,
-}
-
-/// Ledger of all communication performed on a cluster.
-#[derive(Debug, Default, Clone)]
+/// Communication totals of a slice of spans: goodput bytes by kind, the
+/// bytes and attempts transient send failures wasted, and the modelled
+/// network seconds.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct CommStats {
-    events: Vec<CommEvent>,
     shuffle_bytes: u64,
     broadcast_bytes: u64,
     recovery_bytes: u64,
     retry_bytes: u64,
     retry_events: usize,
+    comm_sec: f64,
 }
 
 impl CommStats {
-    /// Record one communication step.
-    pub fn record(&mut self, kind: CommKind, label: impl Into<String>, bytes: u64) {
-        match kind {
-            CommKind::Shuffle => self.shuffle_bytes += bytes,
-            CommKind::Broadcast => self.broadcast_bytes += bytes,
-            CommKind::Recovery => self.recovery_bytes += bytes,
+    /// Fold `spans`: each span's wire bytes count under the kind it was
+    /// metered under, beside its retries and network seconds.
+    pub fn of<'a>(spans: impl IntoIterator<Item = &'a OpSpan>) -> CommStats {
+        let mut c = CommStats::default();
+        for s in spans {
+            match s.comm {
+                Some(CommKind::Shuffle) => c.shuffle_bytes += s.wire_bytes,
+                Some(CommKind::Broadcast) => c.broadcast_bytes += s.wire_bytes,
+                Some(CommKind::Recovery) => c.recovery_bytes += s.wire_bytes,
+                None => {}
+            }
+            c.retry_bytes += s.retry_bytes;
+            c.retry_events += s.retries;
+            c.comm_sec += s.comm_sec;
         }
-        self.events.push(CommEvent {
-            kind,
-            label: label.into(),
-            bytes,
-        });
-    }
-
-    /// Record one failed (and retried) send attempt. The bytes crossed the
-    /// wire and were wasted; they are metered separately from the goodput
-    /// counters so retries never distort the per-kind traffic curves.
-    pub fn record_retry(&mut self, bytes: u64) {
-        self.retry_bytes += bytes;
-        self.retry_events += 1;
+        c
     }
 
     /// Total bytes moved by shuffles (repartition + CPMM aggregation).
@@ -91,41 +83,15 @@ impl CommStats {
         self.retry_events
     }
 
+    /// Modelled network seconds, failed attempts included.
+    pub fn comm_sec(&self) -> f64 {
+        self.comm_sec
+    }
+
     /// Total goodput bytes moved (shuffle + broadcast + recovery; wasted
     /// retry bytes are excluded — see [`CommStats::retry_bytes`]).
     pub fn total_bytes(&self) -> u64 {
         self.shuffle_bytes + self.broadcast_bytes + self.recovery_bytes
-    }
-
-    /// Number of communication steps.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-
-    /// All recorded events, in order.
-    pub fn events(&self) -> &[CommEvent] {
-        &self.events
-    }
-
-    /// Fold another ledger into this one (used to accumulate per-iteration
-    /// stats into a whole-run total).
-    pub fn merge(&mut self, other: &CommStats) {
-        self.shuffle_bytes += other.shuffle_bytes;
-        self.broadcast_bytes += other.broadcast_bytes;
-        self.recovery_bytes += other.recovery_bytes;
-        self.retry_bytes += other.retry_bytes;
-        self.retry_events += other.retry_events;
-        self.events.extend(other.events.iter().cloned());
-    }
-
-    /// Reset the ledger.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.shuffle_bytes = 0;
-        self.broadcast_bytes = 0;
-        self.recovery_bytes = 0;
-        self.retry_bytes = 0;
-        self.retry_events = 0;
     }
 }
 
@@ -133,10 +99,9 @@ impl fmt::Display for CommStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "comm: {:.3} MB shuffled + {:.3} MB broadcast over {} steps",
+            "comm: {:.3} MB shuffled + {:.3} MB broadcast",
             self.shuffle_bytes as f64 / 1e6,
             self.broadcast_bytes as f64 / 1e6,
-            self.events.len()
         )?;
         if self.recovery_bytes > 0 || self.retry_events > 0 {
             write!(
@@ -236,42 +201,34 @@ impl SimClock {
             self.comm_sec / t
         }
     }
-
-    /// Merge another clock's time into this one.
-    pub fn merge(&mut self, other: &SimClock) {
-        self.compute_sec += other.compute_sec;
-        self.comm_sec += other.comm_sec;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn ledger_accumulates_by_kind() {
-        let mut s = CommStats::default();
-        s.record(CommKind::Shuffle, "A", 100);
-        s.record(CommKind::Broadcast, "B", 50);
-        s.record(CommKind::Shuffle, "C", 25);
-        assert_eq!(s.shuffle_bytes(), 125);
-        assert_eq!(s.broadcast_bytes(), 50);
-        assert_eq!(s.total_bytes(), 175);
-        assert_eq!(s.event_count(), 3);
-        assert_eq!(s.events()[1].label, "B");
+    fn span(comm: Option<CommKind>, wire: u64) -> OpSpan {
+        OpSpan {
+            comm,
+            wire_bytes: wire,
+            ..OpSpan::default()
+        }
     }
 
     #[test]
-    fn merge_and_clear() {
-        let mut a = CommStats::default();
-        a.record(CommKind::Shuffle, "x", 10);
-        let mut b = CommStats::default();
-        b.record(CommKind::Broadcast, "y", 20);
-        a.merge(&b);
-        assert_eq!(a.total_bytes(), 30);
-        assert_eq!(a.event_count(), 2);
-        a.clear();
-        assert_eq!(a.total_bytes(), 0);
+    fn totals_fold_spans_by_kind() {
+        let spans = [
+            span(Some(CommKind::Shuffle), 100),
+            span(Some(CommKind::Broadcast), 50),
+            span(None, 0),
+            span(Some(CommKind::Shuffle), 25),
+        ];
+        let s = CommStats::of(&spans);
+        assert_eq!(s.shuffle_bytes(), 125);
+        assert_eq!(s.broadcast_bytes(), 50);
+        assert_eq!(s.total_bytes(), 175);
+        assert_eq!(CommStats::of(&spans[..1]).total_bytes(), 100);
+        assert_eq!(CommStats::of(&[]), CommStats::default());
     }
 
     #[test]
@@ -293,38 +250,36 @@ mod tests {
         c.add_comm(1.0);
         assert_eq!(c.total_sec(), 4.0);
         assert_eq!(c.comm_fraction(), 0.25);
-        let mut d = SimClock::default();
-        d.merge(&c);
-        assert_eq!(d.total_sec(), 4.0);
         assert_eq!(SimClock::default().comm_fraction(), 0.0);
     }
 
     #[test]
     fn recovery_and_retry_counters() {
-        let mut s = CommStats::default();
-        s.record(CommKind::Shuffle, "A", 100);
-        s.record(CommKind::Recovery, "refetch(V)", 40);
-        s.record_retry(25);
-        s.record_retry(25);
+        let retried = OpSpan {
+            retry_bytes: 50,
+            retries: 2,
+            comm_sec: 0.75,
+            ..span(Some(CommKind::Shuffle), 100)
+        };
+        // A send that exhausted its attempts metered no goodput.
+        let failed = OpSpan {
+            retry_bytes: 25,
+            retries: 1,
+            ..span(None, 0)
+        };
+        let s = CommStats::of(&[retried, span(Some(CommKind::Recovery), 40), failed]);
         assert_eq!(s.recovery_bytes(), 40);
-        assert_eq!(s.retry_bytes(), 50);
-        assert_eq!(s.retry_events(), 2);
+        assert_eq!(s.retry_bytes(), 75);
+        assert_eq!(s.retry_events(), 3);
+        assert_eq!(s.comm_sec(), 0.75);
         assert_eq!(s.total_bytes(), 140, "retries excluded from goodput");
-        let mut t = CommStats::default();
-        t.merge(&s);
-        assert_eq!(t.recovery_bytes(), 40);
-        assert_eq!(t.retry_events(), 2);
-        t.clear();
-        assert_eq!(t.retry_bytes(), 0);
-        assert_eq!(t.recovery_bytes(), 0);
         let text = s.to_string();
         assert!(text.contains("recovery"), "{text}");
     }
 
     #[test]
     fn display_is_human_readable() {
-        let mut s = CommStats::default();
-        s.record(CommKind::Shuffle, "A", 2_000_000);
+        let s = CommStats::of(&[span(Some(CommKind::Shuffle), 2_000_000)]);
         let text = s.to_string();
         assert!(text.contains("2.000 MB"), "{text}");
     }

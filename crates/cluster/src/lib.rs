@@ -8,12 +8,14 @@
 //!   logical workers under one of the paper's schemes (Row, Column,
 //!   Broadcast, plus the Hash placement loaded inputs start with),
 //! * **communication volume** — every block that changes workers is metered
-//!   byte-for-byte in a [`CommStats`] ledger, split into shuffle and
-//!   broadcast traffic,
+//!   byte-for-byte on the [`OpSpan`] of the primitive that moved it, the
+//!   run's only ledger; [`CommStats`] folds a slice of spans into shuffle,
+//!   broadcast, recovery and retry totals,
 //! * **communication time** — a configurable [`NetworkModel`] converts the
-//!   metered bytes into simulated seconds, which the execution engine adds
-//!   to measured local compute time to obtain the reported "execution
-//!   time" (see DESIGN.md §2 for why this reproduces the paper's shape).
+//!   metered bytes into simulated seconds, charged to the [`SimClock`]
+//!   and recorded on the same span, which the execution engine adds to
+//!   measured local compute time to obtain the reported "execution time"
+//!   (see DESIGN.md §2 for why this reproduces the paper's shape).
 //!
 //! Matrix payloads are shared via [`std::sync::Arc`], so "broadcasting" a
 //! block to all workers inside one OS process does not physically copy it —
@@ -34,7 +36,7 @@ pub mod trace;
 pub mod transport;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use comm::{CommEvent, CommKind, CommStats, NetworkModel, SimClock};
+pub use comm::{CommKind, CommStats, NetworkModel, SimClock};
 pub use dist::DistMatrix;
 pub use error::{ClusterError, Result};
 pub use fault::{CrashPoint, FaultEvent, FaultInjector, FaultPlan};

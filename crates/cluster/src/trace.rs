@@ -1,11 +1,15 @@
-//! Flight-recorder span buffer (execution tracing).
+//! Flight-recorder span buffer: the run's one ledger.
 //!
 //! Every cluster primitive — the communication operators (`partition`,
 //! `broadcast`) and the compute primitives (RMM1/RMM2/CPMM/cell-wise …) —
 //! records an [`OpSpan`] describing what it did: simulated start/end time,
-//! real wall time, bytes moved over the wire, the equivalent *cost-model
-//! event bytes* (the units of the paper's Table 2), per-worker sent/received
-//! byte counts, blocks touched, and buffer-pool activity.
+//! real wall time, bytes moved over the wire and the [`CommKind`] they were
+//! metered under, the bytes and attempts transient send failures wasted,
+//! the modelled network seconds, the equivalent *cost-model event bytes*
+//! (the units of the paper's Table 2), per-worker sent/received byte
+//! counts, blocks touched, and buffer-pool activity. Nothing else records
+//! a moved byte: [`crate::CommStats`], the engine's per-phase curves and
+//! its recovery cost are all folds over spans.
 //!
 //! Two byte channels per span, on purpose:
 //!
@@ -31,6 +35,8 @@
 //! are re-flagged after the fact via [`TraceBuffer::mark_recovery_from`],
 //! so steady-state spans stay clean even on runs with injected faults.
 
+use crate::comm::CommKind;
+
 /// One recorded operation span.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpSpan {
@@ -48,6 +54,14 @@ pub struct OpSpan {
     pub wall_sec: f64,
     /// Bytes the simulated transport shipped (goodput, excludes retries).
     pub wire_bytes: u64,
+    /// The kind `wire_bytes` were metered under (`None`: no send succeeded).
+    pub comm: Option<CommKind>,
+    /// Bytes of send attempts that failed transiently and were retried.
+    pub retry_bytes: u64,
+    /// Number of such failed attempts.
+    pub retries: usize,
+    /// Modelled network seconds charged to the clock, retries included.
+    pub comm_sec: f64,
     /// Metered payload bytes the *physical* transport backend reported
     /// for this primitive. On the in-process backend this echoes
     /// `wire_bytes`; on the socket backend it is measured from the real
@@ -154,11 +168,6 @@ impl TraceBuffer {
     /// are attributed to recovery, not steady-state execution.
     pub fn set_recovery_mode(&mut self, on: bool) {
         self.recovery_mode = on;
-    }
-
-    /// Whether recovery mode is currently active.
-    pub fn recovery_mode(&self) -> bool {
-        self.recovery_mode
     }
 
     /// Re-flag every span from index `from` onward as recovery traffic.

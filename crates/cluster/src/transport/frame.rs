@@ -9,7 +9,9 @@
 //! distinguished by a leading magic (JSON always starts with `{`). The
 //! string API (`write_frame`/`read_frame`) enforces UTF-8 and is what
 //! serve re-exports; the byte API (`write_frame_bytes`/
-//! `read_frame_bytes`) carries either shape.
+//! `read_frame_bytes`) carries either shape, and [`FrameReader`] reads it
+//! incrementally from a stream with a read timeout. Both readers decode a
+//! length prefix through one check.
 //!
 //! The codec lives here (rather than in `crates/serve`, where it
 //! originated) because the cluster's real transport backend is the
@@ -44,25 +46,74 @@ pub fn write_frame_bytes(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one frame's raw payload. `Ok(None)` means the peer closed the
-/// connection cleanly at a frame boundary.
-pub fn read_frame_bytes(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let n = u32::from_be_bytes(len);
+/// The payload length a frame's prefix announces, or a typed
+/// `InvalidData` past [`MAX_FRAME`] — before anything is allocated.
+fn payload_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let n = u32::from_be_bytes(prefix);
     if n > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame length {n} exceeds MAX_FRAME"),
         ));
     }
-    let mut buf = vec![0u8; n as usize];
+    Ok(n as usize)
+}
+
+/// Read one frame's raw payload. `Ok(None)` means the peer closed the
+/// connection cleanly at a frame boundary.
+pub fn read_frame_bytes(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut prefix = [0u8; 4];
+    match r.read_exact(&mut prefix) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    }
+    let mut buf = vec![0u8; payload_len(prefix)?];
     r.read_exact(&mut buf)?;
     Ok(Some(buf))
+}
+
+/// Incremental frame decoder over a stream with a read timeout. Buffers
+/// partial frames internally, so a timeout can never desynchronise the
+/// stream — the next call resumes where the last left off.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+}
+
+impl FrameReader {
+    /// `Ok(Some(payload))` when a complete frame is available, `Ok(None)`
+    /// when the read timed out at whatever boundary, `Err` when the
+    /// stream closed (`UnexpectedEof`, at a frame boundary or not), broke,
+    /// or announced a frame past [`MAX_FRAME`].
+    pub fn next(&mut self, r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+        loop {
+            if let Some(prefix) = self.buf.first_chunk::<4>() {
+                let len = payload_len(*prefix)?;
+                if self.buf.len() >= 4 + len {
+                    let body: Vec<u8> = self.buf.drain(..4 + len).skip(4).collect();
+                    return Ok(Some(body));
+                }
+            }
+            let mut tmp = [0u8; 64 * 1024];
+            match r.read(&mut tmp) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed",
+                    ))
+                }
+                Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None)
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 /// Write one UTF-8 frame.

@@ -71,7 +71,7 @@
 //! so all peer installs happen-before the seal.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io::{self, Read};
+use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -87,7 +87,7 @@ use crate::json::{arr_of, JsonArr, JsonObj};
 use crate::jsonin::Json;
 use crate::partition::PartitionScheme;
 use crate::transport::binfmt;
-use crate::transport::frame::{framed_len, write_frame_bytes, MAX_FRAME};
+use crate::transport::frame::{framed_len, write_frame_bytes, FrameReader, MAX_FRAME};
 use crate::transport::wire;
 use crate::transport::{
     MoveItem, PartialDesc, Release, Stage, StageKernel, TileTransform, Transport, TransportStats,
@@ -126,55 +126,6 @@ impl Default for SocketOptions {
             heartbeat_ms: 100,
             liveness_timeout_ms: 2000,
             kill: None,
-        }
-    }
-}
-
-/// Incremental frame decoder over a non-blocking-ish stream. Buffers
-/// partial frames internally, so a read timeout can never desynchronise
-/// the stream — the next call resumes where the last left off.
-#[derive(Debug, Default)]
-struct FrameReader {
-    buf: Vec<u8>,
-}
-
-impl FrameReader {
-    /// `Ok(Some(payload))` when a complete frame is available, `Ok(None)`
-    /// when the read timed out at whatever boundary, `Err` when the
-    /// connection closed or broke.
-    fn next(&mut self, stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
-        loop {
-            if self.buf.len() >= 4 {
-                let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
-                    as usize;
-                if len > MAX_FRAME as usize {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("frame of {len} bytes exceeds limit"),
-                    ));
-                }
-                if self.buf.len() >= 4 + len {
-                    let body: Vec<u8> = self.buf.drain(..4 + len).skip(4).collect();
-                    return Ok(Some(body));
-                }
-            }
-            let mut tmp = [0u8; 64 * 1024];
-            match stream.read(&mut tmp) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed",
-                    ))
-                }
-                Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
-                }
-                Err(e) => return Err(e),
-            }
         }
     }
 }

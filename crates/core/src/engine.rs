@@ -13,10 +13,11 @@
 //! | `compute` cell-wise / unary / fused | one scheme-aligned per-tile program ([`Cluster::cells`]) |
 //! | `compute` reduce | local partials + driver combine |
 //!
-//! Around every step the engine snapshots the cluster's byte meter and
-//! simulated clock, attributing the deltas to the step's *phase* (the
-//! iteration tag), which yields the per-iteration accumulated curves of
-//! Figure 6.
+//! Every primitive records a span carrying what it moved and what it
+//! cost; the engine keeps each step's spans and folds them once, into the
+//! step's trace, its *phase*'s (iteration tag's) bytes and seconds — the
+//! per-iteration accumulated curves of Figure 6 — and the run's
+//! communication totals.
 //!
 //! ## Fault tolerance
 //!
@@ -28,20 +29,23 @@
 //! step is re-executed, all without caller intervention. Each loss
 //! consumes one attempt from the [`RecoveryPolicy`] budget; exhausting it
 //! surfaces the typed [`CoreError::RecoveryExhausted`]. The bytes and
-//! simulated seconds spent on failed attempts and recovery are excluded
-//! from the per-phase curves and reported separately in
-//! [`ExecReport::recovery`] (they *are* included in the report's total
-//! clock and ledger — failures cost real time).
+//! simulated seconds spent on failed attempts and recovery — the spans
+//! flagged as recovery — are excluded from the per-phase curves and
+//! reported separately in [`ExecReport::recovery`] (they *are* included in
+//! the report's total clock and ledger — failures cost real time).
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use dmac_cluster::cluster::ReduceKind;
-use dmac_cluster::{Cluster, ClusterError, CommStats, DistMatrix, PartitionScheme, SimClock};
+use dmac_cluster::{
+    Cluster, ClusterError, CommStats, DistMatrix, OpSpan, PartitionScheme, SimClock,
+};
 use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, ReduceOp, ScalarId, UnaryOp};
 use dmac_matrix::{BlockedMatrix, FusedOp};
 
 use crate::error::{CoreError, Result};
+use crate::liveness;
 use crate::plan::{Plan, PlanStep};
 use crate::recovery::{self, RecoveryPolicy, RecoveryStats};
 use crate::stage;
@@ -75,7 +79,7 @@ impl PhaseStats {
 /// The result of executing a plan.
 #[derive(Debug, Clone, Default)]
 pub struct ExecReport {
-    /// Full communication ledger of the run.
+    /// Communication totals of the run, folded from its spans.
     pub comm: CommStats,
     /// Simulated clock: measured compute + modelled network time
     /// (including time lost to failures and recovery).
@@ -429,28 +433,24 @@ fn worker_lost(e: &CoreError) -> Option<usize> {
     }
 }
 
-/// Snapshot of every byte counter, for attributing deltas.
-#[derive(Clone, Copy)]
-struct CommSnap {
-    shuffle: u64,
-    broadcast: u64,
-    recovery: u64,
-    retry: u64,
+/// A step's spans on one side of the recovery flag — its steady attempt,
+/// or everything the step's failures cost — summed.
+struct SpanSums {
+    comm: CommStats,
+    event_bytes: u64,
+    transport_bytes: u64,
+    sim_sec: f64,
 }
 
-impl CommSnap {
-    fn take(cluster: &Cluster) -> CommSnap {
-        let c = cluster.comm();
-        CommSnap {
-            shuffle: c.shuffle_bytes(),
-            broadcast: c.broadcast_bytes(),
-            recovery: c.recovery_bytes(),
-            retry: c.retry_bytes(),
+impl SpanSums {
+    fn of(spans: &[OpSpan], recovery: bool) -> SpanSums {
+        let side = || spans.iter().filter(move |s| s.recovery == recovery);
+        SpanSums {
+            comm: CommStats::of(side()),
+            event_bytes: side().map(|s| s.event_bytes).sum(),
+            transport_bytes: side().map(|s| s.transport_bytes).sum(),
+            sim_sec: side().map(OpSpan::sim_dur_sec).sum(),
         }
-    }
-
-    fn all(&self) -> u64 {
-        self.shuffle + self.broadcast + self.recovery + self.retry
     }
 }
 
@@ -504,30 +504,16 @@ pub fn execute(
     // Liveness is the *plan's* job: the planner splices explicit `Free`
     // steps at each intermediate's last use (see `crate::liveness`), so
     // the engine releases exactly what the certificate says, when it says.
-    // `last_use`/`keep` are still derived here for recovery, which must
-    // re-drop values lineage replay resurrects (a node's last use includes
-    // its own `Free` step, so the two mechanisms compose).
+    // `last_use` and the keep-set are still needed here for recovery,
+    // which must re-drop values lineage replay resurrects (a node's last
+    // use includes its own `Free` step, so the two mechanisms compose).
     let mut last_use = vec![usize::MAX; plan.nodes.len()];
     for (i, step) in plan.steps.iter().enumerate() {
         for n in step.in_nodes() {
             last_use[n] = i;
         }
     }
-    let mut keep = vec![false; plan.nodes.len()];
-    for (node, _, _) in &plan.outputs {
-        keep[*node] = true;
-    }
-    // Nodes eligible for input-placement caching must survive to the end.
-    for &(_, mid) in &plan.sources {
-        if bindings.contains_key(&mid) {
-            for (n, node) in plan.nodes.iter().enumerate() {
-                if node.matrix == mid && !node.transposed && node.scheme.is_rc() {
-                    keep[n] = true;
-                    break;
-                }
-            }
-        }
-    }
+    let keep = liveness::keep_set(program, plan);
 
     let mut per_phase: Vec<PhaseStats> = Vec::new();
     let mut step_traces: Vec<StepTrace> = Vec::with_capacity(plan.steps.len());
@@ -553,8 +539,6 @@ pub fn execute(
         let span_from = cluster.span_count();
         let sim_start = cluster.clock().total_sec();
 
-        let mut comm0 = CommSnap::take(cluster);
-        let mut clock0 = *cluster.clock();
         loop {
             match exec_step(cluster, &ctx, step_idx, &mut values, &mut scalars) {
                 Ok(()) => break,
@@ -599,22 +583,15 @@ pub fn execute(
                     }
                     stats.recovery_rounds += 1;
                     cluster.set_recovery_mode(false);
-                    // Charge the failed attempt + recovery work to the
-                    // recovery meters, then re-baseline so the retried
-                    // step's phase attribution stays clean.
-                    let snap = CommSnap::take(cluster);
-                    stats.recovery_bytes += snap.all() - comm0.all();
-                    stats.recovery_sec += cluster.clock().total_sec() - clock0.total_sec();
-                    comm0 = snap;
-                    clock0 = *cluster.clock();
                 }
             }
         }
 
         // Assemble the step's flight-recorder record from the spans the
         // cluster primitives emitted while it was in flight (recovery
-        // replays of earlier steps included, flagged).
+        // replays of earlier steps included, flagged), and fold them once.
         let spans = cluster.spans()[span_from..].to_vec();
+        let (steady, failed) = (SpanSums::of(&spans, false), SpanSums::of(&spans, true));
         let (kind, label) = step_identity(plan, program, step);
         // nnz channel: the estimator's prediction next to what the step
         // actually materialised (read before liveness releases the value).
@@ -665,26 +642,10 @@ pub fn execute(
             kind,
             label,
             predicted_bytes: plan.predicted_bytes(step_idx),
-            actual_bytes: spans
-                .iter()
-                .filter(|s| !s.recovery)
-                .map(|s| s.event_bytes)
-                .sum(),
-            wire_bytes: spans
-                .iter()
-                .filter(|s| !s.recovery)
-                .map(|s| s.wire_bytes)
-                .sum(),
-            transport_bytes: spans
-                .iter()
-                .filter(|s| !s.recovery)
-                .map(|s| s.transport_bytes)
-                .sum(),
-            recovery_wire_bytes: spans
-                .iter()
-                .filter(|s| s.recovery)
-                .map(|s| s.wire_bytes)
-                .sum(),
+            actual_bytes: steady.event_bytes,
+            wire_bytes: steady.comm.total_bytes(),
+            transport_bytes: steady.transport_bytes,
+            recovery_wire_bytes: failed.comm.total_bytes(),
             predicted_nnz,
             observed_nnz,
             density_class,
@@ -694,17 +655,19 @@ pub fn execute(
             spans,
         });
 
-        // Attribute the deltas to the step's phase.
+        // The steady attempt is the step's phase's; the failed attempts
+        // and the recovery they forced are what failures cost.
         let phase = step.phase();
         if per_phase.len() <= phase {
             per_phase.resize(phase + 1, PhaseStats::default());
         }
         let p = &mut per_phase[phase];
-        let snap = CommSnap::take(cluster);
-        p.shuffle_bytes += snap.shuffle - comm0.shuffle;
-        p.broadcast_bytes += snap.broadcast - comm0.broadcast;
-        p.compute_sec += cluster.clock().compute_sec() - clock0.compute_sec();
-        p.comm_sec += cluster.clock().comm_sec() - clock0.comm_sec();
+        p.shuffle_bytes += steady.comm.shuffle_bytes();
+        p.broadcast_bytes += steady.comm.broadcast_bytes();
+        p.comm_sec += steady.comm.comm_sec();
+        p.compute_sec += steady.sim_sec - steady.comm.comm_sec();
+        stats.recovery_bytes += failed.comm.total_bytes() + failed.comm.retry_bytes();
+        stats.recovery_sec += failed.sim_sec;
     }
 
     // Collect outputs.
@@ -716,19 +679,10 @@ pub fn execute(
         scalars,
         ..Default::default()
     };
-    // Cache improved placements of load inputs: prefer the first
-    // untransposed Row/Column materialisation of each source matrix.
-    for &(_, mid) in &plan.sources {
-        if !bindings.contains_key(&mid) {
-            continue; // randoms are regenerated per run
-        }
-        for (n, node) in plan.nodes.iter().enumerate() {
-            if node.matrix == mid && !node.transposed && node.scheme.is_rc() {
-                if let Some(v) = &values[n] {
-                    outputs.cached_inputs.insert(mid, v.clone());
-                    break;
-                }
-            }
+    // Cache improved placements of load inputs (the keep-set kept them).
+    for (mid, n) in liveness::cached_inputs(program, plan) {
+        if let Some(v) = &values[n] {
+            outputs.cached_inputs.insert(mid, v.clone());
         }
     }
     for (node, mid, name) in &plan.outputs {
@@ -740,7 +694,7 @@ pub fn execute(
     }
 
     let report = ExecReport {
-        comm: cluster.comm().clone(),
+        comm: CommStats::of(step_traces.iter().flat_map(|t| &t.spans)),
         sim: *cluster.clock(),
         wall_sec: wall_start.elapsed().as_secs_f64(),
         per_phase,

@@ -25,7 +25,7 @@
 //! everything here through a disjoint implementation
 //! (`dmac_analyze::liveness`) and enforces V18–V21 on every plan.
 
-use dmac_lang::{BinOp, MatrixOrigin, OpKind, Program, UnaryOp};
+use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, UnaryOp};
 use dmac_matrix::blocking::blocks_along;
 use dmac_stats::SparsityProfile;
 
@@ -138,29 +138,37 @@ pub fn node_price(
     }
 }
 
-/// Nodes the engine must retain to the end of the run, mirroring the
-/// executor's keep-set exactly: program outputs, plus — for every bound
-/// (`load`-origin) source — the first untransposed Row/Column
-/// materialisation of that matrix, which the session caches as the
-/// input's improved placement.
+/// The node each bound (`load`-origin) source's placement is cached from:
+/// the first untransposed Row/Column materialisation of its matrix, which
+/// the session keeps as the input's improved placement.
+pub fn cached_inputs(program: &Program, plan: &Plan) -> Vec<(MatrixId, NodeId)> {
+    plan.sources
+        .iter()
+        .filter(|&&(_, mid)| {
+            program
+                .decl(mid)
+                .is_ok_and(|d| matches!(d.origin, MatrixOrigin::Load))
+        })
+        .filter_map(|&(_, mid)| {
+            let first = plan
+                .nodes
+                .iter()
+                .position(|node| node.matrix == mid && !node.transposed && node.scheme.is_rc());
+            first.map(|n| (mid, n))
+        })
+        .collect()
+}
+
+/// Nodes the engine must retain to the end of the run: program outputs,
+/// plus the node each bound source's placement is cached from
+/// ([`cached_inputs`]).
 pub fn keep_set(program: &Program, plan: &Plan) -> Vec<bool> {
     let mut keep = vec![false; plan.nodes.len()];
     for (node, _, _) in &plan.outputs {
         keep[*node] = true;
     }
-    for &(_, mid) in &plan.sources {
-        let bound = program
-            .decl(mid)
-            .map(|d| matches!(d.origin, MatrixOrigin::Load))
-            .unwrap_or(false);
-        if bound {
-            for (n, node) in plan.nodes.iter().enumerate() {
-                if node.matrix == mid && !node.transposed && node.scheme.is_rc() {
-                    keep[n] = true;
-                    break;
-                }
-            }
-        }
+    for (_, n) in cached_inputs(program, plan) {
+        keep[n] = true;
     }
     keep
 }
@@ -276,7 +284,6 @@ pub fn certificate(
 mod tests {
     use super::*;
     use crate::planner::{plan_program, PlannerConfig};
-    use dmac_lang::MatrixId;
     use std::collections::HashMap;
 
     fn gnmf_h() -> Program {

@@ -879,11 +879,12 @@ mod tests {
         assert_eq!(
             report.comm.total_bytes(),
             report
-                .comm
-                .events()
+                .trace
+                .steps
                 .iter()
-                .filter(|e| e.label == "reduce")
-                .map(|e| e.bytes)
+                .flat_map(|s| &s.spans)
+                .filter(|s| s.op == "reduce")
+                .map(|s| s.wire_bytes)
                 .sum::<u64>(),
             "single worker moves no matrix bytes"
         );

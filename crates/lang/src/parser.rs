@@ -26,6 +26,12 @@
 //!   loop variable is visible as a numeric constant.
 //! * `output(X)` marks an output; `store(X)` also persists it into the
 //!   session environment under its variable name.
+//!
+//! Scripts arrive from untrusted clients (`dmac-serve`), so what a script
+//! can make the parser do is bounded: nesting (parentheses, unary minus,
+//! loops) is at most [`MAX_DEPTH`] deep — the parser recurses per level —
+//! and all loops together unroll at most [`MAX_UNROLLED`] iterations.
+//! Past either bound the script is a typed [`ParseError`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -33,6 +39,12 @@ use std::fmt;
 use crate::error::LangError;
 use crate::expr::{Expr, ScalarExpr};
 use crate::program::Program;
+
+/// Deepest nesting of parentheses, unary minus and loops a script may use.
+pub const MAX_DEPTH: usize = 128;
+
+/// Most loop iterations a script may unroll, nested ones counted each time.
+pub const MAX_UNROLLED: usize = 10_000;
 
 /// A source location: 1-based line plus the half-open byte range
 /// `[start, end)` into the original script text. Byte offsets survive the
@@ -295,6 +307,10 @@ struct Parser<'a> {
     assigns: HashMap<String, (Span, bool)>,
     /// Assignments overwritten (or left dangling) without ever being read.
     dead_stores: Vec<(String, Span)>,
+    /// Current nesting depth, at most [`MAX_DEPTH`].
+    depth: usize,
+    /// Loop iterations unrolled so far, at most [`MAX_UNROLLED`].
+    unrolled: usize,
 }
 
 /// Result of parsing a script.
@@ -336,6 +352,8 @@ pub fn parse_script(src: &str) -> Result<ParsedScript, ParseError> {
         redundant_transposes: Vec::new(),
         assigns: HashMap::new(),
         dead_stores: Vec::new(),
+        depth: 0,
+        unrolled: 0,
     };
     parser.script()?;
     let Parser {
@@ -419,6 +437,20 @@ impl Parser<'_> {
         }
     }
 
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
     fn expect(&mut self, t: Tok) -> Result<(), ParseError> {
         match self.next() {
             Some(got) if got == t => Ok(()),
@@ -469,7 +501,7 @@ impl Parser<'_> {
 
     fn statement_inner(&mut self) -> Result<(), ParseError> {
         match self.peek() {
-            Some(Tok::Ident(name)) if name == "for" => self.for_loop(),
+            Some(Tok::Ident(name)) if name == "for" => self.nested(Self::for_loop),
             Some(Tok::Ident(name)) if name == "output" || name == "store" => {
                 let keyword = self.expect_ident()?;
                 self.expect(Tok::LParen)?;
@@ -525,6 +557,10 @@ impl Parser<'_> {
             return Err(self.err(format!("empty loop range {lo}:{hi}")));
         }
         for (phase, i) in (lo..=hi).enumerate() {
+            self.unrolled += 1;
+            if self.unrolled > MAX_UNROLLED {
+                return Err(self.err(format!("loops unroll past {MAX_UNROLLED} iterations")));
+            }
             self.pos = body_start;
             self.program.set_phase(phase);
             self.env
@@ -701,7 +737,7 @@ impl Parser<'_> {
         match self.next() {
             Some(Tok::Number(n)) => Ok(Value::Scalar(ScalarExpr::Const(n))),
             Some(Tok::Minus) => {
-                let v = self.primary()?;
+                let v = self.nested(Self::primary)?;
                 match v {
                     Value::Scalar(s) => Ok(Value::Scalar(-s)),
                     Value::Matrix(e) => Ok(Value::Matrix(
@@ -712,7 +748,7 @@ impl Parser<'_> {
                 }
             }
             Some(Tok::LParen) => {
-                let v = self.expression()?;
+                let v = self.nested(Self::expression)?;
                 self.expect(Tok::RParen)?;
                 Ok(v)
             }

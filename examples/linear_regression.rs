@@ -47,7 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "V was partitioned once and reused across all {} iterations — \
          {} communication steps total",
         cfg.iterations,
-        report.comm.event_count()
+        report
+            .trace
+            .steps
+            .iter()
+            .flat_map(|s| &s.spans)
+            .filter(|s| s.comm.is_some())
+            .count()
     );
     Ok(())
 }

@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one tile move, one write path, one routing form)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one tile move, one write path, one routing form, one byte ledger, one frame-length decoder)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -104,6 +104,21 @@ awk '/#\[cfg\(test\)\]/ { exit }
      END { if (groups != 1) {
                print FILENAME ": \"groups\" x" groups+0 " (want 1)"
                exit 1 } }' crates/cluster/src/transport/workerd.rs
+# A moved byte is counted once, on the span of the primitive that moved
+# it: `CommStats` is a fold over spans with no event list or recorder of
+# its own, and nothing snapshots a second meter around a step.
+if grep -rnE 'CommSnap|CommEvent' crates src; then exit 1; fi
+awk '/#\[cfg\(test\)\]/ { exit }
+     /Vec</ || /fn record/ { print FILENAME ":" FNR ": " $0; bad++ }
+     END { if (bad) exit 1 }' crates/cluster/src/comm.rs
+# And a frame's length prefix is decoded in one place (frame.rs), which
+# both the one-shot readers and the incremental FrameReader go through.
+if [ "$(find crates/cluster/src/transport -name '*.rs' -exec awk \
+        '/#\[cfg\(test\)\]/ { nextfile }
+         /u32::from_be_bytes/ { print FILENAME }' {} +)" != crates/cluster/src/transport/frame.rs ]; then
+    echo "u32::from_be_bytes must appear once under crates/cluster/src/transport, in frame.rs"
+    exit 1
+fi
 
 echo "==> cargo test (workspace)"
 # Includes what used to be separate gates: the lint + plan-verifier sweep

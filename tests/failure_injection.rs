@@ -371,6 +371,140 @@ fn recovery_traffic_lands_on_recovery_spans_not_steady_state() {
     }
 }
 
+/// Everything the run's ledger says about where bytes went.
+#[derive(Debug, PartialEq)]
+struct Ledger {
+    shuffle: u64,
+    broadcast: u64,
+    recovery: u64,
+    retry: u64,
+    retry_events: usize,
+    /// `(shuffle, broadcast)` per phase.
+    phases: &'static [(u64, u64)],
+    recovery_bytes: u64,
+}
+
+fn ledger(r: &dmac::core::engine::ExecReport) -> Ledger {
+    let phases: Vec<(u64, u64)> = r
+        .per_phase
+        .iter()
+        .map(|p| (p.shuffle_bytes, p.broadcast_bytes))
+        .collect();
+    Ledger {
+        shuffle: r.comm.shuffle_bytes(),
+        broadcast: r.comm.broadcast_bytes(),
+        recovery: r.comm.recovery_bytes(),
+        retry: r.comm.retry_bytes(),
+        retry_events: r.comm.retry_events(),
+        phases: Vec::leak(phases),
+        recovery_bytes: r.recovery.recovery_bytes,
+    }
+}
+
+/// The accounting recorded before the span buffer became the run's only
+/// ledger: a healthy GNMF, two seeds of the random-kill + transient sweep
+/// above (both lose two workers and retry a send), and a stage-5 kill.
+/// Bytes must reproduce exactly; the per-phase and recovery seconds must
+/// add up to the simulated clock.
+#[test]
+fn accounting_matches_the_recorded_ledgers() {
+    const HEALTHY: Ledger = Ledger {
+        shuffle: 5904,
+        broadcast: 3584,
+        recovery: 0,
+        retry: 0,
+        retry_events: 0,
+        phases: &[(3600, 1792), (2304, 1792)],
+        recovery_bytes: 0,
+    };
+    const SEEDS: [(u64, Ledger); 2] = [
+        (
+            0xc45e_6870_691a_69e5,
+            Ledger {
+                shuffle: 4896,
+                broadcast: 7296,
+                recovery: 1860,
+                retry: 512,
+                retry_events: 1,
+                phases: &[(3600, 2688)],
+                recovery_bytes: 7764,
+            },
+        ),
+        (
+            0x16c6_2e9e_56e2_8b01,
+            Ledger {
+                shuffle: 6432,
+                broadcast: 5376,
+                recovery: 3720,
+                retry: 1536,
+                retry_events: 1,
+                phases: &[(3600, 2688)],
+                recovery_bytes: 10776,
+            },
+        ),
+    ];
+    const STAGE_5: Ledger = Ledger {
+        shuffle: 9504,
+        broadcast: 5376,
+        recovery: 1860,
+        retry: 0,
+        retry_events: 0,
+        phases: &[(3600, 1792), (2304, 1792)],
+        recovery_bytes: 7252,
+    };
+    let seconds_add_up = |r: &dmac::core::engine::ExecReport| {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1e-300);
+        let steady: f64 = r.per_phase.iter().map(|p| p.total_sec()).sum();
+        let total = r.sim.total_sec();
+        assert!(
+            close(steady + r.recovery.recovery_sec, total),
+            "{steady} + {} vs {total}",
+            r.recovery.recovery_sec
+        );
+        if !r.recovery.any() {
+            let comm: f64 = r.per_phase.iter().map(|p| p.comm_sec).sum();
+            let compute: f64 = r.per_phase.iter().map(|p| p.compute_sec).sum();
+            assert!(
+                close(comm, r.sim.comm_sec()),
+                "{comm} vs {}",
+                r.sim.comm_sec()
+            );
+            assert!(close(compute, r.sim.compute_sec()));
+        }
+    };
+
+    let (_, _, healthy) = run_gnmf(None);
+    assert_eq!(ledger(&healthy), HEALTHY);
+    seconds_add_up(&healthy);
+
+    let cfg = Gnmf {
+        iterations: 1,
+        ..gnmf_cfg()
+    };
+    let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, 8, 5);
+    for (seed, want) in SEEDS {
+        let plan = FaultPlan::random_kills(0.05, seed)
+            .with_max_kills(2)
+            .with_transient(0.02);
+        let mut s = Session::builder()
+            .workers(4)
+            .local_threads(1)
+            .block_size(8)
+            .seed(7)
+            .fault_plan(plan)
+            .build();
+        let (report, _) = cfg.run(&mut s, v.clone()).unwrap();
+        assert_eq!(report.recovery.worker_failures, 2, "seed {seed:#x}");
+        assert_eq!(ledger(&report), want, "seed {seed:#x}");
+        seconds_add_up(&report);
+    }
+
+    let (_, _, killed) = run_gnmf(Some(FaultPlan::kill_stage(5, 0xC0FFEE + 5)));
+    assert_eq!(killed.recovery.worker_failures, 1);
+    assert_eq!(ledger(&killed), STAGE_5);
+    seconds_add_up(&killed);
+}
+
 #[test]
 fn flaky_network_retries_transparently_and_meters_waste() {
     let plan = FaultPlan::none().with_transient(0.3).with_send_attempts(10);

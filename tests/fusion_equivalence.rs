@@ -157,7 +157,7 @@ fn run(
         .iter()
         .map(|&e| s.value(e).unwrap().to_dense())
         .collect();
-    let comm = s.cluster_mut().comm().clone();
+    let comm = s.cluster_mut().comm();
     Run {
         values,
         shuffle_bytes: comm.shuffle_bytes(),

@@ -1,5 +1,7 @@
 //! Property/fuzz tests for the shared wire layer: the length-prefixed
-//! frame codec ([`dmac::cluster::transport::frame`]) and the strict JSON
+//! frame codec ([`dmac::cluster::transport::frame`]) — its one-shot
+//! readers and the incremental `FrameReader` the coordinator reads worker
+//! replies with — and the strict JSON
 //! decoder ([`dmac::cluster::jsonin`]) that every protocol in the
 //! workspace (serve clients, coordinator ↔ `dmac-workerd`) sits on.
 //!
@@ -11,11 +13,13 @@
 //! seeds, so failures replay deterministically — same idiom as
 //! `tests/prop_kernels.rs`.
 
-use std::io::ErrorKind;
+use std::io::{self, ErrorKind, Read};
 
 use dmac::cluster::jsonin::Json;
 use dmac::cluster::transport::binfmt;
-use dmac::cluster::transport::frame::{read_frame, write_frame, MAX_FRAME};
+use dmac::cluster::transport::frame::{
+    read_frame, write_frame, write_frame_bytes, FrameReader, MAX_FRAME,
+};
 use dmac::matrix::{Block, CscBlock, DenseBlock, SplitMix64};
 
 /// A printable-ish random payload (valid UTF-8 by construction).
@@ -139,6 +143,96 @@ fn garbage_streams_never_panic() {
             );
         }
     }
+}
+
+/// A stream that hands its bytes out in seeded chunks of 1..=17 and times
+/// out (`WouldBlock`) before some of them, as a socket with a read timeout
+/// does; `Ok(0)` once it is dry.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    rng: SplitMix64,
+    stalled: bool,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        if !self.stalled && self.rng.chance(0.3) {
+            self.stalled = true;
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        self.stalled = false;
+        let n = (1 + self.rng.below(17))
+            .min(self.bytes.len())
+            .min(out.len());
+        out[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Drain `bytes` through one `FrameReader` in seeded chunks: the frames
+/// it yields, how often it reported a timeout, and the error that ended
+/// the stream. Every timeout is followed by a chunk of data, so this
+/// terminates.
+fn trickle(bytes: &[u8], seed: u64) -> (Vec<Vec<u8>>, usize, ErrorKind) {
+    let mut src = Trickle {
+        bytes,
+        rng: SplitMix64::new(seed),
+        stalled: false,
+    };
+    let mut reader = FrameReader::default();
+    let (mut frames, mut timeouts) = (Vec::new(), 0);
+    loop {
+        match reader.next(&mut src) {
+            Ok(Some(f)) => frames.push(f),
+            Ok(None) => timeouts += 1,
+            Err(e) => return (frames, timeouts, e.kind()),
+        }
+    }
+}
+
+/// The incremental reader under every chunking: a whole stream yields its
+/// frames, then `UnexpectedEof` when the peer closes; a stream cut at any
+/// offset yields a prefix of them, then `UnexpectedEof`; a length prefix
+/// past `MAX_FRAME` after the first `k` frames yields those `k`, then
+/// `InvalidData` — typed every time, and never a frame that was not sent.
+#[test]
+fn frame_reader_survives_any_chunking_truncation_and_oversize() {
+    let mut rng = SplitMix64::new(0xF4A3_0008);
+    let mut timeouts = 0;
+    for case in 0..24u64 {
+        let payloads: Vec<Vec<u8>> = (0..rng.below(6))
+            .map(|_| (0..rng.below(120)).map(|_| rng.next_u64() as u8).collect())
+            .collect();
+        let mut buf = Vec::new();
+        for p in &payloads {
+            write_frame_bytes(&mut buf, p).unwrap();
+        }
+        let (frames, t, end) = trickle(&buf, case);
+        assert_eq!((frames, end), (payloads.clone(), ErrorKind::UnexpectedEof));
+        timeouts += t;
+        for cut in 0..buf.len() {
+            let (frames, _, end) = trickle(&buf[..cut], case ^ cut as u64);
+            assert!(payloads.starts_with(&frames), "case {case} cut {cut}");
+            assert_eq!(end, ErrorKind::UnexpectedEof, "case {case} cut {cut}");
+        }
+        let k = rng.below(payloads.len() + 1);
+        let mut bad = Vec::new();
+        for p in &payloads[..k] {
+            write_frame_bytes(&mut bad, p).unwrap();
+        }
+        let n = MAX_FRAME as u64 + 1 + rng.below(1 << 20) as u64;
+        bad.extend((n.min(u32::MAX as u64) as u32).to_be_bytes());
+        bad.extend((0..rng.below(64)).map(|_| rng.next_u64() as u8));
+        let (frames, _, end) = trickle(&bad, case);
+        assert_eq!((&frames[..], end), (&payloads[..k], ErrorKind::InvalidData));
+    }
+    assert!(timeouts > 0, "the sweep never timed out mid-stream");
+    // A frame larger than the reader's read buffer arrives whole.
+    let big: Vec<u8> = (0..70_000u32).map(|i| i as u8).collect();
+    let mut buf = Vec::new();
+    write_frame_bytes(&mut buf, &big).unwrap();
+    assert_eq!(trickle(&buf, 9).0, vec![big]);
 }
 
 /// The strict JSON decoder never panics on arbitrary printable input,
