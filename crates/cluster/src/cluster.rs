@@ -42,7 +42,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dmac_matrix::exec::{combine_partials, run_tasks, PoolStats, ResultBufferPool};
-use dmac_matrix::{eval_fused_block, Block, BlockedMatrix, DenseBlock, FusedOp, MatrixError};
+use dmac_matrix::{
+    eval_fused_block, random_cell, Block, BlockedMatrix, DenseBlock, FusedOp, MatrixError,
+};
 
 use crate::comm::{CommKind, CommStats, NetworkModel, SimClock};
 use crate::dist::{fresh_rid, DistMatrix, GridMeta};
@@ -532,6 +534,27 @@ impl Cluster {
     /// Figure 6(b) which reports per-iteration traffic).
     pub fn load(&self, m: &BlockedMatrix, scheme: PartitionScheme) -> DistMatrix {
         DistMatrix::from_blocked(m, scheme, self.config.workers)
+    }
+
+    /// Make a `random` source on `meta`'s grid under `scheme`: cell
+    /// `(i, j)` is [`dmac_matrix::random_cell`]`(seed, matrix, i, j)`.
+    /// Unmetered, like [`Cluster::load`]; a mirror installs none of it —
+    /// its workers generate the tiles they own from the same function
+    /// ([`Transport::generate`]), proven by seal before first use.
+    pub fn random(
+        &mut self,
+        meta: GridMeta,
+        scheme: PartitionScheme,
+        seed: u64,
+        matrix: u32,
+    ) -> Result<DistMatrix> {
+        let cell = |i, j| random_cell(seed, matrix, i, j);
+        let m = BlockedMatrix::from_fn(meta.rows, meta.cols, meta.block, cell)?;
+        let dist = self.load(&m, scheme);
+        if let Some(t) = &mut self.transport {
+            t.generate(&dist, seed, matrix);
+        }
+        Ok(dist)
     }
 
     fn compat(&self, a: &DistMatrix, b: &DistMatrix) -> Result<()> {

@@ -46,12 +46,22 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest. Every protocol document in the
+/// workspace nests a handful of levels; the parser recurses once per
+/// level, so an unbounded depth lets a frame of `[` overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage is an error).
+    /// trailing garbage is an error; nesting past [`MAX_DEPTH`] is an
+    /// error).
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let bytes = src.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.ws();
         let v = p.value()?;
         p.ws();
@@ -113,6 +123,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -152,8 +164,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|_| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nested too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -321,6 +344,16 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}0{}", "[{\"a\":".repeat(n), "}]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH / 2)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH / 2 + 1)).unwrap_err();
+        assert!(err.msg.contains("nested too deep"), "{err}");
+        // Far past the bound, as a frame of brackets would be: no overflow.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

@@ -68,8 +68,17 @@ pub fn read_frame_bytes(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let mut buf = vec![0u8; payload_len(prefix)?];
-    r.read_exact(&mut buf)?;
+    let n = payload_len(prefix)?;
+    // Grown as the bytes arrive, not sized by the prefix: a length the
+    // stream does not back costs what the stream sent, not 64 MiB.
+    let mut buf = Vec::with_capacity(n.min(64 << 10));
+    r.take(n as u64).read_to_end(&mut buf)?;
+    if buf.len() < n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame of {n} bytes ended after {}", buf.len()),
+        ));
+    }
     Ok(Some(buf))
 }
 

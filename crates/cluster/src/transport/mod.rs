@@ -162,8 +162,9 @@ pub struct TransportStats {
     /// Metered payload bytes (the channel conformance checks against
     /// the oracle's `wire_bytes`).
     pub payload_bytes: u64,
-    /// Bytes installed to seed source values (outside the paper's
-    /// ledger, which starts after load).
+    /// Bytes installed to seed bound inputs (`load` sources, outside the
+    /// paper's ledger, which starts after load). A `random` source is
+    /// generated by its workers and adds nothing here.
     pub install_bytes: u64,
     /// Unmetered copy bytes (rehash claims, local transposes, extracts,
     /// same-host shuffle legs).
@@ -199,7 +200,7 @@ pub struct TransportStats {
 ///
 /// Every mirror method receives the oracle's inputs and outputs as
 /// [`DistMatrix`] references — the transport reads tiles from them to
-/// seed workers ([`Transport::ensure_resident`]) and to verify results,
+/// seed workers with bound inputs and to verify results,
 /// but the engine always consumes the oracle values; the transport's
 /// stores are shadow state proven equal, never a second source of truth.
 pub trait Transport: std::fmt::Debug + Send + Sync {
@@ -210,10 +211,12 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     /// nothing.
     fn set_assignment(&mut self, assignment: &[usize]);
 
-    /// Make `m`'s shards resident on the physical workers if its rid is
-    /// not yet known. Installation is unmetered (`install_bytes`): the
-    /// paper's ledger starts after initial load.
-    fn ensure_resident(&mut self, m: &DistMatrix) -> Result<()>;
+    /// Declare `m` a `random` source: cell `(i, j)` is
+    /// [`dmac_matrix::random_cell`]`(seed, matrix, i, j)`. Nothing of it is
+    /// installed. Wherever it is first needed, and again after a remap,
+    /// each host generates the tiles its workers own, chained with the
+    /// seal that proves them against `m` in the same exchange.
+    fn generate(&mut self, m: &DistMatrix, seed: u64, matrix: u32);
 
     /// Mirror a communication primitive as an explicit tile move list.
     /// Returns the metered payload bytes the backend shipped, which the

@@ -14,8 +14,10 @@
 //!
 //! There is one data plane. Control traffic is a star — every command
 //! and reply crosses the coordinator as a JSON frame — but *tile
-//! payload* never does, except to seed a value (`install`) or read one
-//! back (`collect`), both as `DMB1` bodies. Every tile move — a shuffle,
+//! payload* never does, except to seed a bound input (`install`) or read
+//! a value back (`collect`), both as `DMB1` bodies. A `random` source is
+//! not seeded: its `install` has no body and names the generator, and each
+//! worker makes the tiles it owns. Every tile move — a shuffle,
 //! a local transpose, CPMM's partial shuffle — is built in one place
 //! (`SocketTransport::route`): one `xfer` routing plan per source host,
 //! its tiles named once per group of one source worker, destination
@@ -81,7 +83,7 @@ use std::time::{Duration, Instant};
 use dmac_matrix::Block;
 
 use crate::cluster::ReduceKind;
-use crate::dist::{fresh_rid, DistMatrix};
+use crate::dist::{fresh_rid, DistMatrix, GridMeta};
 use crate::error::{ClusterError, Result};
 use crate::json::{arr_of, JsonArr, JsonObj};
 use crate::jsonin::Json;
@@ -216,6 +218,14 @@ struct Group {
 fn keys_json(keys: &[(usize, usize)]) -> String {
     let flat = keys.iter().flat_map(|&(bi, bj)| [bi, bj]);
     flat.fold(JsonArr::new(), |k, x| k.u64(x as u64)).build()
+}
+
+/// Worker `w`'s tiles as a command's `tasks` name them: one group,
+/// `{"w","k":[bi,bj,…]}`, or none when it has no tile.
+fn worker_group(w: usize, keys: &[(usize, usize)]) -> Vec<String> {
+    let group = JsonObj::new().u64("w", w as u64);
+    let group = group.raw("k", &keys_json(keys)).build();
+    (!keys.is_empty()).then_some(group).into_iter().collect()
 }
 
 /// The oracle's side of a seal: per logical worker, its shard of `value`
@@ -409,6 +419,10 @@ pub struct SocketTransport {
     /// Every value resident on the workers, by rid, with the hosts that
     /// hold a shard of it.
     known: HashMap<u64, BTreeSet<usize>>,
+    /// Every live `random` source, by rid: its seed and matrix id. Such a
+    /// value is generated by its workers, never installed — at its first
+    /// use, and again at its first use after a remap.
+    recipes: HashMap<u64, (u64, u32)>,
     /// `free`s of released values, by host and rid, still to be written
     /// at the head of the next exchange.
     frees: Vec<(usize, u64)>,
@@ -582,6 +596,7 @@ impl SocketTransport {
             conns,
             assignment: (0..workers).collect(),
             known: HashMap::new(),
+            recipes: HashMap::new(),
             frees: Vec::new(),
             staged: None,
             stats: TransportStats::default(),
@@ -864,6 +879,108 @@ impl SocketTransport {
         cmds
     }
 
+    /// The bodiless `install` commands by which one host's workers
+    /// generate their tiles `keys[w]` of random source `rid`, chunked so
+    /// that no command makes more dense bytes than an install frame's
+    /// budget carries.
+    fn generate_cmds(
+        (rid, seed, matrix): (u64, u64, u32),
+        meta: &GridMeta,
+        ws: &[usize],
+        keys: &[Vec<(usize, usize)>],
+    ) -> Vec<Outgoing> {
+        let budget = u64::from(MAX_FRAME / 2);
+        let generate = |batch: &BTreeMap<usize, Vec<(usize, usize)>>| {
+            let tasks = batch.iter().flat_map(|(&w, k)| worker_group(w, k));
+            let cmd = JsonObj::new()
+                .str("t", "install")
+                .u64("rid", rid)
+                .str("seed", &wire::hex_u64(seed))
+                .u64("m", u64::from(matrix))
+                .u64("rows", meta.rows as u64)
+                .u64("cols", meta.cols as u64)
+                .u64("block", meta.block as u64)
+                .raw("tasks", &arr_of(tasks));
+            Outgoing::Json(cmd)
+        };
+        let (mut cmds, mut batch, mut bytes) = (Vec::new(), BTreeMap::new(), 0u64);
+        for &w in ws {
+            for &(bi, bj) in &keys[w] {
+                let tile = 8 * (meta.block_rows_of(bi) * meta.block_cols_of(bj)) as u64;
+                if !batch.is_empty() && bytes + tile > budget {
+                    cmds.push(generate(&std::mem::take(&mut batch)));
+                    bytes = 0;
+                }
+                batch.entry(w).or_default().push((bi, bj));
+                bytes += tile;
+            }
+        }
+        if !batch.is_empty() {
+            cmds.push(generate(&batch));
+        }
+        cmds
+    }
+
+    /// Make `m`'s shards resident on the physical workers if its rid is
+    /// not yet known, in one exchange: a `random` source's are generated
+    /// there ([`SocketTransport::generate_resident`]); a bound input's
+    /// tiles are installed, unmetered (`install_bytes`) — the paper's
+    /// ledger starts after load.
+    fn ensure_resident(&mut self, m: &DistMatrix) -> Result<()> {
+        if self.known.contains_key(&m.rid()) {
+            return Ok(());
+        }
+        if let Some(&(seed, matrix)) = self.recipes.get(&m.rid()) {
+            return self.generate_resident(m, seed, matrix);
+        }
+        let mut per_host: BTreeMap<usize, Vec<(usize, usize, usize, &Block)>> = BTreeMap::new();
+        let mut bytes = 0u64;
+        for w in 0..m.workers() {
+            let host = self.assignment[w];
+            for (&(bi, bj), tile) in m.worker_blocks(w) {
+                bytes += tile.actual_bytes() as u64;
+                per_host.entry(host).or_default().push((w, bi, bj, tile));
+            }
+        }
+        let mut cmds = Vec::new();
+        for (host, tiles) in &per_host {
+            for cmd in Self::install_cmds(m.rid(), tiles) {
+                cmds.push((*host, cmd, Check::Ok));
+            }
+        }
+        self.exchange("install", cmds)?;
+        self.now_resident(m);
+        self.stats.install_bytes += bytes;
+        Ok(())
+    }
+
+    /// Have each host's workers generate their tiles of random source
+    /// `m`, every host's commands chained with the seal that proves them
+    /// against the oracle: nothing is installed, and the workers' bits
+    /// are checked before their first use.
+    fn generate_resident(&mut self, m: &DistMatrix, seed: u64, matrix: u32) -> Result<()> {
+        let keys: Vec<Vec<(usize, usize)>> = (0..m.workers())
+            .map(|w| {
+                let mut keys: Vec<_> = m.worker_blocks(w).keys().copied().collect();
+                keys.sort_unstable();
+                keys
+            })
+            .collect();
+        let recipe = (m.rid(), seed, matrix);
+        let mut cmds = Vec::new();
+        for (host, ws) in self.hosts_with_ws() {
+            for cmd in Self::generate_cmds(recipe, m.meta(), &ws, &keys) {
+                cmds.push((host, cmd, Check::Ok));
+            }
+            cmds.push((host, Self::seal_cmd(m.rid(), &ws), Check::Seal(ws)));
+        }
+        let posted = self.post("generate", cmds)?;
+        let oracle = oracle_shards(m);
+        self.collect(posted, &oracle)?;
+        self.now_resident(m);
+        Ok(())
+    }
+
     /// The `seal` command proving one value's shards on a host.
     fn seal_cmd(rid: u64, ws: &[usize]) -> Outgoing {
         let mut ws_arr = JsonArr::new();
@@ -1005,40 +1122,23 @@ impl Transport for SocketTransport {
     fn set_assignment(&mut self, assignment: &[usize]) {
         // A remap means previously installed placements are stale: a
         // surviving matrix's logical shard may now live on a different
-        // physical host. Keep nothing, so the next use re-installs shards
-        // under the new assignment (unmetered, like any install) and the
-        // survivors do not hold the old ones for the life of the session.
-        // Queued, so this cannot fail: the replay's first exchange writes
-        // them, to physical hosts, which a remap does not rename.
+        // physical host. Keep nothing, so the next use re-installs a bound
+        // input's shards under the new assignment (unmetered, like any
+        // install) and the survivors do not hold the old ones for the life
+        // of the session. Queued, so this cannot fail: the replay's first
+        // exchange writes them, to physical hosts, which a remap does not
+        // rename. A recipe is no placement: a random source stays one, and
+        // is generated again where its workers now live.
         if self.assignment != assignment {
+            let recipes = std::mem::take(&mut self.recipes);
             let _ = self.retain_values(&|_| false, Release::Queued);
+            self.recipes = recipes;
         }
         self.assignment = assignment.to_vec();
     }
 
-    fn ensure_resident(&mut self, m: &DistMatrix) -> Result<()> {
-        if self.known.contains_key(&m.rid()) {
-            return Ok(());
-        }
-        let mut per_host: BTreeMap<usize, Vec<(usize, usize, usize, &Block)>> = BTreeMap::new();
-        let mut bytes = 0u64;
-        for w in 0..m.workers() {
-            let host = self.assignment[w];
-            for (&(bi, bj), tile) in m.worker_blocks(w) {
-                bytes += tile.actual_bytes() as u64;
-                per_host.entry(host).or_default().push((w, bi, bj, tile));
-            }
-        }
-        let mut cmds = Vec::new();
-        for (host, tiles) in &per_host {
-            for cmd in Self::install_cmds(m.rid(), tiles) {
-                cmds.push((*host, cmd, Check::Ok));
-            }
-        }
-        self.exchange("install", cmds)?;
-        self.now_resident(m);
-        self.stats.install_bytes += bytes;
-        Ok(())
+    fn generate(&mut self, m: &DistMatrix, seed: u64, matrix: u32) {
+        self.recipes.insert(m.rid(), (seed, matrix));
     }
 
     fn move_tiles(
@@ -1091,11 +1191,7 @@ impl Transport for SocketTransport {
             keys,
         } = *stage;
         // A worker's tasks are one group: its output keys, named once.
-        let tasks_of = |w: usize| -> Vec<String> {
-            let group = JsonObj::new().u64("w", w as u64);
-            let group = group.raw("k", &keys_json(&keys[w])).build();
-            (!keys[w].is_empty()).then_some(group).into_iter().collect()
-        };
+        let tasks_of = |w: usize| worker_group(w, &keys[w]);
         let cmds = match kernel {
             StageKernel::Mm(a, b) => {
                 self.ensure_resident(a)?;
@@ -1361,6 +1457,7 @@ impl Transport for SocketTransport {
             frees.extend(alive.map(|&h| (h, rid)));
             false
         });
+        self.recipes.retain(|&rid, _| live(rid));
         if released > 0 {
             self.op_tick();
         }

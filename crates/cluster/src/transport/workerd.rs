@@ -35,8 +35,12 @@
 //! payload (`install` bodies, `collect` replies, peer pushes, fused
 //! scalar constants) travels as binary `DMB1` messages
 //! ([`crate::transport::binfmt`]) on the same envelope, and nothing
-//! else is accepted: an `install` or `push` without a `DMB1` tile
-//! section is an `err` reply.
+//! else is accepted: a `push` without a `DMB1` tile section is an `err`
+//! reply. So is an `install` without one, unless it names a generator:
+//! `{"t":"install","rid","seed","m","rows","cols","block","tasks"}` makes
+//! the worker generate the tiles `tasks` names (`[{"w","k":[bi,bj,…]}]`)
+//! of `random` source `m` under `seed` itself, with
+//! [`dmac_matrix::random_cell`] — the function the oracle made them with.
 //!
 //! ## Direct worker-to-worker exchange
 //!
@@ -65,7 +69,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dmac_matrix::exec::{combine_partials, ResultBufferPool};
-use dmac_matrix::{Block, DenseBlock};
+use dmac_matrix::{random_cell, Block, BlockedMatrix, DenseBlock};
 
 use crate::cluster::ReduceKind;
 use crate::dist::GridMeta;
@@ -73,7 +77,9 @@ use crate::json::{JsonArr, JsonObj};
 use crate::jsonin::Json;
 use crate::kernels::{self, MulStage};
 use crate::transport::binfmt;
-use crate::transport::frame::{framed_len, read_frame_bytes, write_frame, write_frame_bytes};
+use crate::transport::frame::{
+    framed_len, read_frame_bytes, write_frame, write_frame_bytes, MAX_FRAME,
+};
 use crate::transport::wire;
 use crate::transport::TileTransform;
 
@@ -93,6 +99,9 @@ pub struct WorkerOptions {
 /// checksum contracts require. Shared with the peer listener threads,
 /// which install pushed tiles between commands.
 type Store = HashMap<(u64, usize), BTreeMap<(usize, usize), Block>>;
+
+/// A tile with its place: logical worker, block row, block column.
+type Placed = (usize, usize, usize, Block);
 
 /// One reply, ready for the sequence number to be stamped in.
 enum Reply {
@@ -290,12 +299,11 @@ fn install_push(raw: &[u8], store: &Mutex<Store>) -> Result<(), String> {
         return Err("peer frame is not a push".into());
     }
     let rid = wire::field_u64(&head, "rid")?;
-    install_tiles(store, rid, body)
+    install_tiles(store, rid, binfmt::decode_tiles(body)?)
 }
 
-/// Decode a `DMB1` tile section and install it under `rid`.
-fn install_tiles(store: &Mutex<Store>, rid: u64, body: &[u8]) -> Result<(), String> {
-    let tiles = binfmt::decode_tiles(body)?;
+/// Install placed tiles under `rid`.
+fn install_tiles(store: &Mutex<Store>, rid: u64, tiles: Vec<Placed>) -> Result<(), String> {
     let mut store = store.lock().map_err(|_| "store poisoned".to_string())?;
     for (w, bi, bj, block) in tiles {
         store.entry((rid, w)).or_default().insert((bi, bj), block);
@@ -330,6 +338,51 @@ fn meta_of(cmd: &Json) -> Result<GridMeta, String> {
         wire::field_usize(cmd, "cols")?,
         wire::field_usize(cmd, "block")?,
     ))
+}
+
+/// The tiles of a bodiless `install`: those `tasks` name of the `random`
+/// source `m` under `seed` (16 hex digits) on the `rows × cols` grid of
+/// `block`, made by the generator the oracle uses. Everything the command
+/// says is checked — the grid, every key inside it, the bytes it asks for
+/// against the frame ceiling — before a cell is made.
+fn generated(cmd: &Json) -> Result<Vec<Placed>, String> {
+    let seed = cmd
+        .get("seed")
+        .and_then(Json::as_str)
+        .and_then(wire::parse_hex_u64);
+    let seed = seed.ok_or("install is neither a DMB1 message nor a generator (no 'seed')")?;
+    let matrix = u32::try_from(wire::field_u64(cmd, "m")?)
+        .map_err(|_| "generator's matrix id 'm' is not a u32".to_string())?;
+    let meta = meta_of(cmd)?;
+    if meta.block == 0 {
+        return Err("generator grid has block size 0".into());
+    }
+    let (mut keys, mut bytes) = (Vec::new(), 0u64);
+    for group in wire::field_arr(cmd, "tasks")? {
+        let w = wire::field_usize(group, "w")?;
+        for (bi, bj) in keys_of(group)? {
+            if bi >= meta.row_blocks || bj >= meta.col_blocks {
+                return Err(format!(
+                    "generator key ({bi},{bj}) is outside the {}x{} grid",
+                    meta.row_blocks, meta.col_blocks
+                ));
+            }
+            let cells = (meta.block_rows_of(bi) as u64).checked_mul(meta.block_cols_of(bj) as u64);
+            bytes = cells
+                .and_then(|c| c.checked_mul(8))
+                .and_then(|b| b.checked_add(bytes))
+                .filter(|&b| b <= u64::from(MAX_FRAME))
+                .ok_or_else(|| format!("generator asks for more than {MAX_FRAME} bytes"))?;
+            keys.push((w, bi, bj));
+        }
+    }
+    let (rows, cols, block) = (meta.rows, meta.cols, meta.block);
+    let cell = |i, j| random_cell(seed, matrix, i, j);
+    let tiles = keys.into_iter().map(|(w, bi, bj)| {
+        let tile = BlockedMatrix::tile_from_fn(rows, cols, block, (bi, bj), cell);
+        (w, bi, bj, tile)
+    });
+    Ok(tiles.collect())
 }
 
 fn tile_of(
@@ -395,10 +448,15 @@ impl Worker {
         Ok(Reply::ok())
     }
 
+    /// Install a bound input's tiles from a `DMB1` body, or — with no body
+    /// — generate a `random` source's ([`generated`]).
     fn install(&mut self, cmd: &Json, body: Option<&[u8]>) -> Result<Reply, String> {
         let rid = wire::field_u64(cmd, "rid")?;
-        let body = body.ok_or("install is not a DMB1 message")?;
-        install_tiles(&self.store, rid, body)?;
+        let tiles = match body {
+            Some(body) => binfmt::decode_tiles(body)?,
+            None => generated(cmd)?,
+        };
+        install_tiles(&self.store, rid, tiles)?;
         Ok(Reply::ok())
     }
 
@@ -1073,6 +1131,99 @@ mod tests {
         let push = binfmt::encode(r#"{"t":"push","rid":8}"#, &body);
         install_push(&push, &w.store).unwrap();
         assert_eq!(w.store.lock().unwrap().len(), 2);
+    }
+
+    /// A bodiless `install` makes a `random` source's tiles with the
+    /// oracle's generator: on a 37 × 50 grid at block 16, ragged both ways,
+    /// Hash-placed over two workers, every tile is `bits_eq` to the one
+    /// `BlockedMatrix::from_fn` made, and every shard seals alike.
+    #[test]
+    fn generated_tiles_are_the_oracles() {
+        use crate::PartitionScheme;
+        let (seed, matrix) = (0xDEAD_BEEF_F00D_CAFE, 3);
+        let cell = |i, j| random_cell(seed, matrix, i, j);
+        let m = BlockedMatrix::from_fn(37, 50, 16, cell).unwrap();
+        let oracle = DistMatrix::from_blocked(&m, PartitionScheme::Hash, 2);
+        let head = JsonObj::new().str("t", "install").u64("rid", oracle.rid());
+        let head = head
+            .str("seed", &wire::hex_u64(seed))
+            .u64("m", matrix.into());
+        let cmd = grid(head, &oracle)
+            .raw("tasks", &groups_of(&oracle))
+            .build();
+        let mut w = worker();
+        run(&mut w, &cmd).map(drop).unwrap();
+        assert_same_seals(&w, &oracle, "generated");
+        let store = w.store.lock().unwrap();
+        for lw in 0..2 {
+            let held = &store[&(oracle.rid(), lw)];
+            assert_eq!(held.len(), oracle.worker_blocks(lw).len());
+            for (k, tile) in oracle.worker_blocks(lw) {
+                assert!(held[k].bits_eq(tile), "worker {lw} tile {k:?}");
+            }
+        }
+        let ragged = store.values().flat_map(|s| s.values());
+        assert!(ragged.clone().any(|t| t.rows() == 5) && ragged.clone().any(|t| t.cols() == 2));
+    }
+
+    /// What a generating `install` says is held to the grid it names
+    /// before a cell is made: a zero block, a key outside the grid, a tile
+    /// past the frame ceiling (`rows`, `cols` and `block` near `u32::MAX`),
+    /// no seed or a seed not in hex, a matrix id past `u32` — each is a
+    /// typed `err` that installs nothing. The true command installs after.
+    #[test]
+    fn a_generator_the_grid_contradicts_installs_nothing() {
+        let good = r#"{"t":"install","rid":7,"seed":"00000000000000ff","m":3,"rows":37,"cols":50,"block":16,"tasks":[{"w":0,"k":[2,3]}]}"#;
+        let max = u32::MAX;
+        let huge = format!(r#""rows":{max},"cols":{max},"block":{max}"#);
+        let mut w = worker();
+        for (cmd, says) in [
+            (
+                good.replace(r#""block":16"#, r#""block":0"#),
+                "block size 0",
+            ),
+            (
+                good.replace("[2,3]", "[3,0]"),
+                "(3,0) is outside the 3x4 grid",
+            ),
+            (
+                good.replace("[2,3]", "[0,4]"),
+                "(0,4) is outside the 3x4 grid",
+            ),
+            (good.replace("[2,3]", "[2,3,1]"), "not (bi, bj) pairs"),
+            (
+                good.replace(r#""rows":37,"cols":50,"block":16"#, &huge)
+                    .replace("[2,3]", "[0,0]"),
+                "more than",
+            ),
+            (
+                good.replace(r#""seed":"00000000000000ff","#, ""),
+                "no 'seed'",
+            ),
+            (good.replace("00000000000000ff", "ff"), "no 'seed'"),
+            (good.replace(r#""m":3"#, r#""m":4294967296"#), "not a u32"),
+            (good.replace(r#""rows":37,"#, ""), "missing integer 'rows'"),
+        ] {
+            let err = run(&mut w, &cmd)
+                .err()
+                .unwrap_or_else(|| panic!("accepted: {cmd}"));
+            assert!(err.contains(says), "'{err}' does not say '{says}': {cmd}");
+            assert!(w.store.lock().unwrap().is_empty(), "{cmd}");
+        }
+        // One byte of it changed, 600 times: an answer or an `err`.
+        let mut rng = dmac_matrix::SplitMix64::new(0xF4A3_0030);
+        for _ in 0..600 {
+            let mut bytes = good.as_bytes().to_vec();
+            bytes[rng.below(good.len())] = 0x20 + rng.below(0x5f) as u8;
+            if let Ok(cmd) = Json::parse(&String::from_utf8(bytes).unwrap()) {
+                let _ = w.dispatch(&cmd, None);
+            }
+        }
+        w.store.lock().unwrap().clear();
+        run(&mut w, good).map(drop).unwrap();
+        let store = w.store.lock().unwrap();
+        let tile = &store[&(7, 0)][&(2, 3)];
+        assert_eq!((tile.rows(), tile.cols()), (5, 2));
     }
 
     /// A worker (host 0) holding two tiles of rid 1 on logical worker 0:

@@ -38,11 +38,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use dmac_cluster::cluster::ReduceKind;
+use dmac_cluster::dist::GridMeta;
 use dmac_cluster::{
     Cluster, ClusterError, CommStats, DistMatrix, OpSpan, PartitionScheme, SimClock,
 };
 use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, ReduceOp, ScalarId, UnaryOp};
-use dmac_matrix::{BlockedMatrix, FusedOp};
+use dmac_matrix::FusedOp;
 
 use crate::error::{CoreError, Result};
 use crate::liveness;
@@ -201,19 +202,9 @@ pub struct RunOutputs {
     pub cached_inputs: BTreeMap<MatrixId, DistMatrix>,
 }
 
-/// Deterministic pseudo-random dense entries for `RandomMatrix` inputs
-/// (SplitMix64 over the cell coordinates — no external RNG dependency).
-pub fn random_cell(seed: u64, matrix: MatrixId, i: usize, j: usize) -> f64 {
-    let mut z = seed
-        .wrapping_add((matrix as u64) << 48)
-        .wrapping_add((i as u64) << 24)
-        .wrapping_add(j as u64)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
+/// The cells of `random` sources, at the path the engine's callers
+/// reproduce them from.
+pub use dmac_matrix::random_cell;
 
 /// Everything immutable a run (and its recovery) needs: the program, the
 /// plan, durable input bindings, and the lineage maps derived from the
@@ -234,10 +225,11 @@ pub(crate) struct ExecCtx<'a> {
 }
 
 /// Materialise a source node: clone its durable binding (`load`) or
-/// regenerate it from the recorded seed (`random`). During recovery the
-/// re-read of a binding is metered as [`CommKind::Recovery`]
-/// (dmac_cluster) traffic — durable storage is remote; regeneration is
-/// free.
+/// regenerate it from the recorded seed (`random`, [`Cluster::random`]).
+/// During recovery the re-read of a binding is metered as
+/// [`CommKind::Recovery`] (dmac_cluster) traffic — durable storage is
+/// remote; regeneration is free on both backends, since a mirror's
+/// workers make a random source's tiles themselves.
 pub(crate) fn seed_source(
     cluster: &mut Cluster,
     ctx: &ExecCtx<'_>,
@@ -259,13 +251,8 @@ pub(crate) fn seed_source(
             d
         }
         MatrixOrigin::Random => {
-            let m = BlockedMatrix::from_fn(
-                decl.stats.rows,
-                decl.stats.cols,
-                ctx.block_size,
-                |i, j| random_cell(ctx.seed, mid, i, j),
-            )?;
-            cluster.load(&m, ctx.plan.nodes[node].scheme)
+            let meta = GridMeta::new(decl.stats.rows, decl.stats.cols, ctx.block_size);
+            cluster.random(meta, ctx.plan.nodes[node].scheme, ctx.seed, mid)?
         }
         MatrixOrigin::Op(_) => {
             return Err(CoreError::Engine(format!(

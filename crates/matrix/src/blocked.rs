@@ -137,14 +137,8 @@ impl BlockedMatrix {
         let mut blocks = Vec::with_capacity(row_blocks * col_blocks);
         for bi in 0..row_blocks {
             for bj in 0..col_blocks {
-                let r0 = bi * block;
-                let c0 = bj * block;
-                let d = DenseBlock::from_fn(
-                    Self::edge(rows, block, bi),
-                    Self::edge(cols, block, bj),
-                    |i, j| f(r0 + i, c0 + j),
-                );
-                blocks.push(Arc::new(Block::Dense(d)));
+                let tile = Self::tile_from_fn(rows, cols, block, (bi, bj), &f);
+                blocks.push(Arc::new(tile));
             }
         }
         Ok(BlockedMatrix {
@@ -155,6 +149,23 @@ impl BlockedMatrix {
             col_blocks,
             blocks,
         })
+    }
+
+    /// Tile `(bi, bj)` of the `rows × cols` grid of `block`: a dense tile,
+    /// trimmed at the grid's edges, holding `f(row, col)` at global
+    /// coordinates. The one tile generator: [`BlockedMatrix::from_fn`]
+    /// makes every tile with it, and a worker process the tiles it owns
+    /// of a `random` source. The caller keeps `(bi, bj)` inside the grid.
+    pub fn tile_from_fn(
+        rows: usize,
+        cols: usize,
+        block: usize,
+        (bi, bj): (usize, usize),
+        f: impl Fn(usize, usize) -> f64,
+    ) -> Block {
+        let (r0, c0) = (bi * block, bj * block);
+        let (r, c) = (Self::edge(rows, block, bi), Self::edge(cols, block, bj));
+        Block::Dense(DenseBlock::from_fn(r, c, |i, j| f(r0 + i, c0 + j)))
     }
 
     /// Build a sparse blocked matrix from global `(row, col, value)`

@@ -49,7 +49,7 @@ pub use dense::DenseBlock;
 pub use error::{MatrixError, Result};
 pub use exec::{AggregationMode, LocalExecutor};
 pub use fused::{eval_fused_block, FusedOp};
-pub use rng::SplitMix64;
+pub use rng::{random_cell, SplitMix64};
 
 /// Relative tolerance used by the test helpers when comparing floating-point
 /// matrices produced by different execution orders.

@@ -3,9 +3,28 @@
 //! The workspace builds with no registry access, so everything that needs
 //! randomness — dataset generators, fault injection, randomized tests —
 //! shares this tiny generator instead of the `rand` crate. SplitMix64 is
-//! the same mixer the engine already uses for `RandomMatrix` cells; it is
+//! the same mixer [`random_cell`] makes `RandomMatrix` cells with; it is
 //! statistically solid for simulation purposes, trivially seedable, and
 //! its streams are reproducible across platforms (pure `u64` arithmetic).
+
+/// Cell `(i, j)` of `random` matrix `matrix` under `seed`: a uniform
+/// `f64` in `[0, 1)`, SplitMix64's mixer over the cell coordinates. Pure,
+/// so a `RandomMatrix` is the same wherever it is made — the engine's
+/// oracle and every worker process that owns one of its tiles
+/// ([`crate::BlockedMatrix::tile_from_fn`]). Inlined across crates: it is
+/// called once per cell from generic tile loops instantiated elsewhere.
+#[inline]
+pub fn random_cell(seed: u64, matrix: u32, i: usize, j: usize) -> f64 {
+    let mut z = seed
+        .wrapping_add(u64::from(matrix) << 48)
+        .wrapping_add((i as u64) << 24)
+        .wrapping_add(j as u64)
+        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
 
 /// A SplitMix64 pseudo-random generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -358,14 +358,23 @@ impl Response {
                             .ok_or("bad bits element")
                     })
                     .collect::<Result<Vec<u64>, _>>()?;
+                let rows = v.get("rows").and_then(Json::as_u64).ok_or("missing rows")? as usize;
+                let cols = v.get("cols").and_then(Json::as_u64).ok_or("missing cols")? as usize;
+                // Readers index `bits[r * cols + c]`: one cell each, no more.
+                if rows.checked_mul(cols) != Some(bits.len()) {
+                    return Err(format!(
+                        "matrix reply holds {} cells, not {rows} x {cols}",
+                        bits.len()
+                    ));
+                }
                 Ok(Response::Matrix {
                     name: v
                         .get("name")
                         .and_then(Json::as_str)
                         .ok_or("missing name")?
                         .to_string(),
-                    rows: v.get("rows").and_then(Json::as_u64).ok_or("missing rows")? as usize,
-                    cols: v.get("cols").and_then(Json::as_u64).ok_or("missing cols")? as usize,
+                    rows,
+                    cols,
                     bits,
                 })
             }
@@ -544,6 +553,25 @@ mod tests {
             }
             other => panic!("wrong response: {other:?}"),
         }
+    }
+
+    /// A `matrix` reply is untrusted bytes that `dmac-cli fetch` indexes
+    /// as `bits[r * cols + c]`: a cell count other than `rows × cols` —
+    /// including a product past `usize` — is a decode error, not a panic
+    /// later.
+    #[test]
+    fn a_matrix_reply_holds_exactly_its_cells() {
+        let bits = [1.0f64, 2.0, 3.0].map(f64::to_bits);
+        assert!(Response::from_json(&encode_matrix("M", 3, 1, &bits)).is_ok());
+        for (rows, cols) in [(2, 2), (1, 2), (4, 0), (0, 3)] {
+            let err = Response::from_json(&encode_matrix("M", rows, cols, &bits)).unwrap_err();
+            assert!(err.contains("3 cells"), "{rows} x {cols}: {err}");
+        }
+        let past = 1u64 << 53;
+        let huge = encode_matrix("M", 0, 0, &bits)
+            .replace("\"rows\":0", &format!("\"rows\":{past}"))
+            .replace("\"cols\":0", &format!("\"cols\":{past}"));
+        assert!(Response::from_json(&huge).is_err());
     }
 
     #[test]

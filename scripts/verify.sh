@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one tile move, one write path, one routing form, one byte ledger, one frame-length decoder)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one tile move, one write path, one routing form, one byte ledger, one frame-length decoder, one generator)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -119,6 +119,20 @@ if [ "$(find crates/cluster/src/transport -name '*.rs' -exec awk \
     echo "u32::from_be_bytes must appear once under crates/cluster/src/transport, in frame.rs"
     exit 1
 fi
+# A random source has one generator, which the oracle and every worker
+# process call (dmac-matrix's random_cell), so a worker's tiles of it are
+# the oracle's by construction. And generating took install's slot in the
+# Transport trait instead of growing it: 14 methods.
+if [ "$(grep -rlE 'fn random_cell\(' crates src)" != crates/matrix/src/rng.rs ] ||
+    [ "$(grep -rcE 'fn random_cell\(' crates/matrix/src/rng.rs)" != 1 ]; then
+    echo "fn random_cell( must be defined once under crates/ + src/, in crates/matrix/src/rng.rs"
+    exit 1
+fi
+awk '/^pub trait Transport/ { inside = 1 } inside && /^}/ { inside = 0 }
+     inside && /^    fn / { fns++ }
+     END { if (fns != 14) {
+               print FILENAME ": the Transport trait has " fns+0 " fns (want 14)"
+               exit 1 } }' crates/cluster/src/transport/mod.rs
 
 echo "==> cargo test (workspace)"
 # Includes what used to be separate gates: the lint + plan-verifier sweep

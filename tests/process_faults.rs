@@ -11,7 +11,7 @@
 //! identical** to the healthy run, because logical workers are remapped
 //! (never renumbered) and both backends execute the same shared kernels.
 
-use dmac::apps::Gnmf;
+use dmac::apps::{Gnmf, PageRank};
 use dmac::cluster::{ClusterError, KillAt, SocketOptions};
 use dmac::core::baselines::SystemKind;
 use dmac::core::{CoreError, Session};
@@ -152,6 +152,54 @@ fn sigkill_mid_peer_transfer_recovers_bit_identically() {
         assert_eq!(h, h0, "host {host} mid-xfer {xfer}: H diverged");
         s.shutdown_transport().unwrap();
     }
+}
+
+/// A random source is generated where it lives, after a remap too. A
+/// steady PageRank run's first primitive broadcasts the fresh `rank0`,
+/// which the workers that own it generate (a healthy steady run installs
+/// nothing); host 1 is SIGKILLed as the next primitive begins. Lineage
+/// replay regenerates `rank0` on the survivors to rebuild the broadcast:
+/// the remap installs the bound `link` and `D` again, once each, and
+/// nothing of `rank0` — where the parent installed it twice. The rank is
+/// bit-identical to the healthy run's, read back from the workers' own
+/// shards as well.
+#[test]
+fn a_random_source_is_regenerated_on_the_survivors() {
+    let nodes = 48;
+    let g = dmac::data::powerlaw_graph(nodes, 320, 8, 5);
+    let cfg = PageRank {
+        nodes,
+        link_sparsity: 320.0 / (nodes as f64 * nodes as f64),
+        damping: 0.85,
+        iterations: 3,
+    };
+    let mut healthy = socket_session(SocketOptions::default(), 3);
+    cfg.run(&mut healthy, &g).unwrap();
+    let first = healthy.transport_stats();
+    let (report, h) = cfg.run(&mut healthy, &g).unwrap();
+    assert_eq!(healthy.transport_stats().install_bytes, first.install_bytes);
+    assert_eq!(report.trace.steps[0].kind, "broadcast", "of rank0");
+    let want = bits(healthy.value(h.rank).unwrap());
+    healthy.shutdown_transport().unwrap();
+
+    let opts = SocketOptions {
+        kill: Some((1, KillAt::AfterOps(first.ops + 2))),
+        ..SocketOptions::default()
+    };
+    let mut s = socket_session(opts, 3);
+    cfg.run(&mut s, &g).unwrap();
+    let before = s.transport_stats();
+    let (report, h) = cfg.run(&mut s, &g).unwrap();
+    let after = s.transport_stats();
+    assert_eq!(report.recovery.recovery_rounds, 1);
+    assert_eq!(report.recovery.refetched_sources, 3, "link, D and rank0");
+    let link = dmac::data::row_normalize(&g).unwrap().actual_bytes() as u64;
+    let d = 8 * nodes as u64;
+    assert_eq!(after.install_bytes - before.install_bytes, link + d);
+    assert_eq!(bits(s.value(h.rank).unwrap()), want);
+    let physical = s.value_physical(h.rank).unwrap().expect("socket backend");
+    assert_eq!(bits(physical), want, "worker-held rank");
+    s.shutdown_transport().unwrap();
 }
 
 /// With recovery disabled, a real process death surfaces through the

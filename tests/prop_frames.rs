@@ -532,12 +532,15 @@ fn binary_oversize_counts_fail_before_allocation() {
 /// daemon then makes of a mutated `mm` / `cpmm1` that still parses is the
 /// same sweep run through its dispatcher, next to it
 /// (`workerd.rs`, `mm_and_cpmm1_hold_their_commands_against_their_shards`).
-/// The `mm`, `fused` and `xfer` texts name their tiles as the coordinator
-/// does, once per group (`"k":[bi,bj,…]`).
+/// The `mm`, `fused`, `xfer` and generating `install` texts name their
+/// tiles as the coordinator does, once per group (`"k":[bi,bj,…]`); what
+/// the daemon makes of a mutated generator is
+/// `a_generator_the_grid_contradicts_installs_nothing` in `workerd.rs`.
 #[test]
 fn mutated_commands_fail_typed() {
     let commands = [
         r#"{"t":"install","rid":"00000000000000ff","tiles":["0_1_x"],"n":3}"#,
+        r#"{"t":"install","rid":7,"seed":"00000000000000ff","m":3,"rows":37,"cols":50,"block":16,"tasks":[{"w":0,"k":[0,0,2,3]},{"w":1,"k":[1,2]}]}"#,
         r#"{"t":"mm","rows":7,"cols":8,"block":3,"rid_a":1,"rid_b":2,"rid_out":3,"kb":4,"tasks":[{"w":0,"k":[2,0,2,2]},{"w":1,"k":[0,1]}]}"#,
         r#"{"t":"cpmm1","rows":7,"cols":8,"block":3,"rid_a":4,"rid_b":5,"stage":1099511627776,"n":2,"kb":4,"ws":[0,1]}"#,
         r#"{"t":"fused","rids":[8,9],"prog":[{"o":"leaf","i":0},{"o":"leaf","i":1},{"o":"add"}],"rid_out":10,"tasks":[{"w":0,"k":[0,0,1,0]},{"w":1,"k":[0,1]}]}"#,

@@ -333,9 +333,11 @@ fn a_broadcast_is_one_routing_command_per_source_host() {
 /// 4 workers — the repo benchmark's workload at its quick scale — is 45
 /// coordinator rounds (the session's sweep at the end of the run is one of
 /// them), where it was 77 while each of its 32 `free` steps was an
-/// exchange of its own. It sends the same commands as then: 784 frames
-/// besides heartbeats, the same payload (the rank broadcasts) and install
-/// (the fresh `rank0`) bytes.
+/// exchange of its own, with the same payload (the rank broadcasts). The
+/// fresh `rank0` is no longer installed (8 192 bytes then) but generated
+/// by the workers that own it, in the exchange the install took: each of
+/// the 4 hosts gets a seal of it beside its `install`, so 4 commands and 4
+/// replies more than the 784 frames besides heartbeats of then.
 #[test]
 fn a_plan_free_costs_no_round() {
     let (nodes, edges, block) = (1024, 16_384, 32);
@@ -361,9 +363,9 @@ fn a_plan_free_costs_no_round() {
     let after = s.transport_stats();
     let frames = |t: TransportStats| t.frames - t.heartbeats;
     assert_eq!(after.rounds - before.rounds, 45, "rounds per run");
-    assert_eq!(frames(after) - frames(before), 784, "frames per run");
+    assert_eq!(frames(after) - frames(before), 792, "frames per run");
     assert_eq!(after.payload_bytes - before.payload_bytes, 245_760);
-    assert_eq!(after.install_bytes - before.install_bytes, 8_192);
+    assert_eq!(after.install_bytes - before.install_bytes, 0);
     s.shutdown_transport().expect("workers must exit cleanly");
 }
 
@@ -371,7 +373,9 @@ fn a_plan_free_costs_no_round() {
 /// ship what the workers already hold. Every `PageRank::run` re-binds
 /// `link` and `D` with the content they already have: the bind is a
 /// compare, the shards stay where the first run's plan put them, and from
-/// the second run on the only value installed is the fresh `rank0` and
+/// the second run on nothing is installed — the fresh `rank0` is
+/// generated by the workers that own it, where it was the one value
+/// installed before they could — and
 /// the only payload on the wire is the rank vector's broadcasts. The
 /// previous run's `rank` is superseded and has to be released on the
 /// worker processes, not merely dropped at the coordinator, so the
@@ -431,16 +435,14 @@ fn repeated_runs_do_not_strand_values_on_the_workers() {
             of_kind.map(|st| st.wire_bytes).sum()
         };
         if run == 1 {
-            // A first bind: everything is installed, `link` is partitioned.
-            assert!(
-                installed > link_bytes + rank0,
-                "run 1 installed {installed}"
-            );
+            // A first bind: `link` and `D` are installed, `link` is
+            // partitioned; `rank0` (as large as `D`) is generated.
+            assert_eq!(installed, link_bytes + rank0, "run 1");
             assert!(moved("partition") > 0);
         } else {
             assert_eq!(
-                installed, rank0,
-                "run {run}: only the fresh rank0 is installed, nothing of link or D"
+                installed, 0,
+                "run {run}: nothing is installed, not even the fresh rank0"
             );
             assert_eq!(
                 moved("partition"),
@@ -461,6 +463,45 @@ fn repeated_runs_do_not_strand_values_on_the_workers() {
     );
     assert!(resident[5] > 0, "link, D and rank stay resident");
     assert_eq!(sim.transport_stats().resident_values, 0);
+    sock.shutdown_transport()
+        .expect("workers must exit cleanly");
+}
+
+/// GNMF's `W0` and `H0` are `random` sources: on a steady run (the bound
+/// `V` a compare, its shards where the first run left them) the workers
+/// generate both factors' tiles where they own them, every generation
+/// sealed against the oracle in the exchange that makes it, and nothing
+/// is installed. The factors are bit-identical to the simulator's, read
+/// back from the workers too.
+#[test]
+fn a_steady_gnmf_run_installs_nothing() {
+    let cfg = Gnmf {
+        rows: 48,
+        cols: 36,
+        sparsity: 0.4,
+        rank: 4,
+        iterations: 2,
+    };
+    let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, BLOCK, 5);
+    let mut sim = builder().workers(4).build();
+    let mut sock = builder()
+        .workers(4)
+        .socket_transport(SocketOptions::default())
+        .try_build()
+        .expect("4 worker processes must launch");
+    for run in 1..=2 {
+        let before = sock.transport_stats();
+        let (_, hs) = cfg.run(&mut sim, v.clone()).unwrap();
+        let (_, hk) = cfg.run(&mut sock, v.clone()).unwrap();
+        let installed = sock.transport_stats().install_bytes - before.install_bytes;
+        assert_eq!(installed == 0, run == 2, "run {run} installed {installed}");
+        for (a, b) in [(hs.w, hk.w), (hs.h, hk.h)] {
+            let oracle = bits(&sim.value(a).unwrap());
+            assert_eq!(bits(&sock.value(b).unwrap()), oracle, "run {run}");
+            let physical = sock.value_physical(b).unwrap().expect("socket");
+            assert_eq!(bits(&physical), oracle, "run {run}: worker-held factor");
+        }
+    }
     sock.shutdown_transport()
         .expect("workers must exit cleanly");
 }
