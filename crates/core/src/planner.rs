@@ -141,6 +141,14 @@ enum FreePath {
     TransposeExtract(NodeId),
 }
 
+/// A program with more Hash-placed `load` inputs than this keeps first
+/// touch: the placement search plans `3^k` times for `k` such inputs.
+const MAX_PLACED_INPUTS: usize = 4;
+
+/// A first placement: `load` sources partitioned Row or Column before the
+/// first operator, instead of by their first consumer.
+type Placement = Vec<(MatrixId, PartitionScheme)>;
+
 /// Generate an execution plan for `program`.
 ///
 /// `initial_schemes` gives the placement each load/random starts with
@@ -152,19 +160,18 @@ pub fn plan_program(
     workers: usize,
     initial_schemes: &HashMap<MatrixId, PartitionScheme>,
 ) -> Result<Planned> {
-    plan_with_forced_profiled(
-        program,
-        cfg,
-        workers,
-        initial_schemes,
-        &HashMap::new(),
-        None,
-    )
+    plan_program_profiled(program, cfg, workers, initial_schemes, &HashMap::new())
 }
 
 /// Like [`plan_program`], but with measured [`SparsityProfile`]s for
 /// source matrices. Missing sources fall back to a uniform spread of the
 /// static estimate, so an empty map reproduces [`plan_program`] exactly.
+///
+/// A Hash-placed `load` input is placed by the whole program, not by its
+/// first reader: every Row / Column / first-touch choice per such input
+/// is planned ([`placements`]), and a choice replaces the plain greedy's
+/// (first touch) only if it moves strictly fewer bytes *and* certifies
+/// no more memory. On a tie first touch's plan stands, step for step.
 pub fn plan_program_profiled(
     program: &Program,
     cfg: &PlannerConfig,
@@ -172,14 +179,87 @@ pub fn plan_program_profiled(
     initial_schemes: &HashMap<MatrixId, PartitionScheme>,
     sources: &HashMap<MatrixId, SparsityProfile>,
 ) -> Result<Planned> {
-    plan_with_forced_profiled(program, cfg, workers, initial_schemes, sources, None)
+    program.validate()?;
+    let profiles = propagate(program, cfg, sources);
+    let greedy = |place: &[(MatrixId, PartitionScheme)]| {
+        Planner::greedy(
+            program,
+            cfg,
+            workers,
+            initial_schemes,
+            &profiles,
+            None,
+            place,
+        )
+    };
+    let first_touch = greedy(&[])?.finish();
+    // Only a cheaper plan can win, and the cheapest that certifies no
+    // more memory does: finish (and certify) those in order of price,
+    // stably, so equal prices keep the enumeration order.
+    let mut cheaper = Vec::new();
+    for place in placements(program, cfg, initial_schemes).iter().skip(1) {
+        let p = greedy(place)?;
+        if p.estimated_comm < first_touch.estimated_comm {
+            cheaper.push(p);
+        }
+    }
+    cheaper.sort_by_key(|p| p.estimated_comm);
+    Ok(cheaper
+        .into_iter()
+        .map(Planner::finish)
+        .find(|p| p.certificate.peak <= first_touch.certificate.peak)
+        .unwrap_or(first_touch))
 }
 
-/// The full planning entry point: measured source profiles *and* the
-/// strategy of selected operators *forced* (`forced[op_index] = candidate
-/// index` in [`crate::strategy::candidates`] order; unlisted operators
-/// keep the greedy argmin). Used by the exhaustive oracle and by what-if
-/// analyses; every other entry point delegates here.
+/// The first placements the planner prices, first touch (the empty
+/// placement) first: every {first touch, Row, Column} choice for each
+/// `load` source that starts Hash-placed. DMac only; a cached placement
+/// is never second-guessed, `random` sources are regenerated every run
+/// and never cached, and above [`MAX_PLACED_INPUTS`] such inputs only
+/// first touch is tried.
+fn placements(
+    program: &Program,
+    cfg: &PlannerConfig,
+    initial_schemes: &HashMap<MatrixId, PartitionScheme>,
+) -> Vec<Placement> {
+    let hashed: Vec<MatrixId> = program
+        .matrices()
+        .iter()
+        .filter(|d| {
+            matches!(d.origin, MatrixOrigin::Load)
+                && initial_schemes
+                    .get(&d.id)
+                    .copied()
+                    .unwrap_or(PartitionScheme::Hash)
+                    == PartitionScheme::Hash
+        })
+        .map(|d| d.id)
+        .collect();
+    let mut out = vec![Placement::new()];
+    if !cfg.exploit_dependencies || hashed.len() > MAX_PLACED_INPUTS {
+        return out;
+    }
+    for id in hashed {
+        out = out
+            .into_iter()
+            .flat_map(|place| {
+                [None, Some(PartitionScheme::Row), Some(PartitionScheme::Col)].map(|s| {
+                    let mut place = place.clone();
+                    place.extend(s.map(|s| (id, s)));
+                    place
+                })
+            })
+            .collect();
+    }
+    out
+}
+
+/// The full planning entry point of the plain greedy: measured source
+/// profiles *and* the strategy of selected operators *forced*
+/// (`forced[op_index] = candidate index` in [`crate::strategy::candidates`]
+/// order; unlisted operators keep the greedy argmin). Every input is
+/// placed by its first consumer (first touch). Used by the exhaustive
+/// oracle and by what-if analyses.
 pub fn plan_with_forced_profiled(
     program: &Program,
     cfg: &PlannerConfig,
@@ -189,51 +269,27 @@ pub fn plan_with_forced_profiled(
     forced: Option<&HashMap<usize, usize>>,
 ) -> Result<Planned> {
     program.validate()?;
-    // Propagate profiles in the session's blocking (the session overwrites
-    // `fusion_block` with its block size).
-    let profiles = dmac_stats::propagate(program, sources, cfg.fusion_block.max(1));
-    let mut p = Planner {
+    let profiles = propagate(program, cfg, sources);
+    Ok(Planner::greedy(
         program,
-        cfg: *cfg,
-        cost: CostModel::new(workers),
-        plan: Plan::default(),
-        avail: HashMap::new(),
-        input_records: Vec::new(),
-        estimated_comm: 0,
-        forced: forced.cloned().unwrap_or_default(),
-        profiles,
-    };
-    p.seed_sources(initial_schemes);
-    for &op_idx in &program.planner_order(cfg.multiplication_first) {
-        p.plan_operator(op_idx)?;
-    }
-    p.bind_outputs()?;
-    p.plan.finalize_flexible();
-    fuse_cell_chains(program, &mut p.plan, cfg.fusion_block.max(1));
-    // Liveness post-pass: release each non-kept intermediate right after
-    // its last reader. Runs after fusion so frees anchor to the steps
-    // that actually execute.
-    crate::liveness::splice_frees(program, &mut p.plan);
-    // Post-pass: stamp the predicted output nnz onto every step that
-    // defines a node (survives the fusion rebuild because it runs after).
-    p.plan.predicted_nnz = p
-        .plan
-        .steps
-        .iter()
-        .map(|s| {
-            s.out_node()
-                .map(|n| p.profiles[p.plan.nodes[n].matrix as usize].nnz)
-                .unwrap_or(0)
-        })
-        .collect();
-    let certificate =
-        crate::liveness::certificate(program, &p.plan, &p.profiles, cfg.fusion_block.max(1));
-    Ok(Planned {
-        plan: p.plan,
-        estimated_comm: p.estimated_comm,
-        profiles: p.profiles,
-        certificate,
-    })
+        cfg,
+        workers,
+        initial_schemes,
+        &profiles,
+        forced,
+        &[],
+    )?
+    .finish())
+}
+
+/// Source profiles propagated through `program` in the session's blocking
+/// (the session overwrites `fusion_block` with its block size).
+fn propagate(
+    program: &Program,
+    cfg: &PlannerConfig,
+    sources: &HashMap<MatrixId, SparsityProfile>,
+) -> Vec<SparsityProfile> {
+    dmac_stats::propagate(program, sources, cfg.fusion_block.max(1))
 }
 
 /// The fusion pass: after planning (and the pull-up-broadcast /
@@ -447,12 +503,15 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
     }
 }
 
-/// Exhaustive planning oracle: enumerate every per-operator strategy
+/// Exhaustive planning oracle: enumerate every first placement the
+/// planner prices ([`placements`]) times every per-operator strategy
 /// assignment, plan each with the full dependency machinery, and return
-/// the cheapest plan by estimated communication. Exponential in the
-/// number of multi-strategy operators — refuses programs with more than
-/// `max_combinations` assignments. Exists to validate the greedy
-/// Algorithm 1 on small programs (`tests/planner_oracle.rs`).
+/// the cheapest plan by estimated communication. The planner's own plan
+/// is one of these combinations, so the oracle never costs more.
+/// Exponential in the number of multi-strategy operators — refuses
+/// programs with more than `max_combinations` combinations. Exists to
+/// validate the greedy Algorithm 1 on small programs
+/// (`tests/planner_oracle.rs`).
 pub fn plan_exhaustive(
     program: &Program,
     cfg: &PlannerConfig,
@@ -461,6 +520,8 @@ pub fn plan_exhaustive(
     max_combinations: usize,
 ) -> Result<Planned> {
     program.validate()?;
+    let profiles = propagate(program, cfg, &HashMap::new());
+    let places = placements(program, cfg, initial_schemes);
     // Candidate count per operator.
     let counts: Vec<usize> = program
         .ops()
@@ -469,40 +530,45 @@ pub fn plan_exhaustive(
         .collect();
     let total: usize = counts
         .iter()
-        .try_fold(1usize, |acc, &c| {
+        .try_fold(places.len(), |acc, &c| {
             acc.checked_mul(c).filter(|&t| t <= max_combinations)
         })
         .ok_or_else(|| {
             CoreError::Planner(format!(
-                "exhaustive search over {} operators exceeds the {} combination budget",
+                "exhaustive search over {} operators and {} placements exceeds the {} combination budget",
                 counts.len(),
+                places.len(),
                 max_combinations
             ))
         })?;
-    let mut best: Option<Planned> = None;
-    for mut combo in 0..total {
-        let mut forced = HashMap::new();
-        for (op_idx, &c) in counts.iter().enumerate() {
-            forced.insert(op_idx, combo % c);
-            combo /= c;
-        }
-        let planned = plan_with_forced_profiled(
-            program,
-            cfg,
-            workers,
-            initial_schemes,
-            &HashMap::new(),
-            Some(&forced),
-        )?;
-        if best
-            .as_ref()
-            .map(|b| planned.estimated_comm < b.estimated_comm)
-            .unwrap_or(true)
-        {
-            best = Some(planned);
+    // The post-passes move no bytes, so only the winner is finished.
+    let mut best: Option<Planner> = None;
+    for place in &places {
+        for mut combo in 0..total / places.len() {
+            let mut forced = HashMap::new();
+            for (op_idx, &c) in counts.iter().enumerate() {
+                forced.insert(op_idx, combo % c);
+                combo /= c;
+            }
+            let planned = Planner::greedy(
+                program,
+                cfg,
+                workers,
+                initial_schemes,
+                &profiles,
+                Some(&forced),
+                place,
+            )?;
+            if best
+                .as_ref()
+                .map(|b| planned.estimated_comm < b.estimated_comm)
+                .unwrap_or(true)
+            {
+                best = Some(planned);
+            }
         }
     }
-    Ok(best.expect("at least one combination"))
+    Ok(best.expect("at least one combination").finish())
 }
 
 struct Planner<'a> {
@@ -518,10 +584,85 @@ struct Planner<'a> {
     /// Forced strategy choices (op index -> candidate index).
     forced: HashMap<usize, usize>,
     /// Propagated sparsity profile per matrix id.
-    profiles: Vec<SparsityProfile>,
+    profiles: &'a [SparsityProfile],
 }
 
 impl<'a> Planner<'a> {
+    /// Algorithm 1 over `program`: seed the sources, place `place`'s,
+    /// plan every operator, bind the outputs. Every byte the plan moves
+    /// is priced by the time this returns.
+    ///
+    /// A placed source is acquired as a Row / Column requirement at phase
+    /// 0: the same `partition` step, at the same `|A|` price, that its
+    /// first consumer would pay, joining the `OutputSet` and the
+    /// `InputSet` so later operators and Pull-Up Broadcast see it.
+    fn greedy(
+        program: &'a Program,
+        cfg: &PlannerConfig,
+        workers: usize,
+        initial_schemes: &HashMap<MatrixId, PartitionScheme>,
+        profiles: &'a [SparsityProfile],
+        forced: Option<&HashMap<usize, usize>>,
+        place: &[(MatrixId, PartitionScheme)],
+    ) -> Result<Self> {
+        let mut p = Planner {
+            program,
+            cfg: *cfg,
+            cost: CostModel::new(workers),
+            plan: Plan::default(),
+            avail: HashMap::new(),
+            input_records: Vec::new(),
+            estimated_comm: 0,
+            forced: forced.cloned().unwrap_or_default(),
+            profiles,
+        };
+        p.seed_sources(initial_schemes);
+        for &(id, scheme) in place {
+            let r = MatrixRef {
+                id,
+                transposed: false,
+            };
+            p.acquire(&r, Some(scheme), 0)?;
+        }
+        for &op_idx in &program.planner_order(cfg.multiplication_first) {
+            p.plan_operator(op_idx)?;
+        }
+        p.bind_outputs()?;
+        Ok(p)
+    }
+
+    /// The post-passes, none of which moves a byte: pin what is still
+    /// flexible, fuse cell-wise chains, splice frees, stamp predicted nnz
+    /// and certify memory.
+    fn finish(mut self) -> Planned {
+        let (program, block) = (self.program, self.cfg.fusion_block.max(1));
+        self.plan.finalize_flexible();
+        fuse_cell_chains(program, &mut self.plan, block);
+        // Liveness post-pass: release each non-kept intermediate right after
+        // its last reader. Runs after fusion so frees anchor to the steps
+        // that actually execute.
+        crate::liveness::splice_frees(program, &mut self.plan);
+        // Post-pass: stamp the predicted output nnz onto every step that
+        // defines a node (survives the fusion rebuild because it runs after).
+        self.plan.predicted_nnz = self
+            .plan
+            .steps
+            .iter()
+            .map(|s| {
+                s.out_node()
+                    .map(|n| self.profiles[self.plan.nodes[n].matrix as usize].nnz)
+                    .unwrap_or(0)
+            })
+            .collect();
+        let certificate = crate::liveness::certificate(program, &self.plan, self.profiles, block);
+        Planned {
+            plan: self.plan,
+            estimated_comm: self.estimated_comm,
+            profiles: self.profiles.to_vec(),
+            certificate,
+        }
+    }
+
     fn seed_sources(&mut self, initial: &HashMap<MatrixId, PartitionScheme>) {
         for decl in self.program.matrices() {
             if matches!(decl.origin, MatrixOrigin::Load | MatrixOrigin::Random) {

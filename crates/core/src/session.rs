@@ -33,7 +33,7 @@ use crate::baselines::SystemKind;
 use crate::engine::{self, ExecReport};
 use crate::error::{CoreError, Result};
 use crate::plan::Plan;
-use crate::planner::{plan_program_profiled, Planned, PlannerConfig};
+use crate::planner::{plan_program_profiled, plan_with_forced_profiled, Planned, PlannerConfig};
 use crate::recovery::RecoveryPolicy;
 use crate::stage;
 use crate::store::SharedStore;
@@ -542,22 +542,72 @@ impl Session {
     }
 
     /// EXPLAIN: render the plan, its stage schedule, the estimator's
-    /// per-step predicted output nnz / density class, and the liveness
-    /// pass's memory certificate.
+    /// per-step predicted output nnz / density class, the first placement
+    /// of every Hash-placed input, and the liveness pass's memory
+    /// certificate.
     pub fn explain(&self, program: &Program) -> Result<String> {
         let initial = self.initial_schemes(program);
-        let planned = self.plan_with(program, &initial, &self.peeked_profiles(program))?;
+        let sources = self.peeked_profiles(program);
+        let planned = self.plan_with(program, &initial, &sources)?;
         let plan = &planned.plan;
         let cert = &planned.certificate;
         Ok(format!(
-            "{}\n{}{}memory: certified peak {} bytes at step {} over {} steps\n",
+            "{}\n{}{}{}memory: certified peak {} bytes at step {} over {} steps\n",
             plan.explain(program),
             stage::explain_stages(plan, program),
             explain_sparsity(plan, program),
+            self.explain_placement(program, &initial, &sources, plan)?,
             cert.peak,
             cert.argmax,
             plan.steps.len(),
         ))
+    }
+
+    /// One line per Hash-placed `load` input (DMac only): the placement
+    /// `plan` leaves it in for later runs, beside the one first touch —
+    /// the plain greedy, placing it by its first reader — would have
+    /// chosen and that plan's price, e.g.
+    /// `placement: V → r (first touch c: 46 976 208 B)`.
+    fn explain_placement(
+        &self,
+        program: &Program,
+        initial: &HashMap<MatrixId, PartitionScheme>,
+        sources: &HashMap<MatrixId, SparsityProfile>,
+        plan: &Plan,
+    ) -> Result<String> {
+        use std::fmt::Write as _;
+        let hashed: Vec<_> = program
+            .matrices()
+            .iter()
+            .filter(|d| {
+                matches!(d.origin, MatrixOrigin::Load)
+                    && initial.get(&d.id) == Some(&PartitionScheme::Hash)
+            })
+            .collect();
+        let mut s = String::new();
+        if hashed.is_empty() || !self.planner.exploit_dependencies {
+            return Ok(s);
+        }
+        let workers = self.cluster.workers();
+        let first =
+            plan_with_forced_profiled(program, &self.planner, workers, initial, sources, None)?;
+        let placed = |plan: &Plan, mid: MatrixId| {
+            crate::liveness::cached_inputs(program, plan)
+                .into_iter()
+                .find(|&(m, _)| m == mid)
+                .map_or(PartitionScheme::Hash, |(_, n)| plan.nodes[n].scheme)
+        };
+        for d in hashed {
+            let _ = writeln!(
+                s,
+                "placement: {} → {} (first touch {}: {} B)",
+                d.name,
+                placed(plan, d.id),
+                placed(&first.plan, d.id),
+                grouped(first.estimated_comm)
+            );
+        }
+        Ok(s)
     }
 
     /// Plan and execute a program; persists `store`d outputs.
@@ -676,6 +726,19 @@ fn holds_exactly(held: &DistMatrix, m: &BlockedMatrix) -> bool {
             held.block_on(w, bi, bj)
                 .is_some_and(|t| Arc::ptr_eq(t, tile) || t.bits_eq(tile))
         })
+}
+
+/// `n` with its digits in groups of three: `46 976 208`.
+fn grouped(n: u64) -> String {
+    let digits = n.to_string();
+    let mut s = String::new();
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            s.push(' ');
+        }
+        s.push(c);
+    }
+    s
 }
 
 /// Render the estimator's view of a plan: predicted output nnz and
@@ -1147,5 +1210,62 @@ mod tests {
         let vt = s.value(b.t()).unwrap();
         assert_eq!(vt.rows(), 6);
         assert_eq!(vt.cols(), 8);
+    }
+
+    #[test]
+    fn explain_names_the_first_placement_of_a_hash_placed_input() {
+        let mut s = Session::builder().workers(4).block_size(16).build();
+        let v = BlockedMatrix::from_fn(256, 192, 16, |i, j| {
+            if (3 * i + 7 * j) % 10 == 0 {
+                1.0 + (i % 5) as f64
+            } else {
+                0.0
+            }
+        })
+        .unwrap();
+        s.bind("V", v).unwrap();
+        // One GNMF iteration (Code 1). Its first reader, `Wᵀ %*% V`, would
+        // place V by column; the whole program prefers it by row.
+        let mut p = Program::new();
+        let v = p.load("V", 256, 192, 0.1);
+        let w = p.random("W", 256, 8);
+        let h = p.random("H", 8, 192);
+        let wt_v = p.matmul(w.t(), v).unwrap();
+        let wt_w = p.matmul(w.t(), w).unwrap();
+        let wt_w_h = p.matmul(wt_w, h).unwrap();
+        let h_num = p.cell_mul(h, wt_v).unwrap();
+        let h = p.cell_div(h_num, wt_w_h).unwrap();
+        let v_ht = p.matmul(v, h.t()).unwrap();
+        let h_ht = p.matmul(h, h.t()).unwrap();
+        let w_h_ht = p.matmul(w, h_ht).unwrap();
+        let w_num = p.cell_mul(w, v_ht).unwrap();
+        let w = p.cell_div(w_num, w_h_ht).unwrap();
+        p.output(w);
+        p.output(h);
+
+        let text = s.explain(&p).unwrap();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("placement: "))
+            .unwrap_or_else(|| panic!("no placement line:\n{text}"));
+        assert!(
+            line.starts_with("placement: V → r (first touch c: "),
+            "{line}"
+        );
+        assert!(line.ends_with(" B)"), "{line}");
+        assert_eq!(text.matches("placement: ").count(), 1, "{text}");
+
+        // The run caches V by row; a cached placement is not searched.
+        s.run(&p).unwrap();
+        let text = s.explain(&p).unwrap();
+        assert!(!text.contains("placement: "), "{text}");
+    }
+
+    #[test]
+    fn grouped_digits() {
+        assert_eq!(grouped(0), "0");
+        assert_eq!(grouped(999), "999");
+        assert_eq!(grouped(1_000), "1 000");
+        assert_eq!(grouped(46_976_208), "46 976 208");
     }
 }

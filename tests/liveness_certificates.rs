@@ -181,6 +181,16 @@ fn run_case(case: &Case, program: &Program, socket: bool) -> (Vec<Vec<u64>>, usi
     for (name, m) in &case.bindings {
         sess.bind(name, m.clone()).unwrap();
     }
+    // One warm-up run of the case's own program caches its inputs'
+    // placement, so the freed plan and its all-pinned twin below are
+    // planned from the same placement. Planned from Hash, each would get
+    // its own: the planner keeps a first placement only if it certifies
+    // no more memory than first touch, and the twin, which retains every
+    // intermediate, certifies differently (it decides otherwise for
+    // linreg). The comparison would then be between two placements, not
+    // between freeing and retaining.
+    sess.run(&case.program)
+        .unwrap_or_else(|e| panic!("{}: warm-up: {e}", case.name));
 
     // prepare() runs the installed plan verifier (V01–V20) in debug
     // builds; run_prepared() additionally re-checks the trace (V21).

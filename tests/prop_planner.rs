@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use common::{assert_matrix_eq, eval_reference};
 use dmac::core::baselines::SystemKind;
-use dmac::core::planner::{plan_program, PlannerConfig};
+use dmac::core::planner::{plan_program, plan_with_forced_profiled, PlannerConfig};
 use dmac::core::{stage, Session};
 use dmac::lang::{Expr, Program};
 use dmac::matrix::{BlockedMatrix, SplitMix64};
@@ -208,6 +208,52 @@ fn random_plans_stage_cleanly() {
             );
         }
     }
+}
+
+/// Pricing each Hash-placed `load`'s first placement against the whole
+/// program never loses to first touch (the plain greedy, which places an
+/// input by its first reader): no more estimated bytes, no more certified
+/// memory, and on a tie first touch's plan step for step. SystemML-S never
+/// searches, so its plan is first touch's, the plan it always had.
+#[test]
+fn placement_search_never_loses_to_first_touch() {
+    let mut rng = SplitMix64::new(SEED ^ 3);
+    let mut placed = 0;
+    for case in 0..64 {
+        let picks = op_picks(&mut rng, 1, 15);
+        let (program, _) = build_program(&picks);
+        for cfg in [PlannerConfig::default(), PlannerConfig::systemml_s()] {
+            let planned = plan_program(&program, &cfg, 4, &HashMap::new()).unwrap();
+            let first = plan_with_forced_profiled(
+                &program,
+                &cfg,
+                4,
+                &HashMap::new(),
+                &HashMap::new(),
+                None,
+            )
+            .unwrap();
+            assert!(
+                planned.estimated_comm <= first.estimated_comm,
+                "case {case}: {} > first touch {}",
+                planned.estimated_comm,
+                first.estimated_comm
+            );
+            assert!(
+                planned.certificate.peak <= first.certificate.peak,
+                "case {case}: certified {} > first touch {}",
+                planned.certificate.peak,
+                first.certificate.peak
+            );
+            if planned.estimated_comm == first.estimated_comm || !cfg.exploit_dependencies {
+                assert_eq!(planned.plan.steps, first.plan.steps, "case {case}");
+                assert_eq!(planned.plan.nodes, first.plan.nodes, "case {case}");
+            } else {
+                placed += 1;
+            }
+        }
+    }
+    assert!(placed > 0, "no case exercised a placement");
 }
 
 /// Dependency exploitation never plans more communication steps than the
