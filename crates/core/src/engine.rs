@@ -441,6 +441,42 @@ impl SpanSums {
     }
 }
 
+/// Logical bytes of all live values, each distributed value counted once
+/// however many nodes alias it (`rid_bytes` caches each rid's price).
+fn resident_bytes(values: &[Option<DistMatrix>], rid_bytes: &mut HashMap<u64, u64>) -> u64 {
+    let mut seen = std::collections::HashSet::new();
+    values
+        .iter()
+        .flatten()
+        .filter(|v| seen.insert(v.rid()))
+        .map(|v| {
+            *rid_bytes
+                .entry(v.rid())
+                .or_insert_with(|| v.logical_bytes())
+        })
+        .sum()
+}
+
+/// Charge the run's footprint against the shared store's byte budget, if
+/// it moved since `last`, so a capacity-bounded store displaces cold
+/// entries *during* the run instead of over-committing RAM. Early `Free`
+/// steps lower this curve, which is exactly how the liveness pass
+/// converts a certified peak into fewer spills (the session zeroes the
+/// pressure once the run's values are released).
+fn charge_pressure(
+    store: Option<&crate::store::SharedStore>,
+    last: &mut u64,
+    bytes: u64,
+) -> Result<()> {
+    if let Some(store) = store {
+        if bytes != *last {
+            *last = bytes;
+            store.set_external_pressure(bytes)?;
+        }
+    }
+    Ok(())
+}
+
 /// Execute `plan` for `program` on `cluster`.
 ///
 /// `bindings` supplies a distributed matrix for every `load` declaration
@@ -487,6 +523,17 @@ pub fn execute(
     for &(node, mid) in &plan.sources {
         values[node] = Some(seed_source(cluster, &ctx, node, mid, false)?);
     }
+    // Resident metering: logical bytes per distributed value, cached by
+    // rid so each value is priced once per run. The sources are resident
+    // before the first step runs, so a capacity-bounded store hears of
+    // them now, not only once step 0 has finished.
+    let mut rid_bytes: HashMap<u64, u64> = HashMap::new();
+    let mut last_pressure = 0u64;
+    charge_pressure(
+        store,
+        &mut last_pressure,
+        resident_bytes(&values, &mut rid_bytes),
+    )?;
 
     // Liveness is the *plan's* job: the planner splices explicit `Free`
     // steps at each intermediate's last use (see `crate::liveness`), so
@@ -507,10 +554,6 @@ pub fn execute(
     let mut stats = RecoveryStats::default();
     let mut attempts_left = policy.max_attempts;
     let mut current_stage = usize::MAX;
-    // Resident metering: logical bytes per distributed value, cached by
-    // rid so each value is priced once per run.
-    let mut rid_bytes: HashMap<u64, u64> = HashMap::new();
-    let mut last_pressure = 0u64;
 
     for (step_idx, step) in plan.steps.iter().enumerate() {
         let stage = stages.step_stage[step_idx];
@@ -594,34 +637,11 @@ pub fn execute(
             }
             None => (0, 0, ""),
         };
-        // Meter residency after the step (and any release it performed):
-        // logical bytes of all live values, each distributed value counted
-        // once however many nodes alias it. The certificate prices nodes
-        // individually, so it dominates this by construction (V21).
-        let resident_bytes = {
-            let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            let mut sum = 0u64;
-            for v in values.iter().flatten() {
-                if seen.insert(v.rid()) {
-                    sum += *rid_bytes
-                        .entry(v.rid())
-                        .or_insert_with(|| v.logical_bytes());
-                }
-            }
-            sum
-        };
-        // Charge the footprint against the shared store's byte budget so
-        // a capacity-bounded store displaces cold entries *during* the
-        // run instead of over-committing RAM. Early `Free` steps lower
-        // this curve, which is exactly how the liveness pass converts a
-        // certified peak into fewer spills (the session zeroes the
-        // pressure once the run's values are released).
-        if let Some(store) = store {
-            if resident_bytes != last_pressure {
-                last_pressure = resident_bytes;
-                store.set_external_pressure(resident_bytes)?;
-            }
-        }
+        // Meter residency after the step (and any release it performed).
+        // The certificate prices nodes individually, so it dominates this
+        // by construction (V21).
+        let resident_bytes = resident_bytes(&values, &mut rid_bytes);
+        charge_pressure(store, &mut last_pressure, resident_bytes)?;
         step_traces.push(StepTrace {
             step: step_idx,
             stage,
@@ -854,6 +874,49 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+    }
+
+    #[test]
+    fn a_capped_store_makes_room_for_the_sources_before_step_0() {
+        // The program's only matrix is its source: the plan has no step
+        // that could report residency after it ran.
+        let mut p = dmac_lang::Program::new();
+        let a = p.random("A", 32, 32);
+        p.output(a);
+        let cfg = crate::planner::PlannerConfig {
+            fusion_block: 8,
+            ..Default::default()
+        };
+        let plan = crate::planner::plan_program(&p, &cfg, 2, &HashMap::new())
+            .unwrap()
+            .plan;
+        assert!(plan.steps.is_empty(), "{:?}", plan.steps);
+
+        let mut cluster = Cluster::new(dmac_cluster::ClusterConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        let cold = dmac_matrix::BlockedMatrix::from_fn(16, 16, 8, |i, j| (i + j) as f64).unwrap();
+        let cold = cluster.load(&cold, dmac_cluster::PartitionScheme::Row);
+        // Room for the cold entry or for A's 8 KiB, not for both.
+        let store = crate::store::SharedStore::with_capacity(cold.logical_bytes() + 4096);
+        store.insert("cold", cold).unwrap();
+        let policy = RecoveryPolicy::default();
+        execute(
+            &mut cluster,
+            &p,
+            &plan,
+            &HashMap::new(),
+            8,
+            7,
+            0,
+            &policy,
+            Some(&store),
+        )
+        .unwrap();
+        let stats = store.stats();
+        assert_eq!(stats.external_pressure, 32 * 32 * 8);
+        assert_eq!((stats.entries, stats.evictions), (0, 1), "{stats:?}");
     }
 
     #[test]

@@ -141,12 +141,14 @@ enum FreePath {
     TransposeExtract(NodeId),
 }
 
-/// A program with more Hash-placed `load` inputs than this keeps first
-/// touch: the placement search plans `3^k` times for `k` such inputs.
+/// A program with more Hash-placed inputs (`load` and `random` together)
+/// than this keeps first touch: the placement search plans at most
+/// `4^k` times for `k` such inputs.
 const MAX_PLACED_INPUTS: usize = 4;
 
-/// A first placement: `load` sources partitioned Row or Column before the
-/// first operator, instead of by their first consumer.
+/// A first placement, instead of by the first consumer: a `load` source
+/// partitioned Row or Column before the first operator, a `random` source
+/// generated Row, Column or Broadcast.
 type Placement = Vec<(MatrixId, PartitionScheme)>;
 
 /// Generate an execution plan for `program`.
@@ -167,11 +169,11 @@ pub fn plan_program(
 /// source matrices. Missing sources fall back to a uniform spread of the
 /// static estimate, so an empty map reproduces [`plan_program`] exactly.
 ///
-/// A Hash-placed `load` input is placed by the whole program, not by its
-/// first reader: every Row / Column / first-touch choice per such input
-/// is planned ([`placements`]), and a choice replaces the plain greedy's
-/// (first touch) only if it moves strictly fewer bytes *and* certifies
-/// no more memory. On a tie first touch's plan stands, step for step.
+/// A Hash-placed input is placed by the whole program, not by its first
+/// reader: every choice per such input is planned (`placements`), and a
+/// choice replaces the plain greedy's (first touch) only if it moves
+/// strictly fewer bytes *and* certifies no more memory. On a tie first
+/// touch's plan stands, step for step.
 pub fn plan_program_profiled(
     program: &Program,
     cfg: &PlannerConfig,
@@ -213,37 +215,42 @@ pub fn plan_program_profiled(
 
 /// The first placements the planner prices, first touch (the empty
 /// placement) first: every {first touch, Row, Column} choice for each
-/// `load` source that starts Hash-placed. DMac only; a cached placement
-/// is never second-guessed, `random` sources are regenerated every run
-/// and never cached, and above [`MAX_PLACED_INPUTS`] such inputs only
-/// first touch is tried.
+/// `load` source that starts Hash-placed, and every {first touch, Row,
+/// Column, Broadcast} choice for each such `random` source. DMac only; a
+/// cached placement is never second-guessed, and above
+/// [`MAX_PLACED_INPUTS`] such inputs only first touch is tried.
 fn placements(
     program: &Program,
     cfg: &PlannerConfig,
     initial_schemes: &HashMap<MatrixId, PartitionScheme>,
 ) -> Vec<Placement> {
-    let hashed: Vec<MatrixId> = program
+    use PartitionScheme::{Broadcast, Col, Row};
+    let hashed: Vec<(MatrixId, &[PartitionScheme])> = program
         .matrices()
         .iter()
         .filter(|d| {
-            matches!(d.origin, MatrixOrigin::Load)
-                && initial_schemes
-                    .get(&d.id)
-                    .copied()
-                    .unwrap_or(PartitionScheme::Hash)
-                    == PartitionScheme::Hash
+            initial_schemes
+                .get(&d.id)
+                .copied()
+                .unwrap_or(PartitionScheme::Hash)
+                == PartitionScheme::Hash
         })
-        .map(|d| d.id)
+        .filter_map(|d| match d.origin {
+            MatrixOrigin::Load => Some((d.id, &[Row, Col][..])),
+            MatrixOrigin::Random => Some((d.id, &[Row, Col, Broadcast][..])),
+            MatrixOrigin::Op(_) => None,
+        })
         .collect();
     let mut out = vec![Placement::new()];
     if !cfg.exploit_dependencies || hashed.len() > MAX_PLACED_INPUTS {
         return out;
     }
-    for id in hashed {
+    for (id, schemes) in hashed {
         out = out
             .into_iter()
             .flat_map(|place| {
-                [None, Some(PartitionScheme::Row), Some(PartitionScheme::Col)].map(|s| {
+                let choices = std::iter::once(None).chain(schemes.iter().copied().map(Some));
+                choices.map(move |s| {
                     let mut place = place.clone();
                     place.extend(s.map(|s| (id, s)));
                     place
@@ -504,7 +511,7 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
 }
 
 /// Exhaustive planning oracle: enumerate every first placement the
-/// planner prices ([`placements`]) times every per-operator strategy
+/// planner prices (`placements`) times every per-operator strategy
 /// assignment, plan each with the full dependency machinery, and return
 /// the cheapest plan by estimated communication. The planner's own plan
 /// is one of these combinations, so the oracle never costs more.
@@ -592,10 +599,13 @@ impl<'a> Planner<'a> {
     /// plan every operator, bind the outputs. Every byte the plan moves
     /// is priced by the time this returns.
     ///
-    /// A placed source is acquired as a Row / Column requirement at phase
+    /// A placed `load` is acquired as a Row / Column requirement at phase
     /// 0: the same `partition` step, at the same `|A|` price, that its
     /// first consumer would pay, joining the `OutputSet` and the
-    /// `InputSet` so later operators and Pull-Up Broadcast see it.
+    /// `InputSet` so later operators and Pull-Up Broadcast see it. A
+    /// placed `random` source is seeded in its scheme: its workers
+    /// generate exactly the tiles they hold, so it moves nothing and
+    /// costs nothing.
     fn greedy(
         program: &'a Program,
         cfg: &PlannerConfig,
@@ -616,8 +626,17 @@ impl<'a> Planner<'a> {
             forced: forced.cloned().unwrap_or_default(),
             profiles,
         };
-        p.seed_sources(initial_schemes);
+        let mut initial = initial_schemes.clone();
+        let mut acquired = Vec::new();
         for &(id, scheme) in place {
+            if matches!(program.decl(id)?.origin, MatrixOrigin::Random) {
+                initial.insert(id, scheme);
+            } else {
+                acquired.push((id, scheme));
+            }
+        }
+        p.seed_sources(&initial);
+        for (id, scheme) in acquired {
             let r = MatrixRef {
                 id,
                 transposed: false,

@@ -563,11 +563,14 @@ impl Session {
         ))
     }
 
-    /// One line per Hash-placed `load` input (DMac only): the placement
-    /// `plan` leaves it in for later runs, beside the one first touch —
-    /// the plain greedy, placing it by its first reader — would have
-    /// chosen and that plan's price, e.g.
-    /// `placement: V → r (first touch c: 46 976 208 B)`.
+    /// One line per Hash-placed input (DMac only). A `load`'s names the
+    /// placement `plan` leaves it in for later runs, beside the one first
+    /// touch — the plain greedy, placing it by its first reader — would
+    /// have chosen and that plan's price, e.g.
+    /// `placement: V → r (first touch c: 46 976 208 B)`. A `random`
+    /// source's names the scheme `plan` generates it in, beside first
+    /// touch's first move of it and that move's price, e.g.
+    /// `placement: rank0 → b (generated; first touch h→b: 524 288 B)`.
     fn explain_placement(
         &self,
         program: &Program,
@@ -580,7 +583,7 @@ impl Session {
             .matrices()
             .iter()
             .filter(|d| {
-                matches!(d.origin, MatrixOrigin::Load)
+                matches!(d.origin, MatrixOrigin::Load | MatrixOrigin::Random)
                     && initial.get(&d.id) == Some(&PartitionScheme::Hash)
             })
             .collect();
@@ -591,21 +594,46 @@ impl Session {
         let workers = self.cluster.workers();
         let first =
             plan_with_forced_profiled(program, &self.planner, workers, initial, sources, None)?;
-        let placed = |plan: &Plan, mid: MatrixId| {
+        let cached = |plan: &Plan, mid: MatrixId| {
             crate::liveness::cached_inputs(program, plan)
                 .into_iter()
                 .find(|&(m, _)| m == mid)
                 .map_or(PartitionScheme::Hash, |(_, n)| plan.nodes[n].scheme)
         };
+        let born = |plan: &Plan, mid: MatrixId| {
+            plan.sources
+                .iter()
+                .find(|&&(_, m)| m == mid)
+                .map_or(PartitionScheme::Hash, |&(n, _)| plan.nodes[n].scheme)
+        };
         for d in hashed {
-            let _ = writeln!(
-                s,
-                "placement: {} → {} (first touch {}: {} B)",
-                d.name,
-                placed(plan, d.id),
-                placed(&first.plan, d.id),
-                grouped(first.estimated_comm)
-            );
+            let _ = if matches!(d.origin, MatrixOrigin::Load) {
+                writeln!(
+                    s,
+                    "placement: {} → {} (first touch {}: {} B)",
+                    d.name,
+                    cached(plan, d.id),
+                    cached(&first.plan, d.id),
+                    grouped(first.estimated_comm)
+                )
+            } else {
+                // First touch's first move of the source: the one
+                // partition or broadcast its first reader paid for.
+                let moved = first.plan.steps.iter().enumerate().find_map(|(i, step)| {
+                    let out = &first.plan.nodes[step.out_node()?];
+                    (step.is_comm() && out.matrix == d.id).then_some((out.scheme, i))
+                });
+                let (to, bytes) = moved.map_or((String::new(), 0), |(to, i)| {
+                    (format!("→{to}"), first.plan.predicted_bytes(i))
+                });
+                writeln!(
+                    s,
+                    "placement: {} → {} (generated; first touch h{to}: {} B)",
+                    d.name,
+                    born(plan, d.id),
+                    grouped(bytes)
+                )
+            };
         }
         Ok(s)
     }
@@ -1224,8 +1252,7 @@ mod tests {
         })
         .unwrap();
         s.bind("V", v).unwrap();
-        // One GNMF iteration (Code 1). Its first reader, `Wᵀ %*% V`, would
-        // place V by column; the whole program prefers it by row.
+        // One GNMF iteration (Code 1).
         let mut p = Program::new();
         let v = p.load("V", 256, 192, 0.1);
         let w = p.random("W", 256, 8);
@@ -1243,22 +1270,40 @@ mod tests {
         p.output(w);
         p.output(h);
 
+        // With `W` and `H` generated where their readers want them — `W`
+        // broadcast, `H` by column, where first touch generated both
+        // hash-placed and then moved them — the program leaves `V` where
+        // its first reader, `Wᵀ %*% V`, wants it: by column.
         let text = s.explain(&p).unwrap();
-        let line = text
+        let lines: Vec<_> = text
             .lines()
-            .find(|l| l.starts_with("placement: "))
-            .unwrap_or_else(|| panic!("no placement line:\n{text}"));
+            .filter(|l| l.starts_with("placement: "))
+            .collect();
+        assert_eq!(lines.len(), 3, "{text}");
         assert!(
-            line.starts_with("placement: V → r (first touch c: "),
-            "{line}"
+            lines[0].starts_with("placement: V → c (first touch c: "),
+            "{}",
+            lines[0]
         );
-        assert!(line.ends_with(" B)"), "{line}");
-        assert_eq!(text.matches("placement: ").count(), 1, "{text}");
+        assert!(lines[0].ends_with(" B)"), "{}", lines[0]);
+        assert_eq!(
+            lines[1..],
+            [
+                "placement: W → b (generated; first touch h→b: 65 536 B)",
+                "placement: H → c (generated; first touch h→c: 12 288 B)",
+            ]
+        );
 
-        // The run caches V by row; a cached placement is not searched.
+        // The run caches V by column; a cached placement is not searched.
+        // A random source is generated afresh every run, so it still is.
         s.run(&p).unwrap();
         let text = s.explain(&p).unwrap();
-        assert!(!text.contains("placement: "), "{text}");
+        assert!(!text.contains("placement: V"), "{text}");
+        assert_eq!(
+            text.matches("(generated; first touch h→").count(),
+            2,
+            "{text}"
+        );
     }
 
     #[test]

@@ -42,8 +42,8 @@ fn session() -> Session {
 // (39 steps -> 31, 512 predicted bytes fewer) and an iteration is
 // broadcast -> RMM1 -> Unary -> Cell.
 const PAGERANK_GOLDEN: &str = "\
-workers=4 stages=4 steps=31
-stage  1: pred=1960 actual=2948 wire=1924 [broadcast,free,partition,free,RMM1,free]
+workers=4 stages=4 steps=29
+stage  1: pred=936 actual=1924 wire=1156 [partition,free,RMM1,free]
 stage  0: pred=0 actual=0 wire=0 [Unary,free]
 stage  1: pred=256 actual=256 wire=0 [Unary,free,partition,free,Cell(c),free]
 stage  2: pred=1024 actual=1024 wire=768 [broadcast,free,RMM1,free,Unary,free,Cell(c),free]
@@ -51,29 +51,31 @@ stage  3: pred=1024 actual=1024 wire=768 [broadcast,free,RMM1,free,Unary,free,Ce
 spill: spills=0 spill_bytes=0 loads=0 load_bytes=0
 ";
 
+// Re-recorded once more when a `random` source joined the placement
+// search: a source generated in a scheme moves nothing. PageRank's
+// starting rank vector is generated broadcast, so the first stage loses
+// its `broadcast` + `free` (31 steps -> 29, 1 024 predicted bytes fewer).
+// GNMF generates `W0` by row and `H0` broadcast, where first touch moved
+// both after generating them hash-placed; the first iteration's plan is
+// rebuilt around them (74 steps -> 64, 9 stages -> 8, 51 328 predicted
+// bytes -> 44 160).
 const GNMF_GOLDEN: &str = "\
-workers=4 stages=9 steps=74
-stage  0: pred=0 actual=0 wire=0 [transpose,free]
-stage  1: pred=6272 actual=8736 wire=5880 [partition,free,partition,free]
+workers=4 stages=8 steps=64
+stage  0: pred=0 actual=0 wire=0 [transpose]
+stage  1: pred=3200 actual=5664 wire=4344 [partition,free]
 stage  2: pred=8192 actual=8192 wire=6144 [CPMM]
-stage  1: pred=0 actual=0 wire=0 [transpose]
-stage  2: pred=2048 actual=2048 wire=1536 [CPMM,free]
-stage  3: pred=2048 actual=2048 wire=1536 [broadcast,free]
-stage  1: pred=2048 actual=2048 wire=0 [partition,free]
-stage  3: pred=0 actual=0 wire=0 [RMM1,free]
-stage  2: pred=0 actual=0 wire=0 [Cell(c),free,free]
-stage  3: pred=0 actual=0 wire=0 [Cell(c),free,free,transpose,free]
-stage  4: pred=8192 actual=8192 wire=6144 [broadcast,free,RMM2,transpose,extract,free,RMM1]
-stage  5: pred=2048 actual=2048 wire=1536 [broadcast,free,RMM2,free]
-stage  4: pred=0 actual=0 wire=0 [Cell(r),free,free]
-stage  5: pred=0 actual=0 wire=0 [Cell(r),free,free,transpose]
-stage  6: pred=10240 actual=10240 wire=7680 [CPMM,CPMM,free,RMM2,free,free]
-stage  4: pred=0 actual=0 wire=0 [transpose,free]
-stage  6: pred=0 actual=0 wire=0 [Cell(r),free,free,Cell(r),free,free,transpose]
-stage  7: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,free,RMM1,free,free]
-stage  8: pred=2048 actual=2048 wire=1536 [broadcast,free,RMM2,free]
+stage  1: pred=2048 actual=2048 wire=1536 [CPMM,free,RMM2,free]
+stage  0: pred=0 actual=0 wire=0 [extract,free]
+stage  2: pred=0 actual=0 wire=0 [Cell(r),free,free,Cell(r),free,free,transpose]
+stage  3: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,free,RMM1,free]
+stage  4: pred=2048 actual=2048 wire=1536 [broadcast,free,RMM2,free]
+stage  3: pred=0 actual=0 wire=0 [Cell(r),free,free]
+stage  4: pred=0 actual=0 wire=0 [Cell(r),free,free,transpose]
+stage  5: pred=10240 actual=10240 wire=7680 [CPMM,CPMM,free,RMM2,free,free,Cell(r),free,free,Cell(r),free,free,transpose]
+stage  6: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,free,RMM1,free,free]
+stage  7: pred=2048 actual=2048 wire=1536 [broadcast,free,RMM2,free]
+stage  6: pred=0 actual=0 wire=0 [Cell(r),free,free]
 stage  7: pred=0 actual=0 wire=0 [Cell(r),free,free]
-stage  8: pred=0 actual=0 wire=0 [Cell(r),free,free]
 spill: spills=0 spill_bytes=0 loads=0 load_bytes=0
 ";
 

@@ -155,14 +155,15 @@ fn sigkill_mid_peer_transfer_recovers_bit_identically() {
 }
 
 /// A random source is generated where it lives, after a remap too. A
-/// steady PageRank run's first primitive broadcasts the fresh `rank0`,
-/// which the workers that own it generate (a healthy steady run installs
-/// nothing); host 1 is SIGKILLed as the next primitive begins. Lineage
-/// replay regenerates `rank0` on the survivors to rebuild the broadcast:
-/// the remap installs the bound `link` and `D` again, once each, and
-/// nothing of `rank0` — where the parent installed it twice. The rank is
-/// bit-identical to the healthy run's, read back from the workers' own
-/// shards as well.
+/// steady PageRank run's first primitive is the RMM1 of the fresh `rank0`
+/// with the cached `link`; the planner has `rank0` generated broadcast,
+/// so every worker makes all of it in that primitive's exchange (a
+/// healthy steady run installs nothing). Host 1 is SIGKILLed as the next
+/// primitive begins. Lineage replay regenerates `rank0(b)` on the
+/// survivors to redo the RMM1: the remap installs the bound `link` and `D`
+/// again, once each, and nothing of `rank0` — which was installed twice
+/// while the coordinator shipped random sources. The rank is bit-identical to the healthy run's, read back
+/// from the workers' own shards as well.
 #[test]
 fn a_random_source_is_regenerated_on_the_survivors() {
     let nodes = 48;
@@ -178,7 +179,7 @@ fn a_random_source_is_regenerated_on_the_survivors() {
     let first = healthy.transport_stats();
     let (report, h) = cfg.run(&mut healthy, &g).unwrap();
     assert_eq!(healthy.transport_stats().install_bytes, first.install_bytes);
-    assert_eq!(report.trace.steps[0].kind, "broadcast", "of rank0");
+    assert_eq!(report.trace.steps[0].kind, "RMM1", "of rank0(b) and link");
     let want = bits(healthy.value(h.rank).unwrap());
     healthy.shutdown_transport().unwrap();
 

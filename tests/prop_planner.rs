@@ -14,10 +14,12 @@ mod common;
 use std::collections::HashMap;
 
 use common::{assert_matrix_eq, eval_reference};
+use dmac::cluster::PartitionScheme;
 use dmac::core::baselines::SystemKind;
+use dmac::core::engine::random_cell;
 use dmac::core::planner::{plan_program, plan_with_forced_profiled, PlannerConfig};
 use dmac::core::{stage, Session};
-use dmac::lang::{Expr, Program};
+use dmac::lang::{Expr, MatrixOrigin, Program};
 use dmac::matrix::{BlockedMatrix, SplitMix64};
 
 const BLOCK: usize = 4;
@@ -52,13 +54,21 @@ fn op_picks(rng: &mut SplitMix64, min: usize, max: usize) -> Vec<OpPick> {
 
 /// Build a valid straight-line program from random picks: each pick is
 /// applied if a shape-compatible interpretation exists, otherwise skipped.
-/// Returns the program and the final expression (marked as output).
-fn build_program(picks: &[OpPick]) -> (Program, Expr) {
+/// Returns the program and the final expression (marked as output). With
+/// `random`, `B` and `C` are `random` sources instead of bound ones.
+fn build_program(picks: &[OpPick], random: bool) -> (Program, Expr) {
     let mut p = Program::new();
+    let source = |p: &mut Program, name, rows, cols| {
+        if random && name != "A" {
+            p.random(name, rows, cols)
+        } else {
+            p.load(name, rows, cols, 0.6)
+        }
+    };
     let mut exprs: Vec<Expr> = vec![
-        p.load("A", DIMS[0], DIMS[1], 0.6),
-        p.load("B", DIMS[1], DIMS[2], 0.6),
-        p.load("C", DIMS[0], DIMS[1], 0.6),
+        source(&mut p, "A", DIMS[0], DIMS[1]),
+        source(&mut p, "B", DIMS[1], DIMS[2]),
+        source(&mut p, "C", DIMS[0], DIMS[1]),
     ];
     for pick in picks {
         let a = exprs[pick.a % exprs.len()];
@@ -108,16 +118,34 @@ fn bindings() -> HashMap<String, BlockedMatrix> {
 }
 
 /// Run one generated program on one system/worker-count and compare with
-/// the local reference interpreter.
-fn check_execution(picks: &[OpPick], workers: usize, system: SystemKind, label: &str) {
-    let (program, out) = build_program(picks);
-    let binds = bindings();
-    let expect = eval_reference(&program, &binds, &HashMap::new());
+/// the local reference interpreter (which reads each `random` source as
+/// the session's seed generates it).
+fn check_execution(
+    picks: &[OpPick],
+    random: bool,
+    workers: usize,
+    system: SystemKind,
+    label: &str,
+) {
+    const RUN_SEED: u64 = 29;
+    let (program, out) = build_program(picks, random);
+    let mut binds = bindings();
+    let mut randoms = HashMap::new();
+    for d in program.matrices() {
+        if matches!(d.origin, MatrixOrigin::Random) {
+            binds.remove(&d.name);
+            let cell = |i, j| random_cell(RUN_SEED, d.id, i, j);
+            let m = BlockedMatrix::from_fn(d.stats.rows, d.stats.cols, BLOCK, cell).unwrap();
+            randoms.insert(d.id, m);
+        }
+    }
+    let expect = eval_reference(&program, &binds, &randoms);
     let mut s = Session::builder()
         .system(system)
         .workers(workers)
         .local_threads(2)
         .block_size(BLOCK)
+        .seed(RUN_SEED)
         .build();
     for (name, m) in &binds {
         s.bind(name, m.clone()).unwrap();
@@ -143,9 +171,29 @@ fn random_programs_execute_correctly() {
         let system = [SystemKind::Dmac, SystemKind::SystemMlS, SystemKind::RLocal][rng.below(3)];
         check_execution(
             &picks,
+            false,
             workers,
             system,
             &format!("random program case {case} ({system:?}, {workers}w)"),
+        );
+    }
+}
+
+/// The same with `random` sources, which the DMac planner may have
+/// generated Row, Column or Broadcast: still the reference's values.
+#[test]
+fn random_sources_execute_correctly() {
+    let mut rng = SplitMix64::new(SEED ^ 4);
+    for case in 0..32 {
+        let picks = op_picks(&mut rng, 1, 11);
+        let workers = rng.range_inclusive(1, 4);
+        let system = [SystemKind::Dmac, SystemKind::SystemMlS][rng.below(2)];
+        check_execution(
+            &picks,
+            true,
+            workers,
+            system,
+            &format!("random-source case {case} ({system:?}, {workers}w)"),
         );
     }
 }
@@ -184,7 +232,13 @@ fn regression_scale_then_square_single_worker() {
             t2: false,
         },
     ];
-    check_execution(&picks, 1, SystemKind::Dmac, "regression: scale/square");
+    check_execution(
+        &picks,
+        false,
+        1,
+        SystemKind::Dmac,
+        "regression: scale/square",
+    );
 }
 
 /// Every generated plan's stage schedule satisfies the §5.2 invariant:
@@ -194,7 +248,7 @@ fn random_plans_stage_cleanly() {
     let mut rng = SplitMix64::new(SEED ^ 1);
     for case in 0..64 {
         let picks = op_picks(&mut rng, 1, 15);
-        let (program, _) = build_program(&picks);
+        let (program, _) = build_program(&picks, case % 2 == 1);
         for cfg in [PlannerConfig::default(), PlannerConfig::systemml_s()] {
             let planned = plan_program(&program, &cfg, 4, &HashMap::new()).unwrap();
             let stages = stage::schedule(&planned.plan);
@@ -210,50 +264,64 @@ fn random_plans_stage_cleanly() {
     }
 }
 
-/// Pricing each Hash-placed `load`'s first placement against the whole
+/// Pricing each Hash-placed input's first placement against the whole
 /// program never loses to first touch (the plain greedy, which places an
 /// input by its first reader): no more estimated bytes, no more certified
-/// memory, and on a tie first touch's plan step for step. SystemML-S never
+/// memory, and on a tie first touch's plan step for step. The corpus is
+/// drawn twice, once over bound inputs and once with two of the three
+/// `random` (generated in their placement at no cost). SystemML-S never
 /// searches, so its plan is first touch's, the plan it always had.
 #[test]
 fn placement_search_never_loses_to_first_touch() {
-    let mut rng = SplitMix64::new(SEED ^ 3);
-    let mut placed = 0;
-    for case in 0..64 {
-        let picks = op_picks(&mut rng, 1, 15);
-        let (program, _) = build_program(&picks);
-        for cfg in [PlannerConfig::default(), PlannerConfig::systemml_s()] {
-            let planned = plan_program(&program, &cfg, 4, &HashMap::new()).unwrap();
-            let first = plan_with_forced_profiled(
-                &program,
-                &cfg,
-                4,
-                &HashMap::new(),
-                &HashMap::new(),
-                None,
-            )
-            .unwrap();
-            assert!(
-                planned.estimated_comm <= first.estimated_comm,
-                "case {case}: {} > first touch {}",
-                planned.estimated_comm,
-                first.estimated_comm
-            );
-            assert!(
-                planned.certificate.peak <= first.certificate.peak,
-                "case {case}: certified {} > first touch {}",
-                planned.certificate.peak,
-                first.certificate.peak
-            );
-            if planned.estimated_comm == first.estimated_comm || !cfg.exploit_dependencies {
-                assert_eq!(planned.plan.steps, first.plan.steps, "case {case}");
-                assert_eq!(planned.plan.nodes, first.plan.nodes, "case {case}");
-            } else {
-                placed += 1;
+    for random in [false, true] {
+        let mut rng = SplitMix64::new(SEED ^ 3);
+        let (mut placed, mut born) = (0, 0);
+        for case in 0..64 {
+            let picks = op_picks(&mut rng, 1, 15);
+            let (program, _) = build_program(&picks, random);
+            for cfg in [PlannerConfig::default(), PlannerConfig::systemml_s()] {
+                let planned = plan_program(&program, &cfg, 4, &HashMap::new()).unwrap();
+                let first = plan_with_forced_profiled(
+                    &program,
+                    &cfg,
+                    4,
+                    &HashMap::new(),
+                    &HashMap::new(),
+                    None,
+                )
+                .unwrap();
+                let label = format!("case {case} (random sources: {random})");
+                assert!(
+                    planned.estimated_comm <= first.estimated_comm,
+                    "{label}: {} > first touch {}",
+                    planned.estimated_comm,
+                    first.estimated_comm
+                );
+                assert!(
+                    planned.certificate.peak <= first.certificate.peak,
+                    "{label}: certified {} > first touch {}",
+                    planned.certificate.peak,
+                    first.certificate.peak
+                );
+                if planned.estimated_comm == first.estimated_comm || !cfg.exploit_dependencies {
+                    assert_eq!(planned.plan.steps, first.plan.steps, "{label}");
+                    assert_eq!(planned.plan.nodes, first.plan.nodes, "{label}");
+                } else {
+                    placed += 1;
+                }
+                let plan = &planned.plan;
+                born += plan.sources.iter().any(|&(n, m)| {
+                    plan.nodes[n].scheme != PartitionScheme::Hash
+                        && matches!(program.decl(m).unwrap().origin, MatrixOrigin::Random)
+                }) as usize;
             }
         }
+        assert!(
+            placed > 0,
+            "no case exercised a placement (random sources: {random})"
+        );
+        assert_eq!(born > 0, random, "a random source generated placed");
     }
-    assert!(placed > 0, "no case exercised a placement");
 }
 
 /// Dependency exploitation never plans more communication steps than the
@@ -263,7 +331,7 @@ fn dmac_never_plans_more_comm_steps() {
     let mut rng = SplitMix64::new(SEED ^ 2);
     for case in 0..64 {
         let picks = op_picks(&mut rng, 1, 15);
-        let (program, _) = build_program(&picks);
+        let (program, _) = build_program(&picks, false);
         let dmac = plan_program(&program, &PlannerConfig::default(), 4, &HashMap::new()).unwrap();
         let sysml =
             plan_program(&program, &PlannerConfig::systemml_s(), 4, &HashMap::new()).unwrap();
