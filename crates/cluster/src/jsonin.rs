@@ -19,7 +19,7 @@ pub enum Json {
     Bool(bool),
     /// Any number. Integers up to 2^53 survive exactly; protocols that
     /// need full `u64`/`f64` bit patterns ship them as fixed-width hex
-    /// strings instead (see [`crate::transport::wire`]).
+    /// strings instead (see [`crate::transport::proto`]).
     Num(f64),
     /// A string.
     Str(String),

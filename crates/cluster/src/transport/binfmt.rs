@@ -142,8 +142,8 @@ fn push_f64s(buf: &mut Vec<u8>, vals: &[f64]) {
     }
 }
 
-/// Append one placed tile to a tile-section buffer (the caller owns the
-/// leading count word via [`encode_tiles`] or writes it itself).
+/// Append one placed tile to a tile-section buffer (the caller writes the
+/// leading count word, as [`encode_tiles`] does).
 pub fn push_tile(buf: &mut Vec<u8>, w: usize, bi: usize, bj: usize, tile: &Block) {
     push_u32(buf, w);
     push_u32(buf, bi);
@@ -174,17 +174,19 @@ pub fn push_tile(buf: &mut Vec<u8>, w: usize, bi: usize, bj: usize, tile: &Block
     }
 }
 
-/// Encode a batch of placed tiles as a tile section.
+/// Encode a batch of placed tiles as a tile section: its count word,
+/// known before any tile is written, then each tile, into a buffer sized
+/// once.
 pub fn encode_tiles<'t>(
     tiles: impl IntoIterator<Item = (usize, usize, usize, &'t Block)>,
 ) -> Vec<u8> {
-    let mut buf = vec![0u8; 4];
-    let mut count = 0u32;
+    let tiles: Vec<_> = tiles.into_iter().collect();
+    let body: usize = tiles.iter().map(|t| tile_wire_len(t.3)).sum();
+    let mut buf = Vec::with_capacity(4 + body);
+    push_u32(&mut buf, tiles.len());
     for (w, bi, bj, tile) in tiles {
         push_tile(&mut buf, w, bi, bj, tile);
-        count += 1;
     }
-    buf[..4].copy_from_slice(&count.to_le_bytes());
     buf
 }
 

@@ -41,6 +41,7 @@
 
 pub mod binfmt;
 pub mod frame;
+pub mod proto;
 pub mod socket;
 pub mod wire;
 pub mod workerd;

@@ -1,95 +1,81 @@
 //! The real multi-process backend: a coordinator embedded in the session
-//! process driving `dmac-workerd` children over TCP.
+//! process driving `dmac-workerd` children over TCP. What the two sides
+//! say to each other is [`proto`]'s: its module doc holds the protocol
+//! table.
 //!
 //! ## Topology and membership
 //!
-//! The coordinator binds `127.0.0.1:0` (the OS assigns the port), spawns
-//! one worker process per physical host, and each worker connects back
-//! and introduces itself with a `hello` frame advertising its peer
-//! listen address and `"bin":1` — its promise to speak the binary `DMB1`
-//! tile codec ([`super::binfmt`]). A hello without it (a stale
-//! `dmac-workerd` picked up by [`locate_workerd`]) fails the launch with
-//! [`ClusterError::Protocol`]. After membership the coordinator sends
-//! every worker the peer address table (`peers`).
+//! The coordinator binds `127.0.0.1:0`, spawns one worker process per
+//! physical host, and each worker connects back with a `hello` naming its
+//! host, its peer listener, and its promise to speak the `DMB1` tile codec
+//! ([`super::binfmt`]). A hello without that promise (a stale
+//! `dmac-workerd` found by [`locate_workerd`]), without a peer address, or
+//! from a host that does not exist fails the launch with
+//! [`ClusterError::Protocol`]. Then every worker gets the peer table.
 //!
-//! There is one data plane. Control traffic is a star — every command
-//! and reply crosses the coordinator as a JSON frame — but *tile
-//! payload* never does, except to seed a bound input (`install`) or read
-//! a value back (`collect`), both as `DMB1` bodies. A `random` source is
-//! not seeded: its `install` has no body and names the generator, and each
-//! worker makes the tiles it owns. Every tile move — a shuffle,
-//! a local transpose, CPMM's partial shuffle — is built in one place
-//! (`SocketTransport::route`): one `xfer` routing plan per source host,
-//! its tiles named once per group of one source worker, destination
-//! worker and destination host. The worker installs the groups bound for
-//! its own host and pushes the rest straight to the destination's peer
-//! listener, rolling one byte receipt per group and per-edge frame stats
-//! up in its `xferred` reply ([`TransportStats::peer_bytes`]).
+//! Control traffic is a star, but *tile payload* never crosses the
+//! coordinator except to seed a bound input (`install`) or read a value
+//! back (`collect`); a `random` source's workers generate their own tiles.
+//! Every tile move — a shuffle, a local transpose, CPMM's partial shuffle
+//! — is one `xfer` routing plan per source host, built in one place
+//! (`SocketTransport::route`): the worker installs the groups that stay
+//! and pushes the rest to their hosts' peer listeners, and its `xferred`
+//! reply rolls one byte receipt per group and per-edge frame stats up
+//! ([`TransportStats::peer_bytes`]).
 //!
 //! ## Pipelined dispatch
 //!
-//! An exchange is posted, then collected. `post` writes all its commands
-//! to all hosts before any reply is read, each beside the check its reply
-//! must pass (an `ok`, the seal of a given value); `collect` reads the
-//! replies in order and applies those checks — a stage costs one
-//! round-trip ([`TransportStats::rounds`]), not `hosts × primitives`. A
-//! compute stage is posted before the oracle computes it and collected
-//! after, so the workers and the oracle compute at once; every seal
-//! computes the oracle's checksums between the two halves. A plan's
-//! `free` step costs no round of its own: its `free`s are queued and
-//! written at the head of the next exchange, whose collect checks their
-//! `ok`s with the rest (a session's sweep writes the queue at once, as an
-//! exchange of its own). Every command carries a per-connection sequence
-//! number `"q"` which the worker echoes in its reply; after an aborted
-//! stage (worker loss mid-exchange) the coordinator discards stale-`q`
-//! replies, so the connection re-synchronises without draining logic.
+//! An exchange is posted, then collected: `post` writes every command to
+//! every host, each beside the check its reply must pass, before any reply
+//! is read; `collect` reads the replies in order and applies the checks,
+//! so a stage costs one round-trip ([`TransportStats::rounds`]). A reply of
+//! another kind than its command has is a protocol error. A compute stage
+//! is posted before the oracle computes it and collected after, so both
+//! compute at once. A plan's `free`s ride the head of the next exchange at
+//! no round of their own. Replies echo their command's sequence number;
+//! after an exchange aborted by a worker's death the stale ones are
+//! discarded, so a connection re-synchronises without draining logic.
 //!
 //! ## Liveness
 //!
-//! Each worker heartbeats every `heartbeat_ms` from a dedicated thread,
-//! so beats keep arriving while the worker is busy computing. The
-//! coordinator marks a host dead when its connection closes or errors,
-//! its process is reaped, or no heartbeat has been seen for
-//! `liveness_timeout_ms` — and surfaces it as
-//! [`ClusterError::WorkerLost`], the same error injected faults produce,
-//! so the engine's lineage-recovery path handles real process death
-//! with no new code. A worker whose peer push fails reports `peerfail`
-//! naming the dead destination, which the coordinator folds into the
-//! same path.
+//! Workers heartbeat from a thread of their own, so beats arrive while
+//! they compute. A host whose connection closes or errors, whose process
+//! is reaped, or that has not beaten for `liveness_timeout_ms` is lost:
+//! [`ClusterError::WorkerLost`], the error injected faults produce, which
+//! lineage recovery already handles. So is the host a `peerfail` names —
+//! if it is a host of the cluster.
 //!
 //! ## Metering and conformance
 //!
-//! Payload is metered per *logical* move (a tile whose logical owner
-//! changes is charged even when both workers share a host — matching the
-//! simulator's logical ledger), from the byte sizes workers report —
-//! identically for pushed and locally installed tiles, so
-//! `transport_bytes == wire_bytes` conformance is invariant under the
-//! worker → host assignment. After every mirrored primitive the
-//! destination value is *sealed*: each host reports canonical per-shard
-//! checksums ([`wire::shard_checksum`]) that must equal the oracle's, so
-//! state divergence is caught at the primitive that caused it — and a
-//! reply must answer for exactly the workers it was asked about. Seals
-//! are only issued after every `xferred` receipt of the move is in hand,
-//! so all peer installs happen-before the seal.
+//! Payload is metered per *logical* move, from the byte sizes workers
+//! report, alike for pushed and locally installed tiles — so
+//! `transport_bytes == wire_bytes` whatever the worker → host assignment.
+//! After every mirrored primitive each host *seals* the destination value
+//! with canonical per-shard checksums ([`wire::shard_checksum`]) that must
+//! equal the oracle's, answering for exactly the workers it was asked
+//! about: a divergence surfaces at the primitive that caused it. Seals go
+//! out only after every `xferred` receipt of a move is in, so every peer
+//! install happens-before the seal.
+//!
+//! [`proto`]: super::proto
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dmac_matrix::Block;
-
 use crate::cluster::ReduceKind;
-use crate::dist::{fresh_rid, DistMatrix, GridMeta};
+use crate::dist::{fresh_rid, DistMatrix};
 use crate::error::{ClusterError, Result};
-use crate::json::{arr_of, JsonArr, JsonObj};
-use crate::jsonin::Json;
 use crate::partition::PartitionScheme;
 use crate::transport::binfmt;
 use crate::transport::frame::{framed_len, write_frame_bytes, FrameReader, MAX_FRAME};
+use crate::transport::proto::{
+    Cmd, Combine, Desc, Framed, Group, Key, Place, Placed, Reply, Route, Shard,
+};
 use crate::transport::wire;
 use crate::transport::{
     MoveItem, PartialDesc, Release, Stage, StageKernel, TileTransform, Transport, TransportStats,
@@ -141,44 +127,18 @@ struct Conn {
     alive: bool,
     /// Next sequence number to stamp on an outgoing command.
     seq: u64,
-    /// Peer listener address advertised in the hello.
-    peer: String,
 }
 
-/// One outgoing command, sequence number still to be stamped.
-enum Outgoing {
-    /// A JSON control command.
-    Json(JsonObj),
-    /// A binary message: JSON header + bulk body.
-    Bin(JsonObj, Vec<u8>),
-}
+/// Worker processes spawned and not yet members: killed and reaped when
+/// the launch gives up on them.
+struct Spawned(Vec<Child>);
 
-/// One worker reply: parsed header, plus the raw body for binary
-/// messages (the tile section of a `collect` reply).
-struct Reply {
-    head: Json,
-    body: Option<Vec<u8>>,
-}
-
-impl Reply {
-    /// Decode one frame from a worker: a `DMB1` message (JSON header +
-    /// body) or a JSON text; `None` when it is neither.
-    fn decode(raw: &[u8]) -> Option<Reply> {
-        if binfmt::is_binary(raw) {
-            let (head, body) = binfmt::decode(raw).ok()?;
-            let head = Json::parse(head).ok()?;
-            Some(Reply {
-                head,
-                body: Some(body.to_vec()),
-            })
-        } else {
-            let head = Json::parse(std::str::from_utf8(raw).ok()?).ok()?;
-            Some(Reply { head, body: None })
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            child.kill().ok();
+            child.wait().ok();
         }
-    }
-
-    fn kind(&self) -> Option<&str> {
-        self.head.get("t").and_then(Json::as_str)
     }
 }
 
@@ -187,12 +147,13 @@ impl Reply {
 /// its checks with it.
 #[derive(Debug)]
 enum Check {
-    /// `ok`: an install, an op that stores its results, a `free`.
+    /// [`Reply::Ok`]: an install, an op that stores its results, a `free`.
     Ok,
-    /// `sealed`, answering for exactly these logical workers, each shard
-    /// equal to the oracle's.
+    /// [`Reply::Sealed`], answering for exactly these logical workers,
+    /// each shard equal to the oracle's.
     Seal(Vec<usize>),
-    /// Handed back to the caller, which reads it.
+    /// Handed back to the caller, which holds it to the reply its command
+    /// has.
     Read,
 }
 
@@ -204,30 +165,6 @@ struct Posted {
     pending: Vec<(usize, u64, Check)>,
 }
 
-/// One group of a move exchange (`SocketTransport::route`): tiles `keys`
-/// of worker `wi`'s shard of the source value become worker `wo`'s in the
-/// destination value, on host `dh`.
-struct Group {
-    wi: usize,
-    wo: usize,
-    dh: usize,
-    keys: Vec<(usize, usize)>,
-}
-
-/// Tile keys as a group names them: `[bi,bj,bi,bj,…]`.
-fn keys_json(keys: &[(usize, usize)]) -> String {
-    let flat = keys.iter().flat_map(|&(bi, bj)| [bi, bj]);
-    flat.fold(JsonArr::new(), |k, x| k.u64(x as u64)).build()
-}
-
-/// Worker `w`'s tiles as a command's `tasks` name them: one group,
-/// `{"w","k":[bi,bj,…]}`, or none when it has no tile.
-fn worker_group(w: usize, keys: &[(usize, usize)]) -> Vec<String> {
-    let group = JsonObj::new().u64("w", w as u64);
-    let group = group.raw("k", &keys_json(keys)).build();
-    (!keys.is_empty()).then_some(group).into_iter().collect()
-}
-
 /// The oracle's side of a seal: per logical worker, its shard of `value`
 /// as a tile count and canonical checksum.
 fn oracle_shards(value: &DistMatrix) -> Vec<(usize, u64)> {
@@ -237,6 +174,46 @@ fn oracle_shards(value: &DistMatrix) -> Vec<(usize, u64)> {
         (tiles.len(), sum)
     };
     (0..value.workers()).map(shard).collect()
+}
+
+/// A reply of another kind than the `want` its command has.
+fn unexpected(host: usize, want: &str, got: &Reply) -> ClusterError {
+    ClusterError::Protocol(format!("host {host}: expected {want}, got {}", got.kind()))
+}
+
+/// A reply that reports a failure instead of answering: a worker's `err`,
+/// or a `peerfail` — the loss of the peer host it names, which must be
+/// one of the cluster's `hosts`.
+fn failure(host: usize, hosts: usize, reply: &Reply) -> Option<ClusterError> {
+    match *reply {
+        Reply::Err { ref msg } => Some(ClusterError::Protocol(format!("host {host}: {msg}"))),
+        Reply::PeerFail { host: dead } if dead < hosts => Some(ClusterError::WorkerLost(dead)),
+        Reply::PeerFail { host: dead } => Some(ClusterError::Protocol(format!(
+            "host {host}: peerfail names host {dead}, not one of the {hosts}"
+        ))),
+        _ => None,
+    }
+}
+
+/// The host id and peer address a worker's first frame announces: a
+/// `hello` from one of `workers` hosts that speaks `DMB1` — a stale
+/// `daemon` does not.
+fn hello_of(raw: &[u8], workers: usize, daemon: &Path) -> Result<(usize, String)> {
+    let stale = |host| {
+        ClusterError::Protocol(format!(
+            "worker {host} ({}) does not speak the DMB1 tile codec \
+             (stale dmac-workerd? rebuild it, or set DMAC_WORKERD)",
+            daemon.display()
+        ))
+    };
+    match Reply::decode(raw).msg {
+        Ok(Reply::Hello { host, bin, .. }) if bin != Some(1) => Err(stale(host)),
+        Ok(Reply::Hello { host, peer, .. }) if host < workers => Ok((host, peer)),
+        _ => Err(ClusterError::Protocol(format!(
+            "bad hello frame: {}",
+            String::from_utf8_lossy(raw)
+        ))),
+    }
 }
 
 /// A reply about logical workers `asked` answers for each exactly once.
@@ -258,23 +235,17 @@ fn answers_each_once(host: usize, what: &str, asked: &[usize], answered: &[usize
 fn check_seal(
     op: &'static str,
     host: usize,
-    reply: &Json,
+    reply: Reply,
     ws: &[usize],
     oracle: &[(usize, u64)],
 ) -> Result<()> {
-    let mut shards = Vec::new();
-    for shard in wire::field_arr(reply, "shards").map_err(ClusterError::Protocol)? {
-        let w = wire::field_usize(shard, "w").map_err(ClusterError::Protocol)?;
-        let n = wire::field_usize(shard, "n").map_err(ClusterError::Protocol)?;
-        let x = wire::field_str(shard, "x")
-            .ok()
-            .and_then(wire::parse_hex_u64)
-            .ok_or_else(|| ClusterError::Protocol("bad seal checksum".into()))?;
-        shards.push((w, n, x));
-    }
-    let answered: Vec<usize> = shards.iter().map(|s| s.0).collect();
+    let shards = match reply {
+        Reply::Sealed { shards } => shards,
+        other => return Err(unexpected(host, "sealed", &other)),
+    };
+    let answered: Vec<usize> = shards.iter().map(|s| s.w).collect();
     answers_each_once(host, "seal", ws, &answered)?;
-    for (w, n, x) in shards {
+    for Shard { w, n, x } in shards {
         let &(want_n, want_x) = oracle
             .get(w)
             .ok_or_else(|| ClusterError::Protocol(format!("seal for unknown worker {w}")))?;
@@ -294,19 +265,15 @@ fn check_seal(
 /// Validate one host's `reduced` reply: it answers for exactly the
 /// logical workers `ws`, each once, and every partial equals the oracle's
 /// bit for bit.
-fn check_reduce(host: usize, reply: &Json, ws: &[usize], partials: &[f64]) -> Result<()> {
-    let mut parts = Vec::new();
-    for part in wire::field_arr(reply, "parts").map_err(ClusterError::Protocol)? {
-        let w = wire::field_usize(part, "w").map_err(ClusterError::Protocol)?;
-        let x = wire::field_str(part, "x")
-            .ok()
-            .and_then(wire::parse_hex_f64)
-            .ok_or_else(|| ClusterError::Protocol("bad reduce partial".into()))?;
-        parts.push((w, x));
-    }
-    let answered: Vec<usize> = parts.iter().map(|p| p.0).collect();
+fn check_reduce(host: usize, reply: Reply, ws: &[usize], partials: &[f64]) -> Result<()> {
+    let parts = match reply {
+        Reply::Reduced { parts } => parts,
+        other => return Err(unexpected(host, "reduced", &other)),
+    };
+    let answered: Vec<usize> = parts.iter().map(|p| p.w).collect();
     answers_each_once(host, "reduce", ws, &answered)?;
-    for (w, x) in parts {
+    for part in parts {
+        let (w, x) = (part.w, part.x);
         let want = partials.get(w).copied().ok_or_else(|| {
             ClusterError::Protocol(format!("reduce partial for unknown worker {w}"))
         })?;
@@ -321,20 +288,31 @@ fn check_reduce(host: usize, reply: &Json, ws: &[usize], partials: &[f64]) -> Re
 }
 
 fn check_ok(host: usize, reply: &Reply) -> Result<()> {
-    match reply.kind() {
-        Some("ok") => Ok(()),
-        other => Err(ClusterError::Protocol(format!(
-            "host {host}: expected ok, got {other:?}"
-        ))),
+    match reply {
+        Reply::Ok => Ok(()),
+        other => Err(unexpected(host, "ok", other)),
     }
 }
 
-/// Decode the tile section of a `collect` reply.
-fn reply_tiles(reply: &Reply) -> std::result::Result<Vec<(usize, usize, usize, Block)>, String> {
-    match &reply.body {
-        Some(body) => binfmt::decode_tiles(body),
-        None => Err("collect reply is not a DMB1 message".into()),
+/// `items` cut into runs whose `size`s sum to at most `budget` — or one
+/// item alone, where it is past it.
+fn chunks<T>(
+    items: impl IntoIterator<Item = T>,
+    size: impl Fn(&T) -> usize,
+    budget: usize,
+) -> Vec<Vec<T>> {
+    let (mut runs, mut run, mut bytes) = (Vec::new(), Vec::new(), 0);
+    for item in items {
+        let n = size(&item);
+        if !run.is_empty() && bytes + n > budget {
+            runs.push(std::mem::take(&mut run));
+            bytes = 0;
+        }
+        bytes += n;
+        run.push(item);
     }
+    runs.extend((!run.is_empty()).then_some(run));
+    runs
 }
 
 /// Locate the `dmac-workerd` binary: `DMAC_WORKERD` env override, then
@@ -448,16 +426,15 @@ impl SocketTransport {
     /// for every `hello`, then distribute the peer address table.
     pub fn launch(workers: usize, opts: SocketOptions) -> Result<SocketTransport> {
         let bin = locate_workerd()?;
-        let listener = TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| ClusterError::Protocol(format!("bind: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ClusterError::Protocol(format!("local_addr: {e}")))?;
+        let io_err = |what: &str, e: io::Error| ClusterError::Protocol(format!("{what}: {e}"));
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| io_err("bind", e))?;
+        let addr = listener.local_addr().map_err(|e| io_err("local_addr", e))?;
         listener
             .set_nonblocking(true)
-            .map_err(|e| ClusterError::Protocol(format!("nonblocking: {e}")))?;
+            .map_err(|e| io_err("nonblocking", e))?;
 
-        let mut children: Vec<Option<Child>> = Vec::with_capacity(workers);
+        // Whatever fails below, no spawned worker outlives the launch.
+        let mut children = Spawned(Vec::with_capacity(workers));
         for h in 0..workers {
             let child = Command::new(&bin)
                 .arg("--connect")
@@ -469,129 +446,76 @@ impl SocketTransport {
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
                 .stderr(Stdio::inherit())
-                .spawn()
-                .map_err(|e| {
-                    // Don't leak already-spawned siblings on a failed launch.
-                    for c in children.iter_mut().flatten() {
-                        c.kill().ok();
-                        c.wait().ok();
-                    }
-                    ClusterError::Protocol(format!("spawn {}: {e}", bin.display()))
-                })?;
-            children.push(Some(child));
+                .spawn();
+            children
+                .0
+                .push(child.map_err(|e| io_err(&format!("spawn {}", bin.display()), e))?);
         }
 
-        let kill_all = |children: &mut Vec<Option<Child>>| {
-            for c in children.iter_mut().flatten() {
-                c.kill().ok();
-                c.wait().ok();
-            }
-        };
-
-        type Slot = (TcpStream, FrameReader, String);
         let deadline = Instant::now() + Duration::from_secs(15);
-        let mut slots: Vec<Option<Slot>> = (0..workers).map(|_| None).collect();
+        let mut slots: Vec<Option<(TcpStream, FrameReader, String)>> =
+            (0..workers).map(|_| None).collect();
         let mut accepted = 0usize;
         while accepted < workers {
             if Instant::now() > deadline {
-                kill_all(&mut children);
                 return Err(ClusterError::Protocol(format!(
                     "membership timed out: {accepted}/{workers} workers registered"
                 )));
             }
-            for c in children.iter_mut().flatten() {
-                if let Ok(Some(status)) = c.try_wait() {
-                    kill_all(&mut children);
-                    return Err(ClusterError::Protocol(format!(
-                        "worker exited during startup ({status})"
-                    )));
-                }
+            if let Some(status) = children.0.iter_mut().find_map(|c| c.try_wait().ok()?) {
+                return Err(ClusterError::Protocol(format!(
+                    "worker exited during startup ({status})"
+                )));
             }
-            let (stream, _) = match listener.accept() {
-                Ok(s) => s,
+            let mut stream = match listener.accept() {
+                Ok((stream, _)) => stream,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(10));
                     continue;
                 }
-                Err(e) => {
-                    kill_all(&mut children);
-                    return Err(ClusterError::Protocol(format!("accept: {e}")));
-                }
+                Err(e) => return Err(io_err("accept", e)),
             };
             stream.set_nodelay(true).ok();
             stream
                 .set_read_timeout(Some(Duration::from_millis(250)))
                 .ok();
-            let mut stream = stream;
             let mut reader = FrameReader::default();
             let hello = loop {
                 if Instant::now() > deadline {
-                    kill_all(&mut children);
                     return Err(ClusterError::Protocol("hello timed out".into()));
                 }
-                match reader.next(&mut stream) {
-                    Ok(Some(t)) => break t,
-                    Ok(None) => continue,
-                    Err(e) => {
-                        kill_all(&mut children);
-                        return Err(ClusterError::Protocol(format!("hello read: {e}")));
-                    }
+                if let Some(hello) = reader
+                    .next(&mut stream)
+                    .map_err(|e| io_err("hello read", e))?
+                {
+                    break hello;
                 }
             };
-            let parsed = std::str::from_utf8(&hello)
-                .ok()
-                .and_then(|t| Json::parse(t).ok())
-                .filter(|j| j.get("t").and_then(Json::as_str) == Some("hello"));
-            let host = parsed
-                .as_ref()
-                .and_then(|j| j.get("host").and_then(Json::as_u64))
-                .map(|h| h as usize);
-            match host {
-                Some(h) if h < workers && slots[h].is_none() => {
-                    let j = parsed.expect("host implies parsed");
-                    if j.get("bin").and_then(Json::as_u64) != Some(1) {
-                        kill_all(&mut children);
-                        return Err(ClusterError::Protocol(format!(
-                            "worker {h} ({}) does not speak the DMB1 tile codec \
-                             (stale dmac-workerd? rebuild it, or set DMAC_WORKERD)",
-                            bin.display()
-                        )));
-                    }
-                    let peer = j
-                        .get("peer")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string();
-                    slots[h] = Some((stream, reader, peer));
-                    accepted += 1;
-                }
-                _ => {
-                    kill_all(&mut children);
-                    return Err(ClusterError::Protocol(format!(
-                        "bad hello frame: {}",
-                        String::from_utf8_lossy(&hello)
-                    )));
-                }
+            let (h, peer) = hello_of(&hello, workers, &bin)?;
+            if slots[h].is_some() {
+                return Err(ClusterError::Protocol(format!("host {h} said hello twice")));
             }
+            slots[h] = Some((stream, reader, peer));
+            accepted += 1;
         }
 
-        let now = Instant::now();
-        let conns: Vec<Conn> = slots
+        let slots = slots
             .into_iter()
-            .zip(children.iter_mut())
-            .map(|(slot, child)| {
-                let (stream, reader, peer) = slot.expect("all slots filled");
-                Conn {
-                    stream,
-                    reader,
-                    child: child.take().expect("child present"),
-                    last_hb: now,
-                    alive: true,
-                    seq: 0,
-                    peer,
-                }
-            })
-            .collect();
+            .map(|slot| slot.expect("all slots filled"));
+        let (mut conns, mut peers) = (Vec::with_capacity(workers), Vec::with_capacity(workers));
+        for ((stream, reader, peer), child) in slots.zip(std::mem::take(&mut children.0)) {
+            let (last_hb, alive, seq) = (Instant::now(), true, 0);
+            let conn = Conn {
+                stream,
+                reader,
+                child,
+                last_hb,
+                alive,
+                seq,
+            };
+            conns.push(conn);
+            peers.push(peer);
+        }
         let mut me = SocketTransport {
             conns,
             assignment: (0..workers).collect(),
@@ -607,17 +531,11 @@ impl SocketTransport {
             reported: HashSet::new(),
             shut: false,
         };
-        let mut peers = JsonArr::new();
-        for h in 0..workers {
-            peers = peers.str(&me.conns[h].peer.clone());
-        }
-        let peers = peers.build();
         for host in 0..workers {
-            let cmd = JsonObj::new()
-                .str("t", "peers")
-                .raw("peers", &peers)
-                .u64("timeout_ms", opts.liveness_timeout_ms);
-            me.expect_ok(host, Outgoing::Json(cmd))?;
+            let timeout_ms = opts.liveness_timeout_ms;
+            let peers = peers.clone();
+            let reply = me.request(host, &Cmd::Peers { peers, timeout_ms })?;
+            check_ok(host, &reply)?;
         }
         Ok(me)
     }
@@ -628,9 +546,9 @@ impl SocketTransport {
         conn.child.wait().ok();
     }
 
-    /// Stamp the next sequence number, frame (JSON or binary), write,
-    /// and account — the send half of a round-trip.
-    fn send_cmd(&mut self, host: usize, cmd: Outgoing) -> Result<u64> {
+    /// Stamp the next sequence number, encode, write, and account — the
+    /// send half of a round-trip.
+    fn send_cmd(&mut self, host: usize, cmd: &Cmd) -> Result<u64> {
         let stats = &mut self.stats;
         let conn = &mut self.conns[host];
         if !conn.alive {
@@ -638,10 +556,7 @@ impl SocketTransport {
         }
         let seq = conn.seq;
         conn.seq += 1;
-        let payload: Vec<u8> = match cmd {
-            Outgoing::Json(obj) => obj.u64("q", seq).build().into_bytes(),
-            Outgoing::Bin(obj, body) => binfmt::encode(&obj.u64("q", seq).build(), &body),
-        };
+        let payload = cmd.encode(Some(seq));
         stats.frames += 1;
         stats.frame_bytes += framed_len(payload.len());
         if write_frame_bytes(&mut conn.stream, &payload).is_err() {
@@ -651,87 +566,84 @@ impl SocketTransport {
         Ok(seq)
     }
 
+    /// Read the next frame from `conn`, if one has arrived: counted,
+    /// decoded, and a heartbeat taken (`last_hb`, `heartbeats`) before it
+    /// is handed on. `Ok(None)`: nothing yet.
+    fn read_reply(
+        conn: &mut Conn,
+        stats: &mut TransportStats,
+    ) -> io::Result<Option<Framed<Reply>>> {
+        let Some(raw) = conn.reader.next(&mut conn.stream)? else {
+            return Ok(None);
+        };
+        stats.frames += 1;
+        stats.frame_bytes += framed_len(raw.len());
+        let framed = Reply::decode(&raw);
+        if let Ok(Reply::Hb { .. }) = framed.msg {
+            conn.last_hb = Instant::now();
+            stats.heartbeats += 1;
+        }
+        Ok(Some(framed))
+    }
+
     /// Receive the reply carrying sequence number `want` from `host`,
     /// tolerating interleaved heartbeats, discarding stale replies from
     /// aborted stages, and watching the liveness deadline.
     fn recv_reply(&mut self, host: usize, want: u64) -> Result<Reply> {
         let liveness = Duration::from_millis(self.opts.liveness_timeout_ms);
-        let reply = 'outer: {
-            let stats = &mut self.stats;
-            let conn = &mut self.conns[host];
-            if !conn.alive {
-                return Err(ClusterError::WorkerLost(host));
-            }
-            loop {
-                match conn.reader.next(&mut conn.stream) {
-                    Ok(Some(raw)) => {
-                        stats.frames += 1;
-                        stats.frame_bytes += framed_len(raw.len());
-                        let Some(reply) = Reply::decode(&raw) else {
-                            Self::mark_dead(conn);
-                            return Err(ClusterError::Protocol(format!(
-                                "unparseable reply from host {host}"
-                            )));
-                        };
-                        if reply.kind() == Some("hb") {
-                            conn.last_hb = Instant::now();
-                            stats.heartbeats += 1;
-                            continue;
-                        }
-                        match reply.head.get("q").and_then(Json::as_u64) {
-                            // A stale reply from an exchange aborted by
-                            // worker loss: discard; the connection
-                            // re-synchronises by sequence number.
-                            Some(q) if q < want => continue,
-                            Some(q) if q == want => break 'outer reply,
-                            _ => {
-                                Self::mark_dead(conn);
-                                return Err(ClusterError::Protocol(format!(
-                                    "host {host} desynchronised (bad reply sequence)"
-                                )));
-                            }
-                        }
-                    }
-                    Ok(None) => {
-                        if matches!(conn.child.try_wait(), Ok(Some(_)))
-                            || conn.last_hb.elapsed() > liveness
-                        {
-                            Self::mark_dead(conn);
-                            return Err(ClusterError::WorkerLost(host));
-                        }
-                    }
-                    Err(_) => {
+        let (stats, conn) = (&mut self.stats, &mut self.conns[host]);
+        if !conn.alive {
+            return Err(ClusterError::WorkerLost(host));
+        }
+        let reply = loop {
+            match Self::read_reply(conn, stats) {
+                Ok(Some(Framed {
+                    msg: Ok(Reply::Hb { .. }),
+                    ..
+                })) => {}
+                // A stale reply from an exchange aborted by worker loss:
+                // discard; the connection re-synchronises by sequence
+                // number.
+                Ok(Some(Framed { q: Some(q), .. })) if q < want => {}
+                Ok(Some(Framed { q: Some(q), msg })) if q == want => {
+                    let bad = |e| ClusterError::Protocol(format!("host {host}: {e}"));
+                    break msg.map_err(bad)?;
+                }
+                Ok(Some(Framed { msg, .. })) => {
+                    Self::mark_dead(conn);
+                    let why = msg.err().unwrap_or_else(|| "bad reply sequence".into());
+                    return Err(ClusterError::Protocol(format!(
+                        "host {host} desynchronised ({why})"
+                    )));
+                }
+                Ok(None) => {
+                    if matches!(conn.child.try_wait(), Ok(Some(_)))
+                        || conn.last_hb.elapsed() > liveness
+                    {
                         Self::mark_dead(conn);
                         return Err(ClusterError::WorkerLost(host));
                     }
                 }
+                Err(_) => {
+                    Self::mark_dead(conn);
+                    return Err(ClusterError::WorkerLost(host));
+                }
             }
         };
-        match reply.kind() {
-            Some("err") => {
-                let msg = reply
-                    .head
-                    .get("msg")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string();
-                Err(ClusterError::Protocol(format!("host {host}: {msg}")))
-            }
+        match failure(host, self.conns.len(), &reply) {
             // A worker's peer push failed: the *destination* host is the
             // casualty. Fold it into the normal worker-loss path.
-            Some("peerfail") => {
-                let h = wire::field_usize(&reply.head, "host").map_err(ClusterError::Protocol)?;
-                if let Some(conn) = self.conns.get_mut(h) {
-                    Self::mark_dead(conn);
-                }
-                Err(ClusterError::WorkerLost(h))
+            Some(ClusterError::WorkerLost(dead)) => {
+                Self::mark_dead(&mut self.conns[dead]);
+                Err(ClusterError::WorkerLost(dead))
             }
-            _ => Ok(reply),
+            Some(e) => Err(e),
+            None => Ok(reply),
         }
     }
 
     /// One blocking round-trip (membership and shutdown).
-    fn request(&mut self, host: usize, cmd: Outgoing) -> Result<Reply> {
+    fn request(&mut self, host: usize, cmd: &Cmd) -> Result<Reply> {
         let seq = self.send_cmd(host, cmd)?;
         self.stats.rounds += 1;
         self.recv_reply(host, seq)
@@ -743,7 +655,7 @@ impl SocketTransport {
     /// diagnostics; `"xfer"` for a move with a cross-host group). A queued
     /// free that was not written stays queued, one for a host found dead
     /// goes; nothing to write, nothing written.
-    fn post(&mut self, op: &'static str, cmds: Vec<(usize, Outgoing, Check)>) -> Result<Posted> {
+    fn post(&mut self, op: &'static str, cmds: Vec<(usize, Cmd, Check)>) -> Result<Posted> {
         let conns = &self.conns;
         self.frees.retain(|&(host, _)| conns[host].alive);
         if cmds.is_empty() && self.frees.is_empty() {
@@ -753,11 +665,11 @@ impl SocketTransport {
         let queued = std::mem::take(&mut self.frees);
         let frees = queued
             .iter()
-            .map(|&(h, rid)| (h, Self::free_cmd(rid), Check::Ok));
+            .map(|&(h, rid)| (h, Cmd::Free { rid }, Check::Ok));
         let all: Vec<_> = frees.chain(cmds).collect();
         let mut pending = Vec::with_capacity(all.len());
         for (i, (host, cmd, check)) in all.into_iter().enumerate() {
-            match self.send_cmd(host, cmd) {
+            match self.send_cmd(host, &cmd) {
                 Ok(seq) => pending.push((host, seq, check)),
                 Err(e) => {
                     let conns = &self.conns;
@@ -785,7 +697,7 @@ impl SocketTransport {
             let reply = self.recv_reply(host, seq)?;
             match check {
                 Check::Ok => check_ok(host, &reply)?,
-                Check::Seal(ws) => check_seal(posted.op, host, &reply.head, &ws, oracle)?,
+                Check::Seal(ws) => check_seal(posted.op, host, reply, &ws, oracle)?,
                 Check::Read => replies.push((host, reply)),
             }
         }
@@ -797,7 +709,7 @@ impl SocketTransport {
     fn exchange(
         &mut self,
         op: &'static str,
-        cmds: Vec<(usize, Outgoing, Check)>,
+        cmds: Vec<(usize, Cmd, Check)>,
     ) -> Result<Vec<(usize, Reply)>> {
         let posted = self.post(op, cmds)?;
         self.collect(posted, &[])
@@ -825,11 +737,6 @@ impl SocketTransport {
         }
     }
 
-    fn expect_ok(&mut self, host: usize, cmd: Outgoing) -> Result<()> {
-        let reply = self.request(host, cmd)?;
-        check_ok(host, &reply)
-    }
-
     /// Count one mirrored primitive as it begins.
     fn op_tick(&mut self) {
         self.ops_done += 1;
@@ -854,73 +761,6 @@ impl SocketTransport {
         self.known.insert(m.rid(), hosts);
     }
 
-    /// Chunk a batch of placed tiles into `DMB1` `install` commands
-    /// respecting the frame ceiling.
-    fn install_cmds(rid: u64, tiles: &[(usize, usize, usize, &Block)]) -> Vec<Outgoing> {
-        let budget = (MAX_FRAME / 2) as usize;
-        let install = |count: u32, mut body: Vec<u8>| {
-            body[..4].copy_from_slice(&count.to_le_bytes());
-            Outgoing::Bin(JsonObj::new().str("t", "install").u64("rid", rid), body)
-        };
-        let mut cmds = Vec::new();
-        let mut body = vec![0u8; 4];
-        let mut count = 0u32;
-        for &(w, bi, bj, tile) in tiles {
-            if count > 0 && body.len() + binfmt::tile_wire_len(tile) > budget {
-                cmds.push(install(count, std::mem::replace(&mut body, vec![0u8; 4])));
-                count = 0;
-            }
-            binfmt::push_tile(&mut body, w, bi, bj, tile);
-            count += 1;
-        }
-        if count > 0 {
-            cmds.push(install(count, body));
-        }
-        cmds
-    }
-
-    /// The bodiless `install` commands by which one host's workers
-    /// generate their tiles `keys[w]` of random source `rid`, chunked so
-    /// that no command makes more dense bytes than an install frame's
-    /// budget carries.
-    fn generate_cmds(
-        (rid, seed, matrix): (u64, u64, u32),
-        meta: &GridMeta,
-        ws: &[usize],
-        keys: &[Vec<(usize, usize)>],
-    ) -> Vec<Outgoing> {
-        let budget = u64::from(MAX_FRAME / 2);
-        let generate = |batch: &BTreeMap<usize, Vec<(usize, usize)>>| {
-            let tasks = batch.iter().flat_map(|(&w, k)| worker_group(w, k));
-            let cmd = JsonObj::new()
-                .str("t", "install")
-                .u64("rid", rid)
-                .str("seed", &wire::hex_u64(seed))
-                .u64("m", u64::from(matrix))
-                .u64("rows", meta.rows as u64)
-                .u64("cols", meta.cols as u64)
-                .u64("block", meta.block as u64)
-                .raw("tasks", &arr_of(tasks));
-            Outgoing::Json(cmd)
-        };
-        let (mut cmds, mut batch, mut bytes) = (Vec::new(), BTreeMap::new(), 0u64);
-        for &w in ws {
-            for &(bi, bj) in &keys[w] {
-                let tile = 8 * (meta.block_rows_of(bi) * meta.block_cols_of(bj)) as u64;
-                if !batch.is_empty() && bytes + tile > budget {
-                    cmds.push(generate(&std::mem::take(&mut batch)));
-                    bytes = 0;
-                }
-                batch.entry(w).or_default().push((bi, bj));
-                bytes += tile;
-            }
-        }
-        if !batch.is_empty() {
-            cmds.push(generate(&batch));
-        }
-        cmds
-    }
-
     /// Make `m`'s shards resident on the physical workers if its rid is
     /// not yet known, in one exchange: a `random` source's are generated
     /// there ([`SocketTransport::generate_resident`]); a bound input's
@@ -933,19 +773,30 @@ impl SocketTransport {
         if let Some(&(seed, matrix)) = self.recipes.get(&m.rid()) {
             return self.generate_resident(m, seed, matrix);
         }
-        let mut per_host: BTreeMap<usize, Vec<(usize, usize, usize, &Block)>> = BTreeMap::new();
+        let mut per_host: BTreeMap<usize, Vec<Placed>> = BTreeMap::new();
         let mut bytes = 0u64;
         for w in 0..m.workers() {
             let host = self.assignment[w];
             for (&(bi, bj), tile) in m.worker_blocks(w) {
                 bytes += tile.actual_bytes() as u64;
-                per_host.entry(host).or_default().push((w, bi, bj, tile));
+                let tile = (w, bi, bj, Arc::clone(tile));
+                per_host.entry(host).or_default().push(tile);
             }
         }
+        // Each install's tile section, count word included, within half
+        // the frame ceiling.
+        let budget = (MAX_FRAME / 2) as usize - 4;
         let mut cmds = Vec::new();
-        for (host, tiles) in &per_host {
-            for cmd in Self::install_cmds(m.rid(), tiles) {
-                cmds.push((*host, cmd, Check::Ok));
+        for (host, tiles) in per_host {
+            for tiles in chunks(tiles, |t| binfmt::tile_wire_len(&t.3), budget) {
+                cmds.push((
+                    host,
+                    Cmd::Install {
+                        rid: m.rid(),
+                        tiles,
+                    },
+                    Check::Ok,
+                ));
             }
         }
         self.exchange("install", cmds)?;
@@ -959,20 +810,43 @@ impl SocketTransport {
     /// against the oracle: nothing is installed, and the workers' bits
     /// are checked before their first use.
     fn generate_resident(&mut self, m: &DistMatrix, seed: u64, matrix: u32) -> Result<()> {
-        let keys: Vec<Vec<(usize, usize)>> = (0..m.workers())
-            .map(|w| {
-                let mut keys: Vec<_> = m.worker_blocks(w).keys().copied().collect();
-                keys.sort_unstable();
-                keys
-            })
-            .collect();
-        let recipe = (m.rid(), seed, matrix);
+        let (rid, grid) = (m.rid(), *m.meta());
+        // No command makes more dense bytes than an install frame carries.
+        let dense =
+            |&(_, (bi, bj)): &(usize, Key)| 8 * grid.block_rows_of(bi) * grid.block_cols_of(bj);
         let mut cmds = Vec::new();
         for (host, ws) in self.hosts_with_ws() {
-            for cmd in Self::generate_cmds(recipe, m.meta(), &ws, &keys) {
+            let mut tiles: Vec<(usize, Key)> = Vec::new();
+            for &w in &ws {
+                let start = tiles.len();
+                tiles.extend(m.worker_blocks(w).keys().map(|&k| (w, k)));
+                tiles[start..].sort_unstable();
+            }
+            for run in chunks(tiles, dense, (MAX_FRAME / 2) as usize) {
+                let mut tasks: Vec<Group> = Vec::new();
+                for (w, key) in run {
+                    match tasks.last_mut() {
+                        Some(group) if group.w == w => group.keys.push(key),
+                        _ => tasks.push(Group { w, keys: vec![key] }),
+                    }
+                }
+                let cmd = Cmd::Generate {
+                    rid,
+                    seed,
+                    matrix,
+                    grid,
+                    tasks,
+                };
                 cmds.push((host, cmd, Check::Ok));
             }
-            cmds.push((host, Self::seal_cmd(m.rid(), &ws), Check::Seal(ws)));
+            cmds.push((
+                host,
+                Cmd::Seal {
+                    rid,
+                    ws: ws.clone(),
+                },
+                Check::Seal(ws),
+            ));
         }
         let posted = self.post("generate", cmds)?;
         let oracle = oracle_shards(m);
@@ -981,32 +855,23 @@ impl SocketTransport {
         Ok(())
     }
 
-    /// The `seal` command proving one value's shards on a host.
-    fn seal_cmd(rid: u64, ws: &[usize]) -> Outgoing {
-        let mut ws_arr = JsonArr::new();
-        for &w in ws {
-            ws_arr = ws_arr.u64(w as u64);
-        }
-        Outgoing::Json(
-            JsonObj::new()
-                .str("t", "seal")
-                .u64("rid", rid)
-                .raw("ws", &ws_arr.build()),
-        )
-    }
-
-    /// The `free` command releasing one value's shards on a host.
-    fn free_cmd(rid: u64) -> Outgoing {
-        Outgoing::Json(JsonObj::new().str("t", "free").u64("rid", rid))
-    }
-
     /// Verify a value's physical shards against the oracle — one
     /// pipelined exchange across all hosts, the oracle's checksums
     /// computed while the workers compute theirs.
     fn seal_check(&mut self, op: &'static str, value: &DistMatrix) -> Result<()> {
+        let rid = value.rid();
         let hosts = self.hosts_with_ws().into_iter();
         let cmds = hosts
-            .map(|(host, ws)| (host, Self::seal_cmd(value.rid(), &ws), Check::Seal(ws)))
+            .map(|(host, ws)| {
+                (
+                    host,
+                    Cmd::Seal {
+                        rid,
+                        ws: ws.clone(),
+                    },
+                    Check::Seal(ws),
+                )
+            })
             .collect();
         let posted = self.post(op, cmds)?;
         let oracle = oracle_shards(value);
@@ -1017,26 +882,29 @@ impl SocketTransport {
     /// for the output tiles its workers own (none if they own nothing),
     /// then — CPMM phase 2's extra — the `free` of the `staging` rid, then
     /// the `seal` proving `rid`; the worker runs them in order, so op +
-    /// proof cost one round-trip for the whole stage. `tasks_of(w)`
-    /// renders worker `w`'s tasks, `op_cmd` a host's command from its
-    /// task array.
-    fn stage_cmds(
+    /// proof cost one round-trip for the whole stage. `tasks_of(w)` gives
+    /// worker `w`'s tasks, `op_cmd` a host's command from its tasks.
+    fn stage_cmds<T>(
         &self,
         rid: u64,
         staging: Option<u64>,
-        tasks_of: impl Fn(usize) -> Vec<String>,
-        op_cmd: impl Fn(&str) -> Outgoing,
-    ) -> Vec<(usize, Outgoing, Check)> {
+        tasks_of: impl Fn(usize) -> Vec<T>,
+        op_cmd: impl Fn(Vec<T>) -> Cmd,
+    ) -> Vec<(usize, Cmd, Check)> {
         let mut cmds = Vec::new();
         for (host, ws) in self.hosts_with_ws() {
-            let tasks: Vec<String> = ws.iter().flat_map(|&w| tasks_of(w)).collect();
+            let tasks: Vec<T> = ws.iter().flat_map(|&w| tasks_of(w)).collect();
             if !tasks.is_empty() {
-                cmds.push((host, op_cmd(&arr_of(tasks)), Check::Ok));
+                cmds.push((host, op_cmd(tasks), Check::Ok));
             }
             if let Some(stage) = staging {
-                cmds.push((host, Self::free_cmd(stage), Check::Ok));
+                cmds.push((host, Cmd::Free { rid: stage }, Check::Ok));
             }
-            cmds.push((host, Self::seal_cmd(rid, &ws), Check::Seal(ws)));
+            let seal = Cmd::Seal {
+                rid,
+                ws: ws.clone(),
+            };
+            cmds.push((host, seal, Check::Seal(ws)));
         }
         cmds
     }
@@ -1051,68 +919,49 @@ impl SocketTransport {
     fn route(
         &mut self,
         (rid_in, rid_out): (u64, u64),
-        transform: TileTransform,
-        groups: &[Group],
+        tr: TileTransform,
+        groups: Vec<Route>,
     ) -> Result<Vec<u64>> {
+        let mut receipts = vec![0; groups.len()];
         if groups.is_empty() {
-            return Ok(Vec::new());
+            return Ok(receipts);
         }
+        let crosses = groups.iter().any(|g| g.dh.is_some());
         // Per source host: the indices of its groups into `groups`, its plan.
-        let mut plans: BTreeMap<usize, (Vec<usize>, JsonArr)> = BTreeMap::new();
-        let mut crosses = false;
-        for (i, g) in groups.iter().enumerate() {
-            let sh = self.assignment[g.wi];
-            let mut group = JsonObj::new().u64("wi", g.wi as u64).u64("wo", g.wo as u64);
-            // Only a group that leaves its source's host names where to.
-            if sh != g.dh {
-                crosses = true;
-                group = group.u64("dh", g.dh as u64);
-            }
-            let group = group.raw("k", &keys_json(&g.keys));
-            let (indices, plan) = plans.entry(sh).or_default();
+        let mut plans: BTreeMap<usize, (Vec<usize>, Vec<Route>)> = BTreeMap::new();
+        for (i, g) in groups.into_iter().enumerate() {
+            let (indices, plan) = plans.entry(self.assignment[g.wi]).or_default();
             indices.push(i);
-            *plan = std::mem::take(plan).raw(&group.build());
+            plan.push(g);
         }
-        let tr = match transform {
-            TileTransform::None => "none",
-            TileTransform::Transpose => "transpose",
-        };
         let mut order = Vec::with_capacity(plans.len());
         let mut cmds = Vec::with_capacity(plans.len());
-        for (host, (indices, plan)) in plans {
-            let cmd = JsonObj::new()
-                .str("t", "xfer")
-                .u64("rid_in", rid_in)
-                .u64("rid_out", rid_out)
-                .str("tr", tr)
-                .raw("groups", &plan.build());
-            cmds.push((host, Outgoing::Json(cmd), Check::Read));
+        for (host, (indices, groups)) in plans {
+            let cmd = Cmd::Xfer {
+                rid_in,
+                rid_out,
+                tr,
+                groups,
+            };
+            cmds.push((host, cmd, Check::Read));
             order.push(indices);
         }
         // By the time the replies are in, every peer push is acked.
         let replies = self.exchange(if crosses { "xfer" } else { "move" }, cmds)?;
-        let mut receipts = vec![0; groups.len()];
         for ((host, reply), indices) in replies.into_iter().zip(order) {
-            if reply.kind() != Some("xferred") {
-                return Err(ClusterError::Protocol(format!(
-                    "host {host}: expected xferred, got {:?}",
-                    reply.kind()
-                )));
-            }
-            let bytes = wire::field_arr(&reply.head, "bytes").map_err(ClusterError::Protocol)?;
+            let (bytes, edges) = match reply {
+                Reply::Xferred { bytes, edges } => (bytes, edges),
+                other => return Err(unexpected(host, "xferred", &other)),
+            };
             if bytes.len() != indices.len() {
                 return Err(ClusterError::Protocol(
                     "move receipt length mismatch".into(),
                 ));
             }
             for (i, b) in indices.into_iter().zip(bytes) {
-                let bad = || ClusterError::Protocol("bad xferred byte count".into());
-                receipts[i] = b.as_u64().ok_or_else(bad)?;
+                receipts[i] = b;
             }
-            for edge in wire::field_arr(&reply.head, "edges").map_err(ClusterError::Protocol)? {
-                self.stats.peer_bytes +=
-                    wire::field_u64(edge, "b").map_err(ClusterError::Protocol)?;
-            }
+            self.stats.peer_bytes += edges.iter().map(|e| e.b).sum::<u64>();
         }
         Ok(receipts)
     }
@@ -1152,18 +1001,21 @@ impl Transport for SocketTransport {
         self.op_tick();
         self.ensure_resident(src)?;
         // One group per worker pair, whose tiles the oracle metered alike.
-        let mut pairs: BTreeMap<(usize, usize), (bool, Group)> = BTreeMap::new();
+        // Only a group that leaves its source's host names where to.
+        let mut pairs: BTreeMap<(usize, usize), (bool, Route)> = BTreeMap::new();
         for mv in moves {
             let (wi, wo) = (mv.src_w, mv.dest_w);
             let (metered, group) = pairs.entry((wi, wo)).or_insert_with(|| {
-                let (dh, keys) = (self.assignment[wo], Vec::new());
-                (mv.metered, Group { wi, wo, dh, keys })
+                let dh = self.assignment[wo];
+                let dh = (dh != self.assignment[wi]).then_some(dh);
+                let keys = Vec::new();
+                (mv.metered, Route { wi, wo, dh, keys })
             });
             debug_assert_eq!(*metered, mv.metered, "metering is a function of the pair");
             group.keys.push((mv.bi, mv.bj));
         }
-        let (metered, groups): (Vec<bool>, Vec<Group>) = pairs.into_values().unzip();
-        let receipts = self.route((src.rid(), dest.rid()), transform, &groups)?;
+        let (metered, groups): (Vec<bool>, Vec<Route>) = pairs.into_values().unzip();
+        let receipts = self.route((src.rid(), dest.rid()), transform, groups)?;
         // The *logical* metering is the oracle's, wherever a tile went.
         let (mut payload, mut free) = (0u64, 0u64);
         for (metered, b) in metered.into_iter().zip(receipts) {
@@ -1191,50 +1043,37 @@ impl Transport for SocketTransport {
             keys,
         } = *stage;
         // A worker's tasks are one group: its output keys, named once.
-        let tasks_of = |w: usize| worker_group(w, &keys[w]);
+        let tasks_of = |w: usize| {
+            let group = Group {
+                w,
+                keys: keys[w].clone(),
+            };
+            (!keys[w].is_empty()).then_some(group).into_iter().collect()
+        };
         let cmds = match kernel {
             StageKernel::Mm(a, b) => {
                 self.ensure_resident(a)?;
                 self.ensure_resident(b)?;
-                let kb = a.meta().col_blocks;
-                self.stage_cmds(rid, None, tasks_of, |tasks| {
-                    Outgoing::Json(
-                        JsonObj::new()
-                            .str("t", "mm")
-                            .u64("rid_a", a.rid())
-                            .u64("rid_b", b.rid())
-                            .u64("rid_out", rid)
-                            .u64("kb", kb as u64)
-                            .u64("rows", meta.rows as u64)
-                            .u64("cols", meta.cols as u64)
-                            .u64("block", meta.block as u64)
-                            .raw("tasks", tasks),
-                    )
+                let (rid_a, rid_b, kb) = (a.rid(), b.rid(), a.meta().col_blocks);
+                self.stage_cmds(rid, None, tasks_of, |tasks| Cmd::Mm {
+                    rid_a,
+                    rid_b,
+                    rid_out: rid,
+                    kb,
+                    grid: meta,
+                    tasks,
                 })
             }
             StageKernel::Fused(prog, leaves) => {
-                let mut rids = JsonArr::new();
                 for leaf in leaves {
                     self.ensure_resident(leaf)?;
-                    rids = rids.u64(leaf.rid());
                 }
-                let rids = rids.build();
-                // Scalar constants ride as a raw f64 body section the
-                // program references by slot index; a program without any
-                // is plain JSON.
-                let (prog_json, consts) = wire::encode_prog_indexed(prog);
-                self.stage_cmds(rid, None, tasks_of, |tasks| {
-                    let head = JsonObj::new()
-                        .str("t", "fused")
-                        .raw("rids", &rids)
-                        .raw("prog", &prog_json)
-                        .u64("rid_out", rid)
-                        .raw("tasks", tasks);
-                    if consts.is_empty() {
-                        Outgoing::Json(head)
-                    } else {
-                        Outgoing::Bin(head, binfmt::encode_f64s(&consts))
-                    }
+                let rids: Vec<u64> = leaves.iter().map(|leaf| leaf.rid()).collect();
+                self.stage_cmds(rid, None, tasks_of, |tasks| Cmd::Fused {
+                    rids: rids.clone(),
+                    prog: prog.to_vec(),
+                    rid_out: rid,
+                    tasks,
                 })
             }
         };
@@ -1270,44 +1109,32 @@ impl Transport for SocketTransport {
         self.ensure_resident(a)?;
         self.ensure_resident(b)?;
         let stage = fresh_rid();
-        let n = out.workers();
-        let kb = a.meta().col_blocks;
+        let (n, kb, grid) = (out.workers(), a.meta().col_blocks, *out.meta());
 
         // Phase 1 (one round): partial products where the k-slices live.
-        let mut cmds = Vec::new();
-        for (host, ws) in self.hosts_with_ws() {
-            let mut ws_arr = JsonArr::new();
-            for &w in &ws {
-                ws_arr = ws_arr.u64(w as u64);
-            }
-            cmds.push((
-                host,
-                Outgoing::Json(
-                    JsonObj::new()
-                        .str("t", "cpmm1")
-                        .u64("rid_a", a.rid())
-                        .u64("rid_b", b.rid())
-                        .u64("stage", stage)
-                        .u64("n", n as u64)
-                        .u64("kb", kb as u64)
-                        .u64("rows", out.rows() as u64)
-                        .u64("cols", out.cols() as u64)
-                        .u64("block", out.block_size() as u64)
-                        .raw("ws", &ws_arr.build()),
-                ),
-                Check::Read,
-            ));
-        }
+        let (rid_a, rid_b) = (a.rid(), b.rid());
+        let cmds = self.hosts_with_ws().into_iter().map(|(host, ws)| {
+            let cmd = Cmd::Cpmm1 {
+                rid_a,
+                rid_b,
+                stage,
+                n,
+                kb,
+                grid,
+                ws,
+            };
+            (host, cmd, Check::Read)
+        });
         let mut worker_descs: Vec<PartialDesc> = Vec::new();
-        for (_, reply) in self.exchange("cpmm1", cmds)? {
-            for d in wire::field_arr(&reply.head, "descs").map_err(ClusterError::Protocol)? {
-                let src_w = wire::field_usize(d, "w").map_err(ClusterError::Protocol)?;
-                let bi = wire::field_usize(d, "bi").map_err(ClusterError::Protocol)?;
-                let bj = wire::field_usize(d, "bj").map_err(ClusterError::Protocol)?;
-                let bytes = wire::field_u64(d, "b").map_err(ClusterError::Protocol)?;
-                let dest_w = out
-                    .owner_of(bi, bj)
-                    .ok_or_else(|| ClusterError::Protocol("cpmm partial outside grid".into()))?;
+        for (host, reply) in self.exchange("cpmm1", cmds.collect())? {
+            let descs = match reply {
+                Reply::Partials { descs } => descs,
+                other => return Err(unexpected(host, "partials", &other)),
+            };
+            for Desc { w, bi, bj, b } in descs {
+                let outside = || ClusterError::Protocol("cpmm partial outside grid".into());
+                let dest_w = out.owner_of(bi, bj).ok_or_else(outside)?;
+                let (src_w, bytes) = (w, b);
                 worker_descs.push(PartialDesc {
                     bi,
                     bj,
@@ -1334,58 +1161,46 @@ impl Transport for SocketTransport {
         // Shuffle (one `xfer` round): cross-host partials go peer-to-peer
         // to the output owners, preserving their source identity (the
         // phase-2 combine is keyed by ascending source worker).
-        let mut shipped: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
+        let mut shipped: BTreeMap<(usize, usize), Route> = BTreeMap::new();
         for p in partials {
-            let dh = self.assignment[p.dest_w];
-            if self.assignment[p.src_w] != dh {
-                shipped.entry((p.src_w, dh)).or_default().push((p.bi, p.bj));
+            let (w, dh) = (p.src_w, self.assignment[p.dest_w]);
+            if self.assignment[w] != dh {
+                let keys = Vec::new();
+                let group = shipped.entry((w, dh)).or_insert(Route {
+                    wi: w,
+                    wo: w,
+                    dh: Some(dh),
+                    keys,
+                });
+                group.keys.push((p.bi, p.bj));
             }
         }
-        let groups: Vec<Group> = shipped
-            .into_iter()
-            .map(|((w, dh), keys)| Group {
-                wi: w,
-                wo: w,
-                dh,
-                keys,
-            })
-            .collect();
-        self.route((stage, stage), TileTransform::None, &groups)?;
+        let groups = shipped.into_values().collect();
+        self.route((stage, stage), TileTransform::None, groups)?;
 
         // Phase 2 (one round): combine at the owners in ascending source
         // order, retire the staging shards, seal — chained per host.
-        let mut srcs_of: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
+        let mut srcs_of: HashMap<Key, Vec<usize>> = HashMap::new();
         for p in partials {
             srcs_of.entry((p.bi, p.bj)).or_default().push(p.src_w);
         }
         for v in srcs_of.values_mut() {
             v.sort_unstable();
         }
-        let tasks_of = |w: usize| -> Vec<String> {
+        let tasks_of = |w: usize| {
             let keys = out.worker_blocks(w).keys();
             keys.map(|&(bi, bj)| {
-                let srcs = srcs_of.get(&(bi, bj)).into_iter().flatten();
-                let srcs = srcs.fold(JsonArr::new(), |a, &s| a.u64(s as u64));
-                JsonObj::new()
-                    .u64("w", w as u64)
-                    .u64("bi", bi as u64)
-                    .u64("bj", bj as u64)
-                    .raw("srcs", &srcs.build())
-                    .build()
+                let srcs = srcs_of.get(&(bi, bj)).cloned().unwrap_or_default();
+                Combine { w, bi, bj, srcs }
             })
             .collect()
         };
-        let cmds = self.stage_cmds(out.rid(), Some(stage), tasks_of, |tasks| {
-            Outgoing::Json(
-                JsonObj::new()
-                    .str("t", "cpmm2")
-                    .u64("stage", stage)
-                    .u64("rid_out", out.rid())
-                    .u64("rows", out.rows() as u64)
-                    .u64("cols", out.cols() as u64)
-                    .u64("block", out.block_size() as u64)
-                    .raw("tasks", tasks),
-            )
+        let rid_out = out.rid();
+        let cmds = self.stage_cmds(rid_out, Some(stage), tasks_of, |tasks| Cmd::Cpmm2 {
+            stage,
+            rid_out,
+            grid,
+            tasks,
         });
         let posted = self.post("cpmm", cmds)?;
         let oracle = oracle_shards(out);
@@ -1403,42 +1218,29 @@ impl Transport for SocketTransport {
     fn run_reduce(&mut self, kind: ReduceKind, m: &DistMatrix, partials: &[f64]) -> Result<u64> {
         self.op_tick();
         self.ensure_resident(m)?;
-        let kind_name = match kind {
-            ReduceKind::Sum => "sum",
-            ReduceKind::Norm2 => "norm2",
-        };
         // Broadcast values are fully replicated: only worker 0's fold
         // enters the total, so only it is conformance-checked.
         let broadcast = m.scheme() == PartitionScheme::Broadcast;
         let (mut cmds, mut asked) = (Vec::new(), Vec::new());
         for (host, ws) in self.hosts_with_ws() {
-            let check: Vec<usize> = if broadcast {
-                ws.iter().copied().filter(|&w| w == 0).collect()
+            let ws: Vec<usize> = if broadcast {
+                ws.into_iter().filter(|&w| w == 0).collect()
             } else {
                 ws
             };
-            if check.is_empty() {
+            if ws.is_empty() {
                 continue;
             }
-            let mut ws_arr = JsonArr::new();
-            for &w in &check {
-                ws_arr = ws_arr.u64(w as u64);
-            }
-            cmds.push((
-                host,
-                Outgoing::Json(
-                    JsonObj::new()
-                        .str("t", "reduce")
-                        .str("kind", kind_name)
-                        .u64("rid", m.rid())
-                        .raw("ws", &ws_arr.build()),
-                ),
-                Check::Read,
-            ));
-            asked.push(check);
+            let cmd = Cmd::Reduce {
+                kind,
+                rid: m.rid(),
+                ws: ws.clone(),
+            };
+            cmds.push((host, cmd, Check::Read));
+            asked.push(ws);
         }
         for ((host, reply), ws) in self.exchange("reduce", cmds)?.into_iter().zip(asked) {
-            check_reduce(host, &reply.head, &ws, partials)?;
+            check_reduce(host, reply, &ws, partials)?;
         }
         Ok(8 * m.workers() as u64)
     }
@@ -1472,41 +1274,32 @@ impl Transport for SocketTransport {
         let broadcast = m.scheme() == PartitionScheme::Broadcast;
         let mut cmds = Vec::new();
         for (host, ws) in self.hosts_with_ws() {
-            let mut items = JsonArr::new();
-            let mut count = 0usize;
+            let mut items = Vec::new();
             for &w in &ws {
                 if broadcast && w != 0 {
                     continue;
                 }
-                for &(bi, bj) in m.worker_blocks(w).keys() {
-                    count += 1;
-                    items = items.raw(
-                        &JsonObj::new()
-                            .u64("w", w as u64)
-                            .u64("bi", bi as u64)
-                            .u64("bj", bj as u64)
-                            .build(),
-                    );
-                }
+                items.extend(
+                    m.worker_blocks(w)
+                        .keys()
+                        .map(|&(bi, bj)| Place { w, bi, bj }),
+                );
             }
-            if count == 0 {
-                continue;
+            if !items.is_empty() {
+                let cmd = Cmd::Collect {
+                    rid: m.rid(),
+                    items,
+                };
+                cmds.push((host, cmd, Check::Read));
             }
-            cmds.push((
-                host,
-                Outgoing::Json(
-                    JsonObj::new()
-                        .str("t", "collect")
-                        .u64("rid", m.rid())
-                        .raw("items", &items.build()),
-                ),
-                Check::Read,
-            ));
         }
-        let mut placed: Vec<(Option<usize>, usize, usize, Arc<Block>)> = Vec::new();
-        for (_, reply) in self.exchange("gather", cmds)? {
-            for (w, bi, bj, block) in reply_tiles(&reply).map_err(ClusterError::Protocol)? {
-                placed.push((Some(w), bi, bj, Arc::new(block)));
+        let mut placed = Vec::new();
+        for (host, reply) in self.exchange("gather", cmds)? {
+            match reply {
+                Reply::Tiles { tiles } => {
+                    placed.extend(tiles.into_iter().map(|(w, bi, bj, t)| (Some(w), bi, bj, t)));
+                }
+                other => return Err(unexpected(host, "tiles", &other)),
             }
         }
         // Hash placement validates "every tile exactly once, anywhere",
@@ -1537,32 +1330,21 @@ impl Transport for SocketTransport {
                     // Drain buffered heartbeats without blocking.
                     conn.stream.set_nonblocking(true).ok();
                     loop {
-                        match conn.reader.next(&mut conn.stream) {
-                            Ok(Some(raw)) => {
-                                self.stats.frames += 1;
-                                self.stats.frame_bytes += framed_len(raw.len());
-                                match Reply::decode(&raw) {
-                                    Some(r) if r.kind() == Some("hb") => {
-                                        conn.last_hb = Instant::now();
-                                        self.stats.heartbeats += 1;
-                                    }
-                                    // A sequence-tagged reply nobody is
-                                    // awaiting: leftover from an exchange
-                                    // aborted by another host's death.
-                                    // Discard; the stream stays coherent.
-                                    Some(r) if r.head.get("q").and_then(Json::as_u64).is_some() => {
-                                    }
-                                    // An unsolicited frame that is
-                                    // neither means the stream is not in
-                                    // a state we can reason about.
-                                    _ => {
-                                        Self::mark_dead(conn);
-                                        break;
-                                    }
-                                }
-                            }
+                        match Self::read_reply(conn, &mut self.stats) {
+                            Ok(Some(Framed {
+                                msg: Ok(Reply::Hb { .. }),
+                                ..
+                            })) => {}
+                            // A sequence-tagged reply nobody is awaiting:
+                            // leftover from an exchange aborted by another
+                            // host's death. Discard; the stream stays
+                            // coherent.
+                            Ok(Some(Framed { q: Some(_), .. })) => {}
                             Ok(None) => break,
-                            Err(_) => {
+                            // An unsolicited frame that is neither means
+                            // the stream is not in a state we can reason
+                            // about.
+                            Ok(Some(_)) | Err(_) => {
                                 Self::mark_dead(conn);
                                 break;
                             }
@@ -1615,10 +1397,7 @@ impl Transport for SocketTransport {
         for host in 0..self.conns.len() {
             if self.conns[host].alive {
                 // Best-effort goodbye; a host dying here is not a leak.
-                match self.request(host, Outgoing::Json(JsonObj::new().str("t", "shutdown"))) {
-                    Ok(reply) if reply.kind() == Some("bye") => {}
-                    _ => {}
-                }
+                let _ = self.request(host, &Cmd::Shutdown);
                 let conn = &mut self.conns[host];
                 conn.alive = false;
                 let deadline = Instant::now() + Duration::from_secs(5);
@@ -1663,6 +1442,7 @@ impl Drop for SocketTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::proto::Part;
 
     /// A Row value over 3 logical workers, one block row each.
     fn value() -> DistMatrix {
@@ -1670,15 +1450,9 @@ mod tests {
         DistMatrix::from_blocked(&m, PartitionScheme::Row, 3)
     }
 
-    /// A reply of kind `t` whose array `key` holds these objects.
-    fn reply(t: &str, key: &str, items: impl IntoIterator<Item = JsonObj>) -> Json {
-        let arr = arr_of(items.into_iter().map(JsonObj::build));
-        Json::parse(&JsonObj::new().str("t", t).raw(key, &arr).build()).unwrap()
-    }
-
     /// Each way a reply can fail to answer for workers 0 and 2: `answer`
-    /// renders one worker's entry.
-    fn short_answers(answer: impl Fn(usize) -> JsonObj) -> [(&'static str, Vec<JsonObj>); 4] {
+    /// gives one worker's entry.
+    fn short_answers<T>(answer: impl Fn(usize) -> T) -> [(&'static str, Vec<T>); 4] {
         [
             ("an empty array", vec![]),
             ("a missing worker", vec![answer(0)]),
@@ -1696,17 +1470,17 @@ mod tests {
     #[test]
     fn a_seal_answers_for_every_worker_it_was_asked_about() {
         let oracle = oracle_shards(&value());
-        let shard = |w: usize, x: u64| {
-            let (n, _) = oracle[w];
-            let obj = JsonObj::new().u64("w", w as u64).u64("n", n as u64);
-            obj.str("x", &wire::hex_u64(x))
+        let shard = |w: usize, x: u64| Shard {
+            w,
+            n: oracle[w].0,
+            x,
         };
         let honest = |w: usize| shard(w, oracle[w].1);
         let ws = [0, 2];
-        let seal = |items| check_seal("rmm1", 1, &reply("sealed", "shards", items), &ws, &oracle);
+        let seal = |shards| check_seal("rmm1", 1, Reply::Sealed { shards }, &ws, &oracle);
         assert!(seal(vec![honest(2), honest(0)]).is_ok());
-        for (what, items) in short_answers(honest) {
-            let err = seal(items).expect_err(what);
+        for (what, shards) in short_answers(honest) {
+            let err = seal(shards).expect_err(what);
             assert!(matches!(err, ClusterError::Protocol(_)), "{what}: {err}");
         }
         let err = seal(vec![honest(0), shard(2, oracle[2].1 ^ 1)]).unwrap_err();
@@ -1719,17 +1493,13 @@ mod tests {
     #[test]
     fn a_reduction_answers_for_every_worker_it_was_asked_about() {
         let partials = [1.5, -0.0, 2.25];
-        let part = |w: usize, x: f64| {
-            JsonObj::new()
-                .u64("w", w as u64)
-                .str("x", &wire::hex_f64(x))
-        };
+        let part = |w: usize, x: f64| Part { w, x };
         let honest = |w: usize| part(w, partials[w]);
         let ws = [0, 2];
-        let reduce = |items| check_reduce(1, &reply("reduced", "parts", items), &ws, &partials);
+        let reduce = |parts| check_reduce(1, Reply::Reduced { parts }, &ws, &partials);
         assert!(reduce(vec![honest(0), honest(2)]).is_ok());
-        for (what, items) in short_answers(honest) {
-            let err = reduce(items).expect_err(what);
+        for (what, parts) in short_answers(honest) {
+            let err = reduce(parts).expect_err(what);
             assert!(matches!(err, ClusterError::Protocol(_)), "{what}: {err}");
         }
         let err = reduce(vec![
@@ -1739,5 +1509,102 @@ mod tests {
         .unwrap_err();
         let conformance = matches!(err, ClusterError::TransportConformance { op: "reduce", .. });
         assert!(conformance, "{err}");
+    }
+
+    /// A reply is held to its kind: each check refuses a well-formed reply
+    /// of another kind — one that even carries the entries the check
+    /// reads — as a protocol error naming both kinds.
+    #[test]
+    fn a_reply_of_another_kind_is_a_protocol_error() {
+        let oracle = oracle_shards(&value());
+        let partials = [1.5, -0.0, 2.25];
+        let ws = [0, 2];
+        let sealed = Reply::Sealed {
+            shards: ws
+                .iter()
+                .map(|&w| Shard {
+                    w,
+                    n: oracle[w].0,
+                    x: oracle[w].1,
+                })
+                .collect(),
+        };
+        let reduced = Reply::Reduced {
+            parts: ws.iter().map(|&w| Part { w, x: partials[w] }).collect(),
+        };
+        let says = |got: Result<()>, want: &str| match got {
+            Err(ClusterError::Protocol(msg)) => assert_eq!(msg, want),
+            other => panic!("{want}: got {other:?}"),
+        };
+        says(check_ok(1, &sealed), "host 1: expected ok, got sealed");
+        let seal = check_seal("rmm1", 1, reduced.clone(), &ws, &oracle);
+        says(seal, "host 1: expected sealed, got reduced");
+        let reduce = check_reduce(1, sealed.clone(), &ws, &partials);
+        says(reduce, "host 1: expected reduced, got sealed");
+        let reduce = check_reduce(1, Reply::Ok, &ws, &partials);
+        says(reduce, "host 1: expected reduced, got ok");
+        // Each answers its own kind.
+        assert!(check_ok(1, &Reply::Ok).is_ok());
+        assert!(check_seal("rmm1", 1, sealed, &ws, &oracle).is_ok());
+        assert!(check_reduce(1, reduced, &ws, &partials).is_ok());
+    }
+
+    /// A `peerfail` is the loss of a host of the cluster: one naming a
+    /// host that does not exist is a protocol error, not a worker to
+    /// decommission. A worker's `err` is a protocol error naming the host.
+    #[test]
+    fn a_peerfail_names_a_host_of_the_cluster() {
+        let lost = failure(1, 4, &Reply::PeerFail { host: 3 });
+        assert!(
+            matches!(lost, Some(ClusterError::WorkerLost(3))),
+            "{lost:?}"
+        );
+        for dead in [4, 5, 1 << 40] {
+            let err = failure(1, 4, &Reply::PeerFail { host: dead });
+            assert!(
+                matches!(err, Some(ClusterError::Protocol(_))),
+                "{dead}: {err:?}"
+            );
+        }
+        let err = failure(1, 4, &Reply::Err { msg: "boom".into() });
+        assert!(matches!(err, Some(ClusterError::Protocol(m)) if m == "host 1: boom"));
+        assert!(failure(1, 4, &Reply::Ok).is_none());
+    }
+
+    /// A hello names a host of the cluster and a peer address, and
+    /// promises `DMB1`: one without a peer address, with one that is not
+    /// a string, from a host past the cluster, or that is not a hello is
+    /// a typed launch error, and so is a stale daemon's.
+    #[test]
+    fn a_hello_names_its_host_and_its_peer() {
+        let bin = Path::new("dmac-workerd");
+        let hello = |host: usize, bin: Option<u64>| {
+            let peer = "127.0.0.1:9".to_string();
+            let hello = Reply::Hello {
+                host,
+                pid: 7,
+                peer,
+                bin,
+            };
+            String::from_utf8(hello.encode(None)).unwrap()
+        };
+        let good = hello(1, Some(1));
+        let admitted = hello_of(good.as_bytes(), 2, bin).unwrap();
+        assert_eq!(admitted, (1, "127.0.0.1:9".to_string()));
+        for bad in [
+            good.replace(r#","peer":"127.0.0.1:9""#, ""),
+            good.replace(r#""127.0.0.1:9""#, "9"),
+            hello(2, Some(1)),
+            String::from_utf8(Reply::Ok.encode(Some(0))).unwrap(),
+        ] {
+            match hello_of(bad.as_bytes(), 2, bin) {
+                Err(ClusterError::Protocol(m)) => assert!(m.contains("bad hello frame"), "{m}"),
+                other => panic!("{bad}: {other:?}"),
+            }
+        }
+        match hello_of(hello(1, None).as_bytes(), 2, bin) {
+            Err(ClusterError::Protocol(m)) => assert!(m.contains("does not speak"), "{m}"),
+            other => panic!("a stale hello: {other:?}"),
+        }
     }
 }

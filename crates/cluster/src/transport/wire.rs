@@ -1,14 +1,7 @@
-//! JSON control-message helpers, plus the canonical checksum both ends
-//! use to prove shard equality.
-//!
-//! Commands and replies travel as JSON objects inside the
-//! length-prefixed frames of [`crate::transport::frame`]; tile payload
-//! never does — it rides in binary `DMB1` bodies
-//! ([`crate::transport::binfmt`]), like a cell-wise program's constants.
-//! The few `f64`/`u64` scalars a control message carries (reduce partials,
-//! seal checksums) are shipped as fixed-width hex renderings of their bit
-//! patterns, not as decimal numbers: the conformance contract is *bit*
-//! equality, and JSON numbers only carry 53 bits exactly.
+//! The canonical checksum both ends of the real transport use to prove
+//! shard equality, and the FNV-1a hasher under it (which the `DMB1`
+//! trailer and the disk tier's payload names use too). What travels, and
+//! how it is spelled, is [`crate::transport::proto`]'s.
 //!
 //! The shard checksum is FNV-1a-64 over a canonical binary encoding:
 //! tiles sorted by `(bi, bj)`, each contributing its coordinates and a
@@ -19,9 +12,6 @@
 //! sum.
 
 use dmac_matrix::Block;
-
-use crate::json::{JsonArr, JsonObj};
-use crate::jsonin::Json;
 
 /// FNV-1a 64-bit streaming hasher (dependency-free, stable across
 /// platforms and runs — unlike `DefaultHasher`).
@@ -57,137 +47,6 @@ impl Default for Fnv64 {
     fn default() -> Self {
         Fnv64::new()
     }
-}
-
-/// Render one `f64` as its 16-hex-char bit pattern.
-pub fn hex_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Parse a single 16-hex-char f64 bit pattern.
-pub fn parse_hex_f64(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-/// Render a `u64` as 16 hex chars (checksums travel this way — JSON
-/// numbers only carry 53 bits exactly).
-pub fn hex_u64(v: u64) -> String {
-    format!("{v:016x}")
-}
-
-/// Parse a 16-hex-char `u64`.
-pub fn parse_hex_u64(s: &str) -> Option<u64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
-}
-
-/// Required `u64` member of a protocol object.
-pub fn field_u64(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("frame missing integer '{key}'"))
-}
-
-/// Required string member of a protocol object.
-pub fn field_str<'j>(j: &'j Json, key: &str) -> Result<&'j str, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("frame missing string '{key}'"))
-}
-
-/// Required array member of a protocol object.
-pub fn field_arr<'j>(j: &'j Json, key: &str) -> Result<&'j [Json], String> {
-    j.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("frame missing array '{key}'"))
-}
-
-/// Required `usize` list member (logical worker ids, k indices …).
-pub fn field_usize_arr(j: &Json, key: &str) -> Result<Vec<usize>, String> {
-    let arr = field_arr(j, key)?;
-    let mut out = Vec::with_capacity(arr.len());
-    for v in arr {
-        out.push(
-            v.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("frame array '{key}' holds a non-integer"))?,
-        );
-    }
-    Ok(out)
-}
-
-/// Required `usize` member of a protocol object.
-pub fn field_usize(j: &Json, key: &str) -> Result<usize, String> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .map(|v| v as usize)
-        .ok_or_else(|| format!("frame missing integer '{key}'"))
-}
-
-/// Encode the cell-wise program of a `fused` command (every aligned
-/// stage's): scalar constants go to a slot vector (a raw little-endian f64
-/// body section) and ops reference them by index (`{"o":"scale","ci":0}`).
-pub fn encode_prog_indexed(prog: &[dmac_matrix::FusedOp]) -> (String, Vec<f64>) {
-    use dmac_matrix::FusedOp;
-    let mut consts = Vec::new();
-    let slot = |c: f64, consts: &mut Vec<f64>| -> u64 {
-        consts.push(c);
-        (consts.len() - 1) as u64
-    };
-    let mut arr = JsonArr::new();
-    for op in prog {
-        let obj = match op {
-            FusedOp::Leaf(i) => JsonObj::new().str("o", "leaf").u64("i", *i as u64),
-            FusedOp::Add => JsonObj::new().str("o", "add"),
-            FusedOp::Sub => JsonObj::new().str("o", "sub"),
-            FusedOp::CellMul => JsonObj::new().str("o", "cmul"),
-            FusedOp::CellDiv => JsonObj::new().str("o", "cdiv"),
-            FusedOp::Scale(c) => JsonObj::new()
-                .str("o", "scale")
-                .u64("ci", slot(*c, &mut consts)),
-            FusedOp::AddScalar(c) => JsonObj::new()
-                .str("o", "adds")
-                .u64("ci", slot(*c, &mut consts)),
-        };
-        arr = arr.raw(&obj.build());
-    }
-    (arr.build(), consts)
-}
-
-/// Decode a program encoded by [`encode_prog_indexed`], resolving
-/// constant slots against the message body's f64 section.
-pub fn decode_prog_indexed(
-    arr: &[Json],
-    consts: &[f64],
-) -> Result<Vec<dmac_matrix::FusedOp>, String> {
-    use dmac_matrix::FusedOp;
-    let mut out = Vec::with_capacity(arr.len());
-    for j in arr {
-        let name = field_str(j, "o")?;
-        let constant = || -> Result<f64, String> {
-            let ci = field_usize(j, "ci")?;
-            consts
-                .get(ci)
-                .copied()
-                .ok_or_else(|| format!("constant slot {ci} out of range"))
-        };
-        out.push(match name {
-            "leaf" => FusedOp::Leaf(field_usize(j, "i")?),
-            "add" => FusedOp::Add,
-            "sub" => FusedOp::Sub,
-            "cmul" => FusedOp::CellMul,
-            "cdiv" => FusedOp::CellDiv,
-            "scale" => FusedOp::Scale(constant()?),
-            "adds" => FusedOp::AddScalar(constant()?),
-            other => return Err(format!("unknown fused op '{other}'")),
-        });
-    }
-    Ok(out)
 }
 
 /// Absorb one tile's canonical binary encoding into a hasher: tag byte,
@@ -258,40 +117,5 @@ mod tests {
             shard_checksum([((0, 0), &sp)])
         );
         assert_eq!(shard_checksum(std::iter::empty()), Fnv64::new().finish());
-    }
-
-    #[test]
-    fn hex_helpers_round_trip() {
-        let v = -0.1f64;
-        assert_eq!(parse_hex_f64(&hex_f64(v)).unwrap().to_bits(), v.to_bits());
-        assert_eq!(parse_hex_u64(&hex_u64(u64::MAX)).unwrap(), u64::MAX);
-        assert!(parse_hex_u64("xyz").is_none());
-    }
-
-    #[test]
-    fn indexed_prog_round_trips_constants_bit_exactly() {
-        use dmac_matrix::FusedOp;
-        let prog = vec![
-            FusedOp::Leaf(0),
-            FusedOp::Scale(-0.0),
-            FusedOp::Leaf(1),
-            FusedOp::AddScalar(f64::from_bits(0x7ff8_0000_0000_0001)),
-            FusedOp::Add,
-        ];
-        let (arr_json, consts) = encode_prog_indexed(&prog);
-        assert_eq!(consts.len(), 2);
-        let parsed = Json::parse(&arr_json).unwrap();
-        let back = decode_prog_indexed(parsed.as_arr().unwrap(), &consts).unwrap();
-        for (a, b) in prog.iter().zip(&back) {
-            match (a, b) {
-                (FusedOp::Scale(x), FusedOp::Scale(y))
-                | (FusedOp::AddScalar(x), FusedOp::AddScalar(y)) => {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-                _ => assert_eq!(a, b),
-            }
-        }
-        // A slot index past the constants section is a typed error.
-        assert!(decode_prog_indexed(parsed.as_arr().unwrap(), &consts[..1]).is_err());
     }
 }

@@ -13,55 +13,30 @@
 //!
 //! ## Protocol
 //!
-//! Length-prefixed frames ([`crate::transport::frame`]). On connect the
-//! worker binds a peer listen socket and sends
-//! `{"t":"hello","host":H,"pid":P,"peer":"127.0.0.1:N","bin":1}`, then
-//! answers each command frame with exactly one reply frame, in order.
-//! Commands carry a per-connection sequence number `"q"` which every
-//! reply echoes, so the coordinator's pipelined dispatch can discard
-//! stale replies after an aborted stage. A stage's tiles are named once
-//! per group: `mm` and `fused` tasks are `[{"w":w,"k":[bi,bj,…]}]`, one
-//! group per logical worker (`cpmm2` keeps one `{"w","bi","bj","srcs"}`
-//! task per tile, for its per-tile partial sources). A detached thread
-//! writes `{"t":"hb","host":H}` every `heartbeat_ms` through the same
-//! (mutex-shared) stream; the coordinator tolerates heartbeats
-//! interleaved ahead of a reply. Errors are reported as
-//! `{"t":"err","msg":…}` replies — the worker survives bad commands; it
-//! exits when the coordinator closes the connection, sends `shutdown`,
-//! or the stream desyncs.
-//!
-//! After membership the coordinator sends a `peers` command
-//! distributing the peer address table. Control messages are JSON; bulk
-//! payload (`install` bodies, `collect` replies, peer pushes, fused
-//! scalar constants) travels as binary `DMB1` messages
-//! ([`crate::transport::binfmt`]) on the same envelope, and nothing
-//! else is accepted: a `push` without a `DMB1` tile section is an `err`
-//! reply. So is an `install` without one, unless it names a generator:
-//! `{"t":"install","rid","seed","m","rows","cols","block","tasks"}` makes
-//! the worker generate the tiles `tasks` names (`[{"w","k":[bi,bj,…]}]`)
-//! of `random` source `m` under `seed` itself, with
-//! [`dmac_matrix::random_cell`] — the function the oracle made them with.
+//! Every message is a [`proto`] value; [`proto`]'s module doc holds the
+//! protocol table. The worker says `hello` on connect, then answers each
+//! command with one reply, in order, echoing its sequence number, while a
+//! thread of its own sends heartbeats on the same stream. A frame that
+//! does not decode, or a command its state contradicts, is answered
+//! `err`: the worker survives bad commands, and exits when the coordinator
+//! closes the connection or sends `shutdown`. A generating `install`
+//! ([`Cmd::Generate`]) is held to the grid it names before a cell is made
+//! with [`dmac_matrix::random_cell`], the oracle's generator.
 //!
 //! ## Direct worker-to-worker exchange
 //!
-//! An `xfer` command is a routing plan, and the one way a tile moves:
-//! its `groups` are `[{"wi","wo","dh"?,"k":[bi,bj,…]}]`, each the tiles
-//! `k` of logical worker `wi`'s shard that become worker `wo`'s. For
-//! every tile the worker reads the source and applies the transform. A
-//! group that names no destination host (`dh`) stays and is installed
-//! directly; the rest are pushed over cached TCP connections straight to
-//! their hosts' peer listeners — one push per destination host, the
-//! coordinator never touches the bytes. A push is acknowledged
-//! (`{"t":"got"}`) only after the receiving side installed the tiles, and
-//! the worker replies `xferred` (one source-byte receipt per group, in
-//! group order, and per-edge frame stats for the pushes) only after every
-//! push is acknowledged — so by the time the coordinator seals the
-//! destination value, all installs have happened-before the seal. Local
-//! installs and the encoding of every push happen under one store lock,
-//! which is released while awaiting acks, so two workers pushing to each
-//! other cannot deadlock. A dead peer surfaces as a `peerfail` reply
-//! naming the host, which the coordinator folds into its normal
-//! worker-loss path.
+//! An `xfer` ([`Cmd::Xfer`]) is the one way a tile moves. The worker reads
+//! every source tile and installs the groups that stay under one store
+//! lock — a missing tile is an `err` before anything is installed — then,
+//! lock released, pushes the rest, one `push` per destination host,
+//! straight to the peer listeners; the coordinator never touches the
+//! bytes. A peer acks (`got`) only once it installed the tiles, and the
+//! worker replies `xferred` only once every push is acked, so every
+//! install happens-before the seal that follows. Pushing with the lock
+//! released keeps two workers pushing to each other from deadlocking; a
+//! peer that cannot be reached is a `peerfail` reply naming its host.
+//!
+//! [`proto`]: crate::transport::proto
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{TcpListener, TcpStream};
@@ -69,16 +44,14 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dmac_matrix::exec::{combine_partials, ResultBufferPool};
-use dmac_matrix::{random_cell, Block, BlockedMatrix, DenseBlock};
+use dmac_matrix::{random_cell, Block, BlockedMatrix, DenseBlock, FusedOp};
 
 use crate::cluster::ReduceKind;
 use crate::dist::GridMeta;
-use crate::json::{JsonArr, JsonObj};
-use crate::jsonin::Json;
 use crate::kernels::{self, MulStage};
-use crate::transport::binfmt;
-use crate::transport::frame::{
-    framed_len, read_frame_bytes, write_frame, write_frame_bytes, MAX_FRAME,
+use crate::transport::frame::{framed_len, read_frame_bytes, write_frame_bytes, MAX_FRAME};
+use crate::transport::proto::{
+    Cmd, Combine, Desc, Edge, Framed, Group, Key, Part, Peer, Place, Placed, Reply, Route, Shard,
 };
 use crate::transport::wire;
 use crate::transport::TileTransform;
@@ -98,24 +71,10 @@ pub struct WorkerOptions {
 /// gives the deterministic `(bi, bj)` iteration order the reduction and
 /// checksum contracts require. Shared with the peer listener threads,
 /// which install pushed tiles between commands.
-type Store = HashMap<(u64, usize), BTreeMap<(usize, usize), Block>>;
+type Store = HashMap<(u64, usize), BTreeMap<Key, Block>>;
 
-/// A tile with its place: logical worker, block row, block column.
-type Placed = (usize, usize, usize, Block);
-
-/// One reply, ready for the sequence number to be stamped in.
-enum Reply {
-    /// A JSON control reply.
-    Json(JsonObj),
-    /// A binary message: JSON header + bulk body.
-    Bin(JsonObj, Vec<u8>),
-}
-
-impl Reply {
-    fn ok() -> Reply {
-        Reply::Json(JsonObj::new().str("t", "ok"))
-    }
-}
+/// A tile with its place, owned: logical worker, block row, block column.
+type Tile = (usize, usize, usize, Block);
 
 struct Worker {
     store: Arc<Mutex<Store>>,
@@ -163,14 +122,13 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
         .map_err(|e| format!("clone stream: {e}"))?;
     let writer = Arc::new(Mutex::new(stream));
 
-    let hello = JsonObj::new()
-        .str("t", "hello")
-        .u64("host", opts.host_id as u64)
-        .u64("pid", u64::from(std::process::id()))
-        .str("peer", &peer_addr)
-        .u64("bin", 1)
-        .build();
-    send(&writer, &hello)?;
+    let hello = Reply::Hello {
+        host: opts.host_id,
+        pid: u64::from(std::process::id()),
+        peer: peer_addr,
+        bin: Some(1),
+    };
+    send(&writer, &hello.encode(None))?;
 
     // Heartbeat thread: beats until the socket dies, even while the main
     // thread is deep in a kernel — liveness is about the process, not
@@ -178,14 +136,10 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
     {
         let writer = Arc::clone(&writer);
         let period = Duration::from_millis(opts.heartbeat_ms.max(1));
-        let hb = JsonObj::new()
-            .str("t", "hb")
-            .u64("host", opts.host_id as u64)
-            .build();
+        let hb = Reply::Hb { host: opts.host_id }.encode(None);
         std::thread::spawn(move || loop {
             std::thread::sleep(period);
-            let Ok(mut w) = writer.lock() else { return };
-            if write_frame(&mut *w, &hb).is_err() {
+            if send(&writer, &hb).is_err() {
                 return;
             }
         });
@@ -206,68 +160,25 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
             Ok(None) => return Ok(()), // coordinator closed cleanly
             Err(e) => return Err(format!("read frame: {e}")),
         };
-        let (cmd, body) = match parse_cmd(&raw) {
-            Ok(parsed) => parsed,
-            Err(msg) => {
-                send_reply(&writer, None, Reply::Json(err_obj(&msg)))?;
-                continue;
-            }
-        };
-        let q = cmd.get("q").and_then(Json::as_u64);
-        if cmd.get("t").and_then(Json::as_str) == Some("shutdown") {
-            send_reply(&writer, q, Reply::Json(JsonObj::new().str("t", "bye")))?;
+        let Framed { q, msg } = Cmd::decode(&raw);
+        let bye = matches!(msg, Ok(Cmd::Shutdown));
+        let reply = msg.and_then(|cmd| worker.dispatch(cmd));
+        let reply = reply.unwrap_or_else(|msg| Reply::Err { msg });
+        send(&writer, &reply.encode(q))?;
+        if bye {
             return Ok(());
         }
-        let reply = match worker.dispatch(&cmd, body) {
-            Ok(r) => r,
-            Err(msg) => Reply::Json(err_obj(&msg)),
-        };
-        send_reply(&writer, q, reply)?;
     }
 }
 
-/// Split a command frame into its JSON header and — exactly when the
-/// frame is a `DMB1` message — its binary body.
-fn parse_cmd(raw: &[u8]) -> Result<(Json, Option<&[u8]>), String> {
-    if binfmt::is_binary(raw) {
-        let (head, body) = binfmt::decode(raw)?;
-        let cmd = Json::parse(head).map_err(|e| format!("unparseable binary header: {e}"))?;
-        Ok((cmd, Some(body)))
-    } else {
-        let text = std::str::from_utf8(raw).map_err(|_| "command frame is not UTF-8")?;
-        let cmd = Json::parse(text).map_err(|e| format!("unparseable command: {e}"))?;
-        Ok((cmd, None))
-    }
-}
-
-fn err_obj(msg: &str) -> JsonObj {
-    JsonObj::new().str("t", "err").str("msg", msg)
-}
-
-fn send(writer: &Arc<Mutex<TcpStream>>, frame: &str) -> Result<(), String> {
+fn send(writer: &Mutex<TcpStream>, payload: &[u8]) -> Result<(), String> {
     let mut w = writer.lock().map_err(|_| "writer poisoned".to_string())?;
-    write_frame(&mut *w, frame).map_err(|e| format!("write frame: {e}"))
-}
-
-/// Stamp the echoed sequence number into a reply and ship it.
-fn send_reply(writer: &Arc<Mutex<TcpStream>>, q: Option<u64>, reply: Reply) -> Result<(), String> {
-    let stamp = |obj: JsonObj| match q {
-        Some(q) => obj.u64("q", q),
-        None => obj,
-    };
-    match reply {
-        Reply::Json(obj) => send(writer, &stamp(obj).build()),
-        Reply::Bin(obj, body) => {
-            let msg = binfmt::encode(&stamp(obj).build(), &body);
-            let mut w = writer.lock().map_err(|_| "writer poisoned".to_string())?;
-            write_frame_bytes(&mut *w, &msg).map_err(|e| format!("write frame: {e}"))
-        }
-    }
+    write_frame_bytes(&mut *w, payload).map_err(|e| format!("write frame: {e}"))
 }
 
 /// Serve one inbound peer connection: each frame is a `push` carrying
 /// tiles already in destination coordinates; install them and ack with
-/// `{"t":"got"}` so the sender can prove completion to the coordinator.
+/// `got` so the sender can prove completion to the coordinator.
 fn peer_serve(mut stream: TcpStream, store: Arc<Mutex<Store>>) {
     stream.set_nodelay(true).ok();
     let Ok(mut reader) = stream.try_clone() else {
@@ -279,31 +190,35 @@ fn peer_serve(mut stream: TcpStream, store: Arc<Mutex<Store>>) {
             _ => return,
         };
         let reply = match install_push(&raw, &store) {
-            Ok(()) => r#"{"t":"got"}"#.to_string(),
-            Err(msg) => err_obj(&msg).build(),
+            Ok(()) => Peer::Got,
+            Err(msg) => Peer::Err { msg },
         };
-        if write_frame(&mut stream, &reply).is_err() {
+        if write_frame_bytes(&mut stream, &reply.encode(None)).is_err() {
             return;
         }
     }
 }
 
-/// Decode one pushed `DMB1` tile batch and install it.
+/// Decode one pushed tile batch and install it.
 fn install_push(raw: &[u8], store: &Mutex<Store>) -> Result<(), String> {
-    if !binfmt::is_binary(raw) {
-        return Err("peer frame is not a DMB1 message".into());
+    match Peer::decode(raw).msg? {
+        Peer::Push { rid, tiles } => install_tiles(store, rid, tiles.into_iter().map(owned)),
+        other => Err(format!("peer frame is {}, not a push", other.kind())),
     }
-    let (head, body) = binfmt::decode(raw)?;
-    let head = Json::parse(head).map_err(|e| format!("push header: {e}"))?;
-    if head.get("t").and_then(Json::as_str) != Some("push") {
-        return Err("peer frame is not a push".into());
-    }
-    let rid = wire::field_u64(&head, "rid")?;
-    install_tiles(store, rid, binfmt::decode_tiles(body)?)
+}
+
+/// A decoded tile's block out of its `Arc`, which the frame it came in
+/// was the only holder of.
+fn owned((w, bi, bj, tile): Placed) -> Tile {
+    (w, bi, bj, Arc::unwrap_or_clone(tile))
 }
 
 /// Install placed tiles under `rid`.
-fn install_tiles(store: &Mutex<Store>, rid: u64, tiles: Vec<Placed>) -> Result<(), String> {
+fn install_tiles(
+    store: &Mutex<Store>,
+    rid: u64,
+    tiles: impl IntoIterator<Item = Tile>,
+) -> Result<(), String> {
     let mut store = store.lock().map_err(|_| "store poisoned".to_string())?;
     for (w, bi, bj, block) in tiles {
         store.entry((rid, w)).or_default().insert((bi, bj), block);
@@ -311,72 +226,38 @@ fn install_tiles(store: &Mutex<Store>, rid: u64, tiles: Vec<Placed>) -> Result<(
     Ok(())
 }
 
-/// `(w, bi, bj)` task triple from a task object.
-fn task_triple(j: &Json) -> Result<(usize, usize, usize), String> {
-    Ok((
-        wire::field_usize(j, "w")?,
-        wire::field_usize(j, "bi")?,
-        wire::field_usize(j, "bj")?,
-    ))
-}
-
-/// A group's tile keys: its `k` array, read as `bi, bj` pairs.
-fn keys_of(group: &Json) -> Result<Vec<(usize, usize)>, String> {
-    let k = wire::field_usize_arr(group, "k")?;
-    if k.len() % 2 != 0 {
-        return Err(format!(
-            "a group's k holds {} numbers, not (bi, bj) pairs",
-            k.len()
-        ));
-    }
-    Ok(k.chunks_exact(2).map(|p| (p[0], p[1])).collect())
-}
-
-fn meta_of(cmd: &Json) -> Result<GridMeta, String> {
-    Ok(GridMeta::new(
-        wire::field_usize(cmd, "rows")?,
-        wire::field_usize(cmd, "cols")?,
-        wire::field_usize(cmd, "block")?,
-    ))
-}
-
-/// The tiles of a bodiless `install`: those `tasks` name of the `random`
-/// source `m` under `seed` (16 hex digits) on the `rows × cols` grid of
-/// `block`, made by the generator the oracle uses. Everything the command
+/// The tiles `tasks` name of the `random` source `matrix` under `seed` on
+/// `grid`, made by the generator the oracle uses. Everything the command
 /// says is checked — the grid, every key inside it, the bytes it asks for
 /// against the frame ceiling — before a cell is made.
-fn generated(cmd: &Json) -> Result<Vec<Placed>, String> {
-    let seed = cmd
-        .get("seed")
-        .and_then(Json::as_str)
-        .and_then(wire::parse_hex_u64);
-    let seed = seed.ok_or("install is neither a DMB1 message nor a generator (no 'seed')")?;
-    let matrix = u32::try_from(wire::field_u64(cmd, "m")?)
-        .map_err(|_| "generator's matrix id 'm' is not a u32".to_string())?;
-    let meta = meta_of(cmd)?;
-    if meta.block == 0 {
+fn generated(
+    seed: u64,
+    matrix: u32,
+    grid: &GridMeta,
+    tasks: &[Group],
+) -> Result<Vec<Tile>, String> {
+    if grid.block == 0 {
         return Err("generator grid has block size 0".into());
     }
     let (mut keys, mut bytes) = (Vec::new(), 0u64);
-    for group in wire::field_arr(cmd, "tasks")? {
-        let w = wire::field_usize(group, "w")?;
-        for (bi, bj) in keys_of(group)? {
-            if bi >= meta.row_blocks || bj >= meta.col_blocks {
+    for group in tasks {
+        for &(bi, bj) in &group.keys {
+            if bi >= grid.row_blocks || bj >= grid.col_blocks {
                 return Err(format!(
                     "generator key ({bi},{bj}) is outside the {}x{} grid",
-                    meta.row_blocks, meta.col_blocks
+                    grid.row_blocks, grid.col_blocks
                 ));
             }
-            let cells = (meta.block_rows_of(bi) as u64).checked_mul(meta.block_cols_of(bj) as u64);
+            let cells = (grid.block_rows_of(bi) as u64).checked_mul(grid.block_cols_of(bj) as u64);
             bytes = cells
                 .and_then(|c| c.checked_mul(8))
                 .and_then(|b| b.checked_add(bytes))
                 .filter(|&b| b <= u64::from(MAX_FRAME))
                 .ok_or_else(|| format!("generator asks for more than {MAX_FRAME} bytes"))?;
-            keys.push((w, bi, bj));
+            keys.push((group.w, bi, bj));
         }
     }
-    let (rows, cols, block) = (meta.rows, meta.cols, meta.block);
+    let (rows, cols, block) = (grid.rows, grid.cols, grid.block);
     let cell = |i, j| random_cell(seed, matrix, i, j);
     let tiles = keys.into_iter().map(|(w, bi, bj)| {
         let tile = BlockedMatrix::tile_from_fn(rows, cols, block, (bi, bj), cell);
@@ -420,128 +301,139 @@ impl Worker {
         self.store.lock().map_err(|_| "store poisoned".to_string())
     }
 
-    fn dispatch(&mut self, cmd: &Json, body: Option<&[u8]>) -> Result<Reply, String> {
-        match wire::field_str(cmd, "t")? {
-            "peers" => self.peers(cmd),
-            "install" => self.install(cmd, body),
-            "collect" => self.collect(cmd),
-            "seal" => self.seal(cmd),
-            "mm" => self.mm(cmd),
-            "fused" => self.fused(cmd, body),
-            "cpmm1" => self.cpmm1(cmd),
-            "cpmm2" => self.cpmm2(cmd),
-            "reduce" => self.reduce(cmd),
-            "free" => self.free(cmd),
-            "xfer" => self.xfer(cmd),
-            other => Err(format!("unknown command '{other}'")),
+    fn dispatch(&mut self, cmd: Cmd) -> Result<Reply, String> {
+        match cmd {
+            Cmd::Peers { peers, timeout_ms } => {
+                self.peers = peers;
+                self.peer_timeout = Duration::from_millis(timeout_ms.max(1));
+                self.peer_conns.clear();
+                Ok(Reply::Ok)
+            }
+            Cmd::Install { rid, tiles } => {
+                install_tiles(&self.store, rid, tiles.into_iter().map(owned))?;
+                Ok(Reply::Ok)
+            }
+            Cmd::Generate {
+                rid,
+                seed,
+                matrix,
+                grid,
+                tasks,
+            } => {
+                let tiles = generated(seed, matrix, &grid, &tasks)?;
+                install_tiles(&self.store, rid, tiles)?;
+                Ok(Reply::Ok)
+            }
+            Cmd::Collect { rid, items } => self.collect(rid, &items),
+            Cmd::Seal { rid, ws } => self.seal(rid, &ws),
+            Cmd::Mm {
+                rid_a,
+                rid_b,
+                rid_out,
+                kb,
+                grid,
+                tasks,
+            } => self.mm((rid_a, rid_b, rid_out), kb, &grid, &tasks),
+            Cmd::Fused {
+                rids,
+                prog,
+                rid_out,
+                tasks,
+            } => self.fused(&rids, &prog, rid_out, &tasks),
+            Cmd::Cpmm1 {
+                rid_a,
+                rid_b,
+                stage,
+                n,
+                kb,
+                grid,
+                ws,
+            } => self.cpmm1((rid_a, rid_b, stage), (n, kb), &grid, &ws),
+            Cmd::Cpmm2 {
+                stage,
+                rid_out,
+                grid,
+                tasks,
+            } => self.cpmm2((stage, rid_out), &grid, &tasks),
+            Cmd::Reduce { kind, rid, ws } => self.reduce(kind, rid, &ws),
+            Cmd::Free { rid } => {
+                self.lock()?.retain(|&(r, _), _| r != rid);
+                Ok(Reply::Ok)
+            }
+            Cmd::Xfer {
+                rid_in,
+                rid_out,
+                tr,
+                groups,
+            } => self.xfer((rid_in, rid_out), tr, &groups),
+            Cmd::Shutdown => Ok(Reply::Bye),
         }
-    }
-
-    /// Adopt the peer address table.
-    fn peers(&mut self, cmd: &Json) -> Result<Reply, String> {
-        self.peers = wire::field_arr(cmd, "peers")?
-            .iter()
-            .map(|p| p.as_str().unwrap_or("").to_string())
-            .collect();
-        self.peer_timeout = Duration::from_millis(wire::field_u64(cmd, "timeout_ms")?.max(1));
-        self.peer_conns.clear();
-        Ok(Reply::ok())
-    }
-
-    /// Install a bound input's tiles from a `DMB1` body, or — with no body
-    /// — generate a `random` source's ([`generated`]).
-    fn install(&mut self, cmd: &Json, body: Option<&[u8]>) -> Result<Reply, String> {
-        let rid = wire::field_u64(cmd, "rid")?;
-        let tiles = match body {
-            Some(body) => binfmt::decode_tiles(body)?,
-            None => generated(cmd)?,
-        };
-        install_tiles(&self.store, rid, tiles)?;
-        Ok(Reply::ok())
     }
 
     /// Execute a routing plan. Under the store lock, read every group's
     /// source tiles — a missing one is an error before anything is
-    /// installed — install the groups bound for this host, and encode the
-    /// rest per destination host; then, with the lock released, push each
-    /// batch to its host's peer listener and await the acks. Symmetric
-    /// xfers between two hosts must not deadlock on each other's installs.
-    fn xfer(&mut self, cmd: &Json) -> Result<Reply, String> {
-        let rid_in = wire::field_u64(cmd, "rid_in")?;
-        let rid_out = wire::field_u64(cmd, "rid_out")?;
-        let tr = transform_of(cmd)?;
-        let groups = wire::field_arr(cmd, "groups")?;
+    /// installed — and install the groups bound for this host; then, with
+    /// the lock released, push the rest to their hosts' peer listeners,
+    /// one batch per host, and await the acks. Symmetric xfers between
+    /// two hosts must not deadlock on each other's installs.
+    fn xfer(
+        &mut self,
+        (rid_in, rid_out): (u64, u64),
+        tr: TileTransform,
+        groups: &[Route],
+    ) -> Result<Reply, String> {
         // Per-group source-byte receipts, this host's tiles, and the other
-        // hosts' tiles encoded per destination host.
-        let mut bytes = JsonArr::new();
+        // hosts' tiles per destination host.
+        let mut bytes = Vec::with_capacity(groups.len());
         let mut local = Vec::new();
-        let mut pushes: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
+        let mut pushes: BTreeMap<usize, Vec<Placed>> = BTreeMap::new();
         {
             let mut store = self.lock()?;
             for group in groups {
-                let wi = wire::field_usize(group, "wi")?;
-                let wo = wire::field_usize(group, "wo")?;
-                // A group names a destination host (`dh`) only to leave
-                // this one; naming this one is refused, not a second
-                // spelling of staying.
-                let dh = group
-                    .get("dh")
-                    .map(|_| wire::field_usize(group, "dh"))
-                    .transpose()?;
-                if dh == Some(self.host) {
+                // A group names a destination host only to leave this one;
+                // naming this one is refused, not a second spelling of
+                // staying.
+                if group.dh == Some(self.host) {
                     return Err(format!("xfer group names its own host {} as dh", self.host));
                 }
                 let mut receipt = 0u64;
-                for (bi, bj) in keys_of(group)? {
-                    let src = tile_of(&store, self.host, rid_in, wi, bi, bj)?;
+                for &(bi, bj) in &group.keys {
+                    let src = tile_of(&store, self.host, rid_in, group.wi, bi, bj)?;
                     receipt += src.actual_bytes() as u64;
-                    let (di, dj) = tr.dest_key(bi, bj);
-                    let Some(dh) = dh else {
-                        local.push((wo, (di, dj), tr.apply(src)));
-                        continue;
-                    };
-                    let buf = pushes.entry(dh).or_insert_with(|| vec![0u8; 4]);
-                    binfmt::push_tile(buf, wo, di, dj, &tr.apply(src));
-                    let count = buf[..4].try_into().expect("a batch opens with its count");
-                    let n = u32::from_le_bytes(count) + 1;
-                    buf[..4].copy_from_slice(&n.to_le_bytes());
+                    let ((di, dj), tile) = (tr.dest_key(bi, bj), tr.apply(src));
+                    match group.dh {
+                        None => local.push((group.wo, (di, dj), tile)),
+                        Some(dh) => {
+                            let tile = (group.wo, di, dj, Arc::new(tile));
+                            pushes.entry(dh).or_default().push(tile);
+                        }
+                    }
                 }
-                bytes = bytes.u64(receipt);
+                bytes.push(receipt);
             }
             for (wo, at, tile) in local {
                 store.entry((rid_out, wo)).or_default().insert(at, tile);
             }
         }
         // Lock released: push each destination's batch and await acks.
-        let mut edges = JsonArr::new();
-        let header = JsonObj::new().str("t", "push").u64("rid", rid_out).build();
-        for (dh, body) in pushes {
-            let payload = binfmt::encode(&header, &body);
+        let mut edges = Vec::new();
+        for (dh, tiles) in pushes {
+            let payload = Peer::Push {
+                rid: rid_out,
+                tiles,
+            }
+            .encode(None);
             match self.push_to(dh, &payload) {
                 Ok(ack_len) => {
-                    edges = edges.raw(
-                        &JsonObj::new()
-                            .u64("h", dh as u64)
-                            .u64("f", 2)
-                            .u64("b", framed_len(payload.len()) + framed_len(ack_len))
-                            .build(),
-                    );
+                    let b = framed_len(payload.len()) + framed_len(ack_len);
+                    edges.push(Edge { h: dh, f: 2, b });
                 }
-                Err(_) => {
-                    // The coordinator folds this into its worker-loss
-                    // path; this worker stays healthy.
-                    return Ok(Reply::Json(
-                        JsonObj::new().str("t", "peerfail").u64("host", dh as u64),
-                    ));
-                }
+                // The coordinator folds this into its worker-loss path;
+                // this worker stays healthy.
+                Err(_) => return Ok(Reply::PeerFail { host: dh }),
             }
         }
-        Ok(Reply::Json(
-            JsonObj::new()
-                .str("t", "xferred")
-                .raw("bytes", &bytes.build())
-                .raw("edges", &edges.build()),
-        ))
+        Ok(Reply::Xferred { bytes, edges })
     }
 
     /// Push one frame to a peer and await its ack; returns the ack's
@@ -566,17 +458,11 @@ impl Worker {
             let ack = read_frame_bytes(conn)
                 .map_err(|e| format!("peer {dh} ack: {e}"))?
                 .ok_or_else(|| format!("peer {dh} closed before ack"))?;
-            let j = Json::parse(
-                std::str::from_utf8(&ack).map_err(|_| format!("peer {dh} ack not UTF-8"))?,
-            )
-            .map_err(|e| format!("peer {dh} ack: {e}"))?;
-            match j.get("t").and_then(Json::as_str) {
-                Some("got") => Ok(ack.len()),
-                Some("err") => Err(format!(
-                    "peer {dh} rejected push: {}",
-                    j.get("msg").and_then(Json::as_str).unwrap_or("unknown")
-                )),
-                other => Err(format!("peer {dh} ack has type {other:?}")),
+            match Peer::decode(&ack).msg {
+                Ok(Peer::Got) => Ok(ack.len()),
+                Ok(Peer::Err { msg }) => Err(format!("peer {dh} rejected push: {msg}")),
+                Ok(other) => Err(format!("peer {dh} acked with {}", other.kind())),
+                Err(e) => Err(format!("peer {dh} ack: {e}")),
             }
         })();
         if res.is_err() {
@@ -585,63 +471,45 @@ impl Worker {
         res
     }
 
-    fn collect(&self, cmd: &Json) -> Result<Reply, String> {
-        let rid = wire::field_u64(cmd, "rid")?;
+    fn collect(&self, rid: u64, items: &[Place]) -> Result<Reply, String> {
         let store = self.lock()?;
-        let mut tiles = Vec::new();
-        for item in wire::field_arr(cmd, "items")? {
-            let (w, bi, bj) = task_triple(item)?;
-            tiles.push((w, bi, bj, tile_of(&store, self.host, rid, w, bi, bj)?));
+        let mut tiles = Vec::with_capacity(items.len());
+        for &Place { w, bi, bj } in items {
+            let tile = tile_of(&store, self.host, rid, w, bi, bj)?;
+            tiles.push((w, bi, bj, Arc::new(tile.clone())));
         }
-        let body = binfmt::encode_tiles(tiles);
-        Ok(Reply::Bin(JsonObj::new().str("t", "tiles"), body))
+        Ok(Reply::Tiles { tiles })
     }
 
-    fn seal(&self, cmd: &Json) -> Result<Reply, String> {
-        let rid = wire::field_u64(cmd, "rid")?;
+    fn seal(&self, rid: u64, ws: &[usize]) -> Result<Reply, String> {
         let store = self.lock()?;
-        let mut shards = JsonArr::new();
-        for w in wire::field_usize_arr(cmd, "ws")? {
-            let (n, sum) = match store.get(&(rid, w)) {
-                Some(s) => (
-                    s.len(),
-                    wire::shard_checksum(s.iter().map(|(&k, t)| (k, t))),
-                ),
-                // A worker that owns nothing of this value legitimately
-                // reports the empty shard.
-                None => (0, wire::shard_checksum(std::iter::empty())),
-            };
-            shards = shards.raw(
-                &JsonObj::new()
-                    .u64("w", w as u64)
-                    .u64("n", n as u64)
-                    .str("x", &wire::hex_u64(sum))
-                    .build(),
-            );
-        }
-        Ok(Reply::Json(
-            JsonObj::new()
-                .str("t", "sealed")
-                .raw("shards", &shards.build()),
-        ))
+        let shard = |w: usize| {
+            // A worker that owns nothing of this value legitimately
+            // reports the empty shard.
+            let held = store.get(&(rid, w)).into_iter().flatten();
+            let n = store.get(&(rid, w)).map_or(0, BTreeMap::len);
+            let x = wire::shard_checksum(held.map(|(&k, t)| (k, t)));
+            Shard { w, n, x }
+        };
+        let shards = ws.iter().map(|&w| shard(w)).collect();
+        Ok(Reply::Sealed { shards })
     }
 
-    fn mm(&mut self, cmd: &Json) -> Result<Reply, String> {
-        let rid_a = wire::field_u64(cmd, "rid_a")?;
-        let rid_b = wire::field_u64(cmd, "rid_b")?;
-        let rid_out = wire::field_u64(cmd, "rid_out")?;
-        let kb = wire::field_usize(cmd, "kb")?;
-        let meta = meta_of(cmd)?;
+    fn mm(
+        &mut self,
+        (rid_a, rid_b, rid_out): (u64, u64, u64),
+        kb: usize,
+        grid: &GridMeta,
+        tasks: &[Group],
+    ) -> Result<Reply, String> {
         let mut store = self.lock()?;
         // A host's tasks come grouped by logical worker: one stage each.
         // The results wait for the last stage to let go of the store.
         let mut tiles = Vec::new();
-        for group in wire::field_arr(cmd, "tasks")? {
-            let w = wire::field_usize(group, "w")?;
-            let keys = keys_of(group)?;
+        for &Group { w, ref keys } in tasks {
             let stage = mul_stage(&store, rid_a, rid_b, w, kb)?;
-            for (bi, bj) in keys {
-                let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
+            for &(bi, bj) in keys {
+                let shape = (grid.block_rows_of(bi), grid.block_cols_of(bj));
                 let tile = stage
                     .product(&self.pool, shape, (bi, bj))
                     .map_err(|e| format!("mm: result ({bi},{bj}) on worker {w}: {e}"))?;
@@ -651,46 +519,42 @@ impl Worker {
         for (w, at, tile) in tiles {
             store.entry((rid_out, w)).or_default().insert(at, tile);
         }
-        Ok(Reply::ok())
+        Ok(Reply::Ok)
     }
 
-    fn fused(&mut self, cmd: &Json, body: Option<&[u8]>) -> Result<Reply, String> {
-        let rids = wire::field_usize_arr(cmd, "rids")?;
-        let rid_out = wire::field_u64(cmd, "rid_out")?;
-        // Scalar constants arrive as a raw f64 body section the program
-        // references by slot index; a program without any has no body.
-        let consts = body
-            .map(binfmt::decode_f64s)
-            .transpose()?
-            .unwrap_or_default();
-        let prog = wire::decode_prog_indexed(wire::field_arr(cmd, "prog")?, &consts)?;
+    fn fused(
+        &mut self,
+        rids: &[u64],
+        prog: &[FusedOp],
+        rid_out: u64,
+        tasks: &[Group],
+    ) -> Result<Reply, String> {
         let mut store = self.lock()?;
-        for group in wire::field_arr(cmd, "tasks")? {
-            let w = wire::field_usize(group, "w")?;
-            for (bi, bj) in keys_of(group)? {
+        for &Group { w, ref keys } in tasks {
+            for &(bi, bj) in keys {
                 let mut tiles: Vec<&Block> = Vec::with_capacity(rids.len());
-                for &rid in &rids {
-                    tiles.push(tile_of(&store, self.host, rid as u64, w, bi, bj)?);
+                for &rid in rids {
+                    tiles.push(tile_of(&store, self.host, rid, w, bi, bj)?);
                 }
-                let out = dmac_matrix::eval_fused_block(&prog, &tiles, &self.pool)
+                let out = dmac_matrix::eval_fused_block(prog, &tiles, &self.pool)
                     .map_err(|e| e.to_string())?;
                 store.entry((rid_out, w)).or_default().insert((bi, bj), out);
             }
         }
-        Ok(Reply::ok())
+        Ok(Reply::Ok)
     }
 
-    fn cpmm1(&mut self, cmd: &Json) -> Result<Reply, String> {
-        let rid_a = wire::field_u64(cmd, "rid_a")?;
-        let rid_b = wire::field_u64(cmd, "rid_b")?;
-        let stage_rid = wire::field_u64(cmd, "stage")?;
-        let n = wire::field_usize(cmd, "n")?;
-        let kb = wire::field_usize(cmd, "kb")?;
-        let meta = meta_of(cmd)?;
+    fn cpmm1(
+        &mut self,
+        (rid_a, rid_b, stage_rid): (u64, u64, u64),
+        (n, kb): (usize, usize),
+        grid: &GridMeta,
+        ws: &[usize],
+    ) -> Result<Reply, String> {
         let mut store = self.lock()?;
-        let mut descs = JsonArr::new();
+        let mut descs = Vec::new();
         let mut partials = Vec::new();
-        for w in wire::field_usize_arr(cmd, "ws")? {
+        for &w in ws {
             let stage = mul_stage(&store, rid_a, rid_b, w, kb)?;
             // No k-slice, no partial — and no shard to hold the grid against.
             if w >= kb {
@@ -699,28 +563,22 @@ impl Worker {
             // Column × Row shards span the result grid, so a described grid
             // that is not theirs never bounds the loops below.
             let (row_blocks, col_blocks) = stage.out_grid();
-            if (row_blocks, col_blocks) != (meta.row_blocks, meta.col_blocks) {
+            if (row_blocks, col_blocks) != (grid.row_blocks, grid.col_blocks) {
                 return Err(format!(
                     "cpmm: worker {w}'s shards span {row_blocks}x{col_blocks} result blocks, \
                      the command describes {}x{}",
-                    meta.row_blocks, meta.col_blocks
+                    grid.row_blocks, grid.col_blocks
                 ));
             }
             for bi in 0..row_blocks {
                 for bj in 0..col_blocks {
-                    let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
+                    let shape = (grid.block_rows_of(bi), grid.block_cols_of(bj));
                     let partial = stage
                         .partial(&self.pool, shape, (bi, bj), (w, n))
                         .map_err(|e| format!("cpmm: partial ({bi},{bj}) on worker {w}: {e}"))?;
                     if let Some(acc) = partial {
-                        descs = descs.raw(
-                            &JsonObj::new()
-                                .u64("w", w as u64)
-                                .u64("bi", bi as u64)
-                                .u64("bj", bj as u64)
-                                .u64("b", acc.actual_bytes() as u64)
-                                .build(),
-                        );
+                        let b = acc.actual_bytes() as u64;
+                        descs.push(Desc { w, bi, bj, b });
                         partials.push((w, (bi, bj), Block::Dense(acc)));
                     }
                 }
@@ -729,84 +587,58 @@ impl Worker {
         for (w, at, partial) in partials {
             store.entry((stage_rid, w)).or_default().insert(at, partial);
         }
-        Ok(Reply::Json(
-            JsonObj::new()
-                .str("t", "partials")
-                .raw("descs", &descs.build()),
-        ))
+        Ok(Reply::Partials { descs })
     }
 
-    fn cpmm2(&mut self, cmd: &Json) -> Result<Reply, String> {
-        let stage = wire::field_u64(cmd, "stage")?;
-        let rid_out = wire::field_u64(cmd, "rid_out")?;
-        let meta = meta_of(cmd)?;
+    fn cpmm2(
+        &mut self,
+        (stage, rid_out): (u64, u64),
+        grid: &GridMeta,
+        tasks: &[Combine],
+    ) -> Result<Reply, String> {
         let mut store = self.lock()?;
-        for task in wire::field_arr(cmd, "tasks")? {
-            let (w, bi, bj) = task_triple(task)?;
+        for &Combine {
+            w,
+            bi,
+            bj,
+            ref srcs,
+        } in tasks
+        {
             let mut partials: Vec<&DenseBlock> = Vec::new();
-            for src in wire::field_usize_arr(task, "srcs")? {
+            for &src in srcs {
                 match tile_of(&store, self.host, stage, src, bi, bj)? {
                     Block::Dense(d) => partials.push(d),
                     Block::Sparse(_) => return Err("cpmm partial is not dense".to_string()),
                 }
             }
-            let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
+            let shape = (grid.block_rows_of(bi), grid.block_cols_of(bj));
             let tile = combine_partials(shape, partials).map_err(|e| e.to_string())?;
             store
                 .entry((rid_out, w))
                 .or_default()
                 .insert((bi, bj), tile);
         }
-        Ok(Reply::ok())
+        Ok(Reply::Ok)
     }
 
-    fn reduce(&self, cmd: &Json) -> Result<Reply, String> {
-        let rid = wire::field_u64(cmd, "rid")?;
-        let kind = match wire::field_str(cmd, "kind")? {
-            "sum" => ReduceKind::Sum,
-            "norm2" => ReduceKind::Norm2,
-            other => return Err(format!("unknown reduce kind '{other}'")),
-        };
+    fn reduce(&self, kind: ReduceKind, rid: u64, ws: &[usize]) -> Result<Reply, String> {
         let store = self.lock()?;
-        let mut parts = JsonArr::new();
-        for w in wire::field_usize_arr(cmd, "ws")? {
-            let partial = match store.get(&(rid, w)) {
+        let part = |w: usize| {
+            let x = match store.get(&(rid, w)) {
                 Some(s) => kernels::reduce_shard(kind, s.values()),
                 None => 0.0,
             };
-            parts = parts.raw(
-                &JsonObj::new()
-                    .u64("w", w as u64)
-                    .str("x", &wire::hex_f64(partial))
-                    .build(),
-            );
-        }
-        Ok(Reply::Json(
-            JsonObj::new()
-                .str("t", "reduced")
-                .raw("parts", &parts.build()),
-        ))
-    }
-
-    fn free(&mut self, cmd: &Json) -> Result<Reply, String> {
-        let rid = wire::field_u64(cmd, "rid")?;
-        self.lock()?.retain(|&(r, _), _| r != rid);
-        Ok(Reply::ok())
+            Part { w, x }
+        };
+        let parts = ws.iter().map(|&w| part(w)).collect();
+        Ok(Reply::Reduced { parts })
     }
 }
-
-fn transform_of(cmd: &Json) -> Result<TileTransform, String> {
-    match wire::field_str(cmd, "tr")? {
-        "none" => Ok(TileTransform::None),
-        "transpose" => Ok(TileTransform::Transpose),
-        other => Err(format!("unknown transform '{other}'")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::DistMatrix;
+    use crate::transport::binfmt;
 
     fn worker() -> Worker {
         Worker {
@@ -836,37 +668,31 @@ mod tests {
         keys
     }
 
-    /// `[{"w","k":[bi,bj,…]}…]`: every tile of `out`, one group per worker.
-    fn groups_of(out: &DistMatrix) -> String {
-        let mut tasks = JsonArr::new();
-        for w in 0..out.workers() {
-            let k = keys(out, w).into_iter().flat_map(|(bi, bj)| [bi, bj]);
-            let k = k.fold(JsonArr::new(), |k, x| k.u64(x as u64)).build();
-            tasks = tasks.raw(&JsonObj::new().u64("w", w as u64).raw("k", &k).build());
-        }
-        tasks.build()
+    /// Every tile of `out`, one group per worker.
+    fn groups_of(out: &DistMatrix) -> Vec<Group> {
+        let group = |w| Group {
+            w,
+            keys: keys(out, w),
+        };
+        (0..out.workers()).map(group).collect()
     }
 
-    /// `[{"w","bi","bj","srcs"}…]`: every tile of `out`, one task each.
-    fn tasks_of(out: &DistMatrix, srcs: impl Fn(usize, usize) -> String) -> String {
-        let mut tasks = JsonArr::new();
-        for w in 0..out.workers() {
-            for (bi, bj) in keys(out, w) {
-                let task = JsonObj::new()
-                    .u64("w", w as u64)
-                    .u64("bi", bi as u64)
-                    .u64("bj", bj as u64)
-                    .raw("srcs", &srcs(bi, bj));
-                tasks = tasks.raw(&task.build());
-            }
-        }
-        tasks.build()
+    /// Every tile of `out`, one `cpmm2` task each.
+    fn tasks_of(out: &DistMatrix, srcs: impl Fn(usize, usize) -> Vec<usize>) -> Vec<Combine> {
+        let tile = |w, (bi, bj)| Combine {
+            w,
+            bi,
+            bj,
+            srcs: srcs(bi, bj),
+        };
+        let tiles = (0..out.workers()).flat_map(|w| keys(out, w).into_iter().map(move |k| (w, k)));
+        tiles.map(|(w, k)| tile(w, k)).collect()
     }
 
-    fn grid(head: JsonObj, out: &DistMatrix) -> JsonObj {
-        head.u64("rows", out.rows() as u64)
-            .u64("cols", out.cols() as u64)
-            .u64("block", out.block_size() as u64)
+    /// A command as the coordinator writes it (no sequence number): the
+    /// text the tests below change a field or a byte of.
+    fn text(cmd: &Cmd) -> String {
+        String::from_utf8(cmd.encode(None)).expect("a JSON command")
     }
 
     /// Every shard the worker holds of `out` seals to the checksum the
@@ -887,7 +713,7 @@ mod tests {
 
     /// One host holding both logical workers' operands of one product,
     /// placed both ways — Broadcast × Column for `mm`, Column × Row for
-    /// `cpmm1` — with each command as the coordinator words it and the
+    /// `cpmm1` — with each command as the coordinator encodes it and the
     /// simulator's result: dense and CSC result tiles, ragged edges, a
     /// k-panel of all-zero tiles.
     struct Staged {
@@ -924,7 +750,7 @@ mod tests {
             }
         })
         .unwrap();
-        let kb = 4u64;
+        let kb = 4;
         let w = worker();
 
         let (a_bc, b_col) = (
@@ -934,12 +760,14 @@ mod tests {
         let mm_out = cl.rmm1(&a_bc, &b_col).unwrap();
         install(&w, &a_bc);
         install(&w, &b_col);
-        let mm = grid(JsonObj::new().str("t", "mm"), &mm_out)
-            .u64("rid_a", a_bc.rid())
-            .u64("rid_b", b_col.rid())
-            .u64("rid_out", mm_out.rid())
-            .u64("kb", kb)
-            .raw("tasks", &groups_of(&mm_out));
+        let mm = Cmd::Mm {
+            rid_a: a_bc.rid(),
+            rid_b: b_col.rid(),
+            rid_out: mm_out.rid(),
+            kb,
+            grid: *mm_out.meta(),
+            tasks: groups_of(&mm_out),
+        };
 
         let (a_col, b_row) = (
             cl.load(&a, PartitionScheme::Col),
@@ -949,25 +777,32 @@ mod tests {
         install(&w, &a_col);
         install(&w, &b_row);
         let stage = 1 << 40;
-        let cpmm1 = grid(JsonObj::new().str("t", "cpmm1"), &cpmm_out)
-            .u64("rid_a", a_col.rid())
-            .u64("rid_b", b_row.rid())
-            .u64("stage", stage)
-            .u64("n", 2)
-            .u64("kb", kb)
-            .raw("ws", "[0,1]");
+        let cpmm1 = Cmd::Cpmm1 {
+            rid_a: a_col.rid(),
+            rid_b: b_row.rid(),
+            stage,
+            n: 2,
+            kb,
+            grid: *cpmm_out.meta(),
+            ws: vec![0, 1],
+        };
         Staged {
             w,
-            mm: mm.build(),
+            mm: text(&mm),
             mm_out,
-            cpmm1: cpmm1.build(),
+            cpmm1: text(&cpmm1),
             cpmm_out,
             stage,
         }
     }
 
+    /// Decode a command frame and dispatch it, as the daemon's loop does.
+    fn run_bytes(w: &mut Worker, raw: &[u8]) -> Result<Reply, String> {
+        Cmd::decode(raw).msg.and_then(|cmd| w.dispatch(cmd))
+    }
+
     fn run(w: &mut Worker, cmd: &str) -> Result<Reply, String> {
-        w.dispatch(&Json::parse(cmd).unwrap(), None)
+        run_bytes(w, cmd.as_bytes())
     }
 
     /// The by-construction property, checked without launching a process:
@@ -992,28 +827,22 @@ mod tests {
             "the inputs must exercise both result representations"
         );
 
-        let Ok(Reply::Json(partials)) = run(&mut w, &cpmm1) else {
+        let Ok(Reply::Partials { descs }) = run(&mut w, &cpmm1) else {
             panic!("cpmm1 must answer with its partial descriptors");
         };
-        let partials = Json::parse(&partials.build()).unwrap();
-        let descs = wire::field_arr(&partials, "descs").unwrap();
         assert!(!descs.is_empty());
         // Both logical workers share this host, so no partial has to move.
         let srcs_of = |bi: usize, bj: usize| {
-            let mut srcs = JsonArr::new();
-            for d in descs {
-                let (src, dbi, dbj) = task_triple(d).unwrap();
-                if (dbi, dbj) == (bi, bj) {
-                    srcs = srcs.u64(src as u64);
-                }
-            }
-            srcs.build()
+            let at = descs.iter().filter(|d| (d.bi, d.bj) == (bi, bj));
+            at.map(|d| d.w).collect()
         };
-        let cpmm2 = grid(JsonObj::new().str("t", "cpmm2"), &out)
-            .u64("stage", stage)
-            .u64("rid_out", out.rid())
-            .raw("tasks", &tasks_of(&out, srcs_of));
-        run(&mut w, &cpmm2.build()).map(drop).unwrap();
+        let cpmm2 = Cmd::Cpmm2 {
+            stage,
+            rid_out: out.rid(),
+            grid: *out.meta(),
+            tasks: tasks_of(&out, srcs_of),
+        };
+        w.dispatch(cpmm2).map(drop).unwrap();
         assert_same_seals(&w, &out, "cpmm");
     }
 
@@ -1077,25 +906,25 @@ mod tests {
             let names = ["mm: result (", "on worker ", "missing input tile at k=0"];
             rejected(&mut w, &mm.replace(first, &task), &names);
         }
-        let rid_a = wire::field_u64(&Json::parse(&mm).unwrap(), "rid_a").unwrap();
+        let Ok(Cmd::Mm { rid_a, .. }) = Cmd::decode(mm.as_bytes()).msg else {
+            panic!("an mm command");
+        };
         let unheld = mm.replace(&format!(r#""rid_a":{rid_a}"#), r#""rid_a":99999"#);
         rejected(&mut w, &unheld, &["mm: result (", "on worker "]);
         // A stride of none is every worker's own stride of one.
         let stride = cpmm1.replace(r#""n":2"#, r#""n":0"#);
         rejected(&mut w, &stride, &["cpmm: partial (", "on worker 0"]);
 
-        // One byte of either command changed, 600 times: an answer or an
-        // `err`, and whichever it was the worker is as it was — bar a
-        // result it was asked, in so many words, to store elsewhere.
+        // One byte of either command's encoding changed, 600 times, then
+        // decoded and dispatched: an answer or an `err`, and whichever it
+        // was the worker is as it was — bar a result it was asked, in so
+        // many words, to store elsewhere.
         let mut rng = dmac_matrix::SplitMix64::new(0xF4A3_0008);
         for round in 0..600 {
             let mut bytes = [&mm, &cpmm1][round % 2].clone().into_bytes();
             let at = rng.below(bytes.len());
             bytes[at] = 0x20 + rng.below(0x5f) as u8;
-            let text = String::from_utf8(bytes).unwrap();
-            if let Ok(cmd) = Json::parse(&text) {
-                let _ = w.dispatch(&cmd, None);
-            }
+            let _ = run_bytes(&mut w, &bytes);
         }
         w.store
             .lock()
@@ -1106,29 +935,34 @@ mod tests {
     }
 
     /// Tile payload is `DMB1` or nothing: an `install` or peer `push`
-    /// carrying hex-JSON tiles (the retired wire format) comes back as a
-    /// typed error — never a panic, never a silent zero-tile install.
+    /// carrying hex-JSON tiles (the retired wire format) in the header of
+    /// the `DMB1` one comes back as a typed error — never a panic, never a
+    /// silent zero-tile install.
     #[test]
     fn json_bodied_install_and_push_are_typed_errors() {
         let mut w = worker();
+        let block = Block::Dense(DenseBlock::from_vec(1, 1, vec![1.0]).unwrap());
+        let tiles = vec![(0, 0, 0, Arc::new(block))];
+        let install = Cmd::Install {
+            rid: 7,
+            tiles: tiles.clone(),
+        };
+        let push = Peer::Push { rid: 8, tiles };
+        let (install, push) = (install.encode(None), push.encode(None));
         let tile = r#"{"w":0,"bi":0,"bj":0,"k":"d","r":1,"c":1,"d":"3ff0000000000000"}"#;
-        let install = format!(r#"{{"t":"install","rid":7,"tiles":[{tile}]}}"#);
-        let err = w
-            .dispatch(&Json::parse(&install).unwrap(), None)
-            .err()
-            .expect("JSON-bodied install must be rejected");
+        let json_bodied = |msg: &[u8]| {
+            let (head, _) = binfmt::decode(msg).unwrap();
+            head.replace('}', &format!(r#","tiles":[{tile}]}}"#))
+        };
+        let err =
+            run(&mut w, &json_bodied(&install)).expect_err("JSON-bodied install must be rejected");
         assert!(err.contains("DMB1"), "{err}");
-        let push = format!(r#"{{"t":"push","rid":7,"tiles":[{tile}]}}"#);
-        let err = install_push(push.as_bytes(), &w.store).unwrap_err();
+        let err = install_push(json_bodied(&push).as_bytes(), &w.store).unwrap_err();
         assert!(err.contains("DMB1"), "{err}");
         assert!(w.store.lock().unwrap().is_empty(), "nothing was installed");
 
         // The same tile as a DMB1 section installs through both doors.
-        let block = Block::Dense(DenseBlock::from_vec(1, 1, vec![1.0]).unwrap());
-        let body = binfmt::encode_tiles([(0, 0, 0, &block)]);
-        let install = Json::parse(r#"{"t":"install","rid":7}"#).unwrap();
-        assert!(w.dispatch(&install, Some(&body)).is_ok());
-        let push = binfmt::encode(r#"{"t":"push","rid":8}"#, &body);
+        assert!(run_bytes(&mut w, &install).is_ok());
         install_push(&push, &w.store).unwrap();
         assert_eq!(w.store.lock().unwrap().len(), 2);
     }
@@ -1144,15 +978,15 @@ mod tests {
         let cell = |i, j| random_cell(seed, matrix, i, j);
         let m = BlockedMatrix::from_fn(37, 50, 16, cell).unwrap();
         let oracle = DistMatrix::from_blocked(&m, PartitionScheme::Hash, 2);
-        let head = JsonObj::new().str("t", "install").u64("rid", oracle.rid());
-        let head = head
-            .str("seed", &wire::hex_u64(seed))
-            .u64("m", matrix.into());
-        let cmd = grid(head, &oracle)
-            .raw("tasks", &groups_of(&oracle))
-            .build();
+        let cmd = Cmd::Generate {
+            rid: oracle.rid(),
+            seed,
+            matrix,
+            grid: *oracle.meta(),
+            tasks: groups_of(&oracle),
+        };
         let mut w = worker();
-        run(&mut w, &cmd).map(drop).unwrap();
+        run(&mut w, &text(&cmd)).map(drop).unwrap();
         assert_same_seals(&w, &oracle, "generated");
         let store = w.store.lock().unwrap();
         for lw in 0..2 {
@@ -1173,7 +1007,17 @@ mod tests {
     /// typed `err` that installs nothing. The true command installs after.
     #[test]
     fn a_generator_the_grid_contradicts_installs_nothing() {
-        let good = r#"{"t":"install","rid":7,"seed":"00000000000000ff","m":3,"rows":37,"cols":50,"block":16,"tasks":[{"w":0,"k":[2,3]}]}"#;
+        let good = &text(&Cmd::Generate {
+            rid: 7,
+            seed: 0xff,
+            matrix: 3,
+            grid: GridMeta::new(37, 50, 16),
+            tasks: vec![Group {
+                w: 0,
+                keys: vec![(2, 3)],
+            }],
+        });
+        assert!(good.contains(r#""seed":"00000000000000ff","m":3,"rows":37,"cols":50,"block":16,"tasks":[{"w":0,"k":[2,3]}]"#));
         let max = u32::MAX;
         let huge = format!(r#""rows":{max},"cols":{max},"block":{max}"#);
         let mut w = worker();
@@ -1198,11 +1042,14 @@ mod tests {
             ),
             (
                 good.replace(r#""seed":"00000000000000ff","#, ""),
-                "no 'seed'",
+                "'seed' is missing",
             ),
-            (good.replace("00000000000000ff", "ff"), "no 'seed'"),
+            (
+                good.replace("00000000000000ff", "ff"),
+                "'seed' is not 16 hex digits",
+            ),
             (good.replace(r#""m":3"#, r#""m":4294967296"#), "not a u32"),
-            (good.replace(r#""rows":37,"#, ""), "missing integer 'rows'"),
+            (good.replace(r#""rows":37,"#, ""), "'rows' is missing"),
         ] {
             let err = run(&mut w, &cmd)
                 .err()
@@ -1210,14 +1057,13 @@ mod tests {
             assert!(err.contains(says), "'{err}' does not say '{says}': {cmd}");
             assert!(w.store.lock().unwrap().is_empty(), "{cmd}");
         }
-        // One byte of it changed, 600 times: an answer or an `err`.
+        // One byte of it changed, 600 times, decoded and dispatched: an
+        // answer or an `err`.
         let mut rng = dmac_matrix::SplitMix64::new(0xF4A3_0030);
         for _ in 0..600 {
             let mut bytes = good.as_bytes().to_vec();
             bytes[rng.below(good.len())] = 0x20 + rng.below(0x5f) as u8;
-            if let Ok(cmd) = Json::parse(&String::from_utf8(bytes).unwrap()) {
-                let _ = w.dispatch(&cmd, None);
-            }
+            let _ = run_bytes(&mut w, &bytes);
         }
         w.store.lock().unwrap().clear();
         run(&mut w, good).map(drop).unwrap();
@@ -1242,41 +1088,34 @@ mod tests {
     /// destination host: the group stays.
     type G<'k> = (usize, usize, Option<usize>, &'k [(usize, usize)]);
 
+    /// An `xfer` of rid 1 → rid 2, with these groups.
+    fn xfer(tr: TileTransform, groups: &[G]) -> Cmd {
+        let route = |&(wi, wo, dh, keys): &G| Route {
+            wi,
+            wo,
+            dh,
+            keys: keys.to_vec(),
+        };
+        let groups = groups.iter().map(route).collect();
+        Cmd::Xfer {
+            rid_in: 1,
+            rid_out: 2,
+            tr,
+            groups,
+        }
+    }
+
     /// An `xfer` of rid 1 → rid 2 transposing, with these groups.
     fn xfer_of(groups: &[G]) -> String {
-        let mut arr = JsonArr::new();
-        for &(wi, wo, dh, keys) in groups {
-            let group = JsonObj::new().u64("wi", wi as u64).u64("wo", wo as u64);
-            let group = match dh {
-                Some(dh) => group.u64("dh", dh as u64),
-                None => group,
-            };
-            let k = keys.iter().flat_map(|&(bi, bj)| [bi, bj]);
-            let k = k.fold(JsonArr::new(), |k, x| k.u64(x as u64));
-            arr = arr.raw(&group.raw("k", &k.build()).build());
-        }
-        let cmd = JsonObj::new()
-            .str("t", "xfer")
-            .u64("rid_in", 1)
-            .u64("rid_out", 2);
-        cmd.str("tr", "transpose")
-            .raw("groups", &arr.build())
-            .build()
+        text(&xfer(TileTransform::Transpose, groups))
     }
 
     /// The `xferred` reply's per-group receipts and per-edge hosts.
-    fn xferred(reply: Reply) -> (Vec<u64>, Vec<u64>) {
-        let Reply::Json(obj) = reply else {
-            panic!("xferred is a JSON reply")
+    fn xferred(reply: Reply) -> (Vec<u64>, Vec<usize>) {
+        let Reply::Xferred { bytes, edges } = reply else {
+            panic!("expected xferred, got {}", reply.kind())
         };
-        let j = Json::parse(&obj.build()).unwrap();
-        assert_eq!(wire::field_str(&j, "t"), Ok("xferred"));
-        let bytes = wire::field_arr(&j, "bytes").unwrap().iter();
-        let edges = wire::field_arr(&j, "edges").unwrap().iter();
-        (
-            bytes.map(|b| b.as_u64().unwrap()).collect(),
-            edges.map(|e| wire::field_u64(e, "h").unwrap()).collect(),
-        )
+        (bytes, edges.iter().map(|e| e.h).collect())
     }
 
     /// What `store` holds of rid 2: `(worker, key)` → the tile's bits.
@@ -1340,7 +1179,7 @@ mod tests {
             (0, 1, Some(1), &[(0, 1)]),
             (0, 0, None, &[(1, 1)]),
         ]);
-        let err = run(&mut w, &plan).err().expect("a missing tile is refused");
+        let err = run(&mut w, &plan).expect_err("a missing tile is refused");
         assert!(err.contains("missing tile rid=1 w=0 (1,1)"), "{err}");
         assert!(landed(&w.store).is_empty());
         assert!(w.peer_conns.is_empty());
@@ -1359,14 +1198,11 @@ mod tests {
                 r#"{"wi":0,"wo":0,"dh":0,"k":[0,0]}"#,
                 "names its own host 0",
             ),
-            (r#"{"wi":0,"wo":0}"#, "missing array 'k'"),
+            (r#"{"wi":0,"wo":0}"#, "field 'k' is missing"),
         ] {
-            let plan = format!(
-                r#"{{"t":"xfer","rid_in":1,"rid_out":2,"tr":"none","groups":[{good},{bad}]}}"#
-            );
-            let err = run(&mut w, &plan)
-                .err()
-                .expect("a malformed group is refused");
+            let plan = text(&xfer(TileTransform::None, &[]));
+            let plan = plan.replace(r#""groups":[]"#, &format!(r#""groups":[{good},{bad}]"#));
+            let err = run(&mut w, &plan).expect_err("a malformed group is refused");
             assert!(err.contains(says), "{bad}: {err}");
             assert!(landed(&w.store).is_empty(), "{bad}");
             assert!(w.peer_conns.is_empty(), "{bad}");

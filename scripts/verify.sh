@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one tile move, one write path, one routing form, one byte ledger, one frame-length decoder, one generator)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -44,9 +44,10 @@ if find crates/core/src crates/cluster/src -name '*.rs' ! -name binfmt.rs -exec 
     '/#\[cfg\(test\)\]/ { nextfile }
      /CscBlock::from_csc\(|DenseBlock::from_vec\(/ { print FILENAME ":" FNR ": " $0 }' {} + |
     grep .; then exit 1; fi
-# An aligned stage has one path (Cluster::cells -> the "fused" command):
-# no per-operator enum or worker command beside it.
-if grep -rnE 'CellOp|UnaryTileOp|"t", "(cell|unary)"' crates src; then exit 1; fi
+# An aligned stage has one path (Cluster::cells -> the `fused` command):
+# no per-operator enum beside it. (No per-operator worker command either:
+# the command set is proto.rs' `enum Cmd`, counted below.)
+if grep -rnE 'CellOp|UnaryTileOp' crates src; then exit 1; fi
 # An entry's tiles become a blob in one place (Inner::persist: one encode,
 # one put), and naming a payload is disk.rs's job: a second copy of
 # "encode -> hash -> verify -> put" in the store cannot reappear unnoticed.
@@ -87,23 +88,19 @@ awk '/#\[cfg\(test\)\]/ { exit }
 # The cluster meters only bytes a primitive moves (Cluster::send) and
 # records spans in finish_op / charge_recovery: no side door charges
 # modelled traffic. And a tile moves one way: a worker's `xfer` installs
-# what stays on its host and pushes the rest, so no `copy` command sits
-# beside it, and socket.rs builds every move exchange in one place.
-if grep -rnE 'record_span\(|charge_comm\(|"t", "copy"|fn copy\(' crates src; then exit 1; fi
-# A coordinator command is written in two places only: `post` (every
-# exchange, a queued `free` at its head, each command beside its check)
-# and `request` (membership and shutdown). And a routing plan has one
-# form, its groups built in one place and parsed in one place.
-awk '/#\[cfg\(test\)\]/ { exit }
-     /"t", "xfer"/ { xfer++ } /self\.send_cmd\(/ { send++ } /"groups"/ { groups++ }
-     END { if (xfer != 1 || send != 2 || groups != 1) {
-               print FILENAME ": \"t\", \"xfer\" x" xfer+0 ", self.send_cmd( x" send+0 ", \"groups\" x" groups+0 " (want 1, 2, 1)"
-               exit 1 } }' crates/cluster/src/transport/socket.rs
-awk '/#\[cfg\(test\)\]/ { exit }
-     /"groups"/ { groups++ }
-     END { if (groups != 1) {
-               print FILENAME ": \"groups\" x" groups+0 " (want 1)"
-               exit 1 } }' crates/cluster/src/transport/workerd.rs
+# what stays on its host and pushes the rest, so no `copy` sits beside it.
+if grep -rnE 'record_span\(|charge_comm\(|fn copy\(' crates src; then exit 1; fi
+# The wire is spelled in proto.rs alone: no `"t"` key in the coordinator
+# or the daemon, tests included — they build `Cmd` / `Reply` values and
+# match on them. And a coordinator command is written in two places only:
+# `post` (every exchange, a queued `free` at its head, each command beside
+# its check) and `request` (membership and shutdown).
+awk '/"t"/ { print FILENAME ":" FNR ": " $0; bad++ }
+     FNR == 1 { tests = 0 } /#\[cfg\(test\)\]/ { tests = 1 }
+     FILENAME ~ /socket\.rs$/ && !tests && /self\.send_cmd\(/ { send++ }
+     END { if (bad || send != 2) {
+               print "\"t\" in socket.rs + workerd.rs x" bad+0 ", self.send_cmd( in socket.rs x" send+0 " (want 0, 2)"
+               exit 1 } }' crates/cluster/src/transport/socket.rs crates/cluster/src/transport/workerd.rs
 # A moved byte is counted once, on the span of the primitive that moved
 # it: `CommStats` is a fold over spans with no event list or recorder of
 # its own, and nothing snapshots a second meter around a step.
@@ -121,18 +118,23 @@ if [ "$(find crates/cluster/src/transport -name '*.rs' -exec awk \
 fi
 # A random source has one generator, which the oracle and every worker
 # process call (dmac-matrix's random_cell), so a worker's tiles of it are
-# the oracle's by construction. And generating took install's slot in the
-# Transport trait instead of growing it: 14 methods.
+# the oracle's by construction.
 if [ "$(grep -rlE 'fn random_cell\(' crates src)" != crates/matrix/src/rng.rs ] ||
     [ "$(grep -rcE 'fn random_cell\(' crates/matrix/src/rng.rs)" != 1 ]; then
     echo "fn random_cell( must be defined once under crates/ + src/, in crates/matrix/src/rng.rs"
     exit 1
 fi
-awk '/^pub trait Transport/ { inside = 1 } inside && /^}/ { inside = 0 }
-     inside && /^    fn / { fns++ }
-     END { if (fns != 14) {
-               print FILENAME ": the Transport trait has " fns+0 " fns (want 14)"
-               exit 1 } }' crates/cluster/src/transport/mod.rs
+# The seams stay their size. Generating took install's slot in the
+# Transport trait instead of growing it: 14 methods. And the protocol is
+# proto.rs' three enums, each variant one message: 13 commands, 11
+# replies, 3 peer messages.
+awk '/^pub trait Transport/ { inside = "Transport" } /^    pub enum (Cmd|Reply|Peer) / { inside = $3 }
+     inside && /^}|^    }/ { inside = "" }
+     inside == "Transport" && /^    fn / { n["Transport"]++ }
+     inside != "" && inside != "Transport" && /^        [A-Z][A-Za-z0-9]* = "/ { n[inside]++ }
+     END { if (n["Transport"] != 14 || n["Cmd"] != 13 || n["Reply"] != 11 || n["Peer"] != 3) {
+               print "Transport fns x" n["Transport"]+0 ", Cmd x" n["Cmd"]+0 ", Reply x" n["Reply"]+0 ", Peer x" n["Peer"]+0 " (want 14, 13, 11, 3)"
+               exit 1 } }' crates/cluster/src/transport/mod.rs crates/cluster/src/transport/proto.rs
 
 echo "==> cargo test (workspace)"
 # Includes what used to be separate gates: the lint + plan-verifier sweep

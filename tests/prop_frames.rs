@@ -15,11 +15,19 @@
 
 use std::io::{self, ErrorKind, Read};
 
+use std::sync::Arc;
+
+use dmac::cluster::cluster::ReduceKind;
+use dmac::cluster::dist::GridMeta;
 use dmac::cluster::jsonin::Json;
 use dmac::cluster::transport::binfmt;
 use dmac::cluster::transport::frame::{
     read_frame, write_frame, write_frame_bytes, FrameReader, MAX_FRAME,
 };
+use dmac::cluster::transport::proto::{
+    Cmd, Combine, Desc, Edge, Group, Part, Peer, Place, Placed, Reply, Route, Shard,
+};
+use dmac::cluster::transport::TileTransform;
 use dmac::matrix::{Block, CscBlock, DenseBlock, SplitMix64};
 
 /// A printable-ish random payload (valid UTF-8 by construction).
@@ -526,15 +534,15 @@ fn binary_oversize_counts_fail_before_allocation() {
     assert!(binfmt::decode_tiles(&body).is_err());
 }
 
-/// Mutating one byte of a well-formed worker command either still parses
-/// (the mutation hit a value) or fails with a typed `JsonError` — the
-/// decoder itself must never panic on near-miss protocol frames. What the
-/// daemon then makes of a mutated `mm` / `cpmm1` that still parses is the
-/// same sweep run through its dispatcher, next to it
-/// (`workerd.rs`, `mm_and_cpmm1_hold_their_commands_against_their_shards`).
-/// The `mm`, `fused`, `xfer` and generating `install` texts name their
-/// tiles as the coordinator does, once per group (`"k":[bi,bj,…]`); what
-/// the daemon makes of a mutated generator is
+/// Mutating one byte of a well-formed worker command either still decodes
+/// (the mutation hit a value) or fails with a typed error — `Cmd::decode`
+/// must never panic on near-miss protocol frames. What the daemon then
+/// makes of a mutated `mm` / `cpmm1` that still decodes is the same sweep
+/// run through its dispatcher, next to it (`workerd.rs`,
+/// `mm_and_cpmm1_hold_their_commands_against_their_shards`). The `mm`,
+/// `fused`, `xfer` and generating `install` texts name their tiles as the
+/// coordinator does, once per group (`"k":[bi,bj,…]`); what the daemon
+/// makes of a mutated generator is
 /// `a_generator_the_grid_contradicts_installs_nothing` in `workerd.rs`.
 #[test]
 fn mutated_commands_fail_typed() {
@@ -552,9 +560,317 @@ fn mutated_commands_fail_typed() {
             let mut bytes = base.as_bytes().to_vec();
             let at = rng.below(bytes.len());
             bytes[at] = 0x20 + rng.below(0x5f) as u8;
-            if let Ok(s) = String::from_utf8(bytes) {
-                let _ = Json::parse(&s); // Ok or Err(JsonError) — both fine; a panic fails the test
-            }
+            // Ok or a typed Err — both fine; a panic fails the test.
+            let _ = Cmd::decode(&bytes);
         }
+    }
+}
+
+/// The same sweep over every reply a worker sends, `DMB1` bodies
+/// included: each mutated byte gives a reply or a typed error from
+/// `Reply::decode`, never a panic.
+#[test]
+fn mutated_replies_fail_typed() {
+    let mut rng = SplitMix64::new(0xF4A3_000C);
+    let replies = [
+        r#"{"t":"hello","host":1,"pid":4242,"peer":"127.0.0.1:9","bin":1}"#,
+        r#"{"t":"hb","host":1}"#,
+        r#"{"t":"err","msg":"unknown command 'x'","q":5}"#,
+        r#"{"t":"peerfail","host":2,"q":5}"#,
+        r#"{"t":"sealed","shards":[{"w":0,"n":3,"x":"cbf29ce484222325"},{"w":2,"n":0,"x":"cbf29ce484222325"}],"q":5}"#,
+        r#"{"t":"xferred","bytes":[8,48],"edges":[{"h":1,"f":2,"b":141}],"q":5}"#,
+        r#"{"t":"partials","descs":[{"w":0,"bi":1,"bj":2,"b":72}],"q":5}"#,
+        r#"{"t":"reduced","parts":[{"w":0,"x":"bff0000000000000"}],"q":5}"#,
+    ];
+    let tiles: Vec<Placed> = (0..2)
+        .map(|i| (i, i, i + 1, Arc::new(random_tile(&mut rng))))
+        .collect();
+    let mut frames: Vec<Vec<u8>> = replies.iter().map(|r| r.as_bytes().to_vec()).collect();
+    frames.push(Reply::Tiles { tiles }.encode(Some(5)));
+    for base in &frames {
+        assert!(
+            Reply::decode(base).msg.is_ok(),
+            "{}",
+            String::from_utf8_lossy(base)
+        );
+        for _ in 0..500 {
+            let mut bytes = base.clone();
+            let at = rng.below(bytes.len());
+            bytes[at] = rng.next_u64() as u8;
+            let _ = Reply::decode(&bytes);
+        }
+    }
+}
+
+/// A random tile of finite values, so that a decoded message compares
+/// equal to the one encoded.
+fn finite_tile(rng: &mut SplitMix64) -> Block {
+    let (rows, cols) = (1 + rng.below(4), 1 + rng.below(4));
+    let dense = DenseBlock::from_fn(rows, cols, |_, _| {
+        let zero = rng.below(3) == 0;
+        if zero {
+            0.0
+        } else {
+            rng.below(4096) as f64 / 64.0 - 32.0
+        }
+    });
+    if rng.below(2) == 0 {
+        Block::Dense(dense)
+    } else {
+        Block::Sparse(CscBlock::from_dense(&dense))
+    }
+}
+
+/// A seeded random message of every kind, each field drawn at random.
+struct Gen(SplitMix64);
+
+impl Gen {
+    fn n(&mut self) -> usize {
+        self.0.below(1 << 20)
+    }
+
+    fn rid(&mut self) -> u64 {
+        self.0.next_u64() >> 12
+    }
+
+    fn ns(&mut self) -> Vec<usize> {
+        (0..self.0.below(5)).map(|_| self.n()).collect()
+    }
+
+    fn keys(&mut self) -> Vec<(usize, usize)> {
+        (0..self.0.below(4)).map(|_| (self.n(), self.n())).collect()
+    }
+
+    fn groups(&mut self) -> Vec<Group> {
+        (0..self.0.below(4))
+            .map(|_| Group {
+                w: self.n(),
+                keys: self.keys(),
+            })
+            .collect()
+    }
+
+    fn grid(&mut self) -> GridMeta {
+        GridMeta::new(self.n(), self.n(), 1 + self.0.below(512))
+    }
+
+    fn text(&mut self) -> String {
+        let chars = ['a', '"', '\\', '\n', 'é', ':', '{', ' '];
+        (0..self.0.below(12))
+            .map(|_| chars[self.0.below(chars.len())])
+            .collect()
+    }
+
+    fn tiles(&mut self) -> Vec<Placed> {
+        (0..self.0.below(4))
+            .map(|_| {
+                (
+                    self.n(),
+                    self.n(),
+                    self.n(),
+                    Arc::new(finite_tile(&mut self.0)),
+                )
+            })
+            .collect()
+    }
+
+    fn constant(&mut self) -> f64 {
+        f64::from_bits(self.0.next_u64() >> 2)
+    }
+
+    fn cmd(&mut self) -> Cmd {
+        use dmac::matrix::FusedOp;
+        match self.0.below(13) {
+            0 => Cmd::Peers {
+                peers: (0..self.0.below(4)).map(|_| self.text()).collect(),
+                timeout_ms: self.rid(),
+            },
+            1 => Cmd::Install {
+                rid: self.rid(),
+                tiles: self.tiles(),
+            },
+            2 => Cmd::Generate {
+                rid: self.rid(),
+                seed: self.0.next_u64(),
+                matrix: self.0.next_u64() as u32,
+                grid: self.grid(),
+                tasks: self.groups(),
+            },
+            3 => Cmd::Collect {
+                rid: self.rid(),
+                items: (0..self.0.below(4))
+                    .map(|_| Place {
+                        w: self.n(),
+                        bi: self.n(),
+                        bj: self.n(),
+                    })
+                    .collect(),
+            },
+            4 => Cmd::Seal {
+                rid: self.rid(),
+                ws: self.ns(),
+            },
+            5 => Cmd::Mm {
+                rid_a: self.rid(),
+                rid_b: self.rid(),
+                rid_out: self.rid(),
+                kb: self.n(),
+                grid: self.grid(),
+                tasks: self.groups(),
+            },
+            6 => Cmd::Fused {
+                rids: (0..self.0.below(4)).map(|_| self.rid()).collect(),
+                prog: (0..self.0.below(8))
+                    .map(|_| match self.0.below(7) {
+                        0 => FusedOp::Leaf(self.0.below(4)),
+                        1 => FusedOp::Add,
+                        2 => FusedOp::Sub,
+                        3 => FusedOp::CellMul,
+                        4 => FusedOp::CellDiv,
+                        5 => FusedOp::Scale(self.constant()),
+                        _ => FusedOp::AddScalar(self.constant()),
+                    })
+                    .collect(),
+                rid_out: self.rid(),
+                tasks: self.groups(),
+            },
+            7 => Cmd::Cpmm1 {
+                rid_a: self.rid(),
+                rid_b: self.rid(),
+                stage: self.rid(),
+                n: self.n(),
+                kb: self.n(),
+                grid: self.grid(),
+                ws: self.ns(),
+            },
+            8 => Cmd::Cpmm2 {
+                stage: self.rid(),
+                rid_out: self.rid(),
+                grid: self.grid(),
+                tasks: (0..self.0.below(4))
+                    .map(|_| Combine {
+                        w: self.n(),
+                        bi: self.n(),
+                        bj: self.n(),
+                        srcs: self.ns(),
+                    })
+                    .collect(),
+            },
+            9 => Cmd::Reduce {
+                kind: [ReduceKind::Sum, ReduceKind::Norm2][self.0.below(2)],
+                rid: self.rid(),
+                ws: self.ns(),
+            },
+            10 => Cmd::Free { rid: self.rid() },
+            11 => Cmd::Xfer {
+                rid_in: self.rid(),
+                rid_out: self.rid(),
+                tr: [TileTransform::None, TileTransform::Transpose][self.0.below(2)],
+                groups: (0..self.0.below(4))
+                    .map(|_| Route {
+                        wi: self.n(),
+                        wo: self.n(),
+                        dh: self.0.chance(0.5).then(|| self.n()),
+                        keys: self.keys(),
+                    })
+                    .collect(),
+            },
+            _ => Cmd::Shutdown,
+        }
+    }
+
+    fn reply(&mut self) -> Reply {
+        match self.0.below(11) {
+            0 => Reply::Hello {
+                host: self.n(),
+                pid: self.rid(),
+                peer: self.text(),
+                bin: self.0.chance(0.5).then(|| self.rid()),
+            },
+            1 => Reply::Hb { host: self.n() },
+            2 => Reply::Ok,
+            3 => Reply::Bye,
+            4 => Reply::Err { msg: self.text() },
+            5 => Reply::PeerFail { host: self.n() },
+            6 => Reply::Sealed {
+                shards: (0..self.0.below(4))
+                    .map(|_| Shard {
+                        w: self.n(),
+                        n: self.n(),
+                        x: self.0.next_u64(),
+                    })
+                    .collect(),
+            },
+            7 => Reply::Xferred {
+                bytes: (0..self.0.below(4)).map(|_| self.rid()).collect(),
+                edges: (0..self.0.below(3))
+                    .map(|_| Edge {
+                        h: self.n(),
+                        f: self.rid(),
+                        b: self.rid(),
+                    })
+                    .collect(),
+            },
+            8 => Reply::Partials {
+                descs: (0..self.0.below(4))
+                    .map(|_| Desc {
+                        w: self.n(),
+                        bi: self.n(),
+                        bj: self.n(),
+                        b: self.rid(),
+                    })
+                    .collect(),
+            },
+            9 => Reply::Reduced {
+                parts: (0..self.0.below(4))
+                    .map(|_| Part {
+                        w: self.n(),
+                        x: self.constant(),
+                    })
+                    .collect(),
+            },
+            _ => Reply::Tiles {
+                tiles: self.tiles(),
+            },
+        }
+    }
+
+    fn peer(&mut self) -> Peer {
+        match self.0.below(3) {
+            0 => Peer::Push {
+                rid: self.rid(),
+                tiles: self.tiles(),
+            },
+            1 => Peer::Got,
+            _ => Peer::Err { msg: self.text() },
+        }
+    }
+}
+
+/// Every message the protocol can say decodes back to itself, with the
+/// sequence number it was sent with, and encodes again to the same bytes:
+/// over seeded random commands, replies and peer messages of every kind.
+#[test]
+fn protocol_messages_round_trip_canonically() {
+    let mut g = Gen(SplitMix64::new(0xF4A3_000D));
+    for round in 0..600u64 {
+        let q = (round % 3 != 0).then_some(round);
+        let cmd = g.cmd();
+        let raw = cmd.encode(q);
+        let back = Cmd::decode(&raw);
+        assert_eq!((back.q, back.msg.as_ref()), (q, Ok(&cmd)), "{cmd:?}");
+        assert_eq!(back.msg.unwrap().encode(q), raw);
+
+        let reply = g.reply();
+        let raw = reply.encode(q);
+        let back = Reply::decode(&raw);
+        assert_eq!((back.q, back.msg.as_ref()), (q, Ok(&reply)), "{reply:?}");
+        assert_eq!(back.msg.unwrap().encode(q), raw);
+
+        let peer = g.peer();
+        let raw = peer.encode(None);
+        let back = Peer::decode(&raw);
+        assert_eq!((back.q, back.msg.as_ref()), (None, Ok(&peer)));
+        assert_eq!(back.msg.unwrap().encode(None), raw);
     }
 }
