@@ -2,14 +2,20 @@
 //!
 //! Re-derives, along a code path deliberately separate from
 //! `dmac_core::liveness`, everything the planner's liveness pass claims
-//! about a plan:
+//! about a plan. A value is *released* by exactly one step: the tile-wise
+//! step that last reads it, which consumes it (`Plan::consumed`), or a
+//! `free` step spliced after its last reader.
 //!
-//! * **V18** — no step reads a node after its `free` step: the spliced
-//!   releases really do sit at or after every intermediate's last use.
-//! * **V19** — release discipline: no double frees, kept nodes (program
-//!   outputs, cached input placements) are never freed, and every dead
-//!   intermediate is freed *exactly once*, anchored no earlier than its
-//!   last reader (or its producer, if it is never read).
+//! * **V18** — no step reads a node after its release: a consumer really
+//!   is the last reader of what it consumes, and a spliced `free` sits at
+//!   or after every read.
+//! * **V19** — release discipline: no value is released twice (a consumed
+//!   value has no `free`), kept nodes (program outputs, cached input
+//!   placements) are never released, a consumer reads what it consumes, is
+//!   tile-wise (never a multiplication) and consumes no bound source and
+//!   no aliased node, and every dead intermediate is released *exactly
+//!   once*, no earlier than its last reader (or its producer, if it is
+//!   never read) — by that reader whenever the rule above lets it consume.
 //! * **V20** — the plan's [`MemoryCertificate`] dominates an independent
 //!   re-derivation of the per-step resident-byte bound and is internally
 //!   consistent (`peak` is the maximum of `per_step`, attained at
@@ -23,7 +29,8 @@
 //! live intervals, instead of the planner's backward last-use scan; the
 //! byte formulas are restated here from the storage contract (dense cap
 //! `8·r·c`; CSC payload-plus-column-pointer bound for sparse-class
-//! nodes) rather than shared with `dmac_core::liveness::node_price`.
+//! nodes) rather than shared with `dmac_core::liveness::node_price`, and
+//! which steps are tile-wise is read from the operator, not the strategy.
 
 use dmac_core::plan::{MemoryCertificate, Plan, PlanStep};
 use dmac_core::planner::{Planned, PlannerConfig};
@@ -129,61 +136,129 @@ fn rederive_keep(program: &Program, plan: &Plan) -> Vec<bool> {
     keep
 }
 
-/// V18 + V19: the liveness discipline of the spliced frees.
+/// Is every output tile of `step` made from the input tiles at one
+/// coordinate? The moves are; so is a computed cell-wise or unary
+/// operator and a fused chain of them; a multiplication, a reduction and
+/// a `reference` (whose output is its input) are not.
+fn tile_wise(program: &Program, step: &PlanStep) -> bool {
+    match step {
+        PlanStep::Partition { .. }
+        | PlanStep::Broadcast { .. }
+        | PlanStep::Transpose { .. }
+        | PlanStep::Extract { .. }
+        | PlanStep::FusedCellWise { .. } => true,
+        PlanStep::Compute { op, .. } => match program.ops().get(*op).map(|o| &o.kind) {
+            Some(OpKind::Binary { op: b, .. }) => *b != BinOp::MatMul,
+            Some(OpKind::Unary { .. }) => true,
+            _ => false,
+        },
+        PlanStep::Reference { .. } | PlanStep::Free { .. } => false,
+    }
+}
+
+/// V18 + V19: the release discipline of consumers and spliced frees.
 fn check_frees(program: &Program, plan: &Plan) -> Result<(), String> {
     let keep = rederive_keep(program, plan);
     let n_nodes = plan.nodes.len();
+    if plan.consumed.len() > plan.steps.len() {
+        return Err(format!(
+            "V19: consumers recorded for {} steps of a {}-step plan",
+            plan.consumed.len(),
+            plan.steps.len()
+        ));
+    }
     let mut defined_at = vec![None::<usize>; n_nodes]; // None for sources
     let mut source = vec![false; n_nodes];
-    for &(node, _) in &plan.sources {
+    let mut bound = vec![false; n_nodes];
+    for &(node, mid) in &plan.sources {
         source[node] = true;
+        bound[node] = program
+            .decl(mid)
+            .map(|d| matches!(d.origin, MatrixOrigin::Load))
+            .unwrap_or(false);
     }
-    let mut freed_at = vec![None::<usize>; n_nodes];
+    let mut aliased = vec![false; n_nodes];
+    for step in &plan.steps {
+        if let PlanStep::Reference { src, out, .. } = step {
+            for n in [*src, *out] {
+                if let Some(a) = aliased.get_mut(n) {
+                    *a = true;
+                }
+            }
+        }
+    }
+    let mut released_at = vec![None::<usize>; n_nodes];
     let mut last_read = vec![None::<usize>; n_nodes];
     for (i, step) in plan.steps.iter().enumerate() {
-        match step {
+        let consumed = plan.consumed_at(i);
+        let released: &[usize] = match step {
             PlanStep::Free { node, .. } => {
-                let n = *node;
-                if n >= n_nodes {
-                    return Err(format!("V19: step {i} frees missing node {n}"));
+                if !consumed.is_empty() {
+                    return Err(format!("V19: free step {i} records consumers {consumed:?}"));
                 }
-                if let Some(f) = freed_at[n] {
-                    return Err(format!("V19: node {n} freed at step {i} and at step {f}"));
-                }
-                if keep[n] {
-                    return Err(format!(
-                        "V19: step {i} frees kept node {n} ({})",
-                        plan.node_label(program, n)
-                    ));
-                }
-                if !source[n] && defined_at[n].is_none() {
-                    return Err(format!("V19: step {i} frees undefined node {n}"));
-                }
-                freed_at[n] = Some(i);
+                std::slice::from_ref(node)
             }
             _ => {
                 for r in step.in_nodes() {
-                    if let Some(f) = freed_at.get(r).copied().flatten() {
+                    if let Some(f) = released_at.get(r).copied().flatten() {
                         return Err(format!(
-                            "V18: step {i} reads node {r} after its free at step {f}"
+                            "V18: step {i} reads node {r} after its release at step {f}"
                         ));
                     }
                     last_read[r] = Some(i);
                 }
                 if let Some(out) = step.out_node() {
-                    if let Some(f) = freed_at[out] {
+                    if let Some(f) = released_at[out] {
                         return Err(format!(
-                            "V18: step {i} defines node {out} after its free at step {f}"
+                            "V18: step {i} defines node {out} after its release at step {f}"
                         ));
                     }
                     defined_at[out] = Some(i);
                 }
+                consumed
             }
+        };
+        for &n in released {
+            if n >= n_nodes {
+                return Err(format!("V19: step {i} releases missing node {n}"));
+            }
+            if let Some(f) = released_at[n] {
+                return Err(format!(
+                    "V19: node {n} released at step {i} and at step {f}"
+                ));
+            }
+            if keep[n] {
+                return Err(format!(
+                    "V19: step {i} releases kept node {n} ({})",
+                    plan.node_label(program, n)
+                ));
+            }
+            if !source[n] && defined_at[n].is_none() {
+                return Err(format!("V19: step {i} releases undefined node {n}"));
+            }
+            if !matches!(step, PlanStep::Free { .. }) {
+                let why = if !step.in_nodes().contains(&n) {
+                    Some("does not read it")
+                } else if !tile_wise(program, step) {
+                    Some("is not tile-wise")
+                } else if bound[n] {
+                    Some("it is a bound source")
+                } else if aliased[n] {
+                    Some("a reference aliases it")
+                } else {
+                    None
+                };
+                if let Some(why) = why {
+                    return Err(format!("V19: step {i} consumes node {n}, but {why}"));
+                }
+            }
+            released_at[n] = Some(i);
         }
     }
-    // Completeness: every dead intermediate freed exactly once, no
-    // earlier than its anchor (last reader, else producer). Unused
-    // sources have no anchor step and legitimately stay resident.
+    // Completeness: every dead intermediate released exactly once, no
+    // earlier than its anchor (last reader, else producer), and by its
+    // last reader whenever that reader may consume it. Unused sources
+    // have no anchor step and legitimately stay resident.
     for n in 0..n_nodes {
         if keep[n] || (!source[n] && defined_at[n].is_none()) {
             continue;
@@ -193,19 +268,30 @@ fn check_frees(program: &Program, plan: &Plan) -> Result<(), String> {
             (None, Some(d)) => d,
             (None, None) => continue,
         };
-        match freed_at[n] {
+        match released_at[n] {
             None => {
                 return Err(format!(
-                    "V19: dead node {n} ({}) is never freed (last use at step {anchor})",
+                    "V19: dead node {n} ({}) is never released (last use at step {anchor})",
                     plan.node_label(program, n)
                 ));
             }
             Some(f) if f < anchor => {
                 return Err(format!(
-                    "V19: node {n} freed at step {f}, before its last use at step {anchor}"
+                    "V19: node {n} released at step {f}, before its last use at step {anchor}"
                 ));
             }
-            Some(_) => {}
+            Some(f) => {
+                let consumable = last_read[n] == Some(anchor)
+                    && !bound[n]
+                    && !aliased[n]
+                    && tile_wise(program, &plan.steps[anchor]);
+                if consumable && f != anchor {
+                    return Err(format!(
+                        "V19: node {n} is freed at step {f}, but its last reader, step \
+                         {anchor}, is tile-wise and must consume it"
+                    ));
+                }
+            }
         }
     }
     Ok(())
@@ -238,20 +324,20 @@ fn check_certificate(
         }
     }
     for (i, step) in plan.steps.iter().enumerate() {
-        match step {
-            PlanStep::Free { node, .. } => {
-                if live[*node] {
-                    live[*node] = false;
-                    resident -= price(*node);
-                }
+        if let Some(out) = step.out_node() {
+            if !live[out] {
+                live[out] = true;
+                resident += price(out);
             }
-            _ => {
-                if let Some(out) = step.out_node() {
-                    if !live[out] {
-                        live[out] = true;
-                        resident += price(out);
-                    }
-                }
+        }
+        let gone: Vec<usize> = match step {
+            PlanStep::Free { node, .. } => vec![*node],
+            _ => plan.consumed_at(i).to_vec(),
+        };
+        for n in gone {
+            if live[n] {
+                live[n] = false;
+                resident -= price(n);
             }
         }
         if cert.per_step[i] < resident {
@@ -283,8 +369,8 @@ fn check_certificate(
     Ok(())
 }
 
-/// V18–V20 over a planned program: free-splicing discipline and
-/// certificate soundness. Called from [`crate::verify_planned`].
+/// V18–V20 over a planned program: release discipline and certificate
+/// soundness. Called from [`crate::verify_planned`].
 pub fn check_liveness(
     program: &Program,
     planned: &Planned,

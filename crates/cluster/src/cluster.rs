@@ -59,6 +59,9 @@ use crate::transport::{
 
 /// One result tile of a stage, keyed by its block coordinates.
 type KeyedTile = ((usize, usize), Arc<Block>);
+/// One task of a cell-wise stage: an output key and the input tiles,
+/// one per leaf, that it owns and drops once its output tile exists.
+type AlignedTask = ((usize, usize), Vec<Arc<Block>>);
 /// Per-logical-worker tile stores of a value under construction.
 type Stores = Vec<HashMap<(usize, usize), Arc<Block>>>;
 
@@ -94,7 +97,7 @@ impl Default for ClusterConfig {
 /// let mut cl = Cluster::new(ClusterConfig::default());
 /// let m = BlockedMatrix::from_fn(8, 8, 4, |i, j| (i * 8 + j) as f64).unwrap();
 /// let row = cl.load(&m, PartitionScheme::Row);          // free initial load
-/// let col = cl.repartition(&row, PartitionScheme::Col, "m").unwrap();
+/// let col = cl.repartition(row, PartitionScheme::Col, "m").unwrap(); // consumes `row`
 /// assert!(cl.comm().shuffle_bytes() > 0);               // metered!
 /// assert_eq!(col.to_blocked().unwrap().to_dense(), m.to_dense());
 /// ```
@@ -116,6 +119,8 @@ pub struct Cluster {
     /// oracle's values; a mirror's state is shadow state proven
     /// byte-equal after each op. Without one nothing is captured.
     transport: Option<Box<dyn Transport>>,
+    /// The primitive [`Cluster::admit`] let in ahead of its call.
+    admitted: Option<&'static str>,
 }
 
 /// A primitive's span while it runs: opened at entry with its `op` and
@@ -139,6 +144,7 @@ impl Cluster {
             pool: ResultBufferPool::new(2 * config.local_threads),
             tracer: TraceBuffer::new(),
             transport: None,
+            admitted: None,
         }
     }
 
@@ -415,6 +421,24 @@ impl Cluster {
     /// recovery path understands), then the fault injector may take a host
     /// down at this op. A primitive that gets in has its span opened.
     fn op_entry(&mut self, op: &'static str) -> Result<OpenSpan> {
+        match self.admitted.take() {
+            Some(admitted) => assert_eq!(admitted, op, "admitted one primitive, entered another"),
+            None => self.entry_checks(op)?,
+        }
+        Ok(self.span_open(op))
+    }
+
+    /// Run primitive `op`'s entry guard ahead of the call, which must come
+    /// next and then skips it. A caller about to hand `op` its only handle
+    /// to an operand admits it first, so a loss caught at entry, before
+    /// any tile is touched, leaves the caller every operand whole.
+    pub fn admit(&mut self, op: &'static str) -> Result<()> {
+        self.entry_checks(op)?;
+        self.admitted = Some(op);
+        Ok(())
+    }
+
+    fn entry_checks(&mut self, op: &'static str) -> Result<()> {
         // Real backends detect death organically (closed connections,
         // stale heartbeats); fold those hosts into the same failure path
         // an injected fault uses.
@@ -427,7 +451,7 @@ impl Cluster {
             self.failed.insert(victim);
             return Err(ClusterError::WorkerLost(victim));
         }
-        Ok(self.span_open(op))
+        Ok(())
     }
 
     /// Notify the cluster that plan stage `stage` begins. The fault
@@ -575,7 +599,9 @@ impl Cluster {
     /// its key (a worker keeps the first copy it is offered), copies that
     /// change worker are metered as `comm` traffic — rehash is unmetered
     /// and passes `None`, and its span carries no nnz stamp — and a mirror,
-    /// if there is one, replays the explicit move list.
+    /// if there is one, replays the explicit move list. Consumes `m`: its
+    /// tiles are the output's, and its handle goes once the mirror has
+    /// replayed the move from it.
     #[allow(clippy::too_many_arguments)]
     fn shuffle(
         &mut self,
@@ -583,7 +609,7 @@ impl Cluster {
         label: &str,
         comm: Option<CommKind>,
         event_bytes: u64,
-        m: &DistMatrix,
+        m: DistMatrix,
         scheme: PartitionScheme,
         dests: impl Fn(usize, usize) -> std::ops::Range<usize>,
     ) -> Result<DistMatrix> {
@@ -627,7 +653,7 @@ impl Cluster {
         let stamped = comm.is_some().then_some(&out);
         self.finish_op(st, label, event_bytes, io, blocks, stamped, |t| {
             let moves = moves.expect("a mirrored shuffle captured its moves");
-            t.move_tiles(op, m, &out, TileTransform::None, &moves)
+            t.move_tiles(op, &m, &out, TileTransform::None, &moves)
         })?;
         Ok(out)
     }
@@ -635,9 +661,10 @@ impl Cluster {
     /// The `partition` extended operator: repartition `m` to a Row or
     /// Column scheme. Every tile that changes owner is metered as shuffle
     /// traffic. Repartitioning from Broadcast is a local extract and free.
+    /// Like every move, it consumes `m` (see [`Cluster::cells`]).
     pub fn repartition(
         &mut self,
-        m: &DistMatrix,
+        m: DistMatrix,
         target: PartitionScheme,
         label: &str,
     ) -> Result<DistMatrix> {
@@ -652,14 +679,14 @@ impl Cluster {
         if m.scheme() == target {
             // No event: the requirement is already satisfied (cost 0).
             let label = format!("{label} (noop)");
-            self.finish_op(st, &label, 0, None, 0, Some(m), |_| Ok(0))?;
-            return Ok(m.clone());
+            self.finish_op(st, &label, 0, None, 0, Some(&m), |_| Ok(0))?;
+            return Ok(m);
         }
         if m.scheme() == PartitionScheme::Broadcast {
             // Everything is already everywhere: a pure filter (cost 0).
             let out = m.extract_local(target)?;
             let label = format!("{label} (extract)");
-            self.finish_local(st, &label, m, &out, &out, TileTransform::None)?;
+            self.finish_local(st, &label, &m, &out)?;
             return Ok(out);
         }
         // The partition *event* re-keys every tile of `m` (Table 2 charges
@@ -674,12 +701,13 @@ impl Cluster {
 
     /// The `broadcast` extended operator: replicate `m` on every worker.
     /// Each worker must receive the tiles it does not already hold.
-    pub fn broadcast(&mut self, m: &DistMatrix, label: &str) -> Result<DistMatrix> {
+    /// Consumes `m`.
+    pub fn broadcast(&mut self, m: DistMatrix, label: &str) -> Result<DistMatrix> {
         let st = self.op_entry("broadcast")?;
         if m.scheme() == PartitionScheme::Broadcast {
             let label = format!("{label} (noop)");
-            self.finish_op(st, &label, 0, None, 0, Some(m), |_| Ok(0))?;
-            return Ok(m.clone());
+            self.finish_op(st, &label, 0, None, 0, Some(&m), |_| Ok(0))?;
+            return Ok(m);
         }
         // The broadcast *event* replicates `m` on all N workers (Table 2
         // charges N·|A|); the wire skips the share each source already has.
@@ -695,10 +723,10 @@ impl Cluster {
     /// on the *input* side only), the movement is **not metered** — a
     /// deliberate, baseline-favouring simplification documented in
     /// DESIGN.md.
-    pub fn rehash(&mut self, m: &DistMatrix) -> Result<DistMatrix> {
+    pub fn rehash(&mut self, m: DistMatrix) -> Result<DistMatrix> {
         let st = self.op_entry("rehash")?;
         if m.scheme() == PartitionScheme::Hash {
-            return Ok(m.clone());
+            return Ok(m);
         }
         let (n, hash) = (self.config.workers, PartitionScheme::Hash);
         self.shuffle(st, "", None, 0, m, hash, |bi, bj| {
@@ -707,75 +735,69 @@ impl Cluster {
         })
     }
 
-    /// Epilogue of the communication-free local primitives (transpose,
-    /// extract), whose output tiles stay on the worker their inputs were
-    /// on: the mirror gets an unmetered same-worker move per tile of
-    /// `keyed` (whichever of `src` / `out` carries the source coordinates).
+    /// Epilogue of the extracts (the `extract` operator, a repartition
+    /// from Broadcast), whose output tiles stay on the worker their inputs
+    /// were on: the mirror gets an unmetered same-worker move per tile of
+    /// `out`.
     fn finish_local(
         &mut self,
         st: OpenSpan,
         label: &str,
         src: &DistMatrix,
         out: &DistMatrix,
-        keyed: &DistMatrix,
-        transform: TileTransform,
     ) -> Result<()> {
         let (op, blocks) = (st.span.op, out.tile_count());
         self.finish_op(st, label, 0, None, blocks, Some(out), |t| {
-            let mut moves = Vec::with_capacity(keyed.tile_count());
-            for w in 0..keyed.workers() {
-                for &(bi, bj) in keyed.worker_blocks(w).keys() {
-                    moves.push(MoveItem {
-                        src_w: w,
-                        dest_w: w,
-                        bi,
-                        bj,
-                        metered: false,
-                    });
-                }
-            }
-            t.move_tiles(op, src, out, transform, &moves)
+            t.move_tiles(op, src, out, TileTransform::None, &same_worker_moves(out))
         })
     }
 
-    /// The `transpose` extended operator: local, free.
-    pub fn transpose(&mut self, m: &DistMatrix) -> Result<DistMatrix> {
+    /// The `transpose` extended operator: local, free. Consumes `m`, each
+    /// input tile going once its transpose exists
+    /// ([`DistMatrix::transpose_local`]) — save that a mirror replays the
+    /// move from the source after the oracle, so it holds a handle to it
+    /// until then.
+    pub fn transpose(&mut self, m: DistMatrix) -> Result<DistMatrix> {
         let st = self.op_entry("transpose")?;
+        let src = self.transport.is_some().then(|| m.clone());
         let t0 = Instant::now();
         let out = m.transpose_local();
         self.charge_compute(t0.elapsed().as_secs_f64() / self.host_parallelism() as f64);
-        self.finish_local(st, "", m, &out, m, TileTransform::Transpose)?;
+        let (op, blocks) = (st.span.op, out.tile_count());
+        self.finish_op(st, "", 0, None, blocks, Some(&out), |t| {
+            let src = src.expect("a mirrored transpose kept its source");
+            t.move_tiles(
+                op,
+                &src,
+                &out,
+                TileTransform::Transpose,
+                &same_worker_moves(&src),
+            )
+        })?;
         Ok(out)
     }
 
-    /// The `extract` extended operator: local, free.
-    pub fn extract(&mut self, m: &DistMatrix, target: PartitionScheme) -> Result<DistMatrix> {
+    /// The `extract` extended operator: local, free. Consumes `m`.
+    pub fn extract(&mut self, m: DistMatrix, target: PartitionScheme) -> Result<DistMatrix> {
         let st = self.op_entry("extract")?;
         let out = m.extract_local(target)?;
-        self.finish_local(st, "", m, &out, &out, TileTransform::None)?;
+        self.finish_local(st, "", &m, &out)?;
         Ok(out)
     }
 
-    /// The `free` plan step: release a dead intermediate's physical
-    /// shards on the mirror. Local and communication-free; it draws
-    /// no fault (so seeded fault sequences are unperturbed by liveness
-    /// splicing) and meters nothing. Idempotent: a value the mirror does
-    /// not hold (never installed, already released) costs nothing, and one
-    /// it holds is released at the head of the next exchange.
-    /// The returned receipt is the physical bytes reclaimed, priced here
-    /// from `m`'s tiles — what install and seal proved the workers hold —
-    /// when the mirror released it (0 when it held nothing, or without one).
-    pub fn free(&mut self, m: &DistMatrix) -> Result<u64> {
+    /// Release the physical shards of the dead value `rid` names on the
+    /// mirror: a plan's `free` step, or a step that consumed its input.
+    /// Local and communication-free; it draws no fault (so seeded fault
+    /// sequences are unperturbed by liveness) and meters nothing.
+    /// Idempotent: a value the mirror does not hold (never installed,
+    /// already released) costs nothing, and one it holds is released at
+    /// the head of the next exchange.
+    pub fn free(&mut self, rid: u64) -> Result<()> {
         let st = self.span_open("free");
-        let mut released = 0;
-        self.finish_op(st, "", 0, None, m.tile_count(), None, |t| {
-            if t.retain_values(&|rid| rid != m.rid(), Release::Queued)? > 0 {
-                let shards = (0..m.workers()).flat_map(|w| m.worker_blocks(w).values());
-                released = shards.map(|tile| tile.actual_bytes() as u64).sum();
-            }
+        self.finish_op(st, "", 0, None, 0, None, |t| {
+            t.retain_values(&|r| r != rid, Release::Queued)?;
             Ok(0)
-        })?;
-        Ok(released)
+        })
     }
 
     /// Tell the mirror which values live handles still name, by rid: it
@@ -823,7 +845,7 @@ impl Cluster {
     /// *host*. Returns every worker's results in task order.
     fn run_stage<S: Sync, T: Send, R: Send>(
         &mut self,
-        stage_of: impl Fn(usize) -> Result<(S, Vec<T>)>,
+        mut stage_of: impl FnMut(usize) -> Result<(S, Vec<T>)>,
         run: impl Fn(&ResultBufferPool, &S, T) -> Result<R> + Sync,
     ) -> Result<Vec<Vec<R>>> {
         let n = self.config.workers;
@@ -1026,11 +1048,16 @@ impl Cluster {
     /// zero wire and event bytes under `op` / `label` (`"add"`, `"map"` +
     /// `"scale"`, `"fused"` + the subsumed operators), so fusing never
     /// changes the cost-model ledger.
+    ///
+    /// Consumes `leaves`, like every tile-wise primitive: each task owns
+    /// its input tiles and drops them once its output tile exists, so a
+    /// leaf no one else holds is freed tile by tile while the stage runs.
+    /// A leaf the caller still holds elsewhere only loses a reference.
     pub fn cells(
         &mut self,
         op: &'static str,
         label: &str,
-        leaves: &[&DistMatrix],
+        mut leaves: Vec<DistMatrix>,
         prog: &[FusedOp],
     ) -> Result<DistMatrix> {
         let st = self.op_entry(op)?;
@@ -1042,12 +1069,13 @@ impl Cluster {
             self.aligned(first, m, op)?;
         }
         // Every output tile is computed where the first leaf's is.
-        let rid = fresh_rid();
+        let (rid, meta, scheme) = (fresh_rid(), *first.meta(), first.scheme());
         let posted = self.transport.as_deref_mut().map_or(Ok(()), |t| {
             let keys: Vec<Vec<_>> = (0..first.workers())
                 .map(|w| first.worker_blocks(w).keys().copied().collect())
                 .collect();
-            let (kernel, meta) = (StageKernel::Fused(prog, leaves), *first.meta());
+            let refs: Vec<&DistMatrix> = leaves.iter().collect();
+            let kernel = StageKernel::Fused(prog, &refs);
             t.post_stage(&Stage {
                 op,
                 kernel,
@@ -1057,18 +1085,13 @@ impl Cluster {
             })
         });
         let tiles = self.run_stage(
-            |w| Ok((w, first.worker_blocks(w).iter().collect())),
-            |pool, &w, (&k, at): (&(usize, usize), &Arc<Block>)| {
-                let mut tiles: Vec<&Block> = Vec::with_capacity(leaves.len());
-                tiles.push(at);
-                for m in rest {
-                    tiles.push(aligned_tile(m, w, k, op)?);
-                }
+            |w| Ok(((), aligned_tasks(&mut leaves, w, op)?)),
+            |pool, (), (k, tiles): (_, Vec<Arc<Block>>)| {
+                let tiles: Vec<&Block> = tiles.iter().map(|t| &**t).collect();
                 Ok((k, Arc::new(eval_fused_block(prog, &tiles, pool)?)))
             },
         )?;
-        let stores = into_stores(tiles);
-        let out = DistMatrix::from_minted(rid, *first.meta(), first.scheme(), stores);
+        let out = DistMatrix::from_minted(rid, meta, scheme, into_stores(tiles));
         self.finish_op(st, label, 0, None, out.tile_count(), Some(&out), |t| {
             posted?;
             t.settle_stage(&out).map(|()| 0)
@@ -1132,6 +1155,24 @@ fn shard(m: &DistMatrix, w: usize) -> impl Iterator<Item = ((usize, usize), &Blo
     m.worker_blocks(w).iter().map(|(&k, t)| (k, &**t))
 }
 
+/// An unmetered move of every tile of `keyed` to the worker that holds
+/// it: a local primitive's move list, keyed by the source coordinates.
+fn same_worker_moves(keyed: &DistMatrix) -> Vec<MoveItem> {
+    let mut moves = Vec::with_capacity(keyed.tile_count());
+    for w in 0..keyed.workers() {
+        for &(bi, bj) in keyed.worker_blocks(w).keys() {
+            moves.push(MoveItem {
+                src_w: w,
+                dest_w: w,
+                bi,
+                bj,
+                metered: false,
+            });
+        }
+    }
+    moves
+}
+
 /// Every tile coordinate of a grid, row-major.
 fn grid_cells(meta: &GridMeta) -> impl Iterator<Item = (usize, usize)> {
     let cb = meta.col_blocks;
@@ -1143,18 +1184,27 @@ fn into_stores(tiles: Vec<Vec<KeyedTile>>) -> Stores {
     tiles.into_iter().map(HashMap::from_iter).collect()
 }
 
-/// Worker `w`'s tile `k` of an operand aligned with the one being mapped.
-fn aligned_tile<'m>(
-    m: &'m DistMatrix,
-    w: usize,
-    (bi, bj): (usize, usize),
-    op: &str,
-) -> Result<&'m Block> {
-    m.block_on(w, bi, bj).map(|t| &**t).ok_or_else(|| {
-        ClusterError::Matrix(MatrixError::MalformedSparse(format!(
-            "{op}: tile ({bi},{bj}) missing on worker {w}"
-        )))
-    })
+/// Worker `w`'s tasks of a cell-wise stage over `leaves`, drained from
+/// them: per tile of the first leaf, its key and the aligned tile of every
+/// leaf, in leaf order.
+fn aligned_tasks(leaves: &mut [DistMatrix], w: usize, op: &str) -> Result<Vec<AlignedTask>> {
+    let mut stores: Vec<_> = leaves.iter_mut().map(|m| m.take_worker_blocks(w)).collect();
+    let (first, rest) = stores.split_first_mut().expect("a stage has a leaf");
+    let mut tasks = Vec::with_capacity(first.len());
+    for (k, at) in first.drain() {
+        let mut tiles = Vec::with_capacity(1 + rest.len());
+        tiles.push(at);
+        for store in rest.iter_mut() {
+            let (bi, bj) = k;
+            tiles.push(store.remove(&k).ok_or_else(|| {
+                ClusterError::Matrix(MatrixError::MalformedSparse(format!(
+                    "{op}: tile ({bi},{bj}) missing on worker {w}"
+                )))
+            })?);
+        }
+        tasks.push((k, tiles));
+    }
+    Ok(tasks)
 }
 
 /// Distributed reductions.
@@ -1212,7 +1262,9 @@ mod tests {
         let m = sample(16, 16, 4);
         let r = cl.load(&m, PartitionScheme::Row);
         let before = cl.comm().total_bytes();
-        let c = cl.repartition(&r, PartitionScheme::Col, "m").unwrap();
+        let c = cl
+            .repartition(r.clone(), PartitionScheme::Col, "m")
+            .unwrap();
         c.validate().unwrap();
         assert_eq!(c.scheme(), PartitionScheme::Col);
         let moved = cl.comm().total_bytes() - before;
@@ -1228,7 +1280,9 @@ mod tests {
         let mut cl = cluster(4);
         let m = sample(8, 8, 4);
         let r = cl.load(&m, PartitionScheme::Row);
-        let r2 = cl.repartition(&r, PartitionScheme::Row, "m").unwrap();
+        let r2 = cl
+            .repartition(r.clone(), PartitionScheme::Row, "m")
+            .unwrap();
         assert_eq!(cl.comm().total_bytes(), 0);
         assert_eq!(r2.scheme(), PartitionScheme::Row);
     }
@@ -1238,7 +1292,9 @@ mod tests {
         let mut cl = cluster(2);
         let m = sample(8, 8, 4);
         let b = cl.load(&m, PartitionScheme::Broadcast);
-        let r = cl.repartition(&b, PartitionScheme::Row, "m").unwrap();
+        let r = cl
+            .repartition(b.clone(), PartitionScheme::Row, "m")
+            .unwrap();
         assert_eq!(cl.comm().total_bytes(), 0);
         r.validate().unwrap();
     }
@@ -1248,7 +1304,7 @@ mod tests {
         let mut cl = cluster(4);
         let m = sample(16, 16, 4);
         let r = cl.load(&m, PartitionScheme::Row);
-        let b = cl.broadcast(&r, "m").unwrap();
+        let b = cl.broadcast(r.clone(), "m").unwrap();
         b.validate().unwrap();
         // every worker needs the 3/4 of tiles it does not hold
         let total = m.actual_bytes() as u64;
@@ -1355,11 +1411,21 @@ mod tests {
         let da = cl.load(&a, PartitionScheme::Row);
         let db = cl.load(&a, PartitionScheme::Col);
         assert!(cl
-            .cells("add", "", &[&da, &db], &binary(FusedOp::Add))
+            .cells(
+                "add",
+                "",
+                vec![da.clone(), db.clone()],
+                &binary(FusedOp::Add)
+            )
             .is_err());
         let db2 = cl.load(&a, PartitionScheme::Row);
         let c = cl
-            .cells("add", "", &[&da, &db2], &binary(FusedOp::Add))
+            .cells(
+                "add",
+                "",
+                vec![da.clone(), db2.clone()],
+                &binary(FusedOp::Add),
+            )
             .unwrap();
         assert_eq!(cl.comm().total_bytes(), 0);
         assert_eq!(
@@ -1381,7 +1447,9 @@ mod tests {
             ("cell_mul", FusedOp::CellMul, a.cell_mul(&b).unwrap()),
             ("cell_div", FusedOp::CellDiv, a.cell_div(&b).unwrap()),
         ] {
-            let c = cl.cells(name, "", &[&da, &db], &binary(op)).unwrap();
+            let c = cl
+                .cells(name, "", vec![da.clone(), db.clone()], &binary(op))
+                .unwrap();
             assert_eq!(cl.spans().last().unwrap().op, name);
             assert_eq!(c.to_blocked().unwrap().to_dense(), expect.to_dense());
         }
@@ -1393,7 +1461,7 @@ mod tests {
         let a = sample(4, 4, 2);
         let da = cl.load(&a, PartitionScheme::Broadcast);
         let prog = [FusedOp::Leaf(0), FusedOp::Scale(3.0)];
-        let c = cl.cells("map", "scale", &[&da], &prog).unwrap();
+        let c = cl.cells("map", "scale", vec![da.clone()], &prog).unwrap();
         c.validate().unwrap();
         assert_eq!(c.scheme(), PartitionScheme::Broadcast);
         assert_eq!(c.to_blocked().unwrap().to_dense(), a.scale(3.0).to_dense());
@@ -1406,8 +1474,10 @@ mod tests {
         assert!(!cl.transport_is_physical());
         let (a, b) = (sample(12, 9, 3), sample(9, 12, 3));
         let hashed = cl.load(&a, PartitionScheme::Hash);
-        let a_col = cl.repartition(&hashed, PartitionScheme::Col, "a").unwrap();
-        let a_bc = cl.broadcast(&a_col, "a").unwrap();
+        let a_col = cl
+            .repartition(hashed.clone(), PartitionScheme::Col, "a")
+            .unwrap();
+        let a_bc = cl.broadcast(a_col.clone(), "a").unwrap();
         let b_col = cl.load(&b, PartitionScheme::Col);
         let ab = cl.rmm1(&a_bc, &b_col).unwrap();
         let b_row = cl.load(&b, PartitionScheme::Row);
@@ -1418,7 +1488,8 @@ mod tests {
             g.to_blocked().unwrap().to_dense()
         );
         assert_eq!(cl.gather_physical(&g).unwrap().map(|m| m.rid()), None);
-        assert_eq!(cl.free(&ab).unwrap(), 0, "nothing physical to reclaim");
+        cl.free(ab.rid()).unwrap();
+        assert_eq!(cl.transport_stats().resident_values, 0, "nothing physical");
 
         let ops: Vec<&str> = cl.spans().iter().map(|s| s.op).collect();
         assert_eq!(
@@ -1456,11 +1527,13 @@ mod tests {
         let da = cl.load(&a, PartitionScheme::Row);
         cl.fail_worker(1);
         assert!(matches!(
-            cl.repartition(&da, PartitionScheme::Col, "a"),
+            cl.repartition(da.clone(), PartitionScheme::Col, "a"),
             Err(ClusterError::WorkerLost(1))
         ));
         cl.heal_worker(1);
-        assert!(cl.repartition(&da, PartitionScheme::Col, "a").is_ok());
+        assert!(cl
+            .repartition(da.clone(), PartitionScheme::Col, "a")
+            .is_ok());
     }
 
     #[test]
@@ -1481,7 +1554,12 @@ mod tests {
             Err(ClusterError::WorkerLost(2))
         ));
         assert!(matches!(
-            cl.cells("add", "", &[&da, &db], &binary(FusedOp::Add)),
+            cl.cells(
+                "add",
+                "",
+                vec![da.clone(), db.clone()],
+                &binary(FusedOp::Add)
+            ),
             Err(ClusterError::WorkerLost(2))
         ));
         assert!(matches!(
@@ -1512,7 +1590,9 @@ mod tests {
         // workloads still run, keyed on 4 logical workers
         let m = sample(8, 8, 2);
         let r = cl.load(&m, PartitionScheme::Row);
-        let c = cl.repartition(&r, PartitionScheme::Col, "m").unwrap();
+        let c = cl
+            .repartition(r.clone(), PartitionScheme::Col, "m")
+            .unwrap();
         assert_eq!(c.to_blocked().unwrap().to_dense(), m.to_dense());
     }
 
@@ -1536,10 +1616,10 @@ mod tests {
         let m = sample(6, 6, 2);
         let r = cl.load(&m, PartitionScheme::Row);
         cl.begin_stage(0);
-        assert!(cl.repartition(&r, PartitionScheme::Col, "m").is_ok());
+        assert!(cl.repartition(r.clone(), PartitionScheme::Col, "m").is_ok());
         cl.begin_stage(1);
         assert!(matches!(
-            cl.broadcast(&r, "m"),
+            cl.broadcast(r.clone(), "m"),
             Err(ClusterError::WorkerLost(2))
         ));
         assert_eq!(
@@ -1549,7 +1629,7 @@ mod tests {
         // one-shot: after decommission the replayed stage does not re-kill
         cl.decommission(2).unwrap();
         cl.begin_stage(1);
-        assert!(cl.broadcast(&r, "m").is_ok());
+        assert!(cl.broadcast(r.clone(), "m").is_ok());
     }
 
     #[test]
@@ -1573,7 +1653,7 @@ mod tests {
         let mut cl = flaky(1.0, 3);
         let m = sample(8, 8, 4);
         let r = cl.load(&m, PartitionScheme::Row);
-        match cl.repartition(&r, PartitionScheme::Col, "m") {
+        match cl.repartition(r.clone(), PartitionScheme::Col, "m") {
             Err(ClusterError::SendFailed { attempts, .. }) => assert_eq!(attempts, 3),
             other => panic!("expected SendFailed, got {other:?}"),
         }
@@ -1586,10 +1666,13 @@ mod tests {
         let moved_clean = {
             let mut clean = flaky(0.0, 1);
             let rc = clean.load(&m, PartitionScheme::Row);
-            clean.repartition(&rc, PartitionScheme::Col, "m").unwrap();
+            clean
+                .repartition(rc.clone(), PartitionScheme::Col, "m")
+                .unwrap();
             clean.comm().shuffle_bytes()
         };
-        cl.repartition(&r, PartitionScheme::Col, "m").unwrap();
+        cl.repartition(r.clone(), PartitionScheme::Col, "m")
+            .unwrap();
         assert_eq!(cl.comm().shuffle_bytes(), moved_clean);
         assert_eq!(
             cl.comm().retry_events(),
@@ -1631,7 +1714,7 @@ mod tests {
         });
         let a = sample(16, 16, 4);
         let da = cl.load(&a, PartitionScheme::Row);
-        let _ = cl.broadcast(&da, "a").unwrap();
+        let _ = cl.broadcast(da.clone(), "a").unwrap();
         assert!(cl.clock().comm_sec() > 0.0);
         assert!(cl.clock().comm_fraction() > 0.0);
         // The span that moved the bytes carries the seconds they cost.

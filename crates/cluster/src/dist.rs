@@ -6,7 +6,7 @@
 //! Broadcast is logical, and the communication meter (in
 //! [`crate::cluster`]) charges the bytes the real copies would cost.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -232,6 +232,12 @@ impl DistMatrix {
         &self.stores[w]
     }
 
+    /// Take worker `w`'s tiles out of this handle, leaving it none there
+    /// (a consuming primitive draining its operand).
+    pub(crate) fn take_worker_blocks(&mut self, w: usize) -> HashMap<(usize, usize), Arc<Block>> {
+        std::mem::take(&mut self.stores[w])
+    }
+
     /// Look up a block on a specific worker.
     pub fn block_on(&self, w: usize, bi: usize, bj: usize) -> Option<&Arc<Block>> {
         self.stores[w].get(&(bi, bj))
@@ -314,22 +320,43 @@ impl DistMatrix {
     /// Purely local transpose: every worker transposes its tiles and
     /// re-indexes them; the scheme flips Row ⇄ Col. This is the runtime
     /// realisation of the *Transpose dependency* — zero communication.
-    pub fn transpose_local(&self) -> DistMatrix {
-        let meta = self.meta.transposed();
-        let scheme = self.scheme.flip();
-        let stores = self
-            .stores
-            .iter()
-            .map(|store| {
-                store
-                    .iter()
-                    .map(|(&(bi, bj), tile)| ((bj, bi), Arc::new(tile.transpose())))
-                    .collect()
-            })
-            .collect();
-        DistMatrix {
+    ///
+    /// Consumes `self`: the copies of each tile are transposed together,
+    /// each distinct `Arc` once (a Broadcast value's workers share one per
+    /// tile, and so do their transposes), and the input tile is dropped as
+    /// soon as its transpose exists — freed then, unless another handle
+    /// still holds it.
+    pub fn transpose_local(self) -> DistMatrix {
+        let DistMatrix {
             meta,
             scheme,
+            stores: held,
+            ..
+        } = self;
+        let mut stores = vec![HashMap::new(); held.len()];
+        let mut copies: BTreeMap<_, Vec<_>> = BTreeMap::new();
+        for (w, store) in held.into_iter().enumerate() {
+            for (k, tile) in store {
+                copies.entry(k).or_default().push((w, tile));
+            }
+        }
+        for ((bi, bj), held) in copies {
+            let mut made: Vec<(Arc<Block>, Arc<Block>)> = Vec::with_capacity(1);
+            for (w, tile) in held {
+                let t = match made.iter().find(|(src, _)| Arc::ptr_eq(src, &tile)) {
+                    Some((_, t)) => Arc::clone(t),
+                    None => {
+                        let t = Arc::new(tile.transpose());
+                        made.push((tile, Arc::clone(&t)));
+                        t
+                    }
+                };
+                stores[w].insert((bj, bi), t);
+            }
+        }
+        DistMatrix {
+            meta: meta.transposed(),
+            scheme: scheme.flip(),
             rid: fresh_rid(),
             stores,
         }
@@ -490,6 +517,24 @@ mod tests {
         assert_eq!(t.cols(), 6);
         t.validate().unwrap();
         assert_eq!(t.to_blocked().unwrap().to_dense(), m.to_dense().transpose());
+
+        // A Broadcast value's workers share one `Arc` per tile; so do the
+        // copies of its transpose, each tile transposed once.
+        let b = DistMatrix::from_blocked(&m, PartitionScheme::Broadcast, 3);
+        let t = b.transpose_local();
+        assert_eq!(t.scheme(), PartitionScheme::Broadcast);
+        t.validate().unwrap();
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = m.to_dense().transpose();
+        assert_eq!(
+            bits(t.to_blocked().unwrap().to_dense().data()),
+            bits(want.data())
+        );
+        for (k, tile) in t.worker_blocks(0) {
+            for w in 1..t.workers() {
+                assert!(Arc::ptr_eq(tile, &t.worker_blocks(w)[k]), "tile {k:?}");
+            }
+        }
     }
 
     #[test]

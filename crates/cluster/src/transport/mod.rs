@@ -122,8 +122,8 @@ pub struct PartialDesc {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Release {
     /// At the head of the next exchange, at no round of their own: a
-    /// plan's `free` step, which the next primitive follows at once, or
-    /// a remap, which lineage replay follows.
+    /// plan's `free` step or a consuming step, which the next primitive
+    /// follows at once, or a remap, which lineage replay follows.
     Queued,
     /// In an exchange now, with whatever is queued: a session's sweep,
     /// which nothing may follow for a while — the workers do not hold
@@ -267,8 +267,8 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     /// rid `live` does not name, and queue the `free` of its shards on the
     /// physical workers — written at the head of the next exchange, or
     /// at once under [`Release::Now`]. Returns how many values went. A
-    /// plan `free` step keeps all but one ([`crate::Cluster::free`], which
-    /// prices the receipt from the value it holds) and costs no round; a
+    /// plan `free` step, or a step that consumed its input, keeps all but
+    /// one ([`crate::Cluster::free`]) and costs no round; a
     /// session between runs keeps what its live handles name
     /// ([`crate::Cluster::retain`]); a remap keeps nothing. Idempotent: a
     /// rid never installed, or already released, is not known and costs

@@ -446,6 +446,9 @@ impl DiskTier {
         self.root.join("blocks").join(format!("{hash}.blk"))
     }
 
+    /// Write `bytes` under `path` so that a crash leaves the old file or
+    /// the new one: a synced temp file renamed into place, then the parent
+    /// directory synced, so the rename itself survives a power loss.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
         let tmp = path.with_extension("tmp");
         {
@@ -454,7 +457,11 @@ impl DiskTier {
                 .map_err(|e| disk_err("write temp file", e))?;
             f.sync_all().map_err(|e| disk_err("sync temp file", e))?;
         }
-        fs::rename(&tmp, path).map_err(|e| disk_err("rename into place", e))
+        fs::rename(&tmp, path).map_err(|e| disk_err("rename into place", e))?;
+        let dir = path.parent().unwrap_or_else(|| Path::new("."));
+        fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| disk_err("sync directory", e))
     }
 
     /// Make `payload` durable as a content-addressed blob; returns its hash

@@ -50,6 +50,7 @@ use crate::liveness;
 use crate::plan::{Plan, PlanStep};
 use crate::recovery::{self, RecoveryPolicy, RecoveryStats};
 use crate::stage;
+use crate::strategy::Strategy;
 use crate::trace::{StepTrace, Trace};
 
 /// Per-phase (per-iteration) statistics.
@@ -273,88 +274,105 @@ pub(crate) fn seed_source(
     Ok(dist)
 }
 
-/// Drop `node`'s value. Returns it when the transport should drop its
-/// shards too: no other live node aliases the same distributed value
-/// (Reference steps clone the handle) and it is not a durable binding the
-/// session still owns. Taking first makes a `free` step idempotent under
-/// post-failure re-execution.
-fn take_unshared(
+/// Queue the mirror's release of the value `rid` names, which `node` no
+/// longer holds — unless another live node still names it (a no-op move
+/// returns its input) or it is a durable binding the session still owns.
+fn release(
+    cluster: &mut Cluster,
     ctx: &ExecCtx<'_>,
-    values: &mut [Option<DistMatrix>],
+    values: &[Option<DistMatrix>],
     node: usize,
-) -> Option<DistMatrix> {
-    let m = values[node].take()?;
-    let aliased = values.iter().flatten().any(|x| x.rid() == m.rid());
+    rid: u64,
+) -> Result<()> {
+    let aliased = values.iter().flatten().any(|x| x.rid() == rid);
     let bound_source = ctx
         .sources
         .get(&node)
         .is_some_and(|mid| ctx.bindings.contains_key(mid));
-    (!aliased && !bound_source).then_some(m)
+    if !aliased && !bound_source {
+        cluster.free(rid)?;
+    }
+    Ok(())
 }
 
-/// Execute one plan step against the current values. State is only
-/// assigned on success, so a step that fails mid-flight (worker loss,
-/// exhausted send retries) can be re-executed after recovery.
+/// Execute one plan step against the current values. The inputs it
+/// consumes — `consumes`: [`Plan::consumed_at`] on the plan's own pass,
+/// none on a lineage replay, whose inputs other replays may still read —
+/// leave `values` once its primitive is admitted ([`Cluster::admit`]) — the primitive then holds the engine's
+/// only handle and drops each input tile once the output tile made from it
+/// exists — and their mirror release is queued once it has succeeded. A
+/// loss caught at entry therefore leaves every input where it was. Every
+/// other state change is only made on success; a consumed input lost to a
+/// failure inside the primitive is rebuilt through lineage by
+/// [`recovery::recover`], like any damaged input of the resumed step.
+/// Taking first makes a `free` step idempotent under post-failure
+/// re-execution.
 pub(crate) fn exec_step(
     cluster: &mut Cluster,
     ctx: &ExecCtx<'_>,
     step_idx: usize,
+    consumes: &[usize],
     values: &mut [Option<DistMatrix>],
     scalars: &mut HashMap<ScalarId, f64>,
 ) -> Result<()> {
     let plan = ctx.plan;
-    let take = |v: &[Option<DistMatrix>], n: usize| -> Result<DistMatrix> {
-        v[n].clone()
-            .ok_or_else(|| CoreError::Engine(format!("node {n} used before definition")))
-    };
-    match &plan.steps[step_idx] {
-        PlanStep::Partition { src, out, .. } => {
-            let m = take(values, *src)?;
+    let step = &plan.steps[step_idx];
+    if let PlanStep::Free { node, .. } = step {
+        if let Some(m) = values[*node].take() {
+            release(cluster, ctx, values, *node, m.rid())?;
+        }
+        return Ok(());
+    }
+    let operands = step
+        .in_nodes()
+        .into_iter()
+        .map(|n| {
+            values[n]
+                .clone()
+                .ok_or_else(|| CoreError::Engine(format!("node {n} used before definition")))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    if !consumes.is_empty() {
+        cluster.admit(entry_op(ctx.program, step)?)?;
+    }
+    let consumed: Vec<(usize, u64)> = consumes
+        .iter()
+        .filter_map(|&n| values[n].take().map(|m| (n, m.rid())))
+        .collect();
+    let out = match step {
+        PlanStep::Partition { out, .. } => {
             let target = plan.nodes[*out].scheme;
             let label = format!("m{}", plan.nodes[*out].matrix);
-            values[*out] = Some(cluster.repartition(&m, target, &label)?);
+            Some((*out, cluster.repartition(sole(operands), target, &label)?))
         }
-        PlanStep::Broadcast { src, out, .. } => {
-            let m = take(values, *src)?;
+        PlanStep::Broadcast { out, .. } => {
             let label = format!("m{}", plan.nodes[*out].matrix);
-            values[*out] = Some(cluster.broadcast(&m, &label)?);
+            Some((*out, cluster.broadcast(sole(operands), &label)?))
         }
-        PlanStep::Transpose { src, out, .. } => {
-            let m = take(values, *src)?;
-            values[*out] = Some(cluster.transpose(&m)?);
+        PlanStep::Transpose { out, .. } => Some((*out, cluster.transpose(sole(operands))?)),
+        PlanStep::Extract { out, .. } => {
+            let target = plan.nodes[*out].scheme;
+            Some((*out, cluster.extract(sole(operands), target)?))
         }
-        PlanStep::Extract { src, out, .. } => {
-            let m = take(values, *src)?;
-            values[*out] = Some(cluster.extract(&m, plan.nodes[*out].scheme)?);
-        }
-        PlanStep::Reference { src, out, .. } => {
-            values[*out] = Some(take(values, *src)?);
-        }
-        PlanStep::Free { node, .. } => {
-            if let Some(m) = take_unshared(ctx, values, *node) {
-                cluster.free(&m)?;
-            }
-        }
+        PlanStep::Reference { out, .. } => Some((*out, sole(operands))),
+        PlanStep::Free { .. } => unreachable!("a free step returned above"),
         PlanStep::Compute {
             op,
             strategy,
-            inputs,
             out,
             out_scalar,
             ..
         } => {
             let operator = &ctx.program.ops()[*op];
             let declared = out.map(|n| plan.nodes[n].scheme);
-            let result = run_compute(
+            match run_compute(
                 cluster,
                 &operator.kind,
                 *strategy,
-                inputs,
+                operands,
                 declared,
-                values,
                 scalars,
-            )?;
-            match result {
+            )? {
                 ComputeResult::Matrix(mut m) => {
                     let node = *out.as_ref().ok_or_else(|| {
                         CoreError::Engine(format!("operator {op} produced an unexpected matrix"))
@@ -365,25 +383,20 @@ pub(crate) fn exec_step(
                     if plan.nodes[node].scheme == PartitionScheme::Hash
                         && m.scheme() != PartitionScheme::Hash
                     {
-                        m = cluster.rehash(&m)?;
+                        m = cluster.rehash(m)?;
                     }
-                    values[node] = Some(m);
+                    Some((node, m))
                 }
                 ComputeResult::Scalar(v) => {
                     let sid = out_scalar.ok_or_else(|| {
                         CoreError::Engine(format!("operator {op} produced an unexpected scalar"))
                     })?;
                     scalars.insert(sid, v);
+                    None
                 }
             }
         }
-        PlanStep::FusedCellWise {
-            ops,
-            prog,
-            inputs,
-            out,
-            ..
-        } => {
+        PlanStep::FusedCellWise { ops, prog, out, .. } => {
             // Resolve the symbolic scalar expressions now (the plan keeps
             // them symbolic so lineage replay re-reads the live values).
             let scalar_env = |id: ScalarId| -> f64 { *scalars.get(&id).unwrap_or(&f64::NAN) };
@@ -391,11 +404,6 @@ pub(crate) fn exec_step(
                 .iter()
                 .map(|instr| instr.map_scalar(|e| e.eval(&scalar_env)))
                 .collect();
-            let operands = inputs
-                .iter()
-                .map(|&n| take(values, n))
-                .collect::<Result<Vec<_>>>()?;
-            let refs: Vec<&DistMatrix> = operands.iter().collect();
             // The span label names the subsumed operators.
             let subsumed: Vec<&str> = ops
                 .iter()
@@ -406,10 +414,57 @@ pub(crate) fn exec_step(
                 })
                 .collect();
             let label = subsumed.join("+");
-            values[*out] = Some(cluster.cells("fused", &label, &refs, &kernel)?);
+            Some((*out, cluster.cells("fused", &label, operands, &kernel)?))
         }
+    };
+    if let Some((node, m)) = out {
+        values[node] = Some(m);
+    }
+    for (node, rid) in consumed {
+        release(cluster, ctx, values, node, rid)?;
     }
     Ok(())
+}
+
+/// The primitive a tile-wise step enters: the one a consuming step admits
+/// before it gives up its inputs.
+fn entry_op(program: &Program, step: &PlanStep) -> Result<&'static str> {
+    Ok(match step {
+        PlanStep::Partition { .. } => "partition",
+        PlanStep::Broadcast { .. } => "broadcast",
+        PlanStep::Transpose { .. } => "transpose",
+        PlanStep::Extract { .. } => "extract",
+        PlanStep::FusedCellWise { .. } => "fused",
+        PlanStep::Compute { op, strategy, .. } => match (&program.ops()[*op].kind, strategy) {
+            (OpKind::Binary { op, .. }, Strategy::CellAligned(_)) => cell_kernel(*op)?.0,
+            (OpKind::Unary { .. }, Strategy::UnaryLocal) => "map",
+            _ => return Err(CoreError::Engine(format!("{op}: not a tile-wise compute"))),
+        },
+        PlanStep::Reference { .. } | PlanStep::Free { .. } => {
+            return Err(CoreError::Engine(
+                "a reference or free consumes nothing".into(),
+            ))
+        }
+    })
+}
+
+/// The primitive name and kernel instruction of a cell-wise binary op.
+fn cell_kernel(op: BinOp) -> Result<(&'static str, FusedOp)> {
+    Ok(match op {
+        BinOp::Add => ("add", FusedOp::Add),
+        BinOp::Sub => ("sub", FusedOp::Sub),
+        BinOp::CellMul => ("cell_mul", FusedOp::CellMul),
+        BinOp::CellDiv => ("cell_div", FusedOp::CellDiv),
+        BinOp::MatMul => return Err(CoreError::Engine("matmul with cell strategy".into())),
+    })
+}
+
+/// The one operand of a move or a `reference`.
+fn sole(operands: Vec<DistMatrix>) -> DistMatrix {
+    operands
+        .into_iter()
+        .next()
+        .expect("a one-input step has one operand")
 }
 
 /// Extract the lost host from a recoverable error, if it is one.
@@ -535,12 +590,13 @@ pub fn execute(
         resident_bytes(&values, &mut rid_bytes),
     )?;
 
-    // Liveness is the *plan's* job: the planner splices explicit `Free`
-    // steps at each intermediate's last use (see `crate::liveness`), so
-    // the engine releases exactly what the certificate says, when it says.
-    // `last_use` and the keep-set are still needed here for recovery,
-    // which must re-drop values lineage replay resurrects (a node's last
-    // use includes its own `Free` step, so the two mechanisms compose).
+    // Liveness is the *plan's* job: the planner has each intermediate
+    // consumed by its last reader or freed by a `Free` step spliced after
+    // it (see `crate::liveness`), so the engine releases exactly what the
+    // certificate says, when it says. `last_use` and the keep-set are
+    // still needed here for recovery, which must re-drop values lineage
+    // replay resurrects (a node's last use is its consumer or its own
+    // `Free` step, so the mechanisms compose).
     let mut last_use = vec![usize::MAX; plan.nodes.len()];
     for (i, step) in plan.steps.iter().enumerate() {
         for n in step.in_nodes() {
@@ -569,8 +625,9 @@ pub fn execute(
         let span_from = cluster.span_count();
         let sim_start = cluster.clock().total_sec();
 
+        let consumes = plan.consumed_at(step_idx);
         loop {
-            match exec_step(cluster, &ctx, step_idx, &mut values, &mut scalars) {
+            match exec_step(cluster, &ctx, step_idx, consumes, &mut values, &mut scalars) {
                 Ok(()) => break,
                 Err(e) => {
                     let Some(mut dead) = worker_lost(&e) else {
@@ -760,17 +817,11 @@ fn run_compute(
     cluster: &mut Cluster,
     kind: &OpKind,
     strategy: crate::strategy::Strategy,
-    inputs: &[usize],
+    operands: Vec<DistMatrix>,
     declared_scheme: Option<PartitionScheme>,
-    values: &[Option<DistMatrix>],
     scalars: &HashMap<ScalarId, f64>,
 ) -> Result<ComputeResult> {
     use crate::strategy::Strategy as S;
-    let val = |n: usize| -> Result<DistMatrix> {
-        values[n]
-            .clone()
-            .ok_or_else(|| CoreError::Engine(format!("node {n} used before definition")))
-    };
     let scalar_env = |id: ScalarId| -> f64 { *scalars.get(&id).unwrap_or(&f64::NAN) };
 
     match (kind, strategy) {
@@ -780,7 +831,7 @@ fn run_compute(
             },
             S::Rmm1,
         ) => Ok(ComputeResult::Matrix(
-            cluster.rmm1(&val(inputs[0])?, &val(inputs[1])?)?,
+            cluster.rmm1(&operands[0], &operands[1])?,
         )),
         (
             OpKind::Binary {
@@ -788,7 +839,7 @@ fn run_compute(
             },
             S::Rmm2,
         ) => Ok(ComputeResult::Matrix(
-            cluster.rmm2(&val(inputs[0])?, &val(inputs[1])?)?,
+            cluster.rmm2(&operands[0], &operands[1])?,
         )),
         (
             OpKind::Binary {
@@ -807,8 +858,8 @@ fn run_compute(
                 PartitionScheme::Row
             };
             Ok(ComputeResult::Matrix(cluster.cpmm(
-                &val(inputs[0])?,
-                &val(inputs[1])?,
+                &operands[0],
+                &operands[1],
                 target,
             )?))
         }
@@ -816,33 +867,24 @@ fn run_compute(
         // cell-wise program a fused chain runs: same primitive, same wire
         // command, and `eval_fused_block` runs it as the `Block` method.
         (OpKind::Binary { op, .. }, S::CellAligned(_)) => {
-            let (name, instr) = match op {
-                BinOp::Add => ("add", FusedOp::Add),
-                BinOp::Sub => ("sub", FusedOp::Sub),
-                BinOp::CellMul => ("cell_mul", FusedOp::CellMul),
-                BinOp::CellDiv => ("cell_div", FusedOp::CellDiv),
-                BinOp::MatMul => return Err(CoreError::Engine("matmul with cell strategy".into())),
-            };
-            let (a, b) = (val(inputs[0])?, val(inputs[1])?);
+            let (name, instr) = cell_kernel(*op)?;
             let prog = [FusedOp::Leaf(0), FusedOp::Leaf(1), instr];
-            let out = cluster.cells(name, "", &[&a, &b], &prog)?;
+            let out = cluster.cells(name, "", operands, &prog)?;
             Ok(ComputeResult::Matrix(out))
         }
         (OpKind::Unary { op, .. }, S::UnaryLocal) => {
-            let m = val(inputs[0])?;
             let instr = match op {
                 UnaryOp::Scale(s) => FusedOp::Scale(s.eval(&scalar_env)),
                 UnaryOp::AddScalar(s) => FusedOp::AddScalar(s.eval(&scalar_env)),
             };
             let prog = [FusedOp::Leaf(0), instr];
-            let out = cluster.cells("map", op.name(), &[&m], &prog)?;
+            let out = cluster.cells("map", op.name(), operands, &prog)?;
             Ok(ComputeResult::Matrix(out))
         }
         (OpKind::Reduce { op, .. }, S::ReduceLocal) => {
-            let m = val(inputs[0])?;
             let v = match op {
-                ReduceOp::Sum | ReduceOp::Value => cluster.reduce(&m, ReduceKind::Sum)?,
-                ReduceOp::Norm2 => cluster.reduce(&m, ReduceKind::Norm2)?,
+                ReduceOp::Sum | ReduceOp::Value => cluster.reduce(&operands[0], ReduceKind::Sum)?,
+                ReduceOp::Norm2 => cluster.reduce(&operands[0], ReduceKind::Norm2)?,
             };
             Ok(ComputeResult::Scalar(v))
         }

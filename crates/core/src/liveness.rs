@@ -1,19 +1,25 @@
-//! Plan-level liveness analysis: last-use [`PlanStep::Free`] splicing and
-//! the step-indexed [`MemoryCertificate`] (resident-byte upper bounds).
+//! Plan-level liveness analysis: who releases each dead value — the
+//! tile-wise step that last reads it, or a [`PlanStep::Free`] spliced after
+//! its last reader — and the step-indexed [`MemoryCertificate`]
+//! (resident-byte upper bounds).
 //!
 //! The paper's premise is that dependency structure is known statically;
 //! this module exploits it for *memory* the way the planner exploits it
-//! for communication. A backward walk over the finished plan finds each
-//! intermediate's last reader, splices an explicit `free` step right after
-//! it, and then prices the live set after every step with a storage-aware
-//! bound:
+//! for communication. A walk over the finished plan finds each
+//! intermediate's last reader. When that reader is tile-wise
+//! ([`is_tile_wise`]) it *consumes* the value ([`Plan::consumed`]): the
+//! value dies inside the step that last reads it, each input tile going
+//! once the output tile made from it exists. Otherwise an explicit `free`
+//! step is spliced right after the reader. Every dead value therefore has
+//! exactly one releasing step. The pass then prices the live set after
+//! every step with a storage-aware bound:
 //!
 //! * **Dense-class** nodes (matmul outputs, `+ scalar` results, anything
 //!   with a dense operand) cost exactly `8·rows·cols` — the dense cap.
 //! * **Sparse-class** nodes (loads declared sparse and cell-wise chains
-//!   over them) cost `min(16·nnẑ, 12·cells) + colptr` where `nnẑ` is the
+//!   over them) cost `min(16·nnẑ, 12·cells) + colptr` where `nnẑ` is the
 //!   propagated [`SparsityProfile`] count and `colptr` is the CSC
-//!   column-pointer overhead of the session's blocking. The `16·nnẑ` arm covers blocks the
+//!   column-pointer overhead of the session's blocking. The `16·nnẑ` arm covers blocks the
 //!   densify threshold promotes (a promoted block has density > ½, so its
 //!   `8·cells_b` dense payload is under `16·nnz_b`); the `12·cells` arm
 //!   caps fully-populated CSC storage.
@@ -30,6 +36,7 @@ use dmac_matrix::blocking::blocks_along;
 use dmac_stats::SparsityProfile;
 
 use crate::plan::{MemoryCertificate, NodeId, Plan, PlanStep};
+use crate::strategy::Strategy;
 
 /// Predicted storage class of a plan node: which byte formula bounds its
 /// materialised size.
@@ -173,17 +180,158 @@ pub fn keep_set(program: &Program, plan: &Plan) -> Vec<bool> {
     keep
 }
 
-/// Splice explicit [`PlanStep::Free`] steps into `plan` at each
-/// non-kept node's last use (or straight after its producer if it is
-/// never read). Unused *sources* are left resident — there is no step to
-/// anchor their release to, and the engine seeds them before step 0.
+/// Does every output tile of `step` come from the input tiles at one
+/// coordinate — so the step can drop an input tile as soon as the output
+/// tile made from it exists? True of the moves (`partition`, `broadcast`,
+/// `transpose`, `extract`) and of the cell-wise computes (binary, unary,
+/// fused). Never of a multiplication: an RMM or CPMM input tile feeds
+/// many output tiles. Nor of a `reference`, whose output *is* its input.
+pub fn is_tile_wise(step: &PlanStep) -> bool {
+    match step {
+        PlanStep::Partition { .. }
+        | PlanStep::Broadcast { .. }
+        | PlanStep::Transpose { .. }
+        | PlanStep::Extract { .. }
+        | PlanStep::FusedCellWise { .. } => true,
+        PlanStep::Compute { strategy, .. } => {
+            matches!(strategy, Strategy::CellAligned(_) | Strategy::UnaryLocal)
+        }
+        PlanStep::Reference { .. } | PlanStep::Free { .. } => false,
+    }
+}
+
+/// Nodes a tile-wise last reader may consume: all but the kept ones
+/// ([`keep_set`]), bound (`load`) sources, which the session owns, and
+/// the nodes a `reference` relates, which have a second name.
+fn consumable(program: &Program, plan: &Plan, keep: &[bool]) -> Vec<bool> {
+    let mut ok: Vec<bool> = keep.iter().map(|&k| !k).collect();
+    for &(node, mid) in &plan.sources {
+        if program
+            .decl(mid)
+            .is_ok_and(|d| matches!(d.origin, MatrixOrigin::Load))
+        {
+            ok[node] = false;
+        }
+    }
+    for step in &plan.steps {
+        if let PlanStep::Reference { src, out, .. } = step {
+            (ok[*src], ok[*out]) = (false, false);
+        }
+    }
+    ok
+}
+
+/// Re-derive a value from its own transpose rather than hold it. A node
+/// `x` that `transpose x → y` reads and a later step reads again stays
+/// resident in between; transposing `y` back into a fresh node just
+/// before `x`'s next read — or before `y`'s last read, if that comes
+/// first — lets the first transpose consume `x`. A transpose is local, so
+/// the plan moves the same bytes. Each candidate, in step order, is kept
+/// only if it lowers the certified peak; a plan that certifies at most
+/// `cap` is left as it is. Runs on a plan without frees, before
+/// [`splice_frees`].
+pub fn rederive_transposes(
+    program: &Program,
+    plan: &mut Plan,
+    profiles: &[SparsityProfile],
+    block: usize,
+    cap: u64,
+) {
+    let peak = |plan: &Plan| {
+        let mut spliced = plan.clone();
+        splice_frees(program, &mut spliced);
+        certificate(program, &spliced, profiles, block).peak
+    };
+    let mut best = peak(plan);
+    if best <= cap {
+        return;
+    }
+    let mut t = 0;
+    while t < plan.steps.len() {
+        if let Some(next) = rederived(program, plan, t) {
+            let p = peak(&next);
+            if p < best {
+                (*plan, best) = (next, p);
+            }
+        }
+        t += 1;
+    }
+}
+
+/// `plan` with the value `steps[t]` transposes re-derived from the
+/// transpose before its next read (see [`rederive_transposes`]), if the
+/// transpose could then consume it.
+fn rederived(program: &Program, plan: &Plan, t: usize) -> Option<Plan> {
+    let PlanStep::Transpose { src: x, out: y, .. } = plan.steps[t] else {
+        return None;
+    };
+    let keep = keep_set(program, plan);
+    if !consumable(program, plan, &keep)[x] {
+        return None;
+    }
+    let reads = |n: NodeId| {
+        (t + 1..plan.steps.len()).filter(move |&i| plan.steps[i].in_nodes().contains(&n))
+    };
+    let next_read = reads(x).next()?;
+    let y_gone = if keep[y] {
+        plan.steps.len()
+    } else {
+        reads(y).next_back()?
+    };
+    let at = next_read.min(y_gone);
+    let mut next = plan.clone();
+    let n = &plan.nodes[x];
+    let back = next.add_node(n.matrix, n.transposed, n.scheme, false);
+    for step in &mut next.steps[at..] {
+        match step {
+            PlanStep::Partition { src, .. }
+            | PlanStep::Broadcast { src, .. }
+            | PlanStep::Transpose { src, .. }
+            | PlanStep::Extract { src, .. }
+            | PlanStep::Reference { src, .. } => {
+                if *src == x {
+                    *src = back;
+                }
+            }
+            PlanStep::Compute { inputs, .. } | PlanStep::FusedCellWise { inputs, .. } => {
+                for input in inputs.iter_mut().filter(|i| **i == x) {
+                    *input = back;
+                }
+            }
+            PlanStep::Free { .. } => {}
+        }
+    }
+    let phase = plan.steps[at].phase();
+    next.steps.insert(
+        at,
+        PlanStep::Transpose {
+            src: y,
+            out: back,
+            phase,
+        },
+    );
+    next.predicted.resize(plan.steps.len(), 0);
+    next.predicted.insert(at, 0);
+    Some(next)
+}
+
+/// Decide who releases each non-kept node, once. A node whose last
+/// reader is tile-wise ([`is_tile_wise`]) is consumed by it, recorded in
+/// [`Plan::consumed`] — unless it is a bound (`load`) source, which the
+/// session owns, or a `reference` aliases it. Every other dead node gets
+/// an explicit [`PlanStep::Free`] spliced right after its last reader (or
+/// its producer if it is never read). Unused *sources* are left resident
+/// — there is no step to anchor their release to, and the engine seeds
+/// them before step 0.
 ///
 /// `plan.predicted` stays aligned (frees never communicate, so their
 /// prediction is 0); `predicted_nnz` must be (re-)stamped afterwards.
 pub fn splice_frees(program: &Program, plan: &mut Plan) {
     let keep = keep_set(program, plan);
-    let mut last_use = vec![usize::MAX; plan.nodes.len()];
-    let mut producer = vec![usize::MAX; plan.nodes.len()];
+    let consumable = consumable(program, plan, &keep);
+    let nodes = plan.nodes.len();
+    let mut last_use = vec![usize::MAX; nodes];
+    let mut producer = vec![usize::MAX; nodes];
     for (i, step) in plan.steps.iter().enumerate() {
         for n in step.in_nodes() {
             last_use[n] = i;
@@ -192,23 +340,19 @@ pub fn splice_frees(program: &Program, plan: &mut Plan) {
             producer[out] = i;
         }
     }
-    let defined: Vec<bool> = {
-        let mut d = vec![false; plan.nodes.len()];
-        for &(node, _) in &plan.sources {
-            d[node] = true;
-        }
-        for (n, &p) in producer.iter().enumerate() {
-            if p != usize::MAX {
-                d[n] = true;
-            }
-        }
-        d
-    };
+    let mut defined = vec![false; nodes];
+    for &(node, _) in &plan.sources {
+        defined[node] = true;
+    }
+    for (n, &p) in producer.iter().enumerate() {
+        defined[n] |= p != usize::MAX;
+    }
 
-    // Frees anchored after a step index, in ascending node order for
-    // determinism.
+    // Consumers and frees anchored after a step index, each in ascending
+    // node order for determinism.
+    let mut consumed: Vec<Vec<NodeId>> = vec![Vec::new(); plan.steps.len()];
     let mut frees_after: Vec<Vec<NodeId>> = vec![Vec::new(); plan.steps.len()];
-    for n in 0..plan.nodes.len() {
+    for n in 0..nodes {
         if keep[n] || !defined[n] {
             continue;
         }
@@ -219,28 +363,37 @@ pub fn splice_frees(program: &Program, plan: &mut Plan) {
         } else {
             continue; // unused source: stays resident
         };
-        frees_after[anchor].push(n);
+        let read = last_use[n] == anchor;
+        if read && consumable[n] && is_tile_wise(&plan.steps[anchor]) {
+            consumed[anchor].push(n);
+        } else {
+            frees_after[anchor].push(n);
+        }
     }
 
     let old_steps = std::mem::take(&mut plan.steps);
     let old_predicted = std::mem::take(&mut plan.predicted);
-    for (i, step) in old_steps.into_iter().enumerate() {
+    plan.consumed.clear();
+    for ((i, step), consumes) in old_steps.into_iter().enumerate().zip(consumed) {
         let phase = step.phase();
         plan.steps.push(step);
         plan.predicted
             .push(old_predicted.get(i).copied().unwrap_or(0));
+        plan.consumed.push(consumes);
         for &node in &frees_after[i] {
             plan.steps.push(PlanStep::Free { node, phase });
             plan.predicted.push(0);
+            plan.consumed.push(Vec::new());
         }
     }
 }
 
 /// Price the live set after every step of `plan`, producing its
 /// [`MemoryCertificate`]. A node is live from its defining step (sources
-/// from step 0) until its `free` step, inclusive of neither; within-step
-/// transients (CPMM partials) are not counted, matching the engine's
-/// post-step metering point.
+/// from step 0) until its releasing step — its `free`, or the step that
+/// consumes it — inclusive of neither; within-step transients (CPMM
+/// partials) are not counted, matching the engine's post-step metering
+/// point.
 pub fn certificate(
     program: &Program,
     plan: &Plan,
@@ -258,21 +411,21 @@ pub fn certificate(
         }
     }
     let mut per_step = Vec::with_capacity(plan.steps.len());
-    for step in &plan.steps {
-        match step {
-            PlanStep::Free { node, .. } => {
-                if live[*node] {
-                    live[*node] = false;
-                    resident -= price(*node);
-                }
+    for (i, step) in plan.steps.iter().enumerate() {
+        if let Some(out) = step.out_node() {
+            if !live[out] {
+                live[out] = true;
+                resident += price(out);
             }
-            _ => {
-                if let Some(out) = step.out_node() {
-                    if !live[out] {
-                        live[out] = true;
-                        resident += price(out);
-                    }
-                }
+        }
+        let released = match step {
+            PlanStep::Free { node, .. } => std::slice::from_ref(node),
+            _ => plan.consumed_at(i),
+        };
+        for &n in released {
+            if live[n] {
+                live[n] = false;
+                resident -= price(n);
             }
         }
         per_step.push(resident);
@@ -323,23 +476,71 @@ mod tests {
     }
 
     #[test]
-    fn no_step_reads_a_freed_node() {
+    fn no_step_reads_a_released_node() {
         let p = gnmf_h();
         let planned = plan_program(&p, &PlannerConfig::default(), 4, &HashMap::new()).unwrap();
-        let mut freed = vec![false; planned.plan.nodes.len()];
-        for step in &planned.plan.steps {
-            match step {
-                PlanStep::Free { node, .. } => {
-                    assert!(!freed[*node], "double free of {node}");
-                    freed[*node] = true;
-                }
+        let plan = &planned.plan;
+        let mut released = vec![false; plan.nodes.len()];
+        for (i, step) in plan.steps.iter().enumerate() {
+            let gone = match step {
+                PlanStep::Free { node, .. } => vec![*node],
                 _ => {
                     for n in step.in_nodes() {
-                        assert!(!freed[n], "step reads freed node {n}");
+                        assert!(!released[n], "step {i} reads released node {n}");
                     }
+                    plan.consumed_at(i).to_vec()
                 }
+            };
+            for n in gone {
+                assert!(!released[n], "node {n} released twice");
+                released[n] = true;
             }
         }
+    }
+
+    #[test]
+    fn a_tile_wise_last_reader_consumes_and_a_multiply_does_not() {
+        // `B = A·A` is `A`'s first reader, not its last: `C = B + A`
+        // reads both last and is tile-wise, so it consumes them, and
+        // `D = 2·C` consumes `C`.
+        let mut p = Program::new();
+        let a = p.random("A", 64, 64);
+        let b = p.matmul(a, a).unwrap();
+        let c = p.add(b, a).unwrap();
+        let d = p.scale_const(c, 2.0).unwrap();
+        p.output(d);
+        let cfg = PlannerConfig {
+            fusion_block: 16,
+            ..Default::default()
+        };
+        let planned = plan_program(&p, &cfg, 4, &HashMap::new()).unwrap();
+        let plan = &planned.plan;
+        let text = plan.explain(&p);
+        let mut consumers = 0;
+        for (i, step) in plan.steps.iter().enumerate() {
+            for &n in plan.consumed_at(i) {
+                consumers += 1;
+                assert!(
+                    is_tile_wise(step),
+                    "step {i} consumes but is not tile-wise\n{text}"
+                );
+                assert!(step.in_nodes().contains(&n), "{text}");
+                let later = plan.steps[i + 1..].iter();
+                assert!(later.clone().all(|s| !s.in_nodes().contains(&n)), "{text}");
+            }
+            if let PlanStep::Compute {
+                strategy: Strategy::Rmm1 | Strategy::Rmm2 | Strategy::Cpmm,
+                ..
+            } = step
+            {
+                assert!(
+                    plan.consumed_at(i).is_empty(),
+                    "a multiply consumes\n{text}"
+                );
+            }
+        }
+        assert!(consumers >= 3, "{text}");
+        assert!(text.contains(" (consumes "), "{text}");
     }
 
     #[test]

@@ -99,9 +99,10 @@ pub enum PlanStep {
     },
     /// `free`: release a node whose last use has passed. Spliced by the
     /// planner's liveness pass immediately after the final reader of a
-    /// non-output intermediate, so the executor can drop the value (and
-    /// the transports their shards) instead of waiting for phase end or
-    /// LRU displacement. Purely local — never communication.
+    /// non-output intermediate that reader does not consume (see
+    /// [`Plan::consumed`]), so the executor can drop the value (and the
+    /// transports their shards) instead of waiting for phase end or LRU
+    /// displacement. Purely local — never communication.
     Free {
         /// The node being released.
         node: NodeId,
@@ -243,6 +244,13 @@ pub struct Plan {
     /// Stamped by the planner's post-pass; parallel to `steps`, absent
     /// entries read as 0.
     pub predicted_nnz: Vec<u64>,
+    /// `consumed[i]` lists the inputs `steps[i]` *consumes*: it is their
+    /// last reader and a tile-wise step, so it releases them itself — each
+    /// input tile goes once the output tile made from it exists — and no
+    /// `free` step follows for them. Recorded by the liveness pass
+    /// ([`crate::liveness::splice_frees`]); parallel to `steps`, absent
+    /// entries read as empty.
+    pub consumed: Vec<Vec<NodeId>>,
 }
 
 impl Plan {
@@ -288,6 +296,12 @@ impl Plan {
     /// step defines no node or the plan was built without profiles).
     pub fn step_predicted_nnz(&self, i: usize) -> u64 {
         self.predicted_nnz.get(i).copied().unwrap_or(0)
+    }
+
+    /// The inputs `steps[i]` consumes (empty when it consumes none, or the
+    /// plan was built without a liveness pass).
+    pub fn consumed_at(&self, i: usize) -> &[NodeId] {
+        self.consumed.get(i).map_or(&[], Vec::as_slice)
     }
 
     /// Finalise: any still-flexible CPMM output defaults to Row.
@@ -409,7 +423,8 @@ impl Plan {
     }
 
     /// EXPLAIN-style dump of the plan (used by the `plan_explain` example
-    /// and by debugging sessions).
+    /// and by debugging sessions). A step that consumes inputs names them
+    /// last, e.g. `transpose   _t4t(b) -> _t4(b) (consumes _t4t(b))`.
     pub fn explain(&self, program: &Program) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -489,7 +504,17 @@ impl Plan {
                 }
             };
             let comm = if step.is_comm() { " *comm*" } else { "" };
-            let _ = writeln!(s, "  [{i:>3}] {line}{comm}");
+            let consumed: Vec<String> = self
+                .consumed_at(i)
+                .iter()
+                .map(|&n| self.node_label(program, n))
+                .collect();
+            let consumes = if consumed.is_empty() {
+                String::new()
+            } else {
+                format!(" (consumes {})", consumed.join(", "))
+            };
+            let _ = writeln!(s, "  [{i:>3}] {line}{comm}{consumes}");
         }
         s
     }

@@ -172,8 +172,10 @@ pub fn plan_program(
 /// A Hash-placed input is placed by the whole program, not by its first
 /// reader: every choice per such input is planned (`placements`), and a
 /// choice replaces the plain greedy's (first touch) only if it moves
-/// strictly fewer bytes *and* certifies no more memory. On a tie first
-/// touch's plan stands, step for step.
+/// strictly fewer bytes *and* certifies no more memory — as planned, or
+/// else after re-deriving, rather than holding, each value whose own
+/// transpose can give it back. On a tie first touch's plan stands, step
+/// for step.
 pub fn plan_program_profiled(
     program: &Program,
     cfg: &PlannerConfig,
@@ -197,7 +199,11 @@ pub fn plan_program_profiled(
     let first_touch = greedy(&[])?.finish();
     // Only a cheaper plan can win, and the cheapest that certifies no
     // more memory does: finish (and certify) those in order of price,
-    // stably, so equal prices keep the enumeration order.
+    // stably, so equal prices keep the enumeration order. One that
+    // certifies more as planned gets a second, lean finish that
+    // re-derives transposed values instead of holding them; it wins if
+    // that passes and no plan of its price passes as planned. First touch
+    // is never reshaped, so the guard's bar stays put.
     let mut cheaper = Vec::new();
     for place in placements(program, cfg, initial_schemes).iter().skip(1) {
         let p = greedy(place)?;
@@ -206,11 +212,24 @@ pub fn plan_program_profiled(
         }
     }
     cheaper.sort_by_key(|p| p.estimated_comm);
-    Ok(cheaper
-        .into_iter()
-        .map(Planner::finish)
-        .find(|p| p.certificate.peak <= first_touch.certificate.peak)
-        .unwrap_or(first_touch))
+    let cap = first_touch.certificate.peak;
+    let mut lean: Option<Planned> = None;
+    for p in cheaper {
+        if lean
+            .as_ref()
+            .is_some_and(|l| l.estimated_comm < p.estimated_comm)
+        {
+            break;
+        }
+        let plain = p.clone().finish();
+        if plain.certificate.peak <= cap {
+            return Ok(plain);
+        }
+        if lean.is_none() {
+            lean = Some(p.finish_within(cap)).filter(|l| l.certificate.peak <= cap);
+        }
+    }
+    Ok(lean.unwrap_or(first_touch))
 }
 
 /// The first placements the planner prices, first touch (the empty
@@ -578,6 +597,7 @@ pub fn plan_exhaustive(
     Ok(best.expect("at least one combination").finish())
 }
 
+#[derive(Clone)]
 struct Planner<'a> {
     program: &'a Program,
     cfg: PlannerConfig,
@@ -653,10 +673,18 @@ impl<'a> Planner<'a> {
     /// The post-passes, none of which moves a byte: pin what is still
     /// flexible, fuse cell-wise chains, splice frees, stamp predicted nnz
     /// and certify memory.
-    fn finish(mut self) -> Planned {
+    fn finish(self) -> Planned {
+        self.finish_within(u64::MAX)
+    }
+
+    /// [`Planner::finish`], first re-deriving transposed values instead of
+    /// holding them ([`crate::liveness::rederive_transposes`]) when the
+    /// plan would certify more than `cap` bytes.
+    fn finish_within(mut self, cap: u64) -> Planned {
         let (program, block) = (self.program, self.cfg.fusion_block.max(1));
         self.plan.finalize_flexible();
         fuse_cell_chains(program, &mut self.plan, block);
+        crate::liveness::rederive_transposes(program, &mut self.plan, self.profiles, block, cap);
         // Liveness post-pass: release each non-kept intermediate right after
         // its last reader. Runs after fusion so frees anchor to the steps
         // that actually execute.
@@ -1584,5 +1612,66 @@ mod tests {
         let (node, mid, _) = &planned.plan.outputs[0];
         assert_eq!(*mid, b.id);
         assert!(planned.plan.nodes[*node].transposed);
+    }
+
+    /// The all-`random` H-update of a serve-shaped GNMF (160 × 96, rank
+    /// 8) placed `V → c`, `W → b`, `H → c` moves 2 048 B, but as planned
+    /// it holds `W(b)` beside `Wᵀ(b)` through `Wᵀ V`, because `Wᵀ W`
+    /// reads `W` later. The lean finish lets the first transpose consume
+    /// `W` and transposes `Wᵀ(b)` back before `Wᵀ` goes: the same bytes,
+    /// one more step, and `|W|` less certified. A cap the plan already
+    /// meets leaves it as planned.
+    #[test]
+    fn a_lean_finish_rederives_what_a_transpose_gives_back() {
+        use PartitionScheme::{Broadcast, Col};
+        let cfg = PlannerConfig {
+            fusion_block: 16,
+            ..PlannerConfig::default()
+        };
+        let mut p = Program::new();
+        let v = p.random("V", 160, 96);
+        let w = p.random("W", 160, 8);
+        let h0 = p.random("H", 8, 96);
+        let wt_v = p.matmul(w.t(), v).unwrap();
+        let wt_w = p.matmul(w.t(), w).unwrap();
+        let wt_w_h = p.matmul(wt_w, h0).unwrap();
+        let h_num = p.cell_mul(h0, wt_v).unwrap();
+        let h = p.cell_div(h_num, wt_w_h).unwrap();
+        p.output(h);
+        let profiles = propagate(&p, &cfg, &HashMap::new());
+        let place = [(v.id, Col), (w.id, Broadcast), (h0.id, Col)];
+        let g = Planner::greedy(&p, &cfg, 4, &HashMap::new(), &profiles, None, &place).unwrap();
+        let plain = g.clone().finish();
+        let within = g.clone().finish_within(plain.certificate.peak);
+        let lean = g.finish_within(0);
+        assert_eq!(within.plan.steps, plain.plan.steps);
+        assert_eq!(plain.estimated_comm, 2048);
+        assert_eq!(lean.estimated_comm, plain.estimated_comm);
+        assert_eq!(
+            lean.certificate.peak + 8 * 160 * 8,
+            plain.certificate.peak,
+            "{}",
+            lean.plan.explain(&p)
+        );
+        let plan = &lean.plan;
+        let &(w_node, _) = plan.sources.iter().find(|&&(_, m)| m == w.id).unwrap();
+        let transposes: Vec<(usize, NodeId, NodeId)> = (plan.steps.iter().enumerate())
+            .filter_map(|(i, st)| match *st {
+                PlanStep::Transpose { src, out, .. } => Some((i, src, out)),
+                _ => None,
+            })
+            .collect();
+        let [(first, src, wt), (_, back_src, back)] = transposes[..] else {
+            panic!("two transposes expected\n{}", plan.explain(&p));
+        };
+        assert_eq!(src, w_node);
+        assert_eq!(plan.consumed_at(first), [w_node]);
+        assert_eq!(back_src, wt);
+        assert_eq!(plan.nodes[back], plan.nodes[w_node]);
+        assert!(!plan
+            .steps
+            .iter()
+            .skip(first + 1)
+            .any(|st| st.in_nodes().contains(&w_node)));
     }
 }

@@ -116,8 +116,10 @@ pub(crate) fn recover(
     }
 
     // Rebuild every damaged live value, plus whatever the resumed step
-    // consumes (its inputs are live by construction, but ensure() is the
-    // single place that decides whether a value is intact).
+    // reads: ensure() is the single place that decides whether a value is
+    // intact, and an input a failed attempt consumed past its entry is
+    // gone whole. A replayed step consumes nothing — another replay may
+    // read its input — and the sweep below drops what it kept.
     let mut replayed_stages: HashSet<usize> = HashSet::new();
     let mut need: Vec<usize> = (0..values.len()).filter(|&n| values[n].is_some()).collect();
     // A resumed `free` step only drops its operand — rebuilding it through
@@ -182,7 +184,7 @@ fn ensure(
     for n in ctx.plan.steps[step_idx].in_nodes() {
         ensure(cluster, ctx, values, scalars, n, stats, replayed_stages)?;
     }
-    exec_step(cluster, ctx, step_idx, values, scalars)?;
+    exec_step(cluster, ctx, step_idx, &[], values, scalars)?;
     stats.replayed_steps += 1;
     replayed_stages.insert(ctx.step_stage[step_idx]);
     Ok(())

@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -85,6 +85,16 @@ awk '/#\[cfg\(test\)\]/ { exit }
      END { if (list != 0 || sweep != 1) {
                print FILENAME ": `displaced` in code x" list+0 ", cluster.retain( x" sweep+0 " (want 0, 1)"
                exit 1 } }' crates/core/src/session.rs
+# And a dead value's shards leave the workers one way per caller:
+# Cluster::free — a plan's `free` step, or a step that consumed its input —
+# and Cluster::retain, a session's sweep. A consumer releasing through a
+# third `retain_values(` would be a second release path beside the plan's
+# one decision.
+awk '/#\[cfg\(test\)\]/ { exit }
+     /retain_values\(/ { n++ }
+     END { if (n != 2) {
+               print FILENAME ": retain_values( x" n+0 " (want 2: free, retain)"
+               exit 1 } }' crates/cluster/src/cluster.rs
 # The cluster meters only bytes a primitive moves (Cluster::send) and
 # records spans in finish_op / charge_recovery: no side door charges
 # modelled traffic. And a tile moves one way: a worker's `xfer` installs

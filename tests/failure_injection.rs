@@ -74,9 +74,10 @@ fn lost_worker_fails_every_primitive_with_worker_lost() {
     // Liveness precedes validation in every primitive: cpmm gets operands
     // in the wrong scheme here, yet must still report the dead worker.
     for result in [
-        cl.repartition(&d, PartitionScheme::Col, "m").map(|_| ()),
-        cl.broadcast(&d, "m").map(|_| ()),
-        cl.transpose(&d).map(|_| ()),
+        cl.repartition(d.clone(), PartitionScheme::Col, "m")
+            .map(|_| ()),
+        cl.broadcast(d.clone(), "m").map(|_| ()),
+        cl.transpose(d.clone()).map(|_| ()),
         cl.cpmm(&d, &d, PartitionScheme::Row).map(|_| ()),
         cl.rmm1(&d, &d).map(|_| ()),
         cl.rmm2(&d, &d).map(|_| ()),
@@ -580,4 +581,79 @@ fn exhausted_recovery_budget_is_a_typed_error_not_a_panic() {
     let (w, rec) = run4(Some(FaultPlan::random_kills(1.0, 99).with_max_kills(3)));
     assert_eq!(rec.worker_failures, 3, "every budgeted kill fired");
     assert_eq!(w, w_ok, "three losses later, results are still exact");
+}
+
+/// A loss caught where a step consumes its dying inputs. At this scale
+/// GNMF's W-update `W * (V Hᵀ) / (W H Hᵀ)` is one fused step that
+/// consumes all three of its leaves, and the stage it runs in opens with
+/// a broadcast that consumes what it moves; a kill at that stage is caught
+/// at that broadcast's entry, before it takes its input, so recovery
+/// rebuilds only what the dead host held. The factors must match the healthy run
+/// bit for bit, every step's receipt must equal what the oracle metered,
+/// and the steady ledger must be the healthy run's.
+#[test]
+fn a_kill_at_the_fused_update_stage_recovers_bit_identically() {
+    let cfg = Gnmf {
+        rows: 256,
+        cols: 48,
+        ..gnmf_cfg()
+    };
+    let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, 8, 5);
+    let run = |plan: Option<FaultPlan>| {
+        let mut s = gnmf_session(plan);
+        let (report, handles) = cfg.run(&mut s, v.clone()).unwrap();
+        let bits = |e| -> Vec<u64> {
+            let m = s.value(e).unwrap().to_dense();
+            m.data().iter().map(|x| x.to_bits()).collect()
+        };
+        (bits(handles.w), bits(handles.h), report)
+    };
+    let (w0, h0, healthy) = run(None);
+
+    // The stage of the first fused step, and the step that opens it, in
+    // the plan a fresh session runs.
+    let mut s = gnmf_session(None);
+    s.bind("V", v.clone()).unwrap();
+    let mut p = Program::new();
+    cfg.build(&mut p).unwrap();
+    let prep = s.prepare(&p).unwrap();
+    let plan = prep.plan();
+    let stages = dmac::core::stage::schedule(plan);
+    let fused = plan
+        .steps
+        .iter()
+        .position(|st| matches!(st, dmac::core::plan::PlanStep::FusedCellWise { .. }))
+        .expect("the W-update is fused at this scale");
+    assert_eq!(plan.consumed_at(fused).len(), 3, "{}", plan.explain(&p));
+    let stage = stages.step_stage[fused];
+    let opener = (0..plan.steps.len())
+        .find(|&i| stages.step_stage[i] == stage)
+        .unwrap();
+    assert!(
+        !plan.consumed_at(opener).is_empty(),
+        "stage {stage} opens with a consuming step\n{}",
+        plan.explain(&p)
+    );
+    assert_eq!(healthy.trace.steps.len(), plan.steps.len());
+
+    let (w, h, report) = run(Some(FaultPlan::kill_stage(stage, 0xC0FFEE)));
+    assert_eq!(report.recovery.worker_failures, 1);
+    assert!(
+        report.trace.steps[opener]
+            .spans
+            .iter()
+            .any(|sp| sp.recovery),
+        "the loss is caught at the step that opens stage {stage}"
+    );
+    assert_eq!(w, w0, "W diverged from the healthy run");
+    assert_eq!(h, h0, "H diverged from the healthy run");
+    for st in &report.trace.steps {
+        assert_eq!(st.transport_bytes, st.wire_bytes, "step {}", st.step);
+    }
+    let steady = |r: &dmac::core::engine::ExecReport| r.trace.wire_total();
+    assert_eq!(
+        steady(&report),
+        steady(&healthy),
+        "the steady ledger did not move"
+    );
 }

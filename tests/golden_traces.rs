@@ -40,14 +40,17 @@ fn session() -> Session {
 // teleport: `PageRank::build` scales `D` before the loop, so iterations two
 // and three no longer carry their own Unary + partition + two frees of it
 // (39 steps -> 31, 512 predicted bytes fewer) and an iteration is
-// broadcast -> RMM1 -> Unary -> Cell.
+// broadcast -> RMM1 -> Unary -> Cell. Re-recorded when a tile-wise step
+// began consuming the inputs it reads last: their `free` entries are gone
+// (29 steps -> 19; the multiplies' inputs are still freed after them),
+// every byte total is unchanged.
 const PAGERANK_GOLDEN: &str = "\
-workers=4 stages=4 steps=29
+workers=4 stages=4 steps=19
 stage  1: pred=936 actual=1924 wire=1156 [partition,free,RMM1,free]
 stage  0: pred=0 actual=0 wire=0 [Unary,free]
-stage  1: pred=256 actual=256 wire=0 [Unary,free,partition,free,Cell(c),free]
-stage  2: pred=1024 actual=1024 wire=768 [broadcast,free,RMM1,free,Unary,free,Cell(c),free]
-stage  3: pred=1024 actual=1024 wire=768 [broadcast,free,RMM1,free,Unary,free,Cell(c),free,free]
+stage  1: pred=256 actual=256 wire=0 [Unary,partition,Cell(c)]
+stage  2: pred=1024 actual=1024 wire=768 [broadcast,RMM1,free,Unary,Cell(c)]
+stage  3: pred=1024 actual=1024 wire=768 [broadcast,RMM1,free,Unary,Cell(c)]
 spill: spills=0 spill_bytes=0 loads=0 load_bytes=0
 ";
 
@@ -58,24 +61,29 @@ spill: spills=0 spill_bytes=0 loads=0 load_bytes=0
 // GNMF generates `W0` by row and `H0` broadcast, where first touch moved
 // both after generating them hash-placed; the first iteration's plan is
 // rebuilt around them (74 steps -> 64, 9 stages -> 8, 51 328 predicted
-// bytes -> 44 160).
+// bytes -> 44 160). And again when tile-wise steps began consuming their
+// dying inputs: 21 `free` entries go (64 steps -> 43), every byte total
+// is unchanged, and the first two entries trade places: the schemes are
+// the same (V by row, W0 by row, H0 broadcast), but under the new
+// certificates the memory guard of the placement search keeps an
+// equal-priced placement that partitions `V` before `W0`'s transpose.
 const GNMF_GOLDEN: &str = "\
-workers=4 stages=8 steps=64
-stage  0: pred=0 actual=0 wire=0 [transpose]
+workers=4 stages=8 steps=43
 stage  1: pred=3200 actual=5664 wire=4344 [partition,free]
+stage  0: pred=0 actual=0 wire=0 [transpose]
 stage  2: pred=8192 actual=8192 wire=6144 [CPMM]
 stage  1: pred=2048 actual=2048 wire=1536 [CPMM,free,RMM2,free]
-stage  0: pred=0 actual=0 wire=0 [extract,free]
-stage  2: pred=0 actual=0 wire=0 [Cell(r),free,free,Cell(r),free,free,transpose]
-stage  3: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,free,RMM1,free]
-stage  4: pred=2048 actual=2048 wire=1536 [broadcast,free,RMM2,free]
-stage  3: pred=0 actual=0 wire=0 [Cell(r),free,free]
-stage  4: pred=0 actual=0 wire=0 [Cell(r),free,free,transpose]
-stage  5: pred=10240 actual=10240 wire=7680 [CPMM,CPMM,free,RMM2,free,free,Cell(r),free,free,Cell(r),free,free,transpose]
-stage  6: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,free,RMM1,free,free]
-stage  7: pred=2048 actual=2048 wire=1536 [broadcast,free,RMM2,free]
-stage  6: pred=0 actual=0 wire=0 [Cell(r),free,free]
-stage  7: pred=0 actual=0 wire=0 [Cell(r),free,free]
+stage  0: pred=0 actual=0 wire=0 [extract]
+stage  2: pred=0 actual=0 wire=0 [Cell(r),Cell(r),transpose]
+stage  3: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,RMM1,free]
+stage  4: pred=2048 actual=2048 wire=1536 [broadcast,RMM2,free]
+stage  3: pred=0 actual=0 wire=0 [Cell(r)]
+stage  4: pred=0 actual=0 wire=0 [Cell(r),transpose]
+stage  5: pred=10240 actual=10240 wire=7680 [CPMM,CPMM,free,RMM2,free,free,Cell(r),Cell(r),transpose]
+stage  6: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,RMM1,free,free]
+stage  7: pred=2048 actual=2048 wire=1536 [broadcast,RMM2,free]
+stage  6: pred=0 actual=0 wire=0 [Cell(r)]
+stage  7: pred=0 actual=0 wire=0 [Cell(r)]
 spill: spills=0 spill_bytes=0 loads=0 load_bytes=0
 ";
 

@@ -1,20 +1,24 @@
 //! Plan-level liveness end-to-end: every application's plan carries a
 //! memory certificate that (a) the independent analyzer re-derivation
 //! accepts (V18–V20), (b) the engine's measured per-step residency
-//! never exceeds (V21), and (c) splicing early frees does not change a
-//! single output bit — across {dense, sparse} inputs and both transports
-//! (in-process simulator and real `dmac-workerd` processes over sockets).
+//! never exceeds (V21), and (c) releasing values early — consumed by the
+//! tile-wise step that last reads them, or freed right after their last
+//! reader — does not change a single output bit, across {dense, sparse}
+//! inputs and both transports (in-process simulator and real
+//! `dmac-workerd` processes over sockets).
 //!
 //! The retain-to-end reference is the production planner's plan for the
 //! same program with every intermediate pinned as an output
-//! ([`common::pin_all_intermediates`]): outputs are never freed before
-//! the run ends. Against it the early frees must also pay off — a lower
-//! certified peak, and strictly less spill under a halved RAM budget.
+//! ([`common::pin_all_intermediates`]): outputs are never released before
+//! the run ends. Against it the early releases must also pay off — a
+//! lower certified peak, and strictly less spill under a halved RAM
+//! budget.
 //!
 //! The tamper tests at the bottom forge each violation class and assert
-//! the verifier names it: a read after a free (V18), a dropped or
-//! doubled free (V19), an understated certificate (V20), and inflated
-//! resident metering (V21).
+//! the verifier names it: a read after a free or after a forged consumer
+//! (V18), a dropped or doubled free and a consumed value freed again
+//! (V19), an understated certificate (V20), and inflated resident
+//! metering (V21).
 
 mod common;
 
@@ -26,6 +30,7 @@ use dmac::apps::{
     CollaborativeFiltering, Gnmf, LinearRegression, PageRank, SvdLanczos, TriangleCount,
 };
 use dmac::cluster::SocketOptions;
+use dmac::core::liveness;
 use dmac::core::plan::PlanStep;
 use dmac::core::planner::{plan_program_profiled, PlannerConfig};
 use dmac::core::{Session, SharedStore};
@@ -155,17 +160,20 @@ fn cases(sparsity: f64) -> Vec<Case> {
     out
 }
 
-/// Count of spliced `free` steps in a plan.
-fn frees(plan: &dmac::core::plan::Plan) -> usize {
-    plan.steps
+/// Count of early releases in a plan: spliced `free` steps plus the
+/// inputs tile-wise steps consume.
+fn releases(plan: &dmac::core::plan::Plan) -> usize {
+    let frees = plan
+        .steps
         .iter()
-        .filter(|s| matches!(s, PlanStep::Free { .. }))
-        .count()
+        .filter(|s| matches!(s, PlanStep::Free { .. }));
+    frees.count() + plan.consumed.iter().map(Vec::len).sum::<usize>()
 }
 
 /// Run `program` (the case's own, or its all-pinned reference) on one
 /// transport; returns the exact bit pattern of every output of the
-/// *case's* program, keyed by output position, and the plan's free count.
+/// *case's* program, keyed by output position, and the plan's release
+/// count.
 fn run_case(case: &Case, program: &Program, socket: bool) -> (Vec<Vec<u64>>, usize) {
     let mut b = Session::builder()
         .workers(WORKERS)
@@ -235,13 +243,13 @@ fn run_case(case: &Case, program: &Program, socket: bool) -> (Vec<Vec<u64>>, usi
     if socket {
         sess.shutdown_transport().unwrap();
     }
-    (outs, frees(prep.plan()))
+    (outs, releases(prep.plan()))
 }
 
-/// One half of the matrix: every app on `socket` (or the simulator), frees
-/// spliced, must verify V18–V21 and stay bit-identical to the all-pinned
-/// simulator run — which, for the socket half, transitively proves
-/// free-splicing is inert across transports too.
+/// One half of the matrix: every app on `socket` (or the simulator),
+/// values released early, must verify V18–V21 and stay bit-identical to
+/// the all-pinned simulator run — which, for the socket half,
+/// transitively proves early release is inert across transports too.
 fn matrix(sparsity: f64, socket: bool) {
     analyze::install_session_verifier();
     for case in &cases(sparsity) {
@@ -249,12 +257,12 @@ fn matrix(sparsity: f64, socket: bool) {
         let (pinned, n_pinned) = run_case(case, &pin_all_intermediates(&case.program), false);
         assert!(
             n_freed > n_pinned,
-            "{}: no intermediate is freed early ({n_freed} frees vs {n_pinned} pinned)",
+            "{}: no intermediate is released early ({n_freed} releases vs {n_pinned} pinned)",
             case.name
         );
         assert_eq!(
             freed, pinned,
-            "{} (socket={socket}): early frees changed an output bit",
+            "{} (socket={socket}): early releases changed an output bit",
             case.name
         );
     }
@@ -496,6 +504,47 @@ fn doubled_free_is_caught_as_v19() {
         .expect("plan has frees");
     let dup = planned.plan.steps[idx].clone();
     planned.plan.steps.insert(idx + 1, dup);
+    let bound = planned.certificate.per_step[idx];
+    planned.certificate.per_step.insert(idx + 1, bound);
+    let err = analyze::check_liveness(&p, &planned, &cfg).unwrap_err();
+    assert!(err.contains("V19"), "{err}");
+}
+
+#[test]
+fn forged_consumer_read_later_is_caught_as_v18() {
+    let (p, mut planned, cfg) = tamper_subject();
+    // A tile-wise step reading a node some later step reads too: record
+    // it as that node's consumer.
+    let plan = &planned.plan;
+    let read_after = |i: usize, n: usize| {
+        let later = plan.steps[i + 1..].iter();
+        later
+            .filter(|s| !matches!(s, PlanStep::Free { .. }))
+            .any(|s| s.in_nodes().contains(&n))
+    };
+    let (idx, node) = (0..plan.steps.len())
+        .filter(|&i| liveness::is_tile_wise(&plan.steps[i]))
+        .find_map(|i| {
+            let ins = plan.steps[i].in_nodes();
+            ins.into_iter().find(|&n| read_after(i, n)).map(|n| (i, n))
+        })
+        .expect("some tile-wise step reads a node read again later");
+    planned.plan.consumed[idx].push(node);
+    let err = analyze::check_liveness(&p, &planned, &cfg).unwrap_err();
+    assert!(err.contains("V18"), "{err}");
+}
+
+#[test]
+fn consumed_value_freed_again_is_caught_as_v19() {
+    let (p, mut planned, cfg) = tamper_subject();
+    let plan = &mut planned.plan;
+    let (idx, node) = (0..plan.steps.len())
+        .find_map(|i| plan.consumed_at(i).first().map(|&n| (i, n)))
+        .expect("some step consumes its input");
+    let phase = plan.steps[idx].phase();
+    plan.steps.insert(idx + 1, PlanStep::Free { node, phase });
+    plan.consumed.insert(idx + 1, Vec::new());
+    plan.predicted.insert(idx + 1, 0);
     let bound = planned.certificate.per_step[idx];
     planned.certificate.per_step.insert(idx + 1, bound);
     let err = analyze::check_liveness(&p, &planned, &cfg).unwrap_err();

@@ -279,3 +279,83 @@ fn kill_between_runs_is_detected_and_survivable() {
     }
     s.shutdown_transport().unwrap();
 }
+
+/// SIGKILL a worker as the fused W-update begins — the step that consumes
+/// all three of its leaves. The engine has already handed them to the
+/// primitive, so recovery rebuilds them through lineage on the survivors.
+/// The factors must match the in-process oracle bit for bit, every step's
+/// socket payload must equal the oracle's metered bytes, and after the
+/// run the workers hold exactly what a healthy run leaves resident.
+#[test]
+fn sigkill_at_a_consuming_fused_step_recovers_bit_identically() {
+    let cfg = Gnmf {
+        rows: 256,
+        cols: 48,
+        ..gnmf_cfg()
+    };
+    let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, 8, 5);
+    let run = |mut s: Session| {
+        let (report, h) = cfg.run(&mut s, v.clone()).unwrap();
+        let w = bits(s.value(h.w).unwrap());
+        let hh = bits(s.value(h.h).unwrap());
+        (w, hh, report, s)
+    };
+    let oracle = Session::builder()
+        .system(SystemKind::Dmac)
+        .workers(3)
+        .local_threads(2)
+        .block_size(8)
+        .seed(7)
+        .build();
+    let (w0, h0, _, _) = run(oracle);
+    let (_, _, healthy, mut s) = run(socket_session(SocketOptions::default(), 3));
+    let healthy_resident = s.transport_stats().resident_values;
+    s.shutdown_transport().unwrap();
+
+    // The first fused step's primitive is the n-th the workers mirror:
+    // every span is one — a `free` releases a value they hold — but a
+    // move its source already satisfied.
+    let mut mirrored = 0u64;
+    let fused = healthy
+        .trace
+        .steps
+        .iter()
+        .find_map(|st| {
+            for sp in &st.spans {
+                if sp.label.ends_with("(noop)") {
+                    continue;
+                }
+                mirrored += 1;
+                if sp.op == "fused" {
+                    return Some(st.step);
+                }
+            }
+            None
+        })
+        .expect("the W-update is fused at this scale");
+
+    let opts = SocketOptions {
+        kill: Some((1, KillAt::AfterOps(mirrored))),
+        ..SocketOptions::default()
+    };
+    let (w, h, report, mut s) = run(socket_session(opts, 3));
+    assert!(
+        report.recovery.recovery_rounds >= 1,
+        "recovery must have run"
+    );
+    assert!(
+        report.trace.steps[fused].spans.iter().any(|sp| sp.recovery),
+        "the loss is caught at the fused step {fused}"
+    );
+    assert_eq!(w, w0, "W diverged from the oracle");
+    assert_eq!(h, h0, "H diverged from the oracle");
+    for st in &report.trace.steps {
+        assert_eq!(st.transport_bytes, st.wire_bytes, "step {}", st.step);
+    }
+    assert_eq!(
+        s.transport_stats().resident_values,
+        healthy_resident,
+        "values stranded on the survivors"
+    );
+    s.shutdown_transport().unwrap();
+}

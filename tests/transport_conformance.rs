@@ -306,11 +306,11 @@ fn a_broadcast_is_one_routing_command_per_source_host() {
     let rows = cl.load(&m, PartitionScheme::Row);
     assert!((0..4).all(|w| !rows.worker_blocks(w).is_empty()));
     // The first broadcast installs `rows` on the workers.
-    cl.broadcast(&rows, "install").unwrap();
+    cl.broadcast(rows.clone(), "install").unwrap();
 
     let frames = |s: TransportStats| s.frames - s.heartbeats;
     let before = cl.transport_stats();
-    let everywhere = cl.broadcast(&rows, "resident").unwrap();
+    let everywhere = cl.broadcast(rows.clone(), "resident").unwrap();
     let after = cl.transport_stats();
     assert_eq!(
         after.rounds - before.rounds,
@@ -512,13 +512,15 @@ fn a_steady_gnmf_run_installs_nothing() {
 }
 
 /// The same promise when it is the *store* that lets a value go. Six
-/// GNMF steps over a store capped at 1.5 × |V|: `V` spends the run as a
+/// GNMF steps over a store capped at 1.25 × |V|: `V` spends the run as a
 /// stub (read, handed out, never kept), so every step installs a fresh
 /// materialisation of it that no session-side bookkeeping ever saw
 /// displaced — the parent stranded one copy per step (`resident_values`
 /// growing by one with every step; 3 throughout on an uncapped store).
 /// What the workers hold after a run is what a live handle names: `W`
-/// and `H`.
+/// and `H`. (At 1.5 × |V| one step of six finds `V` still resident, 4
+/// reloads: a tile-wise step consumes its dying inputs, which lowers the
+/// run's pressure on the store. At 1.25 × every step reloads it.)
 #[test]
 fn a_capped_store_strands_nothing_on_the_workers() {
     let cfg = Gnmf {
@@ -532,7 +534,7 @@ fn a_capped_store_strands_nothing_on_the_workers() {
     let v_bytes = DistMatrix::from_blocked(&v, PartitionScheme::Hash, WORKERS).logical_bytes();
     let dir = std::env::temp_dir().join(format!("dmac-conformance-capped-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let capped = SharedStore::with_capacity_and_disk(v_bytes * 3 / 2, &dir).unwrap();
+    let capped = SharedStore::with_capacity_and_disk(v_bytes * 5 / 4, &dir).unwrap();
     let mut sim = sim_session();
     let mut sock = builder()
         .store(capped.clone())
