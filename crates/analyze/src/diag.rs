@@ -62,7 +62,7 @@ pub mod code {
     /// inputs would cost fewer bytes than holding it.
     pub const RESIDENT_RECOMPUTABLE: &str = "W105";
     /// One of the program's three longest live ranges, with its
-    /// byte-weight: where early frees help least and memory pressure
+    /// byte-weight: where early releases help least and memory pressure
     /// concentrates.
     pub const LONG_LIVE_RANGE: &str = "I202";
 }

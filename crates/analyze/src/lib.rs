@@ -18,7 +18,7 @@
 //!
 //! * **Liveness / memory-certificate verifier** ([`liveness`]): V18–V21 —
 //!   re-derives live ranges and the per-step resident-byte bound through
-//!   a second implementation and checks the planner's spliced frees, its
+//!   a second implementation and checks the planner's release record, its
 //!   [`dmac_core::plan::MemoryCertificate`], and (post-run) the engine's
 //!   measured residency against the certified bound.
 //!

@@ -269,7 +269,7 @@ fn lint_ops(program: &Program, spans: Option<&[Option<Span>]>) -> Vec<Diagnostic
 
     // I202: the three longest-held intermediates, weighted by their
     // estimated resident bytes — where memory pressure concentrates and
-    // spliced frees help least. Only ranges spanning at least two
+    // early releases help least. Only ranges spanning at least two
     // intervening operators are interesting.
     let mut ranges: Vec<(usize, u64, usize, String)> = Vec::new();
     for (idx, op) in program.ops().iter().enumerate() {

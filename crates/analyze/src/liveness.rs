@@ -2,20 +2,20 @@
 //!
 //! Re-derives, along a code path deliberately separate from
 //! `dmac_core::liveness`, everything the planner's liveness pass claims
-//! about a plan. A value is *released* by exactly one step: the tile-wise
-//! step that last reads it, which consumes it (`Plan::consumed`), or a
-//! `free` step spliced after its last reader.
+//! about a plan. A value is *released* by exactly one step
+//! (`Plan::releases`): the tile-wise step that last reads it, which
+//! consumes it, or the step after which it is freed.
 //!
 //! * **V18** — no step reads a node after its release: a consumer really
-//!   is the last reader of what it consumes, and a spliced `free` sits at
-//!   or after every read.
+//!   is the last reader of what it consumes, and a step frees nothing a
+//!   later step reads.
 //! * **V19** — release discipline: no value is released twice (a consumed
-//!   value has no `free`), kept nodes (program outputs, cached input
+//!   value is not also freed), kept nodes (program outputs, cached input
 //!   placements) are never released, a consumer reads what it consumes, is
 //!   tile-wise (never a multiplication) and consumes no bound source and
 //!   no aliased node, and every dead intermediate is released *exactly
-//!   once*, no earlier than its last reader (or its producer, if it is
-//!   never read) — by that reader whenever the rule above lets it consume.
+//!   once*, at its last reader (or its producer, if it is never read) —
+//!   consumed by that reader whenever the rule above lets it consume.
 //! * **V20** — the plan's [`MemoryCertificate`] dominates an independent
 //!   re-derivation of the per-step resident-byte bound and is internally
 //!   consistent (`peak` is the maximum of `per_step`, attained at
@@ -65,7 +65,6 @@ fn sparse_class(program: &Program, plan: &Plan) -> Vec<bool> {
                 OpKind::Reduce { .. } => false,
             },
             PlanStep::FusedCellWise { .. } => false,
-            PlanStep::Free { .. } => unreachable!("free defines no node"),
         };
     }
     sparse
@@ -152,18 +151,18 @@ fn tile_wise(program: &Program, step: &PlanStep) -> bool {
             Some(OpKind::Unary { .. }) => true,
             _ => false,
         },
-        PlanStep::Reference { .. } | PlanStep::Free { .. } => false,
+        PlanStep::Reference { .. } => false,
     }
 }
 
-/// V18 + V19: the release discipline of consumers and spliced frees.
-fn check_frees(program: &Program, plan: &Plan) -> Result<(), String> {
+/// V18 + V19: the release discipline of the plan's release record.
+fn check_releases(program: &Program, plan: &Plan) -> Result<(), String> {
     let keep = rederive_keep(program, plan);
     let n_nodes = plan.nodes.len();
-    if plan.consumed.len() > plan.steps.len() {
+    if plan.releases.len() > plan.steps.len() {
         return Err(format!(
-            "V19: consumers recorded for {} steps of a {}-step plan",
-            plan.consumed.len(),
+            "V19: releases recorded for {} steps of a {}-step plan",
+            plan.releases.len(),
             plan.steps.len()
         ));
     }
@@ -187,42 +186,34 @@ fn check_frees(program: &Program, plan: &Plan) -> Result<(), String> {
             }
         }
     }
-    let mut released_at = vec![None::<usize>; n_nodes];
+    // (step, consumed?) of each node's release.
+    let mut released_at = vec![None::<(usize, bool)>; n_nodes];
     let mut last_read = vec![None::<usize>; n_nodes];
     for (i, step) in plan.steps.iter().enumerate() {
-        let consumed = plan.consumed_at(i);
-        let released: &[usize] = match step {
-            PlanStep::Free { node, .. } => {
-                if !consumed.is_empty() {
-                    return Err(format!("V19: free step {i} records consumers {consumed:?}"));
-                }
-                std::slice::from_ref(node)
+        for r in step.in_nodes() {
+            if let Some((f, _)) = released_at.get(r).copied().flatten() {
+                return Err(format!(
+                    "V18: step {i} reads node {r} after its release at step {f}"
+                ));
             }
-            _ => {
-                for r in step.in_nodes() {
-                    if let Some(f) = released_at.get(r).copied().flatten() {
-                        return Err(format!(
-                            "V18: step {i} reads node {r} after its release at step {f}"
-                        ));
-                    }
-                    last_read[r] = Some(i);
-                }
-                if let Some(out) = step.out_node() {
-                    if let Some(f) = released_at[out] {
-                        return Err(format!(
-                            "V18: step {i} defines node {out} after its release at step {f}"
-                        ));
-                    }
-                    defined_at[out] = Some(i);
-                }
-                consumed
+            last_read[r] = Some(i);
+        }
+        if let Some(out) = step.out_node() {
+            if let Some((f, _)) = released_at[out] {
+                return Err(format!(
+                    "V18: step {i} defines node {out} after its release at step {f}"
+                ));
             }
-        };
-        for &n in released {
+            defined_at[out] = Some(i);
+        }
+        let releases = plan.releases_at(i);
+        let consumed = releases.consumes.iter().map(|&n| (n, true));
+        let freed = releases.frees.iter().map(|&n| (n, false));
+        for (n, consumes) in consumed.chain(freed) {
             if n >= n_nodes {
                 return Err(format!("V19: step {i} releases missing node {n}"));
             }
-            if let Some(f) = released_at[n] {
+            if let Some((f, _)) = released_at[n] {
                 return Err(format!(
                     "V19: node {n} released at step {i} and at step {f}"
                 ));
@@ -236,7 +227,7 @@ fn check_frees(program: &Program, plan: &Plan) -> Result<(), String> {
             if !source[n] && defined_at[n].is_none() {
                 return Err(format!("V19: step {i} releases undefined node {n}"));
             }
-            if !matches!(step, PlanStep::Free { .. }) {
+            if consumes {
                 let why = if !step.in_nodes().contains(&n) {
                     Some("does not read it")
                 } else if !tile_wise(program, step) {
@@ -252,13 +243,13 @@ fn check_frees(program: &Program, plan: &Plan) -> Result<(), String> {
                     return Err(format!("V19: step {i} consumes node {n}, but {why}"));
                 }
             }
-            released_at[n] = Some(i);
+            released_at[n] = Some((i, consumes));
         }
     }
-    // Completeness: every dead intermediate released exactly once, no
-    // earlier than its anchor (last reader, else producer), and by its
-    // last reader whenever that reader may consume it. Unused sources
-    // have no anchor step and legitimately stay resident.
+    // Completeness: every dead intermediate released exactly once, at its
+    // anchor (last reader, else producer), and consumed by that reader
+    // whenever it may consume it. Unused sources have no anchor step and
+    // legitimately stay resident.
     for n in 0..n_nodes {
         if keep[n] || (!source[n] && defined_at[n].is_none()) {
             continue;
@@ -275,20 +266,20 @@ fn check_frees(program: &Program, plan: &Plan) -> Result<(), String> {
                     plan.node_label(program, n)
                 ));
             }
-            Some(f) if f < anchor => {
+            Some((f, _)) if f != anchor => {
                 return Err(format!(
-                    "V19: node {n} released at step {f}, before its last use at step {anchor}"
+                    "V19: node {n} released at step {f}, not at its last use, step {anchor}"
                 ));
             }
-            Some(f) => {
+            Some((_, consumed)) => {
                 let consumable = last_read[n] == Some(anchor)
                     && !bound[n]
                     && !aliased[n]
                     && tile_wise(program, &plan.steps[anchor]);
-                if consumable && f != anchor {
+                if consumable && !consumed {
                     return Err(format!(
-                        "V19: node {n} is freed at step {f}, but its last reader, step \
-                         {anchor}, is tile-wise and must consume it"
+                        "V19: node {n} is freed after step {anchor}, but that step is its \
+                         tile-wise last reader and must consume it"
                     ));
                 }
             }
@@ -330,11 +321,8 @@ fn check_certificate(
                 resident += price(out);
             }
         }
-        let gone: Vec<usize> = match step {
-            PlanStep::Free { node, .. } => vec![*node],
-            _ => plan.consumed_at(i).to_vec(),
-        };
-        for n in gone {
+        let releases = plan.releases_at(i);
+        for &n in &releases.consumes {
             if live[n] {
                 live[n] = false;
                 resident -= price(n);
@@ -346,6 +334,12 @@ fn check_certificate(
                  re-derivation gives {resident}",
                 cert.per_step[i]
             ));
+        }
+        for &n in &releases.frees {
+            if live[n] {
+                live[n] = false;
+                resident -= price(n);
+            }
         }
     }
     let max = cert.per_step.iter().copied().max().unwrap_or(0);
@@ -376,7 +370,7 @@ pub fn check_liveness(
     planned: &Planned,
     cfg: &PlannerConfig,
 ) -> Result<(), String> {
-    check_frees(program, &planned.plan)?;
+    check_releases(program, &planned.plan)?;
     check_certificate(program, planned, cfg)
 }
 

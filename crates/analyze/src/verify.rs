@@ -552,8 +552,6 @@ impl<'a> Verifier<'a> {
                     self.check_fused(i, ops, prog, inputs, *out)?;
                     0
                 }
-                // Frees are local releases: no communication, no cost.
-                PlanStep::Free { .. } => 0,
             };
             let predicted = self.plan.predicted_bytes(i);
             if predicted != expect {

@@ -40,7 +40,7 @@
 //!
 //! Workers heartbeat from a thread of their own, so beats arrive while
 //! they compute. A host whose connection closes or errors, whose process
-//! is reaped, or that has not beaten for `liveness_timeout_ms` is lost:
+//! is reaped, or that has not beaten for two seconds is lost:
 //! [`ClusterError::WorkerLost`], the error injected faults produce, which
 //! lineage recovery already handles. So is the host a `peerfail` names —
 //! if it is a host of the cluster.
@@ -95,27 +95,21 @@ pub enum KillAt {
     MidXfer(u64),
 }
 
-/// Tuning knobs for the socket backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Worker heartbeat period (milliseconds), passed to each spawned
+/// daemon as `--heartbeat-ms`.
+const HEARTBEAT_MS: u64 = 100;
+
+/// A host with no heartbeat for this long (milliseconds) is declared
+/// dead; workers hear it in the `peers` command as `timeout_ms`.
+const LIVENESS_TIMEOUT_MS: u64 = 2000;
+
+/// Options of the socket backend.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SocketOptions {
-    /// Worker heartbeat period (milliseconds).
-    pub heartbeat_ms: u64,
-    /// A host with no heartbeat for this long is declared dead.
-    pub liveness_timeout_ms: u64,
     /// Test hook: SIGKILL host `.0`'s process at moment `.1`, *without*
     /// marking it dead — detection must flow through the organic
     /// liveness machinery.
     pub kill: Option<(usize, KillAt)>,
-}
-
-impl Default for SocketOptions {
-    fn default() -> Self {
-        SocketOptions {
-            heartbeat_ms: 100,
-            liveness_timeout_ms: 2000,
-            kill: None,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -442,7 +436,7 @@ impl SocketTransport {
                 .arg("--host-id")
                 .arg(h.to_string())
                 .arg("--heartbeat-ms")
-                .arg(opts.heartbeat_ms.to_string())
+                .arg(HEARTBEAT_MS.to_string())
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
                 .stderr(Stdio::inherit())
@@ -532,8 +526,8 @@ impl SocketTransport {
             shut: false,
         };
         for host in 0..workers {
-            let timeout_ms = opts.liveness_timeout_ms;
             let peers = peers.clone();
+            let timeout_ms = LIVENESS_TIMEOUT_MS;
             let reply = me.request(host, &Cmd::Peers { peers, timeout_ms })?;
             check_ok(host, &reply)?;
         }
@@ -590,7 +584,7 @@ impl SocketTransport {
     /// tolerating interleaved heartbeats, discarding stale replies from
     /// aborted stages, and watching the liveness deadline.
     fn recv_reply(&mut self, host: usize, want: u64) -> Result<Reply> {
-        let liveness = Duration::from_millis(self.opts.liveness_timeout_ms);
+        let liveness = Duration::from_millis(LIVENESS_TIMEOUT_MS);
         let (stats, conn) = (&mut self.stats, &mut self.conns[host]);
         if !conn.alive {
             return Err(ClusterError::WorkerLost(host));
@@ -1316,7 +1310,7 @@ impl Transport for SocketTransport {
     }
 
     fn poll_liveness(&mut self) -> Vec<usize> {
-        let liveness = Duration::from_millis(self.opts.liveness_timeout_ms);
+        let liveness = Duration::from_millis(LIVENESS_TIMEOUT_MS);
         let mut newly = Vec::new();
         for host in 0..self.conns.len() {
             if self.reported.contains(&host) {

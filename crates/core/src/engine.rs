@@ -223,6 +223,9 @@ pub(crate) struct ExecCtx<'a> {
     pub sources: HashMap<usize, MatrixId>,
     /// Stage of each step (for recovery's re-executed-stage accounting).
     pub step_stage: Vec<usize>,
+    /// `released_at[node]` = index of the plan step releasing `node`
+    /// (`None` for a node the run keeps).
+    pub released_at: Vec<Option<usize>>,
 }
 
 /// Materialise a source node: clone its durable binding (`load`) or
@@ -296,17 +299,16 @@ fn release(
 }
 
 /// Execute one plan step against the current values. The inputs it
-/// consumes — `consumes`: [`Plan::consumed_at`] on the plan's own pass,
-/// none on a lineage replay, whose inputs other replays may still read —
-/// leave `values` once its primitive is admitted ([`Cluster::admit`]) — the primitive then holds the engine's
-/// only handle and drops each input tile once the output tile made from it
+/// consumes — `consumes`: [`Releases::consumes`](crate::plan::Releases)
+/// on the plan's own pass, none on a lineage replay, whose inputs other
+/// replays may still read — leave `values` once its primitive is admitted
+/// ([`Cluster::admit`]) — the primitive then holds the engine's only
+/// handle and drops each input tile once the output tile made from it
 /// exists — and their mirror release is queued once it has succeeded. A
 /// loss caught at entry therefore leaves every input where it was. Every
 /// other state change is only made on success; a consumed input lost to a
 /// failure inside the primitive is rebuilt through lineage by
 /// [`recovery::recover`], like any damaged input of the resumed step.
-/// Taking first makes a `free` step idempotent under post-failure
-/// re-execution.
 pub(crate) fn exec_step(
     cluster: &mut Cluster,
     ctx: &ExecCtx<'_>,
@@ -317,12 +319,6 @@ pub(crate) fn exec_step(
 ) -> Result<()> {
     let plan = ctx.plan;
     let step = &plan.steps[step_idx];
-    if let PlanStep::Free { node, .. } = step {
-        if let Some(m) = values[*node].take() {
-            release(cluster, ctx, values, *node, m.rid())?;
-        }
-        return Ok(());
-    }
     let operands = step
         .in_nodes()
         .into_iter()
@@ -355,7 +351,6 @@ pub(crate) fn exec_step(
             Some((*out, cluster.extract(sole(operands), target)?))
         }
         PlanStep::Reference { out, .. } => Some((*out, sole(operands))),
-        PlanStep::Free { .. } => unreachable!("a free step returned above"),
         PlanStep::Compute {
             op,
             strategy,
@@ -440,10 +435,8 @@ fn entry_op(program: &Program, step: &PlanStep) -> Result<&'static str> {
             (OpKind::Unary { .. }, Strategy::UnaryLocal) => "map",
             _ => return Err(CoreError::Engine(format!("{op}: not a tile-wise compute"))),
         },
-        PlanStep::Reference { .. } | PlanStep::Free { .. } => {
-            return Err(CoreError::Engine(
-                "a reference or free consumes nothing".into(),
-            ))
+        PlanStep::Reference { .. } => {
+            return Err(CoreError::Engine("a reference consumes nothing".into()))
         }
     })
 }
@@ -514,8 +507,8 @@ fn resident_bytes(values: &[Option<DistMatrix>], rid_bytes: &mut HashMap<u64, u6
 
 /// Charge the run's footprint against the shared store's byte budget, if
 /// it moved since `last`, so a capacity-bounded store displaces cold
-/// entries *during* the run instead of over-committing RAM. Early `Free`
-/// steps lower this curve, which is exactly how the liveness pass
+/// entries *during* the run instead of over-committing RAM. Early
+/// releases lower this curve, which is exactly how the liveness pass
 /// converts a certified peak into fewer spills (the session zeroes the
 /// pressure once the run's values are released).
 fn charge_pressure(
@@ -560,6 +553,16 @@ pub fn execute(
             producer[out] = Some(i);
         }
     }
+    // Liveness is the *plan's* job: the planner names the one step that
+    // releases each dead value (see `crate::liveness`), so the engine
+    // releases exactly what the certificate says, when it says. Recovery
+    // reads the same record to re-drop values lineage replay resurrects.
+    let mut released_at: Vec<Option<usize>> = vec![None; plan.nodes.len()];
+    for (i, releases) in plan.releases.iter().enumerate() {
+        for n in releases.all() {
+            released_at[n] = Some(i);
+        }
+    }
     let ctx = ExecCtx {
         program,
         plan,
@@ -569,6 +572,7 @@ pub fn execute(
         producer,
         sources: plan.sources.iter().copied().collect(),
         step_stage: stages.step_stage.clone(),
+        released_at,
     };
 
     let mut values: Vec<Option<DistMatrix>> = vec![None; plan.nodes.len()];
@@ -590,21 +594,6 @@ pub fn execute(
         resident_bytes(&values, &mut rid_bytes),
     )?;
 
-    // Liveness is the *plan's* job: the planner has each intermediate
-    // consumed by its last reader or freed by a `Free` step spliced after
-    // it (see `crate::liveness`), so the engine releases exactly what the
-    // certificate says, when it says. `last_use` and the keep-set are
-    // still needed here for recovery, which must re-drop values lineage
-    // replay resurrects (a node's last use is its consumer or its own
-    // `Free` step, so the mechanisms compose).
-    let mut last_use = vec![usize::MAX; plan.nodes.len()];
-    for (i, step) in plan.steps.iter().enumerate() {
-        for n in step.in_nodes() {
-            last_use[n] = i;
-        }
-    }
-    let keep = liveness::keep_set(program, plan);
-
     let mut per_phase: Vec<PhaseStats> = Vec::new();
     let mut step_traces: Vec<StepTrace> = Vec::with_capacity(plan.steps.len());
     let mut stats = RecoveryStats::default();
@@ -625,9 +614,16 @@ pub fn execute(
         let span_from = cluster.span_count();
         let sim_start = cluster.clock().total_sec();
 
-        let consumes = plan.consumed_at(step_idx);
+        let releases = plan.releases_at(step_idx);
         loop {
-            match exec_step(cluster, &ctx, step_idx, consumes, &mut values, &mut scalars) {
+            match exec_step(
+                cluster,
+                &ctx,
+                step_idx,
+                &releases.consumes,
+                &mut values,
+                &mut scalars,
+            ) {
                 Ok(()) => break,
                 Err(e) => {
                     let Some(mut dead) = worker_lost(&e) else {
@@ -657,8 +653,6 @@ pub fn execute(
                             &mut scalars,
                             step_idx,
                             dead,
-                            &last_use,
-                            &keep,
                             &mut stats,
                         ) {
                             Ok(()) => break,
@@ -674,14 +668,8 @@ pub fn execute(
             }
         }
 
-        // Assemble the step's flight-recorder record from the spans the
-        // cluster primitives emitted while it was in flight (recovery
-        // replays of earlier steps included, flagged), and fold them once.
-        let spans = cluster.spans()[span_from..].to_vec();
-        let (steady, failed) = (SpanSums::of(&spans, false), SpanSums::of(&spans, true));
-        let (kind, label) = step_identity(plan, program, step);
         // nnz channel: the estimator's prediction next to what the step
-        // actually materialised (read before liveness releases the value).
+        // actually materialised (read before the step frees the value).
         let (predicted_nnz, observed_nnz, density_class) = match step.out_node() {
             Some(out) => {
                 let predicted = plan.step_predicted_nnz(step_idx);
@@ -694,11 +682,27 @@ pub fn execute(
             }
             None => (0, 0, ""),
         };
-        // Meter residency after the step (and any release it performed).
-        // The certificate prices nodes individually, so it dominates this
-        // by construction (V21).
-        let resident_bytes = resident_bytes(&values, &mut rid_bytes);
-        charge_pressure(store, &mut last_pressure, resident_bytes)?;
+        // Meter residency after the step, with the inputs it consumed gone
+        // and the values it frees still held. The certificate prices nodes
+        // individually, so it dominates this by construction (V21).
+        let resident = resident_bytes(&values, &mut rid_bytes);
+        charge_pressure(store, &mut last_pressure, resident)?;
+        // Then free what died here, and tell the store at once.
+        for &node in &releases.frees {
+            if let Some(m) = values[node].take() {
+                release(cluster, &ctx, &values, node, m.rid())?;
+            }
+        }
+        let after = resident_bytes(&values, &mut rid_bytes);
+        charge_pressure(store, &mut last_pressure, after)?;
+
+        // Assemble the step's flight-recorder record from the spans the
+        // cluster primitives emitted while it was in flight (recovery
+        // replays of earlier steps and its releases included), and fold
+        // them once.
+        let spans = cluster.spans()[span_from..].to_vec();
+        let (steady, failed) = (SpanSums::of(&spans, false), SpanSums::of(&spans, true));
+        let (kind, label) = step_identity(plan, program, step);
         step_traces.push(StepTrace {
             step: step_idx,
             stage,
@@ -713,7 +717,7 @@ pub fn execute(
             predicted_nnz,
             observed_nnz,
             density_class,
-            resident_bytes,
+            resident_bytes: resident,
             sim_start_sec: sim_start,
             sim_end_sec: cluster.clock().total_sec(),
             spans,
@@ -800,7 +804,6 @@ fn step_identity(plan: &Plan, program: &Program, step: &PlanStep) -> (String, St
             };
             (strategy.name(), label)
         }
-        PlanStep::Free { node, .. } => ("free".into(), plan.node_label(program, *node)),
         PlanStep::FusedCellWise { ops, out, .. } => (
             format!("Fused({})", ops.len()),
             plan.node_label(program, *out),
@@ -959,6 +962,61 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.external_pressure, 32 * 32 * 8);
         assert_eq!((stats.entries, stats.evictions), (0, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn a_multiply_frees_its_dying_inputs_after_its_sample() {
+        // `A · B` is the last step and the last reader of both inputs; a
+        // multiply never consumes, so it frees them once it has run.
+        let mut p = dmac_lang::Program::new();
+        let a = p.random("A", 32, 32);
+        let b = p.random("B", 32, 32);
+        let c = p.matmul(a, b).unwrap();
+        p.output(c);
+        let cfg = crate::planner::PlannerConfig {
+            fusion_block: 8,
+            ..Default::default()
+        };
+        let plan = crate::planner::plan_program(&p, &cfg, 2, &HashMap::new())
+            .unwrap()
+            .plan;
+        let m = plan.steps.len() - 1;
+        let PlanStep::Compute {
+            strategy: Strategy::Rmm1 | Strategy::Rmm2 | Strategy::Cpmm,
+            inputs,
+            ..
+        } = &plan.steps[m]
+        else {
+            panic!("the last step is not the multiply\n{}", plan.explain(&p));
+        };
+        let mut dying = inputs.clone();
+        dying.sort_unstable();
+        assert_eq!(plan.releases_at(m).frees, dying, "{}", plan.explain(&p));
+        assert!(plan.releases_at(m).consumes.is_empty());
+
+        let mut cluster = Cluster::new(dmac_cluster::ClusterConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        let store = crate::store::SharedStore::with_capacity(1 << 20);
+        let policy = RecoveryPolicy::default();
+        let (report, _) = execute(
+            &mut cluster,
+            &p,
+            &plan,
+            &HashMap::new(),
+            8,
+            7,
+            0,
+            &policy,
+            Some(&store),
+        )
+        .unwrap();
+        // The step's sample still holds both inputs next to the product;
+        // the store hears the lower footprint before any next step.
+        let value = 32 * 32 * 8;
+        assert_eq!(report.trace.steps[m].resident_bytes, 3 * value);
+        assert_eq!(store.stats().external_pressure, value);
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! Plan-level liveness analysis: who releases each dead value — the
-//! tile-wise step that last reads it, or a [`PlanStep::Free`] spliced after
-//! its last reader — and the step-indexed [`MemoryCertificate`]
+//! Plan-level liveness analysis: which step releases each dead value
+//! ([`Plan::releases`]), and the step-indexed [`MemoryCertificate`]
 //! (resident-byte upper bounds).
 //!
 //! The paper's premise is that dependency structure is known statically;
 //! this module exploits it for *memory* the way the planner exploits it
 //! for communication. A walk over the finished plan finds each
-//! intermediate's last reader. When that reader is tile-wise
-//! ([`is_tile_wise`]) it *consumes* the value ([`Plan::consumed`]): the
-//! value dies inside the step that last reads it, each input tile going
-//! once the output tile made from it exists. Otherwise an explicit `free`
-//! step is spliced right after the reader. Every dead value therefore has
-//! exactly one releasing step. The pass then prices the live set after
-//! every step with a storage-aware bound:
+//! intermediate's last reader, and that step releases it. When the reader
+//! is tile-wise ([`is_tile_wise`]) it *consumes* the value: the value dies
+//! inside the step, each input tile going once the output tile made from
+//! it exists. Otherwise the step frees it right after it has run; a value
+//! nothing reads is freed by the step that made it. Every dead value
+//! therefore has exactly one releasing step, and a release is never a
+//! step of its own. The pass then prices the live set after every step
+//! with a storage-aware bound:
 //!
 //! * **Dense-class** nodes (matmul outputs, `+ scalar` results, anything
 //!   with a dense operand) cost exactly `8·rows·cols` — the dense cap.
@@ -35,7 +35,7 @@ use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, UnaryOp};
 use dmac_matrix::blocking::blocks_along;
 use dmac_stats::SparsityProfile;
 
-use crate::plan::{MemoryCertificate, NodeId, Plan, PlanStep};
+use crate::plan::{MemoryCertificate, NodeId, Plan, PlanStep, Releases};
 use crate::strategy::Strategy;
 
 /// Predicted storage class of a plan node: which byte formula bounds its
@@ -97,7 +97,6 @@ pub fn storage_classes(program: &Program, plan: &Plan) -> Vec<StorageClass> {
             },
             // The fused interpreter materialises dense result tiles.
             PlanStep::FusedCellWise { .. } => StorageClass::Dense,
-            PlanStep::Free { .. } => unreachable!("free defines no node"),
         };
     }
     class
@@ -196,7 +195,7 @@ pub fn is_tile_wise(step: &PlanStep) -> bool {
         PlanStep::Compute { strategy, .. } => {
             matches!(strategy, Strategy::CellAligned(_) | Strategy::UnaryLocal)
         }
-        PlanStep::Reference { .. } | PlanStep::Free { .. } => false,
+        PlanStep::Reference { .. } => false,
     }
 }
 
@@ -228,8 +227,7 @@ fn consumable(program: &Program, plan: &Plan, keep: &[bool]) -> Vec<bool> {
 /// first — lets the first transpose consume `x`. A transpose is local, so
 /// the plan moves the same bytes. Each candidate, in step order, is kept
 /// only if it lowers the certified peak; a plan that certifies at most
-/// `cap` is left as it is. Runs on a plan without frees, before
-/// [`splice_frees`].
+/// `cap` is left as it is. Runs before [`record_releases`].
 pub fn rederive_transposes(
     program: &Program,
     plan: &mut Plan,
@@ -238,9 +236,9 @@ pub fn rederive_transposes(
     cap: u64,
 ) {
     let peak = |plan: &Plan| {
-        let mut spliced = plan.clone();
-        splice_frees(program, &mut spliced);
-        certificate(program, &spliced, profiles, block).peak
+        let mut released = plan.clone();
+        record_releases(program, &mut released);
+        certificate(program, &released, profiles, block).peak
     };
     let mut best = peak(plan);
     if best <= cap {
@@ -298,7 +296,6 @@ fn rederived(program: &Program, plan: &Plan, t: usize) -> Option<Plan> {
                     *input = back;
                 }
             }
-            PlanStep::Free { .. } => {}
         }
     }
     let phase = plan.steps[at].phase();
@@ -315,18 +312,15 @@ fn rederived(program: &Program, plan: &Plan, t: usize) -> Option<Plan> {
     Some(next)
 }
 
-/// Decide who releases each non-kept node, once. A node whose last
-/// reader is tile-wise ([`is_tile_wise`]) is consumed by it, recorded in
-/// [`Plan::consumed`] — unless it is a bound (`load`) source, which the
-/// session owns, or a `reference` aliases it. Every other dead node gets
-/// an explicit [`PlanStep::Free`] spliced right after its last reader (or
-/// its producer if it is never read). Unused *sources* are left resident
-/// — there is no step to anchor their release to, and the engine seeds
-/// them before step 0.
-///
-/// `plan.predicted` stays aligned (frees never communicate, so their
-/// prediction is 0); `predicted_nnz` must be (re-)stamped afterwards.
-pub fn splice_frees(program: &Program, plan: &mut Plan) {
+/// Decide, once, which step releases each non-kept node, into
+/// [`Plan::releases`]. A node whose last reader is tile-wise
+/// ([`is_tile_wise`]) is consumed by it — unless it is a bound (`load`)
+/// source, which the session owns, or a `reference` aliases it. Every
+/// other dead node is freed right after its last reader, or after its
+/// producer if nothing reads it. Unused *sources* are left resident —
+/// there is no step to anchor their release to, and the engine seeds them
+/// before step 0. Each list is in ascending node order.
+pub fn record_releases(program: &Program, plan: &mut Plan) {
     let keep = keep_set(program, plan);
     let consumable = consumable(program, plan, &keep);
     let nodes = plan.nodes.len();
@@ -340,60 +334,30 @@ pub fn splice_frees(program: &Program, plan: &mut Plan) {
             producer[out] = i;
         }
     }
-    let mut defined = vec![false; nodes];
-    for &(node, _) in &plan.sources {
-        defined[node] = true;
-    }
-    for (n, &p) in producer.iter().enumerate() {
-        defined[n] |= p != usize::MAX;
-    }
-
-    // Consumers and frees anchored after a step index, each in ascending
-    // node order for determinism.
-    let mut consumed: Vec<Vec<NodeId>> = vec![Vec::new(); plan.steps.len()];
-    let mut frees_after: Vec<Vec<NodeId>> = vec![Vec::new(); plan.steps.len()];
+    let mut releases = vec![Releases::default(); plan.steps.len()];
     for n in 0..nodes {
-        if keep[n] || !defined[n] {
+        if keep[n] {
             continue;
         }
-        let anchor = if last_use[n] != usize::MAX {
-            last_use[n]
+        if last_use[n] != usize::MAX {
+            let at = last_use[n];
+            if consumable[n] && is_tile_wise(&plan.steps[at]) {
+                releases[at].consumes.push(n);
+            } else {
+                releases[at].frees.push(n);
+            }
         } else if producer[n] != usize::MAX {
-            producer[n]
-        } else {
-            continue; // unused source: stays resident
-        };
-        let read = last_use[n] == anchor;
-        if read && consumable[n] && is_tile_wise(&plan.steps[anchor]) {
-            consumed[anchor].push(n);
-        } else {
-            frees_after[anchor].push(n);
+            releases[producer[n]].frees.push(n);
         }
     }
-
-    let old_steps = std::mem::take(&mut plan.steps);
-    let old_predicted = std::mem::take(&mut plan.predicted);
-    plan.consumed.clear();
-    for ((i, step), consumes) in old_steps.into_iter().enumerate().zip(consumed) {
-        let phase = step.phase();
-        plan.steps.push(step);
-        plan.predicted
-            .push(old_predicted.get(i).copied().unwrap_or(0));
-        plan.consumed.push(consumes);
-        for &node in &frees_after[i] {
-            plan.steps.push(PlanStep::Free { node, phase });
-            plan.predicted.push(0);
-            plan.consumed.push(Vec::new());
-        }
-    }
+    plan.releases = releases;
 }
 
 /// Price the live set after every step of `plan`, producing its
 /// [`MemoryCertificate`]. A node is live from its defining step (sources
-/// from step 0) until its releasing step — its `free`, or the step that
-/// consumes it — inclusive of neither; within-step transients (CPMM
-/// partials) are not counted, matching the engine's post-step metering
-/// point.
+/// from step 0): through the step that frees it, until the step that
+/// consumes it. Within-step transients (CPMM partials) are not counted,
+/// matching the engine's post-step metering point.
 pub fn certificate(
     program: &Program,
     plan: &Plan,
@@ -418,17 +382,17 @@ pub fn certificate(
                 resident += price(out);
             }
         }
-        let released = match step {
-            PlanStep::Free { node, .. } => std::slice::from_ref(node),
-            _ => plan.consumed_at(i),
-        };
-        for &n in released {
-            if live[n] {
-                live[n] = false;
-                resident -= price(n);
+        let releases = plan.releases_at(i);
+        let mut gone = |n: NodeId| {
+            if std::mem::take(&mut live[n]) {
+                price(n)
+            } else {
+                0
             }
-        }
+        };
+        resident -= releases.consumes.iter().map(|&n| gone(n)).sum::<u64>();
         per_step.push(resident);
+        resident -= releases.frees.iter().map(|&n| gone(n)).sum::<u64>();
     }
     MemoryCertificate::from_per_step(per_step)
 }
@@ -454,16 +418,13 @@ mod tests {
     }
 
     #[test]
-    fn frees_are_spliced_and_certificate_attached() {
+    fn releases_are_recorded_and_certificate_attached() {
         let p = gnmf_h();
         let planned = plan_program(&p, &PlannerConfig::default(), 4, &HashMap::new()).unwrap();
-        let frees = planned
-            .plan
-            .steps
-            .iter()
-            .filter(|s| matches!(s, PlanStep::Free { .. }))
-            .count();
-        assert!(frees > 0, "{}", planned.plan.explain(&p));
+        let plan = &planned.plan;
+        assert_eq!(plan.releases.len(), plan.steps.len());
+        let frees: usize = plan.releases.iter().map(|r| r.frees.len()).sum();
+        assert!(frees > 0, "{}", plan.explain(&p));
         assert_eq!(planned.certificate.per_step.len(), planned.plan.steps.len());
         assert_eq!(
             planned.certificate.peak,
@@ -482,16 +443,10 @@ mod tests {
         let plan = &planned.plan;
         let mut released = vec![false; plan.nodes.len()];
         for (i, step) in plan.steps.iter().enumerate() {
-            let gone = match step {
-                PlanStep::Free { node, .. } => vec![*node],
-                _ => {
-                    for n in step.in_nodes() {
-                        assert!(!released[n], "step {i} reads released node {n}");
-                    }
-                    plan.consumed_at(i).to_vec()
-                }
-            };
-            for n in gone {
+            for n in step.in_nodes() {
+                assert!(!released[n], "step {i} reads released node {n}");
+            }
+            for n in plan.releases_at(i).all() {
                 assert!(!released[n], "node {n} released twice");
                 released[n] = true;
             }
@@ -518,7 +473,7 @@ mod tests {
         let text = plan.explain(&p);
         let mut consumers = 0;
         for (i, step) in plan.steps.iter().enumerate() {
-            for &n in plan.consumed_at(i) {
+            for &n in &plan.releases_at(i).consumes {
                 consumers += 1;
                 assert!(
                     is_tile_wise(step),
@@ -534,7 +489,7 @@ mod tests {
             } = step
             {
                 assert!(
-                    plan.consumed_at(i).is_empty(),
+                    plan.releases_at(i).consumes.is_empty(),
                     "a multiply consumes\n{text}"
                 );
             }
@@ -548,10 +503,8 @@ mod tests {
         let p = gnmf_h();
         let planned = plan_program(&p, &PlannerConfig::default(), 4, &HashMap::new()).unwrap();
         let keep = keep_set(&p, &planned.plan);
-        for step in &planned.plan.steps {
-            if let PlanStep::Free { node, .. } = step {
-                assert!(!keep[*node]);
-            }
+        for releases in &planned.plan.releases {
+            assert!(releases.all().all(|n| !keep[n]));
         }
         // The output node itself is kept.
         for (n, _, _) in &planned.plan.outputs {

@@ -97,18 +97,6 @@ pub enum PlanStep {
         /// Phase tag (iteration number).
         phase: usize,
     },
-    /// `free`: release a node whose last use has passed. Spliced by the
-    /// planner's liveness pass immediately after the final reader of a
-    /// non-output intermediate that reader does not consume (see
-    /// [`Plan::consumed`]), so the executor can drop the value (and the
-    /// transports their shards) instead of waiting for phase end or LRU
-    /// displacement. Purely local — never communication.
-    Free {
-        /// The node being released.
-        node: NodeId,
-        /// Phase tag inherited from the last reader.
-        phase: usize,
-    },
     /// A maximal group of scheme-aligned cell-wise operators collapsed
     /// into one single-pass step: the post-order `prog` is evaluated per
     /// block over the `inputs` leaves, materialising only the final
@@ -142,7 +130,6 @@ impl PlanStep {
             | PlanStep::Extract { phase, .. }
             | PlanStep::Reference { phase, .. }
             | PlanStep::Compute { phase, .. }
-            | PlanStep::Free { phase, .. }
             | PlanStep::FusedCellWise { phase, .. } => *phase,
         }
     }
@@ -167,7 +154,6 @@ impl PlanStep {
             | PlanStep::Extract { out, .. }
             | PlanStep::Reference { out, .. } => Some(*out),
             PlanStep::Compute { out, .. } => *out,
-            PlanStep::Free { .. } => None,
             PlanStep::FusedCellWise { out, .. } => Some(*out),
         }
     }
@@ -183,7 +169,6 @@ impl PlanStep {
             PlanStep::Compute { inputs, .. } | PlanStep::FusedCellWise { inputs, .. } => {
                 inputs.clone()
             }
-            PlanStep::Free { node, .. } => vec![*node],
         }
     }
 }
@@ -191,9 +176,10 @@ impl PlanStep {
 /// A step-indexed upper bound on resident bytes, produced by the
 /// planner's liveness pass and re-derived independently by the verifier
 /// (invariant V20). `per_step[i]` bounds the bytes of all plan nodes
-/// live *after* `steps[i]` has executed and its frees have taken effect;
-/// the engine's metered [`crate::trace::StepTrace::resident_bytes`] must
-/// never exceed it (invariant V21).
+/// live *after* `steps[i]` has executed — the inputs it consumes gone,
+/// the values it frees ([`Releases::frees`]) still held; the engine's
+/// metered [`crate::trace::StepTrace::resident_bytes`] must never exceed
+/// it (invariant V21).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryCertificate {
     /// Per-step resident-byte bounds, parallel to [`Plan::steps`].
@@ -244,13 +230,29 @@ pub struct Plan {
     /// Stamped by the planner's post-pass; parallel to `steps`, absent
     /// entries read as 0.
     pub predicted_nnz: Vec<u64>,
-    /// `consumed[i]` lists the inputs `steps[i]` *consumes*: it is their
-    /// last reader and a tile-wise step, so it releases them itself — each
-    /// input tile goes once the output tile made from it exists — and no
-    /// `free` step follows for them. Recorded by the liveness pass
-    /// ([`crate::liveness::splice_frees`]); parallel to `steps`, absent
-    /// entries read as empty.
-    pub consumed: Vec<Vec<NodeId>>,
+    /// `releases[i]` names the dead values `steps[i]` releases, each
+    /// value at exactly one step. Written once by the liveness pass
+    /// ([`crate::liveness::record_releases`]); parallel to `steps`, absent
+    /// entries release nothing.
+    pub releases: Vec<Releases>,
+}
+
+/// The dead values one step releases.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Releases {
+    /// Inputs the step *consumes*: it is their last reader and tile-wise,
+    /// so each input tile goes once the output tile made from it exists.
+    pub consumes: Vec<NodeId>,
+    /// Values released right after the step has run: dead values it
+    /// reads but may not consume, and values it makes that nothing reads.
+    pub frees: Vec<NodeId>,
+}
+
+impl Releases {
+    /// Every value the step releases: its consumed inputs, then its frees.
+    pub fn all(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.consumes.iter().chain(&self.frees).copied()
+    }
 }
 
 impl Plan {
@@ -298,10 +300,14 @@ impl Plan {
         self.predicted_nnz.get(i).copied().unwrap_or(0)
     }
 
-    /// The inputs `steps[i]` consumes (empty when it consumes none, or the
-    /// plan was built without a liveness pass).
-    pub fn consumed_at(&self, i: usize) -> &[NodeId] {
-        self.consumed.get(i).map_or(&[], Vec::as_slice)
+    /// What `steps[i]` releases (nothing when the plan was built without
+    /// a liveness pass).
+    pub fn releases_at(&self, i: usize) -> &Releases {
+        static NONE: Releases = Releases {
+            consumes: Vec::new(),
+            frees: Vec::new(),
+        };
+        self.releases.get(i).unwrap_or(&NONE)
     }
 
     /// Finalise: any still-flexible CPMM output defaults to Row.
@@ -362,20 +368,11 @@ impl Plan {
                 PlanStep::Extract { .. } => ("color=blue, style=dashed", "extract".to_string()),
                 PlanStep::Reference { .. } => ("color=blue, style=dashed", "reference".to_string()),
                 PlanStep::Compute { strategy, .. } => ("color=black", strategy.name()),
-                PlanStep::Free { .. } => ("color=gray, style=dotted", "free".to_string()),
                 PlanStep::FusedCellWise { ops, .. } => {
                     ("color=black, penwidth=2", format!("Fused({})", ops.len()))
                 }
             };
             match step {
-                PlanStep::Free { node, .. } => {
-                    // Frees render as a dotted self-edge sink so the
-                    // release point is visible without adding nodes.
-                    let id = format!("f{op_counter}");
-                    op_counter += 1;
-                    let _ = writeln!(s, "  {id} [shape=point];");
-                    let _ = writeln!(s, "  n{node} -> {id} [label=\"{label}\", {style}];");
-                }
                 PlanStep::FusedCellWise { inputs, out, .. } => {
                     for input in inputs {
                         let _ = writeln!(s, "  n{input} -> n{out} [label=\"{label}\", {style}];");
@@ -423,8 +420,9 @@ impl Plan {
     }
 
     /// EXPLAIN-style dump of the plan (used by the `plan_explain` example
-    /// and by debugging sessions). A step that consumes inputs names them
-    /// last, e.g. `transpose   _t4t(b) -> _t4(b) (consumes _t4t(b))`.
+    /// and by debugging sessions). A step names the values it releases
+    /// last: `transpose   _t4t(b) -> _t4(b) (consumes _t4t(b))`, or
+    /// `compute#7   RMM2 [W0(r), _t6(b)] -> _t7(r) (frees _t6(b))`.
     pub fn explain(&self, program: &Program) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -481,9 +479,6 @@ impl Plan {
                         out_s
                     )
                 }
-                PlanStep::Free { node, .. } => {
-                    format!("free        {}", self.node_label(program, *node))
-                }
                 PlanStep::FusedCellWise {
                     ops, inputs, out, ..
                 } => {
@@ -504,17 +499,16 @@ impl Plan {
                 }
             };
             let comm = if step.is_comm() { " *comm*" } else { "" };
-            let consumed: Vec<String> = self
-                .consumed_at(i)
-                .iter()
-                .map(|&n| self.node_label(program, n))
-                .collect();
-            let consumes = if consumed.is_empty() {
-                String::new()
-            } else {
-                format!(" (consumes {})", consumed.join(", "))
-            };
-            let _ = writeln!(s, "  [{i:>3}] {line}{comm}{consumes}");
+            let releases = self.releases_at(i);
+            let mut released = String::new();
+            for (verb, nodes) in [("consumes", &releases.consumes), ("frees", &releases.frees)] {
+                if !nodes.is_empty() {
+                    let labels: Vec<String> =
+                        nodes.iter().map(|&n| self.node_label(program, n)).collect();
+                    let _ = write!(released, " ({verb} {})", labels.join(", "));
+                }
+            }
+            let _ = writeln!(s, "  [{i:>3}] {line}{comm}{released}");
         }
         s
     }

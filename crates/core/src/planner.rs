@@ -671,7 +671,7 @@ impl<'a> Planner<'a> {
     }
 
     /// The post-passes, none of which moves a byte: pin what is still
-    /// flexible, fuse cell-wise chains, splice frees, stamp predicted nnz
+    /// flexible, fuse cell-wise chains, record releases, stamp predicted nnz
     /// and certify memory.
     fn finish(self) -> Planned {
         self.finish_within(u64::MAX)
@@ -685,10 +685,10 @@ impl<'a> Planner<'a> {
         self.plan.finalize_flexible();
         fuse_cell_chains(program, &mut self.plan, block);
         crate::liveness::rederive_transposes(program, &mut self.plan, self.profiles, block, cap);
-        // Liveness post-pass: release each non-kept intermediate right after
-        // its last reader. Runs after fusion so frees anchor to the steps
+        // Liveness post-pass: name the step that releases each non-kept
+        // intermediate. Runs after fusion so releases anchor to the steps
         // that actually execute.
-        crate::liveness::splice_frees(program, &mut self.plan);
+        crate::liveness::record_releases(program, &mut self.plan);
         // Post-pass: stamp the predicted output nnz onto every step that
         // defines a node (survives the fusion rebuild because it runs after).
         self.plan.predicted_nnz = self
@@ -1665,7 +1665,7 @@ mod tests {
             panic!("two transposes expected\n{}", plan.explain(&p));
         };
         assert_eq!(src, w_node);
-        assert_eq!(plan.consumed_at(first), [w_node]);
+        assert_eq!(plan.releases_at(first).consumes, [w_node]);
         assert_eq!(back_src, wt);
         assert_eq!(plan.nodes[back], plan.nodes[w_node]);
         assert!(!plan

@@ -106,8 +106,6 @@ pub(crate) fn recover(
     scalars: &mut HashMap<ScalarId, f64>,
     resume_step: usize,
     dead_host: usize,
-    last_use: &[usize],
-    keep: &[bool],
     stats: &mut RecoveryStats,
 ) -> Result<()> {
     let lost = cluster.decommission(dead_host)?;
@@ -122,14 +120,7 @@ pub(crate) fn recover(
     // read its input — and the sweep below drops what it kept.
     let mut replayed_stages: HashSet<usize> = HashSet::new();
     let mut need: Vec<usize> = (0..values.len()).filter(|&n| values[n].is_some()).collect();
-    // A resumed `free` step only drops its operand — rebuilding it through
-    // lineage would replay work just to throw the value away.
-    if !matches!(
-        ctx.plan.steps[resume_step],
-        crate::plan::PlanStep::Free { .. }
-    ) {
-        need.extend(ctx.plan.steps[resume_step].in_nodes());
-    }
+    need.extend(ctx.plan.steps[resume_step].in_nodes());
     for node in need {
         ensure(
             cluster,
@@ -143,13 +134,13 @@ pub(crate) fn recover(
     }
     stats.re_executed_stages += replayed_stages.len();
 
-    // Lineage replay may have resurrected values whose last consumer
+    // Lineage replay may have resurrected values whose releasing step
     // already ran; drop them again. The transport holds the replayed
     // shards under rids no plan step will free: they go with the
     // session's sweep when the run ends.
-    for n in 0..values.len() {
-        if !keep[n] && last_use[n] < resume_step {
-            values[n] = None;
+    for (value, at) in values.iter_mut().zip(&ctx.released_at) {
+        if at.is_some_and(|at| at < resume_step) {
+            *value = None;
         }
     }
     Ok(())

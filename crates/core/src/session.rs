@@ -52,16 +52,9 @@ pub struct SessionBuilder {
     fault_plan: Option<FaultPlan>,
     recovery: RecoveryPolicy,
     store: Option<SharedStore>,
-    transport: TransportChoice,
-}
-
-/// Which cluster communication backend a session runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransportChoice {
-    /// In-process metered simulator (the default; always available).
-    Sim,
-    /// Real `dmac-workerd` processes over local TCP sockets.
-    Socket(SocketOptions),
+    /// Real `dmac-workerd` processes over local TCP sockets, or (`None`,
+    /// the default) the in-process metered simulator alone.
+    socket: Option<SocketOptions>,
 }
 
 impl Default for SessionBuilder {
@@ -77,7 +70,7 @@ impl Default for SessionBuilder {
             fault_plan: None,
             recovery: RecoveryPolicy::default(),
             store: None,
-            transport: TransportChoice::Sim,
+            socket: None,
         }
     }
 }
@@ -156,7 +149,7 @@ impl SessionBuilder {
     /// fail, so sessions with this backend must be built with
     /// [`SessionBuilder::try_build`].
     pub fn socket_transport(mut self, opts: SocketOptions) -> Self {
-        self.transport = TransportChoice::Socket(opts);
+        self.socket = Some(opts);
         self
     }
 
@@ -185,9 +178,9 @@ impl SessionBuilder {
             local_threads: self.local_threads,
             network: self.network,
         };
-        let mut cluster = match self.transport {
-            TransportChoice::Sim => Cluster::new(config),
-            TransportChoice::Socket(opts) => {
+        let mut cluster = match self.socket {
+            None => Cluster::new(config),
+            Some(opts) => {
                 let transport = SocketTransport::launch(workers, opts)?;
                 Cluster::with_transport(config, Box::new(transport))
             }

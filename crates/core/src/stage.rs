@@ -42,7 +42,6 @@ pub fn schedule(plan: &Plan) -> Stages {
     let mut node_stage = vec![0usize; plan.nodes.len()];
     let mut step_stage = Vec::with_capacity(plan.steps.len());
     let mut max_stage = 0;
-    let mut prev_stage = 0;
     for step in &plan.steps {
         let in_stage = step
             .in_nodes()
@@ -50,19 +49,11 @@ pub fn schedule(plan: &Plan) -> Stages {
             .map(|&n| node_stage[n])
             .max()
             .unwrap_or(0);
-        // A free executes wherever the plan already is: it joins the
-        // preceding step's stage instead of dragging execution back to
-        // the (possibly earlier) stage its node was defined in.
-        let out_stage = if matches!(step, PlanStep::Free { .. }) {
-            in_stage.max(prev_stage)
-        } else {
-            in_stage + usize::from(step.is_comm())
-        };
+        let out_stage = in_stage + usize::from(step.is_comm());
         if let Some(out) = step.out_node() {
             node_stage[out] = out_stage;
         }
         step_stage.push(out_stage);
-        prev_stage = out_stage;
         max_stage = max_stage.max(out_stage);
     }
     Stages {
@@ -78,9 +69,7 @@ pub fn schedule(plan: &Plan) -> Stages {
 /// violation.
 pub fn validate(plan: &Plan, stages: &Stages) -> Result<(), usize> {
     // Every local step must live in the same stage as all of its inputs;
-    // every comm step must live exactly one stage above its inputs; a
-    // free joins the stage in effect at its position.
-    let mut prev_stage = 0;
+    // every comm step must live exactly one stage above its inputs.
     for (i, step) in plan.steps.iter().enumerate() {
         let in_stage = step
             .in_nodes()
@@ -88,15 +77,9 @@ pub fn validate(plan: &Plan, stages: &Stages) -> Result<(), usize> {
             .map(|&n| stages.node_stage[n])
             .max()
             .unwrap_or(0);
-        let expect = if matches!(step, PlanStep::Free { .. }) {
-            in_stage.max(prev_stage)
-        } else {
-            in_stage + usize::from(step.is_comm())
-        };
-        if stages.step_stage[i] != expect {
+        if stages.step_stage[i] != in_stage + usize::from(step.is_comm()) {
             return Err(i);
         }
-        prev_stage = stages.step_stage[i];
         if let Some(out) = step.out_node() {
             if stages.node_stage[out] != stages.step_stage[i] {
                 return Err(i);
@@ -142,10 +125,6 @@ pub fn explain_stages(plan: &Plan, program: &dmac_lang::Program) -> String {
                             .map(|n| plan.node_label(program, n))
                             .unwrap_or_default()
                     );
-                    continue;
-                }
-                PlanStep::Free { node, .. } => {
-                    let _ = writeln!(s, "  free    {}", plan.node_label(program, *node));
                     continue;
                 }
             };

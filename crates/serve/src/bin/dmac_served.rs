@@ -9,7 +9,9 @@
 //!
 //! Binds (port 0 picks a free port), optionally writes the actual
 //! `host:port` to `--port-file` (how `scripts/verify.sh` finds it),
-//! serves until a `shutdown` request arrives, drains, exits 0.
+//! serves until a `shutdown` request arrives, drains, exits 0. With
+//! `--real-cluster` each session launches `--workers` `dmac-workerd`
+//! processes when first used and keeps them until shutdown.
 
 use dmac_serve::{Server, ServerConfig};
 
@@ -18,7 +20,10 @@ fn usage() -> ! {
         "usage: dmac-served [--addr HOST:PORT] [--port-file PATH] [--pool N] [--queue N]\n\
          \x20                 [--workers N] [--local-threads N] [--block N] [--seed N]\n\
          \x20                 [--store-cap BYTES] [--plan-cache N] [--data-dir PATH]\n\
-         \x20                 [--real-cluster]"
+         \x20                 [--real-cluster]\n\n\
+         --real-cluster: each session launches --workers dmac-workerd processes when\n\
+         \x20               first used and keeps them until shutdown; a session is\n\
+         \x20               dropped only after a job panics"
     );
     std::process::exit(2)
 }

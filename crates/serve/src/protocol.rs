@@ -114,7 +114,13 @@ impl Request {
             "submit" => Ok(Request::Submit {
                 session: str_field("session")?,
                 script: str_field("script")?,
-                deadline_ms: v.get("deadline_ms").and_then(Json::as_u64),
+                // Absent means no deadline; anything else must be one.
+                deadline_ms: match v.get("deadline_ms") {
+                    None => None,
+                    Some(d) => Some(d.as_u64().ok_or(
+                        "field 'deadline_ms' is not a non-negative integer of milliseconds",
+                    )?),
+                },
             }),
             "explain" => Ok(Request::Explain {
                 session: str_field("session")?,
@@ -498,6 +504,31 @@ mod tests {
         for r in reqs {
             assert_eq!(Request::from_json(&r.to_json()).unwrap(), r);
         }
+    }
+
+    #[test]
+    fn a_malformed_deadline_is_a_decode_error() {
+        let submit = |d: &str| {
+            let deadline = if d.is_empty() {
+                String::new()
+            } else {
+                format!(",\"deadline_ms\":{d}")
+            };
+            Request::from_json(&format!(
+                "{{\"type\":\"submit\",\"session\":\"s\",\"script\":\"x\"{deadline}}}"
+            ))
+        };
+        for bad in ["-1", "1.5", "\"250\"", "true", "null", "[250]", "1e300"] {
+            let err = submit(bad).expect_err(bad);
+            assert!(err.contains("'deadline_ms'"), "{bad}: {err}");
+        }
+        let deadline = |r: Request| match r {
+            Request::Submit { deadline_ms, .. } => deadline_ms,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(deadline(submit("").unwrap()), None);
+        assert_eq!(deadline(submit("0").unwrap()), Some(0));
+        assert_eq!(deadline(submit("250").unwrap()), Some(250));
     }
 
     #[test]

@@ -78,7 +78,11 @@ pub struct ServerConfig {
     /// local TCP sockets instead of the in-process simulator. Results
     /// are proven byte-identical either way; this trades session-build
     /// latency (process launch) for a live conformance check on every
-    /// operation.
+    /// operation. Each session launches `workers` `dmac-workerd`
+    /// processes when it is first used and keeps them until the server
+    /// shuts down — the session map drops an entry only after a job
+    /// panics — so a server that has seen `S` sessions holds up to
+    /// `S × workers` worker processes.
     pub real_cluster: bool,
     /// Local compute threads per session's cluster.
     pub local_threads: usize,

@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -86,15 +86,22 @@ awk '/#\[cfg\(test\)\]/ { exit }
                print FILENAME ": `displaced` in code x" list+0 ", cluster.retain( x" sweep+0 " (want 0, 1)"
                exit 1 } }' crates/core/src/session.rs
 # And a dead value's shards leave the workers one way per caller:
-# Cluster::free — a plan's `free` step, or a step that consumed its input —
-# and Cluster::retain, a session's sweep. A consumer releasing through a
-# third `retain_values(` would be a second release path beside the plan's
-# one decision.
+# Cluster::free — the step the plan's release record names, whether it
+# consumed the value or frees it after running — and Cluster::retain, a
+# session's sweep. A third `retain_values(` would be a second release path
+# beside the plan's one decision.
 awk '/#\[cfg\(test\)\]/ { exit }
      /retain_values\(/ { n++ }
      END { if (n != 2) {
                print FILENAME ": retain_values( x" n+0 " (want 2: free, retain)"
                exit 1 } }' crates/cluster/src/cluster.rs
+# A release is not a step: the plan records which step releases each dead
+# value (Plan::releases), so `enum PlanStep` has no `Free` variant and no
+# pass splices release steps into `plan.steps` after planning.
+awk '/^pub enum PlanStep/ { inside = 1 } inside && /^}/ { inside = 0 }
+     inside && /^    Free[ ,{]/ { print FILENAME ":" FNR ": " $0; bad++ }
+     END { if (bad) exit 1 }' crates/core/src/plan.rs
+if grep -rn "fn splice_frees(" crates src; then exit 1; fi
 # The cluster meters only bytes a primitive moves (Cluster::send) and
 # records spans in finish_op / charge_recovery: no side door charges
 # modelled traffic. And a tile moves one way: a worker's `xfer` installs

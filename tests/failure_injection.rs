@@ -624,13 +624,18 @@ fn a_kill_at_the_fused_update_stage_recovers_bit_identically() {
         .iter()
         .position(|st| matches!(st, dmac::core::plan::PlanStep::FusedCellWise { .. }))
         .expect("the W-update is fused at this scale");
-    assert_eq!(plan.consumed_at(fused).len(), 3, "{}", plan.explain(&p));
+    assert_eq!(
+        plan.releases_at(fused).consumes.len(),
+        3,
+        "{}",
+        plan.explain(&p)
+    );
     let stage = stages.step_stage[fused];
     let opener = (0..plan.steps.len())
         .find(|&i| stages.step_stage[i] == stage)
         .unwrap();
     assert!(
-        !plan.consumed_at(opener).is_empty(),
+        !plan.releases_at(opener).consumes.is_empty(),
         "stage {stage} opens with a consuming step\n{}",
         plan.explain(&p)
     );

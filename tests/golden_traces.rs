@@ -26,8 +26,8 @@ fn session() -> Session {
 // Pinned against the default planner: these workloads sit *under* the
 // planner's 32-block fusion gate, so cell-wise chains stay unfused here
 // (Cell(*) steps, not Fused(2) — see tests/fusion_equivalence.rs for the
-// fused path). `free` entries are the liveness pass's spliced releases:
-// each intermediate dies right after its last consumer. The trailing
+// fused path). A release is not a step: each intermediate dies in or
+// right after the step that last reads it, so no entry is a `free`. The trailing
 // `spill:` line is the third trace channel: durable-tier traffic, zero
 // for these purely in-memory runs. The `pred` totals are nnz-costed: on
 // these sparse inputs the stages that acquire the link / V matrices
@@ -43,14 +43,16 @@ fn session() -> Session {
 // broadcast -> RMM1 -> Unary -> Cell. Re-recorded when a tile-wise step
 // began consuming the inputs it reads last: their `free` entries are gone
 // (29 steps -> 19; the multiplies' inputs are still freed after them),
-// every byte total is unchanged.
+// every byte total is unchanged. Re-recorded when the remaining `free`
+// steps became part of the step that last reads their value: the five
+// `free` entries go (19 steps -> 14), every byte total is unchanged.
 const PAGERANK_GOLDEN: &str = "\
-workers=4 stages=4 steps=19
-stage  1: pred=936 actual=1924 wire=1156 [partition,free,RMM1,free]
-stage  0: pred=0 actual=0 wire=0 [Unary,free]
+workers=4 stages=4 steps=14
+stage  1: pred=936 actual=1924 wire=1156 [partition,RMM1]
+stage  0: pred=0 actual=0 wire=0 [Unary]
 stage  1: pred=256 actual=256 wire=0 [Unary,partition,Cell(c)]
-stage  2: pred=1024 actual=1024 wire=768 [broadcast,RMM1,free,Unary,Cell(c)]
-stage  3: pred=1024 actual=1024 wire=768 [broadcast,RMM1,free,Unary,Cell(c)]
+stage  2: pred=1024 actual=1024 wire=768 [broadcast,RMM1,Unary,Cell(c)]
+stage  3: pred=1024 actual=1024 wire=768 [broadcast,RMM1,Unary,Cell(c)]
 spill: spills=0 spill_bytes=0 loads=0 load_bytes=0
 ";
 
@@ -67,21 +69,24 @@ spill: spills=0 spill_bytes=0 loads=0 load_bytes=0
 // the same (V by row, W0 by row, H0 broadcast), but under the new
 // certificates the memory guard of the placement search keeps an
 // equal-priced placement that partitions `V` before `W0`'s transpose.
+// Re-recorded once more when the remaining `free` steps became part of
+// the step that last reads their value: the eleven `free` entries go
+// (43 steps -> 32), every byte total and the stage order are unchanged.
 const GNMF_GOLDEN: &str = "\
-workers=4 stages=8 steps=43
-stage  1: pred=3200 actual=5664 wire=4344 [partition,free]
+workers=4 stages=8 steps=32
+stage  1: pred=3200 actual=5664 wire=4344 [partition]
 stage  0: pred=0 actual=0 wire=0 [transpose]
 stage  2: pred=8192 actual=8192 wire=6144 [CPMM]
-stage  1: pred=2048 actual=2048 wire=1536 [CPMM,free,RMM2,free]
+stage  1: pred=2048 actual=2048 wire=1536 [CPMM,RMM2]
 stage  0: pred=0 actual=0 wire=0 [extract]
 stage  2: pred=0 actual=0 wire=0 [Cell(r),Cell(r),transpose]
-stage  3: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,RMM1,free]
-stage  4: pred=2048 actual=2048 wire=1536 [broadcast,RMM2,free]
+stage  3: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,RMM1]
+stage  4: pred=2048 actual=2048 wire=1536 [broadcast,RMM2]
 stage  3: pred=0 actual=0 wire=0 [Cell(r)]
 stage  4: pred=0 actual=0 wire=0 [Cell(r),transpose]
-stage  5: pred=10240 actual=10240 wire=7680 [CPMM,CPMM,free,RMM2,free,free,Cell(r),Cell(r),transpose]
-stage  6: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,RMM1,free,free]
-stage  7: pred=2048 actual=2048 wire=1536 [broadcast,RMM2,free]
+stage  5: pred=10240 actual=10240 wire=7680 [CPMM,CPMM,RMM2,Cell(r),Cell(r),transpose]
+stage  6: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,RMM1]
+stage  7: pred=2048 actual=2048 wire=1536 [broadcast,RMM2]
 stage  6: pred=0 actual=0 wire=0 [Cell(r)]
 stage  7: pred=0 actual=0 wire=0 [Cell(r)]
 spill: spills=0 spill_bytes=0 loads=0 load_bytes=0

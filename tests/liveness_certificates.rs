@@ -14,6 +14,9 @@
 //! lower certified peak, and strictly less spill under a halved RAM
 //! budget.
 //!
+//! The benchmark-shape plans pin what the release record must not move:
+//! the certified peak, and one release per dead value, at its last reader.
+//!
 //! The tamper tests at the bottom forge each violation class and assert
 //! the verifier names it: a read after a free or after a forged consumer
 //! (V18), a dropped or doubled free and a consumed value freed again
@@ -31,7 +34,6 @@ use dmac::apps::{
 };
 use dmac::cluster::SocketOptions;
 use dmac::core::liveness;
-use dmac::core::plan::PlanStep;
 use dmac::core::planner::{plan_program_profiled, PlannerConfig};
 use dmac::core::{Session, SharedStore};
 use dmac::lang::{Expr, MatrixOrigin, Program};
@@ -160,14 +162,10 @@ fn cases(sparsity: f64) -> Vec<Case> {
     out
 }
 
-/// Count of early releases in a plan: spliced `free` steps plus the
-/// inputs tile-wise steps consume.
+/// Count of early releases in a plan: the values its steps consume or
+/// free.
 fn releases(plan: &dmac::core::plan::Plan) -> usize {
-    let frees = plan
-        .steps
-        .iter()
-        .filter(|s| matches!(s, PlanStep::Free { .. }));
-    frees.count() + plan.consumed.iter().map(Vec::len).sum::<usize>()
+    plan.releases.iter().map(|r| r.all().count()).sum()
 }
 
 /// Run `program` (the case's own, or its all-pinned reference) on one
@@ -430,6 +428,94 @@ fn early_frees_pay_off_for_pagerank_under_halved_ram() {
     );
 }
 
+/// Every dead node of `plan` is released exactly once: at its last
+/// reader, or at the step that made it if nothing reads it.
+fn assert_released_once(name: &str, program: &Program, plan: &dmac::core::plan::Plan) {
+    let keep = liveness::keep_set(program, plan);
+    let (mut last_read, mut made) = (vec![None; plan.nodes.len()], vec![None; plan.nodes.len()]);
+    for (i, step) in plan.steps.iter().enumerate() {
+        for n in step.in_nodes() {
+            last_read[n] = Some(i);
+        }
+        if let Some(out) = step.out_node() {
+            made[out] = Some(i);
+        }
+    }
+    let mut released = vec![Vec::new(); plan.nodes.len()];
+    for (i, releases) in plan.releases.iter().enumerate() {
+        for n in releases.all() {
+            released[n].push(i);
+        }
+    }
+    for n in 0..plan.nodes.len() {
+        let want = match last_read[n].or(made[n]) {
+            Some(at) if !keep[n] => vec![at],
+            _ => Vec::new(),
+        };
+        assert_eq!(
+            released[n],
+            want,
+            "{name}: node {n} ({})\n{}",
+            plan.node_label(program, n),
+            plan.explain(program)
+        );
+    }
+}
+
+/// The plans of the benchmark's GNMF (`gnmf_sim`: 4 096 × 3 072 at 5 %,
+/// rank 128, block 128) and PageRank (`pagerank_socket`: 16 384 nodes,
+/// 262 144 links, block 128), both on 4 workers, cold (every input
+/// hash-placed) and warm (each bound input where the cold plan caches
+/// it), certify the peaks they certified when a release was a step of
+/// its own, and release each dead node once.
+#[test]
+fn benchmark_plans_keep_their_certified_peaks() {
+    let gnmf = Gnmf {
+        rows: 4096,
+        cols: 3072,
+        sparsity: 0.05,
+        rank: 128,
+        iterations: 4,
+    };
+    let nodes = 16_384;
+    let pagerank = PageRank {
+        nodes,
+        link_sparsity: 262_144.0 / (nodes as f64 * nodes as f64),
+        damping: 0.85,
+        iterations: 10,
+    };
+    let (mut g, mut pr) = (Program::new(), Program::new());
+    gnmf.build(&mut g).unwrap();
+    pagerank.build(&mut pr).unwrap();
+    let cfg = PlannerConfig {
+        fusion_block: 128,
+        ..Default::default()
+    };
+    // Read when each release was a `free` step: GNMF then planned 79
+    // steps cold and 77 warm, PageRank 44 and 42.
+    for (name, program, peaks) in [
+        ("gnmf_sim", g, [29_468_064, 29_468_064]),
+        ("pagerank_socket", pr, [25_559_040, 13_041_664]),
+    ] {
+        let mut initial: HashMap<_, _> = program
+            .matrices()
+            .iter()
+            .filter(|d| matches!(d.origin, MatrixOrigin::Load | MatrixOrigin::Random))
+            .map(|d| (d.id, dmac::cluster::PartitionScheme::Hash))
+            .collect();
+        let cold = plan_program_profiled(&program, &cfg, 4, &initial, &HashMap::new()).unwrap();
+        for (mid, n) in liveness::cached_inputs(&program, &cold.plan) {
+            initial.insert(mid, cold.plan.nodes[n].scheme);
+        }
+        let warm = plan_program_profiled(&program, &cfg, 4, &initial, &HashMap::new()).unwrap();
+        for (planned, peak) in [(&cold, peaks[0]), (&warm, peaks[1])] {
+            assert_eq!(planned.certificate.peak, peak, "{name}");
+            analyze::check_liveness(&program, planned, &cfg).unwrap();
+            assert_released_once(name, &program, &planned.plan);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Tamper tests: forge each violation and assert the verifier names it.
 // ---------------------------------------------------------------------
@@ -456,24 +542,27 @@ fn tamper_subject() -> (Program, dmac::core::planner::Planned, PlannerConfig) {
     (p, planned, cfg)
 }
 
+/// The first `(step, node)` the plan frees after a step that reads it.
+fn first_read_free(plan: &dmac::core::plan::Plan) -> (usize, usize) {
+    (0..plan.steps.len())
+        .find_map(|i| {
+            let reads = plan.steps[i].in_nodes();
+            let frees = &plan.releases_at(i).frees;
+            frees.iter().find(|n| reads.contains(n)).map(|&n| (i, n))
+        })
+        .expect("some step frees a value it reads")
+}
+
 #[test]
 fn forged_read_after_free_is_caught_as_v18() {
     let (p, mut planned, cfg) = tamper_subject();
-    // Find a free whose predecessor reads the node it releases, and swap
-    // the two steps: the read now happens after the free.
-    let idx = planned
-        .plan
-        .steps
-        .iter()
-        .enumerate()
-        .position(|(i, s)| match s {
-            PlanStep::Free { node, .. } if i > 0 => {
-                planned.plan.steps[i - 1].in_nodes().contains(node)
-            }
-            _ => false,
-        })
-        .expect("some free must follow its last reader directly");
-    planned.plan.steps.swap(idx - 1, idx);
+    // Move a free from the value's last reader to the step before it:
+    // the read now happens after the release.
+    let plan = &mut planned.plan;
+    let (idx, node) = first_read_free(plan);
+    assert!(idx > 0, "{}", plan.explain(&p));
+    plan.releases[idx].frees.retain(|&n| n != node);
+    plan.releases[idx - 1].frees.push(node);
     let err = analyze::check_liveness(&p, &planned, &cfg).unwrap_err();
     assert!(err.contains("V18"), "{err}");
 }
@@ -481,14 +570,8 @@ fn forged_read_after_free_is_caught_as_v18() {
 #[test]
 fn dropped_free_is_caught_as_v19() {
     let (p, mut planned, cfg) = tamper_subject();
-    let idx = planned
-        .plan
-        .steps
-        .iter()
-        .position(|s| matches!(s, PlanStep::Free { .. }))
-        .expect("plan has frees");
-    planned.plan.steps.remove(idx);
-    planned.certificate.per_step.remove(idx);
+    let (idx, node) = first_read_free(&planned.plan);
+    planned.plan.releases[idx].frees.retain(|&n| n != node);
     let err = analyze::check_liveness(&p, &planned, &cfg).unwrap_err();
     assert!(err.contains("V19"), "{err}");
 }
@@ -496,16 +579,8 @@ fn dropped_free_is_caught_as_v19() {
 #[test]
 fn doubled_free_is_caught_as_v19() {
     let (p, mut planned, cfg) = tamper_subject();
-    let idx = planned
-        .plan
-        .steps
-        .iter()
-        .position(|s| matches!(s, PlanStep::Free { .. }))
-        .expect("plan has frees");
-    let dup = planned.plan.steps[idx].clone();
-    planned.plan.steps.insert(idx + 1, dup);
-    let bound = planned.certificate.per_step[idx];
-    planned.certificate.per_step.insert(idx + 1, bound);
+    let (idx, node) = first_read_free(&planned.plan);
+    planned.plan.releases[idx].frees.push(node);
     let err = analyze::check_liveness(&p, &planned, &cfg).unwrap_err();
     assert!(err.contains("V19"), "{err}");
 }
@@ -517,9 +592,8 @@ fn forged_consumer_read_later_is_caught_as_v18() {
     // it as that node's consumer.
     let plan = &planned.plan;
     let read_after = |i: usize, n: usize| {
-        let later = plan.steps[i + 1..].iter();
-        later
-            .filter(|s| !matches!(s, PlanStep::Free { .. }))
+        plan.steps[i + 1..]
+            .iter()
             .any(|s| s.in_nodes().contains(&n))
     };
     let (idx, node) = (0..plan.steps.len())
@@ -529,7 +603,7 @@ fn forged_consumer_read_later_is_caught_as_v18() {
             ins.into_iter().find(|&n| read_after(i, n)).map(|n| (i, n))
         })
         .expect("some tile-wise step reads a node read again later");
-    planned.plan.consumed[idx].push(node);
+    planned.plan.releases[idx].consumes.push(node);
     let err = analyze::check_liveness(&p, &planned, &cfg).unwrap_err();
     assert!(err.contains("V18"), "{err}");
 }
@@ -539,14 +613,9 @@ fn consumed_value_freed_again_is_caught_as_v19() {
     let (p, mut planned, cfg) = tamper_subject();
     let plan = &mut planned.plan;
     let (idx, node) = (0..plan.steps.len())
-        .find_map(|i| plan.consumed_at(i).first().map(|&n| (i, n)))
+        .find_map(|i| plan.releases_at(i).consumes.first().map(|&n| (i, n)))
         .expect("some step consumes its input");
-    let phase = plan.steps[idx].phase();
-    plan.steps.insert(idx + 1, PlanStep::Free { node, phase });
-    plan.consumed.insert(idx + 1, Vec::new());
-    plan.predicted.insert(idx + 1, 0);
-    let bound = planned.certificate.per_step[idx];
-    planned.certificate.per_step.insert(idx + 1, bound);
+    plan.releases[idx].frees.push(node);
     let err = analyze::check_liveness(&p, &planned, &cfg).unwrap_err();
     assert!(err.contains("V19"), "{err}");
 }

@@ -71,7 +71,6 @@ fn sigkilled_worker_recovers_bit_identically() {
     for (host, after_ops) in [(1, 3), (2, 7), (1, 11)] {
         let opts = SocketOptions {
             kill: Some((host, KillAt::AfterOps(after_ops))),
-            ..SocketOptions::default()
         };
         let (w, h, report, mut s) = run_gnmf(opts);
         assert!(
@@ -115,7 +114,6 @@ fn sigkill_mid_pipelined_stage_recovers_bit_identically() {
     for (host, stage) in [(1, 5), (2, 12)] {
         let opts = SocketOptions {
             kill: Some((host, KillAt::MidStage(stage))),
-            ..SocketOptions::default()
         };
         let (w, h, report, mut s) = run_gnmf(opts);
         assert!(
@@ -141,7 +139,6 @@ fn sigkill_mid_peer_transfer_recovers_bit_identically() {
     for (host, xfer) in [(1, 1), (2, 2)] {
         let opts = SocketOptions {
             kill: Some((host, KillAt::MidXfer(xfer))),
-            ..SocketOptions::default()
         };
         let (w, h, report, mut s) = run_gnmf(opts);
         assert!(
@@ -185,7 +182,6 @@ fn a_random_source_is_regenerated_on_the_survivors() {
 
     let opts = SocketOptions {
         kill: Some((1, KillAt::AfterOps(first.ops + 2))),
-        ..SocketOptions::default()
     };
     let mut s = socket_session(opts, 3);
     cfg.run(&mut s, &g).unwrap();
@@ -213,7 +209,6 @@ fn sigkill_without_recovery_is_typed_worker_lost() {
     let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, 8, 5);
     let opts = SocketOptions {
         kill: Some((1, KillAt::AfterOps(4))),
-        ..SocketOptions::default()
     };
     let mut s = socket_session(opts, 0);
     let err = cfg.run(&mut s, v).unwrap_err();
@@ -336,7 +331,6 @@ fn sigkill_at_a_consuming_fused_step_recovers_bit_identically() {
 
     let opts = SocketOptions {
         kill: Some((1, KillAt::AfterOps(mirrored))),
-        ..SocketOptions::default()
     };
     let (w, h, report, mut s) = run(socket_session(opts, 3));
     assert!(

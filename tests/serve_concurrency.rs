@@ -225,13 +225,17 @@ fn protocol_errors_and_backpressure_reject_cleanly() {
     })
     .expect("server starts");
 
-    // Garbage frame → proto error, connection stays usable.
+    // Garbage frame, or a submit whose deadline is not a count of
+    // milliseconds → proto error, connection stays usable.
     let mut raw = TcpStream::connect(server.addr()).expect("connect");
-    write_frame(&mut raw, "not json").unwrap();
-    let payload = read_frame(&mut raw).unwrap().expect("response");
-    match Response::from_json(&payload).unwrap() {
-        Response::Error { code: c, .. } => assert_eq!(c, code::PROTO),
-        other => panic!("unexpected {other:?}"),
+    let bad_deadline = r#"{"type":"submit","session":"s","script":"x","deadline_ms":"250"}"#;
+    for frame in ["not json", bad_deadline] {
+        write_frame(&mut raw, frame).unwrap();
+        let payload = read_frame(&mut raw).unwrap().expect("response");
+        match Response::from_json(&payload).unwrap() {
+            Response::Error { code: c, .. } => assert_eq!(c, code::PROTO, "{frame}"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     // Parse failure → parse error.

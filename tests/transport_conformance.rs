@@ -598,10 +598,7 @@ fn a_failed_run_leaves_the_workers_where_it_found_them() {
     let session = |kill| {
         builder()
             .recovery_attempts(0)
-            .socket_transport(SocketOptions {
-                kill,
-                ..SocketOptions::default()
-            })
+            .socket_transport(SocketOptions { kill })
             .try_build()
             .expect("worker processes must launch")
     };
