@@ -13,7 +13,8 @@
 //!   value is not also freed), kept nodes (program outputs, cached input
 //!   placements) are never released, a consumer reads what it consumes, is
 //!   tile-wise (never a multiplication) and consumes no bound source and
-//!   no aliased node, and every dead intermediate is released *exactly
+//!   no aliased node, every output is bound to a node the plan defines,
+//!   and every dead intermediate is released *exactly
 //!   once*, at its last reader (or its producer, if it is never read) —
 //!   consumed by that reader whenever the rule above lets it consume.
 //! * **V20** — the plan's [`MemoryCertificate`] dominates an independent
@@ -114,7 +115,9 @@ fn rederive_price(
 fn rederive_keep(program: &Program, plan: &Plan) -> Vec<bool> {
     let mut keep = vec![false; plan.nodes.len()];
     for (node, _, _) in &plan.outputs {
-        keep[*node] = true;
+        if let Some(k) = keep.get_mut(*node) {
+            *k = true;
+        }
     }
     for &(_, mid) in &plan.sources {
         if !program
@@ -245,6 +248,13 @@ fn check_releases(program: &Program, plan: &Plan) -> Result<(), String> {
             }
             released_at[n] = Some((i, consumes));
         }
+    }
+    if let Some((n, ..)) = (plan.outputs.iter())
+        .find(|&&(n, ..)| n >= n_nodes || (!source[n] && defined_at[n].is_none()))
+    {
+        return Err(format!(
+            "V19: an output is bound to node {n}, which no step defines"
+        ));
     }
     // Completeness: every dead intermediate released exactly once, at its
     // anchor (last reader, else producer), and consumed by that reader

@@ -923,10 +923,9 @@ impl<'a> Verifier<'a> {
     fn check_outputs(&self) -> Result<(), String> {
         for (r, name) in self.program.outputs() {
             let found = self.plan.outputs.iter().any(|(n, m, bound_name)| {
-                *m == r.id
-                    && self.plan.nodes[*n].matrix == r.id
-                    && self.plan.nodes[*n].transposed == r.transposed
-                    && bound_name == name
+                self.plan.nodes.get(*n).is_some_and(|node| {
+                    *m == r.id && node.matrix == r.id && node.transposed == r.transposed
+                }) && bound_name == name
             });
             if !found {
                 return Err(format!(

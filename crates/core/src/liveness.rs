@@ -11,8 +11,9 @@
 //! it exists. Otherwise the step frees it right after it has run; a value
 //! nothing reads is freed by the step that made it. Every dead value
 //! therefore has exactly one releasing step, and a release is never a
-//! step of its own. The pass then prices the live set after every step
-//! with a storage-aware bound:
+//! step of its own. [`rederive`] first rebuilds what a free dependency
+//! gives back rather than hold it. The pass then prices the live set
+//! after every step with a storage-aware bound:
 //!
 //! * **Dense-class** nodes (matmul outputs, `+ scalar` results, anything
 //!   with a dense operand) cost exactly `8·rows·cols` — the dense cap.
@@ -31,6 +32,7 @@
 //! everything here through a disjoint implementation
 //! (`dmac_analyze::liveness`) and enforces V18–V21 on every plan.
 
+use dmac_cluster::PartitionScheme;
 use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, UnaryOp};
 use dmac_matrix::blocking::blocks_along;
 use dmac_stats::SparsityProfile;
@@ -220,96 +222,119 @@ fn consumable(program: &Program, plan: &Plan, keep: &[bool]) -> Vec<bool> {
     ok
 }
 
-/// Re-derive a value from its own transpose rather than hold it. A node
-/// `x` that `transpose x → y` reads and a later step reads again stays
-/// resident in between; transposing `y` back into a fresh node just
-/// before `x`'s next read — or before `y`'s last read, if that comes
-/// first — lets the first transpose consume `x`. A transpose is local, so
-/// the plan moves the same bytes. Each candidate, in step order, is kept
-/// only if it lowers the certified peak; a plan that certifies at most
-/// `cap` is left as it is. Runs before [`record_releases`].
-pub fn rederive_transposes(
+/// The paper's free dependencies spent on memory: rebuild, rather than
+/// hold, a value that a sibling gives back at 0 bytes. A node `x` read at
+/// step `t` and again later is dropped after `t` (so a tile-wise reader
+/// consumes it) and rebuilt into a fresh node from a sibling of the same
+/// matrix — by `transpose` from the other handedness (Row ↔ Column
+/// flipped, or Broadcast ↔ Broadcast), or by `extract` from a same-handed
+/// Broadcast copy. The rebuild goes right after the sibling's last read,
+/// which must fall between the drop and `x`'s next read, so the rebuild
+/// consumes the sibling: the value trades one copy for another and is
+/// never held twice. An output is read once more at the end of the plan,
+/// and a rebuilt one is re-bound to the new node; a bound source, its
+/// cached placement and a `reference` alias are never rebuilt. Every
+/// inserted step is local and priced 0, so the plan moves the same bytes.
+///
+/// In step order, the best rebuild after each read is kept only if it
+/// lowers (certified peak, steps at the peak). Records the releases
+/// ([`record_releases`]) and returns the plan's certificate.
+pub fn rederive(
     program: &Program,
     plan: &mut Plan,
     profiles: &[SparsityProfile],
     block: usize,
-    cap: u64,
-) {
-    let peak = |plan: &Plan| {
-        let mut released = plan.clone();
-        record_releases(program, &mut released);
-        certificate(program, &released, profiles, block).peak
+) -> MemoryCertificate {
+    let certify = |plan: &mut Plan| {
+        record_releases(program, plan);
+        certificate(program, plan, profiles, block)
     };
-    let mut best = peak(plan);
-    if best <= cap {
-        return;
-    }
+    let score = |c: &MemoryCertificate| {
+        let at_peak = c.per_step.iter().filter(|&&b| b == c.peak).count();
+        (c.peak, at_peak)
+    };
+    let mut cert = certify(plan);
     let mut t = 0;
     while t < plan.steps.len() {
-        if let Some(next) = rederived(program, plan, t) {
-            let p = peak(&next);
-            if p < best {
-                (*plan, best) = (next, p);
-            }
+        let best = (plan.steps[t].in_nodes().into_iter())
+            .flat_map(|x| rebuilds(program, plan, &cert, t, x))
+            .map(|mut next| (certify(&mut next), next))
+            .min_by_key(|(c, _)| score(c))
+            .filter(|(c, _)| score(c) < score(&cert));
+        if let Some((c, next)) = best {
+            (*plan, cert) = (next, c);
         }
         t += 1;
     }
+    cert
 }
 
-/// `plan` with the value `steps[t]` transposes re-derived from the
-/// transpose before its next read (see [`rederive_transposes`]), if the
-/// transpose could then consume it.
-fn rederived(program: &Program, plan: &Plan, t: usize) -> Option<Plan> {
-    let PlanStep::Transpose { src: x, out: y, .. } = plan.steps[t] else {
-        return None;
-    };
+/// Every plan that rebuilds `x` after its read at step `t` (see
+/// [`rederive`]): one per sibling whose last read falls between that read
+/// and the next.
+fn rebuilds(
+    program: &Program,
+    plan: &Plan,
+    cert: &MemoryCertificate,
+    t: usize,
+    x: NodeId,
+) -> Vec<Plan> {
+    let want = &plan.nodes[x];
+    let siblings: Vec<(NodeId, bool)> = (plan.nodes.iter().enumerate())
+        .filter(|(_, n)| n.matrix == want.matrix && want.scheme != PartitionScheme::Hash)
+        .filter_map(|(src, n)| {
+            let extract = n.transposed == want.transposed
+                && want.scheme.is_rc()
+                && n.scheme == PartitionScheme::Broadcast;
+            let transpose = n.transposed != want.transposed && n.scheme == want.scheme.flip();
+            (extract || transpose).then_some((src, extract))
+        })
+        .collect();
+    // Neither a bound source nor a `reference` alias (see `consumable`).
+    let free = consumable(program, plan, &vec![false; plan.nodes.len()]);
+    let cached = cached_inputs(program, plan).iter().any(|&(_, n)| n == x);
+    if siblings.is_empty() || cached || !free[x] {
+        return Vec::new();
+    }
     let keep = keep_set(program, plan);
-    if !consumable(program, plan, &keep)[x] {
-        return None;
-    }
-    let reads = |n: NodeId| {
-        (t + 1..plan.steps.len()).filter(move |&i| plan.steps[i].in_nodes().contains(&n))
+    // An output is read once more, at the end of the plan.
+    let next = (t + 1..plan.steps.len()).find(|&i| plan.steps[i].in_nodes().contains(&x));
+    let Some(next) = next.or(keep[x].then_some(plan.steps.len())) else {
+        return Vec::new();
     };
-    let next_read = reads(x).next()?;
-    let y_gone = if keep[y] {
-        plan.steps.len()
-    } else {
-        reads(y).next_back()?
-    };
-    let at = next_read.min(y_gone);
-    let mut next = plan.clone();
-    let n = &plan.nodes[x];
-    let back = next.add_node(n.matrix, n.transposed, n.scheme, false);
-    for step in &mut next.steps[at..] {
-        match step {
-            PlanStep::Partition { src, .. }
-            | PlanStep::Broadcast { src, .. }
-            | PlanStep::Transpose { src, .. }
-            | PlanStep::Extract { src, .. }
-            | PlanStep::Reference { src, .. } => {
-                if *src == x {
-                    *src = back;
-                }
-            }
-            PlanStep::Compute { inputs, .. } | PlanStep::FusedCellWise { inputs, .. } => {
-                for input in inputs.iter_mut().filter(|i| **i == x) {
-                    *input = back;
-                }
-            }
+    let gone =
+        |n: NodeId| (0..plan.steps.len()).find(|&i| plan.releases_at(i).all().any(|r| r == n));
+    let mut plans = Vec::new();
+    for (src, extract) in siblings {
+        // The rebuild consumes the sibling, so it may not be a kept value.
+        let at = match gone(src) {
+            Some(d) if (t..next).contains(&d) && free[src] => d + 1,
+            _ => continue,
+        };
+        // Only a rebuild that drops `x` at a step of the peak can lower it.
+        if !cert.per_step[t..at].contains(&cert.peak) {
+            continue;
         }
+        let mut rebuilt = plan.clone();
+        let out = rebuilt.add_node(want.matrix, want.transposed, want.scheme, false);
+        for step in &mut rebuilt.steps[at..] {
+            step.replace_input(x, out);
+        }
+        for output in rebuilt.outputs.iter_mut().filter(|o| o.0 == x) {
+            output.0 = out;
+        }
+        let phase = plan.steps[at.min(plan.steps.len() - 1)].phase();
+        let step = if extract {
+            PlanStep::Extract { src, out, phase }
+        } else {
+            PlanStep::Transpose { src, out, phase }
+        };
+        rebuilt.steps.insert(at, step);
+        rebuilt.predicted.resize(plan.steps.len(), 0);
+        rebuilt.predicted.insert(at, 0);
+        plans.push(rebuilt);
     }
-    let phase = plan.steps[at].phase();
-    next.steps.insert(
-        at,
-        PlanStep::Transpose {
-            src: y,
-            out: back,
-            phase,
-        },
-    );
-    next.predicted.resize(plan.steps.len(), 0);
-    next.predicted.insert(at, 0);
-    Some(next)
+    plans
 }
 
 /// Decide, once, which step releases each non-kept node, into

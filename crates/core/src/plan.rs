@@ -158,6 +158,26 @@ impl PlanStep {
         }
     }
 
+    /// Read `to` wherever this step reads `from`.
+    pub fn replace_input(&mut self, from: NodeId, to: NodeId) {
+        match self {
+            PlanStep::Partition { src, .. }
+            | PlanStep::Broadcast { src, .. }
+            | PlanStep::Transpose { src, .. }
+            | PlanStep::Extract { src, .. }
+            | PlanStep::Reference { src, .. } => {
+                if *src == from {
+                    *src = to;
+                }
+            }
+            PlanStep::Compute { inputs, .. } | PlanStep::FusedCellWise { inputs, .. } => {
+                for input in inputs.iter_mut().filter(|i| **i == from) {
+                    *input = to;
+                }
+            }
+        }
+    }
+
     /// The nodes this step reads.
     pub fn in_nodes(&self) -> Vec<NodeId> {
         match self {
@@ -310,6 +330,22 @@ impl Plan {
         self.releases.get(i).unwrap_or(&NONE)
     }
 
+    /// The copy a local `transpose` or `extract` at `steps[i]` rebuilds:
+    /// an identical node released by an earlier step, and that step
+    /// ([`crate::liveness::rederive`]).
+    pub fn rebuilds(&self, i: usize) -> Option<(NodeId, usize)> {
+        let (PlanStep::Transpose { out, .. } | PlanStep::Extract { out, .. }) =
+            self.steps.get(i)?
+        else {
+            return None;
+        };
+        (0..i).find_map(|j| {
+            let mut released = self.releases_at(j).all();
+            let twin = released.find(|&n| self.nodes[n] == self.nodes[*out])?;
+            Some((twin, j))
+        })
+    }
+
     /// Finalise: any still-flexible CPMM output defaults to Row.
     pub fn finalize_flexible(&mut self) {
         for n in &mut self.nodes {
@@ -422,7 +458,9 @@ impl Plan {
     /// EXPLAIN-style dump of the plan (used by the `plan_explain` example
     /// and by debugging sessions). A step names the values it releases
     /// last: `transpose   _t4t(b) -> _t4(b) (consumes _t4t(b))`, or
-    /// `compute#7   RMM2 [W0(r), _t6(b)] -> _t7(r) (frees _t6(b))`.
+    /// `compute#7   RMM2 [W0(r), _t6(b)] -> _t7(r) (frees _t6(b))`; a
+    /// rebuild names the copy it replaces: `extract     _t4(b) -> _t4(r)
+    /// (re-derived; _t4(r) released at step 7) (consumes _t4(b))`.
     pub fn explain(&self, program: &Program) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -501,6 +539,10 @@ impl Plan {
             let comm = if step.is_comm() { " *comm*" } else { "" };
             let releases = self.releases_at(i);
             let mut released = String::new();
+            if let Some((twin, j)) = self.rebuilds(i) {
+                let label = self.node_label(program, twin);
+                let _ = write!(released, " (re-derived; {label} released at step {j})");
+            }
             for (verb, nodes) in [("consumes", &releases.consumes), ("frees", &releases.frees)] {
                 if !nodes.is_empty() {
                     let labels: Vec<String> =

@@ -172,10 +172,10 @@ pub fn plan_program(
 /// A Hash-placed input is placed by the whole program, not by its first
 /// reader: every choice per such input is planned (`placements`), and a
 /// choice replaces the plain greedy's (first touch) only if it moves
-/// strictly fewer bytes *and* certifies no more memory — as planned, or
-/// else after re-deriving, rather than holding, each value whose own
-/// transpose can give it back. On a tie first touch's plan stands, step
-/// for step.
+/// strictly fewer bytes *and* certifies no more memory. Both sides are
+/// finished alike, each rebuilding rather than holding what a free
+/// dependency gives back ([`crate::liveness::rederive`]). On a tie first
+/// touch's plan stands, step for step.
 pub fn plan_program_profiled(
     program: &Program,
     cfg: &PlannerConfig,
@@ -198,12 +198,9 @@ pub fn plan_program_profiled(
     };
     let first_touch = greedy(&[])?.finish();
     // Only a cheaper plan can win, and the cheapest that certifies no
-    // more memory does: finish (and certify) those in order of price,
-    // stably, so equal prices keep the enumeration order. One that
-    // certifies more as planned gets a second, lean finish that
-    // re-derives transposed values instead of holding them; it wins if
-    // that passes and no plan of its price passes as planned. First touch
-    // is never reshaped, so the guard's bar stays put.
+    // more memory does: finish (and certify) those in order of price.
+    // Among passing plans of that price the fewest steps win (a rebuilt
+    // copy is a step), and then enumeration order.
     let mut cheaper = Vec::new();
     for place in placements(program, cfg, initial_schemes).iter().skip(1) {
         let p = greedy(place)?;
@@ -212,24 +209,17 @@ pub fn plan_program_profiled(
         }
     }
     cheaper.sort_by_key(|p| p.estimated_comm);
-    let cap = first_touch.certificate.peak;
-    let mut lean: Option<Planned> = None;
-    for p in cheaper {
-        if lean
-            .as_ref()
-            .is_some_and(|l| l.estimated_comm < p.estimated_comm)
-        {
-            break;
-        }
-        let plain = p.clone().finish();
-        if plain.certificate.peak <= cap {
-            return Ok(plain);
-        }
-        if lean.is_none() {
-            lean = Some(p.finish_within(cap)).filter(|l| l.certificate.peak <= cap);
+    let mut cheaper = cheaper.into_iter().peekable();
+    while let Some(p) = cheaper.next() {
+        let price = p.estimated_comm;
+        let same = std::iter::from_fn(|| cheaper.next_if(|q| q.estimated_comm == price));
+        let passing = (std::iter::once(p).chain(same).map(Planner::finish))
+            .filter(|p| p.certificate.peak <= first_touch.certificate.peak);
+        if let Some(best) = passing.min_by_key(|p| p.plan.steps.len()) {
+            return Ok(best);
         }
     }
-    Ok(lean.unwrap_or(first_touch))
+    Ok(first_touch)
 }
 
 /// The first placements the planner prices, first touch (the empty
@@ -597,7 +587,6 @@ pub fn plan_exhaustive(
     Ok(best.expect("at least one combination").finish())
 }
 
-#[derive(Clone)]
 struct Planner<'a> {
     program: &'a Program,
     cfg: PlannerConfig,
@@ -671,24 +660,16 @@ impl<'a> Planner<'a> {
     }
 
     /// The post-passes, none of which moves a byte: pin what is still
-    /// flexible, fuse cell-wise chains, record releases, stamp predicted nnz
-    /// and certify memory.
-    fn finish(self) -> Planned {
-        self.finish_within(u64::MAX)
-    }
-
-    /// [`Planner::finish`], first re-deriving transposed values instead of
-    /// holding them ([`crate::liveness::rederive_transposes`]) when the
-    /// plan would certify more than `cap` bytes.
-    fn finish_within(mut self, cap: u64) -> Planned {
+    /// flexible, fuse cell-wise chains, rebuild rather than hold what a
+    /// free dependency gives back, record releases, stamp predicted nnz
+    /// and certify memory. Every plan goes through this one finish.
+    fn finish(mut self) -> Planned {
         let (program, block) = (self.program, self.cfg.fusion_block.max(1));
         self.plan.finalize_flexible();
         fuse_cell_chains(program, &mut self.plan, block);
-        crate::liveness::rederive_transposes(program, &mut self.plan, self.profiles, block, cap);
-        // Liveness post-pass: name the step that releases each non-kept
-        // intermediate. Runs after fusion so releases anchor to the steps
-        // that actually execute.
-        crate::liveness::record_releases(program, &mut self.plan);
+        // Liveness post-pass: runs after fusion so releases anchor to the
+        // steps that actually execute.
+        let certificate = crate::liveness::rederive(program, &mut self.plan, self.profiles, block);
         // Post-pass: stamp the predicted output nnz onto every step that
         // defines a node (survives the fusion rebuild because it runs after).
         self.plan.predicted_nnz = self
@@ -701,7 +682,6 @@ impl<'a> Planner<'a> {
                     .unwrap_or(0)
             })
             .collect();
-        let certificate = crate::liveness::certificate(program, &self.plan, self.profiles, block);
         Planned {
             plan: self.plan,
             estimated_comm: self.estimated_comm,
@@ -886,14 +866,9 @@ impl<'a> Planner<'a> {
         };
         let step_idx = self.plan.steps.len();
         self.plan.push_step(step, cost);
-        // Algorithm 1 line 19: the repartitioned copy joins the OutputSet.
-        if self.cfg.exploit_dependencies {
-            self.register(out);
-        } else {
-            // SystemML-S still needs the node for bookkeeping, but the
-            // find_free fast path is disabled anyway.
-            self.register(out);
-        }
+        // Algorithm 1 line 19: the repartitioned copy joins the OutputSet
+        // (SystemML-S registers it too; its `find_free` never looks).
+        self.register(out);
         // Algorithm 1 line 22: record the input event for Pull-Up Broadcast.
         self.input_records.push(InputRecord {
             matrix: r.id,
@@ -1615,14 +1590,13 @@ mod tests {
     }
 
     /// The all-`random` H-update of a serve-shaped GNMF (160 × 96, rank
-    /// 8) placed `V → c`, `W → b`, `H → c` moves 2 048 B, but as planned
-    /// it holds `W(b)` beside `Wᵀ(b)` through `Wᵀ V`, because `Wᵀ W`
-    /// reads `W` later. The lean finish lets the first transpose consume
-    /// `W` and transposes `Wᵀ(b)` back before `Wᵀ` goes: the same bytes,
-    /// one more step, and `|W|` less certified. A cap the plan already
-    /// meets leaves it as planned.
+    /// 8) placed `V → c`, `W → b`, `H → c` moves 2 048 B, but as the
+    /// greedy leaves it it holds `W(b)` beside `Wᵀ(b)` through `Wᵀ V`,
+    /// because `Wᵀ W` reads `W` later. The finish lets the first transpose
+    /// consume `W` and transposes `Wᵀ(b)` back before `Wᵀ` goes: the same
+    /// bytes, one more step, and `|W|` less certified.
     #[test]
-    fn a_lean_finish_rederives_what_a_transpose_gives_back() {
+    fn the_finish_rederives_what_a_transpose_gives_back() {
         use PartitionScheme::{Broadcast, Col};
         let cfg = PlannerConfig {
             fusion_block: 16,
@@ -1641,15 +1615,17 @@ mod tests {
         let profiles = propagate(&p, &cfg, &HashMap::new());
         let place = [(v.id, Col), (w.id, Broadcast), (h0.id, Col)];
         let g = Planner::greedy(&p, &cfg, 4, &HashMap::new(), &profiles, None, &place).unwrap();
-        let plain = g.clone().finish();
-        let within = g.clone().finish_within(plain.certificate.peak);
-        let lean = g.finish_within(0);
-        assert_eq!(within.plan.steps, plain.plan.steps);
-        assert_eq!(plain.estimated_comm, 2048);
-        assert_eq!(lean.estimated_comm, plain.estimated_comm);
+        let mut plain = g.plan.clone();
+        plain.finalize_flexible();
+        fuse_cell_chains(&p, &mut plain, 16);
+        crate::liveness::record_releases(&p, &mut plain);
+        let plain_peak = crate::liveness::certificate(&p, &plain, &profiles, 16).peak;
+        let lean = g.finish();
+        assert_eq!(lean.estimated_comm, 2048);
+        assert_eq!(lean.plan.steps.len(), plain.steps.len() + 1);
         assert_eq!(
             lean.certificate.peak + 8 * 160 * 8,
-            plain.certificate.peak,
+            plain_peak,
             "{}",
             lean.plan.explain(&p)
         );

@@ -1234,6 +1234,34 @@ mod tests {
     }
 
     #[test]
+    fn explain_names_a_rebuilt_copy() {
+        // A serve-shaped H-update placed `V → c`, `W → b`, `H → c`: `Wᵀ(b)`
+        // gives `W(b)` back after `Wᵀ V`, so `W(b)` is not held until
+        // `Wᵀ W` reads it.
+        let s = Session::builder().workers(4).block_size(16).build();
+        let mut p = Program::new();
+        let v = p.random("V", 160, 96);
+        let w = p.random("W", 160, 8);
+        let h = p.random("H", 8, 96);
+        let wt_v = p.matmul(w.t(), v).unwrap();
+        let wt_w = p.matmul(w.t(), w).unwrap();
+        let wt_w_h = p.matmul(wt_w, h).unwrap();
+        let h_num = p.cell_mul(h, wt_v).unwrap();
+        let h = p.cell_div(h_num, wt_w_h).unwrap();
+        p.output(h);
+        let text = s.explain(&p).unwrap();
+        let line = text.lines().find(|l| l.contains("(re-derived; "));
+        assert_eq!(
+            line.map(str::trim),
+            Some(
+                "[  3] transpose   Wt(b) -> W(b) (re-derived; W(b) released at step 0) \
+                 (consumes Wt(b))"
+            ),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn explain_names_the_first_placement_of_a_hash_placed_input() {
         let mut s = Session::builder().workers(4).block_size(16).build();
         let v = BlockedMatrix::from_fn(256, 192, 16, |i, j| {

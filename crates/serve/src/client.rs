@@ -147,7 +147,7 @@ impl Client {
     }
 
     /// Fetch the stats document.
-    pub fn stats(&mut self) -> Result<crate::jsonin::Json> {
+    pub fn stats(&mut self) -> Result<dmac_cluster::jsonin::Json> {
         match self.request(&Request::Stats)? {
             Response::Stats(v) => Ok(v),
             other => Err(ClientError::Proto(format!("unexpected response {other:?}"))),

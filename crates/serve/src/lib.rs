@@ -22,14 +22,13 @@
 
 pub mod cache;
 pub mod client;
-pub mod jsonin;
 pub mod protocol;
 pub mod server;
 pub mod smoke;
 
 pub use cache::{CacheStats, PlanCache};
 pub use client::{Client, ClientError};
-pub use jsonin::Json;
+pub use dmac_cluster::jsonin::Json;
 pub use protocol::{ProgramResult, Request, Response};
 pub use server::{Server, ServerConfig};
 

@@ -14,7 +14,7 @@
 //! too with shortest-round-trip formatting, but hex makes the
 //! intent unmissable and parsing trivial.
 
-use crate::jsonin::Json;
+use dmac_cluster::jsonin::Json;
 use dmac_core::json::{arr_of, JsonArr, JsonObj};
 
 // The frame codec moved to `dmac_cluster::transport::frame` so the

@@ -991,7 +991,7 @@ fn stats_json(state: &State) -> String {
 mod tests {
     use super::*;
     use crate::client::{Client, ClientError};
-    use crate::jsonin::Json;
+    use dmac_cluster::jsonin::Json;
 
     /// A job whose body panics wedges nothing: its client gets a typed
     /// `exec` error, `stats` still answers and counts it, the next job on

@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -102,6 +102,11 @@ awk '/^pub enum PlanStep/ { inside = 1 } inside && /^}/ { inside = 0 }
      inside && /^    Free[ ,{]/ { print FILENAME ":" FNR ": " $0; bad++ }
      END { if (bad) exit 1 }' crates/core/src/plan.rs
 if grep -rn "fn splice_frees(" crates src; then exit 1; fi
+# One re-derivation path: a value a free dependency gives back is rebuilt
+# by liveness::rederive, which the planner's one finish runs on every
+# plan, so the memory guard compares lean with lean. No transpose-only
+# pass and no capped second finish sit beside it.
+if grep -rnE "fn rederive_transposes\(|fn finish_within\(" crates src; then exit 1; fi
 # The cluster meters only bytes a primitive moves (Cluster::send) and
 # records spans in finish_op / charge_recovery: no side door charges
 # modelled traffic. And a tile moves one way: a worker's `xfer` installs

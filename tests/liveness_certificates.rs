@@ -18,10 +18,11 @@
 //! the certified peak, and one release per dead value, at its last reader.
 //!
 //! The tamper tests at the bottom forge each violation class and assert
-//! the verifier names it: a read after a free or after a forged consumer
-//! (V18), a dropped or doubled free and a consumed value freed again
-//! (V19), an understated certificate (V20), and inflated resident
-//! metering (V21).
+//! the verifier names it: a read after a free, after a forged consumer or
+//! of a rebuild's released sibling (V18), a dropped or doubled free, a
+//! consumed value freed again and an output bound to a node no step
+//! defines (V19), an understated certificate (V20), and inflated
+//! resident metering (V21).
 
 mod common;
 
@@ -466,8 +467,7 @@ fn assert_released_once(name: &str, program: &Program, plan: &dmac::core::plan::
 /// rank 128, block 128) and PageRank (`pagerank_socket`: 16 384 nodes,
 /// 262 144 links, block 128), both on 4 workers, cold (every input
 /// hash-placed) and warm (each bound input where the cold plan caches
-/// it), certify the peaks they certified when a release was a step of
-/// its own, and release each dead node once.
+/// it), certify the peaks pinned below and release each dead node once.
 #[test]
 fn benchmark_plans_keep_their_certified_peaks() {
     let gnmf = Gnmf {
@@ -492,9 +492,15 @@ fn benchmark_plans_keep_their_certified_peaks() {
         ..Default::default()
     };
     // Read when each release was a `free` step: GNMF then planned 79
-    // steps cold and 77 warm, PageRank 44 and 42.
+    // steps cold and 77 warm, PageRank 44 and 42. GNMF's were re-read
+    // (29 468 064 both) when the planner began rebuilding what a free
+    // dependency gives back: each H-update's `H(r)` is extracted from
+    // `H(b)` instead of held across the W-update, and the output `H(r)` is
+    // transposed back from `Hᵀ(c)`. Cold, the peak moves to step 0's
+    // partition of `V`; warm, `V` is already by row and the peak falls by
+    // |H| (3 145 728 B). PageRank has no sibling that lowers its peak.
     for (name, program, peaks) in [
-        ("gnmf_sim", g, [29_468_064, 29_468_064]),
+        ("gnmf_sim", g, [28_265_280, 26_322_336]),
         ("pagerank_socket", pr, [25_559_040, 13_041_664]),
     ] {
         let mut initial: HashMap<_, _> = program
@@ -618,6 +624,72 @@ fn consumed_value_freed_again_is_caught_as_v19() {
     plan.releases[idx].frees.push(node);
     let err = analyze::check_liveness(&p, &planned, &cfg).unwrap_err();
     assert!(err.contains("V19"), "{err}");
+}
+
+/// GNMF at a small shape, planned directly with `V` already by row: the
+/// planner rebuilds, rather than holds, each H-update's `H(r)`.
+fn rebuilt_subject() -> (Program, dmac::core::planner::Planned, PlannerConfig) {
+    let gnmf = Gnmf {
+        rows: 48,
+        cols: 32,
+        sparsity: 0.3,
+        rank: 8,
+        iterations: 2,
+    };
+    let mut p = Program::new();
+    gnmf.build(&mut p).unwrap();
+    let cfg = PlannerConfig {
+        fusion_block: BLOCK,
+        ..Default::default()
+    };
+    let initial = p
+        .matrices()
+        .iter()
+        .filter(|d| matches!(d.origin, MatrixOrigin::Load))
+        .map(|d| (d.id, dmac::cluster::PartitionScheme::Row))
+        .collect();
+    let planned = plan_program_profiled(&p, &cfg, 4, &initial, &HashMap::new()).unwrap();
+    analyze::check_liveness(&p, &planned, &cfg).expect("untampered plan must verify");
+    (p, planned, cfg)
+}
+
+#[test]
+fn forged_rebuild_reading_a_released_sibling_is_caught_as_v18() {
+    let (p, mut planned, cfg) = rebuilt_subject();
+    let plan = &mut planned.plan;
+    let at = (0..plan.steps.len())
+        .find(|&i| plan.rebuilds(i).is_some())
+        .unwrap_or_else(|| panic!("no rebuilt step\n{}", plan.explain(&p)));
+    // Release the copy the rebuild reads one step before the rebuild.
+    let sibling = plan.steps[at].in_nodes()[0];
+    for releases in &mut plan.releases {
+        releases.consumes.retain(|&n| n != sibling);
+        releases.frees.retain(|&n| n != sibling);
+    }
+    plan.releases[at - 1].frees.push(sibling);
+    let err = analyze::check_liveness(&p, &planned, &cfg).unwrap_err();
+    assert!(err.contains("V18"), "{err}");
+}
+
+#[test]
+fn an_output_bound_to_an_undefined_node_is_an_error_not_a_panic() {
+    let (p, planned, cfg) = rebuilt_subject();
+    let out = planned.plan.outputs[0].0;
+    // A fresh copy of the output's node, which no step defines, and a
+    // node the plan does not have.
+    for node in [planned.plan.nodes.len(), usize::MAX] {
+        let mut forged = planned.clone();
+        let twin = forged.plan.nodes[out].clone();
+        forged.plan.nodes.push(twin);
+        forged.plan.outputs[0].0 = node;
+        let err = analyze::check_liveness(&p, &forged, &cfg).unwrap_err();
+        assert!(
+            err.contains("V19") && err.contains("no step defines"),
+            "{err}"
+        );
+        let err = analyze::verify_planned(&p, &forged, &cfg, 4).unwrap_err();
+        assert!(err.contains("V19") || err.contains("V12"), "{err}");
+    }
 }
 
 #[test]

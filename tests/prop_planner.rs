@@ -267,9 +267,11 @@ fn random_plans_stage_cleanly() {
 /// Pricing each Hash-placed input's first placement against the whole
 /// program never loses to first touch (the plain greedy, which places an
 /// input by its first reader): no more estimated bytes, no more certified
-/// memory, and on a tie first touch's plan step for step. The corpus is
-/// drawn twice, once over bound inputs and once with two of the three
-/// `random` (generated in their placement at no cost). SystemML-S never
+/// memory, and on a tie first touch's plan step for step — first touch as
+/// the finish's re-derivation pass leaves it, since both sides go through
+/// that one finish. The corpus is drawn twice, once over bound inputs and
+/// once with two of the three `random` (generated in their placement at
+/// no cost). SystemML-S never
 /// searches, so its plan is first touch's, the plan it always had.
 #[test]
 fn placement_search_never_loses_to_first_touch() {
@@ -304,6 +306,8 @@ fn placement_search_never_loses_to_first_touch() {
                     first.certificate.peak
                 );
                 if planned.estimated_comm == first.estimated_comm || !cfg.exploit_dependencies {
+                    // `first` is finished like every plan: rebuilt copies
+                    // included, so the two agree step for step.
                     assert_eq!(planned.plan.steps, first.plan.steps, "{label}");
                     assert_eq!(planned.plan.nodes, first.plan.nodes, "{label}");
                 } else {
@@ -322,6 +326,90 @@ fn placement_search_never_loses_to_first_touch() {
         );
         assert_eq!(born > 0, random, "a random source generated placed");
     }
+}
+
+/// The finish's re-derivation pass moves no byte and never raises
+/// memory. Strip every rebuilt step from a finished plan, pointing its
+/// readers and outputs back at the copy it replaced: the pass turns what
+/// is left back into the same plan, the inserted steps are local
+/// `transpose` / `extract` steps priced 0, every other step keeps its
+/// predicted bytes, and (certified peak, steps at the peak) is no higher
+/// than the stripped plan's. Over both corpora, bound and `random`
+/// sources.
+#[test]
+fn rederivation_moves_no_byte_and_never_raises_memory() {
+    use dmac::core::liveness;
+    use dmac::core::plan::PlanStep;
+    let score = |per: &[u64]| {
+        let peak = per.iter().copied().max().unwrap_or(0);
+        (peak, per.iter().filter(|&&b| b == peak).count())
+    };
+    let mut rebuilt = 0;
+    for random in [false, true] {
+        let mut rng = SplitMix64::new(SEED ^ 5);
+        for case in 0..64 {
+            let picks = op_picks(&mut rng, 1, 15);
+            let (program, _) = build_program(&picks, random);
+            let cfg = PlannerConfig::default();
+            let planned = plan_program(&program, &cfg, 4, &HashMap::new()).unwrap();
+            let (lean, label) = (
+                &planned.plan,
+                format!("case {case} (random sources: {random})"),
+            );
+            let mut plain = lean.clone();
+            let (mut kept, mut twin_of) = (Vec::new(), HashMap::new());
+            for (i, step) in lean.steps.iter().enumerate() {
+                match (lean.rebuilds(i), step) {
+                    (
+                        Some((twin, _)),
+                        PlanStep::Transpose { out, .. } | PlanStep::Extract { out, .. },
+                    ) => {
+                        assert_eq!(lean.predicted_bytes(i), 0, "{label}");
+                        twin_of.insert(*out, twin);
+                    }
+                    _ => kept.push(i),
+                }
+            }
+            rebuilt += twin_of.len();
+            let first_rebuilt = lean.nodes.len() - twin_of.len();
+            assert!(twin_of.keys().all(|&n| n >= first_rebuilt), "{label}");
+            let original = |mut n| {
+                while let Some(&twin) = twin_of.get(&n) {
+                    n = twin;
+                }
+                n
+            };
+            plain.steps = kept.iter().map(|&i| lean.steps[i].clone()).collect();
+            for step in &mut plain.steps {
+                for n in step.in_nodes() {
+                    step.replace_input(n, original(n));
+                }
+            }
+            plain.predicted = kept.iter().map(|&i| lean.predicted_bytes(i)).collect();
+            plain.nodes.truncate(first_rebuilt);
+            for output in &mut plain.outputs {
+                output.0 = original(output.0);
+            }
+            (plain.releases, plain.predicted_nnz) = (Vec::new(), Vec::new());
+            assert_eq!(plain.predicted_total(), planned.estimated_comm, "{label}");
+
+            let block = cfg.fusion_block;
+            let mut again = plain.clone();
+            let cert = liveness::rederive(&program, &mut again, &planned.profiles, block);
+            assert_eq!(again.steps, lean.steps, "{label}");
+            assert_eq!(again.nodes, lean.nodes, "{label}");
+            assert_eq!(again.outputs, lean.outputs, "{label}");
+            assert_eq!(again.predicted, lean.predicted, "{label}");
+            assert_eq!(cert, planned.certificate, "{label}");
+
+            liveness::record_releases(&program, &mut plain);
+            let before = liveness::certificate(&program, &plain, &planned.profiles, block);
+            let after = &planned.certificate.per_step;
+            assert!(score(after) <= score(&before.per_step), "{label}");
+            assert!(after.iter().all(|&b| b <= before.peak), "{label}");
+        }
+    }
+    assert!(rebuilt > 0, "no case rebuilt a copy");
 }
 
 /// Dependency exploitation never plans more communication steps than the

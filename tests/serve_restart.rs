@@ -54,7 +54,7 @@ const STORE_Y: &str = "R = random(R, 32, 32)\nY = R + R\nstore(Y)\n";
 const STORE_Z: &str = "S = random(S, 40, 24)\nZ = S * S\nstore(Z)\n";
 const REWRITE_X: &str = "B = random(B, 48, 48)\nX = B + B\nstore(X)\n";
 
-fn u64_at(stats: &dmac::serve::jsonin::Json, path: &[&str]) -> u64 {
+fn u64_at(stats: &dmac::serve::Json, path: &[&str]) -> u64 {
     let mut v = stats;
     for k in path {
         v = v.get(k).unwrap_or_else(|| panic!("stats missing {k}"));
