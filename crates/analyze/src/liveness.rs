@@ -12,8 +12,8 @@
 //! * **V19** — release discipline: no value is released twice (a consumed
 //!   value is not also freed), kept nodes (program outputs, cached input
 //!   placements) are never released, a consumer reads what it consumes, is
-//!   tile-wise (never a multiplication) and consumes no bound source and
-//!   no aliased node, every output is bound to a node the plan defines,
+//!   tile-wise (never a multiplication) and consumes no bound source,
+//!   every output is bound to a node the plan defines,
 //!   and every dead intermediate is released *exactly
 //!   once*, at its last reader (or its producer, if it is never read) —
 //!   consumed by that reader whenever the rule above lets it consume.
@@ -55,8 +55,7 @@ fn sparse_class(program: &Program, plan: &Plan) -> Vec<bool> {
             PlanStep::Partition { src, .. }
             | PlanStep::Broadcast { src, .. }
             | PlanStep::Transpose { src, .. }
-            | PlanStep::Extract { src, .. }
-            | PlanStep::Reference { src, .. } => sparse[*src],
+            | PlanStep::Extract { src, .. } => sparse[*src],
             PlanStep::Compute { op, inputs, .. } => match &program.ops()[*op].kind {
                 OpKind::Binary { op: b, .. } => {
                     matches!(b, BinOp::Add | BinOp::Sub | BinOp::CellMul)
@@ -140,8 +139,8 @@ fn rederive_keep(program: &Program, plan: &Plan) -> Vec<bool> {
 
 /// Is every output tile of `step` made from the input tiles at one
 /// coordinate? The moves are; so is a computed cell-wise or unary
-/// operator and a fused chain of them; a multiplication, a reduction and
-/// a `reference` (whose output is its input) are not.
+/// operator and a fused chain of them; a multiplication and a reduction
+/// are not.
 fn tile_wise(program: &Program, step: &PlanStep) -> bool {
     match step {
         PlanStep::Partition { .. }
@@ -154,7 +153,6 @@ fn tile_wise(program: &Program, step: &PlanStep) -> bool {
             Some(OpKind::Unary { .. }) => true,
             _ => false,
         },
-        PlanStep::Reference { .. } => false,
     }
 }
 
@@ -178,16 +176,6 @@ fn check_releases(program: &Program, plan: &Plan) -> Result<(), String> {
             .decl(mid)
             .map(|d| matches!(d.origin, MatrixOrigin::Load))
             .unwrap_or(false);
-    }
-    let mut aliased = vec![false; n_nodes];
-    for step in &plan.steps {
-        if let PlanStep::Reference { src, out, .. } = step {
-            for n in [*src, *out] {
-                if let Some(a) = aliased.get_mut(n) {
-                    *a = true;
-                }
-            }
-        }
     }
     // (step, consumed?) of each node's release.
     let mut released_at = vec![None::<(usize, bool)>; n_nodes];
@@ -237,8 +225,6 @@ fn check_releases(program: &Program, plan: &Plan) -> Result<(), String> {
                     Some("is not tile-wise")
                 } else if bound[n] {
                     Some("it is a bound source")
-                } else if aliased[n] {
-                    Some("a reference aliases it")
                 } else {
                     None
                 };
@@ -284,7 +270,6 @@ fn check_releases(program: &Program, plan: &Plan) -> Result<(), String> {
             Some((_, consumed)) => {
                 let consumable = last_read[n] == Some(anchor)
                     && !bound[n]
-                    && !aliased[n]
                     && tile_wise(program, &plan.steps[anchor]);
                 if consumable && !consumed {
                     return Err(format!(

@@ -57,7 +57,6 @@ pub struct VerifySummary {
 /// from the step's endpoint nodes alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DepType {
-    Reference,
     Transpose,
     Extract,
     Partition,
@@ -69,7 +68,6 @@ enum DepType {
 impl DepType {
     fn name(self) -> &'static str {
         match self {
-            DepType::Reference => "Reference",
             DepType::Transpose => "Transpose",
             DepType::Extract => "Extract",
             DepType::Partition => "Partition",
@@ -82,7 +80,7 @@ impl DepType {
     /// §4.1: the event bytes this dependency type costs.
     fn bytes(self, size: u64, workers: u64) -> u64 {
         match self {
-            DepType::Reference | DepType::Transpose | DepType::Extract => 0,
+            DepType::Transpose | DepType::Extract => 0,
             DepType::Partition | DepType::TransposePartition => size,
             DepType::Broadcast | DepType::TransposeBroadcast => workers * size,
         }
@@ -529,8 +527,7 @@ impl<'a> Verifier<'a> {
                 PlanStep::Partition { src, out, .. }
                 | PlanStep::Broadcast { src, out, .. }
                 | PlanStep::Transpose { src, out, .. }
-                | PlanStep::Extract { src, out, .. }
-                | PlanStep::Reference { src, out, .. } => {
+                | PlanStep::Extract { src, out, .. } => {
                     let dep = self.classify_extended(i, step, *src, *out)?;
                     dep.bytes(self.size(self.plan.nodes[*src].matrix)?, self.workers)
                 }
@@ -585,17 +582,6 @@ impl<'a> Verifier<'a> {
         }
         let flipped = s.transposed != o.transposed;
         let dep = match step {
-            PlanStep::Reference { .. } => {
-                if flipped || s.scheme != o.scheme {
-                    return Err(format!(
-                        "V06: step {i} reference must preserve handedness and scheme \
-                         ({} -> {})",
-                        self.plan.node_label(self.program, src),
-                        self.plan.node_label(self.program, out)
-                    ));
-                }
-                DepType::Reference
-            }
             PlanStep::Transpose { .. } => {
                 if !flipped || o.scheme != s.scheme.flip() {
                     return Err(format!(

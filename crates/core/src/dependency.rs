@@ -8,10 +8,16 @@
 //! distinct matrix processes suffice (Table 2). Four require communication
 //! (Partition, Transpose-Partition, Broadcast, Transpose-Broadcast); four
 //! are free (Reference, Transpose, Extract, Extract-Transpose).
+//!
+//! [`classify`] is the one place that decides which of them links two
+//! copies of a matrix: the planner asks it which held copy satisfies an
+//! input for free, and the liveness pass which copy rebuilds a dropped
+//! one. Both hold copies of one matrix, so `B = A` or `B = Aᵀ` is a
+//! matter of handedness; and both ask only about copies already made, so
+//! `Precede` holds by construction — the `OutputSet` holds only outputs of
+//! earlier operators.
 
 use dmac_cluster::PartitionScheme;
-
-use crate::event::{InEvent, OutEvent};
 
 /// The eight dependency types of Table 2, named after the matrix process
 /// that satisfies them.
@@ -66,39 +72,34 @@ impl DependencyType {
     }
 }
 
-/// Classify the dependency between an output event and a later input event
-/// per Table 2. Returns `None` when no dependency exists: different base
-/// matrices, no precedence, a Hash-placed output (which satisfies nothing
-/// without a repartition — callers treat Hash sources as implicit
-/// Partition/Broadcast), or an input requiring Hash (never happens).
+/// Classify, per Table 2, the dependency that lets `input` — a copy of a
+/// matrix some operator reads — be satisfied from `out`, a copy of the same
+/// matrix an earlier operator wrote. Each is a placement — `(transposed,
+/// scheme)`: whether the copy holds the transpose, and how it is
+/// partitioned — so equal handedness is `A = B` and opposite `B = Aᵀ`. Returns `None` when
+/// either side is Hash-placed: a Hash copy satisfies nothing without a
+/// repartition (callers treat it as an implicit Partition/Broadcast
+/// source), and Hash is never required.
 ///
 /// ```
-/// use dmac_cluster::PartitionScheme;
+/// use dmac_cluster::PartitionScheme::{Col, Row};
 /// use dmac_core::dependency::{classify, DependencyType};
-/// use dmac_core::event::{EventMatrix, InEvent, OutEvent};
 ///
-/// // op0 wrote W row-partitioned; op1 reads Wᵀ column-partitioned:
+/// // W is held row-partitioned; an operator reads Wᵀ column-partitioned:
 /// // a free, local Transpose dependency.
-/// let out = OutEvent { matrix: EventMatrix::plain(0), scheme: PartitionScheme::Row, op: 0 };
-/// let inp = InEvent { matrix: EventMatrix::trans(0), scheme: PartitionScheme::Col, op: 1 };
-/// let dep = classify(&out, &inp).unwrap();
+/// let dep = classify((false, Row), (true, Col)).unwrap();
 /// assert_eq!(dep, DependencyType::Transpose);
 /// assert!(!dep.communicates());
 /// ```
-pub fn classify(out: &OutEvent, input: &InEvent) -> Option<DependencyType> {
-    if !out.precedes(input) {
-        return None;
-    }
-    let same = input.matrix.same(out.matrix);
-    let trans = input.matrix.transposed_of(out.matrix);
-    if !same && !trans {
-        return None;
-    }
-    let (pi, pj) = (out.scheme, input.scheme);
+pub fn classify(
+    out: (bool, PartitionScheme),
+    input: (bool, PartitionScheme),
+) -> Option<DependencyType> {
+    let ((out_t, pi), (in_t, pj)) = (out, input);
     if pi == PartitionScheme::Hash || pj == PartitionScheme::Hash {
         return None;
     }
-    let dep = if same {
+    let dep = if out_t == in_t {
         if pi.equal_rc(pj) || pi.equal_b(pj) {
             DependencyType::Reference
         } else if pi.oppose(pj) {
@@ -109,18 +110,15 @@ pub fn classify(out: &OutEvent, input: &InEvent) -> Option<DependencyType> {
             debug_assert!(pi.contain(pj));
             DependencyType::Extract
         }
+    } else if pi.oppose(pj) || pi.equal_b(pj) {
+        DependencyType::Transpose
+    } else if pi.equal_rc(pj) {
+        DependencyType::TransposePartition
+    } else if pj.contain(pi) {
+        DependencyType::TransposeBroadcast
     } else {
-        // B = Aᵀ
-        if pi.oppose(pj) || pi.equal_b(pj) {
-            DependencyType::Transpose
-        } else if pi.equal_rc(pj) {
-            DependencyType::TransposePartition
-        } else if pj.contain(pi) {
-            DependencyType::TransposeBroadcast
-        } else {
-            debug_assert!(pi.contain(pj));
-            DependencyType::ExtractTranspose
-        }
+        debug_assert!(pi.contain(pj));
+        DependencyType::ExtractTranspose
     };
     Some(dep)
 }
@@ -128,35 +126,11 @@ pub fn classify(out: &OutEvent, input: &InEvent) -> Option<DependencyType> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventMatrix;
-    use PartitionScheme::{Broadcast as B, Col as C, Row as R};
-
-    fn out(t: bool, p: PartitionScheme) -> OutEvent {
-        OutEvent {
-            matrix: if t {
-                EventMatrix::trans(0)
-            } else {
-                EventMatrix::plain(0)
-            },
-            scheme: p,
-            op: 0,
-        }
-    }
-
-    fn inp(t: bool, p: PartitionScheme) -> InEvent {
-        InEvent {
-            matrix: if t {
-                EventMatrix::trans(0)
-            } else {
-                EventMatrix::plain(0)
-            },
-            scheme: p,
-            op: 1,
-        }
-    }
+    use PartitionScheme::{Broadcast as B, Col as C, Hash as H, Row as R};
 
     /// Exhaustive check of all 18 combinations of Table 2: 9 scheme pairs
-    /// × 2 transpose relationships.
+    /// × 2 transpose relationships, each from both handednesses of the
+    /// held copy (`Out(A)` and `Out(Aᵀ)`).
     #[test]
     fn all_eighteen_combinations_match_table2() {
         use DependencyType::*;
@@ -184,14 +158,15 @@ mod tests {
         ];
         assert_eq!(cases.len(), 18);
         for (pi, pj, transposed, expect) in cases {
-            let o = out(false, pi);
-            let i = inp(transposed, pj);
-            assert_eq!(
-                classify(&o, &i),
-                Some(expect),
-                "Out(A,{pi}) -> In({}, {pj})",
-                if transposed { "At" } else { "A" }
-            );
+            for held in [false, true] {
+                assert_eq!(
+                    classify((held, pi), (held != transposed, pj)),
+                    Some(expect),
+                    "Out({}, {pi}) -> In({}, {pj})",
+                    if held { "At" } else { "A" },
+                    if held != transposed { "At" } else { "A" }
+                );
+            }
         }
     }
 
@@ -212,41 +187,23 @@ mod tests {
         }
     }
 
+    /// A Hash copy satisfies nothing, and nothing satisfies a Hash
+    /// requirement: every scheme on the other side, either handedness.
     #[test]
-    fn no_dependency_without_precedence() {
-        let o = OutEvent {
-            matrix: EventMatrix::plain(0),
-            scheme: R,
-            op: 5,
-        };
-        let i = InEvent {
-            matrix: EventMatrix::plain(0),
-            scheme: R,
-            op: 5,
-        };
-        assert_eq!(classify(&o, &i), None);
-    }
-
-    #[test]
-    fn no_dependency_across_matrices() {
-        let o = out(false, R);
-        let mut i = inp(false, R);
-        i.matrix = EventMatrix::plain(9);
-        assert_eq!(classify(&o, &i), None);
-    }
-
-    #[test]
-    fn hash_sources_satisfy_nothing() {
-        let o = out(false, PartitionScheme::Hash);
-        assert_eq!(classify(&o, &inp(false, R)), None);
-        assert_eq!(classify(&o, &inp(true, B)), None);
-    }
-
-    #[test]
-    fn transpose_relation_is_symmetric_in_classification() {
-        // Out(Aᵀ, r) -> In(A, c) is also a Transpose dependency.
-        let o = out(true, R);
-        let i = inp(false, C);
-        assert_eq!(classify(&o, &i), Some(DependencyType::Transpose));
+    fn hash_on_either_side_links_nothing() {
+        for other in [R, C, B, H] {
+            for (out_t, in_t) in [(false, false), (false, true), (true, false), (true, true)] {
+                assert_eq!(
+                    classify((out_t, H), (in_t, other)),
+                    None,
+                    "Out(h) -> In({other})"
+                );
+                assert_eq!(
+                    classify((out_t, other), (in_t, H)),
+                    None,
+                    "Out({other}) -> In(h)"
+                );
+            }
+        }
     }
 }

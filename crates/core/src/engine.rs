@@ -7,7 +7,7 @@
 //! |---|---|
 //! | `partition` | metered all-to-all shuffle |
 //! | `broadcast` | metered one-to-all replication |
-//! | `transpose` / `extract` / `reference` | local (free) |
+//! | `transpose` / `extract` | local (free) |
 //! | `compute` RMM1/RMM2 | communication-free local multiply |
 //! | `compute` CPMM | per-worker partials + metered output shuffle |
 //! | `compute` cell-wise / unary / fused | one scheme-aligned per-tile program ([`Cluster::cells`]) |
@@ -350,7 +350,6 @@ pub(crate) fn exec_step(
             let target = plan.nodes[*out].scheme;
             Some((*out, cluster.extract(sole(operands), target)?))
         }
-        PlanStep::Reference { out, .. } => Some((*out, sole(operands))),
         PlanStep::Compute {
             op,
             strategy,
@@ -435,9 +434,6 @@ fn entry_op(program: &Program, step: &PlanStep) -> Result<&'static str> {
             (OpKind::Unary { .. }, Strategy::UnaryLocal) => "map",
             _ => return Err(CoreError::Engine(format!("{op}: not a tile-wise compute"))),
         },
-        PlanStep::Reference { .. } => {
-            return Err(CoreError::Engine("a reference consumes nothing".into()))
-        }
     })
 }
 
@@ -452,7 +448,7 @@ fn cell_kernel(op: BinOp) -> Result<(&'static str, FusedOp)> {
     })
 }
 
-/// The one operand of a move or a `reference`.
+/// The one operand of a move.
 fn sole(operands: Vec<DistMatrix>) -> DistMatrix {
     operands
         .into_iter()
@@ -790,7 +786,6 @@ fn step_identity(plan: &Plan, program: &Program, step: &PlanStep) -> (String, St
         PlanStep::Broadcast { out, .. } => ("broadcast".into(), plan.node_label(program, *out)),
         PlanStep::Transpose { out, .. } => ("transpose".into(), plan.node_label(program, *out)),
         PlanStep::Extract { out, .. } => ("extract".into(), plan.node_label(program, *out)),
-        PlanStep::Reference { out, .. } => ("reference".into(), plan.node_label(program, *out)),
         PlanStep::Compute {
             strategy,
             out,

@@ -2,24 +2,25 @@
 //!
 //! This crate is the reproduction of the DMac paper's primary contribution:
 //!
-//! * [`event`] — input/output *events* (`In(A, p, op)` / `Out(A, p, op)`),
-//!   the vocabulary of §3.
 //! * [`dependency`] — the matrix-dependency classifier: Definition 1 and
 //!   the eight dependency types of Table 2, split into communication and
-//!   non-communication categories.
+//!   non-communication categories. The planner and the liveness pass both
+//!   ask it which dependency links two copies of a matrix.
 //! * [`cost`] — the dependency-oriented cost model of §4.1: input events
 //!   cost `0`, `|A|`, or `N·|A|`; a CPMM output event costs `N·|A|`.
 //! * [`strategy`] — the candidate execution strategies per operator
 //!   (RMM1 / RMM2 / CPMM for multiplication, scheme-aligned strategies for
 //!   cell-wise and unary operators).
-//! * [`plan`] — the execution plan: compute steps plus the five extended
-//!   operators (`partition`, `broadcast`, `transpose`, `reference`,
-//!   `extract`) of §4.2.1.
+//! * [`plan`] — the execution plan: compute steps plus the four extended
+//!   step kinds (`partition`, `broadcast`, `transpose`, `extract`) of
+//!   §4.2.1; the paper's null `reference` is the held node itself.
 //! * [`planner`] — Algorithm 1 with Heuristic 1 (Pull-Up Broadcast) and
 //!   Heuristic 2 (Re-assignment).
 //! * [`liveness`] — static live-range analysis over the finished plan:
-//!   explicit `free` steps at each intermediate's last use and the
-//!   [`plan::MemoryCertificate`] bounding per-step resident bytes.
+//!   the step that releases each dead value (consuming it when its last
+//!   reader is tile-wise), copies a free dependency can rebuild dropped
+//!   rather than held, and the [`plan::MemoryCertificate`] bounding
+//!   per-step resident bytes.
 //! * [`stage`] — the traverse-based stage scheduler of §5.2: the plan is
 //!   split into un-interleaved stages whose boundaries are exactly the
 //!   communication operators.
@@ -49,7 +50,6 @@ pub mod dependency;
 pub mod disk;
 pub mod engine;
 pub mod error;
-pub mod event;
 pub mod json;
 pub mod liveness;
 pub mod plan;

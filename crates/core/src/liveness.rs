@@ -32,11 +32,11 @@
 //! everything here through a disjoint implementation
 //! (`dmac_analyze::liveness`) and enforces V18–V21 on every plan.
 
-use dmac_cluster::PartitionScheme;
 use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, UnaryOp};
 use dmac_matrix::blocking::blocks_along;
 use dmac_stats::SparsityProfile;
 
+use crate::dependency::{classify, DependencyType};
 use crate::plan::{MemoryCertificate, NodeId, Plan, PlanStep, Releases};
 use crate::strategy::Strategy;
 
@@ -54,7 +54,7 @@ pub enum StorageClass {
 ///
 /// Sources: a `load` declared with sparsity < 1 is Sparse, everything
 /// else (dense loads, `random`) is Dense. The extended operators
-/// (partition/broadcast/transpose/extract/reference) preserve their
+/// (partition/broadcast/transpose/extract) preserve their
 /// input's class. Cell-wise `+`/`-`/`*` stay Sparse only when *every*
 /// operand is Sparse (the kernels produce dense tiles as soon as one
 /// input is dense); `/`, `+ scalar`, matmul, and fused chains always
@@ -78,8 +78,7 @@ pub fn storage_classes(program: &Program, plan: &Plan) -> Vec<StorageClass> {
             PlanStep::Partition { src, .. }
             | PlanStep::Broadcast { src, .. }
             | PlanStep::Transpose { src, .. }
-            | PlanStep::Extract { src, .. }
-            | PlanStep::Reference { src, .. } => class[*src],
+            | PlanStep::Extract { src, .. } => class[*src],
             PlanStep::Compute { op, inputs, .. } => match &program.ops()[*op].kind {
                 OpKind::Binary { op: b, .. } => match b {
                     BinOp::Add | BinOp::Sub | BinOp::CellMul => {
@@ -186,7 +185,7 @@ pub fn keep_set(program: &Program, plan: &Plan) -> Vec<bool> {
 /// tile made from it exists? True of the moves (`partition`, `broadcast`,
 /// `transpose`, `extract`) and of the cell-wise computes (binary, unary,
 /// fused). Never of a multiplication: an RMM or CPMM input tile feeds
-/// many output tiles. Nor of a `reference`, whose output *is* its input.
+/// many output tiles.
 pub fn is_tile_wise(step: &PlanStep) -> bool {
     match step {
         PlanStep::Partition { .. }
@@ -197,13 +196,11 @@ pub fn is_tile_wise(step: &PlanStep) -> bool {
         PlanStep::Compute { strategy, .. } => {
             matches!(strategy, Strategy::CellAligned(_) | Strategy::UnaryLocal)
         }
-        PlanStep::Reference { .. } => false,
     }
 }
 
 /// Nodes a tile-wise last reader may consume: all but the kept ones
-/// ([`keep_set`]), bound (`load`) sources, which the session owns, and
-/// the nodes a `reference` relates, which have a second name.
+/// ([`keep_set`]) and bound (`load`) sources, which the session owns.
 fn consumable(program: &Program, plan: &Plan, keep: &[bool]) -> Vec<bool> {
     let mut ok: Vec<bool> = keep.iter().map(|&k| !k).collect();
     for &(node, mid) in &plan.sources {
@@ -214,11 +211,6 @@ fn consumable(program: &Program, plan: &Plan, keep: &[bool]) -> Vec<bool> {
             ok[node] = false;
         }
     }
-    for step in &plan.steps {
-        if let PlanStep::Reference { src, out, .. } = step {
-            (ok[*src], ok[*out]) = (false, false);
-        }
-    }
     ok
 }
 
@@ -226,14 +218,14 @@ fn consumable(program: &Program, plan: &Plan, keep: &[bool]) -> Vec<bool> {
 /// hold, a value that a sibling gives back at 0 bytes. A node `x` read at
 /// step `t` and again later is dropped after `t` (so a tile-wise reader
 /// consumes it) and rebuilt into a fresh node from a sibling of the same
-/// matrix — by `transpose` from the other handedness (Row ↔ Column
-/// flipped, or Broadcast ↔ Broadcast), or by `extract` from a same-handed
-/// Broadcast copy. The rebuild goes right after the sibling's last read,
+/// matrix that [`classify`] links to it by a Transpose dependency (the
+/// other handedness, Row ↔ Column flipped or Broadcast ↔ Broadcast) or an
+/// Extract dependency (a same-handed Broadcast copy). The rebuild goes right after the sibling's last read,
 /// which must fall between the drop and `x`'s next read, so the rebuild
 /// consumes the sibling: the value trades one copy for another and is
 /// never held twice. An output is read once more at the end of the plan,
-/// and a rebuilt one is re-bound to the new node; a bound source, its
-/// cached placement and a `reference` alias are never rebuilt. Every
+/// and a rebuilt one is re-bound to the new node; a bound source and its
+/// cached placement are never rebuilt. Every
 /// inserted step is local and priced 0, so the plan moves the same bytes.
 ///
 /// In step order, the best rebuild after each read is kept only if it
@@ -280,17 +272,14 @@ fn rebuilds(
     x: NodeId,
 ) -> Vec<Plan> {
     let want = &plan.nodes[x];
-    let siblings: Vec<(NodeId, bool)> = (plan.nodes.iter().enumerate())
-        .filter(|(_, n)| n.matrix == want.matrix && want.scheme != PartitionScheme::Hash)
+    let siblings: Vec<(NodeId, DependencyType)> = (plan.nodes.iter().enumerate())
+        .filter(|(_, n)| n.matrix == want.matrix)
         .filter_map(|(src, n)| {
-            let extract = n.transposed == want.transposed
-                && want.scheme.is_rc()
-                && n.scheme == PartitionScheme::Broadcast;
-            let transpose = n.transposed != want.transposed && n.scheme == want.scheme.flip();
-            (extract || transpose).then_some((src, extract))
+            let dep = classify((n.transposed, n.scheme), (want.transposed, want.scheme))?;
+            matches!(dep, DependencyType::Transpose | DependencyType::Extract).then_some((src, dep))
         })
         .collect();
-    // Neither a bound source nor a `reference` alias (see `consumable`).
+    // Not a bound source (see `consumable`).
     let free = consumable(program, plan, &vec![false; plan.nodes.len()]);
     let cached = cached_inputs(program, plan).iter().any(|&(_, n)| n == x);
     if siblings.is_empty() || cached || !free[x] {
@@ -305,7 +294,7 @@ fn rebuilds(
     let gone =
         |n: NodeId| (0..plan.steps.len()).find(|&i| plan.releases_at(i).all().any(|r| r == n));
     let mut plans = Vec::new();
-    for (src, extract) in siblings {
+    for (src, dep) in siblings {
         // The rebuild consumes the sibling, so it may not be a kept value.
         let at = match gone(src) {
             Some(d) if (t..next).contains(&d) && free[src] => d + 1,
@@ -324,7 +313,7 @@ fn rebuilds(
             output.0 = out;
         }
         let phase = plan.steps[at.min(plan.steps.len() - 1)].phase();
-        let step = if extract {
+        let step = if dep == DependencyType::Extract {
             PlanStep::Extract { src, out, phase }
         } else {
             PlanStep::Transpose { src, out, phase }
@@ -340,7 +329,7 @@ fn rebuilds(
 /// Decide, once, which step releases each non-kept node, into
 /// [`Plan::releases`]. A node whose last reader is tile-wise
 /// ([`is_tile_wise`]) is consumed by it — unless it is a bound (`load`)
-/// source, which the session owns, or a `reference` aliases it. Every
+/// source, which the session owns. Every
 /// other dead node is freed right after its last reader, or after its
 /// producer if nothing reads it. Unused *sources* are left resident —
 /// there is no step to anchor their release to, and the engine seeds them

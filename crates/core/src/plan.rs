@@ -1,12 +1,14 @@
 //! The execution plan: a DAG of materialised matrix instances connected by
-//! compute steps and the five extended operators of §4.2.1.
+//! compute steps and the extended operators of §4.2.1.
 //!
 //! A [`PlanNode`] is one *physical* matrix instance: a program value,
 //! possibly transposed, materialised under a concrete partition scheme —
 //! the ellipses of the paper's Figure 3 (`W1(b)`, `W1ᵀV(c)`, …). A
-//! [`PlanStep`] is an edge: either one of the extended operators
-//! (`partition`, `broadcast`, `transpose`, `reference`, `extract`) or a
-//! `compute` step carrying the chosen execution strategy.
+//! [`PlanStep`] is an edge: one of the four extended step kinds
+//! (`partition`, `broadcast`, `transpose`, `extract`), a `compute` step
+//! carrying the chosen execution strategy, or a fused cell-wise chain.
+//! The paper's fifth operator, `reference`, is a null operation: the
+//! held node itself satisfies a Reference dependency, with no step.
 
 use std::fmt::Write as _;
 
@@ -73,15 +75,6 @@ pub enum PlanStep {
         /// Phase tag.
         phase: usize,
     },
-    /// `reference`: null operation marking direct reuse. Free.
-    Reference {
-        /// Source node.
-        src: NodeId,
-        /// Alias node (same matrix, same scheme).
-        out: NodeId,
-        /// Phase tag.
-        phase: usize,
-    },
     /// A decomposed program operator executed with a chosen strategy.
     Compute {
         /// Index of the operator in the program.
@@ -128,7 +121,6 @@ impl PlanStep {
             | PlanStep::Broadcast { phase, .. }
             | PlanStep::Transpose { phase, .. }
             | PlanStep::Extract { phase, .. }
-            | PlanStep::Reference { phase, .. }
             | PlanStep::Compute { phase, .. }
             | PlanStep::FusedCellWise { phase, .. } => *phase,
         }
@@ -151,8 +143,7 @@ impl PlanStep {
             PlanStep::Partition { out, .. }
             | PlanStep::Broadcast { out, .. }
             | PlanStep::Transpose { out, .. }
-            | PlanStep::Extract { out, .. }
-            | PlanStep::Reference { out, .. } => Some(*out),
+            | PlanStep::Extract { out, .. } => Some(*out),
             PlanStep::Compute { out, .. } => *out,
             PlanStep::FusedCellWise { out, .. } => Some(*out),
         }
@@ -164,8 +155,7 @@ impl PlanStep {
             PlanStep::Partition { src, .. }
             | PlanStep::Broadcast { src, .. }
             | PlanStep::Transpose { src, .. }
-            | PlanStep::Extract { src, .. }
-            | PlanStep::Reference { src, .. } => {
+            | PlanStep::Extract { src, .. } => {
                 if *src == from {
                     *src = to;
                 }
@@ -184,8 +174,7 @@ impl PlanStep {
             PlanStep::Partition { src, .. }
             | PlanStep::Broadcast { src, .. }
             | PlanStep::Transpose { src, .. }
-            | PlanStep::Extract { src, .. }
-            | PlanStep::Reference { src, .. } => vec![*src],
+            | PlanStep::Extract { src, .. } => vec![*src],
             PlanStep::Compute { inputs, .. } | PlanStep::FusedCellWise { inputs, .. } => {
                 inputs.clone()
             }
@@ -402,7 +391,6 @@ impl Plan {
                 PlanStep::Broadcast { .. } => ("color=red, penwidth=2", "broadcast".to_string()),
                 PlanStep::Transpose { .. } => ("color=blue, style=dashed", "transpose".to_string()),
                 PlanStep::Extract { .. } => ("color=blue, style=dashed", "extract".to_string()),
-                PlanStep::Reference { .. } => ("color=blue, style=dashed", "reference".to_string()),
                 PlanStep::Compute { strategy, .. } => ("color=black", strategy.name()),
                 PlanStep::FusedCellWise { ops, .. } => {
                     ("color=black, penwidth=2", format!("Fused({})", ops.len()))
@@ -488,11 +476,6 @@ impl Plan {
                 ),
                 PlanStep::Extract { src, out, .. } => format!(
                     "extract     {} -> {}",
-                    self.node_label(program, *src),
-                    self.node_label(program, *out)
-                ),
-                PlanStep::Reference { src, out, .. } => format!(
-                    "reference   {} -> {}",
                     self.node_label(program, *src),
                     self.node_label(program, *out)
                 ),

@@ -7,8 +7,9 @@
 //! 1. enumerates the candidate strategies ([`crate::strategy::candidates`]),
 //! 2. prices each candidate with the dependency-oriented cost model — an
 //!    input event is free exactly when a Non-Communication dependency
-//!    (Reference / Transpose / Extract / Extract-Transpose) links it to an
-//!    output event already in the `OutputSet`,
+//!    (Reference / Transpose / Extract / Extract-Transpose, as
+//!    [`crate::dependency::classify`] decides) links it to an output event
+//!    already in the `OutputSet`,
 //! 3. commits the `argmin` strategy, emitting the extended operators
 //!    (`partition` / `broadcast` / `transpose` / `extract`) that realise
 //!    each input's dependency,
@@ -32,6 +33,7 @@ use dmac_lang::{MatrixId, MatrixOrigin, MatrixRef, Program};
 use dmac_stats::SparsityProfile;
 
 use crate::cost::CostModel;
+use crate::dependency::{classify, DependencyType};
 use crate::error::{CoreError, Result};
 use crate::plan::{MemoryCertificate, NodeId, Plan, PlanStep};
 use crate::strategy::{candidates, Candidate, OutScheme};
@@ -123,23 +125,10 @@ pub struct Planned {
     pub certificate: MemoryCertificate,
 }
 
-/// How a free (non-communication) acquisition would be realised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FreePath {
-    /// Reference dependency: the node itself.
-    Exact(NodeId),
-    /// Re-assignment: pin a flexible node to the required scheme.
-    PinFlexible(NodeId),
-    /// Pin a flexible node to the flipped scheme, then transpose.
-    PinFlexibleTranspose(NodeId),
-    /// Transpose dependency.
-    Transpose(NodeId),
-    /// Extract dependency.
-    Extract(NodeId),
-    /// Extract-Transpose dependency (transpose the broadcast copy, then
-    /// extract).
-    TransposeExtract(NodeId),
-}
+/// A free acquisition: the held node, the Row/Column scheme a flexible
+/// one is pinned to (Heuristic 2), and the non-communication dependency
+/// that links it to the input.
+type Free = (NodeId, Option<PartitionScheme>, DependencyType);
 
 /// A program with more Hash-placed inputs (`load` and `random` together)
 /// than this keeps first touch: the placement search plans at most
@@ -721,67 +710,44 @@ impl<'a> Planner<'a> {
         self.avail.entry(m).or_default().push(node);
     }
 
-    /// Search the `OutputSet` for a node satisfying `(id, transposed, req)`
-    /// through a non-communication dependency.
-    fn find_free(&self, r: &MatrixRef, req: PartitionScheme) -> Option<FreePath> {
+    /// Search the `OutputSet` for a node that satisfies `(id, transposed,
+    /// req)` through a non-communication dependency ([`classify`]), in the
+    /// order Reference, the Heuristic-2 pins (Reference, then Transpose),
+    /// Transpose, Extract, Extract-Transpose: the first node of the first
+    /// kind that has one wins.
+    fn find_free(&self, r: &MatrixRef, req: PartitionScheme) -> Option<Free> {
+        use DependencyType::{Extract, ExtractTranspose, Reference, Transpose};
         if !self.cfg.exploit_dependencies {
             return None;
         }
         let nodes = self.avail.get(&r.id)?;
-        let node = |pred: &dyn Fn(&crate::plan::PlanNode) -> bool| {
-            nodes.iter().copied().find(|&n| pred(&self.plan.nodes[n]))
+        let want = (r.transposed, req);
+        let held = |dep| {
+            nodes.iter().copied().find_map(|n| {
+                let x = &self.plan.nodes[n];
+                let fixed = !x.flexible && classify((x.transposed, x.scheme), want) == Some(dep);
+                fixed.then_some((n, None, dep))
+            })
         };
-        // Reference dependency: exact match (non-flexible).
-        if let Some(n) = node(&|x| !x.flexible && x.transposed == r.transposed && x.scheme == req) {
-            return Some(FreePath::Exact(n));
-        }
-        // Heuristic 2 material: flexible CPMM outputs satisfy either Row
-        // or Column requirement for free once pinned.
-        if self.cfg.re_assignment && req.is_rc() {
-            if let Some(n) = node(&|x| x.flexible && x.transposed == r.transposed) {
-                return Some(FreePath::PinFlexible(n));
-            }
-            if let Some(n) = node(&|x| x.flexible && x.transposed != r.transposed) {
-                return Some(FreePath::PinFlexibleTranspose(n));
-            }
-        }
-        match req {
-            PartitionScheme::Row | PartitionScheme::Col => {
-                // Transpose dependency: opposite handedness, flipped scheme.
-                if let Some(n) =
-                    node(&|x| !x.flexible && x.transposed != r.transposed && x.scheme == req.flip())
-                {
-                    return Some(FreePath::Transpose(n));
-                }
-                // Extract dependency: broadcast copy of the same handedness.
-                if let Some(n) = node(&|x| {
-                    !x.flexible
-                        && x.transposed == r.transposed
-                        && x.scheme == PartitionScheme::Broadcast
-                }) {
-                    return Some(FreePath::Extract(n));
-                }
-                // Extract-Transpose: broadcast copy of the other handedness.
-                if let Some(n) = node(&|x| {
-                    !x.flexible
-                        && x.transposed != r.transposed
-                        && x.scheme == PartitionScheme::Broadcast
-                }) {
-                    return Some(FreePath::TransposeExtract(n));
-                }
-                None
-            }
-            PartitionScheme::Broadcast => {
-                // Transpose dependency on two broadcast copies.
-                node(&|x| {
-                    !x.flexible
-                        && x.transposed != r.transposed
-                        && x.scheme == PartitionScheme::Broadcast
-                })
-                .map(FreePath::Transpose)
-            }
-            PartitionScheme::Hash => None,
-        }
+        // Heuristic 2: a flexible CPMM output is pinned to whichever of
+        // Row and Column makes it free.
+        let pinned = |dep| {
+            let pins = [PartitionScheme::Row, PartitionScheme::Col];
+            let flexible = |&n: &NodeId| self.cfg.re_assignment && self.plan.nodes[n].flexible;
+            nodes.iter().copied().filter(flexible).find_map(|n| {
+                let t = self.plan.nodes[n].transposed;
+                let pin = pins
+                    .into_iter()
+                    .find(|&p| classify((t, p), want) == Some(dep))?;
+                Some((n, Some(pin), dep))
+            })
+        };
+        held(Reference)
+            .or_else(|| pinned(Reference))
+            .or_else(|| pinned(Transpose))
+            .or_else(|| held(Transpose))
+            .or_else(|| held(Extract))
+            .or_else(|| held(ExtractTranspose))
     }
 
     /// Price an input event without mutating state.
@@ -827,11 +793,11 @@ impl<'a> Planner<'a> {
             // Handedness is reconciled by the caller for requirement-free
             // inputs (unary ops run on either handedness; the engine
             // accounts for it via the node's own flag).
-            return self.materialize_handedness(n, r.transposed, phase);
+            return Ok(self.materialize_handedness(n, r.transposed, phase));
         };
 
-        if let Some(path) = self.find_free(r, req) {
-            return Ok(self.realize_free(path, r, req, phase));
+        if let Some(free) = self.find_free(r, req) {
+            return Ok(self.realize_free(free, r, req, phase));
         }
 
         // Heuristic 1: a broadcast need meets an earlier paid partition of
@@ -844,8 +810,8 @@ impl<'a> Planner<'a> {
                     && rec.partition_step.is_some()
             }) {
                 self.pull_up_broadcast(rec_idx)?;
-                if let Some(path) = self.find_free(r, req) {
-                    return Ok(self.realize_free(path, r, req, phase));
+                if let Some(free) = self.find_free(r, req) {
+                    return Ok(self.realize_free(free, r, req, phase));
                 }
             }
         }
@@ -855,7 +821,7 @@ impl<'a> Planner<'a> {
         let cost = self.cost.input_cost(req, false, size);
         self.estimated_comm += cost;
         let src = self.any_node(r)?;
-        let src = self.materialize_handedness(src, r.transposed, phase)?;
+        let src = self.materialize_handedness(src, r.transposed, phase);
         let out = self.plan.add_node(r.id, r.transposed, req, false);
         let step = match req {
             PartitionScheme::Row | PartitionScheme::Col => PlanStep::Partition { src, out, phase },
@@ -881,89 +847,62 @@ impl<'a> Planner<'a> {
 
     /// Ensure a node of the wanted handedness exists, transposing locally
     /// if needed (free).
-    fn materialize_handedness(
-        &mut self,
-        n: NodeId,
-        transposed: bool,
-        phase: usize,
-    ) -> Result<NodeId> {
+    fn materialize_handedness(&mut self, n: NodeId, transposed: bool, phase: usize) -> NodeId {
         if self.plan.nodes[n].transposed == transposed {
-            return Ok(n);
+            return n;
         }
-        let node = self.plan.nodes[n].clone();
-        let out = self
-            .plan
-            .add_node(node.matrix, transposed, node.scheme.flip(), false);
-        self.plan
-            .push_step(PlanStep::Transpose { src: n, out, phase }, 0);
-        self.register(out);
-        Ok(out)
+        let scheme = self.plan.nodes[n].scheme.flip();
+        self.local(n, transposed, scheme, phase)
     }
 
-    /// Emit the steps realising a free path; returns the satisfying node.
+    /// Emit the local, 0-priced step that makes `src` a fresh node of
+    /// handedness `transposed` under `scheme`: a `transpose` when the
+    /// handedness flips (`scheme` is then `src`'s flipped), an `extract`
+    /// from a Broadcast copy when it does not.
+    fn local(
+        &mut self,
+        src: NodeId,
+        transposed: bool,
+        scheme: PartitionScheme,
+        phase: usize,
+    ) -> NodeId {
+        let held = &self.plan.nodes[src];
+        let flips = held.transposed != transposed;
+        let out = self.plan.add_node(held.matrix, transposed, scheme, false);
+        let step = if flips {
+            PlanStep::Transpose { src, out, phase }
+        } else {
+            PlanStep::Extract { src, out, phase }
+        };
+        self.plan.push_step(step, 0);
+        self.register(out);
+        out
+    }
+
+    /// Emit the local steps realising a free dependency found by
+    /// [`Self::find_free`] — pinning the node first if it is flexible —
+    /// and return the node that satisfies `(r, req)`.
     fn realize_free(
         &mut self,
-        path: FreePath,
+        (n, pin, dep): Free,
         r: &MatrixRef,
         req: PartitionScheme,
         phase: usize,
     ) -> NodeId {
-        match path {
-            FreePath::Exact(n) => n,
-            FreePath::PinFlexible(n) => {
-                self.plan.nodes[n].scheme = req;
-                self.plan.nodes[n].flexible = false;
-                n
+        if let Some(pin) = pin {
+            self.plan.nodes[n].scheme = pin;
+            self.plan.nodes[n].flexible = false;
+        }
+        match dep {
+            DependencyType::Reference => n,
+            DependencyType::Transpose | DependencyType::Extract => {
+                self.local(n, r.transposed, req, phase)
             }
-            FreePath::PinFlexibleTranspose(n) => {
-                self.plan.nodes[n].scheme = req.flip();
-                self.plan.nodes[n].flexible = false;
-                let out = self.plan.add_node(r.id, r.transposed, req, false);
-                self.plan
-                    .push_step(PlanStep::Transpose { src: n, out, phase }, 0);
-                self.register(out);
-                out
+            DependencyType::ExtractTranspose => {
+                let b = self.local(n, r.transposed, PartitionScheme::Broadcast, phase);
+                self.local(b, r.transposed, req, phase)
             }
-            FreePath::Transpose(n) => {
-                let scheme = self.plan.nodes[n].scheme.flip();
-                let out = self.plan.add_node(r.id, r.transposed, scheme, false);
-                self.plan
-                    .push_step(PlanStep::Transpose { src: n, out, phase }, 0);
-                self.register(out);
-                out
-            }
-            FreePath::Extract(n) => {
-                let out = self.plan.add_node(r.id, r.transposed, req, false);
-                self.plan
-                    .push_step(PlanStep::Extract { src: n, out, phase }, 0);
-                self.register(out);
-                out
-            }
-            FreePath::TransposeExtract(n) => {
-                let mid = self
-                    .plan
-                    .add_node(r.id, r.transposed, PartitionScheme::Broadcast, false);
-                self.plan.push_step(
-                    PlanStep::Transpose {
-                        src: n,
-                        out: mid,
-                        phase,
-                    },
-                    0,
-                );
-                self.register(mid);
-                let out = self.plan.add_node(r.id, r.transposed, req, false);
-                self.plan.push_step(
-                    PlanStep::Extract {
-                        src: mid,
-                        out,
-                        phase,
-                    },
-                    0,
-                );
-                self.register(out);
-                out
-            }
+            _ => unreachable!("find_free returns only free dependencies"),
         }
     }
 
@@ -1209,7 +1148,7 @@ impl<'a> Planner<'a> {
                 n,
                 r.transposed,
                 self.program.ops().last().map(|o| o.phase).unwrap_or(0),
-            )?;
+            );
             self.plan.outputs.push((n, r.id, name));
         }
         Ok(())
@@ -1420,6 +1359,58 @@ mod tests {
         );
         assert_eq!(planned.plan.comm_step_count(), 2, "{explain}");
         assert!(planned.plan.nodes.iter().all(|n| !n.flexible));
+    }
+
+    #[test]
+    fn reassignment_pins_cpmm_output_then_transposes_it() {
+        // X = Aᵀ %*% A is a flexible CPMM output; its first reader wants
+        // Xᵀ, so Heuristic 2 pins X to the flipped scheme and a local
+        // transpose serves the read: no byte moves for X beyond the CPMM
+        // shuffle.
+        let mut p = Program::new();
+        let a = p.load("A", 5000, 30, 1.0);
+        let b = p.load("B", 30, 30, 1.0);
+        let x = p.matmul(a.t(), a).unwrap();
+        let y = p.cell_mul(x.t(), b).unwrap();
+        p.output(y);
+        let planned = plan_program(&p, &PlannerConfig::default(), 4, &schemes()).unwrap();
+        let plan = &planned.plan;
+        let explain = plan.explain(&p);
+        let (cpmm, x_node) = (plan.steps.iter().enumerate())
+            .find_map(|(i, s)| match s {
+                PlanStep::Compute {
+                    strategy: Strategy::Cpmm,
+                    out: Some(o),
+                    ..
+                } => Some((i, *o)),
+                _ => None,
+            })
+            .expect(&explain);
+        let (src, xt) = (plan.steps[cpmm..].iter())
+            .find_map(|s| match *s {
+                PlanStep::Transpose { src, out, .. } if plan.nodes[out].matrix == x.id => {
+                    Some((src, out))
+                }
+                _ => None,
+            })
+            .expect(&explain);
+        assert_eq!(src, x_node, "{explain}");
+        assert!(plan.nodes[xt].transposed, "{explain}");
+        assert_eq!(
+            plan.nodes[xt].scheme,
+            plan.nodes[x_node].scheme.flip(),
+            "{explain}"
+        );
+        let x_moves = plan
+            .steps
+            .iter()
+            .filter(|s| s.is_comm() && s.out_node().is_some_and(|o| plan.nodes[o].matrix == x.id));
+        assert_eq!(
+            x_moves.count(),
+            1,
+            "only the CPMM shuffle moves X\n{explain}"
+        );
+        assert!(plan.nodes.iter().all(|n| !n.flexible));
     }
 
     #[test]

@@ -104,7 +104,6 @@ pub fn explain_stages(plan: &Plan, program: &dmac_lang::Program) -> String {
                 PlanStep::Broadcast { .. } => "broadcast",
                 PlanStep::Transpose { .. } => "transpose",
                 PlanStep::Extract { .. } => "extract",
-                PlanStep::Reference { .. } => "reference",
                 PlanStep::Compute { strategy, .. } => {
                     let _ = writeln!(
                         s,

@@ -42,7 +42,7 @@ pub struct StepTrace {
     /// Phase tag (iteration number).
     pub phase: usize,
     /// Step kind: `"partition"`, `"broadcast"`, `"transpose"`,
-    /// `"extract"`, `"reference"`, or the compute strategy name.
+    /// `"extract"`, or the compute strategy name.
     pub kind: String,
     /// Human-readable label (node labels, paper-style).
     pub label: String,

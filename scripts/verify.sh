@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -107,6 +107,22 @@ if grep -rn "fn splice_frees(" crates src; then exit 1; fi
 # plan, so the memory guard compares lean with lean. No transpose-only
 # pass and no capped second finish sit beside it.
 if grep -rnE "fn rederive_transposes\(|fn finish_within\(" crates src; then exit 1; fi
+# Table 2 is spelled once: dependency::classify decides which dependency
+# links two copies of a matrix, and both the planner's free acquisition
+# and the liveness pass's rebuild ask it (in code, before the tests). No
+# second spelling sits beside it: no planner-side path enum, no event
+# vocabulary, and no step for the paper's null `reference` operator — the
+# held node itself satisfies a Reference dependency. The verifier keeps
+# its own, disjoint re-derivation, so it never asks dmac-core's table.
+if grep -rn "enum FreePath" crates src || [ -e crates/core/src/event.rs ]; then exit 1; fi
+awk '/^pub enum PlanStep/ { inside = 1 } inside && /^}/ { inside = 0 }
+     inside && /^    Reference[ ,{]/ { print FILENAME ":" FNR ": " $0; bad++ }
+     END { if (bad) exit 1 }' crates/core/src/plan.rs
+for f in crates/core/src/planner.rs crates/core/src/liveness.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit } /classify\(/ { n++ }
+         END { if (!n) { print FILENAME ": never calls classify(" ; exit 1 } }' "$f"
+done
+if grep -rn "dependency::" crates/analyze; then exit 1; fi
 # The cluster meters only bytes a primitive moves (Cluster::send) and
 # records spans in finish_op / charge_recovery: no side door charges
 # modelled traffic. And a tile moves one way: a worker's `xfer` installs

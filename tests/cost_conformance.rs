@@ -9,6 +9,7 @@
 //! per-step `(predicted, actual)` pairs from `Trace::conformance()`.
 
 use dmac::core::baselines::SystemKind;
+use dmac::core::planner::PlannerConfig;
 use dmac::core::trace::Trace;
 use dmac::core::Session;
 use dmac::lang::Program;
@@ -32,8 +33,14 @@ fn dense(r: usize, c: usize, seed: u64) -> BlockedMatrix {
 
 /// Run a program on a dense-bound DMac session and return its trace.
 fn run(program: &Program, binds: &[(&str, BlockedMatrix)]) -> Trace {
+    run_with(program, binds, PlannerConfig::default())
+}
+
+/// [`run`] under planner configuration `cfg`.
+fn run_with(program: &Program, binds: &[(&str, BlockedMatrix)], cfg: PlannerConfig) -> Trace {
     let mut s = Session::builder()
         .system(SystemKind::Dmac)
+        .planner(cfg)
         .workers(WORKERS)
         .local_threads(1)
         .block_size(BLOCK)
@@ -115,7 +122,7 @@ fn reference_and_transpose_cost_zero() {
     p.output(h2);
     let trace = run(&p, &[("A", dense(32, 32, 3)), ("B", dense(32, 32, 4))]);
     assert_exact(&trace);
-    let free_kinds = ["transpose", "reference", "extract"];
+    let free_kinds = ["transpose", "extract"];
     let mut free_steps = 0;
     for s in &trace.steps {
         if free_kinds.contains(&s.kind.as_str()) {
@@ -137,6 +144,100 @@ fn reference_and_transpose_cost_zero() {
         trace.steps.iter().any(|s| s.kind == "transpose"),
         "Aᵀ must be realised by a local transpose\n{}",
         trace.conformance_table()
+    );
+}
+
+/// The kinds of the steps in plan order, each step of a kind in `free`
+/// checked to predict and measure 0 bytes.
+fn kinds_with_free(trace: &Trace, free: &[&str]) -> Vec<String> {
+    for s in trace
+        .steps
+        .iter()
+        .filter(|s| free.contains(&s.kind.as_str()))
+    {
+        assert_eq!(
+            s.predicted_bytes, 0,
+            "{} {} must predict 0",
+            s.kind, s.label
+        );
+        assert_eq!(s.actual_bytes, 0, "{} {} must measure 0", s.kind, s.label);
+    }
+    trace.steps.iter().map(|s| s.kind.clone()).collect()
+}
+
+/// Extract dependency: a broadcast copy is filtered locally down to the
+/// Row/Column scheme a later reader wants. `S` is broadcast once, as the
+/// small side of `S·C`; the cell-wise `S + D` then reads its own share of
+/// that copy through an `extract` that predicts and measures 0 bytes.
+/// Pull-Up Broadcast is off, so no rewritten partition can stand in for
+/// the Extract dependency.
+#[test]
+fn extract_from_a_broadcast_copy_costs_zero() {
+    let mut p = Program::new();
+    let s = p.load("S", 8, 8, 1.0);
+    let c = p.load("C", 8, 256, 1.0);
+    let d = p.load("D", 8, 8, 1.0);
+    let sc = p.matmul(s, c).unwrap();
+    let sd = p.add(s, d).unwrap();
+    p.output(sc);
+    p.output(sd);
+    let binds = [
+        ("S", dense(8, 8, 8)),
+        ("C", dense(8, 256, 9)),
+        ("D", dense(8, 8, 10)),
+    ];
+    let cfg = PlannerConfig {
+        pull_up_broadcast: false,
+        ..PlannerConfig::default()
+    };
+    let trace = run_with(&p, &binds, cfg);
+    assert_exact(&trace);
+    let table = trace.conformance_table();
+    assert_eq!(
+        predicted_of(&trace, "broadcast"),
+        vec![N * size(8, 8)],
+        "{table}"
+    );
+    let kinds = kinds_with_free(&trace, &["extract"]);
+    let extract = kinds.iter().position(|k| k == "extract");
+    let broadcast = kinds.iter().position(|k| k == "broadcast");
+    assert!(
+        matches!((broadcast, extract), (Some(b), Some(e)) if b < e),
+        "S(b) must be extracted after its broadcast\n{table}"
+    );
+}
+
+/// Extract-Transpose dependency: the reader wants the *transpose* of a
+/// broadcast copy, Row/Column-partitioned. The copy is transposed locally
+/// (still Broadcast) and then extracted: both steps predict and measure 0
+/// bytes, and `S` moves once, in its broadcast.
+#[test]
+fn extract_transpose_from_a_broadcast_copy_costs_zero() {
+    let mut p = Program::new();
+    let s = p.load("S", 8, 8, 1.0);
+    let c = p.load("C", 8, 256, 1.0);
+    let d = p.load("D", 8, 8, 1.0);
+    let sc = p.matmul(s, c).unwrap();
+    let std = p.add(s.t(), d).unwrap();
+    p.output(sc);
+    p.output(std);
+    let binds = [
+        ("S", dense(8, 8, 11)),
+        ("C", dense(8, 256, 12)),
+        ("D", dense(8, 8, 13)),
+    ];
+    let trace = run(&p, &binds);
+    assert_exact(&trace);
+    let table = trace.conformance_table();
+    assert_eq!(
+        predicted_of(&trace, "broadcast"),
+        vec![N * size(8, 8)],
+        "{table}"
+    );
+    let kinds = kinds_with_free(&trace, &["transpose", "extract"]);
+    assert!(
+        kinds.windows(2).any(|w| w == ["transpose", "extract"]),
+        "Sᵀ must be a transpose of S(b) then an extract\n{table}"
     );
 }
 
