@@ -1,19 +1,19 @@
-//! The binary tile message format (`DMB1`): the only encoding tile
+//! The binary tile message format (`DMB2`): the only encoding tile
 //! payload has on the real transport.
 //!
 //! A binary message rides the same length-prefixed envelope as JSON
 //! frames ([`crate::transport::frame`]); the two are distinguished by
 //! the leading bytes — JSON always starts with `{`, a binary message
-//! with the magic `"DMB1"`. Inside the envelope:
+//! with the magic `"DMB2"`. Inside the envelope:
 //!
 //! ```text
 //! offset  size      field
-//! 0       4         magic  "DMB1"
+//! 0       4         magic  "DMB2"
 //! 4       4         hlen   u32 LE, length of the JSON header
 //! 8       hlen      header UTF-8 JSON (control fields: t, q, rid …)
 //! 8+hlen  4         blen   u32 LE, length of the binary body
 //! 12+hlen blen      body   tile section or raw f64 section
-//! …       8         sum    u64 LE, FNV-1a-64 over every prior byte
+//! …       8         sum    u64 LE, wire::Digest over every prior byte
 //! ```
 //!
 //! The trailer authenticates the whole message (magic, lengths, header
@@ -49,10 +49,14 @@
 
 use dmac_matrix::{Block, CscBlock, DenseBlock};
 
-use crate::transport::wire::Fnv64;
+use crate::transport::wire::Digest;
 
 /// Leading magic of a binary message.
-pub const MAGIC: &[u8; 4] = b"DMB1";
+pub const MAGIC: &[u8; 4] = b"DMB2";
+
+/// The codec a worker's `hello` promises (`bin`), [`MAGIC`]'s digit: a
+/// daemon still on `DMB1` (an FNV-1a trailer) is refused at hello.
+pub const VERSION: u64 = 2;
 
 /// Fixed overhead of a binary message: magic + two length words + trailer.
 const SHELL: usize = 4 + 4 + 4 + 8;
@@ -70,14 +74,12 @@ pub fn encode(header: &str, body: &[u8]) -> Vec<u8> {
     out.extend_from_slice(header.as_bytes());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(body);
-    let mut h = Fnv64::new();
-    h.update(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
+    out.extend_from_slice(&Digest::of(&out).to_le_bytes());
     out
 }
 
 /// Split a binary message into its JSON header and body, verifying the
-/// magic, both length fields and the FNV-1a trailer. Every malformed
+/// magic, both length fields and the digest trailer. Every malformed
 /// input is a typed error; nothing panics and nothing over-allocates.
 pub fn decode(payload: &[u8]) -> Result<(&str, &[u8]), String> {
     if payload.len() < SHELL {
@@ -87,7 +89,7 @@ pub fn decode(payload: &[u8]) -> Result<(&str, &[u8]), String> {
         ));
     }
     if &payload[..4] != MAGIC {
-        return Err("binary message lacks DMB1 magic".into());
+        return Err("binary message lacks DMB2 magic".into());
     }
     let hlen = u32::from_le_bytes(payload[4..8].try_into().unwrap()) as usize;
     let body_off = 8usize
@@ -108,13 +110,11 @@ pub fn decode(payload: &[u8]) -> Result<(&str, &[u8]), String> {
             "binary body length {blen} does not match message size"
         ));
     }
-    let mut h = Fnv64::new();
-    h.update(&payload[..trailer_off]);
+    let got = Digest::of(&payload[..trailer_off]);
     let want = u64::from_le_bytes(payload[trailer_off..].try_into().unwrap());
-    if h.finish() != want {
+    if got != want {
         return Err(format!(
-            "binary message checksum mismatch (got {:016x}, want {want:016x})",
-            h.finish()
+            "binary message checksum mismatch (got {got:016x}, want {want:016x})"
         ));
     }
     Ok((header, &payload[body_off..trailer_off]))

@@ -8,7 +8,7 @@
 //! ## Envelope
 //!
 //! A message is one length-prefixed frame ([`super::frame`]): a JSON
-//! header, or — where the message carries bulk payload — a `DMB1` message
+//! header, or — where the message carries bulk payload — a `DMB2` message
 //! ([`super::binfmt`]) with that header and a tile section or an f64
 //! section as its body. A command carries a per-connection sequence
 //! number `"q"`, written last, which its reply echoes; a hello, a
@@ -16,7 +16,7 @@
 //! header carries (a seed, seal checksums, reduce partials) are 16 hex
 //! digits: JSON numbers carry 53 bits exactly.
 //!
-//! | command | reply | `DMB1` body |
+//! | command | reply | `DMB2` body |
 //! |---|---|---|
 //! | `peers` | `ok` | — |
 //! | `install` ([`Cmd::Install`]) | `ok` | tile section |
@@ -281,7 +281,7 @@ messages! {
     #[derive(Debug, Clone, PartialEq)]
     pub enum Reply {
         /// A worker's introduction, once, on connect: its host id, process
-        /// id, peer listener, and `bin` 1 — it speaks `DMB1` (a stale
+        /// id, peer listener, and `bin` 2 — it speaks `DMB2` (a stale
         /// daemon does not say so).
         Hello = "hello" { host: usize, pid: u64, peer: String, bin: Option<u64> },
         /// A heartbeat.
@@ -333,7 +333,7 @@ pub struct Framed<T> {
     pub msg: Result<T, String>,
 }
 
-/// Open a frame — a `DMB1` message or a JSON text — and read its message
+/// Open a frame — a `DMB2` message or a JSON text — and read its message
 /// through `read`, which gets the header's `"t"`, the header and the body.
 fn open<T>(
     raw: &[u8],
@@ -409,7 +409,7 @@ impl In<'_> {
     /// Every field of a `t` read: a body none of them took is an error.
     fn done(&self, t: &str) -> Result<(), String> {
         match self.body {
-            Some(_) => Err(format!("{t} carries a DMB1 body it has no use for")),
+            Some(_) => Err(format!("{t} carries a DMB2 body it has no use for")),
             None => Ok(()),
         }
     }
@@ -622,7 +622,7 @@ impl Field for Vec<Placed> {
     }
 
     fn get(_: &str, msg: &mut In) -> Result<Vec<Placed>, String> {
-        let body = msg.body.take().ok_or("no DMB1 body for the tiles")?;
+        let body = msg.body.take().ok_or("no DMB2 body for the tiles")?;
         let tiles = binfmt::decode_tiles(body)?.into_iter();
         Ok(tiles
             .map(|(w, bi, bj, t)| (w, bi, bj, Arc::new(t)))
@@ -1030,7 +1030,7 @@ mod tests {
         assert!(Peer::decode(push.as_bytes())
             .msg
             .unwrap_err()
-            .contains("DMB1"));
+            .contains("DMB2"));
         // A header that does not parse has no sequence number to echo.
         let torn = Cmd::decode(&free.as_bytes()[..free.len() - 1]);
         assert_eq!(torn.q, None);

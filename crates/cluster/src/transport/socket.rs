@@ -7,7 +7,7 @@
 //!
 //! The coordinator binds `127.0.0.1:0`, spawns one worker process per
 //! physical host, and each worker connects back with a `hello` naming its
-//! host, its peer listener, and its promise to speak the `DMB1` tile codec
+//! host, its peer listener, and its promise to speak the `DMB2` tile codec
 //! ([`super::binfmt`]). A hello without that promise (a stale
 //! `dmac-workerd` found by [`locate_workerd`]), without a peer address, or
 //! from a host that does not exist fails the launch with
@@ -190,18 +190,18 @@ fn failure(host: usize, hosts: usize, reply: &Reply) -> Option<ClusterError> {
 }
 
 /// The host id and peer address a worker's first frame announces: a
-/// `hello` from one of `workers` hosts that speaks `DMB1` — a stale
+/// `hello` from one of `workers` hosts that speaks `DMB2` — a stale
 /// `daemon` does not.
 fn hello_of(raw: &[u8], workers: usize, daemon: &Path) -> Result<(usize, String)> {
     let stale = |host| {
         ClusterError::Protocol(format!(
-            "worker {host} ({}) does not speak the DMB1 tile codec \
+            "worker {host} ({}) does not speak the DMB2 tile codec \
              (stale dmac-workerd? rebuild it, or set DMAC_WORKERD)",
             daemon.display()
         ))
     };
     match Reply::decode(raw).msg {
-        Ok(Reply::Hello { host, bin, .. }) if bin != Some(1) => Err(stale(host)),
+        Ok(Reply::Hello { host, bin, .. }) if bin != Some(binfmt::VERSION) => Err(stale(host)),
         Ok(Reply::Hello { host, peer, .. }) if host < workers => Ok((host, peer)),
         _ => Err(ClusterError::Protocol(format!(
             "bad hello frame: {}",
@@ -1566,9 +1566,10 @@ mod tests {
     }
 
     /// A hello names a host of the cluster and a peer address, and
-    /// promises `DMB1`: one without a peer address, with one that is not
+    /// promises `DMB2`: one without a peer address, with one that is not
     /// a string, from a host past the cluster, or that is not a hello is
-    /// a typed launch error, and so is a stale daemon's.
+    /// a typed launch error, and so is a stale daemon's — one that
+    /// promises nothing, or `DMB1` (`bin` 1, an FNV-1a trailer).
     #[test]
     fn a_hello_names_its_host_and_its_peer() {
         let bin = Path::new("dmac-workerd");
@@ -1582,13 +1583,13 @@ mod tests {
             };
             String::from_utf8(hello.encode(None)).unwrap()
         };
-        let good = hello(1, Some(1));
+        let good = hello(1, Some(binfmt::VERSION));
         let admitted = hello_of(good.as_bytes(), 2, bin).unwrap();
         assert_eq!(admitted, (1, "127.0.0.1:9".to_string()));
         for bad in [
             good.replace(r#","peer":"127.0.0.1:9""#, ""),
             good.replace(r#""127.0.0.1:9""#, "9"),
-            hello(2, Some(1)),
+            hello(2, Some(binfmt::VERSION)),
             String::from_utf8(Reply::Ok.encode(Some(0))).unwrap(),
         ] {
             match hello_of(bad.as_bytes(), 2, bin) {
@@ -1596,9 +1597,11 @@ mod tests {
                 other => panic!("{bad}: {other:?}"),
             }
         }
-        match hello_of(hello(1, None).as_bytes(), 2, bin) {
-            Err(ClusterError::Protocol(m)) => assert!(m.contains("does not speak"), "{m}"),
-            other => panic!("a stale hello: {other:?}"),
+        for stale in [None, Some(1)] {
+            match hello_of(hello(1, stale).as_bytes(), 2, bin) {
+                Err(ClusterError::Protocol(m)) => assert!(m.contains("does not speak"), "{m}"),
+                other => panic!("a stale hello ({stale:?}): {other:?}"),
+            }
         }
     }
 }

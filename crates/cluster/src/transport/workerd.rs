@@ -49,6 +49,7 @@ use dmac_matrix::{random_cell, Block, BlockedMatrix, DenseBlock, FusedOp};
 use crate::cluster::ReduceKind;
 use crate::dist::GridMeta;
 use crate::kernels::{self, MulStage};
+use crate::transport::binfmt;
 use crate::transport::frame::{framed_len, read_frame_bytes, write_frame_bytes, MAX_FRAME};
 use crate::transport::proto::{
     Cmd, Combine, Desc, Edge, Framed, Group, Key, Part, Peer, Place, Placed, Reply, Route, Shard,
@@ -126,7 +127,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
         host: opts.host_id,
         pid: u64::from(std::process::id()),
         peer: peer_addr,
-        bin: Some(1),
+        bin: Some(binfmt::VERSION),
     };
     send(&writer, &hello.encode(None))?;
 
@@ -638,7 +639,6 @@ impl Worker {
 mod tests {
     use super::*;
     use crate::dist::DistMatrix;
-    use crate::transport::binfmt;
 
     fn worker() -> Worker {
         Worker {
@@ -934,9 +934,9 @@ mod tests {
         assert_same_seals(&w, &mm_out, "mm after the sweep");
     }
 
-    /// Tile payload is `DMB1` or nothing: an `install` or peer `push`
+    /// Tile payload is `DMB2` or nothing: an `install` or peer `push`
     /// carrying hex-JSON tiles (the retired wire format) in the header of
-    /// the `DMB1` one comes back as a typed error — never a panic, never a
+    /// the `DMB2` one comes back as a typed error — never a panic, never a
     /// silent zero-tile install.
     #[test]
     fn json_bodied_install_and_push_are_typed_errors() {
@@ -956,12 +956,12 @@ mod tests {
         };
         let err =
             run(&mut w, &json_bodied(&install)).expect_err("JSON-bodied install must be rejected");
-        assert!(err.contains("DMB1"), "{err}");
+        assert!(err.contains("DMB2"), "{err}");
         let err = install_push(json_bodied(&push).as_bytes(), &w.store).unwrap_err();
-        assert!(err.contains("DMB1"), "{err}");
+        assert!(err.contains("DMB2"), "{err}");
         assert!(w.store.lock().unwrap().is_empty(), "nothing was installed");
 
-        // The same tile as a DMB1 section installs through both doors.
+        // The same tile as a DMB2 section installs through both doors.
         assert!(run_bytes(&mut w, &install).is_ok());
         install_push(&push, &w.store).unwrap();
         assert_eq!(w.store.lock().unwrap().len(), 2);

@@ -3,7 +3,7 @@
 //! Layout of a data directory:
 //!
 //! ```text
-//! <root>/blocks/<fnv64:016x>.blk   content-addressed immutable blob files
+//! <root>/blocks/<digest:016x>.blk  content-addressed immutable blob files
 //! <root>/manifest-<seq:06>.txt     snapshot manifests (append-only seq)
 //! <root>/CURRENT                   "<manifest-file> <checksum:016x>"
 //! <root>/plans/<fp:016x>.dml       persisted plan-cache scripts (serve)
@@ -12,8 +12,8 @@
 //! **Blobs** hold one serialised [`DistMatrix`] each (geometry, scheme,
 //! and the exact per-worker tile placement, so a reload reproduces the
 //! physical layout bit-for-bit). A blob file is
-//! `magic ∥ payload_len ∥ payload ∥ fnv1a64(payload)` and is named by
-//! the payload's own FNV-1a hash — content addressing, so identical
+//! `"DMBK2\n" ∥ payload_len ∥ payload ∥ digest(payload)` ([`Digest`])
+//! and is named by the payload's own digest — content addressing, so identical
 //! matrices across snapshots share one file and re-checkpointing an
 //! unchanged matrix writes nothing. Only [`DiskTier::put_blob`] names a
 //! payload (one hash pass: file name and trailer), and a file already at
@@ -47,13 +47,13 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use dmac_cluster::transport::binfmt;
-use dmac_cluster::transport::wire::Fnv64;
+use dmac_cluster::transport::wire::Digest;
 use dmac_cluster::{CrashPoint, DistMatrix, FaultPlan, PartitionScheme};
 use dmac_matrix::Block;
 
 use crate::error::{CoreError, Result};
 
-const BLOB_MAGIC: &[u8; 6] = b"DMBK1\n";
+const BLOB_MAGIC: &[u8; 6] = b"DMBK2\n";
 /// A blob frame is magic, payload length (`u64`), payload, checksum (`u64`).
 const BLOB_HEAD: usize = BLOB_MAGIC.len() + 8;
 const DIST_MAGIC: &[u8; 6] = b"DMDM2\n";
@@ -65,14 +65,7 @@ const REPLICATED: usize = u32::MAX as usize;
 /// three orders of magnitude above the paper's 4–20 nodes is still cheap.
 const MAX_WORKERS: usize = 1 << 16;
 const MANIFEST_MAGIC: &str = "dmac-manifest v1";
-const PLAN_MAGIC: &str = "dmac-plan v1";
-
-/// FNV-1a-64 over raw bytes: the wire layer's [`Fnv64`], in one call.
-pub fn fnv1a_bytes(data: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(data);
-    h.finish()
-}
+const PLAN_MAGIC: &str = "dmac-plan v2";
 
 fn disk_err(ctx: &str, e: impl std::fmt::Display) -> CoreError {
     CoreError::Disk(format!("{ctx}: {e}"))
@@ -106,7 +99,7 @@ fn tag_scheme(t: u8) -> Result<PartitionScheme> {
 ///
 /// ```text
 /// "DMDM2\n" ∥ rows, cols, block, workers (u64 LE) ∥ scheme u8      39 bytes
-/// DMB1 tile section (count ∥ `binfmt::push_tile`s): tiles ascending (bi, bj),
+/// DMB2 tile section (count ∥ `binfmt::push_tile`s): tiles ascending (bi, bj),
 ///     `w` = the worker holding the tile, `u32::MAX` = replicated
 /// ```
 ///
@@ -446,15 +439,18 @@ impl DiskTier {
         self.root.join("blocks").join(format!("{hash}.blk"))
     }
 
-    /// Write `bytes` under `path` so that a crash leaves the old file or
-    /// the new one: a synced temp file renamed into place, then the parent
-    /// directory synced, so the rename itself survives a power loss.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
+    /// Write the concatenated `parts` under `path` so that a crash leaves
+    /// the old file or the new one: a synced temp file renamed into place,
+    /// then the parent directory synced, so the rename itself survives a
+    /// power loss.
+    fn write_atomic(&self, path: &Path, parts: &[&[u8]]) -> Result<()> {
         let tmp = path.with_extension("tmp");
         {
             let mut f = fs::File::create(&tmp).map_err(|e| disk_err("create temp file", e))?;
-            f.write_all(bytes)
-                .map_err(|e| disk_err("write temp file", e))?;
+            for part in parts {
+                f.write_all(part)
+                    .map_err(|e| disk_err("write temp file", e))?;
+            }
             f.sync_all().map_err(|e| disk_err("sync temp file", e))?;
         }
         fs::rename(&tmp, path).map_err(|e| disk_err("rename into place", e))?;
@@ -465,12 +461,13 @@ impl DiskTier {
     }
 
     /// Make `payload` durable as a content-addressed blob; returns its hash
-    /// and whether this call wrote it. One FNV-1a pass names the file and
-    /// fills the trailer. An intact copy at that name (read only when a
+    /// and whether this call wrote it. One digest pass names the file and
+    /// fills the trailer, and the frame is written around the payload, not
+    /// copied with it. An intact copy at that name (read only when a
     /// file of the framed length exists) is reused, a torn or rotted one
     /// replaced; only a call about to write crosses the blob [`CrashPoint`]s.
     pub fn put_blob(&self, payload: &[u8]) -> Result<(String, bool)> {
-        let sum = fnv1a_bytes(payload);
+        let sum = Digest::of(payload);
         let hash = format!("{sum:016x}");
         let path = self.blob_path(&hash);
         let framed_len = BLOB_HEAD + payload.len() + 8;
@@ -479,15 +476,12 @@ impl DiskTier {
             return Ok((hash, false));
         }
         self.crash_check(CrashPoint::BeforeBlobWrite)?;
-        let mut framed = Vec::with_capacity(framed_len);
-        framed.extend_from_slice(BLOB_MAGIC);
-        framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        framed.extend_from_slice(payload);
-        framed.extend_from_slice(&sum.to_le_bytes());
+        let (len, sum) = ((payload.len() as u64).to_le_bytes(), sum.to_le_bytes());
+        let framed: [&[u8]; 4] = [BLOB_MAGIC, &len, payload, &sum];
         if self.crash_fires(CrashPoint::MidBlobWrite) {
             // Model a filesystem that loses the tail: the final name
             // exists but holds only half the frame.
-            let torn = &framed[..framed.len() / 2];
+            let torn = &framed.concat()[..framed_len / 2];
             fs::write(&path, torn).map_err(|e| disk_err("torn write", e))?;
             return Err(CoreError::InjectedCrash(CrashPoint::MidBlobWrite));
         }
@@ -515,7 +509,7 @@ impl DiskTier {
         }
         let payload = &framed[BLOB_HEAD..body_end];
         let sum = u64::from_le_bytes(framed[body_end..].try_into().unwrap());
-        if fnv1a_bytes(payload) != sum {
+        if Digest::of(payload) != sum {
             return Err(CoreError::Disk("blob checksum mismatch".into()));
         }
         if let Some(expect) = expect_len {
@@ -584,21 +578,21 @@ impl DiskTier {
             fs::write(&path, torn).map_err(|e| disk_err("torn manifest write", e))?;
             return Err(CoreError::InjectedCrash(CrashPoint::MidManifestWrite));
         }
-        self.write_atomic(&path, body.as_bytes())?;
+        self.write_atomic(&path, &[body.as_bytes()])?;
         self.crash_check(CrashPoint::BeforeCurrentSwap)?;
         let current = format!(
             "{} {:016x}\n",
             Self::manifest_name(seq),
-            fnv1a_bytes(body.as_bytes())
+            Digest::of(body.as_bytes())
         );
-        self.write_atomic(&self.root.join("CURRENT"), current.as_bytes())?;
+        self.write_atomic(&self.root.join("CURRENT"), &[current.as_bytes()])?;
         Ok(seq)
     }
 
     fn read_manifest_file(&self, name: &str, expect_sum: Option<u64>) -> Result<Manifest> {
         let body = fs::read(self.root.join(name)).map_err(|e| disk_err("read manifest", e))?;
         if let Some(sum) = expect_sum {
-            if fnv1a_bytes(&body) != sum {
+            if Digest::of(&body) != sum {
                 return Err(CoreError::Disk(format!(
                     "manifest {name} checksum mismatch"
                 )));
@@ -713,13 +707,13 @@ impl DiskTier {
     pub fn put_plan(&self, fingerprint: u64, script: &str) -> Result<()> {
         let body = format!(
             "{PLAN_MAGIC} {:016x}\n{script}",
-            fnv1a_bytes(script.as_bytes())
+            Digest::of(script.as_bytes())
         );
         let path = self
             .root
             .join("plans")
             .join(format!("{fingerprint:016x}.dml"));
-        self.write_atomic(&path, body.as_bytes())
+        self.write_atomic(&path, &[body.as_bytes()])
     }
 
     /// Every intact persisted script, sorted by file name (deterministic
@@ -748,7 +742,7 @@ impl DiskTier {
             let Ok(sum) = u64::from_str_radix(sum, 16) else {
                 continue;
             };
-            if fnv1a_bytes(script.as_bytes()) == sum {
+            if Digest::of(script.as_bytes()) == sum {
                 scripts.push(script.to_string());
             }
         }
@@ -997,7 +991,7 @@ mod tests {
         tier.arm_crashes(&FaultPlan::crash(CrashPoint::MidBlobWrite, 0));
         let err = tier.put_blob(b"some payload that gets torn").unwrap_err();
         assert!(matches!(err, CoreError::InjectedCrash(_)));
-        let hash = format!("{:016x}", fnv1a_bytes(b"some payload that gets torn"));
+        let hash = format!("{:016x}", Digest::of(b"some payload that gets torn"));
         // The torn file exists under the final name but never verifies.
         assert!(tier.blob_path(&hash).exists());
         assert!(tier.get_blob(&hash).is_err());
@@ -1019,7 +1013,7 @@ mod tests {
         assert!(scripts[0].contains("random"));
         // Corrupt one: it is skipped, the other survives.
         let path = tier.root().join("plans").join(format!("{:016x}.dml", 1u64));
-        fs::write(&path, "dmac-plan v1 0000000000000000\ntampered").unwrap();
+        fs::write(&path, "dmac-plan v2 0000000000000000\ntampered").unwrap();
         assert_eq!(tier.list_plans().len(), 1);
     }
 

@@ -1108,7 +1108,7 @@ mod tests {
         assert_eq!(crashed.stats().spill_bytes, 0);
         // The crashed store itself, still holding A in RAM, retries and heals.
         crashed.checkpoint(&names, 1).unwrap();
-        std::fs::write(dir.join("blocks").join(&torn[0].0), b"DMBK1\ntorn again").unwrap();
+        std::fs::write(dir.join("blocks").join(&torn[0].0), b"DMBK2\ntorn again").unwrap();
         drop(crashed);
 
         let s = SharedStore::with_disk(&dir).unwrap();

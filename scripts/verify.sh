@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -52,9 +52,9 @@ if grep -rnE 'CellOp|UnaryTileOp' crates src; then exit 1; fi
 # one put), and naming a payload is disk.rs's job: a second copy of
 # "encode -> hash -> verify -> put" in the store cannot reappear unnoticed.
 awk '/#\[cfg\(test\)\]/ { exit }
-     /encode_dist\(/ { enc++ } /put_blob\(/ { put++ } /fnv1a_bytes\(/ { fnv++ }
-     END { if (enc != 1 || put != 1 || fnv != 0) {
-               print FILENAME ": encode_dist( x" enc+0 ", put_blob( x" put+0 ", fnv1a_bytes( x" fnv+0 " (want 1, 1, 0)"
+     /encode_dist\(/ { enc++ } /put_blob\(/ { put++ } /Digest::of\(/ { sum++ }
+     END { if (enc != 1 || put != 1 || sum != 0) {
+               print FILENAME ": encode_dist( x" enc+0 ", put_blob( x" put+0 ", Digest::of( x" sum+0 " (want 1, 1, 0)"
                exit 1 } }' crates/core/src/store.rs
 # Who goes when the budget is short is decided in one place (Inner::victim:
 # a batch's next reads, LRU when there are none) — a second `min_by` would be
@@ -162,6 +162,17 @@ if [ "$(grep -rlE 'fn random_cell\(' crates src)" != crates/matrix/src/rng.rs ] 
     echo "fn random_cell( must be defined once under crates/ + src/, in crates/matrix/src/rng.rs"
     exit 1
 fi
+# One digest: every integrity check (frame trailers, shard seals, blob
+# names and trailers, manifests, CURRENT, plan files) runs wire::Digest,
+# defined in transport/wire.rs alone. No byte-at-a-time FNV-1a hasher
+# sits beside it; only dmac-lang's script fingerprint, which the serve
+# protocol's golden_fnv pins, keeps the FNV prime.
+if grep -rnE '0x0000_0100_0000_01b3|0x100000001b3|struct Fnv64' crates src |
+    grep -v '^crates/lang/'; then exit 1; fi
+if [ "$(grep -rlE 'struct Digest\b' crates src)" != crates/cluster/src/transport/wire.rs ]; then
+    echo "struct Digest must be defined once under crates/ + src/, in crates/cluster/src/transport/wire.rs"
+    exit 1
+fi
 # The seams stay their size. Generating took install's slot in the
 # Transport trait instead of growing it: 14 methods. And the protocol is
 # proto.rs' three enums, each variant one message: 13 commands, 11
@@ -181,13 +192,15 @@ echo "==> cargo test (workspace)"
 # the durability crash matrix, fusion / density / liveness equivalence.
 cargo test --workspace -q
 
-echo "==> kernel ratio guards (release: dense x CSC vs CSC x dense, near-empty vs 5 % row fold)"
+echo "==> ratio guards (release: dense x CSC vs CSC x dense, near-empty vs 5 % row fold, digest vs copy)"
 # Both kernels do the same flops on the same 128x128 @ 5 % block, so the
 # ratio of their rates does not depend on the host. Fails below 0.25: the
 # strided loop the row-tiled kernel replaced sat at 0.09. Likewise a 1x128
 # row folded through 128 tiles of 16 items against 128 tiles at 5 %: fails
-# above 0.05, a pointer per empty column sat at 0.10.
-cargo test --release -q --test kernel_bit_identity -- --ignored --test-threads=1 keeps_pace
+# above 0.05, a pointer per empty column sat at 0.10. And digesting 8 MB,
+# or sealing 8 MB of dense 128x128 tiles, against copying 8 MB: fails
+# above 4x, FNV-1a's multiply per byte sat at ~17x.
+cargo test --release -q --test kernel_bit_identity --test prop_frames -- --ignored --test-threads=1 keeps_pace
 
 echo "==> cargo doc (no deps, deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

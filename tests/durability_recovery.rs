@@ -315,7 +315,7 @@ fn manifest_entry_naming_a_path_is_skipped() {
         .replace("phase 3\n", "phase 99\n");
     assert!(forged.contains("../../stolen") && forged.contains("phase 99"));
     fs::write(dir.join("manifest-000999.txt"), &forged).unwrap();
-    let sum = dmac::core::disk::fnv1a_bytes(forged.as_bytes());
+    let sum = dmac::cluster::transport::wire::Digest::of(forged.as_bytes());
     fs::write(
         dir.join("CURRENT"),
         format!("manifest-000999.txt {sum:016x}\n"),
@@ -374,6 +374,78 @@ fn total_corruption_degrades_to_full_lineage_replay() {
         );
         assert_eq!(got, healthy, "{tag}: replay must match the healthy run");
     }
+}
+
+/// FNV-1a-64, the digest the `DMBK1` / `dmac-plan v1` formats used.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A data directory an FNV-era build wrote — `DMBK1` blobs named and
+/// sealed by FNV-1a, `CURRENT` and a `dmac-plan v1` script summed by it —
+/// recovers nothing: the same policy as a `DMDM1` payload. `load_latest`
+/// answers `Ok(None)`, the store recovers empty without a panic, the run
+/// replays its lineage to the healthy bits, and the old script is skipped.
+#[test]
+fn a_data_dir_of_the_fnv_format_recovers_nothing() {
+    let dir = temp_dir("gnmf-fnv-era");
+    let healthy = gnmf_healthy(&dir);
+
+    // Re-frame every blob as the old build did, under its old name, and
+    // point every manifest at the old names.
+    let mut renames = Vec::new();
+    for entry in fs::read_dir(dir.join("blocks")).unwrap() {
+        let path = entry.unwrap().path();
+        let framed = fs::read(&path).unwrap();
+        assert_eq!(&framed[..6], b"DMBK2\n");
+        let payload = &framed[14..framed.len() - 8];
+        let mut old = b"DMBK1\n".to_vec();
+        old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        old.extend_from_slice(payload);
+        old.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        let name = format!("{:016x}", fnv1a(payload));
+        fs::write(dir.join("blocks").join(format!("{name}.blk")), old).unwrap();
+        fs::remove_file(&path).unwrap();
+        let stem = path.file_stem().unwrap().to_string_lossy().to_string();
+        renames.push((stem, name));
+    }
+    let mut newest = String::new();
+    for entry in fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let file = path.file_name().unwrap().to_string_lossy().to_string();
+        if file.starts_with("manifest-") {
+            let mut text = fs::read_to_string(&path).unwrap();
+            for (new, old) in &renames {
+                text = text.replace(new, old);
+            }
+            fs::write(&path, &text).unwrap();
+            newest = newest.max(file);
+        }
+    }
+    let body = fs::read(dir.join(&newest)).unwrap();
+    let current = format!("{newest} {:016x}\n", fnv1a(&body));
+    fs::write(dir.join("CURRENT"), current).unwrap();
+    let script = "A = random(A, 8, 8)\noutput(A)\n";
+    let plan = format!("dmac-plan v1 {:016x}\n{script}", fnv1a(script.as_bytes()));
+    fs::create_dir_all(dir.join("plans")).unwrap();
+    fs::write(dir.join("plans").join("0000000000000001.dml"), plan).unwrap();
+
+    let disk = DiskTier::open(&dir).unwrap();
+    assert!(disk.load_latest().unwrap().is_none());
+    assert!(disk.list_plans().is_empty());
+    let store = SharedStore::with_disk(&dir).unwrap();
+    assert!(store.recover().unwrap().is_empty());
+    assert!(store.latest_snapshot().is_none());
+    let mut s = session_over(store, None);
+    let run = gnmf_cfg().run_checkpointed(&mut s, &gnmf_input()).unwrap();
+    assert_eq!((run.resumed_from, run.ran_iterations), (0, 3));
+    let got = (
+        bits(&s.env_value("W").unwrap()),
+        bits(&s.env_value("H").unwrap()),
+    );
+    assert_eq!(got, healthy);
 }
 
 /// Squeeze the working set below the RAM budget: the store must spill

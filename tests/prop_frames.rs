@@ -275,7 +275,7 @@ fn random_tile(rng: &mut SplitMix64) -> Block {
     }
 }
 
-/// The binary `DMB1` codec: random tile batches round-trip exactly, and
+/// The binary `DMB2` codec: random tile batches round-trip exactly, and
 /// decoded tiles re-encode to the byte-identical section — the encoding
 /// is canonical, so decode∘encode is the identity on bytes too.
 #[test]
@@ -308,25 +308,51 @@ fn binary_tile_messages_round_trip_canonically() {
 
 /// A tile's layout in memory is nobody's business outside the process. A
 /// CSC tile with 2 of its 8 columns occupied keeps pointers for those two
-/// only, yet its `DMB1` frame, its shard checksum and its disk payload are
-/// defined over Figure 5's `cols + 1` pointer array: the frame trailer and
-/// the shard checksum were computed by the commit before packed columns
-/// existed, over the same logical tiles, and decode goes through
-/// `from_csc` to the same block.
+/// only, yet its `DMB2` frame, its shard checksum and its disk payload are
+/// defined over Figure 5's `cols + 1` pointer array: each is pinned, and
+/// each is also rebuilt here by hand over that unpacked layout — the frame
+/// and the payload byte for byte, all three digests from those bytes —
+/// and decode goes through `from_csc` to the same block.
 ///
-/// The disk payload's `(len, fnv)` is of the `DMDM2` layout — the 39-byte
+/// The disk payload's `(len, digest)` is of the `DMDM2` layout — the 39-byte
 /// head `"DMDM2\n"` ∥ rows, cols, block, workers (`u64` LE) ∥ scheme `u8`,
-/// then the same `DMB1` tile section a frame carries: `u32` count, and per
+/// then the same `DMB2` tile section a frame carries: `u32` count, and per
 /// tile ascending `(bi, bj)` `u32` w (the holder; `u32::MAX` = replicated),
 /// bi, bj, `u8` kind, `u32` rows, cols, then for a sparse tile `u32` np +
 /// pointers, `u32` ni + row indices, `u32` nv + values. Here: 39 + 4 +
-/// 4 tiles × (33 + 9 pointers × 4) + 5 items × 12 = 379 bytes.
+/// 4 tiles × (33 + 9 pointers × 4) + 5 items × 12 = 379 bytes. The shard
+/// checksum's stream is `u32` bi, bj, then the tile without `w` and
+/// without the three counts.
 #[test]
 fn packed_tiles_keep_their_external_bytes() {
-    use dmac::cluster::transport::wire::{shard_checksum, Fnv64};
+    use dmac::cluster::transport::wire::{shard_checksum, Digest};
     use dmac::cluster::{DistMatrix, PartitionScheme};
     use dmac::core::disk;
     use dmac::matrix::BlockedMatrix;
+
+    let u32s = |p: &mut Vec<u8>, vs: &[u32]| {
+        for v in vs {
+            p.extend_from_slice(&v.to_le_bytes());
+        }
+    };
+    // One 8 x 8 sparse tile in Figure 5's layout, `cols + 1` pointers;
+    // `counted` puts the tile section's count word before each array.
+    let sparse = |p: &mut Vec<u8>, counted: bool, ptr: &[u32], idx: &[u32], val: &[f64]| {
+        p.push(1);
+        u32s(p, &[8, 8]);
+        for arr in [ptr, idx] {
+            if counted {
+                u32s(p, &[arr.len() as u32]);
+            }
+            u32s(p, arr);
+        }
+        if counted {
+            u32s(p, &[val.len() as u32]);
+        }
+        for v in val {
+            p.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    };
 
     let col_ptr = vec![0, 0, 0, 2, 2, 2, 2, 3, 3];
     let csc = CscBlock::from_csc(8, 8, col_ptr.clone(), vec![1, 5, 0], vec![0.5, -0.0, 0.25]);
@@ -335,17 +361,30 @@ fn packed_tiles_keep_their_external_bytes() {
     assert_eq!(csc.actual_bytes(), 4 * 5 + 12 * 3);
     assert_eq!(csc.col_ptrs().collect::<Vec<_>>(), col_ptr);
     let tile = Block::Sparse(csc);
+    let items = (&col_ptr[..], &[1, 5, 0][..], &[0.5, -0.0, 0.25][..]);
 
     let body = binfmt::encode_tiles([(1, 2, 3, &tile)]);
     assert_eq!(body.len(), 4 + binfmt::tile_wire_len(&tile));
     assert_eq!(binfmt::tile_wire_len(&tile), 105);
     let frame = binfmt::encode(r#"{"t":"push"}"#, &body);
     let trailer = u64::from_le_bytes(frame[frame.len() - 8..].try_into().unwrap());
-    assert_eq!((frame.len(), trailer), (141, 0x39EE_BD77_D28A_1269));
+    assert_eq!((frame.len(), trailer), (141, 0x1486_78B0_9CD0_79E1));
+    let mut hand = b"DMB2".to_vec();
+    u32s(&mut hand, &[12]);
+    hand.extend_from_slice(br#"{"t":"push"}"#);
+    u32s(&mut hand, &[109, 1, 1, 2, 3]); // blen, count, w, bi, bj
+    sparse(&mut hand, true, items.0, items.1, items.2);
+    assert_eq!(hand, frame[..frame.len() - 8]);
+    assert_eq!(Digest::of(&hand), trailer);
     let (_, section) = binfmt::decode(&frame).unwrap();
     let decoded = binfmt::decode_tiles(section).unwrap();
     assert!(decoded[0].3.bits_eq(&tile) && decoded[0].3.actual_bytes() == tile.actual_bytes());
-    assert_eq!(shard_checksum([((2, 3), &tile)]), 0x1692_F1F3_F76F_56DB);
+    let seal = shard_checksum([((2, 3), &tile)]);
+    assert_eq!(seal, 0xF1E7_A284_1CD1_AD08);
+    let mut hand = Vec::new();
+    u32s(&mut hand, &[2, 3]);
+    sparse(&mut hand, false, items.0, items.1, items.2);
+    assert_eq!(Digest::of(&hand), seal);
 
     let trips = vec![
         (1, 2, 0.5),
@@ -357,9 +396,31 @@ fn packed_tiles_keep_their_external_bytes() {
     let m = BlockedMatrix::from_triplets(16, 16, 8, trips).unwrap();
     let dist = DistMatrix::from_blocked(&m, PartitionScheme::Row, 2);
     let payload = disk::encode_dist(&dist);
-    let mut h = Fnv64::new();
-    h.update(&payload);
-    assert_eq!((payload.len(), h.finish()), (379, 0x6167_A03F_CB81_93B4));
+    let sum = Digest::of(&payload);
+    assert_eq!((payload.len(), sum), (379, 0xB9EE_3A42_1299_9A12));
+    let mut hand = b"DMDM2\n".to_vec();
+    for word in [16u64, 16, 8, 2] {
+        hand.extend_from_slice(&word.to_le_bytes());
+    }
+    hand.push(0); // Row
+    u32s(&mut hand, &[4]);
+    let at = |c: u32| -> Vec<u32> { (0..9).map(|j| u32::from(j > c)).collect() };
+    for (head, ptr, idx, val) in [
+        (
+            [0, 0, 0],
+            col_ptr.clone(),
+            &[1, 5, 0][..],
+            &[0.5, 4.0, 0.25][..],
+        ),
+        ([0, 0, 1], vec![0; 9], &[][..], &[][..]),
+        ([1, 1, 0], at(0), &[7][..], &[2.0][..]),
+        ([1, 1, 1], at(4), &[1][..], &[-1.5][..]),
+    ] {
+        u32s(&mut hand, &head); // w, bi, bj
+        sparse(&mut hand, true, &ptr, idx, val);
+    }
+    assert_eq!(hand, payload);
+    assert_eq!(Digest::of(&hand), sum);
     let back = disk::decode_dist(&payload).unwrap();
     assert_eq!(disk::encode_dist(&back), payload);
     for w in 0..2 {
@@ -485,7 +546,7 @@ fn binary_truncation_at_every_offset_is_rejected() {
 }
 
 /// Flipping any single bit of a binary message is caught — by the magic
-/// check, a structural length check, or the FNV-1a trailer — never
+/// check, a structural length check, or the digest trailer — never
 /// silently accepted, never a panic.
 #[test]
 fn binary_bit_flips_never_decode() {
@@ -504,6 +565,116 @@ fn binary_bit_flips_never_decode() {
             );
         }
     }
+}
+
+/// A shard seal is the digest of the shard's canonical bytes — tiles
+/// ascending `(bi, bj)`, each `u32` bi, bj, `u8` kind, `u32` rows, cols,
+/// then the dense values, or the sparse tile's `cols + 1` pointers, row
+/// indices and values — on random shards whose tile heads leave the bulk
+/// paths at every offset into a word, and however those bytes are cut
+/// into `update` calls.
+#[test]
+fn shard_checksums_digest_their_canonical_bytes() {
+    use dmac::cluster::transport::wire::{shard_checksum, Digest};
+    use std::collections::BTreeMap;
+
+    fn u32s(bytes: &mut Vec<u8>, vs: impl IntoIterator<Item = u32>) {
+        for v in vs {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    let mut rng = SplitMix64::new(0xF4A3_0026);
+    for _ in 0..300 {
+        let tiles: BTreeMap<(usize, usize), Block> = (0..rng.below(6))
+            .map(|_| ((rng.below(5), rng.below(5)), random_tile(&mut rng)))
+            .collect();
+        let mut bytes = Vec::new();
+        for (&(bi, bj), tile) in &tiles {
+            u32s(&mut bytes, [bi as u32, bj as u32]);
+            let vals = match tile {
+                Block::Dense(d) => {
+                    bytes.push(0);
+                    u32s(&mut bytes, [d.rows() as u32, d.cols() as u32]);
+                    d.data()
+                }
+                Block::Sparse(s) => {
+                    bytes.push(1);
+                    u32s(&mut bytes, [s.rows() as u32, s.cols() as u32]);
+                    u32s(&mut bytes, s.col_ptrs());
+                    u32s(&mut bytes, s.row_indices().iter().copied());
+                    s.values()
+                }
+            };
+            for v in vals {
+                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+        let seal = shard_checksum(tiles.iter().map(|(&at, t)| (at, t)));
+        assert_eq!(seal, Digest::of(&bytes));
+        let mut h = Digest::new();
+        let mut rest = &bytes[..];
+        while !rest.is_empty() {
+            let (piece, tail) = rest.split_at(rng.below(rest.len().min(24)) + 1);
+            h.update(piece);
+            rest = tail;
+        }
+        assert_eq!(h.finish(), seal);
+    }
+}
+
+/// Release-mode ratio guard: the digest runs at memory speed, not at a
+/// multiply per byte. Digesting 8 MB may take at most 4x a
+/// `copy_from_slice` of 8 MB, and so may sealing 8 MB of dense 128 x 128
+/// tiles — both sides on this host, so the ratio, not a rate, is
+/// checked. FNV-1a sat at ~17x. `cargo test --release --test prop_frames
+/// -- --ignored keeps_pace`.
+#[test]
+#[ignore = "timing guard; run in release"]
+fn digest_keeps_pace_with_a_copy() {
+    use dmac::cluster::transport::wire::{shard_checksum, Digest};
+    use std::hint::black_box;
+    use std::time::Instant;
+
+    const MB8: usize = 8 << 20;
+    let best = |f: &mut dyn FnMut()| {
+        (0..9)
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let src: Vec<u8> = (0..MB8).map(|i| (i * 131 + 7) as u8).collect();
+    let mut dst = vec![0u8; MB8];
+    let copy = best(&mut || {
+        dst.copy_from_slice(black_box(&src));
+        black_box(&dst);
+    });
+    let digest = best(&mut || {
+        black_box(Digest::of(black_box(&src)));
+    });
+    let tiles: Vec<((usize, usize), Block)> = (0..MB8 / (128 * 128 * 8))
+        .map(|k| {
+            let d = DenseBlock::from_fn(128, 128, |i, j| (k * 7 + i * 128 + j) as f64 * 0.5);
+            ((k / 8, k % 8), Block::Dense(d))
+        })
+        .collect();
+    let seal = best(&mut || {
+        black_box(shard_checksum(tiles.iter().map(|(at, t)| (*at, t))));
+    });
+    let us = |s: f64| s * 1e6;
+    println!(
+        "8 MB: copy {:.0} us, digest {:.0} us ({:.2}x), seal of 64 dense 128x128 tiles {:.0} us ({:.2}x)",
+        us(copy),
+        us(digest),
+        digest / copy,
+        us(seal),
+        seal / copy
+    );
+    assert!(digest <= 4.0 * copy, "digest {:.2}x a copy", digest / copy);
+    assert!(seal <= 4.0 * copy, "seal {:.2}x a copy", seal / copy);
 }
 
 /// Oversized counts — a tile count or element count far past the actual
