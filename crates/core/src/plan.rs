@@ -345,6 +345,17 @@ impl Plan {
         }
     }
 
+    /// The strategy the compute step of program operator `op` runs, if
+    /// it has a compute step of its own (a fused member has none).
+    pub fn strategy_of(&self, op: usize) -> Option<Strategy> {
+        self.steps.iter().find_map(|s| match s {
+            PlanStep::Compute {
+                op: o, strategy, ..
+            } if *o == op => Some(*strategy),
+            _ => None,
+        })
+    }
+
     /// Total modelled communication cost of the plan under a cost model:
     /// sum over comm steps of the moved estimate. Used by planner tests;
     /// the real metered value comes from execution.

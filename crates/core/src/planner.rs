@@ -36,7 +36,7 @@ use crate::cost::CostModel;
 use crate::dependency::{classify, DependencyType};
 use crate::error::{CoreError, Result};
 use crate::plan::{MemoryCertificate, NodeId, Plan, PlanStep};
-use crate::strategy::{candidates, Candidate, OutScheme};
+use crate::strategy::{candidates, Candidate, OutScheme, Strategy};
 
 /// Planner knobs. Defaults reproduce full DMac; the ablation benches and
 /// the SystemML-S baseline flip individual switches.
@@ -123,6 +123,30 @@ pub struct Planned {
     /// contract the verifier re-derives (V20) and the engine's metering
     /// must stay under (V21).
     pub certificate: MemoryCertificate,
+    /// How the search reached this plan from its seed.
+    pub search: Search,
+}
+
+/// The record of [`plan_program_profiled`]'s search. A plan that was not
+/// searched is its own seed, with no moves.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Search {
+    /// The placement product's winner: its predicted bytes.
+    pub seed_comm: u64,
+    /// The placement product's winner: its certified peak.
+    pub seed_peak: u64,
+    /// Each move the coordinate descent kept, in order, with the
+    /// predicted bytes it saved.
+    pub moves: Vec<(Move, u64)>,
+}
+
+/// One flip of the coordinate descent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Move {
+    /// `(op, from, to)`: multiplication `op` computed by `to`, not `from`.
+    Strategy(usize, Strategy, Strategy),
+    /// `(source, to)`: a source first placed `to`, or by its first reader.
+    Place(MatrixId, Option<PartitionScheme>),
 }
 
 /// A free acquisition: the held node, the Row/Column scheme a flexible
@@ -131,8 +155,9 @@ pub struct Planned {
 type Free = (NodeId, Option<PartitionScheme>, DependencyType);
 
 /// A program with more Hash-placed inputs (`load` and `random` together)
-/// than this keeps first touch: the placement search plans at most
-/// `4^k` times for `k` such inputs.
+/// than this seeds the search at first touch: the placement product plans
+/// at most `4^k` times for `k` such inputs. The descent places each input
+/// in linear time either way.
 const MAX_PLACED_INPUTS: usize = 4;
 
 /// A first placement, instead of by the first consumer: a `load` source
@@ -158,13 +183,20 @@ pub fn plan_program(
 /// source matrices. Missing sources fall back to a uniform spread of the
 /// static estimate, so an empty map reproduces [`plan_program`] exactly.
 ///
-/// A Hash-placed input is placed by the whole program, not by its first
-/// reader: every choice per such input is planned (`placements`), and a
-/// choice replaces the plain greedy's (first touch) only if it moves
-/// strictly fewer bytes *and* certifies no more memory. Both sides are
-/// finished alike, each rebuilding rather than holding what a free
-/// dependency gives back ([`crate::liveness::rederive`]). On a tie first
-/// touch's plan stands, step for step.
+/// The plain greedy (first touch) is searched in two parts. Both keep a
+/// plan only if it moves strictly fewer bytes at no higher a certified
+/// peak than the incumbent (`improves`), and every plan is finished
+/// alike ([`crate::liveness::rederive`]):
+/// 1. **Product seed.** A Hash-placed input is placed by the whole
+///    program: every choice per such input is planned (`placements`, up
+///    to `MAX_PLACED_INPUTS` inputs), and the cheapest that improves on
+///    first touch replaces it.
+/// 2. **Coordinate descent** (DMac only; not when the seed moves nothing).
+///    One coordinate at a time is flipped and the greedy re-plans with the
+///    rest held: a multiplication's strategy or a Hash-placed source's
+///    first placement. A flip that improves is kept, to a fixed point.
+///
+/// A program no move improves keeps first touch's plan, step for step.
 pub fn plan_program_profiled(
     program: &Program,
     cfg: &PlannerConfig,
@@ -174,56 +206,128 @@ pub fn plan_program_profiled(
 ) -> Result<Planned> {
     program.validate()?;
     let profiles = propagate(program, cfg, sources);
-    let greedy = |place: &[(MatrixId, PartitionScheme)]| {
+    let greedy = |forced: &HashMap<usize, usize>, place: &[(MatrixId, PartitionScheme)]| {
         Planner::greedy(
             program,
             cfg,
             workers,
             initial_schemes,
             &profiles,
-            None,
+            Some(forced),
             place,
         )
     };
-    let first_touch = greedy(&[])?.finish();
+    let hashed = hashed_sources(program, cfg, initial_schemes);
+    let mut forced = HashMap::new();
+    let mut seed = (Placement::new(), greedy(&forced, &[])?.finish());
     // Only a cheaper plan can win, and the cheapest that certifies no
     // more memory does: finish (and certify) those in order of price.
     // Among passing plans of that price the fewest steps win (a rebuilt
     // copy is a step), and then enumeration order.
     let mut cheaper = Vec::new();
-    for place in placements(program, cfg, initial_schemes).iter().skip(1) {
-        let p = greedy(place)?;
-        if p.estimated_comm < first_touch.estimated_comm {
-            cheaper.push(p);
+    let product = if hashed.len() <= MAX_PLACED_INPUTS {
+        placements(&hashed)
+    } else {
+        Vec::new()
+    };
+    for place in product.into_iter().skip(1) {
+        let p = greedy(&forced, &place)?;
+        if p.estimated_comm < seed.1.estimated_comm {
+            cheaper.push((place, p));
         }
     }
-    cheaper.sort_by_key(|p| p.estimated_comm);
+    cheaper.sort_by_key(|(_, p)| p.estimated_comm);
     let mut cheaper = cheaper.into_iter().peekable();
-    while let Some(p) = cheaper.next() {
+    while let Some((place, p)) = cheaper.next() {
         let price = p.estimated_comm;
-        let same = std::iter::from_fn(|| cheaper.next_if(|q| q.estimated_comm == price));
-        let passing = (std::iter::once(p).chain(same).map(Planner::finish))
-            .filter(|p| p.certificate.peak <= first_touch.certificate.peak);
-        if let Some(best) = passing.min_by_key(|p| p.plan.steps.len()) {
+        let same = std::iter::from_fn(|| cheaper.next_if(|(_, q)| q.estimated_comm == price));
+        let passing = (std::iter::once((place, p)).chain(same))
+            .map(|(place, p)| (place, p.finish()))
+            .filter(|(_, p)| improves(p, &seed.1));
+        if let Some(best) = passing.min_by_key(|(_, p)| p.plan.steps.len()) {
+            seed = best;
+            break;
+        }
+    }
+
+    let (mut place, mut best) = seed;
+    if !cfg.exploit_dependencies || best.estimated_comm == 0 {
+        return Ok(best);
+    }
+    let ops = program.ops();
+    loop {
+        let mut moved = false;
+        for coord in 0..ops.len() + hashed.len() {
+            // Every other value of this coordinate, the rest held: the
+            // forced strategies and placement it plans with, and the move.
+            let mut flips = Vec::new();
+            match ops.get(coord) {
+                Some(op) if op.kind.is_matmul() => {
+                    let from = best.plan.strategy_of(op.index).expect("a planned product");
+                    let cands = candidates(&op.kind, cfg.allow_cpmm);
+                    for (i, c) in cands.iter().enumerate().filter(|(_, c)| c.strategy != from) {
+                        let mut forced = forced.clone();
+                        forced.insert(op.index, i);
+                        let mv = Move::Strategy(op.index, from, c.strategy);
+                        flips.push((forced, place.clone(), mv));
+                    }
+                }
+                Some(_) => {}
+                None => {
+                    let (matrix, schemes) = hashed[coord - ops.len()];
+                    let now = place.iter().find(|p| p.0 == matrix).map(|p| p.1);
+                    for to in choices(schemes).filter(|&to| to != now) {
+                        let mut place = place.clone();
+                        place.retain(|p| p.0 != matrix);
+                        place.extend(to.map(|s| (matrix, s)));
+                        place.sort_by_key(|p| p.0);
+                        flips.push((forced.clone(), place, Move::Place(matrix, to)));
+                    }
+                }
+            }
+            for (f, pl, mv) in flips {
+                // Only a cheaper plan is worth finishing (and certifying).
+                let p = greedy(&f, &pl)?;
+                if p.estimated_comm >= best.estimated_comm {
+                    continue;
+                }
+                let mut p = p.finish();
+                if improves(&p, &best) {
+                    let saved = best.estimated_comm - p.estimated_comm;
+                    p.search = std::mem::take(&mut best.search);
+                    p.search.moves.push((mv, saved));
+                    (best, forced, place, moved) = (p, f, pl, true);
+                }
+            }
+        }
+        if !moved {
             return Ok(best);
         }
     }
-    Ok(first_touch)
 }
 
-/// The first placements the planner prices, first touch (the empty
-/// placement) first: every {first touch, Row, Column} choice for each
-/// `load` source that starts Hash-placed, and every {first touch, Row,
-/// Column, Broadcast} choice for each such `random` source. DMac only; a
-/// cached placement is never second-guessed, and above
-/// [`MAX_PLACED_INPUTS`] such inputs only first touch is tried.
-fn placements(
+/// The one acceptance rule of the search, for the product seed and every
+/// descent move alike: `next` replaces `incumbent` only if it moves
+/// strictly fewer bytes and its certified peak is no higher.
+fn improves(next: &Planned, incumbent: &Planned) -> bool {
+    next.estimated_comm < incumbent.estimated_comm
+        && next.certificate.peak <= incumbent.certificate.peak
+}
+
+/// Every `load` source that starts Hash-placed, with the Row and Column
+/// first placements it may take, and every such `random` source, which
+/// may also be generated Broadcast. DMac only: a cached placement is
+/// never second-guessed.
+fn hashed_sources(
     program: &Program,
     cfg: &PlannerConfig,
     initial_schemes: &HashMap<MatrixId, PartitionScheme>,
-) -> Vec<Placement> {
+) -> Vec<(MatrixId, &'static [PartitionScheme])> {
     use PartitionScheme::{Broadcast, Col, Row};
-    let hashed: Vec<(MatrixId, &[PartitionScheme])> = program
+    if !cfg.exploit_dependencies {
+        return Vec::new();
+    }
+    program
         .matrices()
         .iter()
         .filter(|d| {
@@ -238,17 +342,24 @@ fn placements(
             MatrixOrigin::Random => Some((d.id, &[Row, Col, Broadcast][..])),
             MatrixOrigin::Op(_) => None,
         })
-        .collect();
+        .collect()
+}
+
+/// A source's first placements: by its first reader (`None`), then each
+/// of `schemes`.
+fn choices(schemes: &[PartitionScheme]) -> impl Iterator<Item = Option<PartitionScheme>> + '_ {
+    std::iter::once(None).chain(schemes.iter().copied().map(Some))
+}
+
+/// The product of first placements over `hashed`, first touch (the empty
+/// placement) first: every choice for every source.
+fn placements(hashed: &[(MatrixId, &[PartitionScheme])]) -> Vec<Placement> {
     let mut out = vec![Placement::new()];
-    if !cfg.exploit_dependencies || hashed.len() > MAX_PLACED_INPUTS {
-        return out;
-    }
-    for (id, schemes) in hashed {
+    for &(id, schemes) in hashed {
         out = out
             .into_iter()
             .flat_map(|place| {
-                let choices = std::iter::once(None).chain(schemes.iter().copied().map(Some));
-                choices.map(move |s| {
+                choices(schemes).map(move |s| {
                     let mut place = place.clone();
                     place.extend(s.map(|s| (id, s)));
                     place
@@ -320,7 +431,6 @@ fn propagate(
 /// (of side `block`) are left unfused.
 fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
     use crate::plan::FusedOp;
-    use crate::strategy::Strategy;
     use dmac_lang::{BinOp, OpKind, UnaryOp};
     use std::collections::HashSet;
 
@@ -508,8 +618,8 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
     }
 }
 
-/// Exhaustive planning oracle: enumerate every first placement the
-/// planner prices (`placements`) times every per-operator strategy
+/// Exhaustive planning oracle: enumerate every first placement of the
+/// Hash-placed inputs (`placements`, uncapped) times every per-operator strategy
 /// assignment, plan each with the full dependency machinery, and return
 /// the cheapest plan by estimated communication. The planner's own plan
 /// is one of these combinations, so the oracle never costs more.
@@ -526,26 +636,27 @@ pub fn plan_exhaustive(
 ) -> Result<Planned> {
     program.validate()?;
     let profiles = propagate(program, cfg, &HashMap::new());
-    let places = placements(program, cfg, initial_schemes);
+    let hashed = hashed_sources(program, cfg, initial_schemes);
     // Candidate count per operator.
     let counts: Vec<usize> = program
         .ops()
         .iter()
         .map(|op| candidates(&op.kind, cfg.allow_cpmm).len())
         .collect();
-    let total: usize = counts
-        .iter()
-        .try_fold(places.len(), |acc, &c| {
+    let places = hashed.iter().map(|(_, schemes)| schemes.len() + 1);
+    let total: usize = (counts.iter().copied().chain(places))
+        .try_fold(1usize, |acc, c| {
             acc.checked_mul(c).filter(|&t| t <= max_combinations)
         })
         .ok_or_else(|| {
             CoreError::Planner(format!(
-                "exhaustive search over {} operators and {} placements exceeds the {} combination budget",
+                "exhaustive search over {} operators and {} placed inputs exceeds the {} combination budget",
                 counts.len(),
-                places.len(),
+                hashed.len(),
                 max_combinations
             ))
         })?;
+    let places = placements(&hashed);
     // The post-passes move no bytes, so only the winner is finished.
     let mut best: Option<Planner> = None;
     for place in &places {
@@ -671,11 +782,17 @@ impl<'a> Planner<'a> {
                     .unwrap_or(0)
             })
             .collect();
+        let search = Search {
+            seed_comm: self.estimated_comm,
+            seed_peak: certificate.peak,
+            moves: Vec::new(),
+        };
         Planned {
             plan: self.plan,
             estimated_comm: self.estimated_comm,
             profiles: self.profiles.to_vec(),
             certificate,
+            search,
         }
     }
 
@@ -1047,12 +1164,8 @@ impl<'a> Planner<'a> {
         // event has multiple values {r|c}, so pick the one the next
         // consumer of this output wants for free.
         if self.cfg.re_assignment {
-            let rmm1 = priced
-                .iter()
-                .find(|(_, c)| c.strategy == crate::strategy::Strategy::Rmm1);
-            let rmm2 = priced
-                .iter()
-                .find(|(_, c)| c.strategy == crate::strategy::Strategy::Rmm2);
+            let rmm1 = priced.iter().find(|(_, c)| c.strategy == Strategy::Rmm1);
+            let rmm2 = priced.iter().find(|(_, c)| c.strategy == Strategy::Rmm2);
             if let (Some((c1, k1)), Some((c2, k2))) = (rmm1, rmm2) {
                 if *c1 == best_cost && *c2 == best_cost {
                     if let Some(m) = op.out_matrix {

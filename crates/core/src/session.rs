@@ -439,28 +439,29 @@ impl Session {
         initial
     }
 
-    /// Plan `program` from the given placements and source profiles. In
-    /// debug builds, any installed plan verifier (see
-    /// [`crate::verifyhook`]) re-checks the plan's invariants before it
-    /// is returned.
+    /// Plan `program` from the given placements and source profiles —
+    /// searched, or with `forced` strategies and no search. In debug
+    /// builds, any installed plan verifier (see [`crate::verifyhook`])
+    /// re-checks the plan's invariants before it is returned.
     fn plan_with(
         &self,
         program: &Program,
         initial: &HashMap<MatrixId, PartitionScheme>,
         sources: &HashMap<MatrixId, SparsityProfile>,
+        forced: Option<&HashMap<usize, usize>>,
     ) -> Result<Planned> {
-        let workers = self.cluster.workers();
-        let planned = plan_program_profiled(program, &self.planner, workers, initial, sources)?;
-        crate::verifyhook::check(program, &planned, &self.planner, workers)?;
+        let (cfg, workers) = (&self.planner, self.cluster.workers());
+        let planned = match forced {
+            None => plan_program_profiled(program, cfg, workers, initial, sources)?,
+            Some(_) => plan_with_forced_profiled(program, cfg, workers, initial, sources, forced)?,
+        };
+        crate::verifyhook::check(program, &planned, cfg, workers)?;
         Ok(planned)
     }
 
     /// Plan a program without executing it.
     pub fn plan_only(&self, program: &Program) -> Result<Plan> {
-        let initial = self.initial_schemes(program);
-        Ok(self
-            .plan_with(program, &initial, &self.peeked_profiles(program))?
-            .plan)
+        Ok(self.prepare(program)?.planned.plan)
     }
 
     /// Plan a program once for repeated execution ([`Session::run_prepared`]).
@@ -468,8 +469,31 @@ impl Session {
     /// environment; if a later run finds an input under a different
     /// scheme, `run_prepared` rejects it (re-`prepare` instead).
     pub fn prepare(&self, program: &Program) -> Result<PreparedProgram> {
+        self.prepare_with(program, None)
+    }
+
+    /// Like [`Session::prepare`], but with the strategy of selected
+    /// operators forced (`forced[op index] = candidate index`) and no
+    /// search: every other operator keeps the greedy argmin and every
+    /// input is placed by its first reader ([`plan_with_forced_profiled`]).
+    /// A what-if plan, e.g. a reference that computes every product the
+    /// way another plan does.
+    pub fn prepare_forced(
+        &self,
+        program: &Program,
+        forced: &HashMap<usize, usize>,
+    ) -> Result<PreparedProgram> {
+        self.prepare_with(program, Some(forced))
+    }
+
+    fn prepare_with(
+        &self,
+        program: &Program,
+        forced: Option<&HashMap<usize, usize>>,
+    ) -> Result<PreparedProgram> {
         let initial = self.initial_schemes(program);
-        let planned = self.plan_with(program, &initial, &self.peeked_profiles(program))?;
+        let sources = self.peeked_profiles(program);
+        let planned = self.plan_with(program, &initial, &sources, forced)?;
         Ok(PreparedProgram {
             program: program.clone(),
             planned,
@@ -541,15 +565,16 @@ impl Session {
     pub fn explain(&self, program: &Program) -> Result<String> {
         let initial = self.initial_schemes(program);
         let sources = self.peeked_profiles(program);
-        let planned = self.plan_with(program, &initial, &sources)?;
+        let planned = self.plan_with(program, &initial, &sources, None)?;
         let plan = &planned.plan;
         let cert = &planned.certificate;
         Ok(format!(
-            "{}\n{}{}{}memory: certified peak {} bytes at step {} over {} steps\n",
+            "{}\n{}{}{}{}memory: certified peak {} bytes at step {} over {} steps\n",
             plan.explain(program),
             stage::explain_stages(plan, program),
             explain_sparsity(plan, program),
             self.explain_placement(program, &initial, &sources, plan)?,
+            self.explain_search(program, &planned),
             cert.peak,
             cert.argmax,
             plan.steps.len(),
@@ -631,11 +656,46 @@ impl Session {
         Ok(s)
     }
 
+    /// Why the plan differs from the placement product's winner (DMac
+    /// only): the seed's and the final predicted bytes, then one line per
+    /// move the coordinate descent kept, e.g.
+    /// `descent: op 5 RMM1 → RMM2 (−6 144 B)` or
+    /// `descent: W → b (−3 584 B)`.
+    fn explain_search(&self, program: &Program, planned: &Planned) -> String {
+        use crate::planner::Move;
+        use std::fmt::Write as _;
+        let mut s = String::new();
+        if !self.planner.exploit_dependencies {
+            return s;
+        }
+        let search = &planned.search;
+        let _ = writeln!(
+            s,
+            "search: product seed {} B → {} B after {} descent move(s)",
+            grouped(search.seed_comm),
+            grouped(planned.estimated_comm),
+            search.moves.len()
+        );
+        for &(mv, saved) in &search.moves {
+            let what = match mv {
+                Move::Strategy(op, from, to) => format!("op {op} {} → {}", from.name(), to.name()),
+                Move::Place(matrix, to) => format!(
+                    "{} → {}",
+                    program.decl(matrix).map_or("?", |d| d.name.as_str()),
+                    to.map_or("first touch".to_string(), |s| s.to_string())
+                ),
+            };
+            let _ = writeln!(s, "descent: {what} (−{} B)", grouped(saved));
+        }
+        s
+    }
+
     /// Plan and execute a program; persists `store`d outputs.
     pub fn run(&mut self, program: &Program) -> Result<ExecReport> {
         let spill0 = self.env.spill_traffic();
         let (bindings, initial) = self.resolve_inputs(program)?;
-        let planned = self.plan_with(program, &initial, &Self::measured_profiles(&bindings))?;
+        let sources = Self::measured_profiles(&bindings);
+        let planned = self.plan_with(program, &initial, &sources, None)?;
         self.execute_planned(program, &planned, &bindings, spill0)
     }
 
@@ -1323,6 +1383,35 @@ mod tests {
         assert_eq!(
             text.matches("(generated; first touch h→").count(),
             2,
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn explain_names_each_kept_descent_move() {
+        // The serve workload's smallest GNMF script: the descent flips
+        // `V %*% Hᵀ` to RMM2 in both W-updates, then re-places `W` and `H`.
+        let script = "V = random(V, 96, 72)\nW = random(W, 96, 8)\nH = random(H, 8, 72)\n\
+                      for (i in 0:1) {\n\
+                      H = H * (W.t %*% V) / (W.t %*% W %*% H)\n\
+                      W = W * (V %*% H.t) / (W %*% H %*% H.t)\n}\n\
+                      store(W)\nstore(H)\n";
+        let p = dmac_lang::parse_script(script).unwrap().program;
+        let s = Session::builder().workers(4).block_size(16).build();
+        let text = s.explain(&p).unwrap();
+        let lines: Vec<_> = text
+            .lines()
+            .filter(|l| l.starts_with("search: ") || l.starts_with("descent: "))
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "search: product seed 65 536 B → 47 104 B after 4 descent move(s)",
+                "descent: op 5 RMM1 → RMM2 (−6 144 B)",
+                "descent: op 15 RMM1 → RMM2 (−6 144 B)",
+                "descent: W → b (−3 584 B)",
+                "descent: H → c (−2 560 B)",
+            ],
             "{text}"
         );
     }

@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -123,6 +123,18 @@ for f in crates/core/src/planner.rs crates/core/src/liveness.rs; do
          END { if (!n) { print FILENAME ": never calls classify(" ; exit 1 } }' "$f"
 done
 if grep -rn "dependency::" crates/analyze; then exit 1; fi
+# One acceptance rule: the placement product and the coordinate descent
+# both ask `improves` (strictly fewer bytes and no higher a certified peak
+# than the incumbent), so the peak comparison is spelled once, inside it,
+# in code before the tests.
+awk '/#\[cfg\(test\)\]/ { exit }
+     /^fn improves\(/ { inside = 1 }
+     { code = $0; sub(/\/\/.*/, "", code) }
+     code ~ /certificate\.peak <=/ { n++; if (inside) here++ }
+     inside && /^}/ { inside = 0 }
+     END { if (n != 1 || here != 1) {
+               print FILENAME ": certificate.peak <= x" n+0 ", inside fn improves( x" here+0 " (want 1, 1)"
+               exit 1 } }' crates/core/src/planner.rs
 # The cluster meters only bytes a primitive moves (Cluster::send) and
 # records spans in finish_op / charge_recovery: no side door charges
 # modelled traffic. And a tile moves one way: a worker's `xfer` installs

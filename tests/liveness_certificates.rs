@@ -287,14 +287,32 @@ fn certificates_hold_for_all_apps_sparse_socket() {
     matrix(0.25, true);
 }
 
+/// A plan's choice of strategy for every multiplication of `program`,
+/// as `Session::prepare_forced` takes it: op index → candidate index.
+fn choices(program: &Program, plan: &dmac::core::plan::Plan) -> HashMap<usize, usize> {
+    use dmac::core::strategy::candidates;
+    let ops = program.ops().iter().filter(|op| op.kind.is_matmul());
+    ops.map(|op| {
+        let chosen = plan.strategy_of(op.index).unwrap();
+        let cands = candidates(&op.kind, true);
+        (
+            op.index,
+            cands.iter().position(|c| c.strategy == chosen).unwrap(),
+        )
+    })
+    .collect()
+}
+
 /// Prepare and run `program` over `store` at the memory experiment's
-/// scale; returns `(certified peak, observed peak, named result bits)`.
+/// scale — searched, or with `forced` strategies and no search; returns
+/// `(certified peak, observed peak, named result bits, strategies)`.
 fn run_over(
     program: &Program,
     bindings: &[(&str, BlockedMatrix)],
     results: &[&str],
     store: SharedStore,
-) -> (u64, u64, Vec<Vec<u64>>) {
+    forced: Option<&HashMap<usize, usize>>,
+) -> (u64, u64, Vec<Vec<u64>>, HashMap<usize, usize>) {
     let mut s = Session::builder()
         .workers(4)
         .local_threads(2)
@@ -305,7 +323,11 @@ fn run_over(
     for (name, m) in bindings {
         s.bind(name, m.clone()).unwrap();
     }
-    let prep = s.prepare(program).unwrap();
+    let prep = match forced {
+        Some(forced) => s.prepare_forced(program, forced),
+        None => s.prepare(program),
+    }
+    .unwrap();
     let report = s.run_prepared(&prep).unwrap();
     let bits = results
         .iter()
@@ -314,11 +336,20 @@ fn run_over(
             m.data().iter().map(|v| v.to_bits()).collect()
         })
         .collect();
-    (prep.certificate().peak, report.trace.peak_resident(), bits)
+    let strategies = choices(program, prep.plan());
+    (
+        prep.certificate().peak,
+        report.trace.peak_resident(),
+        bits,
+        strategies,
+    )
 }
 
 /// What the early frees buy, against the all-pinned plan of the same
-/// program: a certified peak at most three quarters of the reference's,
+/// program — the twin computes every multiplication by the strategy the
+/// early-free plan chose, so the two differ in their frees alone (a
+/// searched twin, whose peak differs, may keep other strategies and round
+/// differently): a certified peak at most three quarters of the reference's,
 /// and — under a disk-backed store budgeted at half the reference's
 /// observed peak, where the engine's residency displaces the bound inputs
 /// — a peak footprint at least a quarter lower, no more spilled bytes
@@ -332,9 +363,11 @@ fn assert_frees_pay_off(
     fits: bool,
 ) {
     let pinned = pin_all_intermediates(program);
-    let (cert, obs, bits) = run_over(program, bindings, results, SharedStore::new());
-    let (cert_pinned, obs_pinned, bits_pinned) =
-        run_over(&pinned, bindings, results, SharedStore::new());
+    let (cert, obs, bits, strategies) =
+        run_over(program, bindings, results, SharedStore::new(), None);
+    let twin = Some(&strategies);
+    let (cert_pinned, obs_pinned, bits_pinned, _) =
+        run_over(&pinned, bindings, results, SharedStore::new(), twin);
     assert!(obs <= cert, "{name}: observed {obs} > certified {cert}");
     assert!(
         4 * cert <= 3 * cert_pinned,
@@ -352,8 +385,8 @@ fn assert_frees_pay_off(
         SharedStore::with_capacity_and_disk(obs_pinned / 2, dir).unwrap()
     };
     let (store, store_pinned) = (capped("frees"), capped("pinned"));
-    let (_, _, capped_bits) = run_over(program, bindings, results, store.clone());
-    let (_, _, capped_pinned) = run_over(&pinned, bindings, results, store_pinned.clone());
+    let (_, _, capped_bits, _) = run_over(program, bindings, results, store.clone(), None);
+    let (_, _, capped_pinned, _) = run_over(&pinned, bindings, results, store_pinned.clone(), twin);
     let (on, off) = (store.stats(), store_pinned.stats());
     assert!(
         4 * on.peak_footprint <= 3 * off.peak_footprint,

@@ -328,6 +328,35 @@ fn placement_search_never_loses_to_first_touch() {
     }
 }
 
+/// The coordinate descent never loses to the placement product's winner
+/// it starts from: over both corpora, bound and `random` sources, the
+/// final plan predicts no more bytes than the seed, certifies no higher a
+/// peak, saves exactly what its kept moves claim, and passes the
+/// independent verifier (V01–V20).
+#[test]
+fn descent_never_loses_to_its_seed() {
+    let cfg = PlannerConfig::default();
+    let mut moved = 0;
+    for random in [false, true] {
+        let mut rng = SplitMix64::new(SEED ^ 7);
+        for case in 0..64 {
+            let picks = op_picks(&mut rng, 1, 15);
+            let (program, _) = build_program(&picks, random);
+            let planned = plan_program(&program, &cfg, 4, &HashMap::new()).unwrap();
+            let (search, label) = (&planned.search, format!("case {case} ({random})"));
+            assert!(planned.estimated_comm <= search.seed_comm, "{label}");
+            assert!(planned.certificate.peak <= search.seed_peak, "{label}");
+            let saved: u64 = search.moves.iter().map(|&(_, b)| b).sum();
+            assert_eq!(planned.estimated_comm + saved, search.seed_comm, "{label}");
+            assert!(search.moves.iter().all(|&(_, b)| b > 0), "{label}");
+            dmac::analyze::verify_planned(&program, &planned, &cfg, 4)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            moved += !search.moves.is_empty() as usize;
+        }
+    }
+    assert!(moved > 0, "no case kept a descent move");
+}
+
 /// The finish's re-derivation pass moves no byte and never raises
 /// memory. Strip every rebuilt step from a finished plan, pointing its
 /// readers and outputs back at the copy it replaced: the pass turns what
