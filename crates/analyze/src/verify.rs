@@ -664,7 +664,7 @@ impl<'a> Verifier<'a> {
             .ops()
             .get(op_idx)
             .ok_or_else(|| format!("V07: step {i} computes unknown operator {op_idx}"))?;
-        let cands = candidates(&op.kind, self.cfg.allow_cpmm);
+        let cands = candidates(&op.kind);
         let cand = cands
             .iter()
             .find(|c| c.strategy == strategy)
@@ -1023,18 +1023,7 @@ mod tests {
     #[test]
     fn gnmf_verifies_under_all_configs() {
         let p = gnmf_h();
-        for cfg in [
-            PlannerConfig::default(),
-            PlannerConfig::systemml_s(),
-            PlannerConfig {
-                pull_up_broadcast: false,
-                ..PlannerConfig::default()
-            },
-            PlannerConfig {
-                allow_cpmm: false,
-                ..PlannerConfig::default()
-            },
-        ] {
+        for cfg in [PlannerConfig::default(), PlannerConfig::systemml_s()] {
             let planned = plan_program(&p, &cfg, 4, &Map::new()).unwrap();
             let s = verify_planned(&p, &planned, &cfg, 4)
                 .unwrap_or_else(|m| panic!("{m}\n{}", planned.plan.explain(&p)));

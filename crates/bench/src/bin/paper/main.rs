@@ -9,7 +9,6 @@
 //! Every experiment prints its table and asserts its own invariants; a
 //! panic is a failure. An unknown subcommand exits non-zero with the list.
 
-mod ablation;
 mod faults;
 mod fig10;
 mod fig6;
@@ -22,7 +21,7 @@ mod table4;
 type Experiment = (&'static str, &'static str, fn());
 
 /// The subcommand table, in `all` order.
-const EXPERIMENTS: [Experiment; 8] = [
+const EXPERIMENTS: [Experiment; 7] = [
     ("fig6", "GNMF accumulated time + communication", fig6::run),
     ("fig7", "In-Place vs Buffer memory", fig7::run),
     ("fig8", "block-size influence", fig8::run),
@@ -32,11 +31,6 @@ const EXPERIMENTS: [Experiment; 8] = [
         "table4",
         "ScaLAPACK / SciDB / SystemML-S / DMac",
         table4::run,
-    ),
-    (
-        "ablation",
-        "H1 / H2 / ordering / CPMM ablations",
-        ablation::run,
     ),
     ("faults", "recovery overhead vs fault-free", faults::run),
 ];

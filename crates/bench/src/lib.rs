@@ -16,7 +16,6 @@
 //! | `fig9`  | Fig 9(a) PageRank per-iteration time; 9(b) LR/CF/SVD ratios |
 //! | `fig10` | Fig 10(a–d) scalability in data size and workers |
 //! | `table4`| Table 4 MM-Sparse / MM-Dense across four systems |
-//! | `ablation` | design-choice ablations (H1, H2, mult-first, CPMM) |
 //! | `faults` | recovery overhead of mid-run worker loss + retry cost of flaky links |
 //! | `all`   | every subcommand above, in sequence, in one process |
 

@@ -22,9 +22,10 @@
 //!    until their first consumer pins the scheme that makes it free.
 //!
 //! With `exploit_dependencies = false` the same machinery plans like
-//! **SystemML-S**: every input event is priced and satisfied as if nothing
-//! were reusable (each operator repartitions its inputs from the
-//! hash-partitioned cache), which is exactly the baseline of §6.1.
+//! **SystemML-S**: in program order, with neither heuristic, every input
+//! event is priced and satisfied as if nothing were reusable (each
+//! operator repartitions its inputs from the hash-partitioned cache),
+//! which is exactly the baseline of §6.1.
 
 use std::collections::HashMap;
 
@@ -38,21 +39,14 @@ use crate::error::{CoreError, Result};
 use crate::plan::{MemoryCertificate, NodeId, Plan, PlanStep};
 use crate::strategy::{candidates, Candidate, OutScheme, Strategy};
 
-/// Planner knobs. Defaults reproduce full DMac; the ablation benches and
-/// the SystemML-S baseline flip individual switches.
+/// Planner knobs. The default is DMac; [`PlannerConfig::systemml_s`] is
+/// the one other planner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerConfig {
-    /// Track matrix dependencies across operators (the paper's core idea).
-    /// `false` plans like SystemML-S.
+    /// Track matrix dependencies across operators (the paper's core idea):
+    /// the whole of Algorithm 1 — multiplication-first order, Pull-Up
+    /// Broadcast, Re-assignment. `false` plans like SystemML-S.
     pub exploit_dependencies: bool,
-    /// §4.2.3: hoist ready multiplications in the decomposition order.
-    pub multiplication_first: bool,
-    /// Heuristic 1: Pull-Up Broadcast.
-    pub pull_up_broadcast: bool,
-    /// Heuristic 2: Re-assignment of flexible output schemes.
-    pub re_assignment: bool,
-    /// Allow the CPMM strategy (ablation switch).
-    pub allow_cpmm: bool,
     /// The session's square block size: the blocking the sparsity
     /// profiles are propagated in, the memory certificate prices CSC
     /// overhead at, and the fusion size gate counts blocks with.
@@ -65,10 +59,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             exploit_dependencies: true,
-            multiplication_first: true,
-            pull_up_broadcast: true,
-            re_assignment: true,
-            allow_cpmm: true,
             fusion_block: 256,
         }
     }
@@ -80,9 +70,6 @@ impl PlannerConfig {
     pub fn systemml_s() -> PlannerConfig {
         PlannerConfig {
             exploit_dependencies: false,
-            multiplication_first: false,
-            pull_up_broadcast: false,
-            re_assignment: false,
             ..PlannerConfig::default()
         }
     }
@@ -264,7 +251,7 @@ pub fn plan_program_profiled(
             match ops.get(coord) {
                 Some(op) if op.kind.is_matmul() => {
                     let from = best.plan.strategy_of(op.index).expect("a planned product");
-                    let cands = candidates(&op.kind, cfg.allow_cpmm);
+                    let cands = candidates(&op.kind);
                     for (i, c) in cands.iter().enumerate().filter(|(_, c)| c.strategy != from) {
                         let mut forced = forced.clone();
                         forced.insert(op.index, i);
@@ -641,7 +628,7 @@ pub fn plan_exhaustive(
     let counts: Vec<usize> = program
         .ops()
         .iter()
-        .map(|op| candidates(&op.kind, cfg.allow_cpmm).len())
+        .map(|op| candidates(&op.kind).len())
         .collect();
     let places = hashed.iter().map(|(_, schemes)| schemes.len() + 1);
     let total: usize = (counts.iter().copied().chain(places))
@@ -752,7 +739,7 @@ impl<'a> Planner<'a> {
             };
             p.acquire(&r, Some(scheme), 0)?;
         }
-        for &op_idx in &program.planner_order(cfg.multiplication_first) {
+        for &op_idx in &program.planner_order(cfg.exploit_dependencies) {
             p.plan_operator(op_idx)?;
         }
         p.bind_outputs()?;
@@ -850,7 +837,7 @@ impl<'a> Planner<'a> {
         // Row and Column makes it free.
         let pinned = |dep| {
             let pins = [PartitionScheme::Row, PartitionScheme::Col];
-            let flexible = |&n: &NodeId| self.cfg.re_assignment && self.plan.nodes[n].flexible;
+            let flexible = |&n: &NodeId| self.plan.nodes[n].flexible;
             nodes.iter().copied().filter(flexible).find_map(|n| {
                 let t = self.plan.nodes[n].transposed;
                 let pin = pins
@@ -919,14 +906,14 @@ impl<'a> Planner<'a> {
 
         // Heuristic 1: a broadcast need meets an earlier paid partition of
         // the same matrix — rewrite that partition into broadcast+extract.
-        if self.cfg.pull_up_broadcast && req == PartitionScheme::Broadcast {
+        if self.cfg.exploit_dependencies && req == PartitionScheme::Broadcast {
             if let Some(rec_idx) = self.input_records.iter().position(|rec| {
                 rec.matrix == r.id
                     && rec.scheme.is_rc()
                     && rec.cost > 0
                     && rec.partition_step.is_some()
             }) {
-                self.pull_up_broadcast(rec_idx)?;
+                self.pull_up(rec_idx)?;
                 if let Some(free) = self.find_free(r, req) {
                     return Ok(self.realize_free(free, r, req, phase));
                 }
@@ -1026,7 +1013,7 @@ impl<'a> Planner<'a> {
     /// Heuristic 1: rewrite the recorded partition step into
     /// broadcast + extract of the same source, so the broadcast copy also
     /// serves the pending broadcast requirement.
-    fn pull_up_broadcast(&mut self, rec_idx: usize) -> Result<()> {
+    fn pull_up(&mut self, rec_idx: usize) -> Result<()> {
         let step_idx = self.input_records[rec_idx]
             .partition_step
             .expect("checked by caller");
@@ -1124,7 +1111,7 @@ impl<'a> Planner<'a> {
         let kind = op.kind.clone();
         let phase = op.phase;
         let inputs = kind.inputs();
-        let cands = candidates(&kind, self.cfg.allow_cpmm);
+        let cands = candidates(&kind);
         debug_assert!(!cands.is_empty());
 
         let out_bytes = op.out_matrix.map(|m| self.bytes_of_matrix(m)).unwrap_or(0);
@@ -1163,7 +1150,7 @@ impl<'a> Planner<'a> {
         // introducing the same amount of communication cost" — the output
         // event has multiple values {r|c}, so pick the one the next
         // consumer of this output wants for free.
-        if self.cfg.re_assignment {
+        if self.cfg.exploit_dependencies {
             let rmm1 = priced.iter().find(|(_, c)| c.strategy == Strategy::Rmm1);
             let rmm2 = priced.iter().find(|(_, c)| c.strategy == Strategy::Rmm2);
             if let (Some((c1, k1)), Some((c2, k2))) = (rmm1, rmm2) {
@@ -1213,12 +1200,10 @@ impl<'a> Planner<'a> {
                 Some(self.plan.add_node(m, false, scheme, false))
             }
             (OutScheme::FlexibleRc, Some(m)) => {
-                if !self.cfg.exploit_dependencies {
-                    Some(self.plan.add_node(m, false, PartitionScheme::Hash, false))
-                } else if self.cfg.re_assignment {
+                if self.cfg.exploit_dependencies {
                     Some(self.plan.add_node(m, false, PartitionScheme::Row, true))
                 } else {
-                    Some(self.plan.add_node(m, false, PartitionScheme::Row, false))
+                    Some(self.plan.add_node(m, false, PartitionScheme::Hash, false))
                 }
             }
             (OutScheme::SameAsInput, Some(m)) => {
@@ -1374,22 +1359,14 @@ mod tests {
     }
 
     #[test]
-    fn systemml_baseline_differs_only_in_the_dependency_switches() {
+    fn systemml_baseline_differs_only_in_the_dependency_switch() {
         // Paper §6.1 / DESIGN §2: SystemML-S is DMac "without utilizing
         // matrix dependency" — same strategies, same fused local engine.
         let s = PlannerConfig::systemml_s();
-        assert!(
-            !s.exploit_dependencies
-                && !s.multiplication_first
-                && !s.pull_up_broadcast
-                && !s.re_assignment
-        );
+        assert!(!s.exploit_dependencies);
         assert_eq!(
             PlannerConfig {
                 exploit_dependencies: true,
-                multiplication_first: true,
-                pull_up_broadcast: true,
-                re_assignment: true,
                 ..s
             },
             PlannerConfig::default()
@@ -1526,76 +1503,53 @@ mod tests {
         assert!(plan.nodes.iter().all(|n| !n.flexible));
     }
 
-    #[test]
-    fn pull_up_broadcast_rewrites_partition() {
-        // op1 needs A(r) (cell-wise with B), op2 needs A(b) (it is the
-        // small side of a multiplication with huge C). H1 must rewrite
-        // op1's partition of A into broadcast+extract.
+    /// `S = A + B; M = A %*% (C · sum(S))`: the multiply reads the add's
+    /// result, so even multiplication-first order plans the add first and
+    /// partitions `A` for it; then `A` is the small side of a product with
+    /// huge `C`, which wants `A(b)`.
+    fn pull_up_program() -> (Program, MatrixId) {
         let mut p = Program::new();
         let a = p.load("A", 40, 40, 1.0);
         let b = p.load("B", 40, 40, 1.0);
         let c = p.load("C", 40, 100_000, 1.0);
-        let s = p.add(a, b).unwrap(); // A gets partitioned here
-        let m = p.matmul(a, c).unwrap(); // A wants broadcast here
-        let m2 = p.matmul(s, c).unwrap();
+        let s = p.add(a, b).unwrap();
+        let total = p.sum(s).unwrap();
+        let scaled = p.scale(c, total).unwrap();
+        let m = p.matmul(a, scaled).unwrap();
         p.output(m);
-        p.output(m2);
-        let cfg = PlannerConfig {
-            multiplication_first: false, // keep program order so the add is planned first
-            ..PlannerConfig::default()
-        };
-        let planned = plan_program(&p, &cfg, 4, &schemes()).unwrap();
-        let explain = planned.plan.explain(&p);
+        (p, a.id)
+    }
+
+    #[test]
+    fn pull_up_rewrites_partition_into_broadcast() {
+        // H1 must rewrite the add's partition of A into broadcast+extract.
+        let (p, a_id) = pull_up_program();
+        let planned = plan_program(&p, &PlannerConfig::default(), 4, &schemes()).unwrap();
+        let plan = &planned.plan;
+        let explain = plan.explain(&p);
+        let of_a = |s: &PlanStep| s.out_node().is_some_and(|o| plan.nodes[o].matrix == a_id);
         // A must be broadcast exactly once and never partitioned.
-        let a_id = a.id;
-        let partitions_of_a = planned
-            .plan
-            .steps
-            .iter()
-            .filter(|s| match s {
-                PlanStep::Partition { out, .. } => planned.plan.nodes[*out].matrix == a_id,
-                _ => false,
-            })
+        let partitions_of_a = (plan.steps.iter())
+            .filter(|s| matches!(s, PlanStep::Partition { .. }) && of_a(s))
             .count();
-        let broadcasts_of_a = planned
-            .plan
-            .steps
-            .iter()
-            .filter(|s| match s {
-                PlanStep::Broadcast { out, .. } => planned.plan.nodes[*out].matrix == a_id,
-                _ => false,
-            })
-            .count();
+        let broadcasts: Vec<usize> = (plan.steps.iter().enumerate())
+            .filter(|(_, s)| matches!(s, PlanStep::Broadcast { .. }) && of_a(s))
+            .map(|(i, _)| i)
+            .collect();
         assert_eq!(partitions_of_a, 0, "{explain}");
-        assert_eq!(broadcasts_of_a, 1, "{explain}");
+        assert_eq!(broadcasts.len(), 1, "{explain}");
         // and the extract that replaced the partition exists
         assert!(
-            planned
-                .plan
-                .steps
+            plan.steps
                 .iter()
                 .any(|s| matches!(s, PlanStep::Extract { .. })),
             "{explain}"
         );
-
-        // Without H1: A is partitioned once and broadcast once.
-        let cfg_off = PlannerConfig {
-            pull_up_broadcast: false,
-            multiplication_first: false,
-            ..PlannerConfig::default()
-        };
-        let planned_off = plan_program(&p, &cfg_off, 4, &schemes()).unwrap();
-        let parts_off = planned_off
-            .plan
-            .steps
-            .iter()
-            .filter(|s| match s {
-                PlanStep::Partition { out, .. } => planned_off.plan.nodes[*out].matrix == a_id,
-                _ => false,
-            })
-            .count();
-        assert_eq!(parts_off, 1);
-        assert!(planned.estimated_comm <= planned_off.estimated_comm);
+        // A moves N·|A| in its one broadcast, B |B| in its partition, C
+        // |C| into Column for RMM1; nothing else moves.
+        let (a, c) = (8 * 40 * 40, 8 * 40 * 100_000);
+        assert_eq!(plan.predicted_bytes(broadcasts[0]), 4 * a, "{explain}");
+        assert_eq!(planned.estimated_comm, 4 * a + a + c, "{explain}");
     }
 
     #[test]
@@ -1642,27 +1596,9 @@ mod tests {
         // The flight recorder diffs per-step predictions against actuals;
         // the predictions must tile the planner's total estimate exactly,
         // under both configs and through the pull-up-broadcast rewrite.
-        let progs: Vec<Program> = vec![gnmf_h(), {
-            let mut p = Program::new();
-            let a = p.load("A", 40, 40, 1.0);
-            let b = p.load("B", 40, 40, 1.0);
-            let c = p.load("C", 40, 100_000, 1.0);
-            let s = p.add(a, b).unwrap();
-            let m = p.matmul(a, c).unwrap();
-            let m2 = p.matmul(s, c).unwrap();
-            p.output(m);
-            p.output(m2);
-            p
-        }];
+        let progs: Vec<Program> = vec![gnmf_h(), pull_up_program().0];
         for p in &progs {
-            for cfg in [
-                PlannerConfig::default(),
-                PlannerConfig::systemml_s(),
-                PlannerConfig {
-                    multiplication_first: false,
-                    ..PlannerConfig::default()
-                },
-            ] {
+            for cfg in [PlannerConfig::default(), PlannerConfig::systemml_s()] {
                 let planned = plan_program(p, &cfg, 4, &schemes()).unwrap();
                 assert_eq!(planned.plan.predicted.len(), planned.plan.steps.len());
                 assert_eq!(

@@ -46,7 +46,6 @@ pub struct SessionBuilder {
     local_threads: usize,
     network: NetworkModel,
     system: SystemKind,
-    planner: Option<PlannerConfig>,
     block_size: usize,
     seed: u64,
     fault_plan: Option<FaultPlan>,
@@ -64,7 +63,6 @@ impl Default for SessionBuilder {
             local_threads: 8,
             network: NetworkModel::default(),
             system: SystemKind::Dmac,
-            planner: None,
             block_size: 256,
             seed: 0xD11AC,
             fault_plan: None,
@@ -97,13 +95,6 @@ impl SessionBuilder {
     /// Which system plans the programs (DMac, SystemML-S, or single-node R).
     pub fn system(mut self, s: SystemKind) -> Self {
         self.system = s;
-        self
-    }
-
-    /// Override the planner configuration (ablations). Ignored for
-    /// [`SystemKind::SystemMlS`], which pins its own config.
-    pub fn planner(mut self, cfg: PlannerConfig) -> Self {
-        self.planner = Some(cfg);
         self
     }
 
@@ -164,11 +155,11 @@ impl SessionBuilder {
     /// Build the session, surfacing transport launch failures.
     pub fn try_build(self) -> Result<Session> {
         let (workers, mut planner) = match self.system {
-            SystemKind::Dmac => (self.workers, self.planner.unwrap_or_default()),
+            SystemKind::Dmac => (self.workers, PlannerConfig::default()),
             SystemKind::SystemMlS => (self.workers, PlannerConfig::systemml_s()),
             // R: the same engine confined to one worker — communication
             // disappears, matching the paper's single-machine baseline.
-            SystemKind::RLocal => (1, self.planner.unwrap_or_default()),
+            SystemKind::RLocal => (1, PlannerConfig::default()),
         };
         // Profile propagation, the memory certificate and the fusion size
         // gate all count in blocks of the session's size.

@@ -83,35 +83,31 @@ pub struct Candidate {
     pub output: OutScheme,
 }
 
-/// Enumerate the candidate strategies for an operator. `allow_cpmm` exists
-/// for the ablation study (restricting multiplication to RMM1/RMM2).
-pub fn candidates(kind: &OpKind, allow_cpmm: bool) -> Vec<Candidate> {
+/// Enumerate the candidate strategies for an operator: a multiplication
+/// is RMM1, RMM2 or CPMM (Figure 2), in that order, which is the index a
+/// forced choice names.
+pub fn candidates(kind: &OpKind) -> Vec<Candidate> {
     use PartitionScheme::{Broadcast, Col, Row};
     match kind {
         OpKind::Binary {
             op: BinOp::MatMul, ..
-        } => {
-            let mut v = vec![
-                Candidate {
-                    strategy: Strategy::Rmm1,
-                    inputs: vec![Some(Broadcast), Some(Col)],
-                    output: OutScheme::Fixed(Col),
-                },
-                Candidate {
-                    strategy: Strategy::Rmm2,
-                    inputs: vec![Some(Row), Some(Broadcast)],
-                    output: OutScheme::Fixed(Row),
-                },
-            ];
-            if allow_cpmm {
-                v.push(Candidate {
-                    strategy: Strategy::Cpmm,
-                    inputs: vec![Some(Col), Some(Row)],
-                    output: OutScheme::FlexibleRc,
-                });
-            }
-            v
-        }
+        } => vec![
+            Candidate {
+                strategy: Strategy::Rmm1,
+                inputs: vec![Some(Broadcast), Some(Col)],
+                output: OutScheme::Fixed(Col),
+            },
+            Candidate {
+                strategy: Strategy::Rmm2,
+                inputs: vec![Some(Row), Some(Broadcast)],
+                output: OutScheme::Fixed(Row),
+            },
+            Candidate {
+                strategy: Strategy::Cpmm,
+                inputs: vec![Some(Col), Some(Row)],
+                output: OutScheme::FlexibleRc,
+            },
+        ],
         OpKind::Binary { .. } => [Row, Col, Broadcast]
             .into_iter()
             .map(|s| Candidate {
@@ -148,7 +144,7 @@ mod tests {
 
     #[test]
     fn matmul_has_three_strategies_of_figure2() {
-        let c = candidates(&matmul_kind(), true);
+        let c = candidates(&matmul_kind());
         assert_eq!(c.len(), 3);
         assert_eq!(c[0].strategy, Strategy::Rmm1);
         assert_eq!(
@@ -165,20 +161,13 @@ mod tests {
     }
 
     #[test]
-    fn cpmm_can_be_disabled_for_ablation() {
-        let c = candidates(&matmul_kind(), false);
-        assert_eq!(c.len(), 2);
-        assert!(c.iter().all(|x| x.strategy != Strategy::Cpmm));
-    }
-
-    #[test]
     fn cellwise_has_three_aligned_strategies() {
         let kind = OpKind::Binary {
             op: BinOp::CellMul,
             lhs: Expr::new(0).into(),
             rhs: Expr::new(1).into(),
         };
-        let c = candidates(&kind, true);
+        let c = candidates(&kind);
         assert_eq!(c.len(), 3);
         for cand in &c {
             let Strategy::CellAligned(s) = cand.strategy else {
@@ -195,7 +184,7 @@ mod tests {
             op: UnaryOp::Scale(ScalarExpr::c(2.0)),
             input: Expr::new(0).into(),
         };
-        let c = candidates(&u, true);
+        let c = candidates(&u);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].inputs, vec![None]);
         assert_eq!(c[0].output, OutScheme::SameAsInput);
@@ -204,7 +193,7 @@ mod tests {
             op: ReduceOp::Sum,
             input: Expr::new(0).into(),
         };
-        let c = candidates(&r, true);
+        let c = candidates(&r);
         assert_eq!(c[0].output, OutScheme::Scalar);
     }
 

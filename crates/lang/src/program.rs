@@ -299,10 +299,10 @@ impl Program {
     /// multiplications come first ("we put the operators with
     /// multiplication ahead of the other operators because matrices will
     /// probably be broadcasted by multiplication"). With
-    /// `multiplication_first == false` the original program order is kept
-    /// (the ablation baseline).
-    pub fn planner_order(&self, multiplication_first: bool) -> Vec<usize> {
-        if !multiplication_first {
+    /// `hoist_matmuls == false` the original program order is kept
+    /// (how SystemML-S plans).
+    pub fn planner_order(&self, hoist_matmuls: bool) -> Vec<usize> {
+        if !hoist_matmuls {
             return (0..self.ops.len()).collect();
         }
         let n = self.ops.len();

@@ -417,7 +417,7 @@ mod tests {
 
     fn sparse_matrix(rows: usize, cols: usize, block: usize, every: usize) -> BlockedMatrix {
         BlockedMatrix::from_fn(rows, cols, block, |i, j| {
-            if (i * cols + j) % every == 0 {
+            if (i * cols + j).is_multiple_of(every) {
                 1.0
             } else {
                 0.0

@@ -20,10 +20,10 @@ cargo build --release --workspace --bins
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy (workspace, deny warnings)"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy (workspace, all targets, deny warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -135,6 +135,21 @@ awk '/#\[cfg\(test\)\]/ { exit }
      END { if (n != 1 || here != 1) {
                print FILENAME ": certificate.peak <= x" n+0 ", inside fn improves( x" here+0 " (want 1, 1)"
                exit 1 } }' crates/core/src/planner.rs
+# One planner switch: SystemML-S is DMac "without utilizing matrix
+# dependency", so `exploit_dependencies` selects the whole of Algorithm 1
+# (multiplication-first order, Pull-Up Broadcast, Re-assignment) or none
+# of it, and CPMM is always a candidate. PlannerConfig's pub fields are
+# that switch and the block size; a session picks its planner by
+# SystemKind alone; no ablation bench and no per-heuristic switch remain.
+awk '/^pub struct PlannerConfig/ { inside = 1 } inside && /^}/ { inside = 0 }
+     inside && /^    pub [a-z_0-9]+:/ { f = f " " substr($2, 1, length($2) - 1) }
+     END { if (f != " exploit_dependencies fusion_block") {
+               print FILENAME ": PlannerConfig pub fields:" f " (want exploit_dependencies fusion_block)"
+               exit 1 } }' crates/core/src/planner.rs
+if grep -n "fn planner(" crates/core/src/session.rs ||
+    [ -e crates/bench/src/bin/paper/ablation.rs ]; then exit 1; fi
+if grep -rnE 'multiplication_first|pull_up_broadcast|re_assignment|allow_cpmm' \
+    crates src tests examples; then exit 1; fi
 # The cluster meters only bytes a primitive moves (Cluster::send) and
 # records spans in finish_op / charge_recovery: no side door charges
 # modelled traffic. And a tile moves one way: a worker's `xfer` installs

@@ -9,7 +9,6 @@
 //! per-step `(predicted, actual)` pairs from `Trace::conformance()`.
 
 use dmac::core::baselines::SystemKind;
-use dmac::core::planner::PlannerConfig;
 use dmac::core::trace::Trace;
 use dmac::core::Session;
 use dmac::lang::Program;
@@ -33,14 +32,8 @@ fn dense(r: usize, c: usize, seed: u64) -> BlockedMatrix {
 
 /// Run a program on a dense-bound DMac session and return its trace.
 fn run(program: &Program, binds: &[(&str, BlockedMatrix)]) -> Trace {
-    run_with(program, binds, PlannerConfig::default())
-}
-
-/// [`run`] under planner configuration `cfg`.
-fn run_with(program: &Program, binds: &[(&str, BlockedMatrix)], cfg: PlannerConfig) -> Trace {
     let mut s = Session::builder()
         .system(SystemKind::Dmac)
-        .planner(cfg)
         .workers(WORKERS)
         .local_threads(1)
         .block_size(BLOCK)
@@ -169,8 +162,9 @@ fn kinds_with_free(trace: &Trace, free: &[&str]) -> Vec<String> {
 /// Row/Column scheme a later reader wants. `S` is broadcast once, as the
 /// small side of `S·C`; the cell-wise `S + D` then reads its own share of
 /// that copy through an `extract` that predicts and measures 0 bytes.
-/// Pull-Up Broadcast is off, so no rewritten partition can stand in for
-/// the Extract dependency.
+/// Multiplication-first order plans `S·C` before the add, so the add
+/// finds `S(b)` already held: an Extract dependency, not a partition that
+/// Pull-Up Broadcast rewrote.
 #[test]
 fn extract_from_a_broadcast_copy_costs_zero() {
     let mut p = Program::new();
@@ -186,11 +180,7 @@ fn extract_from_a_broadcast_copy_costs_zero() {
         ("C", dense(8, 256, 9)),
         ("D", dense(8, 8, 10)),
     ];
-    let cfg = PlannerConfig {
-        pull_up_broadcast: false,
-        ..PlannerConfig::default()
-    };
-    let trace = run_with(&p, &binds, cfg);
+    let trace = run(&p, &binds);
     assert_exact(&trace);
     let table = trace.conformance_table();
     assert_eq!(

@@ -125,24 +125,10 @@ fn script_programs() -> Vec<(String, Program)> {
         .collect()
 }
 
-fn planner_configs() -> [(&'static str, PlannerConfig); 4] {
+fn planner_configs() -> [(&'static str, PlannerConfig); 2] {
     [
         ("dmac", PlannerConfig::default()),
         ("systemml-s", PlannerConfig::systemml_s()),
-        (
-            "no-cpmm",
-            PlannerConfig {
-                allow_cpmm: false,
-                ..PlannerConfig::default()
-            },
-        ),
-        (
-            "no-pullup",
-            PlannerConfig {
-                pull_up_broadcast: false,
-                ..PlannerConfig::default()
-            },
-        ),
     ]
 }
 

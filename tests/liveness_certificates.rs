@@ -294,7 +294,7 @@ fn choices(program: &Program, plan: &dmac::core::plan::Plan) -> HashMap<usize, u
     let ops = program.ops().iter().filter(|op| op.kind.is_matmul());
     ops.map(|op| {
         let chosen = plan.strategy_of(op.index).unwrap();
-        let cands = candidates(&op.kind, true);
+        let cands = candidates(&op.kind);
         (
             op.index,
             cands.iter().position(|c| c.strategy == chosen).unwrap(),
@@ -433,13 +433,14 @@ fn early_frees_pay_off_for_gnmf_under_halved_ram() {
 /// the all-pinned peak either way: no more spill, not strictly less.
 ///
 /// Eighteen iterations, re-recorded once from twelve when the teleport
-/// became a pre-loop value of `PageRank::build`: an iteration now makes
-/// three rank-sized vectors for the reference to pin, not four and a half,
-/// and both plans peak at 39 616 B certified while `link` is held twice,
-/// before any intermediate exists. At twelve the reference ends at 48 224
-/// (36 x 768 over the inputs) and no free can bring that shared moment
-/// under three quarters of it; at eighteen it pins the 54 vectors it
-/// pinned before (62 048) and the bounds below are the ones it was held to.
+/// became a pre-loop value of `PageRank::build`: an iteration makes three
+/// rank-sized vectors for the reference to pin. Through `run_over`'s
+/// `Session::prepare` / `prepare_forced`, the early-free plan certifies
+/// 39 616 B at step 1, while `link` is held twice (hash-placed and
+/// broadcast) before any intermediate exists, so no free can lower it.
+/// The all-pinned twin certifies 60 512 B, at its end. At twelve
+/// iterations the twin ends at 46 688 B and that shared moment is over
+/// three quarters of it; at eighteen the bounds below hold.
 #[test]
 fn early_frees_pay_off_for_pagerank_under_halved_ram() {
     let pr = PageRank {

@@ -34,10 +34,9 @@ const BLOCK: usize = 64;
 fn patterned(rows: usize, cols: usize, d: f64) -> BlockedMatrix {
     let gate = (d * 1000.0).round() as usize;
     let trips = (0..rows).flat_map(|i| {
-        (0..cols).filter_map(move |j| {
-            ((i * cols + j) % 1000 < gate)
-                .then(|| (i, j, 1.0 + ((i * 7 + j * 3) % 10) as f64 / 10.0))
-        })
+        (0..cols)
+            .filter(move |j| (i * cols + j) % 1000 < gate)
+            .map(move |j| (i, j, 1.0 + ((i * 7 + j * 3) % 10) as f64 / 10.0))
     });
     // from_triplets compacts per tile: dense tiles store (and ship) dense,
     // sparse tiles CSC — so wire bytes track the actual density.
