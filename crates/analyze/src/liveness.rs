@@ -11,8 +11,9 @@
 //!   later step reads.
 //! * **V19** — release discipline: no value is released twice (a consumed
 //!   value is not also freed), kept nodes (program outputs, cached input
-//!   placements) are never released, a consumer reads what it consumes, is
-//!   tile-wise (never a multiplication) and consumes no bound source,
+//!   placements) are never released, a consumer reads what it consumes
+//!   tile-wise (never as a multiplication's operand, a fused product's
+//!   included) and consumes no bound source,
 //!   every output is bound to a node the plan defines,
 //!   and every dead intermediate is released *exactly
 //!   once*, at its last reader (or its producer, if it is never read) —
@@ -31,7 +32,10 @@
 //! byte formulas are restated here from the storage contract (dense cap
 //! `8·r·c`; CSC payload-plus-column-pointer bound for sparse-class
 //! nodes) rather than shared with `dmac_core::liveness::node_price`, and
-//! which steps are tile-wise is read from the operator, not the strategy.
+//! which reads are tile-wise is read from the operator, not the strategy.
+//! A fused step's products never exist as values: nothing defines their
+//! output nodes, so the re-derived live set at that step is its leaves,
+//! the products' operands and its output.
 
 use dmac_core::plan::{MemoryCertificate, Plan, PlanStep};
 use dmac_core::planner::{Planned, PlannerConfig};
@@ -64,7 +68,7 @@ fn sparse_class(program: &Program, plan: &Plan) -> Vec<bool> {
                 OpKind::Unary { op: u, .. } => matches!(u, UnaryOp::Scale(_)) && sparse[inputs[0]],
                 OpKind::Reduce { .. } => false,
             },
-            PlanStep::FusedCellWise { .. } => false,
+            PlanStep::Fused { .. } => false,
         };
     }
     sparse
@@ -137,22 +141,28 @@ fn rederive_keep(program: &Program, plan: &Plan) -> Vec<bool> {
     keep
 }
 
-/// Is every output tile of `step` made from the input tiles at one
-/// coordinate? The moves are; so is a computed cell-wise or unary
-/// operator and a fused chain of them; a multiplication and a reduction
-/// are not.
-fn tile_wise(program: &Program, step: &PlanStep) -> bool {
+/// Does `step` read node `n` tile-wise — is every output tile made from
+/// `n`'s tile at its own coordinate? A move does; so does a computed
+/// cell-wise or unary operator, and a fused chain its plain leaves; a
+/// multiplication and a reduction do not, nor does a fused step read a
+/// product's operand so, even where it also reads it as a leaf.
+fn reads_tile_wise(program: &Program, step: &PlanStep, n: usize) -> bool {
     match step {
-        PlanStep::Partition { .. }
-        | PlanStep::Broadcast { .. }
-        | PlanStep::Transpose { .. }
-        | PlanStep::Extract { .. }
-        | PlanStep::FusedCellWise { .. } => true,
-        PlanStep::Compute { op, .. } => match program.ops().get(*op).map(|o| &o.kind) {
-            Some(OpKind::Binary { op: b, .. }) => *b != BinOp::MatMul,
-            Some(OpKind::Unary { .. }) => true,
-            _ => false,
-        },
+        PlanStep::Partition { src, .. }
+        | PlanStep::Broadcast { src, .. }
+        | PlanStep::Transpose { src, .. }
+        | PlanStep::Extract { src, .. } => *src == n,
+        PlanStep::Fused {
+            inputs, products, ..
+        } => inputs.contains(&n) && products.iter().all(|p| !p.inputs.contains(&n)),
+        PlanStep::Compute { op, inputs, .. } => {
+            let cellwise = match program.ops().get(*op).map(|o| &o.kind) {
+                Some(OpKind::Binary { op: b, .. }) => *b != BinOp::MatMul,
+                Some(OpKind::Unary { .. }) => true,
+                _ => false,
+            };
+            cellwise && inputs.contains(&n)
+        }
     }
 }
 
@@ -221,8 +231,8 @@ fn check_releases(program: &Program, plan: &Plan) -> Result<(), String> {
             if consumes {
                 let why = if !step.in_nodes().contains(&n) {
                     Some("does not read it")
-                } else if !tile_wise(program, step) {
-                    Some("is not tile-wise")
+                } else if !reads_tile_wise(program, step, n) {
+                    Some("does not read it tile-wise")
                 } else if bound[n] {
                     Some("it is a bound source")
                 } else {
@@ -270,7 +280,7 @@ fn check_releases(program: &Program, plan: &Plan) -> Result<(), String> {
             Some((_, consumed)) => {
                 let consumable = last_read[n] == Some(anchor)
                     && !bound[n]
-                    && tile_wise(program, &plan.steps[anchor]);
+                    && reads_tile_wise(program, &plan.steps[anchor], n);
                 if consumable && !consumed {
                     return Err(format!(
                         "V19: node {n} is freed after step {anchor}, but that step is its \

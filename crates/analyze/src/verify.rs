@@ -16,6 +16,9 @@
 //! * plan well-formedness: nodes defined before use and at most once, no
 //!   leftover flexible nodes, every program operator planned exactly
 //!   once, outputs bound with the right handedness;
+//! * fused steps (V10): scheme-aligned leaves, a well-formed program over
+//!   cell-wise members, and product leaves that are local — RMM1 / RMM2
+//!   in the chain's scheme, never CPMM — and read once, by that program;
 //! * the §5.2 **stage invariant**: stages are separated only by
 //!   partition/broadcast (or CPMM-shuffle) boundaries;
 //! * the **sparsity estimator**: every profile's shape and hard nnz cap
@@ -33,7 +36,7 @@
 use std::collections::HashMap;
 
 use dmac_cluster::PartitionScheme;
-use dmac_core::plan::{FusedOp, Plan, PlanStep};
+use dmac_core::plan::{FusedOp, Plan, PlanStep, Product};
 use dmac_core::planner::{Planned, PlannerConfig};
 use dmac_core::stage;
 use dmac_core::strategy::{candidates, OutScheme, Strategy};
@@ -499,8 +502,30 @@ impl<'a> Verifier<'a> {
             }
             defined[n] = true;
         }
+        // A fused product's output exists in its step's program only: no
+        // step defines it and none reads it.
+        let mut folded: HashMap<usize, usize> = HashMap::new();
+        for (i, step) in self.plan.steps.iter().enumerate() {
+            let PlanStep::Fused { products, .. } = step else {
+                continue;
+            };
+            for p in products {
+                if let Some(f) = folded.insert(p.out, i) {
+                    return Err(format!(
+                        "V10: node {} is folded as a product by steps {f} and {i}",
+                        p.out
+                    ));
+                }
+            }
+        }
         for (i, step) in self.plan.steps.iter().enumerate() {
             for r in step.in_nodes() {
+                if let Some(f) = folded.get(&r) {
+                    return Err(format!(
+                        "V10: step {i} reads node {r}, which step {f} folds as a product: \
+                         a product has one reader, its fused step's program"
+                    ));
+                }
                 if !defined.get(r).copied().unwrap_or(false) {
                     return Err(format!("V04: step {i} reads node {r} before it is defined"));
                 }
@@ -508,6 +533,11 @@ impl<'a> Verifier<'a> {
             if let Some(out) = step.out_node() {
                 if out >= self.plan.nodes.len() {
                     return Err(format!("V04: step {i} defines missing node {out}"));
+                }
+                if let Some(f) = folded.get(&out) {
+                    return Err(format!(
+                        "V10: step {i} defines node {out}, which step {f} folds as a product"
+                    ));
                 }
                 if defined[out] {
                     return Err(format!("V04: step {i} redefines node {out}"));
@@ -539,16 +569,14 @@ impl<'a> Verifier<'a> {
                     out_scalar,
                     ..
                 } => self.check_compute(i, *op, *strategy, inputs, *out, *out_scalar)?,
-                PlanStep::FusedCellWise {
+                PlanStep::Fused {
                     ops,
                     prog,
                     inputs,
+                    products,
                     out,
                     ..
-                } => {
-                    self.check_fused(i, ops, prog, inputs, *out)?;
-                    0
-                }
+                } => self.check_fused(i, ops, prog, (inputs, products), *out)?,
             };
             let predicted = self.plan.predicted_bytes(i);
             if predicted != expect {
@@ -785,16 +813,23 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// V10: fused cell-wise steps are local, scheme-aligned, and replay a
-    /// well-formed post-order program whose members are all cell-wise.
+    /// V10: fused steps are local, scheme-aligned, and replay a
+    /// well-formed post-order program whose members are all cell-wise —
+    /// save its products, each a multiplication it folds per output tile,
+    /// which must be local: RMM1 or RMM2 (never CPMM, whose output is
+    /// aggregated across workers), its operands placed as its strategy
+    /// requires, its output in the step's scheme, not a program output,
+    /// and read by the program exactly once (by no step at all: V04 checks
+    /// that). Returns the step's bytes: 0, Table 2's price of an RMM's
+    /// output event as of every cell-wise one.
     fn check_fused(
         &self,
         i: usize,
         ops: &[usize],
         prog: &[FusedOp<ScalarExpr>],
-        inputs: &[usize],
+        (inputs, products): (&[usize], &[Product]),
         out: usize,
-    ) -> Result<(), String> {
+    ) -> Result<u64, String> {
         if ops.len() < 2 {
             return Err(format!("V10: step {i} fuses fewer than two operators"));
         }
@@ -808,6 +843,49 @@ impl<'a> Verifier<'a> {
                 ));
             }
         }
+        let mut bytes = 0;
+        for (j, p) in products.iter().enumerate() {
+            let leaf = inputs.len() + j;
+            let node = (self.plan.nodes.get(p.out))
+                .ok_or_else(|| format!("V10: step {i} product {j} names missing node {}", p.out))?;
+            if !ops.contains(&p.op) {
+                return Err(format!(
+                    "V10: step {i} folds operator {}, which it does not list as fused",
+                    p.op
+                ));
+            }
+            if !matches!(p.strategy, Strategy::Rmm1 | Strategy::Rmm2) {
+                return Err(format!(
+                    "V10: step {i} fuses operator {} by {}, which is no local product",
+                    p.op,
+                    p.strategy.name()
+                ));
+            }
+            if node.scheme != out_scheme {
+                return Err(format!(
+                    "V10: step {i} product {} is not in its chain's scheme ({})",
+                    self.plan.node_label(self.program, p.out),
+                    self.plan.node_label(self.program, out)
+                ));
+            }
+            if self.plan.outputs.iter().any(|o| o.0 == p.out) {
+                return Err(format!(
+                    "V10: step {i} folds {}, a program output",
+                    self.plan.node_label(self.program, p.out)
+                ));
+            }
+            let reads = prog
+                .iter()
+                .filter(|f| matches!(f, FusedOp::Leaf(k) if *k == leaf))
+                .count();
+            if reads != 1 {
+                return Err(format!(
+                    "V10: step {i} reads product {} {reads} times, not once",
+                    self.plan.node_label(self.program, p.out)
+                ));
+            }
+            bytes += self.check_compute(i, p.op, p.strategy, &p.inputs, Some(p.out), None)?;
+        }
         let mut cellwise = 0usize;
         for &o in ops {
             let op = self
@@ -820,29 +898,32 @@ impl<'a> Verifier<'a> {
                 OpKind::Unary { .. } => true,
                 OpKind::Reduce { .. } => false,
             };
-            if !is_cellwise {
+            if is_cellwise {
+                cellwise += 1;
+            } else if !products.iter().any(|p| p.op == o) {
                 return Err(format!(
                     "V10: step {i} fuses operator {o}, which is not cell-wise"
                 ));
             }
-            cellwise += 1;
         }
         // The last fused member produces the step's output.
         let root = *ops.last().expect("checked non-empty");
-        if self.program.ops()[root].out_matrix != Some(self.plan.nodes[out].matrix) {
+        if self.program.ops()[root].out_matrix != Some(self.plan.nodes[out].matrix)
+            || products.iter().any(|p| p.op == root)
+        {
             return Err(format!(
                 "V10: step {i} output node holds a matrix no fused member produces"
             ));
         }
         // Replay the post-order program symbolically: every Leaf index in
         // range, stack never underflows, exactly one value remains, and
-        // the instruction count matches the member count.
+        // the instruction count matches the cell-wise member count.
         let mut depth = 0usize;
         let mut instr_ops = 0usize;
         for instr in prog {
             match instr {
                 FusedOp::Leaf(k) => {
-                    if *k >= inputs.len() {
+                    if *k >= inputs.len() + products.len() {
                         return Err(format!("V10: step {i} leaf {k} out of range"));
                     }
                     depth += 1;
@@ -873,7 +954,7 @@ impl<'a> Verifier<'a> {
                  {cellwise} members"
             ));
         }
-        Ok(())
+        Ok(bytes)
     }
 
     /// V11: every program operator is planned exactly once, across plain
@@ -883,7 +964,7 @@ impl<'a> Verifier<'a> {
         for step in &self.plan.steps {
             match step {
                 PlanStep::Compute { op, .. } => *seen.entry(*op).or_insert(0) += 1,
-                PlanStep::FusedCellWise { ops, .. } => {
+                PlanStep::Fused { ops, .. } => {
                     for &o in ops {
                         *seen.entry(o).or_insert(0) += 1;
                     }
@@ -1050,7 +1131,7 @@ mod tests {
             .plan
             .steps
             .iter()
-            .any(|s| matches!(s, PlanStep::FusedCellWise { .. })));
+            .any(|s| matches!(s, PlanStep::Fused { .. })));
         verify_planned(&p, &planned, &cfg, 4)
             .unwrap_or_else(|m| panic!("{m}\n{}", planned.plan.explain(&p)));
     }
@@ -1070,6 +1151,109 @@ mod tests {
             verify_planned(&p, &planned, &cfg, 4)
                 .unwrap_or_else(|m| panic!("choice {choice}: {m}\n{}", planned.plan.explain(&p)));
         }
+    }
+
+    /// GNMF's W-update at a grid over the fusion gate: one fused step
+    /// folds `V Hᵀ` and `W·(H Hᵀ)`, both RMM2, and its planned program
+    /// verifies. Returns the plan and the fused step's index.
+    fn folding() -> (Program, Planned, PlannerConfig, usize) {
+        let mut p = Program::new();
+        let v = p.load("V", 1024, 512, 0.05);
+        let w = p.random("W", 1024, 32);
+        let h = p.random("H", 32, 512);
+        let vht = p.matmul(v, h.t()).unwrap();
+        let hht = p.matmul(h, h.t()).unwrap();
+        let whht = p.matmul(w, hht).unwrap();
+        let num = p.cell_mul(w, vht).unwrap();
+        let w_new = p.cell_div(num, whht).unwrap();
+        p.store(w_new, "W");
+        let cfg = PlannerConfig {
+            fusion_block: 32,
+            ..Default::default()
+        };
+        let planned = plan_program(&p, &cfg, 4, &Map::new()).unwrap();
+        verify_planned(&p, &planned, &cfg, 4)
+            .unwrap_or_else(|m| panic!("{m}\n{}", planned.plan.explain(&p)));
+        let at = (planned.plan.steps.iter())
+            .position(|s| matches!(s, PlanStep::Fused { products, .. } if products.len() == 2))
+            .unwrap_or_else(|| panic!("no folded product\n{}", planned.plan.explain(&p)));
+        (p, planned, cfg, at)
+    }
+
+    fn products_at(planned: &mut Planned, at: usize) -> &mut Vec<Product> {
+        match &mut planned.plan.steps[at] {
+            PlanStep::Fused { products, .. } => products,
+            _ => unreachable!("a fused step"),
+        }
+    }
+
+    #[test]
+    fn a_fused_cpmm_is_caught() {
+        let (p, mut planned, cfg, at) = folding();
+        products_at(&mut planned, at)[0].strategy = Strategy::Cpmm;
+        let err = verify_planned(&p, &planned, &cfg, 4).unwrap_err();
+        assert!(err.contains("V10") && err.contains("CPMM"), "{err}");
+    }
+
+    #[test]
+    fn a_product_read_twice_is_caught() {
+        let (p, mut planned, cfg, at) = folding();
+        // A later step reads the product's output, which no step defines.
+        let folded = products_at(&mut planned, at)[0].out;
+        let node = planned.plan.nodes[folded].clone();
+        let out = (planned.plan).add_node(node.matrix, !node.transposed, node.scheme.flip(), false);
+        let phase = planned.plan.steps[at].phase();
+        let reader = PlanStep::Transpose {
+            src: folded,
+            out,
+            phase,
+        };
+        planned.plan.push_step(reader, 0);
+        planned.plan.releases.push(Default::default());
+        let err = verify_planned(&p, &planned, &cfg, 4).unwrap_err();
+        assert!(err.contains("V10") && err.contains("one reader"), "{err}");
+        // Or the program reads its leaf twice.
+        let (p, mut planned, cfg, at) = folding();
+        let PlanStep::Fused { inputs, prog, .. } = &mut planned.plan.steps[at] else {
+            unreachable!("a fused step");
+        };
+        let leaf = FusedOp::Leaf(inputs.len());
+        prog.extend([leaf, FusedOp::CellMul]);
+        let err = verify_planned(&p, &planned, &cfg, 4).unwrap_err();
+        assert!(err.contains("V10") && err.contains("2 times"), "{err}");
+    }
+
+    #[test]
+    fn a_product_outside_the_chain_scheme_is_caught() {
+        let (p, mut planned, cfg, at) = folding();
+        let folded = products_at(&mut planned, at)[1].out;
+        let scheme = &mut planned.plan.nodes[folded].scheme;
+        *scheme = scheme.flip();
+        let err = verify_planned(&p, &planned, &cfg, 4).unwrap_err();
+        assert!(err.contains("V10") && err.contains("scheme"), "{err}");
+    }
+
+    #[test]
+    fn a_consumed_product_operand_is_caught() {
+        // `W` is a plain leaf of the W-update and an operand of `W·HHᵀ`:
+        // its tiles feed every output tile of its row, so the fused step
+        // frees it after it has run and may not consume it.
+        let (p, mut planned, cfg, at) = folding();
+        let PlanStep::Fused {
+            inputs, products, ..
+        } = &planned.plan.steps[at]
+        else {
+            unreachable!("a fused step");
+        };
+        let w = *(inputs.iter())
+            .find(|n| products.iter().any(|q| q.inputs.contains(n)))
+            .expect("a leaf that is also an operand");
+        let releases = &mut planned.plan.releases[at];
+        assert!(releases.frees.contains(&w));
+        releases.frees.retain(|&n| n != w);
+        releases.consumes.push(w);
+        let err = crate::liveness::check_liveness(&p, &planned, &cfg).unwrap_err();
+        assert!(err.contains("V19") && err.contains("tile-wise"), "{err}");
     }
 
     #[test]

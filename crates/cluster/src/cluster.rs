@@ -42,9 +42,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dmac_matrix::exec::{combine_partials, run_tasks, PoolStats, ResultBufferPool};
-use dmac_matrix::{
-    eval_fused_block, random_cell, Block, BlockedMatrix, DenseBlock, FusedOp, MatrixError,
-};
+use dmac_matrix::{random_cell, Block, BlockedMatrix, DenseBlock, FusedOp, MatrixError};
 
 use crate::comm::{CommKind, CommStats, NetworkModel, SimClock};
 use crate::dist::{fresh_rid, DistMatrix, GridMeta};
@@ -54,7 +52,7 @@ use crate::kernels::{self, MulStage};
 use crate::partition::PartitionScheme;
 use crate::trace::{OpSpan, TraceBuffer};
 use crate::transport::{
-    MoveItem, PartialDesc, Release, Stage, StageKernel, TileTransform, Transport, TransportStats,
+    MoveItem, PartialDesc, Release, Stage, TileTransform, Transport, TransportStats,
 };
 
 /// One result tile of a stage, keyed by its block coordinates.
@@ -816,14 +814,29 @@ impl Cluster {
 
     /// RMM1 (Figure 2): `A(b) × B(c) → AB(c)`. No communication during
     /// execution — each worker multiplies the full `A` against its own
-    /// block-columns of `B`.
+    /// block-columns of `B`. A fused stage of one product leaf.
     pub fn rmm1(&mut self, a: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
-        self.rmm("rmm1", a, b, PartitionScheme::Col)
+        let out = PartitionScheme::Col;
+        self.cells(
+            "rmm1",
+            "",
+            Vec::new(),
+            &[Rmm { a, b, out }],
+            &[FusedOp::Leaf(0)],
+        )
     }
 
-    /// RMM2 (Figure 2): `A(r) × B(b) → AB(r)`.
+    /// RMM2 (Figure 2): `A(r) × B(b) → AB(r)`. A fused stage of one
+    /// product leaf.
     pub fn rmm2(&mut self, a: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
-        self.rmm("rmm2", a, b, PartitionScheme::Row)
+        let out = PartitionScheme::Row;
+        self.cells(
+            "rmm2",
+            "",
+            Vec::new(),
+            &[Rmm { a, b, out }],
+            &[FusedOp::Leaf(0)],
+        )
     }
 
     fn require(&self, m: &DistMatrix, scheme: PartitionScheme, op: &'static str) -> Result<()> {
@@ -861,64 +874,6 @@ impl Cluster {
         }
         self.charge_compute_workers(&secs);
         Ok(per_worker)
-    }
-
-    /// Shared RMM body: the operand on the output's side shares
-    /// `out_scheme`, the other is Broadcast, so every result tile is
-    /// computable on the worker that owns it with zero communication.
-    fn rmm(
-        &mut self,
-        op: &'static str,
-        a: &DistMatrix,
-        b: &DistMatrix,
-        out_scheme: PartitionScheme,
-    ) -> Result<DistMatrix> {
-        let st = self.op_entry(op)?;
-        self.compat(a, b)?;
-        let (need_a, need_b) = match out_scheme {
-            PartitionScheme::Col => (PartitionScheme::Broadcast, out_scheme),
-            _ => (out_scheme, PartitionScheme::Broadcast),
-        };
-        self.require(a, need_a, op)?;
-        self.require(b, need_b, op)?;
-        let meta = product_meta(a, b)?;
-        let n = self.config.workers;
-        let kb = a.meta().col_blocks;
-        let mut owned = vec![Vec::new(); n];
-        for (bi, bj) in grid_cells(&meta) {
-            owned[out_scheme.owner(bi, bj, n).expect("rc scheme")].push((bi, bj));
-        }
-        // Who computes which tile is known before any is: the workers
-        // compute while the oracle does, and are checked after.
-        let rid = fresh_rid();
-        let posted = self.transport.as_deref_mut().map_or(Ok(()), |t| {
-            let kernel = StageKernel::Mm(a, b);
-            t.post_stage(&Stage {
-                op,
-                kernel,
-                rid,
-                meta,
-                keys: &owned,
-            })
-        });
-        let tiles = self.run_stage(
-            |w| {
-                Ok((
-                    MulStage::new(shard(a, w), shard(b, w), kb)?,
-                    owned[w].clone(),
-                ))
-            },
-            |pool, stage, (bi, bj)| {
-                let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
-                Ok(((bi, bj), Arc::new(stage.product(pool, shape, (bi, bj))?)))
-            },
-        )?;
-        let out = DistMatrix::from_minted(rid, meta, out_scheme, into_stores(tiles));
-        self.finish_op(st, "", 0, None, out.tile_count(), Some(&out), |t| {
-            posted?;
-            t.settle_stage(&out).map(|()| 0)
-        })?;
-        Ok(out)
     }
 
     /// CPMM (Figure 2): `A(c) × B(r) → AB(r|c)`. Each worker computes a
@@ -1039,56 +994,113 @@ impl Cluster {
     }
 
     /// The scheme-aligned per-tile primitive (§3.1: communication-free,
-    /// Table 2 cost 0): every worker runs the post-order cell-wise program
-    /// `prog` over its own tiles of `leaves`, which must share one
-    /// Row/Column/Broadcast scheme — a lone leaf may sit in any. A binary
-    /// operator is `[Leaf(0), Leaf(1), op]`, a scalar map `[Leaf(0),
-    /// Scale(c)]`, a planner-fused chain whatever the planner built: one
-    /// output tile each, no intermediate [`DistMatrix`]. The span meters
-    /// zero wire and event bytes under `op` / `label` (`"add"`, `"map"` +
-    /// `"scale"`, `"fused"` + the subsumed operators), so fusing never
-    /// changes the cost-model ledger.
+    /// Table 2 cost 0) — the Row template of operator fusion: every worker
+    /// runs, per output tile it owns, the post-order cell-wise program
+    /// `prog` over its own tiles of `leaves`, then the tiles of `rmms` at
+    /// that coordinate, each folded there ([`kernels::fused_tile`]). The
+    /// leaves and products share one Row/Column/Broadcast scheme — a lone
+    /// leaf may sit in any — and the output takes it. A binary operator is
+    /// `[Leaf(0), Leaf(1), op]`, a scalar map `[Leaf(0), Scale(c)]`, a
+    /// multiply one product and `[Leaf(0)]`, a planner-fused chain
+    /// whatever the planner built: one output tile each, no intermediate
+    /// [`DistMatrix`]. The span meters zero wire and event bytes under
+    /// `op` / `label` (`"add"`, `"map"` + `"scale"`, `"rmm2"`, `"fused"` +
+    /// the subsumed operators), so fusing never changes the cost-model
+    /// ledger.
     ///
     /// Consumes `leaves`, like every tile-wise primitive: each task owns
     /// its input tiles and drops them once its output tile exists, so a
     /// leaf no one else holds is freed tile by tile while the stage runs.
-    /// A leaf the caller still holds elsewhere only loses a reference.
+    /// A leaf the caller still holds elsewhere only loses a reference. A
+    /// product's operands are only read: an operand tile feeds many
+    /// output tiles.
     pub fn cells(
         &mut self,
         op: &'static str,
         label: &str,
         mut leaves: Vec<DistMatrix>,
+        rmms: &[Rmm<'_>],
         prog: &[FusedOp],
     ) -> Result<DistMatrix> {
         let st = self.op_entry(op)?;
-        dmac_matrix::fused::validate_program(prog, leaves.len())?;
-        let (first, rest) = leaves.split_first().ok_or_else(|| {
-            ClusterError::Matrix(MatrixError::MalformedSparse(format!("{op}: no operands")))
-        })?;
-        for m in rest {
-            self.aligned(first, m, op)?;
+        dmac_matrix::fused::validate_program(prog, leaves.len() + rmms.len())?;
+        let grids = (rmms.iter())
+            .map(|rmm| self.product(op, rmm))
+            .collect::<Result<Vec<GridMeta>>>()?;
+        let n = self.config.workers;
+        // Every output tile is computed where the first leaf's is, or, with
+        // no leaf, where the output scheme puts it.
+        let (meta, scheme, keys) = match (leaves.first(), rmms.first()) {
+            (Some(first), _) => {
+                let keys = (0..first.workers())
+                    .map(|w| first.worker_blocks(w).keys().copied().collect())
+                    .collect();
+                (*first.meta(), first.scheme(), keys)
+            }
+            (None, Some(rmm)) => {
+                let meta = grids[0];
+                let mut owned: Vec<Vec<_>> = vec![Vec::new(); n];
+                for (bi, bj) in grid_cells(&meta) {
+                    owned[rmm.out.owner(bi, bj, n).expect("rc scheme")].push((bi, bj));
+                }
+                (meta, rmm.out, owned)
+            }
+            (None, None) => {
+                let err = MatrixError::MalformedSparse(format!("{op}: no operands"));
+                return Err(ClusterError::Matrix(err));
+            }
+        };
+        if let Some((first, rest)) = leaves.split_first() {
+            for m in rest {
+                self.aligned(first, m, op)?;
+            }
         }
-        // Every output tile is computed where the first leaf's is.
-        let (rid, meta, scheme) = (fresh_rid(), *first.meta(), first.scheme());
+        for (rmm, grid) in rmms.iter().zip(&grids) {
+            if rmm.out != scheme {
+                return Err(ClusterError::SchemeMismatch {
+                    expected: scheme,
+                    actual: rmm.out,
+                    op,
+                });
+            }
+            if *grid != meta {
+                return Err(ClusterError::Matrix(MatrixError::DimensionMismatch {
+                    op,
+                    left: (meta.rows, meta.cols),
+                    right: (grid.rows, grid.cols),
+                }));
+            }
+        }
+        // Who computes which tile is known before any is: the workers
+        // compute while the oracle does, and are checked after.
+        let rid = fresh_rid();
         let posted = self.transport.as_deref_mut().map_or(Ok(()), |t| {
-            let keys: Vec<Vec<_>> = (0..first.workers())
-                .map(|w| first.worker_blocks(w).keys().copied().collect())
-                .collect();
             let refs: Vec<&DistMatrix> = leaves.iter().collect();
-            let kernel = StageKernel::Fused(prog, &refs);
             t.post_stage(&Stage {
                 op,
-                kernel,
+                prog,
+                leaves: &refs,
+                rmms,
                 rid,
                 meta,
                 keys: &keys,
             })
         });
         let tiles = self.run_stage(
-            |w| Ok(((), aligned_tasks(&mut leaves, w, op)?)),
-            |pool, (), (k, tiles): (_, Vec<Arc<Block>>)| {
+            |w| {
+                let stages = (rmms.iter())
+                    .map(|rmm| {
+                        let kb = rmm.a.meta().col_blocks;
+                        MulStage::new(shard(rmm.a, w), shard(rmm.b, w), kb)
+                    })
+                    .collect::<std::result::Result<Vec<_>, _>>()?;
+                Ok((stages, aligned_tasks(&mut leaves, w, &keys[w], op)?))
+            },
+            |pool, stages, (k, tiles): AlignedTask| {
                 let tiles: Vec<&Block> = tiles.iter().map(|t| &**t).collect();
-                Ok((k, Arc::new(eval_fused_block(prog, &tiles, pool)?)))
+                let shape = (meta.block_rows_of(k.0), meta.block_cols_of(k.1));
+                let tile = kernels::fused_tile(pool, prog, &tiles, stages, shape, k)?;
+                Ok((k, Arc::new(tile)))
             },
         )?;
         let out = DistMatrix::from_minted(rid, meta, scheme, into_stores(tiles));
@@ -1097,6 +1109,28 @@ impl Cluster {
             t.settle_stage(&out).map(|()| 0)
         })?;
         Ok(out)
+    }
+
+    /// The grid of a local product's output, its operands checked against
+    /// what its strategy requires: the operand on the output's side shares
+    /// its scheme, the other is Broadcast, so every result tile is
+    /// computable on the worker that owns it with zero communication.
+    fn product(&self, op: &'static str, rmm: &Rmm<'_>) -> Result<GridMeta> {
+        self.compat(rmm.a, rmm.b)?;
+        let (need_a, need_b) = match rmm.out {
+            PartitionScheme::Col => (PartitionScheme::Broadcast, PartitionScheme::Col),
+            PartitionScheme::Row => (PartitionScheme::Row, PartitionScheme::Broadcast),
+            other => {
+                return Err(ClusterError::SchemeMismatch {
+                    expected: PartitionScheme::Row,
+                    actual: other,
+                    op,
+                })
+            }
+        };
+        self.require(rmm.a, need_a, op)?;
+        self.require(rmm.b, need_b, op)?;
+        product_meta(rmm.a, rmm.b)
     }
 
     /// Distributed reduction: each worker folds its owned tiles in sorted
@@ -1184,27 +1218,42 @@ fn into_stores(tiles: Vec<Vec<KeyedTile>>) -> Stores {
     tiles.into_iter().map(HashMap::from_iter).collect()
 }
 
-/// Worker `w`'s tasks of a cell-wise stage over `leaves`, drained from
-/// them: per tile of the first leaf, its key and the aligned tile of every
-/// leaf, in leaf order.
-fn aligned_tasks(leaves: &mut [DistMatrix], w: usize, op: &str) -> Result<Vec<AlignedTask>> {
+/// Worker `w`'s tasks of a stage over `leaves`, drained from them: per
+/// output key it computes, the key and the aligned tile of every leaf, in
+/// leaf order.
+fn aligned_tasks(
+    leaves: &mut [DistMatrix],
+    w: usize,
+    keys: &[(usize, usize)],
+    op: &str,
+) -> Result<Vec<AlignedTask>> {
     let mut stores: Vec<_> = leaves.iter_mut().map(|m| m.take_worker_blocks(w)).collect();
-    let (first, rest) = stores.split_first_mut().expect("a stage has a leaf");
-    let mut tasks = Vec::with_capacity(first.len());
-    for (k, at) in first.drain() {
-        let mut tiles = Vec::with_capacity(1 + rest.len());
-        tiles.push(at);
-        for store in rest.iter_mut() {
-            let (bi, bj) = k;
-            tiles.push(store.remove(&k).ok_or_else(|| {
+    let mut tasks = Vec::with_capacity(keys.len());
+    for &(bi, bj) in keys {
+        let mut tiles = Vec::with_capacity(stores.len());
+        for store in stores.iter_mut() {
+            tiles.push(store.remove(&(bi, bj)).ok_or_else(|| {
                 ClusterError::Matrix(MatrixError::MalformedSparse(format!(
                     "{op}: tile ({bi},{bj}) missing on worker {w}"
                 )))
             })?);
         }
-        tasks.push((k, tiles));
+        tasks.push(((bi, bj), tiles));
     }
     Ok(tasks)
+}
+
+/// A replication-based product a stage folds per output tile (Figure 2),
+/// named by the scheme its output takes: RMM1 `A(b) × B(c) → AB(c)`, or
+/// RMM2 `A(r) × B(b) → AB(r)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Rmm<'a> {
+    /// The left operand.
+    pub a: &'a DistMatrix,
+    /// The right operand.
+    pub b: &'a DistMatrix,
+    /// The output's scheme: Column (RMM1) or Row (RMM2).
+    pub out: PartitionScheme,
 }
 
 /// Distributed reductions.
@@ -1415,6 +1464,7 @@ mod tests {
                 "add",
                 "",
                 vec![da.clone(), db.clone()],
+                &[],
                 &binary(FusedOp::Add)
             )
             .is_err());
@@ -1424,6 +1474,7 @@ mod tests {
                 "add",
                 "",
                 vec![da.clone(), db2.clone()],
+                &[],
                 &binary(FusedOp::Add),
             )
             .unwrap();
@@ -1448,7 +1499,7 @@ mod tests {
             ("cell_div", FusedOp::CellDiv, a.cell_div(&b).unwrap()),
         ] {
             let c = cl
-                .cells(name, "", vec![da.clone(), db.clone()], &binary(op))
+                .cells(name, "", vec![da.clone(), db.clone()], &[], &binary(op))
                 .unwrap();
             assert_eq!(cl.spans().last().unwrap().op, name);
             assert_eq!(c.to_blocked().unwrap().to_dense(), expect.to_dense());
@@ -1461,7 +1512,9 @@ mod tests {
         let a = sample(4, 4, 2);
         let da = cl.load(&a, PartitionScheme::Broadcast);
         let prog = [FusedOp::Leaf(0), FusedOp::Scale(3.0)];
-        let c = cl.cells("map", "scale", vec![da.clone()], &prog).unwrap();
+        let c = cl
+            .cells("map", "scale", vec![da.clone()], &[], &prog)
+            .unwrap();
         c.validate().unwrap();
         assert_eq!(c.scheme(), PartitionScheme::Broadcast);
         assert_eq!(c.to_blocked().unwrap().to_dense(), a.scale(3.0).to_dense());
@@ -1558,6 +1611,7 @@ mod tests {
                 "add",
                 "",
                 vec![da.clone(), db.clone()],
+                &[],
                 &binary(FusedOp::Add)
             ),
             Err(ClusterError::WorkerLost(2))

@@ -1,5 +1,6 @@
 //! The kernels shared by the in-process simulator and the `dmac-workerd`
-//! worker daemon: the reduction order and the multiply stage.
+//! worker daemon: the reduction order, the multiply stage and the fused
+//! tile task.
 //!
 //! A physical backend proves its results bit-equal to the simulator's,
 //! which holds because both sides run this code. Reductions: each logical
@@ -8,9 +9,11 @@
 //! ([`reduce_combine`]). Multiplies: one [`MulStage`] per logical worker,
 //! the only caller under `crates/cluster/src` of
 //! [`dmac_matrix::exec::fold_tile`] / [`dmac_matrix::exec::matmul_tile`].
+//! A compute stage's output tile — an RMM's, a cell-wise operator's or a
+//! fused chain's — is one [`fused_tile`] task.
 
 use dmac_matrix::exec::{fold_tile, matmul_tile, ResultBufferPool};
-use dmac_matrix::{Block, DenseBlock, MatrixError};
+use dmac_matrix::{eval_fused_block, Block, DenseBlock, FusedOp, MatrixError};
 
 use crate::cluster::ReduceKind;
 
@@ -114,6 +117,16 @@ impl<'t> MulStage<'t> {
         matmul_tile(pool, shape, 0..self.kb, self.a_row(at.0), self.b_col(at.1))
     }
 
+    /// The shape result tile `at` has: the rows of the left shard's first
+    /// term tile, the columns of the right's — what a task that is not
+    /// told it reads off its operands.
+    pub fn shape_at(&self, (bi, bj): (usize, usize)) -> Result<(usize, usize)> {
+        match (self.a.get(bi, 0), self.b.get(0, bj)) {
+            (Some(a), Some(b)) => Ok((a.rows(), b.cols())),
+            _ => Err(MatrixError::MissingTile { k: 0 }),
+        }
+    }
+
     /// The CPMM phase-1 task of logical worker `w` of `n`: the terms
     /// `k ≡ w (mod n)` of result tile `at`, as the raw accumulator; `None`
     /// when none contributed.
@@ -154,6 +167,34 @@ impl<'t> MulStage<'t> {
             _ => Err(MatrixError::MissingTile { k: first }),
         }
     }
+}
+
+/// One output tile of a fused stage, shape `shape` at `at` (the Row
+/// template's task): each of `muls` folds its product tile there
+/// ([`MulStage::product`]), then the cell-wise program `prog` runs over
+/// the `plain` leaf tiles followed by those ([`eval_fused_block`]). A
+/// program that is one product leaf — a lone multiply — is that
+/// product's tile, not a copy of it. The product tiles are dropped, not
+/// handed back to `pool`: handing them back measured slower (DESIGN
+/// §8d).
+pub fn fused_tile(
+    pool: &ResultBufferPool,
+    prog: &[FusedOp],
+    plain: &[&Block],
+    muls: &[MulStage<'_>],
+    shape: (usize, usize),
+    at: (usize, usize),
+) -> Result<Block> {
+    let mut products = (muls.iter())
+        .map(|m| m.product(pool, shape, at))
+        .collect::<Result<Vec<Block>>>()?;
+    if let [FusedOp::Leaf(i)] = *prog {
+        if let Some(j) = i.checked_sub(plain.len()).filter(|&j| j < products.len()) {
+            return Ok(products.swap_remove(j));
+        }
+    }
+    let leaves: Vec<&Block> = plain.iter().copied().chain(&products).collect();
+    eval_fused_block(prog, &leaves, pool)
 }
 
 /// Fold one logical worker's tiles, visited in ascending `(bi, bj)`

@@ -35,7 +35,7 @@ pub mod partition;
 pub mod trace;
 pub mod transport;
 
-pub use cluster::{Cluster, ClusterConfig};
+pub use cluster::{Cluster, ClusterConfig, Rmm};
 pub use comm::{CommKind, CommStats, NetworkModel, SimClock};
 pub use dist::DistMatrix;
 pub use error::{ClusterError, Result};

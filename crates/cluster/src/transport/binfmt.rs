@@ -1,14 +1,14 @@
-//! The binary tile message format (`DMB2`): the only encoding tile
+//! The binary tile message format (`DMB3`): the only encoding tile
 //! payload has on the real transport.
 //!
 //! A binary message rides the same length-prefixed envelope as JSON
 //! frames ([`crate::transport::frame`]); the two are distinguished by
 //! the leading bytes — JSON always starts with `{`, a binary message
-//! with the magic `"DMB2"`. Inside the envelope:
+//! with the magic `"DMB3"`. Inside the envelope:
 //!
 //! ```text
 //! offset  size      field
-//! 0       4         magic  "DMB2"
+//! 0       4         magic  "DMB3"
 //! 4       4         hlen   u32 LE, length of the JSON header
 //! 8       hlen      header UTF-8 JSON (control fields: t, q, rid …)
 //! 8+hlen  4         blen   u32 LE, length of the binary body
@@ -52,11 +52,12 @@ use dmac_matrix::{Block, CscBlock, DenseBlock};
 use crate::transport::wire::Digest;
 
 /// Leading magic of a binary message.
-pub const MAGIC: &[u8; 4] = b"DMB2";
+pub const MAGIC: &[u8; 4] = b"DMB3";
 
 /// The codec a worker's `hello` promises (`bin`), [`MAGIC`]'s digit: a
-/// daemon still on `DMB1` (an FNV-1a trailer) is refused at hello.
-pub const VERSION: u64 = 2;
+/// daemon still on `DMB1` (an FNV-1a trailer), or on `DMB2` (an `mm`
+/// command, a `fused` one without product leaves), is refused at hello.
+pub const VERSION: u64 = 3;
 
 /// Fixed overhead of a binary message: magic + two length words + trailer.
 const SHELL: usize = 4 + 4 + 4 + 8;
@@ -89,7 +90,7 @@ pub fn decode(payload: &[u8]) -> Result<(&str, &[u8]), String> {
         ));
     }
     if &payload[..4] != MAGIC {
-        return Err("binary message lacks DMB2 magic".into());
+        return Err("binary message lacks DMB3 magic".into());
     }
     let hlen = u32::from_le_bytes(payload[4..8].try_into().unwrap()) as usize;
     let body_off = 8usize

@@ -48,7 +48,7 @@ pub mod workerd;
 
 use dmac_matrix::FusedOp;
 
-use crate::cluster::ReduceKind;
+use crate::cluster::{ReduceKind, Rmm};
 use crate::dist::{DistMatrix, GridMeta};
 use crate::error::Result;
 
@@ -131,24 +131,20 @@ pub enum Release {
     Now,
 }
 
-/// What every output tile of a compute stage runs, at its owner.
-#[derive(Debug, Clone, Copy)]
-pub enum StageKernel<'a> {
-    /// A replication-based multiply (RMM1/RMM2) of these two operands.
-    Mm(&'a DistMatrix, &'a DistMatrix),
-    /// A scheme-aligned cell-wise program ([`crate::Cluster::cells`]) over
-    /// these leaves.
-    Fused(&'a [FusedOp], &'a [&'a DistMatrix]),
-}
-
 /// A compute stage as its commands need it: everything here is known
-/// before the oracle computes any of its tiles.
+/// before the oracle computes any of its tiles. Every output tile runs
+/// `prog` at its owner over its tiles of `leaves`, then of the `rmms`'
+/// products ([`crate::Cluster::cells`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Stage<'a> {
     /// The primitive, naming the stage in seal diagnostics.
     pub op: &'static str,
-    /// What each output tile runs.
-    pub kernel: StageKernel<'a>,
+    /// The cell-wise program over the leaves, then the products.
+    pub prog: &'a [FusedOp],
+    /// The plain leaves, read tile by tile.
+    pub leaves: &'a [&'a DistMatrix],
+    /// The local products, folded per output tile.
+    pub rmms: &'a [Rmm<'a>],
     /// The output value's rid, minted before its tiles exist.
     pub rid: u64,
     /// The output grid.
@@ -231,9 +227,10 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
         moves: &[MoveItem],
     ) -> Result<u64>;
 
-    /// Post a compute stage — RMM1/RMM2, or a scheme-aligned cell-wise
-    /// stage: every output tile computed at its owner, each host's
-    /// command chained with the seal that will prove it. Called before
+    /// Post a compute stage — RMM1/RMM2, a scheme-aligned cell-wise
+    /// stage, or a fused one of both: every output tile computed at its
+    /// owner, each host's command chained with the seal that will prove
+    /// it. Called before
     /// the oracle computes the stage, so the workers compute while it
     /// does. The output is recorded resident on the hosts it was posted
     /// to at once: a stage never settled strands nothing the next

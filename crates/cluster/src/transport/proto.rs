@@ -8,7 +8,7 @@
 //! ## Envelope
 //!
 //! A message is one length-prefixed frame ([`super::frame`]): a JSON
-//! header, or — where the message carries bulk payload — a `DMB2` message
+//! header, or — where the message carries bulk payload — a `DMB3` message
 //! ([`super::binfmt`]) with that header and a tile section or an f64
 //! section as its body. A command carries a per-connection sequence
 //! number `"q"`, written last, which its reply echoes; a hello, a
@@ -16,15 +16,15 @@
 //! header carries (a seed, seal checksums, reduce partials) are 16 hex
 //! digits: JSON numbers carry 53 bits exactly.
 //!
-//! | command | reply | `DMB2` body |
+//! | command | reply | `DMB3` body |
 //! |---|---|---|
 //! | `peers` | `ok` | — |
 //! | `install` ([`Cmd::Install`]) | `ok` | tile section |
 //! | `install` ([`Cmd::Generate`]) | `ok` | — |
 //! | `collect` | `tiles` | the reply's: tile section |
 //! | `seal` | `sealed` | — |
-//! | `mm`, `cpmm2` | `ok` | — |
-//! | `fused` | `ok` | the program's f64 constants, if it has any |
+//! | `cpmm2` | `ok` | — |
+//! | `fused` (an RMM is one) | `ok` | the program's f64 constants, if it has any |
 //! | `cpmm1` | `partials` | — |
 //! | `reduce` | `reduced` | — |
 //! | `free` | `ok` | — |
@@ -193,6 +193,11 @@ objects! {
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct Route { wi: usize, wo: usize, dh: Option<usize>, keys = "k": Vec<Key> }
 
+    /// One product leaf of a `fused` command: `a` × `b`, over `kb` blocks
+    /// of the shared dimension.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Mul { a: u64, b: u64, kb: usize }
+
     /// Tile `(bi, bj)` of worker `w`, as a `collect` asks for it.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct Place { w: usize, bi: usize, bj: usize }
@@ -245,14 +250,12 @@ messages! {
         Collect = "collect" { rid: u64, items: Vec<Place> },
         /// Prove the shards of `rid` that workers `ws` hold.
         Seal = "seal" { rid: u64, ws: Vec<usize> },
-        /// RMM: each task's output tiles of `rid_a` × `rid_b` (shared
-        /// dimension `kb` blocks) into `rid_out` on `grid`.
-        Mm = "mm" {
-            rid_a: u64, rid_b: u64, rid_out: u64, kb: usize, grid: GridMeta, tasks: Vec<Group>,
+        /// A scheme-aligned cell-wise program over the leaves `rids`, then
+        /// the products `muls` folded per tile, each task's tiles into
+        /// `rid_out`. An RMM is one product and the program `[Leaf(0)]`.
+        Fused = "fused" {
+            rids: Vec<u64>, muls: Vec<Mul>, prog: Vec<FusedOp>, rid_out: u64, tasks: Vec<Group>,
         },
-        /// A scheme-aligned cell-wise program over the leaves `rids`, each
-        /// task's tiles into `rid_out`.
-        Fused = "fused" { rids: Vec<u64>, prog: Vec<FusedOp>, rid_out: u64, tasks: Vec<Group> },
         /// CPMM phase 1: workers `ws` each store their partial products of
         /// `rid_a` × `rid_b` under `stage` (`n` workers stride the `kb`
         /// k-slices).
@@ -281,7 +284,7 @@ messages! {
     #[derive(Debug, Clone, PartialEq)]
     pub enum Reply {
         /// A worker's introduction, once, on connect: its host id, process
-        /// id, peer listener, and `bin` 2 — it speaks `DMB2` (a stale
+        /// id, peer listener, and `bin` 3 — it speaks `DMB3` (a stale
         /// daemon does not say so).
         Hello = "hello" { host: usize, pid: u64, peer: String, bin: Option<u64> },
         /// A heartbeat.
@@ -333,7 +336,7 @@ pub struct Framed<T> {
     pub msg: Result<T, String>,
 }
 
-/// Open a frame — a `DMB2` message or a JSON text — and read its message
+/// Open a frame — a `DMB3` message or a JSON text — and read its message
 /// through `read`, which gets the header's `"t"`, the header and the body.
 fn open<T>(
     raw: &[u8],
@@ -409,7 +412,7 @@ impl In<'_> {
     /// Every field of a `t` read: a body none of them took is an error.
     fn done(&self, t: &str) -> Result<(), String> {
         match self.body {
-            Some(_) => Err(format!("{t} carries a DMB2 body it has no use for")),
+            Some(_) => Err(format!("{t} carries a DMB3 body it has no use for")),
             None => Ok(()),
         }
     }
@@ -622,7 +625,7 @@ impl Field for Vec<Placed> {
     }
 
     fn get(_: &str, msg: &mut In) -> Result<Vec<Placed>, String> {
-        let body = msg.body.take().ok_or("no DMB2 body for the tiles")?;
+        let body = msg.body.take().ok_or("no DMB3 body for the tiles")?;
         let tiles = binfmt::decode_tiles(body)?.into_iter();
         Ok(tiles
             .map(|(w, bi, bj, t)| (w, bi, bj, Arc::new(t)))
@@ -715,8 +718,8 @@ mod tests {
 
     /// Every message encodes to the bytes the coordinator's and the
     /// daemon's hand-built headers made — same keys, same order, `"q"`
-    /// last — and decodes back to itself. One literal per variant: the
-    /// wire did not move.
+    /// last — and decodes back to itself. One literal per variant, and a
+    /// second `fused` that is an RMM: the wire did not move.
     #[test]
     fn every_message_keeps_its_bytes() {
         let grid = GridMeta::new(7, 8, 3);
@@ -768,21 +771,21 @@ mod tests {
                 json(r#"{"t":"seal","rid":7,"ws":[0,2],"q":5}"#),
             ),
             (
-                Cmd::Mm {
-                    rid_a: 1,
-                    rid_b: 2,
+                Cmd::Fused {
+                    rids: vec![],
+                    muls: vec![Mul { a: 1, b: 2, kb: 4 }],
+                    prog: vec![FusedOp::Leaf(0)],
                     rid_out: 3,
-                    kb: 4,
-                    grid,
                     tasks: vec![group(0, &[(2, 0), (2, 2)]), group(1, &[(0, 1)])],
                 },
                 json(
-                    r#"{"t":"mm","rid_a":1,"rid_b":2,"rid_out":3,"kb":4,"rows":7,"cols":8,"block":3,"tasks":[{"w":0,"k":[2,0,2,2]},{"w":1,"k":[0,1]}],"q":5}"#,
+                    r#"{"t":"fused","rids":[],"muls":[{"a":1,"b":2,"kb":4}],"prog":[{"o":"leaf","i":0}],"rid_out":3,"tasks":[{"w":0,"k":[2,0,2,2]},{"w":1,"k":[0,1]}],"q":5}"#,
                 ),
             ),
             (
                 Cmd::Fused {
                     rids: vec![8, 9],
+                    muls: vec![],
                     prog: vec![
                         FusedOp::Leaf(0),
                         FusedOp::Scale(2.0),
@@ -794,7 +797,7 @@ mod tests {
                     tasks: vec![group(0, &[(0, 0)])],
                 },
                 binfmt::encode(
-                    r#"{"t":"fused","rids":[8,9],"prog":[{"o":"leaf","i":0},{"o":"scale","ci":0},{"o":"leaf","i":1},{"o":"adds","ci":1},{"o":"add"}],"rid_out":10,"tasks":[{"w":0,"k":[0,0]}],"q":5}"#,
+                    r#"{"t":"fused","rids":[8,9],"muls":[],"prog":[{"o":"leaf","i":0},{"o":"scale","ci":0},{"o":"leaf","i":1},{"o":"adds","ci":1},{"o":"add"}],"rid_out":10,"tasks":[{"w":0,"k":[0,0]}],"q":5}"#,
                     &binfmt::encode_f64s(&[2.0, -0.5]),
                 ),
             ),
@@ -866,8 +869,8 @@ mod tests {
         let kinds: std::collections::BTreeSet<_> = cmds.iter().map(|(c, _)| c.kind()).collect();
         assert_eq!(
             (cmds.len(), kinds.len()),
-            (13, 12),
-            "13 commands, two of them `install`"
+            (13, 11),
+            "13 literals, two each of `install` and `fused` (an RMM is one)"
         );
         for (cmd, bytes) in &cmds {
             assert_eq!(&cmd.encode(Some(5)), bytes, "{cmd:?}");
@@ -1030,7 +1033,7 @@ mod tests {
         assert!(Peer::decode(push.as_bytes())
             .msg
             .unwrap_err()
-            .contains("DMB2"));
+            .contains("DMB3"));
         // A header that does not parse has no sequence number to echo.
         let torn = Cmd::decode(&free.as_bytes()[..free.len() - 1]);
         assert_eq!(torn.q, None);
@@ -1057,6 +1060,7 @@ mod tests {
         ];
         let fused = Cmd::Fused {
             rids: vec![1, 2],
+            muls: vec![],
             prog: prog.clone(),
             rid_out: 3,
             tasks: vec![],

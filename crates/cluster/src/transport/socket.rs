@@ -7,7 +7,7 @@
 //!
 //! The coordinator binds `127.0.0.1:0`, spawns one worker process per
 //! physical host, and each worker connects back with a `hello` naming its
-//! host, its peer listener, and its promise to speak the `DMB2` tile codec
+//! host, its peer listener, and its promise to speak the `DMB3` tile codec
 //! ([`super::binfmt`]). A hello without that promise (a stale
 //! `dmac-workerd` found by [`locate_workerd`]), without a peer address, or
 //! from a host that does not exist fails the launch with
@@ -74,11 +74,11 @@ use crate::partition::PartitionScheme;
 use crate::transport::binfmt;
 use crate::transport::frame::{framed_len, write_frame_bytes, FrameReader, MAX_FRAME};
 use crate::transport::proto::{
-    Cmd, Combine, Desc, Framed, Group, Key, Place, Placed, Reply, Route, Shard,
+    Cmd, Combine, Desc, Framed, Group, Key, Mul, Place, Placed, Reply, Route, Shard,
 };
 use crate::transport::wire;
 use crate::transport::{
-    MoveItem, PartialDesc, Release, Stage, StageKernel, TileTransform, Transport, TransportStats,
+    MoveItem, PartialDesc, Release, Stage, TileTransform, Transport, TransportStats,
 };
 
 /// When the SIGKILL test hook ([`SocketOptions::kill`]) fires. Counts
@@ -190,12 +190,12 @@ fn failure(host: usize, hosts: usize, reply: &Reply) -> Option<ClusterError> {
 }
 
 /// The host id and peer address a worker's first frame announces: a
-/// `hello` from one of `workers` hosts that speaks `DMB2` — a stale
+/// `hello` from one of `workers` hosts that speaks `DMB3` — a stale
 /// `daemon` does not.
 fn hello_of(raw: &[u8], workers: usize, daemon: &Path) -> Result<(usize, String)> {
     let stale = |host| {
         ClusterError::Protocol(format!(
-            "worker {host} ({}) does not speak the DMB2 tile codec \
+            "worker {host} ({}) does not speak the DMB3 tile codec \
              (stale dmac-workerd? rebuild it, or set DMAC_WORKERD)",
             daemon.display()
         ))
@@ -1031,10 +1031,12 @@ impl Transport for SocketTransport {
         self.op_tick();
         let Stage {
             op,
-            kernel,
+            prog,
+            leaves,
+            rmms,
             rid,
-            meta,
             keys,
+            ..
         } = *stage;
         // A worker's tasks are one group: its output keys, named once.
         let tasks_of = |w: usize| {
@@ -1044,33 +1046,25 @@ impl Transport for SocketTransport {
             };
             (!keys[w].is_empty()).then_some(group).into_iter().collect()
         };
-        let cmds = match kernel {
-            StageKernel::Mm(a, b) => {
-                self.ensure_resident(a)?;
-                self.ensure_resident(b)?;
-                let (rid_a, rid_b, kb) = (a.rid(), b.rid(), a.meta().col_blocks);
-                self.stage_cmds(rid, None, tasks_of, |tasks| Cmd::Mm {
-                    rid_a,
-                    rid_b,
-                    rid_out: rid,
-                    kb,
-                    grid: meta,
-                    tasks,
-                })
-            }
-            StageKernel::Fused(prog, leaves) => {
-                for leaf in leaves {
-                    self.ensure_resident(leaf)?;
-                }
-                let rids: Vec<u64> = leaves.iter().map(|leaf| leaf.rid()).collect();
-                self.stage_cmds(rid, None, tasks_of, |tasks| Cmd::Fused {
-                    rids: rids.clone(),
-                    prog: prog.to_vec(),
-                    rid_out: rid,
-                    tasks,
-                })
-            }
-        };
+        let operands = rmms.iter().flat_map(|rmm| [rmm.a, rmm.b]);
+        for m in leaves.iter().copied().chain(operands) {
+            self.ensure_resident(m)?;
+        }
+        let rids: Vec<u64> = leaves.iter().map(|leaf| leaf.rid()).collect();
+        let muls: Vec<Mul> = (rmms.iter())
+            .map(|rmm| Mul {
+                a: rmm.a.rid(),
+                b: rmm.b.rid(),
+                kb: rmm.a.meta().col_blocks,
+            })
+            .collect();
+        let cmds = self.stage_cmds(rid, None, tasks_of, |tasks| Cmd::Fused {
+            rids: rids.clone(),
+            muls: muls.clone(),
+            prog: prog.to_vec(),
+            rid_out: rid,
+            tasks,
+        });
         // Resident from the first byte written: a stage that never
         // settles strands nothing the next sweep does not free.
         let holders = (0..keys.len()).filter(|&w| !keys[w].is_empty());
@@ -1566,10 +1560,11 @@ mod tests {
     }
 
     /// A hello names a host of the cluster and a peer address, and
-    /// promises `DMB2`: one without a peer address, with one that is not
+    /// promises `DMB3`: one without a peer address, with one that is not
     /// a string, from a host past the cluster, or that is not a hello is
     /// a typed launch error, and so is a stale daemon's — one that
-    /// promises nothing, or `DMB1` (`bin` 1, an FNV-1a trailer).
+    /// promises nothing, `DMB1` (`bin` 1, an FNV-1a trailer) or `DMB2`
+    /// (`bin` 2, an `mm` command).
     #[test]
     fn a_hello_names_its_host_and_its_peer() {
         let bin = Path::new("dmac-workerd");
@@ -1597,7 +1592,7 @@ mod tests {
                 other => panic!("{bad}: {other:?}"),
             }
         }
-        for stale in [None, Some(1)] {
+        for stale in [None, Some(1), Some(2)] {
             match hello_of(hello(1, stale).as_bytes(), 2, bin) {
                 Err(ClusterError::Protocol(m)) => assert!(m.contains("does not speak"), "{m}"),
                 other => panic!("a stale hello ({stale:?}): {other:?}"),

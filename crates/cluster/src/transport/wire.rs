@@ -1,5 +1,5 @@
 //! The canonical checksum both ends of the real transport use to prove
-//! shard equality, and the digest under it (which the `DMB2` trailer and
+//! shard equality, and the digest under it (which the `DMB3` trailer and
 //! the disk tier's blob names, manifests and plan files use too). What
 //! travels, and how it is spelled, is [`crate::transport::proto`]'s.
 //!

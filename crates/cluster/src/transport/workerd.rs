@@ -52,7 +52,8 @@ use crate::kernels::{self, MulStage};
 use crate::transport::binfmt;
 use crate::transport::frame::{framed_len, read_frame_bytes, write_frame_bytes, MAX_FRAME};
 use crate::transport::proto::{
-    Cmd, Combine, Desc, Edge, Framed, Group, Key, Part, Peer, Place, Placed, Reply, Route, Shard,
+    Cmd, Combine, Desc, Edge, Framed, Group, Key, Mul, Part, Peer, Place, Placed, Reply, Route,
+    Shard,
 };
 use crate::transport::wire;
 use crate::transport::TileTransform;
@@ -327,20 +328,13 @@ impl Worker {
             }
             Cmd::Collect { rid, items } => self.collect(rid, &items),
             Cmd::Seal { rid, ws } => self.seal(rid, &ws),
-            Cmd::Mm {
-                rid_a,
-                rid_b,
-                rid_out,
-                kb,
-                grid,
-                tasks,
-            } => self.mm((rid_a, rid_b, rid_out), kb, &grid, &tasks),
             Cmd::Fused {
                 rids,
+                muls,
                 prog,
                 rid_out,
                 tasks,
-            } => self.fused(&rids, &prog, rid_out, &tasks),
+            } => self.fused((&rids, &muls), &prog, rid_out, &tasks),
             Cmd::Cpmm1 {
                 rid_a,
                 rid_b,
@@ -496,51 +490,47 @@ impl Worker {
         Ok(Reply::Sealed { shards })
     }
 
-    fn mm(
-        &mut self,
-        (rid_a, rid_b, rid_out): (u64, u64, u64),
-        kb: usize,
-        grid: &GridMeta,
-        tasks: &[Group],
-    ) -> Result<Reply, String> {
-        let mut store = self.lock()?;
-        // A host's tasks come grouped by logical worker: one stage each.
-        // The results wait for the last stage to let go of the store.
-        let mut tiles = Vec::new();
-        for &Group { w, ref keys } in tasks {
-            let stage = mul_stage(&store, rid_a, rid_b, w, kb)?;
-            for &(bi, bj) in keys {
-                let shape = (grid.block_rows_of(bi), grid.block_cols_of(bj));
-                let tile = stage
-                    .product(&self.pool, shape, (bi, bj))
-                    .map_err(|e| format!("mm: result ({bi},{bj}) on worker {w}: {e}"))?;
-                tiles.push((w, (bi, bj), tile));
-            }
-        }
-        for (w, at, tile) in tiles {
-            store.entry((rid_out, w)).or_default().insert(at, tile);
-        }
-        Ok(Reply::Ok)
-    }
-
+    /// Each task's output tiles of a fused stage: per logical worker, one
+    /// multiply stage per product; per tile, the plain leaves' tiles and
+    /// [`kernels::fused_tile`] — the simulator's task, so the same bits.
+    /// The results wait for the last stage to let go of the store.
     fn fused(
         &mut self,
-        rids: &[u64],
+        (rids, muls): (&[u64], &[Mul]),
         prog: &[FusedOp],
         rid_out: u64,
         tasks: &[Group],
     ) -> Result<Reply, String> {
         let mut store = self.lock()?;
+        let mut tiles = Vec::new();
         for &Group { w, ref keys } in tasks {
+            let stages = (muls.iter())
+                .map(|m| mul_stage(&store, m.a, m.b, w, m.kb))
+                .collect::<Result<Vec<_>, String>>()?;
             for &(bi, bj) in keys {
-                let mut tiles: Vec<&Block> = Vec::with_capacity(rids.len());
+                let mut plain: Vec<&Block> = Vec::with_capacity(rids.len());
                 for &rid in rids {
-                    tiles.push(tile_of(&store, self.host, rid, w, bi, bj)?);
+                    plain.push(tile_of(&store, self.host, rid, w, bi, bj)?);
                 }
-                let out = dmac_matrix::eval_fused_block(prog, &tiles, &self.pool)
-                    .map_err(|e| e.to_string())?;
-                store.entry((rid_out, w)).or_default().insert((bi, bj), out);
+                let at = |e: &dyn std::fmt::Display| {
+                    format!("fused: tile ({bi},{bj}) on worker {w}: {e}")
+                };
+                // A tile has its leaves' shape, or its products' operands'.
+                let shape = match (plain.first(), stages.first()) {
+                    (Some(t), _) => Ok((t.rows(), t.cols())),
+                    (None, Some(stage)) => stage.shape_at((bi, bj)),
+                    (None, None) => return Err(at(&"no operands")),
+                };
+                let tile = shape
+                    .and_then(|shape| {
+                        kernels::fused_tile(&self.pool, prog, &plain, &stages, shape, (bi, bj))
+                    })
+                    .map_err(|e| at(&e))?;
+                tiles.push((w, (bi, bj), tile));
             }
+        }
+        for (w, at, tile) in tiles {
+            store.entry((rid_out, w)).or_default().insert(at, tile);
         }
         Ok(Reply::Ok)
     }
@@ -712,8 +702,9 @@ mod tests {
     }
 
     /// One host holding both logical workers' operands of one product,
-    /// placed both ways — Broadcast × Column for `mm`, Column × Row for
-    /// `cpmm1` — with each command as the coordinator encodes it and the
+    /// placed both ways — Broadcast × Column for an RMM1 (`fused`, one
+    /// product leaf), Column × Row for `cpmm1` — with each command as the
+    /// coordinator encodes it and the
     /// simulator's result: dense and CSC result tiles, ragged edges, a
     /// k-panel of all-zero tiles.
     struct Staged {
@@ -760,12 +751,15 @@ mod tests {
         let mm_out = cl.rmm1(&a_bc, &b_col).unwrap();
         install(&w, &a_bc);
         install(&w, &b_col);
-        let mm = Cmd::Mm {
-            rid_a: a_bc.rid(),
-            rid_b: b_col.rid(),
+        let mm = Cmd::Fused {
+            rids: Vec::new(),
+            muls: vec![Mul {
+                a: a_bc.rid(),
+                b: b_col.rid(),
+                kb,
+            }],
+            prog: vec![FusedOp::Leaf(0)],
             rid_out: mm_out.rid(),
-            kb,
-            grid: *mm_out.meta(),
             tasks: groups_of(&mm_out),
         };
 
@@ -806,11 +800,11 @@ mod tests {
     }
 
     /// The by-construction property, checked without launching a process:
-    /// the daemon's `mm` and `cpmm1` + `cpmm2` over a hand-built store
+    /// the daemon's RMM (`fused`) and `cpmm1` + `cpmm2` over a hand-built store
     /// produce tiles whose shard checksums equal the simulator's for the
     /// same inputs.
     #[test]
-    fn mm_and_cpmm_seal_like_the_simulator() {
+    fn rmm_and_cpmm_seal_like_the_simulator() {
         let Staged {
             mut w,
             mm,
@@ -846,13 +840,13 @@ mod tests {
         assert_same_seals(&w, &out, "cpmm");
     }
 
-    /// `mm` and `cpmm1` hold what they are told against the shards they
+    /// An RMM and `cpmm1` hold what they are told against the shards they
     /// hold: a command those contradict — or one sized to exhaust memory —
     /// is an `err` reply naming the result tile and the logical worker.
     /// Nothing panics, nothing is allocated by a command's word alone,
     /// nothing is stored, and the worker computes the true command after.
     #[test]
-    fn mm_and_cpmm1_hold_their_commands_against_their_shards() {
+    fn rmm_and_cpmm1_hold_their_commands_against_their_shards() {
         let Staged {
             mut w,
             mm,
@@ -875,7 +869,7 @@ mod tests {
         let huge = "9007199254740992";
 
         // The shared dimension: shorter than the shards, none, longer.
-        for (cmd, op) in [(&mm, "mm"), (&cpmm1, "cpmm")] {
+        for (cmd, op) in [(&mm, "fused"), (&cpmm1, "cpmm")] {
             rejected(&mut w, &cmd.replace(r#""kb":4"#, r#""kb":3"#), &["worker "]);
             rejected(&mut w, &cmd.replace(r#""kb":4"#, r#""kb":0"#), &[]);
             let long = cmd.replace(r#""kb":4"#, &format!(r#""kb":{huge}"#));
@@ -885,14 +879,14 @@ mod tests {
                 &[op, "on worker ", "missing input tile at k=4"],
             );
         }
-        // The grid: a block size, or an extent, the tiles do not have.
-        for (cmd, op) in [(&mm, "mm"), (&cpmm1, "cpmm")] {
-            for (field, was) in [("block", 3), ("rows", 7), ("cols", 8)] {
-                let was = format!(r#""{field}":{was}"#);
-                for now in ["0", "1", "2", "1099511627776", huge] {
-                    let cmd = cmd.replace(&was, &format!(r#""{field}":{now}"#));
-                    rejected(&mut w, &cmd, &[op, "worker "]);
-                }
+        // The grid: a block size, or an extent, the tiles do not have. An
+        // RMM's tiles take their operands' shape; it is told no grid.
+        assert!(!mm.contains(r#""block":"#));
+        for (field, was) in [("block", 3), ("rows", 7), ("cols", 8)] {
+            let was = format!(r#""{field}":{was}"#);
+            for now in ["0", "1", "2", "1099511627776", huge] {
+                let cmd = cpmm1.replace(&was, &format!(r#""{field}":{now}"#));
+                rejected(&mut w, &cmd, &["cpmm", "worker "]);
             }
         }
         // A result tile, a logical worker, an operand the host does not hold.
@@ -903,14 +897,14 @@ mod tests {
             format!(r#"{{"w":0,"k":[{huge},{huge},"#),
             format!(r#"{{"w":{huge},"k":[0,0,"#),
         ] {
-            let names = ["mm: result (", "on worker ", "missing input tile at k=0"];
+            let names = ["fused: tile (", "on worker ", "missing input tile at k=0"];
             rejected(&mut w, &mm.replace(first, &task), &names);
         }
-        let Ok(Cmd::Mm { rid_a, .. }) = Cmd::decode(mm.as_bytes()).msg else {
-            panic!("an mm command");
+        let Ok(Cmd::Fused { muls, .. }) = Cmd::decode(mm.as_bytes()).msg else {
+            panic!("a fused command");
         };
-        let unheld = mm.replace(&format!(r#""rid_a":{rid_a}"#), r#""rid_a":99999"#);
-        rejected(&mut w, &unheld, &["mm: result (", "on worker "]);
+        let unheld = mm.replace(&format!(r#""a":{}"#, muls[0].a), r#""a":99999"#);
+        rejected(&mut w, &unheld, &["fused: tile (", "on worker "]);
         // A stride of none is every worker's own stride of one.
         let stride = cpmm1.replace(r#""n":2"#, r#""n":0"#);
         rejected(&mut w, &stride, &["cpmm: partial (", "on worker 0"]);
@@ -934,9 +928,9 @@ mod tests {
         assert_same_seals(&w, &mm_out, "mm after the sweep");
     }
 
-    /// Tile payload is `DMB2` or nothing: an `install` or peer `push`
+    /// Tile payload is `DMB3` or nothing: an `install` or peer `push`
     /// carrying hex-JSON tiles (the retired wire format) in the header of
-    /// the `DMB2` one comes back as a typed error — never a panic, never a
+    /// the `DMB3` one comes back as a typed error — never a panic, never a
     /// silent zero-tile install.
     #[test]
     fn json_bodied_install_and_push_are_typed_errors() {
@@ -956,12 +950,12 @@ mod tests {
         };
         let err =
             run(&mut w, &json_bodied(&install)).expect_err("JSON-bodied install must be rejected");
-        assert!(err.contains("DMB2"), "{err}");
+        assert!(err.contains("DMB3"), "{err}");
         let err = install_push(json_bodied(&push).as_bytes(), &w.store).unwrap_err();
-        assert!(err.contains("DMB2"), "{err}");
+        assert!(err.contains("DMB3"), "{err}");
         assert!(w.store.lock().unwrap().is_empty(), "nothing was installed");
 
-        // The same tile as a DMB2 section installs through both doors.
+        // The same tile as a DMB3 section installs through both doors.
         assert!(run_bytes(&mut w, &install).is_ok());
         install_push(&push, &w.store).unwrap();
         assert_eq!(w.store.lock().unwrap().len(), 2);

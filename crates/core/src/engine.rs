@@ -40,7 +40,7 @@ use std::time::Instant;
 use dmac_cluster::cluster::ReduceKind;
 use dmac_cluster::dist::GridMeta;
 use dmac_cluster::{
-    Cluster, ClusterError, CommStats, DistMatrix, OpSpan, PartitionScheme, SimClock,
+    Cluster, ClusterError, CommStats, DistMatrix, OpSpan, PartitionScheme, Rmm, SimClock,
 };
 use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, ReduceOp, ScalarId, UnaryOp};
 use dmac_matrix::FusedOp;
@@ -390,7 +390,14 @@ pub(crate) fn exec_step(
                 }
             }
         }
-        PlanStep::FusedCellWise { ops, prog, out, .. } => {
+        PlanStep::Fused {
+            ops,
+            prog,
+            inputs,
+            products,
+            out,
+            ..
+        } => {
             // Resolve the symbolic scalar expressions now (the plan keeps
             // them symbolic so lineage replay re-reads the live values).
             let scalar_env = |id: ScalarId| -> f64 { *scalars.get(&id).unwrap_or(&f64::NAN) };
@@ -408,7 +415,17 @@ pub(crate) fn exec_step(
                 })
                 .collect();
             let label = subsumed.join("+");
-            Some((*out, cluster.cells("fused", &label, operands, &kernel)?))
+            // The plain leaves go to the stage; the products' operands,
+            // which follow them, are only read.
+            let mut leaves = operands;
+            let operands = leaves.split_off(inputs.len());
+            let rmms = (products.iter().zip(operands.chunks_exact(2)))
+                .map(|(p, ab)| rmm(p.strategy, &ab[0], &ab[1]))
+                .collect::<Result<Vec<_>>>()?;
+            Some((
+                *out,
+                cluster.cells("fused", &label, leaves, &rmms, &kernel)?,
+            ))
         }
     };
     if let Some((node, m)) = out {
@@ -428,7 +445,7 @@ fn entry_op(program: &Program, step: &PlanStep) -> Result<&'static str> {
         PlanStep::Broadcast { .. } => "broadcast",
         PlanStep::Transpose { .. } => "transpose",
         PlanStep::Extract { .. } => "extract",
-        PlanStep::FusedCellWise { .. } => "fused",
+        PlanStep::Fused { .. } => "fused",
         PlanStep::Compute { op, strategy, .. } => match (&program.ops()[*op].kind, strategy) {
             (OpKind::Binary { op, .. }, Strategy::CellAligned(_)) => cell_kernel(*op)?.0,
             (OpKind::Unary { .. }, Strategy::UnaryLocal) => "map",
@@ -446,6 +463,21 @@ fn cell_kernel(op: BinOp) -> Result<(&'static str, FusedOp)> {
         BinOp::CellDiv => ("cell_div", FusedOp::CellDiv),
         BinOp::MatMul => return Err(CoreError::Engine("matmul with cell strategy".into())),
     })
+}
+
+/// The local product a multiply runs by `strategy`, over its operands.
+fn rmm<'a>(strategy: Strategy, a: &'a DistMatrix, b: &'a DistMatrix) -> Result<Rmm<'a>> {
+    let out = match strategy {
+        Strategy::Rmm1 => PartitionScheme::Col,
+        Strategy::Rmm2 => PartitionScheme::Row,
+        s => {
+            return Err(CoreError::Engine(format!(
+                "{}: not a local product",
+                s.name()
+            )))
+        }
+    };
+    Ok(Rmm { a, b, out })
 }
 
 /// The one operand of a move.
@@ -799,7 +831,7 @@ fn step_identity(plan: &Plan, program: &Program, step: &PlanStep) -> (String, St
             };
             (strategy.name(), label)
         }
-        PlanStep::FusedCellWise { ops, out, .. } => (
+        PlanStep::Fused { ops, out, .. } => (
             format!("Fused({})", ops.len()),
             plan.node_label(program, *out),
         ),
@@ -867,7 +899,7 @@ fn run_compute(
         (OpKind::Binary { op, .. }, S::CellAligned(_)) => {
             let (name, instr) = cell_kernel(*op)?;
             let prog = [FusedOp::Leaf(0), FusedOp::Leaf(1), instr];
-            let out = cluster.cells(name, "", operands, &prog)?;
+            let out = cluster.cells(name, "", operands, &[], &prog)?;
             Ok(ComputeResult::Matrix(out))
         }
         (OpKind::Unary { op, .. }, S::UnaryLocal) => {
@@ -876,7 +908,7 @@ fn run_compute(
                 UnaryOp::AddScalar(s) => FusedOp::AddScalar(s.eval(&scalar_env)),
             };
             let prog = [FusedOp::Leaf(0), instr];
-            let out = cluster.cells("map", op.name(), operands, &prog)?;
+            let out = cluster.cells("map", op.name(), operands, &[], &prog)?;
             Ok(ComputeResult::Matrix(out))
         }
         (OpKind::Reduce { op, .. }, S::ReduceLocal) => {

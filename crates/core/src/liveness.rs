@@ -6,8 +6,8 @@
 //! this module exploits it for *memory* the way the planner exploits it
 //! for communication. A walk over the finished plan finds each
 //! intermediate's last reader, and that step releases it. When the reader
-//! is tile-wise ([`is_tile_wise`]) it *consumes* the value: the value dies
-//! inside the step, each input tile going once the output tile made from
+//! reads it tile-wise ([`tile_wise_inputs`]) it *consumes* the value: the
+//! value dies inside the step, each input tile going once the output tile made from
 //! it exists. Otherwise the step frees it right after it has run; a value
 //! nothing reads is freed by the step that made it. Every dead value
 //! therefore has exactly one releasing step, and a release is never a
@@ -97,7 +97,7 @@ pub fn storage_classes(program: &Program, plan: &Plan) -> Vec<StorageClass> {
                 OpKind::Reduce { .. } => StorageClass::Dense,
             },
             // The fused interpreter materialises dense result tiles.
-            PlanStep::FusedCellWise { .. } => StorageClass::Dense,
+            PlanStep::Fused { .. } => StorageClass::Dense,
         };
     }
     class
@@ -180,22 +180,30 @@ pub fn keep_set(program: &Program, plan: &Plan) -> Vec<bool> {
     keep
 }
 
-/// Does every output tile of `step` come from the input tiles at one
-/// coordinate — so the step can drop an input tile as soon as the output
-/// tile made from it exists? True of the moves (`partition`, `broadcast`,
-/// `transpose`, `extract`) and of the cell-wise computes (binary, unary,
-/// fused). Never of a multiplication: an RMM or CPMM input tile feeds
-/// many output tiles.
-pub fn is_tile_wise(step: &PlanStep) -> bool {
+/// The inputs `step` reads tile-wise: each input tile feeds only the
+/// output tile at its coordinate, so the step can drop it as soon as that
+/// output tile exists. Every input of a move (`partition`, `broadcast`,
+/// `transpose`, `extract`) and of a cell-wise compute (binary, unary); a
+/// fused step's plain leaves, save one a product of it also reads. Never
+/// a multiplication's operand: an RMM or CPMM input tile feeds many
+/// output tiles.
+pub fn tile_wise_inputs(step: &PlanStep) -> Vec<NodeId> {
     match step {
         PlanStep::Partition { .. }
         | PlanStep::Broadcast { .. }
         | PlanStep::Transpose { .. }
-        | PlanStep::Extract { .. }
-        | PlanStep::FusedCellWise { .. } => true,
-        PlanStep::Compute { strategy, .. } => {
-            matches!(strategy, Strategy::CellAligned(_) | Strategy::UnaryLocal)
-        }
+        | PlanStep::Extract { .. } => step.in_nodes(),
+        PlanStep::Compute {
+            strategy, inputs, ..
+        } => match strategy {
+            Strategy::CellAligned(_) | Strategy::UnaryLocal => inputs.clone(),
+            _ => Vec::new(),
+        },
+        PlanStep::Fused {
+            inputs, products, ..
+        } => (inputs.iter().copied())
+            .filter(|n| !products.iter().any(|p| p.inputs.contains(n)))
+            .collect(),
     }
 }
 
@@ -327,8 +335,8 @@ fn rebuilds(
 }
 
 /// Decide, once, which step releases each non-kept node, into
-/// [`Plan::releases`]. A node whose last reader is tile-wise
-/// ([`is_tile_wise`]) is consumed by it — unless it is a bound (`load`)
+/// [`Plan::releases`]. A node its last reader reads tile-wise
+/// ([`tile_wise_inputs`]) is consumed by it — unless it is a bound (`load`)
 /// source, which the session owns. Every
 /// other dead node is freed right after its last reader, or after its
 /// producer if nothing reads it. Unused *sources* are left resident —
@@ -355,7 +363,7 @@ pub fn record_releases(program: &Program, plan: &mut Plan) {
         }
         if last_use[n] != usize::MAX {
             let at = last_use[n];
-            if consumable[n] && is_tile_wise(&plan.steps[at]) {
+            if consumable[n] && tile_wise_inputs(&plan.steps[at]).contains(&n) {
                 releases[at].consumes.push(n);
             } else {
                 releases[at].frees.push(n);
@@ -490,8 +498,8 @@ mod tests {
             for &n in &plan.releases_at(i).consumes {
                 consumers += 1;
                 assert!(
-                    is_tile_wise(step),
-                    "step {i} consumes but is not tile-wise\n{text}"
+                    tile_wise_inputs(step).contains(&n),
+                    "step {i} consumes what it does not read tile-wise\n{text}"
                 );
                 assert!(step.in_nodes().contains(&n), "{text}");
                 let later = plan.steps[i + 1..].iter();

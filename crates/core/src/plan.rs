@@ -6,7 +6,8 @@
 //! the ellipses of the paper's Figure 3 (`W1(b)`, `W1ᵀV(c)`, …). A
 //! [`PlanStep`] is an edge: one of the four extended step kinds
 //! (`partition`, `broadcast`, `transpose`, `extract`), a `compute` step
-//! carrying the chosen execution strategy, or a fused cell-wise chain.
+//! carrying the chosen execution strategy, or a fused chain: cell-wise
+//! operators over plain leaves and local products.
 //! The paper's fifth operator, `reference`, is a null operation: the
 //! held node itself satisfies a Reference dependency, with no step.
 
@@ -90,27 +91,50 @@ pub enum PlanStep {
         /// Phase tag (iteration number).
         phase: usize,
     },
-    /// A maximal group of scheme-aligned cell-wise operators collapsed
-    /// into one single-pass step: the post-order `prog` is evaluated per
-    /// block over the `inputs` leaves, materialising only the final
-    /// result. Purely local — never communication.
-    FusedCellWise {
-        /// Program operator indices subsumed by the fusion, in plan order.
+    /// A maximal group of scheme-aligned operators collapsed into one
+    /// single-pass step: per output block, each of `products` is folded
+    /// into a tile and the post-order `prog` is evaluated over the leaves,
+    /// materialising only the final result. Purely local — never
+    /// communication. With no products it is a fused cell-wise chain.
+    Fused {
+        /// Program operator indices subsumed by the fusion, in plan order:
+        /// the cell-wise members and the products' multiplications.
         ops: Vec<usize>,
-        /// Post-order expression program over `inputs`: `Leaf(i)` pushes
-        /// the `i`-th of them, binary instructions pop two operands,
-        /// scalar instructions pop one. Scalar operands stay symbolic so
-        /// the step can be replayed from lineage after the driver's
-        /// reduction values are known; the engine resolves them at
-        /// dispatch.
+        /// Post-order expression program over the leaves: `Leaf(i)` pushes
+        /// the `i`-th of `inputs` followed by `products` (so product `j`
+        /// is leaf `inputs.len() + j`), binary instructions pop two
+        /// operands, scalar instructions pop one. Scalar operands stay
+        /// symbolic so the step can be replayed from lineage after the
+        /// driver's reduction values are known; the engine resolves them
+        /// at dispatch.
         prog: Vec<FusedOp<ScalarExpr>>,
-        /// Leaf input nodes, in [`FusedOp::Leaf`] index order.
+        /// Plain leaf input nodes, read tile by tile.
         inputs: Vec<NodeId>,
+        /// Local products the step computes per output tile instead of
+        /// reading a materialised value.
+        products: Vec<Product>,
         /// Output node.
         out: NodeId,
         /// Phase tag.
         phase: usize,
     },
+}
+
+/// A multiplication a [`PlanStep::Fused`] step absorbs: a replication-based
+/// multiply (RMM1 / RMM2, never CPMM) whose every output tile needs only
+/// operand tiles its owner holds, so the step folds it per output tile
+/// and its output never exists as a value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Product {
+    /// Index of the multiplication in the program.
+    pub op: usize,
+    /// RMM1 or RMM2.
+    pub strategy: Strategy,
+    /// Left and right operand nodes.
+    pub inputs: [NodeId; 2],
+    /// The node the multiply would have defined: never materialised, read
+    /// by nothing but the fused step's program.
+    pub out: NodeId,
 }
 
 impl PlanStep {
@@ -122,7 +146,7 @@ impl PlanStep {
             | PlanStep::Transpose { phase, .. }
             | PlanStep::Extract { phase, .. }
             | PlanStep::Compute { phase, .. }
-            | PlanStep::FusedCellWise { phase, .. } => *phase,
+            | PlanStep::Fused { phase, .. } => *phase,
         }
     }
 
@@ -145,7 +169,7 @@ impl PlanStep {
             | PlanStep::Transpose { out, .. }
             | PlanStep::Extract { out, .. } => Some(*out),
             PlanStep::Compute { out, .. } => *out,
-            PlanStep::FusedCellWise { out, .. } => Some(*out),
+            PlanStep::Fused { out, .. } => Some(*out),
         }
     }
 
@@ -160,9 +184,13 @@ impl PlanStep {
                     *src = to;
                 }
             }
-            PlanStep::Compute { inputs, .. } | PlanStep::FusedCellWise { inputs, .. } => {
-                for input in inputs.iter_mut().filter(|i| **i == from) {
-                    *input = to;
+            PlanStep::Compute { inputs, .. } => replace(inputs, from, to),
+            PlanStep::Fused {
+                inputs, products, ..
+            } => {
+                replace(inputs, from, to);
+                for p in products {
+                    replace(&mut p.inputs, from, to);
                 }
             }
         }
@@ -175,10 +203,21 @@ impl PlanStep {
             | PlanStep::Broadcast { src, .. }
             | PlanStep::Transpose { src, .. }
             | PlanStep::Extract { src, .. } => vec![*src],
-            PlanStep::Compute { inputs, .. } | PlanStep::FusedCellWise { inputs, .. } => {
-                inputs.clone()
-            }
+            PlanStep::Compute { inputs, .. } => inputs.clone(),
+            PlanStep::Fused {
+                inputs, products, ..
+            } => (inputs.iter())
+                .chain(products.iter().flat_map(|p| &p.inputs))
+                .copied()
+                .collect(),
         }
+    }
+}
+
+/// Read `to` wherever `nodes` reads `from`.
+fn replace(nodes: &mut [NodeId], from: NodeId, to: NodeId) {
+    for n in nodes.iter_mut().filter(|n| **n == from) {
+        *n = to;
     }
 }
 
@@ -345,13 +384,16 @@ impl Plan {
         }
     }
 
-    /// The strategy the compute step of program operator `op` runs, if
-    /// it has a compute step of its own (a fused member has none).
+    /// The strategy program operator `op` runs by: its compute step's, or
+    /// the fused product's it became (a cell-wise fused member has none).
     pub fn strategy_of(&self, op: usize) -> Option<Strategy> {
         self.steps.iter().find_map(|s| match s {
             PlanStep::Compute {
                 op: o, strategy, ..
             } if *o == op => Some(*strategy),
+            PlanStep::Fused { products, .. } => {
+                products.iter().find(|p| p.op == op).map(|p| p.strategy)
+            }
             _ => None,
         })
     }
@@ -403,13 +445,13 @@ impl Plan {
                 PlanStep::Transpose { .. } => ("color=blue, style=dashed", "transpose".to_string()),
                 PlanStep::Extract { .. } => ("color=blue, style=dashed", "extract".to_string()),
                 PlanStep::Compute { strategy, .. } => ("color=black", strategy.name()),
-                PlanStep::FusedCellWise { ops, .. } => {
+                PlanStep::Fused { ops, .. } => {
                     ("color=black, penwidth=2", format!("Fused({})", ops.len()))
                 }
             };
             match step {
-                PlanStep::FusedCellWise { inputs, out, .. } => {
-                    for input in inputs {
+                PlanStep::Fused { out, .. } => {
+                    for input in step.in_nodes() {
                         let _ = writeln!(s, "  n{input} -> n{out} [label=\"{label}\", {style}];");
                     }
                 }
@@ -511,13 +553,20 @@ impl Plan {
                         out_s
                     )
                 }
-                PlanStep::FusedCellWise {
-                    ops, inputs, out, ..
+                PlanStep::Fused {
+                    ops,
+                    inputs,
+                    products,
+                    out,
+                    ..
                 } => {
-                    let ins: Vec<String> = inputs
-                        .iter()
-                        .map(|&n| self.node_label(program, n))
-                        .collect();
+                    let label = |n| self.node_label(program, n);
+                    let plain = inputs.iter().map(|&n| label(n));
+                    let products = products.iter().map(|p| {
+                        let [a, b] = p.inputs;
+                        format!("{} {}·{}", p.strategy.name(), label(a), label(b))
+                    });
+                    let ins: Vec<String> = plain.chain(products).collect();
                     format!(
                         "fused#{:<4} Fused({}) [{}] -> {}",
                         ops.iter()

@@ -293,12 +293,15 @@ pub fn plan_program_profiled(
     }
 }
 
-/// The one acceptance rule of the search, for the product seed and every
-/// descent move alike: `next` replaces `incumbent` only if it moves
-/// strictly fewer bytes and its certified peak is no higher.
+/// The one acceptance rule, for the product seed, every descent move and
+/// the fusion of products alike: `next` replaces `incumbent` only if its
+/// certified peak is no higher and it moves strictly fewer bytes, or as
+/// many in fewer steps. The search only ever offers it cheaper plans; a
+/// plan that folds products into its fused steps moves what its twin
+/// without them does.
 fn improves(next: &Planned, incumbent: &Planned) -> bool {
-    next.estimated_comm < incumbent.estimated_comm
-        && next.certificate.peak <= incumbent.certificate.peak
+    let price = |p: &Planned| (p.estimated_comm, p.plan.steps.len());
+    price(next) < price(incumbent) && next.certificate.peak <= incumbent.certificate.peak
 }
 
 /// Every `load` source that starts Hash-placed, with the Row and Column
@@ -397,13 +400,17 @@ fn propagate(
 
 /// The fusion pass: after planning (and the pull-up-broadcast /
 /// re-assignment rewrites), collapse maximal groups of scheme-aligned
-/// cell-wise compute steps into single [`PlanStep::FusedCellWise`] steps.
+/// cell-wise compute steps into single [`PlanStep::Fused`] steps, and,
+/// with `products`, absorb the local multiplications they read.
 ///
 /// An intermediate is absorbed into its consumer exactly when
 ///
-/// * both its producer and the consumer are cell-wise computes
-///   ([`Strategy::CellAligned`] binaries whose result stays in the
-///   strategy's scheme, or [`Strategy::UnaryLocal`] scalar unaries),
+/// * the consumer is a cell-wise compute ([`Strategy::CellAligned`]
+///   binaries whose result stays in the strategy's scheme, or
+///   [`Strategy::UnaryLocal`] scalar unaries), and so is its producer —
+///   or, with `products`, the producer is an RMM1 / RMM2 multiply (never
+///   CPMM, whose output is aggregated across workers) whose result is in
+///   the consumer's scheme, which the step then folds per output tile,
 /// * it has exactly one consumer across the whole plan, and
 /// * it is not a program output (outputs must materialise).
 ///
@@ -411,13 +418,16 @@ fn propagate(
 /// are guaranteed scheme-compatible: any scheme change in between would
 /// have been realised by an intervening partition/broadcast step, whose
 /// output node — not the producer's — the consumer would read. All
-/// member steps are communication-free, so fusing moves no bytes and
-/// every per-step prediction stays untouched.
+/// member steps are communication-free (Table 2 charges an RMM output 0
+/// bytes), so fusing moves no bytes and every per-step prediction stays
+/// untouched. A product's operands are read as before, so they are
+/// acquired as before.
 ///
 /// Groups whose root output spans fewer than [`FUSION_MIN_BLOCKS`] blocks
-/// (of side `block`) are left unfused.
-fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
-    use crate::plan::FusedOp;
+/// (of side `block`) are left unfused. Returns whether a product was
+/// absorbed.
+fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize, products: bool) -> bool {
+    use crate::plan::{FusedOp, Product};
     use dmac_lang::{BinOp, OpKind, UnaryOp};
     use std::collections::HashSet;
 
@@ -434,7 +444,13 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
     }
     let is_output: HashSet<NodeId> = plan.outputs.iter().map(|&(n, _, _)| n).collect();
 
-    let fusable: Vec<bool> = plan
+    #[derive(Clone, Copy, PartialEq)]
+    enum Member {
+        No,
+        Cell,
+        Product,
+    }
+    let member: Vec<Member> = plan
         .steps
         .iter()
         .map(|s| match s {
@@ -448,17 +464,25 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
                 // SystemML-S rehashes a binary's result into its cache — a
                 // repartition at the step's own output — so only a result
                 // left in the strategy's scheme can sit inside a chain.
-                Strategy::CellAligned(s) => plan.nodes[*o].scheme == *s,
-                Strategy::UnaryLocal => {
-                    matches!(program.ops()[*op].kind, OpKind::Unary { .. })
+                Strategy::CellAligned(s) if plan.nodes[*o].scheme == *s => Member::Cell,
+                Strategy::UnaryLocal if matches!(program.ops()[*op].kind, OpKind::Unary { .. }) => {
+                    Member::Cell
                 }
-                _ => false,
+                // Likewise a product left where its strategy puts it.
+                Strategy::Rmm1 if products && plan.nodes[*o].scheme == PartitionScheme::Col => {
+                    Member::Product
+                }
+                Strategy::Rmm2 if products && plan.nodes[*o].scheme == PartitionScheme::Row => {
+                    Member::Product
+                }
+                _ => Member::No,
             },
-            _ => false,
+            _ => Member::No,
         })
         .collect();
 
-    // Union fusable steps across contractible producer→consumer edges.
+    // Union members across contractible producer→consumer edges. A
+    // consumer is always cell-wise, so a product is only ever a leaf.
     let mut comp: Vec<usize> = (0..plan.steps.len()).collect();
     fn find(comp: &mut [usize], i: usize) -> usize {
         let mut r = i;
@@ -474,24 +498,29 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
         r
     }
     for (j, s) in plan.steps.iter().enumerate() {
-        if !fusable[j] {
+        if member[j] != Member::Cell {
             continue;
         }
+        let scheme = s.out_node().map(|o| plan.nodes[o].scheme);
         for n in s.in_nodes() {
             if consumers[n] != 1 || is_output.contains(&n) {
                 continue;
             }
-            if let Some(i) = producer[n] {
-                if fusable[i] {
-                    let (ri, rj) = (find(&mut comp, i), find(&mut comp, j));
-                    comp[ri] = rj;
-                }
+            let Some(i) = producer[n] else { continue };
+            let joins = match member[i] {
+                Member::Cell => true,
+                Member::Product => Some(plan.nodes[n].scheme) == scheme,
+                Member::No => false,
+            };
+            if joins {
+                let (ri, rj) = (find(&mut comp, i), find(&mut comp, j));
+                comp[ri] = rj;
             }
         }
     }
     let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (i, &f) in fusable.iter().enumerate() {
-        if f {
+    for (i, &m) in member.iter().enumerate() {
+        if m != Member::No {
             let r = find(&mut comp, i);
             groups.entry(r).or_default().push(i);
         }
@@ -499,15 +528,18 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
 
     // Build one fused step per multi-member group. Within a group every
     // contracted edge points at a unique consumer, so the member with the
-    // highest plan index is the unique root — by then every leaf exists.
+    // highest plan index is the unique root — a cell-wise step, read by
+    // nothing in the group — and by then every leaf exists.
     let mut fused_at: HashMap<usize, PlanStep> = HashMap::new();
     let mut absorbed: HashSet<usize> = HashSet::new();
-    for members in groups.into_values() {
+    let mut any_product = false;
+    for mut members in groups.into_values() {
         if members.len() < 2 {
             continue;
         }
+        members.sort_unstable();
         let member_set: HashSet<usize> = members.iter().copied().collect();
-        let root = *members.iter().max().expect("non-empty group");
+        let root = *members.last().expect("non-empty group");
         let root_out = plan.steps[root]
             .out_node()
             .expect("fusable steps define a node");
@@ -524,40 +556,54 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
             continue;
         }
 
-        // Post-order expression program over the group's leaves.
-        let mut ops = members.clone();
-        ops.sort_unstable();
+        // Post-order expression program over the group's leaves: plain
+        // nodes first, then products, so a leaf is numbered once all are
+        // known (`Err(j)` stands for product `j` until then).
         let mut leaves: Vec<NodeId> = Vec::new();
-        let mut prog: Vec<FusedOp<_>> = Vec::new();
+        let mut prods: Vec<Product> = Vec::new();
+        let mut prog: Vec<std::result::Result<FusedOp<_>, usize>> = Vec::new();
         let mut stack = vec![(root_out, false)];
         while let Some((node, emitted)) = stack.pop() {
-            let member = producer[node].filter(|i| member_set.contains(i));
-            let Some(i) = member else {
+            let Some(i) = producer[node].filter(|i| member_set.contains(i)) else {
                 let idx = leaves.iter().position(|&l| l == node).unwrap_or_else(|| {
                     leaves.push(node);
                     leaves.len() - 1
                 });
-                prog.push(FusedOp::Leaf(idx));
+                prog.push(Ok(FusedOp::Leaf(idx)));
                 continue;
             };
-            let PlanStep::Compute { op, inputs, .. } = &plan.steps[i] else {
+            let PlanStep::Compute {
+                op,
+                strategy,
+                inputs,
+                ..
+            } = &plan.steps[i]
+            else {
                 unreachable!("fusable steps are computes");
             };
-            if emitted {
-                prog.push(match &program.ops()[*op].kind {
+            if member[i] == Member::Product {
+                prog.push(Err(prods.len()));
+                prods.push(Product {
+                    op: *op,
+                    strategy: *strategy,
+                    inputs: [inputs[0], inputs[1]],
+                    out: node,
+                });
+            } else if emitted {
+                prog.push(Ok(match &program.ops()[*op].kind {
                     OpKind::Binary { op: b, .. } => match b {
                         BinOp::Add => FusedOp::Add,
                         BinOp::Sub => FusedOp::Sub,
                         BinOp::CellMul => FusedOp::CellMul,
                         BinOp::CellDiv => FusedOp::CellDiv,
-                        BinOp::MatMul => unreachable!("matmul is never cell-wise"),
+                        BinOp::MatMul => unreachable!("a cell-wise member is no matmul"),
                     },
                     OpKind::Unary { op: u, .. } => match u {
                         UnaryOp::Scale(e) => FusedOp::Scale(e.clone()),
                         UnaryOp::AddScalar(e) => FusedOp::AddScalar(e.clone()),
                     },
                     OpKind::Reduce { .. } => unreachable!("reductions are not fusable"),
-                });
+                }));
             } else {
                 stack.push((node, true));
                 for &input in inputs.iter().rev() {
@@ -565,8 +611,13 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
                 }
             }
         }
+        let prog = prog
+            .into_iter()
+            .map(|instr| instr.unwrap_or_else(|j| FusedOp::Leaf(leaves.len() + j)))
+            .collect();
+        any_product |= !prods.is_empty();
 
-        let member_ops: Vec<usize> = ops
+        let member_ops: Vec<usize> = members
             .iter()
             .map(|&i| match &plan.steps[i] {
                 PlanStep::Compute { op, .. } => *op,
@@ -575,10 +626,11 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
             .collect();
         fused_at.insert(
             root,
-            PlanStep::FusedCellWise {
+            PlanStep::Fused {
                 ops: member_ops,
                 prog,
                 inputs: leaves,
+                products: prods,
                 out: root_out,
                 phase: plan.steps[root].phase(),
             },
@@ -586,7 +638,7 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
         absorbed.extend(members.iter().copied().filter(|&i| i != root));
     }
     if fused_at.is_empty() {
-        return;
+        return false;
     }
 
     // Rebuild steps/predictions, dropping absorbed members (all comm-free,
@@ -602,6 +654,39 @@ fn fuse_cell_chains(program: &Program, plan: &mut Plan, block: usize) {
         plan.steps.push(step);
         plan.predicted
             .push(old_predicted.get(i).copied().unwrap_or(0));
+    }
+    any_product
+}
+
+/// The post-passes after fusion: the liveness pass (after fusion, so
+/// releases anchor to the steps that actually execute), the predicted nnz
+/// of every step that defines a node, and the certificate.
+fn certify(
+    program: &Program,
+    mut plan: Plan,
+    profiles: &[SparsityProfile],
+    block: usize,
+    estimated_comm: u64,
+) -> Planned {
+    let certificate = crate::liveness::rederive(program, &mut plan, profiles, block);
+    plan.predicted_nnz = (plan.steps.iter())
+        .map(|s| {
+            s.out_node()
+                .map(|n| profiles[plan.nodes[n].matrix as usize].nnz)
+                .unwrap_or(0)
+        })
+        .collect();
+    let search = Search {
+        seed_comm: estimated_comm,
+        seed_peak: certificate.peak,
+        moves: Vec::new(),
+    };
+    Planned {
+        plan,
+        estimated_comm,
+        profiles: profiles.to_vec(),
+        certificate,
+        search,
     }
 }
 
@@ -750,36 +835,25 @@ impl<'a> Planner<'a> {
     /// flexible, fuse cell-wise chains, rebuild rather than hold what a
     /// free dependency gives back, record releases, stamp predicted nnz
     /// and certify memory. Every plan goes through this one finish.
+    ///
+    /// Fusion is tried with product leaves and without; the plan with them
+    /// is kept only if it [`improves`] on the one without, so folding a
+    /// multiply into its consumer never raises the certified peak.
     fn finish(mut self) -> Planned {
         let (program, block) = (self.program, self.cfg.fusion_block.max(1));
+        let (profiles, estimated_comm) = (self.profiles, self.estimated_comm);
+        let certify = |plan| certify(program, plan, profiles, block, estimated_comm);
         self.plan.finalize_flexible();
-        fuse_cell_chains(program, &mut self.plan, block);
-        // Liveness post-pass: runs after fusion so releases anchor to the
-        // steps that actually execute.
-        let certificate = crate::liveness::rederive(program, &mut self.plan, self.profiles, block);
-        // Post-pass: stamp the predicted output nnz onto every step that
-        // defines a node (survives the fusion rebuild because it runs after).
-        self.plan.predicted_nnz = self
-            .plan
-            .steps
-            .iter()
-            .map(|s| {
-                s.out_node()
-                    .map(|n| self.profiles[self.plan.nodes[n].matrix as usize].nnz)
-                    .unwrap_or(0)
-            })
-            .collect();
-        let search = Search {
-            seed_comm: self.estimated_comm,
-            seed_peak: certificate.peak,
-            moves: Vec::new(),
-        };
-        Planned {
-            plan: self.plan,
-            estimated_comm: self.estimated_comm,
-            profiles: self.profiles.to_vec(),
-            certificate,
-            search,
+        let mut with = self.plan.clone();
+        if !fuse_cell_chains(program, &mut with, block, true) {
+            return certify(with);
+        }
+        fuse_cell_chains(program, &mut self.plan, block, false);
+        let (with, without) = (certify(with), certify(self.plan));
+        if improves(&with, &without) {
+            with
+        } else {
+            without
         }
     }
 
@@ -1390,7 +1464,7 @@ mod tests {
                 .plan
                 .steps
                 .iter()
-                .any(|st| matches!(st, PlanStep::FusedCellWise { ops, .. } if ops.len() == 2)),
+                .any(|st| matches!(st, PlanStep::Fused { ops, .. } if ops.len() == 2)),
             "{}",
             planned.plan.explain(&p)
         );
@@ -1629,6 +1703,60 @@ mod tests {
         assert!(planned.plan.nodes[*node].transposed);
     }
 
+    /// GNMF's W-update over the fusion gate: the fused update folds
+    /// `V Hᵀ` and `W·(H Hᵀ)`, both RMM2, into its step, which moves the
+    /// bytes and certifies no more than the plan that materialises them.
+    #[test]
+    fn products_fold_into_their_update_at_no_higher_peak() {
+        let cfg = PlannerConfig {
+            fusion_block: 32,
+            ..PlannerConfig::default()
+        };
+        let mut p = Program::new();
+        let v = p.load("V", 1024, 512, 0.05);
+        let w = p.random("W", 1024, 32);
+        let h = p.random("H", 32, 512);
+        let vht = p.matmul(v, h.t()).unwrap();
+        let hht = p.matmul(h, h.t()).unwrap();
+        let whht = p.matmul(w, hht).unwrap();
+        let num = p.cell_mul(w, vht).unwrap();
+        let w_new = p.cell_div(num, whht).unwrap();
+        p.store(w_new, "W");
+        let profiles = propagate(&p, &cfg, &HashMap::new());
+        let greedy = || Planner::greedy(&p, &cfg, 4, &HashMap::new(), &profiles, None, &[]);
+        let planned = greedy().unwrap().finish();
+        let text = planned.plan.explain(&p);
+        let folded = (planned.plan.steps.iter()).find_map(|st| match st {
+            PlanStep::Fused { products, .. } if !products.is_empty() => Some(products),
+            _ => None,
+        });
+        let strategies: Vec<Strategy> = folded.expect(&text).iter().map(|q| q.strategy).collect();
+        assert_eq!(strategies, [Strategy::Rmm2, Strategy::Rmm2], "{text}");
+        let MatrixOrigin::Op(op) = p.decl(vht.id).unwrap().origin else {
+            unreachable!("a product")
+        };
+        assert_eq!(planned.plan.strategy_of(op), Some(Strategy::Rmm2));
+
+        let g = greedy().unwrap();
+        let mut without = g.plan;
+        without.finalize_flexible();
+        fuse_cell_chains(&p, &mut without, 32, false);
+        let without = certify(&p, without, &profiles, 32, g.estimated_comm);
+        assert_eq!(planned.estimated_comm, without.estimated_comm);
+        assert_eq!(
+            planned.plan.predicted_total(),
+            without.plan.predicted_total()
+        );
+        assert!(
+            planned.plan.steps.len() < without.plan.steps.len(),
+            "{text}"
+        );
+        assert!(
+            planned.certificate.peak <= without.certificate.peak,
+            "{text}"
+        );
+    }
+
     /// The all-`random` H-update of a serve-shaped GNMF (160 × 96, rank
     /// 8) placed `V → c`, `W → b`, `H → c` moves 2 048 B, but as the
     /// greedy leaves it it holds `W(b)` beside `Wᵀ(b)` through `Wᵀ V`,
@@ -1657,7 +1785,7 @@ mod tests {
         let g = Planner::greedy(&p, &cfg, 4, &HashMap::new(), &profiles, None, &place).unwrap();
         let mut plain = g.plan.clone();
         plain.finalize_flexible();
-        fuse_cell_chains(&p, &mut plain, 16);
+        fuse_cell_chains(&p, &mut plain, 16, true);
         crate::liveness::record_releases(&p, &mut plain);
         let plain_peak = crate::liveness::certificate(&p, &plain, &profiles, 16).peak;
         let lean = g.finish();

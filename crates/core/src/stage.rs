@@ -115,7 +115,7 @@ pub fn explain_stages(plan: &Plan, program: &dmac_lang::Program) -> String {
                     );
                     continue;
                 }
-                PlanStep::FusedCellWise { ops, .. } => {
+                PlanStep::Fused { ops, .. } => {
                     let _ = writeln!(
                         s,
                         "  fused   Fused({}) -> {}",

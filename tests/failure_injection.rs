@@ -597,9 +597,10 @@ fn exhausted_recovery_budget_is_a_typed_error_not_a_panic() {
 }
 
 /// A loss caught where a step consumes its dying inputs. At this scale
-/// GNMF's W-update `W * (V Hᵀ) / (W H Hᵀ)` is one fused step that
-/// consumes all three of its leaves, and the stage it runs in opens with
-/// a broadcast that consumes what it moves; a kill at that stage is caught
+/// GNMF's W-update `W * (V Hᵀ) / (W H Hᵀ)` is one fused step that folds
+/// both products and frees the three values it reads (`W` is a product
+/// operand too, so nothing is read tile-wise), and the stage it runs in
+/// opens with a broadcast that consumes what it moves; a kill at that stage is caught
 /// at that broadcast's entry, before it takes its input, so recovery
 /// rebuilds only what the dead host held. The factors must match the healthy run
 /// bit for bit, every step's receipt must equal what the oracle metered,
@@ -635,11 +636,12 @@ fn a_kill_at_the_fused_update_stage_recovers_bit_identically() {
     let fused = plan
         .steps
         .iter()
-        .position(|st| matches!(st, dmac::core::plan::PlanStep::FusedCellWise { .. }))
+        .position(|st| matches!(st, dmac::core::plan::PlanStep::Fused { .. }))
         .expect("the W-update is fused at this scale");
+    let releases = plan.releases_at(fused);
     assert_eq!(
-        plan.releases_at(fused).consumes.len(),
-        3,
+        (releases.consumes.len(), releases.frees.len()),
+        (0, 3),
         "{}",
         plan.explain(&p)
     );

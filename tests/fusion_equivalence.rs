@@ -1,6 +1,7 @@
-//! Property test for the cell-wise fusion pass: for random programs,
-//! shapes, and sparsities, a fused run must be **bit-for-bit identical** to
-//! an unfused run — same output bits, same communication bytes.
+//! Property test for the fusion pass: for random programs, shapes, and
+//! sparsities, a fused run — cell-wise chains, and the RMM products they
+//! read folded in as leaves — must be **bit-for-bit identical** to an
+//! unfused run — same output bits, same communication bytes.
 //!
 //! The unfused reference is the production planner's own plan for the
 //! same program with every intermediate pinned as an output
@@ -27,8 +28,10 @@ mod common;
 
 use common::pin_all_intermediates;
 use dmac::apps::{Gnmf, PageRank};
+use dmac::core::plan::PlanStep;
+use dmac::core::strategy::Strategy;
 use dmac::core::Session;
-use dmac::lang::{Expr, Program, ScalarExpr};
+use dmac::lang::{Expr, MatrixId, Program, ScalarExpr};
 use dmac::matrix::exec::ResultBufferPool;
 use dmac::matrix::{
     eval_fused_block, Block, BlockedMatrix, CscBlock, DenseBlock, FusedOp, SplitMix64,
@@ -61,9 +64,11 @@ fn rng_cell(rng: &mut SplitMix64) -> f64 {
     }
 }
 
-/// Build a random DAG of cell-wise ops (with occasional matmuls that force
-/// communication boundaries through the middle of the expression). Returns
-/// the program and the expressions pinned as outputs.
+/// Build a random DAG of cell-wise ops and matmuls: a matmul may force a
+/// communication boundary through the middle of the expression, or, run
+/// as RMM1 / RMM2 and read once by a cell-wise op, become a product leaf
+/// of that op's fused step. Returns the program and the expressions pinned
+/// as outputs.
 fn random_program(rng: &mut SplitMix64, n: usize, leaves: usize) -> (Program, Vec<Expr>) {
     let mut p = Program::new();
     let mut pool: Vec<Expr> = (0..leaves)
@@ -72,7 +77,7 @@ fn random_program(rng: &mut SplitMix64, n: usize, leaves: usize) -> (Program, Ve
     let ops = 3 + rng.below(6);
     for _ in 0..ops {
         let a = pool[rng.below(pool.len())];
-        let e = match rng.below(8) {
+        let e = match rng.below(10) {
             0 => {
                 let b = pool[rng.below(pool.len())];
                 p.add(a, b).unwrap()
@@ -124,11 +129,18 @@ struct Run {
     broadcast_bytes: u64,
     /// The trace's step kinds (`"Fused(2)"`, `"Cell(r)"`, `"RMM1"`, …).
     kinds: Vec<String>,
+    /// Per fused step of the plan: its output matrix, its cell-wise
+    /// program and the strategies of the products it folds.
+    fused: Vec<(MatrixId, Vec<FusedOp<ScalarExpr>>, Vec<Strategy>)>,
 }
 
 impl Run {
     fn fused_steps(&self) -> usize {
         self.kinds.iter().filter(|k| k.starts_with("Fused")).count()
+    }
+
+    fn products(&self) -> usize {
+        self.fused.iter().map(|f| f.2.len()).sum()
     }
 
     fn cell_steps(&self) -> usize {
@@ -152,7 +164,23 @@ fn run(
     for (name, m) in bindings {
         s.bind(name, m.clone()).unwrap();
     }
-    let report = s.run(program).unwrap();
+    let prep = s.prepare(program).unwrap();
+    let plan = prep.plan();
+    let fused = (plan.steps.iter())
+        .filter_map(|st| match st {
+            PlanStep::Fused {
+                prog,
+                products,
+                out,
+                ..
+            } => {
+                let strategies = products.iter().map(|p| p.strategy).collect();
+                Some((plan.nodes[*out].matrix, prog.clone(), strategies))
+            }
+            _ => None,
+        })
+        .collect();
+    let report = s.run_prepared(&prep).unwrap();
     let values = outs
         .iter()
         .map(|&e| s.value(e).unwrap().to_dense())
@@ -168,6 +196,7 @@ fn run(
             .iter()
             .map(|st| st.kind.clone())
             .collect(),
+        fused,
     }
 }
 
@@ -210,7 +239,7 @@ fn assert_fused_matches_unfused(
 /// identical communication bytes, across random programs/shapes/sparsity.
 #[test]
 fn fused_runs_are_bit_identical_to_unfused() {
-    let mut fused_cases = 0;
+    let (mut fused_cases, mut product_cases) = (0, 0);
     for case in 0..CASES {
         let mut rng = SplitMix64::new(SEED ^ case as u64);
         // At least 6 strips a side: every grid clears the 32-block gate.
@@ -230,11 +259,16 @@ fn fused_runs_are_bit_identical_to_unfused() {
             block,
         );
         fused_cases += usize::from(fused.fused_steps() > 0);
+        product_cases += usize::from(fused.products() > 0);
     }
     // The corpus must exercise the pass, not just the reference.
     assert!(
         fused_cases >= CASES / 2,
         "only {fused_cases} of {CASES} cases fused anything"
+    );
+    assert!(
+        product_cases >= CASES / 8,
+        "only {product_cases} of {CASES} cases folded a product"
     );
 }
 
@@ -302,8 +336,10 @@ fn size_gate_skips_tiny_chains() {
 }
 
 /// The real applications at grids over the gate: every GNMF update chain
-/// runs as a fused step with no plain cell-wise step left, PageRank's
-/// damping chain fuses, and both match their unfused reference bit for
+/// runs as a fused step with no plain cell-wise step left, and each
+/// W-update `W * (V Hᵀ) / (W H Hᵀ)` folds its two RMM2 products;
+/// PageRank's walk `rank %*% link` (RMM1) is one step with its
+/// `* 0.85 + teleport`; and both match their unfused reference bit for
 /// bit.
 #[test]
 fn applications_fuse_over_the_gate() {
@@ -329,6 +365,19 @@ fn applications_fuse_over_the_gate() {
         "gnmf: plain cell-wise steps left: {:?}",
         fused.kinds
     );
+    let products_of = |run: &Run, m: MatrixId| {
+        let step = run.fused.iter().find(|f| f.0 == m);
+        step.map(|f| f.2.clone()).unwrap_or_default()
+    };
+    assert_eq!(
+        products_of(&fused, h.w.id),
+        [Strategy::Rmm2, Strategy::Rmm2],
+        "gnmf: the W-update folds V Hᵀ and W·HHᵀ"
+    );
+    let w_updates = (fused.fused.iter())
+        .filter(|f| f.2 == [Strategy::Rmm2, Strategy::Rmm2])
+        .count();
+    assert_eq!(w_updates, gnmf.iterations, "one per iteration");
 
     // rank is 1×512: 32 blocks, exactly at the gate.
     let pr = PageRank {
@@ -345,6 +394,23 @@ fn applications_fuse_over_the_gate() {
     let bindings = [("link".to_string(), link), ("D".to_string(), d)];
     let fused = assert_fused_matches_unfused("pagerank", &p, &[h.rank], &bindings, block);
     assert!(fused.fused_steps() > 0, "{:?}", fused.kinds);
+    // `teleport` is read by every iteration: a plain leaf; the walk is
+    // the product leaf that follows it.
+    let step = fused.fused.iter().find(|f| f.0 == h.rank.id);
+    let (_, prog, products) = step.expect("the last update is fused");
+    assert_eq!(products, &[Strategy::Rmm1]);
+    let damped = [
+        FusedOp::Leaf(1),
+        FusedOp::Scale(ScalarExpr::c(pr.damping)),
+        FusedOp::Leaf(0),
+        FusedOp::Add,
+    ];
+    assert_eq!(prog, &damped);
+    assert!(
+        !fused.kinds.iter().any(|k| k == "RMM1"),
+        "{:?}",
+        fused.kinds
+    );
 }
 
 /// The unfused side of every comparison above is a chain of one-operator

@@ -25,7 +25,7 @@ use dmac::cluster::transport::frame::{
     read_frame, write_frame, write_frame_bytes, FrameReader, MAX_FRAME,
 };
 use dmac::cluster::transport::proto::{
-    Cmd, Combine, Desc, Edge, Group, Part, Peer, Place, Placed, Reply, Route, Shard,
+    Cmd, Combine, Desc, Edge, Group, Mul, Part, Peer, Place, Placed, Reply, Route, Shard,
 };
 use dmac::cluster::transport::TileTransform;
 use dmac::matrix::{Block, CscBlock, DenseBlock, SplitMix64};
@@ -275,7 +275,7 @@ fn random_tile(rng: &mut SplitMix64) -> Block {
     }
 }
 
-/// The binary `DMB2` codec: random tile batches round-trip exactly, and
+/// The binary `DMB3` codec: random tile batches round-trip exactly, and
 /// decoded tiles re-encode to the byte-identical section — the encoding
 /// is canonical, so decode∘encode is the identity on bytes too.
 #[test]
@@ -308,7 +308,7 @@ fn binary_tile_messages_round_trip_canonically() {
 
 /// A tile's layout in memory is nobody's business outside the process. A
 /// CSC tile with 2 of its 8 columns occupied keeps pointers for those two
-/// only, yet its `DMB2` frame, its shard checksum and its disk payload are
+/// only, yet its `DMB3` frame, its shard checksum and its disk payload are
 /// defined over Figure 5's `cols + 1` pointer array: each is pinned, and
 /// each is also rebuilt here by hand over that unpacked layout — the frame
 /// and the payload byte for byte, all three digests from those bytes —
@@ -316,7 +316,7 @@ fn binary_tile_messages_round_trip_canonically() {
 ///
 /// The disk payload's `(len, digest)` is of the `DMDM2` layout — the 39-byte
 /// head `"DMDM2\n"` ∥ rows, cols, block, workers (`u64` LE) ∥ scheme `u8`,
-/// then the same `DMB2` tile section a frame carries: `u32` count, and per
+/// then the same `DMB3` tile section a frame carries: `u32` count, and per
 /// tile ascending `(bi, bj)` `u32` w (the holder; `u32::MAX` = replicated),
 /// bi, bj, `u8` kind, `u32` rows, cols, then for a sparse tile `u32` np +
 /// pointers, `u32` ni + row indices, `u32` nv + values. Here: 39 + 4 +
@@ -368,8 +368,8 @@ fn packed_tiles_keep_their_external_bytes() {
     assert_eq!(binfmt::tile_wire_len(&tile), 105);
     let frame = binfmt::encode(r#"{"t":"push"}"#, &body);
     let trailer = u64::from_le_bytes(frame[frame.len() - 8..].try_into().unwrap());
-    assert_eq!((frame.len(), trailer), (141, 0x1486_78B0_9CD0_79E1));
-    let mut hand = b"DMB2".to_vec();
+    assert_eq!((frame.len(), trailer), (141, 0xF4C3_6FE6_24C5_A934));
+    let mut hand = b"DMB3".to_vec();
     u32s(&mut hand, &[12]);
     hand.extend_from_slice(br#"{"t":"push"}"#);
     u32s(&mut hand, &[109, 1, 1, 2, 3]); // blen, count, w, bi, bj
@@ -708,9 +708,9 @@ fn binary_oversize_counts_fail_before_allocation() {
 /// Mutating one byte of a well-formed worker command either still decodes
 /// (the mutation hit a value) or fails with a typed error — `Cmd::decode`
 /// must never panic on near-miss protocol frames. What the daemon then
-/// makes of a mutated `mm` / `cpmm1` that still decodes is the same sweep
-/// run through its dispatcher, next to it (`workerd.rs`,
-/// `mm_and_cpmm1_hold_their_commands_against_their_shards`). The `mm`,
+/// makes of a mutated RMM (`fused`) / `cpmm1` that still decodes is the
+/// same sweep run through its dispatcher, next to it (`workerd.rs`,
+/// `rmm_and_cpmm1_hold_their_commands_against_their_shards`). The
 /// `fused`, `xfer` and generating `install` texts name their tiles as the
 /// coordinator does, once per group (`"k":[bi,bj,…]`); what the daemon
 /// makes of a mutated generator is
@@ -720,9 +720,9 @@ fn mutated_commands_fail_typed() {
     let commands = [
         r#"{"t":"install","rid":"00000000000000ff","tiles":["0_1_x"],"n":3}"#,
         r#"{"t":"install","rid":7,"seed":"00000000000000ff","m":3,"rows":37,"cols":50,"block":16,"tasks":[{"w":0,"k":[0,0,2,3]},{"w":1,"k":[1,2]}]}"#,
-        r#"{"t":"mm","rows":7,"cols":8,"block":3,"rid_a":1,"rid_b":2,"rid_out":3,"kb":4,"tasks":[{"w":0,"k":[2,0,2,2]},{"w":1,"k":[0,1]}]}"#,
+        r#"{"t":"fused","rids":[],"muls":[{"a":1,"b":2,"kb":4}],"prog":[{"o":"leaf","i":0}],"rid_out":3,"tasks":[{"w":0,"k":[2,0,2,2]},{"w":1,"k":[0,1]}]}"#,
         r#"{"t":"cpmm1","rows":7,"cols":8,"block":3,"rid_a":4,"rid_b":5,"stage":1099511627776,"n":2,"kb":4,"ws":[0,1]}"#,
-        r#"{"t":"fused","rids":[8,9],"prog":[{"o":"leaf","i":0},{"o":"leaf","i":1},{"o":"add"}],"rid_out":10,"tasks":[{"w":0,"k":[0,0,1,0]},{"w":1,"k":[0,1]}]}"#,
+        r#"{"t":"fused","rids":[8,9],"muls":[],"prog":[{"o":"leaf","i":0},{"o":"leaf","i":1},{"o":"add"}],"rid_out":10,"tasks":[{"w":0,"k":[0,0,1,0]},{"w":1,"k":[0,1]}]}"#,
         r#"{"t":"xfer","rid_in":6,"rid_out":7,"tr":"transpose","groups":[{"wi":0,"wo":1,"dh":1,"k":[0,1,2,1]},{"wi":1,"wo":1,"k":[2,0]}]}"#,
     ];
     let mut rng = SplitMix64::new(0xF4A3_0007);
@@ -851,7 +851,7 @@ impl Gen {
 
     fn cmd(&mut self) -> Cmd {
         use dmac::matrix::FusedOp;
-        match self.0.below(13) {
+        match self.0.below(12) {
             0 => Cmd::Peers {
                 peers: (0..self.0.below(4)).map(|_| self.text()).collect(),
                 timeout_ms: self.rid(),
@@ -881,16 +881,15 @@ impl Gen {
                 rid: self.rid(),
                 ws: self.ns(),
             },
-            5 => Cmd::Mm {
-                rid_a: self.rid(),
-                rid_b: self.rid(),
-                rid_out: self.rid(),
-                kb: self.n(),
-                grid: self.grid(),
-                tasks: self.groups(),
-            },
-            6 => Cmd::Fused {
+            5 => Cmd::Fused {
                 rids: (0..self.0.below(4)).map(|_| self.rid()).collect(),
+                muls: (0..self.0.below(3))
+                    .map(|_| Mul {
+                        a: self.rid(),
+                        b: self.rid(),
+                        kb: self.n(),
+                    })
+                    .collect(),
                 prog: (0..self.0.below(8))
                     .map(|_| match self.0.below(7) {
                         0 => FusedOp::Leaf(self.0.below(4)),
@@ -905,7 +904,7 @@ impl Gen {
                 rid_out: self.rid(),
                 tasks: self.groups(),
             },
-            7 => Cmd::Cpmm1 {
+            6 => Cmd::Cpmm1 {
                 rid_a: self.rid(),
                 rid_b: self.rid(),
                 stage: self.rid(),
@@ -914,7 +913,7 @@ impl Gen {
                 grid: self.grid(),
                 ws: self.ns(),
             },
-            8 => Cmd::Cpmm2 {
+            7 => Cmd::Cpmm2 {
                 stage: self.rid(),
                 rid_out: self.rid(),
                 grid: self.grid(),
@@ -927,13 +926,13 @@ impl Gen {
                     })
                     .collect(),
             },
-            9 => Cmd::Reduce {
+            8 => Cmd::Reduce {
                 kind: [ReduceKind::Sum, ReduceKind::Norm2][self.0.below(2)],
                 rid: self.rid(),
                 ws: self.ns(),
             },
-            10 => Cmd::Free { rid: self.rid() },
-            11 => Cmd::Xfer {
+            9 => Cmd::Free { rid: self.rid() },
+            10 => Cmd::Xfer {
                 rid_in: self.rid(),
                 rid_out: self.rid(),
                 tr: [TileTransform::None, TileTransform::Transpose][self.0.below(2)],
