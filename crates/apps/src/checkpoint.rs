@@ -5,10 +5,11 @@
 //! *one iteration per program*, store the evolving state under stable
 //! names, and publish a durable snapshot of the store at every phase
 //! boundary ([`dmac_core::Session::checkpoint`]). When the process dies —
-//! or a deterministic crash is injected through
-//! [`dmac_cluster::CrashPoint`] — a restarted driver recovers the latest
-//! valid snapshot from disk and resumes from the phase it recorded,
-//! instead of replaying the full lineage from iteration 0.
+//! or a deterministic crash is injected at one of the disk tier's
+//! file-system calls ([`dmac_cluster::FaultPlan::crash`]) — a restarted
+//! driver recovers the latest valid snapshot from disk and resumes from the
+//! phase it recorded, instead of replaying the full lineage from
+//! iteration 0.
 //!
 //! The contract both drivers uphold: a crashed-and-resumed run produces
 //! **bit-for-bit** the same final state as an uninterrupted run, because

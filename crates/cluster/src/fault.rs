@@ -28,68 +28,6 @@
 
 use dmac_matrix::SplitMix64;
 
-/// A durability boundary at which the crash injector can kill the
-/// process model (PR 6). The disk tier checks each point exactly when
-/// the corresponding on-disk state transition is about to happen (or is
-/// half-done), so a fired crash leaves exactly the torn state a real
-/// `kill -9` at that instant could leave behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CrashPoint {
-    /// Entry of a blob write: nothing of the new blob on disk.
-    BeforeBlobWrite,
-    /// Mid blob write: a truncated file exists under the final name
-    /// (models a non-atomic filesystem losing the tail after rename).
-    MidBlobWrite,
-    /// All blobs durable, manifest not yet written — the classic
-    /// "crash between block write and manifest publish" window.
-    BeforeManifestPublish,
-    /// Mid manifest write: a truncated manifest under its final name.
-    MidManifestWrite,
-    /// Manifest fully written, `CURRENT` pointer not yet swapped.
-    BeforeCurrentSwap,
-    /// Mid compaction: some garbage blobs already deleted, some not.
-    MidCompaction,
-    /// Right after compaction finished (clean state; tests the no-op).
-    AfterCompaction,
-    /// During restart recovery, after the manifest was read (recovery is
-    /// read-only, so a re-run must succeed identically).
-    MidRecovery,
-}
-
-impl CrashPoint {
-    /// All points, for exhaustive crash-matrix sweeps.
-    pub const ALL: [CrashPoint; 8] = [
-        CrashPoint::BeforeBlobWrite,
-        CrashPoint::MidBlobWrite,
-        CrashPoint::BeforeManifestPublish,
-        CrashPoint::MidManifestWrite,
-        CrashPoint::BeforeCurrentSwap,
-        CrashPoint::MidCompaction,
-        CrashPoint::AfterCompaction,
-        CrashPoint::MidRecovery,
-    ];
-
-    /// Stable name (error messages, logs).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CrashPoint::BeforeBlobWrite => "before-blob-write",
-            CrashPoint::MidBlobWrite => "mid-blob-write",
-            CrashPoint::BeforeManifestPublish => "before-manifest-publish",
-            CrashPoint::MidManifestWrite => "mid-manifest-write",
-            CrashPoint::BeforeCurrentSwap => "before-current-swap",
-            CrashPoint::MidCompaction => "mid-compaction",
-            CrashPoint::AfterCompaction => "after-compaction",
-            CrashPoint::MidRecovery => "mid-recovery",
-        }
-    }
-}
-
-impl std::fmt::Display for CrashPoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// A declarative description of the faults to inject into one workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
@@ -113,14 +51,11 @@ pub struct FaultPlan {
     pub max_send_attempts: usize,
     /// Upper bound on injected worker kills (stage + per-op combined).
     pub max_kills: usize,
-    /// Durability boundary at which the disk tier's crash injector kills
-    /// the process model (`None` = never). See [`CrashPoint`].
-    pub crash_point: Option<CrashPoint>,
-    /// 0-based occurrence of `crash_point` that fires (the first
-    /// crossing of the boundary is occurrence 0). One-shot: after
-    /// firing, later crossings proceed normally — like a process that
-    /// was restarted once.
-    pub crash_at: usize,
+    /// 0-based index of the disk tier's file-system call at which the
+    /// process model crashes (`None` = never), counted from when the
+    /// plan is armed. One-shot: later calls proceed normally — like a
+    /// process that was restarted once.
+    pub crash_op: Option<u64>,
 }
 
 impl Default for FaultPlan {
@@ -133,8 +68,7 @@ impl Default for FaultPlan {
             transient_send_prob: 0.0,
             max_send_attempts: 4,
             max_kills: 1,
-            crash_point: None,
-            crash_at: 0,
+            crash_op: None,
         }
     }
 }
@@ -187,12 +121,11 @@ impl FaultPlan {
         self
     }
 
-    /// Crash the process model at the `occurrence`-th crossing of
-    /// `point` (0-based). Consumed by the disk tier's crash injector.
-    pub fn crash(point: CrashPoint, occurrence: usize) -> FaultPlan {
+    /// Crash the process model at the disk tier's file-system call number
+    /// `op` (0-based). Consumed by the disk tier's I/O seam.
+    pub fn crash(op: u64) -> FaultPlan {
         FaultPlan {
-            crash_point: Some(point),
-            crash_at: occurrence,
+            crash_op: Some(op),
             ..FaultPlan::default()
         }
     }

@@ -39,7 +39,7 @@ pub use cluster::{Cluster, ClusterConfig, Rmm};
 pub use comm::{CommKind, CommStats, NetworkModel, SimClock};
 pub use dist::DistMatrix;
 pub use error::{ClusterError, Result};
-pub use fault::{CrashPoint, FaultEvent, FaultInjector, FaultPlan};
+pub use fault::{FaultEvent, FaultInjector, FaultPlan};
 pub use partition::PartitionScheme;
 pub use trace::{OpSpan, TraceBuffer};
 pub use transport::socket::{KillAt, SocketOptions, SocketTransport};

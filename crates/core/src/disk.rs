@@ -27,28 +27,26 @@
 //! leaves either the old snapshot fully intact or the new one fully
 //! published; half-written garbage is unreachable and later removed by
 //! compaction. Every read re-verifies length and checksum, so even a
-//! filesystem that tears writes (modelled by [`CrashPoint::MidBlobWrite`]
-//! / [`CrashPoint::MidManifestWrite`]) is detected and the reader falls
+//! file torn or rotted at its final name is detected and the reader falls
 //! back to the previous manifest — or, with none valid, to lineage
 //! replay.
 //!
-//! **Crash injection**: [`DiskTier::arm_crashes`] installs a
-//! [`FaultPlan`] whose `crash_point`/`crash_at` deterministically kill
-//! the process model at the chosen durability boundary, leaving exactly
-//! the torn state a real `kill -9` could. Tests then reopen the
-//! directory with a fresh store and assert recovery is bit-for-bit
-//! identical to a healthy run.
+//! **Crash injection** sits where the tier touches the file system: a
+//! private seam numbers every call, and the one a [`FaultPlan`]'s
+//! `crash_op` arms returns [`CoreError::InjectedCrash`] instead of running
+//! (a stopped write leaves half its bytes) — what a `kill -9` leaves in a
+//! live page cache. Tests crash a run at every call, reopen the directory
+//! and assert recovery is bit-for-bit identical to a healthy run.
 
 use std::collections::HashSet;
-use std::fs;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use dmac_cluster::transport::binfmt;
 use dmac_cluster::transport::wire::Digest;
-use dmac_cluster::{CrashPoint, DistMatrix, FaultPlan, PartitionScheme};
+use dmac_cluster::{DistMatrix, FaultPlan, PartitionScheme};
 use dmac_matrix::Block;
 
 use crate::error::{CoreError, Result};
@@ -358,16 +356,128 @@ fn parse_manifest(text: &str) -> Result<Manifest> {
 }
 
 // ---------------------------------------------------------------------------
-// The tier
+// The I/O seam
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct CrashState {
-    point: Option<CrashPoint>,
-    at: usize,
-    count: usize,
-    fired: bool,
+/// The kind of a file-system call the tier makes, named by
+/// [`CoreError::InjectedCrash`]: make a tier directory; create, write (one
+/// part), sync or rename a temp file; sync a directory; read a file; list
+/// a directory; read a file's metadata; remove a file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IoKind {
+    MakeDir,
+    Create,
+    Write,
+    Sync,
+    Rename,
+    SyncDir,
+    Read,
+    List,
+    Metadata,
+    Remove,
 }
+
+/// Every file-system call of a [`DiskTier`], numbered from when it was
+/// opened or last armed: `(next call, armed call)`. The armed call is not
+/// made — it returns [`CoreError::InjectedCrash`] and disarms, so later
+/// calls run. Any other call hands its `io::Result` back inside `Ok`, for
+/// its site to tolerate or report as that site always has.
+#[derive(Debug, Default)]
+struct Io(Mutex<(u64, Option<u64>)>);
+
+impl Io {
+    fn call<T>(
+        &self,
+        kind: IoKind,
+        path: &Path,
+        f: impl FnOnce() -> io::Result<T>,
+    ) -> Result<io::Result<T>> {
+        let mut g = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let op = g.0;
+        g.0 += 1;
+        if g.1.take_if(|at| *at == op).is_some() {
+            return Err(CoreError::InjectedCrash {
+                op,
+                kind,
+                path: path.to_path_buf(),
+            });
+        }
+        drop(g);
+        Ok(f())
+    }
+
+    fn make_dir(&self, dir: &Path) -> Result<io::Result<()>> {
+        self.call(IoKind::MakeDir, dir, || std::fs::create_dir_all(dir))
+    }
+
+    fn create(&self, path: &Path) -> Result<io::Result<std::fs::File>> {
+        self.call(IoKind::Create, path, || std::fs::File::create(path))
+    }
+
+    /// A stopped write leaves the first half of `bytes` in `file`.
+    fn write(&self, file: &mut std::fs::File, path: &Path, bytes: &[u8]) -> Result<io::Result<()>> {
+        let done = self.call(IoKind::Write, path, || file.write_all(bytes));
+        if done.is_err() {
+            let _ = file.write_all(&bytes[..bytes.len() / 2]);
+        }
+        done
+    }
+
+    fn sync(&self, file: &std::fs::File, path: &Path) -> Result<io::Result<()>> {
+        self.call(IoKind::Sync, path, || file.sync_all())
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> Result<io::Result<()>> {
+        self.call(IoKind::Rename, to, || std::fs::rename(from, to))
+    }
+
+    fn sync_dir(&self, dir: &Path) -> Result<io::Result<()>> {
+        self.call(IoKind::SyncDir, dir, || {
+            std::fs::File::open(dir).and_then(|d| d.sync_all())
+        })
+    }
+
+    fn read(&self, path: &Path) -> Result<io::Result<Vec<u8>>> {
+        self.call(IoKind::Read, path, || std::fs::read(path))
+    }
+
+    /// The paths in `dir`; an entry that cannot be read is skipped.
+    fn list(&self, dir: &Path) -> Result<io::Result<Vec<PathBuf>>> {
+        self.call(IoKind::List, dir, || {
+            Ok(std::fs::read_dir(dir)?
+                .flatten()
+                .map(|e| e.path())
+                .collect())
+        })
+    }
+
+    fn metadata(&self, path: &Path) -> Result<io::Result<std::fs::Metadata>> {
+        self.call(IoKind::Metadata, path, || std::fs::metadata(path))
+    }
+
+    fn remove(&self, path: &Path) -> Result<io::Result<()>> {
+        self.call(IoKind::Remove, path, || std::fs::remove_file(path))
+    }
+}
+
+/// A call whose site reports its failure: as [`CoreError::Disk`] with
+/// `ctx`, or as the injected crash it was.
+fn reported<T>(call: Result<io::Result<T>>, ctx: &str) -> Result<T> {
+    call?.map_err(|e| disk_err(ctx, e))
+}
+
+/// A failure its site tolerates becomes `None`; an injected crash still
+/// propagates — the process model died there.
+pub(crate) fn tolerate<T>(r: Result<T>) -> Result<Option<T>> {
+    match r {
+        Err(e @ CoreError::InjectedCrash { .. }) => Err(e),
+        r => Ok(r.ok()),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The tier
+// ---------------------------------------------------------------------------
 
 /// Outcome of a [`DiskTier::compact`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -383,19 +493,17 @@ pub struct CompactionReport {
 #[derive(Debug)]
 pub struct DiskTier {
     root: PathBuf,
-    crash: Mutex<CrashState>,
+    io: Io,
 }
 
 impl DiskTier {
     /// Open (creating if needed) a data directory.
     pub fn open(dir: impl AsRef<Path>) -> Result<DiskTier> {
-        let root = dir.as_ref().to_path_buf();
-        fs::create_dir_all(root.join("blocks")).map_err(|e| disk_err("create blocks dir", e))?;
-        fs::create_dir_all(root.join("plans")).map_err(|e| disk_err("create plans dir", e))?;
-        Ok(DiskTier {
-            root,
-            crash: Mutex::new(CrashState::default()),
-        })
+        let (root, io) = (dir.as_ref().to_path_buf(), Io::default());
+        for sub in ["blocks", "plans"] {
+            reported(io.make_dir(&root.join(sub)), &format!("create {sub} dir"))?;
+        }
+        Ok(DiskTier { root, io })
     }
 
     /// The data directory this tier writes into.
@@ -403,36 +511,15 @@ impl DiskTier {
         &self.root
     }
 
-    /// Arm the deterministic crash injector from a [`FaultPlan`]
-    /// (`crash_point` / `crash_at`). One-shot, like PR 1's stage kill.
+    /// Arm the I/O seam from a [`FaultPlan`]: restart the call count at 0
+    /// and crash at call `crash_op` (one-shot, like PR 1's stage kill).
     pub fn arm_crashes(&self, plan: &FaultPlan) {
-        let mut g = self.crash.lock().unwrap();
-        g.point = plan.crash_point;
-        g.at = plan.crash_at;
-        g.count = 0;
-        g.fired = false;
+        *self.io.0.lock().unwrap_or_else(PoisonError::into_inner) = (0, plan.crash_op);
     }
 
-    /// Does the armed crash fire at this crossing of `point`?
-    fn crash_fires(&self, point: CrashPoint) -> bool {
-        let mut g = self.crash.lock().unwrap();
-        if g.fired || g.point != Some(point) {
-            return false;
-        }
-        let n = g.count;
-        g.count += 1;
-        if n == g.at {
-            g.fired = true;
-            return true;
-        }
-        false
-    }
-
-    fn crash_check(&self, point: CrashPoint) -> Result<()> {
-        if self.crash_fires(point) {
-            return Err(CoreError::InjectedCrash(point));
-        }
-        Ok(())
+    /// File-system calls made since the tier was opened or last armed.
+    pub fn ops(&self) -> u64 {
+        self.io.0.lock().unwrap_or_else(PoisonError::into_inner).0
     }
 
     fn blob_path(&self, hash: &str) -> PathBuf {
@@ -446,18 +533,15 @@ impl DiskTier {
     fn write_atomic(&self, path: &Path, parts: &[&[u8]]) -> Result<()> {
         let tmp = path.with_extension("tmp");
         {
-            let mut f = fs::File::create(&tmp).map_err(|e| disk_err("create temp file", e))?;
+            let mut f = reported(self.io.create(&tmp), "create temp file")?;
             for part in parts {
-                f.write_all(part)
-                    .map_err(|e| disk_err("write temp file", e))?;
+                reported(self.io.write(&mut f, &tmp, part), "write temp file")?;
             }
-            f.sync_all().map_err(|e| disk_err("sync temp file", e))?;
+            reported(self.io.sync(&f, &tmp), "sync temp file")?;
         }
-        fs::rename(&tmp, path).map_err(|e| disk_err("rename into place", e))?;
+        reported(self.io.rename(&tmp, path), "rename into place")?;
         let dir = path.parent().unwrap_or_else(|| Path::new("."));
-        fs::File::open(dir)
-            .and_then(|d| d.sync_all())
-            .map_err(|e| disk_err("sync directory", e))
+        reported(self.io.sync_dir(dir), "sync directory")
     }
 
     /// Make `payload` durable as a content-addressed blob; returns its hash
@@ -465,27 +549,21 @@ impl DiskTier {
     /// fills the trailer, and the frame is written around the payload, not
     /// copied with it. An intact copy at that name (read only when a
     /// file of the framed length exists) is reused, a torn or rotted one
-    /// replaced; only a call about to write crosses the blob [`CrashPoint`]s.
+    /// replaced.
     pub fn put_blob(&self, payload: &[u8]) -> Result<(String, bool)> {
         let sum = Digest::of(payload);
         let hash = format!("{sum:016x}");
         let path = self.blob_path(&hash);
         let framed_len = BLOB_HEAD + payload.len() + 8;
-        let same_len = fs::metadata(&path).is_ok_and(|md| md.len() == framed_len as u64);
-        if same_len && self.verify_blob(&hash, payload.len() as u64) {
+        let same_len = self
+            .io
+            .metadata(&path)?
+            .is_ok_and(|md| md.len() == framed_len as u64);
+        if same_len && self.verify_blob(&hash, payload.len() as u64)? {
             return Ok((hash, false));
         }
-        self.crash_check(CrashPoint::BeforeBlobWrite)?;
         let (len, sum) = ((payload.len() as u64).to_le_bytes(), sum.to_le_bytes());
-        let framed: [&[u8]; 4] = [BLOB_MAGIC, &len, payload, &sum];
-        if self.crash_fires(CrashPoint::MidBlobWrite) {
-            // Model a filesystem that loses the tail: the final name
-            // exists but holds only half the frame.
-            let torn = &framed.concat()[..framed_len / 2];
-            fs::write(&path, torn).map_err(|e| disk_err("torn write", e))?;
-            return Err(CoreError::InjectedCrash(CrashPoint::MidBlobWrite));
-        }
-        self.write_atomic(&path, &framed)?;
+        self.write_atomic(&path, &[BLOB_MAGIC, &len, payload, &sum])?;
         Ok((hash, true))
     }
 
@@ -493,7 +571,7 @@ impl DiskTier {
     /// `expect_len` when given) and checksum. Returns the verified frame,
     /// for the caller to borrow the payload from: `BLOB_HEAD..len - 8`.
     fn read_blob_file(&self, hash: &str, expect_len: Option<u64>) -> Result<Vec<u8>> {
-        let framed = fs::read(self.blob_path(hash)).map_err(|e| disk_err("read blob", e))?;
+        let framed = reported(self.io.read(&self.blob_path(hash)), "read blob")?;
         if framed.len() < BLOB_HEAD + 8 || &framed[..BLOB_MAGIC.len()] != BLOB_MAGIC {
             return Err(CoreError::Disk("blob magic missing or file torn".into()));
         }
@@ -532,39 +610,37 @@ impl DiskTier {
     /// Does `hash` exist on disk with an intact frame of `bytes` payload?
     /// A full read-back (length + checksum), never a `stat`: the store
     /// learns of rot while it still has the RAM copy to rewrite from.
-    pub fn verify_blob(&self, hash: &str, bytes: u64) -> bool {
-        self.read_blob_file(hash, Some(bytes)).is_ok()
+    /// `Err` only for an injected crash.
+    pub fn verify_blob(&self, hash: &str, bytes: u64) -> Result<bool> {
+        Ok(tolerate(self.read_blob_file(hash, Some(bytes)))?.is_some())
     }
 
     fn manifest_name(seq: u64) -> String {
         format!("manifest-{seq:06}.txt")
     }
 
-    fn manifest_seqs(&self) -> Vec<u64> {
-        let mut seqs = Vec::new();
-        if let Ok(rd) = fs::read_dir(&self.root) {
-            for entry in rd.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if let Some(rest) = name
-                    .strip_prefix("manifest-")
-                    .and_then(|r| r.strip_suffix(".txt"))
-                {
-                    if let Ok(seq) = rest.parse::<u64>() {
-                        seqs.push(seq);
-                    }
-                }
-            }
-        }
+    /// Sequence numbers of the manifests in the root, ascending (none when
+    /// it cannot be listed). `Err` only for an injected crash.
+    fn manifest_seqs(&self) -> Result<Vec<u64>> {
+        let listed = self.io.list(&self.root)?.unwrap_or_default();
+        let mut seqs: Vec<u64> = listed
+            .iter()
+            .filter_map(|p| {
+                let name = p.file_name()?.to_str()?;
+                name.strip_prefix("manifest-")?
+                    .strip_suffix(".txt")?
+                    .parse()
+                    .ok()
+            })
+            .collect();
         seqs.sort_unstable();
-        seqs
+        Ok(seqs)
     }
 
     /// Publish a snapshot: write `manifest-<seq>.txt`, then swap
     /// `CURRENT` to it. Returns the new sequence number.
     pub fn publish(&self, kind: &str, phase: u64, entries: Vec<ManifestEntry>) -> Result<u64> {
-        self.crash_check(CrashPoint::BeforeManifestPublish)?;
-        let seq = self.manifest_seqs().last().copied().unwrap_or(0) + 1;
+        let seq = self.manifest_seqs()?.last().copied().unwrap_or(0) + 1;
         let manifest = Manifest {
             seq,
             kind: kind.to_string(),
@@ -573,13 +649,7 @@ impl DiskTier {
         };
         let body = render_manifest(&manifest);
         let path = self.root.join(Self::manifest_name(seq));
-        if self.crash_fires(CrashPoint::MidManifestWrite) {
-            let torn = &body.as_bytes()[..body.len() / 2];
-            fs::write(&path, torn).map_err(|e| disk_err("torn manifest write", e))?;
-            return Err(CoreError::InjectedCrash(CrashPoint::MidManifestWrite));
-        }
         self.write_atomic(&path, &[body.as_bytes()])?;
-        self.crash_check(CrashPoint::BeforeCurrentSwap)?;
         let current = format!(
             "{} {:016x}\n",
             Self::manifest_name(seq),
@@ -590,7 +660,7 @@ impl DiskTier {
     }
 
     fn read_manifest_file(&self, name: &str, expect_sum: Option<u64>) -> Result<Manifest> {
-        let body = fs::read(self.root.join(name)).map_err(|e| disk_err("read manifest", e))?;
+        let body = reported(self.io.read(&self.root.join(name)), "read manifest")?;
         if let Some(sum) = expect_sum {
             if Digest::of(&body) != sum {
                 return Err(CoreError::Disk(format!(
@@ -602,10 +672,19 @@ impl DiskTier {
         parse_manifest(&text)
     }
 
-    /// A manifest is *usable* only when the file itself parses and every
-    /// blob it references verifies (exists, intact frame, length match).
-    fn manifest_usable(&self, m: &Manifest) -> bool {
-        m.entries.iter().all(|e| self.verify_blob(&e.hash, e.bytes))
+    /// Manifest `name`, if it is *usable*: the file itself reads and
+    /// parses (and matches `expect_sum`), and every blob it references
+    /// verifies (exists, intact frame, length match).
+    fn usable_manifest(&self, name: &str, expect_sum: Option<u64>) -> Result<Option<Manifest>> {
+        let Some(m) = tolerate(self.read_manifest_file(name, expect_sum))? else {
+            return Ok(None);
+        };
+        for e in &m.entries {
+            if !self.verify_blob(&e.hash, e.bytes)? {
+                return Ok(None);
+            }
+        }
+        Ok(Some(m))
     }
 
     /// Load the latest fully-valid snapshot: first the one `CURRENT`
@@ -614,28 +693,24 @@ impl DiskTier {
     /// skipped — paranoid recovery never trusts unverified bytes.
     /// `Ok(None)` means no usable snapshot exists (fall back to lineage).
     pub fn load_latest(&self) -> Result<Option<Manifest>> {
-        self.crash_check(CrashPoint::MidRecovery)?;
-        let mut tried: HashSet<String> = HashSet::new();
-        if let Ok(current) = fs::read_to_string(self.root.join("CURRENT")) {
+        let current = self.io.read(&self.root.join("CURRENT"))?.ok();
+        let current = current.and_then(|b| String::from_utf8(b).ok());
+        let mut tried = None;
+        if let Some(current) = current {
             let mut parts = current.split_whitespace();
             if let (Some(name), Some(sum)) = (parts.next(), parts.next()) {
-                tried.insert(name.to_string());
+                tried = Some(name.to_string());
                 if let Ok(sum) = u64::from_str_radix(sum, 16) {
-                    if let Ok(m) = self.read_manifest_file(name, Some(sum)) {
-                        if self.manifest_usable(&m) {
-                            return Ok(Some(m));
-                        }
+                    if let Some(m) = self.usable_manifest(name, Some(sum))? {
+                        return Ok(Some(m));
                     }
                 }
             }
         }
-        for seq in self.manifest_seqs().into_iter().rev() {
+        for seq in self.manifest_seqs()?.into_iter().rev() {
             let name = Self::manifest_name(seq);
-            if tried.contains(&name) {
-                continue;
-            }
-            if let Ok(m) = self.read_manifest_file(&name, None) {
-                if self.manifest_usable(&m) {
+            if tried.as_ref() != Some(&name) {
+                if let Some(m) = self.usable_manifest(&name, None)? {
                     return Ok(Some(m));
                 }
             }
@@ -656,46 +731,35 @@ impl DiskTier {
         keep_from_seq: u64,
     ) -> Result<CompactionReport> {
         let mut referenced = extra_referenced.clone();
-        for seq in self.manifest_seqs() {
+        for seq in self.manifest_seqs()? {
             if seq >= keep_from_seq {
-                if let Ok(m) = self.read_manifest_file(&Self::manifest_name(seq), None) {
-                    for e in &m.entries {
-                        referenced.insert(e.hash.clone());
-                    }
+                let name = Self::manifest_name(seq);
+                if let Some(m) = tolerate(self.read_manifest_file(&name, None))? {
+                    referenced.extend(m.entries.into_iter().map(|e| e.hash));
                 }
             }
         }
-        let referenced = referenced;
         let mut report = CompactionReport::default();
-        let blocks = self.root.join("blocks");
-        let mut garbage: Vec<PathBuf> = Vec::new();
-        if let Ok(rd) = fs::read_dir(&blocks) {
-            for entry in rd.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy().to_string();
-                let hash = name.strip_suffix(".blk").unwrap_or(&name);
-                let keep = name.ends_with(".blk") && referenced.contains(hash);
-                if !keep {
-                    garbage.push(entry.path());
-                }
-            }
-        }
+        let mut garbage = self.io.list(&self.root.join("blocks"))?.unwrap_or_default();
+        garbage.retain(|p| {
+            let name = p.file_name().and_then(|n| n.to_str());
+            let hash = name.and_then(|n| n.strip_suffix(".blk"));
+            !hash.is_some_and(|h| referenced.contains(h))
+        });
         garbage.sort();
         for path in garbage {
-            self.crash_check(CrashPoint::MidCompaction)?;
-            if fs::remove_file(&path).is_ok() {
+            if self.io.remove(&path)?.is_ok() {
                 report.removed_blobs += 1;
             }
         }
-        for seq in self.manifest_seqs() {
+        for seq in self.manifest_seqs()? {
             if seq < keep_from_seq {
-                self.crash_check(CrashPoint::MidCompaction)?;
-                if fs::remove_file(self.root.join(Self::manifest_name(seq))).is_ok() {
+                let path = self.root.join(Self::manifest_name(seq));
+                if self.io.remove(&path)?.is_ok() {
                     report.removed_manifests += 1;
                 }
             }
         }
-        self.crash_check(CrashPoint::AfterCompaction)?;
         Ok(report)
     }
 
@@ -717,36 +781,26 @@ impl DiskTier {
     }
 
     /// Every intact persisted script, sorted by file name (deterministic
-    /// warm-up order). Corrupt files are skipped, not fatal.
-    pub fn list_plans(&self) -> Vec<String> {
-        let mut files: Vec<PathBuf> = Vec::new();
-        if let Ok(rd) = fs::read_dir(self.root.join("plans")) {
-            for entry in rd.flatten() {
-                if entry.path().extension().is_some_and(|e| e == "dml") {
-                    files.push(entry.path());
-                }
-            }
-        }
+    /// warm-up order). Corrupt or unreadable files are skipped, not fatal;
+    /// `Err` only for an injected crash.
+    pub fn list_plans(&self) -> Result<Vec<String>> {
+        let mut files = self.io.list(&self.root.join("plans"))?.unwrap_or_default();
+        files.retain(|p| p.extension().is_some_and(|e| e == "dml"));
         files.sort();
         let mut scripts = Vec::new();
         for path in files {
-            let Ok(text) = fs::read_to_string(&path) else {
+            let text = self.io.read(&path)?.ok();
+            let Some(text) = text.and_then(|b| String::from_utf8(b).ok()) else {
                 continue;
             };
-            let Some((header, script)) = text.split_once('\n') else {
-                continue;
-            };
-            let Some(sum) = header.strip_prefix(PLAN_MAGIC).map(str::trim) else {
-                continue;
-            };
-            let Ok(sum) = u64::from_str_radix(sum, 16) else {
-                continue;
-            };
-            if Digest::of(script.as_bytes()) == sum {
-                scripts.push(script.to_string());
-            }
+            let script = text.split_once('\n').and_then(|(header, script)| {
+                let sum = header.strip_prefix(PLAN_MAGIC)?.trim();
+                let sum = u64::from_str_radix(sum, 16).ok()?;
+                (Digest::of(script.as_bytes()) == sum).then(|| script.to_string())
+            });
+            scripts.extend(script);
         }
-        scripts
+        Ok(scripts)
     }
 }
 
@@ -754,6 +808,7 @@ impl DiskTier {
 mod tests {
     use super::*;
     use dmac_matrix::BlockedMatrix;
+    use std::fs;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -865,8 +920,11 @@ mod tests {
         assert_eq!(h1, h2, "same content, same address");
         assert!(wrote1 && !wrote2, "the second put finds the first's file");
         assert_eq!(tier.get_blob(&h1).unwrap(), b"hello world");
-        assert!(tier.verify_blob(&h1, 11));
-        assert!(!tier.verify_blob(&h1, 12), "length mismatch detected");
+        assert!(tier.verify_blob(&h1, 11).unwrap());
+        assert!(
+            !tier.verify_blob(&h1, 12).unwrap(),
+            "length mismatch detected"
+        );
         assert!(tier.get_blob("doesnotexist").is_err());
     }
 
@@ -971,33 +1029,55 @@ mod tests {
         assert_eq!(tier.load_latest().unwrap().unwrap().seq, seq3);
     }
 
+    /// The calls of one new blob's `put_blob`: a length probe, then the
+    /// temp file's create, four writes (magic, length, payload, digest)
+    /// and sync, the rename and the directory sync.
+    const PUT_BLOB_CALLS: u64 = 9;
+
     #[test]
     fn crash_injector_is_deterministic_and_one_shot() {
-        let tier = DiskTier::open(temp_dir("crash")).unwrap();
-        tier.arm_crashes(&FaultPlan::crash(CrashPoint::BeforeBlobWrite, 1));
-        assert!(tier.put_blob(b"first").is_ok(), "occurrence 0 passes");
-        let err = tier.put_blob(b"second").unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::InjectedCrash(CrashPoint::BeforeBlobWrite)
-        ));
-        // One-shot: the "restarted process" proceeds normally.
-        assert!(tier.put_blob(b"second").is_ok());
+        // Twice: the same plan crashes the same call.
+        for _ in 0..2 {
+            let tier = DiskTier::open(temp_dir("crash")).unwrap();
+            tier.arm_crashes(&FaultPlan::none());
+            assert!(tier.put_blob(b"first").is_ok());
+            assert_eq!(tier.ops(), PUT_BLOB_CALLS);
+            // The second put's create: nothing of it reaches the disk.
+            tier.arm_crashes(&FaultPlan::crash(1));
+            let err = tier.put_blob(b"second").unwrap_err();
+            let hash = format!("{:016x}", Digest::of(b"second"));
+            let path = tier.blob_path(&hash).with_extension("tmp");
+            let kind = IoKind::Create;
+            assert_eq!(err, CoreError::InjectedCrash { op: 1, kind, path });
+            // One-shot: the "restarted process" proceeds normally.
+            assert!(tier.put_blob(b"second").is_ok());
+        }
     }
 
     #[test]
     fn mid_blob_crash_leaves_a_detectable_torn_file() {
         let tier = DiskTier::open(temp_dir("midblob")).unwrap();
-        tier.arm_crashes(&FaultPlan::crash(CrashPoint::MidBlobWrite, 0));
-        let err = tier.put_blob(b"some payload that gets torn").unwrap_err();
-        assert!(matches!(err, CoreError::InjectedCrash(_)));
-        let hash = format!("{:016x}", Digest::of(b"some payload that gets torn"));
-        // The torn file exists under the final name but never verifies.
-        assert!(tier.blob_path(&hash).exists());
+        let payload = b"some payload that gets torn";
+        // Calls 2, 3, 4: magic, length, payload — stop the payload's write.
+        tier.arm_crashes(&FaultPlan::crash(4));
+        let err = tier.put_blob(payload).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::InjectedCrash {
+                op: 4,
+                kind: IoKind::Write,
+                ..
+            }
+        ));
+        let hash = format!("{:016x}", Digest::of(payload));
+        // The temp file holds the frame up to half the payload; the final
+        // name does not exist, so the blob never verifies.
+        let torn = fs::read(tier.blob_path(&hash).with_extension("tmp")).unwrap();
+        assert_eq!(torn.len(), BLOB_HEAD + payload.len() / 2);
+        assert!(!tier.blob_path(&hash).exists());
         assert!(tier.get_blob(&hash).is_err());
         // A rewrite (post-restart) heals it in place.
-        tier.arm_crashes(&FaultPlan::none());
-        tier.put_blob(b"some payload that gets torn").unwrap();
+        tier.put_blob(payload).unwrap();
         assert!(tier.get_blob(&hash).is_ok());
     }
 
@@ -1008,13 +1088,53 @@ mod tests {
             .unwrap();
         tier.put_plan(2, "B = random(B, 4, 4)\noutput(B)\n")
             .unwrap();
-        let scripts = tier.list_plans();
+        let scripts = tier.list_plans().unwrap();
         assert_eq!(scripts.len(), 2);
         assert!(scripts[0].contains("random"));
         // Corrupt one: it is skipped, the other survives.
         let path = tier.root().join("plans").join(format!("{:016x}.dml", 1u64));
         fs::write(&path, "dmac-plan v2 0000000000000000\ntampered").unwrap();
-        assert_eq!(tier.list_plans().len(), 1);
+        assert_eq!(tier.list_plans().unwrap().len(), 1);
+    }
+
+    /// A crash at each call of `put_plan` — adding a script, or replacing
+    /// one — leaves `list_plans` the old set or the new, never a torn
+    /// script; and `list_plans` itself crashed at any call reports it.
+    #[test]
+    fn a_crash_anywhere_in_put_plan_leaves_the_old_scripts_or_the_new() {
+        let (old, new) = (
+            "A = random(A, 8, 8)\noutput(A)\n",
+            "B = random(B, 4, 4)\noutput(B)\n",
+        );
+        for (fp, after) in [(2, vec![old, new]), (1, vec![new])] {
+            let mut calls = 0;
+            loop {
+                let tier = DiskTier::open(temp_dir("plan-crash")).unwrap();
+                tier.put_plan(1, old).unwrap();
+                tier.arm_crashes(&FaultPlan::crash(calls));
+                let Err(err) = tier.put_plan(fp, new) else {
+                    break;
+                };
+                assert!(matches!(err, CoreError::InjectedCrash { op, .. } if op == calls));
+                let listed = tier.list_plans().unwrap();
+                assert!(
+                    listed == [old] || listed == after,
+                    "crash at {calls}: {listed:?}"
+                );
+                calls += 1;
+            }
+            // create, write, sync, rename, directory sync
+            assert_eq!(calls, 5);
+            let tier = DiskTier::open(temp_dir("plan-list")).unwrap();
+            tier.put_plan(1, old).unwrap();
+            tier.put_plan(fp, new).unwrap();
+            for op in 0..=after.len() as u64 {
+                tier.arm_crashes(&FaultPlan::crash(op));
+                let err = tier.list_plans().unwrap_err();
+                assert!(matches!(err, CoreError::InjectedCrash { .. }), "{err}");
+            }
+            assert_eq!(tier.list_plans().unwrap(), after);
+        }
     }
 
     #[test]

@@ -43,10 +43,17 @@ pub enum CoreError {
     },
     /// Disk-tier failure: I/O error, torn file, or checksum mismatch.
     Disk(String),
-    /// The deterministic crash injector fired at a durability boundary
-    /// (the process model "died"; on-disk state is whatever the
-    /// half-finished operation left behind).
-    InjectedCrash(dmac_cluster::CrashPoint),
+    /// The disk tier's I/O seam crashed the process model at its armed
+    /// file-system call instead of making it (on-disk state is whatever
+    /// the calls before it left behind, plus half of a stopped write).
+    InjectedCrash {
+        /// 0-based index of the call, counted from when the plan was armed.
+        op: u64,
+        /// What the call would have done.
+        kind: crate::disk::IoKind,
+        /// The file or directory it would have touched.
+        path: std::path::PathBuf,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -77,9 +84,11 @@ impl fmt::Display for CoreError {
                 found.map_or_else(|| "unbound".into(), |s| s.to_string())
             ),
             CoreError::Disk(m) => write!(f, "disk tier error: {m}"),
-            CoreError::InjectedCrash(p) => {
-                write!(f, "injected crash at durability point '{p}'")
-            }
+            CoreError::InjectedCrash { op, kind, path } => write!(
+                f,
+                "injected crash at disk operation {op} ({kind:?} {})",
+                path.display()
+            ),
         }
     }
 }

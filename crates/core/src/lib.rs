@@ -35,8 +35,8 @@
 //!   and deterministically replaying the producing stages of lost state.
 //! * [`disk`] — the durable tier under the store: content-addressed
 //!   checksummed blob files, snapshot manifests with an atomically-swapped
-//!   `CURRENT` pointer, compaction, and a deterministic crash injector for
-//!   every durability boundary.
+//!   `CURRENT` pointer, compaction, and one numbered I/O seam at which a
+//!   deterministic crash can stop any file-system call.
 //! * [`baselines`] — the systems DMac is compared against: SystemML-S
 //!   (same runtime, dependency-blind planner), single-node R, and the
 //!   ScaLAPACK / SciDB simulators used for Table 4.
@@ -63,7 +63,7 @@ pub mod strategy;
 pub mod trace;
 pub mod verifyhook;
 
-pub use disk::{CompactionReport, DiskTier, Manifest, ManifestEntry};
+pub use disk::{CompactionReport, DiskTier, IoKind, Manifest, ManifestEntry};
 pub use dmac_stats::{DensityClass, SparsityProfile};
 pub use error::{CoreError, Result};
 pub use recovery::{RecoveryPolicy, RecoveryStats};

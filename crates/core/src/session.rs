@@ -178,9 +178,11 @@ impl SessionBuilder {
         };
         let env = self.store.unwrap_or_default();
         if let Some(plan) = self.fault_plan {
-            // Durability crash points live in the store's disk tier;
-            // stage/op kills live in the cluster. One plan arms both.
-            env.arm_crashes(&plan);
+            // The crash op lives in the store's disk tier; stage/op kills
+            // live in the cluster. One plan arms both.
+            if let Some(disk) = env.disk() {
+                disk.arm_crashes(&plan);
+            }
             cluster.set_fault_plan(plan);
         }
         Ok(Session {
@@ -361,7 +363,7 @@ impl Session {
         let names: Vec<&str> = origin(MatrixOrigin::Load)
             .map(|d| d.name.as_str())
             .collect();
-        for (decl, dist) in origin(MatrixOrigin::Load).zip(self.env.get_all(&names)) {
+        for (decl, dist) in origin(MatrixOrigin::Load).zip(self.env.get_all(&names)?) {
             let dist = dist.ok_or_else(|| CoreError::Unbound(decl.name.clone()))?;
             initial.insert(decl.id, dist.scheme());
             bindings.insert(decl.id, dist);

@@ -63,7 +63,7 @@ use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use dmac_cluster::{DistMatrix, FaultPlan, PartitionScheme};
+use dmac_cluster::{DistMatrix, PartitionScheme};
 
 use crate::disk::{self, DiskTier, ManifestEntry};
 use crate::error::{CoreError, Result};
@@ -200,7 +200,7 @@ impl Inner {
         let e = self.entries.get_mut(name).expect("persisted entry exists");
         let m = match (&e.tiles, &e.blob) {
             (None, blob) => return Ok(blob.clone().expect("stub has a blob")),
-            (_, Some(b)) if disk.verify_blob(&b.hash, b.payload_bytes) => return Ok(b.clone()),
+            (_, Some(b)) if disk.verify_blob(&b.hash, b.payload_bytes)? => return Ok(b.clone()),
             (Some(m), _) => m,
         };
         let payload = disk::encode_dist(m);
@@ -258,19 +258,21 @@ impl Inner {
     }
 
     /// Read `name`, the names in `upcoming` being read next (see
-    /// [`SharedStore::get_all`]).
-    fn read(&mut self, name: &str, upcoming: &[&str]) -> Option<DistMatrix> {
+    /// [`SharedStore::get_all`]). `Err` only for an injected crash.
+    fn read(&mut self, name: &str, upcoming: &[&str]) -> Result<Option<DistMatrix>> {
         self.touch(name);
-        let e = self.entries.get(name)?;
+        let Some(e) = self.entries.get(name) else {
+            return Ok(None);
+        };
         if let Some(m) = &e.tiles {
-            return Some(m.clone());
+            return Ok(Some(m.clone()));
         }
         let blob = e.blob.clone().expect("stub has a blob");
-        let disk = self.disk.clone()?;
-        let Ok(m) = disk.get_dist(&blob.hash) else {
+        let disk = self.disk.clone().expect("a stub has a disk tier");
+        let Some(m) = disk::tolerate(disk.get_dist(&blob.hash))? else {
             self.counters.load_failures += 1;
             self.entries.remove(name);
-            return None;
+            return Ok(None);
         };
         self.counters.loads += 1;
         self.counters.load_bytes += blob.payload_bytes;
@@ -290,8 +292,8 @@ impl Inner {
         // Reloading may displace other entries; a spill that fails leaves
         // its victim resident, and the read still hands back the loaded
         // matrix.
-        let _ = self.enforce_capacity(upcoming);
-        Some(m)
+        disk::tolerate(self.enforce_capacity(upcoming))?;
+        Ok(Some(m))
     }
 
     /// Displace [`Inner::victim`]s until resident bytes — plus the
@@ -379,14 +381,6 @@ impl SharedStore {
         self.lock().disk.clone()
     }
 
-    /// Forward a [`FaultPlan`]'s crash point to the disk tier's
-    /// deterministic crash injector. No-op without a disk tier.
-    pub fn arm_crashes(&self, plan: &FaultPlan) {
-        if let Some(d) = self.lock().disk.clone() {
-            d.arm_crashes(plan);
-        }
-    }
-
     /// Insert (or replace) `name`. The old entry, if any, is released
     /// eagerly — unless it stands for `m` itself (a clone shares its rid,
     /// every new materialisation re-mints it): then its blob still holds
@@ -430,10 +424,11 @@ impl SharedStore {
     /// Fetch a clone of the entry (tiles are `Arc`-shared, so this is
     /// cheap). Bumps the LRU clock. A spilled entry is reloaded from its
     /// blob first; a blob that fails verification drops the entry and
-    /// returns `None` (the caller's lineage fallback handles the rest).
-    /// The batch of one name: see [`SharedStore::get_all`].
+    /// returns `None` (the caller's lineage fallback handles the rest); an
+    /// injected crash returns `None` too, dropping nothing. The batch of
+    /// one name: see [`SharedStore::get_all`].
     pub fn get(&self, name: &str) -> Option<DistMatrix> {
-        self.lock().read(name, &[])
+        self.lock().read(name, &[]).ok().flatten()
     }
 
     /// [`SharedStore::get`] for every name, in order, as one batch: what
@@ -443,7 +438,10 @@ impl SharedStore {
     /// under a cyclic scan of the same names is the one read next. A
     /// reload that would itself be that entry is handed out and stays a
     /// stub: a load, no spill.
-    pub fn get_all(&self, names: &[&str]) -> Vec<Option<DistMatrix>> {
+    ///
+    /// # Errors
+    /// An injected crash in a reload or a spill it triggers.
+    pub fn get_all(&self, names: &[&str]) -> Result<Vec<Option<DistMatrix>>> {
         let mut g = self.lock();
         (0..names.len())
             .map(|i| g.read(names[i], &names[i + 1..]))
@@ -703,7 +701,7 @@ impl SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmac_cluster::{CrashPoint, PartitionScheme};
+    use dmac_cluster::{FaultPlan, PartitionScheme};
     use dmac_matrix::BlockedMatrix;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -974,25 +972,41 @@ mod tests {
         assert_eq!(encodes(), encoded);
     }
 
+    /// A checkpoint crashed at any of its calls leaves the old snapshot
+    /// fully intact up to its `CURRENT` swap, and the new one after it.
     #[test]
     fn crash_during_checkpoint_preserves_previous_snapshot() {
-        let dir = temp_dir("crash");
-        let s = SharedStore::with_disk(&dir).unwrap();
-        s.insert("W", dist(16, 8)).unwrap();
         let names = vec!["W".to_string()];
-        let seq1 = s.checkpoint(&names, 1).unwrap();
-        // Arm a crash between blob write and manifest publish, change W,
-        // and try to checkpoint again.
-        s.insert("W", dist(16, 16)).unwrap();
-        s.arm_crashes(&FaultPlan::crash(CrashPoint::BeforeManifestPublish, 0));
-        let err = s.checkpoint(&names, 2).unwrap_err();
-        assert!(matches!(err, CoreError::InjectedCrash(_)));
-        // A restarted store sees the *old* snapshot, fully intact.
-        let r = SharedStore::with_disk(&dir).unwrap();
-        assert_eq!(r.recover().unwrap(), vec!["W".to_string()]);
-        assert_eq!(r.latest_snapshot(), Some((seq1, 1)));
-        assert_eq!(r.get("W").unwrap().rows(), 16);
-        assert_eq!(r.get("W").unwrap().cols(), 8, "pre-crash W");
+        let mut swapped = false;
+        for op in 0.. {
+            let dir = temp_dir("crash");
+            let s = SharedStore::with_disk(&dir).unwrap();
+            s.insert("W", dist(16, 8)).unwrap();
+            let seq1 = s.checkpoint(&names, 1).unwrap();
+            // Change W, and crash the next checkpoint at call `op`.
+            s.insert("W", dist(16, 16)).unwrap();
+            s.disk().unwrap().arm_crashes(&FaultPlan::crash(op));
+            let err = match s.checkpoint(&names, 2) {
+                Ok(_) => break,
+                Err(e) => e,
+            };
+            let CoreError::InjectedCrash { kind, path, .. } = &err else {
+                panic!("crash at {op}: {err}");
+            };
+            // A restarted store sees one whole snapshot.
+            let r = SharedStore::with_disk(&dir).unwrap();
+            assert_eq!(r.recover().unwrap(), names);
+            let (snapshot, cols) = if swapped {
+                ((seq1 + 1, 2), 16)
+            } else {
+                ((seq1, 1), 8)
+            };
+            assert_eq!(r.latest_snapshot(), Some(snapshot), "crash at {op}");
+            assert_eq!(r.get("W").unwrap().rows(), 16);
+            assert_eq!(r.get("W").unwrap().cols(), cols, "crash at {op}");
+            swapped |= *kind == crate::disk::IoKind::Rename && path.ends_with("CURRENT");
+        }
+        assert!(swapped, "the sweep passed the CURRENT swap");
     }
 
     // -- an entry knows its blob -------------------------------------------
@@ -1090,24 +1104,31 @@ mod tests {
         }
     }
 
-    /// Parent behaviour preserved: a torn file that `MidBlobWrite` left at
-    /// the final name belongs to no entry — the crashed store never got a
-    /// ref, a new store over the directory has none — so the same content
-    /// goes through `put_blob`, whose probe rejects the file and rewrites it.
+    /// A torn file at a blob's final name (a file system that tore it in
+    /// place) belongs to no entry — a new store over the directory has no
+    /// ref — so the same content goes through `put_blob`, whose probe
+    /// rejects the file and rewrites it. A crash inside the write itself
+    /// tears only the temp file: the final name never appears.
     #[test]
     fn a_torn_file_at_the_final_name_is_never_deduplicated_against() {
         let dir = temp_dir("torn-final");
         let names = vec!["A".to_string()];
         let crashed = SharedStore::with_disk(&dir).unwrap();
         crashed.insert("A", dist(8, 8)).unwrap();
-        crashed.arm_crashes(&FaultPlan::crash(CrashPoint::MidBlobWrite, 0));
+        // metadata, create, then the frame's magic, length and payload.
+        crashed.disk().unwrap().arm_crashes(&FaultPlan::crash(4));
         let err = crashed.checkpoint(&names, 1).unwrap_err();
-        assert!(matches!(err, CoreError::InjectedCrash(_)), "{err}");
-        let torn = blob_files(&crashed);
-        assert_eq!(torn.len(), 1, "the torn file sits at the final name");
+        assert!(
+            matches!(err, CoreError::InjectedCrash { op: 4, .. }),
+            "{err}"
+        );
+        let left = blob_files(&crashed);
+        assert!(left.len() == 1 && left[0].0.ends_with(".tmp"), "{left:?}");
         assert_eq!(crashed.stats().spill_bytes, 0);
-        // The crashed store itself, still holding A in RAM, retries and heals.
+        // The crashed store itself, still holding A in RAM, retries.
         crashed.checkpoint(&names, 1).unwrap();
+        let torn = blob_files(&crashed);
+        assert_eq!(torn.len(), 1);
         std::fs::write(dir.join("blocks").join(&torn[0].0), b"DMBK2\ntorn again").unwrap();
         drop(crashed);
 
@@ -1271,14 +1292,14 @@ mod tests {
             s
         };
         let s = filled("batch");
-        let got = s.get_all(&["a", "b", "c"]);
+        let got = s.get_all(&["a", "b", "c"]).unwrap();
         for (i, m) in got.iter().enumerate() {
             assert_eq!(bits(m.as_ref().unwrap()), bits(&salted(8, 8, i as f64)));
         }
         let st = s.stats();
         assert_eq!((st.loads, st.spills), (1, 1), "a handed out, b and c kept");
         assert!(s.is_spilled("a") && !s.is_spilled("b") && !s.is_spilled("c"));
-        assert!(s.get_all(&["missing", "b"])[0].is_none());
+        assert!(s.get_all(&["missing", "b"]).unwrap()[0].is_none());
 
         let lru = filled("lone-gets");
         for name in ["a", "b", "c"] {

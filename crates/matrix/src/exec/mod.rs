@@ -49,14 +49,14 @@ pub enum AggregationMode {
 /// (this crate's [`LocalExecutor`], the simulated cluster's RMM / CPMM,
 /// and the `dmac-workerd` daemon).
 ///
-/// Folds `Σ_k A[·,k]·B[k,·]` into one accumulator acquired from `pool`,
-/// visiting `ks` in the order given (callers pass ascending `k`, which
-/// fixes the f64 summation order) and skipping every term where either
-/// tile is all-zero. `at` / `bt` look the two tiles of a term up; a lookup
-/// that comes back empty is [`MatrixError::MissingTile`] naming `k`.
-/// Returns the accumulator, or `None` when no term contributed. On every
-/// path that does not hand the accumulator to the caller — an error, or no
-/// contribution — it goes back to the pool.
+/// Folds `Σ_k A[·,k]·B[k,·]` into one accumulator, visiting `ks` in the
+/// order given (callers pass ascending `k`, which fixes the f64 summation
+/// order) and skipping every term where either tile is all-zero. `at` /
+/// `bt` look the two tiles of a term up; a lookup that comes back empty is
+/// [`MatrixError::MissingTile`] naming `k`. The accumulator is acquired
+/// from `pool`, zeroed, at the first term that contributes, so a fold no
+/// term contributes to acquires nothing and returns `None`. An error after
+/// that hands the accumulator back to the pool.
 pub fn fold_tile<'t>(
     pool: &ResultBufferPool,
     (rows, cols): (usize, usize),
@@ -64,25 +64,23 @@ pub fn fold_tile<'t>(
     mut at: impl FnMut(usize) -> Option<&'t Block>,
     mut bt: impl FnMut(usize) -> Option<&'t Block>,
 ) -> Result<Option<DenseBlock>> {
-    let mut acc = pool.acquire(rows, cols);
-    let mut touched = false;
+    let mut acc: Option<DenseBlock> = None;
     for k in ks {
         let term = match (at(k), bt(k)) {
             (Some(a), Some(b)) if a.is_all_zero() || b.is_all_zero() => continue,
-            (Some(a), Some(b)) => a.matmul_acc(b, &mut acc),
+            (Some(a), Some(b)) => {
+                a.matmul_acc(b, acc.get_or_insert_with(|| pool.acquire(rows, cols)))
+            }
             _ => Err(MatrixError::MissingTile { k }),
         };
         if let Err(e) = term {
-            pool.release(acc);
+            if let Some(acc) = acc {
+                pool.release(acc);
+            }
             return Err(e);
         }
-        touched = true;
     }
-    if !touched {
-        pool.release(acc);
-        return Ok(None);
-    }
-    Ok(Some(acc))
+    Ok(acc)
 }
 
 /// The result-representation rule of a finished fold: a tile with fewer
@@ -346,6 +344,22 @@ mod tests {
         .unwrap();
         let expect = two.to_dense().matmul(&two.to_dense()).unwrap();
         assert_eq!(tile.to_dense(), expect);
+    }
+
+    #[test]
+    fn a_fold_no_term_contributes_to_acquires_nothing() {
+        let zero = Block::zeros(2, 2);
+        let two = Block::Dense(DenseBlock::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap());
+        let pool = ResultBufferPool::new(1);
+        matmul_tile(&pool, (2, 2), 0..1, |_| Some(&two), |_| Some(&two)).unwrap();
+        let before = pool.stats();
+        // Every term has a zero tile: on the right (k = 1), on the left
+        // (k = 2), or both (k = 0).
+        let (a, b) = ([&zero, &two, &zero], [&zero, &zero, &two]);
+        let none = fold_tile(&pool, (2, 2), 0..3, |k| Some(a[k]), |k| Some(b[k])).unwrap();
+        assert!(none.is_none(), "no term contributed");
+        assert_eq!(pool.stats().acquires(), before.acquires());
+        assert_eq!(pool.stats(), before, "nothing acquired, nothing released");
     }
 
     #[test]

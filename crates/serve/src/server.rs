@@ -277,7 +277,7 @@ impl Server {
                 .seed(cfg.seed)
                 .store(store.clone())
                 .build();
-            for script in disk.list_plans() {
+            for script in disk.list_plans().map_err(durable)? {
                 let Ok(parsed) = dmac_lang::parse_script(&script) else {
                     continue;
                 };

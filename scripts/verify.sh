@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch, one fused step)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch, one fused step, one crash seam)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -155,6 +155,16 @@ if grep -rnE 'multiplication_first|pull_up_broadcast|re_assignment|allow_cpmm' \
 # such step; a lone RMM is a fused stage of one product leaf, so there is
 # no worker command of its own (the Cmd count below is 12).
 if grep -rnE 'FusedCellWise|Cmd::Mm\b' crates src tests examples; then exit 1; fi
+# One crash seam: the disk tier touches the file system only through its
+# numbered I/O seam (`impl Io` in disk.rs), so crashing a run at call i,
+# for every i, reaches every durability step. No named crash point or
+# hand-placed check sits beside it, and no `fs::` / `File::` call in
+# disk.rs' code (before its tests) sits outside the seam.
+if grep -rnE 'CrashPoint|crash_check|crash_fires' crates src tests examples; then exit 1; fi
+awk '/#\[cfg\(test\)\]/ { exit }
+     /^impl Io \{/ { inside = 1 } inside && /^}/ { inside = 0; next }
+     !inside && /(fs|File)::/ { print FILENAME ":" FNR ": " $0; bad++ }
+     END { if (bad) exit 1 }' crates/core/src/disk.rs
 # The cluster meters only bytes a primitive moves (Cluster::send) and
 # records spans in finish_op / charge_recovery: no side door charges
 # modelled traffic. And a tile moves one way: a worker's `xfer` installs

@@ -1,11 +1,12 @@
-//! Durability integration tests: the crash matrix of PR 6.
+//! Durability integration tests: the crash sweep.
 //!
 //! The load-bearing claims exercised here:
 //!
-//! * a deterministic crash injected at **every** durability boundary
-//!   ([`CrashPoint::ALL`]) during a checkpointed GNMF or PageRank run
-//!   leaves on-disk state from which a restarted driver recovers and
-//!   finishes **bit-for-bit identical** to an uninterrupted run;
+//! * a deterministic crash injected at **every** file-system call the disk
+//!   tier makes during a checkpointed GNMF or PageRank run — and during
+//!   one under capacity pressure, whose spills are crashed too — leaves
+//!   on-disk state from which a restarted driver recovers and finishes
+//!   **bit-for-bit identical** to an uninterrupted run;
 //! * resuming from a snapshot skips the already-completed iterations
 //!   (recovery is cheaper than full lineage replay);
 //! * torn or corrupt block files are detected by checksum and degrade
@@ -17,12 +18,15 @@
 //!   third channel, and still produce bit-identical results.
 
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dmac::apps::{Gnmf, PageRank};
-use dmac::cluster::{CrashPoint, FaultPlan};
-use dmac::core::{CoreError, DiskTier, Session, SharedStore};
+use dmac::apps::gnmf::GNMF_CHECKPOINT_NAMES;
+use dmac::apps::{CheckpointedRun, Gnmf, PageRank};
+use dmac::cluster::FaultPlan;
+use dmac::core::{CoreError, DiskTier, IoKind, Session, SharedStore};
+use dmac::lang::Program;
 use dmac::matrix::BlockedMatrix;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -97,93 +101,182 @@ fn pagerank_input() -> BlockedMatrix {
     dmac::data::powerlaw_graph(40, 160, 8, 3)
 }
 
-fn pagerank_healthy(dir: &Path) -> Vec<u64> {
-    let store = SharedStore::with_disk(dir).unwrap();
-    let mut s = session_over(store, None);
-    let run = pagerank_cfg()
-        .run_checkpointed(&mut s, &pagerank_input())
-        .unwrap();
-    assert_eq!(run.resumed_from, 0);
-    bits(&s.env_value("rank").unwrap())
+/// One crash of a sweep: the call it stopped, and the phase the
+/// restarted driver resumed from.
+struct Crash {
+    op: u64,
+    kind: IoKind,
+    path: PathBuf,
+    resumed_from: usize,
+}
+
+fn open_store(dir: &Path, capacity: Option<u64>) -> SharedStore {
+    match capacity {
+        Some(cap) => SharedStore::with_capacity_and_disk(cap, dir).unwrap(),
+        None => SharedStore::with_disk(dir).unwrap(),
+    }
+}
+
+/// Crash `run` — a checkpointed driver of `iterations` — over a fresh
+/// directory (a store of `capacity` bytes, if given) at every file-system
+/// call its healthy run makes. Each crashed run must end in the injected
+/// crash naming that call; a fresh store over the same directory then
+/// recovers, and the driver resumes and finishes with the healthy bits of
+/// `outputs`. Returns the crashes in call order.
+fn crash_sweep(
+    tag: &str,
+    capacity: Option<u64>,
+    iterations: usize,
+    run: impl Fn(&mut Session) -> dmac::core::Result<CheckpointedRun>,
+    outputs: &[&str],
+) -> Vec<Crash> {
+    let values = |s: &Session| -> Vec<Vec<u64>> {
+        outputs
+            .iter()
+            .map(|name| bits(&s.env_value(name).unwrap()))
+            .collect()
+    };
+    let dir = temp_dir(&format!("{tag}-healthy"));
+    let store = open_store(&dir, capacity);
+    let mut s = session_over(store.clone(), Some(FaultPlan::none()));
+    run(&mut s).unwrap();
+    let calls = store.disk().unwrap().ops();
+    let healthy = values(&s);
+    let _ = fs::remove_dir_all(&dir);
+
+    let mut crashes = Vec::new();
+    for op in 0..=calls {
+        let dir = temp_dir(&format!("{tag}-{op}"));
+        let mut s = session_over(open_store(&dir, capacity), Some(FaultPlan::crash(op)));
+        let first = run(&mut s);
+        drop(s);
+        if op == calls {
+            // One past the healthy run's last call: nothing fires.
+            first.unwrap();
+            let _ = fs::remove_dir_all(&dir);
+            break;
+        }
+        let (kind, path) = match first {
+            Err(CoreError::InjectedCrash { op: at, kind, path }) if at == op => (kind, path),
+            other => panic!("{tag}: crash at {op} ended in {:?}", other.map(drop)),
+        };
+        // "Restart the process": a fresh store over the same directory.
+        let store = open_store(&dir, capacity);
+        store.recover().unwrap();
+        let mut s = session_over(store, None);
+        let resumed = run(&mut s).unwrap();
+        assert_eq!(
+            resumed.resumed_from + resumed.ran_iterations,
+            iterations,
+            "{tag}: crash at {op}: the driver must account for every iteration"
+        );
+        assert_eq!(
+            values(&s),
+            healthy,
+            "{tag}: crash at {op} must recover bit-for-bit"
+        );
+        crashes.push(Crash {
+            op,
+            kind,
+            path,
+            resumed_from: resumed.resumed_from,
+        });
+        let _ = fs::remove_dir_all(&dir);
+    }
+    crashes
+}
+
+/// The durability steps a sweep must have crashed at least once: a blob
+/// write, a manifest write, the `CURRENT` swap and a compaction removal;
+/// and some crash must leave a snapshot past phase 0 to resume from.
+fn assert_covers(tag: &str, crashes: &[Crash]) {
+    let file = |c: &Crash| c.path.file_name().unwrap().to_string_lossy().into_owned();
+    let under_blocks = |c: &Crash| c.path.parent().is_some_and(|d| d.ends_with("blocks"));
+    let hit = |what: &str, f: &dyn Fn(&Crash) -> bool| {
+        assert!(crashes.iter().any(f), "{tag}: no crash at a {what}");
+    };
+    hit("blob write", &|c| {
+        c.kind == IoKind::Write && under_blocks(c)
+    });
+    hit("manifest write", &|c| {
+        c.kind == IoKind::Write && file(c).starts_with("manifest-")
+    });
+    hit("CURRENT swap", &|c| {
+        c.kind == IoKind::Rename && file(c) == "CURRENT"
+    });
+    hit("compaction", &|c| c.kind == IoKind::Remove);
+    hit("resume past phase 0", &|c| c.resumed_from > 0);
+}
+
+/// The calls each checkpoint of a healthy checkpointed GNMF run makes,
+/// as ranges of the disk tier's call count: `Gnmf::run_checkpointed`'s
+/// loop spelled out, so the count can be read around every snapshot.
+fn gnmf_checkpoint_calls(capacity: Option<u64>) -> Vec<Range<u64>> {
+    let dir = temp_dir("gnmf-calls");
+    let store = open_store(&dir, capacity);
+    let disk = store.disk().unwrap();
+    let mut s = session_over(store, Some(FaultPlan::none()));
+    let names = GNMF_CHECKPOINT_NAMES.map(String::from);
+    let (mut init, mut step) = (Program::new(), Program::new());
+    gnmf_cfg().build_init(&mut init).unwrap();
+    gnmf_cfg().build_step(&mut step).unwrap();
+    s.bind("V", gnmf_input()).unwrap();
+    s.run(&init).unwrap();
+    let mut calls = Vec::new();
+    for phase in 0..=gnmf_cfg().iterations as u64 {
+        if phase > 0 {
+            s.run(&step).unwrap();
+        }
+        let from = disk.ops();
+        s.checkpoint(&names, phase).unwrap();
+        calls.push(from..disk.ops());
+    }
+    let _ = fs::remove_dir_all(&dir);
+    calls
 }
 
 #[test]
 fn gnmf_crash_matrix_recovers_bit_for_bit() {
-    let healthy = gnmf_healthy(&temp_dir("gnmf-healthy"));
     let cfg = gnmf_cfg();
     let v = gnmf_input();
-    for point in CrashPoint::ALL {
-        let dir = temp_dir(&format!("gnmf-{}", point.name()));
-        let store = SharedStore::with_disk(&dir).unwrap();
-        let mut s = session_over(store, Some(FaultPlan::crash(point, 0)));
-        let first = cfg.run_checkpointed(&mut s, &v);
-        // Points that never arise in this run (e.g. MidRecovery — a fresh
-        // store never recovers) let the run complete; every fired crash
-        // must surface as the typed error, not a panic or wrong data.
-        if let Err(e) = &first {
-            assert!(
-                matches!(e, CoreError::InjectedCrash(_)),
-                "{}: unexpected error {e}",
-                point.name()
-            );
-        }
-        drop(s);
-
-        // "Restart the process": fresh store over the same directory.
-        let store = SharedStore::with_disk(&dir).unwrap();
-        store.recover().unwrap();
-        let mut s = session_over(store, None);
-        let run = cfg.run_checkpointed(&mut s, &v).unwrap();
-        assert_eq!(
-            run.resumed_from + run.ran_iterations,
-            cfg.iterations,
-            "{}: driver must account for every iteration",
-            point.name()
-        );
-        let got = (
-            bits(&s.env_value("W").unwrap()),
-            bits(&s.env_value("H").unwrap()),
-        );
-        assert_eq!(
-            got,
-            healthy,
-            "crash at {} must recover bit-for-bit",
-            point.name()
-        );
-    }
+    let run = |s: &mut Session| cfg.run_checkpointed(s, &v);
+    let crashes = crash_sweep("gnmf", None, cfg.iterations, run, &["W", "H"]);
+    assert_covers("gnmf", &crashes);
 }
 
 #[test]
 fn pagerank_crash_matrix_recovers_bit_for_bit() {
-    let healthy = pagerank_healthy(&temp_dir("pr-healthy"));
     let cfg = pagerank_cfg();
     let adj = pagerank_input();
-    for point in CrashPoint::ALL {
-        let dir = temp_dir(&format!("pr-{}", point.name()));
-        let store = SharedStore::with_disk(&dir).unwrap();
-        let mut s = session_over(store, Some(FaultPlan::crash(point, 0)));
-        let first = cfg.run_checkpointed(&mut s, &adj);
-        if let Err(e) = &first {
-            assert!(
-                matches!(e, CoreError::InjectedCrash(_)),
-                "{}: unexpected error {e}",
-                point.name()
-            );
-        }
-        drop(s);
+    let run = |s: &mut Session| cfg.run_checkpointed(s, &adj);
+    let crashes = crash_sweep("pr", None, cfg.iterations, run, &["rank"]);
+    assert_covers("pagerank", &crashes);
+}
 
-        let store = SharedStore::with_disk(&dir).unwrap();
-        store.recover().unwrap();
-        let mut s = session_over(store, None);
-        let run = cfg.run_checkpointed(&mut s, &adj).unwrap();
-        assert_eq!(run.resumed_from + run.ran_iterations, cfg.iterations);
-        assert_eq!(
-            bits(&s.env_value("rank").unwrap()),
-            healthy,
-            "crash at {} must recover bit-for-bit",
-            point.name()
-        );
-    }
+/// Under a budget its working set cannot fit, the run spills between
+/// checkpoints: those blob writes — and the reloads after them — are
+/// crashed too, and recover like the rest.
+#[test]
+fn capacity_pressured_crash_matrix_recovers_bit_for_bit() {
+    // The V/W/H working set is ~3.2 KB; see spill_roundtrip_preserves_bits_and_is_metered.
+    let capacity = Some(1500);
+    let cfg = gnmf_cfg();
+    let v = gnmf_input();
+    let run = |s: &mut Session| cfg.run_checkpointed(s, &v);
+    let crashes = crash_sweep("gnmf-capped", capacity, cfg.iterations, run, &["W", "H"]);
+    assert_covers("gnmf-capped", &crashes);
+    let checkpoints = gnmf_checkpoint_calls(capacity);
+    assert_eq!(
+        checkpoints.last().unwrap().end,
+        crashes.len() as u64,
+        "the driver ends with its last snapshot"
+    );
+    let spill = |c: &Crash| {
+        let in_checkpoint = checkpoints.iter().any(|r| r.contains(&c.op));
+        let blob = c.path.parent().is_some_and(|d| d.ends_with("blocks"));
+        c.kind == IoKind::Write && blob && !in_checkpoint
+    };
+    assert!(crashes.iter().any(spill), "no crash at a spill write");
 }
 
 /// A crash during the *third* checkpoint leaves the phase-1 snapshot
@@ -196,12 +289,12 @@ fn resume_skips_completed_iterations() {
     let v = gnmf_input();
     let dir = temp_dir("gnmf-skip");
     let store = SharedStore::with_disk(&dir).unwrap();
-    // Occurrences are 0-based: index 2 is the third publish, i.e. the
-    // checkpoint that would have made phase 2 durable.
-    let plan = FaultPlan::crash(CrashPoint::BeforeManifestPublish, 2);
+    // Checkpoints are phases 0, 1, 2, 3: crash at the first call of the
+    // one that would have made phase 2 durable.
+    let plan = FaultPlan::crash(gnmf_checkpoint_calls(None)[2].start);
     let mut s = session_over(store, Some(plan));
     let err = cfg.run_checkpointed(&mut s, &v).unwrap_err();
-    assert!(matches!(err, CoreError::InjectedCrash(_)), "{err}");
+    assert!(matches!(err, CoreError::InjectedCrash { .. }), "{err}");
     drop(s);
 
     let store = SharedStore::with_disk(&dir).unwrap();
@@ -223,30 +316,47 @@ fn resume_skips_completed_iterations() {
     assert_eq!(got, healthy);
 }
 
-/// A crash during recovery itself is harmless: recovery is read-only,
-/// so simply recovering again succeeds and yields the full snapshot.
+/// A crash at any call of recovery itself is harmless: recovery is
+/// read-only, so simply recovering again succeeds and yields the full
+/// snapshot.
 #[test]
 fn crash_during_recovery_is_retryable() {
     let dir = temp_dir("gnmf-midrecovery");
     let healthy = gnmf_healthy(&dir);
 
-    let store = SharedStore::with_disk(&dir).unwrap();
-    store.arm_crashes(&FaultPlan::crash(CrashPoint::MidRecovery, 0));
-    let err = store.recover().unwrap_err();
-    assert!(matches!(err, CoreError::InjectedCrash(_)), "{err}");
-    drop(store);
-
-    let store = SharedStore::with_disk(&dir).unwrap();
-    store.recover().unwrap();
-    let mut s = session_over(store, None);
-    let run = gnmf_cfg().run_checkpointed(&mut s, &gnmf_input()).unwrap();
-    assert_eq!(run.resumed_from, 3, "full snapshot: nothing left to run");
-    assert_eq!(run.ran_iterations, 0);
-    let got = (
-        bits(&s.env_value("W").unwrap()),
-        bits(&s.env_value("H").unwrap()),
-    );
-    assert_eq!(got, healthy);
+    let mut calls = 0;
+    loop {
+        let store = SharedStore::with_disk(&dir).unwrap();
+        store.disk().unwrap().arm_crashes(&FaultPlan::crash(calls));
+        let Err(err) = store.recover() else {
+            break;
+        };
+        assert!(
+            matches!(err, CoreError::InjectedCrash { op, .. } if op == calls),
+            "{err}"
+        );
+        assert!(
+            store.names().is_empty(),
+            "a crashed recovery restores nothing"
+        );
+        assert_eq!(
+            store.recover().unwrap(),
+            ["H", "V", "W"],
+            "crash at {calls}"
+        );
+        let mut s = session_over(store, None);
+        let run = gnmf_cfg().run_checkpointed(&mut s, &gnmf_input()).unwrap();
+        assert_eq!(run.resumed_from, 3, "full snapshot: nothing left to run");
+        assert_eq!(run.ran_iterations, 0);
+        let got = (
+            bits(&s.env_value("W").unwrap()),
+            bits(&s.env_value("H").unwrap()),
+        );
+        assert_eq!(got, healthy);
+        calls += 1;
+    }
+    // CURRENT, its manifest, and each of the three blobs it names.
+    assert_eq!(calls, 5);
 }
 
 /// Corrupting a blob unique to the newest snapshot (the final W) makes
@@ -434,7 +544,7 @@ fn a_data_dir_of_the_fnv_format_recovers_nothing() {
 
     let disk = DiskTier::open(&dir).unwrap();
     assert!(disk.load_latest().unwrap().is_none());
-    assert!(disk.list_plans().is_empty());
+    assert!(disk.list_plans().unwrap().is_empty());
     let store = SharedStore::with_disk(&dir).unwrap();
     assert!(store.recover().unwrap().is_empty());
     assert!(store.latest_snapshot().is_none());
@@ -496,9 +606,7 @@ fn spill_roundtrip_preserves_bits_and_is_metered() {
 /// reloaded twice.
 #[test]
 fn halved_ram_runs_repeat_their_store_counters_exactly() {
-    use dmac::apps::gnmf::GNMF_CHECKPOINT_NAMES;
     use dmac::core::trace::SpillTraffic;
-    use dmac::lang::Program;
 
     let uncapped = SharedStore::with_disk(temp_dir("gnmf-halved-whole")).unwrap();
     let mut s = session_over(uncapped.clone(), None);

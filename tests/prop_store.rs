@@ -191,7 +191,7 @@ fn batch_read(w: &mut World, rng: &mut SplitMix64, ctx: &str) {
         .filter_map(|n| Some((*n, w.store.peek(n)?.rid())))
         .collect();
     let loads = w.store.stats().loads;
-    let got = w.store.get_all(&names);
+    let got = w.store.get_all(&names).unwrap();
     for (name, got) in names.iter().zip(&got) {
         assert_read(got.as_ref(), w.model.get(name), &format!("{ctx}: {name}"));
     }
