@@ -1,6 +1,7 @@
 //! The canonical checksum both ends of the real transport use to prove
-//! shard equality, and the digest under it (which the `DMB3` trailer and
-//! the disk tier's blob names, manifests and plan files use too). What
+//! shard equality, and the digest under it (which the `DMB3` trailer, the
+//! disk tier's blob names and its one frame around every file it writes
+//! use too). What
 //! travels, and how it is spelled, is [`crate::transport::proto`]'s.
 //!
 //! The shard checksum is a [`Digest`] over a canonical binary encoding:
@@ -33,7 +34,8 @@ fn round(lanes: &mut [u64; 4], words: &[u8]) {
 }
 
 /// The one 64-bit digest of every integrity check: frame trailers, shard
-/// seals, blob names and trailers, manifests, `CURRENT` and plan files.
+/// seals, blob names, and the disk tier's frame around every blob,
+/// manifest, `CURRENT` and plan file.
 /// Four lanes take the stream's little-endian 8-byte words in turn, so a
 /// word's multiply does not wait on the previous word's; the finish folds
 /// the lanes and the length through a bijective mixer. Not cryptographic:

@@ -3,33 +3,45 @@
 //! Layout of a data directory:
 //!
 //! ```text
-//! <root>/blocks/<digest:016x>.blk  content-addressed immutable blob files
-//! <root>/manifest-<seq:06>.txt     snapshot manifests (append-only seq)
-//! <root>/CURRENT                   "<manifest-file> <checksum:016x>"
+//! <root>/blocks/<digest:016x>.blk  content-addressed immutable blobs: a DistMatrix each
+//! <root>/manifest-<seq:06>.txt     snapshot manifests: a JSON document each (append-only seq)
+//! <root>/CURRENT                   the published manifest's file name
 //! <root>/plans/<fp:016x>.dml       persisted plan-cache scripts (serve)
 //! ```
 //!
+//! **Every file is one frame**,
+//! `"DMBK2\n" ∥ payload_len (u64 LE) ∥ payload ∥ digest(payload)`
+//! ([`Digest`]), written by one writer and read back by one reader that
+//! checks magic, length and digest before any payload byte is looked at.
+//! A torn or rotted file of any kind — blob, manifest, `CURRENT` or plan —
+//! fails that one check; nothing else in the tier reads the disk.
+//!
 //! **Blobs** hold one serialised [`DistMatrix`] each (geometry, scheme,
 //! and the exact per-worker tile placement, so a reload reproduces the
-//! physical layout bit-for-bit). A blob file is
-//! `"DMBK2\n" ∥ payload_len ∥ payload ∥ digest(payload)` ([`Digest`])
-//! and is named by the payload's own digest — content addressing, so identical
-//! matrices across snapshots share one file and re-checkpointing an
-//! unchanged matrix writes nothing. Only [`DiskTier::put_blob`] names a
-//! payload (one hash pass: file name and trailer), and a file already at
-//! that name is the blob only once its length and checksum read back —
-//! a torn file at a final name is rewritten, never deduplicated against.
+//! physical layout bit-for-bit), and are named by the payload's own
+//! digest — content addressing, so identical matrices across snapshots
+//! share one file and re-checkpointing an unchanged matrix writes nothing.
+//! Only [`DiskTier::put_blob`] names a payload (one hash pass: file name
+//! and trailer), and a file already at that name is the blob only once
+//! its frame reads back with that digest — a torn or misdirected file at
+//! a final name is rewritten, never deduplicated against.
 //!
-//! **Crash consistency** rests on two rules: blobs and manifests are
-//! written to a temp file and atomically renamed, and a snapshot only
-//! becomes visible when the `CURRENT` pointer (itself temp+rename) is
-//! swapped to the new manifest. A crash at any boundary therefore
-//! leaves either the old snapshot fully intact or the new one fully
-//! published; half-written garbage is unreachable and later removed by
-//! compaction. Every read re-verifies length and checksum, so even a
-//! file torn or rotted at its final name is detected and the reader falls
-//! back to the previous manifest — or, with none valid, to lineage
-//! replay.
+//! A **manifest** is a JSON document that the workspace's one strict
+//! decoder (`dmac_cluster::jsonin`) reads; it must carry the sequence
+//! number its file name says, and each entry's hash must be a blob name.
+//! **`CURRENT`** holds only the published manifest's file name: the
+//! manifest verifies itself. A **plan file** holds the script.
+//!
+//! **Crash consistency** rests on two rules: every file is written to a
+//! temp file and atomically renamed, and a snapshot only becomes visible
+//! when the `CURRENT` pointer is swapped to the new manifest. A crash at
+//! any boundary therefore leaves either the old snapshot fully intact or
+//! the new one fully published; half-written garbage is unreachable and
+//! later removed by compaction. Every read verifies its frame, so a file
+//! torn or rotted at its final name is never used: a rotted `CURRENT`
+//! leaves the manifests to be tried newest first, a rotted manifest or
+//! blob falls back to the previous manifest, and with none valid the
+//! store replays its lineage.
 //!
 //! **Crash injection** sits where the tier touches the file system: a
 //! private seam numbers every call, and the one a [`FaultPlan`]'s
@@ -44,6 +56,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::sync::{Mutex, PoisonError};
 
+use dmac_cluster::json::{arr_of, JsonObj};
+use dmac_cluster::jsonin::Json;
 use dmac_cluster::transport::binfmt;
 use dmac_cluster::transport::wire::Digest;
 use dmac_cluster::{DistMatrix, FaultPlan, PartitionScheme};
@@ -51,9 +65,9 @@ use dmac_matrix::Block;
 
 use crate::error::{CoreError, Result};
 
-const BLOB_MAGIC: &[u8; 6] = b"DMBK2\n";
-/// A blob frame is magic, payload length (`u64`), payload, checksum (`u64`).
-const BLOB_HEAD: usize = BLOB_MAGIC.len() + 8;
+const FRAME_MAGIC: &[u8; 6] = b"DMBK2\n";
+/// A frame is magic, payload length (`u64`), payload, digest (`u64`).
+const FRAME_HEAD: usize = FRAME_MAGIC.len() + 8;
 const DIST_MAGIC: &[u8; 6] = b"DMDM2\n";
 /// Fixed head of a matrix payload: magic, four `u64` geometry words, scheme.
 const DIST_HEAD: usize = 6 + 4 * 8 + 1;
@@ -62,8 +76,6 @@ const REPLICATED: usize = u32::MAX as usize;
 /// Per-worker stores are sized from the head before any tile is placed;
 /// three orders of magnitude above the paper's 4–20 nodes is still cheap.
 const MAX_WORKERS: usize = 1 << 16;
-const MANIFEST_MAGIC: &str = "dmac-manifest v1";
-const PLAN_MAGIC: &str = "dmac-plan v2";
 
 fn disk_err(ctx: &str, e: impl std::fmt::Display) -> CoreError {
     CoreError::Disk(format!("{ctx}: {e}"))
@@ -214,145 +226,72 @@ pub struct Manifest {
     pub entries: Vec<ManifestEntry>,
 }
 
-fn escape_name(name: &str) -> String {
-    let mut s = String::with_capacity(name.len());
-    for ch in name.chars() {
-        match ch {
-            '%' => s.push_str("%25"),
-            ' ' => s.push_str("%20"),
-            '\n' => s.push_str("%0A"),
-            '\r' => s.push_str("%0D"),
-            '\t' => s.push_str("%09"),
-            c => s.push(c),
-        }
+impl Manifest {
+    /// The manifest as the JSON document its file's frame carries:
+    /// `{"seq", "kind", "phase", "entries": [{"name", "hash", "bytes",
+    /// "logical_bytes", "scheme"}]}`, the scheme as its payload tag. JSON
+    /// numbers hold integers exactly up to 2^53, far past any sequence
+    /// number, phase or byte count.
+    fn to_json(&self) -> String {
+        let entries = arr_of(self.entries.iter().map(|e| {
+            JsonObj::new()
+                .str("name", &e.name)
+                .str("hash", &e.hash)
+                .u64("bytes", e.bytes)
+                .u64("logical_bytes", e.logical_bytes)
+                .u64("scheme", scheme_tag(e.scheme).into())
+                .build()
+        }));
+        JsonObj::new()
+            .u64("seq", self.seq)
+            .str("kind", &self.kind)
+            .u64("phase", self.phase)
+            .raw("entries", &entries)
+            .build()
     }
-    s
-}
 
-fn unescape_name(escaped: &str) -> Result<String> {
-    let mut out = String::with_capacity(escaped.len());
-    let mut chars = escaped.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '%' {
-            out.push(ch);
-            continue;
+    /// Decode [`Manifest::to_json`]'s document. Every failure is a typed
+    /// [`CoreError::Disk`]: bytes that are not UTF-8 or not JSON, a member
+    /// missing or of the wrong type, an unknown scheme tag, or a hash that
+    /// is not a blob name.
+    fn from_json(payload: &[u8]) -> Result<Manifest> {
+        fn member<'a, T>(
+            j: &'a Json,
+            key: &str,
+            as_t: impl Fn(&'a Json) -> Option<T>,
+        ) -> Result<T> {
+            j.get(key).and_then(as_t).ok_or_else(|| {
+                CoreError::Disk(format!("manifest member '{key}' is missing or mistyped"))
+            })
         }
-        let hi = chars.next();
-        let lo = chars.next();
-        let (Some(hi), Some(lo)) = (hi, lo) else {
-            return Err(CoreError::Disk("truncated name escape".into()));
-        };
-        let byte = u8::from_str_radix(&format!("{hi}{lo}"), 16)
-            .map_err(|e| disk_err("bad name escape", e))?;
-        out.push(byte as char);
-    }
-    Ok(out)
-}
-
-fn render_manifest(m: &Manifest) -> String {
-    let mut s = String::new();
-    s.push_str(MANIFEST_MAGIC);
-    s.push('\n');
-    s.push_str(&format!("seq {}\n", m.seq));
-    s.push_str(&format!("kind {}\n", m.kind));
-    s.push_str(&format!("phase {}\n", m.phase));
-    for e in &m.entries {
-        s.push_str(&format!(
-            "entry {} {} {} {} {}\n",
-            escape_name(&e.name),
-            e.hash,
-            e.bytes,
-            e.logical_bytes,
-            e.scheme
-        ));
-    }
-    s
-}
-
-fn parse_scheme(s: &str) -> Result<PartitionScheme> {
-    for cand in [
-        PartitionScheme::Row,
-        PartitionScheme::Col,
-        PartitionScheme::Hash,
-        PartitionScheme::Broadcast,
-    ] {
-        if cand.to_string() == s {
-            return Ok(cand);
-        }
-    }
-    Err(CoreError::Disk(format!("unknown scheme '{s}'")))
-}
-
-fn parse_manifest(text: &str) -> Result<Manifest> {
-    let mut lines = text.lines();
-    if lines.next() != Some(MANIFEST_MAGIC) {
-        return Err(CoreError::Disk("bad manifest header".into()));
-    }
-    let mut seq = None;
-    let mut kind = None;
-    let mut phase = None;
-    let mut entries = Vec::new();
-    for line in lines {
-        let mut parts = line.split(' ');
-        match parts.next() {
-            Some("seq") => {
-                seq = Some(
-                    parts
-                        .next()
-                        .ok_or_else(|| CoreError::Disk("manifest seq missing".into()))?
-                        .parse::<u64>()
-                        .map_err(|e| disk_err("manifest seq", e))?,
-                );
+        let text = std::str::from_utf8(payload).map_err(|e| disk_err("manifest utf8", e))?;
+        let doc = Json::parse(text).map_err(|e| disk_err("manifest", e))?;
+        let entries = member(&doc, "entries", Json::as_arr)?.iter().map(|e| {
+            // The hash becomes a file name under `blocks/`: exactly what
+            // `put_blob` mints, or the entry could name any path.
+            let hash = member(e, "hash", Json::as_str)?;
+            let hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+            if hash.len() != 16 || !hash.bytes().all(hex) {
+                return Err(CoreError::Disk(format!(
+                    "manifest entry hash '{hash}' is not 16 lowercase hex digits"
+                )));
             }
-            Some("kind") => kind = parts.next().map(str::to_string),
-            Some("phase") => {
-                phase = Some(
-                    parts
-                        .next()
-                        .ok_or_else(|| CoreError::Disk("manifest phase missing".into()))?
-                        .parse::<u64>()
-                        .map_err(|e| disk_err("manifest phase", e))?,
-                );
-            }
-            Some("entry") => {
-                let fields: Vec<&str> = parts.collect();
-                if fields.len() != 5 {
-                    return Err(CoreError::Disk(format!(
-                        "manifest entry has {} fields, want 5",
-                        fields.len()
-                    )));
-                }
-                // The hash becomes a file name under `blocks/`: exactly
-                // what `put_blob` mints, or the entry could name any path.
-                let hash = fields[1];
-                let hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
-                if hash.len() != 16 || !hash.bytes().all(hex) {
-                    return Err(CoreError::Disk(format!(
-                        "manifest entry hash '{hash}' is not 16 lowercase hex digits"
-                    )));
-                }
-                entries.push(ManifestEntry {
-                    name: unescape_name(fields[0])?,
-                    hash: hash.to_string(),
-                    bytes: fields[2].parse().map_err(|e| disk_err("entry bytes", e))?,
-                    logical_bytes: fields[3]
-                        .parse()
-                        .map_err(|e| disk_err("entry logical bytes", e))?,
-                    scheme: parse_scheme(fields[4])?,
-                });
-            }
-            Some("") | None => {}
-            Some(other) => {
-                return Err(CoreError::Disk(format!("unknown manifest line '{other}'")));
-            }
-        }
+            let tag = member(e, "scheme", |j| u8::try_from(j.as_u64()?).ok())?;
+            Ok(ManifestEntry {
+                name: member(e, "name", Json::as_str)?.to_string(),
+                hash: hash.to_string(),
+                bytes: member(e, "bytes", Json::as_u64)?,
+                logical_bytes: member(e, "logical_bytes", Json::as_u64)?,
+                scheme: tag_scheme(tag)?,
+            })
+        });
+        Ok(Manifest {
+            seq: member(&doc, "seq", Json::as_u64)?,
+            kind: member(&doc, "kind", Json::as_str)?.to_string(),
+            phase: member(&doc, "phase", Json::as_u64)?,
+            entries: entries.collect::<Result<_>>()?,
+        })
     }
-    Ok(Manifest {
-        seq: seq.ok_or_else(|| CoreError::Disk("manifest missing seq".into()))?,
-        kind: kind.ok_or_else(|| CoreError::Disk("manifest missing kind".into()))?,
-        phase: phase.ok_or_else(|| CoreError::Disk("manifest missing phase".into()))?,
-        entries,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -526,15 +465,17 @@ impl DiskTier {
         self.root.join("blocks").join(format!("{hash}.blk"))
     }
 
-    /// Write the concatenated `parts` under `path` so that a crash leaves
-    /// the old file or the new one: a synced temp file renamed into place,
-    /// then the parent directory synced, so the rename itself survives a
-    /// power loss.
-    fn write_atomic(&self, path: &Path, parts: &[&[u8]]) -> Result<()> {
+    /// Write `payload`, whose [`Digest`] is `sum`, as one frame at `path`
+    /// so that a crash leaves the old file or the new one: a synced temp
+    /// file renamed into place, then the parent directory synced, so the
+    /// rename itself survives a power loss. The frame is written around
+    /// the payload, not copied with it.
+    fn write_frame(&self, path: &Path, payload: &[u8], sum: u64) -> Result<()> {
+        let len = (payload.len() as u64).to_le_bytes();
         let tmp = path.with_extension("tmp");
         {
             let mut f = reported(self.io.create(&tmp), "create temp file")?;
-            for part in parts {
+            for part in [FRAME_MAGIC, &len[..], payload, &sum.to_le_bytes()] {
                 reported(self.io.write(&mut f, &tmp, part), "write temp file")?;
             }
             reported(self.io.sync(&f, &tmp), "sync temp file")?;
@@ -544,17 +485,42 @@ impl DiskTier {
         reported(self.io.sync_dir(dir), "sync directory")
     }
 
+    /// Read the file at `path` whole and verify its frame: magic, the
+    /// payload length the head states against the file's, and the digest
+    /// trailer. The tier's one read of the disk.
+    fn read_frame(&self, path: &Path) -> Result<Frame> {
+        let framed = reported(self.io.read(path), "read file")?;
+        if framed.len() < FRAME_HEAD + 8 || &framed[..FRAME_MAGIC.len()] != FRAME_MAGIC {
+            return Err(CoreError::Disk("frame magic missing or file torn".into()));
+        }
+        let len = u64::from_le_bytes(
+            framed[FRAME_MAGIC.len()..FRAME_HEAD]
+                .try_into()
+                .expect("8-byte length"),
+        );
+        let held = framed.len() - FRAME_HEAD - 8;
+        if len != held as u64 {
+            return Err(CoreError::Disk(format!(
+                "frame truncated: head says {len} payload bytes, file holds {held}"
+            )));
+        }
+        let frame = Frame(framed);
+        if Digest::of(frame.payload()) != frame.sum() {
+            return Err(CoreError::Disk("frame checksum mismatch".into()));
+        }
+        Ok(frame)
+    }
+
     /// Make `payload` durable as a content-addressed blob; returns its hash
     /// and whether this call wrote it. One digest pass names the file and
-    /// fills the trailer, and the frame is written around the payload, not
-    /// copied with it. An intact copy at that name (read only when a
+    /// fills the trailer. An intact copy at that name (read only when a
     /// file of the framed length exists) is reused, a torn or rotted one
     /// replaced.
     pub fn put_blob(&self, payload: &[u8]) -> Result<(String, bool)> {
         let sum = Digest::of(payload);
         let hash = format!("{sum:016x}");
         let path = self.blob_path(&hash);
-        let framed_len = BLOB_HEAD + payload.len() + 8;
+        let framed_len = FRAME_HEAD + payload.len() + 8;
         let same_len = self
             .io
             .metadata(&path)?
@@ -562,49 +528,33 @@ impl DiskTier {
         if same_len && self.verify_blob(&hash, payload.len() as u64)? {
             return Ok((hash, false));
         }
-        let (len, sum) = ((payload.len() as u64).to_le_bytes(), sum.to_le_bytes());
-        self.write_atomic(&path, &[BLOB_MAGIC, &len, payload, &sum])?;
+        self.write_frame(&path, payload, sum)?;
         Ok((hash, true))
     }
 
-    /// Read blob `hash` and verify magic, length (header against file, and
-    /// `expect_len` when given) and checksum. Returns the verified frame,
-    /// for the caller to borrow the payload from: `BLOB_HEAD..len - 8`.
-    fn read_blob_file(&self, hash: &str, expect_len: Option<u64>) -> Result<Vec<u8>> {
-        let framed = reported(self.io.read(&self.blob_path(hash)), "read blob")?;
-        if framed.len() < BLOB_HEAD + 8 || &framed[..BLOB_MAGIC.len()] != BLOB_MAGIC {
-            return Err(CoreError::Disk("blob magic missing or file torn".into()));
-        }
-        let len = u64::from_le_bytes(framed[6..BLOB_HEAD].try_into().unwrap()) as usize;
-        let body_end = BLOB_HEAD
-            .checked_add(len)
-            .ok_or_else(|| CoreError::Disk("blob length overflow".into()))?;
-        if framed.len() != body_end + 8 {
+    /// Read blob `hash`'s verified frame: its digest must be the name (an
+    /// intact frame under another blob's name is that other blob), and its
+    /// payload `expect_len` bytes when given.
+    fn read_blob(&self, hash: &str, expect_len: Option<u64>) -> Result<Frame> {
+        let frame = self.read_frame(&self.blob_path(hash))?;
+        let len = frame.payload().len() as u64;
+        if format!("{:016x}", frame.sum()) != hash {
             return Err(CoreError::Disk(format!(
-                "blob truncated: header says {len} payload bytes, file holds {}",
-                framed.len().saturating_sub(BLOB_HEAD + 8)
+                "blob {hash} holds the payload of blob {:016x}",
+                frame.sum()
             )));
         }
-        let payload = &framed[BLOB_HEAD..body_end];
-        let sum = u64::from_le_bytes(framed[body_end..].try_into().unwrap());
-        if Digest::of(payload) != sum {
-            return Err(CoreError::Disk("blob checksum mismatch".into()));
+        match expect_len {
+            Some(expect) if expect != len => Err(CoreError::Disk(format!(
+                "blob payload is {len} bytes, manifest says {expect}"
+            ))),
+            _ => Ok(frame),
         }
-        if let Some(expect) = expect_len {
-            if payload.len() as u64 != expect {
-                return Err(CoreError::Disk(format!(
-                    "blob payload is {} bytes, manifest says {expect}",
-                    payload.len()
-                )));
-            }
-        }
-        Ok(framed)
     }
 
     /// Read and verify a matrix blob, decoding from the file buffer.
     pub fn get_dist(&self, hash: &str) -> Result<DistMatrix> {
-        let framed = self.read_blob_file(hash, None)?;
-        decode_dist(&framed[BLOB_HEAD..framed.len() - 8])
+        decode_dist(self.read_blob(hash, None)?.payload())
     }
 
     /// Does `hash` exist on disk with an intact frame of `bytes` payload?
@@ -612,11 +562,20 @@ impl DiskTier {
     /// learns of rot while it still has the RAM copy to rewrite from.
     /// `Err` only for an injected crash.
     pub fn verify_blob(&self, hash: &str, bytes: u64) -> Result<bool> {
-        Ok(tolerate(self.read_blob_file(hash, Some(bytes)))?.is_some())
+        Ok(tolerate(self.read_blob(hash, Some(bytes)))?.is_some())
     }
 
     fn manifest_name(seq: u64) -> String {
         format!("manifest-{seq:06}.txt")
+    }
+
+    /// The sequence number a manifest file name stands for. A manifest is
+    /// only ever opened under the name [`Self::manifest_name`] rebuilds.
+    fn manifest_seq(name: &str) -> Option<u64> {
+        name.strip_prefix("manifest-")?
+            .strip_suffix(".txt")?
+            .parse()
+            .ok()
     }
 
     /// Sequence numbers of the manifests in the root, ascending (none when
@@ -625,13 +584,7 @@ impl DiskTier {
         let listed = self.io.list(&self.root)?.unwrap_or_default();
         let mut seqs: Vec<u64> = listed
             .iter()
-            .filter_map(|p| {
-                let name = p.file_name()?.to_str()?;
-                name.strip_prefix("manifest-")?
-                    .strip_suffix(".txt")?
-                    .parse()
-                    .ok()
-            })
+            .filter_map(|p| Self::manifest_seq(p.file_name()?.to_str()?))
             .collect();
         seqs.sort_unstable();
         Ok(seqs)
@@ -647,36 +600,33 @@ impl DiskTier {
             phase,
             entries,
         };
-        let body = render_manifest(&manifest);
-        let path = self.root.join(Self::manifest_name(seq));
-        self.write_atomic(&path, &[body.as_bytes()])?;
-        let current = format!(
-            "{} {:016x}\n",
-            Self::manifest_name(seq),
-            Digest::of(body.as_bytes())
-        );
-        self.write_atomic(&self.root.join("CURRENT"), &[current.as_bytes()])?;
+        let body = manifest.to_json();
+        let name = Self::manifest_name(seq);
+        let path = self.root.join(&name);
+        self.write_frame(&path, body.as_bytes(), Digest::of(body.as_bytes()))?;
+        let current = self.root.join("CURRENT");
+        self.write_frame(&current, name.as_bytes(), Digest::of(name.as_bytes()))?;
         Ok(seq)
     }
 
-    fn read_manifest_file(&self, name: &str, expect_sum: Option<u64>) -> Result<Manifest> {
-        let body = reported(self.io.read(&self.root.join(name)), "read manifest")?;
-        if let Some(sum) = expect_sum {
-            if Digest::of(&body) != sum {
-                return Err(CoreError::Disk(format!(
-                    "manifest {name} checksum mismatch"
-                )));
-            }
+    /// Manifest `seq`: a verified frame whose document says it is `seq`.
+    fn read_manifest(&self, seq: u64) -> Result<Manifest> {
+        let frame = self.read_frame(&self.root.join(Self::manifest_name(seq)))?;
+        let m = Manifest::from_json(frame.payload())?;
+        if m.seq != seq {
+            return Err(CoreError::Disk(format!(
+                "manifest {seq} says it is manifest {}",
+                m.seq
+            )));
         }
-        let text = String::from_utf8(body).map_err(|e| disk_err("manifest utf8", e))?;
-        parse_manifest(&text)
+        Ok(m)
     }
 
-    /// Manifest `name`, if it is *usable*: the file itself reads and
-    /// parses (and matches `expect_sum`), and every blob it references
-    /// verifies (exists, intact frame, length match).
-    fn usable_manifest(&self, name: &str, expect_sum: Option<u64>) -> Result<Option<Manifest>> {
-        let Some(m) = tolerate(self.read_manifest_file(name, expect_sum))? else {
+    /// Manifest `seq`, if it is *usable*: the file itself verifies and
+    /// decodes, and every blob it references verifies (exists, intact
+    /// frame, length match).
+    fn usable_manifest(&self, seq: u64) -> Result<Option<Manifest>> {
+        let Some(m) = tolerate(self.read_manifest(seq))? else {
             return Ok(None);
         };
         for e in &m.entries {
@@ -688,29 +638,23 @@ impl DiskTier {
     }
 
     /// Load the latest fully-valid snapshot: first the one `CURRENT`
-    /// points at, then earlier manifests by descending sequence. A torn
-    /// or corrupt candidate (bad checksum anywhere in its closure) is
-    /// skipped — paranoid recovery never trusts unverified bytes.
-    /// `Ok(None)` means no usable snapshot exists (fall back to lineage).
+    /// names, then the others by descending sequence — all of them when
+    /// `CURRENT` does not verify. A torn or corrupt candidate (a frame
+    /// that fails anywhere in its closure) is skipped — paranoid recovery
+    /// never trusts unverified bytes. `Ok(None)` means no usable snapshot
+    /// exists (fall back to lineage).
     pub fn load_latest(&self) -> Result<Option<Manifest>> {
-        let current = self.io.read(&self.root.join("CURRENT"))?.ok();
-        let current = current.and_then(|b| String::from_utf8(b).ok());
-        let mut tried = None;
-        if let Some(current) = current {
-            let mut parts = current.split_whitespace();
-            if let (Some(name), Some(sum)) = (parts.next(), parts.next()) {
-                tried = Some(name.to_string());
-                if let Ok(sum) = u64::from_str_radix(sum, 16) {
-                    if let Some(m) = self.usable_manifest(name, Some(sum))? {
-                        return Ok(Some(m));
-                    }
-                }
+        let current = tolerate(self.read_frame(&self.root.join("CURRENT")))?;
+        let named =
+            current.and_then(|f| Self::manifest_seq(std::str::from_utf8(f.payload()).ok()?));
+        if let Some(seq) = named {
+            if let Some(m) = self.usable_manifest(seq)? {
+                return Ok(Some(m));
             }
         }
         for seq in self.manifest_seqs()?.into_iter().rev() {
-            let name = Self::manifest_name(seq);
-            if tried.as_ref() != Some(&name) {
-                if let Some(m) = self.usable_manifest(&name, None)? {
+            if Some(seq) != named {
+                if let Some(m) = self.usable_manifest(seq)? {
                     return Ok(Some(m));
                 }
             }
@@ -720,9 +664,9 @@ impl DiskTier {
 
     /// Delete unreferenced blob files and manifests older than
     /// `keep_from_seq`. A blob is *referenced* when any surviving
-    /// manifest (seq ≥ `keep_from_seq`) lists it, or when the caller
-    /// names it in `extra_referenced` (live spilled entries not yet in a
-    /// snapshot). Safe at any point: only unreachable garbage is
+    /// manifest (seq ≥ `keep_from_seq`) that verifies lists it, or when
+    /// the caller names it in `extra_referenced` (live spilled entries not
+    /// yet in a snapshot). Safe at any point: only unreachable garbage is
     /// touched, so a crash mid-compaction merely leaves some garbage for
     /// the next pass.
     pub fn compact(
@@ -733,8 +677,7 @@ impl DiskTier {
         let mut referenced = extra_referenced.clone();
         for seq in self.manifest_seqs()? {
             if seq >= keep_from_seq {
-                let name = Self::manifest_name(seq);
-                if let Some(m) = tolerate(self.read_manifest_file(&name, None))? {
+                if let Some(m) = tolerate(self.read_manifest(seq))? {
                     referenced.extend(m.entries.into_iter().map(|e| e.hash));
                 }
             }
@@ -769,15 +712,11 @@ impl DiskTier {
     /// (the plan cache is recovered by *re-preparing*, not by
     /// serialising plans — planning is deterministic).
     pub fn put_plan(&self, fingerprint: u64, script: &str) -> Result<()> {
-        let body = format!(
-            "{PLAN_MAGIC} {:016x}\n{script}",
-            Digest::of(script.as_bytes())
-        );
         let path = self
             .root
             .join("plans")
             .join(format!("{fingerprint:016x}.dml"));
-        self.write_atomic(&path, &[body.as_bytes()])
+        self.write_frame(&path, script.as_bytes(), Digest::of(script.as_bytes()))
     }
 
     /// Every intact persisted script, sorted by file name (deterministic
@@ -789,43 +728,85 @@ impl DiskTier {
         files.sort();
         let mut scripts = Vec::new();
         for path in files {
-            let text = self.io.read(&path)?.ok();
-            let Some(text) = text.and_then(|b| String::from_utf8(b).ok()) else {
-                continue;
-            };
-            let script = text.split_once('\n').and_then(|(header, script)| {
-                let sum = header.strip_prefix(PLAN_MAGIC)?.trim();
-                let sum = u64::from_str_radix(sum, 16).ok()?;
-                (Digest::of(script.as_bytes()) == sum).then(|| script.to_string())
-            });
-            scripts.extend(script);
+            let frame = tolerate(self.read_frame(&path))?;
+            scripts.extend(frame.and_then(|f| String::from_utf8(f.payload().to_vec()).ok()));
         }
         Ok(scripts)
     }
 }
 
+/// A file read back whole whose frame verified; the payload is borrowed
+/// from it (a blob decodes in place), never copied out.
+struct Frame(Vec<u8>);
+
+impl Frame {
+    fn payload(&self) -> &[u8] {
+        &self.0[FRAME_HEAD..self.0.len() - 8]
+    }
+
+    /// The digest trailer.
+    fn sum(&self) -> u64 {
+        let at = self.0.len() - 8;
+        u64::from_le_bytes(self.0[at..].try_into().expect("8-byte trailer"))
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dmac_matrix::BlockedMatrix;
     use std::fs;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
+    /// An empty directory under the system temp dir, removed with all it
+    /// holds when the guard drops: when the test that made it ends, passed
+    /// or failed. Borrow it (`&dir`) to hand it to a tier or store; moved
+    /// into one, it would be removed when that call returns.
+    pub(crate) struct TempDir(PathBuf);
 
-    pub(crate) fn temp_dir(tag: &str) -> PathBuf {
-        let n = DIR_SEQ.fetch_add(1, Ordering::SeqCst);
-        let dir = std::env::temp_dir().join(format!("dmac-disk-{}-{tag}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    impl TempDir {
+        pub(crate) fn new(tag: &str) -> TempDir {
+            static SEQ: AtomicUsize = AtomicUsize::new(0);
+            let n = SEQ.fetch_add(1, Ordering::SeqCst);
+            let dir =
+                std::env::temp_dir().join(format!("dmac-core-{}-{tag}-{n}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A tier over a fresh directory, and the guard that removes it.
+    fn tier(tag: &str) -> (TempDir, DiskTier) {
+        let dir = TempDir::new(tag);
+        let tier = DiskTier::open(&dir).unwrap();
+        (dir, tier)
     }
 
     impl DiskTier {
         /// A blob's verified payload as raw bytes (the store only ever
         /// reads matrices: [`DiskTier::get_dist`]).
         fn get_blob(&self, hash: &str) -> Result<Vec<u8>> {
-            let framed = self.read_blob_file(hash, None)?;
-            Ok(framed[BLOB_HEAD..framed.len() - 8].to_vec())
+            Ok(self.read_blob(hash, None)?.payload().to_vec())
         }
     }
 
@@ -882,23 +863,32 @@ mod tests {
         assert!(matches!(decode_dist(&old), Err(CoreError::Disk(_))));
     }
 
+    fn manifest_naming(entries: Vec<ManifestEntry>) -> Manifest {
+        Manifest {
+            seq: 1,
+            kind: "checkpoint".into(),
+            phase: 0,
+            entries,
+        }
+    }
+
+    fn entry(name: &str, hash: &str) -> ManifestEntry {
+        ManifestEntry {
+            name: name.into(),
+            hash: hash.into(),
+            bytes: 3,
+            logical_bytes: 1,
+            scheme: PartitionScheme::Row,
+        }
+    }
+
     #[test]
     fn manifest_hash_must_be_a_blob_name() {
-        let render = |hash: &str| {
-            render_manifest(&Manifest {
-                seq: 1,
-                kind: "checkpoint".into(),
-                phase: 0,
-                entries: vec![ManifestEntry {
-                    name: "m".into(),
-                    hash: hash.into(),
-                    bytes: 3,
-                    logical_bytes: 1,
-                    scheme: PartitionScheme::Row,
-                }],
-            })
+        let decode = |hash: &str| {
+            let doc = manifest_naming(vec![entry("m", hash)]).to_json();
+            Manifest::from_json(doc.as_bytes())
         };
-        assert!(parse_manifest(&render("00000000deadbeef")).is_ok());
+        assert!(decode("00000000deadbeef").is_ok());
         for bad in [
             "../../x",
             "../../../../etc/x",
@@ -907,14 +897,68 @@ mod tests {
             "00000000deadbeef0",
             "0000000/deadbeef",
         ] {
-            let err = parse_manifest(&render(bad)).unwrap_err();
+            let err = decode(bad).unwrap_err();
             assert!(matches!(err, CoreError::Disk(_)), "{bad}: {err}");
         }
     }
 
+    /// A store name is any string: the manifest's JSON carries it as one,
+    /// so no character needs an escape of the tier's own.
+    #[test]
+    fn any_name_roundtrips_through_a_manifest() {
+        let names = [
+            "plain",
+            "has space",
+            "pct%20",
+            "nl\nname",
+            "tab\tname",
+            "q\"uote\\",
+            "é 😀",
+        ];
+        let m = manifest_naming(names.iter().map(|n| entry(n, "00000000deadbeef")).collect());
+        assert_eq!(Manifest::from_json(m.to_json().as_bytes()).unwrap(), m);
+    }
+
+    /// Every way a manifest document can be malformed is a typed error.
+    #[test]
+    fn a_malformed_manifest_document_is_a_typed_error() {
+        let good = manifest_naming(vec![entry("m", "00000000deadbeef")]).to_json();
+        let mut cases: Vec<Vec<u8>> = vec![b"".to_vec(), b"\xff\xfe".to_vec(), b"[]".to_vec()];
+        for (from, to) in [
+            ("\"seq\":1", "\"seq\":-1"),
+            ("\"seq\":1", "\"seq\":\"1\""),
+            ("\"phase\":0", "\"phase\":0.5"),
+            ("\"kind\":", "\"kinds\":"),
+            ("\"scheme\":0", "\"scheme\":4"),
+            ("\"scheme\":0", "\"scheme\":256"),
+            ("\"bytes\":3", "\"bytes\":null"),
+            ("\"entries\":[", "\"entries\":[1,"),
+        ] {
+            assert!(good.contains(from), "{from}");
+            cases.push(good.replacen(from, to, 1).into_bytes());
+        }
+        cases.extend((0..good.len()).map(|cut| good.as_bytes()[..cut].to_vec()));
+        for bytes in cases {
+            let err = Manifest::from_json(&bytes).unwrap_err();
+            assert!(matches!(err, CoreError::Disk(_)), "{bytes:?}: {err}");
+        }
+    }
+
+    /// A blob file is its payload in the one frame, named by the payload's
+    /// digest: the bytes every build since the word digest has written.
+    #[test]
+    fn a_blob_file_is_the_frame_around_its_payload() {
+        let (_dir, tier) = tier("blob-bytes");
+        let (hash, _) = tier.put_blob(b"hello world").unwrap();
+        assert_eq!(hash, "056d66c2b2e1155d");
+        let mut want = b"DMBK2\n\x0b\0\0\0\0\0\0\0hello world".to_vec();
+        want.extend_from_slice(&Digest::of(b"hello world").to_le_bytes());
+        assert_eq!(fs::read(tier.blob_path(&hash)).unwrap(), want);
+    }
+
     #[test]
     fn blob_roundtrip_and_content_addressing() {
-        let tier = DiskTier::open(temp_dir("blob")).unwrap();
+        let (_dir, tier) = tier("blob");
         let (h1, wrote1) = tier.put_blob(b"hello world").unwrap();
         let (h2, wrote2) = tier.put_blob(b"hello world").unwrap();
         assert_eq!(h1, h2, "same content, same address");
@@ -928,9 +972,29 @@ mod tests {
         assert!(tier.get_blob("doesnotexist").is_err());
     }
 
+    /// An intact frame under another blob's name — a misdirected write,
+    /// or a copy — is not that blob: a payload is only ever read under its
+    /// own digest.
+    #[test]
+    fn a_blob_under_another_blob_s_name_is_refused() {
+        let (_dir, tier) = tier("misnamed");
+        let (a, _) = tier.put_blob(b"payload a").unwrap();
+        let (b, _) = tier.put_blob(b"payload b").unwrap();
+        fs::copy(tier.blob_path(&a), tier.blob_path(&b)).unwrap();
+        assert!(!tier.verify_blob(&b, 9).unwrap());
+        let err = tier.get_blob(&b).unwrap_err();
+        assert!(
+            err.to_string().contains("holds the payload of blob"),
+            "{err}"
+        );
+        // The store's rewrite heals it, like any torn file at a final name.
+        assert_eq!(tier.put_blob(b"payload b").unwrap(), (b.clone(), true));
+        assert_eq!(tier.get_blob(&b).unwrap(), b"payload b");
+    }
+
     #[test]
     fn torn_and_corrupt_blobs_are_detected() {
-        let tier = DiskTier::open(temp_dir("torn")).unwrap();
+        let (_dir, tier) = tier("torn");
         let (h, _) = tier.put_blob(b"payload-bytes").unwrap();
         let path = tier.blob_path(&h);
         // Truncate.
@@ -939,7 +1003,7 @@ mod tests {
         assert!(matches!(tier.get_blob(&h), Err(CoreError::Disk(_))));
         // Flip a payload byte (length intact, checksum wrong).
         let mut flipped = full.clone();
-        flipped[BLOB_MAGIC.len() + 8 + 2] ^= 0xFF;
+        flipped[FRAME_MAGIC.len() + 8 + 2] ^= 0xFF;
         fs::write(&path, &flipped).unwrap();
         let err = tier.get_blob(&h).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
@@ -947,7 +1011,7 @@ mod tests {
 
     #[test]
     fn publish_swaps_current_and_survives_reload() {
-        let tier = DiskTier::open(temp_dir("pub")).unwrap();
+        let (_dir, tier) = tier("pub");
         let (h, _) = tier.put_blob(b"abc").unwrap();
         let entry = ManifestEntry {
             name: "weird name %\n".into(),
@@ -967,7 +1031,7 @@ mod tests {
 
     #[test]
     fn corrupt_current_falls_back_to_prior_manifest() {
-        let tier = DiskTier::open(temp_dir("fallback")).unwrap();
+        let (_dir, tier) = tier("fallback");
         let (h, _) = tier.put_blob(b"abc").unwrap();
         let entry = |phase: u64| ManifestEntry {
             name: format!("m{phase}"),
@@ -990,9 +1054,101 @@ mod tests {
         assert!(tier.load_latest().unwrap().is_none());
     }
 
+    /// Snapshots of phases 1, 2 and 3 (sequence numbers 1, 2, 3), each
+    /// naming a blob of its own; returns the blobs' hashes.
+    fn three_snapshots(tier: &DiskTier) -> Vec<String> {
+        (1..=3u64)
+            .map(|phase| {
+                let payload = format!("payload {phase}");
+                let (hash, _) = tier.put_blob(payload.as_bytes()).unwrap();
+                let mut e = entry("m", &hash);
+                e.bytes = payload.len() as u64;
+                assert_eq!(tier.publish("checkpoint", phase, vec![e]).unwrap(), phase);
+                hash
+            })
+            .collect()
+    }
+
+    fn latest_phase(tier: &DiskTier) -> Option<u64> {
+        tier.load_latest().unwrap().map(|m| m.phase)
+    }
+
+    /// A rotted `CURRENT` costs the pointer and nothing else: the manifests
+    /// are tried newest first, and the newest, intact, comes back — under
+    /// a flipped bit anywhere in the file, a truncation at any length, or
+    /// no file at all.
+    #[test]
+    fn a_rotted_current_still_recovers_the_newest_intact_snapshot() {
+        let (_dir, tier) = tier("rotted-current");
+        three_snapshots(&tier);
+        let path = tier.root().join("CURRENT");
+        let healthy = fs::read(&path).unwrap();
+        for at in 0..healthy.len() {
+            let mut rotted = healthy.clone();
+            rotted[at] ^= 1 << (at % 8);
+            fs::write(&path, rotted).unwrap();
+            assert_eq!(
+                latest_phase(&tier),
+                Some(3),
+                "bit {} flipped",
+                at * 8 + at % 8
+            );
+        }
+        for cut in 0..healthy.len() {
+            fs::write(&path, &healthy[..cut]).unwrap();
+            assert_eq!(latest_phase(&tier), Some(3), "cut at {cut}");
+        }
+        fs::remove_file(&path).unwrap();
+        assert_eq!(latest_phase(&tier), Some(3));
+    }
+
+    /// A manifest whose bytes changed is never used, whichever path reads
+    /// it: `load_latest` through the `CURRENT` that names it, `load_latest`
+    /// searching newest first with `CURRENT` gone, and `compact`, which
+    /// keeps no blob on its word. The change is one bit: `phase 3` → `7`.
+    #[test]
+    fn a_manifest_whose_bytes_changed_is_never_used() {
+        let (_dir, tier) = tier("rotted-manifest");
+        let blobs = three_snapshots(&tier);
+        let path = tier.root().join(DiskTier::manifest_name(3));
+        let mut bytes = fs::read(&path).unwrap();
+        let phase = bytes.windows(5).position(|w| w == b"phase").unwrap();
+        let three = phase + bytes[phase..].iter().position(|&b| b == b'3').unwrap();
+        bytes[three] ^= b'3' ^ b'7';
+        fs::write(&path, bytes).unwrap();
+
+        assert_eq!(latest_phase(&tier), Some(2), "through CURRENT");
+        fs::remove_file(tier.root().join("CURRENT")).unwrap();
+        assert_eq!(latest_phase(&tier), Some(2), "newest first");
+        let report = tier.compact(&HashSet::new(), 2).unwrap();
+        assert_eq!(report.removed_manifests, 1);
+        assert!(
+            !tier.verify_blob(&blobs[2], 9).unwrap(),
+            "only manifest 3 named it"
+        );
+        assert!(tier.verify_blob(&blobs[1], 9).unwrap());
+        assert_eq!(latest_phase(&tier), Some(2));
+    }
+
+    /// A frame that verifies is not enough: a manifest copied or renamed to
+    /// another sequence number's file says which one it is, and is refused.
+    #[test]
+    fn a_manifest_under_another_number_is_refused() {
+        let (_dir, tier) = tier("renamed-manifest");
+        three_snapshots(&tier);
+        let root = tier.root();
+        let (three, four) = (DiskTier::manifest_name(3), DiskTier::manifest_name(4));
+        fs::copy(root.join(three), root.join(four)).unwrap();
+        assert_eq!(tier.read_manifest(3).unwrap().seq, 3);
+        let err = tier.read_manifest(4).unwrap_err();
+        assert!(err.to_string().contains("says it is manifest 3"), "{err}");
+        fs::remove_file(root.join("CURRENT")).unwrap();
+        assert_eq!(tier.load_latest().unwrap().map(|m| m.seq), Some(3));
+    }
+
     #[test]
     fn missing_blob_invalidates_the_snapshot() {
-        let tier = DiskTier::open(temp_dir("missing")).unwrap();
+        let (_dir, tier) = tier("missing");
         let (h, _) = tier.put_blob(b"abc").unwrap();
         tier.publish(
             "checkpoint",
@@ -1012,7 +1168,7 @@ mod tests {
 
     #[test]
     fn compaction_removes_only_garbage() {
-        let tier = DiskTier::open(temp_dir("compact")).unwrap();
+        let (_dir, tier) = tier("compact");
         let (keep, _) = tier.put_blob(b"keep me").unwrap();
         let (drop1, _) = tier.put_blob(b"garbage 1").unwrap();
         let (drop2, _) = tier.put_blob(b"garbage 2").unwrap();
@@ -1038,7 +1194,7 @@ mod tests {
     fn crash_injector_is_deterministic_and_one_shot() {
         // Twice: the same plan crashes the same call.
         for _ in 0..2 {
-            let tier = DiskTier::open(temp_dir("crash")).unwrap();
+            let (_dir, tier) = tier("crash");
             tier.arm_crashes(&FaultPlan::none());
             assert!(tier.put_blob(b"first").is_ok());
             assert_eq!(tier.ops(), PUT_BLOB_CALLS);
@@ -1056,7 +1212,7 @@ mod tests {
 
     #[test]
     fn mid_blob_crash_leaves_a_detectable_torn_file() {
-        let tier = DiskTier::open(temp_dir("midblob")).unwrap();
+        let (_dir, tier) = tier("midblob");
         let payload = b"some payload that gets torn";
         // Calls 2, 3, 4: magic, length, payload — stop the payload's write.
         tier.arm_crashes(&FaultPlan::crash(4));
@@ -1073,7 +1229,7 @@ mod tests {
         // The temp file holds the frame up to half the payload; the final
         // name does not exist, so the blob never verifies.
         let torn = fs::read(tier.blob_path(&hash).with_extension("tmp")).unwrap();
-        assert_eq!(torn.len(), BLOB_HEAD + payload.len() / 2);
+        assert_eq!(torn.len(), FRAME_HEAD + payload.len() / 2);
         assert!(!tier.blob_path(&hash).exists());
         assert!(tier.get_blob(&hash).is_err());
         // A rewrite (post-restart) heals it in place.
@@ -1083,7 +1239,7 @@ mod tests {
 
     #[test]
     fn plan_persistence_roundtrips_and_skips_corruption() {
-        let tier = DiskTier::open(temp_dir("plans")).unwrap();
+        let (_dir, tier) = tier("plans");
         tier.put_plan(1, "A = random(A, 8, 8)\noutput(A)\n")
             .unwrap();
         tier.put_plan(2, "B = random(B, 4, 4)\noutput(B)\n")
@@ -1093,7 +1249,10 @@ mod tests {
         assert!(scripts[0].contains("random"));
         // Corrupt one: it is skipped, the other survives.
         let path = tier.root().join("plans").join(format!("{:016x}.dml", 1u64));
-        fs::write(&path, "dmac-plan v2 0000000000000000\ntampered").unwrap();
+        let mut framed = fs::read(&path).unwrap();
+        let last = framed.len() - 9;
+        framed[last] ^= 0x01;
+        fs::write(&path, framed).unwrap();
         assert_eq!(tier.list_plans().unwrap().len(), 1);
     }
 
@@ -1109,7 +1268,7 @@ mod tests {
         for (fp, after) in [(2, vec![old, new]), (1, vec![new])] {
             let mut calls = 0;
             loop {
-                let tier = DiskTier::open(temp_dir("plan-crash")).unwrap();
+                let (_dir, tier) = tier("plan-crash");
                 tier.put_plan(1, old).unwrap();
                 tier.arm_crashes(&FaultPlan::crash(calls));
                 let Err(err) = tier.put_plan(fp, new) else {
@@ -1123,9 +1282,10 @@ mod tests {
                 );
                 calls += 1;
             }
-            // create, write, sync, rename, directory sync
-            assert_eq!(calls, 5);
-            let tier = DiskTier::open(temp_dir("plan-list")).unwrap();
+            // create, four writes (magic, length, script, digest), sync,
+            // rename, directory sync
+            assert_eq!(calls, 8);
+            let (_dir, tier) = tier("plan-list");
             tier.put_plan(1, old).unwrap();
             tier.put_plan(fp, new).unwrap();
             for op in 0..=after.len() as u64 {
@@ -1134,15 +1294,6 @@ mod tests {
                 assert!(matches!(err, CoreError::InjectedCrash { .. }), "{err}");
             }
             assert_eq!(tier.list_plans().unwrap(), after);
-        }
-    }
-
-    #[test]
-    fn name_escaping_roundtrips() {
-        for name in ["plain", "has space", "pct%20", "nl\nname", "tab\tname"] {
-            assert_eq!(unescape_name(&escape_name(name)).unwrap(), name);
-            assert!(!escape_name(name).contains(' '));
-            assert!(!escape_name(name).contains('\n'));
         }
     }
 }

@@ -33,10 +33,11 @@
 //! * [`recovery`] — lineage-based stage recovery: worker losses are
 //!   survived by decommissioning the host, remapping its logical workers,
 //!   and deterministically replaying the producing stages of lost state.
-//! * [`disk`] — the durable tier under the store: content-addressed
-//!   checksummed blob files, snapshot manifests with an atomically-swapped
-//!   `CURRENT` pointer, compaction, and one numbered I/O seam at which a
-//!   deterministic crash can stop any file-system call.
+//! * [`disk`] — the durable tier under the store: content-addressed blob
+//!   files, JSON snapshot manifests with an atomically-swapped `CURRENT`
+//!   pointer, every file one checksummed frame, compaction, and one
+//!   numbered I/O seam at which a deterministic crash can stop any
+//!   file-system call.
 //! * [`baselines`] — the systems DMac is compared against: SystemML-S
 //!   (same runtime, dependency-blind planner), single-node R, and the
 //!   ScaLAPACK / SciDB simulators used for Table 4.

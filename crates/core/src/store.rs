@@ -701,19 +701,9 @@ impl SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::tests::TempDir;
     use dmac_cluster::{FaultPlan, PartitionScheme};
     use dmac_matrix::BlockedMatrix;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let n = DIR_SEQ.fetch_add(1, Ordering::SeqCst);
-        let dir = std::env::temp_dir().join(format!("dmac-store-{}-{tag}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn dist(rows: usize, cols: usize) -> DistMatrix {
         salted(rows, cols, 0.0)
@@ -798,7 +788,8 @@ mod tests {
     #[test]
     fn external_pressure_displaces_cold_entries_within_the_budget() {
         let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity_and_disk(3 * one, temp_dir("pressure")).unwrap();
+        let dir = TempDir::new("pressure");
+        let s = SharedStore::with_capacity_and_disk(3 * one, &dir).unwrap();
         s.insert("A", dist(8, 8)).unwrap();
         s.insert("B", dist(8, 8)).unwrap();
         // Touch A so B is the coldest entry when pressure arrives.
@@ -882,7 +873,8 @@ mod tests {
     #[test]
     fn spill_instead_of_evict_and_transparent_reload() {
         let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("spill")).unwrap();
+        let dir = TempDir::new("spill");
+        let s = SharedStore::with_capacity_and_disk(2 * one, &dir).unwrap();
         s.insert("A", dist(8, 8)).unwrap();
         s.insert("B", dist(8, 8)).unwrap();
         let _ = s.get("A");
@@ -910,7 +902,8 @@ mod tests {
     #[test]
     fn corrupt_spill_blob_degrades_to_absent() {
         let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity_and_disk(one, temp_dir("corrupt")).unwrap();
+        let dir = TempDir::new("corrupt");
+        let s = SharedStore::with_capacity_and_disk(one, &dir).unwrap();
         s.insert("A", dist(8, 8)).unwrap();
         s.insert("B", dist(8, 8)).unwrap(); // spills A
         assert!(s.is_spilled("A"));
@@ -930,7 +923,7 @@ mod tests {
 
     #[test]
     fn checkpoint_recover_roundtrip_is_bit_exact() {
-        let dir = temp_dir("ckpt");
+        let dir = TempDir::new("ckpt");
         let s = SharedStore::with_disk(&dir).unwrap();
         s.insert("W", dist(16, 8)).unwrap();
         s.insert("H", dist(8, 12)).unwrap();
@@ -953,7 +946,7 @@ mod tests {
 
     #[test]
     fn recheckpointing_unchanged_matrices_writes_nothing() {
-        let dir = temp_dir("dedup");
+        let dir = TempDir::new("dedup");
         let s = SharedStore::with_disk(&dir).unwrap();
         s.insert("W", dist(16, 8)).unwrap();
         let names = vec!["W".to_string()];
@@ -979,7 +972,7 @@ mod tests {
         let names = vec!["W".to_string()];
         let mut swapped = false;
         for op in 0.. {
-            let dir = temp_dir("crash");
+            let dir = TempDir::new("crash");
             let s = SharedStore::with_disk(&dir).unwrap();
             s.insert("W", dist(16, 8)).unwrap();
             let seq1 = s.checkpoint(&names, 1).unwrap();
@@ -1017,7 +1010,8 @@ mod tests {
     #[test]
     fn an_unchanged_entry_is_encoded_and_written_once() {
         let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity_and_disk(one, temp_dir("once")).unwrap();
+        let dir = TempDir::new("once");
+        let s = SharedStore::with_capacity_and_disk(one, &dir).unwrap();
         let (a, b) = (salted(8, 8, 0.5), salted(8, 8, 1.5));
         s.insert("A", a.clone()).unwrap();
         s.insert("B", b.clone()).unwrap(); // displaces A: encoded, written
@@ -1073,7 +1067,8 @@ mod tests {
         ];
         for (tag, wreck) in wreck {
             let one = dist(8, 8).logical_bytes();
-            let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir(tag)).unwrap();
+            let dir = TempDir::new(tag);
+            let s = SharedStore::with_capacity_and_disk(2 * one, &dir).unwrap();
             let names = vec!["A".to_string()];
             let a = salted(8, 8, 0.75);
             s.insert("A", a.clone()).unwrap();
@@ -1111,7 +1106,7 @@ mod tests {
     /// tears only the temp file: the final name never appears.
     #[test]
     fn a_torn_file_at_the_final_name_is_never_deduplicated_against() {
-        let dir = temp_dir("torn-final");
+        let dir = TempDir::new("torn-final");
         let names = vec!["A".to_string()];
         let crashed = SharedStore::with_disk(&dir).unwrap();
         crashed.insert("A", dist(8, 8)).unwrap();
@@ -1153,7 +1148,8 @@ mod tests {
     #[test]
     fn the_value_a_resident_entry_holds_keeps_its_blob() {
         let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("same-resident")).unwrap();
+        let dir = TempDir::new("same-resident");
+        let s = SharedStore::with_capacity_and_disk(2 * one, &dir).unwrap();
         let names = vec!["A".to_string()];
         s.insert("A", dist(8, 8)).unwrap();
         s.checkpoint(&names, 1).unwrap();
@@ -1181,7 +1177,8 @@ mod tests {
     #[test]
     fn the_value_a_stub_stands_for_leaves_it_a_stub() {
         let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir("same-stub")).unwrap();
+        let dir = TempDir::new("same-stub");
+        let s = SharedStore::with_capacity_and_disk(2 * one, &dir).unwrap();
         let (a, b) = (salted(8, 8, 0.5), salted(8, 8, 1.5));
         s.insert("A", a.clone()).unwrap();
         s.insert("B", b).unwrap();
@@ -1231,7 +1228,7 @@ mod tests {
     #[test]
     fn a_different_rid_replaces_resident_entry_and_stub_alike() {
         let one = dist(8, 8).logical_bytes();
-        let dir = temp_dir("other");
+        let dir = TempDir::new("other");
         let s = SharedStore::with_capacity_and_disk(one, &dir).unwrap();
         let names = vec!["A".to_string()];
         s.insert("A", dist(8, 8)).unwrap();
@@ -1284,14 +1281,15 @@ mod tests {
     fn a_batch_displaces_what_it_reads_last_not_what_it_reads_next() {
         let one = dist(8, 8).logical_bytes();
         let filled = |tag: &str| {
-            let s = SharedStore::with_capacity_and_disk(2 * one, temp_dir(tag)).unwrap();
+            let dir = TempDir::new(tag);
+            let s = SharedStore::with_capacity_and_disk(2 * one, &dir).unwrap();
             for (i, name) in ["a", "b", "c"].into_iter().enumerate() {
                 s.insert(name, salted(8, 8, i as f64)).unwrap();
             }
             assert!(s.is_spilled("a") && !s.is_spilled("b") && !s.is_spilled("c"));
-            s
+            (dir, s)
         };
-        let s = filled("batch");
+        let (_dir, s) = filled("batch");
         let got = s.get_all(&["a", "b", "c"]).unwrap();
         for (i, m) in got.iter().enumerate() {
             assert_eq!(bits(m.as_ref().unwrap()), bits(&salted(8, 8, i as f64)));
@@ -1301,7 +1299,7 @@ mod tests {
         assert!(s.is_spilled("a") && !s.is_spilled("b") && !s.is_spilled("c"));
         assert!(s.get_all(&["missing", "b"]).unwrap()[0].is_none());
 
-        let lru = filled("lone-gets");
+        let (_lru_dir, lru) = filled("lone-gets");
         for name in ["a", "b", "c"] {
             lru.get(name).unwrap();
         }
@@ -1316,7 +1314,8 @@ mod tests {
     #[test]
     fn a_reload_that_cannot_stay_is_handed_out() {
         let one = dist(8, 8).logical_bytes();
-        let s = SharedStore::with_capacity_and_disk(one, temp_dir("handout")).unwrap();
+        let dir = TempDir::new("handout");
+        let s = SharedStore::with_capacity_and_disk(one, &dir).unwrap();
         let big = salted(16, 16, 0.5);
         assert_eq!(s.insert("big", big.clone()).unwrap(), ["big"]);
         let files = blob_files(&s);
@@ -1338,7 +1337,7 @@ mod tests {
     /// before any write (and now before any encode).
     #[test]
     fn checkpoint_with_an_unknown_name_writes_nothing() {
-        let dir = temp_dir("unbound");
+        let dir = TempDir::new("unbound");
         let s = SharedStore::with_disk(&dir).unwrap();
         s.insert("a", dist(8, 8)).unwrap();
         let err = s

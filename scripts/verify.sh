@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch, one fused step, one crash seam)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch, one fused step, one crash seam, one disk frame)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -165,6 +165,22 @@ awk '/#\[cfg\(test\)\]/ { exit }
      /^impl Io \{/ { inside = 1 } inside && /^}/ { inside = 0; next }
      !inside && /(fs|File)::/ { print FILENAME ":" FNR ": " $0; bad++ }
      END { if (bad) exit 1 }' crates/core/src/disk.rs
+# One disk frame: every file the tier writes (blob, manifest, CURRENT,
+# plan) is one frame — magic, length, payload, digest — that one writer
+# puts down and one reader verifies before any payload byte is looked at;
+# a manifest's payload is JSON, read by the workspace's one decoder
+# (jsonin). No text format, magic or parser of the tier's own sits beside
+# it, and disk.rs' code (before its tests) reads a file in one place,
+# inside fn read_frame.
+if grep -rnE 'MANIFEST_MAGIC|PLAN_MAGIC|fn escape_name|fn parse_manifest|fn parse_scheme' crates src; then
+    exit 1
+fi
+awk '/#\[cfg\(test\)\]/ { exit }
+     match($0, /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/) { f = $0; sub(/^.*fn /, "", f); sub(/[^a-z_0-9].*/, "", f) }
+     /self\.io\.read\(/ { n++; if (f == "read_frame") here++ }
+     END { if (n != 1 || here != 1) {
+               print FILENAME ": self.io.read( x" n+0 ", inside fn read_frame( x" here+0 " (want 1, 1)"
+               exit 1 } }' crates/core/src/disk.rs
 # The cluster meters only bytes a primitive moves (Cluster::send) and
 # records spans in finish_op / charge_recovery: no side door charges
 # modelled traffic. And a tile moves one way: a worker's `xfer` installs
@@ -205,7 +221,7 @@ if [ "$(grep -rlE 'fn random_cell\(' crates src)" != crates/matrix/src/rng.rs ] 
     exit 1
 fi
 # One digest: every integrity check (frame trailers, shard seals, blob
-# names and trailers, manifests, CURRENT, plan files) runs wire::Digest,
+# names, the disk tier's one frame around every file) runs wire::Digest,
 # defined in transport/wire.rs alone. No byte-at-a-time FNV-1a hasher
 # sits beside it; only dmac-lang's script fingerprint, which the serve
 # protocol's golden_fnv pins, keeps the FNV prime.

@@ -3,19 +3,58 @@
 //! blocked matrices, bypassing the planner and cluster entirely (every
 //! engine under test must agree with it), and the all-pinned reference
 //! program the fusion and liveness tests compare the planner against;
-//! and the blob-file listing the durable-store tests compare before and
-//! after a call.
+//! the blob-file listing the durable-store tests compare before and
+//! after a call; and the temp-dir guard every test with a data dir makes
+//! it under.
 
 // Each test crate that includes this module uses a subset of it.
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dmac::lang::{
     BinOp, Expr, MatrixId, MatrixOrigin, OpKind, Program, ReduceOp, ScalarId, UnaryOp,
 };
 use dmac::matrix::BlockedMatrix;
+
+/// An empty directory under the system temp dir, named for this process
+/// and `tag`, removed with all it holds when the guard drops: when the
+/// test that made it ends, passed or failed. Borrow it (`&dir`) to hand
+/// it to a store; moved into one, it would be removed when that call
+/// returns.
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    pub fn new(tag: &str) -> TempDir {
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let n = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("dmac-it-{}-{tag}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// `(inode, mtime ns, length)` of every blob file of a data directory, by
 /// file name. A blob written again — even with the same bytes — is a new

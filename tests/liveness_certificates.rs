@@ -28,7 +28,7 @@ mod common;
 
 use std::collections::HashMap;
 
-use common::pin_all_intermediates;
+use common::{pin_all_intermediates, TempDir};
 use dmac::analyze;
 use dmac::apps::{
     CollaborativeFiltering, Gnmf, LinearRegression, PageRank, SvdLanczos, TriangleCount,
@@ -378,13 +378,12 @@ fn assert_frees_pay_off(
         "{name}: early frees changed a result bit"
     );
 
-    let capped = |tag: &str| {
-        let dir =
-            std::env::temp_dir().join(format!("dmac-liveness-{}-{name}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        SharedStore::with_capacity_and_disk(obs_pinned / 2, dir).unwrap()
-    };
-    let (store, store_pinned) = (capped("frees"), capped("pinned"));
+    let (dir, dir_pinned) = (
+        TempDir::new(&format!("liveness-{name}-frees")),
+        TempDir::new(&format!("liveness-{name}-pinned")),
+    );
+    let capped = |dir: &TempDir| SharedStore::with_capacity_and_disk(obs_pinned / 2, dir).unwrap();
+    let (store, store_pinned) = (capped(&dir), capped(&dir_pinned));
     let (_, _, capped_bits, _) = run_over(program, bindings, results, store.clone(), None);
     let (_, _, capped_pinned, _) = run_over(&pinned, bindings, results, store_pinned.clone(), twin);
     let (on, off) = (store.stats(), store_pinned.stats());

@@ -15,25 +15,11 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dmac::serve::{Client, Server, ServerConfig};
 
 mod common;
-use common::blob_files;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static N: AtomicUsize = AtomicUsize::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!(
-        "dmac-serve-restart-{}-{}-{}",
-        std::process::id(),
-        tag,
-        n
-    ));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
+use common::{blob_files, TempDir};
 
 fn durable_server(dir: &Path) -> Server {
     Server::start(ServerConfig {
@@ -65,7 +51,7 @@ fn u64_at(stats: &dmac::serve::Json, path: &[&str]) -> u64 {
 
 #[test]
 fn restart_recovers_matrices_and_plan_cache_bit_for_bit() {
-    let dir = temp_dir("clean");
+    let dir = TempDir::new("clean");
 
     // First life: store two matrices, remember X's exact bits.
     let server = durable_server(&dir);
@@ -115,7 +101,7 @@ fn restart_recovers_matrices_and_plan_cache_bit_for_bit() {
 
 #[test]
 fn crash_between_blob_write_and_manifest_publish_falls_back() {
-    let dir = temp_dir("torn-publish");
+    let dir = TempDir::new("torn-publish");
 
     let server = durable_server(&dir);
     let mut cli = Client::connect(server.addr()).expect("connect");
@@ -171,7 +157,7 @@ fn truncated_and_corrupt_blobs_degrade_cleanly() {
             data[mid] ^= 0xA5;
         }),
     ] {
-        let dir = temp_dir(&format!("wreck-{tag}"));
+        let dir = TempDir::new(&format!("wreck-{tag}"));
 
         let server = durable_server(&dir);
         let mut cli = Client::connect(server.addr()).expect("connect");
@@ -215,7 +201,7 @@ fn truncated_and_corrupt_blobs_degrade_cleanly() {
 /// bit-for-bit.
 #[test]
 fn a_store_job_persists_only_what_it_changed() {
-    let dir = temp_dir("delta");
+    let dir = TempDir::new("delta");
     let server = durable_server(&dir);
     let mut cli = Client::connect(server.addr()).expect("connect");
     for script in [STORE_X, STORE_Y, STORE_Z] {
