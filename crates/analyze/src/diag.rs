@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use dmac_core::json::JsonObj;
 use dmac_lang::Span;
 
 /// How serious a diagnostic is. `Error` diagnostics reject a script at
@@ -130,21 +129,6 @@ impl Diagnostic {
         }
         out
     }
-
-    /// Encode as a JSON object (shared wire shape of `dmac-cli --json`
-    /// and the service's `lint`/`explain` responses).
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new()
-            .str("severity", self.severity.name())
-            .str("code", self.code);
-        if let Some(s) = self.span {
-            o = o
-                .u64("line", s.line as u64)
-                .u64("start", s.start as u64)
-                .u64("end", s.end as u64);
-        }
-        o.str("message", &self.message).build()
-    }
 }
 
 /// Do any diagnostics in the slice have [`Severity::Error`]?
@@ -180,15 +164,5 @@ mod tests {
         assert!(r.contains("B = A %*% C"), "{r}");
         let caret_line = r.lines().last().unwrap();
         assert_eq!(caret_line, "  |           ^", "{r}");
-    }
-
-    #[test]
-    fn json_shape() {
-        let d = Diagnostic::new(Severity::Warning, code::DEAD_STORE, None, "x \"quoted\"");
-        let j = d.to_json();
-        assert!(j.contains("\"severity\":\"warning\""), "{j}");
-        assert!(j.contains("\"code\":\"W101\""), "{j}");
-        assert!(j.contains("\\\"quoted\\\""), "{j}");
-        assert!(!j.contains("\"line\""), "{j}");
     }
 }

@@ -4,8 +4,8 @@
 //! transport frames. (The matching strict decoder lives in
 //! [`crate::jsonin`].)
 //!
-//! The API is a pair of small builders, [`JsonObj`] and [`JsonArr`], that
-//! append correctly-escaped members to an internal buffer. Numbers are
+//! The API is a small builder, [`JsonObj`], that appends correctly-escaped
+//! members to an internal buffer, and [`arr_of`] for arrays. Numbers are
 //! rendered with Rust's shortest round-trip `f64` formatting, so a value
 //! that survives a JSON round trip parses back bit-identical — which the
 //! service layer relies on for `FetchMatrix`.
@@ -108,65 +108,9 @@ impl JsonObj {
     }
 }
 
-/// Builder for a JSON array.
-#[derive(Debug, Default)]
-pub struct JsonArr {
-    buf: String,
-}
-
-impl JsonArr {
-    /// Start an empty array.
-    pub fn new() -> JsonArr {
-        JsonArr::default()
-    }
-
-    fn sep(&mut self) {
-        if !self.buf.is_empty() {
-            self.buf.push(',');
-        }
-    }
-
-    /// Push a pre-rendered JSON value.
-    pub fn raw(mut self, v: &str) -> Self {
-        self.sep();
-        self.buf.push_str(v);
-        self
-    }
-
-    /// Push a string element.
-    pub fn str(mut self, v: &str) -> Self {
-        self.sep();
-        self.buf.push_str(&escape(v));
-        self
-    }
-
-    /// Push an integer element.
-    pub fn u64(mut self, v: u64) -> Self {
-        self.sep();
-        let _ = write!(self.buf, "{v}");
-        self
-    }
-
-    /// Push a float element.
-    pub fn f64(mut self, v: f64) -> Self {
-        self.sep();
-        self.buf.push_str(&number(v));
-        self
-    }
-
-    /// Finish: the rendered `[...]`.
-    pub fn build(self) -> String {
-        format!("[{}]", self.buf)
-    }
-}
-
 /// Collect an iterator of pre-rendered values into a JSON array.
 pub fn arr_of(items: impl IntoIterator<Item = String>) -> String {
-    let mut a = JsonArr::new();
-    for i in items {
-        a = a.raw(&i);
-    }
-    a.build()
+    format!("[{}]", items.into_iter().collect::<Vec<_>>().join(","))
 }
 
 #[cfg(test)]
@@ -180,14 +124,14 @@ mod tests {
             .u64("n", 3)
             .f64("x", 0.5)
             .bool("ok", true)
-            .raw("inner", &JsonArr::new().u64(1).u64(2).build())
+            .raw("inner", &arr_of(["1".to_string(), "2".to_string()]))
             .build();
         assert_eq!(
             j,
             r#"{"name":"a\"b","n":3,"x":0.5,"ok":true,"inner":[1,2]}"#
         );
         assert_eq!(JsonObj::new().build(), "{}");
-        assert_eq!(JsonArr::new().build(), "[]");
+        assert_eq!(arr_of([]), "[]");
     }
 
     #[test]

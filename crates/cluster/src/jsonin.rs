@@ -1,14 +1,18 @@
-//! A dependency-free JSON *decoder* — the read half of the wire protocol.
+//! A dependency-free JSON *decoder*, and the renderer of what it decodes.
 //!
-//! The encoder lives in [`crate::json`] (shared with the bench bins and
-//! the flight recorder); decoding is only ever needed here, where frames
-//! come off the socket. The parser is a plain recursive-descent over the
-//! byte slice, strict enough for a protocol (no trailing garbage, no
-//! unescaped controls) and exact on numbers: `f64` values rendered with
-//! Rust's shortest round-trip formatting parse back bit-identical.
+//! The builders that write JSON from scratch live in [`crate::json`]
+//! (shared with the bench bins and the flight recorder); a parsed
+//! [`Json`] renders through its `Display`, which is how a document
+//! travels on inside a message ([`crate::codec`]) or is printed. The parser
+//! is a plain recursive-descent over the byte slice, strict enough for a
+//! protocol (no trailing garbage, no unescaped controls, no number past
+//! `f64`) and exact on numbers: `f64` values rendered with Rust's
+//! shortest round-trip formatting parse back bit-identical.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use crate::json::escape;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,6 +120,54 @@ impl Json {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
+        }
+    }
+
+    /// An object's members in key order; none for anything else.
+    pub fn members(&self) -> impl Iterator<Item = (&String, &Json)> {
+        let map = match self {
+            Json::Obj(m) => Some(m),
+            _ => None,
+        };
+        map.into_iter().flatten()
+    }
+}
+
+/// An object of these members.
+impl FromIterator<(String, Json)> for Json {
+    fn from_iter<I: IntoIterator<Item = (String, Json)>>(members: I) -> Json {
+        Json::Obj(members.into_iter().collect())
+    }
+}
+
+/// The document as JSON text: members in key order, no whitespace, an
+/// integral number without a fraction (a number past `f64`, which no parse
+/// makes, as `null`). It parses back to an equal value.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let list = |f: &mut fmt::Formatter<'_>, i: usize| f.write_str(if i > 0 { "," } else { "" });
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => f.write_str(&escape(s)),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    list(f, i)?;
+                    write!(f, "{item}")?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(map) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in map.iter().enumerate() {
+                    list(f, i)?;
+                    write!(f, "{}:{v}", escape(k))?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -317,9 +369,11 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("bad number")),
+        }
     }
 }
 
@@ -365,6 +419,27 @@ mod tests {
             parsed.get("x").unwrap().as_f64().unwrap().to_bits(),
             v.to_bits()
         );
+    }
+
+    /// The renderer writes what the parser reads back equal: members in
+    /// key order, integral numbers without a fraction, escapes as the
+    /// encoder writes them. A number past `f64` does not parse.
+    #[test]
+    fn renders_what_it_parses() {
+        let src = r#"{"z": [1, -0.5, 3e2, true, null], "a": {"q": "x\"y\n\u0001"}, "e": []}"#;
+        let doc = Json::parse(src).unwrap();
+        let text = doc.to_string();
+        assert_eq!(
+            text,
+            r#"{"a":{"q":"x\"y\n\u0001"},"e":[],"z":[1,-0.5,300,true,null]}"#
+        );
+        assert_eq!(Json::parse(&text), Ok(doc));
+        let v = 0.1f64 + 0.2;
+        let back = Json::parse(&Json::Num(v).to_string()).unwrap();
+        assert_eq!(back.as_f64().map(f64::to_bits), Some(v.to_bits()));
+        for big in ["1e999", "-1e400"] {
+            assert!(Json::parse(big).unwrap_err().msg.contains("out of range"));
+        }
     }
 
     #[test]

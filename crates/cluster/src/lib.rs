@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cluster;
+pub mod codec;
 pub mod comm;
 pub mod dist;
 pub mod error;

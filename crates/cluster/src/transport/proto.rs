@@ -52,8 +52,8 @@ use std::sync::Arc;
 use dmac_matrix::{Block, FusedOp};
 
 use crate::cluster::ReduceKind;
+use crate::codec::{Field, Hex, In, Message, Out, Value};
 use crate::dist::GridMeta;
-use crate::json::escape;
 use crate::jsonin::Json;
 use crate::transport::binfmt;
 use crate::transport::TileTransform;
@@ -64,124 +64,7 @@ pub type Key = (usize, usize);
 /// A tile with its place: logical worker, block row, block column.
 pub type Placed = (usize, usize, usize, Arc<Block>);
 
-/// A field's key: its name, or the key given.
-macro_rules! key {
-    ($field:ident) => {
-        stringify!($field)
-    };
-    ($field:ident, $key:literal) => {
-        $key
-    };
-}
-
-/// A field's codec: its type, or the codec given.
-macro_rules! via {
-    ($ty:ty) => {
-        $ty
-    };
-    ($ty:ty, $via:ty) => {
-        $via
-    };
-}
-
-/// Declare the objects a message lists: structs whose fields travel in
-/// declaration order, each under its name or the key given (`= "k"`),
-/// through its type's [`Field`] codec or the one given (`| Hex`).
-macro_rules! objects {
-    ($($(#[$meta:meta])* pub struct $name:ident {
-        $($field:ident $(= $key:literal)?: $ty:ty $(| $via:ty)?),* $(,)?
-    })*) => {$(
-        $(#[$meta])*
-        pub struct $name { $(pub $field: $ty),* }
-
-        impl Value for $name {
-            fn render(&self, buf: &mut String) {
-                let mut out = Out::new(std::mem::take(buf));
-                $(<via!($ty $(, $via)?) as Field<$ty>>::put(
-                    &self.$field, key!($field $(, $key)?), &mut out
-                );)*
-                *buf = out.close();
-            }
-
-            fn read(head: &Json) -> Result<$name, String> {
-                let msg = &mut In { head, body: None };
-                Ok($name {$($field: <via!($ty $(, $via)?) as Field<$ty>>::get(
-                    key!($field $(, $key)?), msg
-                )?),*})
-            }
-        }
-    )*};
-}
-
-/// Declare a message enum: each variant with its `"t"`, then its fields
-/// in wire order, as [`objects!`] declares them. A kind that two variants
-/// share is the first whose fields are all there.
-macro_rules! messages {
-    ($what:literal $(#[$meta:meta])* pub enum $name:ident {$(
-        $(#[$vmeta:meta])* $variant:ident = $kind:literal
-        $({ $($field:ident $(= $key:literal)?: $ty:ty $(| $via:ty)?),* $(,)? })?
-    ),* $(,)?}) => {
-        $(#[$meta])*
-        pub enum $name {$( $(#[$vmeta])* $variant $({ $($field: $ty),* })? ),*}
-
-        impl $name {
-            /// The message's `"t"`.
-            pub fn kind(&self) -> &'static str {
-                match self {$( $name::$variant $({ $($field: _),* })? => $kind ),*}
-            }
-
-            /// The frame payload: the header, sequence number `q` last, and
-            /// the body where the message has one.
-            pub fn encode(&self, q: Option<u64>) -> Vec<u8> {
-                let mut out = Out::new(String::with_capacity(256));
-                let _ = write!(out.key("t"), "\"{}\"", self.kind());
-                match self {$(
-                    $name::$variant $({ $($field),* })? => {
-                        $($(<via!($ty $(, $via)?) as Field<$ty>>::put(
-                            $field, key!($field $(, $key)?), &mut out
-                        );)*)?
-                    }
-                )*}
-                if let Some(q) = q {
-                    u64::put(&q, "q", &mut out);
-                }
-                let body = out.body.take();
-                let head = out.close();
-                match body {
-                    Some(body) => binfmt::encode(&head, &body),
-                    None => head.into_bytes(),
-                }
-            }
-
-            /// Decode a frame.
-            pub fn decode(raw: &[u8]) -> Framed<$name> {
-                open(raw, |t, head, body| {
-                    let mut first = None;
-                    $(if t == $kind {
-                        fn read(msg: &mut In) -> Result<$name, String> {
-                            let m = $name::$variant $({ $($field:
-                                <via!($ty $(, $via)?) as Field<$ty>>::get(
-                                    key!($field $(, $key)?), msg
-                                )?
-                            ),* })?;
-                            msg.done($kind).map(|()| m)
-                        }
-                        match read(&mut In { head, body }) {
-                            Ok(m) => return Ok(m),
-                            Err(e) => first = Some(match first {
-                                Some(f) => format!("{f}; or {e}"),
-                                None => e,
-                            }),
-                        }
-                    })*
-                    Err(first.unwrap_or_else(|| format!("unknown {} '{t}'", $what)))
-                })
-            }
-        }
-    };
-}
-
-objects! {
+crate::objects! {
     /// Tiles `keys` of logical worker `w`.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct Group { w: usize, keys = "k": Vec<Key> }
@@ -229,7 +112,9 @@ objects! {
     pub struct Edge { h: usize, f: u64, b: u64 }
 }
 
-messages! {
+crate::messages! {
+    "t";
+
     "command"
     /// A command, coordinator → worker.
     #[derive(Debug, Clone, PartialEq)]
@@ -276,9 +161,7 @@ messages! {
         /// Say `bye` and exit.
         Shutdown = "shutdown",
     }
-}
 
-messages! {
     "reply"
     /// A reply, worker → coordinator.
     #[derive(Debug, Clone, PartialEq)]
@@ -309,9 +192,7 @@ messages! {
         /// A `collect`'s tiles.
         Tiles = "tiles" { tiles: Vec<Placed> },
     }
-}
 
-messages! {
     "peer message"
     /// A message on a worker ↔ worker link.
     #[derive(Debug, Clone, PartialEq)]
@@ -336,12 +217,43 @@ pub struct Framed<T> {
     pub msg: Result<T, String>,
 }
 
+/// Give each message enum its frame's `encode` and `decode`.
+macro_rules! framed {
+    ($($name:ident)*) => {$(
+        impl $name {
+            /// The frame payload: the header, sequence number `q` last, and
+            /// the body where the message has one.
+            pub fn encode(&self, q: Option<u64>) -> Vec<u8> {
+                encode(self, q)
+            }
+
+            /// Decode a frame.
+            pub fn decode(raw: &[u8]) -> Framed<$name> {
+                open(raw)
+            }
+        }
+    )*};
+}
+
+framed!(Cmd Reply Peer);
+
+fn encode(m: &impl Message, q: Option<u64>) -> Vec<u8> {
+    let mut out = Out::new(String::with_capacity(256));
+    m.put(&mut out);
+    if let Some(q) = q {
+        u64::put(&q, "q", &mut out);
+    }
+    let body = out.body.take();
+    let head = out.close();
+    match body {
+        Some(body) => binfmt::encode(&head, &body),
+        None => head.into_bytes(),
+    }
+}
+
 /// Open a frame — a `DMB3` message or a JSON text — and read its message
-/// through `read`, which gets the header's `"t"`, the header and the body.
-fn open<T>(
-    raw: &[u8],
-    read: impl FnOnce(&str, &Json, Option<&[u8]>) -> Result<T, String>,
-) -> Framed<T> {
+/// from the header and the body.
+fn open<M: Message>(raw: &[u8]) -> Framed<M> {
     let split = if binfmt::is_binary(raw) {
         binfmt::decode(raw).map(|(head, body)| (head, Some(body)))
     } else {
@@ -356,183 +268,12 @@ fn open<T>(
     match head {
         Ok((head, body)) => Framed {
             q: head.get("q").and_then(Json::as_u64),
-            msg: String::get("t", &mut In { head: &head, body })
-                .and_then(|t| read(&t, &head, body)),
+            msg: M::read(&mut In { head: &head, body }),
         },
         Err(e) => Framed {
             q: None,
             msg: Err(e),
         },
-    }
-}
-
-/// A message being encoded: its header, written straight into one buffer
-/// — `{`, then `"key":value` per field — and its body once a field has
-/// given it one.
-struct Out {
-    head: String,
-    open: bool,
-    body: Option<Vec<u8>>,
-}
-
-impl Out {
-    /// An object written at the end of `head`.
-    fn new(head: String) -> Out {
-        let (open, body) = (false, None);
-        Out { head, open, body }
-    }
-
-    /// Start field `key` (a name, nothing to escape): the buffer its value
-    /// is written to next.
-    fn key(&mut self, key: &str) -> &mut String {
-        self.head.push(if self.open { ',' } else { '{' });
-        self.open = true;
-        let _ = write!(self.head, "\"{key}\":");
-        &mut self.head
-    }
-
-    /// The buffer, the object closed.
-    fn close(mut self) -> String {
-        if !self.open {
-            self.head.push('{');
-        }
-        self.head.push('}');
-        self.head
-    }
-}
-
-/// A message being decoded: its header, and its body until a field takes
-/// it.
-struct In<'a> {
-    head: &'a Json,
-    body: Option<&'a [u8]>,
-}
-
-impl In<'_> {
-    /// Every field of a `t` read: a body none of them took is an error.
-    fn done(&self, t: &str) -> Result<(), String> {
-        match self.body {
-            Some(_) => Err(format!("{t} carries a DMB3 body it has no use for")),
-            None => Ok(()),
-        }
-    }
-}
-
-/// How a field of type `T` travels under its key.
-trait Field<T = Self> {
-    fn put(v: &T, key: &str, out: &mut Out);
-    fn get(key: &str, msg: &mut In) -> Result<T, String>;
-}
-
-/// A value as it travels in a header: written as JSON, and read back —
-/// or what is wrong with it, said after the name of the field it is in.
-trait Value: Sized {
-    fn render(&self, buf: &mut String);
-    fn read(j: &Json) -> Result<Self, String>;
-}
-
-/// Most fields are a value under their key.
-impl<T: Value> Field for T {
-    fn put(v: &T, key: &str, out: &mut Out) {
-        v.render(out.key(key));
-    }
-
-    fn get(key: &str, msg: &mut In) -> Result<T, String> {
-        let v = msg.head.get(key).ok_or_else(|| "is missing".to_string());
-        v.and_then(T::read)
-            .map_err(|e| format!("field '{key}' {e}"))
-    }
-}
-
-impl Value for u64 {
-    fn render(&self, buf: &mut String) {
-        let _ = write!(buf, "{self}");
-    }
-
-    fn read(j: &Json) -> Result<u64, String> {
-        j.as_u64().ok_or_else(|| "is not an integer".into())
-    }
-}
-
-impl Value for usize {
-    fn render(&self, buf: &mut String) {
-        (*self as u64).render(buf);
-    }
-
-    fn read(j: &Json) -> Result<usize, String> {
-        u64::read(j).map(|v| v as usize)
-    }
-}
-
-impl Value for u32 {
-    fn render(&self, buf: &mut String) {
-        u64::from(*self).render(buf);
-    }
-
-    fn read(j: &Json) -> Result<u32, String> {
-        u32::try_from(u64::read(j)?).map_err(|_| "is not a u32".into())
-    }
-}
-
-impl Value for String {
-    fn render(&self, buf: &mut String) {
-        buf.push_str(&escape(self));
-    }
-
-    fn read(j: &Json) -> Result<String, String> {
-        j.as_str()
-            .map(String::from)
-            .ok_or_else(|| "is not a string".into())
-    }
-}
-
-/// An `f64` travels as its bits ([`Hex`]): JSON numbers carry 53 bits
-/// exactly.
-impl Value for f64 {
-    fn render(&self, buf: &mut String) {
-        let _ = write!(buf, "\"{:016x}\"", self.to_bits());
-    }
-
-    fn read(j: &Json) -> Result<f64, String> {
-        let hex = |s: &str| {
-            let digits = s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit());
-            digits.then(|| u64::from_str_radix(s, 16).ok()).flatten()
-        };
-        let bits = j.as_str().and_then(hex).ok_or("is not 16 hex digits")?;
-        Ok(f64::from_bits(bits))
-    }
-}
-
-/// The codec of a `u64` that travels as its bits, 16 hex digits.
-struct Hex;
-
-impl Field<u64> for Hex {
-    fn put(v: &u64, key: &str, out: &mut Out) {
-        f64::put(&f64::from_bits(*v), key, out);
-    }
-
-    fn get(key: &str, msg: &mut In) -> Result<u64, String> {
-        f64::get(key, msg).map(f64::to_bits)
-    }
-}
-
-impl<T: Value> Value for Vec<T> {
-    fn render(&self, buf: &mut String) {
-        buf.push('[');
-        for (i, x) in self.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            x.render(buf);
-        }
-        buf.push(']');
-    }
-
-    fn read(j: &Json) -> Result<Vec<T>, String> {
-        let items = j.as_arr().ok_or("is not an array")?.iter().enumerate();
-        items
-            .map(|(i, j)| T::read(j).map_err(|e| format!("item {i} {e}")))
-            .collect()
     }
 }
 
@@ -586,20 +327,6 @@ impl Value for ReduceKind {
             Some("norm2") => Ok(ReduceKind::Norm2),
             _ => Err("is no reduction".into()),
         }
-    }
-}
-
-/// Absent when there is none.
-impl<T: Value> Field for Option<T> {
-    fn put(v: &Option<T>, key: &str, out: &mut Out) {
-        if let Some(v) = v {
-            T::put(v, key, out);
-        }
-    }
-
-    fn get(key: &str, msg: &mut In) -> Result<Option<T>, String> {
-        let present = msg.head.get(key).is_some();
-        present.then(|| T::get(key, msg)).transpose()
     }
 }
 
@@ -669,7 +396,7 @@ impl Field for Vec<FusedOp> {
         let consts = msg.body.take().map(binfmt::decode_f64s).transpose()?;
         let consts = consts.unwrap_or_default();
         let op = |head: &Json| {
-            let o = &mut In { head, body: None };
+            let o = &mut In::new(head);
             let constant = |o: &mut In| {
                 let ci = usize::get("ci", o)?;
                 let c = consts.get(ci).copied();

@@ -24,6 +24,8 @@
 
 use std::io::Read as _;
 
+use dmac_cluster::codec::Value;
+use dmac_serve::protocol::WireDiagnostic;
 use dmac_serve::smoke::{run_smoke, SmokeConfig};
 use dmac_serve::Client;
 
@@ -170,7 +172,7 @@ fn main() {
         "stats" => {
             let mut cli = connect(&addr);
             let stats = cli.stats().unwrap_or_else(|e| fail(e));
-            println!("{}", render(&stats));
+            println!("{stats}");
         }
         "shutdown" => {
             let mut cli = connect(&addr);
@@ -215,8 +217,8 @@ fn main() {
 fn lint_local(script: &str, json_out: bool) -> bool {
     let report = dmac_analyze::lint_script(script);
     if json_out {
-        let items: Vec<String> = report.diagnostics.iter().map(|d| d.to_json()).collect();
-        println!("[{}]", items.join(","));
+        let wire = report.diagnostics.iter().map(WireDiagnostic::from);
+        print_json(wire.collect());
     } else {
         for d in &report.diagnostics {
             println!("{}", d.render(script));
@@ -234,9 +236,9 @@ fn lint_local(script: &str, json_out: bool) -> bool {
 /// identical in `--json` and rendered mode.
 fn lint_remote(cli: &mut Client, script: &str, json_out: bool) -> bool {
     let (ok, diags) = cli.lint(script).unwrap_or_else(|e| fail(e));
+    let ok = ok && dmac_serve::protocol::lint_exit_ok(diags.iter().map(|d| d.severity.as_str()));
     if json_out {
-        let items: Vec<String> = diags.iter().map(wire_diag_json).collect();
-        println!("[{}]", items.join(","));
+        print_json(diags);
     } else {
         for d in &diags {
             println!("{}", d.headline());
@@ -245,44 +247,13 @@ fn lint_remote(cli: &mut Client, script: &str, json_out: bool) -> bool {
             println!("lint: clean");
         }
     }
-    ok && dmac_serve::protocol::lint_exit_ok(diags.iter().map(|d| d.severity.as_str()))
+    ok
 }
 
-/// Re-encode a wire diagnostic as one JSON object.
-fn wire_diag_json(d: &dmac_serve::protocol::WireDiagnostic) -> String {
-    let mut o = dmac_core::json::JsonObj::new()
-        .str("severity", &d.severity)
-        .str("code", &d.code);
-    if let Some(line) = d.line {
-        o = o.u64("line", line);
-    }
-    if let Some(start) = d.start {
-        o = o.u64("start", start);
-    }
-    if let Some(end) = d.end {
-        o = o.u64("end", end);
-    }
-    o.str("message", &d.message).build()
-}
-
-/// Re-render a parsed stats document as JSON text.
-fn render(v: &dmac_serve::Json) -> String {
-    use dmac_serve::Json;
-    match v {
-        Json::Null => "null".into(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(n) => dmac_core::json::number(*n),
-        Json::Str(s) => dmac_core::json::escape(s),
-        Json::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Json::Obj(map) => {
-            let inner: Vec<String> = map
-                .iter()
-                .map(|(k, v)| format!("{}:{}", dmac_core::json::escape(k), render(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-    }
+/// Print diagnostics as one JSON array, through the protocol's encoder:
+/// a local lint prints what the server's `lint` reply carries.
+fn print_json(diags: Vec<WireDiagnostic>) {
+    let mut out = String::new();
+    diags.render(&mut out);
+    println!("{out}");
 }

@@ -2,11 +2,17 @@
 //!
 //! Every frame is a big-endian `u32` byte length followed by that many
 //! bytes of UTF-8 JSON. Requests and responses are single JSON objects
-//! with a `"type"` discriminator. The protocol is strictly
-//! request/response per frame; responses to `submit` carry the
+//! whose kind travels under the key declared below. The protocol is
+//! strictly request/response per frame; responses to `submit` carry the
 //! server-assigned `request_id`, so pipelined clients can match
 //! out-of-order completions (the bundled [`crate::client::Client`] is
 //! synchronous and never pipelines).
+//!
+//! The protocol is spelled once: [`Request`], [`Response`] and the
+//! objects they carry are declared below, each field under its key in
+//! wire order, and both directions are derived from that declaration by
+//! the machinery the worker wire is declared with
+//! ([`dmac_cluster::codec`]). Neither side builds or reads a key by hand.
 //!
 //! Matrix payloads (`fetch` responses) ship each cell as the hex
 //! `u64` bit pattern of its `f64` value, so a fetched matrix is
@@ -14,8 +20,10 @@
 //! too with shortest-round-trip formatting, but hex makes the
 //! intent unmissable and parsing trivial.
 
+use dmac_analyze::Diagnostic;
+use dmac_cluster::codec::{Field, Hex, In, Message, Out, Value};
+use dmac_cluster::json::number;
 use dmac_cluster::jsonin::Json;
-use dmac_core::json::{arr_of, JsonArr, JsonObj};
 
 // The frame codec moved to `dmac_cluster::transport::frame` so the
 // coordinator ↔ dmac-workerd transport can share it; re-exported here
@@ -23,120 +31,240 @@ use dmac_core::json::{arr_of, JsonArr, JsonObj};
 // same items at the same paths.
 pub use dmac_cluster::transport::frame::{read_frame, write_frame, MAX_FRAME};
 
-/// A client → server request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Parse, plan (through the plan cache) and execute a script.
-    Submit {
-        /// Session the program runs in (sessions share the matrix
-        /// store but keep their own cluster state and last-run values).
-        session: String,
-        /// DMac script text.
-        script: String,
-        /// Optional wall-clock deadline: a request still queued when it
-        /// expires is rejected without executing.
-        deadline_ms: Option<u64>,
-    },
-    /// Plan a script and return the EXPLAIN text without executing.
-    Explain {
-        /// Session whose cached placements inform the plan.
-        session: String,
-        /// DMac script text.
-        script: String,
-    },
-    /// Run the static analyzer over a script without planning or
-    /// executing it; returns every diagnostic.
-    Lint {
-        /// DMac script text.
-        script: String,
-    },
-    /// Fetch a matrix from the shared store, bit-exact.
-    FetchMatrix {
-        /// Store name.
-        name: String,
-    },
-    /// Server counters: plan cache, store, admission, recent requests.
-    Stats,
-    /// Stop accepting work, drain in-flight requests, exit.
-    Shutdown,
+dmac_cluster::messages! {
+    "type";
+
+    "request"
+    /// A client → server request.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Parse, plan (through the plan cache) and execute a script.
+        Submit = "submit" {
+            /// Session the program runs in (sessions share the matrix
+            /// store but keep their own cluster state and last-run values).
+            session: String,
+            /// DMac script text.
+            script: String,
+            /// Optional wall-clock deadline: a request still queued when it
+            /// expires is rejected without executing.
+            deadline_ms: Option<u64>,
+        },
+        /// Plan a script and return the EXPLAIN text without executing.
+        Explain = "explain" {
+            /// Session whose cached placements inform the plan.
+            session: String,
+            /// DMac script text.
+            script: String,
+        },
+        /// Run the static analyzer over a script without planning or
+        /// executing it; returns every diagnostic.
+        Lint = "lint" {
+            /// DMac script text.
+            script: String,
+        },
+        /// Fetch a matrix from the shared store, bit-exact.
+        FetchMatrix = "fetch" {
+            /// Store name.
+            name: String,
+        },
+        /// Server counters: plan cache, store, admission, recent requests.
+        Stats = "stats",
+        /// Stop accepting work, drain in-flight requests, exit.
+        Shutdown = "shutdown",
+    }
+
+    "response"
+    /// A server → client response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// A `submit` completed: the result's fields beside the kind.
+        Result = "result" (ProgramResult),
+        /// EXPLAIN text.
+        Explain = "explain" {
+            /// Rendered plan + stage schedule.
+            text: String,
+            /// Analyzer warnings/infos for the script (errors would have
+            /// rejected the request instead).
+            diagnostics: Vec<WireDiagnostic> | OrEmpty,
+        },
+        /// Lint results.
+        Lint = "lint" {
+            /// True when no error-severity diagnostics were found.
+            ok: bool,
+            /// Every diagnostic, errors first.
+            diagnostics: Vec<WireDiagnostic> | OrEmpty,
+        },
+        /// A fetched matrix.
+        Matrix = "matrix" {
+            /// Store name.
+            name: String,
+            /// Row count.
+            rows: usize,
+            /// Column count.
+            cols: usize,
+            /// Row-major cell values as `f64` bit patterns.
+            bits: Vec<u64> | Hex,
+        },
+        /// Stats document (schema described in DESIGN.md §8e): its
+        /// members beside the kind.
+        Stats = "stats" (Json),
+        /// Acknowledgement with no payload (shutdown).
+        Ok = "ok",
+        /// Request failed.
+        Error = "error" {
+            /// One of the [`code`] constants.
+            code: String,
+            /// Human-readable detail.
+            message: String,
+        },
+    }
+}
+
+dmac_cluster::objects! {
+    /// Payload of a successful `submit`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ProgramResult {
+        /// Server-assigned admission sequence number.
+        request_id: u64,
+        /// True when the plan came from the plan cache.
+        plan_cached: bool,
+        /// Store names this program wrote.
+        stored: Vec<String>,
+        /// FNV-1a of the run's golden trace summary — equal runs produce
+        /// equal digests, so clients can assert replay determinism without
+        /// shipping the whole trace.
+        golden_fnv: u64 | Hex,
+        /// Simulated seconds (deterministic, unlike wall time).
+        sim_sec: f64 | Num,
+        /// The plan's certified peak resident bytes (the memory
+        /// certificate's admission bound). `None` when talking to a server
+        /// that predates the field.
+        certified_peak: Option<u64>,
+        /// Full [`dmac_core::engine::ExecReport::to_json`] document.
+        report: Json,
+    }
+
+    /// A diagnostic as it travels: an analyzer [`Diagnostic`], its span
+    /// as a line and byte offsets. `dmac-cli lint --json` prints these,
+    /// local or remote.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireDiagnostic {
+        /// `"error"`, `"warning"` or `"info"`.
+        severity: String,
+        /// Stable diagnostic code (`E001` …).
+        code: String,
+        /// 1-based source line, when the diagnostic has a span.
+        line: Option<u64>,
+        /// Byte span start, when present.
+        start: Option<u64>,
+        /// Byte span end, when present.
+        end: Option<u64>,
+        /// Human-readable message.
+        message: String,
+    }
 }
 
 impl Request {
     /// Encode for the wire.
     pub fn to_json(&self) -> String {
-        match self {
-            Request::Submit {
-                session,
-                script,
-                deadline_ms,
-            } => {
-                let mut o = JsonObj::new()
-                    .str("type", "submit")
-                    .str("session", session)
-                    .str("script", script);
-                if let Some(ms) = deadline_ms {
-                    o = o.u64("deadline_ms", *ms);
-                }
-                o.build()
-            }
-            Request::Explain { session, script } => JsonObj::new()
-                .str("type", "explain")
-                .str("session", session)
-                .str("script", script)
-                .build(),
-            Request::Lint { script } => JsonObj::new()
-                .str("type", "lint")
-                .str("script", script)
-                .build(),
-            Request::FetchMatrix { name } => JsonObj::new()
-                .str("type", "fetch")
-                .str("name", name)
-                .build(),
-            Request::Stats => JsonObj::new().str("type", "stats").build(),
-            Request::Shutdown => JsonObj::new().str("type", "shutdown").build(),
-        }
+        encode(self)
     }
 
     /// Decode from a frame payload.
     pub fn from_json(payload: &str) -> Result<Request, String> {
-        let v = Json::parse(payload).map_err(|e| e.to_string())?;
-        let ty = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("missing 'type'")?;
-        let str_field = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field '{k}'"))
-        };
-        match ty {
-            "submit" => Ok(Request::Submit {
-                session: str_field("session")?,
-                script: str_field("script")?,
-                // Absent means no deadline; anything else must be one.
-                deadline_ms: match v.get("deadline_ms") {
-                    None => None,
-                    Some(d) => Some(d.as_u64().ok_or(
-                        "field 'deadline_ms' is not a non-negative integer of milliseconds",
-                    )?),
-                },
-            }),
-            "explain" => Ok(Request::Explain {
-                session: str_field("session")?,
-                script: str_field("script")?,
-            }),
-            "lint" => Ok(Request::Lint {
-                script: str_field("script")?,
-            }),
-            "fetch" => Ok(Request::FetchMatrix {
-                name: str_field("name")?,
-            }),
-            "stats" => Ok(Request::Stats),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown request type '{other}'")),
-        }
+        decode(payload)
     }
+}
+
+impl Response {
+    /// Encode for the wire.
+    pub fn to_json(&self) -> String {
+        encode(self)
+    }
+
+    /// Decode from a frame payload. A `matrix` reply holds exactly
+    /// `rows × cols` cells: readers index `bits[r * cols + c]`.
+    pub fn from_json(payload: &str) -> Result<Response, String> {
+        let r = decode(payload)?;
+        if let Response::Matrix {
+            rows, cols, bits, ..
+        } = &r
+        {
+            if rows.checked_mul(*cols) != Some(bits.len()) {
+                let n = bits.len();
+                return Err(format!("matrix reply holds {n} cells, not {rows} x {cols}"));
+            }
+        }
+        Ok(r)
+    }
+}
+
+/// A message as one JSON object.
+fn encode(m: &impl Message) -> String {
+    let mut out = Out::new(String::with_capacity(128));
+    m.put(&mut out);
+    out.close()
+}
+
+/// A JSON object as a message.
+fn decode<M: Message>(payload: &str) -> Result<M, String> {
+    let head = Json::parse(payload).map_err(|e| e.to_string())?;
+    M::read(&mut In::new(&head))
+}
+
+/// The codec of an `f64` that travels as a JSON number ([`number`]):
+/// shortest round-trip formatting reads back bit-identical.
+struct Num;
+
+impl Field<f64> for Num {
+    fn put(v: &f64, key: &str, out: &mut Out) {
+        out.key(key).push_str(&number(*v));
+    }
+
+    fn get(key: &str, msg: &mut In) -> Result<f64, String> {
+        msg.read(key, |j| j.as_f64().ok_or_else(|| "is not a number".into()))
+    }
+}
+
+/// The codec of a list that reads as empty when absent: a server that
+/// predates the field sends none.
+struct OrEmpty;
+
+impl<T: Value> Field<Vec<T>> for OrEmpty {
+    fn put(v: &Vec<T>, key: &str, out: &mut Out) {
+        Vec::put(v, key, out);
+    }
+
+    fn get(key: &str, msg: &mut In) -> Result<Vec<T>, String> {
+        Option::get(key, msg).map(Option::unwrap_or_default)
+    }
+}
+
+/// Encode a successful `submit` response from its parts, as the server
+/// frames one. The server builds a [`Response::Result`]; this is kept for
+/// the benchmark package (`perf/`), which measures decoding such a frame.
+/// A `report_json` that is not JSON travels as `null`.
+pub fn encode_result(
+    request_id: u64,
+    plan_cached: bool,
+    stored: &[String],
+    golden_fnv: u64,
+    sim_sec: f64,
+    certified_peak: u64,
+    report_json: &str,
+) -> String {
+    let report = Json::parse(report_json).unwrap_or(Json::Null);
+    let (stored, certified_peak) = (stored.to_vec(), Some(certified_peak));
+    Response::Result(ProgramResult {
+        request_id,
+        plan_cached,
+        stored,
+        golden_fnv,
+        sim_sec,
+        certified_peak,
+        report,
+    })
+    .to_json()
 }
 
 /// Machine-readable error categories carried in error responses.
@@ -176,23 +304,18 @@ pub fn lint_exit_ok<'a, I: IntoIterator<Item = &'a str>>(severities: I) -> bool 
     severities.into_iter().all(|s| s != "error")
 }
 
-/// A diagnostic as decoded from the wire (the JSON shape of
-/// `dmac_analyze::Diagnostic::to_json`). The server encodes analyzer
-/// diagnostics; clients get this schema-tolerant mirror.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireDiagnostic {
-    /// `"error"`, `"warning"` or `"info"`.
-    pub severity: String,
-    /// Stable diagnostic code (`E001` …).
-    pub code: String,
-    /// 1-based source line, when the diagnostic has a span.
-    pub line: Option<u64>,
-    /// Byte span start, when present.
-    pub start: Option<u64>,
-    /// Byte span end, when present.
-    pub end: Option<u64>,
-    /// Human-readable message.
-    pub message: String,
+impl From<&Diagnostic> for WireDiagnostic {
+    fn from(d: &Diagnostic) -> WireDiagnostic {
+        let at = |f: fn(&dmac_lang::Span) -> usize| d.span.as_ref().map(|s| f(s) as u64);
+        WireDiagnostic {
+            severity: d.severity.name().into(),
+            code: d.code.into(),
+            line: at(|s| s.line),
+            start: at(|s| s.start),
+            end: at(|s| s.end),
+            message: d.message.clone(),
+        }
+    }
 }
 
 impl WireDiagnostic {
@@ -206,304 +329,190 @@ impl WireDiagnostic {
             None => format!("{}[{}]: {}", self.severity, self.code, self.message),
         }
     }
-
-    fn from_json(v: &Json) -> WireDiagnostic {
-        let s = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string()
-        };
-        WireDiagnostic {
-            severity: s("severity"),
-            code: s("code"),
-            line: v.get("line").and_then(Json::as_u64),
-            start: v.get("start").and_then(Json::as_u64),
-            end: v.get("end").and_then(Json::as_u64),
-            message: s("message"),
-        }
-    }
-}
-
-/// Decode a `"diagnostics"` array field (absent → empty, so old servers
-/// remain compatible with new clients).
-fn decode_diagnostics(v: &Json) -> Vec<WireDiagnostic> {
-    v.get("diagnostics")
-        .and_then(Json::as_arr)
-        .map(|a| a.iter().map(WireDiagnostic::from_json).collect())
-        .unwrap_or_default()
-}
-
-/// A server → client response, as decoded by the client.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// A `submit` completed.
-    Result(ProgramResult),
-    /// EXPLAIN text.
-    Explain {
-        /// Rendered plan + stage schedule.
-        text: String,
-        /// Analyzer warnings/infos for the script (errors would have
-        /// rejected the request instead).
-        diagnostics: Vec<WireDiagnostic>,
-    },
-    /// Lint results.
-    Lint {
-        /// True when no error-severity diagnostics were found.
-        ok: bool,
-        /// Every diagnostic, errors first.
-        diagnostics: Vec<WireDiagnostic>,
-    },
-    /// A fetched matrix.
-    Matrix {
-        /// Store name.
-        name: String,
-        /// Row count.
-        rows: usize,
-        /// Column count.
-        cols: usize,
-        /// Row-major cell values as `f64` bit patterns.
-        bits: Vec<u64>,
-    },
-    /// Stats document (schema described in DESIGN.md §8e).
-    Stats(Json),
-    /// Acknowledgement with no payload (shutdown).
-    Ok,
-    /// Request failed.
-    Error {
-        /// One of the [`code`] constants.
-        code: String,
-        /// Human-readable detail.
-        message: String,
-    },
-}
-
-/// Payload of a successful `submit`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgramResult {
-    /// Server-assigned admission sequence number.
-    pub request_id: u64,
-    /// True when the plan came from the plan cache.
-    pub plan_cached: bool,
-    /// Store names this program wrote.
-    pub stored: Vec<String>,
-    /// FNV-1a of the run's golden trace summary — equal runs produce
-    /// equal digests, so clients can assert replay determinism without
-    /// shipping the whole trace.
-    pub golden_fnv: u64,
-    /// Simulated seconds (deterministic, unlike wall time).
-    pub sim_sec: f64,
-    /// The plan's certified peak resident bytes (the memory
-    /// certificate's admission bound). `None` when talking to a server
-    /// that predates the field.
-    pub certified_peak: Option<u64>,
-    /// Full [`dmac_core::engine::ExecReport::to_json`] document.
-    pub report: Json,
-}
-
-impl Response {
-    /// Decode from a frame payload.
-    pub fn from_json(payload: &str) -> Result<Response, String> {
-        let v = Json::parse(payload).map_err(|e| e.to_string())?;
-        let ty = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("missing 'type'")?;
-        match ty {
-            "result" => Ok(Response::Result(ProgramResult {
-                request_id: v
-                    .get("request_id")
-                    .and_then(Json::as_u64)
-                    .ok_or("missing request_id")?,
-                plan_cached: v
-                    .get("plan_cached")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing plan_cached")?,
-                stored: v
-                    .get("stored")
-                    .and_then(Json::as_arr)
-                    .map(|a| {
-                        a.iter()
-                            .filter_map(|e| e.as_str().map(str::to_string))
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                golden_fnv: v
-                    .get("golden_fnv")
-                    .and_then(Json::as_str)
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .ok_or("missing golden_fnv")?,
-                sim_sec: v
-                    .get("sim_sec")
-                    .and_then(Json::as_f64)
-                    .ok_or("missing sim_sec")?,
-                certified_peak: v.get("certified_peak").and_then(Json::as_u64),
-                report: v.get("report").cloned().unwrap_or(Json::Null),
-            })),
-            "explain" => Ok(Response::Explain {
-                text: v
-                    .get("text")
-                    .and_then(Json::as_str)
-                    .ok_or("missing text")?
-                    .to_string(),
-                diagnostics: decode_diagnostics(&v),
-            }),
-            "lint" => Ok(Response::Lint {
-                ok: v.get("ok").and_then(Json::as_bool).ok_or("missing ok")?,
-                diagnostics: decode_diagnostics(&v),
-            }),
-            "matrix" => {
-                let bits = v
-                    .get("bits")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing bits")?
-                    .iter()
-                    .map(|e| {
-                        e.as_str()
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .ok_or("bad bits element")
-                    })
-                    .collect::<Result<Vec<u64>, _>>()?;
-                let rows = v.get("rows").and_then(Json::as_u64).ok_or("missing rows")? as usize;
-                let cols = v.get("cols").and_then(Json::as_u64).ok_or("missing cols")? as usize;
-                // Readers index `bits[r * cols + c]`: one cell each, no more.
-                if rows.checked_mul(cols) != Some(bits.len()) {
-                    return Err(format!(
-                        "matrix reply holds {} cells, not {rows} x {cols}",
-                        bits.len()
-                    ));
-                }
-                Ok(Response::Matrix {
-                    name: v
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("missing name")?
-                        .to_string(),
-                    rows,
-                    cols,
-                    bits,
-                })
-            }
-            "stats" => Ok(Response::Stats(v)),
-            "ok" => Ok(Response::Ok),
-            "error" => Ok(Response::Error {
-                code: v
-                    .get("code")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-            }),
-            other => Err(format!("unknown response type '{other}'")),
-        }
-    }
-}
-
-/// Encode a successful `submit` response (server side).
-pub fn encode_result(
-    request_id: u64,
-    plan_cached: bool,
-    stored: &[String],
-    golden_fnv: u64,
-    sim_sec: f64,
-    certified_peak: u64,
-    report_json: &str,
-) -> String {
-    let mut names = JsonArr::new();
-    for s in stored {
-        names = names.str(s);
-    }
-    JsonObj::new()
-        .str("type", "result")
-        .u64("request_id", request_id)
-        .bool("plan_cached", plan_cached)
-        .raw("stored", &names.build())
-        .str("golden_fnv", &format!("{golden_fnv:016x}"))
-        .f64("sim_sec", sim_sec)
-        .u64("certified_peak", certified_peak)
-        .raw("report", report_json)
-        .build()
-}
-
-/// Encode an EXPLAIN response (server side). `diag_json` holds
-/// pre-encoded diagnostic objects (`dmac_analyze::Diagnostic::to_json`).
-pub fn encode_explain(text: &str, diag_json: &[String]) -> String {
-    JsonObj::new()
-        .str("type", "explain")
-        .str("text", text)
-        .raw("diagnostics", &arr_of(diag_json.iter().cloned()))
-        .build()
-}
-
-/// Encode a lint response (server side). `diag_json` as in
-/// [`encode_explain`].
-pub fn encode_lint(ok: bool, diag_json: &[String]) -> String {
-    JsonObj::new()
-        .str("type", "lint")
-        .bool("ok", ok)
-        .raw("diagnostics", &arr_of(diag_json.iter().cloned()))
-        .build()
-}
-
-/// Encode a matrix response (server side).
-pub fn encode_matrix(name: &str, rows: usize, cols: usize, bits: &[u64]) -> String {
-    let mut arr = JsonArr::new();
-    for b in bits {
-        arr = arr.str(&format!("{b:016x}"));
-    }
-    JsonObj::new()
-        .str("type", "matrix")
-        .str("name", name)
-        .u64("rows", rows as u64)
-        .u64("cols", cols as u64)
-        .raw("bits", &arr.build())
-        .build()
-}
-
-/// Encode the bare acknowledgement (server side).
-pub fn encode_ok() -> String {
-    JsonObj::new().str("type", "ok").build()
-}
-
-/// Encode an error response (server side).
-pub fn encode_error(code: &str, message: &str) -> String {
-    JsonObj::new()
-        .str("type", "error")
-        .str("code", code)
-        .str("message", message)
-        .build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn requests_round_trip() {
-        let reqs = [
-            Request::Submit {
-                session: "s1".into(),
-                script: "A = random(A, 4, 4)\noutput(A)\n".into(),
-                deadline_ms: Some(250),
-            },
-            Request::Explain {
-                session: "s1".into(),
-                script: "A = random(A, 4, 4)\noutput(A)\n".into(),
-            },
-            Request::Lint {
-                script: "A = random(A, 4, 4)\noutput(A)\n".into(),
-            },
-            Request::FetchMatrix { name: "H".into() },
-            Request::Stats,
-            Request::Shutdown,
-        ];
-        for r in reqs {
-            assert_eq!(Request::from_json(&r.to_json()).unwrap(), r);
+    const SCRIPT: &str = "A = random(A, 4, 4)\noutput(A)\n";
+
+    fn matrix(rows: usize, cols: usize, bits: &[u64]) -> String {
+        let (name, bits) = ("M".to_string(), bits.to_vec());
+        Response::Matrix {
+            name,
+            rows,
+            cols,
+            bits,
         }
+        .to_json()
+    }
+
+    fn diag(
+        severity: &str,
+        code: &str,
+        at: Option<(u64, u64, u64)>,
+        message: &str,
+    ) -> WireDiagnostic {
+        let (severity, code, message) = (severity.into(), code.into(), message.into());
+        WireDiagnostic {
+            severity,
+            code,
+            line: at.map(|a| a.0),
+            start: at.map(|a| a.1),
+            end: at.map(|a| a.2),
+            message,
+        }
+    }
+
+    /// Every request kind, every response kind but `stats`, and a `result`
+    /// whose report is `{}` encode to the bytes the hand-written encoders
+    /// made before the protocol was declared — same keys, same order,
+    /// same escapes — and decode back to themselves.
+    #[test]
+    fn every_serve_message_keeps_its_bytes() {
+        let submit = |deadline_ms| Request::Submit {
+            session: "s1".into(),
+            script: SCRIPT.into(),
+            deadline_ms,
+        };
+        let requests = [
+            (
+                submit(Some(250)),
+                r#"{"type":"submit","session":"s1","script":"A = random(A, 4, 4)\noutput(A)\n","deadline_ms":250}"#,
+            ),
+            (
+                submit(None),
+                r#"{"type":"submit","session":"s1","script":"A = random(A, 4, 4)\noutput(A)\n"}"#,
+            ),
+            (
+                Request::Explain {
+                    session: "s\"2".into(),
+                    script: SCRIPT.into(),
+                },
+                r#"{"type":"explain","session":"s\"2","script":"A = random(A, 4, 4)\noutput(A)\n"}"#,
+            ),
+            (
+                Request::Lint {
+                    script: SCRIPT.into(),
+                },
+                r#"{"type":"lint","script":"A = random(A, 4, 4)\noutput(A)\n"}"#,
+            ),
+            (
+                Request::FetchMatrix { name: "H".into() },
+                r#"{"type":"fetch","name":"H"}"#,
+            ),
+            (Request::Stats, r#"{"type":"stats"}"#),
+            (Request::Shutdown, r#"{"type":"shutdown"}"#),
+        ];
+        for (r, bytes) in &requests {
+            assert_eq!(r.to_json(), *bytes, "{r:?}");
+            assert_eq!(Request::from_json(bytes).as_ref(), Ok(r));
+        }
+
+        let diags = vec![
+            diag("error", "E004", None, "no outputs"),
+            diag("warning", "W101", Some((2, 23, 24)), "dead \"store\""),
+        ];
+        let bits = [1.0f64, -0.0, 0.1 + 0.2, f64::MAX]
+            .map(f64::to_bits)
+            .to_vec();
+        let result = |request_id, plan_cached, stored: &[&str], golden_fnv, sim_sec, peak| {
+            Response::Result(ProgramResult {
+                request_id,
+                plan_cached,
+                stored: stored.iter().map(|s| s.to_string()).collect(),
+                golden_fnv,
+                sim_sec,
+                certified_peak: Some(peak),
+                report: Json::parse("{}").unwrap(),
+            })
+        };
+        let responses = [
+            (
+                Response::Explain {
+                    text: "plan\ttext".into(),
+                    diagnostics: diags.clone(),
+                },
+                r#"{"type":"explain","text":"plan\ttext","diagnostics":[{"severity":"error","code":"E004","message":"no outputs"},{"severity":"warning","code":"W101","line":2,"start":23,"end":24,"message":"dead \"store\""}]}"#,
+            ),
+            (
+                Response::Explain {
+                    text: "t".into(),
+                    diagnostics: vec![],
+                },
+                r#"{"type":"explain","text":"t","diagnostics":[]}"#,
+            ),
+            (
+                Response::Lint {
+                    ok: false,
+                    diagnostics: diags,
+                },
+                r#"{"type":"lint","ok":false,"diagnostics":[{"severity":"error","code":"E004","message":"no outputs"},{"severity":"warning","code":"W101","line":2,"start":23,"end":24,"message":"dead \"store\""}]}"#,
+            ),
+            (
+                Response::Lint {
+                    ok: true,
+                    diagnostics: vec![],
+                },
+                r#"{"type":"lint","ok":true,"diagnostics":[]}"#,
+            ),
+            (
+                Response::Matrix {
+                    name: "M".into(),
+                    rows: 2,
+                    cols: 2,
+                    bits,
+                },
+                r#"{"type":"matrix","name":"M","rows":2,"cols":2,"bits":["3ff0000000000000","8000000000000000","3fd3333333333334","7fefffffffffffff"]}"#,
+            ),
+            (Response::Ok, r#"{"type":"ok"}"#),
+            (
+                Response::Error {
+                    code: code::BUSY.into(),
+                    message: "queue full (8 queued)".into(),
+                },
+                r#"{"type":"error","code":"busy","message":"queue full (8 queued)"}"#,
+            ),
+            (
+                result(7, true, &["H", "W"], 0xdead_beef, 1.5, 4096),
+                r#"{"type":"result","request_id":7,"plan_cached":true,"stored":["H","W"],"golden_fnv":"00000000deadbeef","sim_sec":1.5,"certified_peak":4096,"report":{}}"#,
+            ),
+            (
+                result(1, false, &[], 0, 2.0, 0),
+                r#"{"type":"result","request_id":1,"plan_cached":false,"stored":[],"golden_fnv":"0000000000000000","sim_sec":2.0,"certified_peak":0,"report":{}}"#,
+            ),
+        ];
+        for (r, bytes) in &responses {
+            assert_eq!(r.to_json(), *bytes, "{r:?}");
+            assert_eq!(Response::from_json(bytes).as_ref(), Ok(r));
+        }
+        assert_eq!(
+            encode_result(
+                7,
+                true,
+                &["H".into(), "W".into()],
+                0xdead_beef,
+                1.5,
+                4096,
+                "{}"
+            ),
+            responses[7].1
+        );
+    }
+
+    /// The stats document is the response's top-level object: its
+    /// members beside the kind, in key order, and it decodes back to the
+    /// same document.
+    #[test]
+    fn stats_members_travel_beside_the_kind() {
+        let doc = Json::parse(r#"{"queue_depth":0,"counters":{"submitted":3},"names":["a\"b"],"uptime_sec":0.25,"last_report":null}"#).unwrap();
+        let enc = Response::Stats(doc.clone()).to_json();
+        assert_eq!(
+            enc,
+            r#"{"type":"stats","counters":{"submitted":3},"last_report":null,"names":["a\"b"],"queue_depth":0,"uptime_sec":0.25}"#
+        );
+        assert_eq!(Response::from_json(&enc), Ok(Response::Stats(doc)));
     }
 
     #[test]
@@ -565,8 +574,8 @@ mod tests {
         }
         // Results from servers that predate the certificate field still
         // decode, with the peak absent.
-        let legacy = "{\"type\":\"result\",\"request_id\":1,\"plan_cached\":false,\
-                      \"golden_fnv\":\"00000000000000aa\",\"sim_sec\":0.5}";
+        let legacy = "{\"type\":\"result\",\"request_id\":1,\"plan_cached\":false,\"stored\":[],\
+                      \"golden_fnv\":\"00000000000000aa\",\"sim_sec\":0.5,\"report\":{}}";
         match Response::from_json(legacy).unwrap() {
             Response::Result(r) => assert_eq!(r.certified_peak, None),
             other => panic!("wrong response: {other:?}"),
@@ -574,8 +583,7 @@ mod tests {
 
         let vals = [1.0f64, -0.0, 0.1 + 0.2, f64::MAX];
         let bits: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
-        let enc = encode_matrix("M", 2, 2, &bits);
-        match Response::from_json(&enc).unwrap() {
+        match Response::from_json(&matrix(2, 2, &bits)).unwrap() {
             Response::Matrix {
                 bits: got, rows, ..
             } => {
@@ -593,13 +601,13 @@ mod tests {
     #[test]
     fn a_matrix_reply_holds_exactly_its_cells() {
         let bits = [1.0f64, 2.0, 3.0].map(f64::to_bits);
-        assert!(Response::from_json(&encode_matrix("M", 3, 1, &bits)).is_ok());
+        assert!(Response::from_json(&matrix(3, 1, &bits)).is_ok());
         for (rows, cols) in [(2, 2), (1, 2), (4, 0), (0, 3)] {
-            let err = Response::from_json(&encode_matrix("M", rows, cols, &bits)).unwrap_err();
+            let err = Response::from_json(&matrix(rows, cols, &bits)).unwrap_err();
             assert!(err.contains("3 cells"), "{rows} x {cols}: {err}");
         }
         let past = 1u64 << 53;
-        let huge = encode_matrix("M", 0, 0, &bits)
+        let huge = matrix(0, 0, &bits)
             .replace("\"rows\":0", &format!("\"rows\":{past}"))
             .replace("\"cols\":0", &format!("\"cols\":{past}"));
         assert!(Response::from_json(&huge).is_err());
@@ -607,12 +615,13 @@ mod tests {
 
     #[test]
     fn lint_and_explain_responses_round_trip_diagnostics() {
-        let d1 = "{\"severity\":\"warning\",\"code\":\"W101\",\"line\":2,\"start\":23,\
-                  \"end\":24,\"message\":\"dead store\"}"
-            .to_string();
-        let d2 =
-            "{\"severity\":\"error\",\"code\":\"E004\",\"message\":\"no outputs\"}".to_string();
-        match Response::from_json(&encode_lint(false, &[d2.clone(), d1.clone()])).unwrap() {
+        let d1 = diag("warning", "W101", Some((2, 23, 24)), "dead store");
+        let d2 = diag("error", "E004", None, "no outputs");
+        let lint = Response::Lint {
+            ok: false,
+            diagnostics: vec![d2, d1.clone()],
+        };
+        match Response::from_json(&lint.to_json()).unwrap() {
             Response::Lint { ok, diagnostics } => {
                 assert!(!ok);
                 assert_eq!(diagnostics.len(), 2);
@@ -626,7 +635,11 @@ mod tests {
             }
             other => panic!("wrong response: {other:?}"),
         }
-        match Response::from_json(&encode_explain("plan text", &[d1])).unwrap() {
+        let explain = Response::Explain {
+            text: "plan text".into(),
+            diagnostics: vec![d1],
+        };
+        match Response::from_json(&explain.to_json()).unwrap() {
             Response::Explain { text, diagnostics } => {
                 assert_eq!(text, "plan text");
                 assert_eq!(diagnostics.len(), 1);
@@ -642,6 +655,66 @@ mod tests {
         }
     }
 
+    /// A stored name that is not a string is a decode error: dropping it
+    /// would report fewer names than the server wrote.
+    #[test]
+    fn a_stored_name_that_is_not_a_string_does_not_decode() {
+        let enc = encode_result(1, false, &["H".into(), "W".into()], 0, 0.5, 0, "{}");
+        let err = Response::from_json(&enc.replace(r#""W""#, "7")).unwrap_err();
+        assert_eq!(err, "field 'stored' item 1 is not a string");
+    }
+
+    /// A diagnostic without its severity, code or message is a decode
+    /// error, not an empty string.
+    #[test]
+    fn a_diagnostic_missing_a_field_does_not_decode() {
+        let lint = Response::Lint {
+            ok: true,
+            diagnostics: vec![diag("warning", "W101", None, "dead store")],
+        };
+        let enc = lint.to_json();
+        for field in [
+            r#""severity":"warning","#,
+            r#""code":"W101","#,
+            r#","message":"dead store""#,
+        ] {
+            let err = Response::from_json(&enc.replace(field, "")).unwrap_err();
+            assert!(
+                err.starts_with("field 'diagnostics' item 0 field '"),
+                "{field}: {err}"
+            );
+            assert!(err.ends_with("' is missing"), "{field}: {err}");
+        }
+    }
+
+    /// An `error` reply without its code is a decode error, not a reply
+    /// of code "unknown".
+    #[test]
+    fn an_error_reply_without_a_code_does_not_decode() {
+        let err = Response::from_json(r#"{"type":"error","message":"queue full"}"#).unwrap_err();
+        assert_eq!(err, "field 'code' is missing");
+    }
+
+    /// An analyzer diagnostic travels as its severity's name, its code,
+    /// its span's line and offsets when it has one, and its message.
+    #[test]
+    fn an_analyzer_diagnostic_travels_whole() {
+        use dmac_analyze::{code, Severity};
+        let span = dmac_lang::Span {
+            line: 2,
+            start: 33,
+            end: 34,
+        };
+        let d = Diagnostic::new(Severity::Error, code::USE_BEFORE_DEF, Some(span), "x \"C\"");
+        let wire = WireDiagnostic::from(&d);
+        assert_eq!(wire, diag("error", "E002", Some((2, 33, 34)), "x \"C\""));
+        assert_eq!(wire.headline(), d.headline());
+        let d = Diagnostic::new(Severity::Warning, code::DEAD_STORE, None, "y");
+        let mut j = String::new();
+        WireDiagnostic::from(&d).render(&mut j);
+        assert_eq!(j, r#"{"severity":"warning","code":"W101","message":"y"}"#);
+    }
+
     #[test]
     fn lint_exit_verdict_depends_only_on_severities() {
         assert!(lint_exit_ok([]));
@@ -651,7 +724,11 @@ mod tests {
 
     #[test]
     fn error_response_round_trips() {
-        let enc = encode_error(code::BUSY, "queue full (8 queued)");
+        let enc = Response::Error {
+            code: code::BUSY.into(),
+            message: "queue full (8 queued)".into(),
+        }
+        .to_json();
         match Response::from_json(&enc).unwrap() {
             Response::Error { code: c, message } => {
                 assert_eq!(c, code::BUSY);

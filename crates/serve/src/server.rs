@@ -56,15 +56,18 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dmac_analyze::{lint_script, Diagnostic};
+use dmac_cluster::jsonin::Json;
 use dmac_cluster::SocketOptions;
-use dmac_core::json::{arr_of, JsonArr, JsonObj};
+use dmac_core::json::{arr_of, escape, JsonObj};
 use dmac_core::{CoreError, Session, SharedStore};
 use dmac_lang::normalize::fnv1a;
 use dmac_lang::program::MatrixOrigin;
 use dmac_lang::Program;
 
 use crate::cache::{cache_key, PlanCache};
-use crate::protocol::{self, code, read_frame, write_frame, Request};
+use crate::protocol::{
+    code, read_frame, write_frame, ProgramResult, Request, Response, WireDiagnostic,
+};
 use crate::{lock, wait};
 
 /// Everything tunable about a server.
@@ -466,13 +469,20 @@ fn runnable_index(q: &Queue) -> Option<usize> {
     None
 }
 
-fn send(out: &Arc<Mutex<TcpStream>>, payload: &str) {
-    let _ = write_frame(&mut *lock(out), payload);
+fn send(out: &Arc<Mutex<TcpStream>>, resp: &Response) {
+    let payload = resp.to_json();
+    let _ = write_frame(&mut *lock(out), &payload);
 }
 
-/// Encode diagnostics for the wire.
-fn diag_json(diags: &[Diagnostic]) -> Vec<String> {
-    diags.iter().map(Diagnostic::to_json).collect()
+/// An error response.
+fn error(code: &str, message: impl Into<String>) -> Response {
+    let (code, message) = (code.into(), message.into());
+    Response::Error { code, message }
+}
+
+/// Diagnostics as they travel.
+fn wire(diags: &[Diagnostic]) -> Vec<WireDiagnostic> {
+    diags.iter().map(WireDiagnostic::from).collect()
 }
 
 /// Human-readable one-liner for an error response: the error-severity
@@ -535,9 +545,9 @@ fn reject_memory(state: &State, job: &Job, fp: u64, plan_cached: bool, peak: u64
     ));
     send(
         &job.out,
-        &protocol::encode_error(
+        &error(
             code::MEMORY,
-            &format!(
+            format!(
                 "request {}: certified peak resident {peak} bytes exceeds \
                  the store's {cap}-byte budget",
                 job.id
@@ -558,9 +568,9 @@ fn execute_job(state: &State, job: &Job) {
             state.push_recent(recent_entry(job.id, &job.session, fp, false, "deadline"));
             send(
                 &job.out,
-                &protocol::encode_error(
+                &error(
                     code::DEADLINE,
-                    &format!("request {} missed its deadline while queued", job.id),
+                    format!("request {} missed its deadline while queued", job.id),
                 ),
             );
             return;
@@ -631,8 +641,16 @@ fn execute_job(state: &State, job: &Job) {
 
     let report_json = report.to_json();
     let conf = arr_of(report.trace.conformance().iter().map(|c| c.to_json()));
-    let golden = fnv1a(&report.trace.golden_summary());
-    *lock(&state.last_report) = Some(report_json.clone());
+    let result = ProgramResult {
+        request_id: job.id,
+        plan_cached,
+        stored: job.store_names.clone(),
+        golden_fnv: fnv1a(&report.trace.golden_summary()),
+        sim_sec: report.sim.total_sec(),
+        certified_peak: Some(prep.certificate().peak),
+        report: Json::parse(&report_json).expect("an ExecReport renders as JSON"),
+    };
+    *lock(&state.last_report) = Some(report_json);
     *lock(&state.last_conformance) = Some(conf);
 
     state.store.release_writes(job.id);
@@ -641,18 +659,7 @@ fn execute_job(state: &State, job: &Job) {
     }
     lock(&state.counters).completed += 1;
     state.push_recent(recent_entry(job.id, &job.session, fp, plan_cached, "ok"));
-    send(
-        &job.out,
-        &protocol::encode_result(
-            job.id,
-            plan_cached,
-            &job.store_names,
-            golden,
-            report.sim.total_sec(),
-            prep.certificate().peak,
-            &report_json,
-        ),
-    );
+    send(&job.out, &Response::Result(result));
 }
 
 /// Persist a submitted script alongside its plan-cache insert so a
@@ -693,7 +700,7 @@ fn finish_err(state: &State, job: &Job, fp: u64, code: &str, message: &str) {
     state.store.release_writes(job.id);
     lock(&state.counters).exec_errors += 1;
     state.push_recent(recent_entry(job.id, &job.session, fp, false, "error"));
-    send(&job.out, &protocol::encode_error(code, message));
+    send(&job.out, &error(code, message));
 }
 
 /// A job whose body panicked ends as a failed one. Its session goes: what
@@ -713,7 +720,7 @@ fn connection_loop(mut reader: TcpStream, out: Arc<Mutex<TcpStream>>, state: Arc
         let req = match Request::from_json(&payload) {
             Ok(r) => r,
             Err(e) => {
-                send(&out, &protocol::encode_error(code::PROTO, &e));
+                send(&out, &error(code::PROTO, e));
                 continue;
             }
         };
@@ -726,21 +733,18 @@ fn connection_loop(mut reader: TcpStream, out: Arc<Mutex<TcpStream>>, state: Arc
             Request::Explain { session, script } => {
                 let report = lint_script(&script);
                 let resp = match (&report.parsed, report.has_errors()) {
-                    (None, _) => {
-                        protocol::encode_error(code::PARSE, &lint_summary(&report.diagnostics))
-                    }
-                    (Some(_), true) => {
-                        protocol::encode_error(code::LINT, &lint_summary(&report.diagnostics))
-                    }
+                    (None, _) => error(code::PARSE, lint_summary(&report.diagnostics)),
+                    (Some(_), true) => error(code::LINT, lint_summary(&report.diagnostics)),
                     (Some(parsed), false) => match state.session(&session) {
-                        Err(e) => protocol::encode_error(err_code(&e), &e.to_string()),
+                        Err(e) => error(err_code(&e), e.to_string()),
                         Ok(sess) => match sess.lock().map(|s| s.explain(&parsed.program)) {
                             // Warnings and infos ride along with the plan.
-                            Ok(Ok(text)) => {
-                                protocol::encode_explain(&text, &diag_json(&report.diagnostics))
-                            }
-                            Ok(Err(e)) => protocol::encode_error(err_code(&e), &e.to_string()),
-                            Err(_) => protocol::encode_error(code::EXEC, "session lost to a panic"),
+                            Ok(Ok(text)) => Response::Explain {
+                                text,
+                                diagnostics: wire(&report.diagnostics),
+                            },
+                            Ok(Err(e)) => error(err_code(&e), e.to_string()),
+                            Err(_) => error(code::EXEC, "session lost to a panic"),
                         },
                     },
                 };
@@ -748,35 +752,40 @@ fn connection_loop(mut reader: TcpStream, out: Arc<Mutex<TcpStream>>, state: Arc
             }
             Request::Lint { script } => {
                 let report = lint_script(&script);
-                send(
-                    &out,
-                    &protocol::encode_lint(!report.has_errors(), &diag_json(&report.diagnostics)),
-                );
+                let ok = !report.has_errors();
+                let diagnostics = wire(&report.diagnostics);
+                send(&out, &Response::Lint { ok, diagnostics });
             }
             Request::FetchMatrix { name } => {
                 let resp = match state.store.get(&name) {
                     Some(dist) => match dist.to_blocked() {
                         Ok(m) => {
                             let dense = m.to_dense();
-                            let bits: Vec<u64> = dense.data().iter().map(|v| v.to_bits()).collect();
-                            protocol::encode_matrix(&name, m.rows(), m.cols(), &bits)
+                            let bits = dense.data().iter().map(|v| v.to_bits()).collect();
+                            let (rows, cols) = (m.rows(), m.cols());
+                            Response::Matrix {
+                                name,
+                                rows,
+                                cols,
+                                bits,
+                            }
                         }
-                        Err(e) => protocol::encode_error(code::EXEC, &e.to_string()),
+                        Err(e) => error(code::EXEC, e.to_string()),
                     },
-                    None => protocol::encode_error(
+                    None => error(
                         code::UNBOUND,
-                        &format!("matrix '{name}' is not in the store"),
+                        format!("matrix '{name}' is not in the store"),
                     ),
                 };
                 send(&out, &resp);
             }
-            Request::Stats => send(&out, &stats_json(&state)),
+            Request::Stats => send(&out, &Response::Stats(stats_doc(&state))),
             Request::Shutdown => {
                 // Ack before flipping the flag: once the drain starts it
                 // closes lingering connections, which can race ahead of a
                 // not-yet-written reply and the client then sees a bare
                 // connection close instead of its Ok.
-                send(&out, &protocol::encode_ok());
+                send(&out, &Response::Ok);
                 begin_shutdown(&state);
             }
         }
@@ -797,18 +806,12 @@ fn handle_submit(
     let parsed = match (report.parsed, report.diagnostics) {
         (None, diags) => {
             lock(&state.counters).rejected_parse += 1;
-            send(
-                out,
-                &protocol::encode_error(code::PARSE, &lint_summary(&diags)),
-            );
+            send(out, &error(code::PARSE, lint_summary(&diags)));
             return;
         }
         (Some(_), diags) if dmac_analyze::has_errors(&diags) => {
             lock(&state.counters).rejected_lint += 1;
-            send(
-                out,
-                &protocol::encode_error(code::LINT, &lint_summary(&diags)),
-            );
+            send(out, &error(code::LINT, lint_summary(&diags)));
             return;
         }
         (Some(p), _) => p,
@@ -836,7 +839,7 @@ fn handle_submit(
 
     if let Err(e) = state.store.claim_writes(&store_names, id) {
         lock(&state.counters).rejected_conflict += 1;
-        send(out, &protocol::encode_error(code::CONFLICT, &e.to_string()));
+        send(out, &error(code::CONFLICT, e.to_string()));
         return;
     }
 
@@ -857,10 +860,7 @@ fn handle_submit(
         drop(q);
         state.store.release_writes(id);
         lock(&state.counters).rejected_shutdown += 1;
-        send(
-            out,
-            &protocol::encode_error(code::SHUTTING_DOWN, "server is draining"),
-        );
+        send(out, &error(code::SHUTTING_DOWN, "server is draining"));
         return;
     }
     if q.jobs.len() >= state.cfg.queue_cap {
@@ -870,7 +870,7 @@ fn handle_submit(
         lock(&state.counters).rejected_busy += 1;
         send(
             out,
-            &protocol::encode_error(code::BUSY, &format!("queue full ({depth} queued)")),
+            &error(code::BUSY, format!("queue full ({depth} queued)")),
         );
         return;
     }
@@ -880,7 +880,8 @@ fn handle_submit(
     lock(&state.counters).submitted += 1;
 }
 
-fn stats_json(state: &State) -> String {
+/// The stats document: the members of a `stats` response.
+fn stats_doc(state: &State) -> Json {
     let (depth, active) = {
         let q = lock(&state.queue);
         (q.jobs.len(), q.running.len())
@@ -938,11 +939,8 @@ fn stats_json(state: &State) -> String {
             Some(cap) => o.u64("capacity", cap),
             None => o.raw("capacity", "null"),
         };
-        let mut names = JsonArr::new();
-        for n in state.store.names() {
-            names = names.str(&n);
-        }
-        o.raw("names", &names.build()).build()
+        let names = arr_of(state.store.names().iter().map(|n| escape(n)));
+        o.raw("names", &names).build()
     };
     let durability = match &state.cfg.data_dir {
         Some(dir) => {
@@ -968,8 +966,7 @@ fn stats_json(state: &State) -> String {
         None => JsonObj::new().bool("enabled", false).build(),
     };
 
-    JsonObj::new()
-        .str("type", "stats")
+    let doc = JsonObj::new()
         .f64("uptime_sec", state.started.elapsed().as_secs_f64())
         .bool("shutting_down", state.shutting_down.load(Ordering::SeqCst))
         .u64("queue_depth", depth as u64)
@@ -984,14 +981,14 @@ fn stats_json(state: &State) -> String {
         .raw("recent", &recent)
         .raw("last_report", &last_report)
         .raw("last_conformance", &last_conf)
-        .build()
+        .build();
+    Json::parse(&doc).expect("the stats document renders as JSON")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{Client, ClientError};
-    use dmac_cluster::jsonin::Json;
 
     /// A job whose body panics wedges nothing: its client gets a typed
     /// `exec` error, `stats` still answers and counts it, the next job on

@@ -3,7 +3,8 @@
 //! path once derived its exit code separately from the rendered path;
 //! both now flow through `dmac_serve::protocol::lint_exit_ok` over the
 //! diagnostics actually printed, and this test pins the behaviour at
-//! the process boundary.
+//! the process boundary, and that a local and a served lint print the
+//! same JSON.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -16,8 +17,19 @@ fn script_file(tag: &str, body: &str) -> PathBuf {
 }
 
 fn lint(args: &[&str]) -> (bool, String) {
+    lint_in("", args)
+}
+
+/// `dmac-cli lint`, through the server at `addr` unless it is empty.
+fn lint_in(addr: &str, args: &[&str]) -> (bool, String) {
+    let remote: &[&str] = if addr.is_empty() {
+        &[]
+    } else {
+        &["--addr", addr]
+    };
     let out = Command::new(env!("CARGO_BIN_EXE_dmac-cli"))
         .arg("lint")
+        .args(remote)
         .args(args)
         .output()
         .expect("run dmac-cli");
@@ -64,4 +76,28 @@ fn warnings_alone_exit_zero_in_both_output_modes() {
     assert!(!json.contains("\"severity\":\"error\""), "{json}");
 
     let _ = std::fs::remove_file(warn);
+}
+
+#[test]
+fn local_and_served_lints_print_the_same_json() {
+    // E004: nothing is stored; W103 and W104 beside it.
+    let mixed = script_file("mixed", "A = random(A, 16, 16)\nB = A.t.t * 1\n");
+    let path = mixed.to_str().unwrap();
+    let server = dmac_serve::Server::start(dmac_serve::ServerConfig {
+        pool: 1,
+        ..dmac_serve::ServerConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr().to_string();
+
+    let (ok, local) = lint(&["--json", path]);
+    assert!(!ok, "{local}");
+    for code in ["\"E004\"", "\"W103\"", "\"W104\""] {
+        assert!(local.contains(code), "{code} in {local}");
+    }
+    assert_eq!(lint_in(&addr, &["--json", path]), (false, local));
+
+    server.shutdown_now();
+    server.wait();
+    let _ = std::fs::remove_file(mixed);
 }

@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch, one fused step, one crash seam, one disk frame)"
+echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch, one fused step, one crash seam, one disk frame, one serve spelling)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -186,9 +186,10 @@ awk '/#\[cfg\(test\)\]/ { exit }
 # modelled traffic. And a tile moves one way: a worker's `xfer` installs
 # what stays on its host and pushes the rest, so no `copy` sits beside it.
 if grep -rnE 'record_span\(|charge_comm\(|fn copy\(' crates src; then exit 1; fi
-# The wire is spelled in proto.rs alone: no `"t"` key in the coordinator
-# or the daemon, tests included — they build `Cmd` / `Reply` values and
-# match on them. And a coordinator command is written in two places only:
+# The worker wire is spelled in proto.rs' declaration alone (its codec
+# derived by dmac_cluster::codec, which the serve wire shares): no `"t"`
+# key in the coordinator or the daemon, tests included — they build
+# `Cmd` / `Reply` values and match on them. And a coordinator command is written in two places only:
 # `post` (every exchange, a queued `free` at its head, each command beside
 # its check) and `request` (membership and shutdown).
 awk '/"t"/ { print FILENAME ":" FNR ": " $0; bad++ }
@@ -197,6 +198,25 @@ awk '/"t"/ { print FILENAME ":" FNR ": " $0; bad++ }
      END { if (bad || send != 2) {
                print "\"t\" in socket.rs + workerd.rs x" bad+0 ", self.send_cmd( in socket.rs x" send+0 " (want 0, 2)"
                exit 1 } }' crates/cluster/src/transport/socket.rs crates/cluster/src/transport/workerd.rs
+# The serve wire is spelled once too: Request, Response and what they
+# carry are declared in crates/serve/src/protocol.rs, and both directions
+# derived from that declaration by the worker wire's machinery. So in
+# crates/serve/src code (up to a file's first #[cfg(test)]) the tag key
+# `"type"` is written once, in that declaration; no hand encoder of a
+# reply sits beside it; and neither protocol.rs nor client.rs reads a key
+# by hand. A parsed document is built and rendered in jsonin.rs alone.
+if [ "$(find crates/serve/src -name '*.rs' -exec awk \
+        '/#\[cfg\(test\)\]/ { nextfile }
+         /"type"/ { print FILENAME }' {} +)" != crates/serve/src/protocol.rs ]; then
+    echo '"type" must appear once in crates/serve/src code, in protocol.rs'
+    exit 1
+fi
+if find crates/serve/src -name '*.rs' -exec awk \
+    '/#\[cfg\(test\)\]/ { nextfile }
+     /fn encode_(explain|lint|matrix|ok|error)\(/ ||
+     (FILENAME ~ /\/(protocol|client)\.rs$/ && /\.get\("/) { print FILENAME ":" FNR ": " $0 }' {} + |
+    grep .; then exit 1; fi
+if grep -rn 'Json::Obj(' crates src | grep -v '^crates/cluster/src/jsonin\.rs:'; then exit 1; fi
 # A moved byte is counted once, on the span of the primitive that moved
 # it: `CommStats` is a fold over spans with no event list or recorder of
 # its own, and nothing snapshots a second meter around a step.

@@ -9,21 +9,21 @@
 //! bytes (the server decodes what any client sends, `dmac-cli` what any
 //! server answers), so every input yields a value or a typed error —
 //! never a panic, never an allocation sized by a length the input only
-//! claims. A request that decodes re-encodes to itself, and a decoded
-//! `matrix` reply holds exactly `rows × cols` cells, which is what
-//! `dmac-cli fetch` indexes. An input that ever broke the contract goes
-//! into [`REGRESSIONS`] with its fix.
+//! claims. A request or a response that decodes re-encodes, through the
+//! one encoder the protocol's declaration derives, to an equal value, and
+//! a decoded `matrix` reply holds exactly `rows × cols` cells, which is
+//! what `dmac-cli fetch` indexes. An input that ever broke the contract
+//! goes into [`REGRESSIONS`] with its fix.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::ErrorKind;
 use std::panic;
 
-use dmac::cluster::jsonin::MAX_DEPTH;
+use dmac::cluster::jsonin::{Json, MAX_DEPTH};
 use dmac::matrix::SplitMix64;
 use dmac::serve::protocol::{
-    encode_error, encode_explain, encode_lint, encode_matrix, encode_ok, encode_result, read_frame,
-    write_frame, Request, Response, MAX_FRAME,
+    read_frame, write_frame, ProgramResult, Request, Response, WireDiagnostic, MAX_FRAME,
 };
 
 /// The system allocator, recording per thread the largest single
@@ -103,27 +103,58 @@ fn corpus() -> Vec<String> {
         Request::Stats,
         Request::Shutdown,
     ];
-    let diag = r#"{"severity":"warning","code":"W101","line":2,"start":23,"end":24,"message":"dead store"}"#;
+    let diag = WireDiagnostic {
+        severity: "warning".into(),
+        code: "W101".into(),
+        line: Some(2),
+        start: Some(23),
+        end: Some(24),
+        message: "dead store".into(),
+    };
     let bits = [1.0f64, -0.0, 0.1 + 0.2, f64::MAX, 2.5, 3.0].map(f64::to_bits);
-    let mut docs: Vec<String> = requests.iter().map(Request::to_json).collect();
-    docs.extend([
-        encode_result(
-            7,
-            true,
-            &["H".into()],
-            0xdead_beef,
-            1.5,
-            4096,
-            r#"{"x":[1,2]}"#,
-        ),
-        encode_explain("plan text", &[diag.to_string()]),
-        encode_lint(false, &[diag.to_string()]),
-        encode_matrix("M", 2, 3, &bits),
-        encode_ok(),
-        encode_error("busy", "queue full (8 queued)"),
-        r#"{"type":"stats","active":0,"plan_cache":{"entries":1,"hit_rate":0.5}}"#.into(),
-    ]);
-    docs
+    let json = |s: &str| Json::parse(s).unwrap();
+    let responses = [
+        result(json(r#"{"x":[1,2]}"#)),
+        Response::Explain {
+            text: "plan text".into(),
+            diagnostics: vec![diag.clone()],
+        },
+        Response::Lint {
+            ok: false,
+            diagnostics: vec![diag],
+        },
+        Response::Matrix {
+            name: "M".into(),
+            rows: 2,
+            cols: 3,
+            bits: bits.to_vec(),
+        },
+        Response::Ok,
+        Response::Error {
+            code: "busy".into(),
+            message: "queue full (8 queued)".into(),
+        },
+        Response::Stats(json(
+            r#"{"active":0,"plan_cache":{"entries":1,"hit_rate":0.5}}"#,
+        )),
+    ];
+    let requests = requests.iter().map(Request::to_json);
+    requests
+        .chain(responses.iter().map(Response::to_json))
+        .collect()
+}
+
+/// A `result` carrying `report`.
+fn result(report: Json) -> Response {
+    Response::Result(ProgramResult {
+        request_id: 7,
+        plan_cached: true,
+        stored: vec!["H".into()],
+        golden_fnv: 0xdead_beef,
+        sim_sec: 1.5,
+        certified_peak: Some(4096),
+        report,
+    })
 }
 
 /// The contract, for one payload: whatever decodes is well-formed.
@@ -131,11 +162,14 @@ fn holds(payload: &str) {
     if let Ok(r) = Request::from_json(payload) {
         assert_eq!(Request::from_json(&r.to_json()).as_ref(), Ok(&r));
     }
-    if let Ok(Response::Matrix {
-        rows, cols, bits, ..
-    }) = Response::from_json(payload)
-    {
-        assert_eq!(rows.checked_mul(cols), Some(bits.len()));
+    if let Ok(r) = Response::from_json(payload) {
+        assert_eq!(Response::from_json(&r.to_json()).as_ref(), Ok(&r));
+        if let Response::Matrix {
+            rows, cols, bits, ..
+        } = r
+        {
+            assert_eq!(rows.checked_mul(cols), Some(bits.len()));
+        }
     }
 }
 
@@ -182,9 +216,9 @@ fn regressions_stay_fixed() {
         "[".repeat(MAX_DEPTH - 1),
         "]".repeat(MAX_DEPTH - 1)
     );
-    let within = encode_result(1, false, &[], 0, 0.0, 0, &report);
+    let within = result(Json::parse(&report).unwrap()).to_json();
     assert!(Response::from_json(&within).is_ok());
-    let past = encode_result(1, false, &[], 0, 0.0, 0, &format!("[{report}]"));
+    let past = result(Json::parse(&format!("[{report}]")).unwrap()).to_json();
     assert!(Response::from_json(&past).is_err());
 }
 

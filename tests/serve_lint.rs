@@ -3,7 +3,8 @@
 //! warnings ride along on `explain`, and the `lint` request works
 //! without touching any session state.
 
-use dmac::serve::protocol::code;
+use dmac::cluster::codec::Value;
+use dmac::serve::protocol::{code, WireDiagnostic};
 use dmac::serve::{Client, ClientError, Server, ServerConfig};
 
 fn test_server() -> Server {
@@ -22,6 +23,13 @@ const NO_OUTPUTS: &str = "A2 = random(A2, 16, 16)\nB2 = A2 %*% A2\n";
 /// Clean but with advisory lints: a redundant transpose and a trivial
 /// identity.
 const WARNY: &str = "A3 = random(A3, 16, 16)\nB3 = A3.t.t * 1\nstore(B3)\n";
+
+/// Diagnostics as one JSON array, through the protocol's encoder.
+fn encoded(diags: Vec<WireDiagnostic>) -> String {
+    let mut out = String::new();
+    diags.render(&mut out);
+    out
+}
 
 #[test]
 fn admission_rejects_lint_errors_and_counts_them() {
@@ -113,6 +121,29 @@ fn explain_carries_advisory_diagnostics() {
         ClientError::Server { code: c, .. } => assert_eq!(c, code::LINT),
         other => panic!("unexpected error {other:?}"),
     }
+
+    cli.shutdown().expect("shutdown");
+    server.wait();
+}
+
+/// One diagnostic spelling end to end: the analyzer's diagnostics of a
+/// script with an error and warnings, as wire diagnostics and encoded,
+/// are byte for byte the server's `lint` reply decoded and re-encoded.
+#[test]
+fn local_and_served_diagnostics_encode_alike() {
+    let server = test_server();
+    let mut cli = Client::connect(server.addr()).expect("connect");
+
+    // E004 (nothing stored) beside W103 and W104.
+    let script = "A4 = random(A4, 16, 16)\nB4 = A4.t.t * 1\n";
+    let local = dmac::analyze::lint_script(script).diagnostics;
+    let severities: Vec<&str> = local.iter().map(|d| d.severity.name()).collect();
+    assert!(severities.contains(&"error") && severities.contains(&"warning"));
+    let local = encoded(local.iter().map(WireDiagnostic::from).collect());
+
+    let (ok, served) = cli.lint(script).expect("lint");
+    assert!(!ok);
+    assert_eq!(encoded(served), local);
 
     cli.shutdown().expect("shutdown");
     server.wait();
