@@ -853,22 +853,25 @@ impl Cluster {
     /// The per-logical-worker stage loop of every compute primitive
     /// (Figure 4): `stage_of(w)` sets worker `w`'s stage up — what its
     /// tasks share, and the tasks — which then go through the `L`-thread
-    /// task queue with the result buffer pool at hand; each worker is
-    /// timed, set-up included, and the clock advances by the slowest
-    /// *host*. Returns every worker's results in task order.
+    /// task queue with the result buffer pool and each task's share of the
+    /// `L` threads (`L ÷ tasks`, at least one: a lone tile folds in row
+    /// bands) at hand; each worker is timed, set-up included, and the
+    /// clock advances by the slowest *host*. Returns every worker's
+    /// results in task order.
     fn run_stage<S: Sync, T: Send, R: Send>(
         &mut self,
         mut stage_of: impl FnMut(usize) -> Result<(S, Vec<T>)>,
-        run: impl Fn(&ResultBufferPool, &S, T) -> Result<R> + Sync,
+        run: impl Fn((&ResultBufferPool, usize), &S, T) -> Result<R> + Sync,
     ) -> Result<Vec<Vec<R>>> {
-        let n = self.config.workers;
+        let (n, threads) = (self.config.workers, self.config.local_threads);
         let pool = &self.pool;
         let mut secs = vec![0.0f64; n];
         let mut per_worker = Vec::with_capacity(n);
         for w in 0..n {
             let t0 = Instant::now();
             let (stage, tasks) = stage_of(w)?;
-            let results = run_tasks(self.config.local_threads, tasks, |t| run(pool, &stage, t));
+            let share = (threads / tasks.len().max(1)).max(1);
+            let results = run_tasks(threads, tasks, |t| run((pool, share), &stage, t));
             per_worker.push(results.into_iter().collect::<Result<Vec<R>>>()?);
             secs[w] = t0.elapsed().as_secs_f64();
         }
@@ -910,9 +913,9 @@ impl Cluster {
                 let stage = MulStage::new(shard(a, w), shard(b, w), kb)?;
                 Ok(((w, stage), grid_cells(&meta).collect()))
             },
-            |pool, (w, stage), (bi, bj)| {
+            |local, (w, stage), (bi, bj)| {
                 let shape = (meta.block_rows_of(bi), meta.block_cols_of(bj));
-                Ok(((bi, bj), stage.partial(pool, shape, (bi, bj), (*w, n))?))
+                Ok(((bi, bj), stage.partial(local, shape, (bi, bj), (*w, n))?))
             },
         )?;
 
@@ -1096,10 +1099,10 @@ impl Cluster {
                     .collect::<std::result::Result<Vec<_>, _>>()?;
                 Ok((stages, aligned_tasks(&mut leaves, w, &keys[w], op)?))
             },
-            |pool, stages, (k, tiles): AlignedTask| {
+            |local, stages, (k, tiles): AlignedTask| {
                 let tiles: Vec<&Block> = tiles.iter().map(|t| &**t).collect();
                 let shape = (meta.block_rows_of(k.0), meta.block_cols_of(k.1));
-                let tile = kernels::fused_tile(pool, prog, &tiles, stages, shape, k)?;
+                let tile = kernels::fused_tile(local, prog, &tiles, stages, shape, k)?;
                 Ok((k, Arc::new(tile)))
             },
         )?;

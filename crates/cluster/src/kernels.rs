@@ -106,15 +106,17 @@ impl<'t> MulStage<'t> {
         (self.a.rows, self.b.cols)
     }
 
-    /// The RMM task: result tile `at = (bi, bj)`, all `kb` terms.
+    /// The RMM task: result tile `at = (bi, bj)`, all `kb` terms, on
+    /// `threads` local threads.
     pub fn product(
         &self,
-        pool: &ResultBufferPool,
+        (pool, threads): (&ResultBufferPool, usize),
         shape: (usize, usize),
         at: (usize, usize),
     ) -> Result<Block> {
         self.check(shape, at, 0)?;
-        matmul_tile(pool, shape, 0..self.kb, self.a_row(at.0), self.b_col(at.1))
+        let (a, b) = (self.a_row(at.0), self.b_col(at.1));
+        matmul_tile(pool, shape, threads, 0..self.kb, a, b)
     }
 
     /// The shape result tile `at` has: the rows of the left shard's first
@@ -132,7 +134,7 @@ impl<'t> MulStage<'t> {
     /// when none contributed.
     pub fn partial(
         &self,
-        pool: &ResultBufferPool,
+        (pool, threads): (&ResultBufferPool, usize),
         shape: (usize, usize),
         at: (usize, usize),
         (w, n): (usize, usize),
@@ -142,7 +144,7 @@ impl<'t> MulStage<'t> {
         }
         self.check(shape, at, w)?;
         let ks = (w..self.kb).step_by(n.max(1));
-        fold_tile(pool, shape, ks, self.a_row(at.0), self.b_col(at.1))
+        fold_tile(pool, shape, threads, ks, self.a_row(at.0), self.b_col(at.1))
     }
 
     fn a_row(&self, bi: usize) -> impl Fn(usize) -> Option<&'t Block> + '_ {
@@ -178,7 +180,7 @@ impl<'t> MulStage<'t> {
 /// handed back to `pool`: handing them back measured slower (DESIGN
 /// §8d).
 pub fn fused_tile(
-    pool: &ResultBufferPool,
+    (pool, threads): (&ResultBufferPool, usize),
     prog: &[FusedOp],
     plain: &[&Block],
     muls: &[MulStage<'_>],
@@ -186,7 +188,7 @@ pub fn fused_tile(
     at: (usize, usize),
 ) -> Result<Block> {
     let mut products = (muls.iter())
-        .map(|m| m.product(pool, shape, at))
+        .map(|m| m.product((pool, threads), shape, at))
         .collect::<Result<Vec<Block>>>()?;
     if let [FusedOp::Leaf(i)] = *prog {
         if let Some(j) = i.checked_sub(plain.len()).filter(|&j| j < products.len()) {
@@ -252,22 +254,23 @@ mod tests {
     fn stage_folds_like_the_lookups_it_replaced() {
         let (a, b) = (shard(2, 3), shard(3, 2));
         let pool = ResultBufferPool::new(2);
+        let local = (&pool, 1);
         let stage = MulStage::new(tiles(&a), tiles(&b), 3).unwrap();
         assert_eq!(stage.out_grid(), (2, 2));
         for (bi, bj) in [(0, 0), (1, 0), (1, 1)] {
             let (at, bt) = (|k| a.get(&(bi, k)), |k| b.get(&(k, bj)));
-            let want = matmul_tile(&pool, (2, 2), 0..3, at, bt).unwrap();
-            let got = stage.product(&pool, (2, 2), (bi, bj)).unwrap();
+            let want = matmul_tile(&pool, (2, 2), 1, 0..3, at, bt).unwrap();
+            let got = stage.product(local, (2, 2), (bi, bj)).unwrap();
             assert!(got.bits_eq(&want), "product ({bi},{bj})");
             // Worker 1 of 2 folds k = 1 alone.
-            let want = fold_tile(&pool, (2, 2), [1], at, bt).unwrap();
-            let got = stage.partial(&pool, (2, 2), (bi, bj), (1, 2)).unwrap();
+            let want = fold_tile(&pool, (2, 2), 1, [1], at, bt).unwrap();
+            let got = stage.partial(local, (2, 2), (bi, bj), (1, 2)).unwrap();
             assert_eq!(got, want, "partial ({bi},{bj})");
         }
         // A worker past the shared dimension has no term, and takes no
         // accumulator to find that out.
         let before = pool.stats();
-        assert_eq!(stage.partial(&pool, (2, 2), (0, 0), (3, 4)), Ok(None));
+        assert_eq!(stage.partial(local, (2, 2), (0, 0), (3, 4)), Ok(None));
         assert_eq!(pool.stats(), before);
     }
 
@@ -275,6 +278,7 @@ mod tests {
     fn stage_errors_are_typed_and_sized_by_the_shards() {
         let (mut a, b) = (shard(2, 3), shard(3, 2));
         let pool = ResultBufferPool::new(2);
+        let local = (&pool, 1);
         fn missing<T>(k: usize) -> Result<T> {
             Err(MatrixError::MissingTile { k })
         }
@@ -282,22 +286,22 @@ mod tests {
         // The tile a product needs first, or a later one.
         a.remove(&(1, 2));
         let stage = MulStage::new(tiles(&a), tiles(&b), 3).unwrap();
-        assert_eq!(stage.product(&pool, (2, 2), (1, 0)), missing(2));
-        assert_eq!(stage.partial(&pool, (2, 2), (1, 1), (2, 3)), missing(2));
-        assert!(stage.product(&pool, (2, 2), (0, 0)).is_ok());
+        assert_eq!(stage.product(local, (2, 2), (1, 0)), missing(2));
+        assert_eq!(stage.partial(local, (2, 2), (1, 1), (2, 3)), missing(2));
+        assert!(stage.product(local, (2, 2), (0, 0)).is_ok());
         // A result tile outside what the shards span, however far.
-        assert_eq!(stage.product(&pool, (2, 2), (2, 0)), missing(0));
-        assert_eq!(stage.product(&pool, (2, 2), (0, usize::MAX)), missing(0));
+        assert_eq!(stage.product(local, (2, 2), (2, 0)), missing(0));
+        assert_eq!(stage.product(local, (2, 2), (0, usize::MAX)), missing(0));
         // A described shape the operands do not have never sizes a buffer.
         let acquired = pool.stats();
         let huge = (usize::MAX, usize::MAX);
         for shape in [(2, 3), (0, 0), huge] {
-            let err = stage.product(&pool, shape, (0, 0)).unwrap_err();
+            let err = stage.product(local, shape, (0, 0)).unwrap_err();
             assert!(
                 matches!(err, MatrixError::DimensionMismatch { .. }),
                 "{err}"
             );
-            let err = stage.partial(&pool, shape, (0, 0), (1, 2)).unwrap_err();
+            let err = stage.partial(local, shape, (0, 0), (1, 2)).unwrap_err();
             assert!(
                 matches!(err, MatrixError::DimensionMismatch { .. }),
                 "{err}"
@@ -311,7 +315,7 @@ mod tests {
             assert!(MulStage::new(tiles(&a), tiles(&b), kb).is_err(), "kb {kb}");
         }
         let long = MulStage::new(tiles(&a), tiles(&b), usize::MAX).unwrap();
-        assert_eq!(long.product(&pool, (2, 2), (0, 0)), missing(3));
+        assert_eq!(long.product(local, (2, 2), (0, 0)), missing(3));
 
         // One stray key must not size the index: a shard of 7 tiles
         // spanning 2^40 block rows is refused, not allocated.
@@ -328,7 +332,7 @@ mod tests {
         let empty = Shard::new();
         let none = MulStage::new(tiles(&empty), tiles(&b), 3).unwrap();
         assert_eq!(none.out_grid(), (0, 2));
-        assert_eq!(none.product(&pool, (2, 2), (0, 0)), missing(0));
+        assert_eq!(none.product(local, (2, 2), (0, 0)), missing(0));
     }
 
     #[test]

@@ -523,7 +523,7 @@ impl Worker {
                 };
                 let tile = shape
                     .and_then(|shape| {
-                        kernels::fused_tile(&self.pool, prog, &plain, &stages, shape, (bi, bj))
+                        kernels::fused_tile((&self.pool, 1), prog, &plain, &stages, shape, (bi, bj))
                     })
                     .map_err(|e| at(&e))?;
                 tiles.push((w, (bi, bj), tile));
@@ -565,7 +565,7 @@ impl Worker {
                 for bj in 0..col_blocks {
                     let shape = (grid.block_rows_of(bi), grid.block_cols_of(bj));
                     let partial = stage
-                        .partial(&self.pool, shape, (bi, bj), (w, n))
+                        .partial((&self.pool, 1), shape, (bi, bj), (w, n))
                         .map_err(|e| format!("cpmm: partial ({bi},{bj}) on worker {w}: {e}"))?;
                     if let Some(acc) = partial {
                         let b = acc.actual_bytes() as u64;

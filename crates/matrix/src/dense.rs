@@ -157,6 +157,14 @@ impl DenseBlock {
     /// `acc += self · other` — the In-Place building block: no intermediate
     /// allocation, results folded straight into the caller-owned block.
     pub fn matmul_acc(&self, other: &DenseBlock, acc: &mut DenseBlock) -> Result<()> {
+        self.check_acc(other, (acc.rows, acc.cols))?;
+        self.matmul_band(other, &mut acc.data, 0..self.rows, false);
+        Ok(())
+    }
+
+    /// The shape rule of `acc += self · other` for an accumulator of
+    /// `acc` rows × columns.
+    pub(crate) fn check_acc(&self, other: &DenseBlock, acc: (usize, usize)) -> Result<()> {
         if self.cols != other.rows {
             return Err(MatrixError::DimensionMismatch {
                 op: "multiply",
@@ -164,20 +172,37 @@ impl DenseBlock {
                 right: (other.rows, other.cols),
             });
         }
-        if acc.rows != self.rows || acc.cols != other.cols {
+        if acc != (self.rows, other.cols) {
             return Err(MatrixError::DimensionMismatch {
                 op: "multiply-acc",
-                left: (acc.rows, acc.cols),
+                left: acc,
                 right: (self.rows, other.cols),
             });
         }
+        Ok(())
+    }
+
+    /// The one dense i-k-j loop: `band += self[rows, ·] · other`, where
+    /// `band` holds the accumulator's rows `rows` (row-major,
+    /// `other.cols()` wide). With `upper` only the cells with `j ≥ i` are
+    /// computed — the triangle of a symmetric product, which
+    /// [`DenseBlock::mirror_upper`] completes. Shapes are the caller's to
+    /// check ([`DenseBlock::check_acc`]).
+    pub(crate) fn matmul_band(
+        &self,
+        other: &DenseBlock,
+        band: &mut [f64],
+        rows: std::ops::Range<usize>,
+        upper: bool,
+    ) {
         // Cache-blocked i-k-j: the k×j panel of `other` touched by the two
         // inner loops is capped at KC×NC cells (256 KiB of f64, L2-resident)
         // so it is reused across the whole i sweep instead of being
         // re-streamed from memory for every row. Within one (i, j) cell the
         // k loop still visits ascending k — panels ascend and k ascends
         // inside a panel — so the f64 accumulation order (and the result
-        // bit pattern) is identical to the naïve i-k-j loop.
+        // bit pattern) is identical to the naïve i-k-j loop, whichever
+        // rows and columns a call covers.
         const KC: usize = 64;
         const NC: usize = 512;
         let n = other.cols;
@@ -185,15 +210,20 @@ impl DenseBlock {
             let k1 = (k0 + KC).min(self.cols);
             for j0 in (0..n).step_by(NC) {
                 let j1 = (j0 + NC).min(n);
-                for i in 0..self.rows {
+                for i in rows.clone() {
+                    let jf = if upper { j0.max(i) } else { j0 };
+                    if jf >= j1 {
+                        continue;
+                    }
                     let arow = &self.data[i * self.cols + k0..i * self.cols + k1];
-                    let crow = &mut acc.data[i * n + j0..i * n + j1];
+                    let c0 = (i - rows.start) * n;
+                    let crow = &mut band[c0 + jf..c0 + j1];
                     for (dk, &aik) in arow.iter().enumerate() {
                         if aik == 0.0 {
                             continue;
                         }
                         let k = k0 + dk;
-                        let brow = &other.data[k * n + j0..k * n + j1];
+                        let brow = &other.data[k * n + jf..k * n + j1];
                         for (c, &b) in crow.iter_mut().zip(brow.iter()) {
                             *c += aik * b;
                         }
@@ -201,7 +231,30 @@ impl DenseBlock {
                 }
             }
         }
-        Ok(())
+    }
+
+    /// Whether `self · other` is symmetric by construction: `self` finite
+    /// and bit-equal to `other`'s transpose. Stops at the first cell that
+    /// differs.
+    pub(crate) fn is_finite_transpose_of(&self, other: &DenseBlock) -> bool {
+        (self.rows, self.cols) == (other.cols, other.rows)
+            && (0..self.rows).all(|i| {
+                let row = &self.data[i * self.cols..(i + 1) * self.cols];
+                row.iter()
+                    .enumerate()
+                    .all(|(k, v)| v.to_bits() == other.data[k * other.cols + i].to_bits())
+            })
+            && self.data.iter().all(|v| v.is_finite())
+    }
+
+    /// Copy the cells above the diagonal of a square block onto those below.
+    pub(crate) fn mirror_upper(&mut self) {
+        let n = self.cols;
+        for i in 1..self.rows {
+            for j in 0..i {
+                self.data[i * n + j] = self.data[j * n + i];
+            }
+        }
     }
 
     /// Element-wise combine with another block of identical shape.

@@ -24,6 +24,7 @@ pub mod pool;
 pub use buffer_pool::{PoolStats, ResultBufferPool};
 pub use pool::run_tasks;
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::block::Block;
@@ -54,33 +55,112 @@ pub enum AggregationMode {
 /// order) and skipping every term where either tile is all-zero. `at` /
 /// `bt` look the two tiles of a term up; a lookup that comes back empty is
 /// [`MatrixError::MissingTile`] naming `k`. The accumulator is acquired
-/// from `pool`, zeroed, at the first term that contributes, so a fold no
-/// term contributes to acquires nothing and returns `None`. An error after
+/// from `pool`, zeroed, once some term contributes, so a fold no term
+/// contributes to acquires nothing and returns `None`. An error after
 /// that hands the accumulator back to the pool.
+///
+/// When every term is a dense pair the fold runs the one dense loop
+/// ([`DenseBlock::matmul_acc`]'s) itself, with two parameters the data
+/// decides (DESIGN §8l):
+/// - **the triangle** — a square tile whose every left tile is finite and
+///   bit-equal to its right tile's transpose is symmetric, so only its
+///   cells with `j ≥ i` are computed, then mirrored. Same bits: products
+///   commute, and a term one side's zero skip drops adds ±0 on the other,
+///   which changes no bit of an accumulator that starts at +0;
+/// - **row bands** — with `threads > 1` the accumulator's rows are cut
+///   into at most one band per 16 rows and no more bands than threads,
+///   balanced by the work of their rows; each band runs every term in
+///   ascending `k` on a thread of its own.
 pub fn fold_tile<'t>(
     pool: &ResultBufferPool,
     (rows, cols): (usize, usize),
+    threads: usize,
     ks: impl IntoIterator<Item = usize>,
     mut at: impl FnMut(usize) -> Option<&'t Block>,
     mut bt: impl FnMut(usize) -> Option<&'t Block>,
 ) -> Result<Option<DenseBlock>> {
-    let mut acc: Option<DenseBlock> = None;
+    let mut terms = Vec::new();
     for k in ks {
-        let term = match (at(k), bt(k)) {
-            (Some(a), Some(b)) if a.is_all_zero() || b.is_all_zero() => continue,
-            (Some(a), Some(b)) => {
-                a.matmul_acc(b, acc.get_or_insert_with(|| pool.acquire(rows, cols)))
-            }
-            _ => Err(MatrixError::MissingTile { k }),
-        };
-        if let Err(e) = term {
-            if let Some(acc) = acc {
-                pool.release(acc);
-            }
-            return Err(e);
+        match (at(k), bt(k)) {
+            (Some(a), Some(b)) if a.is_all_zero() || b.is_all_zero() => {}
+            (Some(a), Some(b)) => terms.push((a, b)),
+            _ => return Err(MatrixError::MissingTile { k }),
         }
     }
-    Ok(acc)
+    if terms.is_empty() {
+        return Ok(None);
+    }
+    let mut acc = pool.acquire(rows, cols);
+    let dense = (terms.iter())
+        .map(|t| match *t {
+            (Block::Dense(a), Block::Dense(b)) => Some((a, b)),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>();
+    let folded = match dense {
+        None => (terms.iter()).try_for_each(|(a, b)| a.matmul_acc(b, &mut acc)),
+        Some(pairs) => (pairs.iter())
+            .try_for_each(|(a, b)| a.check_acc(b, (rows, cols)))
+            .map(|()| {
+                let upper = rows == cols && pairs.iter().all(|(a, b)| a.is_finite_transpose_of(b));
+                let run = |(span, band): (Range<usize>, &mut [f64])| {
+                    for (a, b) in &pairs {
+                        a.matmul_band(b, band, span.clone(), upper);
+                    }
+                };
+                std::thread::scope(|s| {
+                    let mut bands = row_bands(acc.data_mut(), cols, upper, threads).into_iter();
+                    let first = bands.next();
+                    for band in bands {
+                        s.spawn(|| run(band));
+                    }
+                    if let Some(band) = first {
+                        run(band);
+                    }
+                });
+                if upper {
+                    acc.mirror_upper();
+                }
+            }),
+    };
+    match folded {
+        Ok(()) => Ok(Some(acc)),
+        Err(e) => {
+            pool.release(acc);
+            Err(e)
+        }
+    }
+}
+
+/// Rows per band, on average, below which a fold is not cut further: a
+/// band of a 128-row tile is at least 16 rows × its terms' depth.
+const BAND_FLOOR: usize = 16;
+
+/// The row bands of a `cols`-wide accumulator `data` for `threads`
+/// threads: at most one band per [`BAND_FLOOR`] rows, each about equal
+/// work. A row of the triangle (`upper`) costs its cells on and right of
+/// the diagonal.
+fn row_bands(
+    mut data: &mut [f64],
+    cols: usize,
+    upper: bool,
+    threads: usize,
+) -> Vec<(Range<usize>, &mut [f64])> {
+    let rows = data.len() / cols.max(1);
+    let work = |i: usize| if upper { cols - i } else { cols };
+    let total: usize = (0..rows).map(work).sum();
+    let count = (rows / BAND_FLOOR).clamp(1, threads.max(1));
+    let (mut bands, mut start, mut done) = (Vec::with_capacity(count), 0, 0);
+    for i in 0..rows {
+        done += work(i);
+        let full = bands.len() + 1 < count && done * count >= total * (bands.len() + 1);
+        if full || i + 1 == rows {
+            let (band, rest) = std::mem::take(&mut data).split_at_mut((i + 1 - start) * cols);
+            bands.push((start..i + 1, band));
+            (start, data) = (i + 1, rest);
+        }
+    }
+    bands
 }
 
 /// The result-representation rule of a finished fold: a tile with fewer
@@ -101,11 +181,12 @@ pub fn finish_tile(pool: &ResultBufferPool, acc: DenseBlock) -> Block {
 pub fn matmul_tile<'t>(
     pool: &ResultBufferPool,
     shape: (usize, usize),
+    threads: usize,
     ks: impl IntoIterator<Item = usize>,
     at: impl FnMut(usize) -> Option<&'t Block>,
     bt: impl FnMut(usize) -> Option<&'t Block>,
 ) -> Result<Block> {
-    Ok(match fold_tile(pool, shape, ks, at, bt)? {
+    Ok(match fold_tile(pool, shape, threads, ks, at, bt)? {
         Some(acc) => finish_tile(pool, acc),
         None => Block::zeros(shape.0, shape.1),
     })
@@ -188,16 +269,18 @@ impl LocalExecutor {
     }
 
     /// In-Place multiplication: one task per result block `(bi, bj)`, each
-    /// folding all `k` products into a single pooled accumulator.
+    /// folding all `k` products into a single pooled accumulator on its
+    /// share of the threads ([`fold_tile`]'s row bands).
     fn matmul_in_place(&self, a: &BlockedMatrix, b: &BlockedMatrix) -> Result<BlockedMatrix> {
         let tasks: Vec<(usize, usize)> = (0..a.row_blocks())
             .flat_map(|bi| (0..b.col_blocks()).map(move |bj| (bi, bj)))
             .collect();
+        let share = (self.threads / tasks.len().max(1)).max(1);
         let results = run_tasks(self.threads, tasks, |(bi, bj)| -> Result<Arc<Block>> {
             let shape = (a.block_rows_of(bi), b.block_cols_of(bj));
             let at = |k| Some(&**a.block_at(bi, k));
             let bt = |k| Some(&**b.block_at(k, bj));
-            matmul_tile(&self.pool, shape, 0..a.col_blocks(), at, bt).map(Arc::new)
+            matmul_tile(&self.pool, shape, share, 0..a.col_blocks(), at, bt).map(Arc::new)
         });
         let blocks = results.into_iter().collect::<Result<Vec<_>>>()?;
         BlockedMatrix::from_blocks(a.rows(), b.cols(), a.block_size(), blocks)
@@ -306,6 +389,7 @@ mod tests {
                         let tile = matmul_tile(
                             &pool,
                             (a.block_rows_of(bi), b.block_cols_of(bj)),
+                            1,
                             0..a.col_blocks(),
                             |k| Some(&**a.block_at(bi, k)),
                             |k| Some(&**b.block_at(k, bj)),
@@ -331,12 +415,13 @@ mod tests {
         let misfit = Block::zeros(5, 5);
         let two = Block::Dense(DenseBlock::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap());
         let pool = ResultBufferPool::new(1);
-        let none = fold_tile(&pool, (2, 2), 0..3, |_| Some(&misfit), |_| Some(&two)).unwrap();
+        let none = fold_tile(&pool, (2, 2), 1, 0..3, |_| Some(&misfit), |_| Some(&two)).unwrap();
         assert!(none.is_none(), "no term contributed");
         assert_eq!(pool.stats().outstanding(), 0);
         let tile = matmul_tile(
             &pool,
             (2, 2),
+            1,
             0..2,
             |k| Some(if k == 0 { &misfit } else { &two }),
             |_| Some(&two),
@@ -351,12 +436,12 @@ mod tests {
         let zero = Block::zeros(2, 2);
         let two = Block::Dense(DenseBlock::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap());
         let pool = ResultBufferPool::new(1);
-        matmul_tile(&pool, (2, 2), 0..1, |_| Some(&two), |_| Some(&two)).unwrap();
+        matmul_tile(&pool, (2, 2), 1, 0..1, |_| Some(&two), |_| Some(&two)).unwrap();
         let before = pool.stats();
         // Every term has a zero tile: on the right (k = 1), on the left
         // (k = 2), or both (k = 0).
         let (a, b) = ([&zero, &two, &zero], [&zero, &zero, &two]);
-        let none = fold_tile(&pool, (2, 2), 0..3, |k| Some(a[k]), |k| Some(b[k])).unwrap();
+        let none = fold_tile(&pool, (2, 2), 1, 0..3, |k| Some(a[k]), |k| Some(b[k])).unwrap();
         assert!(none.is_none(), "no term contributed");
         assert_eq!(pool.stats().acquires(), before.acquires());
         assert_eq!(pool.stats(), before, "nothing acquired, nothing released");
@@ -369,6 +454,7 @@ mod tests {
         let err = matmul_tile(
             &pool,
             (1, 1),
+            1,
             0..4,
             |k| (k != 2).then_some(&t),
             |_| Some(&t),
@@ -377,7 +463,7 @@ mod tests {
         assert_eq!(pool.stats().outstanding(), 0, "{:?}", pool.stats());
         // A kernel error mid-fold hands the accumulator back too.
         let wide = Block::dense_zeros(1, 3).add_scalar(1.0);
-        assert!(fold_tile(&pool, (1, 1), 0..1, |_| Some(&t), |_| Some(&wide)).is_err());
+        assert!(fold_tile(&pool, (1, 1), 1, 0..1, |_| Some(&t), |_| Some(&wide)).is_err());
         assert_eq!(pool.stats().outstanding(), 0, "{:?}", pool.stats());
     }
 

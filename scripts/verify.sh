@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> said once (one tile fold, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch, one fused step, one crash seam, one disk frame, one serve spelling)"
+echo "==> said once (one tile fold, one dense loop, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch, one fused step, one crash seam, one disk frame, one serve spelling)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -37,6 +37,31 @@ if find crates/cluster/src -name '*.rs' ! -name kernels.rs -exec awk \
      /(^|[^.[:alnum:]_])(fold_tile|matmul_tile)\(/ && !/fn (fold_tile|matmul_tile)\(/ {
          print FILENAME ":" FNR ": " $0 }' {} + |
     grep .; then exit 1; fi
+# One dense loop: a symmetric product's triangle and a lone tile's row
+# bands are parameters of dense.rs' one i-k-j loop (`matmul_band`, whose
+# multiply-add is written once) and of exec::fold_tile, which alone
+# decides them: no second fold function, no second copy of the loop.
+# Every call of the loop, the triangle's check and mirror and the band
+# cutter, by file and calling fn, code up to a file's first #[cfg(test)].
+got=$(find crates src -name '*.rs' -exec awk '
+    /#\[cfg\(test\)\]/ { nextfile }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {
+        match($0, /fn [a-z_0-9]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
+    /\+= aik \*/ { print FILENAME " " f " +=" }
+    {   line = $0
+        while (match(line, /(matmul_band|mirror_upper|is_finite_transpose_of|row_bands)\(/)) {
+            g = substr(line, RSTART, RLENGTH - 1); line = substr(line, RSTART + RLENGTH)
+            if (g != f) print FILENAME " " f " " g } }' {} + | sort)
+want='crates/matrix/src/dense.rs matmul_acc matmul_band
+crates/matrix/src/dense.rs matmul_band +=
+crates/matrix/src/exec/mod.rs fold_tile is_finite_transpose_of
+crates/matrix/src/exec/mod.rs fold_tile matmul_band
+crates/matrix/src/exec/mod.rs fold_tile mirror_upper
+crates/matrix/src/exec/mod.rs fold_tile row_bands'
+if [ "$got" != "$want" ]; then
+    printf 'one dense loop: reached from\n%s\nwant\n%s\n' "$got" "$want"
+    exit 1
+fi
 # Bytes from outside (wire frames, disk payloads) become blocks in
 # transport/binfmt.rs only: a second decoder is a second set of bounds
 # checks. Code up to a file's first #[cfg(test)]; tests build fixtures.

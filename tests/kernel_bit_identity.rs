@@ -10,9 +10,10 @@
 //! comes out with the same bits; this is what lets the simulator, the
 //! worker daemon and the local executor be compared bit for bit.
 
-use dmac::apps::{Gnmf, PageRank};
+use dmac::apps::{CollaborativeFiltering, Gnmf, PageRank};
 use dmac::core::Session;
 use dmac::lang::Program;
+use dmac::matrix::exec::{fold_tile, ResultBufferPool};
 use dmac::matrix::{Block, BlockedMatrix, CscBlock, DenseBlock, SplitMix64};
 
 /// How a sparse operand is filled.
@@ -284,6 +285,99 @@ fn block_sized_dense_times_csc_accumulates_bit_identically() {
     check(&a, &b2, &acc, "second product into the first");
 }
 
+/// `terms` folded through [`fold_tile`] on 1, 2 and 3 threads against the
+/// oracle applied term by term, skipping the all-zero terms the fold
+/// skips. The triangle and the row bands must both be invisible.
+fn check_fold(terms: &[(Block, Block)], what: &str) {
+    let (m, n) = (terms[0].0.rows(), terms[0].1.cols());
+    let mut want = vec![0.0; m * n];
+    for (a, b) in terms {
+        if !(a.is_all_zero() || b.is_all_zero()) {
+            want = oracle(a, b, &DenseBlock::from_vec(m, n, want).unwrap());
+        }
+    }
+    let pool = ResultBufferPool::new(2);
+    for threads in 1..=3 {
+        let got = fold_tile(
+            &pool,
+            (m, n),
+            threads,
+            0..terms.len(),
+            |k| Some(&terms[k].0),
+            |k| Some(&terms[k].1),
+        )
+        .unwrap()
+        .map_or_else(|| vec![0.0; m * n], |acc| acc.data().to_vec());
+        for (cell, (&got, &want)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                same_bits(got, want),
+                "{what}, {threads} threads: cell ({}, {}) is {got:e}, oracle {want:e}",
+                cell / n.max(1),
+                cell % n.max(1),
+            );
+        }
+    }
+}
+
+/// A term `(a, aᵀ)` of a Gram product, `a` a dense `m × k` block.
+fn gram_term(rng: &mut SplitMix64, m: usize, k: usize, special: bool) -> (Block, Block) {
+    let a = dense(rng, m, k, special);
+    let t = a.transpose();
+    (Block::Dense(a), Block::Dense(t))
+}
+
+/// A dense `m × m` block equal to its own transpose.
+fn symmetric(rng: &mut SplitMix64, m: usize, special: bool) -> DenseBlock {
+    let d = dense(rng, m, m, special);
+    DenseBlock::from_fn(m, m, |i, j| d.at(i.min(j), i.max(j)))
+}
+
+/// Products of a matrix with its own transpose: two terms `(a, aᵀ)` over
+/// every row count and inner extent, and a symmetric square block times
+/// itself — the triangle with and without row bands. With `special`
+/// values in the tiles (`0 · ∞` is NaN on one side of the diagonal and a
+/// skipped term on the other) the fold must not mirror.
+#[test]
+fn gram_folds_match_the_naive_loop_on_every_thread_count() {
+    let mut rng = SplitMix64::new(0x6A5A_7219);
+    for special in [false, true] {
+        for &m in &ROWS {
+            for &k in &EXTENTS {
+                let terms: Vec<_> = (0..2).map(|_| gram_term(&mut rng, m, k, special)).collect();
+                let what = format!("{m}x{k} · its transpose, special={special}");
+                check_fold(&terms, &what);
+            }
+            let s = Block::Dense(symmetric(&mut rng, m, special));
+            let what = format!("symmetric {m}x{m} squared, special={special}");
+            check_fold(&[(s.clone(), s)], &what);
+        }
+    }
+}
+
+/// Pairs one cell away from a transpose — the first, a middle or the last
+/// cell of either tile of one term — are not symmetric products and must
+/// not be mirrored.
+#[test]
+fn near_transpose_pairs_are_not_mirrored() {
+    let mut rng = SplitMix64::new(0x0EA2_3155);
+    for &m in &[2, 17, 33, 128] {
+        for &k in &[1, 13, 64] {
+            for side in 0..2 {
+                for at in [0, m * k / 2, m * k - 1] {
+                    let mut terms: Vec<_> =
+                        (0..3).map(|_| gram_term(&mut rng, m, k, false)).collect();
+                    let (Block::Dense(a), Block::Dense(t)) = &mut terms[1] else {
+                        unreachable!("a Gram term is dense")
+                    };
+                    [a, t][side].data_mut()[at] += 0.5;
+                    let what = format!("{m}x{k}, tile {side} of term 1 off at cell {at}");
+                    check_fold(&terms, &what);
+                }
+            }
+        }
+    }
+}
+
 fn fold_bits(h: u64, m: &BlockedMatrix) -> u64 {
     m.to_dense().data().iter().fold(h, |h, v| {
         (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01B3)
@@ -348,6 +442,64 @@ fn gnmf_and_pagerank_outputs_keep_their_bits() {
     let (_, handles) = cfg.run(&mut s, &g).unwrap();
     let h = fold_bits(0xCBF2_9CE4_8422_2325, &s.value(handles.rank).unwrap());
     assert_eq!(h, PAGERANK_BITS, "PageRank rank bits moved: {h:#x}");
+}
+
+/// Row bands end to end: the same program on the same workers gives the
+/// same bits on 1, 2 and 3 local threads. GNMF at rank 64, block 64 folds
+/// `Wᵀ·W` and `H·Hᵀ` into one 64 × 64 tile each, above the band floor, so
+/// 2 and 3 threads cut it; CF's `R·Rᵀ` is one tile too, a dense Gram
+/// over a dense `R` and CSC × CSC (no bands, no triangle) at 10 %.
+#[test]
+fn row_bands_keep_the_bits_of_one_thread() {
+    let gnmf = Gnmf {
+        rows: 192,
+        cols: 128,
+        sparsity: 0.1,
+        rank: 64,
+        iterations: 2,
+    };
+    let v = dmac::data::uniform_sparse(gnmf.rows, gnmf.cols, gnmf.sparsity, 64, 5);
+    let cf = |sparsity| CollaborativeFiltering {
+        items: 64,
+        users: 160,
+        sparsity,
+    };
+    for workers in [1, 2, 4] {
+        let digests: Vec<[u64; 3]> = (1..=3)
+            .map(|threads| {
+                let session = || {
+                    Session::builder()
+                        .workers(workers)
+                        .local_threads(threads)
+                        .block_size(64)
+                        .seed(11)
+                        .build()
+                };
+                let mut s = session();
+                let (_, h) = gnmf.run(&mut s, v.clone()).unwrap();
+                let bits = fold_bits(0, &s.value(h.w).unwrap());
+                let gnmf_bits = fold_bits(bits, &s.value(h.h).unwrap());
+                let [dense_cf, sparse_cf] = [1.0, 0.1].map(|sparsity| {
+                    let cfg = cf(sparsity);
+                    let r = if sparsity == 1.0 {
+                        dmac::data::dense_random(cfg.items, cfg.users, 64, 7)
+                    } else {
+                        dmac::data::uniform_sparse(cfg.items, cfg.users, sparsity, 64, 7)
+                    };
+                    let dense_tiles = r.iter_blocks().all(|(_, _, b)| !b.is_sparse());
+                    assert_eq!(dense_tiles, sparsity == 1.0, "R's tiles at {sparsity}");
+                    let mut s = session();
+                    let (_, h) = cfg.run(&mut s, r).unwrap();
+                    fold_bits(0, &s.value(h.predict).unwrap())
+                });
+                [gnmf_bits, dense_cf, sparse_cf]
+            })
+            .collect();
+        assert!(
+            digests.iter().all(|d| *d == digests[0]),
+            "{workers} workers: GNMF / dense CF / sparse CF digests by thread count {digests:x?}"
+        );
+    }
 }
 
 const GNMF_PLAN: &str =
