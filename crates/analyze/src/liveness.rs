@@ -37,7 +37,7 @@
 //! output nodes, so the re-derived live set at that step is its leaves,
 //! the products' operands and its output.
 
-use dmac_core::plan::{MemoryCertificate, Plan, PlanStep};
+use dmac_core::plan::{MemoryCertificate, Operand, Plan, PlanStep};
 use dmac_core::planner::{Planned, PlannerConfig};
 use dmac_core::trace::Trace;
 use dmac_lang::{BinOp, MatrixOrigin, OpKind, Program, UnaryOp};
@@ -58,14 +58,15 @@ fn sparse_class(program: &Program, plan: &Plan) -> Vec<bool> {
         sparse[out] = match step {
             PlanStep::Partition { src, .. }
             | PlanStep::Broadcast { src, .. }
-            | PlanStep::Transpose { src, .. }
             | PlanStep::Extract { src, .. } => sparse[*src],
             PlanStep::Compute { op, inputs, .. } => match &program.ops()[*op].kind {
                 OpKind::Binary { op: b, .. } => {
                     matches!(b, BinOp::Add | BinOp::Sub | BinOp::CellMul)
-                        && inputs.iter().all(|&n| sparse[n])
+                        && inputs.iter().all(|o| sparse[o.node])
                 }
-                OpKind::Unary { op: u, .. } => matches!(u, UnaryOp::Scale(_)) && sparse[inputs[0]],
+                OpKind::Unary { op: u, .. } => {
+                    matches!(u, UnaryOp::Scale(_)) && sparse[inputs[0].node]
+                }
                 OpKind::Reduce { .. } => false,
             },
             PlanStep::Fused { .. } => false,
@@ -92,11 +93,9 @@ fn rederive_price(
     let Ok(decl) = program.decl(n.matrix) else {
         return 0;
     };
-    let (r, c) = if n.transposed {
-        (decl.stats.cols, decl.stats.rows)
-    } else {
-        (decl.stats.rows, decl.stats.cols)
-    };
+    // A node holds its matrix as itself; a view's transpose is scratch of
+    // the primitive reading it, not a node, and prices nothing here.
+    let (r, c) = (decl.stats.rows, decl.stats.cols);
     let cells = r as u64 * c as u64;
     if !sparse[node] {
         return 8 * cells;
@@ -113,7 +112,7 @@ fn rederive_price(
 }
 
 /// Nodes the engine retains to the end of the run: program outputs plus,
-/// per bound (`load`-origin) source, the first untransposed Row/Column
+/// per bound (`load`-origin) source, the first Row/Column
 /// materialisation of that matrix (the session's cached placement).
 fn rederive_keep(program: &Program, plan: &Plan) -> Vec<bool> {
     let mut keep = vec![false; plan.nodes.len()];
@@ -133,7 +132,7 @@ fn rederive_keep(program: &Program, plan: &Plan) -> Vec<bool> {
         if let Some(n) = plan
             .nodes
             .iter()
-            .position(|n| n.matrix == mid && !n.transposed && n.scheme.is_rc())
+            .position(|n| n.matrix == mid && n.scheme.is_rc())
         {
             keep[n] = true;
         }
@@ -142,26 +141,27 @@ fn rederive_keep(program: &Program, plan: &Plan) -> Vec<bool> {
 }
 
 /// Does `step` read node `n` tile-wise — is every output tile made from
-/// `n`'s tile at its own coordinate? A move does; so does a computed
-/// cell-wise or unary operator, and a fused chain its plain leaves; a
-/// multiplication and a reduction do not, nor does a fused step read a
-/// product's operand so, even where it also reads it as a leaf.
+/// `n`'s tile at its own coordinate, or through a view at the transposed
+/// one? A move does; so does a computed cell-wise or unary operator, and
+/// a fused chain its plain leaves; a multiplication and a reduction do
+/// not, nor does a fused step read a product's operand so, even where it
+/// also reads it as a leaf.
 fn reads_tile_wise(program: &Program, step: &PlanStep, n: usize) -> bool {
+    let reads = |inputs: &[Operand]| inputs.iter().any(|o| o.node == n);
     match step {
         PlanStep::Partition { src, .. }
         | PlanStep::Broadcast { src, .. }
-        | PlanStep::Transpose { src, .. }
         | PlanStep::Extract { src, .. } => *src == n,
         PlanStep::Fused {
             inputs, products, ..
-        } => inputs.contains(&n) && products.iter().all(|p| !p.inputs.contains(&n)),
+        } => reads(inputs) && products.iter().all(|p| !reads(&p.inputs)),
         PlanStep::Compute { op, inputs, .. } => {
             let cellwise = match program.ops().get(*op).map(|o| &o.kind) {
                 Some(OpKind::Binary { op: b, .. }) => *b != BinOp::MatMul,
                 Some(OpKind::Unary { .. }) => true,
                 _ => false,
             };
-            cellwise && inputs.contains(&n)
+            cellwise && reads(inputs)
         }
     }
 }

@@ -9,13 +9,15 @@
 //!   **exact** per-step and total agreement with the planner's
 //!   predictions and `estimated_comm`;
 //! * **scheme compatibility** of every compute step's inputs against the
-//!   candidate table ([`dmac_core::strategy::candidates`]);
+//!   candidate table ([`dmac_core::strategy::candidates`]), each operand
+//!   as it reads: a view's bit must be the handedness the operator reads
+//!   (Table 2's Transpose dependency), its scheme the node's flipped;
 //! * structural legality of every extended operator (partition targets
-//!   Row/Col, extract reads a broadcast copy, transpose flips handedness
-//!   and scheme, pulled-up broadcast+extract pairs are well-formed);
+//!   Row/Col, extract reads a broadcast copy, both relate one matrix,
+//!   pulled-up broadcast+extract pairs are well-formed);
 //! * plan well-formedness: nodes defined before use and at most once, no
 //!   leftover flexible nodes, every program operator planned exactly
-//!   once, outputs bound with the right handedness;
+//!   once, outputs bound to their matrix;
 //! * fused steps (V10): scheme-aligned leaves, a well-formed program over
 //!   cell-wise members, and product leaves that are local — RMM1 / RMM2
 //!   in the chain's scheme, never CPMM — and read once, by that program;
@@ -36,7 +38,7 @@
 use std::collections::HashMap;
 
 use dmac_cluster::PartitionScheme;
-use dmac_core::plan::{FusedOp, Plan, PlanStep, Product};
+use dmac_core::plan::{FusedOp, Operand, Plan, PlanStep, Product};
 use dmac_core::planner::{Planned, PlannerConfig};
 use dmac_core::stage;
 use dmac_core::strategy::{candidates, OutScheme, Strategy};
@@ -56,37 +58,14 @@ pub struct VerifySummary {
     pub stages: usize,
 }
 
-/// The Table-2 dependency type of a non-compute plan step, re-derived
-/// from the step's endpoint nodes alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DepType {
-    Transpose,
-    Extract,
-    Partition,
-    TransposePartition,
-    Broadcast,
-    TransposeBroadcast,
-}
-
-impl DepType {
-    fn name(self) -> &'static str {
-        match self {
-            DepType::Transpose => "Transpose",
-            DepType::Extract => "Extract",
-            DepType::Partition => "Partition",
-            DepType::TransposePartition => "TransposePartition",
-            DepType::Broadcast => "Broadcast",
-            DepType::TransposeBroadcast => "TransposeBroadcast",
-        }
-    }
-
-    /// §4.1: the event bytes this dependency type costs.
-    fn bytes(self, size: u64, workers: u64) -> u64 {
-        match self {
-            DepType::Transpose | DepType::Extract => 0,
-            DepType::Partition | DepType::TransposePartition => size,
-            DepType::Broadcast | DepType::TransposeBroadcast => workers * size,
-        }
+/// The scheme an operand reads in: its node's, or — through a view — the
+/// transpose's, Row and Column swapped.
+fn read_scheme(plan: &Plan, o: Operand) -> PartitionScheme {
+    let scheme = plan.nodes[o.node].scheme;
+    if o.transposed {
+        scheme.flip()
+    } else {
+        scheme
     }
 }
 
@@ -465,8 +444,7 @@ impl<'a> Verifier<'a> {
     }
 
     /// V03: no flexible nodes survive finalisation; every node's matrix
-    /// exists; Hash never appears transposed (sources are untransposed and
-    /// nothing transposes *into* Hash placement).
+    /// exists.
     fn check_nodes(&self) -> Result<(), String> {
         for (i, n) in self.plan.nodes.iter().enumerate() {
             if n.flexible {
@@ -496,9 +474,6 @@ impl<'a> Verifier<'a> {
                      holds matrix {}",
                     node.matrix
                 ));
-            }
-            if node.transposed {
-                return Err(format!("V04: source node {n} is transposed"));
             }
             defined[n] = true;
         }
@@ -556,11 +531,7 @@ impl<'a> Verifier<'a> {
             let expect = match step {
                 PlanStep::Partition { src, out, .. }
                 | PlanStep::Broadcast { src, out, .. }
-                | PlanStep::Transpose { src, out, .. }
-                | PlanStep::Extract { src, out, .. } => {
-                    let dep = self.classify_extended(i, step, *src, *out)?;
-                    dep.bytes(self.size(self.plan.nodes[*src].matrix)?, self.workers)
-                }
+                | PlanStep::Extract { src, out, .. } => self.extended_bytes(i, step, *src, *out)?,
                 PlanStep::Compute {
                     op,
                     strategy,
@@ -590,16 +561,16 @@ impl<'a> Verifier<'a> {
         Ok(total)
     }
 
-    /// Classify an extended-operator step into its Table-2 dependency type
-    /// from its endpoint nodes, and check the step kind actually matches
-    /// that classification.
-    fn classify_extended(
+    /// The §4.1 event bytes of an extended-operator step, from its endpoint
+    /// nodes (an extract 0, a partition `|A|`, a broadcast `N·|A|`; a
+    /// transposed read moves its source), its structure checked.
+    fn extended_bytes(
         &self,
         i: usize,
         step: &PlanStep,
         src: usize,
         out: usize,
-    ) -> Result<DepType, String> {
+    ) -> Result<u64, String> {
         let s = &self.plan.nodes[src];
         let o = &self.plan.nodes[out];
         if s.matrix != o.matrix {
@@ -608,29 +579,18 @@ impl<'a> Verifier<'a> {
                 s.matrix, o.matrix
             ));
         }
-        let flipped = s.transposed != o.transposed;
-        let dep = match step {
-            PlanStep::Transpose { .. } => {
-                if !flipped || o.scheme != s.scheme.flip() {
-                    return Err(format!(
-                        "V06: step {i} transpose must flip handedness and scheme \
-                         ({} -> {})",
-                        self.plan.node_label(self.program, src),
-                        self.plan.node_label(self.program, out)
-                    ));
-                }
-                DepType::Transpose
-            }
+        let size = self.size(s.matrix)?;
+        let bytes = match step {
             PlanStep::Extract { .. } => {
-                if s.scheme != PartitionScheme::Broadcast || !o.scheme.is_rc() || flipped {
+                if s.scheme != PartitionScheme::Broadcast || !o.scheme.is_rc() {
                     return Err(format!(
-                        "V06: step {i} extract must filter a broadcast copy of the same \
-                         handedness down to Row/Col ({} -> {})",
+                        "V06: step {i} extract must filter a broadcast copy down to \
+                         Row/Col ({} -> {})",
                         self.plan.node_label(self.program, src),
                         self.plan.node_label(self.program, out)
                     ));
                 }
-                DepType::Extract
+                0
             }
             PlanStep::Partition { .. } => {
                 if !o.scheme.is_rc() {
@@ -639,11 +599,7 @@ impl<'a> Verifier<'a> {
                         o.scheme
                     ));
                 }
-                if flipped {
-                    DepType::TransposePartition
-                } else {
-                    DepType::Partition
-                }
+                size
             }
             PlanStep::Broadcast { .. } => {
                 if o.scheme != PartitionScheme::Broadcast {
@@ -652,27 +608,11 @@ impl<'a> Verifier<'a> {
                         o.scheme
                     ));
                 }
-                if flipped {
-                    DepType::TransposeBroadcast
-                } else {
-                    DepType::Broadcast
-                }
+                self.workers * size
             }
-            _ => unreachable!("classify_extended is only called on extended operators"),
+            _ => unreachable!("extended_bytes is only called on extended operators"),
         };
-        // The planner always reconciles handedness locally before paying a
-        // communication step, so the transpose-flavoured paid types must
-        // never be emitted.
-        if matches!(
-            dep,
-            DepType::TransposePartition | DepType::TransposeBroadcast
-        ) {
-            return Err(format!(
-                "V06: step {i} is a {} — the planner must transpose locally first",
-                dep.name()
-            ));
-        }
-        Ok(dep)
+        Ok(bytes)
     }
 
     /// Check a compute step against the candidate table; returns its
@@ -683,7 +623,7 @@ impl<'a> Verifier<'a> {
         i: usize,
         op_idx: usize,
         strategy: Strategy,
-        inputs: &[usize],
+        inputs: &[Operand],
         out: Option<usize>,
         out_scalar: Option<dmac_lang::ScalarId>,
     ) -> Result<u64, String> {
@@ -704,8 +644,10 @@ impl<'a> Verifier<'a> {
                 )
             })?;
 
-        // V08: input events — arity, operand identity, handedness, and
-        // scheme compatibility with the strategy's requirements.
+        // V08: input events — arity, operand identity, handedness (a view
+        // reads the transpose: its bit is the handedness the operator
+        // reads), and scheme compatibility, as the operand reads, with the
+        // strategy's requirements.
         let refs = op.kind.inputs();
         if refs.len() != inputs.len() || cand.inputs.len() != inputs.len() {
             return Err(format!(
@@ -714,26 +656,31 @@ impl<'a> Verifier<'a> {
                 refs.len()
             ));
         }
-        for (k, (r, (&n, req))) in refs.iter().zip(inputs.iter().zip(&cand.inputs)).enumerate() {
-            let node = &self.plan.nodes[n];
+        for (k, (r, (&o, req))) in refs.iter().zip(inputs.iter().zip(&cand.inputs)).enumerate() {
+            let node =
+                self.plan.nodes.get(o.node).ok_or_else(|| {
+                    format!("V04: step {i} input {k} reads missing node {}", o.node)
+                })?;
             if node.matrix != r.id {
                 return Err(format!(
                     "V08: step {i} input {k} holds matrix {} but the operator reads {}",
                     node.matrix, r.id
                 ));
             }
-            if node.transposed != r.transposed {
+            if o.transposed != r.transposed {
                 return Err(format!(
-                    "V08: step {i} input {k} ({}) has the wrong handedness",
-                    self.plan.node_label(self.program, n)
+                    "V08: step {i} input {k} ({}) has the wrong handedness: the operator \
+                     reads it {}transposed",
+                    self.plan.operand_label(self.program, o),
+                    if r.transposed { "" } else { "un" }
                 ));
             }
             if let Some(req) = req {
-                if node.scheme != *req {
+                if read_scheme(self.plan, o) != *req {
                     return Err(format!(
                         "V08: step {i} input {k} ({}) does not satisfy the {} \
                          requirement of {}",
-                        self.plan.node_label(self.program, n),
+                        self.plan.operand_label(self.program, o),
                         req,
                         strategy.name()
                     ));
@@ -763,9 +710,9 @@ impl<'a> Verifier<'a> {
                 let m = op.out_matrix.ok_or_else(|| {
                     format!("V09: step {i} defines a node for a matrix-less operator")
                 })?;
-                if node.matrix != m || node.transposed {
+                if node.matrix != m {
                     return Err(format!(
-                        "V09: step {i} output node ({}) must hold matrix {m} untransposed",
+                        "V09: step {i} output node ({}) must hold matrix {m}",
                         self.plan.node_label(self.program, n)
                     ));
                 }
@@ -788,7 +735,7 @@ impl<'a> Verifier<'a> {
                             node.scheme == PartitionScheme::Hash
                         }
                     }
-                    OutScheme::SameAsInput => node.scheme == self.plan.nodes[inputs[0]].scheme,
+                    OutScheme::SameAsInput => node.scheme == read_scheme(self.plan, inputs[0]),
                     OutScheme::Scalar => unreachable!("handled above"),
                 };
                 if !ok {
@@ -827,18 +774,18 @@ impl<'a> Verifier<'a> {
         i: usize,
         ops: &[usize],
         prog: &[FusedOp<ScalarExpr>],
-        (inputs, products): (&[usize], &[Product]),
+        (inputs, products): (&[Operand], &[Product]),
         out: usize,
     ) -> Result<u64, String> {
         if ops.len() < 2 {
             return Err(format!("V10: step {i} fuses fewer than two operators"));
         }
         let out_scheme = self.plan.nodes[out].scheme;
-        for &n in inputs {
-            if self.plan.nodes[n].scheme != out_scheme {
+        for &o in inputs {
+            if read_scheme(self.plan, o) != out_scheme {
                 return Err(format!(
                     "V10: step {i} fused leaf ({}) is not aligned with its output ({})",
-                    self.plan.node_label(self.program, n),
+                    self.plan.operand_label(self.program, o),
                     self.plan.node_label(self.program, out)
                 ));
             }
@@ -986,13 +933,12 @@ impl<'a> Verifier<'a> {
     }
 
     /// V12: every program output is bound to a node holding that matrix
-    /// with the requested handedness.
+    /// (one the program reads transposed is transposed at the boundary).
     fn check_outputs(&self) -> Result<(), String> {
         for (r, name) in self.program.outputs() {
             let found = self.plan.outputs.iter().any(|(n, m, bound_name)| {
-                self.plan.nodes.get(*n).is_some_and(|node| {
-                    *m == r.id && node.matrix == r.id && node.transposed == r.transposed
-                }) && bound_name == name
+                (self.plan.nodes.get(*n)).is_some_and(|node| *m == r.id && node.matrix == r.id)
+                    && bound_name == name
             });
             if !found {
                 return Err(format!(
@@ -1201,9 +1147,9 @@ mod tests {
         // A later step reads the product's output, which no step defines.
         let folded = products_at(&mut planned, at)[0].out;
         let node = planned.plan.nodes[folded].clone();
-        let out = (planned.plan).add_node(node.matrix, !node.transposed, node.scheme.flip(), false);
+        let out = (planned.plan).add_node(node.matrix, PartitionScheme::Broadcast, false);
         let phase = planned.plan.steps[at].phase();
-        let reader = PlanStep::Transpose {
+        let reader = PlanStep::Broadcast {
             src: folded,
             out,
             phase,
@@ -1245,8 +1191,12 @@ mod tests {
         else {
             unreachable!("a fused step");
         };
-        let w = *(inputs.iter())
-            .find(|n| products.iter().any(|q| q.inputs.contains(n)))
+        let w = (inputs.iter().map(|o| o.node))
+            .find(|&n| {
+                products
+                    .iter()
+                    .any(|q| q.inputs.iter().any(|o| o.node == n))
+            })
             .expect("a leaf that is also an operand");
         let releases = &mut planned.plan.releases[at];
         assert!(releases.frees.contains(&w));
@@ -1254,6 +1204,90 @@ mod tests {
         releases.consumes.push(w);
         let err = crate::liveness::check_liveness(&p, &planned, &cfg).unwrap_err();
         assert!(err.contains("V19") && err.contains("tile-wise"), "{err}");
+    }
+
+    /// GNMF's H-update, planned, with the first step that reads a view
+    /// and that view's operand index.
+    fn viewing() -> (Program, Planned, PlannerConfig, usize, usize) {
+        let p = gnmf_h();
+        let cfg = PlannerConfig::default();
+        let planned = plan_program(&p, &cfg, 4, &Map::new()).unwrap();
+        verify_planned(&p, &planned, &cfg, 4).unwrap();
+        let (at, k) = (planned.plan.steps.iter().enumerate())
+            .find_map(|(i, s)| match s {
+                PlanStep::Compute { inputs, .. } => {
+                    inputs.iter().position(|o| o.transposed).map(|k| (i, k))
+                }
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no view read\n{}", planned.plan.explain(&p)));
+        (p, planned, cfg, at, k)
+    }
+
+    fn view_at(planned: &mut Planned, at: usize, k: usize) -> &mut Operand {
+        match &mut planned.plan.steps[at] {
+            PlanStep::Compute { inputs, .. } => &mut inputs[k],
+            _ => unreachable!("a compute step"),
+        }
+    }
+
+    #[test]
+    fn a_view_of_another_matrix_is_caught() {
+        let (p, mut planned, cfg, at, k) = viewing();
+        let node = view_at(&mut planned, at, k).node;
+        let held = planned.plan.nodes[node].matrix;
+        let other = (planned.plan.sources.iter())
+            .find(|&&(_, m)| m != held)
+            .map(|&(n, _)| n)
+            .expect("another source");
+        view_at(&mut planned, at, k).node = other;
+        let err = verify_planned(&p, &planned, &cfg, 4).unwrap_err();
+        assert!(err.contains("V08") && err.contains("holds matrix"), "{err}");
+    }
+
+    #[test]
+    fn a_view_bit_table_2_does_not_justify_is_caught() {
+        // Dropped: the operator reads the transpose, the operand not.
+        let (p, mut planned, cfg, at, k) = viewing();
+        view_at(&mut planned, at, k).transposed = false;
+        let err = verify_planned(&p, &planned, &cfg, 4).unwrap_err();
+        assert!(err.contains("V08") && err.contains("handedness"), "{err}");
+        // Kept, over a copy of the matrix whose transpose is not in the
+        // scheme the consumer's strategy requires.
+        let (p, mut planned, cfg, at, k) = viewing();
+        let node = view_at(&mut planned, at, k).node;
+        let (matrix, held) = (
+            planned.plan.nodes[node].matrix,
+            planned.plan.nodes[node].scheme,
+        );
+        let scheme = match held {
+            PartitionScheme::Broadcast => PartitionScheme::Row,
+            rc => rc.flip(),
+        };
+        let copy = planned.plan.add_node(matrix, scheme, false);
+        planned.plan.sources.push((copy, matrix));
+        view_at(&mut planned, at, k).node = copy;
+        let err = verify_planned(&p, &planned, &cfg, 4).unwrap_err();
+        assert!(err.contains("V08") && err.contains("requirement"), "{err}");
+    }
+
+    #[test]
+    fn a_view_read_after_its_source_is_freed_is_caught() {
+        let (p, mut planned, cfg, at, k) = viewing();
+        let node = view_at(&mut planned, at, k).node;
+        assert!(at > 0, "{}", planned.plan.explain(&p));
+        for releases in &mut planned.plan.releases {
+            releases.consumes.retain(|&n| n != node);
+            releases.frees.retain(|&n| n != node);
+        }
+        planned.plan.releases[at - 1].frees.push(node);
+        let err = crate::liveness::check_liveness(&p, &planned, &cfg).unwrap_err();
+        assert!(
+            err.contains("V18") && err.contains("after its release"),
+            "{err}"
+        );
+        let err = verify_planned(&p, &planned, &cfg, 4).unwrap_err();
+        assert!(err.contains("V18"), "{err}");
     }
 
     #[test]
@@ -1294,7 +1328,7 @@ mod tests {
             .steps
             .iter()
             .find_map(|s| match s {
-                PlanStep::Compute { inputs, .. } => inputs.first().copied(),
+                PlanStep::Compute { inputs, .. } => inputs.first().map(|o| o.node),
                 _ => None,
             })
             .expect("plan has computes");

@@ -281,12 +281,14 @@ mod tests {
         assert_eq!(trace.workers, 4);
         let kinds: std::collections::HashSet<&str> =
             trace.steps.iter().map(|s| s.kind.as_str()).collect();
-        for expected in ["partition", "broadcast", "transpose", "CPMM"] {
+        for expected in ["partition", "broadcast", "CPMM"] {
             assert!(
                 kinds.contains(expected),
                 "trace missing {expected}: {kinds:?}"
             );
         }
+        // `W.t` and `H.t` are views an operand reads through, not steps.
+        assert!(!kinds.contains("transpose"), "{kinds:?}");
         // Dense intermediates (the factors and their products) conform
         // exactly; only the sparse V load may deviate from worst case,
         // and CPMM sits at or below its N·|AB| bound (here the shared

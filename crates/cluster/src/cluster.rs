@@ -37,6 +37,7 @@
 // Worker loops index several parallel per-worker structures by id; an
 // iterator would obscure the symmetry.
 #![allow(clippy::needless_range_loop)]
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,15 +46,13 @@ use dmac_matrix::exec::{combine_partials, run_tasks, PoolStats, ResultBufferPool
 use dmac_matrix::{random_cell, Block, BlockedMatrix, DenseBlock, FusedOp, MatrixError};
 
 use crate::comm::{CommKind, CommStats, NetworkModel, SimClock};
-use crate::dist::{fresh_rid, DistMatrix, GridMeta};
+use crate::dist::{fresh_rid, DistMatrix, GridMeta, View};
 use crate::error::{ClusterError, Result};
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan};
 use crate::kernels::{self, MulStage};
 use crate::partition::PartitionScheme;
 use crate::trace::{OpSpan, TraceBuffer};
-use crate::transport::{
-    MoveItem, PartialDesc, Release, Stage, TileTransform, Transport, TransportStats,
-};
+use crate::transport::{MoveItem, PartialDesc, Release, Stage, Transport, TransportStats};
 
 /// One result tile of a stage, keyed by its block coordinates.
 type KeyedTile = ((usize, usize), Arc<Block>);
@@ -651,7 +650,7 @@ impl Cluster {
         let stamped = comm.is_some().then_some(&out);
         self.finish_op(st, label, event_bytes, io, blocks, stamped, |t| {
             let moves = moves.expect("a mirrored shuffle captured its moves");
-            t.move_tiles(op, &m, &out, TileTransform::None, &moves)
+            t.move_tiles(op, &m, &out, &moves)
         })?;
         Ok(out)
     }
@@ -746,33 +745,8 @@ impl Cluster {
     ) -> Result<()> {
         let (op, blocks) = (st.span.op, out.tile_count());
         self.finish_op(st, label, 0, None, blocks, Some(out), |t| {
-            t.move_tiles(op, src, out, TileTransform::None, &same_worker_moves(out))
+            t.move_tiles(op, src, out, &same_worker_moves(out))
         })
-    }
-
-    /// The `transpose` extended operator: local, free. Consumes `m`, each
-    /// input tile going once its transpose exists
-    /// ([`DistMatrix::transpose_local`]) — save that a mirror replays the
-    /// move from the source after the oracle, so it holds a handle to it
-    /// until then.
-    pub fn transpose(&mut self, m: DistMatrix) -> Result<DistMatrix> {
-        let st = self.op_entry("transpose")?;
-        let src = self.transport.is_some().then(|| m.clone());
-        let t0 = Instant::now();
-        let out = m.transpose_local();
-        self.charge_compute(t0.elapsed().as_secs_f64() / self.host_parallelism() as f64);
-        let (op, blocks) = (st.span.op, out.tile_count());
-        self.finish_op(st, "", 0, None, blocks, Some(&out), |t| {
-            let src = src.expect("a mirrored transpose kept its source");
-            t.move_tiles(
-                op,
-                &src,
-                &out,
-                TileTransform::Transpose,
-                &same_worker_moves(&src),
-            )
-        })?;
-        Ok(out)
     }
 
     /// The `extract` extended operator: local, free. Consumes `m`.
@@ -814,29 +788,36 @@ impl Cluster {
 
     /// RMM1 (Figure 2): `A(b) × B(c) → AB(c)`. No communication during
     /// execution — each worker multiplies the full `A` against its own
-    /// block-columns of `B`. A fused stage of one product leaf.
-    pub fn rmm1(&mut self, a: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
+    /// block-columns of `B`. A fused stage of one product leaf. Either
+    /// operand may be a [`View`].
+    pub fn rmm1<'v>(
+        &mut self,
+        a: impl Into<View<&'v DistMatrix>>,
+        b: impl Into<View<&'v DistMatrix>>,
+    ) -> Result<DistMatrix> {
         let out = PartitionScheme::Col;
-        self.cells(
-            "rmm1",
-            "",
-            Vec::new(),
-            &[Rmm { a, b, out }],
-            &[FusedOp::Leaf(0)],
-        )
+        let rmm = [Rmm {
+            a: a.into(),
+            b: b.into(),
+            out,
+        }];
+        self.cells("rmm1", "", Vec::new(), &rmm, &[FusedOp::Leaf(0)])
     }
 
     /// RMM2 (Figure 2): `A(r) × B(b) → AB(r)`. A fused stage of one
     /// product leaf.
-    pub fn rmm2(&mut self, a: &DistMatrix, b: &DistMatrix) -> Result<DistMatrix> {
+    pub fn rmm2<'v>(
+        &mut self,
+        a: impl Into<View<&'v DistMatrix>>,
+        b: impl Into<View<&'v DistMatrix>>,
+    ) -> Result<DistMatrix> {
         let out = PartitionScheme::Row;
-        self.cells(
-            "rmm2",
-            "",
-            Vec::new(),
-            &[Rmm { a, b, out }],
-            &[FusedOp::Leaf(0)],
-        )
+        let rmm = [Rmm {
+            a: a.into(),
+            b: b.into(),
+            out,
+        }];
+        self.cells("rmm2", "", Vec::new(), &rmm, &[FusedOp::Leaf(0)])
     }
 
     fn require(&self, m: &DistMatrix, scheme: PartitionScheme, op: &'static str) -> Result<()> {
@@ -883,14 +864,20 @@ impl Cluster {
     /// full-size partial from its slice of the shared dimension; partials
     /// are then shuffled to the owners under `out_scheme` and aggregated.
     /// The shuffle of the partial results is CPMM's communication cost
-    /// (the paper charges `N × |AB|` for the output event).
-    pub fn cpmm(
+    /// (the paper charges `N × |AB|` for the output event). Either operand
+    /// may be a view.
+    pub fn cpmm<'v>(
         &mut self,
-        a: &DistMatrix,
-        b: &DistMatrix,
+        a: impl Into<View<&'v DistMatrix>>,
+        b: impl Into<View<&'v DistMatrix>>,
         out_scheme: PartitionScheme,
     ) -> Result<DistMatrix> {
+        let (va, vb) = (a.into(), b.into());
         let mut st = self.op_entry("cpmm")?;
+        let t0 = Instant::now();
+        let ab = resolve([va, vb]);
+        self.charge_compute(t0.elapsed().as_secs_f64() / self.host_parallelism() as f64);
+        let (a, b) = (&*ab[0], &*ab[1]);
         self.compat(a, b)?;
         self.require(a, PartitionScheme::Col, "cpmm")?;
         self.require(b, PartitionScheme::Row, "cpmm")?;
@@ -970,7 +957,7 @@ impl Cluster {
         let io = Some((sent, received));
         let out = DistMatrix::from_parts(meta, out_scheme, stores);
         self.finish_op(st, "", event, io, blocks, Some(&out), |t| {
-            t.run_cpmm(a, b, &out, &descs.expect("mirror implies a partial list"))
+            t.run_cpmm(va, vb, &out, &descs.expect("mirror implies a partial list"))
         })?;
         Ok(out)
     }
@@ -1021,19 +1008,35 @@ impl Cluster {
         &mut self,
         op: &'static str,
         label: &str,
-        mut leaves: Vec<DistMatrix>,
+        leaves: Vec<View<DistMatrix>>,
         rmms: &[Rmm<'_>],
         prog: &[FusedOp],
     ) -> Result<DistMatrix> {
         let st = self.op_entry(op)?;
         dmac_matrix::fused::validate_program(prog, leaves.len() + rmms.len())?;
-        let grids = (rmms.iter())
+        // The oracle resolves every view here, each tile once per
+        // primitive; a mirror is handed the views as held.
+        let held = self.transport.is_some().then(|| leaves.clone());
+        let t0 = Instant::now();
+        let mut leaves: Vec<DistMatrix> = (leaves.into_iter())
+            .map(|v| v.m.resolve(v.transposed))
+            .collect();
+        let operands = resolve(rmms.iter().flat_map(|rmm| [rmm.a, rmm.b]));
+        self.charge_compute(t0.elapsed().as_secs_f64() / self.host_parallelism() as f64);
+        let resolved: Vec<Rmm<'_>> = (rmms.iter().zip(operands.chunks_exact(2)))
+            .map(|(rmm, ab)| Rmm {
+                a: View::from(&*ab[0]),
+                b: View::from(&*ab[1]),
+                out: rmm.out,
+            })
+            .collect();
+        let grids = (resolved.iter())
             .map(|rmm| self.product(op, rmm))
             .collect::<Result<Vec<GridMeta>>>()?;
         let n = self.config.workers;
         // Every output tile is computed where the first leaf's is, or, with
         // no leaf, where the output scheme puts it.
-        let (meta, scheme, keys) = match (leaves.first(), rmms.first()) {
+        let (meta, scheme, keys) = match (leaves.first(), resolved.first()) {
             (Some(first), _) => {
                 let keys = (0..first.workers())
                     .map(|w| first.worker_blocks(w).keys().copied().collect())
@@ -1058,7 +1061,7 @@ impl Cluster {
                 self.aligned(first, m, op)?;
             }
         }
-        for (rmm, grid) in rmms.iter().zip(&grids) {
+        for (rmm, grid) in resolved.iter().zip(&grids) {
             if rmm.out != scheme {
                 return Err(ClusterError::SchemeMismatch {
                     expected: scheme,
@@ -1078,23 +1081,24 @@ impl Cluster {
         // compute while the oracle does, and are checked after.
         let rid = fresh_rid();
         let posted = self.transport.as_deref_mut().map_or(Ok(()), |t| {
-            let refs: Vec<&DistMatrix> = leaves.iter().collect();
+            let views: Vec<_> = held.iter().flatten().map(View::borrowed).collect();
             t.post_stage(&Stage {
                 op,
                 prog,
-                leaves: &refs,
+                leaves: &views,
                 rmms,
                 rid,
                 meta,
                 keys: &keys,
             })
         });
+        drop(held);
         let tiles = self.run_stage(
             |w| {
-                let stages = (rmms.iter())
+                let stages = (resolved.iter())
                     .map(|rmm| {
-                        let kb = rmm.a.meta().col_blocks;
-                        MulStage::new(shard(rmm.a, w), shard(rmm.b, w), kb)
+                        let kb = rmm.a.m.meta().col_blocks;
+                        MulStage::new(shard(rmm.a.m, w), shard(rmm.b.m, w), kb)
                     })
                     .collect::<std::result::Result<Vec<_>, _>>()?;
                 Ok((stages, aligned_tasks(&mut leaves, w, &keys[w], op)?))
@@ -1119,7 +1123,8 @@ impl Cluster {
     /// its scheme, the other is Broadcast, so every result tile is
     /// computable on the worker that owns it with zero communication.
     fn product(&self, op: &'static str, rmm: &Rmm<'_>) -> Result<GridMeta> {
-        self.compat(rmm.a, rmm.b)?;
+        let (a, b) = (rmm.a.m, rmm.b.m);
+        self.compat(a, b)?;
         let (need_a, need_b) = match rmm.out {
             PartitionScheme::Col => (PartitionScheme::Broadcast, PartitionScheme::Col),
             PartitionScheme::Row => (PartitionScheme::Row, PartitionScheme::Broadcast),
@@ -1131,9 +1136,9 @@ impl Cluster {
                 })
             }
         };
-        self.require(rmm.a, need_a, op)?;
-        self.require(rmm.b, need_b, op)?;
-        product_meta(rmm.a, rmm.b)
+        self.require(a, need_a, op)?;
+        self.require(b, need_b, op)?;
+        product_meta(a, b)
     }
 
     /// Distributed reduction: each worker folds its owned tiles in sorted
@@ -1185,6 +1190,18 @@ fn product_meta(a: &DistMatrix, b: &DistMatrix) -> Result<GridMeta> {
         }));
     }
     Ok(GridMeta::new(a.rows(), b.cols(), a.block_size()))
+}
+
+/// The oracle's side of borrowed views: each operand as its primitive
+/// reads it — the held value, or its transpose in scratch
+/// ([`DistMatrix::resolve`], each distinct tile transposed once).
+fn resolve<'v>(views: impl IntoIterator<Item = View<&'v DistMatrix>>) -> Vec<Cow<'v, DistMatrix>> {
+    (views.into_iter())
+        .map(|v| match v.transposed {
+            true => Cow::Owned(v.m.clone().resolve(true)),
+            false => Cow::Borrowed(v.m),
+        })
+        .collect()
 }
 
 /// Worker `w`'s tiles of `m`, as a [`MulStage`] takes a shard.
@@ -1248,13 +1265,13 @@ fn aligned_tasks(
 
 /// A replication-based product a stage folds per output tile (Figure 2),
 /// named by the scheme its output takes: RMM1 `A(b) × B(c) → AB(c)`, or
-/// RMM2 `A(r) × B(b) → AB(r)`.
+/// RMM2 `A(r) × B(b) → AB(r)` — each operand as the view reads it.
 #[derive(Debug, Clone, Copy)]
 pub struct Rmm<'a> {
     /// The left operand.
-    pub a: &'a DistMatrix,
+    pub a: View<&'a DistMatrix>,
     /// The right operand.
-    pub b: &'a DistMatrix,
+    pub b: View<&'a DistMatrix>,
     /// The output's scheme: Column (RMM1) or Row (RMM2).
     pub out: PartitionScheme,
 }
@@ -1466,7 +1483,7 @@ mod tests {
             .cells(
                 "add",
                 "",
-                vec![da.clone(), db.clone()],
+                vec![da.clone().into(), db.clone().into()],
                 &[],
                 &binary(FusedOp::Add)
             )
@@ -1476,7 +1493,7 @@ mod tests {
             .cells(
                 "add",
                 "",
-                vec![da.clone(), db2.clone()],
+                vec![da.clone().into(), db2.clone().into()],
                 &[],
                 &binary(FusedOp::Add),
             )
@@ -1502,7 +1519,13 @@ mod tests {
             ("cell_div", FusedOp::CellDiv, a.cell_div(&b).unwrap()),
         ] {
             let c = cl
-                .cells(name, "", vec![da.clone(), db.clone()], &[], &binary(op))
+                .cells(
+                    name,
+                    "",
+                    vec![da.clone().into(), db.clone().into()],
+                    &[],
+                    &binary(op),
+                )
                 .unwrap();
             assert_eq!(cl.spans().last().unwrap().op, name);
             assert_eq!(c.to_blocked().unwrap().to_dense(), expect.to_dense());
@@ -1516,7 +1539,7 @@ mod tests {
         let da = cl.load(&a, PartitionScheme::Broadcast);
         let prog = [FusedOp::Leaf(0), FusedOp::Scale(3.0)];
         let c = cl
-            .cells("map", "scale", vec![da.clone()], &[], &prog)
+            .cells("map", "scale", vec![da.clone().into()], &[], &prog)
             .unwrap();
         c.validate().unwrap();
         assert_eq!(c.scheme(), PartitionScheme::Broadcast);
@@ -1613,7 +1636,7 @@ mod tests {
             cl.cells(
                 "add",
                 "",
-                vec![da.clone(), db.clone()],
+                vec![da.clone().into(), db.clone().into()],
                 &[],
                 &binary(FusedOp::Add)
             ),

@@ -75,6 +75,49 @@ impl GridMeta {
     }
 }
 
+/// What a primitive reads: a held value `m`, as it is held or — a *view*,
+/// Table 2's free Transpose dependency — as its transpose, which the
+/// primitive reading it resolves into scratch on either backend.
+#[derive(Debug, Clone, Copy)]
+pub struct View<M> {
+    /// The held value.
+    pub m: M,
+    /// Read as its transpose.
+    pub transposed: bool,
+}
+
+impl<M> From<M> for View<M> {
+    /// A value read as it is held.
+    fn from(m: M) -> View<M> {
+        View {
+            m,
+            transposed: false,
+        }
+    }
+}
+
+impl View<DistMatrix> {
+    /// The view of the same value, borrowed.
+    pub fn borrowed(&self) -> View<&DistMatrix> {
+        View {
+            m: &self.m,
+            transposed: self.transposed,
+        }
+    }
+}
+
+impl View<&DistMatrix> {
+    /// The grid the view reads: the held value's, transposed with it.
+    pub fn meta(&self) -> GridMeta {
+        let meta = *self.m.meta();
+        if self.transposed {
+            meta.transposed()
+        } else {
+            meta
+        }
+    }
+}
+
 /// A matrix distributed over `N` simulated workers.
 #[derive(Debug, Clone)]
 pub struct DistMatrix {
@@ -317,16 +360,15 @@ impl DistMatrix {
             .map_err(ClusterError::from)
     }
 
-    /// Purely local transpose: every worker transposes its tiles and
-    /// re-indexes them; the scheme flips Row ⇄ Col. This is the runtime
-    /// realisation of the *Transpose dependency* — zero communication.
-    ///
-    /// Consumes `self`: the copies of each tile are transposed together,
-    /// each distinct `Arc` once (a Broadcast value's workers share one per
-    /// tile, and so do their transposes), and the input tile is dropped as
-    /// soon as its transpose exists — freed then, unless another handle
-    /// still holds it.
-    pub fn transpose_local(self) -> DistMatrix {
+    /// The value as a view with bit `transposed` reads it: `self`, or its
+    /// transpose in scratch under a fresh rid — each worker's tiles
+    /// transposed and re-keyed `(j, i)` where they are, each distinct `Arc`
+    /// once (Broadcast copies share one), each tile of `self` dropped once
+    /// its transpose exists.
+    pub(crate) fn resolve(self, transposed: bool) -> DistMatrix {
+        if !transposed {
+            return self;
+        }
         let DistMatrix {
             meta,
             scheme,
@@ -508,10 +550,10 @@ mod tests {
     }
 
     #[test]
-    fn local_transpose_flips_scheme_and_data() {
+    fn a_resolved_view_flips_scheme_and_data() {
         let m = sample(6, 4, 2);
         let d = DistMatrix::from_blocked(&m, PartitionScheme::Row, 2);
-        let t = d.transpose_local();
+        let t = d.resolve(true);
         assert_eq!(t.scheme(), PartitionScheme::Col);
         assert_eq!(t.rows(), 4);
         assert_eq!(t.cols(), 6);
@@ -521,7 +563,7 @@ mod tests {
         // A Broadcast value's workers share one `Arc` per tile; so do the
         // copies of its transpose, each tile transposed once.
         let b = DistMatrix::from_blocked(&m, PartitionScheme::Broadcast, 3);
-        let t = b.transpose_local();
+        let t = b.resolve(true);
         assert_eq!(t.scheme(), PartitionScheme::Broadcast);
         t.validate().unwrap();
         let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -140,6 +140,36 @@ impl FromIterator<(String, Json)> for Json {
     }
 }
 
+impl Json {
+    /// An object of these members, built where it is rendered: no text is
+    /// made to be parsed back.
+    pub fn object<'k>(members: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect()
+    }
+}
+
+/// A number, a boolean or a string. An integer is the number a parse of
+/// its text reads: exact up to 2^53.
+macro_rules! json_from {
+    ($($t:ty => |$v:ident| $e:expr;)*) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $e
+            }
+        }
+    )*};
+}
+
+json_from! {
+    f64 => |n| Json::Num(n);
+    u64 => |n| Json::Num(n as f64);
+    bool => |b| Json::Bool(b);
+    &str => |s| Json::Str(s.to_string());
+}
+
 /// The document as JSON text: members in key order, no whitespace, an
 /// integral number without a fraction (a number past `f64`, which no parse
 /// makes, as `null`). It parses back to an equal value.

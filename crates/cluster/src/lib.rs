@@ -38,7 +38,7 @@ pub mod transport;
 
 pub use cluster::{Cluster, ClusterConfig, Rmm};
 pub use comm::{CommKind, CommStats, NetworkModel, SimClock};
-pub use dist::DistMatrix;
+pub use dist::{DistMatrix, View};
 pub use error::{ClusterError, Result};
 pub use fault::{FaultEvent, FaultInjector, FaultPlan};
 pub use partition::PartitionScheme;

@@ -49,40 +49,13 @@ pub mod workerd;
 use dmac_matrix::FusedOp;
 
 use crate::cluster::{ReduceKind, Rmm};
-use crate::dist::{DistMatrix, GridMeta};
+use crate::dist::{DistMatrix, GridMeta, View};
 use crate::error::Result;
 
-/// How a tile is transformed while being copied by [`Transport::move_tiles`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TileTransform {
-    /// Byte-identical copy; destination key equals source key.
-    None,
-    /// Transpose the tile; source `(bi, bj)` lands at `(bj, bi)`.
-    Transpose,
-}
-
-impl TileTransform {
-    /// Destination tile key for a source key under this transform.
-    pub fn dest_key(self, bi: usize, bj: usize) -> (usize, usize) {
-        match self {
-            TileTransform::None => (bi, bj),
-            TileTransform::Transpose => (bj, bi),
-        }
-    }
-
-    /// Apply to a tile.
-    pub fn apply(self, tile: &dmac_matrix::Block) -> dmac_matrix::Block {
-        match self {
-            TileTransform::None => tile.clone(),
-            TileTransform::Transpose => tile.transpose(),
-        }
-    }
-}
-
-/// One tile movement in a mirrored communication primitive. Coordinates
-/// are the *source* tile's; the destination key follows from the
-/// [`TileTransform`]. `metered` tiles count toward the payload receipt
-/// (the bytes the oracle charged as `wire_bytes`); unmetered tiles are
+/// One tile movement in a mirrored communication primitive: the tile
+/// keeps its coordinates and may change worker. `metered` tiles count
+/// toward the payload receipt (the bytes the oracle charged as
+/// `wire_bytes`); unmetered tiles are
 /// same-host or already-resident copies the oracle ships for free. Within
 /// one move list `metered` is a function of `(src_w, dest_w)`, so a
 /// backend may receipt a worker pair's tiles as one group.
@@ -92,9 +65,9 @@ pub struct MoveItem {
     pub src_w: usize,
     /// Logical worker receiving the tile (in the destination value).
     pub dest_w: usize,
-    /// Source block row.
+    /// Block row.
     pub bi: usize,
-    /// Source block column.
+    /// Block column.
     pub bj: usize,
     /// Whether the oracle metered this tile as wire traffic.
     pub metered: bool,
@@ -141,8 +114,8 @@ pub struct Stage<'a> {
     pub op: &'static str,
     /// The cell-wise program over the leaves, then the products.
     pub prog: &'a [FusedOp],
-    /// The plain leaves, read tile by tile.
-    pub leaves: &'a [&'a DistMatrix],
+    /// The plain leaves, read tile by tile, each as its view reads it.
+    pub leaves: &'a [View<&'a DistMatrix>],
     /// The local products, folded per output tile.
     pub rmms: &'a [Rmm<'a>],
     /// The output value's rid, minted before its tiles exist.
@@ -163,8 +136,8 @@ pub struct TransportStats {
     /// paper's ledger, which starts after load). A `random` source is
     /// generated by its workers and adds nothing here.
     pub install_bytes: u64,
-    /// Unmetered copy bytes (rehash claims, local transposes, extracts,
-    /// same-host shuffle legs).
+    /// Unmetered copy bytes (rehash claims, extracts, same-host shuffle
+    /// legs).
     pub free_bytes: u64,
     /// Protocol frames exchanged (socket backend; 0 in-process).
     pub frames: u64,
@@ -223,7 +196,6 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
         op: &'static str,
         src: &DistMatrix,
         dest: &DistMatrix,
-        transform: TileTransform,
         moves: &[MoveItem],
     ) -> Result<u64>;
 
@@ -243,13 +215,14 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     fn settle_stage(&mut self, out: &DistMatrix) -> Result<()>;
 
     /// Mirror a cross-product multiply: phase 1 computes the oracle's
-    /// partial set (verified by descriptor-set equality), partials are
-    /// shipped to output owners, phase 2 combines in ascending source
-    /// order. Returns the metered payload bytes (cross-worker partials).
+    /// partial set (verified by descriptor-set equality) over the operands
+    /// as their views read them, partials are shipped to output owners,
+    /// phase 2 combines in ascending source order. Returns the metered
+    /// payload bytes (cross-worker partials).
     fn run_cpmm(
         &mut self,
-        a: &DistMatrix,
-        b: &DistMatrix,
+        a: View<&DistMatrix>,
+        b: View<&DistMatrix>,
         out: &DistMatrix,
         partials: &[PartialDesc],
     ) -> Result<u64>;

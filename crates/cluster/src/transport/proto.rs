@@ -56,7 +56,6 @@ use crate::codec::{Field, Hex, In, Message, Out, Value};
 use crate::dist::GridMeta;
 use crate::jsonin::Json;
 use crate::transport::binfmt;
-use crate::transport::TileTransform;
 
 /// A tile key: block row, block column.
 pub type Key = (usize, usize);
@@ -77,9 +76,10 @@ crate::objects! {
     pub struct Route { wi: usize, wo: usize, dh: Option<usize>, keys = "k": Vec<Key> }
 
     /// One product leaf of a `fused` command: `a` × `b`, over `kb` blocks
-    /// of the shared dimension.
+    /// of the shared dimension — each operand read as its transpose when
+    /// `ta` / `tb` says `true` (a view; absent when it is not one).
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct Mul { a: u64, b: u64, kb: usize }
+    pub struct Mul { a: u64, b: u64, ta: Option<bool>, tb: Option<bool>, kb: usize }
 
     /// Tile `(bi, bj)` of worker `w`, as a `collect` asks for it.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,18 +135,21 @@ crate::messages! {
         Collect = "collect" { rid: u64, items: Vec<Place> },
         /// Prove the shards of `rid` that workers `ws` hold.
         Seal = "seal" { rid: u64, ws: Vec<usize> },
-        /// A scheme-aligned cell-wise program over the leaves `rids`, then
+        /// A scheme-aligned cell-wise program over the leaves `rids` — leaf
+        /// `i` read as its transpose when `tr[i]` is set (a view; no `tr`
+        /// when no leaf is one) — then
         /// the products `muls` folded per tile, each task's tiles into
         /// `rid_out`. An RMM is one product and the program `[Leaf(0)]`.
         Fused = "fused" {
-            rids: Vec<u64>, muls: Vec<Mul>, prog: Vec<FusedOp>, rid_out: u64, tasks: Vec<Group>,
+            rids: Vec<u64>, tr: Option<Vec<bool>>, muls: Vec<Mul>, prog: Vec<FusedOp>, rid_out: u64,
+            tasks: Vec<Group>,
         },
         /// CPMM phase 1: workers `ws` each store their partial products of
-        /// `rid_a` × `rid_b` under `stage` (`n` workers stride the `kb`
-        /// k-slices).
+        /// `rid_a` × `rid_b` — each read as its transpose when `ta` / `tb`
+        /// says `true` — under `stage` (`n` workers stride the `kb` k-slices).
         Cpmm1 = "cpmm1" {
-            rid_a: u64, rid_b: u64, stage: u64, n: usize, kb: usize, grid: GridMeta,
-            ws: Vec<usize>,
+            rid_a: u64, rid_b: u64, ta: Option<bool>, tb: Option<bool>, stage: u64, n: usize,
+            kb: usize, grid: GridMeta, ws: Vec<usize>,
         },
         /// CPMM phase 2: each task combines partials under `stage` into
         /// `rid_out`.
@@ -157,7 +160,7 @@ crate::messages! {
         Free = "free" { rid: u64 },
         /// A routing plan from `rid_in` to `rid_out`: install the groups
         /// that stay, push the rest.
-        Xfer = "xfer" { rid_in: u64, rid_out: u64, tr: TileTransform, groups: Vec<Route> },
+        Xfer = "xfer" { rid_in: u64, rid_out: u64, groups: Vec<Route> },
         /// Say `bye` and exit.
         Shutdown = "shutdown",
     }
@@ -293,23 +296,6 @@ impl Value for Vec<Key> {
             return Err(format!("holds {} numbers, not (bi, bj) pairs", k.len()));
         }
         Ok(k.chunks_exact(2).map(|p| (p[0], p[1])).collect())
-    }
-}
-
-impl Value for TileTransform {
-    fn render(&self, buf: &mut String) {
-        buf.push_str(match self {
-            TileTransform::None => "\"none\"",
-            TileTransform::Transpose => "\"transpose\"",
-        });
-    }
-
-    fn read(j: &Json) -> Result<TileTransform, String> {
-        match j.as_str() {
-            Some("none") => Ok(TileTransform::None),
-            Some("transpose") => Ok(TileTransform::Transpose),
-            _ => Err("is no transform".into()),
-        }
     }
 }
 
@@ -500,7 +486,14 @@ mod tests {
             (
                 Cmd::Fused {
                     rids: vec![],
-                    muls: vec![Mul { a: 1, b: 2, kb: 4 }],
+                    tr: None,
+                    muls: vec![Mul {
+                        a: 1,
+                        b: 2,
+                        ta: None,
+                        tb: None,
+                        kb: 4,
+                    }],
                     prog: vec![FusedOp::Leaf(0)],
                     rid_out: 3,
                     tasks: vec![group(0, &[(2, 0), (2, 2)]), group(1, &[(0, 1)])],
@@ -512,6 +505,7 @@ mod tests {
             (
                 Cmd::Fused {
                     rids: vec![8, 9],
+                    tr: None,
                     muls: vec![],
                     prog: vec![
                         FusedOp::Leaf(0),
@@ -532,6 +526,8 @@ mod tests {
                 Cmd::Cpmm1 {
                     rid_a: 4,
                     rid_b: 5,
+                    ta: None,
+                    tb: None,
                     stage,
                     n: 2,
                     kb: 4,
@@ -571,7 +567,6 @@ mod tests {
                 Cmd::Xfer {
                     rid_in: 6,
                     rid_out: 7,
-                    tr: TileTransform::Transpose,
                     groups: vec![
                         Route {
                             wi: 0,
@@ -588,7 +583,7 @@ mod tests {
                     ],
                 },
                 json(
-                    r#"{"t":"xfer","rid_in":6,"rid_out":7,"tr":"transpose","groups":[{"wi":0,"wo":1,"dh":1,"k":[0,1,2,1]},{"wi":1,"wo":1,"k":[2,0]}],"q":5}"#,
+                    r#"{"t":"xfer","rid_in":6,"rid_out":7,"groups":[{"wi":0,"wo":1,"dh":1,"k":[0,1,2,1]},{"wi":1,"wo":1,"k":[2,0]}],"q":5}"#,
                 ),
             ),
             (Cmd::Shutdown, json(r#"{"t":"shutdown","q":5}"#)),
@@ -771,6 +766,56 @@ mod tests {
         assert_eq!(unknown.msg, Err("unknown command 'frees'".into()));
     }
 
+    /// A view's bit travels only when set: a `fused` command whose leaves
+    /// read a view lists every leaf's bit (none read one: no list), a
+    /// product or a `cpmm1` operand says `ta` / `tb`, and a command that
+    /// reads no view has the bytes it had without them.
+    #[test]
+    fn a_view_bit_travels_only_when_set() {
+        let mul = |ta: bool, tb: bool| Mul {
+            a: 1,
+            b: 2,
+            ta: ta.then_some(true),
+            tb: tb.then_some(true),
+            kb: 4,
+        };
+        let fused = |tr: Option<Vec<bool>>, m: Mul| Cmd::Fused {
+            rids: vec![8, 9],
+            tr,
+            muls: vec![m],
+            prog: vec![FusedOp::Leaf(0)],
+            rid_out: 3,
+            tasks: vec![],
+        };
+        let text = |c: &Cmd| String::from_utf8(c.encode(Some(5))).unwrap();
+        let plain = fused(None, mul(false, false));
+        assert_eq!(
+            text(&plain),
+            r#"{"t":"fused","rids":[8,9],"muls":[{"a":1,"b":2,"kb":4}],"prog":[{"o":"leaf","i":0}],"rid_out":3,"tasks":[],"q":5}"#
+        );
+        let viewed = fused(Some(vec![false, true]), mul(true, false));
+        assert_eq!(
+            text(&viewed),
+            r#"{"t":"fused","rids":[8,9],"tr":[false,true],"muls":[{"a":1,"b":2,"ta":true,"kb":4}],"prog":[{"o":"leaf","i":0}],"rid_out":3,"tasks":[],"q":5}"#
+        );
+        let cpmm = Cmd::Cpmm1 {
+            rid_a: 4,
+            rid_b: 5,
+            ta: None,
+            tb: Some(true),
+            stage: 6,
+            n: 2,
+            kb: 4,
+            grid: GridMeta::new(7, 8, 3),
+            ws: vec![0],
+        };
+        assert!(text(&cpmm).contains(r#""rid_b":5,"tb":true,"stage":6"#));
+        // An absent bit reads as unset: `plain` decodes to itself.
+        for cmd in [plain, viewed, cpmm] {
+            assert_eq!(Cmd::decode(&cmd.encode(Some(5))).msg, Ok(cmd));
+        }
+    }
+
     /// A cell-wise program's constants travel as a raw f64 body, bit
     /// exactly — NaN payloads and signed zeros included — and a slot past
     /// the body is a typed error.
@@ -787,6 +832,7 @@ mod tests {
         ];
         let fused = Cmd::Fused {
             rids: vec![1, 2],
+            tr: None,
             muls: vec![],
             prog: prog.clone(),
             rid_out: 3,

@@ -16,7 +16,7 @@
 //! Control traffic is a star, but *tile payload* never crosses the
 //! coordinator except to seed a bound input (`install`) or read a value
 //! back (`collect`); a `random` source's workers generate their own tiles.
-//! Every tile move — a shuffle, a local transpose, CPMM's partial shuffle
+//! Every tile move — a shuffle, an extract, CPMM's partial shuffle
 //! — is one `xfer` routing plan per source host, built in one place
 //! (`SocketTransport::route`): the worker installs the groups that stay
 //! and pushes the rest to their hosts' peer listeners, and its `xferred`
@@ -68,7 +68,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cluster::ReduceKind;
-use crate::dist::{fresh_rid, DistMatrix};
+use crate::dist::{fresh_rid, DistMatrix, View};
 use crate::error::{ClusterError, Result};
 use crate::partition::PartitionScheme;
 use crate::transport::binfmt;
@@ -77,9 +77,7 @@ use crate::transport::proto::{
     Cmd, Combine, Desc, Framed, Group, Key, Mul, Place, Placed, Reply, Route, Shard,
 };
 use crate::transport::wire;
-use crate::transport::{
-    MoveItem, PartialDesc, Release, Stage, TileTransform, Transport, TransportStats,
-};
+use crate::transport::{MoveItem, PartialDesc, Release, Stage, Transport, TransportStats};
 
 /// When the SIGKILL test hook ([`SocketOptions::kill`]) fires. Counts
 /// are 1-based.
@@ -910,12 +908,7 @@ impl SocketTransport {
     /// hosts; no groups, no exchange. Returns the per-group source-byte
     /// receipts in `groups` order, and rolls the per-edge receipts of the
     /// peer pushes into `peer_bytes`.
-    fn route(
-        &mut self,
-        (rid_in, rid_out): (u64, u64),
-        tr: TileTransform,
-        groups: Vec<Route>,
-    ) -> Result<Vec<u64>> {
+    fn route(&mut self, (rid_in, rid_out): (u64, u64), groups: Vec<Route>) -> Result<Vec<u64>> {
         let mut receipts = vec![0; groups.len()];
         if groups.is_empty() {
             return Ok(receipts);
@@ -934,7 +927,6 @@ impl SocketTransport {
             let cmd = Cmd::Xfer {
                 rid_in,
                 rid_out,
-                tr,
                 groups,
             };
             cmds.push((host, cmd, Check::Read));
@@ -989,7 +981,6 @@ impl Transport for SocketTransport {
         op: &'static str,
         src: &DistMatrix,
         dest: &DistMatrix,
-        transform: TileTransform,
         moves: &[MoveItem],
     ) -> Result<u64> {
         self.op_tick();
@@ -1009,7 +1000,7 @@ impl Transport for SocketTransport {
             group.keys.push((mv.bi, mv.bj));
         }
         let (metered, groups): (Vec<bool>, Vec<Route>) = pairs.into_values().unzip();
-        let receipts = self.route((src.rid(), dest.rid()), transform, groups)?;
+        let receipts = self.route((src.rid(), dest.rid()), groups)?;
         // The *logical* metering is the oracle's, wherever a tile went.
         let (mut payload, mut free) = (0u64, 0u64);
         for (metered, b) in metered.into_iter().zip(receipts) {
@@ -1047,19 +1038,25 @@ impl Transport for SocketTransport {
             (!keys[w].is_empty()).then_some(group).into_iter().collect()
         };
         let operands = rmms.iter().flat_map(|rmm| [rmm.a, rmm.b]);
-        for m in leaves.iter().copied().chain(operands) {
-            self.ensure_resident(m)?;
+        for v in leaves.iter().copied().chain(operands) {
+            self.ensure_resident(v.m)?;
         }
-        let rids: Vec<u64> = leaves.iter().map(|leaf| leaf.rid()).collect();
+        let rids: Vec<u64> = leaves.iter().map(|leaf| leaf.m.rid()).collect();
+        // Every leaf's bit, or none when no leaf is a view.
+        let tr: Vec<bool> = leaves.iter().map(|leaf| leaf.transposed).collect();
+        let tr = tr.contains(&true).then_some(tr);
         let muls: Vec<Mul> = (rmms.iter())
             .map(|rmm| Mul {
-                a: rmm.a.rid(),
-                b: rmm.b.rid(),
+                a: rmm.a.m.rid(),
+                b: rmm.b.m.rid(),
+                ta: rmm.a.transposed.then_some(true),
+                tb: rmm.b.transposed.then_some(true),
                 kb: rmm.a.meta().col_blocks,
             })
             .collect();
         let cmds = self.stage_cmds(rid, None, tasks_of, |tasks| Cmd::Fused {
             rids: rids.clone(),
+            tr: tr.clone(),
             muls: muls.clone(),
             prog: prog.to_vec(),
             rid_out: rid,
@@ -1088,23 +1085,26 @@ impl Transport for SocketTransport {
 
     fn run_cpmm(
         &mut self,
-        a: &DistMatrix,
-        b: &DistMatrix,
+        a: View<&DistMatrix>,
+        b: View<&DistMatrix>,
         out: &DistMatrix,
         partials: &[PartialDesc],
     ) -> Result<u64> {
         self.op_tick();
-        self.ensure_resident(a)?;
-        self.ensure_resident(b)?;
+        self.ensure_resident(a.m)?;
+        self.ensure_resident(b.m)?;
         let stage = fresh_rid();
         let (n, kb, grid) = (out.workers(), a.meta().col_blocks, *out.meta());
 
         // Phase 1 (one round): partial products where the k-slices live.
-        let (rid_a, rid_b) = (a.rid(), b.rid());
+        let (rid_a, rid_b) = (a.m.rid(), b.m.rid());
+        let (ta, tb) = (a.transposed.then_some(true), b.transposed.then_some(true));
         let cmds = self.hosts_with_ws().into_iter().map(|(host, ws)| {
             let cmd = Cmd::Cpmm1 {
                 rid_a,
                 rid_b,
+                ta,
+                tb,
                 stage,
                 n,
                 kb,
@@ -1164,7 +1164,7 @@ impl Transport for SocketTransport {
             }
         }
         let groups = shipped.into_values().collect();
-        self.route((stage, stage), TileTransform::None, groups)?;
+        self.route((stage, stage), groups)?;
 
         // Phase 2 (one round): combine at the owners in ascending source
         // order, retire the staging shards, seal — chained per host.

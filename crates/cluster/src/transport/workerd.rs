@@ -56,7 +56,6 @@ use crate::transport::proto::{
     Shard,
 };
 use crate::transport::wire;
-use crate::transport::TileTransform;
 
 /// Launch parameters for a worker daemon (mirrors the CLI flags).
 #[derive(Debug, Clone)]
@@ -282,20 +281,39 @@ fn tile_of(
         .ok_or_else(|| format!("missing tile rid={rid} w={w} ({bi},{bj}) on host {host}"))
 }
 
-/// Logical worker `w`'s multiply stage over its shards of `rid_a` and
-/// `rid_b` (a shard never installed is the empty one).
-fn mul_stage(
-    store: &Store,
-    rid_a: u64,
-    rid_b: u64,
+/// The shard of a value a worker never installed.
+static EMPTY: BTreeMap<Key, Block> = BTreeMap::new();
+
+/// Logical worker `w`'s shards of `operands` as their views read them: as
+/// held, or each tile transposed once, keyed `(j, i)`, into `scratch`.
+fn shards<'s>(
+    store: &'s Store,
+    operands: &[(u64, bool)],
+    scratch: &'s mut Vec<Option<BTreeMap<Key, Block>>>,
+    w: usize,
+) -> Vec<&'s BTreeMap<Key, Block>> {
+    *scratch = (operands.iter())
+        .map(|&(rid, t)| {
+            let held = store.get(&(rid, w)).into_iter().flatten();
+            t.then(|| {
+                held.map(|(&(bi, bj), t)| ((bj, bi), t.transpose()))
+                    .collect()
+            })
+        })
+        .collect();
+    (operands.iter().zip(scratch.iter()))
+        .map(|(&(rid, _), s)| s.as_ref().or(store.get(&(rid, w))).unwrap_or(&EMPTY))
+        .collect()
+}
+
+/// Logical worker `w`'s multiply stage over its shards `a` and `b`.
+fn mul_stage<'s>(
+    [a, b]: [&'s BTreeMap<Key, Block>; 2],
     w: usize,
     kb: usize,
-) -> Result<MulStage<'_>, String> {
-    let shard = |rid| {
-        let held = store.get(&(rid, w)).into_iter().flatten();
-        held.map(|(&k, t)| (k, t))
-    };
-    MulStage::new(shard(rid_a), shard(rid_b), kb).map_err(|e| format!("worker {w}: {e}"))
+) -> Result<MulStage<'s>, String> {
+    let shard = |s: &'s BTreeMap<Key, Block>| s.iter().map(|(&k, t)| (k, t));
+    MulStage::new(shard(a), shard(b), kb).map_err(|e| format!("worker {w}: {e}"))
 }
 
 impl Worker {
@@ -330,20 +348,26 @@ impl Worker {
             Cmd::Seal { rid, ws } => self.seal(rid, &ws),
             Cmd::Fused {
                 rids,
+                tr,
                 muls,
                 prog,
                 rid_out,
                 tasks,
-            } => self.fused((&rids, &muls), &prog, rid_out, &tasks),
+            } => self.fused((&rids, tr.as_deref(), &muls), &prog, rid_out, &tasks),
             Cmd::Cpmm1 {
                 rid_a,
                 rid_b,
+                ta,
+                tb,
                 stage,
                 n,
                 kb,
                 grid,
                 ws,
-            } => self.cpmm1((rid_a, rid_b, stage), (n, kb), &grid, &ws),
+            } => {
+                let views = [(rid_a, ta == Some(true)), (rid_b, tb == Some(true))];
+                self.cpmm1(views, stage, (n, kb), &grid, &ws)
+            }
             Cmd::Cpmm2 {
                 stage,
                 rid_out,
@@ -358,9 +382,8 @@ impl Worker {
             Cmd::Xfer {
                 rid_in,
                 rid_out,
-                tr,
                 groups,
-            } => self.xfer((rid_in, rid_out), tr, &groups),
+            } => self.xfer((rid_in, rid_out), &groups),
             Cmd::Shutdown => Ok(Reply::Bye),
         }
     }
@@ -371,12 +394,7 @@ impl Worker {
     /// the lock released, push the rest to their hosts' peer listeners,
     /// one batch per host, and await the acks. Symmetric xfers between
     /// two hosts must not deadlock on each other's installs.
-    fn xfer(
-        &mut self,
-        (rid_in, rid_out): (u64, u64),
-        tr: TileTransform,
-        groups: &[Route],
-    ) -> Result<Reply, String> {
+    fn xfer(&mut self, (rid_in, rid_out): (u64, u64), groups: &[Route]) -> Result<Reply, String> {
         // Per-group source-byte receipts, this host's tiles, and the other
         // hosts' tiles per destination host.
         let mut bytes = Vec::with_capacity(groups.len());
@@ -395,11 +413,11 @@ impl Worker {
                 for &(bi, bj) in &group.keys {
                     let src = tile_of(&store, self.host, rid_in, group.wi, bi, bj)?;
                     receipt += src.actual_bytes() as u64;
-                    let ((di, dj), tile) = (tr.dest_key(bi, bj), tr.apply(src));
+                    let tile = src.clone();
                     match group.dh {
-                        None => local.push((group.wo, (di, dj), tile)),
+                        None => local.push((group.wo, (bi, bj), tile)),
                         Some(dh) => {
-                            let tile = (group.wo, di, dj, Arc::new(tile));
+                            let tile = (group.wo, bi, bj, Arc::new(tile));
                             pushes.entry(dh).or_default().push(tile);
                         }
                     }
@@ -493,24 +511,38 @@ impl Worker {
     /// Each task's output tiles of a fused stage: per logical worker, one
     /// multiply stage per product; per tile, the plain leaves' tiles and
     /// [`kernels::fused_tile`] — the simulator's task, so the same bits.
-    /// The results wait for the last stage to let go of the store.
+    /// A view's shard is transposed once per worker ([`shards`]). The
+    /// results wait for the last stage to let go of the store.
     fn fused(
         &mut self,
-        (rids, muls): (&[u64], &[Mul]),
+        (rids, tr, muls): (&[u64], Option<&[bool]>, &[Mul]),
         prog: &[FusedOp],
         rid_out: u64,
         tasks: &[Group],
     ) -> Result<Reply, String> {
         let mut store = self.lock()?;
         let mut tiles = Vec::new();
+        let viewed = |i| tr.and_then(|tr: &[bool]| tr.get(i).copied()) == Some(true);
+        let leaves = (rids.iter().enumerate()).map(|(i, &rid)| (rid, viewed(i)));
+        let operands: Vec<(u64, bool)> = leaves
+            .chain(
+                (muls.iter()).flat_map(|m| [(m.a, m.ta == Some(true)), (m.b, m.tb == Some(true))]),
+            )
+            .collect();
         for &Group { w, ref keys } in tasks {
-            let stages = (muls.iter())
-                .map(|m| mul_stage(&store, m.a, m.b, w, m.kb))
+            let mut scratch = Vec::new();
+            let shards = shards(&store, &operands, &mut scratch, w);
+            let (held, products) = shards.split_at(rids.len());
+            let stages = (muls.iter().zip(products.chunks_exact(2)))
+                .map(|(m, ab)| mul_stage([ab[0], ab[1]], w, m.kb))
                 .collect::<Result<Vec<_>, String>>()?;
             for &(bi, bj) in keys {
                 let mut plain: Vec<&Block> = Vec::with_capacity(rids.len());
-                for &rid in rids {
-                    plain.push(tile_of(&store, self.host, rid, w, bi, bj)?);
+                for (&rid, shard) in rids.iter().zip(held) {
+                    let host = self.host;
+                    let missing =
+                        || format!("missing tile rid={rid} w={w} ({bi},{bj}) on host {host}");
+                    plain.push(shard.get(&(bi, bj)).ok_or_else(missing)?);
                 }
                 let at = |e: &dyn std::fmt::Display| {
                     format!("fused: tile ({bi},{bj}) on worker {w}: {e}")
@@ -537,7 +569,8 @@ impl Worker {
 
     fn cpmm1(
         &mut self,
-        (rid_a, rid_b, stage_rid): (u64, u64, u64),
+        [a, b]: [(u64, bool); 2],
+        stage_rid: u64,
         (n, kb): (usize, usize),
         grid: &GridMeta,
         ws: &[usize],
@@ -546,7 +579,9 @@ impl Worker {
         let mut descs = Vec::new();
         let mut partials = Vec::new();
         for &w in ws {
-            let stage = mul_stage(&store, rid_a, rid_b, w, kb)?;
+            let mut scratch = Vec::new();
+            let shards = shards(&store, &[a, b], &mut scratch, w);
+            let stage = mul_stage([shards[0], shards[1]], w, kb)?;
             // No k-slice, no partial — and no shard to hold the grid against.
             if w >= kb {
                 continue;
@@ -706,18 +741,23 @@ mod tests {
     /// product leaf), Column × Row for `cpmm1` — with each command as the
     /// coordinator encodes it and the
     /// simulator's result: dense and CSC result tiles, ragged edges, a
-    /// k-panel of all-zero tiles.
+    /// k-panel of all-zero tiles. With `view`, the left operand is held
+    /// transposed and read as a view, and an aligned `add` reads a leaf
+    /// through one too.
     struct Staged {
         w: Worker,
         mm: String,
         mm_out: DistMatrix,
+        add: String,
+        add_out: DistMatrix,
         cpmm1: String,
         cpmm_out: DistMatrix,
         /// CPMM's staging rid: no rid the fixture minted.
         stage: u64,
     }
 
-    fn staged() -> Staged {
+    fn staged(view: bool) -> Staged {
+        use crate::dist::View;
         use crate::{Cluster, ClusterConfig, PartitionScheme};
         let mut cl = Cluster::new(ClusterConfig {
             workers: 2,
@@ -743,19 +783,38 @@ mod tests {
         .unwrap();
         let kb = 4;
         let w = worker();
-
-        let (a_bc, b_col) = (
-            cl.load(&a, PartitionScheme::Broadcast),
-            cl.load(&b, PartitionScheme::Col),
+        // Held as it is read, or transposed under the flipped scheme.
+        let held = |m: &dmac_matrix::BlockedMatrix, scheme: PartitionScheme| {
+            let m = if view { m.transpose() } else { m.clone() };
+            let held = cl.load(&m, if view { scheme.flip() } else { scheme });
+            install(&w, &held);
+            held
+        };
+        let a_bc = held(&a, PartitionScheme::Broadcast);
+        let (a_col, bt_col) = (
+            held(&a, PartitionScheme::Col),
+            held(&b, PartitionScheme::Col),
         );
-        let mm_out = cl.rmm1(&a_bc, &b_col).unwrap();
-        install(&w, &a_bc);
+        let read = |m| View {
+            m,
+            transposed: view,
+        };
+        let (b_col, b_row) = (
+            cl.load(&b, PartitionScheme::Col),
+            cl.load(&b, PartitionScheme::Row),
+        );
         install(&w, &b_col);
+        install(&w, &b_row);
+
+        let mm_out = cl.rmm1(read(&a_bc), &b_col).unwrap();
         let mm = Cmd::Fused {
             rids: Vec::new(),
+            tr: None,
             muls: vec![Mul {
                 a: a_bc.rid(),
                 b: b_col.rid(),
+                ta: view.then_some(true),
+                tb: None,
                 kb,
             }],
             prog: vec![FusedOp::Leaf(0)],
@@ -763,17 +822,32 @@ mod tests {
             tasks: groups_of(&mm_out),
         };
 
-        let (a_col, b_row) = (
-            cl.load(&a, PartitionScheme::Col),
-            cl.load(&b, PartitionScheme::Row),
-        );
-        let cpmm_out = cl.cpmm(&a_col, &b_row, PartitionScheme::Row).unwrap();
-        install(&w, &a_col);
-        install(&w, &b_row);
+        // `b` beside itself, the second read through the view: twice `b`.
+        let prog = vec![FusedOp::Leaf(0), FusedOp::Leaf(1), FusedOp::Add];
+        let leaves = vec![
+            b_col.clone().into(),
+            View {
+                m: bt_col.clone(),
+                transposed: view,
+            },
+        ];
+        let add_out = cl.cells("add", "", leaves, &[], &prog).unwrap();
+        let add = Cmd::Fused {
+            rids: vec![b_col.rid(), bt_col.rid()],
+            tr: view.then(|| vec![false, true]),
+            muls: Vec::new(),
+            prog,
+            rid_out: add_out.rid(),
+            tasks: groups_of(&add_out),
+        };
+
+        let cpmm_out = cl.cpmm(read(&a_col), &b_row, PartitionScheme::Row).unwrap();
         let stage = 1 << 40;
         let cpmm1 = Cmd::Cpmm1 {
             rid_a: a_col.rid(),
             rid_b: b_row.rid(),
+            ta: view.then_some(true),
+            tb: None,
             stage,
             n: 2,
             kb,
@@ -784,6 +858,8 @@ mod tests {
             w,
             mm: text(&mm),
             mm_out,
+            add: text(&add),
+            add_out,
             cpmm1: text(&cpmm1),
             cpmm_out,
             stage,
@@ -800,21 +876,33 @@ mod tests {
     }
 
     /// The by-construction property, checked without launching a process:
-    /// the daemon's RMM (`fused`) and `cpmm1` + `cpmm2` over a hand-built store
-    /// produce tiles whose shard checksums equal the simulator's for the
-    /// same inputs.
+    /// the daemon's RMM (`fused`), an aligned `add` and `cpmm1` + `cpmm2`
+    /// over a hand-built store produce tiles whose shard checksums equal
+    /// the simulator's for the same inputs — operands read as held, and
+    /// read through views.
     #[test]
     fn rmm_and_cpmm_seal_like_the_simulator() {
+        for view in [false, true] {
+            seal_like_the_simulator(view);
+        }
+    }
+
+    fn seal_like_the_simulator(view: bool) {
         let Staged {
             mut w,
             mm,
             mm_out,
+            add,
+            add_out,
             cpmm1,
             cpmm_out: out,
             stage,
-        } = staged();
+        } = staged(view);
+        assert_eq!(mm.contains(r#""ta":true"#), view, "{mm}");
         run(&mut w, &mm).map(drop).unwrap();
         assert_same_seals(&w, &mm_out, "mm");
+        run(&mut w, &add).map(drop).unwrap();
+        assert_same_seals(&w, &add_out, "add");
         assert!(
             (0..2).any(|lw| mm_out.worker_blocks(lw).values().any(|t| t.is_sparse()))
                 && (0..2).any(|lw| mm_out.worker_blocks(lw).values().any(|t| !t.is_sparse())),
@@ -854,7 +942,7 @@ mod tests {
             cpmm1,
             stage,
             ..
-        } = staged();
+        } = staged(false);
         let shards_held = w.store.lock().unwrap().len();
         let rejected = |w: &mut Worker, cmd: &str, names: &[&str]| {
             let err = run(w, cmd)
@@ -1083,7 +1171,7 @@ mod tests {
     type G<'k> = (usize, usize, Option<usize>, &'k [(usize, usize)]);
 
     /// An `xfer` of rid 1 → rid 2, with these groups.
-    fn xfer(tr: TileTransform, groups: &[G]) -> Cmd {
+    fn xfer(groups: &[G]) -> Cmd {
         let route = |&(wi, wo, dh, keys): &G| Route {
             wi,
             wo,
@@ -1094,14 +1182,13 @@ mod tests {
         Cmd::Xfer {
             rid_in: 1,
             rid_out: 2,
-            tr,
             groups,
         }
     }
 
-    /// An `xfer` of rid 1 → rid 2 transposing, with these groups.
+    /// An `xfer` of rid 1 → rid 2, with these groups, as written.
     fn xfer_of(groups: &[G]) -> String {
-        text(&xfer(TileTransform::Transpose, groups))
+        text(&xfer(groups))
     }
 
     /// The `xferred` reply's per-group receipts and per-edge hosts.
@@ -1122,7 +1209,7 @@ mod tests {
     }
 
     /// A routing plan whose groups all stay on this host is installed on
-    /// the spot, transformed, with receipts in group order, no edges, and
+    /// the spot, each tile under its key, with receipts in group order, no edges, and
     /// no peer connection opened. A group naming this host as `dh` is
     /// refused: staying has one spelling.
     #[test]
@@ -1138,8 +1225,8 @@ mod tests {
         assert_eq!(xferred(reply), (vec![wide, small], vec![]));
         let got = landed(&w.store);
         let want = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(got.keys().collect::<Vec<_>>(), [&(0, (0, 0)), &(1, (1, 0))]);
-        assert_eq!(got[&(1, (1, 0))], want(&[0.0, 3.0, 1.0, 4.0, 2.0, 5.0]));
+        assert_eq!(got.keys().collect::<Vec<_>>(), [&(0, (0, 0)), &(1, (0, 1))]);
+        assert_eq!(got[&(1, (0, 1))], want(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]));
         assert!(w.peer_conns.is_empty(), "nothing was pushed");
     }
 
@@ -1160,7 +1247,7 @@ mod tests {
         assert_eq!(xferred(reply), (vec![8, 48], vec![1]));
         let here: Vec<_> = landed(&w.store).into_keys().collect();
         let there: Vec<_> = landed(&peer).into_keys().collect();
-        assert_eq!((here, there), (vec![(1, (1, 0))], vec![(0, (0, 0))]));
+        assert_eq!((here, there), (vec![(1, (0, 1))], vec![(0, (0, 0))]));
     }
 
     /// A group naming a tile the host does not hold is an `err` reply,
@@ -1194,7 +1281,7 @@ mod tests {
             ),
             (r#"{"wi":0,"wo":0}"#, "field 'k' is missing"),
         ] {
-            let plan = text(&xfer(TileTransform::None, &[]));
+            let plan = text(&xfer(&[]));
             let plan = plan.replace(r#""groups":[]"#, &format!(r#""groups":[{good},{bad}]"#));
             let err = run(&mut w, &plan).expect_err("a malformed group is refused");
             assert!(err.contains(says), "{bad}: {err}");

@@ -7,11 +7,14 @@
 //! |---|---|
 //! | `partition` | metered all-to-all shuffle |
 //! | `broadcast` | metered one-to-all replication |
-//! | `transpose` / `extract` | local (free) |
+//! | `extract` | local (free) |
 //! | `compute` RMM1/RMM2 | communication-free local multiply |
 //! | `compute` CPMM | per-worker partials + metered output shuffle |
 //! | `compute` cell-wise / unary / fused | one scheme-aligned per-tile program ([`Cluster::cells`]) |
 //! | `compute` reduce | local partials + driver combine |
+//!
+//! A view goes to its primitive as the held value and its bit ([`View`]);
+//! a reduction reads the held value (sums and norms are transpose-free).
 //!
 //! Every primitive records a span carrying what it moved and what it
 //! cost; the engine keeps each step's spans and folds them once, into the
@@ -39,8 +42,9 @@ use std::time::Instant;
 
 use dmac_cluster::cluster::ReduceKind;
 use dmac_cluster::dist::GridMeta;
+use dmac_cluster::jsonin::Json;
 use dmac_cluster::{
-    Cluster, ClusterError, CommStats, DistMatrix, OpSpan, PartitionScheme, Rmm, SimClock,
+    Cluster, ClusterError, CommStats, DistMatrix, OpSpan, PartitionScheme, Rmm, SimClock, View,
 };
 use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, ReduceOp, ScalarId, UnaryOp};
 use dmac_matrix::FusedOp;
@@ -110,80 +114,84 @@ impl ExecReport {
         self.sim.total_sec()
     }
 
-    /// Render the report as a JSON object: totals, per-phase series,
-    /// recovery and buffer-pool counters, and the trace's byte totals.
-    /// Used by the `dmac-serve` `Stats` response and the bench bins.
-    pub fn to_json(&self) -> String {
-        use crate::json::{arr_of, JsonObj};
-        let phases = arr_of(self.per_phase.iter().map(|p| {
-            JsonObj::new()
-                .f64("compute_sec", p.compute_sec)
-                .f64("comm_sec", p.comm_sec)
-                .u64("shuffle_bytes", p.shuffle_bytes)
-                .u64("broadcast_bytes", p.broadcast_bytes)
-                .build()
-        }));
-        JsonObj::new()
-            .f64("sim_sec", self.sim.total_sec())
-            .f64("compute_sec", self.sim.compute_sec())
-            .f64("comm_sec", self.sim.comm_sec())
-            .f64("wall_sec", self.wall_sec)
-            .u64("stage_count", self.stage_count as u64)
-            .u64("planner_estimate", self.planner_estimate)
-            .u64("shuffle_bytes", self.comm.shuffle_bytes())
-            .u64("broadcast_bytes", self.comm.broadcast_bytes())
-            .u64("recovery_bytes", self.comm.recovery_bytes())
-            .u64("retry_bytes", self.comm.retry_bytes())
-            .raw("per_phase", &phases)
-            .raw(
+    /// The report as a JSON document: totals, per-phase series, recovery
+    /// and buffer-pool counters, and the trace's byte totals. Carried by
+    /// the `dmac-serve` `result` and `stats` responses as it is built.
+    pub fn doc(&self) -> Json {
+        let phases = self.per_phase.iter().map(|p| {
+            Json::object([
+                ("compute_sec", p.compute_sec.into()),
+                ("comm_sec", p.comm_sec.into()),
+                ("shuffle_bytes", p.shuffle_bytes.into()),
+                ("broadcast_bytes", p.broadcast_bytes.into()),
+            ])
+        });
+        let step_nnz = self.trace.steps.iter().map(|s| {
+            Json::object([
+                ("step", (s.step as u64).into()),
+                ("predicted_nnz", s.predicted_nnz.into()),
+                ("observed_nnz", s.observed_nnz.into()),
+                ("density_class", s.density_class.into()),
+                ("resident_bytes", s.resident_bytes.into()),
+            ])
+        });
+        let (recovery, trace, pool) = (&self.recovery, &self.trace, &self.trace.pool);
+        Json::object([
+            ("sim_sec", self.sim.total_sec().into()),
+            ("compute_sec", self.sim.compute_sec().into()),
+            ("comm_sec", self.sim.comm_sec().into()),
+            ("wall_sec", self.wall_sec.into()),
+            ("stage_count", (self.stage_count as u64).into()),
+            ("planner_estimate", self.planner_estimate.into()),
+            ("shuffle_bytes", self.comm.shuffle_bytes().into()),
+            ("broadcast_bytes", self.comm.broadcast_bytes().into()),
+            ("recovery_bytes", self.comm.recovery_bytes().into()),
+            ("retry_bytes", self.comm.retry_bytes().into()),
+            ("per_phase", Json::Arr(phases.collect())),
+            (
                 "recovery",
-                &JsonObj::new()
-                    .u64("worker_failures", self.recovery.worker_failures as u64)
-                    .u64("recovery_rounds", self.recovery.recovery_rounds as u64)
-                    .u64("recovery_bytes", self.recovery.recovery_bytes)
-                    .f64("recovery_sec", self.recovery.recovery_sec)
-                    .build(),
-            )
-            .raw(
+                Json::object([
+                    ("worker_failures", (recovery.worker_failures as u64).into()),
+                    ("recovery_rounds", (recovery.recovery_rounds as u64).into()),
+                    ("recovery_bytes", recovery.recovery_bytes.into()),
+                    ("recovery_sec", recovery.recovery_sec.into()),
+                ]),
+            ),
+            (
                 "trace",
-                &JsonObj::new()
-                    .u64("steps", self.trace.steps.len() as u64)
-                    .u64("predicted_bytes", self.trace.predicted_total())
-                    .u64("actual_bytes", self.trace.actual_total())
-                    .u64("wire_bytes", self.trace.wire_total())
-                    .u64("transport_bytes", self.trace.transport_total())
-                    .u64("recovery_wire_bytes", self.trace.recovery_wire_total())
-                    .u64("predicted_nnz", self.trace.predicted_nnz_total())
-                    .u64("observed_nnz", self.trace.observed_nnz_total())
-                    .u64("spills", self.trace.spill.spills)
-                    .u64("spill_bytes", self.trace.spill.spill_bytes)
-                    .u64("loads", self.trace.spill.loads)
-                    .u64("load_bytes", self.trace.spill.load_bytes)
-                    .u64("peak_resident_bytes", self.trace.peak_resident())
-                    .build(),
-            )
-            .raw(
-                "step_nnz",
-                &arr_of(self.trace.steps.iter().map(|s| {
-                    JsonObj::new()
-                        .u64("step", s.step as u64)
-                        .u64("predicted_nnz", s.predicted_nnz)
-                        .u64("observed_nnz", s.observed_nnz)
-                        .str("density_class", s.density_class)
-                        .u64("resident_bytes", s.resident_bytes)
-                        .build()
-                })),
-            )
-            .raw(
+                Json::object([
+                    ("steps", (trace.steps.len() as u64).into()),
+                    ("predicted_bytes", trace.predicted_total().into()),
+                    ("actual_bytes", trace.actual_total().into()),
+                    ("wire_bytes", trace.wire_total().into()),
+                    ("transport_bytes", trace.transport_total().into()),
+                    ("recovery_wire_bytes", trace.recovery_wire_total().into()),
+                    ("predicted_nnz", trace.predicted_nnz_total().into()),
+                    ("observed_nnz", trace.observed_nnz_total().into()),
+                    ("spills", trace.spill.spills.into()),
+                    ("spill_bytes", trace.spill.spill_bytes.into()),
+                    ("loads", trace.spill.loads.into()),
+                    ("load_bytes", trace.spill.load_bytes.into()),
+                    ("peak_resident_bytes", trace.peak_resident().into()),
+                ]),
+            ),
+            ("step_nnz", Json::Arr(step_nnz.collect())),
+            (
                 "pool",
-                &JsonObj::new()
-                    .u64("reused", self.trace.pool.reused as u64)
-                    .u64("allocated", self.trace.pool.allocated as u64)
-                    .u64("returned", self.trace.pool.returned as u64)
-                    .u64("dropped", self.trace.pool.dropped as u64)
-                    .build(),
-            )
-            .build()
+                Json::object([
+                    ("reused", (pool.reused as u64).into()),
+                    ("allocated", (pool.allocated as u64).into()),
+                    ("returned", (pool.returned as u64).into()),
+                    ("dropped", (pool.dropped as u64).into()),
+                ]),
+            ),
+        ])
+    }
+
+    /// The report's document ([`ExecReport::doc`]) as JSON text, members
+    /// in key order. Used by the bench bins and the repo benchmark.
+    pub fn to_json(&self) -> String {
+        self.doc().to_string()
     }
 }
 
@@ -320,12 +328,17 @@ pub(crate) fn exec_step(
     let plan = ctx.plan;
     let step = &plan.steps[step_idx];
     let operands = step
-        .in_nodes()
+        .operands()
         .into_iter()
-        .map(|n| {
-            values[n]
+        .map(|o| {
+            let n = o.node;
+            let m = values[n]
                 .clone()
-                .ok_or_else(|| CoreError::Engine(format!("node {n} used before definition")))
+                .ok_or_else(|| CoreError::Engine(format!("node {n} used before definition")))?;
+            Ok(View {
+                m,
+                transposed: o.transposed,
+            })
         })
         .collect::<Result<Vec<_>>>()?;
     if !consumes.is_empty() {
@@ -345,7 +358,6 @@ pub(crate) fn exec_step(
             let label = format!("m{}", plan.nodes[*out].matrix);
             Some((*out, cluster.broadcast(sole(operands), &label)?))
         }
-        PlanStep::Transpose { out, .. } => Some((*out, cluster.transpose(sole(operands))?)),
         PlanStep::Extract { out, .. } => {
             let target = plan.nodes[*out].scheme;
             Some((*out, cluster.extract(sole(operands), target)?))
@@ -420,7 +432,7 @@ pub(crate) fn exec_step(
             let mut leaves = operands;
             let operands = leaves.split_off(inputs.len());
             let rmms = (products.iter().zip(operands.chunks_exact(2)))
-                .map(|(p, ab)| rmm(p.strategy, &ab[0], &ab[1]))
+                .map(|(p, ab)| rmm(p.strategy, ab[0].borrowed(), ab[1].borrowed()))
                 .collect::<Result<Vec<_>>>()?;
             Some((
                 *out,
@@ -443,7 +455,6 @@ fn entry_op(program: &Program, step: &PlanStep) -> Result<&'static str> {
     Ok(match step {
         PlanStep::Partition { .. } => "partition",
         PlanStep::Broadcast { .. } => "broadcast",
-        PlanStep::Transpose { .. } => "transpose",
         PlanStep::Extract { .. } => "extract",
         PlanStep::Fused { .. } => "fused",
         PlanStep::Compute { op, strategy, .. } => match (&program.ops()[*op].kind, strategy) {
@@ -466,7 +477,11 @@ fn cell_kernel(op: BinOp) -> Result<(&'static str, FusedOp)> {
 }
 
 /// The local product a multiply runs by `strategy`, over its operands.
-fn rmm<'a>(strategy: Strategy, a: &'a DistMatrix, b: &'a DistMatrix) -> Result<Rmm<'a>> {
+fn rmm<'a>(
+    strategy: Strategy,
+    a: View<&'a DistMatrix>,
+    b: View<&'a DistMatrix>,
+) -> Result<Rmm<'a>> {
     let out = match strategy {
         Strategy::Rmm1 => PartitionScheme::Col,
         Strategy::Rmm2 => PartitionScheme::Row,
@@ -480,12 +495,10 @@ fn rmm<'a>(strategy: Strategy, a: &'a DistMatrix, b: &'a DistMatrix) -> Result<R
     Ok(Rmm { a, b, out })
 }
 
-/// The one operand of a move.
-fn sole(operands: Vec<DistMatrix>) -> DistMatrix {
-    operands
-        .into_iter()
-        .next()
-        .expect("a one-input step has one operand")
+/// The one operand of a move, always read as it is held.
+fn sole(operands: Vec<View<DistMatrix>>) -> DistMatrix {
+    let sole = operands.into_iter().next();
+    sole.expect("a one-input step has one operand").m
 }
 
 /// Extract the lost host from a recoverable error, if it is one.
@@ -781,10 +794,22 @@ pub fn execute(
             outputs.cached_inputs.insert(mid, v.clone());
         }
     }
-    for (node, mid, name) in &plan.outputs {
+    // An output read transposed (`X.t`) is fetched as its node's value (the
+    // session transposes it) and stored as the identity program's view.
+    for ((node, mid, name), (r, _)) in plan.outputs.iter().zip(program.outputs()) {
         let m = take(&values, *node)?;
         outputs.matrices.insert(*mid, m.clone());
         if let Some(name) = name {
+            let m = match r.transposed {
+                true => {
+                    let view = vec![View {
+                        m,
+                        transposed: true,
+                    }];
+                    cluster.cells("map", "transpose", view, &[], &[FusedOp::Leaf(0)])?
+                }
+                false => m,
+            };
             outputs.stored.insert(name.clone(), m);
         }
     }
@@ -813,29 +838,18 @@ pub fn execute(
 /// Flight-recorder identity of a plan step: its kind tag (extended
 /// operator name or compute strategy) and a human-readable label.
 fn step_identity(plan: &Plan, program: &Program, step: &PlanStep) -> (String, String) {
-    match step {
-        PlanStep::Partition { out, .. } => ("partition".into(), plan.node_label(program, *out)),
-        PlanStep::Broadcast { out, .. } => ("broadcast".into(), plan.node_label(program, *out)),
-        PlanStep::Transpose { out, .. } => ("transpose".into(), plan.node_label(program, *out)),
-        PlanStep::Extract { out, .. } => ("extract".into(), plan.node_label(program, *out)),
-        PlanStep::Compute {
-            strategy,
-            out,
-            out_scalar,
-            ..
-        } => {
-            let label = match (out, out_scalar) {
-                (Some(n), _) => plan.node_label(program, *n),
-                (None, Some(s)) => format!("scalar s{}", s),
-                (None, None) => String::new(),
-            };
-            (strategy.name(), label)
-        }
-        PlanStep::Fused { ops, out, .. } => (
-            format!("Fused({})", ops.len()),
-            plan.node_label(program, *out),
-        ),
-    }
+    let label = match (step.out_node(), step) {
+        (Some(n), _) => plan.node_label(program, n),
+        (
+            None,
+            PlanStep::Compute {
+                out_scalar: Some(s),
+                ..
+            },
+        ) => format!("scalar s{s}"),
+        (None, _) => String::new(),
+    };
+    (step.kind(), label)
 }
 
 enum ComputeResult {
@@ -847,51 +861,37 @@ fn run_compute(
     cluster: &mut Cluster,
     kind: &OpKind,
     strategy: crate::strategy::Strategy,
-    operands: Vec<DistMatrix>,
+    operands: Vec<View<DistMatrix>>,
     declared_scheme: Option<PartitionScheme>,
     scalars: &HashMap<ScalarId, f64>,
 ) -> Result<ComputeResult> {
     use crate::strategy::Strategy as S;
     let scalar_env = |id: ScalarId| -> f64 { *scalars.get(&id).unwrap_or(&f64::NAN) };
 
+    let matmul = matches!(
+        kind,
+        OpKind::Binary {
+            op: BinOp::MatMul,
+            ..
+        }
+    );
     match (kind, strategy) {
-        (
-            OpKind::Binary {
-                op: BinOp::MatMul, ..
-            },
-            S::Rmm1,
-        ) => Ok(ComputeResult::Matrix(
-            cluster.rmm1(&operands[0], &operands[1])?,
-        )),
-        (
-            OpKind::Binary {
-                op: BinOp::MatMul, ..
-            },
-            S::Rmm2,
-        ) => Ok(ComputeResult::Matrix(
-            cluster.rmm2(&operands[0], &operands[1])?,
-        )),
-        (
-            OpKind::Binary {
-                op: BinOp::MatMul, ..
-            },
-            S::Cpmm,
-        ) => {
-            // The output scheme was pinned by Re-assignment (or finalised
-            // to Row); for a SystemML-S (Hash) output, aggregate to Row and
-            // rehash afterwards.
-            let declared = declared_scheme
-                .ok_or_else(|| CoreError::Engine("cpmm without output node".into()))?;
-            let target = if declared.is_rc() {
-                declared
-            } else {
-                PartitionScheme::Row
+        (_, S::Rmm1 | S::Rmm2 | S::Cpmm) if matmul => {
+            let (a, b) = (operands[0].borrowed(), operands[1].borrowed());
+            let m = match strategy {
+                S::Rmm1 => cluster.rmm1(a, b)?,
+                S::Rmm2 => cluster.rmm2(a, b)?,
+                // The output scheme was pinned by Re-assignment (or
+                // finalised to Row); for a SystemML-S (Hash) output,
+                // aggregate to Row and rehash afterwards.
+                _ => {
+                    let declared = declared_scheme
+                        .ok_or_else(|| CoreError::Engine("cpmm without output node".into()))?;
+                    let rc = declared.is_rc();
+                    cluster.cpmm(a, b, if rc { declared } else { PartitionScheme::Row })?
+                }
             };
-            Ok(ComputeResult::Matrix(cluster.cpmm(
-                &operands[0],
-                &operands[1],
-                target,
-            )?))
+            Ok(ComputeResult::Matrix(m))
         }
         // A lone aligned operator is the one-instruction case of the
         // cell-wise program a fused chain runs: same primitive, same wire
@@ -912,9 +912,10 @@ fn run_compute(
             Ok(ComputeResult::Matrix(out))
         }
         (OpKind::Reduce { op, .. }, S::ReduceLocal) => {
+            let m = &operands[0].m;
             let v = match op {
-                ReduceOp::Sum | ReduceOp::Value => cluster.reduce(&operands[0], ReduceKind::Sum)?,
-                ReduceOp::Norm2 => cluster.reduce(&operands[0], ReduceKind::Norm2)?,
+                ReduceOp::Sum | ReduceOp::Value => cluster.reduce(m, ReduceKind::Sum)?,
+                ReduceOp::Norm2 => cluster.reduce(m, ReduceKind::Norm2)?,
             };
             Ok(ComputeResult::Scalar(v))
         }
@@ -1016,7 +1017,7 @@ mod tests {
         else {
             panic!("the last step is not the multiply\n{}", plan.explain(&p));
         };
-        let mut dying = inputs.clone();
+        let mut dying: Vec<usize> = inputs.iter().map(|o| o.node).collect();
         dying.sort_unstable();
         assert_eq!(plan.releases_at(m).frees, dying, "{}", plan.explain(&p));
         assert!(plan.releases_at(m).consumes.is_empty());

@@ -11,9 +11,10 @@
 //! * [`strategy`] — the candidate execution strategies per operator
 //!   (RMM1 / RMM2 / CPMM for multiplication, scheme-aligned strategies for
 //!   cell-wise and unary operators).
-//! * [`plan`] — the execution plan: compute steps plus the four extended
-//!   step kinds (`partition`, `broadcast`, `transpose`, `extract`) of
-//!   §4.2.1; the paper's null `reference` is the held node itself.
+//! * [`plan`] — the execution plan: compute steps plus the three extended
+//!   step kinds (`partition`, `broadcast`, `extract`) of
+//!   §4.2.1; the paper's null `reference` is the held node itself, and
+//!   its free `transpose` a view of it ([`plan::Operand`]).
 //! * [`planner`] — Algorithm 1 with Heuristic 1 (Pull-Up Broadcast) and
 //!   Heuristic 2 (Re-assignment).
 //! * [`liveness`] — static live-range analysis over the finished plan:

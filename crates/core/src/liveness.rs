@@ -13,7 +13,10 @@
 //! therefore has exactly one releasing step, and a release is never a
 //! step of its own. [`rederive`] first rebuilds what a free dependency
 //! gives back rather than hold it. The pass then prices the live set
-//! after every step with a storage-aware bound:
+//! after every step with a storage-aware bound. A view's transpose is
+//! scratch of the primitive that reads it — like a fused step's product
+//! tiles, it lives only while that primitive runs — so it is priced at 0:
+//! the bound counts plan nodes, and a view is none.
 //!
 //! * **Dense-class** nodes (matmul outputs, `+ scalar` results, anything
 //!   with a dense operand) cost exactly `8·rows·cols` — the dense cap.
@@ -36,7 +39,7 @@ use dmac_lang::{BinOp, MatrixId, MatrixOrigin, OpKind, Program, UnaryOp};
 use dmac_matrix::blocking::blocks_along;
 use dmac_stats::SparsityProfile;
 
-use crate::dependency::{classify, DependencyType};
+use crate::dependency::{classify, DependencyType::Extract};
 use crate::plan::{MemoryCertificate, NodeId, Plan, PlanStep, Releases};
 use crate::strategy::Strategy;
 
@@ -54,8 +57,8 @@ pub enum StorageClass {
 ///
 /// Sources: a `load` declared with sparsity < 1 is Sparse, everything
 /// else (dense loads, `random`) is Dense. The extended operators
-/// (partition/broadcast/transpose/extract) preserve their
-/// input's class. Cell-wise `+`/`-`/`*` stay Sparse only when *every*
+/// (partition/broadcast/extract) preserve their input's class, and so
+/// does a view. Cell-wise `+`/`-`/`*` stay Sparse only when *every*
 /// operand is Sparse (the kernels produce dense tiles as soon as one
 /// input is dense); `/`, `+ scalar`, matmul, and fused chains always
 /// produce Dense-class outputs. `scale` preserves its input's class.
@@ -77,12 +80,11 @@ pub fn storage_classes(program: &Program, plan: &Plan) -> Vec<StorageClass> {
         class[out] = match step {
             PlanStep::Partition { src, .. }
             | PlanStep::Broadcast { src, .. }
-            | PlanStep::Transpose { src, .. }
             | PlanStep::Extract { src, .. } => class[*src],
             PlanStep::Compute { op, inputs, .. } => match &program.ops()[*op].kind {
                 OpKind::Binary { op: b, .. } => match b {
                     BinOp::Add | BinOp::Sub | BinOp::CellMul => {
-                        if inputs.iter().all(|&n| class[n] == StorageClass::Sparse) {
+                        if inputs.iter().all(|o| class[o.node] == StorageClass::Sparse) {
                             StorageClass::Sparse
                         } else {
                             StorageClass::Dense
@@ -91,7 +93,7 @@ pub fn storage_classes(program: &Program, plan: &Plan) -> Vec<StorageClass> {
                     BinOp::CellDiv | BinOp::MatMul => StorageClass::Dense,
                 },
                 OpKind::Unary { op: u, .. } => match u {
-                    UnaryOp::Scale(_) => class[inputs[0]],
+                    UnaryOp::Scale(_) => class[inputs[0].node],
                     UnaryOp::AddScalar(_) => StorageClass::Dense,
                 },
                 OpKind::Reduce { .. } => StorageClass::Dense,
@@ -119,13 +121,7 @@ pub fn node_price(
     let Ok(decl) = program.decl(n.matrix) else {
         return 0;
     };
-    // The node physically holds the transpose when flagged, which flips
-    // the geometry the CSC overhead depends on (payload is invariant).
-    let (r, c) = if n.transposed {
-        (decl.stats.cols, decl.stats.rows)
-    } else {
-        (decl.stats.rows, decl.stats.cols)
-    };
+    let (r, c) = (decl.stats.rows, decl.stats.cols);
     let cells = r as u64 * c as u64;
     match classes[node] {
         StorageClass::Dense => 8 * cells,
@@ -146,8 +142,8 @@ pub fn node_price(
 }
 
 /// The node each bound (`load`-origin) source's placement is cached from:
-/// the first untransposed Row/Column materialisation of its matrix, which
-/// the session keeps as the input's improved placement.
+/// the first Row/Column materialisation of its matrix, which the session
+/// keeps as the input's improved placement.
 pub fn cached_inputs(program: &Program, plan: &Plan) -> Vec<(MatrixId, NodeId)> {
     plan.sources
         .iter()
@@ -160,7 +156,7 @@ pub fn cached_inputs(program: &Program, plan: &Plan) -> Vec<(MatrixId, NodeId)> 
             let first = plan
                 .nodes
                 .iter()
-                .position(|node| node.matrix == mid && !node.transposed && node.scheme.is_rc());
+                .position(|node| node.matrix == mid && node.scheme.is_rc());
             first.map(|n| (mid, n))
         })
         .collect()
@@ -181,28 +177,33 @@ pub fn keep_set(program: &Program, plan: &Plan) -> Vec<bool> {
 }
 
 /// The inputs `step` reads tile-wise: each input tile feeds only the
-/// output tile at its coordinate, so the step can drop it as soon as that
-/// output tile exists. Every input of a move (`partition`, `broadcast`,
-/// `transpose`, `extract`) and of a cell-wise compute (binary, unary); a
-/// fused step's plain leaves, save one a product of it also reads. Never
-/// a multiplication's operand: an RMM or CPMM input tile feeds many
-/// output tiles.
+/// output tile at its coordinate — or, through a view, at the transposed
+/// one — so the step can drop it as soon as that output tile exists.
+/// Every input of a move (`partition`, `broadcast`, `extract`) and of a
+/// cell-wise compute (binary, unary); a fused step's plain leaves, save
+/// one a product of it also reads. Never a multiplication's operand: an
+/// RMM or CPMM input tile feeds many output tiles.
 pub fn tile_wise_inputs(step: &PlanStep) -> Vec<NodeId> {
     match step {
-        PlanStep::Partition { .. }
-        | PlanStep::Broadcast { .. }
-        | PlanStep::Transpose { .. }
-        | PlanStep::Extract { .. } => step.in_nodes(),
+        PlanStep::Partition { .. } | PlanStep::Broadcast { .. } | PlanStep::Extract { .. } => {
+            step.in_nodes()
+        }
         PlanStep::Compute {
             strategy, inputs, ..
         } => match strategy {
-            Strategy::CellAligned(_) | Strategy::UnaryLocal => inputs.clone(),
+            Strategy::CellAligned(_) | Strategy::UnaryLocal => {
+                inputs.iter().map(|o| o.node).collect()
+            }
             _ => Vec::new(),
         },
         PlanStep::Fused {
             inputs, products, ..
-        } => (inputs.iter().copied())
-            .filter(|n| !products.iter().any(|p| p.inputs.contains(n)))
+        } => (inputs.iter().map(|o| o.node))
+            .filter(|&n| {
+                !products
+                    .iter()
+                    .any(|p| p.inputs.iter().any(|o| o.node == n))
+            })
             .collect(),
     }
 }
@@ -226,9 +227,9 @@ fn consumable(program: &Program, plan: &Plan, keep: &[bool]) -> Vec<bool> {
 /// hold, a value that a sibling gives back at 0 bytes. A node `x` read at
 /// step `t` and again later is dropped after `t` (so a tile-wise reader
 /// consumes it) and rebuilt into a fresh node from a sibling of the same
-/// matrix that [`classify`] links to it by a Transpose dependency (the
-/// other handedness, Row ↔ Column flipped or Broadcast ↔ Broadcast) or an
-/// Extract dependency (a same-handed Broadcast copy). The rebuild goes right after the sibling's last read,
+/// matrix that [`classify`] links to it by an Extract dependency (a
+/// Broadcast copy; a Transpose dependency links no two nodes, since every
+/// node holds its matrix as itself). The rebuild goes right after the sibling's last read,
 /// which must fall between the drop and `x`'s next read, so the rebuild
 /// consumes the sibling: the value trades one copy for another and is
 /// never held twice. An output is read once more at the end of the plan,
@@ -280,12 +281,10 @@ fn rebuilds(
     x: NodeId,
 ) -> Vec<Plan> {
     let want = &plan.nodes[x];
-    let siblings: Vec<(NodeId, DependencyType)> = (plan.nodes.iter().enumerate())
+    let siblings: Vec<NodeId> = (plan.nodes.iter().enumerate())
         .filter(|(_, n)| n.matrix == want.matrix)
-        .filter_map(|(src, n)| {
-            let dep = classify((n.transposed, n.scheme), (want.transposed, want.scheme))?;
-            matches!(dep, DependencyType::Transpose | DependencyType::Extract).then_some((src, dep))
-        })
+        .filter(|(_, n)| classify((false, n.scheme), (false, want.scheme)) == Some(Extract))
+        .map(|(src, _)| src)
         .collect();
     // Not a bound source (see `consumable`).
     let free = consumable(program, plan, &vec![false; plan.nodes.len()]);
@@ -302,7 +301,7 @@ fn rebuilds(
     let gone =
         |n: NodeId| (0..plan.steps.len()).find(|&i| plan.releases_at(i).all().any(|r| r == n));
     let mut plans = Vec::new();
-    for (src, dep) in siblings {
+    for src in siblings {
         // The rebuild consumes the sibling, so it may not be a kept value.
         let at = match gone(src) {
             Some(d) if (t..next).contains(&d) && free[src] => d + 1,
@@ -313,7 +312,7 @@ fn rebuilds(
             continue;
         }
         let mut rebuilt = plan.clone();
-        let out = rebuilt.add_node(want.matrix, want.transposed, want.scheme, false);
+        let out = rebuilt.add_node(want.matrix, want.scheme, false);
         for step in &mut rebuilt.steps[at..] {
             step.replace_input(x, out);
         }
@@ -321,12 +320,9 @@ fn rebuilds(
             output.0 = out;
         }
         let phase = plan.steps[at.min(plan.steps.len() - 1)].phase();
-        let step = if dep == DependencyType::Extract {
-            PlanStep::Extract { src, out, phase }
-        } else {
-            PlanStep::Transpose { src, out, phase }
-        };
-        rebuilt.steps.insert(at, step);
+        rebuilt
+            .steps
+            .insert(at, PlanStep::Extract { src, out, phase });
         rebuilt.predicted.resize(plan.steps.len(), 0);
         rebuilt.predicted.insert(at, 0);
         plans.push(rebuilt);

@@ -1,15 +1,15 @@
 //! The execution plan: a DAG of materialised matrix instances connected by
 //! compute steps and the extended operators of §4.2.1.
 //!
-//! A [`PlanNode`] is one *physical* matrix instance: a program value,
-//! possibly transposed, materialised under a concrete partition scheme —
-//! the ellipses of the paper's Figure 3 (`W1(b)`, `W1ᵀV(c)`, …). A
-//! [`PlanStep`] is an edge: one of the four extended step kinds
-//! (`partition`, `broadcast`, `transpose`, `extract`), a `compute` step
-//! carrying the chosen execution strategy, or a fused chain: cell-wise
-//! operators over plain leaves and local products.
-//! The paper's fifth operator, `reference`, is a null operation: the
-//! held node itself satisfies a Reference dependency, with no step.
+//! A [`PlanNode`] is one *physical* matrix instance: a program value
+//! materialised under a concrete partition scheme — the ellipses of the
+//! paper's Figure 3 (`W1(b)`, `W1ᵀV(c)`, …). A [`PlanStep`] is an edge:
+//! one of the three extended step kinds (`partition`, `broadcast`,
+//! `extract`), a `compute` step carrying the chosen execution strategy,
+//! or a fused chain of cell-wise operators and local products. The
+//! paper's `reference` and `transpose` move no byte, so neither is a step:
+//! the held node satisfies a Reference dependency, and an [`Operand`]
+//! reading it as its transpose — a *view* — a Transpose one.
 
 use std::fmt::Write as _;
 
@@ -22,18 +22,38 @@ use crate::strategy::Strategy;
 /// Index of a node in [`Plan::nodes`].
 pub type NodeId = usize;
 
-/// One materialised matrix instance.
+/// One materialised matrix instance: the program value itself, never
+/// its transpose — a transpose is read through a view ([`Operand`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNode {
     /// The program value this node holds.
     pub matrix: MatrixId,
-    /// True when the node physically holds the transpose of that value.
-    pub transposed: bool,
     /// Partition scheme the node is materialised under.
     pub scheme: PartitionScheme,
     /// CPMM outputs start flexible (`r|c`); the Re-assignment heuristic
     /// pins them. Flexible nodes are finalised to Row if never pinned.
     pub flexible: bool,
+}
+
+/// A matrix operand of a compute, fused step or [`Product`]: a node, as
+/// it is held or — a *view*, Table 2's free Transpose dependency — as its
+/// transpose in the flipped scheme, which the primitive resolves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Operand {
+    /// The node read.
+    pub node: NodeId,
+    /// Read as its transpose.
+    pub transposed: bool,
+}
+
+impl Operand {
+    /// `node`, read as it is held.
+    pub fn plain(node: NodeId) -> Operand {
+        Operand {
+            node,
+            transposed: false,
+        }
+    }
 }
 
 /// One step of the plan.
@@ -58,15 +78,6 @@ pub enum PlanStep {
         /// Phase tag.
         phase: usize,
     },
-    /// `transpose`: local transpose with complementary scheme. Free.
-    Transpose {
-        /// Source node.
-        src: NodeId,
-        /// Destination node.
-        out: NodeId,
-        /// Phase tag.
-        phase: usize,
-    },
     /// `extract`: local filter of a Broadcast copy down to Row/Column. Free.
     Extract {
         /// Source (Broadcast) node.
@@ -82,8 +93,8 @@ pub enum PlanStep {
         op: usize,
         /// The selected execution strategy.
         strategy: Strategy,
-        /// Input nodes, in operand order.
-        inputs: Vec<NodeId>,
+        /// Input operands, in operand order.
+        inputs: Vec<Operand>,
         /// Output node (None for reductions).
         out: Option<NodeId>,
         /// Output scalar (reductions only).
@@ -108,8 +119,8 @@ pub enum PlanStep {
         /// driver's reduction values are known; the engine resolves them
         /// at dispatch.
         prog: Vec<FusedOp<ScalarExpr>>,
-        /// Plain leaf input nodes, read tile by tile.
-        inputs: Vec<NodeId>,
+        /// Plain leaf operands, read tile by tile.
+        inputs: Vec<Operand>,
         /// Local products the step computes per output tile instead of
         /// reading a materialised value.
         products: Vec<Product>,
@@ -130,8 +141,8 @@ pub struct Product {
     pub op: usize,
     /// RMM1 or RMM2.
     pub strategy: Strategy,
-    /// Left and right operand nodes.
-    pub inputs: [NodeId; 2],
+    /// Left and right operands.
+    pub inputs: [Operand; 2],
     /// The node the multiply would have defined: never materialised, read
     /// by nothing but the fused step's program.
     pub out: NodeId,
@@ -143,7 +154,6 @@ impl PlanStep {
         match self {
             PlanStep::Partition { phase, .. }
             | PlanStep::Broadcast { phase, .. }
-            | PlanStep::Transpose { phase, .. }
             | PlanStep::Extract { phase, .. }
             | PlanStep::Compute { phase, .. }
             | PlanStep::Fused { phase, .. } => *phase,
@@ -161,24 +171,34 @@ impl PlanStep {
         }
     }
 
+    /// The step's kind as traces and EXPLAIN name it: a move's name, a
+    /// compute's strategy, or `Fused(n)`.
+    pub fn kind(&self) -> String {
+        match self {
+            PlanStep::Partition { .. } => "partition".into(),
+            PlanStep::Broadcast { .. } => "broadcast".into(),
+            PlanStep::Extract { .. } => "extract".into(),
+            PlanStep::Compute { strategy, .. } => strategy.name(),
+            PlanStep::Fused { ops, .. } => format!("Fused({})", ops.len()),
+        }
+    }
+
     /// The node this step defines, if any.
     pub fn out_node(&self) -> Option<NodeId> {
         match self {
             PlanStep::Partition { out, .. }
             | PlanStep::Broadcast { out, .. }
-            | PlanStep::Transpose { out, .. }
             | PlanStep::Extract { out, .. } => Some(*out),
             PlanStep::Compute { out, .. } => *out,
             PlanStep::Fused { out, .. } => Some(*out),
         }
     }
 
-    /// Read `to` wherever this step reads `from`.
+    /// Read `to` wherever this step reads `from`, through the same views.
     pub fn replace_input(&mut self, from: NodeId, to: NodeId) {
         match self {
             PlanStep::Partition { src, .. }
             | PlanStep::Broadcast { src, .. }
-            | PlanStep::Transpose { src, .. }
             | PlanStep::Extract { src, .. } => {
                 if *src == from {
                     *src = to;
@@ -196,13 +216,13 @@ impl PlanStep {
         }
     }
 
-    /// The nodes this step reads.
-    pub fn in_nodes(&self) -> Vec<NodeId> {
+    /// The operands this step reads: a move's source as held, a compute's
+    /// inputs, a fused step's leaves then its products' operands.
+    pub fn operands(&self) -> Vec<Operand> {
         match self {
             PlanStep::Partition { src, .. }
             | PlanStep::Broadcast { src, .. }
-            | PlanStep::Transpose { src, .. }
-            | PlanStep::Extract { src, .. } => vec![*src],
+            | PlanStep::Extract { src, .. } => vec![Operand::plain(*src)],
             PlanStep::Compute { inputs, .. } => inputs.clone(),
             PlanStep::Fused {
                 inputs, products, ..
@@ -212,12 +232,17 @@ impl PlanStep {
                 .collect(),
         }
     }
+
+    /// The nodes this step reads.
+    pub fn in_nodes(&self) -> Vec<NodeId> {
+        self.operands().into_iter().map(|o| o.node).collect()
+    }
 }
 
-/// Read `to` wherever `nodes` reads `from`.
-fn replace(nodes: &mut [NodeId], from: NodeId, to: NodeId) {
-    for n in nodes.iter_mut().filter(|n| **n == from) {
-        *n = to;
+/// Read `to` wherever `operands` reads `from`.
+fn replace(operands: &mut [Operand], from: NodeId, to: NodeId) {
+    for o in operands.iter_mut().filter(|o| o.node == from) {
+        o.node = to;
     }
 }
 
@@ -265,11 +290,13 @@ pub struct Plan {
     /// Source nodes: `(node, matrix id)` for every load/random input, in
     /// the placement it starts with.
     pub sources: Vec<(NodeId, MatrixId)>,
-    /// Output bindings: `(node, program matrix id, optional store name)`.
+    /// Output bindings: `(node, program matrix id, optional store name)`,
+    /// one per program output, in order; one read transposed (`X.t`) is
+    /// transposed at the fetch and store boundary.
     pub outputs: Vec<(NodeId, MatrixId, Option<String>)>,
     /// `predicted[i]` is the planner's cost-model prediction (§4.1 event
     /// bytes) for `steps[i]`: `0` for non-communication dependencies,
-    /// `|A|` for (transpose-)partition, `N·|A|` for (transpose-)broadcast,
+    /// `|A|` for a partition, `N·|A|` for a broadcast,
     /// and `N·|AB|` for a CPMM compute step's output event. Kept parallel
     /// to `steps`; absent entries (plans built by hand in tests) read as 0.
     pub predicted: Vec<u64>,
@@ -308,17 +335,26 @@ impl Plan {
     pub fn add_node(
         &mut self,
         matrix: MatrixId,
-        transposed: bool,
         scheme: PartitionScheme,
         flexible: bool,
     ) -> NodeId {
         self.nodes.push(PlanNode {
             matrix,
-            transposed,
             scheme,
             flexible,
         });
         self.nodes.len() - 1
+    }
+
+    /// The scheme `operand` reads in: its node's, flipped Row ⇄ Column
+    /// through a view (Broadcast and Hash stay).
+    pub fn scheme_of(&self, operand: Operand) -> PartitionScheme {
+        let scheme = self.nodes[operand.node].scheme;
+        if operand.transposed {
+            scheme.flip()
+        } else {
+            scheme
+        }
     }
 
     /// Append a step together with its predicted cost-model bytes.
@@ -358,13 +394,11 @@ impl Plan {
         self.releases.get(i).unwrap_or(&NONE)
     }
 
-    /// The copy a local `transpose` or `extract` at `steps[i]` rebuilds:
-    /// an identical node released by an earlier step, and that step
+    /// The copy a local `extract` at `steps[i]` rebuilds: an identical
+    /// node released by an earlier step, and that step
     /// ([`crate::liveness::rederive`]).
     pub fn rebuilds(&self, i: usize) -> Option<(NodeId, usize)> {
-        let (PlanStep::Transpose { out, .. } | PlanStep::Extract { out, .. }) =
-            self.steps.get(i)?
-        else {
+        let PlanStep::Extract { out, .. } = self.steps.get(i)? else {
             return None;
         };
         (0..i).find_map(|j| {
@@ -405,19 +439,21 @@ impl Plan {
         self.steps.iter().filter(|s| s.is_comm()).count()
     }
 
-    /// Human-readable label of a node, paper-style: `W1t(b)`.
+    /// Human-readable label of a node, paper-style: `W1(b)`.
     pub fn node_label(&self, program: &Program, id: NodeId) -> String {
-        let n = &self.nodes[id];
+        self.operand_label(program, Operand::plain(id))
+    }
+
+    /// Human-readable label of an operand, paper-style: a view reads its
+    /// node's transpose in the flipped scheme, `W1t(b)`.
+    pub fn operand_label(&self, program: &Program, operand: Operand) -> String {
+        let n = &self.nodes[operand.node];
         let name = program
             .decl(n.matrix)
             .map(|d| d.name.clone())
             .unwrap_or_else(|_| format!("m{}", n.matrix));
-        format!(
-            "{}{}({})",
-            name,
-            if n.transposed { "t" } else { "" },
-            n.scheme.short()
-        )
+        let t = if operand.transposed { "t" } else { "" };
+        format!("{name}{t}({})", self.scheme_of(operand).short())
     }
 
     /// Render the plan as Graphviz DOT — the paper's Figure 3 as an
@@ -439,15 +475,12 @@ impl Plan {
         }
         let mut op_counter = 0usize;
         for step in &self.steps {
-            let (style, label) = match step {
-                PlanStep::Partition { .. } => ("color=red, penwidth=2", "partition".to_string()),
-                PlanStep::Broadcast { .. } => ("color=red, penwidth=2", "broadcast".to_string()),
-                PlanStep::Transpose { .. } => ("color=blue, style=dashed", "transpose".to_string()),
-                PlanStep::Extract { .. } => ("color=blue, style=dashed", "extract".to_string()),
-                PlanStep::Compute { strategy, .. } => ("color=black", strategy.name()),
-                PlanStep::Fused { ops, .. } => {
-                    ("color=black, penwidth=2", format!("Fused({})", ops.len()))
-                }
+            let label = step.kind();
+            let style = match step {
+                PlanStep::Partition { .. } | PlanStep::Broadcast { .. } => "color=red, penwidth=2",
+                PlanStep::Extract { .. } => "color=blue, style=dashed",
+                PlanStep::Compute { .. } => "color=black",
+                PlanStep::Fused { .. } => "color=black, penwidth=2",
             };
             match step {
                 PlanStep::Fused { out, .. } => {
@@ -467,7 +500,8 @@ impl Plan {
                     };
                     op_counter += 1;
                     for input in inputs {
-                        let _ = writeln!(s, "  n{input} -> {target} [label=\"{label}\", {style}];");
+                        let n = input.node;
+                        let _ = writeln!(s, "  n{n} -> {target} [label=\"{label}\", {style}];");
                     }
                 }
                 other => {
@@ -497,10 +531,10 @@ impl Plan {
     }
 
     /// EXPLAIN-style dump of the plan (used by the `plan_explain` example
-    /// and by debugging sessions). A step names the values it releases
-    /// last: `transpose   _t4t(b) -> _t4(b) (consumes _t4t(b))`, or
-    /// `compute#7   RMM2 [W0(r), _t6(b)] -> _t7(r) (frees _t6(b))`; a
-    /// rebuild names the copy it replaces: `extract     _t4(b) -> _t4(r)
+    /// and by debugging sessions). An operand read through a view is
+    /// labelled as it reads, `W0t(c)`. A step names the values it releases
+    /// last: `compute#7   RMM2 [W0(r), _t6(b)] -> _t7(r) (frees _t6(b))`;
+    /// a rebuild names the copy it replaces: `extract     _t4(b) -> _t4(r)
     /// (re-derived; _t4(r) released at step 7) (consumes _t4(b))`.
     pub fn explain(&self, program: &Program) -> String {
         let mut s = String::new();
@@ -512,23 +546,11 @@ impl Plan {
         );
         for (i, step) in self.steps.iter().enumerate() {
             let line = match step {
-                PlanStep::Partition { src, out, .. } => format!(
-                    "partition   {} -> {}",
-                    self.node_label(program, *src),
-                    self.node_label(program, *out)
-                ),
-                PlanStep::Broadcast { src, out, .. } => format!(
-                    "broadcast   {} -> {}",
-                    self.node_label(program, *src),
-                    self.node_label(program, *out)
-                ),
-                PlanStep::Transpose { src, out, .. } => format!(
-                    "transpose   {} -> {}",
-                    self.node_label(program, *src),
-                    self.node_label(program, *out)
-                ),
-                PlanStep::Extract { src, out, .. } => format!(
-                    "extract     {} -> {}",
+                PlanStep::Partition { src, out, .. }
+                | PlanStep::Broadcast { src, out, .. }
+                | PlanStep::Extract { src, out, .. } => format!(
+                    "{:<11} {} -> {}",
+                    step.kind(),
                     self.node_label(program, *src),
                     self.node_label(program, *out)
                 ),
@@ -541,7 +563,7 @@ impl Plan {
                 } => {
                     let ins: Vec<String> = inputs
                         .iter()
-                        .map(|&n| self.node_label(program, n))
+                        .map(|&o| self.operand_label(program, o))
                         .collect();
                     let out_s = out
                         .map(|n| self.node_label(program, n))
@@ -560,8 +582,8 @@ impl Plan {
                     out,
                     ..
                 } => {
-                    let label = |n| self.node_label(program, n);
-                    let plain = inputs.iter().map(|&n| label(n));
+                    let label = |o| self.operand_label(program, o);
+                    let plain = inputs.iter().map(|&o| label(o));
                     let products = products.iter().map(|p| {
                         let [a, b] = p.inputs;
                         format!("{} {}·{}", p.strategy.name(), label(a), label(b))
@@ -614,18 +636,18 @@ mod tests {
         assert_eq!(p.out_node(), Some(1));
         assert_eq!(p.in_nodes(), vec![0]);
 
-        let t = PlanStep::Transpose {
+        let e = PlanStep::Extract {
             src: 0,
             out: 1,
             phase: 2,
         };
-        assert!(!t.is_comm());
-        assert_eq!(t.phase(), 2);
+        assert!(!e.is_comm());
+        assert_eq!(e.phase(), 2);
 
         let c = PlanStep::Compute {
             op: 0,
             strategy: Strategy::Cpmm,
-            inputs: vec![1, 2],
+            inputs: vec![Operand::plain(1), Operand::plain(2)],
             out: Some(3),
             out_scalar: None,
             phase: 0,
@@ -634,7 +656,7 @@ mod tests {
         let c2 = PlanStep::Compute {
             op: 0,
             strategy: Strategy::Rmm1,
-            inputs: vec![1, 2],
+            inputs: vec![Operand::plain(1), Operand::plain(2)],
             out: Some(3),
             out_scalar: None,
             phase: 0,
@@ -646,7 +668,7 @@ mod tests {
     #[test]
     fn finalize_pins_flexible_to_row() {
         let mut plan = Plan::default();
-        let n = plan.add_node(0, false, PartitionScheme::Col, true);
+        let n = plan.add_node(0, PartitionScheme::Col, true);
         plan.finalize_flexible();
         assert_eq!(plan.nodes[n].scheme, PartitionScheme::Row);
         assert!(!plan.nodes[n].flexible);
@@ -681,13 +703,17 @@ mod tests {
         program.output(x);
 
         let mut plan = Plan::default();
-        let a = plan.add_node(w.id, true, PartitionScheme::Broadcast, false);
-        let b = plan.add_node(w.id, false, PartitionScheme::Col, false);
-        let c = plan.add_node(x.id, false, PartitionScheme::Col, false);
+        let a = plan.add_node(w.id, PartitionScheme::Broadcast, false);
+        let b = plan.add_node(w.id, PartitionScheme::Col, false);
+        let c = plan.add_node(x.id, PartitionScheme::Col, false);
+        let view = Operand {
+            node: a,
+            transposed: true,
+        };
         plan.steps.push(PlanStep::Compute {
             op: 0,
             strategy: Strategy::Rmm1,
-            inputs: vec![a, b],
+            inputs: vec![view, Operand::plain(b)],
             out: Some(c),
             out_scalar: None,
             phase: 0,

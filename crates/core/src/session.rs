@@ -1288,9 +1288,9 @@ mod tests {
 
     #[test]
     fn explain_names_a_rebuilt_copy() {
-        // A serve-shaped H-update placed `V → c`, `W → b`, `H → c`: `Wᵀ(b)`
-        // gives `W(b)` back after `Wᵀ V`, so `W(b)` is not held until
-        // `Wᵀ W` reads it.
+        // A serve-shaped GNMF iteration: the updated `H(b)` gives `H(c)`
+        // back after the W-update's products read it, so `H(c)` is not held
+        // from the H-update's end until the output reads it.
         let s = Session::builder().workers(4).block_size(16).build();
         let mut p = Program::new();
         let v = p.random("V", 160, 96);
@@ -1301,14 +1301,20 @@ mod tests {
         let wt_w_h = p.matmul(wt_w, h).unwrap();
         let h_num = p.cell_mul(h, wt_v).unwrap();
         let h = p.cell_div(h_num, wt_w_h).unwrap();
+        let v_ht = p.matmul(v, h.t()).unwrap();
+        let h_ht = p.matmul(h, h.t()).unwrap();
+        let w_h_ht = p.matmul(w, h_ht).unwrap();
+        let w_num = p.cell_mul(w, v_ht).unwrap();
+        let w = p.cell_div(w_num, w_h_ht).unwrap();
+        p.output(w);
         p.output(h);
         let text = s.explain(&p).unwrap();
         let line = text.lines().find(|l| l.contains("(re-derived; "));
         assert_eq!(
             line.map(str::trim),
             Some(
-                "[  3] transpose   Wt(b) -> W(b) (re-derived; W(b) released at step 0) \
-                 (consumes Wt(b))"
+                "[ 10] extract     _t4(b) -> _t4(c) (re-derived; _t4(c) released at step 6) \
+                 (consumes _t4(b))"
             ),
             "{text}"
         );

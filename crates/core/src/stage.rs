@@ -100,40 +100,12 @@ pub fn explain_stages(plan: &Plan, program: &dmac_lang::Program) -> String {
         for idx in stages.steps_of(k) {
             let step = &plan.steps[idx];
             let kind = match step {
-                PlanStep::Partition { .. } => "partition",
-                PlanStep::Broadcast { .. } => "broadcast",
-                PlanStep::Transpose { .. } => "transpose",
-                PlanStep::Extract { .. } => "extract",
-                PlanStep::Compute { strategy, .. } => {
-                    let _ = writeln!(
-                        s,
-                        "  compute {} -> {}",
-                        strategy.name(),
-                        step.out_node()
-                            .map(|n| plan.node_label(program, n))
-                            .unwrap_or_else(|| "<scalar>".into())
-                    );
-                    continue;
-                }
-                PlanStep::Fused { ops, .. } => {
-                    let _ = writeln!(
-                        s,
-                        "  fused   Fused({}) -> {}",
-                        ops.len(),
-                        step.out_node()
-                            .map(|n| plan.node_label(program, n))
-                            .unwrap_or_default()
-                    );
-                    continue;
-                }
+                PlanStep::Compute { .. } => format!("compute {}", step.kind()),
+                PlanStep::Fused { .. } => format!("fused   {}", step.kind()),
+                _ => step.kind(),
             };
-            let _ = writeln!(
-                s,
-                "  {kind} -> {}",
-                step.out_node()
-                    .map(|n| plan.node_label(program, n))
-                    .unwrap_or_default()
-            );
+            let out = step.out_node().map(|n| plan.node_label(program, n));
+            let _ = writeln!(s, "  {kind} -> {}", out.unwrap_or("<scalar>".into()));
         }
     }
     s

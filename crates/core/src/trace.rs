@@ -27,10 +27,11 @@
 
 use std::fmt::Write as _;
 
+use dmac_cluster::jsonin::Json;
 use dmac_cluster::OpSpan;
 use dmac_matrix::exec::PoolStats;
 
-use crate::json::{escape as json_str, JsonObj};
+use crate::json::escape as json_str;
 
 /// Execution record of one plan step.
 #[derive(Debug, Clone, Default)]
@@ -41,8 +42,8 @@ pub struct StepTrace {
     pub stage: usize,
     /// Phase tag (iteration number).
     pub phase: usize,
-    /// Step kind: `"partition"`, `"broadcast"`, `"transpose"`,
-    /// `"extract"`, or the compute strategy name.
+    /// Step kind: `"partition"`, `"broadcast"`, `"extract"`, or the
+    /// compute strategy name.
     pub kind: String,
     /// Human-readable label (node labels, paper-style).
     pub label: String,
@@ -123,17 +124,16 @@ impl Conformance {
         self.actual <= self.predicted
     }
 
-    /// Render the pair as a JSON object (service `Stats` responses, bench
-    /// artifacts).
-    pub fn to_json(&self) -> String {
-        JsonObj::new()
-            .u64("step", self.step as u64)
-            .str("kind", &self.kind)
-            .str("label", &self.label)
-            .u64("predicted", self.predicted)
-            .u64("actual", self.actual)
-            .bool("holds", self.holds())
-            .build()
+    /// The pair as a JSON document (service `Stats` responses).
+    pub fn doc(&self) -> Json {
+        Json::object([
+            ("step", (self.step as u64).into()),
+            ("kind", self.kind.as_str().into()),
+            ("label", self.label.as_str().into()),
+            ("predicted", self.predicted.into()),
+            ("actual", self.actual.into()),
+            ("holds", self.holds().into()),
+        ])
     }
 }
 

@@ -58,7 +58,6 @@ use std::time::{Duration, Instant};
 use dmac_analyze::{lint_script, Diagnostic};
 use dmac_cluster::jsonin::Json;
 use dmac_cluster::SocketOptions;
-use dmac_core::json::{arr_of, escape, JsonObj};
 use dmac_core::{CoreError, Session, SharedStore};
 use dmac_lang::normalize::fnv1a;
 use dmac_lang::program::MatrixOrigin;
@@ -194,12 +193,12 @@ struct State {
     shutting_down: AtomicBool,
     next_id: AtomicU64,
     counters: Mutex<Counters>,
-    /// Rolling per-request trace (raw JSON objects, newest last).
-    recent: Mutex<VecDeque<String>>,
-    /// `ExecReport::to_json` of the most recently completed run.
-    last_report: Mutex<Option<String>>,
-    /// `Conformance::to_json` rows of the most recently completed run.
-    last_conformance: Mutex<Option<String>>,
+    /// Rolling per-request trace (one document each, newest last).
+    recent: Mutex<VecDeque<Json>>,
+    /// `ExecReport::doc` of the most recently completed run.
+    last_report: Mutex<Option<Json>>,
+    /// `Conformance::doc` rows of the most recently completed run.
+    last_conformance: Mutex<Option<Json>>,
     started: Instant,
     /// Test hook, read under `cfg!(test)` only: the next job panics.
     panic_next_job: AtomicBool,
@@ -231,7 +230,7 @@ impl State {
         Ok(s)
     }
 
-    fn push_recent(&self, entry: String) {
+    fn push_recent(&self, entry: Json) {
         let mut g = lock(&self.recent);
         if g.len() == RECENT_CAP {
             g.pop_front();
@@ -513,14 +512,14 @@ fn err_code(e: &CoreError) -> &'static str {
     }
 }
 
-fn recent_entry(id: u64, session: &str, fp: u64, plan_cached: bool, outcome: &str) -> String {
-    JsonObj::new()
-        .u64("request_id", id)
-        .str("session", session)
-        .str("fingerprint", &format!("{fp:016x}"))
-        .bool("plan_cached", plan_cached)
-        .str("outcome", outcome)
-        .build()
+fn recent_entry(id: u64, session: &str, fp: u64, plan_cached: bool, outcome: &str) -> Json {
+    Json::object([
+        ("request_id", id.into()),
+        ("session", session.into()),
+        ("fingerprint", format!("{fp:016x}").as_str().into()),
+        ("plan_cached", plan_cached.into()),
+        ("outcome", outcome.into()),
+    ])
 }
 
 /// `Some((peak, capacity))` when the prepared plan's memory certificate
@@ -639,8 +638,8 @@ fn execute_job(state: &State, job: &Job) {
         }
     };
 
-    let report_json = report.to_json();
-    let conf = arr_of(report.trace.conformance().iter().map(|c| c.to_json()));
+    let report_doc = report.doc();
+    let conf = Json::Arr(report.trace.conformance().iter().map(|c| c.doc()).collect());
     let result = ProgramResult {
         request_id: job.id,
         plan_cached,
@@ -648,9 +647,9 @@ fn execute_job(state: &State, job: &Job) {
         golden_fnv: fnv1a(&report.trace.golden_summary()),
         sim_sec: report.sim.total_sec(),
         certified_peak: Some(prep.certificate().peak),
-        report: Json::parse(&report_json).expect("an ExecReport renders as JSON"),
+        report: report_doc.clone(),
     };
-    *lock(&state.last_report) = Some(report_json);
+    *lock(&state.last_report) = Some(report_doc);
     *lock(&state.last_conformance) = Some(conf);
 
     state.store.release_writes(job.id);
@@ -890,99 +889,95 @@ fn stats_doc(state: &State) -> Json {
     let cache = state.cache.stats();
     let store = state.store.stats();
     let sessions = lock(&state.sessions).len();
-    let recent = {
-        let g = lock(&state.recent);
-        arr_of(g.iter().cloned())
-    };
-    let last_report = lock(&state.last_report).clone();
-    let last_report = last_report.unwrap_or_else(|| "null".into());
-    let last_conf = lock(&state.last_conformance).clone();
-    let last_conf = last_conf.unwrap_or_else(|| "null".into());
+    let recent = Json::Arr(lock(&state.recent).iter().cloned().collect());
+    let last_report = lock(&state.last_report).clone().unwrap_or(Json::Null);
+    let last_conf = lock(&state.last_conformance).clone().unwrap_or(Json::Null);
+    let num = |n: Option<u64>| n.map_or(Json::Null, Json::from);
 
-    let counters = JsonObj::new()
-        .u64("submitted", c.submitted)
-        .u64("completed", c.completed)
-        .u64("exec_errors", c.exec_errors)
-        .u64("rejected_parse", c.rejected_parse)
-        .u64("rejected_lint", c.rejected_lint)
-        .u64("rejected_busy", c.rejected_busy)
-        .u64("rejected_conflict", c.rejected_conflict)
-        .u64("rejected_deadline", c.rejected_deadline)
-        .u64("rejected_shutdown", c.rejected_shutdown)
-        .u64("rejected_memory", c.rejected_memory)
-        .build();
-    let plan_cache = JsonObj::new()
-        .u64("hits", cache.hits)
-        .u64("misses", cache.misses)
-        .u64("evictions", cache.evictions)
-        .u64("entries", cache.entries as u64)
-        .f64("hit_rate", cache.hit_rate())
-        .build();
-    let store_obj = {
-        let mut o = JsonObj::new()
-            .u64("entries", store.entries as u64)
-            .u64("bytes", store.bytes)
-            .u64("inserts", store.inserts)
-            .u64("replaced", store.replaced)
-            .u64("evictions", store.evictions)
-            .u64("dropped", store.dropped)
-            .u64("conflicts", store.conflicts)
-            .u64("spilled", store.spilled as u64)
-            .u64("spilled_bytes", store.spilled_bytes)
-            .u64("spills", store.spills)
-            .u64("spill_bytes", store.spill_bytes)
-            .u64("loads", store.loads)
-            .u64("load_bytes", store.load_bytes)
-            .u64("load_failures", store.load_failures)
-            .u64("snapshots", store.snapshots);
-        o = match store.capacity {
-            Some(cap) => o.u64("capacity", cap),
-            None => o.raw("capacity", "null"),
-        };
-        let names = arr_of(state.store.names().iter().map(|n| escape(n)));
-        o.raw("names", &names).build()
-    };
+    let counters = Json::object([
+        ("submitted", c.submitted.into()),
+        ("completed", c.completed.into()),
+        ("exec_errors", c.exec_errors.into()),
+        ("rejected_parse", c.rejected_parse.into()),
+        ("rejected_lint", c.rejected_lint.into()),
+        ("rejected_busy", c.rejected_busy.into()),
+        ("rejected_conflict", c.rejected_conflict.into()),
+        ("rejected_deadline", c.rejected_deadline.into()),
+        ("rejected_shutdown", c.rejected_shutdown.into()),
+        ("rejected_memory", c.rejected_memory.into()),
+    ]);
+    let plan_cache = Json::object([
+        ("hits", cache.hits.into()),
+        ("misses", cache.misses.into()),
+        ("evictions", cache.evictions.into()),
+        ("entries", (cache.entries as u64).into()),
+        ("hit_rate", cache.hit_rate().into()),
+    ]);
+    let names = state
+        .store
+        .names()
+        .iter()
+        .map(|n| n.as_str().into())
+        .collect();
+    let store_obj = Json::object([
+        ("entries", (store.entries as u64).into()),
+        ("bytes", store.bytes.into()),
+        ("inserts", store.inserts.into()),
+        ("replaced", store.replaced.into()),
+        ("evictions", store.evictions.into()),
+        ("dropped", store.dropped.into()),
+        ("conflicts", store.conflicts.into()),
+        ("spilled", (store.spilled as u64).into()),
+        ("spilled_bytes", store.spilled_bytes.into()),
+        ("spills", store.spills.into()),
+        ("spill_bytes", store.spill_bytes.into()),
+        ("loads", store.loads.into()),
+        ("load_bytes", store.load_bytes.into()),
+        ("load_failures", store.load_failures.into()),
+        ("snapshots", store.snapshots.into()),
+        ("capacity", num(store.capacity)),
+        ("names", Json::Arr(names)),
+    ]);
     let durability = match &state.cfg.data_dir {
         Some(dir) => {
-            let mut o = JsonObj::new()
-                .bool("enabled", true)
-                .str("data_dir", dir)
-                .u64("recovered", state.durability.recovered as u64)
-                .u64("plans_warmed", state.durability.plans_warmed as u64)
-                .u64(
-                    "checkpoints",
-                    state.durability.checkpoints.load(Ordering::Relaxed),
-                )
-                .u64(
+            let d = &state.durability;
+            let snapshot = state.store.latest_snapshot();
+            Json::object([
+                ("enabled", true.into()),
+                ("data_dir", dir.as_str().into()),
+                ("recovered", (d.recovered as u64).into()),
+                ("plans_warmed", (d.plans_warmed as u64).into()),
+                ("checkpoints", d.checkpoints.load(Ordering::Relaxed).into()),
+                (
                     "persist_errors",
-                    state.durability.persist_errors.load(Ordering::Relaxed),
-                );
-            o = match state.store.latest_snapshot() {
-                Some((seq, phase)) => o.u64("snapshot_seq", seq).u64("snapshot_phase", phase),
-                None => o.raw("snapshot_seq", "null").raw("snapshot_phase", "null"),
-            };
-            o.build()
+                    d.persist_errors.load(Ordering::Relaxed).into(),
+                ),
+                ("snapshot_seq", num(snapshot.map(|(seq, _)| seq))),
+                ("snapshot_phase", num(snapshot.map(|(_, phase)| phase))),
+            ])
         }
-        None => JsonObj::new().bool("enabled", false).build(),
+        None => Json::object([("enabled", false.into())]),
     };
 
-    let doc = JsonObj::new()
-        .f64("uptime_sec", state.started.elapsed().as_secs_f64())
-        .bool("shutting_down", state.shutting_down.load(Ordering::SeqCst))
-        .u64("queue_depth", depth as u64)
-        .u64("active", active as u64)
-        .u64("sessions", sessions as u64)
-        .u64("pool", state.cfg.pool as u64)
-        .u64("queue_cap", state.cfg.queue_cap as u64)
-        .raw("counters", &counters)
-        .raw("plan_cache", &plan_cache)
-        .raw("store", &store_obj)
-        .raw("durability", &durability)
-        .raw("recent", &recent)
-        .raw("last_report", &last_report)
-        .raw("last_conformance", &last_conf)
-        .build();
-    Json::parse(&doc).expect("the stats document renders as JSON")
+    Json::object([
+        ("uptime_sec", state.started.elapsed().as_secs_f64().into()),
+        (
+            "shutting_down",
+            state.shutting_down.load(Ordering::SeqCst).into(),
+        ),
+        ("queue_depth", (depth as u64).into()),
+        ("active", (active as u64).into()),
+        ("sessions", (sessions as u64).into()),
+        ("pool", (state.cfg.pool as u64).into()),
+        ("queue_cap", (state.cfg.queue_cap as u64).into()),
+        ("counters", counters),
+        ("plan_cache", plan_cache),
+        ("store", store_obj),
+        ("durability", durability),
+        ("recent", recent),
+        ("last_report", last_report),
+        ("last_conformance", last_conf),
+    ])
 }
 
 #[cfg(test)]

@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::write(&path, plan.to_dot(&prog))?;
         println!("wrote {path}");
     }
-    println!("note: DMac's plan reuses transposes/extracts for free and needs far");
-    println!("fewer *comm* steps; SystemML-S repartitions every operator input.");
+    println!("note: DMac's plan reads transposes as views (`Wt(c)`: no step) and");
+    println!("extracts for free, and needs far fewer *comm* steps; SystemML-S");
+    println!("repartitions every operator input.");
     Ok(())
 }

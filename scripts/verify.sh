@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> said once (one tile fold, one dense loop, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch, one fused step, one crash seam, one disk frame, one serve spelling)"
+echo "==> said once (one tile fold, one dense loop, one multiply stage, one tile decoder, one aligned stage, one persist, one victim rule, no pins, one sweep, one release path, a release is not a step, one re-derivation path, Table 2 spelled once, one tile move, one wire spelling, one write path, one byte ledger, one frame-length decoder, one generator, one digest, one acceptance rule, one planner switch, one fused step, a transpose is not a step, one crash seam, one disk frame, one serve spelling)"
 # A sixth copy of the In-Place fold cannot reappear unnoticed (`! grep`
 # would not do: errexit ignores a negated command).
 if grep -rn "matmul_acc(" crates/cluster/src crates/core/src; then exit 1; fi
@@ -180,6 +180,17 @@ if grep -rnE 'multiplication_first|pull_up_broadcast|re_assignment|allow_cpmm' \
 # such step; a lone RMM is a fused stage of one product leaf, so there is
 # no worker command of its own (the Cmd count below is 12).
 if grep -rnE 'FusedCellWise|Cmd::Mm\b' crates src tests examples; then exit 1; fi
+# A transpose is not a step: Table 2's Transpose dependency moves no byte,
+# so an operand reads the held node through a view (plan::Operand,
+# dist::View) and the primitive reading it resolves it. No plan step, no
+# cluster primitive, no tile transform on the move wire and no DistMatrix
+# copy path transposes a value — in code, tests and examples alike.
+if grep -rnE 'PlanStep::Transpose|TileTransform|fn transpose_local|Cluster::transpose' \
+    crates src tests examples; then exit 1; fi
+awk '/^pub enum PlanStep/ { inside = 1 } inside && /^}/ { inside = 0 }
+     inside && /^    Transpose[ ,{]/ { print FILENAME ":" FNR ": " $0; bad++ }
+     END { if (bad) exit 1 }' crates/core/src/plan.rs
+if grep -n "fn transpose(" crates/cluster/src/cluster.rs; then exit 1; fi
 # One crash seam: the disk tier touches the file system only through its
 # numbered I/O seam (`impl Io` in disk.rs), so crashing a run at call i,
 # for every i, reaches every durability step. No named crash point or

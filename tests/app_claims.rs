@@ -244,11 +244,12 @@ fn gnmf_netflix_scale_plan_shape() {
         .count();
     assert_eq!(v_partitions, 1, "{}", plan.explain(&p));
     assert_eq!(v_broadcasts, 0, "{}", plan.explain(&p));
-    // The free extended operators all appear, as in Figure 3.
+    // The free dependencies all appear, as in Figure 3: Transpose as a
+    // view an operand reads through, Extract as a step.
     assert!(plan
         .steps
         .iter()
-        .any(|s| matches!(s, PlanStep::Transpose { .. })));
+        .any(|s| s.operands().iter().any(|o| o.transposed)));
     assert!(plan
         .steps
         .iter()

@@ -80,23 +80,26 @@ spill: spills=0 spill_bytes=0 loads=0 load_bytes=0
 // 34). The two local steps
 // run in the stages of the copies they read (3 and 5), so each splits the
 // line it lands in; the stage count and every byte total are unchanged.
+// Re-recorded once more when a transpose became a view an operand reads
+// through, not a step: the seven `transpose` entries go (34 steps -> 27)
+// — among them the rebuild that transposed `Hᵀ(c)` back, since no copy of
+// `Hᵀ` is held any more — and the lines they split join again; the stage
+// count, the strategies and every byte total are unchanged.
 const GNMF_GOLDEN: &str = "\
-workers=4 stages=8 steps=34
+workers=4 stages=8 steps=27
 stage  1: pred=3200 actual=5664 wire=4344 [partition]
-stage  0: pred=0 actual=0 wire=0 [transpose]
 stage  2: pred=8192 actual=8192 wire=6144 [CPMM]
 stage  1: pred=2048 actual=2048 wire=1536 [CPMM,RMM2]
 stage  0: pred=0 actual=0 wire=0 [extract]
-stage  2: pred=0 actual=0 wire=0 [Cell(r),Cell(r),transpose]
-stage  3: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,RMM1]
+stage  2: pred=0 actual=0 wire=0 [Cell(r),Cell(r)]
+stage  3: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,RMM1]
 stage  4: pred=2048 actual=2048 wire=1536 [broadcast,RMM2]
 stage  3: pred=0 actual=0 wire=0 [Cell(r)]
-stage  4: pred=0 actual=0 wire=0 [Cell(r),transpose]
+stage  4: pred=0 actual=0 wire=0 [Cell(r)]
 stage  5: pred=10240 actual=10240 wire=7680 [CPMM,CPMM,RMM2]
 stage  3: pred=0 actual=0 wire=0 [extract]
-stage  5: pred=0 actual=0 wire=0 [Cell(r),Cell(r),transpose]
-stage  6: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,transpose,RMM1]
-stage  5: pred=0 actual=0 wire=0 [transpose]
+stage  5: pred=0 actual=0 wire=0 [Cell(r),Cell(r)]
+stage  6: pred=8192 actual=8192 wire=6144 [broadcast,RMM2,RMM1]
 stage  7: pred=2048 actual=2048 wire=1536 [broadcast,RMM2]
 stage  6: pred=0 actual=0 wire=0 [Cell(r)]
 stage  7: pred=0 actual=0 wire=0 [Cell(r)]

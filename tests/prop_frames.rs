@@ -27,7 +27,6 @@ use dmac::cluster::transport::frame::{
 use dmac::cluster::transport::proto::{
     Cmd, Combine, Desc, Edge, Group, Mul, Part, Peer, Place, Placed, Reply, Route, Shard,
 };
-use dmac::cluster::transport::TileTransform;
 use dmac::matrix::{Block, CscBlock, DenseBlock, SplitMix64};
 
 /// A printable-ish random payload (valid UTF-8 by construction).
@@ -883,10 +882,17 @@ impl Gen {
             },
             5 => Cmd::Fused {
                 rids: (0..self.0.below(4)).map(|_| self.rid()).collect(),
+                // Every leaf's view bit, or none when no leaf reads a view.
+                tr: match self.0.below(3) {
+                    0 => None,
+                    k => Some((0..=k).map(|i| i == k || self.0.chance(0.5)).collect()),
+                },
                 muls: (0..self.0.below(3))
                     .map(|_| Mul {
                         a: self.rid(),
                         b: self.rid(),
+                        ta: self.0.chance(0.5).then_some(true),
+                        tb: self.0.chance(0.5).then_some(true),
                         kb: self.n(),
                     })
                     .collect(),
@@ -907,6 +913,8 @@ impl Gen {
             6 => Cmd::Cpmm1 {
                 rid_a: self.rid(),
                 rid_b: self.rid(),
+                ta: self.0.chance(0.5).then_some(true),
+                tb: self.0.chance(0.5).then_some(true),
                 stage: self.rid(),
                 n: self.n(),
                 kb: self.n(),
@@ -935,7 +943,6 @@ impl Gen {
             10 => Cmd::Xfer {
                 rid_in: self.rid(),
                 rid_out: self.rid(),
-                tr: [TileTransform::None, TileTransform::Transpose][self.0.below(2)],
                 groups: (0..self.0.below(4))
                     .map(|_| Route {
                         wi: self.n(),

@@ -361,7 +361,7 @@ fn descent_never_loses_to_its_seed() {
 /// memory. Strip every rebuilt step from a finished plan, pointing its
 /// readers and outputs back at the copy it replaced: the pass turns what
 /// is left back into the same plan, the inserted steps are local
-/// `transpose` / `extract` steps priced 0, every other step keeps its
+/// `extract` steps priced 0, every other step keeps its
 /// predicted bytes, and (certified peak, steps at the peak) is no higher
 /// than the stripped plan's. Over both corpora, bound and `random`
 /// sources.
@@ -389,10 +389,7 @@ fn rederivation_moves_no_byte_and_never_raises_memory() {
             let (mut kept, mut twin_of) = (Vec::new(), HashMap::new());
             for (i, step) in lean.steps.iter().enumerate() {
                 match (lean.rebuilds(i), step) {
-                    (
-                        Some((twin, _)),
-                        PlanStep::Transpose { out, .. } | PlanStep::Extract { out, .. },
-                    ) => {
+                    (Some((twin, _)), PlanStep::Extract { out, .. }) => {
                         assert_eq!(lean.predicted_bytes(i), 0, "{label}");
                         twin_of.insert(*out, twin);
                     }

@@ -70,15 +70,27 @@ fn bits(m: &BlockedMatrix) -> Vec<u64> {
     m.to_dense().data().iter().map(|x| x.to_bits()).collect()
 }
 
+/// FNV-1a-style fold of `bits` into `h`: a result's digest.
+fn fold(h: u64, bits: impl IntoIterator<Item = u64>) -> u64 {
+    (bits.into_iter()).fold(h, |h, b| (h ^ b).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
 /// Run one app on both backends and assert the full conformance
 /// contract. `run` executes the app and returns its report, its matrix
-/// output handles, and its scalar outputs.
-fn conforms<F>(name: &str, run: F)
+/// output handles, and its scalar outputs; their digest — every matrix's
+/// bits, then every scalar's — is `pinned` on both backends, so a result
+/// keeps its bits across changes to how a plan reaches it.
+fn conforms<F>(name: &str, pinned: u64, run: F)
 where
     F: Fn(&mut Session) -> (ExecReport, Vec<Expr>, Vec<f64>),
 {
     let mut sim = sim_session();
     let (sim_report, sim_handles, sim_scalars) = run(&mut sim);
+    let digest = (sim_handles.iter())
+        .map(|h| bits(&sim.value(*h).unwrap()))
+        .chain([sim_scalars.iter().map(|x| x.to_bits()).collect()])
+        .fold(0xCBF2_9CE4_8422_2325, fold);
+    assert_eq!(digest, pinned, "{name}: result bits moved: {digest:#x}");
 
     let mut sock = socket_session();
     assert_eq!(sock.transport_name(), "socket");
@@ -174,7 +186,7 @@ fn gnmf_is_byte_exact_on_sockets() {
         iterations: 2,
     };
     let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, BLOCK, 5);
-    conforms("gnmf", |s| {
+    conforms("gnmf", 0x8da2_337d_e22a_c602, |s| {
         let (report, h) = cfg.run(s, v.clone()).unwrap();
         (report, vec![h.w, h.h], vec![])
     });
@@ -190,7 +202,7 @@ fn pagerank_is_byte_exact_on_sockets() {
         damping: 0.85,
         iterations: 3,
     };
-    conforms("pagerank", |s| {
+    conforms("pagerank", 0x1ccf_e844_1547_e47c, |s| {
         let (report, h) = cfg.run(s, &g).unwrap();
         (report, vec![h.rank], vec![])
     });
@@ -204,7 +216,7 @@ fn cf_is_byte_exact_on_sockets() {
         sparsity: 0.1,
     };
     let r = dmac::data::uniform_sparse(cfg.items, cfg.users, cfg.sparsity, BLOCK, 7);
-    conforms("cf", |s| {
+    conforms("cf", 0xd4ea_cade_8de9_dabf, |s| {
         let (report, h) = cfg.run(s, r.clone()).unwrap();
         (report, vec![h.predict], vec![])
     });
@@ -221,7 +233,7 @@ fn linreg_is_byte_exact_on_sockets() {
     };
     let v = dmac::data::uniform_sparse(cfg.rows, cfg.features, cfg.sparsity, BLOCK, 9);
     let y = BlockedMatrix::from_fn(cfg.rows, 1, BLOCK, |i, _| (i % 7) as f64 / 7.0).unwrap();
-    conforms("linreg", |s| {
+    conforms("linreg", 0xfc8b_c14c_b188_05a3, |s| {
         let (report, h) = cfg.run(s, v.clone(), y.clone()).unwrap();
         (report, vec![h.w], vec![])
     });
@@ -236,9 +248,41 @@ fn svd_is_byte_exact_on_sockets() {
         rank: 3,
     };
     let v = dmac::data::uniform_sparse(cfg.rows, cfg.cols, cfg.sparsity, BLOCK, 11);
-    conforms("svd", |s| {
+    conforms("svd", 0x316f_d580_fb6e_2d57, |s| {
         let (report, spectrum) = cfg.run(s, v.clone()).unwrap();
         (report, vec![], spectrum)
+    });
+}
+
+/// A script that stores a transposed value: `Y = X.t` persists `Xᵀ`, a
+/// matrix no program operator makes, beside a cell-wise operator and a
+/// product over transposed reads. The stored value's bits, as the next
+/// program would load them, are pinned like a result's.
+#[test]
+fn a_transposed_store_is_byte_exact_on_sockets() {
+    let script = "A = load(A, 24, 16, 0.3)\n\
+                  B = load(B, 16, 20, 1.0)\n\
+                  X = A %*% B\n\
+                  Y = X.t\n\
+                  Z = B.t * (X.t %*% A)\n\
+                  store(Y)\n\
+                  output(Z)\n";
+    let program = dmac::lang::parse_script(script).unwrap().program;
+    let z = program.outputs()[1].0;
+    let z = Expr {
+        id: z.id,
+        transposed: z.transposed,
+    };
+    let a = dmac::data::uniform_sparse(24, 16, 0.3, BLOCK, 17);
+    let b = BlockedMatrix::from_fn(16, 20, BLOCK, |i, j| ((i * 7 + j) % 11) as f64 / 4.0).unwrap();
+    conforms("transposed store", 0x4c31_3f63_deac_052a, |s| {
+        s.bind("A", a.clone()).unwrap();
+        s.bind("B", b.clone()).unwrap();
+        let report = s.run(&program).unwrap();
+        let stored = bits(&s.env_value("Y").unwrap());
+        // The stored value travels as the run's one scalar: its digest.
+        let stored = f64::from_bits(fold(0, stored));
+        (report, vec![z], vec![stored])
     });
 }
 
@@ -250,7 +294,7 @@ fn triangles_is_byte_exact_on_sockets() {
         sparsity: 0.15,
     };
     let adj = dmac::data::uniform_sparse(nodes, nodes, cfg.sparsity, BLOCK, 13);
-    conforms("triangles", |s| {
+    conforms("triangles", 0x6334_3d4c_8601_b7df, |s| {
         let (report, count) = cfg.run(s, &adj).unwrap();
         (report, vec![], vec![count])
     });
@@ -269,7 +313,7 @@ fn lone_sparse_operators_are_byte_exact_on_sockets() {
     let n = 24;
     let a = dmac::data::uniform_sparse(n, n, 0.1, BLOCK, 21);
     let b = dmac::data::uniform_sparse(n, n, 0.1, BLOCK, 22);
-    conforms("sparse add + scale", |s| {
+    conforms("sparse add + scale", 0x0453_eb1b_3132_d1ed, |s| {
         s.bind("A", a.clone()).unwrap();
         s.bind("B", b.clone()).unwrap();
         let mut p = dmac::lang::Program::new();
